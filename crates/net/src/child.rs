@@ -7,22 +7,34 @@
 //! [`build_node`] — bitwise-identical to the
 //! in-process construction — then wires up the peer mesh and runs the
 //! same [`crate::round::run_group`] loop the in-process mode runs on a
-//! thread. Sockets only ever appear here, wrapped into the channels the
-//! executor expects.
+//! thread. Sockets only ever appear here, behind the executor's
+//! [`GroupLinks`].
 //!
-//! Orphan protection: a dedicated thread reads the parent link; `Stop`
-//! *or EOF* raises the stop flag, so a dying parent takes its children
-//! down instead of leaking solver processes.
+//! Threads of a child in steady state:
+//! - **main** runs the round loop and does all the writing itself: one
+//!   [`Msg::WaveBatch`] frame per peer group per round and one
+//!   [`Msg::SnapshotBatch`] frame per round, each encoded into a reused
+//!   buffer and written with a single `write_all` (`SocketLinks`). No
+//!   writer thread, no outbound queue: every link's far end is drained by
+//!   a reader thread that never waits on anything but its socket, so a
+//!   direct write cannot deadlock.
+//! - **one reader per peer link** decodes each incoming frame into a
+//!   wave batch and passes it to main whole (one channel send per
+//!   round).
+//! - **one parent watcher**, the orphan protection: `Stop` *or EOF* on
+//!   the parent link raises the stop flag, so a dying parent takes its
+//!   children down instead of leaking solver processes.
 
-use crate::round::{self, GroupCtx, GroupIo, UpEvent};
+use crate::round::{self, GroupCtx, GroupIo, GroupLinks};
 use crate::runner::FAIL_ENV;
 use crate::socket::{Listener, Stream, TransportKind};
-use crate::wire::{self, Msg, Wave};
+use crate::wire::{self, FrameReader, FrameWriter, Msg, SnapshotBatch, Wave};
 use dtm_core::runtime::{build_node, CommonConfig, NodeRuntime};
 use dtm_sparse::{Error, Result};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -162,28 +174,21 @@ fn run_child(kind: TransportKind, addr: &str, group: usize) -> Result<()> {
     }
     parent.set_read_timeout(None)?;
 
-    // Steady state: wrap every socket in a thread so the executor sees
-    // only channels and the stop flag.
+    // Steady state: a reader thread per incoming link; the write halves
+    // stay on this thread, behind the executor's links.
     let stop = Arc::new(AtomicBool::new(false));
-    let (wave_tx, wave_rx) = channel::<Wave>();
-    let mut peers: BTreeMap<usize, Sender<Wave>> = BTreeMap::new();
+    let (wave_tx, wave_rx) = channel::<Vec<Wave>>();
+    let mut peers = BTreeMap::new();
     for (h, link) in peer_links {
         let reader = link.try_clone()?;
         let tx_in = wave_tx.clone();
         std::thread::spawn(move || peer_reader(reader, &tx_in));
-        let (tx_out, rx_out) = channel::<Wave>();
-        std::thread::spawn(move || peer_writer(link, &rx_out));
-        peers.insert(h, tx_out);
+        peers.insert(h, FrameWriter::new(link));
     }
     drop(wave_tx);
-
-    // Parent link: reader thread for Stop/EOF, uplink thread for
-    // snapshots (it hands the write half back when the run ends).
     let stop_in = stop.clone();
     let parent_reader = parent.try_clone()?;
     std::thread::spawn(move || watch_parent(parent_reader, &stop_in));
-    let (up_tx, up_rx) = channel::<(usize, UpEvent)>();
-    let uplink = std::thread::spawn(move || pump_uplink(parent, &up_rx));
 
     let ctx = GroupCtx {
         group,
@@ -193,71 +198,76 @@ fn run_child(kind: TransportKind, addr: &str, group: usize) -> Result<()> {
             .ok()
             .and_then(|v| v.parse::<u64>().ok()),
     };
-    let stopped = stop.clone();
-    let io = GroupIo {
+    let mut io = GroupIo {
         wave_rx,
-        peers,
-        up: up_tx,
+        links: SocketLinks {
+            peers,
+            parent: FrameWriter::new(parent),
+        },
         stop,
     };
-    let run = round::run_group(&mut nodes, &ctx, &io);
+    let run = round::run_group(&mut nodes, &ctx, &mut io);
 
-    // Closing the uplink channel flushes the snapshot writer and returns
-    // the parent write half for the final Done/Err frame.
-    drop(io);
-    let mut parent = match uplink.join() {
-        Ok(s) => s,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
+    let parent = &mut io.links.parent;
     match run {
         Ok(()) => {
             // After Stop the parent may already have decided the run and
             // closed the link — a failed Done is then benign teardown
             // noise, not a protocol error.
-            if let Err(e) = wire::write_frame(&mut parent, &Msg::Done) {
-                if !stopped.load(Ordering::Acquire) {
+            if let Err(e) = parent.write(&Msg::Done) {
+                if !io.stop.load(Ordering::Acquire) {
                     return Err(e);
                 }
             }
             Ok(())
         }
         Err(e) => {
-            let _ = wire::write_frame(
-                &mut parent,
-                &Msg::Err {
-                    text: e.to_string(),
-                },
-            );
+            let _ = parent.write(&Msg::Err {
+                text: e.to_string(),
+            });
             Err(e)
         }
     }
 }
 
-/// Pump one peer link's incoming waves into the shared inbox. EOF or a
-/// wire error ends the pump; if the run is still live the executor
-/// notices (the wave it is waiting for never arrives), and the *parent*
-/// — watching the dead peer's supervisor link — tears the run down, so
-/// nothing needs to escalate from here.
-fn peer_reader(mut link: Stream, tx: &Sender<Wave>) {
-    loop {
-        match wire::read_frame(&mut link) {
-            Ok(Some(Msg::Wave(w))) => {
-                if tx.send(w).is_err() {
-                    break;
-                }
-            }
-            Ok(Some(_)) => {}
-            Ok(None) | Err(_) => break,
-        }
+/// The socket links of one group: every batch becomes one frame, encoded
+/// into the link's reused buffer and written from the calling thread
+/// with a single `write_all`.
+struct SocketLinks<W: Write> {
+    peers: BTreeMap<usize, FrameWriter<W>>,
+    parent: FrameWriter<W>,
+}
+
+impl<W: Write> GroupLinks for SocketLinks<W> {
+    // lint: hot-path
+    fn send_waves(&mut self, peer: usize, waves: &mut Vec<Wave>) -> Result<()> {
+        self.peers
+            .get_mut(&peer)
+            .ok_or_else(|| derr(format!("no link to group {peer}")))?
+            .write_waves(waves)
+    }
+
+    // lint: hot-path
+    fn send_snapshots(&mut self, batch: &mut SnapshotBatch) -> Result<()> {
+        self.parent.write_snapshots(batch)
     }
 }
 
-/// Drain one peer's outbound queue onto its socket. A write failure
-/// drops the receiver, which [`round::run_group`] observes as a failed
-/// send and converts to a typed error (unless the run is stopping).
-fn peer_writer(mut link: Stream, rx: &Receiver<Wave>) {
-    while let Ok(w) = rx.recv() {
-        if wire::write_frame(&mut link, &Msg::Wave(w)).is_err() {
+/// Pump one peer link's incoming wave batches into the shared inbox, one
+/// channel send per frame. EOF or a wire error ends the pump; if the run
+/// is still live the executor notices (the wave it is waiting for never
+/// arrives), and the *parent* — watching the dead peer's supervisor link
+/// — tears the run down, so nothing needs to escalate from here.
+fn peer_reader(link: Stream, tx: &Sender<Vec<Wave>>) {
+    let mut frames = FrameReader::new(link);
+    loop {
+        let batch = match frames.read() {
+            Ok(Some(Msg::WaveBatch(waves))) => waves,
+            Ok(Some(Msg::Wave(wave))) => vec![wave],
+            Ok(Some(_)) => continue,
+            Ok(None) | Err(_) => break,
+        };
+        if tx.send(batch).is_err() {
             break;
         }
     }
@@ -277,19 +287,134 @@ fn watch_parent(mut link: Stream, stop: &AtomicBool) {
     }
 }
 
-/// Serialize snapshot events onto the parent link; returns the write
-/// half when the event channel closes so the caller can send the final
-/// frame on the same socket.
-fn pump_uplink(mut parent: Stream, rx: &Receiver<(usize, UpEvent)>) -> Stream {
-    while let Ok((_, ev)) = rx.recv() {
-        let msg = match ev {
-            UpEvent::Snapshot(s) => Msg::Snapshot(s),
-            UpEvent::Done => Msg::Done,
-            UpEvent::Failed(text) => Msg::Err { text },
-        };
-        if wire::write_frame(&mut parent, &msg).is_err() {
-            break;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtm_core::impedance;
+    use dtm_graph::evs::{split as evs_split, EvsOptions};
+    use dtm_graph::{partition, ElectricGraph, PartitionPlan};
+    use dtm_sparse::generators;
+    use std::sync::Mutex;
+
+    /// A link that keeps what every single `write` call was handed.
+    #[derive(Clone, Default)]
+    struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("log lock").push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
-    parent
+
+    impl WriteLog {
+        /// The frames written so far, asserting each `write` call carried
+        /// exactly one whole frame.
+        fn frames(&self) -> Vec<Msg> {
+            let log = self.0.lock().expect("log lock");
+            log.iter()
+                .map(|call| {
+                    let mut bytes = call.as_slice();
+                    let msg = wire::read_frame(&mut bytes).expect("a frame");
+                    assert!(bytes.is_empty(), "one write call, one frame");
+                    msg.expect("not an eof")
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn one_write_per_peer_per_round_and_one_to_the_supervisor() {
+        // Three strips, one per group: the middle group has two peers.
+        let side = 9;
+        let a = generators::grid2d_laplacian(side, side);
+        let b = generators::random_rhs(side * side, 31);
+        let g = ElectricGraph::from_system(a, b).expect("symmetric");
+        let plan = PartitionPlan::from_assignment(&g, &partition::grid_strips(side, side, 3))
+            .expect("valid");
+        let split = evs_split(&g, &plan, &EvsOptions::default()).expect("splits");
+        let common = CommonConfig::default();
+        let z = impedance::per_port(&split, &common.impedance.assign(&split).expect("z"));
+        let mut built: Vec<NodeRuntime> = split
+            .subdomains
+            .iter()
+            .zip(&z)
+            .map(|(sd, z)| build_node(sd, z, &common).expect("builds"))
+            .collect();
+
+        // The outer groups' waves for rounds 0 and 1, as their readers
+        // would deliver them: one batch per peer per round.
+        const ROUNDS: u64 = 3;
+        let (wave_tx, wave_rx) = channel();
+        for round in 0..ROUNDS - 1 {
+            for src in [0usize, 2] {
+                let mut outbox: Vec<(usize, dtm_core::runtime::DtmMsg)> = Vec::new();
+                let _ = built[src].step(&mut outbox);
+                let batch: Vec<Wave> = outbox
+                    .into_iter()
+                    .map(|(dst, msg)| Wave {
+                        round,
+                        src: src as u64,
+                        dst: dst as u64,
+                        msg,
+                    })
+                    .collect();
+                assert!(batch.iter().all(|w| w.dst == 1));
+                wave_tx.send(batch).expect("inbox open");
+            }
+        }
+
+        let (to_0, to_2, to_parent) = (
+            WriteLog::default(),
+            WriteLog::default(),
+            WriteLog::default(),
+        );
+        let mut io = GroupIo {
+            wave_rx,
+            links: SocketLinks {
+                peers: BTreeMap::from([
+                    (0, FrameWriter::new(to_0.clone())),
+                    (2, FrameWriter::new(to_2.clone())),
+                ]),
+                parent: FrameWriter::new(to_parent.clone()),
+            },
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let ctx = GroupCtx {
+            group: 1,
+            group_of_part: vec![0, 1, 2],
+            max_rounds: ROUNDS,
+            fail_after_round: None,
+        };
+        let mut nodes = BTreeMap::from([(1, built.remove(1))]);
+        round::run_group(&mut nodes, &ctx, &mut io).expect("runs to the cap");
+
+        // The final round's waves have nowhere to be absorbed: two wave
+        // frames per peer, three snapshot frames.
+        for (peer, log) in [(0u64, &to_0), (2, &to_2)] {
+            let frames = log.frames();
+            assert_eq!(frames.len() as u64, ROUNDS - 1, "peer {peer}");
+            for (round, frame) in frames.iter().enumerate() {
+                let Msg::WaveBatch(waves) = frame else {
+                    panic!("peer {peer} got {frame:?}");
+                };
+                assert!(!waves.is_empty());
+                assert!(waves
+                    .iter()
+                    .all(|w| (w.round, w.src, w.dst) == (round as u64, 1, peer)));
+            }
+        }
+        let frames = to_parent.frames();
+        assert_eq!(frames.len() as u64, ROUNDS);
+        for (round, frame) in frames.iter().enumerate() {
+            let Msg::SnapshotBatch(batch) = frame else {
+                panic!("supervisor got {frame:?}");
+            };
+            assert_eq!((batch.round(), batch.len()), (round as u64, 1));
+        }
+    }
 }

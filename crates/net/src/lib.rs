@@ -20,9 +20,11 @@
 //!
 //! Module map:
 //! - [`wire`] — the binary frame format (no serde; the vendored stub is
-//!   a no-op) with a total, panic-free decoder.
+//!   a no-op) with a total, panic-free decoder; one frame per link per
+//!   round in steady state.
 //! - [`socket`] — UDS/TCP behind one [`socket::Stream`] enum.
-//! - [`round`] — the deterministic round executor both modes share.
+//! - [`round`] — the deterministic round executor both modes share: one
+//!   wave batch per peer group and one snapshot batch per round.
 //! - [`runner`] — the parent supervisor: spawn, handshake, evaluate
 //!   rounds, tear down (children are always reaped, error or not).
 //! - [`child`] — the child-process side behind the hidden `net-child`

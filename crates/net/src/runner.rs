@@ -3,24 +3,28 @@
 //! sockets — and evaluates rounds in order until the residual tolerance
 //! is met.
 //!
-//! Both modes funnel into one `supervise` loop: per-round snapshots
-//! arrive on a merged event channel, the parent gathers the global
-//! estimate for each *complete* round in round order (ascending part
-//! order within the round, matching
-//! [`SplitSystem::reconstruct`]-style averaging of copies) and stops at
-//! the first round whose relative residual meets the tolerance. Because
-//! rounds — not wall-clock races — define the stop decision, the
-//! returned solution is a pure function of the problem, and socket and
-//! in-process runs agree bit for bit.
+//! Both modes funnel into one `supervise` loop: each group's per-round
+//! [`SnapshotBatch`] arrives on a merged event channel, the parent
+//! gathers the global estimate for each *complete* round in round order
+//! (ascending part order within the round, whatever order the groups
+//! swept in, matching [`SplitSystem::reconstruct`]-style averaging of
+//! copies) and stops at the first round whose relative residual meets
+//! the tolerance. Because rounds — not wall-clock races — define the stop
+//! decision, the returned solution is a pure function of the problem, and
+//! socket and in-process runs agree bit for bit.
+//!
+//! In process mode the parent runs one reader thread per child (a
+//! [`wire::FrameReader`] that turns each frame into one event) next to
+//! the supervising thread, which keeps the write halves for `Stop`.
 //!
 //! Teardown is unconditional in process mode: whatever happens — clean
 //! convergence, a child crash, a wire error — every spawned child is
 //! killed and reaped before the runner returns, so a failed solve leaves
 //! no orphan processes behind.
 
-use crate::round::{self, GroupCtx, GroupIo, UpEvent};
+use crate::round::{self, GroupCtx, GroupIo, GroupLinks, UpEvent};
 use crate::socket::{Listener, Stream, TransportKind};
-use crate::wire::{self, GroupPlan, GroupRates, Msg, PartPlan, Snapshot, Wave};
+use crate::wire::{self, GroupPlan, GroupRates, Msg, PartPlan, SnapshotBatch, Wave};
 use dtm_core::runtime::{build_node, CommonConfig, NodeRuntime};
 use dtm_graph::evs::SplitSystem;
 use dtm_sparse::{Error, Result};
@@ -78,15 +82,14 @@ struct SupOutcome {
 }
 
 /// Average each original vertex's copies into the global estimate —
-/// the same copy-averaging the wall-clock supervisor applies.
-fn gather(split: &SplitSystem, parts_snap: &BTreeMap<usize, Vec<f64>>, est: &mut [f64]) {
+/// the same copy-averaging the wall-clock supervisor applies. Parts are
+/// summed in ascending order: with three or more copies of a vertex the
+/// order of the additions is part of the bits.
+fn gather(split: &SplitSystem, by_part: &[&[f64]], est: &mut [f64]) {
     est.iter_mut().for_each(|v| *v = 0.0);
-    for (p, sd) in split.subdomains.iter().enumerate() {
-        let Some(vals) = parts_snap.get(&p) else {
-            continue;
-        };
-        for (l, &g) in sd.global_of_local.iter().enumerate() {
-            if let (Some(&v), Some(e)) = (vals.get(l), est.get_mut(g)) {
+    for (sd, vals) in split.subdomains.iter().zip(by_part) {
+        for (&g, &v) in sd.global_of_local.iter().zip(*vals) {
+            if let Some(e) = est.get_mut(g) {
                 *e += v;
             }
         }
@@ -96,10 +99,37 @@ fn gather(split: &SplitSystem, parts_snap: &BTreeMap<usize, Vec<f64>>, est: &mut
     }
 }
 
+/// Index one round's batches by part, or say why they are not exactly
+/// one right-sized solution per part.
+fn solutions_by_part<'a>(
+    split: &SplitSystem,
+    batches: &'a [SnapshotBatch],
+) -> Result<Vec<&'a [f64]>> {
+    let mut by_part: Vec<Option<&[f64]>> = vec![None; split.n_parts()];
+    for (part, vals) in batches.iter().flat_map(SnapshotBatch::iter) {
+        let fits = usize::try_from(part)
+            .ok()
+            .and_then(|p| Some((by_part.get_mut(p)?, split.subdomains.get(p)?)))
+            .filter(|(slot, sd)| slot.is_none() && sd.global_of_local.len() == vals.len());
+        match fits {
+            Some((slot, _)) => *slot = Some(vals),
+            None => {
+                return Err(derr(format!(
+                    "snapshot of part {part} is unknown, repeated or the wrong size"
+                )))
+            }
+        }
+    }
+    by_part
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| derr("a round's snapshot batches leave a part out"))
+}
+
 /// Consume group events until the tolerance is met at some round, every
 /// group reports done (round cap), or the budget expires. Rounds are
-/// evaluated strictly in order, each only once all parts' snapshots for
-/// it have arrived.
+/// evaluated strictly in order, each only once every part's snapshot for
+/// it has arrived.
 fn supervise(
     inp: &RunInputs<'_>,
     events: &Receiver<(usize, UpEvent)>,
@@ -111,7 +141,7 @@ fn supervise(
     let b_scale = dtm_sparse::vector::norm2_or_one(&b);
     let deadline = started + inp.budget;
 
-    let mut snaps: BTreeMap<u64, BTreeMap<usize, Vec<f64>>> = BTreeMap::new();
+    let mut pending: BTreeMap<u64, Vec<SnapshotBatch>> = BTreeMap::new();
     let mut est = vec![0.0; split.original_n];
     let mut series: Vec<(f64, f64)> = Vec::new();
     let mut next_round: u64 = 0;
@@ -120,9 +150,12 @@ fn supervise(
 
     'outer: loop {
         // Evaluate every round that just became complete, in order.
-        while snaps.get(&next_round).is_some_and(|m| m.len() == n_parts) {
-            let m = snaps.remove(&next_round).unwrap_or_default();
-            gather(split, &m, &mut est);
+        while pending
+            .get(&next_round)
+            .is_some_and(|bs| bs.iter().map(SnapshotBatch::len).sum::<usize>() >= n_parts)
+        {
+            let batches = pending.remove(&next_round).unwrap_or_default();
+            gather(split, &solutions_by_part(split, &batches)?, &mut est);
             let metric = a.residual_norm(&est, &b) / b_scale;
             series.push((started.elapsed().as_secs_f64() * 1e3, metric));
             next_round += 1;
@@ -132,21 +165,29 @@ fn supervise(
             }
         }
         if done_groups == inp.n_groups {
-            // Nothing more will arrive (per-sender FIFO: every snapshot
-            // a group sent precedes its Done on the merged channel).
+            // Nothing more will arrive (per-sender FIFO: every batch a
+            // group sent precedes its Done on the merged channel).
             break;
         }
-        match events.recv_timeout(Duration::from_millis(50)) {
-            Ok((_, UpEvent::Snapshot(s))) => record_snapshot(&mut snaps, s, n_parts, next_round),
+        // Checked on every pass, not only when the channel runs dry:
+        // live groups never leave it quiet for a whole poll interval.
+        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            break;
+        };
+        match events.recv_timeout(left.min(Duration::from_millis(50))) {
+            // Already-evaluated or out-of-contract rounds are dropped
+            // (late batches keep streaming in while a stop decision
+            // propagates).
+            Ok((_, UpEvent::Snapshots(batch))) => {
+                if (next_round..inp.max_rounds).contains(&batch.round()) {
+                    pending.entry(batch.round()).or_default().push(batch);
+                }
+            }
             Ok((_, UpEvent::Done)) => done_groups += 1,
             Ok((g, UpEvent::Failed(text))) => {
                 return Err(derr(format!("group {g} failed: {text}")));
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    break;
-                }
-            }
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(derr("all group links closed before completion"));
             }
@@ -161,21 +202,6 @@ fn supervise(
         final_residual,
         series,
     })
-}
-
-fn record_snapshot(
-    snaps: &mut BTreeMap<u64, BTreeMap<usize, Vec<f64>>>,
-    s: Snapshot,
-    n_parts: usize,
-    next_round: u64,
-) {
-    let part = s.part as usize;
-    // Out-of-contract or already-evaluated rounds are dropped (late
-    // snapshots keep streaming in while a stop decision propagates).
-    if part >= n_parts || s.round < next_round {
-        return;
-    }
-    snaps.entry(s.round).or_default().insert(part, s.values);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,6 +223,35 @@ fn build_groups(inp: &RunInputs<'_>) -> Result<BTreeMap<usize, BTreeMap<usize, N
     Ok(groups)
 }
 
+/// The in-process links of one group: a round's batch moves to its
+/// receiver whole, and a buffer of the same capacity takes its place.
+struct ChannelLinks {
+    group: usize,
+    peers: BTreeMap<usize, Sender<Vec<Wave>>>,
+    up: Sender<(usize, UpEvent)>,
+}
+
+impl GroupLinks for ChannelLinks {
+    fn send_waves(&mut self, peer: usize, waves: &mut Vec<Wave>) -> Result<()> {
+        let fresh = Vec::with_capacity(waves.len());
+        self.peers
+            .get(&peer)
+            .ok_or_else(|| derr(format!("no link to group {peer}")))?
+            .send(std::mem::replace(waves, fresh))
+            .map_err(|_| derr("receiver gone"))
+    }
+
+    fn send_snapshots(&mut self, batch: &mut SnapshotBatch) -> Result<()> {
+        let fresh = SnapshotBatch::with_capacity(batch.round(), batch.len(), batch.n_values());
+        self.up
+            .send((
+                self.group,
+                UpEvent::Snapshots(std::mem::replace(batch, fresh)),
+            ))
+            .map_err(|_| derr("receiver gone"))
+    }
+}
+
 /// Run the solve with every group on an OS thread in this process — the
 /// bitwise reference the socket mode is compared against.
 pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
@@ -210,8 +265,8 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
         rates.flops_per_round += r.flops_per_round;
     }
 
-    let mut wave_tx: BTreeMap<usize, Sender<Wave>> = BTreeMap::new();
-    let mut wave_rx: BTreeMap<usize, Receiver<Wave>> = BTreeMap::new();
+    let mut wave_tx: BTreeMap<usize, Sender<Vec<Wave>>> = BTreeMap::new();
+    let mut wave_rx: BTreeMap<usize, Receiver<Vec<Wave>>> = BTreeMap::new();
     for &g in groups.keys() {
         let (tx, rx) = channel();
         wave_tx.insert(g, tx);
@@ -222,7 +277,7 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
 
     let mut handles = Vec::new();
     for (g, mut nodes) in groups {
-        let peers: BTreeMap<usize, Sender<Wave>> = wave_tx
+        let peers = wave_tx
             .iter()
             .filter(|&(&h, _)| h != g)
             .map(|(&h, tx)| (h, tx.clone()))
@@ -230,10 +285,13 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
         let Some(rx) = wave_rx.remove(&g) else {
             continue;
         };
-        let io = GroupIo {
+        let mut io = GroupIo {
             wave_rx: rx,
-            peers,
-            up: ev_tx.clone(),
+            links: ChannelLinks {
+                group: g,
+                peers,
+                up: ev_tx.clone(),
+            },
             stop: stop.clone(),
         };
         let ctx = GroupCtx {
@@ -243,14 +301,11 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
             fail_after_round: None,
         };
         handles.push(std::thread::spawn(move || {
-            match round::run_group(&mut nodes, &ctx, &io) {
-                Ok(()) => {
-                    let _ = io.up.send((g, UpEvent::Done));
-                }
-                Err(e) => {
-                    let _ = io.up.send((g, UpEvent::Failed(e.to_string())));
-                }
-            }
+            let end = match round::run_group(&mut nodes, &ctx, &mut io) {
+                Ok(()) => UpEvent::Done,
+                Err(e) => UpEvent::Failed(e.to_string()),
+            };
+            let _ = io.links.up.send((g, end));
         }));
     }
     drop(ev_tx);
@@ -564,14 +619,15 @@ fn run_processes_inner(
     })
 }
 
-/// Pump one child's supervisor link into the merged event channel. A
-/// link that closes before `Done` is a child failure.
-fn child_link_reader(g: usize, mut stream: Stream, ev: &Sender<(usize, UpEvent)>) {
+/// Pump one child's supervisor link into the merged event channel, one
+/// event per frame. A link that closes before `Done` is a child failure.
+fn child_link_reader(g: usize, stream: Stream, ev: &Sender<(usize, UpEvent)>) {
+    let mut frames = wire::FrameReader::new(stream);
     let mut saw_done = false;
     loop {
-        match wire::read_frame(&mut stream) {
-            Ok(Some(Msg::Snapshot(s))) => {
-                if ev.send((g, UpEvent::Snapshot(s))).is_err() {
+        match frames.read() {
+            Ok(Some(Msg::SnapshotBatch(batch))) => {
+                if ev.send((g, UpEvent::Snapshots(batch))).is_err() {
                     break;
                 }
             }

@@ -14,12 +14,23 @@
 //! [`Error`] — the decoder never panics and never
 //! trusts a length field without checking it against the bytes actually
 //! present.
+//!
+//! **The round is the unit of I/O.** In steady state a link carries one
+//! frame per round: a [`Msg::WaveBatch`] (every wave one group owes one
+//! peer group for that round) on a peer link, a [`Msg::SnapshotBatch`]
+//! (every part's solution, back to back) on the supervisor link. A
+//! [`FrameWriter`] encodes the batch behind its length prefix into one
+//! reused buffer and hands the socket a single `write_all`; a
+//! [`FrameReader`] sits behind a [`BufReader`] and reuses its payload
+//! buffer, so a round's frame costs one `write` and typically one `read`.
+//! Runs of `f64`s are copied in bulk (`chunks_exact(8)`), not one
+//! cursor-checked element at a time.
 
 use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::{DtmMsg, PortUpdate, SmallBlock, Termination};
 use dtm_graph::evs::{Port, PortRef, Subdomain};
 use dtm_sparse::{Csr, Error, Result};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 /// Hard cap on a frame's payload length: guards the reader against a
 /// garbage length prefix committing us to a gigantic allocation.
@@ -75,15 +86,73 @@ pub struct Wave {
     pub msg: DtmMsg,
 }
 
-/// One part's per-round solution snapshot, child → parent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// The part.
-    pub part: u64,
-    /// The round the solution belongs to.
-    pub round: u64,
-    /// The local solution (`n_local × k`, column-major).
-    pub values: Vec<f64>,
+/// One group's solutions for one round, child → parent: every part's
+/// local solution back to back in one buffer, so a round costs the
+/// sender one copy per part and the receiver one bulk decode.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SnapshotBatch {
+    round: u64,
+    /// `(part, value count)` per snapshot, in the sender's sweep order.
+    parts: Vec<(u64, usize)>,
+    /// The parts' solutions (`n_local × k`, column-major) in `parts`
+    /// order; its length is the sum of the counts.
+    values: Vec<f64>,
+}
+
+impl SnapshotBatch {
+    /// An empty batch for `round` with room for `n_parts` snapshots of
+    /// `n_values` values in total.
+    pub fn with_capacity(round: u64, n_parts: usize, n_values: usize) -> Self {
+        Self {
+            round,
+            parts: Vec::with_capacity(n_parts),
+            values: Vec::with_capacity(n_values),
+        }
+    }
+
+    /// Empty the batch for reuse at `round`, keeping its buffers.
+    pub fn reset(&mut self, round: u64) {
+        self.round = round;
+        self.parts.clear();
+        self.values.clear();
+    }
+
+    /// Append one part's solution.
+    // lint: hot-path
+    pub fn push(&mut self, part: u64, values: &[f64]) {
+        self.parts.push((part, values.len()));
+        self.values.extend_from_slice(values);
+    }
+
+    /// The round the solutions belong to.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// Number of snapshots in the batch.
+    pub fn len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Whether the batch holds no snapshot.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// Total number of values across all snapshots.
+    pub fn n_values(&self) -> usize {
+        self.values.len()
+    }
+
+    /// `(part, solution)` per snapshot, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &[f64])> {
+        let mut rest = self.values.as_slice();
+        self.parts.iter().map(move |&(part, n)| {
+            let (head, tail) = rest.split_at(n);
+            rest = tail;
+            (part, head)
+        })
+    }
 }
 
 /// Per-round work rates of one group — the deterministic counter basis:
@@ -130,10 +199,14 @@ pub enum Msg {
     Ready(GroupRates),
     /// Parent → child: start round 0.
     Go,
-    /// Peer → peer: one cross-group wave.
+    /// Peer → peer: one cross-group wave. The steady state ships
+    /// [`Msg::WaveBatch`] instead; a lone wave is read as a batch of one.
     Wave(Wave),
-    /// Child → parent: one per-round solution snapshot.
-    Snapshot(Snapshot),
+    /// Peer → peer: every wave the sending group owes the receiving
+    /// group for one round.
+    WaveBatch(Vec<Wave>),
+    /// Child → parent: every part's solution for one round.
+    SnapshotBatch(SnapshotBatch),
     /// Parent → child: cease after the current round.
     Stop,
     /// Child → parent: round loop finished (stop or round cap).
@@ -153,10 +226,14 @@ const TAG_PEER_MAP: u8 = 4;
 const TAG_READY: u8 = 5;
 const TAG_GO: u8 = 6;
 const TAG_WAVE: u8 = 7;
-const TAG_SNAPSHOT: u8 = 8;
+const TAG_SNAPSHOT_BATCH: u8 = 8;
 const TAG_STOP: u8 = 9;
 const TAG_DONE: u8 = 10;
 const TAG_ERR: u8 = 11;
+const TAG_WAVE_BATCH: u8 = 12;
+
+/// Bytes of the little-endian payload-length prefix of a frame.
+const LEN_PREFIX: usize = 4;
 
 fn parse_err(what: &str) -> Error {
     Error::Parse(format!("wire: {what}"))
@@ -166,15 +243,13 @@ fn parse_err(what: &str) -> Error {
 // Encoder
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// Appends to a caller-owned buffer, so a hot caller can reuse one
+/// allocation across frames.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -195,11 +270,20 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A run of `f64`s with no count, written in bulk: the buffer grows
+    /// once and the fixed-width chunk loop compiles to a block copy.
+    // lint: hot-path
+    fn f64_run(&mut self, vs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (chunk, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            chunk.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     fn f64s(&mut self, vs: &[f64]) {
         self.us(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
+        self.f64_run(vs);
     }
 
     fn usizes(&mut self, vs: &[usize]) {
@@ -214,6 +298,8 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// A handful of columns: element-wise beats setting up a bulk copy.
+    // lint: hot-path
     fn small_block(&mut self, b: &SmallBlock) {
         self.u32(b.len() as u32);
         for &v in b.as_slice() {
@@ -221,6 +307,7 @@ impl Enc {
         }
     }
 
+    // lint: hot-path
     fn dtm_msg(&mut self, m: &DtmMsg) {
         self.us(m.updates.len());
         for u in &m.updates {
@@ -228,6 +315,35 @@ impl Enc {
             self.small_block(&u.u);
             self.small_block(&u.omega);
         }
+    }
+
+    // lint: hot-path
+    fn wave(&mut self, w: &Wave) {
+        self.u64(w.round);
+        self.u64(w.src);
+        self.u64(w.dst);
+        self.dtm_msg(&w.msg);
+    }
+
+    // lint: hot-path
+    fn wave_batch(&mut self, waves: &[Wave]) {
+        self.u8(TAG_WAVE_BATCH);
+        self.us(waves.len());
+        for w in waves {
+            self.wave(w);
+        }
+    }
+
+    // lint: hot-path
+    fn snapshot_batch(&mut self, b: &SnapshotBatch) {
+        self.u8(TAG_SNAPSHOT_BATCH);
+        self.u64(b.round);
+        self.us(b.parts.len());
+        for &(part, n) in &b.parts {
+            self.u64(part);
+            self.us(n);
+        }
+        self.f64s(&b.values);
     }
 
     fn csr(&mut self, a: &Csr) {
@@ -277,7 +393,15 @@ impl Enc {
 /// Encode one message into a frame payload (tag + body, no length
 /// prefix).
 pub fn encode(msg: &Msg) -> Vec<u8> {
-    let mut e = Enc::new();
+    // Room for a typical wave, so a small payload is not built through a
+    // ladder of doubling reallocations.
+    let mut buf = Vec::with_capacity(512);
+    encode_msg(&mut Enc { buf: &mut buf }, msg);
+    buf
+}
+
+/// Append one message's payload (tag + body).
+fn encode_msg(e: &mut Enc<'_>, msg: &Msg) {
     match msg {
         Msg::Hello { group } => {
             e.u8(TAG_HELLO);
@@ -333,17 +457,10 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
         Msg::Go => e.u8(TAG_GO),
         Msg::Wave(w) => {
             e.u8(TAG_WAVE);
-            e.u64(w.round);
-            e.u64(w.src);
-            e.u64(w.dst);
-            e.dtm_msg(&w.msg);
+            e.wave(w);
         }
-        Msg::Snapshot(s) => {
-            e.u8(TAG_SNAPSHOT);
-            e.u64(s.part);
-            e.u64(s.round);
-            e.f64s(&s.values);
-        }
+        Msg::WaveBatch(ws) => e.wave_batch(ws),
+        Msg::SnapshotBatch(b) => e.snapshot_batch(b),
         Msg::Stop => e.u8(TAG_STOP),
         Msg::Done => e.u8(TAG_DONE),
         Msg::Err { text } => {
@@ -351,7 +468,6 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             e.str(text);
         }
     }
-    e.buf
 }
 
 // ---------------------------------------------------------------------------
@@ -414,12 +530,24 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
+    /// `n` `f64`s with no count, as one bounds check and one pass over
+    /// fixed-width chunks instead of `n` cursor-checked reads.
+    // lint: hot-path
+    fn f64_run(&mut self, n: usize) -> Result<impl Iterator<Item = f64> + 'a> {
+        let need = n
+            .checked_mul(8)
+            .ok_or_else(|| parse_err("count overflow"))?;
+        Ok(self.take(need)?.chunks_exact(8).map(|c| {
+            let mut a = [0u8; 8];
+            a.copy_from_slice(c);
+            f64::from_le_bytes(a)
+        }))
+    }
+
     fn f64s(&mut self) -> Result<Vec<f64>> {
         let n = self.count(8)?;
         let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
+        out.extend(self.f64_run(n)?);
         Ok(out)
     }
 
@@ -438,19 +566,13 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| parse_err("invalid utf-8 string"))
     }
 
+    /// The length is checked against the frame before the block is built,
+    /// so inline widths decode without touching the heap.
+    // lint: hot-path
     fn small_block(&mut self) -> Result<SmallBlock> {
         let len = self.u32()? as usize;
-        let need = len
-            .checked_mul(8)
-            .ok_or_else(|| parse_err("block length overflow"))?;
-        if need > self.b.len() {
-            return Err(parse_err("block length exceeds frame"));
-        }
-        let mut vals = Vec::with_capacity(len);
-        for _ in 0..len {
-            vals.push(self.f64()?);
-        }
-        Ok(SmallBlock::from_slice(&vals))
+        let mut vals = self.f64_run(len)?;
+        Ok(SmallBlock::from_fn(len, |_| vals.next().unwrap_or(0.0)))
     }
 
     fn dtm_msg(&mut self) -> Result<DtmMsg> {
@@ -464,6 +586,49 @@ impl<'a> Dec<'a> {
             updates.push(PortUpdate { port, u, omega });
         }
         Ok(DtmMsg { updates })
+    }
+
+    fn wave(&mut self) -> Result<Wave> {
+        Ok(Wave {
+            round: self.u64()?,
+            src: self.u64()?,
+            dst: self.u64()?,
+            msg: self.dtm_msg()?,
+        })
+    }
+
+    fn wave_batch(&mut self) -> Result<Vec<Wave>> {
+        // Each wave is at least round + src + dst + an update count.
+        let n = self.count(32)?;
+        let mut waves = Vec::with_capacity(n);
+        for _ in 0..n {
+            waves.push(self.wave()?);
+        }
+        Ok(waves)
+    }
+
+    fn snapshot_batch(&mut self) -> Result<SnapshotBatch> {
+        let round = self.u64()?;
+        let n_parts = self.count(16)?;
+        let mut parts = Vec::with_capacity(n_parts);
+        let mut total = 0usize;
+        for _ in 0..n_parts {
+            let part = self.u64()?;
+            let n = self.us()?;
+            total = total
+                .checked_add(n)
+                .ok_or_else(|| parse_err("snapshot sizes overflow"))?;
+            parts.push((part, n));
+        }
+        let values = self.f64s()?;
+        if values.len() != total {
+            return Err(parse_err("snapshot sizes disagree with values"));
+        }
+        Ok(SnapshotBatch {
+            round,
+            parts,
+            values,
+        })
     }
 
     /// Decode a CSR matrix, re-validating every invariant
@@ -621,17 +786,9 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
             flops_per_round: d.u64()?,
         }),
         TAG_GO => Msg::Go,
-        TAG_WAVE => Msg::Wave(Wave {
-            round: d.u64()?,
-            src: d.u64()?,
-            dst: d.u64()?,
-            msg: d.dtm_msg()?,
-        }),
-        TAG_SNAPSHOT => Msg::Snapshot(Snapshot {
-            part: d.u64()?,
-            round: d.u64()?,
-            values: d.f64s()?,
-        }),
+        TAG_WAVE => Msg::Wave(d.wave()?),
+        TAG_WAVE_BATCH => Msg::WaveBatch(d.wave_batch()?),
+        TAG_SNAPSHOT_BATCH => Msg::SnapshotBatch(d.snapshot_batch()?),
         TAG_STOP => Msg::Stop,
         TAG_DONE => Msg::Done,
         TAG_ERR => Msg::Err { text: d.str()? },
@@ -652,15 +809,67 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
 /// # Errors
 /// Propagates I/O errors as typed parse errors.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<()> {
-    let payload = encode(msg);
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(parse_err("frame too large"));
+    FrameWriter::new(w).write(msg)
+}
+
+/// The steady-state write half of a link: frames are encoded behind
+/// their length prefix into one reused buffer and reach the socket as a
+/// single `write_all` each.
+pub struct FrameWriter<W: Write> {
+    w: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    /// Wrap a link's write half.
+    pub fn new(w: W) -> Self {
+        Self { w, buf: Vec::new() }
     }
-    let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)
-        .and_then(|()| w.write_all(&payload))
-        .and_then(|()| w.flush())
-        .map_err(|e| parse_err(&format!("write failed: {e}")))
+
+    /// Encode one frame — length prefix, then whatever `body` appends —
+    /// into the reused buffer and hand it to the link as **one**
+    /// `write_all`.
+    // lint: hot-path
+    fn frame(&mut self, body: impl FnOnce(&mut Enc<'_>)) -> Result<()> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0u8; LEN_PREFIX]);
+        body(&mut Enc { buf: &mut self.buf });
+        let n = self.buf.len() - LEN_PREFIX;
+        if n > MAX_FRAME_LEN {
+            return Err(parse_err("frame too large"));
+        }
+        self.buf[..LEN_PREFIX].copy_from_slice(&(n as u32).to_le_bytes());
+        self.w
+            .write_all(&self.buf)
+            .and_then(|()| self.w.flush())
+            .map_err(|e| parse_err(&format!("write failed: {e}")))
+    }
+
+    /// Write any message as one frame.
+    ///
+    /// # Errors
+    /// Propagates I/O errors as typed parse errors.
+    pub fn write(&mut self, msg: &Msg) -> Result<()> {
+        self.frame(|e| encode_msg(e, msg))
+    }
+
+    /// Write `waves` as one [`Msg::WaveBatch`] frame, without taking
+    /// ownership of them.
+    ///
+    /// # Errors
+    /// Propagates I/O errors as typed parse errors.
+    pub fn write_waves(&mut self, waves: &[Wave]) -> Result<()> {
+        self.frame(|e| e.wave_batch(waves))
+    }
+
+    /// Write `batch` as one [`Msg::SnapshotBatch`] frame, without taking
+    /// ownership of it.
+    ///
+    /// # Errors
+    /// Propagates I/O errors as typed parse errors.
+    pub fn write_snapshots(&mut self, batch: &SnapshotBatch) -> Result<()> {
+        self.frame(|e| e.snapshot_batch(batch))
+    }
 }
 
 /// Read one length-prefixed frame. `Ok(None)` is a clean EOF **between**
@@ -670,7 +879,12 @@ pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<()> {
 /// Returns a typed parse error on I/O failure, an oversized length
 /// prefix, a mid-frame EOF, or an undecodable payload.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Msg>> {
-    let mut len = [0u8; 4];
+    read_frame_via(r, &mut Vec::new())
+}
+
+/// [`read_frame`] through a caller-owned payload buffer.
+fn read_frame_via(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<Msg>> {
+    let mut len = [0u8; LEN_PREFIX];
     match read_exact_or_eof(r, &mut len)? {
         ReadStatus::Eof => return Ok(None),
         ReadStatus::Full => {}
@@ -679,10 +893,38 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Msg>> {
     if n > MAX_FRAME_LEN {
         return Err(parse_err("frame length prefix too large"));
     }
-    let mut payload = vec![0u8; n];
-    match read_exact_or_eof(r, &mut payload)? {
+    payload.resize(n, 0);
+    match read_exact_or_eof(r, payload)? {
         ReadStatus::Eof => Err(parse_err("eof inside frame")),
-        ReadStatus::Full => decode(&payload).map(Some),
+        ReadStatus::Full => decode(payload).map(Some),
+    }
+}
+
+/// The steady-state read half of a link: a [`BufReader`] sized so a
+/// round's frame usually arrives in one `read`, and a payload buffer
+/// reused across frames. Only wrap a link once its unbuffered handshake
+/// reads are over — bytes a `BufReader` has pulled in are gone for any
+/// other reader of the same socket.
+pub struct FrameReader<R: Read> {
+    r: BufReader<R>,
+    payload: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wrap a link's read half.
+    pub fn new(r: R) -> Self {
+        Self {
+            r: BufReader::with_capacity(1 << 16, r),
+            payload: Vec::new(),
+        }
+    }
+
+    /// Read the next frame; `Ok(None)` is a clean EOF between frames.
+    ///
+    /// # Errors
+    /// As [`read_frame`].
+    pub fn read(&mut self) -> Result<Option<Msg>> {
+        read_frame_via(&mut self.r, &mut self.payload)
     }
 }
 

@@ -256,3 +256,64 @@ fn missing_topology_link_is_a_build_time_error() {
         "error must list the missing links: {text}"
     );
 }
+
+/// The probe both end-of-run tests share: a 24² grid in 4 strips on 2
+/// groups with a tolerance no residual can meet, so only the budget or
+/// the round cap can end the run.
+fn unreachable_tol(mode: RunMode, cap: usize, budget: Duration) -> DistributedConfig {
+    let mut cfg = config(0.0, 2, mode);
+    cfg.common.max_solves_per_node = cap;
+    cfg.budget = budget;
+    cfg
+}
+
+#[test]
+fn budget_is_honoured_while_snapshots_stream() {
+    // Live groups never leave the event channel quiet, so a deadline
+    // looked at only when a receive times out is never looked at.
+    let ss = grid_split(24, 4, 511);
+    let cap = 2_000_000;
+    let budget = Duration::from_millis(300);
+    let started = std::time::Instant::now();
+    let report = solve(&ss, &unreachable_tol(RunMode::InProcess, cap, budget));
+    let took = started.elapsed();
+    assert!(!report.converged);
+    assert_eq!(report.stop, dtm_core::report::StopKind::Budget);
+    assert!(
+        report.total_solves < (cap * ss.n_parts()) as u64,
+        "the budget, not the round cap, must have ended the run"
+    );
+    assert!(
+        took < 2 * budget,
+        "budget {budget:?}, returned after {took:?}"
+    );
+}
+
+/// A run that ends at the round cap is an unconverged report with every
+/// round accounted for — never a typed error from a group still sending
+/// to a peer that has already left.
+fn assert_ends_at_the_cap(ss: &SplitSystem, mode: RunMode, cap: usize) {
+    let cfg = unreachable_tol(mode, cap, Duration::from_secs(120));
+    let report = DistributedBackend
+        .solve(ss, None, &cfg)
+        .expect("the round cap is not an error");
+    assert!(!report.converged);
+    assert_eq!(report.total_solves, (cap * ss.n_parts()) as u64);
+}
+
+#[test]
+fn round_cap_returns_an_unconverged_report_not_an_error() {
+    let ss = grid_split(24, 4, 512);
+    for _ in 0..50 {
+        assert_ends_at_the_cap(&ss, RunMode::InProcess, 40);
+    }
+    assert_ends_at_the_cap(
+        &ss,
+        RunMode::Processes {
+            transport: TransportKind::Uds,
+            child: child_cmd(),
+            fail: None,
+        },
+        40,
+    );
+}

@@ -1,15 +1,16 @@
 //! Wire-format properties: encode→decode is the identity for **every**
 //! [`Msg`] variant — including K-column [`SmallBlock`]s straddling the
-//! inline/spill boundary — and decode is *total*: truncated frames,
-//! garbage headers and random byte soup produce typed errors, never
-//! panics.
+//! inline/spill boundary and the per-round wave and snapshot batches,
+//! empty ones too — and decode is *total*: truncated frames, garbage
+//! headers, overlong counts and random byte soup produce typed errors,
+//! never panics and never an allocation sized by an unchecked count.
 
 use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::{DtmMsg, PortUpdate, SmallBlock, Termination, SMALL_BLOCK_INLINE};
 use dtm_graph::evs::{split as evs_split, EvsOptions};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_net::wire::{decode, encode, read_frame, write_frame, GroupPlan, GroupRates};
-use dtm_net::wire::{Msg, PartPlan, Snapshot, Wave};
+use dtm_net::wire::{FrameReader, FrameWriter, Msg, PartPlan, SnapshotBatch, Wave, MAX_FRAME_LEN};
 use dtm_sparse::generators;
 use proptest::prelude::*;
 
@@ -80,6 +81,26 @@ fn real_plan() -> GroupPlan {
     }
 }
 
+/// A wave batch of `n` waves of width `k`, update counts cycling 0..4 so
+/// empty waves sit between full ones.
+fn wave_batch(k: usize, n: usize, seed: u64) -> Vec<Wave> {
+    (0..n)
+        .map(|i| wave(k, i % 4, seed.wrapping_add(i as u64)))
+        .collect()
+}
+
+/// A snapshot batch holding one part per entry of `sizes` (zero-length
+/// parts included), values drawn from the seeded stream.
+fn snapshots(round: u64, sizes: &[usize], seed: u64) -> SnapshotBatch {
+    let mut next = f64_stream(seed);
+    let mut batch = SnapshotBatch::with_capacity(round, sizes.len(), sizes.iter().sum());
+    for (p, &n) in sizes.iter().enumerate() {
+        let values: Vec<f64> = (0..n).map(|_| next()).collect();
+        batch.push(p as u64 * 3, &values);
+    }
+    batch
+}
+
 fn roundtrip(msg: &Msg) -> Msg {
     decode(&encode(msg)).expect("decode of a valid encoding")
 }
@@ -103,11 +124,10 @@ fn every_variant_roundtrips() {
         }),
         Msg::Go,
         Msg::Wave(wave(5, 3, 9)),
-        Msg::Snapshot(Snapshot {
-            part: 2,
-            round: 41,
-            values: vec![0.5, -0.25, 3.75],
-        }),
+        Msg::WaveBatch(wave_batch(5, 6, 11)),
+        Msg::WaveBatch(Vec::new()),
+        Msg::SnapshotBatch(snapshots(41, &[3, 0, 7], 12)),
+        Msg::SnapshotBatch(SnapshotBatch::default()),
         Msg::Stop,
         Msg::Done,
         Msg::Err {
@@ -156,17 +176,36 @@ fn special_float_bit_patterns_survive() {
         f64::MIN_POSITIVE,
         f64::MAX,
     ];
-    let snap = Msg::Snapshot(Snapshot {
-        part: 0,
-        round: 0,
-        values: specials.to_vec(),
-    });
-    let Msg::Snapshot(back) = roundtrip(&snap) else {
+    let mut batch = SnapshotBatch::default();
+    batch.push(0, &specials);
+    let Msg::SnapshotBatch(back) = roundtrip(&Msg::SnapshotBatch(batch)) else {
         panic!("variant changed in roundtrip");
     };
-    for (a, b) in specials.iter().zip(&back.values) {
+    let (_, values) = back.iter().next().expect("one snapshot");
+    assert_eq!(values.len(), specials.len());
+    for (a, b) in specials.iter().zip(values) {
         assert_eq!(a.to_bits(), b.to_bits(), "bit pattern of {a:?}");
     }
+}
+
+#[test]
+fn snapshot_batch_hands_back_each_part_its_own_values() {
+    let sizes = [4, 0, 1, 9];
+    let batch = snapshots(7, &sizes, 99);
+    assert_eq!(batch.round(), 7);
+    assert_eq!(batch.len(), sizes.len());
+    assert_eq!(batch.n_values(), sizes.iter().sum::<usize>());
+    let mut next = f64_stream(99);
+    for ((part, values), (p, &n)) in batch.iter().zip(sizes.iter().enumerate()) {
+        assert_eq!(part, p as u64 * 3);
+        assert_eq!(values.len(), n);
+        for v in values {
+            assert_eq!(v.to_bits(), next().to_bits());
+        }
+    }
+    let mut reused = batch.clone();
+    reused.reset(8);
+    assert!(reused.is_empty() && reused.n_values() == 0 && reused.round() == 8);
 }
 
 #[test]
@@ -189,11 +228,11 @@ fn truncated_frames_error_never_panic() {
     let msgs = [
         Msg::Plan(Box::new(real_plan())),
         Msg::Wave(wave(16, 3, 5)),
-        Msg::Snapshot(Snapshot {
-            part: 1,
-            round: 2,
-            values: vec![1.0; 9],
-        }),
+        // Spilled K > 4 blocks inside a batch, and a batch whose last
+        // part is empty (its final bytes are a count, not a value).
+        Msg::WaveBatch(wave_batch(16, 5, 6)),
+        Msg::WaveBatch(wave_batch(1, 4, 7)),
+        Msg::SnapshotBatch(snapshots(2, &[9, 1, 0], 8)),
         Msg::PeerMap {
             addrs: vec![(0, "addr".into())],
         },
@@ -235,13 +274,84 @@ fn garbage_headers_error_never_panic() {
     let mut go = encode(&Msg::Go);
     go.push(0);
     assert!(decode(&go).is_err());
-    // Count field far beyond the frame: rejected before allocation.
-    let mut snap = Vec::new();
-    snap.push(8u8); // TAG_SNAPSHOT
-    snap.extend_from_slice(&0u64.to_le_bytes()); // part
-    snap.extend_from_slice(&0u64.to_le_bytes()); // round
-    snap.extend_from_slice(&u64::MAX.to_le_bytes()); // values count: absurd
-    assert!(decode(&snap).is_err());
+    // Count fields far beyond the frame: rejected before allocation (a
+    // decoder that trusted them would ask the allocator for exabytes).
+    for absurd in [u64::MAX, u64::MAX / 8, 1 << 40] {
+        // Snapshot batch: the part-table count, then the values count.
+        let mut snaps = vec![8u8]; // TAG_SNAPSHOT_BATCH
+        snaps.extend_from_slice(&0u64.to_le_bytes()); // round
+        snaps.extend_from_slice(&absurd.to_le_bytes()); // parts count
+        snaps.extend_from_slice(&[0u8; 64]);
+        assert!(decode(&snaps).is_err());
+        let mut snaps = vec![8u8];
+        snaps.extend_from_slice(&0u64.to_le_bytes()); // round
+        snaps.extend_from_slice(&1u64.to_le_bytes()); // one part …
+        snaps.extend_from_slice(&5u64.to_le_bytes()); // … part 5 …
+        snaps.extend_from_slice(&absurd.to_le_bytes()); // … of absurd size
+        snaps.extend_from_slice(&absurd.to_le_bytes()); // values count
+        snaps.extend_from_slice(&[0u8; 64]);
+        assert!(decode(&snaps).is_err());
+        // Wave batch: the wave count, then an update count inside a wave.
+        let mut waves = vec![12u8]; // TAG_WAVE_BATCH
+        waves.extend_from_slice(&absurd.to_le_bytes()); // waves count
+        waves.extend_from_slice(&[0u8; 64]);
+        assert!(decode(&waves).is_err());
+        let mut waves = vec![12u8];
+        waves.extend_from_slice(&1u64.to_le_bytes()); // one wave
+        waves.extend_from_slice(&[0u8; 24]); // round, src, dst
+        waves.extend_from_slice(&absurd.to_le_bytes()); // updates count
+        waves.extend_from_slice(&[0u8; 64]);
+        assert!(decode(&waves).is_err());
+    }
+    // Part sizes that disagree with the values that follow.
+    let mut snaps = vec![8u8];
+    snaps.extend_from_slice(&0u64.to_le_bytes()); // round
+    snaps.extend_from_slice(&1u64.to_le_bytes()); // one part
+    snaps.extend_from_slice(&0u64.to_le_bytes()); // part 0
+    snaps.extend_from_slice(&2u64.to_le_bytes()); // claims 2 values
+    snaps.extend_from_slice(&1u64.to_le_bytes()); // values count: 1
+    snaps.extend_from_slice(&1.5f64.to_le_bytes());
+    assert!(decode(&snaps).is_err());
+    // Part sizes whose sum wraps around.
+    let mut snaps = vec![8u8];
+    snaps.extend_from_slice(&0u64.to_le_bytes()); // round
+    snaps.extend_from_slice(&2u64.to_le_bytes()); // two parts
+    for _ in 0..2 {
+        snaps.extend_from_slice(&0u64.to_le_bytes());
+        snaps.extend_from_slice(&(1u64 << 63).to_le_bytes());
+    }
+    snaps.extend_from_slice(&0u64.to_le_bytes()); // values count: 0
+    assert!(decode(&snaps).is_err());
+}
+
+#[test]
+fn frame_writer_and_reader_carry_batches_as_single_frames() {
+    let waves = wave_batch(5, 7, 21);
+    let snaps = snapshots(3, &[6, 2], 22);
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut w = FrameWriter::new(&mut bytes);
+    w.write_waves(&waves).expect("write");
+    w.write_snapshots(&snaps).expect("write");
+    w.write_waves(&[]).expect("write");
+    w.write(&Msg::Done).expect("write");
+    // Borrowed and owned encodings are the same bytes.
+    let mut owned: Vec<u8> = Vec::new();
+    write_frame(&mut owned, &Msg::WaveBatch(waves.clone())).expect("write");
+    assert_eq!(&bytes[..owned.len()], owned.as_slice());
+    assert!(owned.len() - 4 <= MAX_FRAME_LEN);
+
+    let mut r = FrameReader::new(bytes.as_slice());
+    assert_eq!(r.read().expect("read"), Some(Msg::WaveBatch(waves)));
+    assert_eq!(r.read().expect("read"), Some(Msg::SnapshotBatch(snaps)));
+    assert_eq!(r.read().expect("read"), Some(Msg::WaveBatch(Vec::new())));
+    assert_eq!(r.read().expect("read"), Some(Msg::Done));
+    assert_eq!(r.read().expect("clean eof"), None);
+
+    // A stream cut anywhere inside a frame is an error for the buffered
+    // reader too, never a short frame.
+    for cut in 1..owned.len() {
+        assert!(FrameReader::new(&owned[..cut]).read().is_err(), "cut {cut}");
+    }
 }
 
 proptest! {
@@ -259,14 +369,27 @@ proptest! {
         prop_assert_eq!(roundtrip(&w), w);
     }
 
-    /// Encode→decode identity on randomized snapshots.
+    /// Encode→decode identity on randomized wave batches: any number of
+    /// waves (none included), all block widths.
+    #[test]
+    fn wave_batch_roundtrip(
+        k_idx in 0usize..BLOCK_WIDTHS.len(),
+        n_waves in 0usize..9,
+        seed in any::<u64>(),
+    ) {
+        let b = Msg::WaveBatch(wave_batch(BLOCK_WIDTHS[k_idx], n_waves, seed));
+        prop_assert_eq!(roundtrip(&b), b);
+    }
+
+    /// Encode→decode identity on randomized snapshot batches: any number
+    /// of parts (none included), any sizes (zero included).
     #[test]
     fn snapshot_roundtrip(
-        part in 0u64..64,
         round in any::<u64>(),
-        values in proptest::collection::vec(-1e9f64..1e9, 0..40),
+        sizes in proptest::collection::vec(0usize..40, 0..6),
+        seed in any::<u64>(),
     ) {
-        let s = Msg::Snapshot(Snapshot { part, round, values });
+        let s = Msg::SnapshotBatch(snapshots(round, &sizes, seed));
         prop_assert_eq!(roundtrip(&s), s);
     }
 
