@@ -764,7 +764,7 @@ fn resolve_reference(
     match (reference, termination) {
         (Some(r), _) => Ok(Some(r)),
         (None, Termination::Residual { .. }) => Ok(None),
-        (None, _) => Ok(Some(SparseCholesky::factor_rcm(a)?.solve(b))),
+        (None, _) => Ok(Some(SparseCholesky::factor_fill_reducing(a)?.solve(b))),
     }
 }
 

@@ -127,7 +127,7 @@ impl Blocks {
                 factor_nnz.push(nl * (nl + 1) / 2);
                 factors.push(BlockFactor::Dense(f));
             } else {
-                let f = SparseCholesky::factor_rcm(&app)?;
+                let f = SparseCholesky::factor_fill_reducing(&app)?;
                 factor_nnz.push(f.nnz_l());
                 factors.push(BlockFactor::Sparse(f));
             }
@@ -292,7 +292,7 @@ pub fn solve_async(
     let reference = match (reference, config.termination) {
         (Some(r), _) => Some(r),
         (None, Termination::Residual { .. }) => None,
-        (None, _) => Some(SparseCholesky::factor_rcm(a)?.solve(b)),
+        (None, _) => Some(SparseCholesky::factor_fill_reducing(a)?.solve(b)),
     };
     let blocks = std::sync::Arc::new(Blocks::build(a, b, assignment)?);
     let k = blocks.n_parts();
@@ -445,7 +445,7 @@ pub fn solve_sync(
     let reference = match (reference, config.termination) {
         (Some(r), _) => Some(r),
         (None, Termination::Residual { .. }) => None,
-        (None, _) => Some(SparseCholesky::factor_rcm(a)?.solve(b)),
+        (None, _) => Some(SparseCholesky::factor_fill_reducing(a)?.solve(b)),
     };
     let b_scale = dtm_sparse::vector::norm2_or_one(b);
     // The stopping metric follows the termination mode, not reference

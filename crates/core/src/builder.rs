@@ -201,7 +201,7 @@ impl DtmBuilder {
                 let a = self.a.clone();
                 let b = self.b.clone();
                 pool.spawn(move || {
-                    let _ = tx.send(SparseCholesky::factor_rcm(&a).map(|f| f.solve(&b)));
+                    let _ = tx.send(SparseCholesky::factor_fill_reducing(&a).map(|f| f.solve(&b)));
                 });
                 Some(rx)
             }
@@ -444,7 +444,7 @@ impl SolveSession {
                 let (tx, rx) = std::sync::mpsc::channel();
                 let (a, _) = problem.split.reconstruct();
                 pool.spawn(move || {
-                    let _ = tx.send(SparseCholesky::factor_rcm(&a));
+                    let _ = tx.send(SparseCholesky::factor_fill_reducing(&a));
                 });
                 Some(rx)
             }

@@ -35,14 +35,23 @@ use std::sync::Arc;
 /// Which factorization backs the local solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocalSolverKind {
-    /// Dense below [`AUTO_DENSE_LIMIT`] unknowns, sparse (RCM) above.
+    /// Dense up to [`AUTO_DENSE_LIMIT`] unknowns; above, sparse under the
+    /// fill-reducing ordering ([`dtm_sparse::ordering::fill_reducing`]):
+    /// nested dissection, except that a part of at most
+    /// [`dtm_sparse::ordering::ND_MIN_N`] unknowns keeps the RCM
+    /// permutation of [`SparseRcm`](Self::SparseRcm) — its band is the
+    /// whole factor and dissecting it buys nothing. Every wave is one
+    /// substitution that streams the factor once, so the factor's size is
+    /// the solve's cost; nested dissection roughly halves it on 3-D parts
+    /// of a few thousand unknowns.
     #[default]
     Auto,
     /// Dense Cholesky.
     Dense,
     /// Sparse up-looking Cholesky in natural order.
     Sparse,
-    /// Sparse Cholesky with reverse Cuthill–McKee pre-ordering.
+    /// Sparse Cholesky with reverse Cuthill–McKee pre-ordering (a
+    /// bandwidth ordering, at every size).
     SparseRcm,
 }
 
@@ -191,7 +200,7 @@ impl LocalSystem {
                 if n <= AUTO_DENSE_LIMIT {
                     Factor::Dense(DenseCholesky::factor_csr(&matrix)?)
                 } else {
-                    Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?)
+                    Factor::Sparse(SparseCholesky::factor_fill_reducing(&matrix)?)
                 }
             }
         };
@@ -603,6 +612,54 @@ mod tests {
                 assert!((u - v).abs() < 1e-9);
             }
         }
+    }
+
+    /// An `s`³ Laplacian split 8 ways by the default partitioner.
+    fn cube_split(s: usize) -> SplitSystem {
+        let a = generators::grid3d_laplacian(s, s, s);
+        let b = generators::random_rhs(s * s * s, 5);
+        // Reference-free: the build splits and factors nothing.
+        crate::DtmBuilder::new(a, b)
+            .partition_auto(8)
+            .termination(crate::Termination::Residual { tol: 1e-6 })
+            .build()
+            .unwrap()
+            .split
+    }
+
+    /// The local system of `sd` under unit impedances.
+    fn unit_local(sd: &Subdomain, kind: LocalSolverKind) -> LocalSystem {
+        LocalSystem::new(sd, &vec![1.0; sd.n_ports()], kind).unwrap()
+    }
+
+    #[test]
+    fn auto_keeps_small_sparse_parts_on_the_rcm_permutation() {
+        // 10³ @ 8: parts above the dense limit and under the dissection
+        // threshold — the factor is the SparseRcm one, bit for bit.
+        for sd in &cube_split(10).subdomains {
+            let n = sd.n_local();
+            assert!(
+                n > AUTO_DENSE_LIMIT && n <= dtm_sparse::ordering::ND_MIN_N,
+                "{n}"
+            );
+            assert_eq!(
+                unit_local(sd, LocalSolverKind::Auto).factor,
+                unit_local(sd, LocalSolverKind::SparseRcm).factor
+            );
+        }
+    }
+
+    #[test]
+    fn auto_fill_of_the_16_cube_split_stays_under_its_ceiling() {
+        // Fill regressions fail here, fast. Measured 115,653 with nested
+        // dissection; the RCM factors of the same parts hold 178,695.
+        const CEILING: usize = 125_000;
+        let nnz_l: usize = cube_split(16)
+            .subdomains
+            .iter()
+            .map(|sd| unit_local(sd, LocalSolverKind::Auto).factor_nnz())
+            .sum();
+        assert!(nnz_l <= CEILING, "local nnz(L) = {nnz_l} > {CEILING}");
     }
 
     #[test]

@@ -878,7 +878,7 @@ pub fn reference_solution(split: &SplitSystem, reference: Option<Vec<f64>>) -> R
         Some(r) => Ok(r),
         None => {
             let (a, b) = split.reconstruct();
-            Ok(SparseCholesky::factor_rcm(&a)?.solve(&b))
+            Ok(SparseCholesky::factor_fill_reducing(&a)?.solve(&b))
         }
     }
 }
@@ -907,7 +907,7 @@ pub fn reference_solutions(
         return Ok(refs);
     }
     let (a, b) = split.reconstruct();
-    let factor = SparseCholesky::factor_rcm(&a)?;
+    let factor = SparseCholesky::factor_fill_reducing(&a)?;
     Ok(match rhs_cols {
         None => vec![factor.solve(&b)],
         Some(cols) => cols.iter().map(|c| factor.solve(c)).collect(),

@@ -302,7 +302,7 @@ impl LazyOracle {
     fn reference(&mut self, a: &Csr, b: &[f64]) -> Result<Vec<f64>> {
         let f = match self.factor.take() {
             Some(f) => f,
-            None => SparseCholesky::factor_rcm(a)?,
+            None => SparseCholesky::factor_fill_reducing(a)?,
         };
         let out = f.solve(b);
         self.factor = Some(f);

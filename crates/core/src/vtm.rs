@@ -69,7 +69,7 @@ pub fn solve(
         Some(r) => r,
         None => {
             let (a, b) = split.reconstruct();
-            SparseCholesky::factor_rcm(&a)?.solve(&b)
+            SparseCholesky::factor_fill_reducing(&a)?.solve(&b)
         }
     };
     let z_dtlp = config.impedance.assign(split)?;

@@ -8,7 +8,8 @@
 //! * dense Cholesky ([`cholesky::DenseCholesky`]) and LDLᵀ,
 //! * an up-looking sparse Cholesky with elimination-tree symbolic analysis
 //!   ([`sparse_cholesky::SparseCholesky`]),
-//! * reverse Cuthill–McKee fill-reducing ordering ([`ordering`]),
+//! * nested-dissection (fill-reducing) and reverse Cuthill–McKee
+//!   (bandwidth) orderings ([`ordering`]),
 //! * the classic sequential iterative solvers used as baselines
 //!   (Jacobi, Gauss–Seidel, SOR, Conjugate Gradient in [`solvers`]),
 //! * seeded workload generators for every experiment in the paper

@@ -11,15 +11,16 @@
 //!    a sparse triangular solve over the reach of row `k`.
 //!
 //! The factor is stored in CSC so that forward/backward substitution are
-//! column-oriented sweeps. An optional reverse Cuthill–McKee pre-ordering
-//! ([`SparseCholesky::factor_rcm`]) reduces fill.
+//! column-oriented sweeps. Two optional pre-orderings: fill-reducing nested
+//! dissection ([`SparseCholesky::factor_fill_reducing`]) and the
+//! band-narrowing reverse Cuthill–McKee ([`SparseCholesky::factor_rcm`]).
 //!
 //! This is the "Sparse Cholesky" the paper names as the local solver of DTM
 //! (§5: "(5.9) could be solved by Sparse or Dense Cholesky, CG, MG, etc.").
 
 use crate::csr::Csr;
 use crate::error::{Error, Result};
-use crate::ordering::{reverse_cuthill_mckee, Permutation};
+use crate::ordering::{fill_reducing, reverse_cuthill_mckee, Permutation};
 
 /// Widest supernode panel the blocked substitution sweeps at once. Bounds
 /// the dense triangular diagonal block so a panel's working set (panel
@@ -182,11 +183,43 @@ impl SparseCholesky {
     }
 
     /// Factor with a reverse Cuthill–McKee pre-ordering; solves transparently
-    /// permute/unpermute.
+    /// permute/unpermute. RCM narrows the band; for low fill use
+    /// [`factor_fill_reducing`](Self::factor_fill_reducing).
+    ///
+    /// # Errors
+    /// As [`factor`](Self::factor); the failing column is reported in the
+    /// numbering of `a`, not of the permuted matrix.
     pub fn factor_rcm(a: &Csr) -> Result<Self> {
-        let perm = reverse_cuthill_mckee(a);
-        let pa = a.permute_sym(&perm);
-        let mut f = Self::factor(&pa)?;
+        Self::factor_permuted(a, reverse_cuthill_mckee(a))
+    }
+
+    /// Factor with the fill-reducing pre-ordering
+    /// ([`ordering::fill_reducing`](crate::ordering::fill_reducing): nested
+    /// dissection, RCM on small matrices); solves transparently
+    /// permute/unpermute.
+    ///
+    /// # Errors
+    /// As [`factor_rcm`](Self::factor_rcm).
+    pub fn factor_fill_reducing(a: &Csr) -> Result<Self> {
+        Self::factor_permuted(a, fill_reducing(a))
+    }
+
+    /// Factor `P A Pᵀ` for a caller-chosen ordering `perm`; solves
+    /// transparently permute/unpermute.
+    ///
+    /// # Errors
+    /// As [`factor_rcm`](Self::factor_rcm).
+    ///
+    /// # Panics
+    /// Panics if `perm.len() != a.n_rows()`.
+    pub fn factor_permuted(a: &Csr, perm: Permutation) -> Result<Self> {
+        let mut f = Self::factor(&a.permute_sym(&perm)).map_err(|e| match e {
+            Error::NotPositiveDefinite { column, pivot } => Error::NotPositiveDefinite {
+                column: perm.new_to_old()[column],
+                pivot,
+            },
+            e => e,
+        })?;
         f.perm = Some(perm);
         Ok(f)
     }
@@ -234,16 +267,16 @@ impl SparseCholesky {
         let n = self.n;
         assert_eq!(xs.len(), n * k, "SparseCholesky::solve_block length");
         if k == 1 {
-            // Scalar fast path: substitute in place (via scratch only when
-            // the factor is permuted).
+            // Scalar path: sweep the panels in place (via scratch only
+            // when the factor is permuted).
             match &self.perm {
-                None => self.solve_colmajor_natural(xs, 1),
+                None => self.solve_panels(xs),
                 Some(p) => {
                     scratch.resize(n, 0.0);
                     for (i, &o) in p.new_to_old().iter().enumerate() {
                         scratch[i] = xs[o];
                     }
-                    self.solve_colmajor_natural(scratch, 1);
+                    self.solve_panels(scratch);
                     for (i, &o) in p.new_to_old().iter().enumerate() {
                         xs[o] = scratch[i];
                     }
@@ -348,6 +381,73 @@ impl SparseCholesky {
                 xs[c * n + j] /= d;
             }
         }
+    }
+
+    /// Scalar (K = 1) substitution over the supernode panels of
+    /// [`Self::sn_ptr`]. A panel column is its slice of the dense in-panel
+    /// triangle — contiguous values against contiguous `y`, no indices —
+    /// followed by the panel's one shared list of below-panel rows, so the
+    /// sweep streams 8 bytes per factor entry where the column-major
+    /// kernel streams 16.
+    ///
+    /// Bitwise contract: the updates are those of
+    /// [`solve_colmajor_natural`](Self::solve_colmajor_natural) in its
+    /// order — forward, column by column, rows ascending; backward, each
+    /// column's rows ascending into one running difference, then the
+    /// divide — each a separate multiply and subtract. Only where the
+    /// operands are read from differs.
+    // lint: hot-path
+    fn solve_panels(&self, y: &mut [f64]) {
+        let n_panels = self.sn_ptr.len() - 1;
+        // Forward: L y = b.
+        for s in 0..n_panels {
+            let (j0, j1) = (self.sn_ptr[s], self.sn_ptr[s + 1]);
+            let rows = self.panel_rows(j1);
+            for jj in j0..j1 {
+                let (d, tri, below) = self.panel_column(jj, j1);
+                let yj = y[jj] / d;
+                y[jj] = yj;
+                for (yi, &v) in y[jj + 1..j1].iter_mut().zip(tri) {
+                    *yi -= v * yj;
+                }
+                for (&i, &v) in rows.iter().zip(below) {
+                    y[i] -= v * yj;
+                }
+            }
+        }
+        // Backward: Lᵀ x = y.
+        for s in (0..n_panels).rev() {
+            let (j0, j1) = (self.sn_ptr[s], self.sn_ptr[s + 1]);
+            let rows = self.panel_rows(j1);
+            for jj in (j0..j1).rev() {
+                let (d, tri, below) = self.panel_column(jj, j1);
+                let mut yj = y[jj];
+                for (&yi, &v) in y[jj + 1..j1].iter().zip(tri) {
+                    yj -= v * yi;
+                }
+                for (&i, &v) in rows.iter().zip(below) {
+                    yj -= v * y[i];
+                }
+                y[jj] = yj / d;
+            }
+        }
+    }
+
+    /// The below-panel rows shared by every column of the panel ending at
+    /// column `j1`: its last column's rows after the diagonal.
+    #[inline(always)]
+    fn panel_rows(&self, j1: usize) -> &[usize] {
+        &self.row_idx[self.col_ptr[j1 - 1] + 1..self.col_ptr[j1]]
+    }
+
+    /// Column `jj` of the panel ending at `j1`: its diagonal, its run of
+    /// the in-panel triangle (rows `jj + 1..j1`), its below-panel values
+    /// (one per [`panel_rows`](Self::panel_rows) entry).
+    #[inline(always)]
+    fn panel_column(&self, jj: usize, j1: usize) -> (f64, &[f64], &[f64]) {
+        let pj = self.col_ptr[jj];
+        let (tri, below) = self.values[pj + 1..self.col_ptr[jj + 1]].split_at(j1 - jj - 1);
+        (self.values[pj], tri, below)
     }
 
     /// Blocked substitution over the interleaved layout
@@ -693,6 +793,61 @@ mod tests {
                 assert_eq!(&block[c * n..(c + 1) * n], &x[..], "column {c}");
             }
         }
+    }
+
+    #[test]
+    fn panel_sweep_is_bitwise_the_column_major_sweep() {
+        // K = 1 through the panels vs the retained scalar kernel, on
+        // factors with wide panels (3-D), narrow ones (2-D, natural) and
+        // every ordering.
+        for a in [
+            generators::grid2d_laplacian(17, 19),
+            generators::grid3d_laplacian(7, 8, 6),
+        ] {
+            let n = a.n_rows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
+            for f in [
+                SparseCholesky::factor(&a).unwrap(),
+                SparseCholesky::factor_rcm(&a).unwrap(),
+                SparseCholesky::factor_fill_reducing(&a).unwrap(),
+            ] {
+                let mut panels = b.clone();
+                f.solve_block_with_scratch(&mut panels, 1, &mut Vec::new());
+                let mut colmajor = b.clone();
+                f.solve_block_colmajor(&mut colmajor, 1);
+                assert_eq!(panels, colmajor);
+            }
+        }
+    }
+
+    #[test]
+    fn failed_pivot_is_reported_in_the_callers_numbering() {
+        // An SPD grid with one diagonal pushed to −1: the rows eliminated
+        // before `bad` form an SPD principal submatrix and never see it,
+        // so every elimination order breaks down exactly at `bad`.
+        let spoiled = |w: usize, h: usize, bad: usize| {
+            let a = generators::grid2d_laplacian(w, h);
+            let mut delta = vec![0.0; a.n_rows()];
+            delta[bad] = -1.0 - a.get(bad, bad);
+            a.add_to_diagonal(&delta)
+        };
+        let failing_column = |r: Result<SparseCholesky>| match r {
+            Err(Error::NotPositiveDefinite { column, .. }) => column,
+            other => panic!("expected NotPositiveDefinite, got {other:?}"),
+        };
+        let (a, bad) = (spoiled(5, 5, 7), 7);
+        let rcm = reverse_cuthill_mckee(&a);
+        assert_ne!(rcm.inverse().new_to_old()[bad], bad, "RCM moves the row");
+        assert_eq!(failing_column(SparseCholesky::factor(&a)), bad);
+        assert_eq!(failing_column(SparseCholesky::factor_rcm(&a)), bad);
+        // Above the RCM threshold the fill-reducing ordering dissects.
+        let (a, bad) = (spoiled(20, 20, 150), 150);
+        let nd = fill_reducing(&a);
+        assert_ne!(nd.inverse().new_to_old()[bad], bad, "ND moves the row");
+        assert_eq!(
+            failing_column(SparseCholesky::factor_fill_reducing(&a)),
+            bad
+        );
     }
 
     #[test]

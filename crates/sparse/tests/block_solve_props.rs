@@ -1,9 +1,12 @@
-//! Property tests for the cache-blocked substitution kernels: on random
-//! SPD systems, a K-column block solve must agree with K independent
-//! scalar solves — for the sparse factor (natural and RCM orderings), the
-//! dense factor, and the retained column-major reference kernel.
+//! Property tests for the panel substitution kernels: on random SPD
+//! systems and on grids, a K-column block solve must agree with K
+//! independent scalar solves — for the sparse factor (natural, RCM and
+//! nested-dissection orderings), the dense factor, and the retained
+//! column-major reference kernel — and the K = 1 panel sweep must be that
+//! reference kernel bit for bit.
 
-use dtm_sparse::{Coo, Csr, DenseCholesky, SparseCholesky};
+use dtm_sparse::ordering::nested_dissection;
+use dtm_sparse::{generators, Coo, Csr, DenseCholesky, SparseCholesky};
 use proptest::prelude::*;
 
 /// A random symmetric diagonally-dominant (hence SPD) matrix: `extra`
@@ -34,6 +37,17 @@ fn random_spd(n: usize, edges: &[(usize, usize, f64)]) -> Csr {
     coo.to_csr()
 }
 
+/// `a` factored in natural order, under RCM, and under nested dissection
+/// (called directly: `factor_fill_reducing` keeps matrices this small on
+/// RCM).
+fn factors(a: &Csr) -> [SparseCholesky; 3] {
+    [
+        SparseCholesky::factor(a).expect("SPD"),
+        SparseCholesky::factor_rcm(a).expect("SPD"),
+        SparseCholesky::factor_permuted(a, nested_dissection(a)).expect("SPD"),
+    ]
+}
+
 /// Deterministic pseudo-random RHS block (column-major, `n * k` values).
 fn rhs_block(n: usize, k: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -61,8 +75,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Sparse blocked solve (supernode-panel interleaved kernel) agrees
-    /// with K scalar solves to ≤ 1e-12 componentwise, across natural and
-    /// RCM orderings and K ∈ {1, 2, 8, 16}.
+    /// with K scalar solves to ≤ 1e-12 componentwise, across natural, RCM
+    /// and nested-dissection orderings and K ∈ {1, 2, 8, 16}.
     #[test]
     fn sparse_blocked_matches_k_scalar_solves(
         n in 4usize..40,
@@ -70,10 +84,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let a = random_spd(n, &edges);
-        for factor in [
-            SparseCholesky::factor(&a).expect("SPD"),
-            SparseCholesky::factor_rcm(&a).expect("SPD"),
-        ] {
+        for factor in factors(&a) {
             for k in [1usize, 2, 8, 16] {
                 let xs = rhs_block(n, k, seed);
                 let mut blocked = xs.clone();
@@ -98,10 +109,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let a = random_spd(n, &edges);
-        for factor in [
-            SparseCholesky::factor(&a).expect("SPD"),
-            SparseCholesky::factor_rcm(&a).expect("SPD"),
-        ] {
+        for factor in factors(&a) {
             for k in [1usize, 2, 8, 16] {
                 let xs = rhs_block(n, k, seed);
                 let mut blocked = xs.clone();
@@ -114,6 +122,49 @@ proptest! {
                         "n={n} k={k} component {i}: blocked {u:e} != colmajor {v:e}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The K = 1 panel sweep on grid factors — where the panels are wide,
+    /// unlike on the random systems above — is the column-major reference
+    /// bit for bit, and is column `c` of every blocked solve that carries
+    /// the same right-hand side in column `c`.
+    #[test]
+    fn k1_panel_sweep_is_bitwise_colmajor_and_a_column_of_the_block(
+        w in 2usize..12,
+        h in 2usize..12,
+        d in 2usize..6,
+        flat in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (a, d) = if flat {
+            (generators::grid2d_laplacian(w, h), 1)
+        } else {
+            (generators::grid3d_laplacian(w.min(6), h.min(6), d), d)
+        };
+        let n = a.n_rows();
+        for factor in factors(&a) {
+            let block = rhs_block(n, 16, seed);
+            let mut solved: Vec<f64> = block.clone();
+            for col in solved.chunks_mut(n) {
+                factor.solve_block_in_place(col, 1);
+            }
+            let mut colmajor = block.clone();
+            for col in colmajor.chunks_mut(n) {
+                factor.solve_block_colmajor(col, 1);
+            }
+            prop_assert!(
+                solved.iter().zip(&colmajor).all(|(u, v)| u.to_bits() == v.to_bits()),
+                "{w}x{h}x{d}: K = 1 panel sweep differs from the column-major sweep"
+            );
+            for k in [2usize, 8, 16] {
+                let mut blocked = block[..n * k].to_vec();
+                factor.solve_block_in_place(&mut blocked, k);
+                prop_assert!(
+                    blocked.iter().zip(&solved).all(|(u, v)| u.to_bits() == v.to_bits()),
+                    "{w}x{h}x{d}: K = {k} block differs from its K = 1 columns"
+                );
             }
         }
     }
