@@ -43,23 +43,19 @@
 //! asynchronous. `retention` is Hong's per-node fluid retention: a node
 //! keeps a fraction back to batch its outgoing diffusion.
 
-use crate::monitor::Monitor;
-use crate::report::{AlgorithmKind, BackendKind, SolveReport, StopKind};
+use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
+use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{
-    wallclock::SharedBlock, AsyncNode, DtmMsg, ExecutorBackend, NodeControl, PortUpdate,
-    Termination, Transport,
+    AsyncNode, DtmMsg, ExecutorBackend, GatherMap, NodeControl, PortUpdate, SelfHalt, Termination,
+    Transport,
 };
-use crate::solver::ComputeModel;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::solver::{self, ComputeModel, SimNode, SimRun};
 use dtm_graph::evs::SplitSystem;
-use dtm_simnet::{Ctx, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology};
+use dtm_simnet::{SimDuration, Topology};
 use dtm_sparse::{Csr, Error, Result, SparseCholesky};
-use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use rayon::{ThreadPool, ThreadPoolBuilder};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per part: for each neighbour part, `(their_ext_slot, my_local_row)`
 /// value-exchange pairs.
@@ -446,13 +442,10 @@ struct RichardsonNode {
     updates_per_step: usize,
     t: u64,
     prev_boundary: Vec<f64>,
-    termination: Termination,
-    max_solves: usize,
+    halt: SelfHalt,
     solves: u64,
     messages: u64,
     flops: u64,
-    small_streak: usize,
-    capped: bool,
 }
 
 impl RichardsonNode {
@@ -478,13 +471,10 @@ impl RichardsonNode {
             updates_per_step: updates,
             t: 0,
             prev_boundary: Vec::new(),
-            termination: config.termination,
-            max_solves: config.max_solves_per_node,
+            halt: SelfHalt::new(config.termination, config.max_solves_per_node),
             solves: 0,
             messages: 0,
             flops: 0,
-            small_streak: 0,
-            capped: false,
             pt,
         }
     }
@@ -552,21 +542,7 @@ impl AsyncNode for RichardsonNode {
             transport.send(*dst, DtmMsg { updates });
             self.messages += 1;
         }
-        if let Termination::LocalDelta { tol, patience } = self.termination {
-            if delta < tol {
-                self.small_streak += 1;
-                if self.small_streak >= patience {
-                    return NodeControl::Converged;
-                }
-            } else {
-                self.small_streak = 0;
-            }
-        }
-        if self.solves >= self.max_solves as u64 {
-            self.capped = true;
-            return NodeControl::Capped;
-        }
-        NodeControl::Continue
+        self.halt.after_step(delta, self.solves as usize)
     }
 
     fn solves(&self) -> u64 {
@@ -586,7 +562,7 @@ impl AsyncNode for RichardsonNode {
     }
 
     fn capped(&self) -> bool {
-        self.capped
+        self.halt.capped()
     }
 }
 
@@ -604,13 +580,10 @@ struct DIterationNode {
     retention: f64,
     /// Per ext slot: outgoing fluid accumulated this activation.
     buckets: Vec<f64>,
-    termination: Termination,
-    max_solves: usize,
+    halt: SelfHalt,
     solves: u64,
     messages: u64,
     flops: u64,
-    small_streak: usize,
-    capped: bool,
 }
 
 impl DIterationNode {
@@ -635,13 +608,10 @@ impl DIterationNode {
             hist: vec![0.0; nl],
             retention: params.retention,
             buckets: vec![0.0; n_ext],
-            termination: config.termination,
-            max_solves: config.max_solves_per_node,
+            halt: SelfHalt::new(config.termination, config.max_solves_per_node),
             solves: 0,
             messages: 0,
             flops: 0,
-            small_streak: 0,
-            capped: false,
             pt,
         }
     }
@@ -710,21 +680,7 @@ impl AsyncNode for DIterationNode {
                 self.messages += 1;
             }
         }
-        if let Termination::LocalDelta { tol, patience } = self.termination {
-            if delta < tol {
-                self.small_streak += 1;
-                if self.small_streak >= patience {
-                    return NodeControl::Converged;
-                }
-            } else {
-                self.small_streak = 0;
-            }
-        }
-        if self.solves >= self.max_solves as u64 {
-            self.capped = true;
-            return NodeControl::Capped;
-        }
-        NodeControl::Continue
+        self.halt.after_step(delta, self.solves as usize)
     }
 
     fn solves(&self) -> u64 {
@@ -744,198 +700,110 @@ impl AsyncNode for DIterationNode {
     }
 
     fn capped(&self) -> bool {
-        self.capped
+        self.halt.capped()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared driver plumbing.
+// Drivers: the three executors, each a call into the shared machinery.
 // ---------------------------------------------------------------------------
 
-/// Resolve the opt-in oracle reference, exactly as the DTM executors do:
-/// an explicit reference wins, [`Termination::Residual`] never pays for a
-/// direct solve, anything else computes `A⁻¹b` once.
-fn resolve_reference(
-    a: &Csr,
-    b: &[f64],
-    reference: Option<Vec<f64>>,
-    termination: Termination,
-) -> Result<Option<Vec<f64>>> {
-    match (reference, termination) {
-        (Some(r), _) => Ok(Some(r)),
-        (None, Termination::Residual { .. }) => Ok(None),
-        (None, _) => Ok(Some(SparseCholesky::factor_fill_reducing(a)?.solve(b))),
+/// A validated baseline problem — everything the three drivers share once
+/// the nodes are built.
+struct Prepared<'a> {
+    algo: &'a BaselineAlgo,
+    a: &'a Csr,
+    b: &'a [f64],
+    config: &'a BaselineConfig,
+    pt: Arc<RowPartition>,
+    /// Partitions don't overlap: every global row has exactly one copy.
+    copy_count: Vec<usize>,
+    /// The opt-in oracle reference, resolved exactly as the DTM executors
+    /// do: an explicit reference wins, [`Termination::Residual`] never pays
+    /// for a direct solve, anything else computes `A⁻¹b` once.
+    references: Option<Vec<Vec<f64>>>,
+}
+
+impl<'a> Prepared<'a> {
+    /// Validate, partition and build one node per part.
+    fn new(
+        algo: &'a BaselineAlgo,
+        a: &'a Csr,
+        b: &'a [f64],
+        assignment: &[usize],
+        reference: Option<Vec<f64>>,
+        config: &'a BaselineConfig,
+    ) -> Result<(Self, Vec<Box<dyn AsyncNode>>)> {
+        algo.validate()?;
+        let pt = RowPartition::build(a, b, assignment)?;
+        let reference = match (reference, config.termination) {
+            (Some(r), _) => Some(r),
+            (None, Termination::Residual { .. }) => None,
+            (None, _) => Some(SparseCholesky::factor_fill_reducing(a)?.solve(b)),
+        };
+        let nodes = algo.build_nodes(&pt, config);
+        let copy_count = vec![1; a.n_rows()];
+        let references = reference.map(|r| vec![r]);
+        Ok((
+            Self {
+                algo,
+                a,
+                b,
+                config,
+                pt,
+                copy_count,
+                references,
+            },
+            nodes,
+        ))
+    }
+
+    /// The gather map of this partition over `A x = b`.
+    fn map(&self) -> GatherMap<'_> {
+        GatherMap::new(
+            self.pt.rows.iter().map(Vec::as_slice).collect(),
+            &self.copy_count,
+            self.a,
+            vec![self.b],
+        )
+    }
+
+    /// Whether nodes halt themselves (so an idle fabric must kick them).
+    fn self_halting(&self) -> bool {
+        matches!(self.config.termination, Termination::LocalDelta { .. })
+    }
+
+    /// Supervise a started wall-clock `fabric` over this problem.
+    fn run_wallclock(&self, fabric: impl Fabric, backend: BackendKind) -> SolveReport {
+        fabric::run(
+            fabric,
+            &WallRun {
+                backend,
+                algorithm: self.algo.kind(),
+                termination: self.config.termination,
+                budget: self.config.budget,
+                poll_interval: self.config.poll_interval,
+                map: self.map(),
+                references: self.references.as_deref(),
+            },
+        )
     }
 }
 
-/// Build the run's monitor over the raw row partition (copy counts all
-/// one — partitions don't overlap), with the same primary-metric rules as
-/// every DTM executor: residual termination stays residual-primary even
-/// when a reference exists.
-fn baseline_monitor(
-    pt: &RowPartition,
-    a: &Csr,
-    b: &[f64],
-    reference: &Option<Vec<f64>>,
-    termination: Termination,
-    sample_interval: SimDuration,
-) -> Monitor {
-    let n = a.n_rows();
-    let mut monitor = match (reference, termination) {
-        (Some(r), Termination::Residual { .. }) => {
-            let mut m = Monitor::from_parts_residual(
-                pt.rows.clone(),
-                vec![1; n],
-                a.clone(),
-                std::slice::from_ref(&b.to_vec()),
-                sample_interval,
-            );
-            m.attach_oracle(std::slice::from_ref(r));
-            m
-        }
-        (Some(r), _) => {
-            Monitor::from_parts(pt.rows.clone(), vec![1; n], r.clone(), sample_interval)
-        }
-        (None, _) => Monitor::from_parts_residual(
-            pt.rows.clone(),
-            vec![1; n],
-            a.clone(),
-            std::slice::from_ref(&b.to_vec()),
-            sample_interval,
-        ),
-    };
-    monitor.set_refresh_below(metric_tol(termination).unwrap_or(0.0));
-    monitor
-}
+/// One baseline node on one simulated processor — the same adapter DTM
+/// uses, over a boxed node.
+pub type SimBaselineNode = SimNode<Box<dyn AsyncNode>>;
 
-fn metric_tol(termination: Termination) -> Option<f64> {
-    match termination {
-        Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
-        Termination::LocalDelta { .. } => None,
-    }
-}
-
-/// Uniform per-run counters gathered from whichever fabric ran the nodes.
-struct Counters {
-    solves: u64,
-    messages: u64,
-    flops: u64,
-    coalesced: u64,
-    any_capped: bool,
-}
-
-/// Assemble the shared [`SolveReport`] from the monitor's final state.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    backend: BackendKind,
-    algorithm: AlgorithmKind,
-    mut monitor: Monitor,
-    a: &Csr,
-    b: &[f64],
-    termination: Termination,
-    stop: StopKind,
-    final_time_ms: f64,
-    counters: Counters,
-    n_parts: usize,
-) -> SolveReport {
-    monitor.resync();
-    let (final_rms, final_rms_per_rhs) = if monitor.has_oracle() {
-        let rms = monitor.rms_exact();
-        (rms, vec![rms])
-    } else {
-        (f64::NAN, Vec::new())
-    };
-    let final_residual = if monitor.tracks_residual() {
-        monitor.residual_exact_per_rhs()[0]
-    } else {
-        a.residual_norm(monitor.estimate(), b) / dtm_sparse::vector::norm2_or_one(b)
-    };
-    let converged = match termination {
-        Termination::OracleRms { tol } => final_rms <= tol,
-        Termination::Residual { tol } => final_residual <= tol,
-        Termination::LocalDelta { .. } => {
-            matches!(stop, StopKind::AllHalted | StopKind::Quiescent) && !counters.any_capped
-        }
-    };
-    let solution = monitor.estimate().to_vec();
-    SolveReport {
-        backend,
-        algorithm,
-        solution: solution.clone(),
-        n_rhs: 1,
-        solutions: vec![solution],
-        final_rms_per_rhs,
-        converged,
-        final_rms,
-        final_residual,
-        final_residual_per_rhs: vec![final_residual],
-        final_time_ms,
-        series: monitor.into_series(),
-        total_solves: counters.solves,
-        total_messages: counters.messages,
-        total_flops: counters.flops,
-        coalesced_batches: counters.coalesced,
-        n_parts,
-        stop,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Executor 1: the deterministic simulated machine.
-// ---------------------------------------------------------------------------
-
-/// One baseline node on one simulated processor: the state machine plus
-/// its per-activation compute time (same shape as the DTM adapter).
-pub struct SimBaselineNode {
-    inner: Box<dyn AsyncNode>,
-    compute: SimDuration,
-}
-
-impl SimBaselineNode {
-    /// The partition id this node executes.
-    pub fn part(&self) -> usize {
-        self.inner.part()
-    }
-
-    /// The node's current local solution estimate.
-    pub fn solution(&self) -> &[f64] {
-        self.inner.solution()
-    }
-}
-
-/// Adapter: scattered updates leave through the simulation context, so
-/// the link's simulated delay is the message's transmission delay —
-/// identical to the DTM mapping.
-struct CtxTransport<'a, 't>(&'a mut Ctx<'t, DtmMsg>);
-
-impl Transport for CtxTransport<'_, '_> {
-    fn send(&mut self, dst: usize, msg: DtmMsg) {
-        self.0.send(dst, msg);
-    }
-}
-
-impl SimBaselineNode {
-    fn run_step(&mut self, ctx: &mut Ctx<DtmMsg>) {
-        ctx.set_compute(self.compute);
-        if self.inner.step_node(&mut CtxTransport(ctx)).is_halt() {
-            ctx.halt();
-        }
-    }
-}
-
-impl Node for SimBaselineNode {
-    type Msg = DtmMsg;
-
-    fn start(&mut self, ctx: &mut Ctx<DtmMsg>) {
-        self.run_step(ctx);
-    }
-
-    fn receive(&mut self, ctx: &mut Ctx<DtmMsg>, batch: &mut Vec<Envelope<DtmMsg>>) {
-        for env in batch.drain(..) {
-            self.inner.absorb_owned(env.payload);
-        }
-        self.run_step(ctx);
-    }
+/// Wrap nodes with their per-activation compute durations (baseline
+/// pipelines are scalar: one RHS column per sweep).
+fn sim_nodes(nodes: Vec<Box<dyn AsyncNode>>, config: &BaselineConfig) -> Vec<SimBaselineNode> {
+    nodes
+        .into_iter()
+        .map(|inner| SimNode {
+            compute: config.compute.duration_for_block(inner.work_nnz(), 1),
+            inner,
+        })
+        .collect()
 }
 
 /// Build the simulated nodes of a baseline run — public so traced manual
@@ -953,33 +821,10 @@ pub fn build_sim_nodes(
     topology: &Topology,
     config: &BaselineConfig,
 ) -> Result<Vec<SimBaselineNode>> {
-    prepare_sim(algo, a, b, assignment, topology, config).map(|(nodes, _)| nodes)
-}
-
-/// The one validated construction path behind both [`build_sim_nodes`]
-/// and [`solve_sim`]: validate, partition, check the machine mapping,
-/// wrap nodes with their compute durations.
-fn prepare_sim(
-    algo: &BaselineAlgo,
-    a: &Csr,
-    b: &[f64],
-    assignment: &[usize],
-    topology: &Topology,
-    config: &BaselineConfig,
-) -> Result<(Vec<SimBaselineNode>, Arc<RowPartition>)> {
     algo.validate()?;
     let pt = RowPartition::build(a, b, assignment)?;
     pt.check_links(topology)?;
-    let nodes = algo
-        .build_nodes(&pt, config)
-        .into_iter()
-        .map(|inner| SimBaselineNode {
-            // Baseline pipelines are scalar: one RHS column per sweep.
-            compute: config.compute.duration_for_block(inner.work_nnz(), 1),
-            inner,
-        })
-        .collect();
-    Ok((nodes, pt))
+    Ok(sim_nodes(algo.build_nodes(&pt, config), config))
 }
 
 /// Run a baseline to completion on the simulated machine — the
@@ -997,153 +842,21 @@ pub fn solve_sim(
     reference: Option<Vec<f64>>,
     config: &BaselineConfig,
 ) -> Result<SolveReport> {
-    let (nodes, pt) = prepare_sim(algo, a, b, assignment, &topology, config)?;
-    let reference = resolve_reference(a, b, reference, config.termination)?;
-    let mut monitor = baseline_monitor(
-        &pt,
-        a,
-        b,
-        &reference,
-        config.termination,
-        config.sample_interval,
-    );
-    let tol = metric_tol(config.termination);
-    let n_parts = nodes.len();
-    let mut engine = Engine::new(topology, nodes);
-    let outcome = engine.run(
-        SimTime::ZERO + config.horizon,
-        |time, part, node: &SimBaselineNode| {
-            let metric = monitor.update_part(part, time, node.solution());
-            match tol {
-                Some(tol) => metric > tol,
-                None => true,
-            }
+    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
+    prepared.pt.check_links(&topology)?;
+    Ok(solver::run_engine(
+        topology,
+        sim_nodes(nodes, config),
+        &SimRun {
+            algorithm: algo.kind(),
+            termination: config.termination,
+            horizon: config.horizon,
+            sample_interval: config.sample_interval,
+            trace_capacity: None,
+            map: prepared.map(),
+            references: prepared.references.as_deref(),
         },
-    );
-    let stats = engine.stats();
-    let counters = Counters {
-        solves: stats.activations.iter().sum(),
-        messages: stats.messages_sent,
-        flops: engine.nodes().iter().map(|n| n.inner.flops()).sum(),
-        coalesced: stats.coalesced_batches,
-        any_capped: engine.nodes().iter().any(|n| n.inner.capped()),
-    };
-    // Uniform-counter cross-check: the monitor witnessed exactly one
-    // update per engine activation, whatever the algorithm.
-    debug_assert_eq!(monitor.updates(), counters.solves);
-    let stop = match outcome.reason {
-        StopReason::ObserverStop => StopKind::OracleTolerance,
-        StopReason::AllHalted => StopKind::AllHalted,
-        StopReason::TimeLimit => StopKind::Horizon,
-        StopReason::QueueEmpty => StopKind::Quiescent,
-    };
-    Ok(finish_report(
-        BackendKind::Simulated,
-        algo.kind(),
-        monitor,
-        a,
-        b,
-        config.termination,
-        stop,
-        outcome.final_time.as_millis_f64(),
-        counters,
-        n_parts,
     ))
-}
-
-// ---------------------------------------------------------------------------
-// Wall-clock supervision shared by the threaded and pool executors.
-// ---------------------------------------------------------------------------
-
-struct WallOutcome {
-    stop: StopKind,
-    best_metric: f64,
-    elapsed_ms: f64,
-}
-
-/// Poll the workers' published snapshots into the monitor until the
-/// stopping metric is met, every node halted, or the budget expired. The
-/// monitor's series clock is the wall-clock elapsed time, so reports read
-/// uniformly across executors.
-fn supervise_monitor(
-    monitor: &mut Monitor,
-    snapshots: &[SharedBlock],
-    n_locals: &[usize],
-    termination: Termination,
-    budget: Duration,
-    poll: Duration,
-    mut all_done: impl FnMut() -> bool,
-) -> WallOutcome {
-    let started = Instant::now();
-    let tol = metric_tol(termination);
-    let mut mirrors: Vec<Vec<f64>> = n_locals.iter().map(|&nl| vec![0.0; nl]).collect();
-    let mut seen: Vec<u64> = vec![0; snapshots.len()];
-    let mut best = f64::INFINITY;
-    let stop = loop {
-        std::thread::sleep(poll);
-        let now = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-        let mut metric = None;
-        for (p, (snap, (mirror, seen))) in snapshots
-            .iter()
-            .zip(mirrors.iter_mut().zip(&mut seen))
-            .enumerate()
-        {
-            if snap.drain_into(mirror, seen) != 0 {
-                metric = Some(monitor.update_part(p, now, mirror));
-            }
-        }
-        if let Some(m) = metric {
-            best = best.min(m);
-            if let Some(tol) = tol {
-                if m <= tol {
-                    break StopKind::OracleTolerance;
-                }
-            }
-        }
-        if all_done() {
-            break StopKind::AllHalted;
-        }
-        if started.elapsed() >= budget {
-            break StopKind::Budget;
-        }
-    };
-    // One final drain so the report reflects the workers' last published
-    // state even if the loop exited on a non-metric condition.
-    let now = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-    for (p, (snap, (mirror, seen))) in snapshots
-        .iter()
-        .zip(mirrors.iter_mut().zip(&mut seen))
-        .enumerate()
-    {
-        if snap.drain_into(mirror, seen) != 0 {
-            best = best.min(monitor.update_part(p, now, mirror));
-        }
-    }
-    WallOutcome {
-        stop,
-        best_metric: best,
-        elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Executor 2: one OS thread per partition.
-// ---------------------------------------------------------------------------
-
-/// Adapter: updates leave through crossbeam channels, with in-flight
-/// accounting for the LocalDelta quiescence kick (same discipline as the
-/// threaded DTM executor).
-struct BaselineChannelTransport {
-    senders: Vec<Sender<DtmMsg>>,
-    in_flight: Arc<AtomicI64>,
-}
-
-impl Transport for BaselineChannelTransport {
-    fn send(&mut self, dst: usize, msg: DtmMsg) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        // Ignore send failures during shutdown.
-        let _ = self.senders[dst].send(msg);
-    }
 }
 
 /// Run a baseline on real OS threads — genuine asynchrony, no simulation:
@@ -1160,242 +873,9 @@ pub fn solve_threaded(
     reference: Option<Vec<f64>>,
     config: &BaselineConfig,
 ) -> Result<SolveReport> {
-    algo.validate()?;
-    let pt = RowPartition::build(a, b, assignment)?;
-    let nodes = algo.build_nodes(&pt, config);
-    let n_parts = nodes.len();
-    let n_locals: Vec<usize> = nodes.iter().map(|n| n.n_local()).collect();
-    let reference = resolve_reference(a, b, reference, config.termination)?;
-    let mut monitor = baseline_monitor(
-        &pt,
-        a,
-        b,
-        &reference,
-        config.termination,
-        config.sample_interval,
-    );
-
-    let mut senders: Vec<Sender<DtmMsg>> = Vec::with_capacity(n_parts);
-    let mut receivers: Vec<Receiver<DtmMsg>> = Vec::with_capacity(n_parts);
-    for _ in 0..n_parts {
-        let (tx, rx) = unbounded::<DtmMsg>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let in_flight = Arc::new(AtomicI64::new(0));
-    let active = Arc::new(AtomicUsize::new(0));
-    let snapshots: Arc<Vec<SharedBlock>> =
-        Arc::new(n_locals.iter().map(|&nl| SharedBlock::new(nl, 1)).collect());
-    let drain_rx: Vec<Receiver<DtmMsg>> = receivers.iter().map(Receiver::clone).collect();
-    let self_halting = matches!(config.termination, Termination::LocalDelta { .. });
-
-    let mut handles: Vec<std::thread::JoinHandle<(u64, u64, u64, bool)>> =
-        Vec::with_capacity(n_parts);
-    for ((p, mut node), rx) in nodes.into_iter().enumerate().zip(receivers) {
-        let mut transport = BaselineChannelTransport {
-            senders: senders.clone(),
-            in_flight: in_flight.clone(),
-        };
-        let stop = stop.clone();
-        let snapshots = snapshots.clone();
-        let in_flight = in_flight.clone();
-        let active = active.clone();
-        handles.push(std::thread::spawn(move || {
-            let step =
-                |node: &mut Box<dyn AsyncNode>, transport: &mut BaselineChannelTransport| -> bool {
-                    let control = node.step_node(transport);
-                    snapshots[p].publish(node.solution(), 1);
-                    !control.is_halt()
-                };
-            let counters = |node: &dyn AsyncNode| {
-                (
-                    node.solves(),
-                    node.messages_sent(),
-                    node.flops(),
-                    node.capped(),
-                )
-            };
-            active.fetch_add(1, Ordering::AcqRel);
-            let go_on = step(&mut node, &mut transport);
-            active.fetch_sub(1, Ordering::AcqRel);
-            if !go_on {
-                return counters(&*node);
-            }
-            loop {
-                if stop.load(Ordering::Relaxed) {
-                    return counters(&*node);
-                }
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(first) => {
-                        active.fetch_add(1, Ordering::AcqRel);
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                        node.absorb_owned(first);
-                        while let Ok(more) = rx.try_recv() {
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
-                            node.absorb_owned(more);
-                        }
-                        let go_on = step(&mut node, &mut transport);
-                        active.fetch_sub(1, Ordering::AcqRel);
-                        if !go_on {
-                            return counters(&*node);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Quiescence kick, as in the threaded DTM executor:
-                        // only under LocalDelta, and only when no worker is
-                        // mid-step and nothing is in flight — so a merely
-                        // delayed message can never feed the halt streak.
-                        if self_halting
-                            && active.load(Ordering::Acquire) == 0
-                            && in_flight.load(Ordering::Acquire) == 0
-                        {
-                            active.fetch_add(1, Ordering::AcqRel);
-                            let go_on = step(&mut node, &mut transport);
-                            active.fetch_sub(1, Ordering::AcqRel);
-                            if !go_on {
-                                return counters(&*node);
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return counters(&*node),
-                }
-            }
-        }));
-    }
-    drop(senders);
-
-    let outcome = supervise_monitor(
-        &mut monitor,
-        &snapshots,
-        &n_locals,
-        config.termination,
-        config.budget,
-        config.poll_interval,
-        || {
-            for (i, h) in handles.iter().enumerate() {
-                if h.is_finished() {
-                    while drain_rx[i].try_recv().is_ok() {
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
-            handles.iter().all(|h| h.is_finished())
-        },
-    );
-    stop.store(true, Ordering::Relaxed);
-    let mut counters = Counters {
-        solves: 0,
-        messages: 0,
-        flops: 0,
-        coalesced: 0,
-        any_capped: false,
-    };
-    for h in handles {
-        // Propagate a worker panic verbatim rather than wrapping it: the
-        // panic payload carries the original message and location.
-        let (solves, messages, flops, capped) = match h.join() {
-            Ok(counters) => counters,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        counters.solves += solves;
-        counters.messages += messages;
-        counters.flops += flops;
-        counters.any_capped |= capped;
-    }
-    // Convergence under a tolerance rule follows the best observed metric
-    // (snapshots can drift past the tolerance while workers keep going).
-    let mut report = finish_report(
-        BackendKind::Threaded,
-        algo.kind(),
-        monitor,
-        a,
-        b,
-        config.termination,
-        outcome.stop,
-        outcome.elapsed_ms,
-        counters,
-        n_parts,
-    );
-    if let Some(tol) = metric_tol(config.termination) {
-        report.converged = report.converged || outcome.best_metric <= tol;
-    }
-    Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Executor 3: the in-process work-stealing pool.
-// ---------------------------------------------------------------------------
-
-struct PoolBaselineState {
-    node: Box<dyn AsyncNode>,
-    drain: Vec<DtmMsg>,
-    outbox: Vec<(usize, DtmMsg)>,
-}
-
-struct PoolBaselineCell {
-    state: Mutex<PoolBaselineState>,
-    inbox: Mutex<Vec<DtmMsg>>,
-    scheduled: AtomicBool,
-    halted: AtomicBool,
-}
-
-struct PoolBaselineShared {
-    cells: Vec<PoolBaselineCell>,
-    snapshots: Vec<SharedBlock>,
-    stop: AtomicBool,
-    halted_count: AtomicUsize,
-}
-
-fn pool_activate(shared: &Arc<PoolBaselineShared>, pool: &Arc<ThreadPool>, p: usize, force: bool) {
-    let cell = &shared.cells[p];
-    cell.scheduled.store(false, Ordering::Release);
-    if shared.stop.load(Ordering::Acquire) || cell.halted.load(Ordering::Acquire) {
-        return;
-    }
-    let mut st = cell.state.lock();
-    let PoolBaselineState {
-        node,
-        drain,
-        outbox,
-    } = &mut *st;
-    std::mem::swap(&mut *cell.inbox.lock(), drain);
-    if drain.is_empty() && !force {
-        return;
-    }
-    for msg in drain.drain(..) {
-        node.absorb_owned(msg);
-    }
-    let control = node.step_node(outbox);
-    shared.snapshots[p].publish(node.solution(), 1);
-    if control.is_halt() {
-        cell.halted.store(true, Ordering::Release);
-        shared.halted_count.fetch_add(1, Ordering::AcqRel);
-    }
-    for (dst, msg) in outbox.drain(..) {
-        let target = &shared.cells[dst];
-        if target.halted.load(Ordering::Acquire) {
-            continue;
-        }
-        target.inbox.lock().push(msg);
-        pool_schedule(shared, pool, dst, false);
-    }
-}
-
-fn pool_schedule(shared: &Arc<PoolBaselineShared>, pool: &Arc<ThreadPool>, p: usize, force: bool) {
-    let cell = &shared.cells[p];
-    if shared.stop.load(Ordering::Acquire) || cell.halted.load(Ordering::Acquire) {
-        return;
-    }
-    if cell
-        .scheduled
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        let shared = shared.clone();
-        let pool2 = pool.clone();
-        pool.spawn(move || pool_activate(&shared, &pool2, p, force));
-    }
+    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
+    let threads = Threads::start(nodes, 1, None, prepared.self_halting(), fabric::no_hook());
+    Ok(prepared.run_wallclock(threads, BackendKind::Threaded))
 }
 
 /// Run a baseline on the in-process work-stealing pool: one task per
@@ -1411,103 +891,10 @@ pub fn solve_workstealing(
     reference: Option<Vec<f64>>,
     config: &BaselineConfig,
 ) -> Result<SolveReport> {
-    algo.validate()?;
-    let pt = RowPartition::build(a, b, assignment)?;
-    let nodes = algo.build_nodes(&pt, config);
-    let n_parts = nodes.len();
-    let n_locals: Vec<usize> = nodes.iter().map(|n| n.n_local()).collect();
-    let reference = resolve_reference(a, b, reference, config.termination)?;
-    let mut monitor = baseline_monitor(
-        &pt,
-        a,
-        b,
-        &reference,
-        config.termination,
-        config.sample_interval,
-    );
-    let pool = Arc::new(
-        ThreadPoolBuilder::new()
-            .num_threads(config.num_threads)
-            .build()
-            .map_err(|e| Error::Parse(format!("thread pool: {e}")))?,
-    );
-    let shared = Arc::new(PoolBaselineShared {
-        snapshots: n_locals.iter().map(|&nl| SharedBlock::new(nl, 1)).collect(),
-        cells: nodes
-            .into_iter()
-            .map(|node| PoolBaselineCell {
-                state: Mutex::new(PoolBaselineState {
-                    node,
-                    drain: Vec::new(),
-                    outbox: Vec::new(),
-                }),
-                inbox: Mutex::new(Vec::new()),
-                scheduled: AtomicBool::new(false),
-                halted: AtomicBool::new(false),
-            })
-            .collect(),
-        stop: AtomicBool::new(false),
-        halted_count: AtomicUsize::new(0),
-    });
-    for p in 0..n_parts {
-        pool_schedule(&shared, &pool, p, true);
-    }
-    let self_halting = matches!(config.termination, Termination::LocalDelta { .. });
-    let outcome = {
-        let done = shared.clone();
-        let pool2 = pool.clone();
-        supervise_monitor(
-            &mut monitor,
-            &shared.snapshots,
-            &n_locals,
-            config.termination,
-            config.budget,
-            config.poll_interval,
-            move || {
-                if done.halted_count.load(Ordering::Acquire) == n_parts {
-                    return true;
-                }
-                if self_halting && pool2.pending_tasks() == 0 {
-                    for p in 0..n_parts {
-                        pool_schedule(&done, &pool2, p, true);
-                    }
-                }
-                false
-            },
-        )
-    };
-    shared.stop.store(true, Ordering::Release);
-    pool.wait_quiescent();
-    let mut counters = Counters {
-        solves: 0,
-        messages: 0,
-        flops: 0,
-        coalesced: 0,
-        any_capped: false,
-    };
-    for cell in &shared.cells {
-        let st = cell.state.lock();
-        counters.solves += st.node.solves();
-        counters.messages += st.node.messages_sent();
-        counters.flops += st.node.flops();
-        counters.any_capped |= st.node.capped();
-    }
-    let mut report = finish_report(
-        BackendKind::WorkStealing,
-        algo.kind(),
-        monitor,
-        a,
-        b,
-        config.termination,
-        outcome.stop,
-        outcome.elapsed_ms,
-        counters,
-        n_parts,
-    );
-    if let Some(tol) = metric_tol(config.termination) {
-        report.converged = report.converged || outcome.best_metric <= tol;
-    }
-    Ok(report)
+    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
+    let kick_idle = prepared.self_halting();
+    let pool = Pool::start(nodes, 1, config.num_threads, kick_idle, fabric::no_hook())?;
+    Ok(prepared.run_wallclock(pool, BackendKind::WorkStealing))
 }
 
 // ---------------------------------------------------------------------------
@@ -1603,6 +990,7 @@ impl ExecutorBackend for DIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::StopKind;
     use dtm_simnet::DelayModel;
     use dtm_sparse::generators;
 
@@ -1778,6 +1166,28 @@ mod tests {
                 assert!((u - v).abs() < 1e-5, "{u} vs {v}");
             }
             assert!(report.total_flops > 0);
+        }
+    }
+
+    #[test]
+    fn threaded_local_delta_self_halts_for_both_algorithms() {
+        let (a, b, asg, _) = setup(6, 2, 28);
+        let config = BaselineConfig {
+            termination: Termination::LocalDelta {
+                tol: 1e-11,
+                patience: 3,
+            },
+            budget: Duration::from_secs(60),
+            ..Default::default()
+        };
+        for algo in [
+            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
+            BaselineAlgo::DIteration(DIterationParams::default()),
+        ] {
+            let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
+            assert_eq!(report.stop, StopKind::AllHalted, "{:?}", algo.kind());
+            assert!(report.converged);
+            assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
         }
     }
 

@@ -5,6 +5,7 @@
 //! topology, impedances, machine, compute model, termination) stays
 //! overridable.
 
+use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
 use crate::local::LocalSolverKind;
 use crate::report::SolveReport;
@@ -326,7 +327,9 @@ impl DtmProblem {
     /// # Errors
     /// See [`rolling`](Self::rolling).
     pub fn rolling_threaded(&self, slots: usize) -> Result<crate::session::RollingThreadedSession> {
-        crate::session::RollingThreadedSession::new(self, slots)
+        crate::session::WallclockSession::new(self, slots, |runtimes, hook| {
+            Ok(Threads::start(runtimes, slots, None, false, hook))
+        })
     }
 
     /// Open a rolling session on the in-process work-stealing pool
@@ -339,7 +342,9 @@ impl DtmProblem {
         slots: usize,
         num_threads: usize,
     ) -> Result<crate::session::RollingPoolSession> {
-        crate::session::RollingPoolSession::new(self, slots, num_threads)
+        crate::session::WallclockSession::new(self, slots, |runtimes, hook| {
+            Pool::start(runtimes, slots, num_threads, false, hook)
+        })
     }
 
     /// Run VTM (synchronous rounds) on the same torn system — the paper's

@@ -29,11 +29,16 @@
 //!   node state machine (solve-and-scatter, wave merge, Table 1 step 3.3
 //!   self-halt) behind the [`runtime::Transport`] /
 //!   [`runtime::ExecutorBackend`] trait pair;
-//! * [`solver`] — executor: DTM on the simulated heterogeneous machine
-//!   (`dtm-simnet`);
-//! * [`threaded`] — executor: DTM on real OS threads and channels
+//! * [`fabric`] — **the two wall-clock fabrics**, each written once and
+//!   generic over the node: tasks on a work-stealing pool, and one OS
+//!   thread per node; plus the per-node hook and the LocalDelta
+//!   passive/re-arm rule. Every real-time executor below is a caller;
+//! * [`solver`] — the simulated executor: the one adapter between a node
+//!   and a `dtm-simnet` processor, its engine loop, and DTM's entry
+//!   points on the simulated heterogeneous machine;
+//! * [`threaded`] — caller: DTM on real OS threads and channels
 //!   (genuinely asynchronous execution);
-//! * [`rayon_backend`] — executor: DTM as tasks on an in-process
+//! * [`rayon_backend`] — caller: DTM as tasks on an in-process
 //!   work-stealing pool;
 //! * [`vtm`] — the Virtual Transmission Method: the synchronous, unit-delay
 //!   special case (eq. 5.10);
@@ -42,9 +47,10 @@
 //! * [`async_baselines`] — **randomized-asynchrony baselines**: randomized
 //!   asynchronous Richardson (Avron et al. 2013) and Hong's D-iteration
 //!   (2012) as first-class peer solvers behind the same
-//!   [`runtime::Transport`] / [`runtime::ExecutorBackend`] contract,
-//!   driven by all three executors and compared message for message by
-//!   `repro compare`;
+//!   [`runtime::Transport`] / [`runtime::ExecutorBackend`] contract —
+//!   two node state machines, run by the same three executors as DTM
+//!   (callers of [`fabric`] and [`solver`]) and compared message for
+//!   message by `repro compare`;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
 //!   (quantitative convergence rates, Fig. 9 cross-check);
 //! * [`monitor`] — convergence tracking over time: oracle RMS against the
@@ -53,7 +59,8 @@
 //! * [`session`] — **rolling mixed-tolerance sessions**: an admission
 //!   queue that swaps right-hand sides into the live block wave as column
 //!   slots free up, each ticket under its own termination, with per-column
-//!   completion reports — on all three executors;
+//!   completion reports — on all three executors (the wall-clock ones as
+//!   a hook on a [`fabric`]);
 //! * [`report`] — the shared solve-report vocabulary.
 //!
 //! ## Quickstart
@@ -77,6 +84,7 @@ pub mod async_baselines;
 pub mod baselines;
 pub mod builder;
 pub mod dtl;
+pub mod fabric;
 pub mod impedance;
 pub mod local;
 pub mod monitor;

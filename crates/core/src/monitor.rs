@@ -257,7 +257,7 @@ impl Monitor {
         global_of_local: Vec<Vec<usize>>,
         copy_count: Vec<usize>,
         a: Csr,
-        rhs_cols: &[Vec<f64>],
+        rhs_cols: &[impl AsRef<[f64]>],
         sample_interval: SimDuration,
     ) -> Self {
         let k = rhs_cols.len();
@@ -265,12 +265,12 @@ impl Monitor {
         let n = a.n_rows();
         let mut rhs = Vec::with_capacity(n * k);
         for c in rhs_cols {
-            assert_eq!(c.len(), n, "RHS column length");
-            rhs.extend_from_slice(c);
+            assert_eq!(c.as_ref().len(), n, "RHS column length");
+            rhs.extend_from_slice(c.as_ref());
         }
         let b_scale: Vec<f64> = rhs_cols
             .iter()
-            .map(|c| dtm_sparse::vector::norm2_or_one(c))
+            .map(|c| dtm_sparse::vector::norm2_or_one(c.as_ref()))
             .collect();
         // est = 0 ⇒ r = b ⇒ relative residual exactly 1 per column — except
         // an all-zero column, whose scale saturates to 1 (absolute
@@ -278,7 +278,7 @@ impl Monitor {
         // NaN: x = 0 already solves A·x = 0.
         let sum_sq: Vec<f64> = rhs_cols
             .iter()
-            .map(|c| c.iter().map(|v| v * v).sum())
+            .map(|c| c.as_ref().iter().map(|v| v * v).sum())
             .collect();
         let cached_metric = worst_residual(&sum_sq, &b_scale);
         let mut m = Self::bare(global_of_local, copy_count, n, k, sample_interval);

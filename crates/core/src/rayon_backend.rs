@@ -13,22 +13,16 @@
 //! natural, uncontrolled asynchrony, exactly the regime the paper's
 //! Theorem 6.1 covers (convergence for *arbitrary* positive delays).
 //!
-//! Scheduling protocol (per node): wave arrival appends the updates to
-//! the node's inbox and sets its `scheduled` bit; if the bit was clear, an
-//! activation task is spawned. The task clears the bit *before* draining
-//! the inbox, so updates arriving during the solve schedule a fresh
-//! activation instead of being lost — the lock-free equivalent of the
-//! simulator's busy-window coalescing (Table 1 step 3: "one or more of
-//! the adjacent subgraphs").
+//! This module is a **caller** of the generic work-stealing fabric
+//! [`crate::fabric::Pool`], which owns the scheduling protocol (state lock,
+//! inbox, `scheduled` bit, quiescence kick) for every node type; what is
+//! left here is DTM's configuration and entry points.
 
-use crate::report::{AlgorithmKind, BackendKind, SolveReport, StopKind};
-use crate::runtime::{
-    self, wallclock, CommonConfig, DtmMsg, ExecutorBackend, NodeControl, NodeRuntime, Termination,
-};
-use crate::sync::{Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::fabric::{self, Pool, WallRun};
+use crate::report::{AlgorithmKind, BackendKind, SolveReport};
+use crate::runtime::{self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, Termination};
 use dtm_graph::evs::SplitSystem;
 use dtm_sparse::Result;
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::time::Duration;
 
 /// Work-stealing-executor configuration: the shared [`CommonConfig`] plus
@@ -56,117 +50,6 @@ impl Default for RayonConfig {
             budget: Duration::from_secs(30),
             poll_interval: Duration::from_micros(500),
         }
-    }
-}
-
-/// One node's runtime plus its recycled activation buffers, all serialized
-/// by one lock (activations of the same node never overlap their solves).
-struct NodeState {
-    rt: NodeRuntime,
-    /// Swap target for the inbox: messages drain through here and their
-    /// payload buffers return to `rt`'s freelist.
-    drain: Vec<DtmMsg>,
-    /// Reused scatter buffer (drained after every step, capacity kept).
-    outbox: Vec<(usize, DtmMsg)>,
-}
-
-/// Per-subdomain shared state the tasks operate on.
-struct NodeCell {
-    state: Mutex<NodeState>,
-    /// Whole wave-front messages, one per sender step — coalesced
-    /// per-neighbour by the runtime, delivered without flattening so the
-    /// payload buffers survive to be recycled.
-    inbox: Mutex<Vec<DtmMsg>>,
-    /// An activation task is queued or running.
-    scheduled: AtomicBool,
-    /// The node returned a halting [`NodeControl`].
-    halted: AtomicBool,
-}
-
-struct Shared {
-    cells: Vec<NodeCell>,
-    snapshots: Vec<wallclock::SharedBlock>,
-    stop: AtomicBool,
-    halted_count: AtomicUsize,
-    /// Some node was retired by the solve cap rather than by declaring
-    /// convergence.
-    any_capped: AtomicBool,
-    total_solves: AtomicU64,
-    total_messages: AtomicU64,
-}
-
-/// Run one activation of node `p`: drain inbox, merge, solve-and-scatter,
-/// deliver the outgoing waves and schedule their receivers.
-///
-/// `force` solves even with an empty inbox (the initial eq.-5.6 solve and
-/// the supervisor's idle kick). Without it an empty drain — possible when
-/// a delivery raced an in-flight activation that already absorbed it —
-/// returns without solving, so spurious wakeups can never feed the
-/// zero-delta self-halt streak.
-fn activate(shared: &Arc<Shared>, pool: &Arc<ThreadPool>, p: usize, force: bool) {
-    let cell = &shared.cells[p];
-    // Clear *before* draining: a wave landing after this point spawns a
-    // fresh activation rather than relying on this one seeing it.
-    cell.scheduled.store(false, Ordering::Release);
-    if shared.stop.load(Ordering::Acquire) || cell.halted.load(Ordering::Acquire) {
-        return;
-    }
-    {
-        let mut st = cell.state.lock();
-        let NodeState { rt, drain, outbox } = &mut *st;
-        // Swap the inbox against the node's (empty) drain buffer: the
-        // inbox lock is held only for the pointer swap, and both vectors
-        // keep their capacity across activations.
-        std::mem::swap(&mut *cell.inbox.lock(), drain);
-        if drain.is_empty() && !force {
-            return;
-        }
-        for msg in drain.drain(..) {
-            // Consumed waves fund the next outgoing ones: the payload
-            // buffers go to this node's freelist.
-            rt.absorb_owned(msg);
-        }
-        let control = rt.step(outbox);
-        shared.total_solves.fetch_add(1, Ordering::Relaxed);
-        // Publish only the columns this step could have changed — the
-        // supervisor mirrors them incrementally.
-        shared.snapshots[p].publish(rt.local().solution(), rt.local().last_solve_cols());
-        if control.is_halt() {
-            if control == NodeControl::Capped {
-                shared.any_capped.store(true, Ordering::Release);
-            }
-            cell.halted.store(true, Ordering::Release);
-            shared.halted_count.fetch_add(1, Ordering::AcqRel);
-        }
-        // Deliver while still holding only this node's state lock: inbox
-        // pushes are leaf locks on *other* cells, so no ordering cycle —
-        // and draining here lets the outbox buffer be reused next step.
-        for (dst, msg) in outbox.drain(..) {
-            shared.total_messages.fetch_add(1, Ordering::Relaxed);
-            let target = &shared.cells[dst];
-            if target.halted.load(Ordering::Acquire) {
-                continue; // halted nodes drop pending and future waves
-            }
-            target.inbox.lock().push(msg);
-            schedule(shared, pool, dst, false);
-        }
-    }
-}
-
-/// Spawn an activation task for `p` unless one is already queued/running.
-fn schedule(shared: &Arc<Shared>, pool: &Arc<ThreadPool>, p: usize, force: bool) {
-    let cell = &shared.cells[p];
-    if shared.stop.load(Ordering::Acquire) || cell.halted.load(Ordering::Acquire) {
-        return;
-    }
-    if cell
-        .scheduled
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        let shared = shared.clone();
-        let pool2 = pool.clone();
-        pool.spawn(move || activate(&shared, &pool2, p, force));
     }
 }
 
@@ -209,14 +92,8 @@ pub fn solve_with_reference(
     reference: Option<Vec<f64>>,
     config: &RayonConfig,
 ) -> Result<SolveReport> {
-    let references = runtime::resolve_references(
-        split,
-        config.common.termination,
-        None,
-        reference.map(|r| vec![r]),
-    )?;
     let runtimes = runtime::build_nodes(split, &config.common)?;
-    solve_runtimes(split, runtimes, references, None, config)
+    solve_prepared(split, runtimes, reference, config)
 }
 
 /// [`solve`] over **prebuilt node runtimes** — the factor-once serving
@@ -272,128 +149,35 @@ fn solve_runtimes(
     rhs_cols: Option<&[Vec<f64>]>,
     config: &RayonConfig,
 ) -> Result<SolveReport> {
-    let n_parts = split.n_parts();
     let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
-
-    let pool = Arc::new(
-        ThreadPoolBuilder::new()
-            .num_threads(config.num_threads)
-            .build()
-            .map_err(|e| dtm_sparse::Error::Parse(format!("thread pool: {e}")))?,
-    );
-    let shared = Arc::new(Shared {
-        snapshots: runtimes
-            .iter()
-            .map(|rt| wallclock::SharedBlock::new(rt.local().n_local(), n_rhs))
-            .collect(),
-        cells: runtimes
-            .into_iter()
-            .map(|rt| NodeCell {
-                state: Mutex::new(NodeState {
-                    rt,
-                    drain: Vec::new(),
-                    outbox: Vec::new(),
-                }),
-                inbox: Mutex::new(Vec::new()),
-                scheduled: AtomicBool::new(false),
-                halted: AtomicBool::new(false),
-            })
-            .collect(),
-        stop: AtomicBool::new(false),
-        halted_count: AtomicUsize::new(0),
-        any_capped: AtomicBool::new(false),
-        total_solves: AtomicU64::new(0),
-        total_messages: AtomicU64::new(0),
-    });
-
-    // Initial solves (eq. 5.6): every node gets one activation task.
-    for p in 0..n_parts {
-        schedule(&shared, &pool, p, true);
-    }
-
-    // Supervisor: shared wall-clock loop over the snapshots.
-    let outcome = {
-        let done = shared.clone();
-        let pool2 = pool.clone();
-        let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
-        wallclock::supervise(
-            split,
-            references.as_deref(),
-            rhs_cols,
-            n_rhs,
-            &shared.snapshots,
-            config.common.termination,
-            config.budget,
-            config.poll_interval,
-            move || {
-                if done.halted_count.load(Ordering::Acquire) == n_parts {
-                    return true;
-                }
-                if self_halting && pool2.pending_tasks() == 0 {
-                    // Quiescent under LocalDelta: halted nodes have gone
-                    // silent and no activation is queued or running, so
-                    // surviving nodes would never run again. Kick every
-                    // live node: re-solving against unchanged boundary
-                    // state yields a zero outgoing delta, letting the
-                    // Table 1 step 3.3 streak complete. (Quiescence — not
-                    // a stalled solve counter — is the trigger, so a
-                    // scheduling hiccup can never feed the streak while
-                    // real waves are still in flight.)
-                    for p in 0..n_parts {
-                        schedule(&done, &pool2, p, true);
-                    }
-                }
-                false
-            },
-        )
-    };
-    shared.stop.store(true, Ordering::Release);
-    pool.wait_quiescent();
-
-    // The pool is quiescent: no activation holds a state lock, so the
-    // per-node flop totals can be read directly off the runtimes.
-    let total_flops: u64 = shared
-        .cells
-        .iter()
-        .map(|cell| cell.state.lock().rt.flops())
-        .sum();
-    let converged = match config.common.termination {
-        Termination::OracleRms { tol } | Termination::Residual { tol } => {
-            outcome.best_metric <= tol
-        }
-        Termination::LocalDelta { .. } => {
-            // A node retired by the solve cap never declared convergence;
-            // don't let "everyone eventually stopped" masquerade as
-            // success.
-            outcome.stop == StopKind::AllHalted && !shared.any_capped.load(Ordering::Acquire)
-        }
-    };
-    Ok(SolveReport {
-        backend: BackendKind::WorkStealing,
-        algorithm: AlgorithmKind::Dtm,
-        solution: outcome.solutions[0].clone(),
+    let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
+    let pool = Pool::start(
+        runtimes,
         n_rhs,
-        solutions: outcome.solutions,
-        final_rms_per_rhs: outcome.final_rms_per_rhs,
-        converged,
-        final_rms: outcome.final_rms,
-        final_residual: outcome.final_residual,
-        final_residual_per_rhs: outcome.final_residual_per_rhs,
-        final_time_ms: outcome.elapsed.as_secs_f64() * 1e3,
-        series: outcome.series,
-        total_solves: shared.total_solves.load(Ordering::Relaxed),
-        total_messages: shared.total_messages.load(Ordering::Relaxed),
-        total_flops,
-        coalesced_batches: 0,
-        n_parts,
-        stop: outcome.stop,
-    })
+        config.num_threads,
+        self_halting,
+        fabric::no_hook(),
+    )?;
+    let (a, own_b) = split.reconstruct();
+    Ok(fabric::run(
+        pool,
+        &WallRun {
+            backend: BackendKind::WorkStealing,
+            algorithm: AlgorithmKind::Dtm,
+            termination: config.common.termination,
+            budget: config.budget,
+            poll_interval: config.poll_interval,
+            map: GatherMap::of_split(split, &a, &own_b, rhs_cols),
+            references: references.as_deref(),
+        },
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::impedance::ImpedancePolicy;
+    use crate::report::StopKind;
     use dtm_graph::evs::{split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;

@@ -1,6 +1,7 @@
 //! Solve reports: everything a run produces, ready for printing or
 //! regression-testing.
 
+use crate::runtime::{AsyncNode, Termination};
 use serde::Serialize;
 
 /// Which executor produced a report — one entry per
@@ -92,9 +93,8 @@ pub struct SolveReport {
     /// `solution`).
     pub solutions: Vec<Vec<f64>>,
     /// Final RMS error per RHS column. **Empty for reference-free runs**
-    /// ([`Termination::Residual`](crate::runtime::Termination::Residual)
-    /// with no explicit reference): no oracle solution exists to compare
-    /// against.
+    /// ([`Termination::Residual`] with no explicit reference): no oracle
+    /// solution exists to compare against.
     pub final_rms_per_rhs: Vec<f64>,
     /// Whether the requested tolerance was met.
     pub converged: bool,
@@ -138,7 +138,102 @@ pub struct SolveReport {
     pub stop: StopKind,
 }
 
+/// Work counters of one run, read off the nodes once the executor is
+/// quiescent.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Totals {
+    /// Activations performed.
+    pub solves: u64,
+    /// Messages scattered.
+    pub messages: u64,
+    /// Estimated floating-point operations.
+    pub flops: u64,
+    /// Some node was retired by its solve cap rather than by declaring
+    /// convergence.
+    pub any_capped: bool,
+}
+
+impl Totals {
+    /// Fold one node's counters in.
+    pub(crate) fn add(&mut self, node: &impl AsyncNode) {
+        self.solves += node.solves();
+        self.messages += node.messages_sent();
+        self.flops += node.flops();
+        self.any_capped |= node.capped();
+    }
+}
+
+/// What an [`AsyncNode`] executor measured — everything
+/// [`SolveReport::assemble`] derives a report from.
+pub(crate) struct RunSummary {
+    pub backend: BackendKind,
+    pub algorithm: AlgorithmKind,
+    pub termination: Termination,
+    pub stop: StopKind,
+    pub time_ms: f64,
+    /// Gathered global solution per RHS column.
+    pub solutions: Vec<Vec<f64>>,
+    /// Exact final RMS per column; empty on reference-free runs.
+    pub rms_per_rhs: Vec<f64>,
+    /// Exact final relative residual per column.
+    pub residual_per_rhs: Vec<f64>,
+    /// Best worst-column stopping metric seen *during* the run — a
+    /// wall-clock supervisor's snapshots can drift past the tolerance while
+    /// workers keep iterating. `INFINITY` where only the final state
+    /// counts (the simulated executor stops on the crossing itself).
+    pub best_metric: f64,
+    pub series: Vec<(f64, f64)>,
+    pub totals: Totals,
+    pub coalesced_batches: u64,
+    pub n_parts: usize,
+}
+
 impl SolveReport {
+    /// The one report assembly of the [`AsyncNode`] executors, holding the
+    /// one `converged` rule: a tolerance mode converged when its own
+    /// metric (oracle RMS / relative residual, worst column) met the
+    /// tolerance at the end or at any supervisor poll; `LocalDelta`
+    /// converged when every node went passive of its own accord — a node
+    /// retired by the solve cap never declared convergence, so "everyone
+    /// eventually stopped" must not masquerade as success.
+    pub(crate) fn assemble(run: RunSummary) -> Self {
+        let worst = |v: &[f64]| v.iter().fold(0.0_f64, |m, &x| m.max(x));
+        let final_rms = if run.rms_per_rhs.is_empty() {
+            f64::NAN
+        } else {
+            worst(&run.rms_per_rhs)
+        };
+        let final_residual = worst(&run.residual_per_rhs);
+        let converged = match run.termination {
+            Termination::OracleRms { tol } => final_rms.min(run.best_metric) <= tol,
+            Termination::Residual { tol } => final_residual.min(run.best_metric) <= tol,
+            Termination::LocalDelta { .. } => {
+                matches!(run.stop, StopKind::AllHalted | StopKind::Quiescent)
+                    && !run.totals.any_capped
+            }
+        };
+        Self {
+            backend: run.backend,
+            algorithm: run.algorithm,
+            solution: run.solutions.first().cloned().unwrap_or_default(),
+            n_rhs: run.solutions.len(),
+            solutions: run.solutions,
+            final_rms_per_rhs: run.rms_per_rhs,
+            converged,
+            final_rms,
+            final_residual,
+            final_residual_per_rhs: run.residual_per_rhs,
+            final_time_ms: run.time_ms,
+            series: run.series,
+            total_solves: run.totals.solves,
+            total_messages: run.totals.messages,
+            total_flops: run.totals.flops,
+            coalesced_batches: run.coalesced_batches,
+            n_parts: run.n_parts,
+            stop: run.stop,
+        }
+    }
+
     /// [`final_rms`](Self::final_rms) as an `Option`: `None` on
     /// reference-free runs, where the stored field is `NaN` **by
     /// contract** (`final_rms.is_nan()` ⇔ `final_rms_per_rhs.is_empty()`;

@@ -57,7 +57,7 @@
 use crate::impedance::{per_port, ImpedancePolicy};
 use crate::local::{LocalSolverKind, LocalSystem};
 use dtm_graph::evs::{SplitSystem, Subdomain};
-use dtm_sparse::{Result, SparseCholesky};
+use dtm_sparse::{Csr, Result, SparseCholesky};
 
 /// Columns a [`SmallBlock`] stores inline before spilling to the heap.
 ///
@@ -373,6 +373,61 @@ pub trait AsyncNode: Send {
     /// Whether this node was retired by its solve cap rather than by
     /// declaring convergence.
     fn capped(&self) -> bool;
+
+    /// Bitmask of the [`solution`](Self::solution) columns the latest step
+    /// could have changed (saturated = all) — lets a wall-clock fabric
+    /// publish only those. Scalar algorithms keep the default.
+    fn solved_cols(&self) -> u64 {
+        u64::MAX
+    }
+}
+
+/// A boxed node is a node: the baselines hand the generic fabrics
+/// `Box<dyn AsyncNode>` where DTM hands them [`NodeRuntime`].
+impl AsyncNode for Box<dyn AsyncNode> {
+    fn part(&self) -> usize {
+        (**self).part()
+    }
+
+    fn n_local(&self) -> usize {
+        (**self).n_local()
+    }
+
+    fn solution(&self) -> &[f64] {
+        (**self).solution()
+    }
+
+    fn absorb_owned(&mut self, msg: DtmMsg) {
+        (**self).absorb_owned(msg);
+    }
+
+    fn step_node(&mut self, transport: &mut dyn Transport) -> NodeControl {
+        (**self).step_node(transport)
+    }
+
+    fn solves(&self) -> u64 {
+        (**self).solves()
+    }
+
+    fn messages_sent(&self) -> u64 {
+        (**self).messages_sent()
+    }
+
+    fn flops(&self) -> u64 {
+        (**self).flops()
+    }
+
+    fn work_nnz(&self) -> usize {
+        (**self).work_nnz()
+    }
+
+    fn capped(&self) -> bool {
+        (**self).capped()
+    }
+
+    fn solved_cols(&self) -> u64 {
+        (**self).solved_cols()
+    }
 }
 
 /// What a node does after a step.
@@ -380,8 +435,13 @@ pub trait AsyncNode: Send {
 pub enum NodeControl {
     /// Keep scheduling this node when waves arrive.
     Continue,
-    /// The node declared local convergence (Table 1 step 3.3). The
-    /// backend must stop activating it and may drop its pending messages.
+    /// The node declared local convergence (Table 1 step 3.3) and goes
+    /// *passive*: the waves of this step are sub-tolerance by definition
+    /// and may be dropped at passive receivers, and the executor stops
+    /// kicking the node — but a later wave from a neighbour whose own step
+    /// returned [`Continue`](Self::Continue) re-arms it (the wall-clock
+    /// fabrics of [`crate::fabric`]; stepping a halted node again is
+    /// always sound, a large delta simply resets its streak).
     Converged,
     /// The node hit the `max_solves_per_node` safety cap *without*
     /// declaring convergence. The backend retires it like
@@ -394,6 +454,55 @@ impl NodeControl {
     /// Whether the backend should retire the node (either halt kind).
     pub fn is_halt(self) -> bool {
         !matches!(self, NodeControl::Continue)
+    }
+}
+
+/// The per-node halting rule every algorithm shares: Table 1 step 3.3
+/// ("if convergent, then break") under [`Termination::LocalDelta`], plus
+/// the solve cap.
+#[derive(Debug, Clone)]
+pub(crate) struct SelfHalt {
+    termination: Termination,
+    max_solves: usize,
+    small_streak: usize,
+    capped: bool,
+}
+
+impl SelfHalt {
+    pub(crate) fn new(termination: Termination, max_solves: usize) -> Self {
+        Self {
+            termination,
+            max_solves,
+            small_streak: 0,
+            capped: false,
+        }
+    }
+
+    /// Judge the node's `solves`-th step, whose outgoing boundary values
+    /// changed by `delta`: converged after `patience` consecutive
+    /// sub-tolerance steps (a larger delta resets the streak), capped at
+    /// the solve cap.
+    pub(crate) fn after_step(&mut self, delta: f64, solves: usize) -> NodeControl {
+        if let Termination::LocalDelta { tol, patience } = self.termination {
+            if delta < tol {
+                self.small_streak += 1;
+                if self.small_streak >= patience {
+                    return NodeControl::Converged;
+                }
+            } else {
+                self.small_streak = 0;
+            }
+        }
+        if solves >= self.max_solves {
+            self.capped = true;
+            return NodeControl::Capped;
+        }
+        NodeControl::Continue
+    }
+
+    /// Whether the solve cap (not convergence) retired the node.
+    pub(crate) fn capped(&self) -> bool {
+        self.capped
     }
 }
 
@@ -426,11 +535,8 @@ pub struct NodeRuntime {
     /// entirely (for K ≤ [`SMALL_BLOCK_INLINE`]; wider blocks also reuse
     /// their spill vectors once warm).
     pool: Vec<Vec<PortUpdate>>,
-    termination: Termination,
-    max_solves: usize,
-    small_streak: usize,
+    halt: SelfHalt,
     messages_sent: u64,
-    capped: bool,
 }
 
 /// Cap on pooled payload buffers per node: enough for every neighbour to
@@ -552,28 +658,15 @@ impl NodeRuntime {
             transport.send(*dst, DtmMsg { updates });
             *messages_sent += 1;
         }
-        if let Termination::LocalDelta { tol, patience } = self.termination {
-            if self.local.last_delta() < tol {
-                self.small_streak += 1;
-                if self.small_streak >= patience {
-                    return NodeControl::Converged;
-                }
-            } else {
-                self.small_streak = 0;
-            }
-        }
-        if self.local.n_solves() >= self.max_solves {
-            self.capped = true;
-            return NodeControl::Capped;
-        }
-        NodeControl::Continue
+        self.halt
+            .after_step(self.local.last_delta(), self.local.n_solves())
     }
 
     /// Whether this node was retired by the solve cap rather than by
     /// declaring convergence (consulted by backends when deciding the
     /// run-level `converged` flag).
     pub fn capped(&self) -> bool {
-        self.capped
+        self.halt.capped()
     }
 
     /// Swap **one column** of the live block for a freshly admitted
@@ -587,7 +680,7 @@ impl NodeRuntime {
     /// Panics if `col` is out of range or `rhs_col` has the wrong length.
     pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64]) {
         self.local.replace_rhs_col(col, rhs_col);
-        self.small_streak = 0;
+        self.halt.small_streak = 0;
     }
 
     /// Derive a fresh node over the **same factor** for a new block of
@@ -600,11 +693,8 @@ impl NodeRuntime {
             local: self.local.with_rhs_block(rhs_cols),
             routes: self.routes.clone(),
             pool: Vec::new(),
-            termination: self.termination,
-            max_solves: self.max_solves,
-            small_streak: 0,
+            halt: SelfHalt::new(self.halt.termination, self.halt.max_solves),
             messages_sent: 0,
-            capped: false,
         }
     }
 }
@@ -651,6 +741,10 @@ impl AsyncNode for NodeRuntime {
 
     fn capped(&self) -> bool {
         NodeRuntime::capped(self)
+    }
+
+    fn solved_cols(&self) -> u64 {
+        self.local.last_solve_cols()
     }
 }
 
@@ -753,11 +847,8 @@ fn build_node_inner(
         local,
         routes,
         pool: Vec::new(),
-        termination: common.termination,
-        max_solves: common.max_solves_per_node,
-        small_streak: 0,
+        halt: SelfHalt::new(common.termination, common.max_solves_per_node),
         messages_sent: 0,
-        capped: false,
     })
 }
 
@@ -936,26 +1027,93 @@ pub(crate) fn resolve_references(
     }
 }
 
-/// Exact per-column relative residuals `‖b_c − A·x_c‖₂ / ‖b_c‖₂` of a set
-/// of gathered solutions, against the reconstructed original system
-/// (`rhs_cols = None` = the split's own right-hand side). One SpMV per
-/// column, performed once at the end of every solve so each report carries
-/// a computable quality number even in oracle mode.
-pub(crate) fn final_residuals(
-    split: &SplitSystem,
-    rhs_cols: Option<&[Vec<f64>]>,
-    solutions: &[Vec<f64>],
-) -> Vec<f64> {
-    let (a, b) = split.reconstruct();
-    let cols: Vec<&[f64]> = match rhs_cols {
-        None => vec![&b],
-        Some(cols) => cols.iter().map(Vec::as_slice).collect(),
-    };
-    solutions
-        .iter()
-        .zip(cols)
-        .map(|(x, c)| a.residual_norm(x, c) / dtm_sparse::vector::norm2_or_one(c))
-        .collect()
+/// What a supervisor reads of the system it scores a run against: the
+/// part → global gather map (`parts[p][l]` = global row of part `p`'s
+/// local row `l`, `copy_count[g]` = parts holding a copy of `g`), the
+/// original matrix and the global right-hand-side columns. DTM fills it
+/// from a [`SplitSystem`], the point baselines from their row partition —
+/// which is what lets every algorithm share one supervisor, one monitor
+/// set-up and one report assembly.
+pub(crate) struct GatherMap<'a> {
+    pub parts: Vec<&'a [usize]>,
+    pub copy_count: &'a [usize],
+    pub a: &'a Csr,
+    pub b_cols: Vec<&'a [f64]>,
+    /// `‖b_c‖₂` per column (1 where `b_c` is zero, so the ratio stays
+    /// defined).
+    b_scale: Vec<f64>,
+}
+
+impl<'a> GatherMap<'a> {
+    pub(crate) fn new(
+        parts: Vec<&'a [usize]>,
+        copy_count: &'a [usize],
+        a: &'a Csr,
+        b_cols: Vec<&'a [f64]>,
+    ) -> Self {
+        Self {
+            b_scale: b_cols
+                .iter()
+                .map(|b| dtm_sparse::vector::norm2_or_one(b))
+                .collect(),
+            parts,
+            copy_count,
+            a,
+            b_cols,
+        }
+    }
+
+    /// The map of an EVS split: `(a, own_b)` is its
+    /// [`reconstruct`](SplitSystem::reconstruct)ed system, `rhs_cols` the
+    /// block's global right-hand sides (`None` = `own_b`).
+    pub(crate) fn of_split(
+        split: &'a SplitSystem,
+        a: &'a Csr,
+        own_b: &'a [f64],
+        rhs_cols: Option<&'a [Vec<f64>]>,
+    ) -> Self {
+        Self::new(
+            split
+                .subdomains
+                .iter()
+                .map(|sd| sd.global_of_local.as_slice())
+                .collect(),
+            &split.copy_count,
+            a,
+            match rhs_cols {
+                Some(cols) => cols.iter().map(Vec::as_slice).collect(),
+                None => vec![own_b],
+            },
+        )
+    }
+
+    /// Exact relative residual `‖b_c − A·x‖₂ / ‖b_c‖₂` of column `c`
+    /// (absolute for an all-zero `b_c`) — one fused SpMV.
+    pub(crate) fn residual(&self, c: usize, x: &[f64]) -> f64 {
+        self.a.residual_norm(x, self.b_cols[c]) / self.b_scale[c]
+    }
+}
+
+/// Gather column `c` of per-part `n_local × k` blocks into the global
+/// estimate `out`, averaging split copies — `parts` yields each part's
+/// `(global_of_local, block)` pair. The one gather of the wall-clock
+/// supervisors (one-shot and rolling).
+pub(crate) fn gather_col<'a>(
+    parts: impl Iterator<Item = (&'a [usize], &'a [f64])>,
+    copy_count: &[usize],
+    c: usize,
+    out: &mut [f64],
+) {
+    out.iter_mut().for_each(|v| *v = 0.0);
+    for (global_of_local, block) in parts {
+        let nl = global_of_local.len();
+        for (&g, &v) in global_of_local.iter().zip(&block[c * nl..(c + 1) * nl]) {
+            out[g] += v;
+        }
+    }
+    for (v, &cc) in out.iter_mut().zip(copy_count) {
+        *v /= cc as f64;
+    }
 }
 
 /// Shared supervision loop for the real-execution (wall-clock) backends.
@@ -967,10 +1125,9 @@ pub(crate) fn final_residuals(
 /// / budget expired). Keeping it here means the threaded and
 /// work-stealing backends share their termination bookkeeping exactly as
 /// they share the node state machine.
-pub(crate) mod wallclock {
-    use super::Termination;
+pub mod wallclock {
+    use super::{GatherMap, Termination};
     use crate::report::StopKind;
-    use dtm_graph::evs::SplitSystem;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::{Duration, Instant};
@@ -985,7 +1142,7 @@ pub(crate) mod wallclock {
     /// changed in the step, and the supervisor copies only columns dirtied
     /// since its last poll into a persistent mirror — no full-block clone
     /// on either side of the hand-off.
-    pub(crate) struct SharedBlock {
+    pub struct SharedBlock {
         data: Mutex<Vec<f64>>,
         /// Bumped on every publish; lets the supervisor skip untouched
         /// parts without taking the lock.
@@ -1062,15 +1219,11 @@ pub(crate) mod wallclock {
     pub(crate) struct Outcome {
         /// Gathered global solution per RHS column at stop.
         pub solutions: Vec<Vec<f64>>,
-        /// Exact RMS against the oracle references, worst column — `NaN`
-        /// when the run carried no references (reference-free mode).
-        pub final_rms: f64,
-        /// Exact RMS per column; empty without references.
+        /// Exact RMS against the oracle references per column; empty when
+        /// the run carried none (reference-free mode).
         pub final_rms_per_rhs: Vec<f64>,
-        /// Exact relative residual `‖b − A·x‖/‖b‖`, worst column — always
+        /// Exact relative residual `‖b − A·x‖/‖b‖` per column — always
         /// computed (one SpMV per column at stop).
-        pub final_residual: f64,
-        /// Exact relative residual per column.
         pub final_residual_per_rhs: Vec<f64>,
         /// Best worst-column driving metric ever observed at a poll
         /// (snapshots can drift *past* the tolerance while workers keep
@@ -1090,20 +1243,17 @@ pub(crate) mod wallclock {
     ///
     /// The driving metric follows `termination`: oracle RMS against
     /// `references` for [`Termination::OracleRms`], relative true residual
-    /// of the reconstructed system for [`Termination::Residual`] (no
-    /// reference required), and — for [`Termination::LocalDelta`] — a
-    /// passive series in whichever of the two is available.
+    /// of `map`'s system for [`Termination::Residual`] (no reference
+    /// required), and — for [`Termination::LocalDelta`] — a passive series
+    /// in whichever of the two is available.
     ///
     /// Per poll the supervisor drains only dirty columns of changed parts
     /// into persistent mirrors and re-evaluates only the columns that
     /// moved; a poll where nothing changed reuses the previous metric
     /// without locking anything.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn supervise(
-        split: &SplitSystem,
+        map: &GatherMap<'_>,
         references: Option<&[Vec<f64>]>,
-        rhs_cols: Option<&[Vec<f64>]>,
-        n_rhs: usize,
         snapshots: &[SharedBlock],
         termination: Termination,
         budget: Duration,
@@ -1111,18 +1261,8 @@ pub(crate) mod wallclock {
         mut all_done: impl FnMut() -> bool,
     ) -> Outcome {
         let started = Instant::now();
-        let k = n_rhs;
-        let n = split.original_n;
-        let (a, own_b) = split.reconstruct();
-        let b_col = |c: usize| -> &[f64] {
-            match rhs_cols {
-                Some(cols) => &cols[c],
-                None => &own_b,
-            }
-        };
-        let b_scale: Vec<f64> = (0..k)
-            .map(|c| dtm_sparse::vector::norm2_or_one(b_col(c)))
-            .collect();
+        let k = map.b_cols.len();
+        let n = map.copy_count.len();
         let tol = match termination {
             Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
             Termination::LocalDelta { .. } => None,
@@ -1140,32 +1280,24 @@ pub(crate) mod wallclock {
         // Persistent supervisor-side state: per-part mirrors + versions,
         // per-column gathered estimates and metric values. All allocated
         // once here; the poll loop below never allocates.
-        let mut mirrors: Vec<Vec<f64>> = split
-            .subdomains
-            .iter()
-            .map(|sd| vec![0.0; sd.n_local() * k])
-            .collect();
+        let mut mirrors: Vec<Vec<f64>> = map.parts.iter().map(|g| vec![0.0; g.len() * k]).collect();
         let mut seen: Vec<u64> = vec![0; snapshots.len()];
         let mut est: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n]).collect();
         let mut metric_col: Vec<f64> = vec![f64::INFINITY; k];
 
         let gather_col = |est: &mut [Vec<f64>], mirrors: &[Vec<f64>], c: usize| {
-            let e = &mut est[c];
-            e.iter_mut().for_each(|v| *v = 0.0);
-            for (sd, m) in split.subdomains.iter().zip(mirrors) {
-                let nl = sd.n_local();
-                for (l, &g) in sd.global_of_local.iter().enumerate() {
-                    e[g] += m[c * nl + l];
-                }
-            }
-            for (v, &cc) in e.iter_mut().zip(&split.copy_count) {
-                *v /= cc as f64;
-            }
+            let blocks = mirrors.iter().map(Vec::as_slice);
+            super::gather_col(
+                map.parts.iter().copied().zip(blocks),
+                map.copy_count,
+                c,
+                &mut est[c],
+            );
         };
         let eval_col = |est: &[Vec<f64>], c: usize| -> f64 {
             match oracle_refs {
                 Some(refs) => dtm_sparse::vector::rms_error(&est[c], &refs[c]),
-                None => a.residual_norm(&est[c], b_col(c)) / b_scale[c],
+                None => map.residual(c, &est[c]),
             }
         };
 
@@ -1230,32 +1362,13 @@ pub(crate) mod wallclock {
                 .collect(),
             None => Vec::new(),
         };
-        let final_rms = if final_rms_per_rhs.is_empty() {
-            f64::NAN
-        } else {
-            worst(&final_rms_per_rhs)
-        };
-        debug_assert_eq!(
-            final_rms.is_nan(),
-            final_rms_per_rhs.is_empty(),
-            "SolveReport contract: final_rms is NaN exactly on reference-free runs"
-        );
-        let final_residual_per_rhs: Vec<f64> = (0..k)
-            .map(|c| a.residual_norm(&solutions[c], b_col(c)) / b_scale[c])
-            .collect();
-        let final_residual = worst(&final_residual_per_rhs);
-        let final_metric = if oracle_refs.is_some() {
-            final_rms
-        } else {
-            final_residual
-        };
+        let final_residual_per_rhs: Vec<f64> =
+            (0..k).map(|c| map.residual(c, &solutions[c])).collect();
         Outcome {
             solutions,
-            final_rms,
             final_rms_per_rhs,
-            final_residual,
             final_residual_per_rhs,
-            best_metric: best_metric.min(final_metric),
+            best_metric,
             series,
             stop,
             elapsed: started.elapsed(),

@@ -16,8 +16,8 @@
 //! the gathered estimate meets its own tolerance, so stale data can delay
 //! a stop, never corrupt a result).
 //!
-//! The subsystem has one admission/queueing core and three drivers, one
-//! per executor:
+//! The subsystem has one admission/queueing core and two drivers — the
+//! simulated machine, and one generic over the wall-clock fabrics:
 //!
 //! * [`SessionQueue`] — tickets, slot states, completion stream. Pure
 //!   logic, shared by every driver.
@@ -28,11 +28,12 @@
 //!   [`NodeRuntime::swap_rhs_col`](crate::runtime::NodeRuntime::swap_rhs_col)),
 //!   and the run resumes — an instantaneous control action at the current
 //!   simulated instant, not an exchange restart.
-//! * [`RollingThreadedSession`] — one OS thread per subdomain; swap orders
-//!   travel per-part admission mailboxes the workers drain between steps,
-//!   so no worker ever blocks or restarts.
-//! * [`RollingPoolSession`] — the work-stealing pool; swap orders land in
-//!   per-cell mailboxes drained at the top of each activation task.
+//! * [`WallclockSession`] — a [`crate::fabric`] runs the perpetual
+//!   exchange; swap orders travel per-part admission mailboxes that the
+//!   fabric's per-node hook drains before each step, so no node ever
+//!   blocks or restarts. [`RollingThreadedSession`] (one OS thread per
+//!   subdomain) and [`RollingPoolSession`] (the work-stealing pool) are
+//!   its two instantiations.
 //!
 //! Every submitted right-hand side carries its **own**
 //! [`Termination`] — `Residual` and `OracleRms` tolerances mix freely in
@@ -43,17 +44,14 @@
 //! [`SolveReport`](crate::report::SolveReport).
 
 use crate::builder::DtmProblem;
+use crate::fabric::{Fabric, Hook, Pool, Threads};
 use crate::monitor::Monitor;
-use crate::runtime::{
-    self, wallclock::SharedBlock, CommonConfig, DtmMsg, NodeRuntime, Termination,
-};
+use crate::runtime::{self, wallclock::SharedBlock, CommonConfig, NodeRuntime, Termination};
 use crate::solver::{self, DtmNode};
-use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::sync::{thread, Arc, AtomicBool, Mutex, Ordering};
+use crate::sync::{Arc, Mutex};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{Engine, SimDuration, SimTime, StopReason};
 use dtm_sparse::{Csr, Error, Result, SparseCholesky};
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -557,13 +555,13 @@ impl RollingSession {
 }
 
 // ---------------------------------------------------------------------------
-// Wall-clock drivers (threads, work-stealing pool).
+// Driver 2: the wall-clock fabrics (threads, work-stealing pool).
 // ---------------------------------------------------------------------------
 
-/// Supervisor-side state shared by the two real-execution drivers: the
-/// queue, the per-part solution mirrors, the gathered per-column
-/// estimates, and the exact per-ticket stop decisions. The drivers differ
-/// only in how workers run and how swap orders reach them.
+/// Supervisor-side state of a wall-clock session: the queue, the per-part
+/// solution mirrors, the gathered per-column estimates, and the exact
+/// per-ticket stop decisions — everything that does not care which fabric
+/// runs the nodes.
 #[derive(Debug)]
 struct WallclockCore {
     split: SplitSystem,
@@ -619,23 +617,17 @@ impl WallclockCore {
 
     /// Gather one column's global estimate from the mirrors.
     fn gather_col(&mut self, c: usize) {
-        let k = self.est.len();
-        let e = &mut self.est[c];
-        e.iter_mut().for_each(|v| *v = 0.0);
-        for (sd, m) in self.split.subdomains.iter().zip(&self.mirrors) {
-            let nl = sd.n_local();
-            debug_assert_eq!(m.len(), nl * k);
-            for (l, &g) in sd.global_of_local.iter().enumerate() {
-                e[g] += m[c * nl + l];
-            }
-        }
-        for (v, &cc) in e.iter_mut().zip(&self.split.copy_count) {
-            *v /= cc as f64;
-        }
+        let parts = self.split.subdomains.iter().zip(&self.mirrors);
+        runtime::gather_col(
+            parts.map(|(sd, m)| (sd.global_of_local.as_slice(), m.as_slice())),
+            &self.split.copy_count,
+            c,
+            &mut self.est[c],
+        );
     }
 
     /// One admission/retirement sweep over the drained state. `issue_swap`
-    /// delivers `(slot, per-part local columns)` to the executor's workers.
+    /// delivers `(slot, per-part local columns)` to the fabric's nodes.
     fn sweep(&mut self, mut issue_swap: impl FnMut(usize, &[Vec<f64>])) {
         loop {
             // Admissions first, so freed slots refill in the same poll.
@@ -700,116 +692,68 @@ impl WallclockCore {
 /// One admission order: `(column slot, local RHS column)`.
 type ColumnSwap = (usize, Vec<f64>);
 
-/// Per-part channels and mailboxes shared with the threaded workers.
-struct ThreadedShared {
-    snapshots: Vec<SharedBlock>,
-    /// Admission mailboxes: [`ColumnSwap`] orders the worker drains
-    /// between steps — column swap-in without quiescing.
-    swaps: Vec<Mutex<Vec<ColumnSwap>>>,
-    stop: AtomicBool,
-}
-
-/// A rolling session on real OS threads (one per subdomain).
+/// A rolling session on a wall-clock [`Fabric`].
 ///
-/// Workers run the perpetual exchange — every received wave triggers a
+/// The fabric runs the perpetual exchange — every received wave triggers a
 /// re-solve and a re-scatter — for the session's whole life; the caller's
 /// thread is the supervisor: [`poll`](Self::poll) drains solution
 /// snapshots, retires tickets whose own tolerance is met (exact metrics on
 /// the gathered estimate — self-validating), and admits queued tickets by
-/// dropping swap orders into per-part mailboxes. Call
-/// [`finish`](Self::finish) (or drop the session) to stop the workers.
-pub struct RollingThreadedSession {
+/// dropping swap orders into per-part mailboxes, which the nodes drain
+/// through the fabric's per-node hook. Call [`finish`](Self::finish) (or
+/// drop the session) to stop the fabric.
+pub struct WallclockSession<F> {
     core: WallclockCore,
-    shared: Arc<ThreadedShared>,
-    handles: Vec<thread::JoinHandle<()>>,
+    fabric: F,
+    /// Admission mailboxes, one per part: [`ColumnSwap`] orders the node's
+    /// hook applies before its next step.
+    swaps: Arc<Vec<Mutex<Vec<ColumnSwap>>>>,
+    finished: bool,
     poll_interval: Duration,
 }
 
-impl RollingThreadedSession {
-    pub(crate) fn new(problem: &DtmProblem, slots: usize) -> Result<Self> {
+/// A rolling session on real OS threads (one per subdomain).
+pub type RollingThreadedSession = WallclockSession<Threads<NodeRuntime>>;
+
+/// A rolling session on the in-process work-stealing pool — the serving
+/// shape: subdomain count decoupled from thread count.
+pub type RollingPoolSession = WallclockSession<Pool<NodeRuntime>>;
+
+impl<F: Fabric> WallclockSession<F> {
+    /// Build the session's nodes (a `slots`-wide block of zero columns
+    /// over the problem's factors) and hand them, with the mailbox hook,
+    /// to `start`.
+    pub(crate) fn new(
+        problem: &DtmProblem,
+        slots: usize,
+        start: impl FnOnce(Vec<NodeRuntime>, Hook<NodeRuntime>) -> Result<F>,
+    ) -> Result<Self> {
         if slots == 0 {
             return Err(Error::Parse("rolling session needs ≥ 1 column slot".into()));
         }
         let split = problem.split.clone();
-        let n = split.original_n;
         let common = rolling_common(&problem.config.common);
-        let zero_cols = vec![vec![0.0; n]; slots];
+        let zero_cols = vec![vec![0.0; split.original_n]; slots];
         let runtimes = runtime::build_nodes_block(&split, &common, &zero_cols)?;
-        let n_parts = split.n_parts();
-
-        let mut senders: Vec<Sender<DtmMsg>> = Vec::with_capacity(n_parts);
-        let mut receivers: Vec<Receiver<DtmMsg>> = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            let (tx, rx) = unbounded::<DtmMsg>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let shared = Arc::new(ThreadedShared {
-            snapshots: runtimes
-                .iter()
-                .map(|rt| SharedBlock::new(rt.local().n_local(), slots))
+        let swaps: Arc<Vec<Mutex<Vec<ColumnSwap>>>> = Arc::new(
+            (0..split.n_parts())
+                .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            swaps: (0..n_parts).map(|_| Mutex::new(Vec::new())).collect(),
-            stop: AtomicBool::new(false),
+        );
+        let mailboxes = swaps.clone();
+        let hook: Hook<NodeRuntime> = Box::new(move |rt| {
+            let mut orders = mailboxes[rt.part()].lock();
+            let swapped = !orders.is_empty();
+            for (col, rhs) in orders.drain(..) {
+                rt.swap_rhs_col(col, &rhs);
+            }
+            swapped
         });
-
-        let mut handles = Vec::with_capacity(n_parts);
-        for (p, (mut rt, rx)) in runtimes.into_iter().zip(receivers).enumerate() {
-            let senders = senders.clone();
-            let shared = shared.clone();
-            handles.push(thread::spawn(move || {
-                let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
-                let mut step = |rt: &mut NodeRuntime| {
-                    rt.step(&mut outbox);
-                    for (dst, msg) in outbox.drain(..) {
-                        // Send failures mean the session is tearing down.
-                        let _ = senders[dst].send(msg);
-                    }
-                    shared.snapshots[p]
-                        .publish(rt.local().solution(), rt.local().last_solve_cols());
-                };
-                step(&mut rt); // initial solve, zero boundary guess (eq. 5.6)
-                loop {
-                    if shared.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // Drain admission orders between steps: the swap is an
-                    // in-place column replacement, never a pause.
-                    let mut swapped = false;
-                    {
-                        let mut orders = shared.swaps[p].lock();
-                        for (col, rhs) in orders.drain(..) {
-                            rt.swap_rhs_col(col, &rhs);
-                            swapped = true;
-                        }
-                    }
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(first) => {
-                            rt.absorb_owned(first);
-                            while let Ok(more) = rx.try_recv() {
-                                rt.absorb_owned(more);
-                            }
-                            step(&mut rt);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            // No wave this millisecond (possible on tiny
-                            // or single-part machines): a swapped column
-                            // must still be solved and published.
-                            if swapped {
-                                step(&mut rt);
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-            }));
-        }
-        drop(senders);
-
         Ok(Self {
+            fabric: start(runtimes, hook)?,
             core: WallclockCore::new(split, slots),
-            shared,
-            handles,
+            swaps,
+            finished: false,
             poll_interval: Duration::from_micros(200),
         })
     }
@@ -826,12 +770,12 @@ impl RollingThreadedSession {
     ///
     /// # Errors
     /// See [`SessionQueue`]; also rejects submissions after
-    /// [`finish`](Self::finish) — the workers are gone, so the ticket
+    /// [`finish`](Self::finish) — the fabric is stopped, so the ticket
     /// could never complete.
     pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
-        if self.shared.stop.load(Ordering::Acquire) {
+        if self.finished {
             return Err(Error::Parse(
-                "rolling session is finished; workers are stopped".into(),
+                "rolling session is finished; its nodes are stopped".into(),
             ));
         }
         let id = self.core.submit(b, termination)?;
@@ -840,13 +784,20 @@ impl RollingThreadedSession {
     }
 
     /// Drain snapshots, retire finished tickets, admit queued ones —
-    /// without consuming the completed-report stream.
+    /// without consuming the completed-report stream. Each swap order also
+    /// wakes its node so an idle one picks it up promptly.
     fn pump(&mut self) {
-        let shared = self.shared.clone();
-        self.core.drain_snapshots(&shared.snapshots);
-        self.core.sweep(|slot, local_cols| {
-            for (mailbox, local) in shared.swaps.iter().zip(local_cols) {
+        let Self {
+            core,
+            fabric,
+            swaps,
+            ..
+        } = self;
+        core.drain_snapshots(fabric.snapshots());
+        core.sweep(|slot, local_cols| {
+            for (p, (mailbox, local)) in swaps.iter().zip(local_cols).enumerate() {
                 mailbox.lock().push((slot, local.clone()));
+                fabric.wake(p);
             }
         });
     }
@@ -869,222 +820,11 @@ impl RollingThreadedSession {
         out
     }
 
-    /// Stop the workers and join them. Further submissions are rejected;
+    /// Stop the fabric and wait for it. Further submissions are rejected;
     /// prefer draining first.
     pub fn finish(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RollingThreadedSession {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// One pool node's runtime plus its recycled buffers (same shape as the
-/// batch work-stealing executor).
-struct PoolNodeState {
-    rt: NodeRuntime,
-    drain: Vec<DtmMsg>,
-    outbox: Vec<(usize, DtmMsg)>,
-}
-
-struct PoolCell {
-    state: Mutex<PoolNodeState>,
-    inbox: Mutex<Vec<DtmMsg>>,
-    /// Admission mailbox, drained at the top of each activation.
-    swaps: Mutex<Vec<ColumnSwap>>,
-    scheduled: AtomicBool,
-}
-
-struct PoolShared {
-    cells: Vec<PoolCell>,
-    snapshots: Vec<SharedBlock>,
-    stop: AtomicBool,
-}
-
-/// Run one activation of pool node `p`: drain swap orders and inbox,
-/// merge, solve-and-scatter, schedule receivers — the rolling variant of
-/// the batch executor's task body (no halt states: session nodes never
-/// self-retire).
-fn pool_activate(shared: &Arc<PoolShared>, pool: &Arc<ThreadPool>, p: usize, force: bool) {
-    let cell = &shared.cells[p];
-    cell.scheduled.store(false, Ordering::Release);
-    if shared.stop.load(Ordering::Acquire) {
-        return;
-    }
-    let mut st = cell.state.lock();
-    let PoolNodeState { rt, drain, outbox } = &mut *st;
-    let mut swapped = false;
-    {
-        let mut orders = cell.swaps.lock();
-        for (col, rhs) in orders.drain(..) {
-            rt.swap_rhs_col(col, &rhs);
-            swapped = true;
-        }
-    }
-    std::mem::swap(&mut *cell.inbox.lock(), drain);
-    if drain.is_empty() && !force && !swapped {
-        return;
-    }
-    for msg in drain.drain(..) {
-        rt.absorb_owned(msg);
-    }
-    rt.step(outbox);
-    shared.snapshots[p].publish(rt.local().solution(), rt.local().last_solve_cols());
-    for (dst, msg) in outbox.drain(..) {
-        shared.cells[dst].inbox.lock().push(msg);
-        pool_schedule(shared, pool, dst, false);
-    }
-}
-
-/// Spawn an activation task for `p` unless one is already queued/running.
-fn pool_schedule(shared: &Arc<PoolShared>, pool: &Arc<ThreadPool>, p: usize, force: bool) {
-    if shared.stop.load(Ordering::Acquire) {
-        return;
-    }
-    if shared.cells[p]
-        .scheduled
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        let shared = shared.clone();
-        let pool2 = pool.clone();
-        pool.spawn(move || pool_activate(&shared, &pool2, p, force));
-    }
-}
-
-/// A rolling session on the in-process work-stealing pool — the serving
-/// shape: subdomain count decoupled from thread count, column swap-in
-/// without quiescing via per-cell admission mailboxes.
-pub struct RollingPoolSession {
-    core: WallclockCore,
-    shared: Arc<PoolShared>,
-    pool: Arc<ThreadPool>,
-    poll_interval: Duration,
-}
-
-impl RollingPoolSession {
-    pub(crate) fn new(problem: &DtmProblem, slots: usize, num_threads: usize) -> Result<Self> {
-        if slots == 0 {
-            return Err(Error::Parse("rolling session needs ≥ 1 column slot".into()));
-        }
-        let split = problem.split.clone();
-        let n = split.original_n;
-        let common = rolling_common(&problem.config.common);
-        let zero_cols = vec![vec![0.0; n]; slots];
-        let runtimes = runtime::build_nodes_block(&split, &common, &zero_cols)?;
-        let n_parts = split.n_parts();
-        let pool = Arc::new(
-            ThreadPoolBuilder::new()
-                .num_threads(num_threads)
-                .build()
-                .map_err(|e| Error::Parse(format!("thread pool: {e}")))?,
-        );
-        let shared = Arc::new(PoolShared {
-            snapshots: runtimes
-                .iter()
-                .map(|rt| SharedBlock::new(rt.local().n_local(), slots))
-                .collect(),
-            cells: runtimes
-                .into_iter()
-                .map(|rt| PoolCell {
-                    state: Mutex::new(PoolNodeState {
-                        rt,
-                        drain: Vec::new(),
-                        outbox: Vec::new(),
-                    }),
-                    inbox: Mutex::new(Vec::new()),
-                    swaps: Mutex::new(Vec::new()),
-                    scheduled: AtomicBool::new(false),
-                })
-                .collect(),
-            stop: AtomicBool::new(false),
-        });
-        // Initial solves (eq. 5.6).
-        for p in 0..n_parts {
-            pool_schedule(&shared, &pool, p, true);
-        }
-        Ok(Self {
-            core: WallclockCore::new(split, slots),
-            shared,
-            pool,
-            poll_interval: Duration::from_micros(200),
-        })
-    }
-
-    /// Tickets submitted but not yet completed.
-    pub fn outstanding(&self) -> usize {
-        self.core.queue.outstanding()
-    }
-
-    /// Queue a right-hand side under its own stopping rule; admission
-    /// happens immediately if a slot is free (completed reports stay
-    /// queued for the next [`poll`](Self::poll) — submitting never
-    /// discards them).
-    ///
-    /// # Errors
-    /// See [`SessionQueue`]; also rejects submissions after
-    /// [`finish`](Self::finish) — the activation chain is stopped, so the
-    /// ticket could never complete.
-    pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Err(Error::Parse(
-                "rolling session is finished; the pool is stopped".into(),
-            ));
-        }
-        let id = self.core.submit(b, termination)?;
-        self.pump();
-        Ok(id)
-    }
-
-    /// Drain snapshots, retire finished tickets, admit queued ones —
-    /// without consuming the completed-report stream. Swap orders
-    /// additionally kick an activation so an idle cell picks them up
-    /// promptly.
-    fn pump(&mut self) {
-        let shared = self.shared.clone();
-        let pool = self.pool.clone();
-        self.core.drain_snapshots(&shared.snapshots);
-        self.core.sweep(|slot, local_cols| {
-            for (p, (cell, local)) in shared.cells.iter().zip(local_cols).enumerate() {
-                cell.swaps.lock().push((slot, local.clone()));
-                pool_schedule(&shared, &pool, p, true);
-            }
-        });
-    }
-
-    /// One supervisor pass (see [`RollingThreadedSession::poll`]).
-    pub fn poll(&mut self) -> Vec<ColumnReport> {
-        self.pump();
-        self.core.queue.take_completed()
-    }
-
-    /// Poll until every outstanding ticket completes or `timeout` elapses.
-    pub fn drain(&mut self, timeout: Duration) -> Vec<ColumnReport> {
-        let deadline = Instant::now() + timeout;
-        let mut out = self.poll();
-        while self.core.queue.outstanding() > 0 && Instant::now() < deadline {
-            std::thread::sleep(self.poll_interval);
-            out.extend(self.poll());
-        }
-        out
-    }
-
-    /// Stop the pool's activation chain and wait for quiescence.
-    pub fn finish(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.pool.wait_quiescent();
-    }
-}
-
-impl Drop for RollingPoolSession {
-    fn drop(&mut self) {
-        self.finish();
+        self.fabric.finish();
+        self.finished = true;
     }
 }
 

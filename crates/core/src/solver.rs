@@ -14,9 +14,10 @@
 
 use crate::local::LocalSystem;
 use crate::monitor::Monitor;
-use crate::report::{AlgorithmKind, BackendKind, SolveReport, StopKind};
+use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::{
-    self, build_nodes as build_runtime_nodes, CommonConfig, ExecutorBackend, NodeRuntime, Transport,
+    self, build_nodes as build_runtime_nodes, AsyncNode, CommonConfig, ExecutorBackend, GatherMap,
+    NodeRuntime, Transport,
 };
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{Ctx, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology};
@@ -144,23 +145,44 @@ impl Default for DtmConfig {
     }
 }
 
-/// One subdomain living on one simulated processor: the shared
-/// [`NodeRuntime`] plus its simulated per-activation compute time.
+/// One [`AsyncNode`] living on one simulated processor — **the** adapter
+/// between the node contract and the discrete-event engine, for DTM and
+/// the baselines alike: the node plus its simulated per-activation compute
+/// time. Scattered waves leave through the simulation context, so the
+/// link's simulated delay becomes the message's transmission delay (for
+/// DTM: the DTL's — the Algorithm-Architecture Delay Mapping).
 #[derive(Debug)]
-pub struct DtmNode {
-    rt: NodeRuntime,
-    compute: SimDuration,
+pub struct SimNode<N> {
+    pub(crate) inner: N,
+    pub(crate) compute: SimDuration,
+}
+
+/// DTM's simulated node: the shared [`NodeRuntime`] on a processor.
+pub type DtmNode = SimNode<NodeRuntime>;
+
+impl<N: AsyncNode> SimNode<N> {
+    /// The subdomain/part id.
+    pub fn part(&self) -> usize {
+        self.inner.part()
+    }
+
+    /// The node's current local solution estimate.
+    pub fn solution(&self) -> &[f64] {
+        self.inner.solution()
+    }
+
+    fn run_step(&mut self, ctx: &mut Ctx<DtmMsg>) {
+        ctx.set_compute(self.compute);
+        if self.inner.step_node(&mut CtxTransport(ctx)).is_halt() {
+            ctx.halt();
+        }
+    }
 }
 
 impl DtmNode {
     /// The local system (for inspection).
     pub fn local(&self) -> &LocalSystem {
-        self.rt.local()
-    }
-
-    /// The subdomain/part id.
-    pub fn part(&self) -> usize {
-        self.rt.part()
+        self.inner.local()
     }
 
     /// Swap one column of the live block for a freshly admitted local
@@ -168,12 +190,10 @@ impl DtmNode {
     /// [`NodeRuntime::swap_rhs_col`](crate::runtime::NodeRuntime::swap_rhs_col))
     /// — called by the rolling session between engine `run` slices.
     pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64]) {
-        self.rt.swap_rhs_col(col, rhs_col);
+        self.inner.swap_rhs_col(col, rhs_col);
     }
 }
 
-/// Adapter: scattered waves leave through the simulation context, so the
-/// link's simulated delay becomes the DTL's transmission delay.
 struct CtxTransport<'a, 't>(&'a mut Ctx<'t, DtmMsg>);
 
 impl Transport for CtxTransport<'_, '_> {
@@ -182,29 +202,20 @@ impl Transport for CtxTransport<'_, '_> {
     }
 }
 
-impl DtmNode {
-    fn run_step(&mut self, ctx: &mut Ctx<DtmMsg>) {
-        ctx.set_compute(self.compute);
-        if self.rt.step(&mut CtxTransport(ctx)).is_halt() {
-            ctx.halt();
-        }
-    }
-}
-
-impl Node for DtmNode {
+impl<N: AsyncNode> Node for SimNode<N> {
     type Msg = DtmMsg;
 
     fn start(&mut self, ctx: &mut Ctx<DtmMsg>) {
-        // Initial boundary guess is zero (eq. 5.6) — already the local
-        // system's initial state. Solve and transmit (Table 1 steps 1–2).
+        // Initial boundary guess is zero (eq. 5.6) — already the node's
+        // initial state. Solve and transmit (Table 1 steps 1–2).
         self.run_step(ctx);
     }
 
     fn receive(&mut self, ctx: &mut Ctx<DtmMsg>, batch: &mut Vec<Envelope<DtmMsg>>) {
         for env in batch.drain(..) {
-            // Consume the wave and recycle its payload buffer into this
-            // node's freelist: steady-state exchange allocates nothing.
-            self.rt.absorb_owned(env.payload);
+            // Consume the wave (DTM recycles its payload buffer into the
+            // node's freelist: steady-state exchange allocates nothing).
+            self.inner.absorb_owned(env.payload);
         }
         self.run_step(ctx);
     }
@@ -279,9 +290,9 @@ pub(crate) fn check_mapping(split: &SplitSystem, topology: &Topology) -> Result<
 pub(crate) fn map_nodes(runtimes: Vec<NodeRuntime>, config: &DtmConfig) -> Vec<DtmNode> {
     runtimes
         .into_iter()
-        .map(|rt| {
-            let compute = config.compute.duration_for(rt.local());
-            DtmNode { rt, compute }
+        .map(|inner| SimNode {
+            compute: config.compute.duration_for(inner.local()),
+            inner,
         })
         .collect()
 }
@@ -374,39 +385,83 @@ pub fn solve_prepared(
     rhs_cols: Option<&[Vec<f64>]>,
     config: &DtmConfig,
 ) -> Result<SolveReport> {
-    let n_rhs = match (&references, rhs_cols) {
-        (Some(refs), _) => refs.len(),
-        (None, Some(cols)) => cols.len(),
-        (None, None) => 1,
-    };
+    let (a, own_b) = split.reconstruct();
+    Ok(run_engine(
+        topology,
+        nodes,
+        &SimRun {
+            algorithm: AlgorithmKind::Dtm,
+            termination: config.common.termination,
+            horizon: config.horizon,
+            sample_interval: config.sample_interval,
+            trace_capacity: config.trace_capacity,
+            map: GatherMap::of_split(split, &a, &own_b, rhs_cols),
+            references: references.as_deref(),
+        },
+    ))
+}
+
+/// What [`run_engine`] needs besides the machine and its nodes.
+pub(crate) struct SimRun<'a> {
+    pub algorithm: AlgorithmKind,
+    pub termination: Termination,
+    pub horizon: SimDuration,
+    pub sample_interval: SimDuration,
+    pub trace_capacity: Option<usize>,
+    pub map: GatherMap<'a>,
+    /// Oracle references, one per column of `map.b_cols`; `None` runs
+    /// reference-free.
+    pub references: Option<&'a [Vec<f64>]>,
+}
+
+/// The simulated executor: run `nodes` on `topology` under the monitor
+/// `run` describes until the stopping rule, the horizon or quiescence —
+/// one engine loop for every [`AsyncNode`] algorithm.
+pub(crate) fn run_engine<N: AsyncNode>(
+    topology: Topology,
+    nodes: Vec<SimNode<N>>,
+    run: &SimRun<'_>,
+) -> SolveReport {
+    let map = &run.map;
+    let n_parts = nodes.len();
     let mut engine = Engine::new(topology, nodes);
-    if let Some(cap) = config.trace_capacity {
+    if let Some(cap) = run.trace_capacity {
         engine.enable_trace(cap);
     }
-    let mut monitor = match (&references, config.common.termination) {
+    let parts = || map.parts.iter().map(|g| g.to_vec()).collect();
+    let residual_monitor = || {
+        Monitor::from_parts_residual(
+            parts(),
+            map.copy_count.to_vec(),
+            map.a.clone(),
+            &map.b_cols,
+            run.sample_interval,
+        )
+    };
+    let mut monitor = match (run.references, run.termination) {
         // Residual termination stays residual-primary even when a
         // reference was supplied: the references then only add RMS
         // reporting, never change the stopping metric (keeps all
         // backends' stopping behaviour identical for identical inputs).
         (Some(refs), Termination::Residual { .. }) => {
-            let mut m = Monitor::new_residual(split, rhs_cols, config.sample_interval);
+            let mut m = residual_monitor();
             m.attach_oracle(refs);
             m
         }
-        (Some(refs), _) => Monitor::new_block(split, refs, config.sample_interval),
-        (None, _) => Monitor::new_residual(split, rhs_cols, config.sample_interval),
+        (Some(refs), _) => {
+            Monitor::from_parts_block(parts(), map.copy_count.to_vec(), refs, run.sample_interval)
+        }
+        (None, _) => residual_monitor(),
     };
-    let horizon = SimTime::ZERO + config.horizon;
-
-    let metric_tol = match config.common.termination {
+    let metric_tol = match run.termination {
         Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
         Termination::LocalDelta { .. } => None,
     };
     // Guard the incremental tracker against cancellation right where the
     // stopping decision is made.
     monitor.set_refresh_below(metric_tol.unwrap_or(0.0));
-    let outcome = engine.run(horizon, |time, part, node: &DtmNode| {
-        let metric = monitor.update_part(part, time, node.local().solution());
+    let outcome = engine.run(SimTime::ZERO + run.horizon, |time, part, node| {
+        let metric = monitor.update_part(part, time, node.solution());
         match metric_tol {
             Some(tol) => metric > tol,
             None => true,
@@ -414,65 +469,47 @@ pub fn solve_prepared(
     });
 
     let stats = engine.stats();
+    // Activations and messages are the engine's own record of the run;
+    // flops and the cap flag only the nodes know.
+    let totals = Totals {
+        solves: stats.activations.iter().sum(),
+        messages: stats.messages_sent,
+        flops: engine.nodes().iter().map(|n| n.inner.flops()).sum(),
+        any_capped: engine.nodes().iter().any(|n| n.inner.capped()),
+    };
+    // Uniform-counter cross-check: the monitor witnessed exactly one
+    // update per engine activation, whatever the algorithm.
+    debug_assert_eq!(monitor.updates(), totals.solves);
     let solutions = monitor.estimates();
-    let final_rms_per_rhs = if monitor.has_oracle() {
-        monitor.rms_exact_per_rhs()
-    } else {
-        Vec::new()
-    };
-    let worst = |v: &[f64]| v.iter().fold(0.0_f64, |m, &x| m.max(x));
-    let final_rms = if final_rms_per_rhs.is_empty() {
-        f64::NAN
-    } else {
-        worst(&final_rms_per_rhs)
-    };
-    debug_assert_eq!(
-        final_rms.is_nan(),
-        final_rms_per_rhs.is_empty(),
-        "SolveReport contract: final_rms is NaN exactly on reference-free runs"
-    );
-    let final_residual_per_rhs = if monitor.tracks_residual() {
-        monitor.residual_exact_per_rhs()
-    } else {
-        runtime::final_residuals(split, rhs_cols, &solutions)
-    };
-    let final_residual = worst(&final_residual_per_rhs);
-    let stop = match outcome.reason {
-        StopReason::ObserverStop => StopKind::OracleTolerance,
-        StopReason::AllHalted => StopKind::AllHalted,
-        StopReason::TimeLimit => StopKind::Horizon,
-        StopReason::QueueEmpty => StopKind::Quiescent,
-    };
-    // A node retired by the solve cap never declared convergence: the run
-    // must not report success just because everyone eventually stopped.
-    let any_capped = engine.nodes().iter().any(|n| n.rt.capped());
-    let total_flops: u64 = engine.nodes().iter().map(|n| n.rt.flops()).sum();
-    let converged = match config.common.termination {
-        Termination::OracleRms { tol } => final_rms <= tol,
-        Termination::Residual { tol } => final_residual <= tol,
-        Termination::LocalDelta { .. } => {
-            matches!(stop, StopKind::AllHalted | StopKind::Quiescent) && !any_capped
-        }
-    };
-    Ok(SolveReport {
+    SolveReport::assemble(RunSummary {
         backend: BackendKind::Simulated,
-        algorithm: AlgorithmKind::Dtm,
-        solution: solutions[0].clone(),
-        n_rhs,
+        algorithm: run.algorithm,
+        termination: run.termination,
+        stop: match outcome.reason {
+            StopReason::ObserverStop => StopKind::OracleTolerance,
+            StopReason::AllHalted => StopKind::AllHalted,
+            StopReason::TimeLimit => StopKind::Horizon,
+            StopReason::QueueEmpty => StopKind::Quiescent,
+        },
+        time_ms: outcome.final_time.as_millis_f64(),
+        rms_per_rhs: if monitor.has_oracle() {
+            monitor.rms_exact_per_rhs()
+        } else {
+            Vec::new()
+        },
+        residual_per_rhs: if monitor.tracks_residual() {
+            monitor.residual_exact_per_rhs()
+        } else {
+            (0..solutions.len())
+                .map(|c| map.residual(c, &solutions[c]))
+                .collect()
+        },
         solutions,
-        final_rms_per_rhs,
-        converged,
-        final_rms,
-        final_residual,
-        final_residual_per_rhs,
-        final_time_ms: outcome.final_time.as_millis_f64(),
+        best_metric: f64::INFINITY,
         series: monitor.into_series(),
-        total_solves: stats.activations.iter().sum(),
-        total_messages: stats.messages_sent,
-        total_flops,
+        totals,
         coalesced_batches: stats.coalesced_batches,
-        n_parts: split.n_parts(),
-        stop,
+        n_parts,
     })
 }
 

@@ -10,23 +10,18 @@
 //! heterogeneous-machine behaviour can be exercised with real threads
 //! too.
 //!
-//! Termination follows the shared [`Termination`] vocabulary: under
-//! [`Termination::LocalDelta`] every worker halts itself through the
-//! runtime's Table 1 step 3.3 rule; under [`Termination::OracleRms`] the
-//! shared wall-clock supervisor polls solution snapshots and raises a
-//! global stop flag when the tolerance is met (or the budget expires).
+//! The worker loop, the work-token quiescence counter and the router live
+//! in the generic one-thread-per-node fabric [`crate::fabric::Threads`];
+//! this module is a **caller** that owns DTM's configuration, entry points
+//! and the delay-topology validation.
 
-use crate::report::{AlgorithmKind, BackendKind, SolveReport, StopKind};
-use crate::runtime::{
-    self, wallclock, CommonConfig, DtmMsg, ExecutorBackend, NodeControl, NodeRuntime, Termination,
-    Transport,
-};
-use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicU64, Ordering};
+use crate::fabric::{self, Threads, WallRun};
+use crate::report::{AlgorithmKind, BackendKind, SolveReport};
+use crate::runtime::{self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, Termination};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
 use dtm_sparse::Result;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Threaded-executor configuration: the shared [`CommonConfig`] plus the
 /// wall-clock and delay-shaping knobs that only exist on real threads.
@@ -57,67 +52,6 @@ impl Default for ThreadedConfig {
             poll_interval: Duration::from_micros(500),
             delay_topology: None,
             delay_scale: 1e-3,
-        }
-    }
-}
-
-/// Unified report type; kept as an alias for source continuity with the
-/// pre-runtime API.
-pub type ThreadedReport = SolveReport;
-
-enum RouterMsg {
-    Forward {
-        deliver_at: Instant,
-        dst: usize,
-        msg: DtmMsg,
-    },
-    /// Explicit shutdown; the router also exits when all worker-side
-    /// senders disconnect, which is the path the supervisor normally takes.
-    #[allow(dead_code)]
-    Shutdown,
-}
-
-/// Adapter: scattered waves leave through crossbeam channels — directly,
-/// or via the delay-shaping router when a topology is injected.
-struct ChannelTransport {
-    src: usize,
-    senders: Vec<Sender<DtmMsg>>,
-    router_tx: Sender<RouterMsg>,
-    delays: Option<Arc<Topology>>,
-    delay_scale: f64,
-    messages: Arc<AtomicU64>,
-    /// Outstanding work tokens — the quiescence signal for the
-    /// LocalDelta idle kick. A token is minted here *before* the wave
-    /// becomes receivable and is released by the consumer only after the
-    /// step that absorbed it has registered its own outgoing sends, so a
-    /// zero read proves no wave exists anywhere and none can appear
-    /// without a fresh external cause.
-    work: Arc<AtomicI64>,
-}
-
-impl Transport for ChannelTransport {
-    fn send(&mut self, dst: usize, msg: DtmMsg) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.work.fetch_add(1, Ordering::AcqRel);
-        match &self.delays {
-            Some(topo) => {
-                // Links were validated at backend construction; an absent
-                // link degrades to immediate delivery, not an abort.
-                let ns = topo
-                    .try_delay(self.src, dst)
-                    .map_or(0.0, |d| d.as_nanos() as f64)
-                    * self.delay_scale;
-                let deliver_at = Instant::now() + Duration::from_nanos(ns.round() as u64);
-                // Ignore send failures during shutdown.
-                let _ = self.router_tx.send(RouterMsg::Forward {
-                    deliver_at,
-                    dst,
-                    msg,
-                });
-            }
-            None => {
-                let _ = self.senders[dst].send(msg);
-            }
         }
     }
 }
@@ -163,14 +97,8 @@ pub fn solve_with_reference(
     reference: Option<Vec<f64>>,
     config: &ThreadedConfig,
 ) -> Result<SolveReport> {
-    let references = runtime::resolve_references(
-        split,
-        config.common.termination,
-        None,
-        reference.map(|r| vec![r]),
-    )?;
     let runtimes = runtime::build_nodes(split, &config.common)?;
-    solve_runtimes(split, runtimes, references, None, config)
+    solve_prepared(split, runtimes, reference, config)
 }
 
 /// [`solve`] over **prebuilt node runtimes** — the factor-once serving
@@ -229,8 +157,7 @@ fn solve_runtimes(
     let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
 
     // Validate an injected delay topology up front: every wave route needs
-    // a directed link, or the transport would panic inside a worker thread
-    // (surfacing as a join panic) the first time it looked the delay up.
+    // a directed link — a typed error here, not a surprise mid-run.
     if let Some(topo) = &config.delay_topology {
         if topo.n_nodes() != n_parts {
             return Err(dtm_sparse::Error::DimensionMismatch {
@@ -250,306 +177,37 @@ fn solve_runtimes(
         }
     }
 
-    // Wiring: one channel per part; router channel if delays are injected.
-    let mut senders: Vec<Sender<DtmMsg>> = Vec::with_capacity(n_parts);
-    let mut receivers: Vec<Receiver<DtmMsg>> = Vec::with_capacity(n_parts);
-    // Supervisor-side receiver clones: once a worker has halted and
-    // dropped out, waves still addressed to it are drained here so the
-    // in-flight count can reach zero.
-    let mut drain_rx: Vec<Receiver<DtmMsg>> = Vec::with_capacity(n_parts);
-    for _ in 0..n_parts {
-        let (tx, rx) = unbounded::<DtmMsg>();
-        senders.push(tx);
-        drain_rx.push(rx.clone());
-        receivers.push(rx);
-    }
-    let (router_tx, router_rx) = unbounded::<RouterMsg>();
-    let delays: Option<Arc<Topology>> = config.delay_topology.clone().map(Arc::new);
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_solves = Arc::new(AtomicU64::new(0));
-    let total_messages = Arc::new(AtomicU64::new(0));
-    // Quiescence accounting: one deferred-decrement counter of
-    // outstanding work tokens. Seeded with one token per worker (the
-    // initial solve each owes); every transport send mints a token
-    // before the wave is pushed; a worker releases the tokens it
-    // consumed only *after* the absorbing step has minted tokens for its
-    // own outgoing waves. The LocalDelta idle kick below fires only on a
-    // zero read, which therefore proves global quiescence — no wave in
-    // any channel or the router, no step in progress that could emit
-    // one. (A previous two-counter scheme — waves in flight + workers
-    // mid-step — was racy: the two loads could straddle a receive
-    // handoff and both read zero while work remained, feeding spurious
-    // zero-delta re-solves into the self-halt streak; the model checker
-    // in tests/model_check.rs finds that schedule.)
-    // A part count that overflows i64 is unreachable (it would dwarf
-    // addressable memory); saturate rather than panic.
-    let work = Arc::new(AtomicI64::new(i64::try_from(n_parts).unwrap_or(i64::MAX)));
-    let any_capped = Arc::new(AtomicBool::new(false));
-    // Per-part cumulative flop counters: each worker *stores* (not adds)
-    // its runtime's running total after every step, so the sum at join
-    // time is exact whatever order the workers retired in.
-    let part_flops: Arc<Vec<AtomicU64>> =
-        Arc::new((0..n_parts).map(|_| AtomicU64::new(0)).collect());
-    let snapshots: Arc<Vec<wallclock::SharedBlock>> = Arc::new(
-        runtimes
-            .iter()
-            .map(|rt| wallclock::SharedBlock::new(rt.local().n_local(), n_rhs))
-            .collect(),
-    );
-
-    // Router thread: delivers delayed messages in deadline order.
-    let router_handle = {
-        let senders = senders.clone();
-        let stop = stop.clone();
-        thread::spawn(move || {
-            use std::cmp::Reverse;
-            use std::collections::BinaryHeap;
-            struct Pending {
-                deliver_at: Instant,
-                seq: u64,
-                dst: usize,
-                msg: DtmMsg,
-            }
-            impl PartialEq for Pending {
-                fn eq(&self, o: &Self) -> bool {
-                    (self.deliver_at, self.seq) == (o.deliver_at, o.seq)
-                }
-            }
-            impl Eq for Pending {}
-            impl PartialOrd for Pending {
-                fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                    Some(self.cmp(o))
-                }
-            }
-            impl Ord for Pending {
-                fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                    (self.deliver_at, self.seq).cmp(&(o.deliver_at, o.seq))
-                }
-            }
-            let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            loop {
-                let timeout = heap
-                    .peek()
-                    .map(|Reverse(p)| {
-                        p.deliver_at
-                            .saturating_duration_since(Instant::now())
-                            .min(Duration::from_millis(1))
-                    })
-                    .unwrap_or(Duration::from_millis(1));
-                match router_rx.recv_timeout(timeout) {
-                    Ok(RouterMsg::Forward {
-                        deliver_at,
-                        dst,
-                        msg,
-                    }) => {
-                        seq += 1;
-                        heap.push(Reverse(Pending {
-                            deliver_at,
-                            seq,
-                            dst,
-                            msg,
-                        }));
-                    }
-                    Ok(RouterMsg::Shutdown) => return,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-                let now = Instant::now();
-                while heap
-                    .peek()
-                    .is_some_and(|Reverse(p)| p.deliver_at <= now && !stop.load(Ordering::Relaxed))
-                {
-                    if let Some(Reverse(p)) = heap.pop() {
-                        // Ignore send failures during shutdown.
-                        let _ = senders[p.dst].send(p.msg);
-                    }
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-        })
-    };
-
-    // Worker threads: the shared runtime drives each subdomain.
-    let mut handles = Vec::with_capacity(n_parts);
-    for (p, (mut rt, rx)) in runtimes.into_iter().zip(receivers).enumerate() {
-        let mut transport = ChannelTransport {
-            src: p,
-            senders: senders.clone(),
-            router_tx: router_tx.clone(),
-            delays: delays.clone(),
-            delay_scale: config.delay_scale,
-            messages: total_messages.clone(),
-            work: work.clone(),
-        };
-        let stop = stop.clone();
-        let total_solves = total_solves.clone();
-        let snapshots = snapshots.clone();
-        let work = work.clone();
-        let any_capped = any_capped.clone();
-        let part_flops = part_flops.clone();
-        let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
-
-        handles.push(thread::spawn(move || {
-            let step = |rt: &mut NodeRuntime, transport: &mut ChannelTransport| -> bool {
-                let control = rt.step(transport);
-                total_solves.fetch_add(1, Ordering::Relaxed);
-                part_flops[p].store(rt.flops(), Ordering::Relaxed);
-                // Publish only the columns this step could have changed —
-                // the supervisor mirrors them incrementally.
-                snapshots[p].publish(rt.local().solution(), rt.local().last_solve_cols());
-                if control == NodeControl::Capped {
-                    any_capped.store(true, Ordering::Release);
-                }
-                !control.is_halt()
-            };
-
-            // Initial solve with the zero boundary guess (eq. 5.6). Its
-            // work token was minted at counter setup; release it only
-            // after the step's own sends are counted.
-            let go_on = step(&mut rt, &mut transport);
-            work.fetch_sub(1, Ordering::AcqRel);
-            if !go_on {
-                return;
-            }
-            loop {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(first) => {
-                        // Consumed messages fund the next outgoing ones:
-                        // their payload buffers go to this node's freelist.
-                        rt.absorb_owned(first);
-                        // Coalesce whatever else is pending (Table 1
-                        // step 3: "one or more of the adjacent
-                        // subgraphs").
-                        let mut consumed: i64 = 1;
-                        while let Ok(more) = rx.try_recv() {
-                            consumed += 1;
-                            rt.absorb_owned(more);
-                        }
-                        let go_on = step(&mut rt, &mut transport);
-                        // Deferred decrement: the consumed waves' tokens
-                        // stay outstanding until the step they caused has
-                        // minted tokens for its own sends, so the counter
-                        // never reads zero while this causal chain is
-                        // mid-handoff (released on the halt path too —
-                        // survivors' kicks must still be able to fire).
-                        work.fetch_sub(consumed, Ordering::AcqRel);
-                        if !go_on {
-                            return;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Idle under LocalDelta *and* globally quiescent
-                        // (no wave in any channel or the router, no step
-                        // in progress): neighbours have halted, so no
-                        // further waves will ever arrive. Re-solving
-                        // against the unchanged boundary state yields a
-                        // zero outgoing delta, letting the Table 1 step
-                        // 3.3 streak complete instead of waiting forever.
-                        // The single deferred-decrement counter makes the
-                        // guard one atomic load — a wave merely delayed
-                        // in flight, or mid-absorb in a peer, keeps it
-                        // nonzero, so it can never feed the streak.
-                        if self_halting && work.load(Ordering::Acquire) == 0 {
-                            // The kick step owes no token: at the zero
-                            // read no wave existed, so a re-solve against
-                            // the unchanged boundary is zero-delta and
-                            // sends nothing (any send it *did* make would
-                            // mint its own token before becoming
-                            // visible).
-                            let go_on = step(&mut rt, &mut transport);
-                            if !go_on {
-                                return;
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        }));
-    }
-    drop(senders);
-    drop(router_tx);
-
-    // Supervisor: shared wall-clock loop over the snapshots.
-    let outcome = wallclock::supervise(
-        split,
-        references.as_deref(),
-        rhs_cols,
+    let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
+    let threads = Threads::start(
+        runtimes,
         n_rhs,
-        &snapshots,
-        config.common.termination,
-        config.budget,
-        config.poll_interval,
-        || {
-            // Drain waves addressed to halted workers (semantically
-            // dropped) so the work counter can reach zero and let the
-            // survivors' quiescence kick fire.
-            for (i, h) in handles.iter().enumerate() {
-                if h.is_finished() {
-                    while drain_rx[i].try_recv().is_ok() {
-                        work.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
-            handles.iter().all(|h| h.is_finished())
+        config
+            .delay_topology
+            .as_ref()
+            .map(|topo| (topo, config.delay_scale)),
+        self_halting,
+        fabric::no_hook(),
+    );
+    let (a, own_b) = split.reconstruct();
+    Ok(fabric::run(
+        threads,
+        &WallRun {
+            backend: BackendKind::Threaded,
+            algorithm: AlgorithmKind::Dtm,
+            termination: config.common.termination,
+            budget: config.budget,
+            poll_interval: config.poll_interval,
+            map: GatherMap::of_split(split, &a, &own_b, rhs_cols),
+            references: references.as_deref(),
         },
-    );
-    stop.store(true, Ordering::Relaxed);
-    // Re-raise any worker/router panic with its original payload rather
-    // than masking it behind a generic join message.
-    for h in handles {
-        if let Err(payload) = h.join() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-    if let Err(payload) = router_handle.join() {
-        std::panic::resume_unwind(payload);
-    }
-
-    let converged = match config.common.termination {
-        Termination::OracleRms { tol } | Termination::Residual { tol } => {
-            outcome.best_metric <= tol
-        }
-        Termination::LocalDelta { .. } => {
-            // A worker retired by the solve cap never declared
-            // convergence; don't let "everyone eventually stopped"
-            // masquerade as success.
-            outcome.stop == StopKind::AllHalted && !any_capped.load(Ordering::Acquire)
-        }
-    };
-    Ok(SolveReport {
-        backend: BackendKind::Threaded,
-        algorithm: AlgorithmKind::Dtm,
-        solution: outcome.solutions[0].clone(),
-        n_rhs,
-        solutions: outcome.solutions,
-        final_rms_per_rhs: outcome.final_rms_per_rhs,
-        converged,
-        final_rms: outcome.final_rms,
-        final_residual: outcome.final_residual,
-        final_residual_per_rhs: outcome.final_residual_per_rhs,
-        final_time_ms: outcome.elapsed.as_secs_f64() * 1e3,
-        series: outcome.series,
-        total_solves: total_solves.load(Ordering::Relaxed),
-        total_messages: total_messages.load(Ordering::Relaxed),
-        total_flops: part_flops.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-        coalesced_batches: 0,
-        n_parts,
-        stop: outcome.stop,
-    })
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::impedance::ImpedancePolicy;
+    use crate::report::StopKind;
     use dtm_graph::evs::{split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_simnet::DelayModel;

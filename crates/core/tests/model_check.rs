@@ -6,18 +6,17 @@
 //! cargo test -p dtm-core --features model-check --test model_check --release
 //! ```
 //!
-//! Three protocols are modeled, each as a *distilled* version of the
-//! production loop written against the same `dtm_core::sync` facade the
-//! production code compiles against, plus a seeded mutant the checker
-//! must catch:
+//! Each protocol is modeled as a *distilled* version of the production
+//! loop written against the same `dtm_core::sync` facade the production
+//! code compiles against, plus seeded mutants the checker must catch:
 //!
-//! 1. **Quiescence kick** (`threaded.rs`): the LocalDelta idle kick may
-//!    fire only at true global quiescence. Current code uses one
+//! 1. **Quiescence kick** (`fabric.rs`, `Threads`): the LocalDelta idle
+//!    kick may fire only at true global quiescence. Current code uses one
 //!    deferred-decrement work counter; the mutant is the previous
 //!    two-counter (`active` + `in_flight`) guard, whose two loads can
 //!    straddle a receive handoff and both read zero while a wave is
 //!    mid-absorb — the checker finds the resulting premature stop.
-//! 2. **Scheduled-bit mailbox** (`rayon_backend.rs`): an activation must
+//! 2. **Scheduled-bit mailbox** (`fabric.rs`, `Pool`): an activation must
 //!    clear its cell's `scheduled` bit *before* draining the inbox; the
 //!    drain-before-clear mutant strands a wave pushed between the drain
 //!    and the clear.
@@ -31,6 +30,17 @@
 //! `<` mutant skips the resync exactly on the boundary and declares
 //! convergence from a drifted metric. The checker finds the
 //! supervisor-polls-between-updates schedule that exposes it.
+//!
+//! And the LocalDelta halting protocol of `fabric.rs` — **halting is a
+//! state**: the halt → late-wave → re-arm handoff. On the pool, the halt
+//! flag is read under the state lock, after the inbox swap, and "all
+//! halted" needs quiescence; the mutants are the parent commit's
+//! check-before-lock (one node counted halted twice, so the count never
+//! equals the part count), a halted node that ignores its mail (the lost
+//! wake-up), and a supervisor that trusts the count without quiescence
+//! (the premature collective halt). On threads, a re-armed worker clears
+//! its flag *before* releasing the wave's work token; the release-first
+//! mutant lets the supervisor read "no work, all halted" in between.
 
 #![cfg(feature = "model-check")]
 
@@ -40,7 +50,7 @@ use minloom::{checkpoint, hash_fold, thread, Builder};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// 1. Quiescence kick (threaded.rs)
+// 1. Quiescence kick (fabric.rs, Threads)
 // ---------------------------------------------------------------------------
 
 /// Which quiescence guard the distilled worker runs.
@@ -64,14 +74,14 @@ struct QuiesceShared {
     active: AtomicI64,
 }
 
-/// Distilled transport send, matching `ChannelTransport::send`: mint the
+/// Distilled delivery, matching the worker's `step` closure: mint the
 /// token *before* the wave becomes receivable.
 fn q_send(shared: &QuiesceShared, tx: &Sender<u32>, v: u32) {
     shared.in_flight.fetch_add(1, Ordering::AcqRel);
     let _ = tx.send(v);
 }
 
-/// Distilled worker, matching the `threaded.rs` worker loop shape:
+/// Distilled worker, matching the shape of `fabric::work`:
 /// initial step, then recv/coalesce/step with the LocalDelta idle kick
 /// on timeout. The "solve" forwards wave `v` as `v - 1` to the next part
 /// while `v > 0` (a finite causal chain standing in for a decaying
@@ -266,7 +276,7 @@ fn quiescence_two_counter_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Scheduled-bit mailbox (rayon_backend.rs)
+// 2. Scheduled-bit mailbox (fabric.rs, Pool)
 // ---------------------------------------------------------------------------
 
 struct Cell {
@@ -370,9 +380,9 @@ fn scheduled_bit_drain_before_clear_mutant_is_caught() {
 /// `v + 100` (distinguishing "swap applied" from "solve published").
 const SOLVED_OFFSET: u64 = 100;
 
-/// Distilled rolling-session worker, matching the
-/// `RollingThreadedSession` loop: drain the swap mailbox between steps,
-/// publish the slot's solved value to the shared snapshot.
+/// Distilled rolling-session worker, matching a fabric worker running the
+/// session's hook: drain the swap mailbox between steps, publish the
+/// slot's solved value to the shared snapshot.
 fn session_worker(mailbox: &Mutex<Vec<(usize, u64)>>, snapshot: &AtomicU64, stop: &AtomicBool) {
     let mut current: u64 = 0;
     loop {
@@ -545,6 +555,324 @@ fn monitor_resync_strict_mutant_is_caught() {
         .expect("the boundary premature-stop schedule must be found");
     assert!(
         v.message.contains("premature stop"),
+        "unexpected violation:\n{v}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 5. Halting is a state (fabric.rs): halt → late wave → re-arm
+// ---------------------------------------------------------------------------
+
+/// Where the distilled pool activation reads its node's halt flag.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum HaltCheck {
+    /// Current code: under the state lock, after the inbox swap; a halted
+    /// node that finds mail re-arms.
+    UnderLock,
+    /// The parent commit's order: read the flag, *then* block on the state
+    /// lock. An activation that queued up behind the halting one passes
+    /// the check and steps the halted node again.
+    BeforeLock,
+    /// Lost wake-up: a halted node returns without looking at its inbox.
+    IgnoresMail,
+}
+
+/// One pool cell of a node whose LocalDelta streak is complete (every
+/// step it takes converges), plus the fabric-wide counters.
+struct HaltCell {
+    /// The node's state lock, guarding its step count.
+    state: Mutex<u32>,
+    inbox: Mutex<Vec<u32>>,
+    scheduled: AtomicBool,
+    halted: AtomicBool,
+    /// Nodes currently counted halted (`Halts::count`).
+    count: AtomicUsize,
+    /// Activation tasks queued or running (the pool's `pending_tasks()`).
+    pending: AtomicUsize,
+    /// Waves a step has absorbed.
+    absorbed: AtomicUsize,
+}
+
+/// `initial_tasks` activations are already queued when the model starts.
+fn halt_cell(initial_tasks: usize) -> Arc<HaltCell> {
+    Arc::new(HaltCell {
+        state: Mutex::new(0),
+        inbox: Mutex::new(Vec::new()),
+        scheduled: AtomicBool::new(true),
+        halted: AtomicBool::new(false),
+        count: AtomicUsize::new(0),
+        pending: AtomicUsize::new(initial_tasks),
+        absorbed: AtomicUsize::new(0),
+    })
+}
+
+/// Distilled `fabric::activate`, in the production order: clear the
+/// scheduled bit, take the state lock, swap the inbox, read the halt flag,
+/// step, retire.
+fn h_activate(cell: &HaltCell, check: HaltCheck, force: bool) {
+    cell.scheduled.store(false, Ordering::SeqCst);
+    if !(check == HaltCheck::BeforeLock && cell.halted.load(Ordering::SeqCst)) {
+        let mut steps = cell.state.lock();
+        'activation: {
+            if check == HaltCheck::IgnoresMail && cell.halted.load(Ordering::SeqCst) {
+                break 'activation;
+            }
+            let mail = std::mem::take(&mut *cell.inbox.lock());
+            if check == HaltCheck::UnderLock && cell.halted.load(Ordering::SeqCst) {
+                if mail.is_empty() {
+                    break 'activation;
+                }
+                // A late wave re-arms the passive node.
+                cell.halted.store(false, Ordering::SeqCst);
+                cell.count.fetch_sub(1, Ordering::SeqCst);
+            }
+            if mail.is_empty() && !force {
+                break 'activation;
+            }
+            cell.absorbed.fetch_add(mail.len(), Ordering::SeqCst);
+            *steps += 1;
+            // The step converges: the node goes passive.
+            cell.halted.store(true, Ordering::SeqCst);
+            cell.count.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    cell.pending.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Distilled delivery of a *significant* wave (its sender's step returned
+/// `Continue`): push, then schedule — never the other way round.
+fn h_deliver(cell: &Arc<HaltCell>, check: HaltCheck) -> Option<thread::JoinHandle<()>> {
+    cell.inbox.lock().push(1);
+    cell.scheduled
+        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+        .is_ok()
+        .then(|| {
+            cell.pending.fetch_add(1, Ordering::SeqCst);
+            let cell = Arc::clone(cell);
+            thread::spawn(move || h_activate(&cell, check, false))
+        })
+}
+
+/// The double halt: the node's initial (halting) activation races a
+/// neighbour's wave, whose delivery queues a second activation of the same
+/// node. Whatever the order, the node must end up counted halted once,
+/// having absorbed the wave.
+fn double_halt_model(check: HaltCheck) {
+    let cell = halt_cell(1);
+    let initial = {
+        let cell = Arc::clone(&cell);
+        thread::spawn(move || h_activate(&cell, check, true))
+    };
+    let second = h_deliver(&cell, check);
+    initial.join().unwrap();
+    if let Some(h) = second {
+        h.join().unwrap();
+    }
+    assert_eq!(
+        cell.count.load(Ordering::SeqCst),
+        1,
+        "double halt: one node counted halted twice"
+    );
+    assert_eq!(cell.absorbed.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn halt_flag_under_state_lock_exhaustive() {
+    let report = Builder::new().explore(|| double_halt_model(HaltCheck::UnderLock));
+    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
+    assert!(report.complete, "exploration must exhaust: {report:?}");
+}
+
+/// The parent commit's check-before-lock: the checker must find the
+/// second activation that passes the flag check while the first is still
+/// stepping, then steps the halted node again — `halted_count` reaches
+/// `n_parts + 1` and the run can only end on its budget.
+#[test]
+fn halt_flag_before_lock_mutant_is_caught() {
+    let report = Builder::new().explore(|| double_halt_model(HaltCheck::BeforeLock));
+    let v = report.violation.expect("the double halt must be found");
+    assert!(
+        v.message.contains("double halt"),
+        "unexpected violation:\n{v}"
+    );
+}
+
+/// The re-arm handoff on the pool, with the supervisor watching. Node T's
+/// initial activation halts it; node S's step returns `Continue`, delivers
+/// its (significant) wave to T, and S then converges itself. The
+/// supervisor declares "all halted" by the production rule — quiescent
+/// *first*, then every node halted — or, with `quiescent_first = false`,
+/// by the parent's count alone. At that moment T must have stepped on S's
+/// wave.
+fn pool_rearm_model(check: HaltCheck, quiescent_first: bool) {
+    // Two tasks are queued at start: T's initial activation and S's.
+    let cell = halt_cell(2);
+    let initial = {
+        let cell = Arc::clone(&cell);
+        thread::spawn(move || h_activate(&cell, check, true))
+    };
+    let sender = {
+        let cell = Arc::clone(&cell);
+        thread::spawn(move || {
+            let woken = h_deliver(&cell, check);
+            // S's own next step converges (its waves, now sub-tolerance,
+            // are dropped at the passive T).
+            cell.count.fetch_add(1, Ordering::SeqCst);
+            cell.pending.fetch_sub(1, Ordering::SeqCst);
+            if let Some(h) = woken {
+                h.join().unwrap();
+            }
+        })
+    };
+    loop {
+        checkpoint(hash_fold(0x4a17, 0));
+        if quiescent_first && cell.pending.load(Ordering::SeqCst) != 0 {
+            continue;
+        }
+        if cell.count.load(Ordering::SeqCst) == 2 {
+            break;
+        }
+    }
+    assert_eq!(
+        cell.absorbed.load(Ordering::SeqCst),
+        1,
+        "premature halt: all halted declared over an unabsorbed wave"
+    );
+    initial.join().unwrap();
+    sender.join().unwrap();
+}
+
+#[test]
+fn pool_rearm_handoff_exhaustive() {
+    let report = Builder::new().explore(|| pool_rearm_model(HaltCheck::UnderLock, true));
+    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
+    assert!(report.complete, "exploration must exhaust: {report:?}");
+}
+
+/// Lost wake-up: a halted node that returns without draining its inbox
+/// strands the late wave; the fabric goes quiescent with every node
+/// halted and the answer wrong.
+#[test]
+fn pool_halted_node_ignoring_mail_mutant_is_caught() {
+    let report = Builder::new().explore(|| pool_rearm_model(HaltCheck::IgnoresMail, true));
+    let v = report.violation.expect("the lost wake-up must be found");
+    assert!(
+        v.message.contains("premature halt"),
+        "unexpected violation:\n{v}"
+    );
+}
+
+/// The parent's supervisor rule (`halted_count == n_parts`, no quiescence):
+/// the checker must find the poll that lands after S converged but before
+/// T's re-arming activation ran.
+#[test]
+fn pool_all_halted_without_quiescence_mutant_is_caught() {
+    let report = Builder::new().explore(|| pool_rearm_model(HaltCheck::UnderLock, false));
+    let v = report
+        .violation
+        .expect("the premature collective halt must be found");
+    assert!(
+        v.message.contains("premature halt"),
+        "unexpected violation:\n{v}"
+    );
+}
+
+/// The re-arm handoff on threads. Worker T is passive, parked on its
+/// channel; S's step mints a token, sends T a significant wave, releases
+/// its own token and converges. T must clear its halt flag *before*
+/// releasing the wave's token (`rearm_first`), so the supervisor's
+/// "no work, then all halted" can never hold while the wave is pending.
+fn threads_rearm_model(rearm_first: bool) {
+    struct Shared {
+        work: AtomicI64,
+        halted: AtomicBool,
+        count: AtomicUsize,
+        stepped: AtomicUsize,
+        stop: AtomicBool,
+    }
+    // T is already passive; S still owes its initial solve (one token).
+    let shared = Arc::new(Shared {
+        work: AtomicI64::new(1),
+        halted: AtomicBool::new(true),
+        count: AtomicUsize::new(1),
+        stepped: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+    });
+    let (tx, rx) = unbounded::<u32>();
+    let worker = {
+        let shared = Arc::clone(&shared);
+        thread::spawn(move || loop {
+            let stepped = shared.stepped.load(Ordering::SeqCst);
+            checkpoint(hash_fold(0x7ead, stepped as u64));
+            if shared.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            match rx.recv_timeout(Duration::from_millis(1)) {
+                Ok(_) => {
+                    if !rearm_first {
+                        shared.work.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    shared.halted.store(false, Ordering::SeqCst);
+                    shared.count.fetch_sub(1, Ordering::SeqCst);
+                    // Absorb, step — and converge again.
+                    shared.stepped.fetch_add(1, Ordering::SeqCst);
+                    shared.halted.store(true, Ordering::SeqCst);
+                    shared.count.fetch_add(1, Ordering::SeqCst);
+                    if rearm_first {
+                        shared.work.fetch_sub(1, Ordering::SeqCst);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+        })
+    };
+    let sender = {
+        let shared = Arc::clone(&shared);
+        thread::spawn(move || {
+            shared.work.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send(1);
+            shared.work.fetch_sub(1, Ordering::SeqCst);
+            shared.count.fetch_add(1, Ordering::SeqCst);
+            // Keep the channel connected until the worker is told to stop.
+            while !shared.stop.load(Ordering::SeqCst) {
+                checkpoint(hash_fold(0x5e4d, 0));
+            }
+        })
+    };
+    loop {
+        checkpoint(hash_fold(0x4a18, 0));
+        if shared.work.load(Ordering::SeqCst) == 0 && shared.count.load(Ordering::SeqCst) == 2 {
+            break;
+        }
+    }
+    assert_eq!(
+        shared.stepped.load(Ordering::SeqCst),
+        1,
+        "premature halt: all halted declared over an unabsorbed wave"
+    );
+    shared.stop.store(true, Ordering::SeqCst);
+    worker.join().unwrap();
+    sender.join().unwrap();
+}
+
+#[test]
+fn threads_rearm_before_token_release_exhaustive() {
+    let report = Builder::new().explore(|| threads_rearm_model(true));
+    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
+    assert!(report.complete, "exploration must exhaust: {report:?}");
+}
+
+/// Release-before-re-arm: between the worker's token release and its flag
+/// clear the supervisor reads `work == 0` and `count == n`.
+#[test]
+fn threads_token_release_before_rearm_mutant_is_caught() {
+    let report = Builder::new().explore(|| threads_rearm_model(false));
+    let v = report
+        .violation
+        .expect("the premature collective halt must be found");
+    assert!(
+        v.message.contains("premature halt"),
         "unexpected violation:\n{v}"
     );
 }
