@@ -1,23 +1,24 @@
-//! Randomized-asynchrony baselines: **randomized asynchronous Richardson**
-//! (Avron et al. 2013, arXiv:1304.6475) and **Hong's D-iteration** (2012,
-//! arXiv:1202.3108) as first-class peer solvers of DTM.
+//! The asynchronous baselines: **randomized asynchronous Richardson**
+//! (Avron et al. 2013, arXiv:1304.6475), **Hong's D-iteration** (2012,
+//! arXiv:1202.3108) and classical **asynchronous block-Jacobi** (refs
+//! \[17\]–\[19\] of the paper) as first-class peer solvers of DTM.
 //!
 //! The paper's central claim is that DTM's directed waves converge where
-//! synchronous exchange stalls — but claims need competitors. Both schemes
-//! here are genuinely asynchronous point methods from the literature, and
-//! both fit the DTM runtime's contract exactly:
+//! synchronous exchange stalls — but claims need competitors. The schemes
+//! here are genuinely asynchronous methods from the literature, and all
+//! fit the DTM runtime's contract exactly:
 //!
 //! * they are **node state machines** ([`AsyncNode`]) over the same
 //!   [`DtmMsg`] wire format and [`Transport`] trait the DTM runtime uses
-//!   (a [`PortUpdate`] is just a receiver-addressed scalar; Richardson
-//!   overwrites boundary values, D-iteration accumulates fluid — both are
-//!   valid under the per-pair-FIFO transport contract);
+//!   (a [`PortUpdate`] is just a receiver-addressed scalar; Richardson and
+//!   block-Jacobi overwrite boundary values, D-iteration accumulates fluid
+//!   — all valid under the per-pair-FIFO transport contract);
 //! * they run on **all three executor fabrics** — the deterministic
 //!   simulated machine, one OS thread per partition, and the
 //!   work-stealing pool — through the drivers in this module;
 //! * they report through the same [`SolveReport`] vocabulary, with the
 //!   uniform message/activation/flop counters, so `repro compare` can pit
-//!   all three algorithms **message for message on identical machines**
+//!   every algorithm **message for message on identical machines**
 //!   (same partition, same delay topology, same
 //!   [`Termination::Residual`] rule — no oracle taints the comparison).
 //!
@@ -42,17 +43,24 @@
 //! any message interleaving — which is exactly why the scheme is
 //! asynchronous. `retention` is Hong's per-node fluid retention: a node
 //! keeps a fraction back to batch its outgoing diffusion.
+//!
+//! **Block-Jacobi** (per node): factor the diagonal block `A_pp` once; per
+//! activation solve `x_p = A_pp⁻¹ (b_p − A_p,ext · x_ext)` against whatever
+//! remote potentials have arrived, then scatter the owned boundary values
+//! — raw potentials, no transmission lines: the classical asynchronous
+//! iteration DTM's introduction argues against.
 
 use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
+use crate::local::Factor;
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{
-    AsyncNode, DtmMsg, ExecutorBackend, GatherMap, NodeControl, PortUpdate, SelfHalt, Termination,
-    Transport,
+    self, AsyncNode, DtmMsg, ExecutorBackend, GatherMap, NodeControl, PortUpdate, SelfHalt,
+    Termination, Transport,
 };
 use crate::solver::{self, ComputeModel, SimNode, SimRun};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{SimDuration, Topology};
-use dtm_sparse::{Csr, Error, Result, SparseCholesky};
+use dtm_sparse::{Csr, Error, Result};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,10 +88,6 @@ pub(crate) struct RowPartition {
     entries: Vec<Vec<Vec<(usize, f64)>>>,
     /// Per part: the global vertex each ext slot mirrors.
     ext_globals: Vec<Vec<usize>>,
-    /// Per part: the part owning each ext slot's vertex (folded into
-    /// `ext_by_part` for the hot path; kept for structural assertions).
-    #[allow(dead_code)]
-    ext_owner: Vec<Vec<usize>>,
     /// Per part: the vertex's local row in its owner.
     ext_local: Vec<Vec<usize>>,
     /// Per part: the diagonal `a_gg` of each ext vertex (D-iteration's
@@ -208,7 +212,6 @@ impl RowPartition {
             rhs,
             entries,
             ext_globals,
-            ext_owner,
             ext_local,
             ext_diag,
             routes,
@@ -243,6 +246,40 @@ impl RowPartition {
             }
         }
         Ok(())
+    }
+
+    /// Send part `p`'s owned boundary values of `x` to every coupled
+    /// neighbour and return how far they moved since the previous scatter
+    /// (`prev`; ∞ on the first) — the outgoing delta of the LocalDelta
+    /// self-halt (Table-1-style rule, shared vocabulary).
+    fn scatter_boundary(
+        &self,
+        p: usize,
+        x: &[f64],
+        prev: &mut Vec<f64>,
+        transport: &mut dyn Transport,
+    ) -> f64 {
+        let mut delta = 0.0_f64;
+        let mut bi = 0usize;
+        for (dst, pairs) in &self.routes[p] {
+            let updates: Vec<PortUpdate> = pairs
+                .iter()
+                .map(|&(slot, l)| PortUpdate::scalar(slot, x[l], 0.0))
+                .collect();
+            for u in &updates {
+                let v = u.u[0];
+                if bi < prev.len() {
+                    delta = delta.max((v - prev[bi]).abs());
+                    prev[bi] = v;
+                } else {
+                    prev.push(v);
+                    delta = f64::INFINITY;
+                }
+                bi += 1;
+            }
+            transport.send(*dst, DtmMsg { updates });
+        }
+        delta
     }
 }
 
@@ -341,6 +378,8 @@ pub enum BaselineAlgo {
     RandomizedRichardson(RichardsonParams),
     /// Hong's D-iteration (2012).
     DIteration(DIterationParams),
+    /// Asynchronous block-Jacobi (refs \[17\]–\[19\] of the paper).
+    BlockJacobi,
 }
 
 impl BaselineAlgo {
@@ -349,6 +388,7 @@ impl BaselineAlgo {
         match self {
             BaselineAlgo::RandomizedRichardson(_) => AlgorithmKind::RandomizedRichardson,
             BaselineAlgo::DIteration(_) => AlgorithmKind::DIteration,
+            BaselineAlgo::BlockJacobi => AlgorithmKind::BlockJacobiAsync,
         }
     }
 
@@ -365,25 +405,38 @@ impl BaselineAlgo {
                     )))
                 }
             }
+            BaselineAlgo::BlockJacobi => Ok(()),
         }
     }
 
-    /// One node state machine per partition.
+    /// One node per partition (block-Jacobi factors its diagonal blocks of
+    /// `a` here, which can fail).
     fn build_nodes(
         &self,
+        a: &Csr,
         pt: &Arc<RowPartition>,
         config: &BaselineConfig,
-    ) -> Vec<Box<dyn AsyncNode>> {
+    ) -> Result<Vec<BaselineNode>> {
         (0..pt.n_parts())
-            .map(|p| -> Box<dyn AsyncNode> {
-                match self {
+            .map(|p| {
+                let algo: Box<dyn Relaxation> = match self {
                     BaselineAlgo::RandomizedRichardson(params) => {
-                        Box::new(RichardsonNode::new(p, pt.clone(), params, config))
+                        Box::new(RichardsonState::new(p, pt, params))
                     }
                     BaselineAlgo::DIteration(params) => {
-                        Box::new(DIterationNode::new(p, pt.clone(), params, config))
+                        Box::new(DIterationState::new(p, pt, params))
                     }
-                }
+                    BaselineAlgo::BlockJacobi => Box::new(BlockJacobiState::new(p, a, pt)?),
+                };
+                Ok(BaselineNode {
+                    part: p,
+                    pt: pt.clone(),
+                    algo,
+                    halt: SelfHalt::new(config.termination, config.max_solves_per_node),
+                    solves: 0,
+                    messages: 0,
+                    flops: 0,
+                })
             })
             .collect()
     }
@@ -429,120 +482,77 @@ impl Default for BaselineConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Node state machine 1: randomized asynchronous Richardson.
+// The node: identity, counters and the self-halt rule once, the algorithm
+// behind a three-method trait.
 // ---------------------------------------------------------------------------
 
-struct RichardsonNode {
+/// What one activation reports back to its [`BaselineNode`].
+struct Activation {
+    /// How far the outgoing values moved — the LocalDelta self-halt input.
+    delta: f64,
+    messages: u64,
+    flops: u64,
+}
+
+/// The algorithm half of a baseline node: what an activation does to part
+/// `p`'s owned rows of `pt`.
+trait Relaxation: Send {
+    /// Current estimate of the owned rows.
+    fn solution(&self) -> &[f64];
+
+    /// Merge one incoming message's receiver-addressed scalars.
+    fn absorb(&mut self, updates: &[PortUpdate]);
+
+    /// Update the owned rows against the currently held remote values and
+    /// scatter through `transport`.
+    fn activate(
+        &mut self,
+        pt: &RowPartition,
+        p: usize,
+        transport: &mut dyn Transport,
+    ) -> Activation;
+
+    /// Size of one activation's working set: the owned rows' nonzeros,
+    /// unless the algorithm sweeps something else.
+    fn work_nnz(&self, pt: &RowPartition, p: usize) -> usize {
+        pt.work_nnz[p]
+    }
+}
+
+/// One partition's node of any baseline algorithm.
+pub struct BaselineNode {
     part: usize,
     pt: Arc<RowPartition>,
-    x: Vec<f64>,
-    ext: Vec<f64>,
-    rng: StdRng,
-    schedule: RelaxationSchedule,
-    updates_per_step: usize,
-    t: u64,
-    prev_boundary: Vec<f64>,
+    algo: Box<dyn Relaxation>,
     halt: SelfHalt,
     solves: u64,
     messages: u64,
     flops: u64,
 }
 
-impl RichardsonNode {
-    fn new(
-        part: usize,
-        pt: Arc<RowPartition>,
-        params: &RichardsonParams,
-        config: &BaselineConfig,
-    ) -> Self {
-        let nl = pt.rows[part].len();
-        let n_ext = pt.ext_globals[part].len();
-        let updates = if params.updates_per_activation == 0 {
-            nl
-        } else {
-            params.updates_per_activation
-        };
-        Self {
-            part,
-            x: vec![0.0; nl],
-            ext: vec![0.0; n_ext],
-            rng: StdRng::seed_from_u64(params.seed.wrapping_add(part as u64)),
-            schedule: params.schedule,
-            updates_per_step: updates,
-            t: 0,
-            prev_boundary: Vec::new(),
-            halt: SelfHalt::new(config.termination, config.max_solves_per_node),
-            solves: 0,
-            messages: 0,
-            flops: 0,
-            pt,
-        }
-    }
-}
-
-impl AsyncNode for RichardsonNode {
+impl AsyncNode for BaselineNode {
     fn part(&self) -> usize {
         self.part
     }
 
     fn n_local(&self) -> usize {
-        self.x.len()
+        self.algo.solution().len()
     }
 
     fn solution(&self) -> &[f64] {
-        &self.x
+        self.algo.solution()
     }
 
     fn absorb_owned(&mut self, msg: DtmMsg) {
-        // Boundary values overwrite: use whatever is freshest (the
-        // classical totally-asynchronous iteration semantics).
-        for u in &msg.updates {
-            self.ext[u.port] = u.u[0];
-        }
+        self.algo.absorb(&msg.updates);
     }
 
     fn step_node(&mut self, transport: &mut dyn Transport) -> NodeControl {
-        let p = self.part;
-        let nl = self.x.len();
-        let pt = self.pt.clone();
-        if nl > 0 {
-            for _ in 0..self.updates_per_step {
-                let i = self.rng.gen_range(0..nl);
-                let mut r = pt.rhs[p][i] - pt.diag[p][i] * self.x[i];
-                for &(j, w) in &pt.entries[p][i] {
-                    r -= w * if j < nl { self.x[j] } else { self.ext[j - nl] };
-                }
-                let omega = self.schedule.omega(self.t);
-                self.t += 1;
-                self.x[i] += omega * r / pt.diag[p][i];
-                self.flops += 2 * pt.entries[p][i].len() as u64 + 6;
-            }
-        }
+        let done = self.algo.activate(&self.pt, self.part, transport);
         self.solves += 1;
-        // Scatter owned boundary values, tracking the outgoing delta for
-        // the LocalDelta self-halt (Table-1-style rule, shared vocabulary).
-        let mut delta = 0.0_f64;
-        let mut bi = 0usize;
-        for (dst, pairs) in &pt.routes[p] {
-            let updates: Vec<PortUpdate> = pairs
-                .iter()
-                .map(|&(slot, l)| PortUpdate::scalar(slot, self.x[l], 0.0))
-                .collect();
-            for u in &updates {
-                let v = u.u[0];
-                if bi < self.prev_boundary.len() {
-                    delta = delta.max((v - self.prev_boundary[bi]).abs());
-                    self.prev_boundary[bi] = v;
-                } else {
-                    self.prev_boundary.push(v);
-                    delta = f64::INFINITY;
-                }
-                bi += 1;
-            }
-            transport.send(*dst, DtmMsg { updates });
-            self.messages += 1;
-        }
-        self.halt.after_step(delta, self.solves as usize)
+        self.messages += done.messages;
+        self.flops += done.flops;
+        self.halt.after_step(done.delta, self.solves as usize)
     }
 
     fn solves(&self) -> u64 {
@@ -558,7 +568,7 @@ impl AsyncNode for RichardsonNode {
     }
 
     fn work_nnz(&self) -> usize {
-        self.pt.work_nnz[self.part]
+        self.algo.work_nnz(&self.pt, self.part)
     }
 
     fn capped(&self) -> bool {
@@ -567,12 +577,84 @@ impl AsyncNode for RichardsonNode {
 }
 
 // ---------------------------------------------------------------------------
-// Node state machine 2: Hong's D-iteration.
+// Algorithm 1: randomized asynchronous Richardson.
 // ---------------------------------------------------------------------------
 
-struct DIterationNode {
-    part: usize,
-    pt: Arc<RowPartition>,
+struct RichardsonState {
+    x: Vec<f64>,
+    ext: Vec<f64>,
+    rng: StdRng,
+    schedule: RelaxationSchedule,
+    updates_per_step: usize,
+    t: u64,
+    prev_boundary: Vec<f64>,
+}
+
+impl RichardsonState {
+    fn new(part: usize, pt: &RowPartition, params: &RichardsonParams) -> Self {
+        let nl = pt.rows[part].len();
+        Self {
+            x: vec![0.0; nl],
+            ext: vec![0.0; pt.ext_globals[part].len()],
+            rng: StdRng::seed_from_u64(params.seed.wrapping_add(part as u64)),
+            schedule: params.schedule,
+            updates_per_step: match params.updates_per_activation {
+                0 => nl,
+                updates => updates,
+            },
+            t: 0,
+            prev_boundary: Vec::new(),
+        }
+    }
+}
+
+impl Relaxation for RichardsonState {
+    fn solution(&self) -> &[f64] {
+        &self.x
+    }
+
+    fn absorb(&mut self, updates: &[PortUpdate]) {
+        // Boundary values overwrite: use whatever is freshest (the
+        // classical totally-asynchronous iteration semantics).
+        for u in updates {
+            self.ext[u.port] = u.u[0];
+        }
+    }
+
+    fn activate(
+        &mut self,
+        pt: &RowPartition,
+        p: usize,
+        transport: &mut dyn Transport,
+    ) -> Activation {
+        let nl = self.x.len();
+        let mut flops = 0;
+        if nl > 0 {
+            for _ in 0..self.updates_per_step {
+                let i = self.rng.gen_range(0..nl);
+                let mut r = pt.rhs[p][i] - pt.diag[p][i] * self.x[i];
+                for &(j, w) in &pt.entries[p][i] {
+                    r -= w * if j < nl { self.x[j] } else { self.ext[j - nl] };
+                }
+                let omega = self.schedule.omega(self.t);
+                self.t += 1;
+                self.x[i] += omega * r / pt.diag[p][i];
+                flops += 2 * pt.entries[p][i].len() as u64 + 6;
+            }
+        }
+        Activation {
+            delta: pt.scatter_boundary(p, &self.x, &mut self.prev_boundary, transport),
+            messages: pt.routes[p].len() as u64,
+            flops,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 2: Hong's D-iteration.
+// ---------------------------------------------------------------------------
+
+struct DIterationState {
     /// Undiffused residual mass per owned row.
     fluid: Vec<f64>,
     /// Accumulated history — the published solution estimate.
@@ -580,19 +662,10 @@ struct DIterationNode {
     retention: f64,
     /// Per ext slot: outgoing fluid accumulated this activation.
     buckets: Vec<f64>,
-    halt: SelfHalt,
-    solves: u64,
-    messages: u64,
-    flops: u64,
 }
 
-impl DIterationNode {
-    fn new(
-        part: usize,
-        pt: Arc<RowPartition>,
-        params: &DIterationParams,
-        config: &BaselineConfig,
-    ) -> Self {
+impl DIterationState {
+    fn new(part: usize, pt: &RowPartition, params: &DIterationParams) -> Self {
         // Initial fluid is the Jacobi source c = D⁻¹ b: the invariant
         // x* = H + (I − J)⁻¹ F then holds from the first instant.
         let fluid: Vec<f64> = pt.rhs[part]
@@ -600,50 +673,41 @@ impl DIterationNode {
             .zip(&pt.diag[part])
             .map(|(b, d)| b / d)
             .collect();
-        let nl = fluid.len();
-        let n_ext = pt.ext_globals[part].len();
         Self {
-            part,
+            hist: vec![0.0; fluid.len()],
             fluid,
-            hist: vec![0.0; nl],
             retention: params.retention,
-            buckets: vec![0.0; n_ext],
-            halt: SelfHalt::new(config.termination, config.max_solves_per_node),
-            solves: 0,
-            messages: 0,
-            flops: 0,
-            pt,
+            buckets: vec![0.0; pt.ext_globals[part].len()],
         }
     }
 }
 
-impl AsyncNode for DIterationNode {
-    fn part(&self) -> usize {
-        self.part
-    }
-
-    fn n_local(&self) -> usize {
-        self.hist.len()
-    }
-
+impl Relaxation for DIterationState {
     fn solution(&self) -> &[f64] {
         &self.hist
     }
 
-    fn absorb_owned(&mut self, msg: DtmMsg) {
+    fn absorb(&mut self, updates: &[PortUpdate]) {
         // Fluid shares accumulate (each diffusion is a one-shot transfer
         // of mass; the FIFO exactly-once transport keeps the invariant).
-        for u in &msg.updates {
+        for u in updates {
             self.fluid[u.port] += u.u[0];
         }
     }
 
-    fn step_node(&mut self, transport: &mut dyn Transport) -> NodeControl {
-        let p = self.part;
+    fn activate(
+        &mut self,
+        pt: &RowPartition,
+        p: usize,
+        transport: &mut dyn Transport,
+    ) -> Activation {
         let nl = self.hist.len();
-        let pt = self.pt.clone();
         self.buckets.iter_mut().for_each(|b| *b = 0.0);
-        let mut delta = 0.0_f64;
+        let mut done = Activation {
+            delta: 0.0,
+            messages: 0,
+            flops: 0,
+        };
         for i in 0..nl {
             let f = self.fluid[i];
             if f == 0.0 {
@@ -652,7 +716,7 @@ impl AsyncNode for DIterationNode {
             let m = (1.0 - self.retention) * f;
             self.hist[i] += m;
             self.fluid[i] -= m;
-            delta = delta.max(m.abs());
+            done.delta = done.delta.max(m.abs());
             for &(j, w) in &pt.entries[p][i] {
                 // The Jacobi share J_{ji} = −a_ji/a_jj of the diffused
                 // mass lands in neighbour j's fluid (a symmetric ⇒ a_ji
@@ -664,9 +728,8 @@ impl AsyncNode for DIterationNode {
                     self.buckets[slot] += (-w / pt.ext_diag[p][slot]) * m;
                 }
             }
-            self.flops += 2 * pt.entries[p][i].len() as u64 + 4;
+            done.flops += 2 * pt.entries[p][i].len() as u64 + 4;
         }
-        self.solves += 1;
         for (dst, slots) in &pt.ext_by_part[p] {
             let updates: Vec<PortUpdate> = slots
                 .iter()
@@ -677,30 +740,87 @@ impl AsyncNode for DIterationNode {
             // naturally once the fluid is exhausted.
             if !updates.is_empty() {
                 transport.send(*dst, DtmMsg { updates });
-                self.messages += 1;
+                done.messages += 1;
             }
         }
-        self.halt.after_step(delta, self.solves as usize)
+        done
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 3: asynchronous block-Jacobi.
+// ---------------------------------------------------------------------------
+
+struct BlockJacobiState {
+    /// Factor of the diagonal block `A_pp`.
+    factor: Factor,
+    x: Vec<f64>,
+    ext: Vec<f64>,
+    scratch: Vec<f64>,
+    /// A pair of triangular substitutions over the factor (2 flops per
+    /// stored entry per sweep) plus the coupling fold into the right-hand
+    /// side.
+    flops_per_solve: u64,
+    prev_boundary: Vec<f64>,
+}
+
+impl BlockJacobiState {
+    fn new(part: usize, a: &Csr, pt: &RowPartition) -> Result<Self> {
+        let nl = pt.rows[part].len();
+        let factor = Factor::auto(&a.principal_submatrix(&pt.rows[part]))?;
+        let coupling = pt.entries[part]
+            .iter()
+            .flatten()
+            .filter(|&&(j, _)| j >= nl)
+            .count();
+        Ok(Self {
+            flops_per_solve: 4 * factor.nnz() as u64 + 2 * coupling as u64,
+            factor,
+            x: vec![0.0; nl],
+            ext: vec![0.0; pt.ext_globals[part].len()],
+            scratch: Vec::new(),
+            prev_boundary: Vec::new(),
+        })
+    }
+}
+
+impl Relaxation for BlockJacobiState {
+    fn solution(&self) -> &[f64] {
+        &self.x
     }
 
-    fn solves(&self) -> u64 {
-        self.solves
+    fn absorb(&mut self, updates: &[PortUpdate]) {
+        // Boundary potentials overwrite, as in Richardson.
+        for u in updates {
+            self.ext[u.port] = u.u[0];
+        }
     }
 
-    fn messages_sent(&self) -> u64 {
-        self.messages
+    fn activate(
+        &mut self,
+        pt: &RowPartition,
+        p: usize,
+        transport: &mut dyn Transport,
+    ) -> Activation {
+        let nl = self.x.len();
+        // x_p = A_pp⁻¹ (b_p − A_p,ext · x_ext)
+        self.x.copy_from_slice(&pt.rhs[p]);
+        for (xi, row) in self.x.iter_mut().zip(&pt.entries[p]) {
+            for &(j, w) in row.iter().filter(|&&(j, _)| j >= nl) {
+                *xi -= w * self.ext[j - nl];
+            }
+        }
+        self.factor
+            .solve_block_with_scratch(&mut self.x, 1, &mut self.scratch);
+        Activation {
+            delta: pt.scatter_boundary(p, &self.x, &mut self.prev_boundary, transport),
+            messages: pt.routes[p].len() as u64,
+            flops: self.flops_per_solve,
+        }
     }
 
-    fn flops(&self) -> u64 {
-        self.flops
-    }
-
-    fn work_nnz(&self) -> usize {
-        self.pt.work_nnz[self.part]
-    }
-
-    fn capped(&self) -> bool {
-        self.halt.capped()
+    fn work_nnz(&self, _: &RowPartition, _: usize) -> usize {
+        self.factor.nnz()
     }
 }
 
@@ -708,9 +828,9 @@ impl AsyncNode for DIterationNode {
 // Drivers: the three executors, each a call into the shared machinery.
 // ---------------------------------------------------------------------------
 
-/// A validated baseline problem — everything the three drivers share once
-/// the nodes are built.
-struct Prepared<'a> {
+/// A validated baseline problem — everything the drivers share once the
+/// nodes are built.
+pub(crate) struct Prepared<'a> {
     algo: &'a BaselineAlgo,
     a: &'a Csr,
     b: &'a [f64],
@@ -718,48 +838,42 @@ struct Prepared<'a> {
     pt: Arc<RowPartition>,
     /// Partitions don't overlap: every global row has exactly one copy.
     copy_count: Vec<usize>,
-    /// The opt-in oracle reference, resolved exactly as the DTM executors
-    /// do: an explicit reference wins, [`Termination::Residual`] never pays
-    /// for a direct solve, anything else computes `A⁻¹b` once.
-    references: Option<Vec<Vec<f64>>>,
+    /// The opt-in oracle reference ([`runtime::resolve_references`]).
+    pub(crate) references: Option<Vec<Vec<f64>>>,
 }
 
 impl<'a> Prepared<'a> {
     /// Validate, partition and build one node per part.
-    fn new(
+    pub(crate) fn new(
         algo: &'a BaselineAlgo,
         a: &'a Csr,
         b: &'a [f64],
         assignment: &[usize],
         reference: Option<Vec<f64>>,
         config: &'a BaselineConfig,
-    ) -> Result<(Self, Vec<Box<dyn AsyncNode>>)> {
+    ) -> Result<(Self, Vec<BaselineNode>)> {
         algo.validate()?;
         let pt = RowPartition::build(a, b, assignment)?;
-        let reference = match (reference, config.termination) {
-            (Some(r), _) => Some(r),
-            (None, Termination::Residual { .. }) => None,
-            (None, _) => Some(SparseCholesky::factor_fill_reducing(a)?.solve(b)),
+        let nodes = algo.build_nodes(a, &pt, config)?;
+        let mut prepared = Self {
+            algo,
+            a,
+            b,
+            config,
+            pt,
+            copy_count: vec![1; a.n_rows()],
+            references: None,
         };
-        let nodes = algo.build_nodes(&pt, config);
-        let copy_count = vec![1; a.n_rows()];
-        let references = reference.map(|r| vec![r]);
-        Ok((
-            Self {
-                algo,
-                a,
-                b,
-                config,
-                pt,
-                copy_count,
-                references,
-            },
-            nodes,
-        ))
+        prepared.references = runtime::resolve_references(
+            &prepared.map(),
+            config.termination,
+            reference.map(|r| vec![r]),
+        )?;
+        Ok((prepared, nodes))
     }
 
     /// The gather map of this partition over `A x = b`.
-    fn map(&self) -> GatherMap<'_> {
+    pub(crate) fn map(&self) -> GatherMap<'_> {
         GatherMap::new(
             self.pt.rows.iter().map(Vec::as_slice).collect(),
             &self.copy_count,
@@ -791,12 +905,12 @@ impl<'a> Prepared<'a> {
 }
 
 /// One baseline node on one simulated processor — the same adapter DTM
-/// uses, over a boxed node.
-pub type SimBaselineNode = SimNode<Box<dyn AsyncNode>>;
+/// uses.
+pub type SimBaselineNode = SimNode<BaselineNode>;
 
 /// Wrap nodes with their per-activation compute durations (baseline
 /// pipelines are scalar: one RHS column per sweep).
-fn sim_nodes(nodes: Vec<Box<dyn AsyncNode>>, config: &BaselineConfig) -> Vec<SimBaselineNode> {
+fn sim_nodes(nodes: Vec<BaselineNode>, config: &BaselineConfig) -> Vec<SimBaselineNode> {
     nodes
         .into_iter()
         .map(|inner| SimNode {
@@ -824,7 +938,7 @@ pub fn build_sim_nodes(
     algo.validate()?;
     let pt = RowPartition::build(a, b, assignment)?;
     pt.check_links(topology)?;
-    Ok(sim_nodes(algo.build_nodes(&pt, config), config))
+    Ok(sim_nodes(algo.build_nodes(a, &pt, config)?, config))
 }
 
 /// Run a baseline to completion on the simulated machine — the
@@ -918,16 +1032,13 @@ pub fn assignment_of(split: &SplitSystem) -> Vec<usize> {
     owner
 }
 
-/// Randomized asynchronous Richardson as an [`ExecutorBackend`]: runs on
-/// the simulated machine against the split's reconstructed system, on the
-/// partition derived by [`assignment_of`].
-#[derive(Debug, Clone, Default)]
-pub struct RandomizedRichardson {
-    /// Algorithm parameters.
-    pub params: RichardsonParams,
-}
+/// Any baseline as an [`ExecutorBackend`]: runs on the simulated machine
+/// against the split's reconstructed system, on the partition derived by
+/// [`assignment_of`].
+#[derive(Debug, Clone)]
+pub struct BaselineBackend(pub BaselineAlgo);
 
-impl ExecutorBackend for RandomizedRichardson {
+impl ExecutorBackend for BaselineBackend {
     type Config = (Topology, BaselineConfig);
 
     fn kind(&self) -> BackendKind {
@@ -941,49 +1052,9 @@ impl ExecutorBackend for RandomizedRichardson {
         (topology, config): &Self::Config,
     ) -> Result<SolveReport> {
         let (a, b) = split.reconstruct();
-        solve_sim(
-            &BaselineAlgo::RandomizedRichardson(self.params.clone()),
-            &a,
-            &b,
-            &assignment_of(split),
-            topology.clone(),
-            reference,
-            config,
-        )
-    }
-}
-
-/// Hong's D-iteration as an [`ExecutorBackend`] (see
-/// [`RandomizedRichardson`] for the mapping).
-#[derive(Debug, Clone, Default)]
-pub struct DIteration {
-    /// Algorithm parameters.
-    pub params: DIterationParams,
-}
-
-impl ExecutorBackend for DIteration {
-    type Config = (Topology, BaselineConfig);
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulated
-    }
-
-    fn solve(
-        &self,
-        split: &SplitSystem,
-        reference: Option<Vec<f64>>,
-        (topology, config): &Self::Config,
-    ) -> Result<SolveReport> {
-        let (a, b) = split.reconstruct();
-        solve_sim(
-            &BaselineAlgo::DIteration(self.params.clone()),
-            &a,
-            &b,
-            &assignment_of(split),
-            topology.clone(),
-            reference,
-            config,
-        )
+        let assignment = assignment_of(split);
+        let topology = topology.clone();
+        solve_sim(&self.0, &a, &b, &assignment, topology, reference, config)
     }
 }
 
@@ -992,7 +1063,7 @@ mod tests {
     use super::*;
     use crate::report::StopKind;
     use dtm_simnet::DelayModel;
-    use dtm_sparse::generators;
+    use dtm_sparse::{generators, SparseCholesky};
 
     fn setup(nx: usize, k: usize, seed: u64) -> (Csr, Vec<f64>, Vec<usize>, Topology) {
         let a = generators::grid2d_random(nx, nx, 1.0, seed);
@@ -1035,7 +1106,8 @@ mod tests {
             }
             // Remote diagonals mirror the owner's local diagonal.
             for (slot, &g) in pt.ext_globals[p].iter().enumerate() {
-                let q = pt.ext_owner[p][slot];
+                let owner = pt.ext_by_part[p].iter().find(|(_, s)| s.contains(&slot));
+                let q = owner.unwrap().0;
                 let l = pt.ext_local[p][slot];
                 assert_eq!(pt.diag[q][l], pt.ext_diag[p][slot]);
                 assert_eq!(pt.rows[q][l], g);
@@ -1192,6 +1264,32 @@ mod tests {
     }
 
     #[test]
+    fn block_jacobi_local_delta_self_halts_on_every_fabric() {
+        let (a, b, asg, topo) = setup(6, 2, 29);
+        let config = BaselineConfig {
+            termination: Termination::LocalDelta {
+                tol: 1e-11,
+                patience: 3,
+            },
+            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
+            budget: Duration::from_secs(60),
+            num_threads: 2,
+            ..Default::default()
+        };
+        let algo = BaselineAlgo::BlockJacobi;
+        for report in [
+            solve_sim(&algo, &a, &b, &asg, topo, None, &config).unwrap(),
+            solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap(),
+            solve_workstealing(&algo, &a, &b, &asg, None, &config).unwrap(),
+        ] {
+            assert_eq!(report.algorithm, AlgorithmKind::BlockJacobiAsync);
+            assert_eq!(report.stop, StopKind::AllHalted, "{:?}", report.backend);
+            assert!(report.converged);
+            assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
+        }
+    }
+
+    #[test]
     fn workstealing_driver_converges_for_both_algorithms() {
         let (a, b, asg, _) = setup(6, 3, 27);
         let exact = direct(&a, &b);
@@ -1231,14 +1329,13 @@ mod tests {
         assert_eq!(derived.len(), 49);
         let config = sim_config(1e-8);
         let exact = direct(&a, &b);
-        for report in [
-            RandomizedRichardson::default()
-                .solve(&ss, None, &(topo.clone(), config.clone()))
-                .unwrap(),
-            DIteration::default()
-                .solve(&ss, None, &(topo.clone(), config.clone()))
-                .unwrap(),
+        for algo in [
+            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
+            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::BlockJacobi,
         ] {
+            let machine = (topo.clone(), config.clone());
+            let report = BaselineBackend(algo).solve(&ss, None, &machine).unwrap();
             assert!(report.converged, "resid {}", report.final_residual);
             for (u, v) in report.solution.iter().zip(&exact) {
                 assert!((u - v).abs() < 1e-5, "{u} vs {v}");

@@ -1,4 +1,5 @@
-//! Distributed baselines: synchronous and asynchronous block-Jacobi.
+//! Block-Jacobi, asynchronous and synchronous: configuration and two thin
+//! entry points.
 //!
 //! The paper's introduction motivates DTM against two families:
 //!
@@ -10,19 +11,20 @@
 //!   not comparable to the synchronous ones".
 //!
 //! Both exchange raw boundary *potentials*; DTM instead exchanges
-//! impedance-matched wave pairs `(u, ω)`. These baselines run on the same
-//! partition, the same machine model and the same monitoring, so the
-//! comparisons in `repro cmp-jacobi` are apples-to-apples.
+//! impedance-matched wave pairs `(u, ω)`. The node is
+//! [`BaselineAlgo::BlockJacobi`] of [`crate::async_baselines`], so the
+//! asynchronous variant runs on the shared simulated driver (and, through
+//! that module, on threads and the pool), and the synchronous one steps the
+//! same nodes in lock-step under a barrier cost model. Same partition, same
+//! machine model, same monitoring, same report assembly — the comparisons
+//! in `repro cmp-jacobi` are apples-to-apples.
 
-use crate::monitor::Monitor;
-use crate::report::{AlgorithmKind, BackendKind, SolveReport, StopKind};
+use crate::async_baselines::{self, BaselineAlgo, BaselineConfig, Prepared};
+use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
+use crate::runtime::{self, AsyncNode, DtmMsg};
 use crate::solver::{ComputeModel, Termination};
-use dtm_simnet::{Ctx, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology};
-use dtm_sparse::{Csr, DenseCholesky, Error, Result, SparseCholesky};
-
-/// Per part: for each neighbour part, `(their_ext_slot, my_local_row)`
-/// exchange pairs.
-type PartRoutes = Vec<(usize, Vec<(usize, usize)>)>;
+use dtm_simnet::{SimDuration, SimTime, Topology};
+use dtm_sparse::{Csr, Result};
 
 /// Configuration shared by both block-Jacobi baselines.
 #[derive(Debug, Clone)]
@@ -56,219 +58,17 @@ impl Default for BlockJacobiConfig {
     }
 }
 
-/// A non-overlapping block decomposition of `A x = b` by a raw assignment.
-#[derive(Debug)]
-struct Blocks {
-    /// Sorted global rows per part.
-    rows: Vec<Vec<usize>>,
-    /// Factored diagonal blocks.
-    factors: Vec<BlockFactor>,
-    /// Factor sizes (for the compute model).
-    factor_nnz: Vec<usize>,
-    /// Per part: coupling entries `(local_row, ext_slot, weight)`.
-    coupling: Vec<Vec<(usize, usize, f64)>>,
-    /// Per part: the global vertex each ext slot mirrors.
-    ext_globals: Vec<Vec<usize>>,
-    /// Per part: per neighbour part, `(their_ext_slot, my_local_row)`.
-    routes: Vec<PartRoutes>,
-    /// Local rhs per part.
-    rhs: Vec<Vec<f64>>,
-}
-
-#[derive(Debug)]
-enum BlockFactor {
-    Dense(DenseCholesky),
-    Sparse(SparseCholesky),
-}
-
-impl BlockFactor {
-    fn solve_in_place(&self, x: &mut [f64]) {
-        match self {
-            BlockFactor::Dense(f) => f.solve_in_place(x),
-            BlockFactor::Sparse(f) => f.solve_in_place(x),
+impl BlockJacobiConfig {
+    /// The fields the shared baseline drivers read.
+    fn baseline(&self) -> BaselineConfig {
+        BaselineConfig {
+            termination: self.termination,
+            compute: self.compute,
+            horizon: self.horizon,
+            sample_interval: self.sample_interval,
+            max_solves_per_node: self.max_solves_per_node,
+            ..Default::default()
         }
-    }
-}
-
-impl Blocks {
-    fn build(a: &Csr, b: &[f64], assignment: &[usize]) -> Result<Self> {
-        let n = a.n_rows();
-        if assignment.len() != n {
-            return Err(Error::DimensionMismatch {
-                context: "block-jacobi assignment",
-                expected: n,
-                actual: assignment.len(),
-            });
-        }
-        let k = assignment.iter().copied().max().map_or(0, |m| m + 1);
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (v, &p) in assignment.iter().enumerate() {
-            rows[p].push(v);
-        }
-        let mut local_of = vec![usize::MAX; n];
-        for part_rows in &rows {
-            for (l, &g) in part_rows.iter().enumerate() {
-                local_of[g] = l;
-            }
-        }
-
-        let mut factors = Vec::with_capacity(k);
-        let mut factor_nnz = Vec::with_capacity(k);
-        let mut coupling = vec![Vec::new(); k];
-        let mut ext_globals: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut routes: Vec<PartRoutes> = vec![Vec::new(); k];
-        let mut rhs = Vec::with_capacity(k);
-
-        for p in 0..k {
-            let app = a.principal_submatrix(&rows[p]);
-            let nl = app.n_rows();
-            if nl <= crate::local::AUTO_DENSE_LIMIT {
-                let f = DenseCholesky::factor_csr(&app)?;
-                factor_nnz.push(nl * (nl + 1) / 2);
-                factors.push(BlockFactor::Dense(f));
-            } else {
-                let f = SparseCholesky::factor_fill_reducing(&app)?;
-                factor_nnz.push(f.nnz_l());
-                factors.push(BlockFactor::Sparse(f));
-            }
-            rhs.push(rows[p].iter().map(|&g| b[g]).collect());
-
-            // Coupling to foreign vertices, and the ext-slot directory.
-            let mut ext_index: std::collections::HashMap<usize, usize> =
-                std::collections::HashMap::new();
-            for (l, &g) in rows[p].iter().enumerate() {
-                for (u, w) in a.row(g) {
-                    if assignment[u] != p {
-                        let next = ext_index.len();
-                        let slot = *ext_index.entry(u).or_insert(next);
-                        if slot == ext_globals[p].len() {
-                            ext_globals[p].push(u);
-                        }
-                        coupling[p].push((l, slot, w));
-                    }
-                }
-            }
-        }
-        // Routes: part p must send x[v] to every part q whose ext list
-        // contains v ∈ p.
-        for (q, globals) in ext_globals.iter().enumerate() {
-            for (slot, &g) in globals.iter().enumerate() {
-                let p = assignment[g];
-                match routes[p].iter_mut().find(|(dst, _)| *dst == q) {
-                    Some((_, pairs)) => pairs.push((slot, local_of[g])),
-                    None => routes[p].push((q, vec![(slot, local_of[g])])),
-                }
-            }
-        }
-        Ok(Self {
-            rows,
-            factors,
-            factor_nnz,
-            coupling,
-            ext_globals,
-            routes,
-            rhs,
-        })
-    }
-
-    fn n_parts(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Uniform flop estimate of one block solve: a pair of triangular
-    /// substitutions over the factor (2 flops per stored entry per sweep)
-    /// plus the coupling fold into the right-hand side.
-    fn flops_per_solve(&self, p: usize) -> u64 {
-        4 * self.factor_nnz[p] as u64 + 2 * self.coupling[p].len() as u64
-    }
-
-    /// One block solve: `x_p = A_pp⁻¹ (b_p − A_p,ext · x_ext)`.
-    fn solve_block(&self, p: usize, ext: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(&self.rhs[p]);
-        for &(l, slot, w) in &self.coupling[p] {
-            out[l] -= w * ext[slot];
-        }
-        self.factors[p].solve_in_place(out);
-    }
-}
-
-/// Block-Jacobi message: `(receiver_ext_slot, value)` pairs.
-#[derive(Debug, Clone)]
-pub struct BjMsg {
-    updates: Vec<(usize, f64)>,
-}
-
-/// One block on one simulated processor (asynchronous variant).
-#[derive(Debug)]
-struct BjNode {
-    part: usize,
-    blocks: std::sync::Arc<Blocks>,
-    ext: Vec<f64>,
-    x: Vec<f64>,
-    prev_boundary: Vec<f64>,
-    compute: SimDuration,
-    termination: Termination,
-    max_solves: usize,
-    solves: usize,
-    small_streak: usize,
-}
-
-impl BjNode {
-    fn solve_and_send(&mut self, ctx: &mut Ctx<BjMsg>) {
-        let blocks = self.blocks.clone();
-        let mut x = std::mem::take(&mut self.x);
-        blocks.solve_block(self.part, &self.ext, &mut x);
-        self.x = x;
-        self.solves += 1;
-        ctx.set_compute(self.compute);
-        let mut delta = 0.0_f64;
-        let mut bi = 0usize;
-        for (dst, pairs) in &self.blocks.routes[self.part] {
-            let updates: Vec<(usize, f64)> =
-                pairs.iter().map(|&(slot, l)| (slot, self.x[l])).collect();
-            for &(_, v) in &updates {
-                if bi < self.prev_boundary.len() {
-                    delta = delta.max((v - self.prev_boundary[bi]).abs());
-                    self.prev_boundary[bi] = v;
-                } else {
-                    self.prev_boundary.push(v);
-                    delta = f64::INFINITY;
-                }
-                bi += 1;
-            }
-            ctx.send(*dst, BjMsg { updates });
-        }
-        if let Termination::LocalDelta { tol, patience } = self.termination {
-            if delta < tol {
-                self.small_streak += 1;
-                if self.small_streak >= patience {
-                    ctx.halt();
-                }
-            } else {
-                self.small_streak = 0;
-            }
-        }
-        if self.solves >= self.max_solves {
-            ctx.halt();
-        }
-    }
-}
-
-impl Node for BjNode {
-    type Msg = BjMsg;
-
-    fn start(&mut self, ctx: &mut Ctx<BjMsg>) {
-        self.solve_and_send(ctx);
-    }
-
-    fn receive(&mut self, ctx: &mut Ctx<BjMsg>, batch: &mut Vec<Envelope<BjMsg>>) {
-        for env in batch.drain(..) {
-            for (slot, v) in env.payload.updates {
-                self.ext[slot] = v;
-            }
-        }
-        self.solve_and_send(ctx);
     }
 }
 
@@ -287,146 +87,20 @@ pub fn solve_async(
     reference: Option<Vec<f64>>,
     config: &BlockJacobiConfig,
 ) -> Result<SolveReport> {
-    // The oracle direct solve is opt-in: under `Termination::Residual`
-    // (and no explicit reference) the run is monitored reference-free.
-    let reference = match (reference, config.termination) {
-        (Some(r), _) => Some(r),
-        (None, Termination::Residual { .. }) => None,
-        (None, _) => Some(SparseCholesky::factor_fill_reducing(a)?.solve(b)),
-    };
-    let blocks = std::sync::Arc::new(Blocks::build(a, b, assignment)?);
-    let k = blocks.n_parts();
-    if topology.n_nodes() != k {
-        return Err(Error::DimensionMismatch {
-            context: "block-jacobi: one processor per block",
-            expected: k,
-            actual: topology.n_nodes(),
-        });
-    }
-    for p in 0..k {
-        for (dst, _) in &blocks.routes[p] {
-            if topology.link(p, *dst).is_none() {
-                return Err(Error::Parse(format!(
-                    "blocks {p} and {dst} are coupled but the machine has no \
-                     link {p} → {dst}"
-                )));
-            }
-        }
-    }
-    let nodes: Vec<BjNode> = (0..k)
-        .map(|p| BjNode {
-            part: p,
-            blocks: blocks.clone(),
-            ext: vec![0.0; blocks.ext_globals[p].len()],
-            x: vec![0.0; blocks.rows[p].len()],
-            prev_boundary: Vec::new(),
-            // Baseline pipelines are scalar: one RHS column per sweep.
-            compute: config.compute.duration_for_block(blocks.factor_nnz[p], 1),
-            termination: config.termination,
-            max_solves: config.max_solves_per_node,
-            solves: 0,
-            small_streak: 0,
-        })
-        .collect();
-
-    let mut monitor = match (reference, config.termination) {
-        // As in the DTM executors: residual termination keeps the
-        // residual as the stopping metric even when a reference exists
-        // (the reference then only adds RMS reporting).
-        (Some(r), Termination::Residual { .. }) => {
-            let mut m = Monitor::from_parts_residual(
-                blocks.rows.clone(),
-                vec![1; a.n_rows()],
-                a.clone(),
-                std::slice::from_ref(&b.to_vec()),
-                config.sample_interval,
-            );
-            m.attach_oracle(std::slice::from_ref(&r));
-            m
-        }
-        (Some(r), _) => Monitor::from_parts(
-            blocks.rows.clone(),
-            vec![1; a.n_rows()],
-            r,
-            config.sample_interval,
-        ),
-        (None, _) => Monitor::from_parts_residual(
-            blocks.rows.clone(),
-            vec![1; a.n_rows()],
-            a.clone(),
-            std::slice::from_ref(&b.to_vec()),
-            config.sample_interval,
-        ),
-    };
-    let metric_tol = match config.termination {
-        Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
-        Termination::LocalDelta { .. } => None,
-    };
-    monitor.set_refresh_below(metric_tol.unwrap_or(0.0));
-
-    let mut engine = Engine::new(topology, nodes);
-    let outcome = engine.run(
-        SimTime::ZERO + config.horizon,
-        |time, part, node: &BjNode| {
-            let metric = monitor.update_part(part, time, &node.x);
-            match metric_tol {
-                Some(tol) => metric > tol,
-                None => true,
-            }
-        },
-    );
-
-    let stats = engine.stats();
-    let (final_rms, final_rms_per_rhs) = if monitor.has_oracle() {
-        let rms = monitor.rms_exact();
-        (rms, vec![rms])
-    } else {
-        (f64::NAN, Vec::new())
-    };
-    let final_residual =
-        a.residual_norm(monitor.estimate(), b) / dtm_sparse::vector::norm2_or_one(b);
-    let stop = match outcome.reason {
-        StopReason::ObserverStop => StopKind::OracleTolerance,
-        StopReason::AllHalted => StopKind::AllHalted,
-        StopReason::TimeLimit => StopKind::Horizon,
-        StopReason::QueueEmpty => StopKind::Quiescent,
-    };
-    let converged = match config.termination {
-        Termination::OracleRms { tol } => final_rms <= tol,
-        Termination::Residual { tol } => final_residual <= tol,
-        Termination::LocalDelta { .. } => {
-            matches!(stop, StopKind::AllHalted | StopKind::Quiescent)
-        }
-    };
-    Ok(SolveReport {
-        backend: BackendKind::Simulated,
-        algorithm: AlgorithmKind::BlockJacobiAsync,
-        solution: monitor.estimate().to_vec(),
-        n_rhs: 1,
-        solutions: vec![monitor.estimate().to_vec()],
-        final_rms_per_rhs,
-        converged,
-        final_rms,
-        final_residual,
-        final_residual_per_rhs: vec![final_residual],
-        final_time_ms: outcome.final_time.as_millis_f64(),
-        series: monitor.into_series(),
-        total_solves: stats.activations.iter().sum(),
-        total_messages: stats.messages_sent,
-        total_flops: stats
-            .activations
-            .iter()
-            .enumerate()
-            .map(|(p, &acts)| acts * blocks.flops_per_solve(p))
-            .sum(),
-        coalesced_batches: stats.coalesced_batches,
-        n_parts: k,
-        stop,
-    })
+    async_baselines::solve_sim(
+        &BaselineAlgo::BlockJacobi,
+        a,
+        b,
+        assignment,
+        topology,
+        reference,
+        &config.baseline(),
+    )
 }
 
 /// Synchronous block-Jacobi (additive Schwarz, overlap 0) under a barrier
-/// cost model: every round costs the slowest block's compute plus
+/// cost model: every round steps every block against the previous round's
+/// potentials and costs the slowest block's compute plus
 /// `sync_round_overhead` (default: twice the maximum link delay — one
 /// exchange, one barrier).
 ///
@@ -440,31 +114,20 @@ pub fn solve_sync(
     reference: Option<Vec<f64>>,
     config: &BlockJacobiConfig,
 ) -> Result<SolveReport> {
-    // Opt-in oracle, as in `solve_async`: residual termination tracks
-    // `‖b − A·x‖/‖b‖` instead and performs no direct solve.
-    let reference = match (reference, config.termination) {
-        (Some(r), _) => Some(r),
-        (None, Termination::Residual { .. }) => None,
-        (None, _) => Some(SparseCholesky::factor_fill_reducing(a)?.solve(b)),
+    let baseline = config.baseline();
+    let algo = BaselineAlgo::BlockJacobi;
+    let (prepared, mut nodes) = Prepared::new(&algo, a, b, assignment, reference, &baseline)?;
+    let map = prepared.map();
+    // As everywhere: residual termination stops on the residual even when
+    // a reference was supplied for reporting; the other modes carry one.
+    let oracle = match config.termination {
+        Termination::Residual { .. } => None,
+        _ => prepared.references.as_ref().map(|r| r[0].as_slice()),
     };
-    let b_scale = dtm_sparse::vector::norm2_or_one(b);
-    // The stopping metric follows the termination mode, not reference
-    // availability: residual termination stops on the residual even when
-    // a reference was supplied for reporting.
-    let use_residual = matches!(config.termination, Termination::Residual { .. });
-    // Non-residual modes always carry a reference (constructed above), so
-    // the `(None, false)` arm is unreachable — falling back to the
-    // residual there keeps the closure total without a panic path.
-    let metric_of = |x: &[f64]| -> f64 {
-        match (&reference, use_residual) {
-            (Some(r), false) => dtm_sparse::vector::rms_error(x, r),
-            _ => a.residual_norm(x, b) / b_scale,
-        }
-    };
-    let blocks = Blocks::build(a, b, assignment)?;
-    let k = blocks.n_parts();
-    let max_compute = (0..k)
-        .map(|p| config.compute.duration_for_block(blocks.factor_nnz[p], 1))
+    let metric_tol = config.termination.metric_tol();
+    let max_compute = nodes
+        .iter()
+        .map(|n| config.compute.duration_for_block(n.work_nnz(), 1))
         .max()
         .unwrap_or(SimDuration::ZERO);
     let overhead = config.sync_round_overhead.unwrap_or_else(|| {
@@ -473,75 +136,74 @@ pub fn solve_sync(
     });
     let round_time = max_compute + overhead;
 
-    let tol = match config.termination {
-        Termination::OracleRms { tol } | Termination::Residual { tol } => tol,
-        Termination::LocalDelta { tol, .. } => tol,
-    };
     let mut x = vec![0.0; a.n_rows()];
     let mut series = Vec::new();
     let mut t = SimTime::ZERO;
-    let mut rounds = 0u64;
-    let mut metric = metric_of(&x);
-    let mut buf = Vec::new();
+    let mut halted = vec![false; nodes.len()];
+    let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
+    let mut stop = StopKind::Horizon;
     while t + round_time <= SimTime::ZERO + config.horizon {
-        // One synchronous round: every block reads the same global x.
-        let mut x_new = x.clone();
-        for p in 0..k {
-            let ext: Vec<f64> = blocks.ext_globals[p].iter().map(|&g| x[g]).collect();
-            blocks.solve_block(p, &ext, &mut buf);
-            for (l, &g) in blocks.rows[p].iter().enumerate() {
-                x_new[g] = buf[l];
-            }
+        // One synchronous round: every block solves against the previous
+        // round's potentials, then all of them exchange.
+        for (node, halted) in nodes.iter_mut().zip(&mut halted) {
+            *halted = node.step_node(&mut outbox).is_halt();
         }
-        x = x_new;
+        for (dst, msg) in outbox.drain(..) {
+            nodes[dst].absorb_owned(msg);
+        }
         t += round_time;
-        rounds += 1;
-        metric = metric_of(&x);
+        let blocks = nodes.iter().map(|n| n.solution());
+        runtime::gather_col(
+            map.parts.iter().copied().zip(blocks),
+            map.copy_count,
+            0,
+            &mut x,
+        );
+        let metric = match oracle {
+            Some(r) => dtm_sparse::vector::rms_error(&x, r),
+            None => map.residual(0, &x),
+        };
         series.push((t.as_millis_f64(), metric));
-        if metric <= tol || rounds >= config.max_solves_per_node as u64 {
+        if metric_tol.is_some_and(|tol| metric <= tol) {
+            stop = StopKind::OracleTolerance;
+            break;
+        }
+        if halted.iter().all(|&h| h) {
+            stop = StopKind::AllHalted;
             break;
         }
     }
-    let (final_rms, final_rms_per_rhs) = match &reference {
-        Some(r) => {
-            let rms = dtm_sparse::vector::rms_error(&x, r);
-            (rms, vec![rms])
-        }
-        None => (f64::NAN, Vec::new()),
-    };
-    let final_residual = a.residual_norm(&x, b) / b_scale;
-    Ok(SolveReport {
+    let mut totals = Totals::default();
+    for node in &nodes {
+        totals.add(node);
+    }
+    Ok(SolveReport::assemble(RunSummary {
         backend: BackendKind::Simulated,
         algorithm: AlgorithmKind::BlockJacobiSync,
-        solution: x.clone(),
-        n_rhs: 1,
+        termination: config.termination,
+        stop,
+        time_ms: t.as_millis_f64(),
+        rms_per_rhs: prepared
+            .references
+            .iter()
+            .flatten()
+            .map(|r| dtm_sparse::vector::rms_error(&x, r))
+            .collect(),
+        residual_per_rhs: vec![map.residual(0, &x)],
         solutions: vec![x],
-        final_rms_per_rhs,
-        converged: metric <= tol,
-        final_rms,
-        final_residual,
-        final_residual_per_rhs: vec![final_residual],
-        final_time_ms: t.as_millis_f64(),
+        best_metric: f64::INFINITY,
         series,
-        total_solves: rounds * k as u64,
-        // Per round each coupled pair exchanges once in each direction.
-        total_messages: rounds * blocks.routes.iter().map(|r| r.len() as u64).sum::<u64>(),
-        total_flops: rounds * (0..k).map(|p| blocks.flops_per_solve(p)).sum::<u64>(),
+        totals,
         coalesced_batches: 0,
-        n_parts: k,
-        stop: if metric <= tol {
-            StopKind::OracleTolerance
-        } else {
-            StopKind::Horizon
-        },
-    })
+        n_parts: nodes.len(),
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtm_simnet::DelayModel;
-    use dtm_sparse::generators;
+    use dtm_sparse::{generators, Error};
 
     fn setup(nx: usize, k: usize, seed: u64) -> (Csr, Vec<f64>, Vec<usize>, Topology) {
         let a = generators::grid2d_random(nx, nx, 1.0, seed);
@@ -620,6 +282,52 @@ mod tests {
             StopKind::AllHalted | StopKind::Quiescent
         ));
         assert!(report.final_rms < 1e-6);
+    }
+
+    #[test]
+    fn solve_cap_is_not_convergence() {
+        // Three solves can never build a patience-4 streak: every node is
+        // retired by the cap, and "everyone stopped" is not success.
+        let a = generators::grid2d_laplacian(9, 9);
+        let b = vec![1.0; 81];
+        let asg = dtm_graph::partition::grid_blocks(9, 9, 2, 2);
+        let topo = Topology::mesh(2, 2).with_delays(&DelayModel::fixed_ms(1.0));
+        let config = BlockJacobiConfig {
+            compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+            termination: Termination::LocalDelta {
+                tol: 1e-14,
+                patience: 4,
+            },
+            max_solves_per_node: 3,
+            ..Default::default()
+        };
+        let report = solve_async(&a, &b, &asg, topo, None, &config).unwrap();
+        assert_eq!(report.stop, StopKind::AllHalted);
+        assert!(!report.converged, "rms {}", report.final_rms);
+        assert_eq!(report.total_solves, 12);
+    }
+
+    #[test]
+    fn short_rhs_is_a_typed_error_on_both_entry_points() {
+        let (a, b, asg, topo) = setup(6, 2, 56);
+        let short = &b[..b.len() - 1];
+        let config = BlockJacobiConfig::default();
+        for err in [
+            solve_async(&a, short, &asg, topo.clone(), None, &config).unwrap_err(),
+            solve_sync(&a, short, &asg, &topo, None, &config).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    Error::DimensionMismatch {
+                        context: "baseline right-hand side",
+                        expected: 36,
+                        actual: 35,
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

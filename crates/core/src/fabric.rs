@@ -43,8 +43,8 @@
 //! fell silent) *kicks* them: re-solving against an unchanged boundary is
 //! a zero delta, which lets the Table 1 step 3.3 streak complete.
 
-use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, Totals};
-use crate::runtime::wallclock::{self, SharedBlock};
+use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
+use crate::runtime::wallclock::{Retired, Scorer, SharedBlock};
 use crate::runtime::{AsyncNode, DtmMsg, GatherMap, NodeControl, Termination};
 use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicUsize, Mutex, Ordering};
@@ -688,33 +688,57 @@ pub(crate) struct WallRun<'a> {
     pub references: Option<&'a [Vec<f64>]>,
 }
 
-/// Supervise a started fabric to the stopping rule, all-halted or the
-/// budget, stop it, and assemble the report.
+/// Supervise a started fabric — `run.map`'s columns admitted to the
+/// scorer at once, all under `run.termination` — until every column met
+/// the rule, every node halted or the budget expired; then stop the fabric
+/// and assemble the report.
 pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
-    let outcome = wallclock::supervise(
-        &run.map,
-        run.references,
-        fabric.snapshots(),
-        run.termination,
-        run.budget,
-        run.poll_interval,
-        || fabric.all_halted(),
-    );
+    let started = Instant::now();
+    let elapsed_ms = || started.elapsed().as_secs_f64() * 1e3;
+    let map = &run.map;
+    let k = map.b_cols.len();
+    let mut scorer = Scorer::new(map.parts.iter().copied(), map.copy_count, k);
+    for (c, b) in map.b_cols.iter().enumerate() {
+        let reference = run.references.map(|refs| refs[c].as_slice());
+        scorer.replace_column(c, b, run.termination, reference);
+    }
+    let mut series = Vec::new();
+    let mut best_metric = f64::INFINITY;
+    let stop = loop {
+        std::thread::sleep(run.poll_interval);
+        scorer.poll(map.a, fabric.snapshots());
+        let metric = scorer.worst_metric();
+        best_metric = best_metric.min(metric);
+        series.push((elapsed_ms(), metric));
+        if (0..k).all(|c| scorer.done(c)) {
+            break StopKind::OracleTolerance;
+        }
+        if fabric.all_halted() {
+            break StopKind::AllHalted;
+        }
+        if started.elapsed() >= run.budget {
+            break StopKind::Budget;
+        }
+    };
+    // Final exact numbers of whatever was published by now.
+    scorer.poll(map.a, fabric.snapshots());
+    let columns: Vec<Retired> = (0..k).map(|c| scorer.retire(c, map.a)).collect();
+    let time_ms = elapsed_ms();
     let totals = fabric.finish();
     SolveReport::assemble(RunSummary {
         backend: run.backend,
         algorithm: run.algorithm,
         termination: run.termination,
-        stop: outcome.stop,
-        time_ms: outcome.elapsed.as_secs_f64() * 1e3,
-        solutions: outcome.solutions,
-        rms_per_rhs: outcome.final_rms_per_rhs,
-        residual_per_rhs: outcome.final_residual_per_rhs,
-        best_metric: outcome.best_metric,
-        series: outcome.series,
+        stop,
+        time_ms,
+        rms_per_rhs: columns.iter().filter_map(|col| col.rms).collect(),
+        residual_per_rhs: columns.iter().map(|col| col.residual).collect(),
+        solutions: columns.into_iter().map(|col| col.solution).collect(),
+        best_metric,
+        series,
         totals,
         coalesced_batches: 0,
-        n_parts: run.map.parts.len(),
+        n_parts: map.parts.len(),
     })
 }
 
@@ -805,7 +829,8 @@ mod tests {
 
     fn run_to_all_halted(ss: &SplitSystem, fabric: impl Fabric, backend: BackendKind) {
         let (a, b) = ss.reconstruct();
-        let references = runtime::reference_solutions(ss, None, None).unwrap();
+        let map = GatherMap::of_split(ss, &a, &b, None);
+        let references = runtime::resolve_references(&map, TERMINATION, None).unwrap();
         let report = run(
             fabric,
             &WallRun {
@@ -814,8 +839,8 @@ mod tests {
                 termination: TERMINATION,
                 budget: Duration::from_secs(60),
                 poll_interval: Duration::from_micros(500),
-                map: GatherMap::of_split(ss, &a, &b, None),
-                references: Some(&references),
+                map,
+                references: references.as_deref(),
             },
         );
         assert_eq!(report.stop, StopKind::AllHalted);

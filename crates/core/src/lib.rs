@@ -28,7 +28,10 @@
 //! * [`runtime`] — the **backend-agnostic DTM runtime**: the one canonical
 //!   node state machine (solve-and-scatter, wave merge, Table 1 step 3.3
 //!   self-halt) behind the [`runtime::Transport`] /
-//!   [`runtime::ExecutorBackend`] trait pair;
+//!   [`runtime::ExecutorBackend`] trait pair; the one gather
+//!   ([`runtime::GatherMap`], [`runtime::gather_col`]); and, in
+//!   [`runtime::wallclock`], the one supervisor-side scorer of every
+//!   wall-clock run, one-shot or rolling;
 //! * [`fabric`] — **the two wall-clock fabrics**, each written once and
 //!   generic over the node: tasks on a work-stealing pool, and one OS
 //!   thread per node; plus the per-node hook and the LocalDelta
@@ -40,17 +43,21 @@
 //!   (genuinely asynchronous execution);
 //! * [`rayon_backend`] — caller: DTM as tasks on an in-process
 //!   work-stealing pool;
-//! * [`vtm`] — the Virtual Transmission Method: the synchronous, unit-delay
-//!   special case (eq. 5.10);
-//! * [`baselines`] — synchronous and asynchronous block-Jacobi for the
-//!   comparisons the paper's introduction makes;
-//! * [`async_baselines`] — **randomized-asynchrony baselines**: randomized
-//!   asynchronous Richardson (Avron et al. 2013) and Hong's D-iteration
-//!   (2012) as first-class peer solvers behind the same
-//!   [`runtime::Transport`] / [`runtime::ExecutorBackend`] contract —
-//!   two node state machines, run by the same three executors as DTM
-//!   (callers of [`fabric`] and [`solver`]) and compared message for
-//!   message by `repro compare`;
+//! * [`vtm`] — the Virtual Transmission Method (eq. 5.10): configuration
+//!   and a thin entry point — DTM's own nodes on the simulated machine
+//!   whose every link has the same delay;
+//! * [`baselines`] — block-Jacobi for the comparisons the paper's
+//!   introduction makes: configuration and two thin entry points
+//!   (asynchronous = [`async_baselines`]' block-Jacobi node on the
+//!   simulated driver; synchronous = the same nodes stepped in lock-step
+//!   under a barrier cost model);
+//! * [`async_baselines`] — **the asynchronous baselines**: randomized
+//!   asynchronous Richardson (Avron et al. 2013), Hong's D-iteration
+//!   (2012) and asynchronous block-Jacobi as first-class peer solvers
+//!   behind the same [`runtime::Transport`] /
+//!   [`runtime::ExecutorBackend`] contract — three node state machines,
+//!   run by the same three executors as DTM (callers of [`fabric`] and
+//!   [`solver`]) and compared message for message by `repro compare`;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
 //!   (quantitative convergence rates, Fig. 9 cross-check);
 //! * [`monitor`] — convergence tracking over time: oracle RMS against the
@@ -60,8 +67,10 @@
 //!   queue that swaps right-hand sides into the live block wave as column
 //!   slots free up, each ticket under its own termination, with per-column
 //!   completion reports — on all three executors (the wall-clock ones as
-//!   a hook on a [`fabric`]);
-//! * [`report`] — the shared solve-report vocabulary.
+//!   a hook on a [`fabric`], scored by the one-shot solves' own scorer);
+//! * [`report`] — the shared solve-report vocabulary and
+//!   [`SolveReport::assemble`], the one report constructor holding the one
+//!   `converged` rule.
 //!
 //! ## Quickstart
 //!
@@ -98,8 +107,8 @@ pub mod threaded;
 pub mod vtm;
 
 pub use async_baselines::{
-    BaselineAlgo, BaselineConfig, DIteration, DIterationParams, RandomizedRichardson,
-    RelaxationSchedule, RichardsonParams,
+    BaselineAlgo, BaselineBackend, BaselineConfig, DIterationParams, RelaxationSchedule,
+    RichardsonParams,
 };
 pub use builder::{DtmBuilder, DtmProblem, SolveSession};
 pub use impedance::ImpedancePolicy;

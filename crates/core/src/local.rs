@@ -58,14 +58,39 @@ pub enum LocalSolverKind {
 /// Crossover for [`LocalSolverKind::Auto`].
 pub const AUTO_DENSE_LIMIT: usize = 96;
 
+/// A Cholesky factor of one part's matrix, dense or sparse.
 #[derive(Debug, PartialEq)]
-enum Factor {
+pub(crate) enum Factor {
     Dense(DenseCholesky),
     Sparse(SparseCholesky),
 }
 
 impl Factor {
-    fn solve_block_with_scratch(&self, xs: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+    /// The [`LocalSolverKind::Auto`] choice: dense up to
+    /// [`AUTO_DENSE_LIMIT`] unknowns, sparse under the fill-reducing
+    /// ordering above.
+    pub(crate) fn auto(matrix: &Csr) -> Result<Self> {
+        Ok(if matrix.n_rows() <= AUTO_DENSE_LIMIT {
+            Factor::Dense(DenseCholesky::factor_csr(matrix)?)
+        } else {
+            Factor::Sparse(SparseCholesky::factor_fill_reducing(matrix)?)
+        })
+    }
+
+    /// Stored factor entries (dense: n(n+1)/2; sparse: nnz(L)).
+    pub(crate) fn nnz(&self) -> usize {
+        match self {
+            Factor::Dense(f) => f.n() * (f.n() + 1) / 2,
+            Factor::Sparse(f) => f.nnz_l(),
+        }
+    }
+
+    pub(crate) fn solve_block_with_scratch(
+        &self,
+        xs: &mut [f64],
+        k: usize,
+        scratch: &mut Vec<f64>,
+    ) {
         match self {
             Factor::Dense(f) => f.solve_block_with_scratch(xs, k, scratch),
             Factor::Sparse(f) => f.solve_block_with_scratch(xs, k, scratch),
@@ -196,13 +221,7 @@ impl LocalSystem {
             LocalSolverKind::Dense => Factor::Dense(DenseCholesky::factor_csr(&matrix)?),
             LocalSolverKind::Sparse => Factor::Sparse(SparseCholesky::factor(&matrix)?),
             LocalSolverKind::SparseRcm => Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?),
-            LocalSolverKind::Auto => {
-                if n <= AUTO_DENSE_LIMIT {
-                    Factor::Dense(DenseCholesky::factor_csr(&matrix)?)
-                } else {
-                    Factor::Sparse(SparseCholesky::factor_fill_reducing(&matrix)?)
-                }
-            }
+            LocalSolverKind::Auto => Factor::auto(&matrix)?,
         };
         let n_ports = sub.n_ports();
         Ok(Self {
@@ -461,10 +480,7 @@ impl LocalSystem {
     /// Size of the factor backing each substitution (dense: n(n+1)/2;
     /// sparse: nnz(L)); drives the per-solve compute-time model.
     pub fn factor_nnz(&self) -> usize {
-        match &*self.factor {
-            Factor::Dense(f) => f.n() * (f.n() + 1) / 2,
-            Factor::Sparse(f) => f.nnz_l(),
-        }
+        self.factor.nnz()
     }
 }
 

@@ -110,13 +110,7 @@ pub fn solve_prepared(
     reference: Option<Vec<f64>>,
     config: &RayonConfig,
 ) -> Result<SolveReport> {
-    let references = runtime::resolve_references(
-        split,
-        config.common.termination,
-        None,
-        reference.map(|r| vec![r]),
-    )?;
-    solve_runtimes(split, runtimes, references, None, config)
+    solve_runtimes(split, runtimes, reference.map(|r| vec![r]), None, config)
 }
 
 /// Run DTM on the work-stealing pool for a **block of right-hand sides**
@@ -132,16 +126,15 @@ pub fn solve_block(
     references: Option<Vec<Vec<f64>>>,
     config: &RayonConfig,
 ) -> Result<SolveReport> {
-    let references =
-        runtime::resolve_references(split, config.common.termination, Some(rhs_cols), references)?;
     let runtimes = runtime::build_nodes_block(split, &config.common, rhs_cols)?;
     solve_runtimes(split, runtimes, references, Some(rhs_cols), config)
 }
 
 /// The executor body shared by the scalar and block entry points.
-/// `references = None` runs reference-free (the [`Termination::Residual`]
-/// path); `rhs_cols` names the block's global right-hand sides (`None` =
-/// the split's own source vector).
+/// `references` are the caller's own, if any (the oracle solve is performed
+/// only for the termination modes that need one); `rhs_cols` names the
+/// block's global right-hand sides (`None` = the split's own source
+/// vector).
 fn solve_runtimes(
     split: &SplitSystem,
     runtimes: Vec<NodeRuntime>,
@@ -150,6 +143,9 @@ fn solve_runtimes(
     config: &RayonConfig,
 ) -> Result<SolveReport> {
     let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
+    let (a, own_b) = split.reconstruct();
+    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
+    let references = runtime::resolve_references(&map, config.common.termination, references)?;
     let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
     let pool = Pool::start(
         runtimes,
@@ -158,7 +154,6 @@ fn solve_runtimes(
         self_halting,
         fabric::no_hook(),
     )?;
-    let (a, own_b) = split.reconstruct();
     Ok(fabric::run(
         pool,
         &WallRun {
@@ -167,7 +162,7 @@ fn solve_runtimes(
             termination: config.common.termination,
             budget: config.budget,
             poll_interval: config.poll_interval,
-            map: GatherMap::of_split(split, &a, &own_b, rhs_cols),
+            map,
             references: references.as_deref(),
         },
     ))

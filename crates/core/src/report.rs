@@ -163,13 +163,19 @@ impl Totals {
     }
 }
 
-/// What an [`AsyncNode`] executor measured — everything
-/// [`SolveReport::assemble`] derives a report from.
-pub(crate) struct RunSummary {
+/// What an executor measured — everything [`SolveReport::assemble`]
+/// derives a report from.
+#[derive(Debug)]
+pub struct RunSummary {
+    /// Which executor ran.
     pub backend: BackendKind,
+    /// Which algorithm ran.
     pub algorithm: AlgorithmKind,
+    /// The stopping rule the run was held to.
     pub termination: Termination,
+    /// Why the run ended.
     pub stop: StopKind,
+    /// Solver time at stop, in milliseconds.
     pub time_ms: f64,
     /// Gathered global solution per RHS column.
     pub solutions: Vec<Vec<f64>>,
@@ -182,21 +188,25 @@ pub(crate) struct RunSummary {
     /// workers keep iterating. `INFINITY` where only the final state
     /// counts (the simulated executor stops on the crossing itself).
     pub best_metric: f64,
+    /// `(time_ms, metric)` staircase.
     pub series: Vec<(f64, f64)>,
+    /// Work counters.
     pub totals: Totals,
+    /// Receive batches that coalesced more than one message.
     pub coalesced_batches: u64,
+    /// Number of processors/subdomains.
     pub n_parts: usize,
 }
 
 impl SolveReport {
-    /// The one report assembly of the [`AsyncNode`] executors, holding the
-    /// one `converged` rule: a tolerance mode converged when its own
-    /// metric (oracle RMS / relative residual, worst column) met the
-    /// tolerance at the end or at any supervisor poll; `LocalDelta`
+    /// The one report assembly — every executor and every algorithm ends
+    /// here — holding the one `converged` rule: a tolerance mode converged
+    /// when its own metric (oracle RMS / relative residual, worst column)
+    /// met the tolerance at the end or at any supervisor poll; `LocalDelta`
     /// converged when every node went passive of its own accord — a node
     /// retired by the solve cap never declared convergence, so "everyone
     /// eventually stopped" must not masquerade as success.
-    pub(crate) fn assemble(run: RunSummary) -> Self {
+    pub fn assemble(run: RunSummary) -> Self {
         let worst = |v: &[f64]| v.iter().fold(0.0_f64, |m, &x| m.max(x));
         let final_rms = if run.rms_per_rhs.is_empty() {
             f64::NAN

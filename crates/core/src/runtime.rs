@@ -253,6 +253,18 @@ pub enum Termination {
     },
 }
 
+impl Termination {
+    /// The tolerance a supervisor holds its own metric (oracle RMS /
+    /// relative residual) to; `None` under [`LocalDelta`](Self::LocalDelta),
+    /// where the nodes halt themselves and the metric is only recorded.
+    pub fn metric_tol(self) -> Option<f64> {
+        match self {
+            Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
+            Termination::LocalDelta { .. } => None,
+        }
+    }
+}
+
 /// Configuration shared by every executor backend: everything that
 /// parameterises the *algorithm* rather than the *machine*.
 #[derive(Debug, Clone)]
@@ -379,54 +391,6 @@ pub trait AsyncNode: Send {
     /// publish only those. Scalar algorithms keep the default.
     fn solved_cols(&self) -> u64 {
         u64::MAX
-    }
-}
-
-/// A boxed node is a node: the baselines hand the generic fabrics
-/// `Box<dyn AsyncNode>` where DTM hands them [`NodeRuntime`].
-impl AsyncNode for Box<dyn AsyncNode> {
-    fn part(&self) -> usize {
-        (**self).part()
-    }
-
-    fn n_local(&self) -> usize {
-        (**self).n_local()
-    }
-
-    fn solution(&self) -> &[f64] {
-        (**self).solution()
-    }
-
-    fn absorb_owned(&mut self, msg: DtmMsg) {
-        (**self).absorb_owned(msg);
-    }
-
-    fn step_node(&mut self, transport: &mut dyn Transport) -> NodeControl {
-        (**self).step_node(transport)
-    }
-
-    fn solves(&self) -> u64 {
-        (**self).solves()
-    }
-
-    fn messages_sent(&self) -> u64 {
-        (**self).messages_sent()
-    }
-
-    fn flops(&self) -> u64 {
-        (**self).flops()
-    }
-
-    fn work_nnz(&self) -> usize {
-        (**self).work_nnz()
-    }
-
-    fn capped(&self) -> bool {
-        (**self).capped()
-    }
-
-    fn solved_cols(&self) -> u64 {
-        (**self).solved_cols()
     }
 }
 
@@ -825,6 +789,8 @@ pub fn build_node(sub: &Subdomain, z_ports: &[f64], common: &CommonConfig) -> Re
     build_node_inner(sub, z_ports, common, None)
 }
 
+/// Derive one part's wave routes and factor its local system. Pure in its
+/// inputs, so parts can be built in any order — or concurrently.
 fn build_node_inner(
     sub: &Subdomain,
     z_ports: &[f64],
@@ -852,24 +818,6 @@ fn build_node_inner(
     })
 }
 
-/// Build one part's [`NodeRuntime`]: derive its wave routes and factor its
-/// local system. Pure in its inputs, so parts can be built in any order —
-/// or concurrently.
-fn build_one_node(
-    p: usize,
-    split: &SplitSystem,
-    z_ports: &[Vec<f64>],
-    common: &CommonConfig,
-    part_cols: Option<&Vec<Vec<Vec<f64>>>>,
-) -> Result<NodeRuntime> {
-    build_node_inner(
-        &split.subdomains[p],
-        &z_ports[p],
-        common,
-        part_cols.map(|cols| &cols[p]),
-    )
-}
-
 /// `part_cols[p][c]` = column `c`'s scattered sources for part `p`; `None`
 /// = the split's own single right-hand side.
 fn build_nodes_inner(
@@ -880,7 +828,10 @@ fn build_nodes_inner(
     let z_dtlp = common.impedance.assign(split)?;
     let z_ports = per_port(split, &z_dtlp);
     (0..split.n_parts())
-        .map(|p| build_one_node(p, split, &z_ports, common, part_cols.as_ref()))
+        .map(|p| {
+            let cols = part_cols.as_ref().map(|cols| &cols[p]);
+            build_node_inner(&split.subdomains[p], &z_ports[p], common, cols)
+        })
         .collect()
 }
 
@@ -937,7 +888,8 @@ fn build_nodes_inner_pooled(
         (0..n_parts).map(|_| std::sync::Mutex::new(None)).collect();
     let part_cols = part_cols.as_ref();
     pool.for_each_index(n_parts, |p| {
-        let node = build_one_node(p, split, &z_ports, common, part_cols);
+        let cols = part_cols.map(|cols| &cols[p]);
+        let node = build_node_inner(&split.subdomains[p], &z_ports[p], common, cols);
         // A poisoned slot means another builder panicked; the value this
         // closure writes is still well-formed, so keep going and let the
         // pool surface the panic.
@@ -958,72 +910,37 @@ fn build_nodes_inner_pooled(
         .collect()
 }
 
-/// The direct reference solution `x* = A⁻¹b` of the reconstructed system,
-/// used by every backend's RMS monitor. Passing `Some` skips the (sparse
-/// Cholesky) factorization.
+/// Resolve the (opt-in) oracle references of a run over `map`'s system —
+/// the one rule, for DTM and the baselines alike: explicitly supplied
+/// references always win; otherwise the direct solves `x*_c = A⁻¹ b_c`
+/// (sharing **one** sparse Cholesky factorization) are performed only for
+/// the termination modes that *need* an oracle ([`Termination::OracleRms`]
+/// to stop, [`Termination::LocalDelta`] to report RMS). Under
+/// [`Termination::Residual`] no reference is ever computed — the whole
+/// point of the mode.
 ///
 /// # Errors
-/// Propagates factorization failure of the reconstructed system.
-pub fn reference_solution(split: &SplitSystem, reference: Option<Vec<f64>>) -> Result<Vec<f64>> {
-    match reference {
-        Some(r) => Ok(r),
-        None => {
-            let (a, b) = split.reconstruct();
-            Ok(SparseCholesky::factor_fill_reducing(&a)?.solve(&b))
-        }
-    }
-}
-
-/// Block form of [`reference_solution`]: the direct solutions
-/// `x*_c = A⁻¹ b_c` for every RHS column, sharing **one** factorization of
-/// the reconstructed `A`. `rhs_cols = None` means the split's own
-/// right-hand side (the scalar pipeline). Passing `Some(references)` skips
-/// the factorization entirely.
-///
-/// # Errors
-/// Propagates factorization failure of the reconstructed system.
-///
-/// # Panics
-/// Panics if `references` is given with a different column count than
-/// `rhs_cols`.
-pub fn reference_solutions(
-    split: &SplitSystem,
-    rhs_cols: Option<&[Vec<f64>]>,
-    references: Option<Vec<Vec<f64>>>,
-) -> Result<Vec<Vec<f64>>> {
-    if let Some(refs) = references {
-        if let Some(cols) = rhs_cols {
-            assert_eq!(refs.len(), cols.len(), "one reference per RHS column");
-        }
-        return Ok(refs);
-    }
-    let (a, b) = split.reconstruct();
-    let factor = SparseCholesky::factor_fill_reducing(&a)?;
-    Ok(match rhs_cols {
-        None => vec![factor.solve(&b)],
-        Some(cols) => cols.iter().map(|c| factor.solve(c)).collect(),
-    })
-}
-
-/// Resolve the (now opt-in) oracle references for a run: an explicitly
-/// supplied reference always wins; otherwise the oracle direct solve is
-/// performed only for the termination modes that *need* one
-/// ([`Termination::OracleRms`] to stop, [`Termination::LocalDelta`] to
-/// report RMS). Under [`Termination::Residual`] no reference is ever
-/// computed — the whole point of the mode.
-///
-/// # Errors
-/// Propagates factorization failure of the reconstructed system.
+/// Propagates factorization failure of the system, and rejects a
+/// reference count that differs from the column count.
 pub(crate) fn resolve_references(
-    split: &SplitSystem,
+    map: &GatherMap<'_>,
     termination: Termination,
-    rhs_cols: Option<&[Vec<f64>]>,
     references: Option<Vec<Vec<f64>>>,
 ) -> Result<Option<Vec<Vec<f64>>>> {
     match (references, termination) {
-        (Some(refs), _) => Ok(Some(reference_solutions(split, rhs_cols, Some(refs))?)),
+        (Some(refs), _) if refs.len() != map.b_cols.len() => {
+            Err(dtm_sparse::Error::DimensionMismatch {
+                context: "one reference per RHS column",
+                expected: map.b_cols.len(),
+                actual: refs.len(),
+            })
+        }
+        (Some(refs), _) => Ok(Some(refs)),
         (None, Termination::Residual { .. }) => Ok(None),
-        (None, _) => Ok(Some(reference_solutions(split, rhs_cols, None)?)),
+        (None, _) => {
+            let factor = SparseCholesky::factor_fill_reducing(map.a)?;
+            Ok(Some(map.b_cols.iter().map(|b| factor.solve(b)).collect()))
+        }
     }
 }
 
@@ -1031,13 +948,18 @@ pub(crate) fn resolve_references(
 /// part → global gather map (`parts[p][l]` = global row of part `p`'s
 /// local row `l`, `copy_count[g]` = parts holding a copy of `g`), the
 /// original matrix and the global right-hand-side columns. DTM fills it
-/// from a [`SplitSystem`], the point baselines from their row partition —
+/// from a [`SplitSystem`], the baselines from their row partition —
 /// which is what lets every algorithm share one supervisor, one monitor
 /// set-up and one report assembly.
-pub(crate) struct GatherMap<'a> {
+#[derive(Debug)]
+pub struct GatherMap<'a> {
+    /// Global row of each local row, per part.
     pub parts: Vec<&'a [usize]>,
+    /// Parts holding a copy of each global row.
     pub copy_count: &'a [usize],
+    /// The original matrix.
     pub a: &'a Csr,
+    /// The global right-hand-side columns.
     pub b_cols: Vec<&'a [f64]>,
     /// `‖b_c‖₂` per column (1 where `b_c` is zero, so the ratio stays
     /// defined).
@@ -1045,7 +967,8 @@ pub(crate) struct GatherMap<'a> {
 }
 
 impl<'a> GatherMap<'a> {
-    pub(crate) fn new(
+    /// A map over explicit part lists.
+    pub fn new(
         parts: Vec<&'a [usize]>,
         copy_count: &'a [usize],
         a: &'a Csr,
@@ -1066,7 +989,7 @@ impl<'a> GatherMap<'a> {
     /// The map of an EVS split: `(a, own_b)` is its
     /// [`reconstruct`](SplitSystem::reconstruct)ed system, `rhs_cols` the
     /// block's global right-hand sides (`None` = `own_b`).
-    pub(crate) fn of_split(
+    pub fn of_split(
         split: &'a SplitSystem,
         a: &'a Csr,
         own_b: &'a [f64],
@@ -1089,16 +1012,22 @@ impl<'a> GatherMap<'a> {
 
     /// Exact relative residual `‖b_c − A·x‖₂ / ‖b_c‖₂` of column `c`
     /// (absolute for an all-zero `b_c`) — one fused SpMV.
-    pub(crate) fn residual(&self, c: usize, x: &[f64]) -> f64 {
+    pub fn residual(&self, c: usize, x: &[f64]) -> f64 {
         self.a.residual_norm(x, self.b_cols[c]) / self.b_scale[c]
     }
 }
 
 /// Gather column `c` of per-part `n_local × k` blocks into the global
 /// estimate `out`, averaging split copies — `parts` yields each part's
-/// `(global_of_local, block)` pair. The one gather of the wall-clock
-/// supervisors (one-shot and rolling).
-pub(crate) fn gather_col<'a>(
+/// `(global_of_local, block)` pair, summed in the order given (with three
+/// or more copies of a vertex the order of the additions is part of the
+/// bits). The one gather of every supervisor: wall-clock, lock-step and
+/// multi-process.
+///
+/// # Panics
+/// Panics if a block is shorter than `(c + 1)` columns of its part or a
+/// global row is out of `out`'s range.
+pub fn gather_col<'a>(
     parts: impl Iterator<Item = (&'a [usize], &'a [f64])>,
     copy_count: &[usize],
     c: usize,
@@ -1116,26 +1045,23 @@ pub(crate) fn gather_col<'a>(
     }
 }
 
-/// Shared supervision loop for the real-execution (wall-clock) backends.
+/// The supervisor side of the real-execution (wall-clock) executors.
 ///
 /// The simulated backend has an omniscient observer inside the event
-/// loop; real executors instead publish per-part solution snapshots that
-/// a supervisor polls. This helper owns that loop: gather → RMS → record
-/// a series point → decide (oracle tolerance reached / every node halted
-/// / budget expired). Keeping it here means the threaded and
-/// work-stealing backends share their termination bookkeeping exactly as
-/// they share the node state machine.
+/// loop; real executors instead publish per-part solution snapshots
+/// ([`wallclock::SharedBlock`]) that a supervisor polls. This module owns
+/// both halves of that hand-off: the published block, and the one
+/// supervisor-side scorer (`Scorer`) that mirrors the blocks, gathers the
+/// columns that moved and holds each column to its own stopping rule. A
+/// one-shot solve (`fabric::run`) is K columns admitted at t = 0 under one
+/// rule; a rolling session ([`crate::session`]) replaces columns as tickets
+/// retire — same scorer, same rule.
 pub mod wallclock {
-    use super::{GatherMap, Termination};
-    use crate::report::StopKind;
+    use super::Termination;
+    use crate::local::all_cols;
+    use dtm_sparse::Csr;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
-
-    /// Bitmask of all columns of a `k`-wide block — the one saturating-mask
-    /// rule shared with the publisher side
-    /// ([`LocalSystem::last_solve_cols`](crate::local::LocalSystem::last_solve_cols)).
-    pub(crate) use crate::local::all_cols as all_cols_mask;
 
     /// A worker's published `n_local × k` solution block with dirty-column
     /// tracking: workers publish only the columns whose boundary inputs
@@ -1169,7 +1095,7 @@ pub mod wallclock {
         pub(crate) fn publish(&self, sol: &[f64], cols: u64) {
             let mut data = self.data.lock();
             debug_assert_eq!(sol.len(), data.len(), "published block length");
-            if self.k >= 64 || cols == all_cols_mask(self.k) {
+            if self.k >= 64 || cols == all_cols(self.k) {
                 data.copy_from_slice(sol);
             } else {
                 let mut rest = cols;
@@ -1198,7 +1124,7 @@ pub mod wallclock {
             let data = self.data.lock();
             let mask = self.dirty.swap(0, Ordering::AcqRel);
             *seen_version = self.version.load(Ordering::Acquire);
-            if self.k >= 64 || mask == all_cols_mask(self.k) {
+            if self.k >= 64 || mask == all_cols(self.k) {
                 mirror.copy_from_slice(&data);
             } else {
                 let mut rest = mask;
@@ -1215,163 +1141,177 @@ pub mod wallclock {
         }
     }
 
-    /// What the supervisor observed by the time the run ended.
-    pub(crate) struct Outcome {
-        /// Gathered global solution per RHS column at stop.
-        pub solutions: Vec<Vec<f64>>,
-        /// Exact RMS against the oracle references per column; empty when
-        /// the run carried none (reference-free mode).
-        pub final_rms_per_rhs: Vec<f64>,
-        /// Exact relative residual `‖b − A·x‖/‖b‖` per column — always
-        /// computed (one SpMV per column at stop).
-        pub final_residual_per_rhs: Vec<f64>,
-        /// Best worst-column driving metric ever observed at a poll
-        /// (snapshots can drift *past* the tolerance while workers keep
-        /// iterating).
-        pub best_metric: f64,
-        /// `(elapsed_ms, metric)` series, one point per poll (worst
-        /// column, in the termination mode's own metric).
-        pub series: Vec<(f64, f64)>,
-        /// Why the run ended.
-        pub stop: StopKind,
-        /// Wall-clock duration of the run.
-        pub elapsed: Duration,
+    /// One column slot of the score sheet: the ticket occupying it and
+    /// the latest gathered estimate with its score.
+    struct Column {
+        /// The occupying ticket's stopping rule; `None` = idle slot.
+        rule: Option<Termination>,
+        b: Vec<f64>,
+        /// `‖b‖₂` (1 where `b` is zero, so the ratio stays defined).
+        b_scale: f64,
+        /// Oracle reference; scores the column under
+        /// [`Termination::OracleRms`] and (passively)
+        /// [`Termination::LocalDelta`], only reports under
+        /// [`Termination::Residual`].
+        reference: Option<Vec<f64>>,
+        /// Gathered global estimate as of the last poll that saw the
+        /// column move.
+        est: Vec<f64>,
+        /// The rule's own metric of `est`; `INFINITY` until the ticket's
+        /// first score.
+        metric: f64,
     }
 
-    /// Poll `snapshots` until the termination metric is met by **every**
-    /// column, every node reports done (`all_done`), or `budget` expires.
-    ///
-    /// The driving metric follows `termination`: oracle RMS against
-    /// `references` for [`Termination::OracleRms`], relative true residual
-    /// of `map`'s system for [`Termination::Residual`] (no reference
-    /// required), and — for [`Termination::LocalDelta`] — a passive series
-    /// in whichever of the two is available.
-    ///
-    /// Per poll the supervisor drains only dirty columns of changed parts
-    /// into persistent mirrors and re-evaluates only the columns that
-    /// moved; a poll where nothing changed reuses the previous metric
-    /// without locking anything.
-    pub(crate) fn supervise(
-        map: &GatherMap<'_>,
-        references: Option<&[Vec<f64>]>,
-        snapshots: &[SharedBlock],
-        termination: Termination,
-        budget: Duration,
-        poll: Duration,
-        mut all_done: impl FnMut() -> bool,
-    ) -> Outcome {
-        let started = Instant::now();
-        let k = map.b_cols.len();
-        let n = map.copy_count.len();
-        let tol = match termination {
-            Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
-            Termination::LocalDelta { .. } => None,
-        };
-        // The oracle metric runs exactly when references exist to score
-        // against: always under `OracleRms` (resolve_references supplies
-        // them), opportunistically under `LocalDelta`, never under
-        // `Residual`. Binding the slice here (instead of a bool) makes
-        // "oracle metric requires references" hold by construction.
-        let oracle_refs = match termination {
-            Termination::OracleRms { .. } | Termination::LocalDelta { .. } => references,
-            Termination::Residual { .. } => None,
-        };
+    impl Column {
+        fn residual(&self, a: &Csr) -> f64 {
+            a.residual_norm(&self.est, &self.b) / self.b_scale
+        }
 
-        // Persistent supervisor-side state: per-part mirrors + versions,
-        // per-column gathered estimates and metric values. All allocated
-        // once here; the poll loop below never allocates.
-        let mut mirrors: Vec<Vec<f64>> = map.parts.iter().map(|g| vec![0.0; g.len() * k]).collect();
-        let mut seen: Vec<u64> = vec![0; snapshots.len()];
-        let mut est: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n]).collect();
-        let mut metric_col: Vec<f64> = vec![f64::INFINITY; k];
+        fn rms(&self) -> Option<f64> {
+            let reference = self.reference.as_deref()?;
+            Some(dtm_sparse::vector::rms_error(&self.est, reference))
+        }
+    }
 
-        let gather_col = |est: &mut [Vec<f64>], mirrors: &[Vec<f64>], c: usize| {
-            let blocks = mirrors.iter().map(Vec::as_slice);
-            super::gather_col(
-                map.parts.iter().copied().zip(blocks),
-                map.copy_count,
-                c,
-                &mut est[c],
-            );
-        };
-        let eval_col = |est: &[Vec<f64>], c: usize| -> f64 {
-            match oracle_refs {
-                Some(refs) => dtm_sparse::vector::rms_error(&est[c], &refs[c]),
-                None => map.residual(c, &est[c]),
+    /// What a retiring column hands back: exact final numbers of its
+    /// gathered estimate.
+    pub(crate) struct Retired {
+        pub solution: Vec<f64>,
+        /// Relative residual `‖b − A·x‖/‖b‖` — always computed.
+        pub residual: f64,
+        /// RMS against the oracle reference, where the ticket carried one.
+        pub rms: Option<f64>,
+    }
+
+    /// The supervisor-side scorer of every wall-clock run: per-part
+    /// mirrors of the published blocks, and per column slot the gathered
+    /// estimate, its metric and the `(b, Termination, reference) → done?`
+    /// rule. Everything is allocated at construction and at
+    /// [`replace_column`](Self::replace_column); [`poll`](Self::poll)
+    /// allocates nothing, drains only dirty columns of changed parts and
+    /// re-scores only the live columns that moved.
+    pub(crate) struct Scorer {
+        parts: Vec<Vec<usize>>,
+        copy_count: Vec<usize>,
+        mirrors: Vec<Vec<f64>>,
+        seen: Vec<u64>,
+        cols: Vec<Column>,
+    }
+
+    impl Scorer {
+        /// A score sheet of `k` idle column slots over the given gather
+        /// map (`parts[p][l]` = global row of part `p`'s local row `l`).
+        pub(crate) fn new<'a>(
+            parts: impl Iterator<Item = &'a [usize]>,
+            copy_count: &[usize],
+            k: usize,
+        ) -> Self {
+            let parts: Vec<Vec<usize>> = parts.map(<[usize]>::to_vec).collect();
+            let n = copy_count.len();
+            Self {
+                mirrors: parts.iter().map(|g| vec![0.0; g.len() * k]).collect(),
+                seen: vec![0; parts.len()],
+                cols: (0..k)
+                    .map(|_| Column {
+                        rule: None,
+                        b: vec![0.0; n],
+                        b_scale: 1.0,
+                        reference: None,
+                        est: vec![0.0; n],
+                        metric: f64::INFINITY,
+                    })
+                    .collect(),
+                parts,
+                copy_count: copy_count.to_vec(),
             }
-        };
+        }
 
-        let worst = |m: &[f64]| m.iter().fold(0.0_f64, |acc, &v| acc.max(v));
-        let mut series = Vec::new();
-        let mut best_metric = f64::INFINITY;
-        let stop = loop {
-            std::thread::sleep(poll);
+        /// Admit a ticket into slot `c`. Whatever the slot's previous
+        /// occupant scored is forgotten: the new ticket is first judged on
+        /// the next estimate gathered for it, against its own `b`.
+        pub(crate) fn replace_column(
+            &mut self,
+            c: usize,
+            b: &[f64],
+            rule: Termination,
+            reference: Option<&[f64]>,
+        ) {
+            let col = &mut self.cols[c];
+            col.rule = Some(rule);
+            col.b.copy_from_slice(b);
+            col.b_scale = dtm_sparse::vector::norm2_or_one(b);
+            col.reference = reference.map(<[f64]>::to_vec);
+            col.metric = f64::INFINITY;
+        }
+
+        /// One supervisor pass over `snapshots`: drain what the workers
+        /// dirtied into the mirrors, then re-gather and re-score the live
+        /// columns among it (`a` is the original matrix). A pass where
+        /// nothing changed takes no lock and keeps every score.
+        // lint: hot-path
+        pub(crate) fn poll(&mut self, a: &Csr, snapshots: &[SharedBlock]) {
+            let Self {
+                parts,
+                copy_count,
+                mirrors,
+                seen,
+                cols,
+            } = self;
             let mut dirty = 0u64;
-            for (snap, (mirror, seen)) in snapshots.iter().zip(mirrors.iter_mut().zip(&mut seen)) {
+            for (snap, (mirror, seen)) in snapshots.iter().zip(mirrors.iter_mut().zip(seen)) {
                 dirty |= snap.drain_into(mirror, seen);
             }
-            if dirty != 0 {
-                let mut rest = if k >= 64 { all_cols_mask(64) } else { dirty };
-                while rest != 0 {
-                    let c = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if c < k {
-                        gather_col(&mut est, &mirrors, c);
-                        metric_col[c] = eval_col(&est, c);
-                    }
+            if dirty == 0 {
+                return;
+            }
+            // Saturated masks (k ≥ 64) re-score every column.
+            let saturated = cols.len() >= 64;
+            for (c, col) in cols.iter_mut().enumerate() {
+                let Some(rule) = col.rule else { continue };
+                if !saturated && dirty >> c & 1 == 0 {
+                    continue;
                 }
-                // Saturated masks (k ≥ 64) re-evaluate every column.
-                if k > 64 {
-                    for (c, slot) in metric_col.iter_mut().enumerate().skip(64) {
-                        gather_col(&mut est, &mirrors, c);
-                        *slot = eval_col(&est, c);
-                    }
-                }
+                let blocks = parts.iter().zip(mirrors.iter());
+                super::gather_col(
+                    blocks.map(|(g, m)| (g.as_slice(), m.as_slice())),
+                    copy_count,
+                    c,
+                    &mut col.est,
+                );
+                // Residual termination stays residual-primary even when a
+                // reference was supplied; the other modes score against
+                // the oracle exactly when one exists.
+                col.metric = match rule {
+                    Termination::Residual { .. } => col.residual(a),
+                    _ => col.rms().unwrap_or_else(|| col.residual(a)),
+                };
             }
-            let metric = worst(&metric_col);
-            best_metric = best_metric.min(metric);
-            series.push((started.elapsed().as_secs_f64() * 1e3, metric));
-            if let Some(tol) = tol {
-                if metric <= tol {
-                    break StopKind::OracleTolerance;
-                }
-            }
-            if all_done() {
-                break StopKind::AllHalted;
-            }
-            if started.elapsed() >= budget {
-                break StopKind::Budget;
-            }
-        };
+        }
 
-        // Final exact numbers: one last full drain + gather, then both
-        // metrics (oracle RMS only where references exist; residual
-        // always — it is computable from the system alone).
-        for (snap, (mirror, seen)) in snapshots.iter().zip(mirrors.iter_mut().zip(&mut seen)) {
-            snap.drain_into(mirror, seen);
+        /// Whether slot `c`'s ticket has met its own tolerance — the
+        /// per-ticket stopping rule. Idle slots and
+        /// [`Termination::LocalDelta`] columns (scored passively; their
+        /// nodes halt themselves) are never done.
+        pub(crate) fn done(&self, c: usize) -> bool {
+            let tol = self.cols[c].rule.and_then(Termination::metric_tol);
+            tol.is_some_and(|tol| self.cols[c].metric <= tol)
         }
-        for c in 0..k {
-            gather_col(&mut est, &mirrors, c);
+
+        /// Worst metric over the live columns.
+        pub(crate) fn worst_metric(&self) -> f64 {
+            let live = self.cols.iter().filter(|col| col.rule.is_some());
+            live.fold(0.0_f64, |m, col| m.max(col.metric))
         }
-        let solutions = est;
-        let final_rms_per_rhs: Vec<f64> = match references {
-            Some(refs) => solutions
-                .iter()
-                .zip(refs)
-                .map(|(e, r)| dtm_sparse::vector::rms_error(e, r))
-                .collect(),
-            None => Vec::new(),
-        };
-        let final_residual_per_rhs: Vec<f64> =
-            (0..k).map(|c| map.residual(c, &solutions[c])).collect();
-        Outcome {
-            solutions,
-            final_rms_per_rhs,
-            final_residual_per_rhs,
-            best_metric,
-            series,
-            stop,
-            elapsed: started.elapsed(),
+
+        /// Free slot `c` and return its ticket's exact final numbers.
+        pub(crate) fn retire(&mut self, c: usize, a: &Csr) -> Retired {
+            let col = &mut self.cols[c];
+            col.rule = None;
+            Retired {
+                solution: col.est.clone(),
+                residual: col.residual(a),
+                rms: col.rms(),
+            }
         }
     }
 }
@@ -1393,7 +1333,7 @@ pub trait ExecutorBackend {
     /// Run DTM on `split` to completion under `config`.
     ///
     /// `reference` is the direct solution used for RMS monitoring; when
-    /// `None` it is computed via [`reference_solution`].
+    /// `None` it is computed where the termination mode needs one.
     ///
     /// # Errors
     /// Propagates node-construction failures (see [`build_nodes`]) and
@@ -1606,6 +1546,62 @@ mod tests {
             );
             assert!((bu.omega[0] - su.omega[0]).abs() < 1e-14);
         }
+    }
+
+    /// A 2-unknown identity system on one part, two column slots.
+    fn two_slot_scorer() -> (wallclock::Scorer, Csr, wallclock::SharedBlock) {
+        let rows = [0usize, 1];
+        let scorer = wallclock::Scorer::new([&rows[..]].into_iter(), &[1, 1], 2);
+        (scorer, Csr::identity(2), wallclock::SharedBlock::new(2, 2))
+    }
+
+    #[test]
+    fn one_shot_stops_only_when_every_column_met_its_tolerance() {
+        let (mut scorer, a, block) = two_slot_scorer();
+        let rule = Termination::Residual { tol: 1e-9 };
+        scorer.replace_column(0, &[1.0, 2.0], rule, None);
+        scorer.replace_column(1, &[3.0, 4.0], rule, None);
+        let all_done = |s: &wallclock::Scorer| (0..2).all(|c| s.done(c));
+        // Column 0 is exact long before column 1 has moved at all.
+        block.publish(&[1.0, 2.0, 0.0, 0.0], 0b11);
+        for _ in 0..3 {
+            scorer.poll(&a, std::slice::from_ref(&block));
+            assert!(scorer.done(0) && !scorer.done(1));
+            assert!(!all_done(&scorer));
+            assert_eq!(scorer.worst_metric(), 1.0, "the slow column's residual");
+        }
+        block.publish(&[1.0, 2.0, 3.0, 4.0], 0b10);
+        scorer.poll(&a, std::slice::from_ref(&block));
+        assert!(all_done(&scorer));
+        let done = scorer.retire(1, &a);
+        assert_eq!(done.solution, vec![3.0, 4.0]);
+        assert_eq!((done.residual, done.rms), (0.0, None));
+        assert!(!scorer.done(1), "a retired slot is idle, not done");
+    }
+
+    #[test]
+    fn replaced_column_is_never_retired_by_the_outgoing_estimate() {
+        let (mut scorer, a, block) = two_slot_scorer();
+        let rule = Termination::OracleRms { tol: 1e-9 };
+        scorer.replace_column(0, &[1.0, 2.0], rule, Some(&[1.0, 2.0]));
+        block.publish(&[1.0, 2.0, 0.0, 0.0], 0b01);
+        scorer.poll(&a, std::slice::from_ref(&block));
+        assert!(scorer.done(0));
+        assert_eq!(scorer.retire(0, &a).rms, Some(0.0));
+        // The incoming ticket inherits the slot, not the score: nothing
+        // published yet, then a straggler still publishing the outgoing
+        // ticket's answer, then its own.
+        let rule = Termination::Residual { tol: 1e-9 };
+        scorer.replace_column(0, &[5.0, 6.0], rule, None);
+        scorer.poll(&a, std::slice::from_ref(&block));
+        assert!(!scorer.done(0), "no estimate gathered for the new ticket");
+        block.publish(&[1.0, 2.0, 0.0, 0.0], 0b01);
+        scorer.poll(&a, std::slice::from_ref(&block));
+        assert!(!scorer.done(0), "stale estimate scored against the new b");
+        block.publish(&[5.0, 6.0, 0.0, 0.0], 0b01);
+        scorer.poll(&a, std::slice::from_ref(&block));
+        assert!(scorer.done(0));
+        assert_eq!(scorer.retire(0, &a).solution, vec![5.0, 6.0]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! the gathered estimate meets its own tolerance, so stale data can delay
 //! a stop, never corrupt a result).
 //!
-//! The subsystem has one admission/queueing core and two drivers — the
-//! simulated machine, and one generic over the wall-clock fabrics:
+//! This file is the queue, the ticket vocabulary and two thin drivers —
+//! the simulated machine, and one generic over the wall-clock fabrics:
 //!
 //! * [`SessionQueue`] — tickets, slot states, completion stream. Pure
 //!   logic, shared by every driver.
@@ -31,9 +31,12 @@
 //! * [`WallclockSession`] — a [`crate::fabric`] runs the perpetual
 //!   exchange; swap orders travel per-part admission mailboxes that the
 //!   fabric's per-node hook drains before each step, so no node ever
-//!   blocks or restarts. [`RollingThreadedSession`] (one OS thread per
-//!   subdomain) and [`RollingPoolSession`] (the work-stealing pool) are
-//!   its two instantiations.
+//!   blocks or restarts. Tickets are scored by the supervisor-side scorer
+//!   of [`crate::runtime::wallclock`] — the very one a one-shot
+//!   wall-clock solve uses, with columns replaced as tickets retire.
+//!   [`RollingThreadedSession`] (one OS thread per subdomain) and
+//!   [`RollingPoolSession`] (the work-stealing pool) are its two
+//!   instantiations.
 //!
 //! Every submitted right-hand side carries its **own**
 //! [`Termination`] — `Residual` and `OracleRms` tolerances mix freely in
@@ -46,7 +49,7 @@
 use crate::builder::DtmProblem;
 use crate::fabric::{Fabric, Hook, Pool, Threads};
 use crate::monitor::Monitor;
-use crate::runtime::{self, wallclock::SharedBlock, CommonConfig, NodeRuntime, Termination};
+use crate::runtime::{self, wallclock::Scorer, CommonConfig, NodeRuntime, Termination};
 use crate::solver::{self, DtmNode};
 use crate::sync::{Arc, Mutex};
 use dtm_graph::evs::SplitSystem;
@@ -499,10 +502,7 @@ impl RollingSession {
             let tightest = self
                 .queue
                 .active_slots()
-                .map(|(_, t)| match t.termination {
-                    Termination::Residual { tol } | Termination::OracleRms { tol } => tol,
-                    Termination::LocalDelta { .. } => unreachable!("rejected at submit"),
-                })
+                .filter_map(|(_, t)| t.termination.metric_tol())
                 .fold(f64::INFINITY, f64::min);
             self.monitor
                 .set_refresh_below(if tightest.is_finite() { tightest } else { 0.0 });
@@ -558,137 +558,6 @@ impl RollingSession {
 // Driver 2: the wall-clock fabrics (threads, work-stealing pool).
 // ---------------------------------------------------------------------------
 
-/// Supervisor-side state of a wall-clock session: the queue, the per-part
-/// solution mirrors, the gathered per-column estimates, and the exact
-/// per-ticket stop decisions — everything that does not care which fabric
-/// runs the nodes.
-#[derive(Debug)]
-struct WallclockCore {
-    split: SplitSystem,
-    a: Csr,
-    queue: SessionQueue,
-    oracle: LazyOracle,
-    mirrors: Vec<Vec<f64>>,
-    seen: Vec<u64>,
-    est: Vec<Vec<f64>>,
-    started: Instant,
-}
-
-impl WallclockCore {
-    fn new(split: SplitSystem, slots: usize) -> Self {
-        let n = split.original_n;
-        let (a, _) = split.reconstruct();
-        Self {
-            mirrors: split
-                .subdomains
-                .iter()
-                .map(|sd| vec![0.0; sd.n_local() * slots])
-                .collect(),
-            seen: vec![0; split.n_parts()],
-            est: (0..slots).map(|_| vec![0.0; n]).collect(),
-            queue: SessionQueue::new(n, slots),
-            oracle: LazyOracle::default(),
-            a,
-            split,
-            started: Instant::now(),
-        }
-    }
-
-    fn now_ms(&self) -> f64 {
-        self.started.elapsed().as_secs_f64() * 1e3
-    }
-
-    fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
-        let reference = self.oracle.for_ticket(&self.a, b, termination)?;
-        let now_ms = self.now_ms();
-        self.queue.submit(b, termination, reference, now_ms)
-    }
-
-    /// Copy everything the workers dirtied since the last poll into the
-    /// mirrors (cheap no-op for untouched parts).
-    fn drain_snapshots(&mut self, snapshots: &[SharedBlock]) {
-        for (snap, (mirror, seen)) in snapshots
-            .iter()
-            .zip(self.mirrors.iter_mut().zip(&mut self.seen))
-        {
-            snap.drain_into(mirror, seen);
-        }
-    }
-
-    /// Gather one column's global estimate from the mirrors.
-    fn gather_col(&mut self, c: usize) {
-        let parts = self.split.subdomains.iter().zip(&self.mirrors);
-        runtime::gather_col(
-            parts.map(|(sd, m)| (sd.global_of_local.as_slice(), m.as_slice())),
-            &self.split.copy_count,
-            c,
-            &mut self.est[c],
-        );
-    }
-
-    /// One admission/retirement sweep over the drained state. `issue_swap`
-    /// delivers `(slot, per-part local columns)` to the fabric's nodes.
-    fn sweep(&mut self, mut issue_swap: impl FnMut(usize, &[Vec<f64>])) {
-        loop {
-            // Admissions first, so freed slots refill in the same poll.
-            while self.queue.pending() > 0 {
-                let Some(slot) = self.queue.idle_slot() else {
-                    break;
-                };
-                let Some(t) = self.queue.admit_into(slot) else {
-                    break;
-                };
-                let local_cols = self.split.scatter_rhs(&t.b);
-                issue_swap(slot, &local_cols);
-            }
-            let slots: Vec<usize> = self.queue.active_slots().map(|(slot, _)| slot).collect();
-            for &slot in &slots {
-                self.gather_col(slot);
-            }
-            // Exact metrics straight off the gathered estimates: the stop
-            // decision is self-validating even while some parts still hold
-            // a just-swapped column's stale state. One scan, one residual
-            // SpMV per residual-rule slot (it *is* the stopping metric);
-            // oracle slots pay theirs only on retirement, for the report.
-            let mut retire: Vec<(usize, f64, Option<f64>)> = Vec::new();
-            for (slot, t) in self.queue.active_slots() {
-                let est = &self.est[slot];
-                let resid =
-                    || self.a.residual_norm(est, &t.b) / dtm_sparse::vector::norm2_or_one(&t.b);
-                match t.termination {
-                    Termination::OracleRms { tol } => {
-                        // submit() attaches a reference to every oracle
-                        // ticket, so the if-let always takes.
-                        debug_assert!(t.reference.is_some(), "oracle tickets carry a reference");
-                        if let Some(reference) = t.reference.as_deref() {
-                            let rms = dtm_sparse::vector::rms_error(est, reference);
-                            if rms <= tol {
-                                retire.push((slot, resid(), Some(rms)));
-                            }
-                        }
-                    }
-                    Termination::Residual { tol } => {
-                        let r = resid();
-                        if r <= tol {
-                            retire.push((slot, r, None));
-                        }
-                    }
-                    Termination::LocalDelta { .. } => unreachable!("rejected at submit"),
-                }
-            }
-            if retire.is_empty() {
-                return;
-            }
-            let now_ms = self.now_ms();
-            for (slot, final_residual, final_rms) in retire {
-                let solution = self.est[slot].clone();
-                self.queue
-                    .retire(slot, solution, final_residual, final_rms, now_ms);
-            }
-        }
-    }
-}
-
 /// One admission order: `(column slot, local RHS column)`.
 type ColumnSwap = (usize, Vec<f64>);
 
@@ -703,11 +572,19 @@ type ColumnSwap = (usize, Vec<f64>);
 /// through the fabric's per-node hook. Call [`finish`](Self::finish) (or
 /// drop the session) to stop the fabric.
 pub struct WallclockSession<F> {
-    core: WallclockCore,
+    split: SplitSystem,
+    /// Reconstructed original system: what tickets are scored against.
+    a: Csr,
+    queue: SessionQueue,
+    oracle: LazyOracle,
+    /// The supervisor-side score sheet — the one a one-shot solve uses,
+    /// with columns replaced as tickets retire.
+    scorer: Scorer,
     fabric: F,
     /// Admission mailboxes, one per part: [`ColumnSwap`] orders the node's
     /// hook applies before its next step.
     swaps: Arc<Vec<Mutex<Vec<ColumnSwap>>>>,
+    started: Instant,
     finished: bool,
     poll_interval: Duration,
 }
@@ -749,10 +626,21 @@ impl<F: Fabric> WallclockSession<F> {
             }
             swapped
         });
+        let (a, _) = split.reconstruct();
+        let parts = split.subdomains.iter();
         Ok(Self {
             fabric: start(runtimes, hook)?,
-            core: WallclockCore::new(split, slots),
+            scorer: Scorer::new(
+                parts.map(|sd| sd.global_of_local.as_slice()),
+                &split.copy_count,
+                slots,
+            ),
+            queue: SessionQueue::new(split.original_n, slots),
+            oracle: LazyOracle::default(),
+            a,
+            split,
             swaps,
+            started: Instant::now(),
             finished: false,
             poll_interval: Duration::from_micros(200),
         })
@@ -760,7 +648,11 @@ impl<F: Fabric> WallclockSession<F> {
 
     /// Tickets submitted but not yet completed.
     pub fn outstanding(&self) -> usize {
-        self.core.queue.outstanding()
+        self.queue.outstanding()
+    }
+
+    fn now_ms(&self) -> f64 {
+        self.started.elapsed().as_secs_f64() * 1e3
     }
 
     /// Queue a right-hand side under its own stopping rule; admission
@@ -778,42 +670,57 @@ impl<F: Fabric> WallclockSession<F> {
                 "rolling session is finished; its nodes are stopped".into(),
             ));
         }
-        let id = self.core.submit(b, termination)?;
+        let reference = self.oracle.for_ticket(&self.a, b, termination)?;
+        let now_ms = self.now_ms();
+        let id = self.queue.submit(b, termination, reference, now_ms)?;
         self.pump();
         Ok(id)
     }
 
-    /// Drain snapshots, retire finished tickets, admit queued ones —
-    /// without consuming the completed-report stream. Each swap order also
-    /// wakes its node so an idle one picks it up promptly.
+    /// One supervisor pass without consuming the completed-report stream:
+    /// score what the nodes published, retire every ticket whose own
+    /// tolerance the exact metric of its gathered estimate meets
+    /// (self-validating, even while some parts still hold a just-swapped
+    /// column's stale state), then admit queued tickets into the free
+    /// slots. Each swap order also wakes its node so an idle one picks it
+    /// up promptly. A pass that retires and admits nothing allocates
+    /// nothing.
     fn pump(&mut self) {
-        let Self {
-            core,
-            fabric,
-            swaps,
-            ..
-        } = self;
-        core.drain_snapshots(fabric.snapshots());
-        core.sweep(|slot, local_cols| {
-            for (p, (mailbox, local)) in swaps.iter().zip(local_cols).enumerate() {
-                mailbox.lock().push((slot, local.clone()));
-                fabric.wake(p);
+        self.scorer.poll(&self.a, self.fabric.snapshots());
+        for slot in 0..self.queue.n_slots() {
+            if self.scorer.done(slot) {
+                let done = self.scorer.retire(slot, &self.a);
+                let now_ms = self.now_ms();
+                self.queue
+                    .retire(slot, done.solution, done.residual, done.rms, now_ms);
             }
-        });
+        }
+        while let Some(slot) = self.queue.idle_slot() {
+            let Some(t) = self.queue.admit_into(slot) else {
+                break;
+            };
+            self.scorer
+                .replace_column(slot, &t.b, t.termination, t.reference.as_deref());
+            let local_cols = self.split.scatter_rhs(&t.b);
+            for (p, (mailbox, local)) in self.swaps.iter().zip(local_cols).enumerate() {
+                mailbox.lock().push((slot, local));
+                self.fabric.wake(p);
+            }
+        }
     }
 
     /// One supervisor pass: drain snapshots, retire finished tickets,
     /// admit queued ones; returns the reports completed so far.
     pub fn poll(&mut self) -> Vec<ColumnReport> {
         self.pump();
-        self.core.queue.take_completed()
+        self.queue.take_completed()
     }
 
     /// Poll until every outstanding ticket completes or `timeout` elapses.
     pub fn drain(&mut self, timeout: Duration) -> Vec<ColumnReport> {
         let deadline = Instant::now() + timeout;
         let mut out = self.poll();
-        while self.core.queue.outstanding() > 0 && Instant::now() < deadline {
+        while self.queue.outstanding() > 0 && Instant::now() < deadline {
             std::thread::sleep(self.poll_interval);
             out.extend(self.poll());
         }

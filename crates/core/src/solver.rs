@@ -35,18 +35,6 @@ pub enum ComputeModel {
     Zero,
     /// Constant solve time.
     Fixed(SimDuration),
-    /// Proportional to the local factor size: `ns_per_entry × nnz(L)` per
-    /// RHS column, clamped below by `floor`. This is the legacy
-    /// "K columns cost K× a scalar substitution" model — it ignores that
-    /// a block solve sweeps the factor **once** for all columns; prefer
-    /// [`ComputeModel::Batched`] (the default), which separates the
-    /// per-sweep traversal from the per-column arithmetic.
-    PerFactorEntry {
-        /// Nanoseconds per stored factor entry per column.
-        ns_per_entry: f64,
-        /// Minimum activation cost.
-        floor: SimDuration,
-    },
     /// Batch-aware substitution cost mirroring the blocked kernels: one
     /// factor traversal per activation (index decoding, cache misses —
     /// amortized over the block) plus `k` unit-stride column sweeps:
@@ -84,25 +72,12 @@ impl ComputeModel {
         self.duration_for_block(local.factor_nnz(), local.n_rhs())
     }
 
-    /// Resolve to a concrete duration for a scalar (one-column) solve over
-    /// a factor with `nnz` entries.
-    pub fn duration_for_nnz(&self, nnz: usize) -> SimDuration {
-        self.duration_for_block(nnz, 1)
-    }
-
     /// Resolve to a concrete duration for a `k`-column block solve over a
     /// factor with `nnz` entries.
     pub fn duration_for_block(&self, nnz: usize, k: usize) -> SimDuration {
         match *self {
             ComputeModel::Zero => SimDuration::ZERO,
             ComputeModel::Fixed(d) => d,
-            ComputeModel::PerFactorEntry {
-                ns_per_entry,
-                floor,
-            } => {
-                let ns = (ns_per_entry * (nnz * k) as f64).round() as u64;
-                floor.max(SimDuration::from_nanos(ns))
-            }
             ComputeModel::Batched {
                 traversal_ns_per_entry,
                 column_ns_per_entry,
@@ -332,14 +307,9 @@ pub fn solve(
     reference: Option<Vec<f64>>,
     config: &DtmConfig,
 ) -> Result<SolveReport> {
-    let references = runtime::resolve_references(
-        split,
-        config.common.termination,
-        None,
-        reference.map(|r| vec![r]),
-    )?;
     let nodes = build_nodes(split, &topology, config)?;
-    solve_prepared(split, topology, nodes, references, None, config)
+    let references = reference.map(|r| vec![r]);
+    run_nodes(split, topology, nodes, references, true, None, config)
 }
 
 /// Run DTM for a **block of right-hand sides** sharing one factorization
@@ -358,10 +328,16 @@ pub fn solve_block(
     references: Option<Vec<Vec<f64>>>,
     config: &DtmConfig,
 ) -> Result<SolveReport> {
-    let references =
-        runtime::resolve_references(split, config.common.termination, Some(rhs_cols), references)?;
     let nodes = build_nodes_block(split, &topology, config, rhs_cols)?;
-    solve_prepared(split, topology, nodes, references, Some(rhs_cols), config)
+    run_nodes(
+        split,
+        topology,
+        nodes,
+        references,
+        true,
+        Some(rhs_cols),
+        config,
+    )
 }
 
 /// Run prebuilt nodes to completion — the engine loop shared by the scalar
@@ -385,7 +361,26 @@ pub fn solve_prepared(
     rhs_cols: Option<&[Vec<f64>]>,
     config: &DtmConfig,
 ) -> Result<SolveReport> {
+    run_nodes(split, topology, nodes, references, false, rhs_cols, config)
+}
+
+/// The body of every DTM entry point above. `resolve` fills in missing
+/// `references` for the termination modes that need an oracle
+/// ([`runtime::resolve_references`]); without it they are taken as given.
+fn run_nodes(
+    split: &SplitSystem,
+    topology: Topology,
+    nodes: Vec<DtmNode>,
+    mut references: Option<Vec<Vec<f64>>>,
+    resolve: bool,
+    rhs_cols: Option<&[Vec<f64>]>,
+    config: &DtmConfig,
+) -> Result<SolveReport> {
     let (a, own_b) = split.reconstruct();
+    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
+    if resolve {
+        references = runtime::resolve_references(&map, config.common.termination, references)?;
+    }
     Ok(run_engine(
         topology,
         nodes,
@@ -395,7 +390,7 @@ pub fn solve_prepared(
             horizon: config.horizon,
             sample_interval: config.sample_interval,
             trace_capacity: config.trace_capacity,
-            map: GatherMap::of_split(split, &a, &own_b, rhs_cols),
+            map,
             references: references.as_deref(),
         },
     ))
@@ -453,10 +448,7 @@ pub(crate) fn run_engine<N: AsyncNode>(
         }
         (None, _) => residual_monitor(),
     };
-    let metric_tol = match run.termination {
-        Termination::OracleRms { tol } | Termination::Residual { tol } => Some(tol),
-        Termination::LocalDelta { .. } => None,
-    };
+    let metric_tol = run.termination.metric_tol();
     // Guard the incremental tracker against cancellation right where the
     // stopping decision is made.
     monitor.set_refresh_below(metric_tol.unwrap_or(0.0));
@@ -741,8 +733,9 @@ mod tests {
         assert_eq!(ComputeModel::Zero.duration_for(&local), SimDuration::ZERO);
         let fixed = ComputeModel::Fixed(SimDuration::from_micros_f64(5.0));
         assert_eq!(fixed.duration_for(&local).as_nanos(), 5_000);
-        let per = ComputeModel::PerFactorEntry {
-            ns_per_entry: 100.0,
+        let per = ComputeModel::Batched {
+            traversal_ns_per_entry: 40.0,
+            column_ns_per_entry: 60.0,
             floor: SimDuration::ZERO,
         };
         assert_eq!(per.duration_for(&local).as_nanos(), 600); // 6 entries
@@ -760,7 +753,7 @@ mod tests {
         assert_eq!(m.duration_for_block(1_000, 8).as_nanos(), 19_000);
         // One traversal is amortized over the block: an 8-column solve is
         // far cheaper than 8 scalar solves.
-        assert!(m.duration_for_block(1_000, 8) < m.duration_for_nnz(1_000).saturating_mul(8));
+        assert!(m.duration_for_block(1_000, 8) < m.duration_for_block(1_000, 1).saturating_mul(8));
         // The floor still clamps small activations.
         let floored = ComputeModel::Batched {
             traversal_ns_per_entry: 1.0,
@@ -768,15 +761,6 @@ mod tests {
             floor: SimDuration::from_micros_f64(10.0),
         };
         assert_eq!(floored.duration_for_block(6, 2).as_nanos(), 10_000);
-        // The legacy per-entry model charges K× a scalar sweep.
-        let legacy = ComputeModel::PerFactorEntry {
-            ns_per_entry: 2.0,
-            floor: SimDuration::ZERO,
-        };
-        assert_eq!(
-            legacy.duration_for_block(500, 4),
-            legacy.duration_for_nnz(500).saturating_mul(4)
-        );
         // The default model keeps the historic 2 ns/entry scalar cost.
         assert_eq!(
             ComputeModel::default()

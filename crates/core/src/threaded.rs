@@ -115,13 +115,7 @@ pub fn solve_prepared(
     reference: Option<Vec<f64>>,
     config: &ThreadedConfig,
 ) -> Result<SolveReport> {
-    let references = runtime::resolve_references(
-        split,
-        config.common.termination,
-        None,
-        reference.map(|r| vec![r]),
-    )?;
-    solve_runtimes(split, runtimes, references, None, config)
+    solve_runtimes(split, runtimes, reference.map(|r| vec![r]), None, config)
 }
 
 /// Run DTM on real threads for a **block of right-hand sides** sharing one
@@ -136,16 +130,15 @@ pub fn solve_block(
     references: Option<Vec<Vec<f64>>>,
     config: &ThreadedConfig,
 ) -> Result<SolveReport> {
-    let references =
-        runtime::resolve_references(split, config.common.termination, Some(rhs_cols), references)?;
     let runtimes = runtime::build_nodes_block(split, &config.common, rhs_cols)?;
     solve_runtimes(split, runtimes, references, Some(rhs_cols), config)
 }
 
 /// The executor body shared by the scalar and block entry points.
-/// `references = None` runs reference-free (the [`Termination::Residual`]
-/// path); `rhs_cols` names the block's global right-hand sides (`None` =
-/// the split's own source vector).
+/// `references` are the caller's own, if any (the oracle solve is performed
+/// only for the termination modes that need one); `rhs_cols` names the
+/// block's global right-hand sides (`None` = the split's own source
+/// vector).
 fn solve_runtimes(
     split: &SplitSystem,
     runtimes: Vec<NodeRuntime>,
@@ -153,29 +146,15 @@ fn solve_runtimes(
     rhs_cols: Option<&[Vec<f64>]>,
     config: &ThreadedConfig,
 ) -> Result<SolveReport> {
-    let n_parts = split.n_parts();
     let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
-
     // Validate an injected delay topology up front: every wave route needs
     // a directed link — a typed error here, not a surprise mid-run.
     if let Some(topo) = &config.delay_topology {
-        if topo.n_nodes() != n_parts {
-            return Err(dtm_sparse::Error::DimensionMismatch {
-                context: "threaded delay topology: processors vs parts",
-                expected: n_parts,
-                actual: topo.n_nodes(),
-            });
-        }
-        for rt in &runtimes {
-            for dst in rt.neighbor_parts() {
-                if let Err(missing) = topo.try_delay(rt.part(), dst) {
-                    return Err(dtm_sparse::Error::Parse(format!(
-                        "threaded delay topology: {missing}"
-                    )));
-                }
-            }
-        }
+        crate::solver::check_mapping(split, topo)?;
     }
+    let (a, own_b) = split.reconstruct();
+    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
+    let references = runtime::resolve_references(&map, config.common.termination, references)?;
 
     let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
     let threads = Threads::start(
@@ -188,7 +167,6 @@ fn solve_runtimes(
         self_halting,
         fabric::no_hook(),
     );
-    let (a, own_b) = split.reconstruct();
     Ok(fabric::run(
         threads,
         &WallRun {
@@ -197,7 +175,7 @@ fn solve_runtimes(
             termination: config.common.termination,
             budget: config.budget,
             poll_interval: config.poll_interval,
-            map: GatherMap::of_split(split, &a, &own_b, rhs_cols),
+            map,
             references: references.as_deref(),
         },
     ))

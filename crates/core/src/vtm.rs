@@ -1,9 +1,14 @@
-//! The Virtual Transmission Method (VTM) — DTM's synchronous special case.
+//! The Virtual Transmission Method (VTM) — DTM's synchronous special case:
+//! configuration and a thin entry point.
 //!
 //! "If we set τ₁ = τ₂ = … = τ_n = 1, then DTM is degenerated into a
 //! discrete-time iterative algorithm, which is called Virtual Transmission
 //! Method" (§1). The local system is eq. (5.10): identical to DTM's except
-//! the remote boundary conditions advance in lock-step rounds `k`.
+//! the remote boundary conditions advance in lock-step rounds `k`. The code
+//! says the same thing: [`solve`] runs DTM's own
+//! [`NodeRuntime`](crate::runtime::NodeRuntime)s on the simulated driver
+//! ([`crate::solver`]) over a machine whose every link has the same delay,
+//! and reads the [`VtmReport`] off the [`SolveReport`](crate::SolveReport).
 //!
 //! VTM converges in fewer *exchanges* than DTM under heterogeneous delays
 //! (conclusion §8: "the convergence speed of DTM is slower" than VTM), but
@@ -11,10 +16,13 @@
 //! which is precisely what DTM avoids — the trade-off the `cmp-vtm`
 //! experiment quantifies.
 
-use crate::impedance::{per_port, ImpedancePolicy};
-use crate::local::{LocalSolverKind, LocalSystem};
+use crate::impedance::ImpedancePolicy;
+use crate::local::LocalSolverKind;
+use crate::runtime::{CommonConfig, Termination};
+use crate::solver::{self, ComputeModel, DtmConfig};
 use dtm_graph::evs::SplitSystem;
-use dtm_sparse::{Result, SparseCholesky};
+use dtm_simnet::{DelayModel, SimDuration, Topology};
+use dtm_sparse::Result;
 use serde::Serialize;
 
 /// VTM configuration.
@@ -48,7 +56,8 @@ pub struct VtmReport {
     pub solution: Vec<f64>,
     /// Tolerance met within the round budget?
     pub converged: bool,
-    /// Synchronous rounds performed.
+    /// Synchronous rounds performed (the last one may have been cut short
+    /// by the tolerance).
     pub rounds: usize,
     /// Final RMS error.
     pub final_rms: f64,
@@ -56,7 +65,11 @@ pub struct VtmReport {
     pub series: Vec<f64>,
 }
 
-/// Run VTM: synchronous rounds of local solves + boundary exchanges.
+/// Run VTM: DTM's own nodes on the simulated machine whose every link has
+/// the same delay. All same-instant deliveries commit before any
+/// activation fires, so each node's `k`-th solve sees exactly its
+/// neighbours' round-`(k−1)` waves — eq. (5.10)'s lock-step rounds — and
+/// the solve cap is the round budget.
 ///
 /// # Errors
 /// Propagates impedance assignment and factorization failures.
@@ -65,77 +78,44 @@ pub fn solve(
     reference: Option<Vec<f64>>,
     config: &VtmConfig,
 ) -> Result<VtmReport> {
-    let reference = match reference {
-        Some(r) => r,
-        None => {
-            let (a, b) = split.reconstruct();
-            SparseCholesky::factor_fill_reducing(&a)?.solve(&b)
-        }
+    // The common link delay: one round of simulated time, whatever its unit.
+    const ROUND_MS: f64 = 1.0;
+    let topology = Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(ROUND_MS));
+    let dtm = DtmConfig {
+        common: CommonConfig {
+            impedance: config.impedance.clone(),
+            solver_kind: config.solver_kind,
+            termination: Termination::OracleRms { tol: config.tol },
+            max_solves_per_node: config.max_rounds,
+        },
+        compute: ComputeModel::Zero,
+        horizon: SimDuration::from_millis_f64(ROUND_MS * (config.max_rounds as f64 + 1.0)),
+        ..Default::default()
     };
-    let z_dtlp = config.impedance.assign(split)?;
-    let z_ports = per_port(split, &z_dtlp);
-    let mut locals: Vec<LocalSystem> = split
-        .subdomains
-        .iter()
-        .enumerate()
-        .map(|(p, sd)| LocalSystem::new(sd, &z_ports[p], config.solver_kind))
-        .collect::<Result<_>>()?;
-
-    let mut series = Vec::new();
-    let mut rounds = 0;
-    let mut rms = f64::INFINITY;
-    // Outgoing boundary conditions, buffered so every round-k solve sees
-    // only round-(k−1) data.
-    let mut outbox: Vec<Vec<(f64, f64)>> = split
-        .subdomains
-        .iter()
-        .map(|sd| vec![(0.0, 0.0); sd.n_ports()])
-        .collect();
-
-    while rounds < config.max_rounds {
-        for local in locals.iter_mut() {
-            local.solve();
+    let report = solver::solve(split, topology, reference, &dtm)?;
+    // One series point per activation, every activation of a round at the
+    // same instant: a round's error is the last point of its instant.
+    let mut series: Vec<f64> = Vec::new();
+    let mut instant = f64::NAN;
+    for &(t, rms) in &report.series {
+        match series.last_mut() {
+            Some(last) if t == instant => *last = rms,
+            _ => series.push(rms),
         }
-        for (p, local) in locals.iter().enumerate() {
-            for (q, slot) in outbox[p].iter_mut().enumerate() {
-                *slot = local.outgoing(q);
-            }
-        }
-        for (p, sd) in split.subdomains.iter().enumerate() {
-            for (q, port) in sd.ports.iter().enumerate() {
-                let (u, omega) = outbox[port.peer.part][port.peer.port];
-                locals[p].set_remote(q, u, omega);
-            }
-        }
-        rounds += 1;
-        let gathered = gather(split, &locals);
-        rms = dtm_sparse::vector::rms_error(&gathered, &reference);
-        series.push(rms);
-        if rms <= config.tol {
-            break;
-        }
+        instant = t;
     }
-
-    let solution = gather(split, &locals);
     Ok(VtmReport {
-        converged: rms <= config.tol,
-        rounds,
-        final_rms: rms,
+        converged: report.converged,
+        rounds: report.total_solves.div_ceil(split.n_parts().max(1) as u64) as usize,
+        final_rms: report.final_rms,
         series,
-        solution,
+        solution: report.solution,
     })
-}
-
-fn gather(split: &SplitSystem, locals: &[LocalSystem]) -> Vec<f64> {
-    let xs: Vec<Vec<f64>> = locals.iter().map(|l| l.solution().to_vec()).collect();
-    split.gather(&xs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::CommonConfig;
-    use crate::solver::{self, ComputeModel, DtmConfig, Termination};
 
     fn dtm_core_common(impedance: ImpedancePolicy) -> CommonConfig {
         CommonConfig {
@@ -146,7 +126,6 @@ mod tests {
     }
     use dtm_graph::evs::{paper_example_shares, split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
-    use dtm_simnet::{DelayModel, SimDuration, Topology};
     use dtm_sparse::generators;
 
     fn paper_split() -> SplitSystem {
@@ -234,6 +213,48 @@ mod tests {
         for (u, v) in dtm_report.solution.iter().zip(&vtm_report.solution) {
             assert!((u - v).abs() < 1e-12, "{u} vs {v}");
         }
+    }
+
+    /// VTM is DTM on *any* equal-delay machine: a different common delay
+    /// and a nonzero compute time stretch the clock, not the rounds.
+    #[test]
+    fn vtm_equals_dtm_on_any_equal_delay_machine() {
+        let a = generators::grid2d_random(10, 10, 1.0, 33);
+        let b = generators::random_rhs(100, 34);
+        let g = ElectricGraph::from_system(a, b).unwrap();
+        let asg = dtm_graph::partition::grid_strips(10, 10, 4);
+        let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
+        let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        let tol = 1e-9;
+        let vtm_report = solve(
+            &ss,
+            None,
+            &VtmConfig {
+                tol,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(vtm_report.converged);
+        assert_eq!(vtm_report.series.len(), vtm_report.rounds);
+
+        let topo = Topology::complete(4).with_delays(&DelayModel::fixed_ms(7.0));
+        let config = DtmConfig {
+            common: CommonConfig {
+                termination: Termination::OracleRms { tol },
+                ..Default::default()
+            },
+            compute: ComputeModel::Fixed(SimDuration::from_millis_f64(2.0)),
+            horizon: SimDuration::from_millis_f64(3_600_000.0),
+            ..Default::default()
+        };
+        let dtm_report = solver::solve(&ss, topo, None, &config).unwrap();
+        for (u, v) in dtm_report.solution.iter().zip(&vtm_report.solution) {
+            assert!((u - v).abs() <= 1e-12, "{u} vs {v}");
+        }
+        let rounds = vtm_report.rounds as u64;
+        assert!(rounds * 4 >= dtm_report.total_solves);
+        assert!((rounds - 1) * 4 < dtm_report.total_solves, "no idle round");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A hand-rolled line lexer (no `syn`) splits every source line into its
 //! code and comment halves — tracking block comments, string/char
-//! literals, and raw strings — and five rules run over the result:
+//! literals, and raw strings — and six rules run over the result:
 //!
 //! 1. **panic-free** — no `.unwrap()` / `.expect(` / `panic!` in library
 //!    crates outside test code. Existing debt is carried by a ratcheting
@@ -19,6 +19,10 @@
 //! 5. **hot-path-alloc** — no `Vec::new` / `vec![` / `Box::new` /
 //!    `.collect(` / `.to_vec()` inside a function tagged
 //!    `// lint: hot-path` (the alloc-free inner-loop contract).
+//! 6. **single-report** — in library crates outside test code, a
+//!    `SolveReport {` struct literal appears only in
+//!    `crates/core/src/report.rs`: every executor reports through
+//!    `SolveReport::assemble`, which holds the one `converged` rule.
 //!
 //! Run as `cargo run -p dtm-lint` or `repro lint`; both exit nonzero on
 //! any finding, which is what gates CI.
@@ -39,6 +43,7 @@ pub enum Rule {
     Determinism,
     SafetyComment,
     HotPathAlloc,
+    SingleReport,
 }
 
 impl Rule {
@@ -49,6 +54,7 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::SafetyComment => "safety-comment",
             Rule::HotPathAlloc => "hot-path-alloc",
+            Rule::SingleReport => "single-report",
         }
     }
 }
@@ -503,6 +509,41 @@ pub fn scan_hot_path(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
     out
 }
 
+/// The one file allowed to build a `SolveReport` by hand (rule 6).
+const REPORT_HOME: &str = "crates/core/src/report.rs";
+
+/// Rule 6: a `SolveReport { .. }` literal outside test code. The type's
+/// own declaration, `impl` headers and `-> SolveReport {` signatures are
+/// not literals.
+pub fn scan_single_report(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
+    const TOK: &str = "SolveReport {";
+    let mask = test_region_mask(lines);
+    let mut out = Vec::new();
+    for (n, l) in lines.iter().enumerate() {
+        if mask[n] {
+            continue;
+        }
+        let mut hay = l.code.as_str();
+        while let Some(p) = hay.find(TOK) {
+            let pre = &l.code[..l.code.len() - hay.len() + p];
+            let before = pre.trim_end();
+            let declares = ["struct", "impl", "for", "->"]
+                .iter()
+                .any(|kw| before.ends_with(kw));
+            if !prev_is_ident(pre) && !declares {
+                out.push(finding(
+                    Rule::SingleReport,
+                    file,
+                    n,
+                    "SolveReport built by hand (go through SolveReport::assemble)",
+                ));
+            }
+            hay = &hay[p + TOK.len()..];
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Workspace driver
 // ---------------------------------------------------------------------------
@@ -566,6 +607,9 @@ pub fn scan_file(relpath: &Path, text: &str) -> (Vec<Finding>, Vec<Finding>) {
         .any(|c| s.starts_with(&format!("{c}/src/")));
     if in_lib {
         panics = scan_panics(relpath, &lines);
+        if s != REPORT_HOME {
+            findings.extend(scan_single_report(relpath, &lines));
+        }
     }
     (findings, panics)
 }

@@ -156,6 +156,30 @@ fn scan_file_separates_panic_findings() {
     assert!(none.is_empty());
 }
 
+#[test]
+fn single_report_rule_flags_a_hand_built_report_in_library_code() {
+    let text =
+        "pub fn f() -> SolveReport {\n    SolveReport {\n        converged: true,\n    }\n}\n";
+    let (f, _) = scan_file(Path::new("crates/net/src/lib.rs"), text);
+    assert_eq!(f.len(), 1, "{f:#?}");
+    assert_eq!((f[0].rule, f[0].line), (Rule::SingleReport, 2));
+}
+
+#[test]
+fn single_report_rule_spares_report_rs_tests_declarations_and_other_crates() {
+    let literal = "fn f() -> SolveReport { SolveReport { converged: true } }\n";
+    for path in ["crates/core/src/report.rs", "crates/bench/src/lib.rs"] {
+        let (f, _) = scan_file(Path::new(path), literal);
+        assert!(f.is_empty(), "{path}: {f:#?}");
+    }
+    let text =
+        "pub struct SolveReport {\n}\nimpl SolveReport {\n}\nimpl Clone for SolveReport {\n}\n\
+                fn g() -> SolveReport {\n}\nstruct MySolveReport {\n}\n\
+                #[cfg(test)]\nmod tests {\n    fn r() { SolveReport { x: 1 }; }\n}\n";
+    let (f, _) = scan_file(Path::new("crates/core/src/fabric.rs"), text);
+    assert!(f.is_empty(), "{f:#?}");
+}
+
 // --- allowlist -----------------------------------------------------------
 
 #[test]

@@ -41,12 +41,12 @@ pub use runner::{ChildCommand, FailInjection, FAIL_ENV};
 pub use socket::TransportKind;
 
 use dtm_core::impedance;
-use dtm_core::report::{AlgorithmKind, BackendKind, SolveReport, StopKind};
+use dtm_core::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use dtm_core::runtime::{CommonConfig, ExecutorBackend, Termination};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
 use dtm_sparse::{Error, Result};
-use runner::{RunInputs, RunOutcome};
+use runner::RunInputs;
 use std::time::Duration;
 
 /// How the groups execute.
@@ -163,7 +163,36 @@ impl ExecutorBackend for DistributedBackend {
                 fail,
             } => runner::run_processes(&inp, *transport, child, *fail)?,
         };
-        Ok(assemble_report(split, reference.as_deref(), &outcome))
+        let rounds = outcome.rounds_completed;
+        Ok(SolveReport::assemble(RunSummary {
+            backend: BackendKind::Distributed,
+            algorithm: AlgorithmKind::Dtm,
+            termination: config.common.termination,
+            stop: if outcome.final_residual <= tol {
+                StopKind::OracleTolerance
+            } else {
+                StopKind::Budget
+            },
+            time_ms: outcome.elapsed.as_secs_f64() * 1e3,
+            rms_per_rhs: reference
+                .iter()
+                .map(|r| dtm_sparse::vector::rms_error(&outcome.solution, r))
+                .collect(),
+            residual_per_rhs: vec![outcome.final_residual],
+            solutions: vec![outcome.solution],
+            best_metric: f64::INFINITY,
+            series: outcome.series,
+            // Deterministic counters: rates × evaluated rounds, independent
+            // of how far past the stop decision the children overshot.
+            totals: Totals {
+                solves: rounds * outcome.rates.solves_per_round,
+                messages: rounds * outcome.rates.messages_per_round,
+                flops: rounds * outcome.rates.flops_per_round,
+                any_capped: false,
+            },
+            coalesced_batches: 0,
+            n_parts,
+        }))
     }
 }
 
@@ -194,47 +223,5 @@ fn validate_routes(split: &SplitSystem, topo: &Topology) -> Result<()> {
             "distributed: wave routes with no link in the delay topology: {}",
             missing.join(", ")
         )))
-    }
-}
-
-/// Fold a [`RunOutcome`] into the workspace-wide report vocabulary.
-fn assemble_report(
-    split: &SplitSystem,
-    reference: Option<&[f64]>,
-    out: &RunOutcome,
-) -> SolveReport {
-    let (final_rms, final_rms_per_rhs) = match reference {
-        Some(r) => {
-            let rms = dtm_sparse::vector::rms_error(&out.solution, r);
-            (rms, vec![rms])
-        }
-        None => (f64::NAN, Vec::new()),
-    };
-    let rounds = out.rounds_completed;
-    SolveReport {
-        backend: BackendKind::Distributed,
-        algorithm: AlgorithmKind::Dtm,
-        solution: out.solution.clone(),
-        n_rhs: 1,
-        solutions: vec![out.solution.clone()],
-        final_rms_per_rhs,
-        converged: out.converged,
-        final_rms,
-        final_residual: out.final_residual,
-        final_residual_per_rhs: vec![out.final_residual],
-        final_time_ms: out.elapsed.as_secs_f64() * 1e3,
-        series: out.series.clone(),
-        // Deterministic counters: rates × evaluated rounds, independent
-        // of how far past the stop decision the children overshot.
-        total_solves: rounds * out.rates.solves_per_round,
-        total_messages: rounds * out.rates.messages_per_round,
-        total_flops: rounds * out.rates.flops_per_round,
-        coalesced_batches: 0,
-        n_parts: split.n_parts(),
-        stop: if out.converged {
-            StopKind::OracleTolerance
-        } else {
-            StopKind::Budget
-        },
     }
 }

@@ -25,7 +25,7 @@
 use crate::round::{self, GroupCtx, GroupIo, GroupLinks, UpEvent};
 use crate::socket::{Listener, Stream, TransportKind};
 use crate::wire::{self, GroupPlan, GroupRates, Msg, PartPlan, SnapshotBatch, Wave};
-use dtm_core::runtime::{build_node, CommonConfig, NodeRuntime};
+use dtm_core::runtime::{build_node, gather_col, CommonConfig, GatherMap, NodeRuntime};
 use dtm_graph::evs::SplitSystem;
 use dtm_sparse::{Error, Result};
 use std::collections::BTreeMap;
@@ -57,7 +57,6 @@ pub(crate) struct RunInputs<'a> {
 /// What a run produced, mode-independent.
 pub(crate) struct RunOutcome {
     pub rounds_completed: u64,
-    pub converged: bool,
     pub solution: Vec<f64>,
     pub final_residual: f64,
     pub series: Vec<(f64, f64)>,
@@ -75,28 +74,9 @@ fn derr(what: impl std::fmt::Display) -> Error {
 
 struct SupOutcome {
     rounds_completed: u64,
-    converged: bool,
     solution: Vec<f64>,
     final_residual: f64,
     series: Vec<(f64, f64)>,
-}
-
-/// Average each original vertex's copies into the global estimate —
-/// the same copy-averaging the wall-clock supervisor applies. Parts are
-/// summed in ascending order: with three or more copies of a vertex the
-/// order of the additions is part of the bits.
-fn gather(split: &SplitSystem, by_part: &[&[f64]], est: &mut [f64]) {
-    est.iter_mut().for_each(|v| *v = 0.0);
-    for (sd, vals) in split.subdomains.iter().zip(by_part) {
-        for (&g, &v) in sd.global_of_local.iter().zip(*vals) {
-            if let Some(e) = est.get_mut(g) {
-                *e += v;
-            }
-        }
-    }
-    for (v, &cc) in est.iter_mut().zip(&split.copy_count) {
-        *v /= cc as f64;
-    }
 }
 
 /// Index one round's batches by part, or say why they are not exactly
@@ -138,7 +118,7 @@ fn supervise(
     let split = inp.split;
     let n_parts = split.n_parts();
     let (a, b) = split.reconstruct();
-    let b_scale = dtm_sparse::vector::norm2_or_one(&b);
+    let map = GatherMap::of_split(split, &a, &b, None);
     let deadline = started + inp.budget;
 
     let mut pending: BTreeMap<u64, Vec<SnapshotBatch>> = BTreeMap::new();
@@ -146,7 +126,6 @@ fn supervise(
     let mut series: Vec<(f64, f64)> = Vec::new();
     let mut next_round: u64 = 0;
     let mut done_groups = 0usize;
-    let mut converged = false;
 
     'outer: loop {
         // Evaluate every round that just became complete, in order.
@@ -155,12 +134,19 @@ fn supervise(
             .is_some_and(|bs| bs.iter().map(SnapshotBatch::len).sum::<usize>() >= n_parts)
         {
             let batches = pending.remove(&next_round).unwrap_or_default();
-            gather(split, &solutions_by_part(split, &batches)?, &mut est);
-            let metric = a.residual_norm(&est, &b) / b_scale;
+            // Parts in ascending order: with three or more copies of a
+            // vertex the order of the additions is part of the bits.
+            let by_part = solutions_by_part(split, &batches)?;
+            gather_col(
+                map.parts.iter().copied().zip(by_part),
+                map.copy_count,
+                0,
+                &mut est,
+            );
+            let metric = map.residual(0, &est);
             series.push((started.elapsed().as_secs_f64() * 1e3, metric));
             next_round += 1;
             if metric <= inp.tol {
-                converged = true;
                 break 'outer;
             }
         }
@@ -194,12 +180,10 @@ fn supervise(
         }
     }
 
-    let final_residual = a.residual_norm(&est, &b) / b_scale;
     Ok(SupOutcome {
         rounds_completed: next_round,
-        converged,
+        final_residual: map.residual(0, &est),
         solution: est,
-        final_residual,
         series,
     })
 }
@@ -322,7 +306,6 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
     let sup = sup?;
     Ok(RunOutcome {
         rounds_completed: sup.rounds_completed,
-        converged: sup.converged,
         solution: sup.solution,
         final_residual: sup.final_residual,
         series: sup.series,
@@ -610,7 +593,6 @@ fn run_processes_inner(
     let sup = sup?;
     Ok(RunOutcome {
         rounds_completed: sup.rounds_completed,
-        converged: sup.converged,
         solution: sup.solution,
         final_residual: sup.final_residual,
         series: sup.series,

@@ -1,6 +1,7 @@
-//! Baseline equivalence: the randomized-asynchrony baselines and DTM are
-//! *peer algorithms* — on random SPD systems all three must converge to
-//! the direct-Cholesky solution within tolerance **on every executor**
+//! Baseline equivalence: the asynchronous baselines (randomized
+//! Richardson, D-iteration, block-Jacobi) and DTM are *peer algorithms* —
+//! on random SPD systems all of them must converge to the
+//! direct-Cholesky solution within tolerance **on every executor**
 //! (simulated machine, OS threads, work-stealing pool), under randomized
 //! update orders (the Richardson seed) and randomized delay topologies.
 //! Pinned as proptests so the equivalence holds across the whole space,
@@ -57,7 +58,7 @@ fn assert_close(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
-    /// Random-conductance grid systems: both baselines and DTM, on all
+    /// Random-conductance grid systems: every baseline and DTM, on all
     /// three executors, under a randomized update-order seed and a
     /// randomized asymmetric delay topology, all land on the
     /// direct-Cholesky solution.
@@ -86,6 +87,7 @@ proptest! {
                 ..Default::default()
             }),
             BaselineAlgo::DIteration(DIterationParams { retention: 0.2 }),
+            BaselineAlgo::BlockJacobi,
         ] {
             let name = algo.kind().name();
             let sim =
