@@ -72,7 +72,6 @@ use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::CommonConfig;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
 use dtm_core::{analysis, vtm};
-use dtm_graph::partition::Partitioner;
 use dtm_simnet::{Engine, SimDuration, SimTime};
 use dtm_sparse::generators;
 
@@ -200,7 +199,7 @@ fn main() {
                  compare flags: [--transport uds|tcp [--processes N]] (distributed \
                  socket backend vs the in-process reference, asserted bit-for-bit)\n\
                  bench flags: [--matrix FILE.mtx [--rhs FILE]] [--out FILE] \
-                 [--check BASELINE]... [--partitioner strips|greedy|nd|ml] [--headline]"
+                 [--check BASELINE] [--headline]"
             );
             std::process::exit(2);
         }
@@ -991,13 +990,14 @@ fn compare_distributed(quick: bool, transport: dtm_net::TransportKind, processes
 }
 
 /// `repro bench`: the fixed perf suite (seed case, 3-D Laplacians under
-/// the size-default partitioner — multilevel ≥ 32³, nested dissection
-/// below — with per-phase setup timings, the 10⁶-unknown headline
-/// partition A/B (its wall-clock solves behind `--headline`),
-/// substitution kernels, Matrix Market), written as machine-readable JSON
-/// with optional regression gates (`--check` repeats).
+/// the default nested-dissection partition with per-phase setup timings,
+/// the 10⁶-unknown headline partition metrics (its wall-clock solves
+/// behind `--headline`), substitution kernels, Matrix Market), written as
+/// machine-readable JSON to `--out` (default `bench_run.json`) with an
+/// optional regression gate against the committed baseline
+/// (`--check BENCH_7.json`).
 fn bench_cmd(args: &[String], quick: bool) {
-    banner("Bench: scaling suite (BENCH_8.json)");
+    banner("Bench: scaling suite");
     let path_flag = |name: &str| -> Option<std::path::PathBuf> {
         args.iter()
             .position(|a| a == name)
@@ -1009,37 +1009,13 @@ fn bench_cmd(args: &[String], quick: bool) {
                 }
             })
     };
-    let partitioner = args.iter().position(|a| a == "--partitioner").map(|i| {
-        match args.get(i + 1).and_then(|v| Partitioner::parse(v)) {
-            Some(p) => p,
-            None => {
-                eprintln!("--partitioner takes one of: strips, greedy, nd, ml");
-                std::process::exit(2);
-            }
-        }
-    });
-    // `--check` repeats: one bench run can gate against several baselines
-    // (CI checks the quick run against BENCH_7.json and BENCH_8.json).
-    let checks: Vec<std::path::PathBuf> = args
-        .iter()
-        .enumerate()
-        .filter(|&(_, a)| a == "--check")
-        .map(|(i, _)| match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => std::path::PathBuf::from(v),
-            _ => {
-                eprintln!("--check requires a file path");
-                std::process::exit(2);
-            }
-        })
-        .collect();
     let opts = perf::BenchOptions {
         quick,
         headline: args.iter().any(|a| a == "--headline"),
         matrix: path_flag("--matrix"),
         rhs: path_flag("--rhs"),
-        out: path_flag("--out").unwrap_or_else(|| std::path::PathBuf::from("BENCH_8.json")),
-        checks,
-        partitioner,
+        out: path_flag("--out").unwrap_or_else(|| std::path::PathBuf::from("bench_run.json")),
+        check: path_flag("--check"),
     };
     if opts.rhs.is_some() && opts.matrix.is_none() {
         eprintln!("--rhs requires --matrix");

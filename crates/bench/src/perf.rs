@@ -1,35 +1,31 @@
 //! The `repro bench` measurement suite: a fixed set of solves and kernel
-//! timings emitting a machine-readable `BENCH_8.json`, plus a regression
-//! checker over its **tracked** metrics.
+//! timings emitting a machine-readable JSON report, plus a regression
+//! checker over its **tracked** metrics against the one committed
+//! baseline, `BENCH_7.json`.
 //!
 //! The suite spans the scales the repository claims to cover:
 //!
 //! * **seed case** — the 9×9 grid Laplacian every earlier PR measured on,
 //!   as an 8-column reference-free block solve on the simulated machine
 //!   (deterministic: msgs/solves/flops/simulated time are tracked).
-//! * **3-D Laplacians** — `grid3d_laplacian` under a selectable
-//!   [`Partitioner`] (`--partitioner {strips,greedy,nd,ml}`; without the
-//!   flag each case uses [`Partitioner::default_for`] — multilevel from
-//!   32³ unknowns up, nested dissection below), solved reference-free
-//!   (`Termination::Residual`) on the threaded and
-//!   work-stealing backends. Setup is instrumented **per phase** —
-//!   `partition_ms` (the selected partitioner), `split_ms` (EVS
-//!   tearing via `DtmBuilder::build`), `factor_ms` (concurrent
-//!   factorization of every subdomain into reusable templates) — and each
-//!   backend then solves over the *same* templates
-//!   (`threaded::solve_prepared` / `rayon_backend::solve_prepared`), the
-//!   paper's factor-once serving design, so backend wall-clock is pure
-//!   exchange. A 16³ case runs always under nested dissection and again
-//!   under multilevel (CI-sized; convergence bits, setup-phase medians,
-//!   and cut metrics are tracked); without `--quick` the suite adds the
-//!   48³ ≈ 110k-unknown case and an anisotropic 32³ case
-//!   (`grid3d_laplacian_aniso`, ε = 0.05), multilevel-partitioned by the
-//!   size default with the nested-dissection cut recorded alongside for
-//!   the A/B delta. The 100³ = 10⁶-unknown headline case records its
-//!   partition A/B (multilevel vs nested-dissection cut — deterministic
-//!   and affordable) in every full run; its wall-clock solves take hours
-//!   on a small box and only run under `--headline`. Every case reports
-//!   `partition/cut_edges`, `partition/boundary` and the partitioner id.
+//! * **3-D Laplacians** — `grid3d_laplacian` under the default
+//!   partitioner ([`Partitioner::default_for`]: nested dissection at
+//!   every size), solved reference-free (`Termination::Residual`) on the
+//!   threaded and work-stealing backends. Setup is instrumented **per
+//!   phase** — `partition_ms`, `split_ms` (EVS tearing via
+//!   `DtmBuilder::build`), `factor_ms` (concurrent factorization of every
+//!   subdomain into reusable templates) — and each backend then solves
+//!   over the *same* templates (`threaded::solve_prepared` /
+//!   `rayon_backend::solve_prepared`), the paper's factor-once serving
+//!   design, so backend wall-clock is pure exchange. A 16³ case runs
+//!   always (CI-sized; convergence bits, setup-phase medians and cut
+//!   metrics are tracked); without `--quick` the suite adds the 48³ ≈
+//!   110k-unknown case and an anisotropic 32³ case
+//!   (`grid3d_laplacian_aniso`, ε = 0.05). The 100³ = 10⁶-unknown
+//!   headline case records its partition metrics (deterministic and
+//!   affordable) in every full run; its wall-clock solves take hours on a
+//!   small box and only run under `--headline`. Every case reports
+//!   `partition/nd_cut` and `partition/nd_boundary`.
 //! * **substitution kernels** — per-RHS latency of the seed column-major
 //!   kernel vs the panel kernels at K ∈ {1, 8, 16} over the RCM and the
 //!   fill-reducing sparse factor (whose `nnz_l` is recorded beside the
@@ -47,12 +43,11 @@
 //! the keys the regression gate guards. The report is re-written to
 //! `--out` after every case, so a multi-hour run interrupted mid-suite
 //! still leaves the completed cases on disk. `--check BASELINE.json`
-//! (repeatable: one run can gate against several baselines) compares
-//! every tracked metric present in both files and fails (exit ≠ 0) on
-//! any regression over 20% — lower is worse for counters, and any
-//! `*/converged` metric must not drop. Wall-clock metrics are generally
-//! recorded untracked (CI boxes are noisy; counters and cuts are
-//! deterministic) — the exception is the CI-sized case's setup-phase
+//! compares every tracked metric present in both files and fails
+//! (exit ≠ 0) on any regression over 20% — lower is worse for counters,
+//! and any `*/converged` metric must not drop. Wall-clock metrics are
+//! generally recorded untracked (CI boxes are noisy; counters and cuts
+//! are deterministic) — the exception is the CI-sized case's setup-phase
 //! medians (`*_ms` keys), which the gate compares with an extra 5 ms
 //! absolute slack on top of the 20% band so the parallel-setup win can't
 //! silently rot.
@@ -75,7 +70,7 @@ pub struct BenchOptions {
     pub quick: bool,
     /// Also run the 100³ = 10⁶-unknown wall-clock solves (hours on a
     /// small box). Without it, full runs still record the headline case's
-    /// partition A/B metrics, which are deterministic and cheap.
+    /// partition metrics, which are deterministic and cheap.
     pub headline: bool,
     /// Matrix Market system to solve instead of the committed fixture.
     pub matrix: Option<PathBuf>,
@@ -83,26 +78,8 @@ pub struct BenchOptions {
     pub rhs: Option<PathBuf>,
     /// Where to write the JSON report.
     pub out: PathBuf,
-    /// Baseline JSONs to regression-check tracked metrics against — one
-    /// run can gate against several baselines (`--check` repeats).
-    pub checks: Vec<PathBuf>,
-    /// Override the per-case default partitioner for every grid case
-    /// (`--partitioner {strips,greedy,nd,ml}`).
-    pub partitioner: Option<Partitioner>,
-}
-
-impl Default for BenchOptions {
-    fn default() -> Self {
-        Self {
-            quick: false,
-            headline: false,
-            matrix: None,
-            rhs: None,
-            out: PathBuf::from("BENCH_8.json"),
-            checks: Vec::new(),
-            partitioner: None,
-        }
-    }
+    /// Baseline JSON to regression-check tracked metrics against.
+    pub check: Option<PathBuf>,
 }
 
 /// The committed Matrix Market fixture (an 8×8 grid Laplacian).
@@ -123,15 +100,23 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Record an untracked (informational) metric.
-    pub fn record(&mut self, key: &str, value: f64) {
+    /// Record a metric; a `tracked` one is guarded by the `--check`
+    /// regression gate, the rest are informational.
+    pub fn put(&mut self, key: &str, value: f64, tracked: bool) {
         self.metrics.insert(key.to_string(), value);
+        if tracked {
+            self.tracked.insert(key.to_string());
+        }
     }
 
-    /// Record a tracked metric — guarded by the `--check` regression gate.
+    /// Record an untracked (informational) metric.
+    pub fn record(&mut self, key: &str, value: f64) {
+        self.put(key, value, false);
+    }
+
+    /// Record a tracked metric.
     pub fn track(&mut self, key: &str, value: f64) {
-        self.metrics.insert(key.to_string(), value);
-        self.tracked.insert(key.to_string());
+        self.put(key, value, true);
     }
 
     /// All recorded metrics.
@@ -257,21 +242,10 @@ pub type TrackedMetrics = (BTreeMap<String, f64>, BTreeSet<String>);
 /// gate. Returns the offending keys.
 ///
 /// Wall-clock gates assume the machine resembles the one that measured
-/// the committed baseline; [`regressions_with_cores`] drops them
-/// entirely on single-core boxes, where concurrent phases (`factor_ms`)
-/// run serialized and the 20% band is meaningless.
-pub fn regressions(new: &TrackedMetrics, baseline: &TrackedMetrics) -> Vec<String> {
-    regressions_with_cores(new, baseline, detected_cores())
-}
-
-/// Parallelism the wall-clock gates calibrate against.
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// [`regressions`] with the core count made explicit: with fewer than
-/// two cores every `*_ms` gate is skipped (counters and convergence
-/// still gate — they are machine-independent).
+/// the committed baseline: with fewer than two `cores` (the caller's
+/// `available_parallelism`) every `*_ms` gate is skipped — concurrent phases
+/// (`factor_ms`) run serialized there and the 20% band is meaningless.
+/// Counters and convergence still gate; they are machine-independent.
 pub fn regressions_with_cores(
     new: &TrackedMetrics,
     baseline: &TrackedMetrics,
@@ -296,50 +270,6 @@ pub fn regressions_with_cores(
     bad
 }
 
-/// Gate verdict for one `--check`ed baseline.
-#[derive(Debug)]
-pub struct BaselineResult {
-    /// Where the baseline came from (path, for the report lines).
-    pub label: String,
-    /// Tracked metrics present in both the run and this baseline.
-    pub shared: usize,
-    /// Regressed metrics, formatted `key: new vs baseline old`.
-    pub regressed: Vec<String>,
-}
-
-/// Outcome of gating a run against all `--check`ed baselines.
-#[derive(Debug)]
-pub struct BaselineCheck {
-    /// The 1-core `*_ms` downgrade was in effect. It is a property of
-    /// the *machine*, not of any one baseline, so it applies uniformly
-    /// to every checked file and the caller announces it once per run.
-    pub ms_gates_skipped: bool,
-    /// One verdict per baseline, in `--check` order.
-    pub per_baseline: Vec<BaselineResult>,
-}
-
-/// Gate `new` against every parsed baseline with one shared core count,
-/// so a repeated `--check a.json --check b.json` invocation applies the
-/// single-core wall-clock downgrade consistently across all of them
-/// instead of depending on per-file state.
-pub fn check_against_baselines(
-    new: &TrackedMetrics,
-    baselines: &[(String, TrackedMetrics)],
-    cores: usize,
-) -> BaselineCheck {
-    BaselineCheck {
-        ms_gates_skipped: cores < 2 && !baselines.is_empty(),
-        per_baseline: baselines
-            .iter()
-            .map(|(label, baseline)| BaselineResult {
-                label: label.clone(),
-                shared: new.1.intersection(&baseline.1).count(),
-                regressed: regressions_with_cores(new, baseline, cores),
-            })
-            .collect(),
-    }
-}
-
 /// Run the full suite, write the JSON, optionally check a baseline.
 ///
 /// # Errors
@@ -360,62 +290,30 @@ pub fn run(opts: &BenchOptions) -> dtm_sparse::Result<()> {
     // CI-sized 3-D case: always present so quick runs and the committed
     // full baseline share keys for the regression gate. Its setup-phase
     // medians (5 reps) are tracked — the parallel-setup win is guarded.
-    // Each case's default partitioner is the size-based
-    // `Partitioner::default_for` (multilevel kicks in at ≥ 32³, where
-    // separator quality pays for the coarsening work — so 16³ gets nested
-    // dissection, the big cases multilevel).
     grid3d_case(
         &mut report,
         &generators::grid3d_laplacian(16, 16, 16),
         &GridCase {
             case: "grid3d16p8",
             parts: 8,
-            tol: 1e-6,
             budget: Duration::from_secs(60),
             setup_reps: 5,
             track_setup: true,
             solve: true,
-            partitioner: opts
-                .partitioner
-                .unwrap_or_else(|| Partitioner::default_for(16 * 16 * 16)),
-        },
-    )?;
-    flush(&report)?;
-    // The multilevel slice, also always on (and pinned to `ml` even under
-    // `--partitioner`): quick runs and the committed full baseline share
-    // its tracked cut/convergence keys, giving CI a multilevel gate.
-    grid3d_case(
-        &mut report,
-        &generators::grid3d_laplacian(16, 16, 16),
-        &GridCase {
-            case: "grid3d16p8ml",
-            parts: 8,
-            tol: 1e-6,
-            budget: Duration::from_secs(60),
-            setup_reps: 3,
-            track_setup: false,
-            solve: true,
-            partitioner: Partitioner::Multilevel,
         },
     )?;
     flush(&report)?;
     if !opts.quick {
-        let big = |n: usize| {
-            opts.partitioner
-                .unwrap_or_else(|| Partitioner::default_for(n))
-        };
         grid3d_case(
             &mut report,
             &generators::grid3d_laplacian(48, 48, 48),
             &GridCase {
                 case: "grid3d48p32",
                 parts: 32,
-                tol: 1e-6,
                 budget: Duration::from_secs(600),
                 setup_reps: 3,
                 track_setup: false,
                 solve: true,
-                partitioner: big(48 * 48 * 48),
             },
         )?;
         flush(&report)?;
@@ -425,31 +323,26 @@ pub fn run(opts: &BenchOptions) -> dtm_sparse::Result<()> {
             &GridCase {
                 case: "grid3d_aniso32p16",
                 parts: 16,
-                tol: 1e-6,
                 budget: Duration::from_secs(600),
                 setup_reps: 3,
                 track_setup: false,
                 solve: true,
-                partitioner: big(32 * 32 * 32),
             },
         )?;
         flush(&report)?;
         // The headline: 100³ = 10⁶ unknowns, reference-free, factor-once.
-        // Partition A/B always; the wall-clock solves (hours of single-box
-        // time, see BENCH_7.json's nested-dissection numbers) only under
-        // `--headline`.
+        // Partition metrics always; the wall-clock solves (hours of
+        // single-box time, see BENCH_7.json) only under `--headline`.
         grid3d_case(
             &mut report,
             &generators::grid3d_laplacian(100, 100, 100),
             &GridCase {
                 case: "grid3d100p64",
                 parts: 64,
-                tol: 1e-6,
                 budget: Duration::from_secs(3600),
                 setup_reps: 1,
                 track_setup: false,
                 solve: opts.headline,
-                partitioner: big(100 * 100 * 100),
             },
         )?;
         flush(&report)?;
@@ -473,44 +366,31 @@ pub fn run(opts: &BenchOptions) -> dtm_sparse::Result<()> {
         report.tracked.len()
     );
 
-    let mut baselines = Vec::new();
-    for baseline_path in &opts.checks {
-        let text = std::fs::read_to_string(baseline_path).map_err(|e| {
-            dtm_sparse::Error::Parse(format!("read {}: {e}", baseline_path.display()))
-        })?;
-        baselines.push((
-            baseline_path.display().to_string(),
-            parse_bench_json(&text)?,
-        ));
-    }
-    let new = (report.metrics.clone(), report.tracked.clone());
-    let check = check_against_baselines(&new, &baselines, detected_cores());
-    if check.ms_gates_skipped {
-        // The committed baselines were measured multi-core; concurrent
+    let Some(baseline_path) = &opts.check else {
+        return Ok(());
+    };
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| dtm_sparse::Error::Parse(format!("read {}: {e}", baseline_path.display())))?;
+    let baseline = parse_bench_json(&text)?;
+    let new = (report.metrics, report.tracked);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if cores < 2 {
+        // The committed baseline was measured multi-core; concurrent
         // phases (factor_ms) serialize on one core and would false-flag
-        // (the BENCH_7 grid3d16p8/factor_ms incident). One machine, one
-        // notice — however many baselines are checked.
+        // (the BENCH_7 grid3d16p8/factor_ms incident).
         println!("single-core machine detected: skipping *_ms wall-clock gates");
     }
-    let mut bad = Vec::new();
-    for result in &check.per_baseline {
-        println!(
-            "checked {} tracked metrics against {}: {}",
-            result.shared,
-            result.label,
-            if result.regressed.is_empty() {
-                "no regressions > 20%".to_string()
-            } else {
-                format!("{} regression(s)", result.regressed.len())
-            }
-        );
-        bad.extend(
-            result
-                .regressed
-                .iter()
-                .map(|r| format!("[vs {}] {r}", result.label)),
-        );
-    }
+    let bad = regressions_with_cores(&new, &baseline, cores);
+    println!(
+        "checked {} tracked metrics against {}: {}",
+        new.1.intersection(&baseline.1).count(),
+        baseline_path.display(),
+        if bad.is_empty() {
+            "no regressions > 20%".to_string()
+        } else {
+            format!("{} regression(s)", bad.len())
+        }
+    );
     if !bad.is_empty() {
         return Err(dtm_sparse::Error::Parse(format!(
             "{} tracked metric(s) regressed > 20%:\n  {}",
@@ -521,12 +401,14 @@ pub fn run(opts: &BenchOptions) -> dtm_sparse::Result<()> {
     Ok(())
 }
 
+/// Relative-residual tolerance of every 3-D case.
+const GRID_TOL: f64 = 1e-6;
+
 /// One 3-D case of the suite: geometry comes in as the assembled matrix so
 /// isotropic and anisotropic stencils share the measurement path.
 struct GridCase<'a> {
     case: &'a str,
     parts: usize,
-    tol: f64,
     budget: Duration,
     /// Setup phases are measured this many times; medians are reported.
     setup_reps: usize,
@@ -534,10 +416,8 @@ struct GridCase<'a> {
     /// small and stable enough for the regression gate).
     track_setup: bool,
     /// Run the split/factor/solve phases. `false` records the partition
-    /// A/B metrics only — the headline case without `--headline`.
+    /// metrics only — the headline case without `--headline`.
     solve: bool,
-    /// The partitioner under measurement.
-    partitioner: Partitioner,
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -552,31 +432,13 @@ fn record_solve(
     wall: Duration,
     track_counters: bool,
 ) {
-    let rec = |report: &mut BenchReport, key: String, v: f64, tracked: bool| {
-        if tracked {
-            report.track(&key, v);
-        } else {
-            report.record(&key, v);
-        }
-    };
-    rec(
-        report,
-        format!("{prefix}/msgs"),
-        r.total_messages as f64,
-        track_counters,
-    );
-    rec(
-        report,
-        format!("{prefix}/solves"),
-        r.total_solves as f64,
-        track_counters,
-    );
-    rec(
-        report,
-        format!("{prefix}/flops"),
-        r.total_flops as f64,
-        track_counters,
-    );
+    for (name, count) in [
+        ("msgs", r.total_messages),
+        ("solves", r.total_solves),
+        ("flops", r.total_flops),
+    ] {
+        report.put(&format!("{prefix}/{name}"), count as f64, track_counters);
+    }
     report.record(&format!("{prefix}/wall_ms"), wall.as_secs_f64() * 1e3);
     report.record(&format!("{prefix}/residual"), r.final_residual);
     report.track(
@@ -615,91 +477,43 @@ fn seed_case(report: &mut BenchReport) -> dtm_sparse::Result<()> {
     Ok(())
 }
 
-/// A 3-D system under the case's partitioner: per-phase setup timings
+/// A 3-D system under the default partitioner: per-phase setup timings
 /// (partition → split → factor), then both wall-clock backends solving
 /// over the same factored templates (the factor-once serving path — no
 /// backend ever re-factors).
 fn grid3d_case(report: &mut BenchReport, a: &Csr, spec: &GridCase) -> dtm_sparse::Result<()> {
     let case = spec.case;
     let n = a.n_rows();
-    let pname = spec.partitioner.name();
-    println!(
-        "— {case}: {n} unknowns, {} parts, partitioner={pname} —",
-        spec.parts
-    );
+    println!("— {case}: {n} unknowns, {} parts —", spec.parts);
     let b = generators::random_rhs(n, crate::seeds::RHS);
-    let rec_setup = |report: &mut BenchReport, key: String, v: f64| {
-        if spec.track_setup {
-            report.track(&key, v);
-        } else {
-            report.record(&key, v);
-        }
+    let rec_setup = |report: &mut BenchReport, phase: &str, ms: f64| {
+        report.put(&format!("{case}/{phase}"), ms, spec.track_setup);
     };
 
-    // Phase 1: partition. Deterministic output (multilevel included: the
-    // seed is pinned in `PartitionConfig`), so reps only re-time it.
+    // Phase 1: partition. Deterministic output, so reps only re-time it.
     let cfg = PartitionConfig::default();
     let mut asg = Vec::new();
     let mut samples: Vec<f64> = (0..spec.setup_reps)
         .map(|_| {
             let t = Instant::now();
-            asg = spec.partitioner.assign(a, spec.parts, &cfg);
+            asg = Partitioner::default_for(n).assign(a, spec.parts, &cfg);
             t.elapsed().as_secs_f64() * 1e3
         })
         .collect();
     let partition_ms = median(&mut samples);
     let m = partition::metrics(a, &asg);
     report.record(&format!("{case}/n"), n as f64);
-    rec_setup(report, format!("{case}/partition_ms"), partition_ms);
-    report.track(&format!("{case}/partition/cut_edges"), m.cut_edges as f64);
+    rec_setup(report, "partition_ms", partition_ms);
+    report.track(&format!("{case}/partition/nd_cut"), m.cut_edges as f64);
     report.track(
-        &format!("{case}/partition/boundary"),
+        &format!("{case}/partition/nd_boundary"),
         m.boundary_vertices as f64,
     );
-    report.record(&format!("{case}/partition/imbalance"), m.imbalance);
-    report.record(
-        &format!("{case}/partition/partitioner_id"),
-        spec.partitioner.id() as f64,
-    );
+    report.record(&format!("{case}/partition/nd_imbalance"), m.imbalance);
     println!(
-        "  partition[{pname}]: cut={} boundary={} imbalance={:.3} ({partition_ms:.0} ms)",
+        "  partition: cut={} boundary={} imbalance={:.3} ({partition_ms:.0} ms)",
         m.cut_edges, m.boundary_vertices, m.imbalance
     );
-    match spec.partitioner {
-        Partitioner::NestedDissection => {
-            // Legacy key aliases the BENCH_7 gate still compares.
-            report.track(&format!("{case}/partition/nd_cut"), m.cut_edges as f64);
-            report.track(
-                &format!("{case}/partition/nd_boundary"),
-                m.boundary_vertices as f64,
-            );
-            report.record(&format!("{case}/partition/nd_imbalance"), m.imbalance);
-            // The greedy-grow comparison column is informative, not part of
-            // the pipeline — skip it where it would dominate setup.
-            if n <= 500_000 {
-                let ggm = partition::metrics(a, &partition::greedy_grow(a, spec.parts, 42));
-                report.track(
-                    &format!("{case}/partition/greedy_cut"),
-                    ggm.cut_edges as f64,
-                );
-            }
-        }
-        _ => {
-            // Record the nested-dissection cut alongside (partition only,
-            // no solve) so the A/B cut delta is machine-readable per case.
-            let ndm = partition::metrics(a, &partition::nested_dissection(a, spec.parts));
-            report.track(&format!("{case}/partition/nd_cut"), ndm.cut_edges as f64);
-            report.record(
-                &format!("{case}/partition/nd_boundary"),
-                ndm.boundary_vertices as f64,
-            );
-            println!(
-                "  partition[nd reference]: cut={} ({}% of nd)",
-                ndm.cut_edges,
-                m.cut_edges * 100 / ndm.cut_edges.max(1)
-            );
-        }
-    }
     if !spec.solve {
         println!("  (partition-only case: split/factor/solve skipped — pass --headline)");
         return Ok(());
@@ -715,7 +529,7 @@ fn grid3d_case(report: &mut BenchReport, a: &Csr, spec: &GridCase) -> dtm_sparse
             problem = Some(
                 DtmBuilder::new(a.clone(), b.clone())
                     .assignment(asg.clone())
-                    .termination(Termination::Residual { tol: spec.tol })
+                    .termination(Termination::Residual { tol: GRID_TOL })
                     .build(),
             );
             t.elapsed().as_secs_f64() * 1e3
@@ -723,7 +537,7 @@ fn grid3d_case(report: &mut BenchReport, a: &Csr, spec: &GridCase) -> dtm_sparse
         .collect();
     let split_ms = median(&mut samples);
     let problem = problem.expect("setup_reps >= 1")?;
-    rec_setup(report, format!("{case}/split_ms"), split_ms);
+    rec_setup(report, "split_ms", split_ms);
 
     // Phase 3: factor every subdomain concurrently into reusable
     // templates (factors are Arc-shared; backends clone the templates).
@@ -731,7 +545,7 @@ fn grid3d_case(report: &mut BenchReport, a: &Csr, spec: &GridCase) -> dtm_sparse
         .build()
         .map_err(|e| dtm_sparse::Error::Parse(format!("bench pool: {e}")))?;
     let common = CommonConfig {
-        termination: Termination::Residual { tol: spec.tol },
+        termination: Termination::Residual { tol: GRID_TOL },
         ..Default::default()
     };
     let mut templates = None;
@@ -744,7 +558,7 @@ fn grid3d_case(report: &mut BenchReport, a: &Csr, spec: &GridCase) -> dtm_sparse
         .collect();
     let factor_ms = median(&mut samples);
     let templates = templates.expect("setup_reps >= 1")?;
-    rec_setup(report, format!("{case}/factor_ms"), factor_ms);
+    rec_setup(report, "factor_ms", factor_ms);
     let setup_ms = partition_ms + split_ms + factor_ms;
     report.record(&format!("{case}/setup_total_ms"), setup_ms);
     println!(
@@ -833,7 +647,7 @@ fn kernel_case(report: &mut BenchReport, reps: usize) -> dtm_sparse::Result<()> 
             let blocked = median(&mut blk_samples);
             let (col_rhs, blk_rhs) = (colmajor / k as f64, blocked / k as f64);
             let speedup = col_rhs / blk_rhs;
-            // The RCM case keeps the key shape BENCH_7/8 were recorded
+            // The RCM case keeps the key shape BENCH_7 was recorded
             // with; the fill case records the panel latency alone.
             if case == "grid3d20_rcm" {
                 report.record(&format!("kernels/{case}/k{k}/colmajor_ns_per_rhs"), col_rhs);
@@ -889,8 +703,7 @@ fn mm_case(report: &mut BenchReport, matrix: &Path, rhs: Option<&Path>) -> dtm_s
         None => generators::manufactured_rhs(&a, crate::seeds::RHS).0,
     };
     let parts = 4.min(n);
-    let partitioner = Partitioner::NestedDissection;
-    let asg = partitioner.assign(&a, parts, &PartitionConfig::default());
+    let asg = partition::nested_dissection(&a, parts);
     let cut = partition::metrics(&a, &asg).cut_edges;
     let problem = DtmBuilder::new(a, b)
         .assignment(asg)
@@ -911,15 +724,9 @@ fn mm_case(report: &mut BenchReport, matrix: &Path, rhs: Option<&Path>) -> dtm_s
     report.track(&format!("{prefix}/n"), n as f64);
     report.track(&format!("{prefix}/parts"), parts as f64);
     report.track(&format!("{prefix}/nd_cut"), cut as f64);
-    report.track(&format!("{prefix}/partition/cut_edges"), cut as f64);
-    report.record(
-        &format!("{prefix}/partition/partitioner_id"),
-        partitioner.id() as f64,
-    );
     record_solve(report, &prefix, &r, wall, false);
     println!(
-        "  n={n} parts={parts} partitioner={} cut={cut} converged={} residual={:.2e} wall_ms={:.1}",
-        partitioner.name(),
+        "  n={n} parts={parts} cut={cut} converged={} residual={:.2e} wall_ms={:.1}",
         r.converged,
         r.final_residual,
         wall.as_secs_f64() * 1e3
@@ -960,20 +767,20 @@ mod tests {
         // Within 20%: fine.
         let mut new = base.clone();
         new.0.insert("x/msgs".into(), 115.0);
-        assert!(regressions(&new, &base).is_empty());
+        assert!(regressions_with_cores(&new, &base, 2).is_empty());
         // 25% worse: flagged.
         new.0.insert("x/msgs".into(), 125.0);
-        assert_eq!(regressions(&new, &base).len(), 1);
+        assert_eq!(regressions_with_cores(&new, &base, 2).len(), 1);
         // Untracked metrics never flag.
         new.0.insert("x/msgs".into(), 100.0);
         new.0.insert("x/wall_ms".into(), 50_000.0);
-        assert!(regressions(&new, &base).is_empty());
+        assert!(regressions_with_cores(&new, &base, 2).is_empty());
         // Convergence may not drop, and improvements never flag.
         new.0.insert("x/converged".into(), 0.0);
-        assert_eq!(regressions(&new, &base).len(), 1);
+        assert_eq!(regressions_with_cores(&new, &base, 2).len(), 1);
         new.0.insert("x/converged".into(), 1.0);
         new.0.insert("x/msgs".into(), 10.0);
-        assert!(regressions(&new, &base).is_empty());
+        assert!(regressions_with_cores(&new, &base, 2).is_empty());
     }
 
     #[test]
@@ -987,7 +794,7 @@ mod tests {
         );
         let mut new = base.clone();
         new.0.insert("c/split_ms".into(), 6.0);
-        assert!(regressions(&new, &base).is_empty());
+        assert!(regressions_with_cores(&new, &base, 2).is_empty());
         new.0.insert("c/split_ms".into(), 8.0);
         assert_eq!(regressions_with_cores(&new, &base, 2).len(), 1);
     }
@@ -1018,60 +825,6 @@ mod tests {
         new.0.insert("g/msgs".into(), 130.0);
         new.0.insert("g/converged".into(), 0.0);
         assert_eq!(regressions_with_cores(&new, &base, 1).len(), 2);
-    }
-
-    #[test]
-    fn one_core_downgrade_applies_to_every_checked_baseline() {
-        // Two baselines, each of which would flag a tracked `_ms`
-        // blow-up on a multi-core box, one of which also has a genuine
-        // counter regression. On cores = 1 the wall-clock downgrade must
-        // apply to BOTH files (not just the first), the machine-level
-        // notice must be raised exactly once per run, and the
-        // machine-independent counter must still gate.
-        let tracked = || {
-            [
-                "g/factor_ms".to_string(),
-                "g/msgs".to_string(),
-                "g/converged".to_string(),
-            ]
-            .into()
-        };
-        let values = |factor_ms: f64, msgs: f64| -> BTreeMap<String, f64> {
-            [
-                ("g/factor_ms".to_string(), factor_ms),
-                ("g/msgs".to_string(), msgs),
-                ("g/converged".to_string(), 1.0),
-            ]
-            .into()
-        };
-        let new = (values(400.0, 130.0), tracked());
-        let baselines = vec![
-            ("BENCH_7.json".to_string(), (values(40.0, 100.0), tracked())),
-            ("BENCH_8.json".to_string(), (values(45.0, 130.0), tracked())),
-        ];
-
-        let one_core = check_against_baselines(&new, &baselines, 1);
-        assert!(one_core.ms_gates_skipped, "downgrade notice raised once");
-        assert_eq!(one_core.per_baseline.len(), 2);
-        let [first, second] = &one_core.per_baseline[..] else {
-            panic!("one verdict per baseline");
-        };
-        assert_eq!(first.label, "BENCH_7.json");
-        assert_eq!(first.shared, 3);
-        // The 10× factor_ms is forgiven on both baselines; the 30% msgs
-        // regression against BENCH_7 is not.
-        assert_eq!(first.regressed.len(), 1, "counter gates: {first:?}");
-        assert!(first.regressed[0].starts_with("g/msgs"));
-        assert!(second.regressed.is_empty(), "fully forgiven: {second:?}");
-
-        // The same check on a multi-core box flags factor_ms in both.
-        let multi_core = check_against_baselines(&new, &baselines, 8);
-        assert!(!multi_core.ms_gates_skipped);
-        assert_eq!(multi_core.per_baseline[0].regressed.len(), 2);
-        assert_eq!(multi_core.per_baseline[1].regressed.len(), 1);
-
-        // No baselines checked → nothing to announce even on 1 core.
-        assert!(!check_against_baselines(&new, &[], 1).ms_gates_skipped);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct DtmBuilder {
     b: Vec<f64>,
     assignment: Option<Vec<usize>>,
     partitioner: Option<(Partitioner, usize)>,
-    partition_config: PartitionConfig,
     evs_options: EvsOptions,
     twin_topology_set: bool,
     topology: Option<Topology>,
@@ -68,7 +67,6 @@ impl DtmBuilder {
             b,
             assignment: None,
             partitioner: None,
-            partition_config: PartitionConfig::default(),
             evs_options: EvsOptions::default(),
             twin_topology_set: false,
             topology: None,
@@ -103,27 +101,20 @@ impl DtmBuilder {
     }
 
     /// Partition the matrix graph into `n_parts` with the named
-    /// [`Partitioner`] (computed at [`build`](Self::build) time, tuned by
-    /// [`partition_config`](Self::partition_config)). An explicit
+    /// [`Partitioner`] under the default [`PartitionConfig`] (computed at
+    /// [`build`](Self::build) time). An explicit
     /// [`assignment`](Self::assignment) takes precedence.
     pub fn partitioner(mut self, kind: Partitioner, n_parts: usize) -> Self {
         self.partitioner = Some((kind, n_parts));
         self
     }
 
-    /// Partition the matrix graph into `n_parts` with the size-based
-    /// default partitioner ([`Partitioner::default_for`]): multilevel for
-    /// systems of ≥ 32³ unknowns, nested dissection below. Equivalent to
-    /// [`partitioner`](Self::partitioner) with that choice spelled out.
+    /// Partition the matrix graph into `n_parts` with the default
+    /// partitioner ([`Partitioner::default_for`]): nested dissection at
+    /// every size. Equivalent to [`partitioner`](Self::partitioner) with
+    /// that choice spelled out.
     pub fn partition_auto(mut self, n_parts: usize) -> Self {
         self.partitioner = Some((Partitioner::default_for(self.a.n_rows()), n_parts));
-        self
-    }
-
-    /// Tune the partitioner (seed, balance slack, coarsening threshold, FM
-    /// passes, nested-dissection slack window).
-    pub fn partition_config(mut self, config: PartitionConfig) -> Self {
-        self.partition_config = config;
         self
     }
 
@@ -209,7 +200,9 @@ impl DtmBuilder {
         };
         let assignment = match (self.assignment, self.partitioner) {
             (Some(asg), _) => asg,
-            (None, Some((kind, n_parts))) => kind.assign(&self.a, n_parts, &self.partition_config),
+            (None, Some((kind, n_parts))) => {
+                kind.assign(&self.a, n_parts, &PartitionConfig::default())
+            }
             (None, None) => {
                 return Err(Error::Parse(
                     "no partition given: call grid_blocks/grid_strips/assignment/partitioner"
@@ -582,31 +575,19 @@ mod tests {
     fn partitioner_builds_and_solves() {
         let a = generators::grid2d_laplacian(10, 10);
         let b = generators::random_rhs(100, 81);
-        for kind in [Partitioner::NestedDissection, Partitioner::Multilevel] {
+        for kind in [Partitioner::Strips, Partitioner::NestedDissection] {
             let report = DtmBuilder::new(a.clone(), b.clone())
                 .partitioner(kind, 4)
-                .partition_config(PartitionConfig::default())
                 .solve()
                 .unwrap();
-            assert!(
-                report.converged,
-                "{}: rms {}",
-                kind.name(),
-                report.final_rms
-            );
-            assert!(
-                a.residual_norm(&report.solution, &b) < 1e-5,
-                "{}",
-                kind.name()
-            );
+            assert!(report.converged, "{kind:?}: rms {}", report.final_rms);
+            assert!(a.residual_norm(&report.solution, &b) < 1e-5, "{kind:?}");
             assert_eq!(report.n_parts, 4);
         }
     }
 
     #[test]
-    fn partition_auto_picks_by_size_and_solves() {
-        // 100 unknowns is far below the 32³ threshold: partition_auto must
-        // behave exactly like an explicit nested-dissection partitioner.
+    fn partition_auto_is_nested_dissection_and_solves() {
         let a = generators::grid2d_laplacian(10, 10);
         let b = generators::random_rhs(100, 83);
         let auto = DtmBuilder::new(a.clone(), b.clone())
@@ -614,10 +595,12 @@ mod tests {
             .build()
             .unwrap();
         let explicit = DtmBuilder::new(a.clone(), b.clone())
-            .partitioner(Partitioner::NestedDissection, 4)
+            .assignment(partition::nested_dissection(&a, 4))
             .build()
             .unwrap();
-        assert_eq!(auto.split.subdomains.len(), explicit.split.subdomains.len());
+        for (got, want) in auto.split.subdomains.iter().zip(&explicit.split.subdomains) {
+            assert_eq!(got.global_of_local, want.global_of_local);
+        }
         let report = auto.solve().unwrap();
         assert!(report.converged);
         assert!(a.residual_norm(&report.solution, &b) < 1e-5);

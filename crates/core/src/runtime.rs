@@ -1430,11 +1430,16 @@ mod tests {
                 node.step(&mut t);
             }
         }
-        let locals: Vec<Vec<f64>> = nodes
-            .iter()
-            .map(|n| n.local().solution().to_vec())
-            .collect();
-        let est = ss.gather(&locals);
+        let mut est = vec![0.0; exact.len()];
+        gather_col(
+            ss.subdomains
+                .iter()
+                .zip(&nodes)
+                .map(|(sd, n)| (sd.global_of_local.as_slice(), n.local().solution())),
+            &ss.copy_count,
+            0,
+            &mut est,
+        );
         for (u, v) in est.iter().zip(&exact) {
             assert!((u - v).abs() < 1e-10, "{u} vs {v}");
         }

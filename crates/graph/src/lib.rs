@@ -16,9 +16,8 @@
 //!   per-vertex assignment;
 //! * [`partition`] — assignment generators: 1-D strips and 2-D blocks for
 //!   grids ("regularly partitioned … level-one and level-two mixed EVS",
-//!   §7), plus BFS growing, recursive bisection, and the multilevel
-//!   coarsen–partition–refine scheme for general graphs, all selectable
-//!   through [`Partitioner`] and tuned by [`PartitionConfig`];
+//!   §7), plus nested dissection — the one partitioner for general
+//!   graphs — selectable through [`Partitioner`];
 //! * [`evs`] — the splitting itself (§4 step 3–4): weight/source/edge share
 //!   policies, twin/multilevel chain topologies (Fig. 6), and the per-part
 //!   [`evs::Subdomain`] local systems of eq. (4.3);
@@ -34,5 +33,5 @@ pub mod validate;
 
 pub use electric::ElectricGraph;
 pub use evs::{EvsOptions, ExplicitShares, SharePolicy, SplitSystem, Subdomain, TwinTopology};
-pub use partition::{multilevel, PartitionConfig, Partitioner};
+pub use partition::{PartitionConfig, Partitioner};
 pub use plan::{Owner, PartitionPlan};

@@ -3,39 +3,22 @@
 //! The paper's experiments use "regularly partitioned" grids (§7): 1-D
 //! strips and 2-D blocks that map onto mesh-connected processors, mixing
 //! level-one splits (strip/block faces) with higher-level splits where
-//! several blocks meet. General graphs get BFS-based partitioners.
+//! several blocks meet. General graphs get one partitioner,
+//! [`nested_dissection`], with [`index_strips`] kept as the paper's 1-D
+//! baseline; [`Partitioner::default_for`] says why there is no second one.
 
 use dtm_sparse::ordering::pseudo_peripheral_in;
 use dtm_sparse::Csr;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-pub mod multilevel;
-pub use multilevel::{multilevel, refine_assignment};
-
-/// Tunables shared by the graph partitioners, replacing the constants that
-/// used to be hard-coded inside [`nested_dissection`] and sized the
-/// multilevel pipeline implicitly.
+/// The one tunable of [`nested_dissection_with`], replacing the constant
+/// that used to be hard-coded inside [`nested_dissection`].
 ///
-/// The [`Default`] values reproduce the pre-config [`nested_dissection`]
-/// output bit for bit (pinned by a test) and are the settings every
-/// benchmark runs with unless overridden.
+/// The [`Default`] value reproduces the pre-config [`nested_dissection`]
+/// output bit for bit (pinned by a test) and is the setting every
+/// benchmark runs with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
-    /// Seed for the randomized-greedy coarsening matchings of
-    /// [`multilevel()`]. The whole pipeline is deterministic per seed.
-    pub seed: u64,
-    /// Allowed imbalance fraction for the multilevel partition: every part
-    /// keeps weight ≤ [`PartitionConfig::max_part_weight`], roughly
-    /// `(1 + balance_slack) · n/k`.
-    pub balance_slack: f64,
-    /// Coarsening stops once the graph has at most `coarsen_threshold · k`
-    /// vertices (or when a matching round stops shrinking the graph).
-    pub coarsen_threshold: usize,
-    /// Maximum Fiduccia–Mattheyses refinement passes per uncoarsening
-    /// level; passes also stop early when one yields no improving prefix.
-    pub fm_passes: usize,
     /// Slack-window divisor of the nested-dissection bisections: each
     /// split point may drift from the proportional target by
     /// `len / (nd_slack_divisor · parts) + 1` vertices when that buys a
@@ -46,37 +29,13 @@ pub struct PartitionConfig {
 impl Default for PartitionConfig {
     fn default() -> Self {
         Self {
-            seed: 2008,
-            balance_slack: 0.08,
-            coarsen_threshold: 100,
-            fm_passes: 8,
             nd_slack_divisor: 8,
         }
     }
 }
 
-impl PartitionConfig {
-    /// Maximum part weight the multilevel refinement keeps:
-    /// `ceil((1 + balance_slack) · total/k)`, floored at `total/k + 1` so
-    /// the constraint stays satisfiable for tiny parts where one vertex is
-    /// a large weight fraction.
-    pub fn max_part_weight(&self, total: u64, k: usize) -> u64 {
-        let avg = total as f64 / k as f64;
-        let slack_cap = ((1.0 + self.balance_slack) * avg).ceil() as u64;
-        slack_cap.max(total / k as u64 + 1)
-    }
-
-    /// Minimum part weight the refinement keeps:
-    /// `floor((1 - balance_slack) · total/k)`, at least 1 (no part is ever
-    /// emptied).
-    pub fn min_part_weight(&self, total: u64, k: usize) -> u64 {
-        let avg = total as f64 / k as f64;
-        (((1.0 - self.balance_slack) * avg).floor() as u64).max(1)
-    }
-}
-
-/// Which assignment generator to run — the `repro bench --partitioner`
-/// knob, also selectable through
+/// Which assignment generator to run on a general graph — selectable
+/// through
 /// [`DtmBuilder::partitioner`](../../dtm_core/builder/struct.DtmBuilder.html)
 /// and [`crate::PartitionPlan::from_partitioner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,64 +43,26 @@ pub enum Partitioner {
     /// Contiguous index ranges (`k` equal slabs of the vertex numbering) —
     /// the 1-D baseline; on grid-ordered matrices these are axis slabs.
     Strips,
-    /// Multi-source BFS growing ([`greedy_grow`]).
-    Greedy,
     /// Recursive low-cut bisection ([`nested_dissection`]).
     NestedDissection,
-    /// Coarsen–partition–refine ([`multilevel()`]).
-    Multilevel,
 }
 
 impl Partitioner {
-    /// Smallest system the size-based default partitions with
-    /// [`Partitioner::Multilevel`]: 32³ unknowns. Below it the coarsening
-    /// work outweighs the separator-quality win.
-    pub const MULTILEVEL_MIN_N: usize = 32 * 32 * 32;
-
-    /// The size-based default: [`Partitioner::Multilevel`] for systems of
-    /// [`MULTILEVEL_MIN_N`](Self::MULTILEVEL_MIN_N) = 32³ unknowns or
-    /// more, [`Partitioner::NestedDissection`] below. This is what the
-    /// bench suite's grid cases and
+    /// The default partitioner for a system of `n` unknowns:
+    /// [`Partitioner::NestedDissection`] at every size — what
     /// [`DtmBuilder::partition_auto`](../../dtm_core/builder/struct.DtmBuilder.html#method.partition_auto)
-    /// run when no partitioner is named explicitly.
-    pub fn default_for(n: usize) -> Self {
-        if n >= Self::MULTILEVEL_MIN_N {
-            Self::Multilevel
-        } else {
-            Self::NestedDissection
-        }
-    }
-
-    /// Parse a `--partitioner` argument value.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "strips" => Some(Self::Strips),
-            "greedy" => Some(Self::Greedy),
-            "nd" => Some(Self::NestedDissection),
-            "ml" => Some(Self::Multilevel),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report name (`strips`, `greedy`, `nd`, `ml`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Strips => "strips",
-            Self::Greedy => "greedy",
-            Self::NestedDissection => "nd",
-            Self::Multilevel => "ml",
-        }
-    }
-
-    /// Stable numeric id for machine-readable reports (bench JSON metrics
-    /// are numbers): strips = 0, greedy = 1, nd = 2, ml = 3.
-    pub fn id(self) -> usize {
-        match self {
-            Self::Strips => 0,
-            Self::Greedy => 1,
-            Self::NestedDissection => 2,
-            Self::Multilevel => 3,
-        }
+    /// and the repository benchmark run.
+    ///
+    /// `n` is taken because this is the one place a size rule would go,
+    /// and such a rule has to be *measured*. A coarsen–partition–refine
+    /// partitioner was once selected here from a guessed 32³ threshold: it
+    /// cut 20 % fewer edges, then sent more messages and took longer to
+    /// tolerance than nested dissection at every size tried (an
+    /// asynchronous iteration's work follows its contraction rate, not
+    /// its edge cut), so it was deleted — see README, "One graph
+    /// partitioner, and why"; the code is in git history at PR 8.
+    pub fn default_for(_n: usize) -> Self {
+        Self::NestedDissection
     }
 
     /// Run this partitioner on a general graph.
@@ -151,9 +72,7 @@ impl Partitioner {
     pub fn assign(self, a: &Csr, k: usize, config: &PartitionConfig) -> Vec<usize> {
         match self {
             Self::Strips => index_strips(a.n_rows(), k),
-            Self::Greedy => greedy_grow(a, k, config.seed),
             Self::NestedDissection => nested_dissection_with(a, k, config),
-            Self::Multilevel => multilevel(a, k, config),
         }
     }
 }
@@ -206,142 +125,10 @@ pub fn grid_blocks(nx: usize, ny: usize, px: usize, py: usize) -> Vec<usize> {
     assignment
 }
 
-/// Multi-source BFS ("greedy growing") assignment of a general graph into
-/// `k` parts: `k` seeds spread by a seeded RNG, parts grow one frontier
-/// vertex at a time, always extending the currently smallest part.
-pub fn greedy_grow(a: &Csr, k: usize, seed: u64) -> Vec<usize> {
-    let n = a.n_rows();
-    assert!(k >= 1 && k <= n.max(1), "need 1 ≤ k ≤ n");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut assignment = vec![usize::MAX; n];
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); k];
-    let mut sizes = vec![0usize; k];
-
-    // Distinct random seeds.
-    let mut chosen = Vec::with_capacity(k);
-    while chosen.len() < k {
-        let v = rng.gen_range(0..n);
-        if !chosen.contains(&v) {
-            chosen.push(v);
-        }
-    }
-    for (p, &v) in chosen.iter().enumerate() {
-        assignment[v] = p;
-        sizes[p] += 1;
-        queues[p].push_back(v);
-    }
-
-    let mut remaining = n - k;
-    while remaining > 0 {
-        // Grow the smallest part that still has a frontier.
-        let p = match (0..k)
-            .filter(|&p| !queues[p].is_empty())
-            .min_by_key(|&p| sizes[p])
-        {
-            Some(p) => p,
-            None => {
-                // Disconnected leftover: seed the smallest part anywhere.
-                // `remaining > 0` implies an unassigned vertex and `k ≥ 1`
-                // a smallest part; bail out rather than panic if either
-                // invariant is somehow broken.
-                let (Some(v), Some(p)) = (
-                    (0..n).find(|&v| assignment[v] == usize::MAX),
-                    (0..k).min_by_key(|&p| sizes[p]),
-                ) else {
-                    break;
-                };
-                assignment[v] = p;
-                sizes[p] += 1;
-                queues[p].push_back(v);
-                remaining -= 1;
-                continue;
-            }
-        };
-        let mut grew = false;
-        while let Some(&u) = queues[p].front() {
-            let next = a
-                .row(u)
-                .map(|(c, _)| c)
-                .find(|&c| c != u && assignment[c] == usize::MAX);
-            match next {
-                Some(v) => {
-                    assignment[v] = p;
-                    sizes[p] += 1;
-                    queues[p].push_back(v);
-                    remaining -= 1;
-                    grew = true;
-                    break;
-                }
-                None => {
-                    queues[p].pop_front();
-                }
-            }
-        }
-        let _ = grew;
-    }
-    assignment
-}
-
-/// Recursive bisection by BFS level sets: split at the median BFS level,
-/// recurse `levels` times, producing `2^levels` parts.
-pub fn recursive_bisection(a: &Csr, levels: usize) -> Vec<usize> {
-    let n = a.n_rows();
-    let mut assignment = vec![0usize; n];
-    let mut groups: Vec<Vec<usize>> = vec![(0..n).collect()];
-    for _ in 0..levels {
-        let mut next_groups = Vec::with_capacity(groups.len() * 2);
-        for group in groups {
-            let (lo, hi) = bisect(a, &group);
-            next_groups.push(lo);
-            next_groups.push(hi);
-        }
-        groups = next_groups;
-    }
-    for (p, group) in groups.iter().enumerate() {
-        for &v in group {
-            assignment[v] = p;
-        }
-    }
-    assignment
-}
-
-/// Split one vertex group in half along BFS layers from its lowest-index
-/// vertex; ties broken by index so the result is deterministic.
-fn bisect(a: &Csr, group: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    if group.len() < 2 {
-        return (group.to_vec(), Vec::new());
-    }
-    let inside: std::collections::HashSet<usize> = group.iter().copied().collect();
-    let mut level = std::collections::HashMap::new();
-    let mut order = Vec::with_capacity(group.len());
-    // Cover disconnected pieces of the group too.
-    for &start in group {
-        if level.contains_key(&start) {
-            continue;
-        }
-        level.insert(start, 0usize);
-        let mut q = VecDeque::from([start]);
-        while let Some(u) = q.pop_front() {
-            order.push(u);
-            for (c, _) in a.row(u) {
-                if c != u && inside.contains(&c) && !level.contains_key(&c) {
-                    level.insert(c, level[&u] + 1);
-                    q.push_back(c);
-                }
-            }
-        }
-    }
-    let half = group.len() / 2;
-    // BFS visit order approximates level ordering; cut at the median.
-    let lo = order[..half].to_vec();
-    let hi = order[half..].to_vec();
-    (lo, hi)
-}
-
-/// Multilevel nested-dissection assignment of a general graph into `k`
+/// Nested-dissection assignment of a general graph into `k`
 /// parts: the vertex set is split recursively by low-cut vertex
 /// separators, so subdomain factors stay small and the boundary cut stays
-/// low where [`grid_strips`]/[`greedy_grow`] blow up (a strip partition of
+/// low where [`grid_strips`] blows up (a strip partition of
 /// an `s×s×s` grid pays an `s²` face per boundary *per strip*; dissection
 /// halves the domain along its shortest extent at every level).
 ///
@@ -636,47 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_grow_covers_and_balances() {
-        let a = generators::grid2d_laplacian(10, 10);
-        let asg = greedy_grow(&a, 4, 42);
-        assert!(asg.iter().all(|&p| p < 4));
-        let m = metrics(&a, &asg);
-        assert_eq!(m.sizes.iter().sum::<usize>(), 100);
-        assert!(m.sizes.iter().all(|&s| s > 0));
-        assert!(m.imbalance < 1.5, "imbalance {}", m.imbalance);
-    }
-
-    #[test]
-    fn greedy_grow_deterministic_per_seed() {
-        let a = generators::grid2d_laplacian(6, 6);
-        assert_eq!(greedy_grow(&a, 3, 7), greedy_grow(&a, 3, 7));
-    }
-
-    #[test]
-    fn greedy_grow_handles_disconnected() {
-        // Two disconnected 2-paths; 2 parts must still cover everything.
-        let mut coo = dtm_sparse::Coo::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 2.0).unwrap();
-        }
-        coo.push_sym(0, 1, -1.0).unwrap();
-        coo.push_sym(2, 3, -1.0).unwrap();
-        let a = coo.to_csr();
-        let asg = greedy_grow(&a, 2, 1);
-        assert!(asg.iter().all(|&p| p < 2));
-    }
-
-    #[test]
-    fn recursive_bisection_produces_power_of_two_parts() {
-        let a = generators::grid2d_laplacian(8, 8);
-        let asg = recursive_bisection(&a, 2);
-        let m = metrics(&a, &asg);
-        assert_eq!(m.sizes.len(), 4);
-        assert_eq!(m.sizes.iter().sum::<usize>(), 64);
-        assert!(m.sizes.iter().all(|&s| s >= 8), "sizes {:?}", m.sizes);
-    }
-
-    #[test]
     fn nested_dissection_covers_all_parts_and_balances() {
         for &(nx, ny, k) in &[
             (8, 8, 4),
@@ -807,7 +553,6 @@ mod tests {
         let a = generators::grid2d_laplacian(9, 9);
         let tight = PartitionConfig {
             nd_slack_divisor: 10_000,
-            ..PartitionConfig::default()
         };
         let loose = nested_dissection(&a, 2);
         let pinned = nested_dissection_with(&a, 2, &tight);
@@ -826,64 +571,45 @@ mod tests {
     }
 
     #[test]
-    fn partitioner_parse_and_assign_roundtrip() {
+    fn every_partitioner_covers_and_populates_all_parts() {
         let a = generators::grid2d_laplacian(8, 8);
         let cfg = PartitionConfig::default();
-        for (s, p) in [
-            ("strips", Partitioner::Strips),
-            ("greedy", Partitioner::Greedy),
-            ("nd", Partitioner::NestedDissection),
-            ("ml", Partitioner::Multilevel),
-        ] {
-            assert_eq!(Partitioner::parse(s), Some(p));
-            assert_eq!(Partitioner::parse(p.name()), Some(p));
-            let asg = p.assign(&a, 4, &cfg);
-            let m = metrics(&a, &asg);
-            assert_eq!(m.sizes.iter().sum::<usize>(), 64, "{s} covers");
-            assert_eq!(m.sizes.len(), 4, "{s} populates every part");
+        for p in [Partitioner::Strips, Partitioner::NestedDissection] {
+            let m = metrics(&a, &p.assign(&a, 4, &cfg));
+            assert_eq!(m.sizes.iter().sum::<usize>(), 64, "{p:?} covers");
+            assert_eq!(m.sizes.len(), 4, "{p:?} populates every part");
         }
-        assert_eq!(Partitioner::parse("metis"), None);
-        let ids: Vec<usize> = [
-            Partitioner::Strips,
-            Partitioner::Greedy,
-            Partitioner::NestedDissection,
-            Partitioner::Multilevel,
-        ]
-        .iter()
-        .map(|p| p.id())
-        .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn size_based_default_switches_at_32_cubed() {
-        assert_eq!(
-            Partitioner::default_for(Partitioner::MULTILEVEL_MIN_N - 1),
-            Partitioner::NestedDissection
-        );
-        assert_eq!(
-            Partitioner::default_for(Partitioner::MULTILEVEL_MIN_N),
-            Partitioner::Multilevel
-        );
-        assert_eq!(
-            Partitioner::default_for(16 * 16 * 16),
-            Partitioner::NestedDissection
-        );
-        assert_eq!(
-            Partitioner::default_for(48 * 48 * 48),
-            Partitioner::Multilevel
-        );
+    fn default_is_nested_dissection_at_every_size() {
+        for n in [
+            1,
+            16 * 16 * 16,
+            32 * 32 * 32 - 1,
+            32 * 32 * 32,
+            48 * 48 * 48,
+            1_000_000,
+        ] {
+            assert_eq!(
+                Partitioner::default_for(n),
+                Partitioner::NestedDissection,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
-    fn part_weight_bounds_are_sane() {
-        let cfg = PartitionConfig::default();
-        // Roomy case: 8% slack above the 125 average.
-        assert_eq!(cfg.max_part_weight(1000, 8), 135);
-        assert!(cfg.min_part_weight(1000, 8) >= 1);
-        // Tiny parts: the floor keeps the bound satisfiable (avg + 1).
-        assert_eq!(cfg.max_part_weight(16, 8), 3);
-        assert_eq!(cfg.min_part_weight(3, 3), 1);
+    fn default_partition_of_the_benchmark_point_is_pinned() {
+        // The repository benchmark's `kernel3d`: 7-pt 32³ Laplacian into
+        // 16 parts under the default. A partitioner change has to show up
+        // as a diff in these three numbers.
+        let a = generators::grid3d_laplacian(32, 32, 32);
+        let asg = Partitioner::default_for(a.n_rows()).assign(&a, 16, &PartitionConfig::default());
+        let m = metrics(&a, &asg);
+        assert_eq!(m.cut_edges, 6_144);
+        assert_eq!(m.boundary_vertices, 11_136);
+        assert_eq!(m.imbalance, 1.0);
     }
 
     #[test]

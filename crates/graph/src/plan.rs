@@ -430,15 +430,10 @@ mod tests {
         let b = vec![0.0; 64];
         let g = ElectricGraph::from_system(a, b).unwrap();
         let cfg = PartitionConfig::default();
-        for p in [
-            Partitioner::Strips,
-            Partitioner::Greedy,
-            Partitioner::NestedDissection,
-            Partitioner::Multilevel,
-        ] {
+        for p in [Partitioner::Strips, Partitioner::NestedDissection] {
             let plan = PartitionPlan::from_partitioner(&g, p, 4, &cfg).unwrap();
-            assert_eq!(plan.n_parts(), 4, "{}", p.name());
-            assert!(plan.n_split() > 0, "{}", p.name());
+            assert_eq!(plan.n_parts(), 4, "{p:?}");
+            assert!(plan.n_split() > 0, "{p:?}");
         }
     }
 

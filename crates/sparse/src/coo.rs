@@ -123,6 +123,23 @@ impl Coo {
     /// (`drop_tol = 0.0` keeps explicit zeros out but preserves everything
     /// else exactly).
     pub fn to_csr_with_tol(&self, drop_tol: f64) -> Csr {
+        self.compress(drop_tol).0
+    }
+
+    /// [`to_csr`](Self::to_csr) for input that must name every coordinate
+    /// at most once (a file, as opposed to element-by-element assembly):
+    /// `Err((row, col))` is the first coordinate, in row-major order,
+    /// stored more than once.
+    pub fn to_csr_unique(&self) -> std::result::Result<Csr, (usize, usize)> {
+        match self.compress(0.0) {
+            (csr, None) => Ok(csr),
+            (_, Some(duplicate)) => Err(duplicate),
+        }
+    }
+
+    /// The compression behind every `to_csr*`: the CSR plus the first
+    /// coordinate (row-major) that needed merging, if any.
+    fn compress(&self, drop_tol: f64) -> (Csr, Option<(usize, usize)>) {
         // Counting sort by row, then per-row sort by column and merge
         // duplicates: O(nnz log nnz_row) without hashing.
         let mut row_counts = vec![0usize; self.n_rows + 1];
@@ -147,6 +164,7 @@ impl Coo {
         let mut out_vals = Vec::with_capacity(self.entries.len());
         out_ptr.push(0);
 
+        let mut duplicate = None;
         let mut scratch: Vec<(usize, f64)> = Vec::new();
         for r in 0..self.n_rows {
             let (lo, hi) = (row_counts[r], row_counts[r + 1]);
@@ -161,10 +179,14 @@ impl Coo {
             let mut i = 0;
             while i < scratch.len() {
                 let c = scratch[i].0;
+                let first = i;
                 let mut sum = 0.0;
                 while i < scratch.len() && scratch[i].0 == c {
                     sum += scratch[i].1;
                     i += 1;
+                }
+                if i - first > 1 && duplicate.is_none() {
+                    duplicate = Some((r, c));
                 }
                 if sum.abs() > drop_tol || (drop_tol == 0.0 && sum != 0.0) {
                     out_cols.push(c);
@@ -174,7 +196,8 @@ impl Coo {
             out_ptr.push(out_cols.len());
         }
 
-        Csr::from_raw_parts(self.n_rows, self.n_cols, out_ptr, out_cols, out_vals)
+        let csr = Csr::from_raw_parts(self.n_rows, self.n_cols, out_ptr, out_cols, out_vals);
+        (csr, duplicate)
     }
 
     /// Compress to CSR, summing duplicates and dropping exact zeros.

@@ -3,99 +3,169 @@
 //! Enough of the format to exchange test systems with other tools:
 //! `matrix coordinate real {general|symmetric}` headers, `%` comments,
 //! 1-based indices.
+//!
+//! The readers are total: whatever the bytes, they return a matrix or an
+//! [`Error::Parse`] naming the 1-based line — never a panic, and never an
+//! allocation sized by a number the file merely *claims* (see
+//! `UNBACKED`).
 
 use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::error::{Error, Result};
 use std::io::{BufRead, Write};
 
+/// What [`read_matrix`] will allocate on the size line's word alone,
+/// before the file's own entry lines have paid for more: the up-front
+/// triplet reservation is capped at this many, and a dimension may exceed
+/// the declared entry count by at most this much (the CSR row pointer is
+/// `O(rows)`, and no entry line backs an empty row).
+const UNBACKED: usize = 1 << 20;
+
+/// `Error::Parse` naming the 1-based input line.
+fn at(line: usize, msg: impl std::fmt::Display) -> Error {
+    Error::Parse(format!("line {line}: {msg}"))
+}
+
+/// The stream's lines with their 1-based numbers; I/O and UTF-8 failures
+/// name their line.
+fn numbered<R: BufRead>(reader: R) -> impl Iterator<Item = Result<(usize, String)>> {
+    reader.lines().enumerate().map(|(i, line)| match line {
+        Ok(line) => Ok((i + 1, line)),
+        Err(e) => Err(at(i + 1, e)),
+    })
+}
+
+/// Parse a 1-based index token into a 0-based index below `bound`.
+fn index(tok: &str, bound: usize, what: &str, line: usize) -> Result<usize> {
+    match tok.parse::<usize>() {
+        Ok(i) if (1..=bound).contains(&i) => Ok(i - 1),
+        Ok(i) => Err(at(line, format!("{what} index {i} outside 1..={bound}"))),
+        Err(_) => Err(at(line, format!("bad {what} index: {tok}"))),
+    }
+}
+
+/// Parse a finite number token (`nan`, `inf` and overflowing literals all
+/// parse as `f64`, and none of them is a matrix or vector entry).
+fn finite(tok: &str, line: usize) -> Result<f64> {
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(at(line, format!("non-finite value: {tok}"))),
+        Err(_) => Err(at(line, format!("bad number: {tok}"))),
+    }
+}
+
 /// Parse a Matrix Market stream into CSR.
 ///
-/// Symmetric files are expanded to both triangles.
+/// Symmetric files are expanded to both triangles; they must be square
+/// and list the lower triangle only. Every coordinate may appear once.
+///
+/// # Errors
+/// [`Error::Parse`] naming the offending 1-based line for anything else:
+/// malformed header or size line, dimensions the declared entry count
+/// cannot back, out-of-range or 0-based indices, non-finite values,
+/// trailing tokens, an entry above the diagonal of a symmetric file,
+/// duplicate coordinates, more or fewer entries than declared, I/O and
+/// UTF-8 failures.
 pub fn read_matrix<R: BufRead>(reader: R) -> Result<Csr> {
-    let mut lines = reader.lines();
-    let header = lines
+    let mut lines = numbered(reader);
+    let (_, header) = lines
         .next()
-        .ok_or_else(|| Error::Parse("empty Matrix Market stream".into()))?
-        .map_err(|e| Error::Parse(e.to_string()))?;
+        .ok_or_else(|| at(1, "empty Matrix Market stream"))??;
     let h: Vec<String> = header.split_whitespace().map(str::to_lowercase).collect();
     if h.len() < 5 || h[0] != "%%matrixmarket" || h[1] != "matrix" {
-        return Err(Error::Parse(format!("bad header: {header}")));
+        return Err(at(1, format!("bad header: {header}")));
     }
     if h[2] != "coordinate" || h[3] != "real" {
-        return Err(Error::Parse(format!(
-            "only `coordinate real` supported, got: {header}"
-        )));
+        return Err(at(1, format!("only `coordinate real` supported: {header}")));
     }
     let symmetric = match h[4].as_str() {
         "general" => false,
         "symmetric" => true,
-        other => return Err(Error::Parse(format!("unsupported symmetry kind: {other}"))),
+        other => return Err(at(1, format!("unsupported symmetry kind: {other}"))),
     };
 
-    let mut size_line = None;
-    for line in lines.by_ref() {
-        let line = line.map_err(|e| Error::Parse(e.to_string()))?;
+    let mut no = 1; // the line last read
+    let size_line = loop {
+        let (n, line) = lines.next().ok_or_else(|| at(no, "missing size line"))??;
+        no = n;
         let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+        if !(t.is_empty() || t.starts_with('%')) {
+            break t.to_string();
         }
-        size_line = Some(t.to_string());
-        break;
-    }
-    let size_line = size_line.ok_or_else(|| Error::Parse("missing size line".into()))?;
+    };
+    let size_no = no;
     let dims: Vec<usize> = size_line
         .split_whitespace()
-        .map(|t| {
-            t.parse()
-                .map_err(|_| Error::Parse(format!("bad size: {t}")))
-        })
+        .map(|t| t.parse().map_err(|_| at(no, format!("bad size: {t}"))))
         .collect::<Result<_>>()?;
-    if dims.len() != 3 {
-        return Err(Error::Parse(format!("bad size line: {size_line}")));
+    let &[nr, nc, nnz] = dims.as_slice() else {
+        return Err(at(no, format!("bad size line: {size_line}")));
+    };
+    if symmetric && nr != nc {
+        return Err(at(no, format!("symmetric but not square: {nr} x {nc}")));
     }
-    let (nr, nc, nnz) = (dims[0], dims[1], dims[2]);
+    if nr.max(nc) > nnz.saturating_add(UNBACKED) {
+        return Err(at(no, format!("{nr} x {nc} with only {nnz} entries")));
+    }
 
-    let mut coo = Coo::with_capacity(nr, nc, if symmetric { 2 * nnz } else { nnz });
+    let triplets = nnz.saturating_mul(if symmetric { 2 } else { 1 });
+    let mut coo = Coo::with_capacity(nr, nc, triplets.min(UNBACKED));
+    // Comment and blank lines among the entries — all the duplicate
+    // report below needs to turn an entry's ordinal back into its line.
+    let mut skipped = Vec::new();
     let mut seen = 0usize;
-    for line in lines {
-        let line = line.map_err(|e| Error::Parse(e.to_string()))?;
+    for item in lines {
+        let (n, line) = item?;
+        no = n;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
+            skipped.push(no);
             continue;
         }
-        let mut it = t.split_whitespace();
-        let r: usize = it
-            .next()
-            .ok_or_else(|| Error::Parse("truncated entry".into()))?
-            .parse()
-            .map_err(|_| Error::Parse(format!("bad row in: {t}")))?;
-        let c: usize = it
-            .next()
-            .ok_or_else(|| Error::Parse("truncated entry".into()))?
-            .parse()
-            .map_err(|_| Error::Parse(format!("bad col in: {t}")))?;
-        let v: f64 = it
-            .next()
-            .ok_or_else(|| Error::Parse("truncated entry".into()))?
-            .parse()
-            .map_err(|_| Error::Parse(format!("bad value in: {t}")))?;
-        if r == 0 || c == 0 {
-            return Err(Error::Parse("Matrix Market indices are 1-based".into()));
+        if seen == nnz {
+            return Err(at(no, format!("more entries than the {nnz} declared")));
         }
-        if symmetric {
-            coo.push_sym(r - 1, c - 1, v)?;
+        let mut it = t.split_whitespace();
+        let mut tok = || it.next().ok_or_else(|| at(no, "truncated entry"));
+        let r = index(tok()?, nr, "row", no)?;
+        let c = index(tok()?, nc, "column", no)?;
+        let v = finite(tok()?, no)?;
+        if it.next().is_some() {
+            return Err(at(no, format!("trailing tokens in: {t}")));
+        }
+        // Indices were range-checked just above (and a symmetric file is
+        // square), so the unchecked pushes cannot go out of bounds.
+        if !symmetric {
+            coo.push_trusted(r, c, v);
+        } else if c <= r {
+            coo.push_sym_trusted(r, c, v);
         } else {
-            coo.push(r - 1, c - 1, v)?;
+            return Err(at(no, "entry above the diagonal of a symmetric file"));
         }
         seen += 1;
     }
     if seen != nnz {
-        return Err(Error::Parse(format!(
-            "expected {nnz} entries, found {seen}"
-        )));
+        return Err(at(no, format!("expected {nnz} entries, found {seen}")));
     }
-    Ok(coo.to_csr())
+    coo.to_csr_unique().map_err(|(r, c)| {
+        // Failure path only: find the second occurrence and its line. A
+        // symmetric file's own entries are the triplets with row ≥ col
+        // (the mirrors have row < col).
+        let (r, c) = if symmetric && r < c { (c, r) } else { (r, c) };
+        let ordinal = coo
+            .triplets()
+            .iter()
+            .filter(|t| !symmetric || t.0 >= t.1)
+            .enumerate()
+            .filter(|(_, t)| (t.0, t.1) == (r, c))
+            .nth(1)
+            .map_or(0, |(k, _)| k);
+        let mut line = size_no + 1 + ordinal;
+        for &s in &skipped {
+            line += usize::from(s <= line);
+        }
+        at(line, format!("duplicate entry ({}, {})", r + 1, c + 1))
+    })
 }
 
 /// Write a CSR matrix in `coordinate real` format. If `symmetric` is true
@@ -120,18 +190,19 @@ pub fn write_matrix<W: Write>(w: &mut W, a: &Csr, symmetric: bool) -> std::io::R
 }
 
 /// Parse a dense vector from whitespace/newline-separated numbers.
+///
+/// # Errors
+/// [`Error::Parse`] naming the 1-based line of a token that is not a
+/// finite number, or of an I/O or UTF-8 failure.
 pub fn read_vector<R: BufRead>(reader: R) -> Result<Vec<f64>> {
     let mut out = Vec::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| Error::Parse(e.to_string()))?;
+    for item in numbered(reader) {
+        let (no, line) = item?;
         for tok in line.split_whitespace() {
             if tok.starts_with('%') {
                 break;
             }
-            out.push(
-                tok.parse()
-                    .map_err(|_| Error::Parse(format!("bad number: {tok}")))?,
-            );
+            out.push(finite(tok, no)?);
         }
     }
     Ok(out)
