@@ -13,7 +13,7 @@
 //! repro fig14    DTM convergence on 64 processors               [§7, Fig. 14]
 //! repro cmp-vtm  DTM vs VTM (conclusion §8)                     [§8]
 //! repro cmp-jacobi  DTM vs async/sync block-Jacobi (§1)         [§1]
-//! repro sweep-z  spectral radius vs impedance scale (Thm 6.1)   [§6, Fig. 9]
+//! repro sweep-z  spectral radius vs impedance scale + matched s [§6, Fig. 9]
 //! repro batched  per-RHS amortized cost of multi-RHS batches    [§5, factor-once]
 //! repro serve    rolling admission vs batch barrier latency     [§5, factor-once]
 //! repro compare  DTM vs randomized-asynchrony baselines          [§1, §6]
@@ -67,7 +67,7 @@
 use dtm_bench::*;
 
 use dtm_core::baselines::{self, BlockJacobiConfig};
-use dtm_core::impedance::ImpedancePolicy;
+use dtm_core::impedance::{ImpedancePolicy, Matching};
 use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::CommonConfig;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
@@ -156,7 +156,7 @@ fn main() {
         "fig14" => fig14(quick, mode),
         "cmp-vtm" => cmp_vtm(),
         "cmp-jacobi" => cmp_jacobi(),
-        "sweep-z" => sweep_z(),
+        "sweep-z" => sweep_z(quick),
         "batched" => batched(num_rhs, mode),
         "serve" => serve_cmd(quick, seed),
         "compare" => match transport {
@@ -186,7 +186,7 @@ fn main() {
             fig14(quick, mode);
             cmp_vtm();
             cmp_jacobi();
-            sweep_z();
+            sweep_z(quick);
             batched(num_rhs, mode);
             serve_cmd(quick, seed);
             compare_cmd(quick);
@@ -633,20 +633,70 @@ fn cmp_jacobi() {
 }
 
 /// §6 / Fig. 9 — spectral radius of the iteration operator vs impedance
-/// scale: the analytic form of the impedance bowl, and the ρ < 1 claim of
-/// Theorem 6.1.
-fn sweep_z() {
+/// scale: the analytic form of the impedance bowl, the ρ < 1 claim of
+/// Theorem 6.1, and where in the bowl the matched default
+/// ([`ImpedancePolicy::Matched`]) lands — on the paper's 17² mesh split and
+/// on the three benchmark systems (`--quick`: at the benchmark's own
+/// `--quick` sizes).
+fn sweep_z(quick: bool) {
     banner("Theorem 6.1 / Fig. 9: iteration-operator spectral radius vs impedance scale");
-    let topo = fig11_topology();
-    let ss = paper_split(17, 4, 4, &topo);
-    let scales = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0];
-    let sweep =
-        analysis::impedance_sweep(&ss, &scales, LocalSolverKind::Auto).expect("sweep builds");
-    println!("{:>12} {:>16}", "z scale", "spectral radius");
-    for (s, rho) in &sweep {
-        println!("{s:>12.2} {rho:>16.6}");
+    let bench_split = |a: dtm_sparse::Csr, parts: usize| {
+        let b = vec![1.0; a.n_rows()];
+        let problem = dtm_core::DtmBuilder::new(a, b)
+            .partition_auto(parts)
+            .build();
+        problem.expect("benchmark system builds").split
+    };
+    let (cube, square, serve) = if quick { (8, 16, 8) } else { (32, 96, 24) };
+    let systems = [
+        (
+            "paper 17² random grid, 4×4 mesh blocks".to_string(),
+            paper_split(17, 4, 4, &fig11_topology()),
+        ),
+        (
+            format!("kernel3d: {cube}³ 7-pt Laplacian, 16 parts"),
+            bench_split(generators::grid3d_laplacian(cube, cube, cube), 16),
+        ),
+        (
+            format!("comm2d: {square}² 5-pt Laplacian, 72 parts"),
+            bench_split(generators::grid2d_laplacian(square, square), 72),
+        ),
+        (
+            format!("serve8: {serve}³ 7-pt Laplacian, 8 parts"),
+            bench_split(generators::grid3d_laplacian(serve, serve, serve), 8),
+        ),
+    ];
+    let mut all_contractive = true;
+    for (name, ss) in &systems {
+        let m = Matching::of(ss);
+        println!(
+            "{name}: n = {}, μ̂ = {:.3e}, Γ = {:.3}, matched s = {:.2}",
+            ss.original_n, m.mu, m.gamma, m.scale
+        );
+        let mut scales = vec![0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, m.scale];
+        scales.sort_by(f64::total_cmp);
+        scales.dedup();
+        let sweep =
+            analysis::impedance_sweep(ss, &scales, LocalSolverKind::Auto).expect("sweep builds");
+        println!("{:>12} {:>16}", "z scale", "spectral radius");
+        for &(s, rho) in &sweep {
+            let mark = if s == m.scale { "  <- matched" } else { "" };
+            println!("{s:>12.2} {rho:>16.6}{mark}");
+        }
+        let at = |scale: f64| sweep.iter().find(|&&(s, _)| s == scale).expect("swept").1;
+        let best = sweep.iter().fold(f64::INFINITY, |b, &(_, r)| b.min(r));
+        // ρ is the per-round contraction: rounds to 1e-6 ≈ ln(1e-6)/ln ρ.
+        let rounds = |rho: f64| (1e-6_f64.ln() / rho.ln()).ceil();
+        println!(
+            "rho at the matched scale {:.6} (~{} rounds to 1e-6) vs {:.6} at scale 1 (~{}); \
+             lowest swept rho {best:.6}\n",
+            at(m.scale),
+            rounds(at(m.scale)),
+            at(1.0),
+            rounds(at(1.0)),
+        );
+        all_contractive &= sweep.iter().all(|&(_, r)| r < 1.0);
     }
-    let all_contractive = sweep.iter().all(|&(_, r)| r < 1.0);
     println!("all contractive (Theorem 6.1, arbitrary positive impedance): {all_contractive}\n");
 }
 

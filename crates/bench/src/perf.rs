@@ -38,7 +38,7 @@
 //!   `.mtx` fixture (or `--matrix <path.mtx> [--rhs <path>]`), partition
 //!   by nested dissection, solve reference-free on real threads.
 //!
-//! JSON schema (`dtm-bench-8`): a flat `"metrics"` object mapping
+//! JSON schema ([`SCHEMA`]): a flat `"metrics"` object mapping
 //! `case/section/metric` keys to numbers, plus a `"tracked"` array naming
 //! the keys the regression gate guards. The report is re-written to
 //! `--out` after every case, so a multi-hour run interrupted mid-suite
@@ -62,6 +62,10 @@ use dtm_sparse::{generators, mm, Csr, SparseCholesky};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// Schema tag of the report format — the one the committed baseline,
+/// `BENCH_7.json`, carries.
+pub const SCHEMA: &str = "dtm-bench-7";
 
 /// Options for [`run`], parsed from `repro bench` flags.
 #[derive(Debug, Clone)]
@@ -129,12 +133,12 @@ impl BenchReport {
         &self.tracked
     }
 
-    /// Serialize to the `dtm-bench-8` JSON schema (hand-rolled: the
+    /// Serialize to the [`SCHEMA`] JSON format (hand-rolled: the
     /// vendored serde derives are inert, and the format is a flat map).
     pub fn to_json(&self, quick: bool) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"dtm-bench-8\",\n");
+        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
         s.push_str(&format!("  \"quick\": {quick},\n"));
         s.push_str("  \"metrics\": {\n");
         let last = self.metrics.len();
@@ -745,6 +749,10 @@ mod tests {
         r.record("a/wall_ms", 13.25);
         r.track("b/converged", 1.0);
         let text = r.to_json(true);
+        // The writer names the schema of the one committed baseline.
+        let baseline = include_str!("../../../BENCH_7.json");
+        let tag = format!("\"schema\": \"{SCHEMA}\"");
+        assert!(text.contains(&tag) && baseline.contains(&tag), "{tag}");
         let (metrics, tracked) = parse_bench_json(&text).unwrap();
         assert_eq!(metrics.len(), 3);
         assert_eq!(metrics["a/msgs"], 420.0);

@@ -133,7 +133,7 @@ impl DtmBuilder {
         self
     }
 
-    /// Impedance policy.
+    /// Impedance policy (default: [`ImpedancePolicy::Matched`]).
     pub fn impedance(mut self, policy: ImpedancePolicy) -> Self {
         self.config.common.impedance = policy;
         self

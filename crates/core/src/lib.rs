@@ -23,7 +23,8 @@
 //!
 //! * [`dtl`] — the delay-equation algebra (incident/reflected waves);
 //! * [`impedance`] — characteristic-impedance selection policies (the free
-//!   parameter studied in Fig. 9);
+//!   parameter studied in Fig. 9), the default of which works its scale
+//!   out of the torn system's spectrum;
 //! * [`local`] — the factor-once local solver of eq. (5.9);
 //! * [`runtime`] — the **backend-agnostic DTM runtime**: the one canonical
 //!   node state machine (solve-and-scatter, wave merge, Table 1 step 3.3

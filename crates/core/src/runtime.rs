@@ -269,7 +269,11 @@ impl Termination {
 /// parameterises the *algorithm* rather than the *machine*.
 #[derive(Debug, Clone)]
 pub struct CommonConfig {
-    /// Impedance policy (the Fig. 9 knob).
+    /// Impedance policy — Fig. 9's bowl. The default,
+    /// [`Matched`](ImpedancePolicy::Matched), works the one global scale
+    /// out of the torn system's spectrum when the nodes are built (see
+    /// [`crate::impedance`]); set an explicit policy to sweep the bowl or
+    /// to reproduce the paper's values.
     pub impedance: ImpedancePolicy,
     /// Local factorization backend.
     pub solver_kind: LocalSolverKind,
@@ -719,7 +723,10 @@ impl AsyncNode for NodeRuntime {
 /// # Errors
 /// Fails if the impedance assignment fails or a local factorization fails
 /// (the subdomain was not SNND, i.e. the EVS split violated Theorem 6.1's
-/// hypothesis).
+/// hypothesis, or the input was not SPD):
+/// [`PartNotPositiveDefinite`](dtm_sparse::Error::PartNotPositiveDefinite)
+/// names the lowest-numbered failing part and the original row of its
+/// pivot.
 pub fn build_nodes(split: &SplitSystem, common: &CommonConfig) -> Result<Vec<NodeRuntime>> {
     build_nodes_inner(split, common, None)
 }
@@ -805,9 +812,21 @@ fn build_node_inner(
         }
     }
     let local = match cols {
-        None => LocalSystem::new(sub, z_ports, common.solver_kind)?,
-        Some(cols) => LocalSystem::new_block(sub, z_ports, common.solver_kind, cols)?,
-    };
+        None => LocalSystem::new(sub, z_ports, common.solver_kind),
+        Some(cols) => LocalSystem::new_block(sub, z_ports, common.solver_kind, cols),
+    }
+    // A failed pivot arrives in part-local numbering; say which part and
+    // which row of the caller's system.
+    .map_err(|e| match e {
+        dtm_sparse::Error::NotPositiveDefinite { column, pivot } => {
+            dtm_sparse::Error::PartNotPositiveDefinite {
+                part: sub.part,
+                row: sub.global_of_local[column],
+                pivot,
+            }
+        }
+        other => other,
+    })?;
     Ok(NodeRuntime {
         part: sub.part,
         local,

@@ -257,6 +257,31 @@ fn missing_topology_link_is_a_build_time_error() {
     );
 }
 
+#[test]
+fn indefinite_part_is_a_typed_error_naming_part_and_row() {
+    // One interior diagonal entry negated: the matched impedance falls
+    // back to s = 1 (no "impedance must be positive" detour) and the
+    // part's factorization reports itself in the caller's numbering.
+    let (side, row) = (10, 5 * 10 + 5);
+    let mut flip = vec![0.0; side * side];
+    flip[row] = -8.0; // a diagonal of 4 becomes −4
+    let a = generators::grid2d_laplacian(side, side).add_to_diagonal(&flip);
+    let g = ElectricGraph::from_system(a, vec![1.0; side * side]).expect("symmetric");
+    let plan =
+        PartitionPlan::from_assignment(&g, &partition::grid_strips(side, side, 3)).expect("valid");
+    let ss = evs_split(&g, &plan, &EvsOptions::default()).expect("splits");
+    let err = DistributedBackend
+        .solve(&ss, None, &config(1e-8, 2, RunMode::InProcess))
+        .expect_err("indefinite part");
+    match err {
+        dtm_sparse::Error::PartNotPositiveDefinite { part, row: r, .. } => {
+            assert_eq!(r, row);
+            assert!(ss.subdomains[part].global_of_local.contains(&row));
+        }
+        other => panic!("expected PartNotPositiveDefinite, got {other}"),
+    }
+}
+
 /// The probe both end-of-run tests share: a 24² grid in 4 strips on 2
 /// groups with a tolerance no residual can meet, so only the budget or
 /// the round cap can end the run.

@@ -31,6 +31,18 @@ pub enum Error {
         /// The offending pivot value.
         pivot: f64,
     },
+    /// [`NotPositiveDefinite`](Self::NotPositiveDefinite) from the local
+    /// factorization of one part of a torn system, located in the caller's
+    /// terms: the input was not SPD there, or the split violated the
+    /// hypothesis of Theorem 6.1.
+    PartNotPositiveDefinite {
+        /// The part whose local matrix broke down.
+        part: usize,
+        /// Row of the *original* system the failing pivot belongs to.
+        row: usize,
+        /// The offending pivot value.
+        pivot: f64,
+    },
     /// The matrix is structurally or numerically non-symmetric.
     NotSymmetric {
         /// Row of the first offending entry.
@@ -69,6 +81,11 @@ impl fmt::Display for Error {
                 f,
                 "matrix is not positive definite: pivot {pivot:.3e} at column {column}"
             ),
+            Error::PartNotPositiveDefinite { part, row, pivot } => write!(
+                f,
+                "part {part} is not positive definite: pivot {pivot:.3e} at row {row} \
+                 of the original system"
+            ),
             Error::NotSymmetric { row, col } => {
                 write!(f, "matrix is not symmetric at entry ({row}, {col})")
             }
@@ -103,6 +120,14 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("positive definite"));
         assert!(msg.contains("column 3"));
+
+        let e = Error::PartNotPositiveDefinite {
+            part: 2,
+            row: 41,
+            pivot: -1.0,
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("part 2") && msg.contains("row 41"), "{msg}");
 
         let e = Error::DimensionMismatch {
             context: "matvec",

@@ -6,6 +6,7 @@
 pub mod cg;
 pub mod gauss_seidel;
 pub mod jacobi;
+pub mod lanczos;
 pub mod sor;
 
 /// Shared configuration for the stationary/Krylov solvers.
