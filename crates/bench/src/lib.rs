@@ -1,6 +1,6 @@
-//! Shared experiment plumbing for the figure/table reproduction harness and
-//! the Criterion benches: canonical setups for each paper experiment,
-//! series decimation, and plain-text chart/table rendering.
+//! Shared experiment plumbing for the figure/table reproduction harness:
+//! canonical setups for each paper experiment, series decimation, and
+//! plain-text chart/table rendering.
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;

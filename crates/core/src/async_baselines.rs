@@ -54,8 +54,8 @@ use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
 use crate::local::Factor;
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{
-    self, AsyncNode, DtmMsg, ExecutorBackend, GatherMap, NodeControl, PortUpdate, SelfHalt,
-    Termination, Transport,
+    self, AsyncNode, DtmMsg, ExecutorBackend, GatherMap, NodeControl, PortUpdate, RunSpec,
+    SelfHalt, Termination, Transport,
 };
 use crate::solver::{self, ComputeModel, SimNode, SimRun};
 use dtm_graph::evs::SplitSystem;
@@ -460,8 +460,6 @@ pub struct BaselineConfig {
     pub max_solves_per_node: usize,
     /// Wall-clock budget (threaded / work-stealing executors).
     pub budget: Duration,
-    /// Supervisor poll interval (wall-clock executors).
-    pub poll_interval: Duration,
     /// Pool threads (work-stealing executor; 0 = available parallelism).
     pub num_threads: usize,
 }
@@ -475,7 +473,6 @@ impl Default for BaselineConfig {
             sample_interval: SimDuration::ZERO,
             max_solves_per_node: 200_000,
             budget: Duration::from_secs(30),
-            poll_interval: Duration::from_micros(500),
             num_threads: 0,
         }
     }
@@ -839,7 +836,7 @@ pub(crate) struct Prepared<'a> {
     /// Partitions don't overlap: every global row has exactly one copy.
     copy_count: Vec<usize>,
     /// The opt-in oracle reference ([`runtime::resolve_references`]).
-    pub(crate) references: Option<Vec<Vec<f64>>>,
+    references: Option<Vec<Vec<f64>>>,
 }
 
 impl<'a> Prepared<'a> {
@@ -873,7 +870,7 @@ impl<'a> Prepared<'a> {
     }
 
     /// The gather map of this partition over `A x = b`.
-    pub(crate) fn map(&self) -> GatherMap<'_> {
+    fn map(&self) -> GatherMap<'_> {
         GatherMap::new(
             self.pt.rows.iter().map(Vec::as_slice).collect(),
             &self.copy_count,
@@ -887,18 +884,24 @@ impl<'a> Prepared<'a> {
         matches!(self.config.termination, Termination::LocalDelta { .. })
     }
 
+    /// What a run of this problem is scored against, on any executor.
+    pub(crate) fn spec(&self) -> RunSpec<'_> {
+        RunSpec {
+            algorithm: self.algo.kind(),
+            termination: self.config.termination,
+            map: self.map(),
+            references: self.references.as_deref(),
+        }
+    }
+
     /// Supervise a started wall-clock `fabric` over this problem.
     fn run_wallclock(&self, fabric: impl Fabric, backend: BackendKind) -> SolveReport {
         fabric::run(
             fabric,
             &WallRun {
+                spec: self.spec(),
                 backend,
-                algorithm: self.algo.kind(),
-                termination: self.config.termination,
                 budget: self.config.budget,
-                poll_interval: self.config.poll_interval,
-                map: self.map(),
-                references: self.references.as_deref(),
             },
         )
     }
@@ -962,13 +965,10 @@ pub fn solve_sim(
         topology,
         sim_nodes(nodes, config),
         &SimRun {
-            algorithm: algo.kind(),
-            termination: config.termination,
+            spec: prepared.spec(),
             horizon: config.horizon,
             sample_interval: config.sample_interval,
             trace_capacity: None,
-            map: prepared.map(),
-            references: prepared.references.as_deref(),
         },
     ))
 }

@@ -21,7 +21,7 @@
 
 use crate::async_baselines::{self, BaselineAlgo, BaselineConfig, Prepared};
 use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
-use crate::runtime::{self, AsyncNode, DtmMsg};
+use crate::runtime::{AsyncNode, DtmMsg};
 use crate::solver::{ComputeModel, Termination};
 use dtm_simnet::{SimDuration, SimTime, Topology};
 use dtm_sparse::{Csr, Result};
@@ -117,14 +117,7 @@ pub fn solve_sync(
     let baseline = config.baseline();
     let algo = BaselineAlgo::BlockJacobi;
     let (prepared, mut nodes) = Prepared::new(&algo, a, b, assignment, reference, &baseline)?;
-    let map = prepared.map();
-    // As everywhere: residual termination stops on the residual even when
-    // a reference was supplied for reporting; the other modes carry one.
-    let oracle = match config.termination {
-        Termination::Residual { .. } => None,
-        _ => prepared.references.as_ref().map(|r| r[0].as_slice()),
-    };
-    let metric_tol = config.termination.metric_tol();
+    let mut monitor = prepared.spec().monitor(SimDuration::ZERO);
     let max_compute = nodes
         .iter()
         .map(|n| config.compute.duration_for_block(n.work_nnz(), 1))
@@ -136,8 +129,6 @@ pub fn solve_sync(
     });
     let round_time = max_compute + overhead;
 
-    let mut x = vec![0.0; a.n_rows()];
-    let mut series = Vec::new();
     let mut t = SimTime::ZERO;
     let mut halted = vec![false; nodes.len()];
     let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
@@ -152,19 +143,8 @@ pub fn solve_sync(
             nodes[dst].absorb_owned(msg);
         }
         t += round_time;
-        let blocks = nodes.iter().map(|n| n.solution());
-        runtime::gather_col(
-            map.parts.iter().copied().zip(blocks),
-            map.copy_count,
-            0,
-            &mut x,
-        );
-        let metric = match oracle {
-            Some(r) => dtm_sparse::vector::rms_error(&x, r),
-            None => map.residual(0, &x),
-        };
-        series.push((t.as_millis_f64(), metric));
-        if metric_tol.is_some_and(|tol| metric <= tol) {
+        monitor.update_round(t, nodes.iter().map(|n| n.solution()));
+        if monitor.all_done() {
             stop = StopKind::OracleTolerance;
             break;
         }
@@ -183,16 +163,8 @@ pub fn solve_sync(
         termination: config.termination,
         stop,
         time_ms: t.as_millis_f64(),
-        rms_per_rhs: prepared
-            .references
-            .iter()
-            .flatten()
-            .map(|r| dtm_sparse::vector::rms_error(&x, r))
-            .collect(),
-        residual_per_rhs: vec![map.residual(0, &x)],
-        solutions: vec![x],
-        best_metric: f64::INFINITY,
-        series,
+        columns: monitor.retire_all(),
+        series: monitor.into_series(),
         totals,
         coalesced_batches: 0,
         n_parts: nodes.len(),

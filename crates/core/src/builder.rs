@@ -181,8 +181,21 @@ impl DtmBuilder {
     /// never factor the original system.
     ///
     /// # Errors
-    /// Any validation failure along the pipeline.
+    /// Any validation failure along the pipeline — first of all a NaN or an
+    /// infinity in `b` or in the matrix values
+    /// ([`Error::NonFinite`], naming the entry / the row): no executor can
+    /// do better with one than an all-NaN "unconverged" report.
     pub fn build(self) -> Result<DtmProblem> {
+        dtm_sparse::vector::require_finite("DtmBuilder right-hand side", &self.b)?;
+        for row in 0..self.a.n_rows() {
+            if let Some((_, value)) = self.a.row(row).find(|(_, v)| !v.is_finite()) {
+                return Err(Error::NonFinite {
+                    context: "DtmBuilder matrix rows",
+                    index: row,
+                    value,
+                });
+            }
+        }
         let pool = setup_pool()?;
         // Kick off the reference factorization first so it overlaps with
         // plan derivation and the split on a multi-core machine.
@@ -282,8 +295,12 @@ impl DtmProblem {
     /// [`solver::solve_block`]).
     ///
     /// # Errors
-    /// See [`solver::solve_block`].
+    /// See [`solver::solve_block`]; a NaN or an infinity in a column is
+    /// [`Error::NonFinite`], naming its first such entry.
     pub fn solve_block(&self, rhs_cols: &[Vec<f64>]) -> Result<SolveReport> {
+        for col in rhs_cols {
+            dtm_sparse::vector::require_finite("DtmProblem::solve_block column", col)?;
+        }
         solver::solve_block(
             &self.split,
             self.topology.clone(),
@@ -699,6 +716,50 @@ mod tests {
         for (x, b) in report.solutions.iter().zip(&cols) {
             assert!(a.residual_norm(x, b) < 1e-5);
         }
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_at_build() {
+        // A NaN in b, or an infinity in the matrix values, is a typed error
+        // naming the entry — not an all-NaN "unconverged" report.
+        let build = |a: Csr, b: Vec<f64>| DtmBuilder::new(a, b).grid_blocks(6, 6, 2, 2).build();
+        let a = generators::grid2d_laplacian(6, 6);
+        let mut b = vec![1.0; 36];
+        b[7] = f64::NAN;
+        match build(a.clone(), b).unwrap_err() {
+            Error::NonFinite {
+                index: 7, value, ..
+            } => assert!(value.is_nan()),
+            other => panic!("expected NonFinite at 7, got {other}"),
+        }
+        let mut bad = a;
+        let first_of_row_3 = bad.row_ptr()[3];
+        bad.values_mut()[first_of_row_3] = f64::INFINITY;
+        let err = build(bad, vec![1.0; 36]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::NonFinite {
+                    index: 3,
+                    value: f64::INFINITY,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn non_finite_solve_block_column_is_a_typed_error() {
+        let a = generators::grid2d_laplacian(6, 6);
+        let problem = DtmBuilder::new(a, vec![1.0; 36])
+            .grid_blocks(6, 6, 2, 2)
+            .build()
+            .unwrap();
+        let mut cols = vec![vec![1.0; 36], vec![2.0; 36]];
+        cols[1][35] = f64::NEG_INFINITY;
+        let err = problem.solve_block(&cols).unwrap_err();
+        assert!(matches!(err, Error::NonFinite { index: 35, .. }), "{err}");
     }
 
     #[test]

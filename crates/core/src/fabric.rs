@@ -28,7 +28,8 @@
 //!
 //! # Halting is a state, not an exit
 //!
-//! Under [`Termination::LocalDelta`] a node whose step returns
+//! Under [`Termination::LocalDelta`](crate::runtime::Termination::LocalDelta) a
+//! node whose step returns
 //! [`NodeControl::Converged`] goes **passive**: it is no longer kicked, and
 //! the waves of that very step — sub-tolerance by definition — are dropped
 //! at passive receivers (which is what lets the exchange die out). But it
@@ -43,12 +44,13 @@
 //! fell silent) *kicks* them: re-solving against an unchanged boundary is
 //! a zero delta, which lets the Table 1 step 3.3 streak complete.
 
-use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
-use crate::runtime::wallclock::{Retired, Scorer, SharedBlock};
-use crate::runtime::{AsyncNode, DtmMsg, GatherMap, NodeControl, Termination};
+use crate::monitor::{wall_time, POLL_INTERVAL};
+use crate::report::{BackendKind, RunSummary, SolveReport, StopKind, Totals};
+use crate::runtime::wallclock::SharedBlock;
+use crate::runtime::{AsyncNode, DtmMsg, NodeControl, RunSpec};
 use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicUsize, Mutex, Ordering};
-use dtm_simnet::Topology;
+use dtm_simnet::{SimDuration, Topology};
 use dtm_sparse::Result;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::time::{Duration, Instant};
@@ -677,40 +679,21 @@ impl<N> Drop for Threads<N> {
 
 /// What [`run`] needs besides the started fabric.
 pub(crate) struct WallRun<'a> {
+    pub spec: RunSpec<'a>,
     pub backend: BackendKind,
-    pub algorithm: AlgorithmKind,
-    pub termination: Termination,
     pub budget: Duration,
-    pub poll_interval: Duration,
-    pub map: GatherMap<'a>,
-    /// Oracle references, one per column of `map.b_cols`; `None` runs
-    /// reference-free.
-    pub references: Option<&'a [Vec<f64>]>,
 }
 
-/// Supervise a started fabric — `run.map`'s columns admitted to the
-/// scorer at once, all under `run.termination` — until every column met
-/// the rule, every node halted or the budget expired; then stop the fabric
-/// and assemble the report.
+/// Supervise a started fabric — `run.spec`'s columns admitted to the
+/// monitor at once — until every column met the rule, every node halted
+/// or the budget expired; then stop the fabric and assemble the report.
 pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     let started = Instant::now();
-    let elapsed_ms = || started.elapsed().as_secs_f64() * 1e3;
-    let map = &run.map;
-    let k = map.b_cols.len();
-    let mut scorer = Scorer::new(map.parts.iter().copied(), map.copy_count, k);
-    for (c, b) in map.b_cols.iter().enumerate() {
-        let reference = run.references.map(|refs| refs[c].as_slice());
-        scorer.replace_column(c, b, run.termination, reference);
-    }
-    let mut series = Vec::new();
-    let mut best_metric = f64::INFINITY;
+    let mut monitor = run.spec.monitor(SimDuration::ZERO);
     let stop = loop {
-        std::thread::sleep(run.poll_interval);
-        scorer.poll(map.a, fabric.snapshots());
-        let metric = scorer.worst_metric();
-        best_metric = best_metric.min(metric);
-        series.push((elapsed_ms(), metric));
-        if (0..k).all(|c| scorer.done(c)) {
+        std::thread::sleep(POLL_INTERVAL);
+        monitor.poll(wall_time(started), fabric.snapshots());
+        if monitor.all_done() {
             break StopKind::OracleTolerance;
         }
         if fabric.all_halted() {
@@ -720,33 +703,34 @@ pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
             break StopKind::Budget;
         }
     };
-    // Final exact numbers of whatever was published by now.
-    scorer.poll(map.a, fabric.snapshots());
-    let columns: Vec<Retired> = (0..k).map(|c| scorer.retire(c, map.a)).collect();
-    let time_ms = elapsed_ms();
+    // A tolerance stop retires the columns as scored: the returned `x` is
+    // the one the exact metric accepted, whatever the nodes have done to
+    // theirs since. Otherwise report whatever was published by now.
+    if stop != StopKind::OracleTolerance {
+        monitor.poll(wall_time(started), fabric.snapshots());
+    }
+    let columns = monitor.retire_all();
+    let time_ms = started.elapsed().as_secs_f64() * 1e3;
     let totals = fabric.finish();
     SolveReport::assemble(RunSummary {
         backend: run.backend,
-        algorithm: run.algorithm,
-        termination: run.termination,
+        algorithm: run.spec.algorithm,
+        termination: run.spec.termination,
         stop,
         time_ms,
-        rms_per_rhs: columns.iter().filter_map(|col| col.rms).collect(),
-        residual_per_rhs: columns.iter().map(|col| col.residual).collect(),
-        solutions: columns.into_iter().map(|col| col.solution).collect(),
-        best_metric,
-        series,
+        columns,
+        series: monitor.into_series(),
         totals,
         coalesced_batches: 0,
-        n_parts: map.parts.len(),
+        n_parts: run.spec.map.parts.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::StopKind;
-    use crate::runtime::{self, CommonConfig, Transport};
+    use crate::report::AlgorithmKind;
+    use crate::runtime::{self, CommonConfig, GatherMap, Termination, Transport};
     use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;
@@ -834,13 +818,14 @@ mod tests {
         let report = run(
             fabric,
             &WallRun {
+                spec: RunSpec {
+                    algorithm: AlgorithmKind::Dtm,
+                    termination: TERMINATION,
+                    map,
+                    references: references.as_deref(),
+                },
                 backend,
-                algorithm: AlgorithmKind::Dtm,
-                termination: TERMINATION,
                 budget: Duration::from_secs(60),
-                poll_interval: Duration::from_micros(500),
-                map,
-                references: references.as_deref(),
             },
         );
         assert_eq!(report.stop, StopKind::AllHalted);

@@ -29,10 +29,10 @@
 //! * [`runtime`] — the **backend-agnostic DTM runtime**: the one canonical
 //!   node state machine (solve-and-scatter, wave merge, Table 1 step 3.3
 //!   self-halt) behind the [`runtime::Transport`] /
-//!   [`runtime::ExecutorBackend`] trait pair; the one gather
-//!   ([`runtime::GatherMap`], [`runtime::gather_col`]); and, in
-//!   [`runtime::wallclock`], the one supervisor-side scorer of every
-//!   wall-clock run, one-shot or rolling;
+//!   [`runtime::ExecutorBackend`] trait pair; what a supervisor reads of
+//!   the system it scores a run against ([`runtime::GatherMap`]); and, in
+//!   [`runtime::wallclock`], the block a wall-clock worker publishes its
+//!   solution through;
 //! * [`fabric`] — **the two wall-clock fabrics**, each written once and
 //!   generic over the node: tasks on a work-stealing pool, and one OS
 //!   thread per node; plus the per-node hook and the LocalDelta
@@ -61,14 +61,17 @@
 //!   [`solver`]) and compared message for message by `repro compare`;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
 //!   (quantitative convergence rates, Fig. 9 cross-check);
-//! * [`monitor`] — convergence tracking over time: oracle RMS against the
-//!   direct solution, or the reference-free incremental true residual;
+//! * [`monitor`] — **the one scorer** of every executor, one-shot or
+//!   rolling: the incrementally gathered estimate, and per column slot the
+//!   oracle RMS against the direct solution or the reference-free
+//!   incremental true residual, held to the slot's own stopping rule;
 //! * [`builder`] — the high-level [`DtmBuilder`] entry point;
 //! * [`session`] — **rolling mixed-tolerance sessions**: an admission
 //!   queue that swaps right-hand sides into the live block wave as column
 //!   slots free up, each ticket under its own termination, with per-column
 //!   completion reports — on all three executors (the wall-clock ones as
-//!   a hook on a [`fabric`], scored by the one-shot solves' own scorer);
+//!   a hook on a [`fabric`]), scored by the one-shot solves' own
+//!   [`monitor`];
 //! * [`report`] — the shared solve-report vocabulary and
 //!   [`SolveReport::assemble`], the one report constructor holding the one
 //!   `converged` rule.

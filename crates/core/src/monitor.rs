@@ -1,226 +1,318 @@
-//! Convergence monitoring over a block of K right-hand sides: oracle RMS
-//! error and/or reference-free true residual, both incremental.
+//! The one scorer: every executor's supervisor side, over a block of K
+//! column slots.
 //!
 //! The paper's convergence figures (8, 9, 12, 14) plot the error of the
 //! evolving distributed state against the true solution `x* = A⁻¹b`. The
-//! monitor maintains the *global* estimate (averaging every split vertex's
-//! copies) incrementally — O(|part|·K) per activation, not O(n·K) — and
-//! records a `(time, metric)` staircase series. With several right-hand
-//! sides in flight the reported scalar is the **worst column's** value: a
-//! batched solve is only done when its slowest column is done.
+//! [`Monitor`] maintains the *global* estimate (averaging every split
+//! vertex's copies) incrementally — O(|part|·K) per activation, not O(n·K)
+//! — records a `(time, metric)` staircase series, and holds each column to
+//! its own stopping rule: it is the only type in this crate and `dtm-net`
+//! that gathers an estimate, computes a residual or an RMS error, or
+//! decides that a column is done (`dtm-lint`'s `single-scorer` rule).
 //!
-//! Two metrics are supported, selected at construction:
+//! # Column slots
 //!
-//! * **Oracle RMS** (the paper's figures): RMS error against precomputed
-//!   direct solutions — requires one exact substitution per right-hand
-//!   side, which no production deployment can pay.
-//! * **Relative true residual** `‖b − A·x‖₂ / ‖b‖₂`
-//!   ([`Monitor::new_residual`]): maintained incrementally from the same
-//!   per-part updates — when an averaged estimate entry moves by δ, only
-//!   the residual entries of A's column `g` change. The per-update cost is
-//!   O(1) per changed entry: deltas are *aggregated* and the sparse row
-//!   folds run batched at flush points (the residual is linear in the
-//!   estimate, so aggregated folding is exact; staleness between flushes
-//!   can only delay a stop, never trigger one early), with periodic exact
-//!   resynchronization (like the RMS resync) bounding floating-point
-//!   drift. No direct solve of the original system is ever performed.
+//! A slot is idle until [`admit`](Monitor::admit) puts a right-hand side
+//! in it under a [`Termination`] rule, and idle again after
+//! [`retire`](Monitor::retire) hands back its exact final numbers. A
+//! one-shot solve admits its K columns at t = 0 under one rule; a rolling
+//! session recycles slots as tickets come and go. Each live column is
+//! scored by one metric:
+//!
+//! * **Oracle RMS** (the paper's figures) against a supplied direct
+//!   solution, under [`Termination::OracleRms`] and (passively)
+//!   [`Termination::LocalDelta`] — one exact substitution per right-hand
+//!   side, which no production deployment can pay;
+//! * **Relative true residual** `‖b − A·x‖₂ / ‖b‖₂` otherwise (always
+//!   under [`Termination::Residual`], where a supplied reference only adds
+//!   RMS *reporting*). When an averaged estimate entry moves by δ, only the
+//!   residual entries of A's column `g` change (Hong's D-iteration: the
+//!   residual is linear in the estimate, `r −= A·Δx`), so deltas are
+//!   *aggregated* and the sparse row folds run batched. Staleness between
+//!   folds can only delay a stop, never trigger one early.
+//!
+//! # Feeding it
+//!
+//! The monitor keeps the last block each part reported, and a part's new
+//! block is diffed against it — one per-part fold behind two feeds:
+//!
+//! * [`update_part`](Monitor::update_part) — one activation (the simulated
+//!   engines): the residual folds are deferred (`RESID_FLUSH_EVERY`);
+//! * `poll` — whatever the wall-clock workers published since the last
+//!   poll; the kept copy *is* the supervisor's mirror of the published
+//!   blocks, and only a block's fold runs under its lock. A column most of
+//!   whose entries moved is recomputed outright, one where few did is
+//!   folded.
+//!
+//! The lock-step executors hand over every part's block at once
+//! ([`update_round`](Monitor::update_round)): every entry moved, so there
+//! is nothing to diff — the estimate is gathered afresh and each column
+//! recomputed, one gather and one SpMV, exact every round.
+//!
+//! # Stopping
+//!
+//! [`done`](Monitor::done) gates on the cheap maintained value and confirms
+//! by recomputing the column exactly from the estimate, so **a stop
+//! decision is only ever taken on an exactly recomputed value**, of the
+//! very estimate [`retire`](Monitor::retire) then returns.
 
+use crate::runtime::wallclock::SharedBlock;
+use crate::runtime::{GatherMap, Termination};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{SimDuration, SimTime};
 use dtm_sparse::Csr;
+use std::time::{Duration, Instant};
 
-/// Which incremental metric drives [`Monitor::update_part`]'s return value
-/// and the recorded series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Primary {
-    OracleRms,
-    Residual,
-}
-
-/// Incremental oracle-error state: Σ(est − x*)² per column.
-#[derive(Debug, Clone)]
-struct OracleTracker {
-    /// Reference solutions, column-major (`n·k`).
-    reference: Vec<f64>,
-    /// Running Σ (est − ref)², per column.
-    sum_sq_err: Vec<f64>,
-}
-
-/// Incremental true-residual state: r = b − A·est and Σr² per column.
-///
-/// The fold is **deferred**: an estimate update only aggregates its delta
-/// into `pending` (O(1) per entry — cheaper than the oracle fold), and the
-/// actual sparse row folds run batched at flush points. Because the
-/// residual is linear in the estimate, folding an aggregated delta once is
-/// exactly equivalent to folding every step (to rounding), so deferral
-/// loses no precision — only freshness, and staleness is safe: the cached
-/// metric is only ever a previously *exact* value, so a stop decision can
-/// fire late by at most one flush window, never early.
-#[derive(Debug, Clone)]
-struct ResidualTracker {
-    /// The reconstructed original system.
-    a: Csr,
-    /// Right-hand sides, column-major (`n·k`).
-    rhs: Vec<f64>,
-    /// `‖b_c‖₂` per column (1 where b is zero, so the ratio stays defined).
-    b_scale: Vec<f64>,
-    /// Residual as of the last flush, column-major (`n·k`).
-    resid: Vec<f64>,
-    /// Running Σ r² matching `resid`, per column.
-    sum_sq: Vec<f64>,
-    /// Aggregated estimate deltas awaiting a fold (`n·k`).
-    pending: Vec<f64>,
-    /// Entries of `pending` currently nonzero-recorded, as flat indices.
-    dirty: Vec<usize>,
-    /// O(1) dedup for `dirty`.
-    in_dirty: Vec<bool>,
-    /// Worst-column relative residual as of the last flush.
-    cached_metric: f64,
-    /// Monitor updates folded into `pending` since the last flush.
-    updates_since_flush: usize,
-}
-
-/// Deferred-fold cadence: pending residual deltas are folded (and the
-/// cached metric refreshed) every this many monitor updates while the
-/// metric is far from the tolerance. Near the tolerance (within
-/// [`RESID_NEAR_FACTOR`]×) every update flushes, so the stopping decision
-/// is made on fresh values exactly when precision matters.
+/// Deferred-fold cadence of [`Monitor::update_part`]: pending residual
+/// deltas are folded every this many updates while the metric is far from
+/// the tolerance. Near the tolerance (within [`RESID_NEAR_FACTOR`]×) every
+/// update folds, so the stopping decision is made on fresh values exactly
+/// when precision matters. Trades simulated activations spent past the
+/// tolerance (at most one window) against a sparse row fold per changed
+/// entry per activation.
 const RESID_FLUSH_EVERY: usize = 32;
 /// See [`RESID_FLUSH_EVERY`].
 const RESID_NEAR_FACTOR: f64 = 16.0;
 
-/// Worst-column relative residual from per-column Σr² and scales.
-fn worst_residual(sum_sq: &[f64], b_scale: &[f64]) -> f64 {
-    sum_sq
-        .iter()
-        .zip(b_scale)
-        .map(|(ss, sc)| ss.max(0.0).sqrt() / sc)
-        .fold(0.0, f64::max)
+/// Exact-resync cadence while a tolerance is armed: an incremental
+/// accumulator can drift *upward* past the stopping tolerance (stalling a
+/// run at its budget), so it is recomputed exactly every this many part
+/// updates. Trades one SpMV per live column against how long a drifted
+/// gate can hide a crossing.
+const RESYNC_EVERY: usize = 256;
+
+/// How long the supervisor of a one-shot wall-clock solve sleeps between
+/// polls. Trades `over_tol_share` — the workers keep solving for up to one
+/// interval after the tolerance is met — against supervisor CPU: a poll
+/// costs about a gather plus an SpMV, on a core the workers could use.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_micros(500);
+
+/// [`POLL_INTERVAL`] of a rolling session's `drain`: a ticket's latency
+/// includes the poll that notices it, and its slot is only refilled by
+/// that poll, so sessions look more often than one-shot solves.
+pub(crate) const SESSION_POLL_INTERVAL: Duration = Duration::from_micros(200);
+
+/// Sample interval of a monitor that keeps no series beyond its first
+/// point — rolling sessions: nobody reads one, and a session's life has no
+/// bound.
+pub(crate) const NO_SERIES: SimDuration = SimDuration::from_nanos(u64::MAX);
+
+/// The series clock of a wall-clock supervisor: time elapsed since
+/// `started`.
+pub fn wall_time(started: Instant) -> SimTime {
+    SimTime::from_nanos(started.elapsed().as_nanos().try_into().unwrap_or(u64::MAX))
 }
 
-/// Incremental global-estimate tracker for a K-column solution block, with
-/// an oracle-RMS and/or true-residual metric on top.
+/// What a retiring column hands back: exact final numbers of its gathered
+/// estimate.
+#[derive(Debug, Clone)]
+pub struct Retired {
+    /// Gathered global solution (split copies averaged).
+    pub solution: Vec<f64>,
+    /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` (absolute for an all-zero
+    /// `b`) — always computed.
+    pub residual: f64,
+    /// RMS error against the oracle reference, where the column carried
+    /// one.
+    pub rms: Option<f64>,
+}
+
+/// One column slot: the ticket occupying it and its incremental score.
+#[derive(Debug, Clone)]
+struct Column {
+    /// The occupant's stopping rule; `None` = idle slot.
+    rule: Option<Termination>,
+    b: Vec<f64>,
+    /// `‖b‖₂` (1 where `b` is zero, so the ratio stays defined).
+    b_scale: f64,
+    /// Oracle reference, where the occupant carries one.
+    reference: Option<Vec<f64>>,
+    /// Scored by RMS against `reference` rather than by the residual.
+    by_oracle: bool,
+    /// Running Σ(est − ref)² or Σr², whichever scores the column.
+    sum_sq: f64,
+    /// `sum_sq` is an exact recomputation of the current estimate, with
+    /// nothing folded in since.
+    exact: bool,
+    /// Residual as of the last fold.
+    resid: Vec<f64>,
+    /// Aggregated estimate deltas awaiting a fold.
+    pending: Vec<f64>,
+    /// Rows of `pending` currently recorded.
+    dirty: Vec<usize>,
+    /// O(1) dedup for `dirty`.
+    in_dirty: Vec<bool>,
+}
+
+impl Column {
+    fn idle(n: usize) -> Self {
+        Self {
+            rule: None,
+            b: vec![0.0; n],
+            b_scale: 1.0,
+            reference: None,
+            by_oracle: false,
+            sum_sq: 0.0,
+            exact: false,
+            resid: vec![0.0; n],
+            pending: vec![0.0; n],
+            dirty: Vec::with_capacity(n),
+            in_dirty: vec![false; n],
+        }
+    }
+
+    /// The scoring metric as last maintained (cheap): for the residual a
+    /// previously *exact* value, possibly one fold window stale.
+    fn metric(&self) -> f64 {
+        if self.by_oracle {
+            (self.sum_sq.max(0.0) / self.b.len().max(1) as f64).sqrt()
+        } else {
+            self.sum_sq.max(0.0).sqrt() / self.b_scale
+        }
+    }
+
+    /// Whether the maintained metric meets the occupant's own tolerance.
+    /// Idle slots and [`Termination::LocalDelta`] columns (scored
+    /// passively; their nodes halt themselves) never do.
+    fn within_tol(&self) -> bool {
+        let tol = self.rule.and_then(Termination::metric_tol);
+        tol.is_some_and(|tol| self.metric() <= tol)
+    }
+
+    /// Recompute the score exactly from the estimate. Pending deltas are
+    /// already reflected in `est`, so they are simply discarded.
+    fn resync(&mut self, a: &Csr, est: &[f64]) {
+        match &self.reference {
+            Some(reference) if self.by_oracle => {
+                self.sum_sq = est
+                    .iter()
+                    .zip(reference)
+                    .map(|(e, r)| (e - r) * (e - r))
+                    .sum();
+            }
+            _ => {
+                for &g in &self.dirty {
+                    self.pending[g] = 0.0;
+                    self.in_dirty[g] = false;
+                }
+                self.dirty.clear();
+                a.residual_into(est, &self.b, &mut self.resid);
+                self.sum_sq = self.resid.iter().map(|r| r * r).sum();
+            }
+        }
+        self.exact = true;
+    }
+
+    /// Fold all pending residual deltas — one sparse row fold per
+    /// aggregated dirty entry: est[g] moved by δ ⇒ r[j] −= A[j,g]·δ over
+    /// the nonzeros of column g (A symmetric: row g).
+    fn fold(&mut self, a: &Csr) {
+        let (rp, ci, vv) = (a.row_ptr(), a.col_idx(), a.values());
+        for &g in &self.dirty {
+            let delta = self.pending[g];
+            self.pending[g] = 0.0;
+            self.in_dirty[g] = false;
+            if delta == 0.0 {
+                continue;
+            }
+            let mut ssq = self.sum_sq;
+            for idx in rp[g]..rp[g + 1] {
+                let r_old = self.resid[ci[idx]];
+                let r_new = r_old - vv[idx] * delta;
+                ssq += r_new * r_new - r_old * r_old;
+                self.resid[ci[idx]] = r_new;
+            }
+            self.sum_sq = ssq;
+        }
+        self.dirty.clear();
+    }
+
+    /// Bring the score up to date with `est` at the lower cost: fold where
+    /// few entries moved, recompute outright where most did.
+    fn refresh(&mut self, a: &Csr, est: &[f64]) {
+        if 2 * self.dirty.len() >= est.len().max(1) {
+            self.resync(a, est);
+        } else {
+            self.fold(a);
+        }
+    }
+}
+
+/// Incremental global-estimate tracker over K column slots, each scored
+/// against its own stopping rule — see the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Monitor {
-    /// RHS columns tracked.
-    k: usize,
     /// Original dimension.
     n: usize,
+    /// The original matrix.
+    a: Csr,
     copy_count: Vec<f64>,
     global_of_local: Vec<Vec<usize>>,
-    /// Latest local solution block per part (`n_local·k`).
+    /// Latest local solution block per part (`n_local·k`) — for the
+    /// wall-clock executors, the supervisor's mirror of the published
+    /// blocks.
     part_values: Vec<Vec<f64>>,
     /// Per-vertex sum of copies, column-major.
     sum: Vec<f64>,
     /// Per-vertex averaged estimate, column-major.
     est: Vec<f64>,
-    /// Oracle-error state (present when references were supplied).
-    oracle: Option<OracleTracker>,
-    /// True-residual state (present in reference-free mode, or when
-    /// explicitly attached for cross-checks).
-    residual: Option<ResidualTracker>,
-    /// Which metric [`update_part`](Self::update_part) returns and records.
-    primary: Primary,
+    cols: Vec<Column>,
     series: Vec<(f64, f64)>,
     sample_interval: SimDuration,
     last_sample: Option<SimTime>,
-    /// When the incremental metric drops below this value, resynchronize
-    /// the accumulators exactly before reporting (guards against
-    /// catastrophic cancellation near convergence). Zero disables.
+    /// When the maintained metric drops to this value, resynchronize
+    /// exactly before reporting (guards against catastrophic cancellation
+    /// near convergence): the tightest live tolerance. Zero disables.
     refresh_below: f64,
-    /// Updates folded in since the last exact resync.
+    /// [`update_part`](Self::update_part) calls since the last fold.
+    updates_since_flush: usize,
+    /// Part updates folded in since the last exact resync.
     updates_since_sync: usize,
-    /// Total [`update_part`](Self::update_part) calls — the monitor-side
-    /// activation counter, uniform across DTM and the baselines (every
-    /// algorithm reports exactly one update per node activation).
+    /// Total part updates — the monitor-side activation counter, uniform
+    /// across DTM and the baselines (every algorithm reports exactly one
+    /// update per node activation).
     updates_total: u64,
 }
 
-/// Resync cadence while refresh is armed: the incremental accumulator can
-/// also drift *upward* past the stopping tolerance (stalling an oracle run
-/// at the horizon), so it is recomputed exactly every this many updates —
-/// amortized O(copies-per-part) per activation, unchanged asymptotics.
-const RESYNC_EVERY: usize = 256;
-
 impl Monitor {
-    /// Create a monitor for `split` against the reference solution
-    /// (`x* = A⁻¹ b` of the original system). `sample_interval` throttles
-    /// the recorded series (zero = record every activation).
-    pub fn new(split: &SplitSystem, reference: Vec<f64>, sample_interval: SimDuration) -> Self {
-        Self::new_block(split, &[reference], sample_interval)
-    }
-
-    /// Create a monitor for a K-column block solve: one reference solution
-    /// per RHS column.
+    /// A monitor of `slots` idle column slots over `map`'s parts and
+    /// matrix. `sample_interval` throttles the recorded series (zero =
+    /// record every scoring).
     ///
     /// # Panics
-    /// Panics if `references` is empty or columns disagree in length.
-    pub fn new_block(
-        split: &SplitSystem,
-        references: &[Vec<f64>],
-        sample_interval: SimDuration,
-    ) -> Self {
-        Self::from_parts_block(
-            split
-                .subdomains
+    /// Panics if `slots` is zero or the map's copy counts do not cover the
+    /// matrix.
+    pub fn new(map: &GatherMap<'_>, slots: usize, sample_interval: SimDuration) -> Self {
+        assert!(slots > 0, "at least one column slot");
+        let n = map.a.n_rows();
+        assert_eq!(map.copy_count.len(), n, "copy_count length");
+        Self {
+            n,
+            a: map.a.clone(),
+            copy_count: map.copy_count.iter().map(|&c| c as f64).collect(),
+            part_values: map
+                .parts
                 .iter()
-                .map(|sd| sd.global_of_local.clone())
+                .map(|g2l| vec![0.0; g2l.len() * slots])
                 .collect(),
-            split.copy_count.clone(),
-            references,
+            global_of_local: map.parts.iter().map(|g2l| g2l.to_vec()).collect(),
+            sum: vec![0.0; n * slots],
+            est: vec![0.0; n * slots],
+            cols: (0..slots).map(|_| Column::idle(n)).collect(),
+            series: Vec::new(),
             sample_interval,
-        )
-    }
-
-    /// Create a monitor from raw part→global maps (used by the block-Jacobi
-    /// baselines, whose parts don't overlap: `copy_count` all ones).
-    pub fn from_parts(
-        global_of_local: Vec<Vec<usize>>,
-        copy_count: Vec<usize>,
-        reference: Vec<f64>,
-        sample_interval: SimDuration,
-    ) -> Self {
-        Self::from_parts_block(global_of_local, copy_count, &[reference], sample_interval)
-    }
-
-    /// Block form of [`from_parts`](Self::from_parts).
-    ///
-    /// # Panics
-    /// Panics if `references` is empty or columns disagree in length.
-    pub fn from_parts_block(
-        global_of_local: Vec<Vec<usize>>,
-        copy_count: Vec<usize>,
-        references: &[Vec<f64>],
-        sample_interval: SimDuration,
-    ) -> Self {
-        let k = references.len();
-        assert!(k > 0, "at least one reference column");
-        let n = references[0].len();
-        let mut reference = Vec::with_capacity(n * k);
-        for r in references {
-            assert_eq!(r.len(), n, "reference column length");
-            reference.extend_from_slice(r);
+            last_sample: None,
+            refresh_below: 0.0,
+            updates_since_flush: 0,
+            updates_since_sync: 0,
+            updates_total: 0,
         }
-        let sum_sq_err = references
-            .iter()
-            .map(|r| r.iter().map(|v| v * v).sum())
-            .collect();
-        let mut m = Self::bare(global_of_local, copy_count, n, k, sample_interval);
-        m.oracle = Some(OracleTracker {
-            reference,
-            sum_sq_err,
-        });
-        m.primary = Primary::OracleRms;
-        m
     }
 
-    /// Create a **reference-free** monitor for `split`: the driving metric
-    /// is the relative true residual `‖b − A·x‖₂ / ‖b‖₂` of the gathered
-    /// estimate against the reconstructed original system, maintained
-    /// incrementally. `rhs_cols = None` tracks the split's own right-hand
-    /// side (the scalar pipeline); `Some` supplies the K global columns of
-    /// a block solve. No direct solve of the original system happens here
-    /// or later.
+    /// A **reference-free** monitor for `split` with every column live and
+    /// scored by its residual, none ever done: `rhs_cols = None` tracks the
+    /// split's own right-hand side (the scalar pipeline), `Some` supplies
+    /// the K global columns of a block solve.
     ///
     /// # Panics
     /// Panics if a supplied column's length differs from the original
@@ -231,308 +323,213 @@ impl Monitor {
         sample_interval: SimDuration,
     ) -> Self {
         let (a, own_b) = split.reconstruct();
-        Self::from_parts_residual(
-            split
-                .subdomains
-                .iter()
-                .map(|sd| sd.global_of_local.clone())
-                .collect(),
-            split.copy_count.clone(),
-            a,
-            match rhs_cols {
-                Some(cols) => cols,
-                None => std::slice::from_ref(&own_b),
-            },
-            sample_interval,
-        )
-    }
-
-    /// Raw-parts form of [`new_residual`](Self::new_residual) (used by the
-    /// block-Jacobi baselines, whose parts don't overlap).
-    ///
-    /// # Panics
-    /// Panics if `rhs_cols` is empty or a column's length differs from
-    /// `a`'s dimension.
-    pub fn from_parts_residual(
-        global_of_local: Vec<Vec<usize>>,
-        copy_count: Vec<usize>,
-        a: Csr,
-        rhs_cols: &[impl AsRef<[f64]>],
-        sample_interval: SimDuration,
-    ) -> Self {
-        let k = rhs_cols.len();
-        assert!(k > 0, "at least one RHS column");
-        let n = a.n_rows();
-        let mut rhs = Vec::with_capacity(n * k);
-        for c in rhs_cols {
-            assert_eq!(c.as_ref().len(), n, "RHS column length");
-            rhs.extend_from_slice(c.as_ref());
-        }
-        let b_scale: Vec<f64> = rhs_cols
-            .iter()
-            .map(|c| dtm_sparse::vector::norm2_or_one(c.as_ref()))
-            .collect();
-        // est = 0 ⇒ r = b ⇒ relative residual exactly 1 per column — except
-        // an all-zero column, whose scale saturates to 1 (absolute
-        // residual) and whose initial metric is therefore exactly 0, never
-        // NaN: x = 0 already solves A·x = 0.
-        let sum_sq: Vec<f64> = rhs_cols
-            .iter()
-            .map(|c| c.as_ref().iter().map(|v| v * v).sum())
-            .collect();
-        let cached_metric = worst_residual(&sum_sq, &b_scale);
-        let mut m = Self::bare(global_of_local, copy_count, n, k, sample_interval);
-        m.residual = Some(ResidualTracker {
-            a,
-            resid: rhs.clone(),
-            pending: vec![0.0; rhs.len()],
-            in_dirty: vec![false; rhs.len()],
-            dirty: Vec::new(),
-            rhs,
-            b_scale,
-            sum_sq,
-            cached_metric,
-            updates_since_flush: 0,
-        });
-        m.primary = Primary::Residual;
+        let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
+        let mut m = Self::new(&map, map.b_cols.len(), sample_interval);
+        m.admit_all(&map.b_cols, Termination::Residual { tol: 0.0 }, None);
         m
     }
 
-    /// Attach an oracle tracker to an existing (typically residual-mode)
-    /// monitor so tests can cross-check both metrics on one run. The
-    /// primary metric is unchanged.
+    /// Admit a ticket into slot `c`: right-hand side `b` under `rule`,
+    /// with its oracle `reference` if it has one. The estimate state is
+    /// **kept** — the executors' nodes still hold (and keep reporting)
+    /// their current solutions, so the diffing against the kept blocks
+    /// stays consistent; only the *targets* change, and the column's score
+    /// is recomputed exactly against them. Whatever the slot's previous
+    /// occupant scored is forgotten.
     ///
     /// # Panics
-    /// Panics on column count/length mismatch.
-    pub fn attach_oracle(&mut self, references: &[Vec<f64>]) {
-        assert_eq!(references.len(), self.k, "one reference per column");
-        let mut reference = Vec::with_capacity(self.n * self.k);
-        for r in references {
-            assert_eq!(r.len(), self.n, "reference column length");
-            reference.extend_from_slice(r);
-        }
-        let sum_sq_err = (0..self.k)
-            .map(|c| {
-                self.est[c * self.n..(c + 1) * self.n]
-                    .iter()
-                    .zip(&reference[c * self.n..(c + 1) * self.n])
-                    .map(|(e, r)| (e - r) * (e - r))
-                    .sum()
-            })
-            .collect();
-        self.oracle = Some(OracleTracker {
-            reference,
-            sum_sq_err,
+    /// Panics on column/length mismatch.
+    pub fn admit(&mut self, c: usize, b: &[f64], rule: Termination, reference: Option<&[f64]>) {
+        let n = self.n;
+        assert_eq!(b.len(), n, "RHS column length");
+        let col = &mut self.cols[c];
+        col.rule = Some(rule);
+        col.b.copy_from_slice(b);
+        col.b_scale = dtm_sparse::vector::norm2_or_one(b);
+        col.reference = reference.map(|r| {
+            assert_eq!(r.len(), n, "reference column length");
+            r.to_vec()
         });
+        // Residual termination stays residual-scored even when a reference
+        // was supplied; the other modes score against the oracle exactly
+        // when one exists.
+        col.by_oracle = reference.is_some() && !matches!(rule, Termination::Residual { .. });
+        col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
+        self.arm();
     }
 
-    /// The shared estimate machinery, with no metric attached yet.
-    fn bare(
-        global_of_local: Vec<Vec<usize>>,
-        copy_count: Vec<usize>,
-        n: usize,
-        k: usize,
-        sample_interval: SimDuration,
-    ) -> Self {
-        assert_eq!(copy_count.len(), n, "copy_count length");
-        Self {
-            k,
-            n,
-            copy_count: copy_count.iter().map(|&c| c as f64).collect(),
-            part_values: global_of_local
-                .iter()
-                .map(|g2l| vec![0.0; g2l.len() * k])
-                .collect(),
-            global_of_local,
-            sum: vec![0.0; n * k],
-            est: vec![0.0; n * k],
-            oracle: None,
-            residual: None,
-            primary: Primary::OracleRms,
-            series: Vec::new(),
-            sample_interval,
-            last_sample: None,
-            refresh_below: 0.0,
-            updates_since_sync: 0,
-            updates_total: 0,
+    /// [`admit`](Self::admit) one column per slot, all under `rule` — a
+    /// one-shot solve.
+    pub(crate) fn admit_all(
+        &mut self,
+        b_cols: &[&[f64]],
+        rule: Termination,
+        references: Option<&[Vec<f64>]>,
+    ) {
+        for (c, b) in b_cols.iter().enumerate() {
+            self.admit(c, b, rule, references.map(|refs| refs[c].as_slice()));
         }
     }
 
-    /// RHS columns tracked.
-    pub fn n_rhs(&self) -> usize {
-        self.k
+    /// Whether slot `c`'s ticket has met its own tolerance: the maintained
+    /// value gates, an exact recomputation of the column confirms, so a
+    /// stale or drifted number can never retire a ticket. Idle slots and
+    /// [`Termination::LocalDelta`] columns are never done.
+    pub fn done(&mut self, c: usize) -> bool {
+        let n = self.n;
+        let col = &mut self.cols[c];
+        if col.within_tol() && !col.exact {
+            col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
+        }
+        col.within_tol()
     }
 
-    /// Total updates observed ([`update_part`](Self::update_part) calls) —
-    /// the activations this monitor has witnessed. The simulated baseline
-    /// driver asserts it against the engine's own activation counter, so
-    /// the uniform counters stay uniform by construction.
-    pub fn updates(&self) -> u64 {
-        self.updates_total
+    /// Whether every slot is [`done`](Self::done) — a one-shot solve's
+    /// stopping rule. All maintained values gate before any is confirmed,
+    /// so a batch pays for exact recomputation only once its slowest column
+    /// crosses.
+    pub fn all_done(&mut self) -> bool {
+        self.cols.iter().all(Column::within_tol) && (0..self.cols.len()).all(|c| self.done(c))
     }
 
-    /// Whether this monitor carries oracle references.
-    pub fn has_oracle(&self) -> bool {
-        self.oracle.is_some()
+    /// Free slot `c` and return its ticket's exact final numbers.
+    pub fn retire(&mut self, c: usize) -> Retired {
+        let n = self.n;
+        let col = &mut self.cols[c];
+        col.rule = None;
+        let est = &self.est[c * n..(c + 1) * n];
+        let retired = Retired {
+            solution: est.to_vec(),
+            residual: self.a.residual_norm(est, &col.b) / col.b_scale,
+            rms: col
+                .reference
+                .as_deref()
+                .map(|r| dtm_sparse::vector::rms_error(est, r)),
+        };
+        self.arm();
+        retired
     }
 
-    /// Whether this monitor tracks the true residual.
-    pub fn tracks_residual(&self) -> bool {
-        self.residual.is_some()
+    /// [`retire`](Self::retire) every slot, in order — the end of a
+    /// one-shot solve.
+    pub fn retire_all(&mut self) -> Vec<Retired> {
+        (0..self.cols.len()).map(|c| self.retire(c)).collect()
     }
 
-    /// Enable exact resynchronization whenever the incrementally tracked
-    /// primary metric falls below `threshold` (typically the solver's
-    /// tolerance).
+    /// Re-derive the exact-refresh threshold: the tightest live tolerance.
+    fn arm(&mut self) {
+        let live = self.cols.iter().filter_map(|col| col.rule);
+        let tightest = live
+            .filter_map(Termination::metric_tol)
+            .fold(f64::INFINITY, f64::min);
+        self.refresh_below = if tightest.is_finite() { tightest } else { 0.0 };
+    }
+
+    /// Override the exact-refresh threshold [`admit`](Self::admit) and
+    /// [`retire`](Self::retire) derive: resynchronize whenever the
+    /// maintained metric falls to `threshold`.
     pub fn set_refresh_below(&mut self, threshold: f64) {
         self.refresh_below = threshold;
     }
 
-    /// Recompute every attached metric's accumulators exactly and return
-    /// the exact worst-column primary metric.
+    /// The original matrix the columns are scored against.
+    pub fn matrix(&self) -> &Csr {
+        &self.a
+    }
+
+    /// Total part updates observed — the activations this monitor has
+    /// witnessed. The simulated driver asserts it against the engine's own
+    /// activation counter, so the uniform counters stay uniform by
+    /// construction.
+    pub fn updates(&self) -> u64 {
+        self.updates_total
+    }
+
+    /// The live columns.
+    fn live(&self) -> impl Iterator<Item = &Column> {
+        self.cols.iter().filter(|col| col.rule.is_some())
+    }
+
+    /// Worst maintained metric over the live columns.
+    pub fn metric(&self) -> f64 {
+        self.live().map(Column::metric).fold(0.0, f64::max)
+    }
+
+    /// Worst relative residual over the live residual-scored columns, with
+    /// every pending fold applied first — the returned value reflects every
+    /// update.
+    pub fn rel_residual(&mut self) -> f64 {
+        let mut worst = 0.0_f64;
+        for col in &mut self.cols {
+            if col.rule.is_some() && !col.by_oracle {
+                col.fold(&self.a);
+                worst = worst.max(col.metric());
+            }
+        }
+        self.updates_since_flush = 0;
+        worst
+    }
+
+    /// Recompute every live column's score exactly and return the exact
+    /// worst metric.
     pub fn resync(&mut self) -> f64 {
         let n = self.n;
-        if let Some(o) = &mut self.oracle {
-            for c in 0..self.k {
-                o.sum_sq_err[c] = self.est[c * n..(c + 1) * n]
-                    .iter()
-                    .zip(&o.reference[c * n..(c + 1) * n])
-                    .map(|(e, r)| (e - r) * (e - r))
-                    .sum();
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            if col.rule.is_some() {
+                col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
             }
         }
-        if let Some(t) = &mut self.residual {
-            // Pending deltas are already reflected in `est`; recomputing
-            // from `est` subsumes them, so they are simply discarded.
-            for &gi in &t.dirty {
-                t.pending[gi] = 0.0;
-                t.in_dirty[gi] = false;
-            }
-            t.dirty.clear();
-            t.updates_since_flush = 0;
-            for c in 0..self.k {
-                let (est_c, resid_c) = (
-                    &self.est[c * n..(c + 1) * n],
-                    &mut t.resid[c * n..(c + 1) * n],
-                );
-                t.a.residual_into(est_c, &t.rhs[c * n..(c + 1) * n], resid_c);
-                t.sum_sq[c] = resid_c.iter().map(|r| r * r).sum();
-            }
-            t.cached_metric = worst_residual(&t.sum_sq, &t.b_scale);
-        }
+        self.updates_since_flush = 0;
         self.metric()
     }
 
-    /// Fold all pending residual deltas and refresh the cached metric —
-    /// one sparse row fold per aggregated dirty entry.
-    fn flush_tracker(t: &mut ResidualTracker, n: usize) {
-        let ResidualTracker {
-            a,
-            resid,
-            sum_sq,
-            pending,
-            dirty,
-            in_dirty,
-            cached_metric,
-            b_scale,
-            updates_since_flush,
-            ..
-        } = t;
-        let (rp, ci, vv) = (a.row_ptr(), a.col_idx(), a.values());
-        for &gi in dirty.iter() {
-            let delta = pending[gi];
-            pending[gi] = 0.0;
-            in_dirty[gi] = false;
-            if delta == 0.0 {
+    /// The one per-part fold: diff the columns of `x` selected by `cols`
+    /// (a bitmask; saturated = all) against the kept block, move the
+    /// estimate, and account each live column's score — eagerly for the
+    /// oracle, as an aggregated pending delta for the residual.
+    // lint: hot-path
+    fn absorb(&mut self, part: usize, x: &[f64], cols: u64) {
+        let g2l = &self.global_of_local[part];
+        let values = &mut self.part_values[part];
+        let (nl, n, k) = (g2l.len(), self.n, self.cols.len());
+        assert_eq!(x.len(), nl * k, "monitor: local block length");
+        self.updates_total += 1;
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            if k < 64 && cols >> c & 1 == 0 {
                 continue;
             }
-            let (c, g) = (gi / n, gi % n);
-            let base = c * n;
-            let mut ssq = sum_sq[c];
-            for idx in rp[g]..rp[g + 1] {
-                let rj = base + ci[idx];
-                let r_old = resid[rj];
-                let r_new = r_old - vv[idx] * delta;
-                ssq += r_new * r_new - r_old * r_old;
-                resid[rj] = r_new;
-            }
-            sum_sq[c] = ssq;
-        }
-        dirty.clear();
-        *updates_since_flush = 0;
-        *cached_metric = worst_residual(sum_sq, b_scale);
-    }
-
-    /// Fold one part's newly solved local block in (`x` is the part's
-    /// `n_local·k` column-major solution); returns the current worst-column
-    /// primary metric (oracle RMS, or relative residual in reference-free
-    /// mode).
-    pub fn update_part(&mut self, part: usize, time: SimTime, x: &[f64]) -> f64 {
-        let g2l = &self.global_of_local[part];
-        let nl = g2l.len();
-        let n = self.n;
-        assert_eq!(x.len(), nl * self.k, "monitor: local block length");
-        self.updates_total += 1;
-        // Residual tracking is O(1) per changed entry here: the delta is
-        // aggregated into `pending` and the sparse row folds run batched
-        // at the flush below (see `ResidualTracker`).
-        let mut resid_state = self
-            .residual
-            .as_mut()
-            .map(|t| (&mut t.pending, &mut t.in_dirty, &mut t.dirty));
-        for c in 0..self.k {
+            let live = col.rule.is_some();
+            let oracle = col.reference.as_deref().filter(|_| live && col.by_oracle);
+            let mut moved = false;
             for (l, &g) in g2l.iter().enumerate() {
                 let (li, gi) = (c * nl + l, c * n + g);
-                let old = self.part_values[part][li];
+                let old = values[li];
                 if old == x[li] {
                     continue;
                 }
-                self.part_values[part][li] = x[li];
+                values[li] = x[li];
                 self.sum[gi] += x[li] - old;
                 let new_est = self.sum[gi] / self.copy_count[g];
-                if let Some(o) = &mut self.oracle {
-                    let e_old = self.est[gi] - o.reference[gi];
-                    let e_new = new_est - o.reference[gi];
-                    o.sum_sq_err[c] += e_new * e_new - e_old * e_old;
-                }
-                if let Some((pending, in_dirty, dirty)) = &mut resid_state {
-                    // est[g] moves by δ ⇒ r[j] −= A[j,g]·δ for the nonzeros
-                    // of column g (A symmetric: row g); the fold itself is
-                    // deferred, only the aggregated δ is recorded here.
-                    pending[gi] += new_est - self.est[gi];
-                    if !in_dirty[gi] {
-                        in_dirty[gi] = true;
-                        dirty.push(gi);
+                if let Some(reference) = oracle {
+                    let e_old = self.est[gi] - reference[g];
+                    let e_new = new_est - reference[g];
+                    col.sum_sq += e_new * e_new - e_old * e_old;
+                } else if live {
+                    col.pending[g] += new_est - self.est[gi];
+                    if !col.in_dirty[g] {
+                        col.in_dirty[g] = true;
+                        col.dirty.push(g);
                     }
                 }
                 self.est[gi] = new_est;
+                moved = true;
             }
+            col.exact &= !moved;
         }
-        // Deferred residual fold: flush every RESID_FLUSH_EVERY updates —
-        // or every update once the cached metric is within
-        // RESID_NEAR_FACTOR of the refresh threshold (≈ the stopping
-        // tolerance), where freshness decides when the run ends.
-        if let Some(t) = &mut self.residual {
-            t.updates_since_flush += 1;
-            let near = self.refresh_below > 0.0
-                && t.cached_metric < self.refresh_below * RESID_NEAR_FACTOR;
-            if near || t.updates_since_flush >= RESID_FLUSH_EVERY {
-                Self::flush_tracker(t, n);
-            }
-        }
-        let mut metric = self.metric();
-        self.updates_since_sync += 1;
-        // `<=`, not `<`: a stop decision compares `metric <= tol`, so the
-        // boundary value must also be re-derived exactly. An incremental
-        // (or deferred-fold) value that drifted **at or below** the
-        // threshold is never allowed to terminate a run by itself — the
-        // exact resync re-derives it before it is reported.
-        if self.refresh_below > 0.0
-            && (metric <= self.refresh_below || self.updates_since_sync >= RESYNC_EVERY)
-        {
-            metric = self.resync();
-            self.updates_since_sync = 0;
-        }
+    }
+
+    /// Record `metric` in the series if a sample is due.
+    fn record(&mut self, time: SimTime, metric: f64) {
         let due = match self.last_sample {
             None => true,
             Some(t0) => time.since(t0) >= self.sample_interval,
@@ -541,206 +538,118 @@ impl Monitor {
             self.series.push((time.as_millis_f64(), metric));
             self.last_sample = Some(time);
         }
+    }
+
+    /// Fold one part's newly solved local block in (`x` is the part's
+    /// `n_local·k` column-major solution); returns the current worst
+    /// maintained metric — exactly recomputed whenever it is at or below
+    /// the tightest live tolerance.
+    pub fn update_part(&mut self, part: usize, time: SimTime, x: &[f64]) -> f64 {
+        self.absorb(part, x, u64::MAX);
+        // Deferred residual fold: every RESID_FLUSH_EVERY updates — or
+        // every update once the metric is within RESID_NEAR_FACTOR of the
+        // refresh threshold (≈ the stopping tolerance), where freshness
+        // decides when the run ends.
+        self.updates_since_flush += 1;
+        let by_residual = self.live().filter(|col| !col.by_oracle);
+        let worst_residual = by_residual.map(Column::metric).fold(0.0, f64::max);
+        let near =
+            self.refresh_below > 0.0 && worst_residual < self.refresh_below * RESID_NEAR_FACTOR;
+        if near || self.updates_since_flush >= RESID_FLUSH_EVERY {
+            self.rel_residual();
+        }
+        let mut metric = self.metric();
+        self.updates_since_sync += 1;
+        // `<=`, not `<`: a stop decision compares `metric <= tol`, so the
+        // boundary value must also be re-derived exactly. A maintained
+        // value that drifted **at or below** the threshold is never allowed
+        // to terminate a run by itself.
+        if self.refresh_below > 0.0
+            && (metric <= self.refresh_below || self.updates_since_sync >= RESYNC_EVERY)
+        {
+            metric = self.resync();
+            self.updates_since_sync = 0;
+        }
+        self.record(time, metric);
         metric
     }
 
-    /// The oracle tracker, which every `OracleRms`-mode accessor needs.
-    /// `None` on a monitor built without references; the accessors map
-    /// that to `NaN` — the report vocabulary's "no oracle" value — so a
-    /// mode mismatch degrades to an unusable number, never a crash.
-    fn oracle_state(&self) -> Option<&OracleTracker> {
-        self.oracle.as_ref()
-    }
-
-    /// The residual tracker behind every `Residual`-mode accessor. `None`
-    /// when the monitor does not track the residual; accessors map that
-    /// to `NaN` rather than panicking.
-    fn tracker(&self) -> Option<&ResidualTracker> {
-        self.residual.as_ref()
-    }
-
-    /// Mutable [`tracker`](Self::tracker).
-    fn tracker_mut(&mut self) -> Option<&mut ResidualTracker> {
-        self.residual.as_mut()
-    }
-
-    /// Current worst-column primary metric (incrementally maintained; the
-    /// residual value is the cached last-flush metric — always a
-    /// previously exact number, possibly one flush window stale).
-    pub fn metric(&self) -> f64 {
-        match self.primary {
-            Primary::OracleRms => self.rms(),
-            Primary::Residual => self.tracker().map_or(f64::NAN, |t| t.cached_metric),
-        }
-    }
-
-    /// Current worst-column RMS error (incrementally maintained).
-    /// `NaN` if the monitor carries no oracle references.
-    pub fn rms(&self) -> f64 {
-        let n = self.n.max(1) as f64;
-        self.oracle_state().map_or(f64::NAN, |o| {
-            o.sum_sq_err
-                .iter()
-                .map(|ss| (ss.max(0.0) / n).sqrt())
-                .fold(0.0, f64::max)
-        })
-    }
-
-    /// Current worst-column relative residual `‖b − A·x‖₂ / ‖b‖₂`
-    /// (incrementally maintained; any pending deferred folds are applied
-    /// first, so the returned value always reflects every update).
-    /// `NaN` if the monitor does not track the residual.
-    pub fn rel_residual(&mut self) -> f64 {
-        let n = self.n;
-        match self.tracker_mut() {
-            Some(t) => {
-                if !t.dirty.is_empty() {
-                    Self::flush_tracker(t, n);
-                }
-                t.cached_metric
-            }
-            None => f64::NAN,
-        }
-    }
-
-    /// Exactly recomputed worst-column RMS error (clears accumulated FP
-    /// drift). `NaN` if the monitor carries no oracle references.
-    pub fn rms_exact(&self) -> f64 {
-        match self.oracle_state() {
-            Some(_) => self.rms_exact_per_rhs().into_iter().fold(0.0, f64::max),
-            None => f64::NAN,
-        }
-    }
-
-    /// Exactly recomputed RMS error per RHS column. All-`NaN` if the
-    /// monitor carries no oracle references.
-    pub fn rms_exact_per_rhs(&self) -> Vec<f64> {
-        let n = self.n;
-        (0..self.k)
-            .map(|c| {
-                self.oracle_state().map_or(f64::NAN, |o| {
-                    dtm_sparse::vector::rms_error(
-                        &self.est[c * n..(c + 1) * n],
-                        &o.reference[c * n..(c + 1) * n],
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Exactly recomputed relative residual per RHS column (one fused SpMV
-    /// per column; does not disturb the incremental accumulators).
-    /// All-`NaN` if the monitor does not track the residual.
-    pub fn residual_exact_per_rhs(&self) -> Vec<f64> {
-        let n = self.n;
-        (0..self.k)
-            .map(|c| {
-                self.tracker().map_or(f64::NAN, |t| {
-                    t.a.residual_norm(&self.est[c * n..(c + 1) * n], &t.rhs[c * n..(c + 1) * n])
-                        / t.b_scale[c]
-                })
-            })
-            .collect()
-    }
-
-    /// Incrementally maintained RMS error of **one** column (rolling
-    /// sessions stop columns individually; the worst-column scalar is the
-    /// batch pipeline's view). `NaN` if the monitor carries no oracle
-    /// references.
-    pub fn col_rms(&self, col: usize) -> f64 {
-        self.oracle_state().map_or(f64::NAN, |o| {
-            (o.sum_sq_err[col].max(0.0) / self.n.max(1) as f64).sqrt()
-        })
-    }
-
-    /// Relative residual of one column as of the last flush (cheap; may be
-    /// one flush window stale — confirm a crossing with
-    /// [`residual_exact_col`](Self::residual_exact_col) before acting on
-    /// it). `NaN` if the monitor does not track the residual.
-    pub fn col_residual(&self, col: usize) -> f64 {
-        self.tracker()
-            .map_or(f64::NAN, |t| t.sum_sq[col].max(0.0).sqrt() / t.b_scale[col])
-    }
-
-    /// Exactly recomputed RMS error of one column. `NaN` if the monitor
-    /// carries no oracle references.
-    pub fn rms_exact_col(&self, col: usize) -> f64 {
-        let n = self.n;
-        self.oracle_state().map_or(f64::NAN, |o| {
-            dtm_sparse::vector::rms_error(
-                &self.est[col * n..(col + 1) * n],
-                &o.reference[col * n..(col + 1) * n],
-            )
-        })
-    }
-
-    /// Exactly recomputed relative residual of one column (one fused SpMV;
-    /// does not disturb the incremental accumulators). `NaN` if the
-    /// monitor does not track the residual.
-    pub fn residual_exact_col(&self, col: usize) -> f64 {
-        let n = self.n;
-        self.tracker().map_or(f64::NAN, |t| {
-            t.a.residual_norm(
-                &self.est[col * n..(col + 1) * n],
-                &t.rhs[col * n..(col + 1) * n],
-            ) / t.b_scale[col]
-        })
-    }
-
-    /// Retire/admit one column in place — the rolling-session hand-off.
-    ///
-    /// The estimate state is **kept**: the executors' nodes still hold (and
-    /// keep reporting) their current solutions, so the incremental diffing
-    /// against `part_values` stays consistent; only the *targets* change.
-    /// The residual tracker re-anchors on `rhs_col` (its pending deferred
-    /// deltas for this column are discarded — they described folds against
-    /// the retired right-hand side — and the column's residual is recomputed
-    /// exactly against the new one). When the monitor carries an oracle,
-    /// `reference` replaces the column's reference (`None` zeroes it —
-    /// residual-rule tickets in a mixed session have no oracle and must
-    /// never be judged by RMS).
+    /// Take a whole round in — `blocks` yields every part's block, in
+    /// ascending part order (with three or more copies of a vertex the
+    /// order of the additions is part of the bits) — and score it exactly.
+    /// Every entry moves every round, so nothing is diffed: the estimate is
+    /// gathered afresh (no drift carried from round to round) and each live
+    /// column recomputed outright — one gather and one SpMV per column.
+    /// Returns the worst metric.
     ///
     /// # Panics
-    /// Panics on column/length mismatch.
-    pub fn replace_column(&mut self, col: usize, rhs_col: &[f64], reference: Option<&[f64]>) {
-        assert!(col < self.k, "column out of range");
-        assert_eq!(rhs_col.len(), self.n, "RHS column length");
+    /// Panics unless `blocks` yields exactly one right-sized block per part.
+    pub fn update_round<'a>(
+        &mut self,
+        time: SimTime,
+        blocks: impl IntoIterator<Item = &'a [f64]>,
+    ) -> f64 {
         let n = self.n;
-        if let Some(t) = &mut self.residual {
-            t.rhs[col * n..(col + 1) * n].copy_from_slice(rhs_col);
-            t.b_scale[col] = dtm_sparse::vector::norm2_or_one(rhs_col);
-            // Pending deltas for this column described folds against the
-            // retired RHS; the exact recompute below subsumes them.
-            for &gi in &t.dirty {
-                if gi / n == col {
-                    t.pending[gi] = 0.0;
-                    t.in_dirty[gi] = false;
+        self.sum.fill(0.0);
+        let mut parts = 0;
+        for (x, (g2l, values)) in blocks
+            .into_iter()
+            .zip(self.global_of_local.iter().zip(&mut self.part_values))
+        {
+            values.copy_from_slice(x);
+            for (c, col) in x.chunks_exact(g2l.len().max(1)).enumerate() {
+                for (&g, &v) in g2l.iter().zip(col) {
+                    self.sum[c * n + g] += v;
                 }
             }
-            t.dirty.retain(|&gi| gi / n != col);
-            let (est_c, resid_c) = (
-                &self.est[col * n..(col + 1) * n],
-                &mut t.resid[col * n..(col + 1) * n],
-            );
-            t.a.residual_into(est_c, &t.rhs[col * n..(col + 1) * n], resid_c);
-            t.sum_sq[col] = resid_c.iter().map(|r| r * r).sum();
-            t.cached_metric = worst_residual(&t.sum_sq, &t.b_scale);
+            parts += 1;
         }
-        if let Some(o) = &mut self.oracle {
-            let slot = &mut o.reference[col * n..(col + 1) * n];
-            match reference {
-                Some(r) => {
-                    assert_eq!(r.len(), n, "reference column length");
-                    slot.copy_from_slice(r);
-                }
-                None => slot.fill(0.0),
+        assert_eq!(parts, self.part_values.len(), "one block per part");
+        self.updates_total += parts as u64;
+        for (est, sum) in self.est.chunks_exact_mut(n).zip(self.sum.chunks_exact(n)) {
+            for ((e, &s), &cc) in est.iter_mut().zip(sum).zip(&self.copy_count) {
+                *e = s / cc;
             }
-            o.sum_sq_err[col] = self.est[col * n..(col + 1) * n]
-                .iter()
-                .zip(&o.reference[col * n..(col + 1) * n])
-                .map(|(e, r)| (e - r) * (e - r))
-                .sum();
         }
+        let metric = self.resync();
+        self.record(time, metric);
+        metric
+    }
+
+    /// One supervisor pass over the wall-clock workers' published blocks:
+    /// fold in what they dirtied since the last pass — each block under its
+    /// own lock, nothing else — then bring every live column that moved up
+    /// to date, folding or recomputing, whichever is less work (drift
+    /// bounded as in [`update_part`](Self::update_part)); returns the worst
+    /// metric. A pass where nothing changed takes no lock and keeps every
+    /// score; nothing here allocates.
+    // lint: hot-path
+    pub(crate) fn poll(&mut self, time: SimTime, snapshots: &[SharedBlock]) -> f64 {
+        for (p, snap) in snapshots.iter().enumerate() {
+            snap.drain(|block, cols| {
+                self.absorb(p, block, cols);
+                self.updates_since_sync += 1;
+            });
+        }
+        let resync = self.refresh_below > 0.0 && self.updates_since_sync >= RESYNC_EVERY;
+        if resync {
+            self.updates_since_sync = 0;
+        }
+        let n = self.n;
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            if col.rule.is_none() || col.exact {
+                continue;
+            }
+            let est = &self.est[c * n..(c + 1) * n];
+            if resync {
+                col.resync(&self.a, est);
+            } else {
+                col.refresh(&self.a, est);
+            }
+        }
+        let metric = self.metric();
+        self.record(time, metric);
+        metric
     }
 
     /// Current global estimate of column 0 (copies averaged).
@@ -748,24 +657,13 @@ impl Monitor {
         self.estimate_col(0)
     }
 
-    /// Current global estimate of one RHS column.
+    /// Current global estimate of one column.
     pub fn estimate_col(&self, col: usize) -> &[f64] {
         &self.est[col * self.n..(col + 1) * self.n]
     }
 
-    /// Current global estimates, one vector per RHS column.
-    pub fn estimates(&self) -> Vec<Vec<f64>> {
-        (0..self.k).map(|c| self.estimate_col(c).to_vec()).collect()
-    }
-
-    /// The recorded `(time_ms, metric)` staircase (worst column, in the
-    /// primary metric: oracle RMS, or relative residual in reference-free
-    /// mode).
-    pub fn series(&self) -> &[(f64, f64)] {
-        &self.series
-    }
-
-    /// Consume into the series.
+    /// Consume into the recorded `(time_ms, metric)` staircase (worst live
+    /// column).
     pub fn into_series(self) -> Vec<(f64, f64)> {
         self.series
     }
@@ -776,7 +674,7 @@ mod tests {
     use super::*;
     use dtm_graph::evs::{split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
-    use dtm_sparse::generators;
+    use dtm_sparse::{generators, vector};
 
     fn make() -> (SplitSystem, Vec<f64>) {
         let a = generators::grid2d_laplacian(4, 4);
@@ -788,34 +686,74 @@ mod tests {
         (split(&g, &plan, &EvsOptions::default()).unwrap(), reference)
     }
 
+    /// `slots` idle slots over `ss`.
+    fn idle(ss: &SplitSystem, slots: usize, sample_interval: SimDuration) -> Monitor {
+        let (a, b) = ss.reconstruct();
+        Monitor::new(
+            &GatherMap::of_split(ss, &a, &b, None),
+            slots,
+            sample_interval,
+        )
+    }
+
+    /// One column per reference, scored by oracle RMS at `tol`.
+    fn oracle(ss: &SplitSystem, refs: &[Vec<f64>], tol: f64, interval: SimDuration) -> Monitor {
+        let (_, b) = ss.reconstruct();
+        let mut m = idle(ss, refs.len(), interval);
+        for (c, r) in refs.iter().enumerate() {
+            m.admit(c, &b, Termination::OracleRms { tol }, Some(r));
+        }
+        m
+    }
+
+    /// Part `p`'s local copy of the global vector `x`.
+    fn local(ss: &SplitSystem, p: usize, x: &[f64]) -> Vec<f64> {
+        let g2l = &ss.subdomains[p].global_of_local;
+        g2l.iter().map(|&g| x[g]).collect()
+    }
+
+    /// Feed every part its local copy of `x`.
+    fn feed(m: &mut Monitor, ss: &SplitSystem, x: &[f64], t0: u64) {
+        for p in 0..ss.n_parts() {
+            m.update_part(p, SimTime::from_nanos(t0 + p as u64), &local(ss, p, x));
+        }
+    }
+
     #[test]
     fn starts_at_reference_norm() {
         let (ss, reference) = make();
-        let m = Monitor::new(&ss, reference.clone(), SimDuration::ZERO);
-        let expect = dtm_sparse::vector::rms_error(&[0.0; 16], &reference);
-        assert!((m.rms() - expect).abs() < 1e-12);
+        let m = oracle(
+            &ss,
+            std::slice::from_ref(&reference),
+            1e-6,
+            SimDuration::ZERO,
+        );
+        let expect = vector::rms_error(&[0.0; 16], &reference);
+        assert!((m.metric() - expect).abs() < 1e-12);
     }
 
     #[test]
     fn feeding_exact_solution_drives_rms_to_zero() {
         let (ss, reference) = make();
-        let mut m = Monitor::new(&ss, reference.clone(), SimDuration::ZERO);
-        m.set_refresh_below(1e-6);
-        for (p, sd) in ss.subdomains.iter().enumerate() {
-            let local: Vec<f64> = sd.global_of_local.iter().map(|&g| reference[g]).collect();
-            m.update_part(p, SimTime::from_nanos(p as u64), &local);
-        }
-        assert!(m.rms() < 1e-12, "rms {}", m.rms());
-        assert!(m.rms_exact() < 1e-12);
+        let mut m = oracle(
+            &ss,
+            std::slice::from_ref(&reference),
+            1e-6,
+            SimDuration::ZERO,
+        );
+        feed(&mut m, &ss, &reference, 0);
+        assert!(m.metric() < 1e-12, "rms {}", m.metric());
+        assert!(m.done(0));
         for (e, r) in m.estimate().iter().zip(&reference) {
             assert!((e - r).abs() < 1e-12);
         }
+        assert!(m.retire(0).rms.unwrap() < 1e-12);
     }
 
     #[test]
     fn incremental_matches_exact() {
         let (ss, reference) = make();
-        let mut m = Monitor::new(&ss, reference, SimDuration::ZERO);
+        let mut m = oracle(&ss, &[reference], 0.0, SimDuration::ZERO);
         // Feed arbitrary values in several rounds; drift must stay tiny.
         for round in 0..5 {
             for (p, sd) in ss.subdomains.iter().enumerate() {
@@ -825,13 +763,14 @@ mod tests {
                 m.update_part(p, SimTime::from_nanos((round * 10 + p) as u64), &local);
             }
         }
-        assert!((m.rms() - m.rms_exact()).abs() < 1e-10);
+        let incremental = m.metric();
+        assert!((incremental - m.resync()).abs() < 1e-10);
     }
 
     #[test]
     fn update_counter_counts_activations() {
         let (ss, reference) = make();
-        let mut m = Monitor::new(&ss, reference, SimDuration::ZERO);
+        let mut m = oracle(&ss, &[reference], 1e-6, SimDuration::ZERO);
         assert_eq!(m.updates(), 0);
         for k in 0..7u64 {
             let local = vec![k as f64; ss.subdomains[0].n_local()];
@@ -843,15 +782,16 @@ mod tests {
     #[test]
     fn sampling_interval_throttles_series() {
         let (ss, reference) = make();
-        let mut dense = Monitor::new(&ss, reference.clone(), SimDuration::ZERO);
-        let mut sparse = Monitor::new(&ss, reference, SimDuration::from_nanos(100));
+        let refs = [reference];
+        let mut dense = oracle(&ss, &refs, 1e-6, SimDuration::ZERO);
+        let mut sparse = oracle(&ss, &refs, 1e-6, SimDuration::from_nanos(100));
         for k in 0..50u64 {
             let local: Vec<f64> = vec![k as f64; ss.subdomains[0].n_local()];
             dense.update_part(0, SimTime::from_nanos(k * 10), &local);
             sparse.update_part(0, SimTime::from_nanos(k * 10), &local);
         }
-        assert_eq!(dense.series().len(), 50);
-        assert!(sparse.series().len() < 10);
+        assert_eq!(dense.into_series().len(), 50);
+        assert!(sparse.into_series().len() < 10);
     }
 
     #[test]
@@ -862,26 +802,22 @@ mod tests {
         let (ss, reference) = make();
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
         m.set_refresh_below(1e-6);
-        assert!(!m.has_oracle());
-        assert!(m.tracks_residual());
         assert!((m.rel_residual() - 1.0).abs() < 1e-12);
-        for (p, sd) in ss.subdomains.iter().enumerate() {
-            let local: Vec<f64> = sd.global_of_local.iter().map(|&g| reference[g]).collect();
-            m.update_part(p, SimTime::from_nanos(p as u64), &local);
-        }
+        feed(&mut m, &ss, &reference, 0);
         // The incremental accumulator carries cancellation drift until a
         // resync; the exact recompute is clean immediately.
         assert!(m.rel_residual() < 1e-6, "residual {}", m.rel_residual());
-        assert!(m.residual_exact_per_rhs()[0] < 1e-10);
-        m.resync();
-        assert!(m.rel_residual() < 1e-10, "post-resync {}", m.rel_residual());
+        assert!(m.resync() < 1e-10);
+        let done = m.retire(0);
+        assert!(done.residual < 1e-10);
+        assert_eq!(done.rms, None, "reference-free");
     }
 
     #[test]
     fn incremental_residual_matches_exact_recompute() {
         let (ss, _) = make();
         let (a, b) = ss.reconstruct();
-        let bnorm = dtm_sparse::vector::norm2(&b);
+        let bnorm = vector::norm2(&b);
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
         for round in 0..5 {
             for (p, sd) in ss.subdomains.iter().enumerate() {
@@ -902,71 +838,70 @@ mod tests {
 
     #[test]
     fn attached_oracle_cross_checks_residual_mode() {
-        // A residual-primary monitor with an oracle attached reports both:
-        // the primary metric (and series) stay residual, while the oracle
-        // RMS is available for test-only equivalence checks.
+        // A residual-rule column that carries a reference stays
+        // residual-scored — the metric (and the series) never see the
+        // oracle — and reports its RMS when it retires.
         let (ss, reference) = make();
-        let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
-        m.set_refresh_below(1e-6);
-        m.attach_oracle(std::slice::from_ref(&reference));
-        assert!(m.has_oracle());
-        for (p, sd) in ss.subdomains.iter().enumerate() {
-            let local: Vec<f64> = sd.global_of_local.iter().map(|&g| reference[g]).collect();
-            // The primary (returned) metric is the residual's cached
-            // value — a previously exact number, never the oracle RMS.
-            let metric = m.update_part(p, SimTime::from_nanos(p as u64), &local);
-            assert!(metric <= 1.0 + 1e-12, "cached residual metric");
+        let (_, b) = ss.reconstruct();
+        let mut m = idle(&ss, 1, SimDuration::ZERO);
+        m.admit(0, &b, Termination::Residual { tol: 1e-6 }, Some(&reference));
+        assert!(
+            (m.metric() - 1.0).abs() < 1e-12,
+            "‖b − A·0‖/‖b‖, not an RMS"
+        );
+        for p in 0..ss.n_parts() {
+            let metric =
+                m.update_part(p, SimTime::from_nanos(p as u64), &local(&ss, p, &reference));
+            assert!(metric <= 1.0 + 1e-12, "residual metric");
         }
-        assert!(m.rms_exact() < 1e-12);
+        assert!(!m.done(0), "the maintained value is a fold window stale");
         assert!(m.rel_residual() < 1e-6);
-        m.resync();
-        assert!(m.rel_residual() < 1e-10);
+        assert!(m.done(0));
+        let done = m.retire(0);
+        assert!(done.residual < 1e-10);
+        assert!(done.rms.unwrap() < 1e-12);
     }
 
     #[test]
     fn drifted_incremental_value_cannot_declare_convergence() {
         // Regression (stale deferred fold): simulate a drifted incremental
-        // accumulator sitting AT or BELOW the stopping tolerance while the
-        // exact residual is far above it. The next update_part must resync
-        // exactly before reporting, so the returned (stop-deciding) metric
-        // is the true one — a drifted value can never terminate a run
-        // early.
+        // accumulator sitting AT the stopping tolerance while the exact
+        // residual is far above it. Neither `done` nor the next
+        // `update_part` may act on it: both re-derive the value exactly
+        // first.
         let (ss, _) = make();
+        let (a, b) = ss.reconstruct();
         let tol = 1e-6;
-        let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
-        m.set_refresh_below(tol);
+        let drift = |m: &mut Monitor| {
+            m.rel_residual();
+            let col = &mut m.cols[0];
+            col.sum_sq = (tol * col.b_scale).powi(2);
+            col.exact = false;
+            assert_eq!(m.metric(), tol, "drifted value is in place");
+        };
+        let exact = |m: &Monitor| a.residual_norm(m.estimate(), &b) / vector::norm2(&b);
+        let mut m = idle(&ss, 1, SimDuration::ZERO);
+        m.admit(0, &b, Termination::Residual { tol }, None);
         // One genuine update so the estimate is nonzero and far from
         // convergence.
         let local0: Vec<f64> = (0..ss.subdomains[0].n_local())
             .map(|l| 0.5 + l as f64 * 0.1)
             .collect();
         m.update_part(0, SimTime::from_nanos(0), &local0);
-        let exact = m.residual_exact_per_rhs()[0];
-        assert!(exact > 100.0 * tol, "setup: far from converged ({exact})");
-        // Fold all pending deltas, then corrupt the incremental
-        // accumulator the way drift would: the cached metric lands exactly
-        // on the tolerance (the `<` vs `<=` boundary) and the per-column
-        // sum agrees with it.
-        m.rel_residual();
-        {
-            let t = m.residual.as_mut().unwrap();
-            t.sum_sq[0] = (tol * t.b_scale[0]).powi(2);
-            t.cached_metric = tol;
-        }
-        assert_eq!(m.metric(), tol, "drifted value is in place");
-        // The next update must NOT report the drifted value: the stop
-        // decision sees the exact resynced metric.
+        assert!(exact(&m) > 100.0 * tol, "setup: far from converged");
+
+        drift(&mut m);
+        assert!(
+            !m.done(0),
+            "the gate passed, the exact confirmation did not"
+        );
+        assert_eq!(m.metric(), exact(&m), "and the drift is gone");
+
+        drift(&mut m);
         let local1 = vec![0.0; ss.subdomains[1].n_local()];
         let reported = m.update_part(1, SimTime::from_nanos(1), &local1);
-        assert!(
-            reported > tol,
-            "reported {reported} must be the exact metric, not the drifted {tol}"
-        );
-        let exact_now = m.residual_exact_per_rhs()[0];
-        assert!(
-            (reported - exact_now).abs() <= 1e-12 * exact_now.max(1.0),
-            "reported {reported} vs exact {exact_now}"
-        );
+        assert_eq!(reported, exact(&m), "reported the exact metric, not {tol}");
+        assert!(reported > tol);
     }
 
     #[test]
@@ -978,6 +913,7 @@ mod tests {
         // recomputation agrees — the stop decision never fires on a stale
         // or drifted number.
         let (ss, reference) = make();
+        let (a, b) = ss.reconstruct();
         let tol = 1e-3;
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
         m.set_refresh_below(tol);
@@ -1001,12 +937,8 @@ mod tests {
                     m.update_part(p, SimTime::from_nanos((round * 10 + p) as u64), &local);
                 if reported <= tol {
                     crossings += 1;
-                    let exact = m.residual_exact_per_rhs()[0];
-                    assert!(
-                        (reported - exact).abs() <= 1e-12 * exact.max(1.0),
-                        "round {round}: stop-eligible value {reported} must be \
-                         exact (true residual {exact})"
-                    );
+                    let exact = a.residual_norm(m.estimate(), &b) / vector::norm2(&b);
+                    assert_eq!(reported, exact, "round {round}: stop-eligible value");
                 }
             }
         }
@@ -1024,7 +956,6 @@ mod tests {
             Monitor::new_residual(&ss, Some(std::slice::from_ref(&zero)), SimDuration::ZERO);
         assert_eq!(m.metric(), 0.0, "initial metric is exactly 0, not NaN/1");
         assert_eq!(m.rel_residual(), 0.0);
-        assert_eq!(m.residual_exact_per_rhs()[0], 0.0);
         // Perturbing the estimate raises the absolute residual; it stays
         // finite and returns to ~0 when the parts report zeros again.
         let n0 = ss.subdomains[0].n_local();
@@ -1033,87 +964,118 @@ mod tests {
         assert!(m1.is_finite() && m1 > 0.0, "perturbed metric {m1}");
         m.update_part(0, SimTime::from_nanos(1), &vec![0.0; n0]);
         assert!(m.rel_residual().is_finite());
-        m.resync();
-        assert!(m.rel_residual() < 1e-12);
-    }
-
-    #[test]
-    fn replace_column_reanchors_both_metrics_mid_run() {
-        // The rolling retire/admit hand-off: replace column 0's RHS (and
-        // oracle reference) while the estimate is mid-flight. Both metrics
-        // must re-anchor on the new targets against the *current* estimate,
-        // and subsequent updates must stay consistent with exact
-        // recomputation.
-        let (ss, reference) = make();
-        let (a, b_old) = ss.reconstruct();
-        let mut m =
-            Monitor::new_residual(&ss, Some(std::slice::from_ref(&b_old)), SimDuration::ZERO);
-        m.attach_oracle(std::slice::from_ref(&reference));
-        // Drive the estimate to the OLD solution.
-        for (p, sd) in ss.subdomains.iter().enumerate() {
-            let local: Vec<f64> = sd.global_of_local.iter().map(|&g| reference[g]).collect();
-            m.update_part(p, SimTime::from_nanos(p as u64), &local);
-        }
-        m.resync();
-        assert!(m.rel_residual() < 1e-10, "converged on the old column");
-
-        // Admit a new RHS into the slot.
-        let b_new = generators::random_rhs(16, 77);
-        let x_new = dtm_sparse::SparseCholesky::factor(&a)
-            .unwrap()
-            .solve(&b_new);
-        m.replace_column(0, &b_new, Some(&x_new));
-        let expect_resid =
-            a.residual_norm(m.estimate(), &b_new) / dtm_sparse::vector::norm2(&b_new);
-        assert!(
-            (m.col_residual(0) - expect_resid).abs() <= 1e-12 * expect_resid.max(1.0),
-            "residual re-anchored: {} vs {}",
-            m.col_residual(0),
-            expect_resid
-        );
-        assert!(
-            (m.col_rms(0) - dtm_sparse::vector::rms_error(m.estimate(), &x_new)).abs() < 1e-12,
-            "oracle re-anchored"
-        );
-        // Feed the NEW solution; both metrics drop to ~0 and incremental
-        // tracking stayed consistent through the swap.
-        for (p, sd) in ss.subdomains.iter().enumerate() {
-            let local: Vec<f64> = sd.global_of_local.iter().map(|&g| x_new[g]).collect();
-            m.update_part(p, SimTime::from_nanos(10 + p as u64), &local);
-        }
-        m.resync();
-        assert!(m.rel_residual() < 1e-10, "resid {}", m.rel_residual());
-        assert!(m.rms_exact_col(0) < 1e-12);
-        assert!(m.residual_exact_col(0) < 1e-10);
+        assert!(m.resync() < 1e-12);
+        assert_eq!(m.retire(0).residual, 0.0);
     }
 
     #[test]
     fn block_monitor_tracks_worst_column() {
         // Two columns: feed column 0 its exact solution, leave column 1 at
         // zero — the reported RMS must be column 1's error, and the
-        // per-column report must distinguish them.
+        // per-column numbers must distinguish them.
         let (ss, reference) = make();
         let ref2: Vec<f64> = reference.iter().map(|v| v * 2.0).collect();
-        let refs = vec![reference.clone(), ref2.clone()];
-        let mut m = Monitor::new_block(&ss, &refs, SimDuration::ZERO);
-        assert_eq!(m.n_rhs(), 2);
+        let mut m = oracle(
+            &ss,
+            &[reference.clone(), ref2.clone()],
+            1e-6,
+            SimDuration::ZERO,
+        );
         for (p, sd) in ss.subdomains.iter().enumerate() {
             let nl = sd.n_local();
             let mut block = vec![0.0; nl * 2];
-            for (l, &g) in sd.global_of_local.iter().enumerate() {
-                block[l] = reference[g]; // column 0 exact
-            }
+            block[..nl].copy_from_slice(&local(&ss, p, &reference)); // column 0 exact
             m.update_part(p, SimTime::from_nanos(p as u64), &block);
         }
-        let per = m.rms_exact_per_rhs();
-        assert!(per[0] < 1e-12, "column 0 exact, got {}", per[0]);
-        let expect = dtm_sparse::vector::rms_error(&[0.0; 16], &ref2);
-        assert!((per[1] - expect).abs() < 1e-12);
-        assert!((m.rms() - per[1]).abs() < 1e-9, "worst column wins");
+        let expect = vector::rms_error(&[0.0; 16], &ref2);
+        assert!((m.metric() - expect).abs() < 1e-9, "worst column wins");
+        assert!(m.done(0) && !m.done(1) && !m.all_done());
         // Column estimates address the right slices.
         for (e, r) in m.estimate_col(0).iter().zip(&reference) {
             assert!((e - r).abs() < 1e-12);
         }
-        assert_eq!(m.estimates().len(), 2);
+        let per = m.retire_all();
+        assert!(per[0].rms.unwrap() < 1e-12, "column 0 exact");
+        assert!((per[1].rms.unwrap() - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mixed_rule_slots_admit_score_retire_and_readmit() {
+        // K = 3 under mixed rules — a loose residual ticket, a tight oracle
+        // ticket, an idle slot — driven through the whole life-cycle while
+        // the estimate is mid-flight. Every `done` is checked against a
+        // from-scratch recomputation of that column's own metric.
+        let (ss, _) = make();
+        let (a, _) = ss.reconstruct();
+        let factor = dtm_sparse::SparseCholesky::factor(&a).unwrap();
+        let rhs = |seed| generators::random_rhs(16, seed);
+        let (b0, b1, b2) = (rhs(70), rhs(71), rhs(72));
+        let (x0, x1, x2) = (factor.solve(&b0), factor.solve(&b1), factor.solve(&b2));
+        let (loose, tight) = (1e-3, 1e-8);
+        let resid = |x: &[f64], b: &[f64]| a.residual_norm(x, b) / vector::norm2(b);
+
+        let mut m = idle(&ss, 3, SimDuration::ZERO);
+        m.admit(0, &b0, Termination::Residual { tol: loose }, None);
+        m.admit(1, &b1, Termination::OracleRms { tol: tight }, Some(&x1));
+        // Approach (x0, x1, junk) geometrically, part by part; slot 2 is
+        // idle and carries values nobody scores.
+        let mut first_done = [None; 2];
+        for step in 0..40 {
+            let err = 0.5_f64.powi(step);
+            for (p, sd) in ss.subdomains.iter().enumerate() {
+                let wobble = |g: usize| 1.0 + err * (1.0 + 0.3 * ((g + p) as f64).sin());
+                let col = |x: &[f64]| -> Vec<f64> {
+                    let g2l = &sd.global_of_local;
+                    g2l.iter().map(|&g| x[g] * wobble(g)).collect()
+                };
+                let block = [col(&x0), col(&x1), vec![step as f64; sd.n_local()]].concat();
+                m.update_part(
+                    p,
+                    SimTime::from_nanos((step * 10) as u64 + p as u64),
+                    &block,
+                );
+                let scratch = [
+                    resid(m.estimate_col(0), &b0) <= loose,
+                    vector::rms_error(m.estimate_col(1), &x1) <= tight,
+                ];
+                for c in 0..2 {
+                    // A stale maintained value may hold a `done` back, never
+                    // bring one forward.
+                    let done = m.done(c);
+                    assert!(!done || scratch[c], "step {step}: slot {c} done early");
+                    if done {
+                        first_done[c].get_or_insert(step);
+                    }
+                }
+                assert!(!m.done(2), "an idle slot is never done");
+                assert!(!m.all_done(), "… so the block never is either");
+            }
+        }
+        assert!(
+            first_done[0].unwrap() < first_done[1].unwrap(),
+            "the loose ticket finishes first: {first_done:?}"
+        );
+
+        // Retire the loose ticket; its numbers are those of the estimate.
+        let r0 = m.retire(0);
+        assert_eq!(r0.residual, resid(&r0.solution, &b0));
+        assert!(r0.residual <= loose && r0.rms.is_none());
+        assert!(!m.done(0), "a retired slot is idle, not done");
+        // Re-admit a new ticket into it mid-run: the score re-anchors on the
+        // new targets against the *current* estimate — the old answer.
+        m.admit(0, &b2, Termination::OracleRms { tol: tight }, Some(&x2));
+        assert!(!m.done(0), "the outgoing estimate does not answer b2");
+        assert_eq!(m.metric(), vector::rms_error(m.estimate_col(0), &x2));
+        // And the idle slot goes live under a residual rule.
+        m.admit(2, &b0, Termination::Residual { tol: tight }, None);
+        assert_eq!(m.metric().max(1.0), m.metric(), "slot 2 holds junk");
+        let blocks: Vec<Vec<f64>> = (0..ss.n_parts())
+            .map(|p| [local(&ss, p, &x2), local(&ss, p, &x1), local(&ss, p, &x0)].concat())
+            .collect();
+        m.update_round(SimTime::from_nanos(1_000), blocks.iter().map(Vec::as_slice));
+        assert!(m.all_done());
+        let all = m.retire_all();
+        assert!(all[0].rms.unwrap() <= tight && all[1].rms.unwrap() <= tight);
+        assert!(all[2].residual <= tight && all[2].rms.is_none());
     }
 }

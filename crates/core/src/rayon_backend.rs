@@ -20,13 +20,15 @@
 
 use crate::fabric::{self, Pool, WallRun};
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
-use crate::runtime::{self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, Termination};
+use crate::runtime::{
+    self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, RunSpec, Termination,
+};
 use dtm_graph::evs::SplitSystem;
 use dtm_sparse::Result;
 use std::time::Duration;
 
 /// Work-stealing-executor configuration: the shared [`CommonConfig`] plus
-/// pool sizing and wall-clock knobs.
+/// pool sizing and the wall-clock budget.
 #[derive(Debug, Clone)]
 pub struct RayonConfig {
     /// Algorithm configuration shared with every backend.
@@ -35,8 +37,6 @@ pub struct RayonConfig {
     pub num_threads: usize,
     /// Wall-clock budget.
     pub budget: Duration,
-    /// Supervisor poll interval.
-    pub poll_interval: Duration,
 }
 
 impl Default for RayonConfig {
@@ -48,7 +48,6 @@ impl Default for RayonConfig {
             },
             num_threads: 0,
             budget: Duration::from_secs(30),
-            poll_interval: Duration::from_micros(500),
         }
     }
 }
@@ -157,13 +156,14 @@ fn solve_runtimes(
     Ok(fabric::run(
         pool,
         &WallRun {
+            spec: RunSpec {
+                algorithm: AlgorithmKind::Dtm,
+                termination: config.common.termination,
+                map,
+                references: references.as_deref(),
+            },
             backend: BackendKind::WorkStealing,
-            algorithm: AlgorithmKind::Dtm,
-            termination: config.common.termination,
             budget: config.budget,
-            poll_interval: config.poll_interval,
-            map,
-            references: references.as_deref(),
         },
     ))
 }
@@ -196,7 +196,6 @@ mod tests {
             },
             num_threads: 3, // fewer workers than subdomains: real stealing
             budget: Duration::from_secs(60),
-            ..Default::default()
         };
         let report = solve(&ss, &config).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);

@@ -1,6 +1,7 @@
 //! Solve reports: everything a run produces, ready for printing or
 //! regression-testing.
 
+use crate::monitor::Retired;
 use crate::runtime::{AsyncNode, Termination};
 use serde::Serialize;
 
@@ -177,17 +178,10 @@ pub struct RunSummary {
     pub stop: StopKind,
     /// Solver time at stop, in milliseconds.
     pub time_ms: f64,
-    /// Gathered global solution per RHS column.
-    pub solutions: Vec<Vec<f64>>,
-    /// Exact final RMS per column; empty on reference-free runs.
-    pub rms_per_rhs: Vec<f64>,
-    /// Exact final relative residual per column.
-    pub residual_per_rhs: Vec<f64>,
-    /// Best worst-column stopping metric seen *during* the run — a
-    /// wall-clock supervisor's snapshots can drift past the tolerance while
-    /// workers keep iterating. `INFINITY` where only the final state
-    /// counts (the simulated executor stops on the crossing itself).
-    pub best_metric: f64,
+    /// What the scorer's columns retired with, one per RHS column: the
+    /// gathered solution, its exact relative residual and — where the run
+    /// carried references — its exact RMS.
+    pub columns: Vec<Retired>,
     /// `(time_ms, metric)` staircase.
     pub series: Vec<(f64, f64)>,
     /// Work counters.
@@ -202,21 +196,24 @@ impl SolveReport {
     /// The one report assembly — every executor and every algorithm ends
     /// here — holding the one `converged` rule: a tolerance mode converged
     /// when its own metric (oracle RMS / relative residual, worst column)
-    /// met the tolerance at the end or at any supervisor poll; `LocalDelta`
-    /// converged when every node went passive of its own accord — a node
-    /// retired by the solve cap never declared convergence, so "everyone
-    /// eventually stopped" must not masquerade as success.
+    /// of the returned solution meets the tolerance; `LocalDelta` converged
+    /// when every node went passive of its own accord — a node retired by
+    /// the solve cap never declared convergence, so "everyone eventually
+    /// stopped" must not masquerade as success.
     pub fn assemble(run: RunSummary) -> Self {
         let worst = |v: &[f64]| v.iter().fold(0.0_f64, |m, &x| m.max(x));
-        let final_rms = if run.rms_per_rhs.is_empty() {
+        let rms_per_rhs: Vec<f64> = run.columns.iter().filter_map(|col| col.rms).collect();
+        let residual_per_rhs: Vec<f64> = run.columns.iter().map(|col| col.residual).collect();
+        let solutions: Vec<Vec<f64>> = run.columns.into_iter().map(|col| col.solution).collect();
+        let final_rms = if rms_per_rhs.is_empty() {
             f64::NAN
         } else {
-            worst(&run.rms_per_rhs)
+            worst(&rms_per_rhs)
         };
-        let final_residual = worst(&run.residual_per_rhs);
+        let final_residual = worst(&residual_per_rhs);
         let converged = match run.termination {
-            Termination::OracleRms { tol } => final_rms.min(run.best_metric) <= tol,
-            Termination::Residual { tol } => final_residual.min(run.best_metric) <= tol,
+            Termination::OracleRms { tol } => final_rms <= tol,
+            Termination::Residual { tol } => final_residual <= tol,
             Termination::LocalDelta { .. } => {
                 matches!(run.stop, StopKind::AllHalted | StopKind::Quiescent)
                     && !run.totals.any_capped
@@ -225,14 +222,14 @@ impl SolveReport {
         Self {
             backend: run.backend,
             algorithm: run.algorithm,
-            solution: run.solutions.first().cloned().unwrap_or_default(),
-            n_rhs: run.solutions.len(),
-            solutions: run.solutions,
-            final_rms_per_rhs: run.rms_per_rhs,
+            solution: solutions.first().cloned().unwrap_or_default(),
+            n_rhs: solutions.len(),
+            solutions,
+            final_rms_per_rhs: rms_per_rhs,
             converged,
             final_rms,
             final_residual,
-            final_residual_per_rhs: run.residual_per_rhs,
+            final_residual_per_rhs: residual_per_rhs,
             final_time_ms: run.time_ms,
             series: run.series,
             total_solves: run.totals.solves,

@@ -56,6 +56,7 @@
 
 use crate::impedance::{per_port, ImpedancePolicy};
 use crate::local::{LocalSolverKind, LocalSystem};
+use crate::monitor::Monitor;
 use dtm_graph::evs::{SplitSystem, Subdomain};
 use dtm_sparse::{Csr, Result, SparseCholesky};
 
@@ -980,9 +981,6 @@ pub struct GatherMap<'a> {
     pub a: &'a Csr,
     /// The global right-hand-side columns.
     pub b_cols: Vec<&'a [f64]>,
-    /// `‖b_c‖₂` per column (1 where `b_c` is zero, so the ratio stays
-    /// defined).
-    b_scale: Vec<f64>,
 }
 
 impl<'a> GatherMap<'a> {
@@ -994,10 +992,6 @@ impl<'a> GatherMap<'a> {
         b_cols: Vec<&'a [f64]>,
     ) -> Self {
         Self {
-            b_scale: b_cols
-                .iter()
-                .map(|b| dtm_sparse::vector::norm2_or_one(b))
-                .collect(),
             parts,
             copy_count,
             a,
@@ -1028,71 +1022,51 @@ impl<'a> GatherMap<'a> {
             },
         )
     }
+}
 
-    /// Exact relative residual `‖b_c − A·x‖₂ / ‖b_c‖₂` of column `c`
-    /// (absolute for an all-zero `b_c`) — one fused SpMV.
-    pub fn residual(&self, c: usize, x: &[f64]) -> f64 {
-        self.a.residual_norm(x, self.b_cols[c]) / self.b_scale[c]
+/// What a one-shot run is scored against, whatever the executor: the
+/// algorithm's name for the report, the stopping rule, the system and the
+/// (opt-in) oracle references.
+pub(crate) struct RunSpec<'a> {
+    pub algorithm: crate::report::AlgorithmKind,
+    pub termination: Termination,
+    pub map: GatherMap<'a>,
+    /// Oracle references, one per column of `map.b_cols`; `None` runs
+    /// reference-free.
+    pub references: Option<&'a [Vec<f64>]>,
+}
+
+impl RunSpec<'_> {
+    /// The run's scorer: every column of the map admitted at once, all
+    /// under the run's termination.
+    pub(crate) fn monitor(&self, sample_interval: dtm_simnet::SimDuration) -> Monitor {
+        let mut monitor = Monitor::new(&self.map, self.map.b_cols.len(), sample_interval);
+        monitor.admit_all(&self.map.b_cols, self.termination, self.references);
+        monitor
     }
 }
 
-/// Gather column `c` of per-part `n_local × k` blocks into the global
-/// estimate `out`, averaging split copies — `parts` yields each part's
-/// `(global_of_local, block)` pair, summed in the order given (with three
-/// or more copies of a vertex the order of the additions is part of the
-/// bits). The one gather of every supervisor: wall-clock, lock-step and
-/// multi-process.
-///
-/// # Panics
-/// Panics if a block is shorter than `(c + 1)` columns of its part or a
-/// global row is out of `out`'s range.
-pub fn gather_col<'a>(
-    parts: impl Iterator<Item = (&'a [usize], &'a [f64])>,
-    copy_count: &[usize],
-    c: usize,
-    out: &mut [f64],
-) {
-    out.iter_mut().for_each(|v| *v = 0.0);
-    for (global_of_local, block) in parts {
-        let nl = global_of_local.len();
-        for (&g, &v) in global_of_local.iter().zip(&block[c * nl..(c + 1) * nl]) {
-            out[g] += v;
-        }
-    }
-    for (v, &cc) in out.iter_mut().zip(copy_count) {
-        *v /= cc as f64;
-    }
-}
-
-/// The supervisor side of the real-execution (wall-clock) executors.
+/// The hand-off of the real-execution (wall-clock) executors.
 ///
 /// The simulated backend has an omniscient observer inside the event
 /// loop; real executors instead publish per-part solution snapshots
-/// ([`wallclock::SharedBlock`]) that a supervisor polls. This module owns
-/// both halves of that hand-off: the published block, and the one
-/// supervisor-side scorer (`Scorer`) that mirrors the blocks, gathers the
-/// columns that moved and holds each column to its own stopping rule. A
-/// one-shot solve (`fabric::run`) is K columns admitted at t = 0 under one
-/// rule; a rolling session ([`crate::session`]) replaces columns as tickets
-/// retire — same scorer, same rule.
+/// ([`wallclock::SharedBlock`]) that the supervisor's
+/// [`Monitor`] polls — the very scorer the
+/// simulated and lock-step executors feed directly.
 pub mod wallclock {
-    use super::Termination;
     use crate::local::all_cols;
-    use dtm_sparse::Csr;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A worker's published `n_local × k` solution block with dirty-column
     /// tracking: workers publish only the columns whose boundary inputs
-    /// changed in the step, and the supervisor copies only columns dirtied
-    /// since its last poll into a persistent mirror — no full-block clone
-    /// on either side of the hand-off.
+    /// changed in the step, and the supervisor folds only columns dirtied
+    /// since its last poll into its own copy — no full-block clone on
+    /// either side of the hand-off.
     pub struct SharedBlock {
         data: Mutex<Vec<f64>>,
-        /// Bumped on every publish; lets the supervisor skip untouched
-        /// parts without taking the lock.
-        version: AtomicU64,
-        /// Columns written since the supervisor last drained.
+        /// Columns written since the supervisor last drained; lets it skip
+        /// untouched parts without taking the lock.
         dirty: AtomicU64,
         nl: usize,
         k: usize,
@@ -1102,7 +1076,6 @@ pub mod wallclock {
         pub(crate) fn new(nl: usize, k: usize) -> Self {
             Self {
                 data: Mutex::new(vec![0.0; nl * k]),
-                version: AtomicU64::new(0),
                 dirty: AtomicU64::new(0),
                 nl,
                 k,
@@ -1127,210 +1100,21 @@ pub mod wallclock {
                     }
                 }
             }
-            // Ordered under the data lock: a drain observing the new
-            // version also sees the new data and mask.
+            // Ordered under the data lock: a drain observing the mask also
+            // sees the data.
             self.dirty.fetch_or(cols, Ordering::Release);
-            self.version.fetch_add(1, Ordering::Release);
         }
 
-        /// Copy everything dirtied since the last drain into `mirror`;
-        /// returns the drained column mask (0 = nothing changed, lock never
-        /// taken). Shared with the rolling-session supervisors.
-        pub(crate) fn drain_into(&self, mirror: &mut [f64], seen_version: &mut u64) -> u64 {
-            if self.version.load(Ordering::Acquire) == *seen_version {
-                return 0;
-            }
-            let data = self.data.lock();
-            let mask = self.dirty.swap(0, Ordering::AcqRel);
-            *seen_version = self.version.load(Ordering::Acquire);
-            if self.k >= 64 || mask == all_cols(self.k) {
-                mirror.copy_from_slice(&data);
-            } else {
-                let mut rest = mask;
-                while rest != 0 {
-                    let c = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if c < self.k {
-                        let r = c * self.nl..(c + 1) * self.nl;
-                        mirror[r.clone()].copy_from_slice(&data[r]);
-                    }
-                }
-            }
-            mask
-        }
-    }
-
-    /// One column slot of the score sheet: the ticket occupying it and
-    /// the latest gathered estimate with its score.
-    struct Column {
-        /// The occupying ticket's stopping rule; `None` = idle slot.
-        rule: Option<Termination>,
-        b: Vec<f64>,
-        /// `‖b‖₂` (1 where `b` is zero, so the ratio stays defined).
-        b_scale: f64,
-        /// Oracle reference; scores the column under
-        /// [`Termination::OracleRms`] and (passively)
-        /// [`Termination::LocalDelta`], only reports under
-        /// [`Termination::Residual`].
-        reference: Option<Vec<f64>>,
-        /// Gathered global estimate as of the last poll that saw the
-        /// column move.
-        est: Vec<f64>,
-        /// The rule's own metric of `est`; `INFINITY` until the ticket's
-        /// first score.
-        metric: f64,
-    }
-
-    impl Column {
-        fn residual(&self, a: &Csr) -> f64 {
-            a.residual_norm(&self.est, &self.b) / self.b_scale
-        }
-
-        fn rms(&self) -> Option<f64> {
-            let reference = self.reference.as_deref()?;
-            Some(dtm_sparse::vector::rms_error(&self.est, reference))
-        }
-    }
-
-    /// What a retiring column hands back: exact final numbers of its
-    /// gathered estimate.
-    pub(crate) struct Retired {
-        pub solution: Vec<f64>,
-        /// Relative residual `‖b − A·x‖/‖b‖` — always computed.
-        pub residual: f64,
-        /// RMS against the oracle reference, where the ticket carried one.
-        pub rms: Option<f64>,
-    }
-
-    /// The supervisor-side scorer of every wall-clock run: per-part
-    /// mirrors of the published blocks, and per column slot the gathered
-    /// estimate, its metric and the `(b, Termination, reference) → done?`
-    /// rule. Everything is allocated at construction and at
-    /// [`replace_column`](Self::replace_column); [`poll`](Self::poll)
-    /// allocates nothing, drains only dirty columns of changed parts and
-    /// re-scores only the live columns that moved.
-    pub(crate) struct Scorer {
-        parts: Vec<Vec<usize>>,
-        copy_count: Vec<usize>,
-        mirrors: Vec<Vec<f64>>,
-        seen: Vec<u64>,
-        cols: Vec<Column>,
-    }
-
-    impl Scorer {
-        /// A score sheet of `k` idle column slots over the given gather
-        /// map (`parts[p][l]` = global row of part `p`'s local row `l`).
-        pub(crate) fn new<'a>(
-            parts: impl Iterator<Item = &'a [usize]>,
-            copy_count: &[usize],
-            k: usize,
-        ) -> Self {
-            let parts: Vec<Vec<usize>> = parts.map(<[usize]>::to_vec).collect();
-            let n = copy_count.len();
-            Self {
-                mirrors: parts.iter().map(|g| vec![0.0; g.len() * k]).collect(),
-                seen: vec![0; parts.len()],
-                cols: (0..k)
-                    .map(|_| Column {
-                        rule: None,
-                        b: vec![0.0; n],
-                        b_scale: 1.0,
-                        reference: None,
-                        est: vec![0.0; n],
-                        metric: f64::INFINITY,
-                    })
-                    .collect(),
-                parts,
-                copy_count: copy_count.to_vec(),
-            }
-        }
-
-        /// Admit a ticket into slot `c`. Whatever the slot's previous
-        /// occupant scored is forgotten: the new ticket is first judged on
-        /// the next estimate gathered for it, against its own `b`.
-        pub(crate) fn replace_column(
-            &mut self,
-            c: usize,
-            b: &[f64],
-            rule: Termination,
-            reference: Option<&[f64]>,
-        ) {
-            let col = &mut self.cols[c];
-            col.rule = Some(rule);
-            col.b.copy_from_slice(b);
-            col.b_scale = dtm_sparse::vector::norm2_or_one(b);
-            col.reference = reference.map(<[f64]>::to_vec);
-            col.metric = f64::INFINITY;
-        }
-
-        /// One supervisor pass over `snapshots`: drain what the workers
-        /// dirtied into the mirrors, then re-gather and re-score the live
-        /// columns among it (`a` is the original matrix). A pass where
-        /// nothing changed takes no lock and keeps every score.
-        // lint: hot-path
-        pub(crate) fn poll(&mut self, a: &Csr, snapshots: &[SharedBlock]) {
-            let Self {
-                parts,
-                copy_count,
-                mirrors,
-                seen,
-                cols,
-            } = self;
-            let mut dirty = 0u64;
-            for (snap, (mirror, seen)) in snapshots.iter().zip(mirrors.iter_mut().zip(seen)) {
-                dirty |= snap.drain_into(mirror, seen);
-            }
-            if dirty == 0 {
+        /// Hand the block and the mask of columns dirtied since the last
+        /// drain to `absorb`, under the block's lock — so `absorb` must do
+        /// part-local work only. Nothing dirtied: `absorb` is not called
+        /// and the lock is never taken.
+        pub(crate) fn drain(&self, absorb: impl FnOnce(&[f64], u64)) {
+            if self.dirty.load(Ordering::Acquire) == 0 {
                 return;
             }
-            // Saturated masks (k ≥ 64) re-score every column.
-            let saturated = cols.len() >= 64;
-            for (c, col) in cols.iter_mut().enumerate() {
-                let Some(rule) = col.rule else { continue };
-                if !saturated && dirty >> c & 1 == 0 {
-                    continue;
-                }
-                let blocks = parts.iter().zip(mirrors.iter());
-                super::gather_col(
-                    blocks.map(|(g, m)| (g.as_slice(), m.as_slice())),
-                    copy_count,
-                    c,
-                    &mut col.est,
-                );
-                // Residual termination stays residual-primary even when a
-                // reference was supplied; the other modes score against
-                // the oracle exactly when one exists.
-                col.metric = match rule {
-                    Termination::Residual { .. } => col.residual(a),
-                    _ => col.rms().unwrap_or_else(|| col.residual(a)),
-                };
-            }
-        }
-
-        /// Whether slot `c`'s ticket has met its own tolerance — the
-        /// per-ticket stopping rule. Idle slots and
-        /// [`Termination::LocalDelta`] columns (scored passively; their
-        /// nodes halt themselves) are never done.
-        pub(crate) fn done(&self, c: usize) -> bool {
-            let tol = self.cols[c].rule.and_then(Termination::metric_tol);
-            tol.is_some_and(|tol| self.cols[c].metric <= tol)
-        }
-
-        /// Worst metric over the live columns.
-        pub(crate) fn worst_metric(&self) -> f64 {
-            let live = self.cols.iter().filter(|col| col.rule.is_some());
-            live.fold(0.0_f64, |m, col| m.max(col.metric))
-        }
-
-        /// Free slot `c` and return its ticket's exact final numbers.
-        pub(crate) fn retire(&mut self, c: usize, a: &Csr) -> Retired {
-            let col = &mut self.cols[c];
-            col.rule = None;
-            Retired {
-                solution: col.est.clone(),
-                residual: col.residual(a),
-                rms: col.rms(),
-            }
+            let data = self.data.lock();
+            absorb(&data, self.dirty.swap(0, Ordering::AcqRel));
         }
     }
 }
@@ -1449,16 +1233,10 @@ mod tests {
                 node.step(&mut t);
             }
         }
-        let mut est = vec![0.0; exact.len()];
-        gather_col(
-            ss.subdomains
-                .iter()
-                .zip(&nodes)
-                .map(|(sd, n)| (sd.global_of_local.as_slice(), n.local().solution())),
-            &ss.copy_count,
-            0,
-            &mut est,
-        );
+        let mut monitor = Monitor::new_residual(&ss, None, dtm_simnet::SimDuration::ZERO);
+        let blocks = nodes.iter().map(|n| n.local().solution());
+        monitor.update_round(dtm_simnet::SimTime::ZERO, blocks);
+        let est = monitor.estimate();
         for (u, v) in est.iter().zip(&exact) {
             assert!((u - v).abs() < 1e-10, "{u} vs {v}");
         }
@@ -1572,60 +1350,64 @@ mod tests {
         }
     }
 
-    /// A 2-unknown identity system on one part, two column slots.
-    fn two_slot_scorer() -> (wallclock::Scorer, Csr, wallclock::SharedBlock) {
-        let rows = [0usize, 1];
-        let scorer = wallclock::Scorer::new([&rows[..]].into_iter(), &[1, 1], 2);
-        (scorer, Csr::identity(2), wallclock::SharedBlock::new(2, 2))
+    /// A 2-unknown identity system on one part, two column slots, and the
+    /// block its one wall-clock worker publishes.
+    fn two_slot_poll() -> (Monitor, wallclock::SharedBlock) {
+        let (rows, a) = ([0usize, 1], Csr::identity(2));
+        let map = GatherMap::new(vec![&rows[..]], &[1, 1], &a, vec![&[0.0, 0.0]]);
+        (
+            Monitor::new(&map, 2, crate::monitor::NO_SERIES),
+            wallclock::SharedBlock::new(2, 2),
+        )
     }
 
     #[test]
     fn one_shot_stops_only_when_every_column_met_its_tolerance() {
-        let (mut scorer, a, block) = two_slot_scorer();
+        let (mut m, block) = two_slot_poll();
         let rule = Termination::Residual { tol: 1e-9 };
-        scorer.replace_column(0, &[1.0, 2.0], rule, None);
-        scorer.replace_column(1, &[3.0, 4.0], rule, None);
-        let all_done = |s: &wallclock::Scorer| (0..2).all(|c| s.done(c));
+        m.admit(0, &[1.0, 2.0], rule, None);
+        m.admit(1, &[3.0, 4.0], rule, None);
         // Column 0 is exact long before column 1 has moved at all.
         block.publish(&[1.0, 2.0, 0.0, 0.0], 0b11);
         for _ in 0..3 {
-            scorer.poll(&a, std::slice::from_ref(&block));
-            assert!(scorer.done(0) && !scorer.done(1));
-            assert!(!all_done(&scorer));
-            assert_eq!(scorer.worst_metric(), 1.0, "the slow column's residual");
+            let worst = m.poll(dtm_simnet::SimTime::ZERO, std::slice::from_ref(&block));
+            assert_eq!(worst, 1.0, "the slow column's residual");
+            assert!(m.done(0) && !m.done(1));
+            assert!(!m.all_done());
         }
         block.publish(&[1.0, 2.0, 3.0, 4.0], 0b10);
-        scorer.poll(&a, std::slice::from_ref(&block));
-        assert!(all_done(&scorer));
-        let done = scorer.retire(1, &a);
+        m.poll(dtm_simnet::SimTime::ZERO, std::slice::from_ref(&block));
+        assert!(m.all_done());
+        let done = m.retire(1);
         assert_eq!(done.solution, vec![3.0, 4.0]);
         assert_eq!((done.residual, done.rms), (0.0, None));
-        assert!(!scorer.done(1), "a retired slot is idle, not done");
+        assert!(!m.done(1), "a retired slot is idle, not done");
     }
 
     #[test]
     fn replaced_column_is_never_retired_by_the_outgoing_estimate() {
-        let (mut scorer, a, block) = two_slot_scorer();
+        let (mut m, block) = two_slot_poll();
+        let blocks = std::slice::from_ref(&block);
         let rule = Termination::OracleRms { tol: 1e-9 };
-        scorer.replace_column(0, &[1.0, 2.0], rule, Some(&[1.0, 2.0]));
+        m.admit(0, &[1.0, 2.0], rule, Some(&[1.0, 2.0]));
         block.publish(&[1.0, 2.0, 0.0, 0.0], 0b01);
-        scorer.poll(&a, std::slice::from_ref(&block));
-        assert!(scorer.done(0));
-        assert_eq!(scorer.retire(0, &a).rms, Some(0.0));
-        // The incoming ticket inherits the slot, not the score: nothing
-        // published yet, then a straggler still publishing the outgoing
-        // ticket's answer, then its own.
+        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        assert!(m.done(0));
+        assert_eq!(m.retire(0).rms, Some(0.0));
+        // The incoming ticket inherits the slot and the estimate, not the
+        // score: nothing published yet, then a straggler still publishing
+        // the outgoing ticket's answer, then its own.
         let rule = Termination::Residual { tol: 1e-9 };
-        scorer.replace_column(0, &[5.0, 6.0], rule, None);
-        scorer.poll(&a, std::slice::from_ref(&block));
-        assert!(!scorer.done(0), "no estimate gathered for the new ticket");
+        m.admit(0, &[5.0, 6.0], rule, None);
+        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        assert!(!m.done(0), "the outgoing estimate scored against the new b");
         block.publish(&[1.0, 2.0, 0.0, 0.0], 0b01);
-        scorer.poll(&a, std::slice::from_ref(&block));
-        assert!(!scorer.done(0), "stale estimate scored against the new b");
+        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        assert!(!m.done(0), "stale estimate scored against the new b");
         block.publish(&[5.0, 6.0, 0.0, 0.0], 0b01);
-        scorer.poll(&a, std::slice::from_ref(&block));
-        assert!(scorer.done(0));
-        assert_eq!(scorer.retire(0, &a).solution, vec![5.0, 6.0]);
+        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        assert!(m.done(0));
+        assert_eq!(m.retire(0).solution, vec![5.0, 6.0]);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! a stop, never corrupt a result).
 //!
 //! This file is the queue, the ticket vocabulary and two thin drivers —
-//! the simulated machine, and one generic over the wall-clock fabrics:
+//! the simulated machine, and one generic over the wall-clock fabrics —
+//! both scoring their tickets with the [`Monitor`] a one-shot solve uses,
+//! its column slots admitted and retired as tickets come and go:
 //!
 //! * [`SessionQueue`] — tickets, slot states, completion stream. Pure
 //!   logic, shared by every driver.
@@ -31,9 +33,7 @@
 //! * [`WallclockSession`] — a [`crate::fabric`] runs the perpetual
 //!   exchange; swap orders travel per-part admission mailboxes that the
 //!   fabric's per-node hook drains before each step, so no node ever
-//!   blocks or restarts. Tickets are scored by the supervisor-side scorer
-//!   of [`crate::runtime::wallclock`] — the very one a one-shot
-//!   wall-clock solve uses, with columns replaced as tickets retire.
+//!   blocks or restarts.
 //!   [`RollingThreadedSession`] (one OS thread per subdomain) and
 //!   [`RollingPoolSession`] (the work-stealing pool) are its two
 //!   instantiations.
@@ -48,8 +48,8 @@
 
 use crate::builder::DtmProblem;
 use crate::fabric::{Fabric, Hook, Pool, Threads};
-use crate::monitor::Monitor;
-use crate::runtime::{self, wallclock::Scorer, CommonConfig, NodeRuntime, Termination};
+use crate::monitor::{wall_time, Monitor, NO_SERIES, SESSION_POLL_INTERVAL};
+use crate::runtime::{self, CommonConfig, GatherMap, NodeRuntime, Termination};
 use crate::solver::{self, DtmNode};
 use crate::sync::{Arc, Mutex};
 use dtm_graph::evs::SplitSystem;
@@ -182,9 +182,10 @@ impl SessionQueue {
     /// Queue a right-hand side under its own stopping rule.
     ///
     /// # Errors
-    /// Rejects wrong-length vectors and [`Termination::LocalDelta`]
-    /// (rolling sessions need nodes that keep exchanging; per-node
-    /// self-halt cannot coexist with mid-exchange admission).
+    /// Rejects wrong-length vectors, non-finite entries (naming the first)
+    /// and [`Termination::LocalDelta`] (rolling sessions need nodes that
+    /// keep exchanging; per-node self-halt cannot coexist with mid-exchange
+    /// admission).
     fn submit(
         &mut self,
         b: &[f64],
@@ -199,6 +200,7 @@ impl SessionQueue {
                 actual: b.len(),
             });
         }
+        dtm_sparse::vector::require_finite("rolling session submit", b)?;
         if matches!(termination, Termination::LocalDelta { .. }) {
             return Err(Error::Parse(
                 "rolling sessions accept Residual or OracleRms tickets; LocalDelta \
@@ -238,14 +240,6 @@ impl SessionQueue {
             Slot::Active(t) => Some(t),
             Slot::Idle => None, // just stored Active
         }
-    }
-
-    /// Live tickets, as `(slot, ticket)` pairs.
-    fn active_slots(&self) -> impl Iterator<Item = (usize, &Ticket)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Active(t) => Some((i, t)),
-            Slot::Idle => None,
-        })
     }
 
     /// Retire the ticket in `slot` with its final numbers; frees the slot.
@@ -290,6 +284,17 @@ fn rolling_common(common: &CommonConfig) -> CommonConfig {
         max_solves_per_node: usize::MAX,
         ..common.clone()
     }
+}
+
+/// A session's scorer: `slots` idle column slots over the split's system,
+/// keeping no series.
+fn session_monitor(split: &SplitSystem, slots: usize) -> Monitor {
+    let (a, own_b) = split.reconstruct();
+    Monitor::new(
+        &GatherMap::of_split(split, &a, &own_b, None),
+        slots,
+        NO_SERIES,
+    )
 }
 
 /// Lazily factored oracle for `OracleRms` tickets: residual-only sessions
@@ -359,10 +364,7 @@ pub struct RollingSession {
     engine: Engine<DtmNode>,
     monitor: Monitor,
     queue: SessionQueue,
-    /// Reconstructed original system, for oracle references.
-    a: Csr,
     oracle: LazyOracle,
-    k: usize,
 }
 
 impl RollingSession {
@@ -376,20 +378,12 @@ impl RollingSession {
         config.common = rolling_common(&config.common);
         let zero_cols = vec![vec![0.0; n]; slots];
         let nodes = solver::build_nodes_block(&split, &problem.topology, &config, &zero_cols)?;
-        let engine = Engine::new(problem.topology.clone(), nodes);
-        // Residual tracking only: the oracle tracker is attached lazily on
-        // the first `OracleRms` admission, so residual-only sessions never
-        // pay its per-update accounting in the observer hot loop.
-        let monitor = Monitor::new_residual(&split, Some(&zero_cols), config.sample_interval);
-        let (a, _) = split.reconstruct();
         Ok(Self {
-            split,
-            engine,
-            monitor,
+            engine: Engine::new(problem.topology.clone(), nodes),
+            monitor: session_monitor(&split, slots),
             queue: SessionQueue::new(n, slots),
-            a,
+            split,
             oracle: LazyOracle::default(),
-            k: slots,
         })
     }
 
@@ -400,7 +394,7 @@ impl RollingSession {
 
     /// Column slots of the live block wave.
     pub fn n_slots(&self) -> usize {
-        self.k
+        self.queue.n_slots()
     }
 
     /// Tickets submitted but not yet completed.
@@ -422,16 +416,18 @@ impl RollingSession {
     /// See [`SessionQueue`] (wrong length, `LocalDelta`); `OracleRms`
     /// tickets additionally factor the original system once per session.
     pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
-        let reference = self.oracle.for_ticket(&self.a, b, termination)?;
+        let reference = self
+            .oracle
+            .for_ticket(self.monitor.matrix(), b, termination)?;
         let now_ms = self.engine.now().as_millis_f64();
         let id = self.queue.submit(b, termination, reference, now_ms)?;
         self.admit_idle_slots();
         Ok(id)
     }
 
-    /// Admit pending tickets into every idle slot: swap the column into
-    /// every node's live block and re-anchor the monitor — the exchange
-    /// keeps running throughout.
+    /// Admit pending tickets into every idle slot: re-anchor the monitor's
+    /// column and swap it into every node's live block — the exchange keeps
+    /// running throughout.
     fn admit_idle_slots(&mut self) {
         while self.queue.pending() > 0 {
             let Some(slot) = self.queue.idle_slot() else {
@@ -440,39 +436,13 @@ impl RollingSession {
             let Some(t) = self.queue.admit_into(slot) else {
                 return;
             };
-            let (b, reference) = (t.b.clone(), t.reference.clone());
-            let local_cols = self.split.scatter_rhs(&b);
+            self.monitor
+                .admit(slot, &t.b, t.termination, t.reference.as_deref());
+            let local_cols = self.split.scatter_rhs(&t.b);
             for (node, local) in self.engine.nodes_mut().iter_mut().zip(&local_cols) {
                 node.swap_rhs_col(slot, local);
             }
-            // First oracle ticket: attach the (lazily created) oracle
-            // tracker with zero references; `replace_column` installs this
-            // ticket's real one below. Residual-rule slots never query it.
-            if reference.is_some() && !self.monitor.has_oracle() {
-                let zeros = vec![vec![0.0; self.split.original_n]; self.k];
-                self.monitor.attach_oracle(&zeros);
-            }
-            self.monitor.replace_column(slot, &b, reference.as_deref());
         }
-    }
-
-    /// Retire `slot` at the current instant and return nothing — the
-    /// report lands in the completed stream.
-    fn retire_slot(&mut self, slot: usize) {
-        let now_ms = self.engine.now().as_millis_f64();
-        let solution = self.monitor.estimate_col(slot).to_vec();
-        let final_residual = self.monitor.residual_exact_col(slot);
-        let final_rms = match self
-            .queue
-            .active_slots()
-            .find(|&(s, _)| s == slot)
-            .map(|(_, t)| t.termination)
-        {
-            Some(Termination::OracleRms { .. }) => Some(self.monitor.rms_exact_col(slot)),
-            _ => None,
-        };
-        self.queue
-            .retire(slot, solution, final_residual, final_rms, now_ms);
     }
 
     /// Advance the simulated machine by `d`, admitting and retiring
@@ -497,16 +467,6 @@ impl RollingSession {
                 break;
             }
             self.admit_idle_slots();
-            // Keep the monitor resyncing exactly where stop decisions are
-            // made: the tightest live tolerance.
-            let tightest = self
-                .queue
-                .active_slots()
-                .filter_map(|(_, t)| t.termination.metric_tol())
-                .fold(f64::INFINITY, f64::min);
-            self.monitor
-                .set_refresh_below(if tightest.is_finite() { tightest } else { 0.0 });
-
             let Self {
                 engine,
                 monitor,
@@ -516,29 +476,14 @@ impl RollingSession {
             crossed.clear();
             let outcome = engine.run(horizon, |time, part, node| {
                 monitor.update_part(part, time, node.local().solution());
-                for (slot, t) in queue.active_slots() {
-                    // Cached per-column values gate the check; an exact
-                    // recomputation confirms every crossing, so a stale or
-                    // drifted number can never retire a ticket early.
-                    let done = match t.termination {
-                        Termination::Residual { tol } => {
-                            monitor.col_residual(slot) <= tol
-                                && monitor.residual_exact_col(slot) <= tol
-                        }
-                        Termination::OracleRms { tol } => {
-                            monitor.col_rms(slot) <= tol && monitor.rms_exact_col(slot) <= tol
-                        }
-                        Termination::LocalDelta { .. } => unreachable!("rejected at submit"),
-                    };
-                    if done {
-                        crossed.push(slot);
-                    }
-                }
+                crossed.extend((0..queue.n_slots()).filter(|&slot| monitor.done(slot)));
                 crossed.is_empty()
             });
             if !crossed.is_empty() {
+                let now_ms = engine.now().as_millis_f64();
                 for slot in crossed.drain(..) {
-                    self.retire_slot(slot);
+                    let done = monitor.retire(slot);
+                    queue.retire(slot, done.solution, done.residual, done.rms, now_ms);
                 }
                 continue; // resume the same exchange; admissions at loop top
             }
@@ -573,20 +518,15 @@ type ColumnSwap = (usize, Vec<f64>);
 /// drop the session) to stop the fabric.
 pub struct WallclockSession<F> {
     split: SplitSystem,
-    /// Reconstructed original system: what tickets are scored against.
-    a: Csr,
     queue: SessionQueue,
     oracle: LazyOracle,
-    /// The supervisor-side score sheet — the one a one-shot solve uses,
-    /// with columns replaced as tickets retire.
-    scorer: Scorer,
+    monitor: Monitor,
     fabric: F,
     /// Admission mailboxes, one per part: [`ColumnSwap`] orders the node's
     /// hook applies before its next step.
     swaps: Arc<Vec<Mutex<Vec<ColumnSwap>>>>,
     started: Instant,
     finished: bool,
-    poll_interval: Duration,
 }
 
 /// A rolling session on real OS threads (one per subdomain).
@@ -626,23 +566,15 @@ impl<F: Fabric> WallclockSession<F> {
             }
             swapped
         });
-        let (a, _) = split.reconstruct();
-        let parts = split.subdomains.iter();
         Ok(Self {
             fabric: start(runtimes, hook)?,
-            scorer: Scorer::new(
-                parts.map(|sd| sd.global_of_local.as_slice()),
-                &split.copy_count,
-                slots,
-            ),
+            monitor: session_monitor(&split, slots),
             queue: SessionQueue::new(split.original_n, slots),
             oracle: LazyOracle::default(),
-            a,
             split,
             swaps,
             started: Instant::now(),
             finished: false,
-            poll_interval: Duration::from_micros(200),
         })
     }
 
@@ -670,7 +602,9 @@ impl<F: Fabric> WallclockSession<F> {
                 "rolling session is finished; its nodes are stopped".into(),
             ));
         }
-        let reference = self.oracle.for_ticket(&self.a, b, termination)?;
+        let reference = self
+            .oracle
+            .for_ticket(self.monitor.matrix(), b, termination)?;
         let now_ms = self.now_ms();
         let id = self.queue.submit(b, termination, reference, now_ms)?;
         self.pump();
@@ -686,10 +620,11 @@ impl<F: Fabric> WallclockSession<F> {
     /// up promptly. A pass that retires and admits nothing allocates
     /// nothing.
     fn pump(&mut self) {
-        self.scorer.poll(&self.a, self.fabric.snapshots());
+        self.monitor
+            .poll(wall_time(self.started), self.fabric.snapshots());
         for slot in 0..self.queue.n_slots() {
-            if self.scorer.done(slot) {
-                let done = self.scorer.retire(slot, &self.a);
+            if self.monitor.done(slot) {
+                let done = self.monitor.retire(slot);
                 let now_ms = self.now_ms();
                 self.queue
                     .retire(slot, done.solution, done.residual, done.rms, now_ms);
@@ -699,8 +634,8 @@ impl<F: Fabric> WallclockSession<F> {
             let Some(t) = self.queue.admit_into(slot) else {
                 break;
             };
-            self.scorer
-                .replace_column(slot, &t.b, t.termination, t.reference.as_deref());
+            self.monitor
+                .admit(slot, &t.b, t.termination, t.reference.as_deref());
             let local_cols = self.split.scatter_rhs(&t.b);
             for (p, (mailbox, local)) in self.swaps.iter().zip(local_cols).enumerate() {
                 mailbox.lock().push((slot, local));
@@ -721,7 +656,7 @@ impl<F: Fabric> WallclockSession<F> {
         let deadline = Instant::now() + timeout;
         let mut out = self.poll();
         while self.queue.outstanding() > 0 && Instant::now() < deadline {
-            std::thread::sleep(self.poll_interval);
+            std::thread::sleep(SESSION_POLL_INTERVAL);
             out.extend(self.poll());
         }
         out
@@ -773,6 +708,26 @@ mod tests {
         assert_eq!(id, TicketId(0));
         assert_eq!(q.outstanding(), 1);
         assert_eq!(q.pending(), 1);
+    }
+
+    #[test]
+    fn submit_rejects_non_finite_right_hand_sides() {
+        // The one queue all three sessions share names the first bad entry;
+        // nothing is queued.
+        let rule = Termination::Residual { tol: 1e-6 };
+        let mut q = SessionQueue::new(4, 2);
+        let err = q
+            .submit(&[1.0, f64::NAN, f64::INFINITY, 1.0], rule, None, 0.0)
+            .unwrap_err();
+        assert!(matches!(err, Error::NonFinite { index: 1, .. }), "{err}");
+        assert_eq!(q.outstanding(), 0);
+        // … through a session's own `submit` as well.
+        let mut session = grid_problem(6).rolling(1).unwrap();
+        let mut b = vec![1.0; 36];
+        b[20] = f64::INFINITY;
+        let err = session.submit(&b, rule).unwrap_err();
+        assert!(matches!(err, Error::NonFinite { index: 20, .. }), "{err}");
+        assert_eq!(session.outstanding(), 0);
     }
 
     #[test]

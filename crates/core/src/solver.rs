@@ -13,11 +13,10 @@
 //! condition arrives, with whatever other values it currently holds.
 
 use crate::local::LocalSystem;
-use crate::monitor::Monitor;
 use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::{
     self, build_nodes as build_runtime_nodes, AsyncNode, CommonConfig, ExecutorBackend, GatherMap,
-    NodeRuntime, Transport,
+    NodeRuntime, RunSpec, Transport,
 };
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{Ctx, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology};
@@ -385,28 +384,25 @@ fn run_nodes(
         topology,
         nodes,
         &SimRun {
-            algorithm: AlgorithmKind::Dtm,
-            termination: config.common.termination,
+            spec: RunSpec {
+                algorithm: AlgorithmKind::Dtm,
+                termination: config.common.termination,
+                map,
+                references: references.as_deref(),
+            },
             horizon: config.horizon,
             sample_interval: config.sample_interval,
             trace_capacity: config.trace_capacity,
-            map,
-            references: references.as_deref(),
         },
     ))
 }
 
 /// What [`run_engine`] needs besides the machine and its nodes.
 pub(crate) struct SimRun<'a> {
-    pub algorithm: AlgorithmKind,
-    pub termination: Termination,
+    pub spec: RunSpec<'a>,
     pub horizon: SimDuration,
     pub sample_interval: SimDuration,
     pub trace_capacity: Option<usize>,
-    pub map: GatherMap<'a>,
-    /// Oracle references, one per column of `map.b_cols`; `None` runs
-    /// reference-free.
-    pub references: Option<&'a [Vec<f64>]>,
 }
 
 /// The simulated executor: run `nodes` on `topology` under the monitor
@@ -417,47 +413,15 @@ pub(crate) fn run_engine<N: AsyncNode>(
     nodes: Vec<SimNode<N>>,
     run: &SimRun<'_>,
 ) -> SolveReport {
-    let map = &run.map;
     let n_parts = nodes.len();
     let mut engine = Engine::new(topology, nodes);
     if let Some(cap) = run.trace_capacity {
         engine.enable_trace(cap);
     }
-    let parts = || map.parts.iter().map(|g| g.to_vec()).collect();
-    let residual_monitor = || {
-        Monitor::from_parts_residual(
-            parts(),
-            map.copy_count.to_vec(),
-            map.a.clone(),
-            &map.b_cols,
-            run.sample_interval,
-        )
-    };
-    let mut monitor = match (run.references, run.termination) {
-        // Residual termination stays residual-primary even when a
-        // reference was supplied: the references then only add RMS
-        // reporting, never change the stopping metric (keeps all
-        // backends' stopping behaviour identical for identical inputs).
-        (Some(refs), Termination::Residual { .. }) => {
-            let mut m = residual_monitor();
-            m.attach_oracle(refs);
-            m
-        }
-        (Some(refs), _) => {
-            Monitor::from_parts_block(parts(), map.copy_count.to_vec(), refs, run.sample_interval)
-        }
-        (None, _) => residual_monitor(),
-    };
-    let metric_tol = run.termination.metric_tol();
-    // Guard the incremental tracker against cancellation right where the
-    // stopping decision is made.
-    monitor.set_refresh_below(metric_tol.unwrap_or(0.0));
+    let mut monitor = run.spec.monitor(run.sample_interval);
     let outcome = engine.run(SimTime::ZERO + run.horizon, |time, part, node| {
-        let metric = monitor.update_part(part, time, node.solution());
-        match metric_tol {
-            Some(tol) => metric > tol,
-            None => true,
-        }
+        monitor.update_part(part, time, node.solution());
+        !monitor.all_done()
     });
 
     let stats = engine.stats();
@@ -472,11 +436,10 @@ pub(crate) fn run_engine<N: AsyncNode>(
     // Uniform-counter cross-check: the monitor witnessed exactly one
     // update per engine activation, whatever the algorithm.
     debug_assert_eq!(monitor.updates(), totals.solves);
-    let solutions = monitor.estimates();
     SolveReport::assemble(RunSummary {
         backend: BackendKind::Simulated,
-        algorithm: run.algorithm,
-        termination: run.termination,
+        algorithm: run.spec.algorithm,
+        termination: run.spec.termination,
         stop: match outcome.reason {
             StopReason::ObserverStop => StopKind::OracleTolerance,
             StopReason::AllHalted => StopKind::AllHalted,
@@ -484,20 +447,7 @@ pub(crate) fn run_engine<N: AsyncNode>(
             StopReason::QueueEmpty => StopKind::Quiescent,
         },
         time_ms: outcome.final_time.as_millis_f64(),
-        rms_per_rhs: if monitor.has_oracle() {
-            monitor.rms_exact_per_rhs()
-        } else {
-            Vec::new()
-        },
-        residual_per_rhs: if monitor.tracks_residual() {
-            monitor.residual_exact_per_rhs()
-        } else {
-            (0..solutions.len())
-                .map(|c| map.residual(c, &solutions[c]))
-                .collect()
-        },
-        solutions,
-        best_metric: f64::INFINITY,
+        columns: monitor.retire_all(),
         series: monitor.into_series(),
         totals,
         coalesced_batches: stats.coalesced_batches,

@@ -17,7 +17,9 @@
 
 use crate::fabric::{self, Threads, WallRun};
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
-use crate::runtime::{self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, Termination};
+use crate::runtime::{
+    self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, RunSpec, Termination,
+};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
 use dtm_sparse::Result;
@@ -31,8 +33,6 @@ pub struct ThreadedConfig {
     pub common: CommonConfig,
     /// Wall-clock budget.
     pub budget: Duration,
-    /// Supervisor poll interval.
-    pub poll_interval: Duration,
     /// Inject link delays from this topology, scaled by `delay_scale`
     /// (simulated nanoseconds × scale = real nanoseconds). `None` sends
     /// directly (natural channel latency only).
@@ -49,7 +49,6 @@ impl Default for ThreadedConfig {
                 ..Default::default()
             },
             budget: Duration::from_secs(30),
-            poll_interval: Duration::from_micros(500),
             delay_topology: None,
             delay_scale: 1e-3,
         }
@@ -170,13 +169,14 @@ fn solve_runtimes(
     Ok(fabric::run(
         threads,
         &WallRun {
+            spec: RunSpec {
+                algorithm: AlgorithmKind::Dtm,
+                termination: config.common.termination,
+                map,
+                references: references.as_deref(),
+            },
             backend: BackendKind::Threaded,
-            algorithm: AlgorithmKind::Dtm,
-            termination: config.common.termination,
             budget: config.budget,
-            poll_interval: config.poll_interval,
-            map,
-            references: references.as_deref(),
         },
     ))
 }
@@ -233,7 +233,6 @@ mod tests {
             budget: Duration::from_secs(60),
             delay_topology: Some(topo),
             delay_scale: 1e-3, // 10–99 ms simulated → 10–99 µs real
-            ..Default::default()
         };
         let report = solve(&ss, &config).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
@@ -303,7 +302,6 @@ mod tests {
             budget: Duration::from_secs(60),
             delay_topology: Some(topo),
             delay_scale: 1.0, // 10 ms simulated -> 10 ms real
-            ..Default::default()
         };
         let report = solve(&ss, &config).unwrap();
         assert_eq!(report.stop, StopKind::AllHalted);

@@ -230,7 +230,6 @@ fn a_singular_input_takes_the_fallback_and_ends_unconverged() {
             common: common.clone(),
             num_threads: 2,
             budget,
-            ..Default::default()
         })
         .expect("runs to its cap or budget");
     assert!(!pool.converged && pool.final_residual.is_finite());

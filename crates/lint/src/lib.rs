@@ -2,7 +2,7 @@
 //!
 //! A hand-rolled line lexer (no `syn`) splits every source line into its
 //! code and comment halves — tracking block comments, string/char
-//! literals, and raw strings — and six rules run over the result:
+//! literals, and raw strings — and seven rules run over the result:
 //!
 //! 1. **panic-free** — no `.unwrap()` / `.expect(` / `panic!` in library
 //!    crates outside test code. Existing debt is carried by a ratcheting
@@ -23,6 +23,10 @@
 //!    `SolveReport {` struct literal appears only in
 //!    `crates/core/src/report.rs`: every executor reports through
 //!    `SolveReport::assemble`, which holds the one `converged` rule.
+//! 7. **single-scorer** — in `crates/core/src` and `crates/net/src`
+//!    outside test code, `residual_norm(` and `rms_error(` are called only
+//!    in `crates/core/src/monitor.rs`: every executor is scored by the one
+//!    `Monitor`, so no supervisor grows a private residual or RMS.
 //!
 //! Run as `cargo run -p dtm-lint` or `repro lint`; both exit nonzero on
 //! any finding, which is what gates CI.
@@ -44,6 +48,7 @@ pub enum Rule {
     SafetyComment,
     HotPathAlloc,
     SingleReport,
+    SingleScorer,
 }
 
 impl Rule {
@@ -55,6 +60,7 @@ impl Rule {
             Rule::SafetyComment => "safety-comment",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::SingleReport => "single-report",
+            Rule::SingleScorer => "single-scorer",
         }
     }
 }
@@ -544,6 +550,31 @@ pub fn scan_single_report(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
     out
 }
 
+/// The one file allowed to score an estimate (rule 7), and the source
+/// trees the rule covers.
+const SCORER_HOME: &str = "crates/core/src/monitor.rs";
+const SCORED_TREES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
+
+/// Rule 7: a residual or an RMS error computed outside test code.
+pub fn scan_single_scorer(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
+    let mask = test_region_mask(lines);
+    let mut out = Vec::new();
+    for (n, l) in lines.iter().enumerate() {
+        for tok in ["residual_norm(", "rms_error("] {
+            let mut calls = l.code.match_indices(tok);
+            if !mask[n] && calls.any(|(p, _)| !prev_is_ident(&l.code[..p])) {
+                out.push(finding(
+                    Rule::SingleScorer,
+                    file,
+                    n,
+                    "estimate scored by hand (feed the Monitor and ask it)",
+                ));
+            }
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Workspace driver
 // ---------------------------------------------------------------------------
@@ -610,6 +641,9 @@ pub fn scan_file(relpath: &Path, text: &str) -> (Vec<Finding>, Vec<Finding>) {
         if s != REPORT_HOME {
             findings.extend(scan_single_report(relpath, &lines));
         }
+    }
+    if s != SCORER_HOME && SCORED_TREES.iter().any(|t| s.starts_with(t)) {
+        findings.extend(scan_single_scorer(relpath, &lines));
     }
     (findings, panics)
 }

@@ -41,7 +41,7 @@ pub use runner::{ChildCommand, FailInjection, FAIL_ENV};
 pub use socket::TransportKind;
 
 use dtm_core::impedance;
-use dtm_core::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
+use dtm_core::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, Totals};
 use dtm_core::runtime::{CommonConfig, ExecutorBackend, Termination};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
@@ -152,6 +152,7 @@ impl ExecutorBackend for DistributedBackend {
             group_of_part: &group_of_part,
             n_groups: config.processes,
             tol,
+            reference: reference.as_deref(),
             budget: config.budget,
             max_rounds: config.common.max_solves_per_node as u64,
         };
@@ -168,19 +169,9 @@ impl ExecutorBackend for DistributedBackend {
             backend: BackendKind::Distributed,
             algorithm: AlgorithmKind::Dtm,
             termination: config.common.termination,
-            stop: if outcome.final_residual <= tol {
-                StopKind::OracleTolerance
-            } else {
-                StopKind::Budget
-            },
+            stop: outcome.stop,
             time_ms: outcome.elapsed.as_secs_f64() * 1e3,
-            rms_per_rhs: reference
-                .iter()
-                .map(|r| dtm_sparse::vector::rms_error(&outcome.solution, r))
-                .collect(),
-            residual_per_rhs: vec![outcome.final_residual],
-            solutions: vec![outcome.solution],
-            best_metric: f64::INFINITY,
+            columns: vec![outcome.column],
             series: outcome.series,
             // Deterministic counters: rates × evaluated rounds, independent
             // of how far past the stop decision the children overshot.

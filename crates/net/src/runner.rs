@@ -4,12 +4,12 @@
 //! is met.
 //!
 //! Both modes funnel into one `supervise` loop: each group's per-round
-//! [`SnapshotBatch`] arrives on a merged event channel, the parent
-//! gathers the global estimate for each *complete* round in round order
-//! (ascending part order within the round, whatever order the groups
-//! swept in, matching [`SplitSystem::reconstruct`]-style averaging of
-//! copies) and stops at the first round whose relative residual meets
-//! the tolerance. Because rounds — not wall-clock races — define the stop
+//! [`SnapshotBatch`] arrives on a merged event channel, the parent feeds
+//! each *complete* round to its [`Monitor`] in round order (ascending
+//! part order within the round, whatever order the groups swept in,
+//! matching [`SplitSystem::reconstruct`]-style averaging of copies) and
+//! stops at the first round whose relative residual meets the tolerance.
+//! Because rounds — not wall-clock races — define the stop
 //! decision, the returned solution is a pure function of the problem, and
 //! socket and in-process runs agree bit for bit.
 //!
@@ -25,8 +25,11 @@
 use crate::round::{self, GroupCtx, GroupIo, GroupLinks, UpEvent};
 use crate::socket::{Listener, Stream, TransportKind};
 use crate::wire::{self, GroupPlan, GroupRates, Msg, PartPlan, SnapshotBatch, Wave};
-use dtm_core::runtime::{build_node, gather_col, CommonConfig, GatherMap, NodeRuntime};
+use dtm_core::monitor::{wall_time, Monitor, Retired};
+use dtm_core::report::StopKind;
+use dtm_core::runtime::{build_node, CommonConfig, GatherMap, NodeRuntime, Termination};
 use dtm_graph::evs::SplitSystem;
+use dtm_simnet::SimDuration;
 use dtm_sparse::{Error, Result};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -50,6 +53,8 @@ pub(crate) struct RunInputs<'a> {
     pub group_of_part: &'a [usize],
     pub n_groups: usize,
     pub tol: f64,
+    /// Oracle reference, reported against — never stopped on.
+    pub reference: Option<&'a [f64]>,
     pub budget: Duration,
     pub max_rounds: u64,
 }
@@ -57,8 +62,11 @@ pub(crate) struct RunInputs<'a> {
 /// What a run produced, mode-independent.
 pub(crate) struct RunOutcome {
     pub rounds_completed: u64,
-    pub solution: Vec<f64>,
-    pub final_residual: f64,
+    /// Tolerance met at the last evaluated round, or the budget / round
+    /// cap ran out first.
+    pub stop: StopKind,
+    /// The scored column as retired: solution, residual, RMS.
+    pub column: Retired,
     pub series: Vec<(f64, f64)>,
     pub rates: GroupRates,
     pub elapsed: Duration,
@@ -71,13 +79,6 @@ fn derr(what: impl std::fmt::Display) -> Error {
 // ---------------------------------------------------------------------------
 // Shared round evaluation
 // ---------------------------------------------------------------------------
-
-struct SupOutcome {
-    rounds_completed: u64,
-    solution: Vec<f64>,
-    final_residual: f64,
-    series: Vec<(f64, f64)>,
-}
 
 /// Index one round's batches by part, or say why they are not exactly
 /// one right-sized solution per part.
@@ -114,16 +115,18 @@ fn supervise(
     inp: &RunInputs<'_>,
     events: &Receiver<(usize, UpEvent)>,
     started: Instant,
-) -> Result<SupOutcome> {
+    rates: GroupRates,
+) -> Result<RunOutcome> {
     let split = inp.split;
     let n_parts = split.n_parts();
     let (a, b) = split.reconstruct();
     let map = GatherMap::of_split(split, &a, &b, None);
+    let mut monitor = Monitor::new(&map, 1, SimDuration::ZERO);
+    monitor.admit(0, &b, Termination::Residual { tol: inp.tol }, inp.reference);
     let deadline = started + inp.budget;
 
     let mut pending: BTreeMap<u64, Vec<SnapshotBatch>> = BTreeMap::new();
-    let mut est = vec![0.0; split.original_n];
-    let mut series: Vec<(f64, f64)> = Vec::new();
+    let mut stop = StopKind::Budget;
     let mut next_round: u64 = 0;
     let mut done_groups = 0usize;
 
@@ -137,16 +140,10 @@ fn supervise(
             // Parts in ascending order: with three or more copies of a
             // vertex the order of the additions is part of the bits.
             let by_part = solutions_by_part(split, &batches)?;
-            gather_col(
-                map.parts.iter().copied().zip(by_part),
-                map.copy_count,
-                0,
-                &mut est,
-            );
-            let metric = map.residual(0, &est);
-            series.push((started.elapsed().as_secs_f64() * 1e3, metric));
+            monitor.update_round(wall_time(started), by_part);
             next_round += 1;
-            if metric <= inp.tol {
+            if monitor.done(0) {
+                stop = StopKind::OracleTolerance;
                 break 'outer;
             }
         }
@@ -180,11 +177,13 @@ fn supervise(
         }
     }
 
-    Ok(SupOutcome {
+    Ok(RunOutcome {
         rounds_completed: next_round,
-        final_residual: map.residual(0, &est),
-        solution: est,
-        series,
+        stop,
+        column: monitor.retire(0),
+        series: monitor.into_series(),
+        rates,
+        elapsed: started.elapsed(),
     })
 }
 
@@ -295,7 +294,7 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
     drop(ev_tx);
     drop(wave_tx);
 
-    let sup = supervise(inp, &ev_rx, started);
+    let outcome = supervise(inp, &ev_rx, started, rates);
     stop.store(true, Ordering::Release);
     for h in handles {
         match h.join() {
@@ -303,15 +302,7 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-    let sup = sup?;
-    Ok(RunOutcome {
-        rounds_completed: sup.rounds_completed,
-        solution: sup.solution,
-        final_residual: sup.final_residual,
-        series: sup.series,
-        rates,
-        elapsed: started.elapsed(),
-    })
+    outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -583,22 +574,14 @@ fn run_processes_inner(
     }
     drop(ev_tx);
 
-    let sup = supervise(inp, &ev_rx, started);
+    let outcome = supervise(inp, &ev_rx, started, rates);
 
     // Stop everyone regardless of how supervision ended; the caller
     // reaps.
     for conn in writers.values_mut() {
         let _ = wire::write_frame(conn, &Msg::Stop);
     }
-    let sup = sup?;
-    Ok(RunOutcome {
-        rounds_completed: sup.rounds_completed,
-        solution: sup.solution,
-        final_residual: sup.final_residual,
-        series: sup.series,
-        rates,
-        elapsed: started.elapsed(),
-    })
+    outcome
 }
 
 /// Pump one child's supervisor link into the merged event channel, one

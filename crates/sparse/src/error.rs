@@ -50,6 +50,16 @@ pub enum Error {
         /// Column of the first offending entry.
         col: usize,
     },
+    /// In-memory input (a right-hand side, a matrix value) holds a NaN or
+    /// an infinity.
+    NonFinite {
+        /// What was being checked.
+        context: &'static str,
+        /// Index of the first offending entry (for a matrix: its row).
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// Parsing external data (e.g. Matrix Market) failed.
     Parse(String),
     /// An iterative solver failed to converge within its budget.
@@ -89,6 +99,11 @@ impl fmt::Display for Error {
             Error::NotSymmetric { row, col } => {
                 write!(f, "matrix is not symmetric at entry ({row}, {col})")
             }
+            Error::NonFinite {
+                context,
+                index,
+                value,
+            } => write!(f, "non-finite value {value} at index {index} of {context}"),
             Error::Parse(msg) => write!(f, "parse error: {msg}"),
             Error::DidNotConverge {
                 iterations,

@@ -11,7 +11,7 @@
 //! * nested-dissection (fill-reducing) and reverse Cuthill–McKee
 //!   (bandwidth) orderings ([`ordering`]),
 //! * the classic sequential iterative solvers used as baselines
-//!   (Jacobi, Gauss–Seidel, SOR, Conjugate Gradient in [`solvers`]),
+//!   (Gauss–Seidel/SOR, Conjugate Gradient in [`solvers`]),
 //! * seeded workload generators for every experiment in the paper
 //!   ([`generators`]),
 //! * Matrix Market I/O ([`mm`]).

@@ -1,11 +1,9 @@
 //! Sequential iterative solvers: the classical baselines the paper's
-//! introduction positions DTM against (Jacobi, Gauss–Seidel/SOR as the
-//! building blocks of block-Jacobi / multiplicative Schwarz, and CG as the
-//! standard Krylov workhorse for SPD systems).
+//! introduction positions DTM against (Gauss–Seidel/SOR as the building
+//! block of multiplicative Schwarz, and CG as the standard Krylov workhorse
+//! for SPD systems), and the Lanczos estimate behind the matched impedance.
 
 pub mod cg;
-pub mod gauss_seidel;
-pub mod jacobi;
 pub mod lanczos;
 pub mod sor;
 

@@ -21,6 +21,22 @@ pub fn norm2_or_one(x: &[f64]) -> f64 {
     }
 }
 
+/// The in-memory input boundary: `Ok` when every entry of `x` is finite.
+///
+/// # Errors
+/// [`Error::NonFinite`](crate::Error::NonFinite) naming the first entry
+/// that is a NaN or an infinity.
+pub fn require_finite(context: &'static str, x: &[f64]) -> crate::Result<()> {
+    match x.iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(index) => Err(crate::Error::NonFinite {
+            context,
+            index,
+            value: x[index],
+        }),
+    }
+}
+
 /// Infinity (max-abs) norm of `x`.
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {

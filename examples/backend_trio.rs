@@ -66,7 +66,6 @@ fn main() {
             },
             num_threads: 2,
             budget: Duration::from_secs(30),
-            ..Default::default()
         },
     )
     .expect("work-stealing backend");

@@ -35,7 +35,6 @@ fn main() {
         budget: Duration::from_secs(30),
         delay_topology: Some(machine),
         delay_scale: 1e-3,
-        ..Default::default()
     };
 
     let report = threaded::solve(&ss, &config).expect("threads run");

@@ -67,7 +67,6 @@ fn run_all_backends(ss: &SplitSystem, impedance: ImpedancePolicy, tol: f64) -> V
             common: common(impedance, tol),
             num_threads: 2,
             budget: Duration::from_secs(60),
-            ..Default::default()
         },
     )
     .expect("work-stealing backend runs");
@@ -186,7 +185,6 @@ fn example_5_1_batched_k8_equivalent_across_backends() {
             common: common(impedance, tol),
             num_threads: 2,
             budget: Duration::from_secs(60),
-            ..Default::default()
         },
     )
     .expect("work-stealing block run");

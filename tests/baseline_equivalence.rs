@@ -142,7 +142,6 @@ proptest! {
                 },
                 num_threads: 2,
                 budget: Duration::from_secs(60),
-                ..Default::default()
             },
         )
         .expect("dtm pool run");

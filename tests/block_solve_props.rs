@@ -186,7 +186,6 @@ proptest! {
             },
             num_threads: 2,
             budget: Duration::from_secs(60),
-            ..Default::default()
         };
 
         let tblock = threaded::solve_block(&ss, &cols, None, &tconfig).expect("threaded block");

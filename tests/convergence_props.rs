@@ -4,13 +4,19 @@
 //! * Theorem 6.1: DTM converges for arbitrary positive impedances and
 //!   arbitrary positive (asymmetric) delays on SNND-split SPD systems;
 //! * the VTM iteration operator is contractive under the same hypotheses;
-//! * DTM with equal delays ≡ VTM, round for round.
+//! * DTM with equal delays ≡ VTM, round for round;
+//! * `converged: true` means the returned `x` meets the stated tolerance,
+//!   on every executor, for DTM and a baseline alike.
 
+use dtm_net::{DistributedBackend, DistributedConfig};
 use dtm_repro::core::analysis::WaveOperator;
+use dtm_repro::core::async_baselines::{self, BaselineAlgo, BaselineConfig};
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::local::LocalSolverKind;
-use dtm_repro::core::runtime::CommonConfig;
+use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use dtm_repro::core::runtime::{CommonConfig, ExecutorBackend};
 use dtm_repro::core::solver::{self, ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::threaded::{self, ThreadedConfig};
 use dtm_repro::graph::evs::{split, EvsOptions, SharePolicy, SplitSystem};
 use dtm_repro::graph::validate;
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
@@ -103,6 +109,82 @@ proptest! {
         let report = solver::solve(&ss, topo, None, &config).expect("runs");
         prop_assert!(report.converged, "rms {}", report.final_rms);
         prop_assert!(a.residual_norm(&report.solution, &b) < 1e-4);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 4,
+        ..ProptestConfig::default()
+    })]
+
+    /// `report.converged ⇒` the stopping metric **recomputed here from
+    /// `report.solution`** is within the stated tolerance — the relative
+    /// residual under `Residual`, the RMS against a direct solve under
+    /// `OracleRms` — for {simulated, threads, pool, distributed in-process}
+    /// × {DTM, asynchronous block-Jacobi}. (The distributed executor is DTM
+    /// under `Residual` only, by construction.) On the wall-clock fabrics
+    /// the solution must be the estimate the supervisor *accepted*, not
+    /// whatever the workers had moved on to by the time it looked again —
+    /// which is timing, which is why CI repeats this 50× on two cores.
+    #[test]
+    fn converged_implies_the_returned_x_meets_the_tolerance(
+        nx in 5usize..9,
+        k in 2usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let (ss, _, _) = random_split(nx, nx, k, SharePolicy::DominanceProportional, seed);
+        // Score against exactly the system and reference the library does.
+        let (a, b) = ss.reconstruct();
+        let x_star = dtm_repro::sparse::SparseCholesky::factor(&a).expect("SPD").solve(&b);
+        let asg = partition::grid_strips(nx, nx, k);
+        let topo = Topology::ring(k).with_delays(&DelayModel::uniform_ms(1.0, 9.0, seed));
+        let algo = BaselineAlgo::BlockJacobi;
+        let tol = 1e-7;
+        for termination in [Termination::Residual { tol }, Termination::OracleRms { tol }] {
+            let reference = || Some(x_star.clone());
+            let common = CommonConfig { termination, ..Default::default() };
+            let dtm_sim = DtmConfig {
+                common: common.clone(),
+                horizon: SimDuration::from_millis_f64(3_600_000.0),
+                ..Default::default()
+            };
+            let base = BaselineConfig { termination, ..Default::default() };
+            let mut reports = vec![
+                ("dtm/sim", solver::solve(&ss, topo.clone(), reference(), &dtm_sim)),
+                ("dtm/threads", threaded::solve_with_reference(
+                    &ss, reference(), &ThreadedConfig { common: common.clone(), ..Default::default() })),
+                ("dtm/pool", rayon_backend::solve_with_reference(
+                    &ss, reference(), &RayonConfig { common: common.clone(), ..Default::default() })),
+                ("jacobi/sim", async_baselines::solve_sim(
+                    &algo, &a, &b, &asg, topo.clone(), reference(), &base)),
+                ("jacobi/threads", async_baselines::solve_threaded(
+                    &algo, &a, &b, &asg, reference(), &base)),
+                ("jacobi/pool", async_baselines::solve_workstealing(
+                    &algo, &a, &b, &asg, reference(), &base)),
+            ];
+            if matches!(termination, Termination::Residual { .. }) {
+                let config = DistributedConfig { common, processes: 2, ..Default::default() };
+                reports.push(("dtm/distributed", DistributedBackend.solve(&ss, reference(), &config)));
+            }
+            for (who, report) in reports {
+                let report = report.expect("runs");
+                prop_assert!(report.converged, "{who} under {termination:?}: {:?}", report.stop);
+                let x = &report.solution;
+                let (metric, reported) = match termination {
+                    Termination::OracleRms { .. } => (
+                        dtm_repro::sparse::vector::rms_error(x, &x_star),
+                        report.final_rms,
+                    ),
+                    _ => (
+                        a.residual_norm(x, &b) / dtm_repro::sparse::vector::norm2(&b),
+                        report.final_residual,
+                    ),
+                };
+                prop_assert!(metric <= tol, "{who} under {termination:?}: {metric:e} > {tol:e}");
+                prop_assert_eq!(metric, reported, "{} reports its own x", who);
+            }
+        }
     }
 }
 
