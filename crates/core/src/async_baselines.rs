@@ -992,11 +992,11 @@ pub fn solve_threaded(
     Ok(prepared.run_wallclock(threads, BackendKind::Threaded))
 }
 
-/// Run a baseline on the in-process work-stealing pool: one task per
-/// activation, delay realised by queueing/stealing latency.
+/// Run a baseline on the in-process worker pool ([`Pool`]): delay realised
+/// by the receiver's wait in the pool's ready queue.
 ///
 /// # Errors
-/// See [`solve_threaded`]; also fails on pool construction.
+/// See [`solve_threaded`].
 pub fn solve_workstealing(
     algo: &BaselineAlgo,
     a: &Csr,
@@ -1007,7 +1007,7 @@ pub fn solve_workstealing(
 ) -> Result<SolveReport> {
     let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
     let kick_idle = prepared.self_halting();
-    let pool = Pool::start(nodes, 1, config.num_threads, kick_idle, fabric::no_hook())?;
+    let pool = Pool::start(nodes, 1, config.num_threads, kick_idle, fabric::no_hook());
     Ok(prepared.run_wallclock(pool, BackendKind::WorkStealing))
 }
 

@@ -338,15 +338,15 @@ impl DtmProblem {
     /// See [`rolling`](Self::rolling).
     pub fn rolling_threaded(&self, slots: usize) -> Result<crate::session::RollingThreadedSession> {
         crate::session::WallclockSession::new(self, slots, |runtimes, hook| {
-            Ok(Threads::start(runtimes, slots, None, false, hook))
+            Threads::start(runtimes, slots, None, false, hook)
         })
     }
 
-    /// Open a rolling session on the in-process work-stealing pool
+    /// Open a rolling session on the in-process worker pool
     /// (`num_threads = 0` uses the available parallelism).
     ///
     /// # Errors
-    /// See [`rolling`](Self::rolling); pool construction may also fail.
+    /// See [`rolling`](Self::rolling).
     pub fn rolling_workstealing(
         &self,
         slots: usize,

@@ -9,10 +9,12 @@
 //! randomized-asynchrony baselines ([`crate::async_baselines`]) and the
 //! rolling sessions ([`crate::session`]) are callers.
 //!
-//! * [`Pool`] — one *task per activation* on a work-stealing pool: a wave
-//!   is an inbox entry plus a spawned task, so the transmission delay is
-//!   task queueing/stealing latency. Subdomain count is decoupled from
-//!   thread count and no thread parks on an idle node.
+//! * [`Pool`] — a few resident workers draining **one ready queue** of
+//!   part ids ([`ReadyQueue`]): a wave is an inbox entry plus a place in
+//!   that queue, so the transmission delay is the time the receiver waits
+//!   there — behind older arrivals, and for as long as one of its
+//!   neighbours is mid-step. Subdomain count is decoupled from thread
+//!   count and no thread parks on an idle node.
 //! * [`Threads`] — one *OS thread per node* parked on a channel: the delay
 //!   is real scheduling/channel latency, optionally shaped by a router
 //!   thread that holds each wave for its link's delay.
@@ -49,10 +51,9 @@ use crate::report::{BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{AsyncNode, DtmMsg, NodeControl, RunSpec};
 use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicUsize, Condvar, Mutex, Ordering};
 use dtm_simnet::{SimDuration, Topology};
-use dtm_sparse::Result;
-use rayon::{ThreadPool, ThreadPoolBuilder};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Per-node hook run before the node may step; returns whether it changed
@@ -124,11 +125,128 @@ impl Halts {
 }
 
 // ---------------------------------------------------------------------------
-// Fabric 1: tasks on a work-stealing pool.
+// Fabric 1: resident workers on one ready queue.
 // ---------------------------------------------------------------------------
 
+/// The pool's schedule, as a pure type (no locks, no clock): the part ids
+/// with something to do, **in arrival order**, plus who is mid-step and who
+/// neighbours whom. [`take`](Self::take) hands out the first queued part
+/// that is not mid-step and has no neighbour mid-step, and leaves the parts
+/// it passed over where they were — at the head, first in line once the
+/// step that blocks them is [`done`](Self::done).
+///
+/// Why the neighbour rule: a part that steps *while* a neighbour computes
+/// steps on the wave that neighbour is about to replace. With it, `W`
+/// workers advance one freshest-data (Gauss–Seidel) sweep of the part
+/// graph; without it they run `W` interleaved stale-data (Jacobi) chains —
+/// about twice the solves to the same tolerance (README "Executors").
+/// Nothing ever *waits for a message*: a part steps on whatever has
+/// arrived, so this is still Table 1 and Theorem 6.1 covers it unchanged.
+///
+/// Why overtaking is bounded: a part that has been overtaken
+/// `max_overtakes` times holds back everything queued behind it. That is
+/// the no-starvation guarantee, and it is what keeps the rule cheap when a
+/// worker is *preempted* mid-step (more workers than free cores): the
+/// others may not go round and round the few parts it does not block,
+/// re-solving against a frozen boundary, for the whole time slice — they
+/// run out of queue, park, and leave the core to the step everybody is
+/// waiting for.
+///
+/// A part is queued at most once (`push` of a queued part is a no-op), so
+/// the queue never holds more than `n_parts` ids and never allocates after
+/// [`new`](Self::new) and the first [`link`](Self::link) of each pair.
+#[derive(Debug)]
+pub struct ReadyQueue {
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+    running: Vec<bool>,
+    n_running: usize,
+    peers: Vec<Vec<usize>>,
+    /// Per queued part: how many `take`s have reached past it.
+    overtaken: Vec<usize>,
+    max_overtakes: usize,
+}
+
+impl ReadyQueue {
+    /// An empty queue over `n_parts` parts, no two of them linked yet,
+    /// each of which may be overtaken `max_overtakes` times per wait.
+    pub fn new(n_parts: usize, max_overtakes: usize) -> Self {
+        Self {
+            queue: VecDeque::with_capacity(n_parts),
+            queued: vec![false; n_parts],
+            running: vec![false; n_parts],
+            n_running: 0,
+            peers: vec![Vec::new(); n_parts],
+            overtaken: vec![0; n_parts],
+            max_overtakes,
+        }
+    }
+
+    /// Record that `p` and `q` exchange waves (idempotent, symmetric).
+    pub fn link(&mut self, p: usize, q: usize) {
+        if p != q && !self.peers[p].contains(&q) {
+            self.peers[p].push(q);
+            self.peers[q].push(p);
+        }
+    }
+
+    /// Queue `p` behind everything already waiting, unless it is queued.
+    pub fn push(&mut self, p: usize) {
+        if !std::mem::replace(&mut self.queued[p], true) {
+            self.queue.push_back(p);
+        }
+    }
+
+    /// Remove and return the first queued part that may step now, marking
+    /// it mid-step until [`done`](Self::done) — `None` if there is none
+    /// ahead of the first part that may not be overtaken again. From here
+    /// on a `push` of the part queues it again, behind its own running
+    /// step.
+    pub fn take(&mut self) -> Option<usize> {
+        let mut found = None;
+        for (i, &p) in self.queue.iter().enumerate() {
+            if !self.running[p] && self.peers[p].iter().all(|&q| !self.running[q]) {
+                found = Some(i);
+                break;
+            }
+            if self.overtaken[p] >= self.max_overtakes {
+                break;
+            }
+        }
+        let i = found?;
+        for &p in self.queue.iter().take(i) {
+            self.overtaken[p] += 1;
+        }
+        let p = self.queue.remove(i)?;
+        self.overtaken[p] = 0;
+        self.queued[p] = false;
+        self.running[p] = true;
+        self.n_running += 1;
+        Some(p)
+    }
+
+    /// `p`'s step is over: it and its neighbours may be taken again.
+    pub fn done(&mut self, p: usize) {
+        debug_assert!(self.running[p], "done({p}) without take");
+        self.running[p] = false;
+        self.n_running -= 1;
+    }
+
+    /// Nothing queued.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Nothing queued and nobody mid-step: no wave exists that has not
+    /// been absorbed, and none can appear without a fresh `push`.
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.n_running == 0
+    }
+}
+
 /// One node plus its recycled activation buffers, all serialized by one
-/// lock (activations of the same node never overlap their solves).
+/// lock (the queue never hands a part to two workers at once, so the lock
+/// is uncontended while the pool runs; `finish` reads through it).
 struct NodeState<N> {
     node: N,
     /// Swap target for the inbox: messages drain through here and their
@@ -143,50 +261,57 @@ struct Cell<N> {
     /// Whole wave-front messages, one per sender step, delivered without
     /// flattening so the payload buffers survive to be recycled.
     inbox: Mutex<Vec<DtmMsg>>,
-    /// An activation task is queued or running.
-    scheduled: AtomicBool,
+    /// The next activation steps even with an empty inbox (the initial
+    /// eq.-5.6 solve and the idle kick). Set before the part is pushed and
+    /// read after it is taken, so the queue lock orders the two.
+    force: AtomicBool,
+}
+
+/// The schedule and the workers parked on it, under one lock.
+struct Ready {
+    queue: ReadyQueue,
+    /// Workers waiting on [`PoolShared::work`].
+    parked: usize,
 }
 
 struct PoolShared<N> {
     cells: Vec<Cell<N>>,
     snapshots: Vec<SharedBlock>,
     halts: Halts,
+    ready: Mutex<Ready>,
+    /// Signalled, under `ready`, when a part that may be eligible appears
+    /// while a worker is parked — and on `stop`.
+    work: Condvar,
     stop: AtomicBool,
     before_step: Hook<N>,
 }
 
-/// The work-stealing fabric. Per node: a state lock, an inbox and a
-/// `scheduled` bit. Wave arrival pushes to the inbox and sets the bit; if
-/// it was clear an activation task is spawned. The task clears the bit
-/// *before* draining the inbox, so a wave landing during the solve
-/// schedules a fresh activation instead of being lost — the lock-free
-/// equivalent of the simulator's busy-window coalescing (Table 1 step 3:
-/// "one or more of the adjacent subgraphs").
+/// The pool fabric: `num_threads` resident workers draining one
+/// [`ReadyQueue`]. Per node: a state lock and an inbox. Wave arrival pushes
+/// to the receiver's inbox and *then* queues the receiver; a worker takes a
+/// part off the queue — which un-queues it — *before* draining its inbox,
+/// so a wave landing during the solve queues the part again instead of
+/// being lost (Table 1 step 3: "one or more of the adjacent subgraphs" —
+/// the simulator's busy-window coalescing). The transmission delay of a
+/// wave is therefore the time its receiver spends in the queue: behind
+/// older arrivals, and behind any neighbour that is computing.
 pub struct Pool<N> {
     shared: Arc<PoolShared<N>>,
-    pool: Arc<ThreadPool>,
+    workers: Vec<thread::JoinHandle<()>>,
     kick_idle: bool,
 }
 
-/// Run one activation of node `p`: drain inbox, merge, step, deliver the
-/// outgoing waves and schedule their receivers.
+/// Run one activation of node `p`, which the caller took off the queue:
+/// drain inbox, merge, step, deliver the outgoing waves. The receivers are
+/// left in `sent` for the caller to queue.
 ///
-/// `force` steps even with an empty inbox (the initial eq.-5.6 solve and
-/// the idle kick). Without it an empty drain — possible when a delivery
-/// raced an in-flight activation that already absorbed it — returns
-/// without stepping, so spurious wakeups can never feed the zero-delta
-/// self-halt streak.
+/// An empty drain that was not forced — possible when a delivery raced an
+/// activation that already absorbed it — returns without stepping, so
+/// spurious wakeups can never feed the zero-delta self-halt streak.
 // lint: hot-path
-fn activate<N: AsyncNode + 'static>(
-    shared: &Arc<PoolShared<N>>,
-    pool: &Arc<ThreadPool>,
-    p: usize,
-    force: bool,
-) {
+fn activate<N: AsyncNode>(shared: &PoolShared<N>, p: usize, sent: &mut Vec<usize>) {
     let cell = &shared.cells[p];
-    // Clear *before* draining: a wave landing after this point spawns a
-    // fresh activation rather than relying on this one seeing it.
-    cell.scheduled.store(false, Ordering::Release);
+    let force = cell.force.swap(false, Ordering::AcqRel);
     if shared.stop.load(Ordering::Acquire) {
         return;
     }
@@ -200,11 +325,10 @@ fn activate<N: AsyncNode + 'static>(
     // lock is held only for the pointer swap, and both vectors keep their
     // capacity across activations.
     std::mem::swap(&mut *cell.inbox.lock(), drain);
-    // Read the halt flag only under the state lock: an activation that
-    // queued up behind the one that halted the node must see the halt
-    // (checked before the lock, it would step the node a second time and
-    // count it halted twice). Every delivery is followed by a schedule, so
-    // a wave that raced the halt is found here, by a later activation.
+    // Activations of one node are serialized by the queue, so the halt
+    // flag this one reads is the one the previous one left. Every delivery
+    // is followed by a push, so a wave that raced the halt is found here,
+    // by a later activation.
     if shared.halts.is_halted(p) {
         if node.capped() || drain.is_empty() {
             drain.clear();
@@ -230,61 +354,86 @@ fn activate<N: AsyncNode + 'static>(
     // pushes are leaf locks on *other* cells, so no ordering cycle — and
     // draining here lets the outbox buffer be reused next step.
     for (dst, msg) in outbox.drain(..) {
-        if shared.halts.drops(dst, control) {
-            continue;
+        if !shared.halts.drops(dst, control) {
+            shared.cells[dst].inbox.lock().push(msg);
+            sent.push(dst);
         }
-        shared.cells[dst].inbox.lock().push(msg);
-        schedule(shared, pool, dst, false);
     }
 }
 
-/// Spawn an activation task for `p` unless one is already queued/running.
-fn schedule<N: AsyncNode + 'static>(
-    shared: &Arc<PoolShared<N>>,
-    pool: &Arc<ThreadPool>,
-    p: usize,
-    force: bool,
-) {
-    if shared.stop.load(Ordering::Acquire) {
-        return;
+/// One resident worker: take the first eligible part, step it, then — in
+/// one critical section — queue the receivers of its waves, release it and
+/// take the next. Parks when nothing queued may step.
+fn drain_queue<N: AsyncNode>(shared: &PoolShared<N>) {
+    let mut sent = Vec::new();
+    let mut ready = shared.ready.lock();
+    while !shared.stop.load(Ordering::Acquire) {
+        let Some(p) = ready.queue.take() else {
+            ready.parked += 1;
+            ready = shared.work.wait(ready);
+            ready.parked -= 1;
+            continue;
+        };
+        // More may be eligible than this worker can step.
+        let wake = ready.parked > 0 && !ready.queue.is_empty();
+        drop(ready);
+        if wake {
+            shared.work.notify_one();
+        }
+        activate(shared, p, &mut sent);
+        ready = shared.ready.lock();
+        // `p` is still marked mid-step here, so its receivers sit in the
+        // queue, ineligible, until the `done` below: nobody can observe
+        // "queue empty, nobody mid-step" between a delivery and its push.
+        for dst in sent.drain(..) {
+            ready.queue.link(p, dst);
+            ready.queue.push(dst);
+        }
+        ready.queue.done(p);
     }
-    if shared.cells[p]
-        .scheduled
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        let shared = shared.clone();
-        let pool2 = pool.clone();
-        pool.spawn(move || activate(&shared, &pool2, p, force));
+}
+
+impl<N: AsyncNode> PoolShared<N> {
+    /// Queue `p` from outside the workers (start, kick, hook wake-up).
+    fn schedule(&self, p: usize, force: bool) {
+        if force {
+            self.cells[p].force.store(true, Ordering::Release);
+        }
+        let mut ready = self.ready.lock();
+        ready.queue.push(p);
+        if ready.parked > 0 {
+            self.work.notify_one();
+        }
     }
 }
 
 impl<N: AsyncNode + 'static> Pool<N> {
-    /// Start `nodes` (each publishing `n_rhs` columns) on a pool of
-    /// `num_threads` workers (`0` = available parallelism) and schedule
-    /// their initial solves (eq. 5.6).
-    ///
-    /// # Errors
-    /// Fails on pool construction.
+    /// Start `nodes` (each publishing `n_rhs` columns) under `num_threads`
+    /// workers (`0` = available parallelism) and queue their initial
+    /// solves (eq. 5.6).
     pub fn start(
         nodes: Vec<N>,
         n_rhs: usize,
         num_threads: usize,
         kick_idle: bool,
         before_step: Hook<N>,
-    ) -> Result<Self> {
-        let pool = Arc::new(
-            ThreadPoolBuilder::new()
-                .num_threads(num_threads)
-                .build()
-                .map_err(|e| dtm_sparse::Error::Parse(format!("thread pool: {e}")))?,
-        );
+    ) -> Self {
+        let n_workers = match num_threads {
+            0 => std::thread::available_parallelism().map_or(4, |v| v.get()),
+            n => n,
+        };
         let shared = Arc::new(PoolShared {
             snapshots: nodes
                 .iter()
                 .map(|n| SharedBlock::new(n.n_local(), n_rhs))
                 .collect(),
             halts: Halts::new(nodes.len()),
+            ready: Mutex::new(Ready {
+                // Twice per worker: while a part waits out one neighbour's
+                // step, every other worker finishes a step or two.
+                queue: ReadyQueue::new(nodes.len(), 2 * n_workers),
+                parked: 0,
+            }),
             cells: nodes
                 .into_iter()
                 .map(|node| Cell {
@@ -294,20 +443,46 @@ impl<N: AsyncNode + 'static> Pool<N> {
                         outbox: Vec::new(),
                     }),
                     inbox: Mutex::new(Vec::new()),
-                    scheduled: AtomicBool::new(false),
+                    force: AtomicBool::new(false),
                 })
                 .collect(),
+            work: Condvar::new(),
             stop: AtomicBool::new(false),
             before_step,
         });
         for p in 0..shared.cells.len() {
-            schedule(&shared, &pool, p, true);
+            shared.schedule(p, true);
         }
-        Ok(Self {
+        let workers = (0..n_workers)
+            .map(|_| {
+                let shared = shared.clone();
+                thread::spawn(move || drain_queue(&shared))
+            })
+            .collect();
+        Self {
             shared,
-            pool,
+            workers,
             kick_idle,
-        })
+        }
+    }
+}
+
+impl<N> Pool<N> {
+    /// Stop the workers and wait for them; a worker's panic is re-raised
+    /// with its own payload unless `quiet` (drop).
+    fn stop(&mut self, quiet: bool) {
+        self.shared.stop.store(true, Ordering::Release);
+        // Under the queue lock: a worker that read `stop` clear is either
+        // still ahead of its `wait` (and holds the lock) or already parked.
+        {
+            let _ready = self.shared.ready.lock();
+            self.shared.work.notify_all();
+        }
+        for h in self.workers.drain(..) {
+            if let (Err(payload), false) = (h.join(), quiet) {
+                std::panic::resume_unwind(payload);
+            }
+        }
     }
 }
 
@@ -317,11 +492,11 @@ impl<N: AsyncNode + 'static> Fabric for Pool<N> {
     }
 
     fn all_halted(&self) -> bool {
-        // Quiescence first: with no task queued or running, only this
-        // (supervisor) thread can start one, so the halt flags read next
-        // are stable — and every inbox has been drained by an activation
-        // that came after its last delivery.
-        if self.pool.pending_tasks() != 0 {
+        // Quiescence first: with nothing queued and nobody mid-step, only
+        // this (supervisor) thread can queue a part, so the halt flags
+        // read next are stable — and every inbox has been drained by an
+        // activation that came after its last delivery.
+        if !self.shared.ready.lock().queue.is_idle() {
             return false;
         }
         if self.shared.halts.all() {
@@ -330,7 +505,7 @@ impl<N: AsyncNode + 'static> Fabric for Pool<N> {
         if self.kick_idle {
             for p in 0..self.shared.cells.len() {
                 if !self.shared.halts.is_halted(p) {
-                    schedule(&self.shared, &self.pool, p, true);
+                    self.shared.schedule(p, true);
                 }
             }
         }
@@ -338,13 +513,12 @@ impl<N: AsyncNode + 'static> Fabric for Pool<N> {
     }
 
     fn wake(&self, p: usize) {
-        schedule(&self.shared, &self.pool, p, false);
+        self.shared.schedule(p, false);
     }
 
     fn finish(&mut self) -> Totals {
-        self.shared.stop.store(true, Ordering::Release);
-        self.pool.wait_quiescent();
-        // Quiescent: no activation holds a state lock.
+        self.stop(false);
+        // Workers joined: no activation holds a state lock.
         let mut totals = Totals::default();
         for cell in &self.shared.cells {
             totals.add(&cell.state.lock().node);
@@ -355,8 +529,7 @@ impl<N: AsyncNode + 'static> Fabric for Pool<N> {
 
 impl<N> Drop for Pool<N> {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.pool.wait_quiescent();
+        self.stop(true);
     }
 }
 
@@ -735,15 +908,37 @@ mod tests {
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;
 
-    /// A node that sleeps before its first step — a part whose thread (or
-    /// pool worker) comes up late. Possible only because the fabrics are
-    /// generic over the node.
-    struct SlowStart<N> {
-        inner: N,
-        delay: Duration,
+    /// What the probed nodes of one fabric share: who is mid-step, how
+    /// many steps each has finished, and the neighbour overlaps seen.
+    struct Watch {
+        in_step: Vec<AtomicBool>,
+        steps: Vec<AtomicUsize>,
+        overlaps: AtomicUsize,
     }
 
-    impl<N: AsyncNode> AsyncNode for SlowStart<N> {
+    impl Watch {
+        fn new(n: usize) -> Arc<Self> {
+            Arc::new(Self {
+                in_step: (0..n).map(|_| AtomicBool::new(false)).collect(),
+                steps: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                overlaps: AtomicUsize::new(0),
+            })
+        }
+    }
+
+    /// A node that sleeps before its first step (a part whose thread, or
+    /// pool worker, comes up late) and before every step (a slow part), and
+    /// records stepping while one of `peers` does. Possible only because
+    /// the fabrics are generic over the node.
+    struct Probe<N> {
+        inner: N,
+        delay: Duration,
+        pause: Duration,
+        peers: Vec<usize>,
+        watch: Arc<Watch>,
+    }
+
+    impl<N: AsyncNode> AsyncNode for Probe<N> {
         fn part(&self) -> usize {
             self.inner.part()
         }
@@ -757,8 +952,24 @@ mod tests {
             self.inner.absorb_owned(msg);
         }
         fn step_node(&mut self, transport: &mut dyn Transport) -> NodeControl {
-            std::thread::sleep(std::mem::take(&mut self.delay));
-            self.inner.step_node(transport)
+            let (me, w) = (self.inner.part(), &*self.watch);
+            w.in_step[me].store(true, Ordering::SeqCst);
+            // Whoever starts second sees the other. Two *initial* solves
+            // may overlap: nobody has sent anything yet, so the pool knows
+            // no links. (`settled` is read first: a peer seen mid-step
+            // after it read false is still in its initial solve.)
+            let settled = |p: usize| w.steps[p].load(Ordering::SeqCst) > 0;
+            for &q in &self.peers {
+                let past_initial = settled(me) || settled(q);
+                if past_initial && w.in_step[q].load(Ordering::SeqCst) {
+                    w.overlaps.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            std::thread::sleep(std::mem::take(&mut self.delay) + self.pause);
+            let control = self.inner.step_node(transport);
+            w.steps[me].fetch_add(1, Ordering::SeqCst);
+            w.in_step[me].store(false, Ordering::SeqCst);
+            control
         }
         fn solves(&self) -> u64 {
             self.inner.solves()
@@ -788,7 +999,7 @@ mod tests {
     /// An 8×8 grid in three strips whose part 0 starts 20 ms late: by then
     /// parts 1 and 2 have converged against part 0's *zero boundary guess*
     /// and gone passive. Part 0's first wave must re-arm them.
-    fn slow_start_problem() -> (SplitSystem, Vec<SlowStart<runtime::NodeRuntime>>) {
+    fn slow_start_problem() -> (SplitSystem, Vec<Probe<runtime::NodeRuntime>>) {
         let a = generators::grid2d_random(8, 8, 1.0, 82);
         let b = generators::random_rhs(64, 83);
         let g = ElectricGraph::from_system(a, b).unwrap();
@@ -800,43 +1011,194 @@ mod tests {
             max_solves_per_node: 1_000_000,
             ..Default::default()
         };
+        let watch = Watch::new(3);
         let nodes = runtime::build_nodes(&ss, &common)
             .unwrap()
             .into_iter()
-            .map(|inner| SlowStart {
+            .map(|inner| Probe {
                 delay: Duration::from_millis(if inner.part() == 0 { 20 } else { 0 }),
+                pause: Duration::ZERO,
+                peers: Vec::new(),
+                watch: watch.clone(),
                 inner,
             })
             .collect();
         (ss, nodes)
     }
 
-    fn run_to_all_halted(ss: &SplitSystem, fabric: impl Fabric, backend: BackendKind) {
+    fn supervise(
+        ss: &SplitSystem,
+        termination: Termination,
+        fabric: impl Fabric,
+        backend: BackendKind,
+    ) -> SolveReport {
         let (a, b) = ss.reconstruct();
         let map = GatherMap::of_split(ss, &a, &b, None);
-        let references = runtime::resolve_references(&map, TERMINATION, None).unwrap();
-        let report = run(
+        let references = runtime::resolve_references(&map, termination, None).unwrap();
+        run(
             fabric,
             &WallRun {
                 spec: RunSpec {
                     algorithm: AlgorithmKind::Dtm,
-                    termination: TERMINATION,
+                    termination,
                     map,
                     references: references.as_deref(),
                 },
                 backend,
                 budget: Duration::from_secs(60),
             },
-        );
+        )
+    }
+
+    fn run_to_all_halted(ss: &SplitSystem, fabric: impl Fabric, backend: BackendKind) {
+        let report = supervise(ss, TERMINATION, fabric, backend);
         assert_eq!(report.stop, StopKind::AllHalted);
         assert!(report.converged);
         assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
     }
 
+    /// A path 0 – 1 – 2 – 3 with every part queued in id order.
+    fn path_queue() -> ReadyQueue {
+        let mut q = ReadyQueue::new(4, usize::MAX);
+        for p in 0..3 {
+            q.link(p, p + 1);
+        }
+        (0..4).for_each(|p| q.push(p));
+        q
+    }
+
+    #[test]
+    fn ready_queue_never_hands_out_two_neighbours() {
+        let mut q = path_queue();
+        assert_eq!(q.take(), Some(0));
+        // 1 neighbours the running 0 and is skipped; 2 does not.
+        assert_eq!(q.take(), Some(2));
+        // 1 and 3 both neighbour a running part.
+        assert_eq!(q.take(), None);
+        assert!(!q.is_empty() && !q.is_idle());
+        q.done(2);
+        // The skipped 1 is still first in line, and still blocked by 0.
+        assert_eq!(q.take(), Some(3));
+        q.done(0);
+        assert_eq!(q.take(), Some(1));
+        assert!(q.is_empty() && !q.is_idle());
+        q.done(1);
+        q.done(3);
+        assert!(q.is_idle());
+    }
+
+    #[test]
+    fn ready_queue_keeps_a_skipped_part_at_the_head() {
+        // 1 is queued first and skipped while its neighbours 0 and 2 take
+        // turns; the moment neither runs it is the first part offered,
+        // ahead of everything that arrived while it was held back.
+        let mut q = ReadyQueue::new(4, 16);
+        q.link(0, 1);
+        q.link(1, 2);
+        q.push(0);
+        assert_eq!(q.take(), Some(0));
+        q.push(1);
+        for _ in 0..4 {
+            q.push(2);
+            q.push(3);
+            assert_eq!(q.take(), Some(2), "1 is blocked by 0, 2 is not");
+            assert_eq!(q.take(), Some(3));
+            q.done(0);
+            q.done(3);
+            q.push(0);
+            assert_eq!(q.take(), Some(0), "1 is blocked by 2, 0 is not");
+            q.done(2);
+        }
+        // Overtaken 4 × (2, 3, 0) = 12 times; four more and it holds the
+        // queue, whoever else could step.
+        for _ in 0..4 {
+            q.push(3);
+            assert_eq!(q.take(), Some(3));
+            q.done(3);
+        }
+        q.push(3);
+        assert_eq!(q.take(), None, "nobody overtakes 1 a 17th time");
+        q.done(0);
+        assert_eq!(q.take(), Some(1));
+        // Its wait is over, and with it the hold: 3 does not neighbour it.
+        assert_eq!(q.take(), Some(3));
+    }
+
+    #[test]
+    fn ready_queue_queues_a_part_once_and_again_behind_its_own_step() {
+        let mut q = ReadyQueue::new(2, usize::MAX);
+        q.push(0);
+        q.push(0);
+        assert_eq!(q.take(), Some(0));
+        assert!(q.is_empty() && !q.is_idle());
+        // A wave landing mid-step queues the part again; it is not handed
+        // out until that step is over.
+        q.push(0);
+        assert_eq!(q.take(), None);
+        q.done(0);
+        assert_eq!(q.take(), Some(0));
+        q.done(0);
+        assert!(q.is_idle());
+        assert_eq!(q.take(), None);
+        // Unlinked parts (the initial solves) may all run at once.
+        q.push(0);
+        q.push(1);
+        assert_eq!((q.take(), q.take()), (Some(0), Some(1)));
+    }
+
+    /// Four workers over a 24² grid in 16 parts, every node probed, the
+    /// neighbours of part 0 slowed down: once a part has sent its first
+    /// waves (which is when the queue learns its links) it never steps
+    /// while a neighbour does, and part 0 — passed over while the fast
+    /// parts queued behind it are handed out — is held back, not dropped.
+    #[test]
+    fn pool_never_steps_two_neighbours_at_once_and_starves_nobody() {
+        let a = generators::grid2d_laplacian(24, 24);
+        let b = generators::random_rhs(24 * 24, 84);
+        let g = ElectricGraph::from_system(a, b).unwrap();
+        let asg = dtm_graph::partition::grid_blocks(24, 24, 4, 4);
+        let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
+        let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        let termination = Termination::Residual { tol: 1e-6 };
+        let common = CommonConfig {
+            termination,
+            max_solves_per_node: 1_000_000,
+            ..Default::default()
+        };
+        let plain = runtime::build_nodes(&ss, &common).unwrap();
+        let slow: Vec<usize> = plain[0].neighbor_parts().collect();
+        let watch = Watch::new(plain.len());
+        let nodes = plain
+            .into_iter()
+            .map(|inner| Probe {
+                delay: Duration::ZERO,
+                pause: Duration::from_micros(if slow.contains(&inner.part()) { 200 } else { 0 }),
+                peers: inner.neighbor_parts().collect(),
+                watch: watch.clone(),
+                inner,
+            })
+            .collect();
+        let pool = Pool::start(nodes, 1, 4, false, no_hook());
+        let report = supervise(&ss, termination, pool, BackendKind::WorkStealing);
+        assert!(report.converged, "residual {}", report.final_residual);
+        assert_eq!(watch.overlaps.load(Ordering::SeqCst), 0);
+        let steps: Vec<usize> = watch
+            .steps
+            .iter()
+            .map(|s| s.load(Ordering::SeqCst))
+            .collect();
+        assert_eq!(steps.iter().sum::<usize>() as u64, report.total_solves);
+        let slowest = slow.iter().map(|&p| steps[p]).min().unwrap();
+        assert!(
+            steps[0] >= 4 && 2 * steps[0] >= slowest,
+            "part 0 starved: {steps:?}"
+        );
+    }
+
     #[test]
     fn slow_start_rearms_converged_neighbours_on_the_pool() {
         let (ss, nodes) = slow_start_problem();
-        let pool = Pool::start(nodes, 1, 3, true, no_hook()).unwrap();
+        let pool = Pool::start(nodes, 1, 3, true, no_hook());
         run_to_all_halted(&ss, pool, BackendKind::WorkStealing);
     }
 

@@ -34,8 +34,8 @@
 //!   [`runtime::wallclock`], the block a wall-clock worker publishes its
 //!   solution through;
 //! * [`fabric`] — **the two wall-clock fabrics**, each written once and
-//!   generic over the node: tasks on a work-stealing pool, and one OS
-//!   thread per node; plus the per-node hook and the LocalDelta
+//!   generic over the node: resident workers on one ready queue, and one
+//!   OS thread per node; plus the per-node hook and the LocalDelta
 //!   passive/re-arm rule. Every real-time executor below is a caller;
 //! * [`solver`] — the simulated executor: the one adapter between a node
 //!   and a `dtm-simnet` processor, its engine loop, and DTM's entry

@@ -1,21 +1,27 @@
-//! DTM on an in-process work-stealing pool — the [`WorkStealingBackend`].
+//! DTM on an in-process worker pool — the [`WorkStealingBackend`].
 //!
 //! The third executor, and the proof that the [`crate::runtime`]
 //! abstraction holds: the *same* [`NodeRuntime`] state machine that runs
 //! under the discrete-event simulator and under one-thread-per-subdomain
-//! here runs as **tasks on a rayon work-stealing pool**, one task per
-//! activation. This is the execution shape a production service would
-//! use: subdomain count decoupled from thread count, load balanced by
-//! stealing, no thread parked on an idle subdomain.
+//! here runs as **activations handed to a few resident workers**. This is
+//! the execution shape a production service would use: subdomain count
+//! decoupled from thread count, any worker takes any part, no thread
+//! parked on an idle subdomain. (The module, config and backend names date
+//! from when the workers were a work-stealing task pool; since PR 22 they
+//! drain one shared queue, and nothing is stolen.)
 //!
-//! Delay mapping: a wave is an inbox entry plus a spawned task, so the
-//! DTL transmission delay is realised by task queueing/stealing latency —
-//! natural, uncontrolled asynchrony, exactly the regime the paper's
-//! Theorem 6.1 covers (convergence for *arbitrary* positive delays).
+//! Delay mapping: a wave is an inbox entry plus the receiver's place in
+//! the pool's one ready queue, so the DTL transmission delay is the time
+//! the receiver waits there — behind the parts queued before it, and for
+//! as long as a neighbour of it is computing (the queue never steps two
+//! neighbours at once, which is what makes the workers advance one
+//! freshest-data sweep instead of interleaved stale-data ones). Still
+//! uncontrolled, still positive: exactly the regime the paper's Theorem
+//! 6.1 covers (convergence for *arbitrary* positive delays).
 //!
-//! This module is a **caller** of the generic work-stealing fabric
-//! [`crate::fabric::Pool`], which owns the scheduling protocol (state lock,
-//! inbox, `scheduled` bit, quiescence kick) for every node type; what is
+//! This module is a **caller** of the generic pool fabric
+//! [`crate::fabric::Pool`], which owns the scheduling protocol (ready
+//! queue, state lock, inbox, quiescence kick) for every node type; what is
 //! left here is DTM's configuration and entry points.
 
 use crate::fabric::{self, Pool, WallRun};
@@ -33,7 +39,9 @@ use std::time::Duration;
 pub struct RayonConfig {
     /// Algorithm configuration shared with every backend.
     pub common: CommonConfig,
-    /// Worker threads in the pool (`0` = available parallelism).
+    /// Worker threads in the pool (`0` = available parallelism). More
+    /// workers than cores costs solves: a part whose worker is preempted
+    /// mid-step holds its neighbours back for the whole time slice.
     pub num_threads: usize,
     /// Wall-clock budget.
     pub budget: Duration,
@@ -76,8 +84,7 @@ impl ExecutorBackend for WorkStealingBackend {
 /// Run DTM on the work-stealing pool.
 ///
 /// # Errors
-/// Propagates impedance/factorization failures and pool construction
-/// failure.
+/// Propagates impedance/factorization failures.
 pub fn solve(split: &SplitSystem, config: &RayonConfig) -> Result<SolveReport> {
     solve_with_reference(split, None, config)
 }
@@ -115,7 +122,7 @@ pub fn solve_prepared(
 /// Run DTM on the work-stealing pool for a **block of right-hand sides**
 /// sharing one factorization per subdomain (see
 /// [`crate::solver::solve_block`] for the block-wave semantics; here the
-/// waves are inbox entries and spawned tasks).
+/// waves are inbox entries and places in the ready queue).
 ///
 /// # Errors
 /// See [`solve`].
@@ -152,7 +159,7 @@ fn solve_runtimes(
         config.num_threads,
         self_halting,
         fabric::no_hook(),
-    )?;
+    );
     Ok(fabric::run(
         pool,
         &WallRun {
@@ -194,7 +201,7 @@ mod tests {
                 termination: Termination::OracleRms { tol: 1e-8 },
                 ..RayonConfig::default().common
             },
-            num_threads: 3, // fewer workers than subdomains: real stealing
+            num_threads: 3, // fewer workers than subdomains: parts share workers
             budget: Duration::from_secs(60),
         };
         let report = solve(&ss, &config).unwrap();

@@ -15,8 +15,8 @@ pub enum BackendKind {
     /// One OS thread per subdomain, channels for waves
     /// ([`crate::threaded`]).
     Threaded,
-    /// In-process work-stealing pool, one task per activation
-    /// ([`crate::rayon_backend`]).
+    /// In-process worker pool on one ready queue, any worker steps any
+    /// part ([`crate::rayon_backend`]; the name predates the queue).
     WorkStealing,
     /// Multi-process execution over real sockets (UDS/TCP), one OS
     /// process per partition group (`dtm-net`'s round-structured

@@ -24,8 +24,8 @@
 //!   the simulated backend maps it onto a [`dtm_simnet`] link (delay =
 //!   simulated link delay), the threaded backend onto a crossbeam channel
 //!   (delay = real scheduling/transmission latency, optionally shaped by a
-//!   router), the work-stealing backend onto a shared inbox (delay = task
-//!   queueing latency). **A transport must never reorder the messages of
+//!   router), the pool backend onto a shared inbox (delay = the receiver's
+//!   wait in the pool's ready queue). **A transport must never reorder the messages of
 //!   one sender–receiver pair**; all three in-tree transports deliver
 //!   per-pair FIFO, which is what eq. (2.1) assumes of a transmission
 //!   line.
@@ -47,7 +47,7 @@
 //! |---|---|---|
 //! | [`solver`](crate::solver) (simnet) | [`dtm_simnet::Envelope`] | per-directed-link simulated delay (Fig. 7/11) |
 //! | [`threaded`](crate::threaded) | crossbeam channel message | real channel latency, plus optional router-injected per-link delays |
-//! | [`rayon_backend`](crate::rayon_backend) | inbox entry + spawned task | work-stealing queue latency (natural, uncontrolled asynchrony) |
+//! | [`rayon_backend`](crate::rayon_backend) | inbox entry + a place in the ready queue | the receiver's wait in that queue: older arrivals first, and never while a neighbour computes |
 //!
 //! In every case the receiving node merges whatever has arrived *by the
 //! time it runs* — Table 1 step 3: "wait until receiving part of the

@@ -543,7 +543,7 @@ impl<F: Fabric> WallclockSession<F> {
     pub(crate) fn new(
         problem: &DtmProblem,
         slots: usize,
-        start: impl FnOnce(Vec<NodeRuntime>, Hook<NodeRuntime>) -> Result<F>,
+        start: impl FnOnce(Vec<NodeRuntime>, Hook<NodeRuntime>) -> F,
     ) -> Result<Self> {
         if slots == 0 {
             return Err(Error::Parse("rolling session needs ≥ 1 column slot".into()));
@@ -567,7 +567,7 @@ impl<F: Fabric> WallclockSession<F> {
             swapped
         });
         Ok(Self {
-            fabric: start(runtimes, hook)?,
+            fabric: start(runtimes, hook),
             monitor: session_monitor(&split, slots),
             queue: SessionQueue::new(split.original_n, slots),
             oracle: LazyOracle::default(),

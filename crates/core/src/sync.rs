@@ -27,13 +27,39 @@ mod imp {
     pub mod thread {
         pub use std::thread::{spawn, yield_now, JoinHandle};
     }
+
+    /// `std::sync::Condvar` behind the same no-poisoning surface as
+    /// [`Mutex`] (and the same signature as the model checker's).
+    #[derive(Debug, Default)]
+    pub struct Condvar(std::sync::Condvar);
+
+    impl Condvar {
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+            self.0
+                .wait(guard)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+
+        pub fn notify_one(&self) {
+            self.0.notify_one();
+        }
+
+        pub fn notify_all(&self) {
+            self.0.notify_all();
+        }
+    }
 }
 
 #[cfg(feature = "model-check")]
 mod imp {
     pub use minloom::channel;
     pub use minloom::sync::{
-        AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Mutex, MutexGuard, Ordering,
+        AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
+        Ordering,
     };
     pub use minloom::thread;
 }

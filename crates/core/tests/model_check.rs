@@ -16,8 +16,9 @@
 //!    two-counter (`active` + `in_flight`) guard, whose two loads can
 //!    straddle a receive handoff and both read zero while a wave is
 //!    mid-absorb — the checker finds the resulting premature stop.
-//! 2. **Scheduled-bit mailbox** (`fabric.rs`, `Pool`): an activation must
-//!    clear its cell's `scheduled` bit *before* draining the inbox; the
+//! 2. **Scheduled-bit mailbox** (`fabric.rs`, `Pool`): a part's "queued"
+//!    bit (since PR 22 a flag inside `ReadyQueue`, cleared by `take`) must
+//!    be cleared *before* the activation drains the inbox; the
 //!    drain-before-clear mutant strands a wave pushed between the drain
 //!    and the clear.
 //! 3. **Rolling-session retirement** (`session.rs`): a ticket retires
@@ -41,11 +42,22 @@
 //! (the premature collective halt). On threads, a re-armed worker clears
 //! its flag *before* releasing the wave's work token; the release-first
 //! mutant lets the supervisor read "no work, all halted" in between.
+//!
+//! And the pool's **ready-queue hand-off** (PR 22), on the production
+//! `fabric::ReadyQueue` under the production lock: two neighbours are never
+//! mid-step at once, a part passed over because its neighbour was mid-step
+//! is never lost, and "queue empty ∧ nobody mid-step" is never observed
+//! over an undelivered wave. Mutants: `done` in a critical section of its
+//! own ahead of the pushes, and a finisher that parks without re-offering
+//! the head of the queue.
 
 #![cfg(feature = "model-check")]
 
+use dtm_core::fabric::ReadyQueue;
 use dtm_core::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dtm_core::sync::{Arc, AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Mutex, Ordering};
+use dtm_core::sync::{
+    Arc, AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
+};
 use minloom::{checkpoint, hash_fold, thread, Builder};
 use std::time::Duration;
 
@@ -286,9 +298,9 @@ struct Cell {
 }
 
 /// Distilled `activate()`: the production code clears the scheduled bit
-/// *before* draining the inbox, so a wave pushed after the drain finds
-/// the bit clear and respawns the task. `clear_first = false` seeds the
-/// lost-wave mutant.
+/// (`ReadyQueue::take` un-queues the part) *before* draining the inbox, so
+/// a wave pushed after the drain finds the bit clear and queues the part
+/// again. `clear_first = false` seeds the lost-wave mutant.
 fn activate(cell: &Cell, clear_first: bool) {
     if clear_first {
         cell.scheduled.store(false, Ordering::SeqCst);
@@ -305,9 +317,9 @@ fn activate(cell: &Cell, clear_first: bool) {
     cell.processed.fetch_add(drained, Ordering::SeqCst);
 }
 
-/// Distilled `schedule()`: push, then CAS the bit 0 → 1 and run the
-/// activation on its own thread if we won it (the model's stand-in for
-/// `pool.spawn`). Joining inside keeps handle plumbing trivial without
+/// Distilled delivery: push, then CAS the bit 0 → 1 and run the
+/// activation on its own thread if we won it (the model's stand-in for a
+/// worker taking the part off the queue). Joining inside keeps handle plumbing trivial without
 /// serializing the *other* producer against the activation.
 fn pool_producer(cell: &Arc<Cell>, wave: u32, clear_first: bool) {
     cell.inbox.lock().push(wave);
@@ -587,7 +599,7 @@ struct HaltCell {
     halted: AtomicBool,
     /// Nodes currently counted halted (`Halts::count`).
     count: AtomicUsize,
-    /// Activation tasks queued or running (the pool's `pending_tasks()`).
+    /// Activations queued or running (the queue's `!is_idle()`).
     pending: AtomicUsize,
     /// Waves a step has absorbed.
     absorbed: AtomicUsize,
@@ -875,4 +887,195 @@ fn threads_token_release_before_rearm_mutant_is_caught() {
         v.message.contains("premature halt"),
         "unexpected violation:\n{v}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// 6. The ready-queue hand-off (fabric.rs, Pool)
+// ---------------------------------------------------------------------------
+
+/// What the distilled pool worker does with a part whose step is over.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Release {
+    /// Current code: one critical section queues the receivers of the
+    /// step's waves, marks the part done, and takes the next eligible part
+    /// from the head of the queue.
+    PushDoneTake,
+    /// Mutant: the part is marked done in a critical section of its own,
+    /// *before* its receivers are queued — in between, the queue is empty
+    /// and nobody is mid-step while a wave sits undelivered in an inbox.
+    DoneBeforePush,
+    /// Mutant: a finisher that queued nothing parks without looking at the
+    /// queue, trusting that whoever queued a part also woke somebody. A
+    /// part that was passed over while its neighbour was mid-step (its
+    /// waker long since parked again) is never offered to anyone.
+    ParkAfterDone,
+}
+
+/// The production schedule type under the production lock, plus the
+/// distilled rest of `PoolShared`.
+struct RqShared {
+    ready: Mutex<RqReady>,
+    work: Condvar,
+    /// Model-only: lets the supervisor *block* until the queue is idle
+    /// (production polls), so a lost part is a detected deadlock instead of
+    /// an endless poll.
+    idle: Condvar,
+    inbox: [Mutex<Vec<u32>>; 2],
+    /// The part has not run its initial solve yet.
+    initial: [AtomicBool; 2],
+    in_step: [AtomicBool; 2],
+    absorbed: AtomicUsize,
+    stop: AtomicBool,
+}
+
+struct RqReady {
+    queue: ReadyQueue,
+    parked: usize,
+}
+
+/// Distilled `fabric::drain_queue` + `activate` over two linked parts.
+/// Part 0's initial solve owes part 1 wave 2; a step that absorbed wave
+/// `v > 0` owes the other part `v − 1`.
+fn rq_worker(s: &RqShared, release: Release) {
+    let mut ready = s.ready.lock();
+    // Set by a finisher of the `ParkAfterDone` mutant: park without a look.
+    let mut skip_take = false;
+    loop {
+        if s.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let taken = if std::mem::take(&mut skip_take) {
+            None
+        } else {
+            ready.queue.take()
+        };
+        let Some(p) = taken else {
+            if ready.queue.is_idle() {
+                s.idle.notify_all();
+            }
+            ready.parked += 1;
+            ready = s.work.wait(ready);
+            ready.parked -= 1;
+            continue;
+        };
+        let wake = ready.parked > 0 && !ready.queue.is_empty();
+        drop(ready);
+        if wake {
+            s.work.notify_one();
+        }
+
+        // The step: never while the neighbour is mid-step.
+        let other = 1 - p;
+        s.in_step[p].store(true, Ordering::SeqCst);
+        assert!(
+            !s.in_step[other].load(Ordering::SeqCst),
+            "overlap: two neighbours mid-step at once"
+        );
+        let mail = std::mem::take(&mut *s.inbox[p].lock());
+        s.absorbed.fetch_add(mail.len(), Ordering::SeqCst);
+        let first = s.initial[p].swap(false, Ordering::SeqCst);
+        let out = match mail.iter().max() {
+            Some(&v) => (v > 0).then(|| v - 1),
+            None => (first && p == 0).then_some(2),
+        };
+        if let Some(v) = out {
+            s.inbox[other].lock().push(v);
+        }
+        s.in_step[p].store(false, Ordering::SeqCst);
+
+        ready = s.ready.lock();
+        if release == Release::DoneBeforePush {
+            ready.queue.done(p);
+            drop(ready);
+            ready = s.ready.lock();
+        }
+        if out.is_some() {
+            ready.queue.push(other);
+        }
+        if release != Release::DoneBeforePush {
+            ready.queue.done(p);
+        }
+        skip_take = release == Release::ParkAfterDone && out.is_none();
+    }
+}
+
+/// Two workers, two linked parts, both queued for their initial solves —
+/// part 1, whose initial solve sends nothing, first — so whoever comes
+/// second passes over part 0 and parks. The supervisor waits for "queue
+/// empty ∧ nobody mid-step", at which point every wave must have been
+/// absorbed.
+fn ready_queue_model(release: Release) {
+    let mut queue = ReadyQueue::new(2, 4);
+    queue.link(0, 1);
+    queue.push(1);
+    queue.push(0);
+    let s = Arc::new(RqShared {
+        ready: Mutex::new(RqReady { queue, parked: 0 }),
+        work: Condvar::new(),
+        idle: Condvar::new(),
+        inbox: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+        initial: [AtomicBool::new(true), AtomicBool::new(true)],
+        in_step: [AtomicBool::new(false), AtomicBool::new(false)],
+        absorbed: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+    });
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let s = Arc::clone(&s);
+            thread::spawn(move || rq_worker(&s, release))
+        })
+        .collect();
+    {
+        let mut ready = s.ready.lock();
+        while !ready.queue.is_idle() {
+            ready = s.idle.wait(ready);
+        }
+        for inbox in &s.inbox {
+            assert!(
+                inbox.lock().is_empty(),
+                "premature quiescence: queue idle over an undelivered wave"
+            );
+        }
+        s.stop.store(true, Ordering::SeqCst);
+        s.work.notify_all();
+    }
+    for w in workers {
+        w.join().unwrap();
+    }
+    // 0 → 1 carries wave 2, 1 → 0 wave 1, 0 → 1 wave 0: three absorbed.
+    assert_eq!(s.absorbed.load(Ordering::SeqCst), 3);
+}
+
+#[test]
+fn ready_queue_handoff_exhaustive() {
+    let report = Builder::new().explore(|| ready_queue_model(Release::PushDoneTake));
+    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
+    assert!(report.complete, "exploration must exhaust: {report:?}");
+    assert!(
+        report.schedules + report.pruned > 20,
+        "trivial exploration: {report:?}"
+    );
+}
+
+/// `done` ahead of the pushes: the checker must find the supervisor's look
+/// at the queue that lands between the two critical sections.
+#[test]
+fn ready_queue_done_before_push_mutant_is_caught() {
+    let report = Builder::new().explore(|| ready_queue_model(Release::DoneBeforePush));
+    let v = report
+        .violation
+        .expect("the premature quiescence must be found");
+    assert!(
+        v.message.contains("premature quiescence"),
+        "unexpected violation:\n{v}"
+    );
+}
+
+/// `done` without re-offering the head: part 0, passed over while part 1
+/// ran its wave-less initial solve, stays queued with every worker parked.
+#[test]
+fn ready_queue_done_without_reoffering_the_head_mutant_is_caught() {
+    let report = Builder::new().explore(|| ready_queue_model(Release::ParkAfterDone));
+    let v = report.violation.expect("the lost part must be found");
+    assert!(v.message.contains("deadlock"), "unexpected violation:\n{v}");
 }

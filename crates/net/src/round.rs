@@ -41,7 +41,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upward events a group reports to its supervisor. The socket child
 /// serializes these onto the parent link; the in-process runner delivers
@@ -311,10 +311,32 @@ fn sweep_round<L: GroupLinks>(
     Ok(true)
 }
 
-/// A send failed: benign teardown noise once the run is stopping, a
-/// vanished peer otherwise.
+/// How long a group that lost a link waits for the `Stop` that explains
+/// it. The supervisor stops the groups one after another, so a peer that
+/// read its `Stop` first is gone — its sockets closed — a moment before
+/// ours is read; a supervisor that tears a failed run down stops the
+/// survivors within the same moment. Past this, nobody is stopping the
+/// run and the link simply died.
+const STOP_GRACE: Duration = Duration::from_millis(250);
+
+/// A link just went away. Teardown if the stop flag is up or comes up
+/// within [`STOP_GRACE`] — a clean, silent end of the run — and a failure
+/// otherwise.
+fn stopping<L>(io: &GroupIo<L>) -> bool {
+    let deadline = Instant::now() + STOP_GRACE;
+    while !io.stop.load(Ordering::Acquire) {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// A send failed: teardown once the run is stopping, a vanished peer
+/// otherwise.
 fn closed_link<L>(ctx: &GroupCtx, io: &GroupIo<L>, link: &str, cause: &Error) -> Result<bool> {
-    if io.stop.load(Ordering::Acquire) {
+    if stopping(io) {
         return Ok(false);
     }
     Err(Error::Parse(format!(
@@ -339,7 +361,7 @@ fn wait_batch<L>(slots: &mut RouteSlots, io: &GroupIo<L>) -> Result<bool> {
         }
         Err(RecvTimeoutError::Timeout) => Ok(true),
         Err(RecvTimeoutError::Disconnected) => {
-            if io.stop.load(Ordering::Acquire) {
+            if stopping(io) {
                 return Ok(false);
             }
             Err(Error::Parse(

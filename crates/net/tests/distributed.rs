@@ -1,18 +1,26 @@
 //! End-to-end distributed-backend tests: the multi-process socket run
 //! must reproduce the in-process run **bit for bit** (UDS and TCP), and
 //! a child that dies mid-solve must produce a typed error with every
-//! remaining child reaped — no orphans, no hang.
+//! remaining child reaped — no orphans, no hang. A group that loses a link
+//! because the run is being stopped ends cleanly and silently; one that
+//! loses a link with no `Stop` behind it fails with a typed error.
 
 use dtm_core::report::SolveReport;
-use dtm_core::runtime::{CommonConfig, ExecutorBackend, Termination};
+use dtm_core::runtime::{build_nodes, CommonConfig, ExecutorBackend, Termination};
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
+use dtm_net::round::{run_group, GroupCtx, GroupIo, GroupLinks};
+use dtm_net::wire::{SnapshotBatch, Wave};
 use dtm_net::{
     ChildCommand, DistributedBackend, DistributedConfig, FailInjection, RunMode, TransportKind,
 };
-use dtm_sparse::generators;
+use dtm_sparse::{generators, Error};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The standalone child binary of this crate (production runs use the
 /// `repro` executable's hidden `net-child` mode instead).
@@ -341,4 +349,92 @@ fn round_cap_returns_an_unconverged_report_not_an_error() {
         },
         40,
     );
+}
+
+/// The links of a group whose peer has exited: the supervisor still
+/// listens, the peer's socket is closed (when `peer_gone`).
+struct PeerExited {
+    peer_gone: bool,
+}
+
+impl GroupLinks for PeerExited {
+    fn send_waves(&mut self, _peer: usize, _waves: &mut Vec<Wave>) -> dtm_sparse::Result<()> {
+        if self.peer_gone {
+            return Err(Error::Parse(
+                "write frame: Broken pipe (os error 32)".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    fn send_snapshots(&mut self, _batch: &mut SnapshotBatch) -> dtm_sparse::Result<()> {
+        Ok(())
+    }
+}
+
+/// Group 0 of a two-group run whose peer, group 1, has already exited —
+/// either its socket refuses the round's waves (`peer_gone`), or they are
+/// written into the void and the peer's reader, at EOF, has hung up the
+/// incoming wave channel. `stop_after` is when this group's own `Stop`
+/// lands, if it ever does.
+fn group_zero_after_its_peer_exited(
+    peer_gone: bool,
+    stop_after: Option<Duration>,
+) -> dtm_sparse::Result<()> {
+    let ss = grid_split(8, 2, 508);
+    let mut built = build_nodes(&ss, &CommonConfig::default()).expect("factors");
+    built.truncate(1);
+    let mut nodes = BTreeMap::from([(0, built.remove(0))]);
+    let (wave_tx, wave_rx) = channel();
+    drop(wave_tx);
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut io = GroupIo {
+        wave_rx,
+        links: PeerExited { peer_gone },
+        stop: stop.clone(),
+    };
+    let ctx = GroupCtx {
+        group: 0,
+        group_of_part: vec![0, 1],
+        max_rounds: 1_000,
+        fail_after_round: None,
+    };
+    let supervisor = stop_after.map(|after| {
+        std::thread::spawn(move || {
+            std::thread::sleep(after);
+            stop.store(true, Ordering::Release);
+        })
+    });
+    let run = run_group(&mut nodes, &ctx, &mut io);
+    if let Some(h) = supervisor {
+        h.join().expect("supervisor thread");
+    }
+    run
+}
+
+#[test]
+fn link_closed_with_stop_right_behind_is_a_clean_exit() {
+    // The supervisor stops the groups one after another: the peer read its
+    // `Stop`, exited and closed its sockets a few milliseconds before this
+    // group's own `Stop` is read. Not an error — `child_main` prints
+    // nothing and exits 0 on `Ok`.
+    let late = Some(Duration::from_millis(20));
+    group_zero_after_its_peer_exited(true, late).expect("broken pipe, then Stop: clean");
+    group_zero_after_its_peer_exited(false, late).expect("hung-up wave channel, then Stop: clean");
+    // And with `Stop` already seen when the link closes.
+    group_zero_after_its_peer_exited(true, Some(Duration::ZERO)).expect("Stop, then broken pipe");
+}
+
+#[test]
+fn link_closed_with_no_stop_is_a_typed_error() {
+    for (peer_gone, what) in [
+        (true, "peer link to group 1 closed mid-solve"),
+        (false, "wave channel disconnected mid-solve"),
+    ] {
+        let started = Instant::now();
+        let err = group_zero_after_its_peer_exited(peer_gone, None)
+            .expect_err("nobody is stopping the run: the link died");
+        assert!(err.to_string().contains(what), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "bounded wait");
+    }
 }
