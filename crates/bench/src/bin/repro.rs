@@ -163,7 +163,7 @@ fn main() {
             None => compare_cmd(quick),
             Some(t) => compare_distributed(quick, t, processes),
         },
-        "bench" => bench_cmd(&args, quick),
+        "bench" => bench_cmd(&args[1..]),
         "lint" => {
             // Project lint (see crates/lint): panic-free libraries,
             // never-FMA sparse kernels, simnet determinism, SAFETY
@@ -198,8 +198,7 @@ fn main() {
                  [--num-rhs K] [--seed N] [--termination residual|oracle]\n\
                  compare flags: [--transport uds|tcp [--processes N]] (distributed \
                  socket backend vs the in-process reference, asserted bit-for-bit)\n\
-                 bench flags: [--matrix FILE.mtx [--rhs FILE]] [--out FILE] \
-                 [--check BASELINE] [--headline]"
+                 bench flags: [--quick] [--matrix FILE.mtx [--rhs FILE]]"
             );
             std::process::exit(2);
         }
@@ -1039,38 +1038,37 @@ fn compare_distributed(quick: bool, transport: dtm_net::TransportKind, processes
     println!();
 }
 
-/// `repro bench`: the fixed perf suite (seed case, 3-D Laplacians under
-/// the default nested-dissection partition with per-phase setup timings,
-/// the 10⁶-unknown headline partition metrics (its wall-clock solves
-/// behind `--headline`), substitution kernels, Matrix Market), written as
-/// machine-readable JSON to `--out` (default `bench_run.json`) with an
-/// optional regression gate against the committed baseline
-/// (`--check BENCH_7.json`).
-fn bench_cmd(args: &[String], quick: bool) {
-    banner("Bench: scaling suite");
-    let path_flag = |name: &str| -> Option<std::path::PathBuf> {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => std::path::PathBuf::from(v),
-                _ => {
-                    eprintln!("{name} requires a file path");
-                    std::process::exit(2);
-                }
-            })
-    };
-    let opts = perf::BenchOptions {
-        quick,
-        headline: args.iter().any(|a| a == "--headline"),
-        matrix: path_flag("--matrix"),
-        rhs: path_flag("--rhs"),
-        out: path_flag("--out").unwrap_or_else(|| std::path::PathBuf::from("bench_run.json")),
-        check: path_flag("--check"),
-    };
+/// `repro bench`: the printed scaling table (3-D Laplacians up to 10⁶
+/// unknowns on both wall-clock fabrics with per-phase set-up timings,
+/// substitution kernels, Matrix Market) — see [`perf`]. `--quick` is the
+/// CI-sized slice. Exits 1 if a solve does not converge or the K = 1 panel
+/// sweep loses to the scalar kernel, 2 on a flag it does not know.
+fn bench_cmd(args: &[String]) {
+    let mut opts = perf::BenchOptions::default();
+    let mut flags = args.iter();
+    while let Some(flag) = flags.next() {
+        let mut path = || match flags.next() {
+            Some(v) if !v.starts_with("--") => Some(std::path::PathBuf::from(v)),
+            _ => {
+                eprintln!("{flag} requires a file path");
+                std::process::exit(2);
+            }
+        };
+        match flag.as_str() {
+            "--quick" => opts.quick = true,
+            "--matrix" => opts.matrix = path(),
+            "--rhs" => opts.rhs = path(),
+            _ => {
+                eprintln!("bench: unknown argument {flag:?} (flags: --quick, --matrix, --rhs)");
+                std::process::exit(2);
+            }
+        }
+    }
     if opts.rhs.is_some() && opts.matrix.is_none() {
         eprintln!("--rhs requires --matrix");
         std::process::exit(2);
     }
+    banner("Bench: scaling suite");
     if let Err(e) = perf::run(&opts) {
         eprintln!("bench failed: {e}");
         std::process::exit(1);

@@ -1,6 +1,13 @@
-//! Shared experiment plumbing for the figure/table reproduction harness:
-//! canonical setups for each paper experiment, series decimation, and
-//! plain-text chart/table rendering.
+//! The reproduction harness (`repro`, one subcommand per figure and table
+//! of the paper) and its shared plumbing: canonical setups for each paper
+//! experiment, series decimation, and plain-text chart/table rendering.
+//!
+//! Despite the name this crate measures nothing for the record. [`perf`]
+//! (`repro bench`) prints a scaling table and asserts only that its solves
+//! converge; the deterministic numbers it prints are pinned exactly in
+//! `tests/pinned_counters.rs`, allocation counts in `tests/alloc_free.rs` /
+//! `tests/alloc_rounds.rs`, and wall-clock belongs to the repository
+//! benchmark (`benchmark/`).
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
@@ -130,18 +137,6 @@ impl TerminationMode {
         match self {
             Self::Oracle => Termination::OracleRms { tol },
             Self::Residual => Termination::Residual { tol },
-        }
-    }
-
-    /// The report scalar this mode stops on: oracle RMS or relative
-    /// residual (`final_rms` is `NaN` on reference-free runs, so pick the
-    /// right field for printing — or use [`fmt_metric`] /
-    /// [`SolveReport::final_rms_opt`](dtm_core::SolveReport::final_rms_opt)
-    /// for table cells).
-    pub fn metric_of(self, report: &dtm_core::SolveReport) -> f64 {
-        match self {
-            Self::Oracle => report.final_rms,
-            Self::Residual => report.final_residual,
         }
     }
 }

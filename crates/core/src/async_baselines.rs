@@ -54,8 +54,8 @@ use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
 use crate::local::Factor;
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{
-    self, AsyncNode, DtmMsg, ExecutorBackend, GatherMap, NodeControl, PortUpdate, RunSpec,
-    SelfHalt, Termination, Transport,
+    self, AsyncNode, DtmMsg, GatherMap, NodeControl, PortUpdate, RunSpec, SelfHalt, Termination,
+    Transport,
 };
 use crate::solver::{self, ComputeModel, SimNode, SimRun};
 use dtm_graph::evs::SplitSystem;
@@ -1012,7 +1012,7 @@ pub fn solve_workstealing(
 }
 
 // ---------------------------------------------------------------------------
-// ExecutorBackend: the baselines as first-class backends over a split.
+// The baselines over an EVS split: the same partition a DTM run uses.
 // ---------------------------------------------------------------------------
 
 /// Derive a non-overlapping row assignment from an EVS split: every
@@ -1030,32 +1030,6 @@ pub fn assignment_of(split: &SplitSystem) -> Vec<usize> {
     }
     debug_assert!(owner.iter().all(|&p| p != usize::MAX));
     owner
-}
-
-/// Any baseline as an [`ExecutorBackend`]: runs on the simulated machine
-/// against the split's reconstructed system, on the partition derived by
-/// [`assignment_of`].
-#[derive(Debug, Clone)]
-pub struct BaselineBackend(pub BaselineAlgo);
-
-impl ExecutorBackend for BaselineBackend {
-    type Config = (Topology, BaselineConfig);
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulated
-    }
-
-    fn solve(
-        &self,
-        split: &SplitSystem,
-        reference: Option<Vec<f64>>,
-        (topology, config): &Self::Config,
-    ) -> Result<SolveReport> {
-        let (a, b) = split.reconstruct();
-        let assignment = assignment_of(split);
-        let topology = topology.clone();
-        solve_sim(&self.0, &a, &b, &assignment, topology, reference, config)
-    }
 }
 
 #[cfg(test)]
@@ -1334,8 +1308,8 @@ mod tests {
             BaselineAlgo::DIteration(DIterationParams::default()),
             BaselineAlgo::BlockJacobi,
         ] {
-            let machine = (topo.clone(), config.clone());
-            let report = BaselineBackend(algo).solve(&ss, None, &machine).unwrap();
+            let (a, b) = ss.reconstruct();
+            let report = solve_sim(&algo, &a, &b, &derived, topo.clone(), None, &config).unwrap();
             assert!(report.converged, "resid {}", report.final_residual);
             for (u, v) in report.solution.iter().zip(&exact) {
                 assert!((u - v).abs() < 1e-5, "{u} vs {v}");

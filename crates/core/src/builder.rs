@@ -25,7 +25,8 @@ pub struct DtmBuilder {
     a: Csr,
     b: Vec<f64>,
     assignment: Option<Vec<usize>>,
-    partitioner: Option<(Partitioner, usize)>,
+    /// Part count for the default partitioner, set by `partition_auto`.
+    n_parts: Option<usize>,
     evs_options: EvsOptions,
     twin_topology_set: bool,
     topology: Option<Topology>,
@@ -50,13 +51,19 @@ pub struct DtmProblem {
     pub reference: Option<Vec<f64>>,
 }
 
-/// Work-stealing pool for the setup pipeline (EVS assembly, per-part
-/// factorization, overlapped reference factor). Sized to the machine's
-/// available parallelism.
+/// Fork-join fan-out for the setup pipeline (EVS assembly, per-part
+/// factorization). Sized to the machine's available parallelism.
 fn setup_pool() -> Result<rayon::ThreadPool> {
     rayon::ThreadPoolBuilder::new()
         .build()
         .map_err(|e| Error::Parse(format!("setup pool: {e}")))
+}
+
+/// Wait for a set-up thread; if it panicked, the panic continues here.
+fn join_setup<T>(handle: std::thread::JoinHandle<Result<T>>) -> Result<T> {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 impl DtmBuilder {
@@ -66,7 +73,7 @@ impl DtmBuilder {
             a,
             b,
             assignment: None,
-            partitioner: None,
+            n_parts: None,
             evs_options: EvsOptions::default(),
             twin_topology_set: false,
             topology: None,
@@ -100,21 +107,13 @@ impl DtmBuilder {
         self
     }
 
-    /// Partition the matrix graph into `n_parts` with the named
-    /// [`Partitioner`] under the default [`PartitionConfig`] (computed at
-    /// [`build`](Self::build) time). An explicit
-    /// [`assignment`](Self::assignment) takes precedence.
-    pub fn partitioner(mut self, kind: Partitioner, n_parts: usize) -> Self {
-        self.partitioner = Some((kind, n_parts));
-        self
-    }
-
     /// Partition the matrix graph into `n_parts` with the default
-    /// partitioner ([`Partitioner::default_for`]): nested dissection at
-    /// every size. Equivalent to [`partitioner`](Self::partitioner) with
-    /// that choice spelled out.
+    /// partitioner ([`Partitioner::default_for`]: nested dissection at
+    /// every size) under the default [`PartitionConfig`], computed at
+    /// [`build`](Self::build) time. An explicit
+    /// [`assignment`](Self::assignment) takes precedence.
     pub fn partition_auto(mut self, n_parts: usize) -> Self {
-        self.partitioner = Some((Partitioner::default_for(self.a.n_rows()), n_parts));
+        self.n_parts = Some(n_parts);
         self
     }
 
@@ -173,11 +172,11 @@ impl DtmBuilder {
     /// choose the machine, align the DTLP trees with its links, split, and
     /// compute the direct reference solution.
     ///
-    /// Setup is pipelined over a work-stealing pool: the per-part EVS
-    /// assembly fans out ([`dtm_graph::evs::split_parallel`], bitwise-equal
-    /// to the serial split), and under oracle terminations the direct
-    /// reference factorization overlaps with the tearing instead of
-    /// running after it. Reference-free ([`Termination::Residual`]) builds
+    /// Setup is pipelined: the per-part EVS assembly fans out
+    /// ([`dtm_graph::evs::split_parallel`], bitwise-equal to the serial
+    /// split), and under oracle terminations the direct reference
+    /// factorization runs on a thread of its own beside the tearing instead
+    /// of after it. Reference-free ([`Termination::Residual`]) builds
     /// never factor the original system.
     ///
     /// # Errors
@@ -196,33 +195,46 @@ impl DtmBuilder {
                 });
             }
         }
-        let pool = setup_pool()?;
-        // Kick off the reference factorization first so it overlaps with
-        // plan derivation and the split on a multi-core machine.
-        let reference_rx = match self.config.common.termination {
+        // Start the reference factorization first so it overlaps with the
+        // partitioner, plan derivation and the split on a multi-core machine.
+        let reference = match self.config.common.termination {
             Termination::Residual { .. } => None,
             _ => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                let a = self.a.clone();
-                let b = self.b.clone();
-                pool.spawn(move || {
-                    let _ = tx.send(SparseCholesky::factor_fill_reducing(&a).map(|f| f.solve(&b)));
-                });
-                Some(rx)
+                let (a, b) = (self.a.clone(), self.b.clone());
+                Some(std::thread::spawn(move || {
+                    SparseCholesky::factor_fill_reducing(&a).map(|f| f.solve(&b))
+                }))
             }
         };
-        let assignment = match (self.assignment, self.partitioner) {
-            (Some(asg), _) => asg,
-            (None, Some((kind, n_parts))) => {
-                kind.assign(&self.a, n_parts, &PartitionConfig::default())
-            }
-            (None, None) => {
-                return Err(Error::Parse(
-                    "no partition given: call grid_blocks/grid_strips/assignment/partitioner"
+        let torn = self.tear();
+        // Joined before `torn` is looked at: no error path leaves the
+        // thread running behind the caller's back.
+        let reference = reference.map(join_setup);
+        let (split, topology, config) = torn?;
+        Ok(DtmProblem {
+            split,
+            topology,
+            config,
+            reference: reference.transpose()?,
+        })
+    }
+
+    /// The tearing half of [`build`](Self::build): partition, plan, machine,
+    /// EVS split. Hands the configuration back beside them.
+    fn tear(self) -> Result<(SplitSystem, Topology, DtmConfig)> {
+        let assignment =
+            match (self.assignment, self.n_parts) {
+                (Some(asg), _) => asg,
+                (None, Some(n_parts)) => Partitioner::default_for(self.a.n_rows()).assign(
+                    &self.a,
+                    n_parts,
+                    &PartitionConfig::default(),
+                ),
+                (None, None) => return Err(Error::Parse(
+                    "no partition given: call grid_blocks/grid_strips/assignment/partition_auto"
                         .into(),
-                ))
-            }
-        };
+                )),
+            };
         let graph = ElectricGraph::from_system(self.a, self.b)?;
         let plan = PartitionPlan::from_assignment(&graph, &assignment)?;
         let n_parts = plan.n_parts();
@@ -248,23 +260,12 @@ impl DtmBuilder {
                 .collect();
             evs_options.twin_topology = TwinTopology::TreeWithin(pairs);
         }
-        let split = evs_split_parallel(&graph, &plan, &evs_options, &pool)?;
+        let split = evs_split_parallel(&graph, &plan, &evs_options, &setup_pool()?)?;
         // Surface a malformed machine (a DTLP with no directed link) as a
         // typed error here, at assembly time, rather than a panic once a
         // backend first looks the delay up.
         solver::check_mapping(&split, &topology)?;
-        let reference = match reference_rx {
-            None => None,
-            Some(rx) => Some(rx.recv().map_err(|_| {
-                Error::Parse("DtmBuilder: reference factorization task vanished".into())
-            })??),
-        };
-        Ok(DtmProblem {
-            split,
-            topology,
-            config: self.config,
-            reference,
-        })
+        Ok((split, topology, self.config))
     }
 
     /// Build and solve in one call.
@@ -453,25 +454,20 @@ impl SolveSession {
         // reconstructed system overlaps with them instead of running
         // after.
         let pool = setup_pool()?;
-        let ref_rx = match problem.config.common.termination {
+        let ref_factor = match problem.config.common.termination {
             Termination::Residual { .. } => None,
             _ => {
-                let (tx, rx) = std::sync::mpsc::channel();
                 let (a, _) = problem.split.reconstruct();
-                pool.spawn(move || {
-                    let _ = tx.send(SparseCholesky::factor_fill_reducing(&a));
-                });
-                Some(rx)
+                Some(std::thread::spawn(move || {
+                    SparseCholesky::factor_fill_reducing(&a)
+                }))
             }
         };
         let templates =
-            runtime::build_nodes_parallel(&problem.split, &problem.config.common, &pool)?;
-        let ref_factor = match ref_rx {
-            None => None,
-            Some(rx) => Some(rx.recv().map_err(|_| {
-                Error::Parse("SolveSession: reference factorization task vanished".into())
-            })??),
-        };
+            runtime::build_nodes_parallel(&problem.split, &problem.config.common, &pool);
+        let ref_factor = ref_factor.map(join_setup);
+        let templates = templates?;
+        let ref_factor = ref_factor.transpose()?;
         Ok(Self {
             problem,
             templates,
@@ -594,7 +590,7 @@ mod tests {
         let b = generators::random_rhs(100, 81);
         for kind in [Partitioner::Strips, Partitioner::NestedDissection] {
             let report = DtmBuilder::new(a.clone(), b.clone())
-                .partitioner(kind, 4)
+                .assignment(kind.assign(&a, 4, &PartitionConfig::default()))
                 .solve()
                 .unwrap();
             assert!(report.converged, "{kind:?}: rms {}", report.final_rms);

@@ -55,8 +55,8 @@
 //! * [`async_baselines`] — **the asynchronous baselines**: randomized
 //!   asynchronous Richardson (Avron et al. 2013), Hong's D-iteration
 //!   (2012) and asynchronous block-Jacobi as first-class peer solvers
-//!   behind the same [`runtime::Transport`] /
-//!   [`runtime::ExecutorBackend`] contract — three node state machines,
+//!   behind the same [`runtime::AsyncNode`] / [`runtime::Transport`]
+//!   contract — three node state machines,
 //!   run by the same three executors as DTM (callers of [`fabric`] and
 //!   [`solver`]) and compared message for message by `repro compare`;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
@@ -111,8 +111,7 @@ pub mod threaded;
 pub mod vtm;
 
 pub use async_baselines::{
-    BaselineAlgo, BaselineBackend, BaselineConfig, DIterationParams, RelaxationSchedule,
-    RichardsonParams,
+    BaselineAlgo, BaselineConfig, DIterationParams, RelaxationSchedule, RichardsonParams,
 };
 pub use builder::{DtmBuilder, DtmProblem, SolveSession};
 pub use impedance::ImpedancePolicy;

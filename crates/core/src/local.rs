@@ -48,8 +48,6 @@ pub enum LocalSolverKind {
     Auto,
     /// Dense Cholesky.
     Dense,
-    /// Sparse up-looking Cholesky in natural order.
-    Sparse,
     /// Sparse Cholesky with reverse Cuthill–McKee pre-ordering (a
     /// bandwidth ordering, at every size).
     SparseRcm,
@@ -219,7 +217,6 @@ impl LocalSystem {
         let matrix = sub.matrix.add_to_diagonal(&diag_add);
         let factor = match kind {
             LocalSolverKind::Dense => Factor::Dense(DenseCholesky::factor_csr(&matrix)?),
-            LocalSolverKind::Sparse => Factor::Sparse(SparseCholesky::factor(&matrix)?),
             LocalSolverKind::SparseRcm => Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?),
             LocalSolverKind::Auto => Factor::auto(&matrix)?,
         };
@@ -611,7 +608,6 @@ mod tests {
         let z = vec![0.5; sd.n_ports()];
         let kinds = [
             LocalSolverKind::Dense,
-            LocalSolverKind::Sparse,
             LocalSolverKind::SparseRcm,
             LocalSolverKind::Auto,
         ];
@@ -702,11 +698,7 @@ mod tests {
         let sd = &ss.subdomains[0];
         let z = [0.2, 0.1];
         let cols: Vec<Vec<f64>> = vec![sd.rhs.clone(), vec![1.0, -2.0, 0.5], vec![0.0, 3.0, -1.0]];
-        for kind in [
-            LocalSolverKind::Dense,
-            LocalSolverKind::Sparse,
-            LocalSolverKind::SparseRcm,
-        ] {
+        for kind in [LocalSolverKind::Dense, LocalSolverKind::SparseRcm] {
             let mut block = LocalSystem::new_block(sd, &z, kind, &cols).unwrap();
             assert_eq!(block.n_rhs(), 3);
             for c in 0..3 {

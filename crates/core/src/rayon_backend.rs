@@ -1,4 +1,4 @@
-//! DTM on an in-process worker pool — the [`WorkStealingBackend`].
+//! DTM on an in-process worker pool.
 //!
 //! The third executor, and the proof that the [`crate::runtime`]
 //! abstraction holds: the *same* [`NodeRuntime`] state machine that runs
@@ -24,11 +24,9 @@
 //! queue, state lock, inbox, quiescence kick) for every node type; what is
 //! left here is DTM's configuration and entry points.
 
-use crate::fabric::{self, Pool, WallRun};
-use crate::report::{AlgorithmKind, BackendKind, SolveReport};
-use crate::runtime::{
-    self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, RunSpec, Termination,
-};
+use crate::fabric::{self, WallFabric};
+use crate::report::SolveReport;
+use crate::runtime::{self, CommonConfig, NodeRuntime};
 use dtm_graph::evs::SplitSystem;
 use dtm_sparse::Result;
 use std::time::Duration;
@@ -57,27 +55,6 @@ impl Default for RayonConfig {
             num_threads: 0,
             budget: Duration::from_secs(30),
         }
-    }
-}
-
-/// The work-stealing executor.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkStealingBackend;
-
-impl ExecutorBackend for WorkStealingBackend {
-    type Config = RayonConfig;
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::WorkStealing
-    }
-
-    fn solve(
-        &self,
-        split: &SplitSystem,
-        reference: Option<Vec<f64>>,
-        config: &Self::Config,
-    ) -> Result<SolveReport> {
-        solve_with_reference(split, reference, config)
     }
 }
 
@@ -116,7 +93,17 @@ pub fn solve_prepared(
     reference: Option<Vec<f64>>,
     config: &RayonConfig,
 ) -> Result<SolveReport> {
-    solve_runtimes(split, runtimes, reference.map(|r| vec![r]), None, config)
+    fabric::solve_dtm(
+        split,
+        runtimes,
+        reference.map(|r| vec![r]),
+        None,
+        &config.common,
+        config.budget,
+        WallFabric::Pool {
+            num_threads: config.num_threads,
+        },
+    )
 }
 
 /// Run DTM on the work-stealing pool for a **block of right-hand sides**
@@ -133,53 +120,25 @@ pub fn solve_block(
     config: &RayonConfig,
 ) -> Result<SolveReport> {
     let runtimes = runtime::build_nodes_block(split, &config.common, rhs_cols)?;
-    solve_runtimes(split, runtimes, references, Some(rhs_cols), config)
-}
-
-/// The executor body shared by the scalar and block entry points.
-/// `references` are the caller's own, if any (the oracle solve is performed
-/// only for the termination modes that need one); `rhs_cols` names the
-/// block's global right-hand sides (`None` = the split's own source
-/// vector).
-fn solve_runtimes(
-    split: &SplitSystem,
-    runtimes: Vec<NodeRuntime>,
-    references: Option<Vec<Vec<f64>>>,
-    rhs_cols: Option<&[Vec<f64>]>,
-    config: &RayonConfig,
-) -> Result<SolveReport> {
-    let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
-    let (a, own_b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
-    let references = runtime::resolve_references(&map, config.common.termination, references)?;
-    let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
-    let pool = Pool::start(
+    fabric::solve_dtm(
+        split,
         runtimes,
-        n_rhs,
-        config.num_threads,
-        self_halting,
-        fabric::no_hook(),
-    );
-    Ok(fabric::run(
-        pool,
-        &WallRun {
-            spec: RunSpec {
-                algorithm: AlgorithmKind::Dtm,
-                termination: config.common.termination,
-                map,
-                references: references.as_deref(),
-            },
-            backend: BackendKind::WorkStealing,
-            budget: config.budget,
+        references,
+        Some(rhs_cols),
+        &config.common,
+        config.budget,
+        WallFabric::Pool {
+            num_threads: config.num_threads,
         },
-    ))
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::impedance::ImpedancePolicy;
-    use crate::report::StopKind;
+    use crate::report::{BackendKind, StopKind};
+    use crate::runtime::Termination;
     use dtm_graph::evs::{split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;

@@ -5,8 +5,7 @@ use crate::monitor::Retired;
 use crate::runtime::{AsyncNode, Termination};
 use serde::Serialize;
 
-/// Which executor produced a report — one entry per
-/// [`ExecutorBackend`](crate::runtime::ExecutorBackend) implementation.
+/// Which executor produced a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BackendKind {
     /// Deterministic discrete-event simulation on a [`dtm_simnet`]
@@ -26,8 +25,8 @@ pub enum BackendKind {
 
 /// Which *algorithm* produced a report — orthogonal to [`BackendKind`]
 /// (the machine it ran on). DTM and the randomized-asynchrony baselines
-/// run behind the same [`Transport`](crate::runtime::Transport) /
-/// [`ExecutorBackend`](crate::runtime::ExecutorBackend) contract, so one
+/// run behind the same [`AsyncNode`] /
+/// [`Transport`](crate::runtime::Transport) contract, so one
 /// report vocabulary covers them all and `repro compare` can pit them
 /// message for message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -77,7 +76,7 @@ pub enum StopKind {
 }
 
 /// Outcome of a distributed solve (DTM, VTM or a baseline) — the shared
-/// report vocabulary of every [`ExecutorBackend`](crate::runtime::ExecutorBackend).
+/// report vocabulary of every executor.
 #[derive(Debug, Clone, Serialize)]
 pub struct SolveReport {
     /// Which executor ran the solve.
@@ -255,15 +254,6 @@ impl SolveReport {
         }
     }
 
-    /// Time (ms) at which the recorded series first dropped below `rms`;
-    /// `None` if it never did. Handy for "time to 10⁻⁶" tables.
-    pub fn time_to_rms(&self, rms: f64) -> Option<f64> {
-        self.series
-            .iter()
-            .find(|&&(_, e)| e <= rms)
-            .map(|&(t, _)| t)
-    }
-
     /// Average messages per local solve (communication efficiency).
     pub fn messages_per_solve(&self) -> f64 {
         if self.total_solves == 0 {
@@ -317,14 +307,6 @@ mod tests {
             n_parts: 4,
             stop: StopKind::OracleTolerance,
         }
-    }
-
-    #[test]
-    fn time_to_rms_interpolates_staircase() {
-        let r = report();
-        assert_eq!(r.time_to_rms(1e-3), Some(5.0));
-        assert_eq!(r.time_to_rms(1e-8), Some(12.5));
-        assert_eq!(r.time_to_rms(1e-12), None);
     }
 
     #[test]

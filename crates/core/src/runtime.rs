@@ -1125,6 +1125,10 @@ pub mod wallclock {
 /// Implementations must preserve the delay-mapping contract described in
 /// the [module docs](self): nodes run only in response to arriving waves
 /// (after their initial solve), and per-pair message order is FIFO.
+///
+/// This crate's own executors are the free functions `solve` of
+/// [`crate::solver`], [`crate::threaded`] and [`crate::rayon_backend`];
+/// the implementor is the multi-process `dtm_net::DistributedBackend`.
 pub trait ExecutorBackend {
     /// Backend-specific knobs (time budgets, delay shaping, thread
     /// counts). Every config embeds [`CommonConfig`].

@@ -1,5 +1,4 @@
-//! DTM on the simulated heterogeneous machine — the algorithm of Table 1
-//! under the [`SimulatedBackend`].
+//! DTM on the simulated heterogeneous machine — the algorithm of Table 1.
 //!
 //! This module is a **thin adapter**: the node behaviour (solve-and-
 //! scatter, wave merge, self-halt) lives in [`crate::runtime`], shared
@@ -15,8 +14,8 @@
 use crate::local::LocalSystem;
 use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::{
-    self, build_nodes as build_runtime_nodes, AsyncNode, CommonConfig, ExecutorBackend, GatherMap,
-    NodeRuntime, RunSpec, Transport,
+    self, build_nodes as build_runtime_nodes, AsyncNode, CommonConfig, GatherMap, NodeRuntime,
+    RunSpec, Transport,
 };
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{Ctx, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology};
@@ -271,28 +270,6 @@ pub(crate) fn map_nodes(runtimes: Vec<NodeRuntime>, config: &DtmConfig) -> Vec<D
         .collect()
 }
 
-/// The deterministic discrete-event executor (the paper's own testbed,
-/// §7).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimulatedBackend;
-
-impl ExecutorBackend for SimulatedBackend {
-    type Config = (Topology, DtmConfig);
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulated
-    }
-
-    fn solve(
-        &self,
-        split: &SplitSystem,
-        reference: Option<Vec<f64>>,
-        (topology, config): &Self::Config,
-    ) -> Result<SolveReport> {
-        solve(split, topology.clone(), reference, config)
-    }
-}
-
 /// Run DTM to completion on a simulated machine.
 ///
 /// `reference` is the direct solution used for RMS monitoring; when `None`
@@ -521,17 +498,6 @@ mod tests {
         assert_eq!(report.n_parts, 2);
         assert_eq!(report.backend, BackendKind::Simulated);
         assert!(report.total_solves > 4);
-    }
-
-    #[test]
-    fn backend_trait_solves_like_free_function() {
-        let (ss, topo) = example_5_1();
-        let via_trait = SimulatedBackend
-            .solve(&ss, None, &(topo.clone(), example_config()))
-            .unwrap();
-        let direct = solve(&ss, topo, None, &example_config()).unwrap();
-        assert_eq!(via_trait.total_solves, direct.total_solves);
-        assert_eq!(via_trait.solution, direct.solution);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! DTM on real OS threads — genuine asynchrony, no simulation, under the
-//! [`ThreadedBackend`].
+//! DTM on real OS threads — genuine asynchrony, no simulation.
 //!
 //! This module is a **thin adapter** over [`crate::runtime`]: one thread
 //! per subdomain runs the shared [`NodeRuntime`] state machine; waves
@@ -12,14 +11,12 @@
 //!
 //! The worker loop, the work-token quiescence counter and the router live
 //! in the generic one-thread-per-node fabric [`crate::fabric::Threads`];
-//! this module is a **caller** that owns DTM's configuration, entry points
-//! and the delay-topology validation.
+//! this module is a **caller** that owns DTM's configuration and entry
+//! points.
 
-use crate::fabric::{self, Threads, WallRun};
-use crate::report::{AlgorithmKind, BackendKind, SolveReport};
-use crate::runtime::{
-    self, CommonConfig, ExecutorBackend, GatherMap, NodeRuntime, RunSpec, Termination,
-};
+use crate::fabric::{self, WallFabric};
+use crate::report::SolveReport;
+use crate::runtime::{self, CommonConfig, NodeRuntime};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
 use dtm_sparse::Result;
@@ -55,24 +52,14 @@ impl Default for ThreadedConfig {
     }
 }
 
-/// The one-thread-per-subdomain executor.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadedBackend;
-
-impl ExecutorBackend for ThreadedBackend {
-    type Config = ThreadedConfig;
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Threaded
-    }
-
-    fn solve(
-        &self,
-        split: &SplitSystem,
-        reference: Option<Vec<f64>>,
-        config: &Self::Config,
-    ) -> Result<SolveReport> {
-        solve_with_reference(split, reference, config)
+impl ThreadedConfig {
+    fn fabric(&self) -> WallFabric<'_> {
+        WallFabric::Threads {
+            delay: self
+                .delay_topology
+                .as_ref()
+                .map(|topo| (topo, self.delay_scale)),
+        }
     }
 }
 
@@ -114,7 +101,15 @@ pub fn solve_prepared(
     reference: Option<Vec<f64>>,
     config: &ThreadedConfig,
 ) -> Result<SolveReport> {
-    solve_runtimes(split, runtimes, reference.map(|r| vec![r]), None, config)
+    fabric::solve_dtm(
+        split,
+        runtimes,
+        reference.map(|r| vec![r]),
+        None,
+        &config.common,
+        config.budget,
+        config.fabric(),
+    )
 }
 
 /// Run DTM on real threads for a **block of right-hand sides** sharing one
@@ -130,62 +125,23 @@ pub fn solve_block(
     config: &ThreadedConfig,
 ) -> Result<SolveReport> {
     let runtimes = runtime::build_nodes_block(split, &config.common, rhs_cols)?;
-    solve_runtimes(split, runtimes, references, Some(rhs_cols), config)
-}
-
-/// The executor body shared by the scalar and block entry points.
-/// `references` are the caller's own, if any (the oracle solve is performed
-/// only for the termination modes that need one); `rhs_cols` names the
-/// block's global right-hand sides (`None` = the split's own source
-/// vector).
-fn solve_runtimes(
-    split: &SplitSystem,
-    runtimes: Vec<NodeRuntime>,
-    references: Option<Vec<Vec<f64>>>,
-    rhs_cols: Option<&[Vec<f64>]>,
-    config: &ThreadedConfig,
-) -> Result<SolveReport> {
-    let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
-    // Validate an injected delay topology up front: every wave route needs
-    // a directed link — a typed error here, not a surprise mid-run.
-    if let Some(topo) = &config.delay_topology {
-        crate::solver::check_mapping(split, topo)?;
-    }
-    let (a, own_b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
-    let references = runtime::resolve_references(&map, config.common.termination, references)?;
-
-    let self_halting = matches!(config.common.termination, Termination::LocalDelta { .. });
-    let threads = Threads::start(
+    fabric::solve_dtm(
+        split,
         runtimes,
-        n_rhs,
-        config
-            .delay_topology
-            .as_ref()
-            .map(|topo| (topo, config.delay_scale)),
-        self_halting,
-        fabric::no_hook(),
-    );
-    Ok(fabric::run(
-        threads,
-        &WallRun {
-            spec: RunSpec {
-                algorithm: AlgorithmKind::Dtm,
-                termination: config.common.termination,
-                map,
-                references: references.as_deref(),
-            },
-            backend: BackendKind::Threaded,
-            budget: config.budget,
-        },
-    ))
+        references,
+        Some(rhs_cols),
+        &config.common,
+        config.budget,
+        config.fabric(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::impedance::ImpedancePolicy;
-    use crate::report::StopKind;
+    use crate::report::{BackendKind, StopKind};
+    use crate::runtime::Termination;
     use dtm_graph::evs::{split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_simnet::DelayModel;

@@ -232,23 +232,6 @@ impl SplitSystem {
             })
             .collect()
     }
-
-    /// Maximum disagreement between copies of the same vertex — 0 at exact
-    /// convergence; a useful distributed-consistency diagnostic.
-    pub fn copy_disagreement(&self, locals: &[Vec<f64>]) -> f64 {
-        let mut min = vec![f64::INFINITY; self.original_n];
-        let mut max = vec![f64::NEG_INFINITY; self.original_n];
-        for (sd, x) in self.subdomains.iter().zip(locals) {
-            for (l, &g) in sd.global_of_local.iter().enumerate() {
-                min[g] = min[g].min(x[l]);
-                max[g] = max[g].max(x[l]);
-            }
-        }
-        min.iter()
-            .zip(&max)
-            .map(|(lo, hi)| hi - lo)
-            .fold(0.0_f64, f64::max)
-    }
 }
 
 /// Precomputed flat (CSR-indexed) split directory: everything the per-part
@@ -960,19 +943,6 @@ mod tests {
             }
         }
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(ss.copy_disagreement(&locals), 0.0);
-    }
-
-    #[test]
-    fn copy_disagreement_detects_mismatch() {
-        let ss = paper_split();
-        let mut locals: Vec<Vec<f64>> = ss
-            .subdomains
-            .iter()
-            .map(|sd| vec![0.0; sd.n_local()])
-            .collect();
-        locals[0][0] = 1.0; // V2's copy in part 0 disagrees with part 1
-        assert_eq!(ss.copy_disagreement(&locals), 1.0);
     }
 
     #[test]

@@ -34,10 +34,10 @@ impl Default for PartitionConfig {
     }
 }
 
-/// Which assignment generator to run on a general graph — selectable
-/// through
-/// [`DtmBuilder::partitioner`](../../dtm_core/builder/struct.DtmBuilder.html)
-/// and [`crate::PartitionPlan::from_partitioner`].
+/// Which assignment generator to run on a general graph: call
+/// [`assign`](Self::assign) and hand the result to
+/// [`DtmBuilder::assignment`](../../dtm_core/builder/struct.DtmBuilder.html#method.assignment)
+/// or [`crate::PartitionPlan::from_assignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioner {
     /// Contiguous index ranges (`k` equal slabs of the vertex numbering) —

@@ -245,19 +245,6 @@ impl PartitionPlan {
         Self::new(graph, n_parts, owner)
     }
 
-    /// Derive a plan by running the named [`Partitioner`](crate::partition::Partitioner) on the graph's
-    /// matrix pattern under `config` — the one-call path from an electric
-    /// graph to a validated EVS plan.
-    pub fn from_partitioner(
-        graph: &ElectricGraph,
-        partitioner: crate::partition::Partitioner,
-        n_parts: usize,
-        config: &crate::partition::PartitionConfig,
-    ) -> Result<Self> {
-        let assignment = partitioner.assign(graph.matrix(), n_parts, config);
-        Self::from_assignment(graph, &assignment)
-    }
-
     /// Number of parts.
     pub fn n_parts(&self) -> usize {
         self.n_parts
@@ -427,11 +414,11 @@ mod tests {
     fn from_partitioner_builds_valid_plans() {
         use crate::partition::{PartitionConfig, Partitioner};
         let a = generators::grid2d_laplacian(8, 8);
-        let b = vec![0.0; 64];
-        let g = ElectricGraph::from_system(a, b).unwrap();
         let cfg = PartitionConfig::default();
         for p in [Partitioner::Strips, Partitioner::NestedDissection] {
-            let plan = PartitionPlan::from_partitioner(&g, p, 4, &cfg).unwrap();
+            let assignment = p.assign(&a, 4, &cfg);
+            let g = ElectricGraph::from_system(a.clone(), vec![0.0; 64]).unwrap();
+            let plan = PartitionPlan::from_assignment(&g, &assignment).unwrap();
             assert_eq!(plan.n_parts(), 4, "{p:?}");
             assert!(plan.n_split() > 0, "{p:?}");
         }

@@ -424,7 +424,6 @@ fn encode_msg(e: &mut Enc<'_>, msg: &Msg) {
             e.u8(match p.solver_kind {
                 LocalSolverKind::Auto => 0,
                 LocalSolverKind::Dense => 1,
-                LocalSolverKind::Sparse => 2,
                 LocalSolverKind::SparseRcm => 3,
             });
             e.termination(p.termination);
@@ -741,8 +740,8 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
             let solver_kind = match d.u8()? {
                 0 => LocalSolverKind::Auto,
                 1 => LocalSolverKind::Dense,
-                2 => LocalSolverKind::Sparse,
                 3 => LocalSolverKind::SparseRcm,
+                // 2 was the natural-order sparse factor, which is gone.
                 _ => return Err(parse_err("unknown solver kind")),
             };
             let termination = d.termination()?;

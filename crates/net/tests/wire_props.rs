@@ -274,6 +274,18 @@ fn garbage_headers_error_never_panic() {
     let mut go = encode(&Msg::Go);
     go.push(0);
     assert!(decode(&go).is_err());
+    // A plan naming solver kind 2 — the natural-order sparse factor, since
+    // removed — or any kind past the last one.
+    let plan = real_plan();
+    let kind_at = 1 + 8 * (4 + plan.group_of_part.len() + 1);
+    let mut frame = encode(&Msg::Plan(Box::new(plan)));
+    assert_eq!(frame[kind_at], 0, "LocalSolverKind::Auto is tag 0");
+    frame[kind_at] = 3;
+    assert!(decode(&frame).is_ok(), "SparseRcm keeps tag 3");
+    for gone in [2, 4] {
+        frame[kind_at] = gone;
+        assert!(decode(&frame).is_err(), "solver kind {gone}");
+    }
     // Count fields far beyond the frame: rejected before allocation (a
     // decoder that trusted them would ask the allocator for exabytes).
     for absurd in [u64::MAX, u64::MAX / 8, 1 << 40] {

@@ -208,11 +208,6 @@ impl DenseCholesky {
     pub fn l(&self) -> &Dense {
         &self.l
     }
-
-    /// log₂ of the determinant of `A` (= 2 Σ log₂ l_jj); cheap SPD diagnostic.
-    pub fn log2_det(&self) -> f64 {
-        (0..self.n()).map(|j| self.l.get(j, j).log2()).sum::<f64>() * 2.0
-    }
 }
 
 /// Dense LDLᵀ factorization with a semi-definite tolerance.
@@ -437,7 +432,6 @@ mod tests {
         let mut x = vec![1.0, 2.0, 3.0, 4.0];
         f.solve_in_place(&mut x);
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(f.log2_det(), 0.0);
     }
 
     #[test]
@@ -460,12 +454,5 @@ mod tests {
             f.solve_in_place(&mut x);
             assert_eq!(&block[c * n..(c + 1) * n], &x[..], "column {c}");
         }
-    }
-
-    #[test]
-    fn log2_det_of_diagonal() {
-        let a = Dense::from_rows(&[&[4.0, 0.0], &[0.0, 2.0]]).unwrap();
-        let f = DenseCholesky::factor(&a).unwrap();
-        assert!((f.log2_det() - 3.0).abs() < 1e-12); // log2(8) = 3
     }
 }

@@ -72,7 +72,7 @@ pub fn read_matrix<R: BufRead>(reader: R) -> Result<Csr> {
         .next()
         .ok_or_else(|| at(1, "empty Matrix Market stream"))??;
     let h: Vec<String> = header.split_whitespace().map(str::to_lowercase).collect();
-    if h.len() < 5 || h[0] != "%%matrixmarket" || h[1] != "matrix" {
+    if h.len() != 5 || h[0] != "%%matrixmarket" || h[1] != "matrix" {
         return Err(at(1, format!("bad header: {header}")));
     }
     if h[2] != "coordinate" || h[3] != "real" {

@@ -161,6 +161,14 @@ fn trailing_tokens_are_rejected() {
     assert_eq!(error_line(parse(&text)), 3);
     let text = format!("{GENERAL}1 1 1 1\n1 1 2.0\n");
     assert_eq!(error_line(parse(&text)), 2);
+    // The header line takes its five tokens and no more.
+    for header in [
+        "%%MatrixMarket matrix coordinate real symmetric junk",
+        "%%MatrixMarket matrix coordinate real general general",
+    ] {
+        let text = format!("{header}\n1 1 1\n1 1 2.0\n");
+        assert_eq!(error_line(parse(&text)), 1, "{header}");
+    }
 }
 
 #[test]
