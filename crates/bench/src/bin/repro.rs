@@ -41,11 +41,21 @@
 //! `batched` sweeps K ∈ {1, 4, 16, 64} by default; `--num-rhs K` pins a
 //! single batch width instead.
 //!
+//! `cmp-vtm` and `cmp-jacobi` assert their shape: VTM converges in fewer
+//! exchanges than DTM; DTM and both block-Jacobi variants converge, and
+//! every synchronous block-Jacobi round is priced at the slowest compute
+//! plus twice the worst link delay.
+//!
+//! Every subcommand but `bench` and `lint` (which parse their own) rejects
+//! an argument that is not one of the flags below, or a flag's value, with
+//! the usage line and exit status 2.
+//!
 //! `serve` drives a Poisson arrival stream of mixed-tolerance right-hand
-//! sides (tight residual / loose residual / oracle RMS) through a rolling
-//! session — tickets admitted into the live wave exchange as column slots
-//! free up, each stopping at its own target — and through the batch-barrier
-//! baseline, then compares per-RHS completion latency. `--quick` shrinks
+//! sides (tight residual / loose residual / oracle RMS) through the rolling
+//! session under two admission policies — rolling (tickets admitted into
+//! the live wave exchange as column slots free up, each stopping at its own
+//! target) and the batch barrier — then compares per-RHS completion
+//! latency. `--quick` shrinks
 //! the stream (the CI smoke test); the subcommand asserts every ticket
 //! completes and that rolling beats the barrier on mean latency.
 //! `--seed N` pins the arrival-trace seed: the same seed reproduces the
@@ -62,11 +72,11 @@
 //! paper's own testbed was a MATLAB simulation); the *shapes* — monotone
 //! staircase convergence, the impedance bowl, larger n converging slower,
 //! async beating barrier-synchronised rounds on heterogeneous networks —
-//! are the reproduction targets. See EXPERIMENTS.md.
+//! are the reproduction targets. See the README's "Reproduction caveats".
 
 use dtm_bench::*;
 
-use dtm_core::baselines::{self, BlockJacobiConfig};
+use dtm_core::async_baselines::{self, BaselineAlgo, BaselineConfig};
 use dtm_core::impedance::{ImpedancePolicy, Matching};
 use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::CommonConfig;
@@ -82,6 +92,21 @@ fn main() {
         // Hidden mode: this very executable relaunched as a socket-backend
         // child process (so distributed runs need only one binary on disk).
         std::process::exit(dtm_net::child_main(&args[1..]));
+    }
+    if !matches!(cmd, "bench" | "lint") {
+        let mut rest = args.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            match arg.as_str() {
+                "--quick" => {}
+                "--num-rhs" | "--seed" | "--termination" | "--transport" | "--processes" => {
+                    rest.next();
+                }
+                other => {
+                    eprintln!("{cmd}: unknown argument {other:?}");
+                    usage();
+                }
+            }
+        }
     }
     let quick = args.iter().any(|a| a == "--quick");
     let num_rhs = args
@@ -191,18 +216,21 @@ fn main() {
             serve_cmd(quick, seed);
             compare_cmd(quick);
         }
-        _ => {
-            eprintln!(
-                "usage: repro <fig3|fig5|fig7|fig8|fig9|table1|fig11|fig12|fig13|fig14|\
-                 cmp-vtm|cmp-jacobi|sweep-z|batched|serve|compare|bench|lint|all> [--quick] \
-                 [--num-rhs K] [--seed N] [--termination residual|oracle]\n\
-                 compare flags: [--transport uds|tcp [--processes N]] (distributed \
-                 socket backend vs the in-process reference, asserted bit-for-bit)\n\
-                 bench flags: [--quick] [--matrix FILE.mtx [--rhs FILE]]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
+}
+
+/// Print the usage line and exit with status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro <fig3|fig5|fig7|fig8|fig9|table1|fig11|fig12|fig13|fig14|\
+         cmp-vtm|cmp-jacobi|sweep-z|batched|serve|compare|bench|lint|all> [--quick] \
+         [--num-rhs K] [--seed N] [--termination residual|oracle]\n\
+         compare flags: [--transport uds|tcp [--processes N]] (distributed \
+         socket backend vs the in-process reference, asserted bit-for-bit)\n\
+         bench flags: [--quick] [--matrix FILE.mtx [--rhs FILE]]"
+    );
+    std::process::exit(2);
 }
 
 /// Fig. 3 — the electric graph of system (3.2).
@@ -550,37 +578,29 @@ fn cmp_vtm() {
     banner("Conclusion (§8): DTM vs VTM on the 16-processor mesh, n = 1089");
     let topo = fig11_topology();
     let ss = paper_split(33, 4, 4, &topo);
-    let tol = 1e-6;
+    let config = mesh_config(1e-6, 240_000.0);
 
-    let dtm =
-        solver::solve(&ss, topo.clone(), None, &mesh_config(tol, 240_000.0)).expect("dtm run");
-    let vtm_report = vtm::solve(
-        &ss,
-        None,
-        &vtm::VtmConfig {
-            tol,
-            ..Default::default()
-        },
-    )
-    .expect("vtm run");
+    let dtm = solver::solve(&ss, topo.clone(), None, &config).expect("dtm run");
+    let vtm_report = vtm::solve(&ss, None, &config.common).expect("vtm run");
     // A synchronous VTM round on this machine costs max-delay + barrier
     // (another max-delay) + compute.
     let (_, hi) = topo.delay_range();
     let round_ms = 2.0 * hi.as_millis_f64() + 1.0;
-    let vtm_time = vtm_report.rounds as f64 * round_ms;
+    let rounds = vtm_report.series.len();
     println!(
-        "{:>28} {:>12} {:>14} {:>12}",
-        "method", "exchanges", "sim time [ms]", "rms"
+        "{:>28} {:>8} {:>12} {:>14} {:>12}",
+        "method", "rounds", "messages", "sim time [ms]", "rms"
     );
     println!(
-        "{:>28} {:>12} {:>14.0} {:>12.2e}",
-        "DTM (asynchronous)", dtm.total_messages, dtm.final_time_ms, dtm.final_rms
+        "{:>28} {:>8} {:>12} {:>14.0} {:>12.2e}",
+        "DTM (asynchronous)", "-", dtm.total_messages, dtm.final_time_ms, dtm.final_rms
     );
     println!(
-        "{:>28} {:>12} {:>14.0} {:>12.2e}",
+        "{:>28} {:>8} {:>12} {:>14.0} {:>12.2e}",
         "VTM (synchronous rounds)",
-        vtm_report.rounds * ss.dtlps.len() * 2,
-        vtm_time,
+        rounds,
+        vtm_report.total_messages,
+        rounds as f64 * round_ms,
         vtm_report.final_rms
     );
     println!(
@@ -588,6 +608,13 @@ fn cmp_vtm() {
          fresh data), but every round is barrier-priced at 2x the worst link \
          ({:.0} ms); DTM proceeds at per-link speed with no barrier.\n",
         2.0 * hi.as_millis_f64()
+    );
+    assert!(dtm.converged && vtm_report.converged, "both must converge");
+    assert!(
+        vtm_report.total_messages < dtm.total_messages,
+        "VTM must need fewer exchanges than DTM ({} vs {})",
+        vtm_report.total_messages,
+        dtm.total_messages
     );
 }
 
@@ -603,16 +630,25 @@ fn cmp_jacobi() {
 
     let dtm =
         solver::solve(&ss, topo.clone(), None, &mesh_config(tol, 240_000.0)).expect("dtm run");
-    let bj_config = BlockJacobiConfig {
-        compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+    let compute = SimDuration::from_millis_f64(1.0);
+    let bj_config = BaselineConfig {
+        compute: ComputeModel::Fixed(compute),
         termination: Termination::OracleRms { tol },
         horizon: SimDuration::from_millis_f64(240_000.0),
         sample_interval: SimDuration::from_millis_f64(5.0),
         ..Default::default()
     };
-    let abj =
-        baselines::solve_async(&a, &b, &asg, topo.clone(), None, &bj_config).expect("async bj run");
-    let sbj = baselines::solve_sync(&a, &b, &asg, &topo, None, &bj_config).expect("sync bj");
+    let abj = async_baselines::solve_sim(
+        &BaselineAlgo::BlockJacobi,
+        &a,
+        &b,
+        &asg,
+        topo.clone(),
+        None,
+        &bj_config,
+    )
+    .expect("async bj run");
+    let sbj = async_baselines::solve_sync(&a, &b, &asg, &topo, None, &bj_config).expect("sync bj");
 
     println!(
         "{:>28} {:>10} {:>14} {:>12} {:>10}",
@@ -628,7 +664,22 @@ fn cmp_jacobi() {
             name, r.converged, r.final_time_ms, r.final_rms, r.total_messages
         );
     }
-    println!();
+    // Every synchronous round: the slowest block's compute, one exchange
+    // and one barrier at the worst link delay.
+    let round = compute + topo.delay_range().1.saturating_mul(2);
+    let rounds = sbj.series.len() as u64;
+    println!(
+        "sync block-Jacobi: {rounds} rounds x {:.1} ms (1 ms compute + 2x the worst link)\n",
+        round.as_millis_f64()
+    );
+    for r in [&dtm, &abj, &sbj] {
+        assert!(r.converged, "{} must converge", r.algorithm.name());
+    }
+    assert_eq!(
+        sbj.final_time_ms,
+        round.saturating_mul(rounds).as_millis_f64(),
+        "sync time = rounds x round price"
+    );
 }
 
 /// §6 / Fig. 9 — spectral radius of the iteration operator vs impedance
@@ -700,10 +751,10 @@ fn sweep_z(quick: bool) {
 }
 
 /// §5 factor-once, turned into a serving number: per-RHS amortized wall
-/// time of a streaming batch at K right-hand sides over one factorization.
-/// With `--termination residual` the session also skips the per-batch
-/// oracle substitutions (and the reference factorization at setup) — the
-/// measured difference between the two modes is the price of the oracle.
+/// time of one block solve of K right-hand sides over one factorization
+/// per subdomain. With `--termination residual` the block also skips the
+/// reference factorization and the K oracle substitutions — the measured
+/// difference between the two modes is the price of the oracle.
 fn batched(num_rhs: Option<usize>, mode: TerminationMode) {
     banner("Batched multi-RHS: per-RHS amortized solve time over one factorization");
     let ks: Vec<usize> = match num_rhs {
@@ -771,7 +822,7 @@ fn batched(num_rhs: Option<usize>, mode: TerminationMode) {
     }
 }
 
-/// One warmed-up measured batch of `k` right-hand sides under `mode`.
+/// One measured block solve of `k` right-hand sides under `mode`.
 fn batched_run(k: usize, mode: TerminationMode) -> (f64, dtm_core::SolveReport) {
     let side = 9; // n = 81: small enough that a batch is interactive
     let a = dtm_sparse::generators::grid2d_laplacian(side, side);
@@ -782,21 +833,11 @@ fn batched_run(k: usize, mode: TerminationMode) -> (f64, dtm_core::SolveReport) 
         .compute(ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)))
         .build()
         .expect("valid problem");
-    let mut session = problem.session().expect("factors once");
     let cols: Vec<Vec<f64>> = (0..k)
         .map(|c| generators::random_rhs(side * side, 5_000 + c as u64))
         .collect();
-    // One warm-up batch, then the measured batch (steady-state streaming:
-    // the factors and routes are already hot).
-    for col in &cols {
-        session.push_rhs(col).expect("dimension ok");
-    }
-    session.solve_batch().expect("warm-up converges");
-    for col in &cols {
-        session.push_rhs(col).expect("dimension ok");
-    }
     let t = std::time::Instant::now();
-    let report = session.solve_batch().expect("batch converges");
+    let report = problem.solve_block(&cols).expect("batch converges");
     let batch_ms = t.elapsed().as_secs_f64() * 1e3;
     assert!(report.converged, "K = {k} must converge");
     (batch_ms, report)
@@ -806,9 +847,9 @@ fn batched_run(k: usize, mode: TerminationMode) -> (f64, dtm_core::SolveReport) 
 /// the same Poisson arrival stream of mixed-tolerance right-hand sides is
 /// served (a) by a rolling session — each ticket admitted into the live
 /// 9×9 grid-Laplacian wave exchange as a column slot frees up, retiring at
-/// its own tolerance — and (b) by the batch-barrier `SolveSession`, where
-/// arrivals wait out the running batch and every column pays the
-/// strictest member's tolerance. Asserts that every ticket completes and
+/// its own tolerance — and (b) under the batch barrier, where arrivals
+/// wait out the running batch and every column pays the strictest
+/// member's tolerance. Asserts that every ticket completes and
 /// that rolling wins on mean per-RHS completion latency (the CI smoke
 /// contract).
 fn serve_cmd(quick: bool, seed: u64) {

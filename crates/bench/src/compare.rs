@@ -113,7 +113,6 @@ pub fn dtm_report(s: &CompareSetup) -> SolveReport {
             compute: compute_model(),
             horizon: SimDuration::from_millis_f64(HORIZON_MS),
             sample_interval: SimDuration::from_millis_f64(5.0),
-            ..Default::default()
         },
     )
     .expect("DTM comparison run")

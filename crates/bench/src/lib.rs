@@ -24,8 +24,7 @@ use dtm_simnet::{DelayModel, SimDuration, Topology};
 use dtm_sparse::{generators, Csr};
 use std::collections::BTreeSet;
 
-/// Seeds fixed once for the whole reproduction (documented in
-/// EXPERIMENTS.md).
+/// Seeds fixed once for the whole reproduction.
 pub mod seeds {
     /// Fig. 11 delay table (16-processor mesh).
     pub const FIG11_DELAYS: u64 = 1108;
@@ -71,7 +70,8 @@ pub fn example_5_1_split() -> SplitSystem {
 
 /// Fig. 11's machine: 16 processors in a 4×4 mesh, asymmetric delays in
 /// [10, 99] ms (the figure shows only a bar chart; we regenerate a table
-/// with the same min/max/spread from a fixed seed — see DESIGN.md §2).
+/// with the same min/max/spread from a fixed seed — see the README's
+/// "Reproduction caveats").
 pub fn fig11_topology() -> Topology {
     Topology::mesh(4, 4).with_delays(&DelayModel::uniform_ms(10.0, 99.0, seeds::FIG11_DELAYS))
 }
@@ -171,7 +171,6 @@ pub fn mesh_config_mode(tol: f64, horizon_ms: f64, mode: TerminationMode) -> Dtm
         compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
         horizon: SimDuration::from_millis_f64(horizon_ms),
         sample_interval: SimDuration::from_millis_f64(5.0),
-        ..Default::default()
     }
 }
 

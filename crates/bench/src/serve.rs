@@ -1,10 +1,9 @@
-//! Serving-workload plumbing shared by `repro serve` and
-//! `benches/rolling_serve.rs`: a seeded Poisson arrival stream with mixed
-//! per-ticket tolerances, driven either through a rolling session
-//! (admission mid-exchange, per-column completion) or through the
-//! batch-barrier [`SolveSession`](dtm_core::SolveSession) baseline
-//! (arrivals wait for the running batch to drain, then share one exchange
-//! and one tolerance).
+//! Serving-workload plumbing of `repro serve`: a seeded Poisson arrival
+//! stream with mixed per-ticket tolerances, driven through the rolling
+//! session under two admission policies — rolling (admission
+//! mid-exchange, per-column completion) and the batch barrier (arrivals
+//! wait for the running batch to drain, then share one exchange and one
+//! tolerance).
 //!
 //! The serving metric is **per-RHS completion latency**: submission to
 //! completion, in simulated milliseconds, per arrival. The rolling design
@@ -138,35 +137,43 @@ pub fn serve_rolling(problem: &DtmProblem, trace: &[Arrival], slots: usize) -> V
     latencies
 }
 
-/// Serve `trace` through the batch-barrier baseline: arrivals queue while
-/// a batch runs; when it drains, everything queued forms the next batch,
-/// solved at [`SERVE_TIGHT_TOL`] (the barrier pays the strictest member's
-/// tolerance for every column). Returns per-arrival completion latency in
-/// arrival order — each arrival completes when its whole batch does.
+/// Serve `trace` under the batch-barrier policy: arrivals queue while a
+/// batch runs; when it drains, everything queued forms the next batch — a
+/// fresh session with one slot per member, every ticket at
+/// [`SERVE_TIGHT_TOL`] (the barrier pays the strictest member's tolerance
+/// for every column). Returns per-arrival completion latency in arrival
+/// order — each arrival completes at its batch's last retirement.
 ///
 /// # Panics
-/// Panics if a batch fails to converge.
+/// Panics if a batch ticket fails to complete within the drain budget.
 pub fn serve_batch(problem: &DtmProblem, trace: &[Arrival]) -> Vec<f64> {
-    let mut session = problem.session().expect("batch session builds");
+    let tight = Termination::Residual {
+        tol: SERVE_TIGHT_TOL,
+    };
     let mut latencies = vec![0.0_f64; trace.len()];
     let mut clock = 0.0_f64;
     let mut next = 0;
     while next < trace.len() {
         // Idle until the next arrival if nothing is queued.
         clock = clock.max(trace[next].at_ms);
-        let mut batch = Vec::new();
+        let first = next;
         while next < trace.len() && trace[next].at_ms <= clock {
-            batch.push(next);
             next += 1;
         }
-        for &j in &batch {
-            session.push_rhs(&trace[j].b).expect("dimension ok");
+        let batch = &trace[first..next];
+        let mut session = problem.rolling(batch.len()).expect("batch session builds");
+        for arrival in batch {
+            session
+                .submit(&arrival.b, tight)
+                .expect("arrival admissible");
         }
-        let report = session.solve_batch().expect("batch converges");
-        assert!(report.converged, "batch residual {}", report.final_residual);
-        clock += report.final_time_ms;
-        for &j in &batch {
-            latencies[j] = clock - trace[j].at_ms;
+        let reports = session.drain_for(SimDuration::from_millis_f64(600_000.0));
+        assert_eq!(reports.len(), batch.len(), "every batch ticket completes");
+        clock += reports
+            .iter()
+            .fold(0.0_f64, |t, r| t.max(r.completed_at_ms));
+        for (latency, arrival) in latencies[first..next].iter_mut().zip(batch) {
+            *latency = clock - arrival.at_ms;
         }
     }
     latencies

@@ -10,7 +10,7 @@
 //! cargo test -p dtm-bench --features alloc-count --test alloc_free
 //! ```
 //!
-//! The exchange is driven single-threaded through `BufferedTransport` and
+//! The exchange is driven single-threaded through a `Vec` transport and
 //! per-part inboxes — exactly the runtime's hot path, with no channel or
 //! scheduler internals in the way — after a warm-up phase that fills the
 //! freelists and grows every reusable buffer to its steady-state capacity.
@@ -19,8 +19,7 @@
 use dtm_bench::alloc_count::{arm, disarm, CountingAllocator};
 use dtm_core::monitor::Monitor;
 use dtm_core::runtime::{
-    build_nodes, build_nodes_block, BufferedTransport, CommonConfig, DtmMsg, NodeRuntime,
-    Termination,
+    build_nodes, build_nodes_block, CommonConfig, DtmMsg, NodeRuntime, Termination,
 };
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
@@ -44,13 +43,13 @@ fn grid_split(side: usize, n_parts: usize) -> SplitSystem {
 /// residual monitor each step.
 fn exchange_rounds(
     nodes: &mut [NodeRuntime],
-    transport: &mut BufferedTransport,
+    transport: &mut Vec<(usize, DtmMsg)>,
     inboxes: &mut [Vec<DtmMsg>],
     monitor: &mut Monitor,
     iters: usize,
 ) {
     for _ in 0..iters {
-        for (dst, msg) in transport.outbox.drain(..) {
+        for (dst, msg) in transport.drain(..) {
             inboxes[dst].push(msg);
         }
         for (p, node) in nodes.iter_mut().enumerate() {
@@ -93,7 +92,7 @@ fn steady_state_allocs(side: usize, k: usize) -> u64 {
         rhs_cols.as_deref(),
         SimDuration::from_nanos(u64::MAX / 2),
     );
-    let mut transport = BufferedTransport::default();
+    let mut transport: Vec<(usize, DtmMsg)> = Vec::new();
     let mut inboxes: Vec<Vec<DtmMsg>> = (0..ss.n_parts()).map(|_| Vec::new()).collect();
 
     // Initial solves (eq. 5.6), then warm up: freelists fill, every

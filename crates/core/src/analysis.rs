@@ -204,16 +204,16 @@ mod tests {
         let report = crate::vtm::solve(
             &ss,
             None,
-            &crate::vtm::VtmConfig {
+            &crate::runtime::CommonConfig {
                 impedance: imp,
-                tol: 1e-300,
-                max_rounds: 60,
+                termination: crate::runtime::Termination::OracleRms { tol: 1e-300 },
+                max_solves_per_node: 60,
                 ..Default::default()
             },
         )
         .unwrap();
         let s = &report.series;
-        let observed = (s[s.len() - 1] / s[s.len() - 11]).powf(0.1);
+        let observed = (s[s.len() - 1].1 / s[s.len() - 11].1).powf(0.1);
         assert!(
             (rho - observed).abs() < 0.05,
             "rho {rho} vs observed rate {observed}"

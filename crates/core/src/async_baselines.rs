@@ -48,7 +48,9 @@
 //! activation solve `x_p = A_pp⁻¹ (b_p − A_p,ext · x_ext)` against whatever
 //! remote potentials have arrived, then scatter the owned boundary values
 //! — raw potentials, no transmission lines: the classical asynchronous
-//! iteration DTM's introduction argues against.
+//! iteration DTM's introduction argues against. The same nodes in
+//! lock-step rounds are **synchronous block-Jacobi** ([`solve_sync`]), the
+//! barrier-priced family the introduction measures DTM against.
 
 use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
 use crate::local::Factor;
@@ -827,7 +829,7 @@ impl Relaxation for BlockJacobiState {
 
 /// A validated baseline problem — everything the drivers share once the
 /// nodes are built.
-pub(crate) struct Prepared<'a> {
+struct Prepared<'a> {
     algo: &'a BaselineAlgo,
     a: &'a Csr,
     b: &'a [f64],
@@ -841,7 +843,7 @@ pub(crate) struct Prepared<'a> {
 
 impl<'a> Prepared<'a> {
     /// Validate, partition and build one node per part.
-    pub(crate) fn new(
+    fn new(
         algo: &'a BaselineAlgo,
         a: &'a Csr,
         b: &'a [f64],
@@ -885,7 +887,7 @@ impl<'a> Prepared<'a> {
     }
 
     /// What a run of this problem is scored against, on any executor.
-    pub(crate) fn spec(&self) -> RunSpec<'_> {
+    fn spec(&self) -> RunSpec<'_> {
         RunSpec {
             algorithm: self.algo.kind(),
             termination: self.config.termination,
@@ -968,8 +970,44 @@ pub fn solve_sim(
             spec: prepared.spec(),
             horizon: config.horizon,
             sample_interval: config.sample_interval,
-            trace_capacity: None,
         },
+    ))
+}
+
+/// Synchronous block-Jacobi (additive Schwarz, overlap 0): the
+/// block-Jacobi nodes in lock-step rounds on the simulated machine. Every
+/// round steps every block against the previous round's potentials and
+/// costs the slowest block's compute plus twice `topology`'s largest link
+/// delay — one exchange, one barrier; the horizon bounds the rounds.
+///
+/// # Errors
+/// Fails on dimension mismatches or factorization failure.
+pub fn solve_sync(
+    a: &Csr,
+    b: &[f64],
+    assignment: &[usize],
+    topology: &Topology,
+    reference: Option<Vec<f64>>,
+    config: &BaselineConfig,
+) -> Result<SolveReport> {
+    let algo = BaselineAlgo::BlockJacobi;
+    let (prepared, nodes) = Prepared::new(&algo, a, b, assignment, reference, config)?;
+    let slowest = nodes
+        .iter()
+        .map(|n| config.compute.duration_for_block(n.work_nnz(), 1))
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+    let round = slowest + topology.delay_range().1.saturating_mul(2);
+    let max_rounds = config.horizon.as_nanos() / round.as_nanos().max(1);
+    let spec = RunSpec {
+        algorithm: AlgorithmKind::BlockJacobiSync,
+        ..prepared.spec()
+    };
+    Ok(solver::run_lockstep(
+        nodes,
+        round,
+        usize::try_from(max_rounds).unwrap_or(usize::MAX),
+        spec,
     ))
 }
 
@@ -1036,7 +1074,7 @@ pub fn assignment_of(split: &SplitSystem) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::report::StopKind;
-    use dtm_simnet::DelayModel;
+    use dtm_simnet::{DelayModel, SimTime};
     use dtm_sparse::{generators, SparseCholesky};
 
     fn setup(nx: usize, k: usize, seed: u64) -> (Csr, Vec<f64>, Vec<usize>, Topology) {
@@ -1345,6 +1383,156 @@ mod tests {
         // Wrong assignment length.
         let topo3 = Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0));
         assert!(solve_sim(&algo, &a, &b, &asg[..10], topo3, None, &sim_config(1e-6)).is_err());
+    }
+
+    /// `config` with an RMS tolerance and a 1 ms block solve.
+    fn oracle_config(tol: f64) -> BaselineConfig {
+        BaselineConfig {
+            termination: Termination::OracleRms { tol },
+            compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn sync_block_jacobi_converges_and_charges_barrier() {
+        let (a, b, asg, topo) = setup(8, 4, 52);
+        let report = solve_sync(&a, &b, &asg, &topo, None, &oracle_config(1e-8)).unwrap();
+        assert!(report.converged, "rms {}", report.final_rms);
+        assert_eq!(report.algorithm, AlgorithmKind::BlockJacobiSync);
+        // Every round costs the slowest compute plus one exchange and one
+        // barrier at the worst link delay.
+        let round = SimDuration::from_millis_f64(1.0) + topo.delay_range().1.saturating_mul(2);
+        let rounds = report.series.len() as u64;
+        assert_eq!(report.series[0].0, round.as_millis_f64());
+        assert_eq!(
+            report.final_time_ms,
+            round.saturating_mul(rounds).as_millis_f64()
+        );
+        // Every block steps every round; the last may stop part-way.
+        assert!(report.total_solves > 4 * (rounds - 1) && report.total_solves <= 4 * rounds);
+    }
+
+    #[test]
+    fn sync_and_async_agree_on_solution() {
+        let (a, b, asg, topo) = setup(7, 3, 53);
+        let config = oracle_config(1e-9);
+        let s = solve_sync(&a, &b, &asg, &topo, None, &config).unwrap();
+        let r = solve_sim(
+            &BaselineAlgo::BlockJacobi,
+            &a,
+            &b,
+            &asg,
+            topo,
+            None,
+            &config,
+        )
+        .unwrap();
+        assert!(s.converged && r.converged);
+        for (u, v) in s.solution.iter().zip(&r.solution) {
+            assert!((u - v).abs() < 1e-6);
+        }
+    }
+
+    /// The lock-step machine is the synchronous round loop: block-Jacobi
+    /// run 12 rounds at tolerance 0 by [`solve_sync`] and by a plain loop
+    /// — every node steps, then every message is delivered — agree bit for
+    /// bit, in the solution and in the metric after every round.
+    #[test]
+    fn lockstep_machine_is_the_synchronous_round_loop_bit_for_bit() {
+        let (a, b, asg, topo) = setup(8, 4, 35);
+        let config = BaselineConfig {
+            max_solves_per_node: 12,
+            ..oracle_config(0.0)
+        };
+        let report = solve_sync(&a, &b, &asg, &topo, None, &config).unwrap();
+
+        let algo = BaselineAlgo::BlockJacobi;
+        let (prepared, mut nodes) = Prepared::new(&algo, &a, &b, &asg, None, &config).unwrap();
+        let mut monitor = prepared.spec().monitor(SimDuration::ZERO);
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
+        let mut series = Vec::new();
+        for _ in 0..12 {
+            let mut metric = f64::NAN;
+            for &p in &order {
+                nodes[p].step_node(&mut outbox);
+                metric = monitor.update_part(p, SimTime::ZERO, nodes[p].solution());
+            }
+            series.push(metric.to_bits());
+            // The engine wakes receivers in the order of their first
+            // delivery; the scorer's sums follow that order.
+            order.clear();
+            for (dst, msg) in outbox.drain(..) {
+                if !order.contains(&dst) {
+                    order.push(dst);
+                }
+                nodes[dst].absorb_owned(msg);
+            }
+        }
+        let bits: Vec<u64> = report.series.iter().map(|&(_, m)| m.to_bits()).collect();
+        assert_eq!(bits, series, "per-round metric");
+        assert_eq!(report.solution, monitor.retire_all()[0].solution);
+        assert_eq!(report.total_solves, 12 * 4);
+    }
+
+    #[test]
+    fn solve_cap_is_not_convergence() {
+        // Three solves can never build a patience-4 streak: every node is
+        // retired by the cap, and "everyone stopped" is not success.
+        let a = generators::grid2d_laplacian(9, 9);
+        let b = vec![1.0; 81];
+        let asg = dtm_graph::partition::grid_blocks(9, 9, 2, 2);
+        let topo = Topology::mesh(2, 2).with_delays(&DelayModel::fixed_ms(1.0));
+        let config = BaselineConfig {
+            termination: Termination::LocalDelta {
+                tol: 1e-14,
+                patience: 4,
+            },
+            max_solves_per_node: 3,
+            ..oracle_config(0.0)
+        };
+        for report in [
+            solve_sim(
+                &BaselineAlgo::BlockJacobi,
+                &a,
+                &b,
+                &asg,
+                topo.clone(),
+                None,
+                &config,
+            ),
+            solve_sync(&a, &b, &asg, &topo, None, &config),
+        ] {
+            let report = report.unwrap();
+            assert_eq!(report.stop, StopKind::AllHalted);
+            assert!(!report.converged, "rms {}", report.final_rms);
+            assert_eq!(report.total_solves, 12);
+        }
+    }
+
+    #[test]
+    fn short_rhs_is_a_typed_error_on_both_entry_points() {
+        let (a, b, asg, topo) = setup(6, 2, 56);
+        let short = &b[..b.len() - 1];
+        let config = BaselineConfig::default();
+        let algo = BaselineAlgo::BlockJacobi;
+        for err in [
+            solve_sim(&algo, &a, short, &asg, topo.clone(), None, &config).unwrap_err(),
+            solve_sync(&a, short, &asg, &topo, None, &config).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    Error::DimensionMismatch {
+                        context: "baseline right-hand side",
+                        expected: 36,
+                        actual: 35,
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,8 @@ use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
 use crate::local::LocalSolverKind;
 use crate::report::SolveReport;
-use crate::runtime;
 use crate::solver::{self, ComputeModel, DtmConfig, Termination};
-use crate::vtm::{self, VtmConfig, VtmReport};
+use crate::vtm;
 use dtm_graph::evs::{split_parallel as evs_split_parallel, EvsOptions, SplitSystem, TwinTopology};
 use dtm_graph::partition::{PartitionConfig, Partitioner};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
@@ -311,19 +310,10 @@ impl DtmProblem {
         )
     }
 
-    /// Open a streaming [`SolveSession`] over this problem: every
-    /// subdomain is factored **once**, then any number of right-hand-side
-    /// batches can be solved without re-factoring or re-partitioning.
-    ///
-    /// # Errors
-    /// Propagates impedance/factorization failures.
-    pub fn session(&self) -> Result<SolveSession> {
-        SolveSession::new(self.clone())
-    }
-
-    /// Open a **rolling** session on the simulated machine: right-hand
-    /// sides are admitted into the live block wave as slots free up, each
-    /// under its own [`Termination`], and completions stream out as
+    /// Open a streaming session on the simulated machine: every subdomain
+    /// is factored **once** (§5), then right-hand sides are admitted into
+    /// the live block wave as slots free up, each under its own
+    /// [`Termination`], and completions stream out as
     /// [`crate::session::ColumnReport`]s — see [`crate::session`].
     ///
     /// # Errors
@@ -358,13 +348,14 @@ impl DtmProblem {
         })
     }
 
-    /// Run VTM (synchronous rounds) on the same torn system — the paper's
-    /// DTM-vs-VTM comparison uses exactly this pairing.
+    /// Run VTM (synchronous rounds) on the same torn system under the
+    /// problem's own [`CommonConfig`](crate::runtime::CommonConfig) — the
+    /// paper's DTM-vs-VTM comparison uses exactly this pairing.
     ///
     /// # Errors
     /// See [`vtm::solve`].
-    pub fn solve_vtm(&self, config: &VtmConfig) -> Result<VtmReport> {
-        vtm::solve(&self.split, self.reference.clone(), config)
+    pub fn solve_vtm(&self) -> Result<SolveReport> {
+        vtm::solve(&self.split, self.reference.clone(), &self.config.common)
     }
 
     /// Run DTM on real OS threads over the same torn system — one
@@ -386,171 +377,6 @@ impl DtmProblem {
         config: &crate::rayon_backend::RayonConfig,
     ) -> Result<SolveReport> {
         crate::rayon_backend::solve_with_reference(&self.split, self.reference.clone(), config)
-    }
-}
-
-/// A streaming solve session: the paper's factor-once design turned into a
-/// serving API.
-///
-/// Setup (§5: "only once factorization should be done at the beginning")
-/// happens exactly once, at [`DtmProblem::session`]: every subdomain's
-/// local matrix is Cholesky-factored, the wave routes are derived, and the
-/// original system is factored for reference monitoring. After that,
-/// right-hand sides stream in through [`push_rhs`](Self::push_rhs) and each
-/// [`solve_batch`](Self::solve_batch) re-runs **only the wave exchange**:
-/// the pending columns are scattered onto the existing split
-/// ([`SplitSystem::scatter_rhs`]), fresh per-batch node state is derived
-/// over the cached factors ([`crate::runtime::NodeRuntime::with_rhs_block`]
-/// — an `Arc` clone, no numerical work), and the block waves run to
-/// convergence. No re-factorization, no re-partitioning, ever.
-///
-/// **Termination modes and the oracle.** Under the paper's oracle modes
-/// ([`Termination::OracleRms`], and [`Termination::LocalDelta`] for RMS
-/// reporting) the session factors the reconstructed original system once
-/// and pays K triangular substitutions per batch for the reference
-/// solutions `x*_c = A⁻¹ b_c`. Under [`Termination::Residual`] neither
-/// happens: the run stops on the incrementally tracked true residual
-/// `‖b − A·x‖/‖b‖`, no direct factorization or substitution of the
-/// original system is ever performed, and the per-batch cost is purely the
-/// wave exchange — the production serving configuration.
-///
-/// ```
-/// use dtm_core::DtmBuilder;
-/// use dtm_sparse::generators;
-///
-/// let a = generators::grid2d_laplacian(9, 9);
-/// let problem = DtmBuilder::new(a, vec![1.0; 81])
-///     .grid_blocks(9, 9, 2, 2)
-///     .build()
-///     .unwrap();
-/// let mut session = problem.session().unwrap();
-/// session.push_rhs(&vec![1.0; 81]).unwrap();
-/// session.push_rhs(&generators::random_rhs(81, 7)).unwrap();
-/// let report = session.solve_batch().unwrap(); // one exchange, 2 answers
-/// assert!(report.converged);
-/// assert_eq!(report.solutions.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SolveSession {
-    problem: DtmProblem,
-    /// Factored node templates (scalar, unstepped); per-batch nodes share
-    /// their factors via `Arc`.
-    templates: Vec<runtime::NodeRuntime>,
-    /// Factorization of the reconstructed original system, reused for the
-    /// per-batch direct reference solutions — only under oracle
-    /// terminations. Reference-free ([`Termination::Residual`]) sessions
-    /// never build it.
-    ref_factor: Option<SparseCholesky>,
-    /// Right-hand sides queued for the next batch.
-    pending: Vec<Vec<f64>>,
-    batches_solved: usize,
-    rhs_solved: usize,
-}
-
-impl SolveSession {
-    fn new(problem: DtmProblem) -> Result<Self> {
-        // Factor every subdomain concurrently on the setup pool; under
-        // oracle terminations the reference factorization of the
-        // reconstructed system overlaps with them instead of running
-        // after.
-        let pool = setup_pool()?;
-        let ref_factor = match problem.config.common.termination {
-            Termination::Residual { .. } => None,
-            _ => {
-                let (a, _) = problem.split.reconstruct();
-                Some(std::thread::spawn(move || {
-                    SparseCholesky::factor_fill_reducing(&a)
-                }))
-            }
-        };
-        let templates =
-            runtime::build_nodes_parallel(&problem.split, &problem.config.common, &pool);
-        let ref_factor = ref_factor.map(join_setup);
-        let templates = templates?;
-        let ref_factor = ref_factor.transpose()?;
-        Ok(Self {
-            problem,
-            templates,
-            ref_factor,
-            pending: Vec::new(),
-            batches_solved: 0,
-            rhs_solved: 0,
-        })
-    }
-
-    /// Queue one right-hand side for the next batch.
-    ///
-    /// # Errors
-    /// Rejects vectors whose length differs from the system dimension.
-    pub fn push_rhs(&mut self, b: &[f64]) -> Result<&mut Self> {
-        if b.len() != self.problem.split.original_n {
-            return Err(Error::DimensionMismatch {
-                context: "SolveSession::push_rhs",
-                expected: self.problem.split.original_n,
-                actual: b.len(),
-            });
-        }
-        self.pending.push(b.to_vec());
-        Ok(self)
-    }
-
-    /// Right-hand sides queued so far.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Batches solved so far.
-    pub fn batches_solved(&self) -> usize {
-        self.batches_solved
-    }
-
-    /// Right-hand sides solved so far, across all batches.
-    pub fn rhs_solved(&self) -> usize {
-        self.rhs_solved
-    }
-
-    /// Solve every queued right-hand side as one block wave exchange and
-    /// drain the queue. Only the exchange runs: factors, routes, shares and
-    /// the reference factorization are all reused from session setup.
-    ///
-    /// # Errors
-    /// Fails if no right-hand side is queued.
-    pub fn solve_batch(&mut self) -> Result<SolveReport> {
-        if self.pending.is_empty() {
-            return Err(Error::Parse(
-                "SolveSession::solve_batch: no right-hand side queued (call push_rhs)".into(),
-            ));
-        }
-        let rhs_cols = std::mem::take(&mut self.pending);
-        let split = &self.problem.split;
-        // Oracle substitutions only where an oracle termination asked for
-        // them; residual-mode batches skip this entirely.
-        let references: Option<Vec<Vec<f64>>> = self
-            .ref_factor
-            .as_ref()
-            .map(|f| rhs_cols.iter().map(|b| f.solve(b)).collect());
-        // Scatter each column once, then regroup per part by moving the
-        // scattered vectors (no per-part clone).
-        let part_cols =
-            runtime::transpose_scatter(rhs_cols.iter().map(|b| split.scatter_rhs(b)).collect());
-        let runtimes: Vec<runtime::NodeRuntime> = self
-            .templates
-            .iter()
-            .zip(&part_cols)
-            .map(|(t, cols)| t.with_rhs_block(cols))
-            .collect();
-        let nodes = solver::map_nodes(runtimes, &self.problem.config);
-        let report = solver::solve_prepared(
-            split,
-            self.problem.topology.clone(),
-            nodes,
-            references,
-            Some(&rhs_cols),
-            &self.problem.config,
-        )?;
-        self.batches_solved += 1;
-        self.rhs_solved += report.n_rhs;
-        Ok(report)
     }
 }
 
@@ -635,12 +461,7 @@ mod tests {
             .build()
             .unwrap();
         let dtm = problem.solve().unwrap();
-        let vtm = problem
-            .solve_vtm(&VtmConfig {
-                tol: 1e-8,
-                ..Default::default()
-            })
-            .unwrap();
+        let vtm = problem.solve_vtm().unwrap();
         assert!(dtm.converged && vtm.converged);
         for (u, v) in dtm.solution.iter().zip(&vtm.solution) {
             assert!((u - v).abs() < 1e-5);
@@ -655,33 +476,32 @@ mod tests {
             .grid_blocks(8, 8, 2, 2)
             .build()
             .unwrap();
-        let mut session = problem.session().unwrap();
-        assert!(
-            session.solve_batch().is_err(),
-            "empty batch must be refused"
-        );
+        let mut session = problem.rolling(2).unwrap();
+        let rule = Termination::Residual { tol: 1e-8 };
+        let budget = SimDuration::from_millis_f64(600_000.0);
 
         // Batch 1: two RHS at once.
         let b1 = generators::random_rhs(64, 72);
         let b2 = generators::random_rhs(64, 73);
-        session.push_rhs(&b1).unwrap();
-        session.push_rhs(&b2).unwrap();
-        assert_eq!(session.pending(), 2);
-        let r1 = session.solve_batch().unwrap();
-        assert!(r1.converged, "rms {}", r1.final_rms);
-        assert_eq!(r1.n_rhs, 2);
-        assert_eq!(session.pending(), 0);
-        assert!(a.residual_norm(&r1.solutions[0], &b1) < 1e-5);
-        assert!(a.residual_norm(&r1.solutions[1], &b2) < 1e-5);
+        session.submit(&b1, rule).unwrap();
+        session.submit(&b2, rule).unwrap();
+        assert_eq!(session.outstanding(), 2);
+        let mut r1 = session.drain_for(budget);
+        r1.sort_by_key(|r| r.ticket);
+        assert_eq!(r1.len(), 2);
+        assert_eq!(session.outstanding(), 0);
+        assert!(a.residual_norm(&r1[0].solution, &b1) < 1e-5);
+        assert!(a.residual_norm(&r1[1].solution, &b2) < 1e-5);
 
-        // Batch 2: a later single RHS reuses the same factors.
+        // Batch 2: a later single RHS rides the same factors and the same
+        // exchange, which resumes rather than restarts.
+        let solves = session.total_solves();
         let b3 = generators::random_rhs(64, 74);
-        session.push_rhs(&b3).unwrap();
-        let r2 = session.solve_batch().unwrap();
-        assert!(r2.converged);
-        assert!(a.residual_norm(&r2.solution, &b3) < 1e-5);
-        assert_eq!(session.batches_solved(), 2);
-        assert_eq!(session.rhs_solved(), 3);
+        session.submit(&b3, rule).unwrap();
+        let r2 = session.drain_for(budget);
+        assert_eq!(r2.len(), 1);
+        assert!(a.residual_norm(&r2[0].solution, &b3) < 1e-5);
+        assert!(session.total_solves() > solves);
     }
 
     #[test]
@@ -691,8 +511,10 @@ mod tests {
             .grid_blocks(6, 6, 2, 2)
             .build()
             .unwrap();
-        let mut session = problem.session().unwrap();
-        assert!(session.push_rhs(&[1.0; 35]).is_err());
+        let mut session = problem.rolling(1).unwrap();
+        let rule = Termination::Residual { tol: 1e-6 };
+        assert!(session.submit(&[1.0; 35], rule).is_err());
+        assert_eq!(session.outstanding(), 0);
     }
 
     #[test]

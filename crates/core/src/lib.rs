@@ -38,27 +38,24 @@
 //!   OS thread per node; plus the per-node hook and the LocalDelta
 //!   passive/re-arm rule. Every real-time executor below is a caller;
 //! * [`solver`] — the simulated executor: the one adapter between a node
-//!   and a `dtm-simnet` processor, its engine loop, and DTM's entry
-//!   points on the simulated heterogeneous machine;
+//!   and a `dtm-simnet` processor, its engine loop, DTM's entry points on
+//!   the simulated heterogeneous machine, and the lock-step machine
+//!   (every link one round) that synchronous rounds run on;
 //! * [`threaded`] — caller: DTM on real OS threads and channels
 //!   (genuinely asynchronous execution);
 //! * [`rayon_backend`] — caller: DTM as tasks on an in-process
 //!   work-stealing pool;
-//! * [`vtm`] — the Virtual Transmission Method (eq. 5.10): configuration
-//!   and a thin entry point — DTM's own nodes on the simulated machine
-//!   whose every link has the same delay;
-//! * [`baselines`] — block-Jacobi for the comparisons the paper's
-//!   introduction makes: configuration and two thin entry points
-//!   (asynchronous = [`async_baselines`]' block-Jacobi node on the
-//!   simulated driver; synchronous = the same nodes stepped in lock-step
-//!   under a barrier cost model);
-//! * [`async_baselines`] — **the asynchronous baselines**: randomized
-//!   asynchronous Richardson (Avron et al. 2013), Hong's D-iteration
-//!   (2012) and asynchronous block-Jacobi as first-class peer solvers
-//!   behind the same [`runtime::AsyncNode`] / [`runtime::Transport`]
-//!   contract — three node state machines,
-//!   run by the same three executors as DTM (callers of [`fabric`] and
-//!   [`solver`]) and compared message for message by `repro compare`;
+//! * [`vtm`] — the Virtual Transmission Method (eq. 5.10): one thin entry
+//!   point — DTM's own nodes on the lock-step machine;
+//! * [`async_baselines`] — **the baselines**: randomized asynchronous
+//!   Richardson (Avron et al. 2013), Hong's D-iteration (2012) and
+//!   block-Jacobi as first-class peer solvers behind the same
+//!   [`runtime::AsyncNode`] / [`runtime::Transport`] contract — three node
+//!   state machines, run by the same three executors as DTM (callers of
+//!   [`fabric`] and [`solver`]) and compared message for message by
+//!   `repro compare`; block-Jacobi's nodes on the lock-step machine are
+//!   the synchronous baseline the paper's introduction measures DTM
+//!   against;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
 //!   (quantitative convergence rates, Fig. 9 cross-check);
 //! * [`monitor`] — **the one scorer** of every executor, one-shot or
@@ -66,12 +63,12 @@
 //!   oracle RMS against the direct solution or the reference-free
 //!   incremental true residual, held to the slot's own stopping rule;
 //! * [`builder`] — the high-level [`DtmBuilder`] entry point;
-//! * [`session`] — **rolling mixed-tolerance sessions**: an admission
-//!   queue that swaps right-hand sides into the live block wave as column
-//!   slots free up, each ticket under its own termination, with per-column
-//!   completion reports — on all three executors (the wall-clock ones as
-//!   a hook on a [`fabric`]), scored by the one-shot solves' own
-//!   [`monitor`];
+//! * [`session`] — **the streaming API, rolling mixed-tolerance
+//!   sessions**: an admission queue that swaps right-hand sides into the
+//!   live block wave as column slots free up, each ticket under its own
+//!   termination, with per-column completion reports — one driver on the
+//!   simulated machine and one generic over the wall-clock [`fabric`]s,
+//!   scored by the one-shot solves' own [`monitor`];
 //! * [`report`] — the shared solve-report vocabulary and
 //!   [`SolveReport::assemble`], the one report constructor holding the one
 //!   `converged` rule.
@@ -94,7 +91,6 @@
 
 pub mod analysis;
 pub mod async_baselines;
-pub mod baselines;
 pub mod builder;
 pub mod dtl;
 pub mod fabric;
@@ -113,7 +109,7 @@ pub mod vtm;
 pub use async_baselines::{
     BaselineAlgo, BaselineConfig, DIterationParams, RelaxationSchedule, RichardsonParams,
 };
-pub use builder::{DtmBuilder, DtmProblem, SolveSession};
+pub use builder::{DtmBuilder, DtmProblem};
 pub use impedance::ImpedancePolicy;
 pub use local::LocalSystem;
 pub use report::{AlgorithmKind, BackendKind, SolveReport};
@@ -121,7 +117,6 @@ pub use runtime::{
     AsyncNode, CommonConfig, ExecutorBackend, NodeRuntime, SmallBlock, Termination, Transport,
 };
 pub use session::{
-    ColumnReport, RollingPoolSession, RollingSession, RollingThreadedSession, SessionQueue,
-    TicketId,
+    ColumnReport, RollingPoolSession, RollingSession, RollingThreadedSession, TicketId,
 };
 pub use solver::{ComputeModel, DtmConfig};

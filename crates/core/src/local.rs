@@ -23,9 +23,9 @@
 //! columns ([`dtm_sparse::DenseCholesky::solve_block_in_place`]). Column `c`
 //! undergoes exactly the scalar arithmetic, so a block solve is bitwise a
 //! stack of K scalar solves — the property the block-wave pipeline is built
-//! on. The factor itself sits behind an [`Arc`] so a streaming session can
-//! re-instantiate fresh per-batch state without refactoring
-//! ([`LocalSystem::with_rhs_block`]).
+//! on. The factor itself sits behind an [`Arc`], so cloning a node's local
+//! system (an executor's per-solve copy of its templates) never
+//! refactors.
 
 use crate::dtl;
 use dtm_graph::evs::Subdomain;
@@ -108,8 +108,7 @@ pub struct LocalSystem {
     /// Local matrix `Â = A_j + Σ_p (1/z_p) e_v e_vᵀ` (kept for analysis;
     /// constant, so shared like the factor).
     matrix: Arc<Csr>,
-    /// Shared factor: cloning a `LocalSystem` (or deriving per-batch state
-    /// via [`with_rhs_block`](Self::with_rhs_block)) never refactors.
+    /// Shared factor: cloning a `LocalSystem` never refactors.
     factor: Arc<Factor>,
     /// Local vertex carrying each port.
     port_vertex: Vec<usize>,
@@ -241,37 +240,6 @@ impl LocalSystem {
             rhs_buf: vec![0.0; n * k],
             solve_scratch: vec![0.0; n * k],
         })
-    }
-
-    /// Derive a fresh block system over the **same factor** (no
-    /// refactorization — the streaming path): new right-hand-side columns,
-    /// zeroed boundary state (eq. 5.6), reset counters.
-    ///
-    /// # Panics
-    /// Panics if `rhs_cols` is empty or a column has the wrong length.
-    pub fn with_rhs_block(&self, rhs_cols: &[Vec<f64>]) -> Self {
-        let k = rhs_cols.len();
-        let (n, n_ports) = (self.n, self.n_ports());
-        Self {
-            matrix: Arc::clone(&self.matrix),
-            factor: Arc::clone(&self.factor),
-            port_vertex: self.port_vertex.clone(),
-            z: self.z.clone(),
-            n,
-            k,
-            base_rhs: concat_cols(rhs_cols, n),
-            w: vec![0.0; n_ports * k],
-            x: vec![0.0; n * k],
-            omega: vec![0.0; n_ports * k],
-            prev_out: vec![0.0; n_ports * k],
-            col_delta: vec![f64::INFINITY; k],
-            last_delta: f64::INFINITY,
-            touched_cols: all_cols(k),
-            solved_cols: all_cols(k),
-            solves: 0,
-            rhs_buf: vec![0.0; n * k],
-            solve_scratch: vec![0.0; n * k],
-        }
     }
 
     /// Replace **one column** of the block in place — the rolling-session
@@ -708,7 +676,8 @@ mod tests {
             }
             block.solve();
             for (c, col) in cols.iter().enumerate() {
-                let mut scalar = block.with_rhs_block(std::slice::from_ref(col));
+                let mut scalar =
+                    LocalSystem::new_block(sd, &z, kind, std::slice::from_ref(col)).unwrap();
                 for p in 0..2 {
                     scalar.set_remote(p, 0.3 * (c + 1) as f64, -0.1 * (p as f64 + 1.0));
                 }
@@ -720,22 +689,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn with_rhs_block_shares_the_factor_and_resets_state() {
-        let ss = paper_split();
-        let mut ls =
-            LocalSystem::new(&ss.subdomains[0], &[0.2, 0.1], LocalSolverKind::Dense).unwrap();
-        ls.set_remote(0, 0.9, 0.1);
-        ls.solve();
-        let fresh = ls.with_rhs_block(&[vec![1.0, 0.0, 0.0], vec![0.0, 0.0, 2.0]]);
-        assert_eq!(fresh.n_rhs(), 2);
-        assert_eq!(fresh.n_solves(), 0);
-        assert_eq!(fresh.incident_wave_col(0, 0), 0.0);
-        assert_eq!(fresh.incident_wave_col(0, 1), 0.0);
-        // Same factor object, no refactorization.
-        assert!(Arc::ptr_eq(&ls.factor, &fresh.factor));
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //!   whose entries moved is recomputed outright, one where few did is
 //!   folded.
 //!
-//! The lock-step executors hand over every part's block at once
-//! ([`update_round`](Monitor::update_round)): every entry moved, so there
+//! The distributed round executor (`dtm-net`'s supervisor) hands over
+//! every part's block at once ([`update_round`](Monitor::update_round)),
+//! once per round: every entry moved, so there
 //! is nothing to diff — the estimate is gathered afresh and each column
 //! recomputed, one gather and one SpMV, exact every round.
 //!
@@ -1072,7 +1073,10 @@ mod tests {
         let blocks: Vec<Vec<f64>> = (0..ss.n_parts())
             .map(|p| [local(&ss, p, &x2), local(&ss, p, &x1), local(&ss, p, &x0)].concat())
             .collect();
-        m.update_round(SimTime::from_nanos(1_000), blocks.iter().map(Vec::as_slice));
+        for (p, block) in blocks.iter().enumerate() {
+            m.update_part(p, SimTime::from_nanos(1_000), block);
+        }
+        m.resync();
         assert!(m.all_done());
         let all = m.retire_all();
         assert!(all[0].rms.unwrap() <= tight && all[1].rms.unwrap() <= tight);

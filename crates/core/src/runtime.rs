@@ -304,25 +304,12 @@ pub trait Transport {
     fn send(&mut self, dst: usize, msg: DtmMsg);
 }
 
-/// A [`Transport`] that buffers instead of delivering — handy for
-/// backends that must release a node lock before touching neighbour
-/// state, and for tests that inspect scattered waves.
-#[derive(Debug, Default)]
-pub struct BufferedTransport {
-    /// Collected `(destination part, message)` pairs, in send order.
-    pub outbox: Vec<(usize, DtmMsg)>,
-}
-
-impl Transport for BufferedTransport {
-    fn send(&mut self, dst: usize, msg: DtmMsg) {
-        self.outbox.push((dst, msg));
-    }
-}
-
-/// A bare `Vec<(dst, msg)>` is itself a transport — the reusable-buffer
-/// variant of [`BufferedTransport`]: backends keep one outbox vector per
-/// node and `drain(..)` it after each step, so the buffer's capacity
-/// survives across activations and the scatter path never allocates.
+/// A bare `Vec<(dst, msg)>` is itself a transport that buffers instead of
+/// delivering, in send order — for backends that must release a node lock
+/// before touching neighbour state, and for tests that inspect scattered
+/// waves. Backends keep one outbox vector per node and `drain(..)` it
+/// after each step, so the buffer's capacity survives across activations
+/// and the scatter path never allocates.
 impl Transport for Vec<(usize, DtmMsg)> {
     fn send(&mut self, dst: usize, msg: DtmMsg) {
         self.push((dst, msg));
@@ -650,21 +637,6 @@ impl NodeRuntime {
     pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64]) {
         self.local.replace_rhs_col(col, rhs_col);
         self.halt.small_streak = 0;
-    }
-
-    /// Derive a fresh node over the **same factor** for a new block of
-    /// local right-hand-side columns — the streaming path: routes,
-    /// impedances and the factorization are reused; boundary state,
-    /// self-halt streak and counters reset.
-    pub fn with_rhs_block(&self, rhs_cols: &[Vec<f64>]) -> Self {
-        Self {
-            part: self.part,
-            local: self.local.with_rhs_block(rhs_cols),
-            routes: self.routes.clone(),
-            pool: Vec::new(),
-            halt: SelfHalt::new(self.halt.termination, self.halt.max_solves),
-            messages_sent: 0,
-        }
     }
 }
 
@@ -1051,8 +1023,8 @@ impl RunSpec<'_> {
 /// The simulated backend has an omniscient observer inside the event
 /// loop; real executors instead publish per-part solution snapshots
 /// ([`wallclock::SharedBlock`]) that the supervisor's
-/// [`Monitor`] polls — the very scorer the
-/// simulated and lock-step executors feed directly.
+/// [`Monitor`] polls — the very scorer the simulated executor and the
+/// distributed round executor feed directly.
 pub mod wallclock {
     use crate::local::all_cols;
     use parking_lot::Mutex;
@@ -1195,13 +1167,13 @@ mod tests {
     fn step_scatters_one_message_per_neighbor() {
         let ss = paper_split();
         let mut nodes = build_nodes(&ss, &paper_common()).unwrap();
-        let mut t = BufferedTransport::default();
+        let mut t: Vec<(usize, DtmMsg)> = Vec::new();
         let ctl = nodes[0].step(&mut t);
         assert_eq!(ctl, NodeControl::Continue);
         assert_eq!(nodes[0].solves(), 1);
         assert_eq!(nodes[0].messages_sent(), 1);
-        assert_eq!(t.outbox.len(), 1);
-        let (dst, msg) = &t.outbox[0];
+        assert_eq!(t.len(), 1);
+        let (dst, msg) = &t[0];
         assert_eq!(*dst, 1);
         // Both DTLPs connect parts 0 and 1, so one message carries both
         // port updates.
@@ -1219,12 +1191,12 @@ mod tests {
         let exact = dtm_sparse::DenseCholesky::factor_csr(&a).unwrap().solve(&b);
 
         let mut inboxes: Vec<Vec<DtmMsg>> = vec![Vec::new(), Vec::new()];
-        let mut t = BufferedTransport::default();
+        let mut t: Vec<(usize, DtmMsg)> = Vec::new();
         for node in nodes.iter_mut() {
             node.step(&mut t);
         }
         for _ in 0..200 {
-            for (dst, msg) in t.outbox.drain(..) {
+            for (dst, msg) in t.drain(..) {
                 inboxes[dst].push(msg);
             }
             for (p, node) in nodes.iter_mut().enumerate() {
@@ -1238,8 +1210,9 @@ mod tests {
             }
         }
         let mut monitor = Monitor::new_residual(&ss, None, dtm_simnet::SimDuration::ZERO);
-        let blocks = nodes.iter().map(|n| n.local().solution());
-        monitor.update_round(dtm_simnet::SimTime::ZERO, blocks);
+        for (p, node) in nodes.iter().enumerate() {
+            monitor.update_part(p, dtm_simnet::SimTime::ZERO, node.local().solution());
+        }
         let est = monitor.estimate();
         for (u, v) in est.iter().zip(&exact) {
             assert!((u - v).abs() < 1e-10, "{u} vs {v}");
@@ -1257,7 +1230,7 @@ mod tests {
             ..paper_common()
         };
         let mut nodes = build_nodes(&ss, &common).unwrap();
-        let mut t = BufferedTransport::default();
+        let mut t: Vec<(usize, DtmMsg)> = Vec::new();
         assert_eq!(nodes[0].step(&mut t), NodeControl::Continue);
         assert_eq!(nodes[0].step(&mut t), NodeControl::Continue);
         assert_eq!(nodes[0].step(&mut t), NodeControl::Converged);
@@ -1272,7 +1245,7 @@ mod tests {
             ..paper_common()
         };
         let mut nodes = build_nodes(&ss, &common).unwrap();
-        let mut t = BufferedTransport::default();
+        let mut t: Vec<(usize, DtmMsg)> = Vec::new();
         assert_eq!(nodes[0].step(&mut t), NodeControl::Continue);
         assert_eq!(nodes[0].step(&mut t), NodeControl::Capped);
         assert!(nodes[0].capped());
@@ -1288,7 +1261,7 @@ mod tests {
         assert_eq!(node.part(), 0);
         assert_eq!(node.n_local(), 3);
         assert!(node.work_nnz() > 0);
-        let mut t = BufferedTransport::default();
+        let mut t: Vec<(usize, DtmMsg)> = Vec::new();
         let ctl = node.step_node(&mut t);
         assert_eq!(ctl, NodeControl::Continue);
         assert_eq!(node.solves(), 1);
@@ -1296,7 +1269,7 @@ mod tests {
         assert_eq!(node.flops(), 4 * node.work_nnz() as u64);
         assert_eq!(node.solution().len(), 3);
         assert!(!node.capped());
-        let (_, msg) = t.outbox.pop().unwrap();
+        let (_, msg) = t.pop().unwrap();
         node.absorb_owned(msg);
     }
 
@@ -1336,12 +1309,12 @@ mod tests {
         let cols = vec![b, vec![1.0, 0.0, 0.0, 0.0], vec![0.0, -1.0, 2.0, 0.5]];
         let mut block_nodes = build_nodes_block(&ss, &paper_common(), &cols).unwrap();
         let mut scalar_nodes = build_nodes(&ss, &paper_common()).unwrap();
-        let mut bt = BufferedTransport::default();
-        let mut st = BufferedTransport::default();
+        let mut bt: Vec<(usize, DtmMsg)> = Vec::new();
+        let mut st: Vec<(usize, DtmMsg)> = Vec::new();
         block_nodes[0].step(&mut bt);
         scalar_nodes[0].step(&mut st);
-        let (_, bmsg) = &bt.outbox[0];
-        let (_, smsg) = &st.outbox[0];
+        let (_, bmsg) = &bt[0];
+        let (_, smsg) = &st[0];
         assert_eq!(bmsg.updates.len(), smsg.updates.len());
         for (bu, su) in bmsg.updates.iter().zip(&smsg.updates) {
             assert_eq!(bu.u.len(), 3);
@@ -1412,22 +1385,5 @@ mod tests {
         m.poll(dtm_simnet::SimTime::ZERO, blocks);
         assert!(m.done(0));
         assert_eq!(m.retire(0).solution, vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn with_rhs_block_resets_node_counters() {
-        let ss = paper_split();
-        let mut nodes = build_nodes(&ss, &paper_common()).unwrap();
-        let mut t = BufferedTransport::default();
-        nodes[0].step(&mut t);
-        assert_eq!(nodes[0].messages_sent(), 1);
-        let fresh = nodes[0].with_rhs_block(&[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]]);
-        assert_eq!(fresh.messages_sent(), 0);
-        assert_eq!(fresh.solves(), 0);
-        assert_eq!(fresh.local().n_rhs(), 2);
-        assert_eq!(
-            fresh.neighbor_parts().collect::<Vec<_>>(),
-            nodes[0].neighbor_parts().collect::<Vec<_>>()
-        );
     }
 }

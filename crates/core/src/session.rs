@@ -1,13 +1,13 @@
-//! Rolling mixed-tolerance solve sessions: admit right-hand sides into a
-//! **live** wave exchange, retire them individually, and stream per-column
-//! completion reports.
+//! Rolling mixed-tolerance solve sessions — the streaming API: admit
+//! right-hand sides into a **live** wave exchange, retire them
+//! individually, and stream per-column completion reports.
 //!
-//! The batch [`SolveSession`](crate::builder::SolveSession) works in rigid
-//! rounds: every right-hand side in a batch shares one tolerance, and new
-//! work waits for the whole exchange to drain. The paper's factor-once
-//! design promises more — the local matrices never depend on the
-//! right-hand side, so a *column slot* of the block wave can be recycled
-//! the instant its ticket converges, without quiescing anything. Avron et
+//! A batch of right-hand sides solved at once
+//! ([`DtmProblem::solve_block`]) shares one tolerance, and new work waits
+//! for the whole exchange to drain. The paper's factor-once design promises
+//! more — the local matrices never depend on the right-hand side, so a
+//! *column slot* of the block wave can be recycled the instant its ticket
+//! converges, without quiescing anything. Avron et
 //! al. (2013) supply the license: asynchronous iterations tolerate
 //! per-component staleness, so a freshly admitted column may start from
 //! whatever stale boundary waves are still in flight for the retired one —
@@ -21,8 +21,8 @@
 //! both scoring their tickets with the [`Monitor`] a one-shot solve uses,
 //! its column slots admitted and retired as tickets come and go:
 //!
-//! * [`SessionQueue`] — tickets, slot states, completion stream. Pure
-//!   logic, shared by every driver.
+//! * `SessionQueue` — tickets, slot states, completion stream. Pure logic,
+//!   shared by every driver.
 //! * [`RollingSession`] — the simulated machine: the discrete-event engine
 //!   is paused (its event queue, in-flight envelopes and busy windows all
 //!   persist), the retiring column is swapped in place
@@ -130,7 +130,7 @@ enum Slot {
 /// its decisions (admit into slot `s`, retire slot `s`) into column swaps
 /// on their machine.
 #[derive(Debug)]
-pub struct SessionQueue {
+pub(crate) struct SessionQueue {
     n: usize,
     slots: Vec<Slot>,
     queue: VecDeque<Ticket>,
@@ -172,11 +172,6 @@ impl SessionQueue {
     /// Tickets submitted but not yet completed (queued + live).
     pub fn outstanding(&self) -> usize {
         self.pending() + self.active()
-    }
-
-    /// Completed reports not yet taken.
-    pub fn completed(&self) -> usize {
-        self.completed.len()
     }
 
     /// Queue a right-hand side under its own stopping rule.
@@ -413,8 +408,9 @@ impl RollingSession {
     /// is).
     ///
     /// # Errors
-    /// See [`SessionQueue`] (wrong length, `LocalDelta`); `OracleRms`
-    /// tickets additionally factor the original system once per session.
+    /// Rejects wrong-length vectors, non-finite entries (naming the first)
+    /// and [`Termination::LocalDelta`]; `OracleRms` tickets additionally
+    /// factor the original system once per session.
     pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
         let reference = self
             .oracle
@@ -593,7 +589,7 @@ impl<F: Fabric> WallclockSession<F> {
     /// discards them).
     ///
     /// # Errors
-    /// See [`SessionQueue`]; also rejects submissions after
+    /// See [`RollingSession::submit`]; also rejects submissions after
     /// [`finish`](Self::finish) — the fabric is stopped, so the ticket
     /// could never complete.
     pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {

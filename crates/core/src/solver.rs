@@ -10,6 +10,12 @@
 //! time comes from a [`ComputeModel`]. There is no synchronization
 //! anywhere: a node re-solves whenever at least one neighbour's boundary
 //! condition arrives, with whatever other values it currently holds.
+//!
+//! Synchronous rounds are a machine here, not a loop: `run_lockstep` puts
+//! any nodes on the complete machine whose every link takes one round —
+//! VTM ([`crate::vtm`]) and synchronous block-Jacobi
+//! ([`crate::async_baselines::solve_sync`]) run on it through the same
+//! engine loop as DTM.
 
 use crate::local::LocalSystem;
 use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
@@ -18,7 +24,9 @@ use crate::runtime::{
     RunSpec, Transport,
 };
 use dtm_graph::evs::SplitSystem;
-use dtm_simnet::{Ctx, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology};
+use dtm_simnet::{
+    Ctx, DelayModel, Engine, Envelope, Node, SimDuration, SimTime, StopReason, Topology,
+};
 use dtm_sparse::{Error, Result};
 
 // The shared runtime vocabulary, re-exported where it historically lived.
@@ -102,8 +110,6 @@ pub struct DtmConfig {
     pub horizon: SimDuration,
     /// Series sampling interval (zero = every activation).
     pub sample_interval: SimDuration,
-    /// Capture an activation trace of this capacity.
-    pub trace_capacity: Option<usize>,
 }
 
 impl Default for DtmConfig {
@@ -113,7 +119,6 @@ impl Default for DtmConfig {
             compute: ComputeModel::default(),
             horizon: SimDuration::from_millis_f64(60_000.0),
             sample_interval: SimDuration::ZERO,
-            trace_capacity: None,
         }
     }
 }
@@ -260,7 +265,7 @@ pub(crate) fn check_mapping(split: &SplitSystem, topology: &Topology) -> Result<
 }
 
 /// Attach per-activation compute durations to shared runtimes.
-pub(crate) fn map_nodes(runtimes: Vec<NodeRuntime>, config: &DtmConfig) -> Vec<DtmNode> {
+fn map_nodes(runtimes: Vec<NodeRuntime>, config: &DtmConfig) -> Vec<DtmNode> {
     runtimes
         .into_iter()
         .map(|inner| SimNode {
@@ -285,7 +290,7 @@ pub fn solve(
 ) -> Result<SolveReport> {
     let nodes = build_nodes(split, &topology, config)?;
     let references = reference.map(|r| vec![r]);
-    run_nodes(split, topology, nodes, references, true, None, config)
+    run_nodes(split, topology, nodes, references, None, config)
 }
 
 /// Run DTM for a **block of right-hand sides** sharing one factorization
@@ -305,31 +310,15 @@ pub fn solve_block(
     config: &DtmConfig,
 ) -> Result<SolveReport> {
     let nodes = build_nodes_block(split, &topology, config, rhs_cols)?;
-    run_nodes(
-        split,
-        topology,
-        nodes,
-        references,
-        true,
-        Some(rhs_cols),
-        config,
-    )
+    run_nodes(split, topology, nodes, references, Some(rhs_cols), config)
 }
 
-/// Run prebuilt nodes to completion — the engine loop shared by the scalar
-/// path, the block path, and the streaming [`crate::builder::SolveSession`]
-/// (which rebuilds nodes from cached factors between batches).
-///
-/// `references = None` runs **reference-free**: the monitor tracks the
-/// incremental true residual instead of oracle RMS (the
-/// [`Termination::Residual`] path), and the report's RMS fields are
-/// `NaN`/empty. `rhs_cols` names the global right-hand-side columns the
-/// nodes were built with (`None` = the split's own source vector).
-///
-/// # Errors
-/// Currently infallible; kept fallible for parity with the other entry
-/// points.
-pub fn solve_prepared(
+/// The body of both DTM entry points above: fill in missing `references`
+/// for the termination modes that need an oracle
+/// ([`runtime::resolve_references`]) and run the engine. `rhs_cols` names
+/// the global right-hand-side columns the nodes were built with (`None` =
+/// the split's own source vector).
+fn run_nodes(
     split: &SplitSystem,
     topology: Topology,
     nodes: Vec<DtmNode>,
@@ -337,26 +326,9 @@ pub fn solve_prepared(
     rhs_cols: Option<&[Vec<f64>]>,
     config: &DtmConfig,
 ) -> Result<SolveReport> {
-    run_nodes(split, topology, nodes, references, false, rhs_cols, config)
-}
-
-/// The body of every DTM entry point above. `resolve` fills in missing
-/// `references` for the termination modes that need an oracle
-/// ([`runtime::resolve_references`]); without it they are taken as given.
-fn run_nodes(
-    split: &SplitSystem,
-    topology: Topology,
-    nodes: Vec<DtmNode>,
-    mut references: Option<Vec<Vec<f64>>>,
-    resolve: bool,
-    rhs_cols: Option<&[Vec<f64>]>,
-    config: &DtmConfig,
-) -> Result<SolveReport> {
     let (a, own_b) = split.reconstruct();
     let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
-    if resolve {
-        references = runtime::resolve_references(&map, config.common.termination, references)?;
-    }
+    let references = runtime::resolve_references(&map, config.common.termination, references)?;
     Ok(run_engine(
         topology,
         nodes,
@@ -369,7 +341,6 @@ fn run_nodes(
             },
             horizon: config.horizon,
             sample_interval: config.sample_interval,
-            trace_capacity: config.trace_capacity,
         },
     ))
 }
@@ -379,7 +350,6 @@ pub(crate) struct SimRun<'a> {
     pub spec: RunSpec<'a>,
     pub horizon: SimDuration,
     pub sample_interval: SimDuration,
-    pub trace_capacity: Option<usize>,
 }
 
 /// The simulated executor: run `nodes` on `topology` under the monitor
@@ -392,9 +362,6 @@ pub(crate) fn run_engine<N: AsyncNode>(
 ) -> SolveReport {
     let n_parts = nodes.len();
     let mut engine = Engine::new(topology, nodes);
-    if let Some(cap) = run.trace_capacity {
-        engine.enable_trace(cap);
-    }
     let mut monitor = run.spec.monitor(run.sample_interval);
     let outcome = engine.run(SimTime::ZERO + run.horizon, |time, part, node| {
         monitor.update_part(part, time, node.solution());
@@ -430,6 +397,58 @@ pub(crate) fn run_engine<N: AsyncNode>(
         coalesced_batches: stats.coalesced_batches,
         n_parts,
     })
+}
+
+/// The lock-step machine: [`run_engine`] on the complete machine whose
+/// every link takes one `round` and whose compute is free, for at most
+/// `max_rounds` rounds. All same-instant deliveries commit before any
+/// activation fires, so each node's `k`-th step sees exactly its
+/// neighbours' round-`(k−1)` messages — synchronous rounds, with no loop
+/// of their own. The engine stamps an activation at its start, a round is
+/// priced at its end: the report is re-stamped with one series point per
+/// round (the metric after its last activation) at `k·round`, and
+/// `final_time_ms` = rounds × `round`.
+pub(crate) fn run_lockstep<N: AsyncNode>(
+    nodes: Vec<N>,
+    round: SimDuration,
+    max_rounds: usize,
+    spec: RunSpec<'_>,
+) -> SolveReport {
+    // A zero-priced round would fold every round into one instant.
+    let round = round.max(SimDuration::from_nanos(1));
+    let topology = Topology::complete(nodes.len()).with_delays(&DelayModel::Fixed(round));
+    let nodes = nodes
+        .into_iter()
+        .map(|inner| SimNode {
+            inner,
+            compute: SimDuration::ZERO,
+        })
+        .collect();
+    let mut report = run_engine(
+        topology,
+        nodes,
+        &SimRun {
+            spec,
+            // Round k's activations happen at (k − 1)·round.
+            horizon: round.saturating_mul(max_rounds.saturating_sub(1) as u64),
+            sample_interval: SimDuration::ZERO,
+        },
+    );
+    let mut rounds: Vec<(f64, f64)> = Vec::new();
+    let mut instant = f64::NAN;
+    for &(t, metric) in &report.series {
+        match rounds.last_mut() {
+            Some(last) if t == instant => last.1 = metric,
+            _ => {
+                let end = round.saturating_mul(rounds.len() as u64 + 1);
+                rounds.push((end.as_millis_f64(), metric));
+            }
+        }
+        instant = t;
+    }
+    report.final_time_ms = round.saturating_mul(rounds.len() as u64).as_millis_f64();
+    report.series = rounds;
+    report
 }
 
 #[cfg(test)]
@@ -621,11 +640,7 @@ mod tests {
     #[test]
     fn trace_shows_n2n_only_and_no_sync() {
         let (ss, topo) = example_5_1();
-        let config = DtmConfig {
-            trace_capacity: Some(10_000),
-            ..example_config()
-        };
-        let nodes = build_nodes(&ss, &topo, &config).unwrap();
+        let nodes = build_nodes(&ss, &topo, &example_config()).unwrap();
         let mut engine = Engine::new(topo, nodes);
         engine.enable_trace(10_000);
         engine.run_until(SimTime::ZERO + SimDuration::from_micros_f64(200.0));

@@ -1,14 +1,12 @@
-//! The Virtual Transmission Method (VTM) — DTM's synchronous special case:
-//! configuration and a thin entry point.
+//! The Virtual Transmission Method (VTM) — DTM's synchronous special case.
 //!
 //! "If we set τ₁ = τ₂ = … = τ_n = 1, then DTM is degenerated into a
 //! discrete-time iterative algorithm, which is called Virtual Transmission
 //! Method" (§1). The local system is eq. (5.10): identical to DTM's except
 //! the remote boundary conditions advance in lock-step rounds `k`. The code
 //! says the same thing: [`solve`] runs DTM's own
-//! [`NodeRuntime`](crate::runtime::NodeRuntime)s on the simulated driver
-//! ([`crate::solver`]) over a machine whose every link has the same delay,
-//! and reads the [`VtmReport`] off the [`SolveReport`](crate::SolveReport).
+//! [`NodeRuntime`](crate::runtime::NodeRuntime)s on the simulated driver's
+//! lock-step machine ([`crate::solver`]), whose every link takes one round.
 //!
 //! VTM converges in fewer *exchanges* than DTM under heterogeneous delays
 //! (conclusion §8: "the convergence speed of DTM is slower" than VTM), but
@@ -16,116 +14,58 @@
 //! which is precisely what DTM avoids — the trade-off the `cmp-vtm`
 //! experiment quantifies.
 
-use crate::impedance::ImpedancePolicy;
-use crate::local::LocalSolverKind;
-use crate::runtime::{CommonConfig, Termination};
-use crate::solver::{self, ComputeModel, DtmConfig};
+use crate::report::{AlgorithmKind, SolveReport};
+use crate::runtime::{self, CommonConfig, GatherMap, RunSpec};
+use crate::solver;
 use dtm_graph::evs::SplitSystem;
-use dtm_simnet::{DelayModel, SimDuration, Topology};
+use dtm_simnet::SimDuration;
 use dtm_sparse::Result;
-use serde::Serialize;
 
-/// VTM configuration.
-#[derive(Debug, Clone)]
-pub struct VtmConfig {
-    /// Impedance policy (shared with DTM).
-    pub impedance: ImpedancePolicy,
-    /// Local factorization backend.
-    pub solver_kind: LocalSolverKind,
-    /// RMS tolerance against the direct reference.
-    pub tol: f64,
-    /// Round budget.
-    pub max_rounds: usize,
-}
+/// The simulated length of one VTM round: the report's `final_time_ms` is
+/// the round count, and its series has one point per round at `k` ms.
+const ROUND: SimDuration = SimDuration::from_nanos(1_000_000);
 
-impl Default for VtmConfig {
-    fn default() -> Self {
-        Self {
-            impedance: ImpedancePolicy::default(),
-            solver_kind: LocalSolverKind::Auto,
-            tol: 1e-8,
-            max_rounds: 100_000,
-        }
-    }
-}
-
-/// VTM outcome.
-#[derive(Debug, Clone, Serialize)]
-pub struct VtmReport {
-    /// Gathered global solution.
-    pub solution: Vec<f64>,
-    /// Tolerance met within the round budget?
-    pub converged: bool,
-    /// Synchronous rounds performed (the last one may have been cut short
-    /// by the tolerance).
-    pub rounds: usize,
-    /// Final RMS error.
-    pub final_rms: f64,
-    /// RMS error after each round.
-    pub series: Vec<f64>,
-}
-
-/// Run VTM: DTM's own nodes on the simulated machine whose every link has
-/// the same delay. All same-instant deliveries commit before any
-/// activation fires, so each node's `k`-th solve sees exactly its
-/// neighbours' round-`(k−1)` waves — eq. (5.10)'s lock-step rounds — and
-/// the solve cap is the round budget.
+/// Run VTM under `common`: DTM's own nodes in lock-step rounds, the solve
+/// cap (`max_solves_per_node`) the round budget. Each node's `k`-th solve
+/// sees exactly its neighbours' round-`(k−1)` waves — eq. (5.10).
+///
+/// `reference` is the direct solution used for RMS monitoring; when `None`
+/// it is computed where the termination mode needs one.
 ///
 /// # Errors
 /// Propagates impedance assignment and factorization failures.
 pub fn solve(
     split: &SplitSystem,
     reference: Option<Vec<f64>>,
-    config: &VtmConfig,
-) -> Result<VtmReport> {
-    // The common link delay: one round of simulated time, whatever its unit.
-    const ROUND_MS: f64 = 1.0;
-    let topology = Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(ROUND_MS));
-    let dtm = DtmConfig {
-        common: CommonConfig {
-            impedance: config.impedance.clone(),
-            solver_kind: config.solver_kind,
-            termination: Termination::OracleRms { tol: config.tol },
-            max_solves_per_node: config.max_rounds,
+    common: &CommonConfig,
+) -> Result<SolveReport> {
+    let nodes = runtime::build_nodes(split, common)?;
+    let (a, own_b) = split.reconstruct();
+    let map = GatherMap::of_split(split, &a, &own_b, None);
+    let references =
+        runtime::resolve_references(&map, common.termination, reference.map(|r| vec![r]))?;
+    Ok(solver::run_lockstep(
+        nodes,
+        ROUND,
+        common.max_solves_per_node,
+        RunSpec {
+            algorithm: AlgorithmKind::Dtm,
+            termination: common.termination,
+            map,
+            references: references.as_deref(),
         },
-        compute: ComputeModel::Zero,
-        horizon: SimDuration::from_millis_f64(ROUND_MS * (config.max_rounds as f64 + 1.0)),
-        ..Default::default()
-    };
-    let report = solver::solve(split, topology, reference, &dtm)?;
-    // One series point per activation, every activation of a round at the
-    // same instant: a round's error is the last point of its instant.
-    let mut series: Vec<f64> = Vec::new();
-    let mut instant = f64::NAN;
-    for &(t, rms) in &report.series {
-        match series.last_mut() {
-            Some(last) if t == instant => *last = rms,
-            _ => series.push(rms),
-        }
-        instant = t;
-    }
-    Ok(VtmReport {
-        converged: report.converged,
-        rounds: report.total_solves.div_ceil(split.n_parts().max(1) as u64) as usize,
-        final_rms: report.final_rms,
-        series,
-        solution: report.solution,
-    })
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dtm_core_common(impedance: ImpedancePolicy) -> CommonConfig {
-        CommonConfig {
-            impedance,
-            termination: Termination::OracleRms { tol: 0.0 },
-            ..Default::default()
-        }
-    }
+    use crate::impedance::ImpedancePolicy;
+    use crate::runtime::Termination;
+    use crate::solver::{ComputeModel, DtmConfig};
     use dtm_graph::evs::{paper_example_shares, split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
+    use dtm_simnet::{DelayModel, Topology};
     use dtm_sparse::generators;
 
     fn paper_split() -> SplitSystem {
@@ -139,15 +79,20 @@ mod tests {
         evs_split(&g, &plan, &options).unwrap()
     }
 
+    /// The paper's impedances, an RMS tolerance and a round budget.
+    fn paper_common(tol: f64, max_rounds: usize) -> CommonConfig {
+        CommonConfig {
+            impedance: ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
+            termination: Termination::OracleRms { tol },
+            max_solves_per_node: max_rounds,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn vtm_converges_on_paper_example() {
         let ss = paper_split();
-        let config = VtmConfig {
-            impedance: ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
-            tol: 1e-10,
-            ..Default::default()
-        };
-        let report = solve(&ss, None, &config).unwrap();
+        let report = solve(&ss, None, &paper_common(1e-10, 100_000)).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
         let (a, b) = generators::paper_example_system();
         let exact = dtm_sparse::DenseCholesky::factor_csr(&a).unwrap().solve(&b);
@@ -159,16 +104,10 @@ mod tests {
     #[test]
     fn series_is_monotone_decreasing_late() {
         let ss = paper_split();
-        let config = VtmConfig {
-            impedance: ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
-            tol: 1e-12,
-            max_rounds: 200,
-            ..Default::default()
-        };
-        let report = solve(&ss, None, &config).unwrap();
+        let report = solve(&ss, None, &paper_common(1e-12, 200)).unwrap();
         let tail = &report.series[report.series.len().saturating_sub(10)..];
         for w in tail.windows(2) {
-            assert!(w[1] <= w[0] * 1.01, "{} then {}", w[0], w[1]);
+            assert!(w[1].1 <= w[0].1 * 1.01, "{:?} then {:?}", w[0], w[1]);
         }
     }
 
@@ -177,26 +116,20 @@ mod tests {
     #[test]
     fn dtm_with_equal_delays_equals_vtm() {
         let ss = paper_split();
-        let impedance = ImpedancePolicy::PerDtlp(vec![0.2, 0.1]);
         let rounds = 12;
-
-        let vtm_report = solve(
-            &ss,
-            None,
-            &VtmConfig {
-                impedance: impedance.clone(),
-                tol: 0.0, // run exactly max_rounds
-                max_rounds: rounds,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        // Tolerance 0: run exactly `rounds` rounds.
+        let common = paper_common(0.0, rounds);
+        let vtm_report = solve(&ss, None, &common).unwrap();
+        assert_eq!(vtm_report.series.len(), rounds);
 
         // DTM with both delays = 1 ms, compute 0: the k-th exchanged solve
         // happens at t = k ms; stop mid-way through round `rounds`.
         let topo = Topology::complete(2).with_delays(&DelayModel::fixed_ms(1.0));
         let config = DtmConfig {
-            common: dtm_core_common(impedance),
+            common: CommonConfig {
+                max_solves_per_node: 200_000,
+                ..common
+            },
             compute: ComputeModel::Zero,
             horizon: SimDuration::from_micros_f64((rounds as f64 - 0.5) * 1000.0),
             ..Default::default()
@@ -225,25 +158,18 @@ mod tests {
         let asg = dtm_graph::partition::grid_strips(10, 10, 4);
         let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
         let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
-        let tol = 1e-9;
-        let vtm_report = solve(
-            &ss,
-            None,
-            &VtmConfig {
-                tol,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let common = CommonConfig {
+            termination: Termination::OracleRms { tol: 1e-9 },
+            ..Default::default()
+        };
+        let vtm_report = solve(&ss, None, &common).unwrap();
         assert!(vtm_report.converged);
-        assert_eq!(vtm_report.series.len(), vtm_report.rounds);
+        let rounds = vtm_report.series.len() as u64;
+        assert_eq!(vtm_report.final_time_ms, rounds as f64, "one round = 1 ms");
 
         let topo = Topology::complete(4).with_delays(&DelayModel::fixed_ms(7.0));
         let config = DtmConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol },
-                ..Default::default()
-            },
+            common,
             compute: ComputeModel::Fixed(SimDuration::from_millis_f64(2.0)),
             horizon: SimDuration::from_millis_f64(3_600_000.0),
             ..Default::default()
@@ -252,7 +178,6 @@ mod tests {
         for (u, v) in dtm_report.solution.iter().zip(&vtm_report.solution) {
             assert!((u - v).abs() <= 1e-12, "{u} vs {v}");
         }
-        let rounds = vtm_report.rounds as u64;
         assert!(rounds * 4 >= dtm_report.total_solves);
         assert!((rounds - 1) * 4 < dtm_report.total_solves, "no idle round");
     }
@@ -265,7 +190,7 @@ mod tests {
         let asg = dtm_graph::partition::grid_strips(10, 10, 4);
         let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
         let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
-        let report = solve(&ss, None, &VtmConfig::default()).unwrap();
+        let report = solve(&ss, None, &CommonConfig::default()).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
         assert!(a.residual_norm(&report.solution, &b) < 1e-5);
     }
@@ -273,15 +198,10 @@ mod tests {
     #[test]
     fn round_budget_respected() {
         let ss = paper_split();
-        let config = VtmConfig {
-            impedance: ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
-            tol: 1e-300,
-            max_rounds: 7,
-            ..Default::default()
-        };
-        let report = solve(&ss, None, &config).unwrap();
+        let report = solve(&ss, None, &paper_common(1e-300, 7)).unwrap();
         assert!(!report.converged);
-        assert_eq!(report.rounds, 7);
         assert_eq!(report.series.len(), 7);
+        assert_eq!(report.final_time_ms, 7.0);
+        assert_eq!(report.total_solves, 14);
     }
 }

@@ -182,7 +182,17 @@ fn an_indefinite_block_names_its_part_and_row_on_every_entry_point() {
         build_node(&ss.subdomains[part], &z[part], &common).unwrap_err(),
     );
     check("simulated", p.solve().unwrap_err());
-    check("session", p.session().expect_err("session build fails"));
+    check("rolling", p.rolling(2).expect_err("session build fails"));
+    check(
+        "rolling_workstealing",
+        p.rolling_workstealing(2, 1)
+            .err()
+            .expect("session build fails"),
+    );
+    check(
+        "rolling_threaded",
+        p.rolling_threaded(2).err().expect("session build fails"),
+    );
     check(
         "pool",
         p.solve_workstealing(&RayonConfig {

@@ -6,7 +6,8 @@
 //!
 //! * deterministic 5-point / 9-point 2-D grid Laplacians,
 //! * 2-D grids with **random positive conductances** (the closest synthetic
-//!   equivalent of the paper's random systems; see DESIGN.md §2),
+//!   equivalent of the paper's random systems; see the README's
+//!   "Reproduction caveats"),
 //! * 3-D 7-point Laplacians,
 //! * random-sparsity diagonally dominant SPD matrices,
 //! * tridiagonal SPD matrices,

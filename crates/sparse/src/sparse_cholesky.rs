@@ -537,89 +537,23 @@ impl SparseCholesky {
 /// `yi[c] -= v · yj[c]` over two equal-length slices — the panel kernels'
 /// only inner loop. Lanes are independent vector columns and each lane
 /// performs the same mul-then-sub as the scalar loop (two
-/// correctly-rounded ops), so widening reorders nothing: the result is
-/// bitwise-identical to the plain `for c` form. On x86_64 builds compiled
-/// with AVX enabled (`RUSTFLAGS="-C target-feature=+avx"`) the slices go
-/// through explicit 4-wide 256-bit `core::arch` chunks; the portable
-/// fallback is a bounds-check-free zip loop, which measures *faster*
-/// than manual 4-wide unrolling here — indexed chunk bodies defeat
-/// LLVM's autovectorizer on this kernel, the plain zip does not.
+/// correctly-rounded ops), so a vectorized loop is bitwise-identical to the
+/// plain `for c` form. A bounds-check-free zip loop is what LLVM
+/// autovectorizes here; indexed 4-wide chunk bodies measured slower.
 // lint: hot-path
 #[inline(always)]
 fn axpy_neg(yi: &mut [f64], yj: &[f64], v: f64) {
     debug_assert_eq!(yi.len(), yj.len());
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-    {
-        // SAFETY: AVX is statically enabled by the cfg gate.
-        unsafe { axpy_neg_avx(yi, yj, v) }
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
-    {
-        axpy_neg_portable(yi, yj, v)
-    }
-}
-
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
-#[inline(always)]
-fn axpy_neg_portable(yi: &mut [f64], yj: &[f64], v: f64) {
     for (a, b) in yi.iter_mut().zip(yj) {
         *a -= v * b;
     }
 }
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-#[inline(always)]
-unsafe fn axpy_neg_avx(yi: &mut [f64], yj: &[f64], v: f64) {
-    use core::arch::x86_64::*;
-    let k = yi.len().min(yj.len());
-    let vv = _mm256_set1_pd(v);
-    let mut c = 0;
-    while c + 4 <= k {
-        // SAFETY: c+4 <= k bounds both slices; loadu/storeu need no
-        // alignment.
-        unsafe {
-            let a = _mm256_loadu_pd(yi.as_ptr().add(c));
-            let b = _mm256_loadu_pd(yj.as_ptr().add(c));
-            // mul then sub, deliberately not fmadd: an FMA's single
-            // rounding would change bits vs the scalar contract.
-            _mm256_storeu_pd(
-                yi.as_mut_ptr().add(c),
-                _mm256_sub_pd(a, _mm256_mul_pd(vv, b)),
-            );
-        }
-        c += 4;
-    }
-    while c < k {
-        yi[c] -= v * yj[c];
-        c += 1;
-    }
-}
-
-/// `y[c] /= d` across a panel row — same widening story as [`axpy_neg`]:
-/// independent lanes, one correctly-rounded divide per component.
+/// `y[c] /= d` across a panel row — independent lanes, one
+/// correctly-rounded divide per component.
 // lint: hot-path
 #[inline(always)]
 fn scale_div(y: &mut [f64], d: f64) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-    {
-        use core::arch::x86_64::*;
-        // SAFETY: broadcast of an immediate; no memory touched, AVX
-        // statically enabled by the cfg gate.
-        let dd = unsafe { _mm256_set1_pd(d) };
-        let mut c = 0;
-        while c + 4 <= y.len() {
-            // SAFETY: in-bounds unaligned load/store as above.
-            unsafe {
-                let a = _mm256_loadu_pd(y.as_ptr().add(c));
-                _mm256_storeu_pd(y.as_mut_ptr().add(c), _mm256_div_pd(a, dd));
-            }
-            c += 4;
-        }
-        for v in &mut y[c..] {
-            *v /= d;
-        }
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
     for v in y.iter_mut() {
         *v /= d;
     }

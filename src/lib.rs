@@ -2,7 +2,7 @@
 //!
 //! Facade crate: re-exports the four subsystem crates so examples and
 //! integration tests can use one import path. See the README for the tour
-//! and DESIGN.md / EXPERIMENTS.md for the paper mapping.
+//! and its "Paper mapping" section for where each part of the paper lives.
 
 pub use dtm_core as core;
 pub use dtm_graph as graph;

@@ -104,7 +104,6 @@ proptest! {
             compute: ComputeModel::Fixed(SimDuration::from_millis_f64(lo_ms / 4.0)),
             horizon: SimDuration::from_millis_f64(3_600_000.0),
             sample_interval: SimDuration::from_millis_f64(50.0),
-            ..Default::default()
         };
         let report = solver::solve(&ss, topo, None, &config).expect("runs");
         prop_assert!(report.converged, "rms {}", report.final_rms);

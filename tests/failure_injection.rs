@@ -134,7 +134,6 @@ fn wildly_bad_impedances_still_converge_just_slowly() {
             compute: ComputeModel::Fixed(SimDuration::from_millis_f64(0.5)),
             horizon: SimDuration::from_millis_f64(36_000_000.0),
             sample_interval: SimDuration::from_millis_f64(1_000.0),
-            ..Default::default()
         };
         let report = solver::solve(&ss, topo, None, &config).expect("runs");
         assert!(report.converged, "z = {z}: rms {}", report.final_rms);

@@ -108,8 +108,8 @@ fn star_and_chain_topologies_converge_identically_in_the_limit() {
         let report = dtm_repro::core::vtm::solve(
             &ss,
             None,
-            &dtm_repro::core::vtm::VtmConfig {
-                tol: 1e-11,
+            &dtm_repro::core::CommonConfig {
+                termination: dtm_repro::core::Termination::OracleRms { tol: 1e-11 },
                 ..Default::default()
             },
         )

@@ -259,19 +259,25 @@ fn residual_block_session_streams_without_any_direct_solve() {
         problem.reference.is_none(),
         "residual problems must not compute a build-time reference"
     );
-    let mut session = problem.session().expect("factors subdomains only");
+    let mut session = problem.rolling(3).expect("factors subdomains only");
     let cols: Vec<Vec<f64>> = (0..3)
         .map(|c| generators::random_rhs(side * side, 3_000 + c))
         .collect();
     for col in &cols {
-        session.push_rhs(col).expect("dimension ok");
+        session
+            .submit(col, Termination::Residual { tol: 1e-8 })
+            .expect("dimension ok");
     }
-    let report = session.solve_batch().expect("batch converges");
-    assert!(report.converged, "resid {}", report.final_residual);
-    assert_eq!(report.n_rhs, 3);
-    assert_reference_free(&report);
-    for (x, col) in report.solutions.iter().zip(&cols) {
-        assert!(a.residual_norm(x, col) < 1e-5);
+    let mut reports = session.drain_for(SimDuration::from_millis_f64(600_000.0));
+    reports.sort_by_key(|r| r.ticket);
+    assert_eq!(reports.len(), 3);
+    for (r, col) in reports.iter().zip(&cols) {
+        assert!(r.final_residual <= 1e-8, "resid {}", r.final_residual);
+        assert_eq!(
+            r.final_rms, None,
+            "residual tickets never pay for an oracle"
+        );
+        assert!(a.residual_norm(&r.solution, col) < 1e-5);
     }
 }
 

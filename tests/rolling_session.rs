@@ -92,8 +92,8 @@ proptest! {
     }
 
     /// The rolling answer also matches a separate one-shot *DTM* solve of
-    /// the same right-hand side through the batch session API (factor
-    /// shared, fresh exchange per solve) — not just the direct oracle.
+    /// the same right-hand side (a fresh exchange per solve) — not just the
+    /// direct oracle.
     #[test]
     fn sim_rolling_matches_separate_one_shot_dtm_solves(
         seed in 0u64..1_000,
@@ -101,11 +101,9 @@ proptest! {
         let problem = grid_problem();
         let work = workload(seed, 3, 1e-8);
         // Separate one-shot solves: one exchange per RHS, batch barrier of 1.
-        let mut one_shot = problem.session().expect("factors once");
         let mut singles = Vec::new();
         for (b, _) in &work {
-            one_shot.push_rhs(b).expect("dimension ok");
-            let report = one_shot.solve_batch().expect("converges");
+            let report = problem.solve_block(std::slice::from_ref(b)).expect("converges");
             prop_assert!(report.converged);
             singles.push(report.solution.clone());
         }

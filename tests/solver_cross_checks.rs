@@ -3,12 +3,12 @@
 //! VTM, and both block-Jacobi baselines — must land on the same x* for
 //! the same system.
 
-use dtm_repro::core::baselines::{self, BlockJacobiConfig};
+use dtm_repro::core::async_baselines::{self, BaselineAlgo, BaselineConfig};
 use dtm_repro::core::rayon_backend::{self, RayonConfig};
 use dtm_repro::core::runtime::CommonConfig;
 use dtm_repro::core::solver::{ComputeModel, Termination};
 use dtm_repro::core::threaded::{self, ThreadedConfig};
-use dtm_repro::core::vtm::{self, VtmConfig};
+use dtm_repro::core::vtm;
 use dtm_repro::graph::evs::{split, EvsOptions};
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
@@ -66,8 +66,8 @@ fn all_solvers_agree() {
     let v = vtm::solve(
         &ss,
         Some(reference.clone()),
-        &VtmConfig {
-            tol: 1e-9,
+        &CommonConfig {
+            termination: Termination::OracleRms { tol: 1e-9 },
             ..Default::default()
         },
     )
@@ -110,13 +110,14 @@ fn all_solvers_agree() {
     // Block-Jacobi baselines.
     let asg = partition::grid_strips(SIDE, SIDE, K);
     let topo = Topology::ring(K).with_delays(&DelayModel::uniform_ms(5.0, 30.0, 11));
-    let bj_config = BlockJacobiConfig {
+    let bj_config = BaselineConfig {
         compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
         termination: Termination::OracleRms { tol: 1e-9 },
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let abj = baselines::solve_async(
+    let abj = async_baselines::solve_sim(
+        &BaselineAlgo::BlockJacobi,
         &a,
         &b,
         &asg,
@@ -127,7 +128,7 @@ fn all_solvers_agree() {
     .expect("abj");
     assert!(abj.converged);
     assert_close("async block-jacobi", &abj.solution, &reference, 1e-6);
-    let sbj = baselines::solve_sync(&a, &b, &asg, &topo, Some(reference.clone()), &bj_config)
+    let sbj = async_baselines::solve_sync(&a, &b, &asg, &topo, Some(reference.clone()), &bj_config)
         .expect("sbj");
     assert!(sbj.converged);
     assert_close("sync block-jacobi", &sbj.solution, &reference, 1e-6);
@@ -150,14 +151,23 @@ fn dtm_beats_async_jacobi_in_simulated_time() {
         .solve()
         .expect("dtm");
 
-    let bj_config = BlockJacobiConfig {
+    let bj_config = BaselineConfig {
         compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
         termination: Termination::OracleRms { tol },
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
     let asg = partition::grid_strips(SIDE, SIDE, K);
-    let abj = baselines::solve_async(&a, &b, &asg, topo, None, &bj_config).expect("abj");
+    let abj = async_baselines::solve_sim(
+        &BaselineAlgo::BlockJacobi,
+        &a,
+        &b,
+        &asg,
+        topo,
+        None,
+        &bj_config,
+    )
+    .expect("abj");
 
     assert!(dtm.converged && abj.converged);
     assert!(

@@ -10,7 +10,7 @@
 //! must hold whenever it arrives).
 
 use dtm_repro::core::dtl;
-use dtm_repro::core::runtime::{build_nodes, BufferedTransport, CommonConfig, PortUpdate};
+use dtm_repro::core::runtime::{build_nodes, CommonConfig, DtmMsg, PortUpdate};
 use dtm_repro::core::ImpedancePolicy;
 use proptest::prelude::*;
 
@@ -63,15 +63,15 @@ proptest! {
             ..Default::default()
         };
         let mut nodes = build_nodes(&ss, &common).expect("factors");
-        let mut transport = BufferedTransport::default();
+        let mut transport: Vec<(usize, DtmMsg)> = Vec::new();
         for _ in 0..rounds {
             nodes[0].step(&mut transport);
         }
         // Deliver the *last* wave front (freshest boundary conditions).
-        let (dst, msg) = transport.outbox.last().expect("scattered").clone();
+        let (dst, msg) = transport.last().expect("scattered").clone();
         prop_assert_eq!(dst, 1);
         nodes[1].absorb_msg(&msg);
-        let mut sink = BufferedTransport::default();
+        let mut sink: Vec<(usize, DtmMsg)> = Vec::new();
         nodes[1].step(&mut sink);
         for update in &msg.updates {
             let z = nodes[1].local().impedances()[update.port];
@@ -111,17 +111,17 @@ proptest! {
             ..Default::default()
         };
         let mut nodes = build_nodes(&ss, &common).expect("factors");
-        let mut transport = BufferedTransport::default();
+        let mut transport: Vec<(usize, DtmMsg)> = Vec::new();
         // Sender advances `total` states; its wave fronts pile up in the
         // transport (in flight with different delays).
         for _ in 0..total {
             nodes[0].step(&mut transport);
         }
         // An arbitrarily delayed front (the `pick`-th oldest) arrives.
-        let (_, msg) = transport.outbox[pick].clone();
+        let (_, msg) = transport[pick].clone();
         let updates: Vec<PortUpdate> = msg.updates.clone();
         nodes[1].absorb_msg(&msg);
-        let mut sink = BufferedTransport::default();
+        let mut sink: Vec<(usize, DtmMsg)> = Vec::new();
         nodes[1].step(&mut sink);
         for update in &updates {
             let z = nodes[1].local().impedances()[update.port];
