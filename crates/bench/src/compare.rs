@@ -1,5 +1,5 @@
-//! Message-for-message comparison plumbing shared by `repro compare` and
-//! `benches/baseline_compare.rs`: DTM vs randomized asynchronous
+//! Message-for-message comparison plumbing behind `repro compare`: DTM vs
+//! randomized asynchronous
 //! Richardson vs D-iteration on **identical machines** — same grid
 //! Laplacian, same `px × py` block partition, same seeded heterogeneous
 //! delay topology, same per-activation compute model, and the same

@@ -1,10 +1,12 @@
 //! `repro bench`: a printed table of solves and kernel timings across the
 //! scales the repository claims to cover. It writes no file and gates no
-//! number: the deterministic counters it shows are pinned exactly in
+//! absolute number: the deterministic counters it shows are pinned exactly in
 //! `crates/bench/tests/pinned_counters.rs`, and wall-clock trajectories
 //! belong to the repository benchmark (`benchmark/`, `benchmark/results/`).
-//! What it does check is what a smoke test can: every solve converges, and
-//! the K = 1 panel sweep does not lose to the scalar kernel.
+//! What it does check is what a smoke test can: every solve converges, the
+//! K = 1 panel sweep does not lose to the scalar kernel, and on the
+//! fill-reducing factor a K = 8 block costs at most 0.6× a K = 1 solve per
+//! right-hand side.
 //!
 //! * **3-D Laplacians** — `grid3d_laplacian` under the default partitioner
 //!   ([`Partitioner::default_for`]), solved reference-free
@@ -18,10 +20,12 @@
 //!   also 48³ @ 32, an anisotropic 32³ @ 16 (`grid3d_laplacian_aniso`,
 //!   ε = 0.05) and 100³ = 10⁶ unknowns @ 64.
 //! * **substitution kernels** — per-RHS latency of the seed column-major
-//!   kernel vs the panel kernels at K ∈ {1, 8, 16} over the RCM and the
+//!   kernel vs the panel kernels at K ∈ {1, 4, 8, 16} over the RCM and the
 //!   fill-reducing factor of a 20³ Laplacian. Reps of the two kernels are
 //!   **interleaved** so clock drift and cache warm-up hit both equally;
-//!   medians are printed, and panel/colmajor ≥ 0.9 at K = 1 is asserted.
+//!   medians are printed. Asserted: colmajor/panel ≥ 0.9 at K = 1, and on
+//!   the fill-reducing factor panel time per RHS at K = 8 ≤ 0.6× that at
+//!   K = 1 — the register-lane blocked kernel against the scalar sweep.
 //! * **Matrix Market** — `sparse::mm` end to end: load the committed `.mtx`
 //!   fixture (or `--matrix <path.mtx> [--rhs <path>]`), partition by nested
 //!   dissection, solve reference-free on real threads.
@@ -191,7 +195,7 @@ fn grid3d_case(case: &str, a: &Csr, parts: usize) -> Result<()> {
 }
 
 /// Median per-RHS substitution latency: seed column-major kernel vs the
-/// panel kernels, K ∈ {1, 8, 16}, on the RCM and on the fill-reducing
+/// panel kernels, K ∈ {1, 4, 8, 16}, on the RCM and on the fill-reducing
 /// factor of a 20³ Laplacian. Reps alternate colmajor/panel so clock
 /// drift, frequency scaling and cache state hit both kernels equally —
 /// measuring one kernel's reps back to back systematically flattered
@@ -206,7 +210,8 @@ fn kernel_case(reps: usize) -> Result<()> {
         ("grid3d20_fill", SparseCholesky::factor_fill_reducing(&a)?),
     ] {
         println!("  {case}: nnz(L) = {}", f.nnz_l());
-        for k in [1usize, 8, 16] {
+        let mut k1_rhs = f64::NAN;
+        for k in [1usize, 4, 8, 16] {
             let template: Vec<f64> = (0..n * k)
                 .map(|i| ((i % 101) as f64 - 50.0) * 0.013)
                 .collect();
@@ -229,9 +234,13 @@ fn kernel_case(reps: usize) -> Result<()> {
             let col_rhs = median(&mut col_samples) / k as f64;
             let blk_rhs = median(&mut blk_samples) / k as f64;
             let speedup = col_rhs / blk_rhs;
+            if k == 1 {
+                k1_rhs = blk_rhs;
+            }
+            let per_rhs = blk_rhs / k1_rhs;
             println!(
                 "  K={k:>2}: colmajor {col_rhs:>9.0} ns/rhs, panels {blk_rhs:>9.0} ns/rhs, \
-                 speedup {speedup:.2}×"
+                 speedup {speedup:.2}×, {per_rhs:.2}× K=1 per rhs"
             );
             // The K = 1 panel sweep exists to beat the column-major kernel
             // it is bitwise equal to; losing to it means the sweep or its
@@ -241,6 +250,14 @@ fn kernel_case(reps: usize) -> Result<()> {
                     "{case}: K=1 panel sweep is slower than the scalar reference: \
                      {blk_rhs:.0} ns/rhs vs colmajor {col_rhs:.0} ns/rhs \
                      (ratio {speedup:.2}, expected ≥ 0.9)"
+                )));
+            }
+            // A K-column block exists to cost less per RHS than K scalar
+            // solves; near 1.0 means its lanes went back to memory.
+            if case == "grid3d20_fill" && k == 8 && per_rhs > 0.6 {
+                return Err(Error::Parse(format!(
+                    "{case}: a K=8 block costs {per_rhs:.2}× a K=1 solve per RHS \
+                     ({blk_rhs:.0} vs {k1_rhs:.0} ns/rhs, expected ≤ 0.6)"
                 )));
             }
         }

@@ -10,6 +10,7 @@
 use crate::csr::Csr;
 use crate::dense::Dense;
 use crate::error::{Error, Result};
+use crate::sparse_cholesky::fold_rows;
 
 /// Dense LLᵀ Cholesky factor of an SPD matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,11 +78,12 @@ impl DenseCholesky {
     /// Solve `A X = B` in place for a column-major block of `k` right-hand
     /// sides (`xs.len() == n·k`, column `c` at `xs[c·n .. (c+1)·n]`).
     ///
-    /// The factor is traversed **once** per sweep: every `L(i, j)` entry is
-    /// loaded one time and applied to all `k` columns, so the per-column
-    /// cost falls with `k` (the §5 factor-once design amortized a second
-    /// way). For `k ≥ 2` the block is transposed into an interleaved
-    /// scratch so the `k`-wide inner loops are unit-stride — see
+    /// The factor is traversed once per sweep for every 8 columns: each
+    /// `L(i, j)` entry is loaded once and applied to up to 8 register
+    /// lanes, so the per-column cost falls with `k` (the §5 factor-once
+    /// design amortized a second way). For `k ≥ 2` the block is transposed
+    /// into an interleaved scratch so the `k`-wide inner loops are
+    /// unit-stride — see
     /// [`solve_block_with_scratch`](Self::solve_block_with_scratch), which
     /// this delegates to with a transient buffer. Each column undergoes
     /// exactly the arithmetic of the scalar
@@ -117,9 +119,9 @@ impl DenseCholesky {
     }
 
     /// The seed (pre-blocking) kernel: column-major layout with a strided
-    /// inner loop over the `k` right-hand sides. Retained as the reference
-    /// for equivalence tests and before/after benchmarks; bitwise
-    /// identical to [`solve_block_in_place`](Self::solve_block_in_place).
+    /// inner loop over the `k` right-hand sides. It is the K = 1 path and
+    /// the independent bitwise oracle the blocked kernel is proven against
+    /// (`tests/block_solve_props.rs`).
     // Triangular substitutions update x[i] for i > j while reading
     // L(i, j): the index form mirrors the math; iterator forms obscure the
     // column-sweep access pattern.
@@ -156,43 +158,27 @@ impl DenseCholesky {
     }
 
     /// Blocked substitution over the interleaved layout (`ys[i·k + c]` =
-    /// row `i`, column `c`): unit-stride inner loops over the block.
-    /// Applies every `L(i, j)` as an individual fused update per column
-    /// with the same per-component order as the scalar sweeps, so the
-    /// result is bitwise identical to the column-major kernel.
+    /// row `i`, column `c`), one [`fold_rows`] per row in each sweep: the
+    /// forward sweep takes row `i` as `(y_i − Σ_{j<i} L(i, j)·y_j) / L(i, i)`
+    /// with `j` ascending — the order in which the column-major sweep
+    /// delivers row `i`'s updates — and the backward sweep takes column `j`
+    /// as one running difference over rows `i > j` ascending. Each
+    /// `L(i, j)` is applied as a multiply then a subtract, never a fused
+    /// multiply-add, so the result is bitwise identical to the
+    /// column-major kernel.
+    // lint: hot-path
     fn solve_interleaved(&self, ys: &mut [f64], k: usize) {
         let n = self.n();
         // L Y = B
-        for j in 0..n {
-            let ljj = self.l.get(j, j);
-            for c in 0..k {
-                ys[j * k + c] /= ljj;
-            }
-            for i in (j + 1)..n {
-                let lij = self.l.get(i, j);
-                let (lo, hi) = ys.split_at_mut(i * k);
-                let yj = &lo[j * k..j * k + k];
-                let yi = &mut hi[..k];
-                for c in 0..k {
-                    yi[c] -= lij * yj[c];
-                }
-            }
+        for i in 0..n {
+            let terms = (0..i).map(|j| (j * k, [self.l.get(i, j)]));
+            fold_rows(ys, k, [i * k], terms, Some(self.l.get(i, i)));
         }
         // Lᵀ X = Y
         for j in (0..n).rev() {
-            let (lo, hi) = ys.split_at_mut((j + 1) * k);
-            let yj = &mut lo[j * k..];
-            for i in (j + 1)..n {
-                let lij = self.l.get(i, j);
-                let yi = &hi[(i - j - 1) * k..(i - j) * k];
-                for c in 0..k {
-                    yj[c] -= lij * yi[c];
-                }
-            }
-            let ljj = self.l.get(j, j);
-            for y in yj.iter_mut().take(k) {
-                *y /= ljj;
-            }
+            let col = self.l.col(j);
+            let terms = (j + 1..n).map(|i| (i * k, [col[i]]));
+            fold_rows(ys, k, [j * k], terms, Some(col[j]));
         }
     }
 

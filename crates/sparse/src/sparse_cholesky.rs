@@ -21,6 +21,7 @@
 use crate::csr::Csr;
 use crate::error::{Error, Result};
 use crate::ordering::{fill_reducing, reverse_cuthill_mckee, Permutation};
+use std::iter;
 
 /// Widest supernode panel the blocked substitution sweeps at once. Bounds
 /// the dense triangular diagonal block so a panel's working set (panel
@@ -325,10 +326,11 @@ impl SparseCholesky {
 
     /// The seed (pre-blocking) kernel: column-major sweeps with a strided
     /// inner loop over the `k` right-hand sides, permutation applied per
-    /// column. Retained as the reference for the blocked path's
-    /// equivalence tests and for before/after benchmarking
-    /// (`benches/sparse_kernels.rs`, `repro bench`); produces bitwise the
-    /// same result as [`solve_block_in_place`](Self::solve_block_in_place).
+    /// column. It stays because it is the independent bitwise oracle: it
+    /// shares no layout, panel or lane code with the kernels behind
+    /// [`solve_block_in_place`](Self::solve_block_in_place), which
+    /// `tests/block_solve_props.rs` proves equal to it bit for bit at
+    /// every `k`, and `repro bench` times it beside them.
     pub fn solve_block_colmajor(&self, xs: &mut [f64], k: usize) {
         let n = self.n;
         assert_eq!(xs.len(), n * k, "SparseCholesky::solve_block length");
@@ -451,78 +453,64 @@ impl SparseCholesky {
     }
 
     /// Blocked substitution over the interleaved layout
-    /// (`ys[i·k + c]` = row `i`, column `c`): the inner `for c in 0..k`
-    /// loops are unit-stride, widened by [`axpy_neg`] (vectorized mul-sub
-    /// with an explicit 4-wide AVX `core::arch` fast path), and the supernode
-    /// panels of [`Self::sn_ptr`] let the forward sweep decode each shared
-    /// below-panel row index once per panel instead of once per column.
+    /// (`ys[i·k + c]` = row `i`, column `c`). Every update goes through
+    /// [`fold_rows`], which holds the destination rows' `k` lanes in
+    /// registers across all of their terms, and the supernode panels of
+    /// [`Self::sn_ptr`] let the forward sweep decode each shared
+    /// below-panel row index once per panel instead of once per column:
+    /// - forward, in-panel triangle: column by column, as the scalar sweep
+    ///   (a row-wise triangle measured slower on wide panels);
+    /// - forward, below-panel rows: two rows at a time, loaded once,
+    ///   updated by every panel column in ascending `jj` (one load of that
+    ///   column's lanes serves both), stored once;
+    /// - backward: column `jj`'s lanes take its entries in ascending rows
+    ///   (the in-panel rows, then the below-panel ones), are divided, and
+    ///   are stored once.
     ///
-    /// Bitwise contract: every `L` entry is still applied as an individual
-    /// `y[i] -= l·y[j]` per column (mul then sub, two correctly-rounded
-    /// ops — never a single-rounded FMA), and for each vector component
-    /// the updates arrive in exactly the scalar substitution's order
-    /// (ascending `j` in the forward sweep, ascending row within each
-    /// column of the backward sweep). Lanes (columns) are independent, so
-    /// the 4-wide chunking reorders nothing: no sums are reassociated.
+    /// Bitwise contract: each lane receives exactly the updates of
+    /// [`solve_colmajor_natural`](Self::solve_colmajor_natural), in its
+    /// order (ascending `j` into a forward row, ascending rows into a
+    /// backward column), each a multiply then a subtract — never a fused
+    /// multiply-add. Lanes and rows are independent, so no sum is
+    /// reassociated.
+    // lint: hot-path
     fn solve_interleaved(&self, ys: &mut [f64], k: usize) {
         let n_panels = self.sn_ptr.len() - 1;
         // Forward: L Y = B, panel by panel.
         for s in 0..n_panels {
             let (j0, j1) = (self.sn_ptr[s], self.sn_ptr[s + 1]);
-            // Dense triangular diagonal block: finalize the panel columns.
             for jj in j0..j1 {
-                let pj = self.col_ptr[jj];
-                let d = self.values[pj];
-                scale_div(&mut ys[jj * k..(jj + 1) * k], d);
-                for (off, i) in (jj + 1..j1).enumerate() {
-                    let v = self.values[pj + 1 + off];
-                    let (lo, hi) = ys.split_at_mut(i * k);
-                    let yj = &lo[jj * k..jj * k + k];
-                    let yi = &mut hi[..k];
-                    axpy_neg(yi, yj, v);
+                let (d, tri, _) = self.panel_column(jj, j1);
+                fold_rows(ys, k, [jj * k], iter::empty(), Some(d));
+                for (i, &v) in (jj + 1..j1).zip(tri) {
+                    fold_rows(ys, k, [i * k], iter::once((jj * k, [v])), None);
                 }
             }
-            // Below-panel sweep: each shared row updated by every panel
-            // column, one index decode per row. Updates to a given row
-            // still run over ascending `jj` — the scalar order.
-            let below0 = self.col_ptr[j1 - 1] + 1;
-            let below_len = self.col_ptr[j1] - below0;
-            for r in 0..below_len {
-                let i = self.row_idx[below0 + r];
-                let (lo, hi) = ys.split_at_mut(i * k);
-                let yi = &mut hi[..k];
-                for jj in j0..j1 {
-                    // Column jj's below-panel run starts after its
-                    // within-panel entries.
-                    let v = self.values[self.col_ptr[jj] + (j1 - jj) + r];
-                    let yj = &lo[jj * k..jj * k + k];
-                    axpy_neg(yi, yj, v);
-                }
+            // Below-panel rows in pairs. L(i, jj) of the `r`-th one sits
+            // after column jj's in-panel entries.
+            let below = |jj: usize, r: usize| self.col_ptr[jj] + (j1 - jj) + r;
+            let rows = self.panel_rows(j1);
+            let pairs = rows.chunks_exact(2);
+            let odd = pairs.remainder();
+            for (r, pair) in (0..).step_by(2).zip(pairs) {
+                let terms = (j0..j1).map(|jj| {
+                    let p = below(jj, r);
+                    (jj * k, [self.values[p], self.values[p + 1]])
+                });
+                fold_rows(ys, k, [pair[0] * k, pair[1] * k], terms, None);
+            }
+            if let [i] = *odd {
+                let r = rows.len() - 1;
+                let terms = (j0..j1).map(|jj| (jj * k, [self.values[below(jj, r)]]));
+                fold_rows(ys, k, [i * k], terms, None);
             }
         }
-        // Backward: Lᵀ X = Y. Per column `jj` the updates run in ascending
-        // row order (within-panel rows, then the shared below rows) —
-        // exactly the scalar backward sweep.
-        for s in (0..n_panels).rev() {
-            let (j0, j1) = (self.sn_ptr[s], self.sn_ptr[s + 1]);
-            for jj in (j0..j1).rev() {
-                let pj = self.col_ptr[jj];
-                let (lo, hi) = ys.split_at_mut((jj + 1) * k);
-                let yj = &mut lo[jj * k..(jj + 1) * k];
-                for (off, i) in (jj + 1..j1).enumerate() {
-                    let v = self.values[pj + 1 + off];
-                    let yi = &hi[(i - jj - 1) * k..(i - jj - 1) * k + k];
-                    axpy_neg(yj, yi, v);
-                }
-                for p in (pj + (j1 - jj))..self.col_ptr[jj + 1] {
-                    let i = self.row_idx[p];
-                    let v = self.values[p];
-                    let yi = &hi[(i - jj - 1) * k..(i - jj - 1) * k + k];
-                    axpy_neg(yj, yi, v);
-                }
-                let d = self.values[pj];
-                scale_div(yj, d);
-            }
+        // Backward: Lᵀ X = Y.
+        for jj in (0..self.n).rev() {
+            let (pj, pe) = (self.col_ptr[jj], self.col_ptr[jj + 1]);
+            let rows = self.row_idx[pj + 1..pe].iter().map(|&i| i * k);
+            let terms = rows.zip(self.values[pj + 1..pe].iter().map(|&v| [v]));
+            fold_rows(ys, k, [jj * k], terms, Some(self.values[pj]));
         }
     }
 
@@ -534,28 +522,74 @@ impl SparseCholesky {
     }
 }
 
-/// `yi[c] -= v · yj[c]` over two equal-length slices — the panel kernels'
-/// only inner loop. Lanes are independent vector columns and each lane
-/// performs the same mul-then-sub as the scalar loop (two
-/// correctly-rounded ops), so a vectorized loop is bitwise-identical to the
-/// plain `for c` form. A bounds-check-free zip loop is what LLVM
-/// autovectorizes here; indexed 4-wide chunk bodies measured slower.
+/// One update of `R` independent rows of a blocked substitution over the
+/// interleaved layout: the `k` lanes of each row `ys[dst[r]..][..k]` become
+/// `(ys[dst[r] + c] − Σ v[r] · ys[src + c]) / d` over `terms = (src, v)` in
+/// order (no divide when `d` is `None`). The lanes go through
+/// [`fold_lanes`] 8 at a time, then 4, 2 and 1, so each chunk is loaded
+/// once, held in registers across every term and stored once. Per lane the
+/// arithmetic is the scalar sweep's, whatever the chunking.
 // lint: hot-path
 #[inline(always)]
-fn axpy_neg(yi: &mut [f64], yj: &[f64], v: f64) {
-    debug_assert_eq!(yi.len(), yj.len());
-    for (a, b) in yi.iter_mut().zip(yj) {
-        *a -= v * b;
+pub(crate) fn fold_rows<const R: usize, I>(
+    ys: &mut [f64],
+    k: usize,
+    dst: [usize; R],
+    terms: I,
+    d: Option<f64>,
+) where
+    I: Iterator<Item = (usize, [f64; R])> + Clone,
+{
+    let mut c = 0;
+    while c + 8 <= k {
+        fold_lanes::<R, 8>(ys, c, dst, terms.clone(), d);
+        c += 8;
+    }
+    if c + 4 <= k {
+        fold_lanes::<R, 4>(ys, c, dst, terms.clone(), d);
+        c += 4;
+    }
+    if c + 2 <= k {
+        fold_lanes::<R, 2>(ys, c, dst, terms.clone(), d);
+        c += 2;
+    }
+    if c < k {
+        fold_lanes::<R, 1>(ys, c, dst, terms, d);
     }
 }
 
-/// `y[c] /= d` across a panel row — independent lanes, one
-/// correctly-rounded divide per component.
+/// Lanes `c..c + W` of [`fold_rows`], `R` rows × `W` lanes in registers:
+/// `acc[r] ← ys[dst[r] + c..][..W]`, then `acc[r][l] −= v[r] · ys[src + c + l]`
+/// for each term — a multiply then a subtract, two roundings, never a
+/// fused multiply-add — then `acc[r][l] /= d`, then one store per row.
 // lint: hot-path
 #[inline(always)]
-fn scale_div(y: &mut [f64], d: f64) {
-    for v in y.iter_mut() {
-        *v /= d;
+fn fold_lanes<const R: usize, const W: usize>(
+    ys: &mut [f64],
+    c: usize,
+    dst: [usize; R],
+    terms: impl Iterator<Item = (usize, [f64; R])>,
+    d: Option<f64>,
+) {
+    let mut acc = [[0.0; W]; R];
+    for (a, &i) in acc.iter_mut().zip(&dst) {
+        a.copy_from_slice(&ys[i + c..i + c + W]);
+    }
+    for (src, v) in terms {
+        let y = &ys[src + c..src + c + W];
+        for (a, &v) in acc.iter_mut().zip(&v) {
+            for (a, &b) in a.iter_mut().zip(y) {
+                *a -= v * b;
+            }
+        }
+    }
+    if let Some(d) = d {
+        for a in acc.iter_mut().flatten() {
+            *a /= d;
+        }
+    }
+    for (a, &i) in acc.iter().zip(&dst) {
+        ys[i + c..i + c + W].copy_from_slice(a);
     }
 }
 

@@ -48,6 +48,10 @@ fn factors(a: &Csr) -> [SparseCholesky; 3] {
     ]
 }
 
+/// Block widths under test: every split of K into the blocked kernels'
+/// 8-, 4-, 2- and 1-lane chunks up to two full chunks of 8.
+const KS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16];
+
 /// Deterministic pseudo-random RHS block (column-major, `n * k` values).
 fn rhs_block(n: usize, k: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -71,12 +75,36 @@ fn scalar_columns(solve: impl Fn(&mut [f64]), xs: &[f64], n: usize, k: usize) ->
     out
 }
 
+/// A 3-D grid under nested dissection has the widest supernode panels
+/// (its separators): at K = 8 (one 8-lane chunk) and K = 12 (8 + 4) the
+/// blocked solve is the column-major reference bit for bit.
+#[test]
+fn wide_panel_blocks_are_bitwise_colmajor() {
+    let a = generators::grid3d_laplacian(10, 10, 10);
+    let factor = SparseCholesky::factor_permuted(&a, nested_dissection(&a)).expect("SPD");
+    let n = a.n_rows();
+    for k in [8usize, 12] {
+        let xs = rhs_block(n, k, 0x5eed);
+        let mut blocked = xs.clone();
+        factor.solve_block_in_place(&mut blocked, k);
+        let mut colmajor = xs;
+        factor.solve_block_colmajor(&mut colmajor, k);
+        assert!(
+            blocked
+                .iter()
+                .zip(&colmajor)
+                .all(|(u, v)| u.to_bits() == v.to_bits()),
+            "K = {k}: blocked solve differs from the column-major sweep"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Sparse blocked solve (supernode-panel interleaved kernel) agrees
     /// with K scalar solves to ≤ 1e-12 componentwise, across natural, RCM
-    /// and nested-dissection orderings and K ∈ {1, 2, 8, 16}.
+    /// and nested-dissection orderings and every K of [`KS`].
     #[test]
     fn sparse_blocked_matches_k_scalar_solves(
         n in 4usize..40,
@@ -85,7 +113,7 @@ proptest! {
     ) {
         let a = random_spd(n, &edges);
         for factor in factors(&a) {
-            for k in [1usize, 2, 8, 16] {
+            for k in KS {
                 let xs = rhs_block(n, k, seed);
                 let mut blocked = xs.clone();
                 factor.solve_block_in_place(&mut blocked, k);
@@ -110,7 +138,7 @@ proptest! {
     ) {
         let a = random_spd(n, &edges);
         for factor in factors(&a) {
-            for k in [1usize, 2, 8, 16] {
+            for k in KS {
                 let xs = rhs_block(n, k, seed);
                 let mut blocked = xs.clone();
                 factor.solve_block_in_place(&mut blocked, k);
@@ -158,7 +186,7 @@ proptest! {
                 solved.iter().zip(&colmajor).all(|(u, v)| u.to_bits() == v.to_bits()),
                 "{w}x{h}x{d}: K = 1 panel sweep differs from the column-major sweep"
             );
-            for k in [2usize, 8, 16] {
+            for k in KS {
                 let mut blocked = block[..n * k].to_vec();
                 factor.solve_block_in_place(&mut blocked, k);
                 prop_assert!(
@@ -179,7 +207,7 @@ proptest! {
     ) {
         let a = random_spd(n, &edges);
         let factor = DenseCholesky::factor_csr(&a).expect("SPD");
-        for k in [1usize, 2, 8, 16] {
+        for k in KS {
             let xs = rhs_block(n, k, seed);
             let mut blocked = xs.clone();
             factor.solve_block_in_place(&mut blocked, k);
