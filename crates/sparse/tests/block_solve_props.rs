@@ -48,8 +48,9 @@ fn factors(a: &Csr) -> [SparseCholesky; 3] {
     ]
 }
 
-/// Block widths under test: every split of K into the blocked kernels'
-/// 8-, 4-, 2- and 1-lane chunks up to two full chunks of 8.
+/// Block widths under test: each of the blocked kernels' lane chunks
+/// (8, 4, 2, 1) alone and behind wider ones (3 = 2 + 1, 7 = 4 + 2 + 1,
+/// 12 = 8 + 4, …), up to two chunks of 8.
 const KS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 16];
 
 /// Deterministic pseudo-random RHS block (column-major, `n * k` values).
