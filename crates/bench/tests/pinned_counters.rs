@@ -1,6 +1,7 @@
-//! The deterministic numbers `repro bench` prints, pinned exactly: the
-//! simulated machine's counters, the default partitioner's cuts, the two
-//! factor sizes of the kernel case. A change to the partitioner, the
+//! The deterministic numbers `repro bench` and `repro compare` print,
+//! pinned exactly: the simulated machine's counters, the default
+//! partitioner's cuts, the two factor sizes of the kernel case, the
+//! comparison table's rows. A change to the partitioner, the
 //! orderings, the block-wave bookkeeping or the compute model shows up here
 //! as a diff in numbers. Wall-clock runs are held to what does repeat: they
 //! converge, and the residual they report meets the tolerance.
@@ -9,11 +10,13 @@
 //! with `cargo test --release -p dtm-bench --test pinned_counters --
 //! --include-ignored`.
 
+use dtm_bench::compare::{all_reports, grid_setup};
 use dtm_bench::perf::{fixture_matrix, fixture_rhs};
 use dtm_bench::seeds;
 use dtm_core::rayon_backend::RayonConfig;
 use dtm_core::runtime::{CommonConfig, Termination};
 use dtm_core::threaded::ThreadedConfig;
+use dtm_core::AlgorithmKind::{DIteration, Dtm, RandomizedRichardson};
 use dtm_core::{DtmBuilder, SolveReport};
 use dtm_graph::partition::{self, PartitionConfig, Partitioner};
 use dtm_sparse::{generators, mm, Csr, SparseCholesky};
@@ -154,4 +157,26 @@ fn larger_grid_cuts() {
     assert_eq!(default_cut(&a, 16), (6_144, 11_136, 1.0));
     let a = generators::grid3d_laplacian(100, 100, 100);
     assert_eq!(default_cut(&a, 64), (140_000, 260_400, 1.0816));
+}
+
+/// `repro compare`'s table (the 9×9 grid torn 2×2 on the seeded 10–99 ms
+/// mesh, residual ≤ 1e-8): `(algorithm, sim time, activations, messages,
+/// flops)` per row, as README quotes them.
+#[test]
+fn compare_rows_are_pinned() {
+    let rows = all_reports(&grid_setup(9, 2, 2, 1e-8));
+    let pinned = [
+        (Dtm, 2402.060382, 8_563, 17_126, 11_553_684),
+        (RandomizedRichardson, 4565.060382, 17_215, 34_430, 4_573_354),
+        (DIteration, 4411.060382, 16_599, 33_198, 3_735_952),
+    ];
+    assert_eq!(rows.len(), pinned.len());
+    for (r, (algorithm, time_ms, solves, messages, flops)) in rows.iter().zip(pinned) {
+        assert_eq!(r.algorithm, algorithm);
+        assert!(r.converged, "{}", algorithm.name());
+        assert_eq!(r.final_time_ms, time_ms, "{}", algorithm.name());
+        assert_eq!(r.total_solves, solves, "{}", algorithm.name());
+        assert_eq!(r.total_messages, messages, "{}", algorithm.name());
+        assert_eq!(r.total_flops, flops, "{}", algorithm.name());
+    }
 }

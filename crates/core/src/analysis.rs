@@ -208,7 +208,6 @@ mod tests {
                 impedance: imp,
                 termination: crate::runtime::Termination::OracleRms { tol: 1e-300 },
                 max_solves_per_node: 60,
-                ..Default::default()
             },
         )
         .unwrap();

@@ -7,7 +7,6 @@
 
 use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
-use crate::local::LocalSolverKind;
 use crate::report::SolveReport;
 use crate::solver::{self, ComputeModel, DtmConfig, Termination};
 use crate::vtm;
@@ -134,12 +133,6 @@ impl DtmBuilder {
     /// Impedance policy (default: [`ImpedancePolicy::Matched`]).
     pub fn impedance(mut self, policy: ImpedancePolicy) -> Self {
         self.config.common.impedance = policy;
-        self
-    }
-
-    /// Local factorization backend.
-    pub fn local_solver(mut self, kind: LocalSolverKind) -> Self {
-        self.config.common.solver_kind = kind;
         self
     }
 

@@ -37,7 +37,7 @@
 //! **`s = max(1, √(min(Γ, ¼) / (2 μ̂)))`**:
 //!
 //! * `μ̂` is the smallest Ritz value of 16 Lanczos steps
-//!   ([`dtm_sparse::solvers::lanczos`]) on `D^-½ A D^-½`, started from
+//!   ([`dtm_sparse::lanczos`]) on `D^-½ A D^-½`, started from
 //!   `D^½·1` — the ones vector in unscaled coordinates, which is the exact
 //!   lowest eigenvector of a Neumann-plus-margin system and overlaps the
 //!   lowest Dirichlet mode, so 16 steps land within 2× of `λ_min` where a
@@ -60,7 +60,7 @@
 //! or the thread count — so it is a pure function of the split, bit for bit.
 
 use dtm_graph::evs::SplitSystem;
-use dtm_sparse::solvers::lanczos;
+use dtm_sparse::lanczos;
 use dtm_sparse::{Error, Result};
 use std::cmp::Ordering;
 

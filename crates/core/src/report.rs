@@ -3,10 +3,9 @@
 
 use crate::monitor::Retired;
 use crate::runtime::{AsyncNode, Termination};
-use serde::Serialize;
 
 /// Which executor produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// Deterministic discrete-event simulation on a [`dtm_simnet`]
     /// machine ([`crate::solver`]).
@@ -29,7 +28,7 @@ pub enum BackendKind {
 /// [`Transport`](crate::runtime::Transport) contract, so one
 /// report vocabulary covers them all and `repro compare` can pit them
 /// message for message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmKind {
     /// The Directed Transmission Method (the paper's algorithm).
     Dtm,
@@ -60,7 +59,7 @@ impl AlgorithmKind {
 }
 
 /// Why a distributed solve ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopKind {
     /// The oracle monitor observed the RMS tolerance.
     OracleTolerance,
@@ -77,7 +76,7 @@ pub enum StopKind {
 
 /// Outcome of a distributed solve (DTM, VTM or a baseline) — the shared
 /// report vocabulary of every executor.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SolveReport {
     /// Which executor ran the solve.
     pub backend: BackendKind,

@@ -22,13 +22,13 @@
 //!   [`Transport::send`] once per neighbour subdomain per solve, handing it
 //!   a [`DtmMsg`] addressed to a peer part. The transport owns the delay:
 //!   the simulated backend maps it onto a [`dtm_simnet`] link (delay =
-//!   simulated link delay), the threaded backend onto a crossbeam channel
-//!   (delay = real scheduling/transmission latency, optionally shaped by a
-//!   router), the pool backend onto a shared inbox (delay = the receiver's
-//!   wait in the pool's ready queue). **A transport must never reorder the messages of
-//!   one sender–receiver pair**; all three in-tree transports deliver
-//!   per-pair FIFO, which is what eq. (2.1) assumes of a transmission
-//!   line.
+//!   simulated link delay), the threaded backend onto a `std::sync::mpsc`
+//!   channel (delay = real scheduling/transmission latency, optionally
+//!   shaped by a router), the pool backend onto a shared inbox (delay = the
+//!   receiver's wait in the pool's ready queue). **A transport must never
+//!   reorder the messages of one sender–receiver pair**; all three in-tree
+//!   transports deliver per-pair FIFO, which is what eq. (2.1) assumes of
+//!   a transmission line.
 //!
 //! * [`ExecutorBackend`] — *when nodes run.* A backend owns scheduling:
 //!   build one [`NodeRuntime`] per subdomain (via [`build_nodes`]), call
@@ -46,7 +46,7 @@
 //! | backend | wave travels as | delay realised by |
 //! |---|---|---|
 //! | [`solver`](crate::solver) (simnet) | [`dtm_simnet::Envelope`] | per-directed-link simulated delay (Fig. 7/11) |
-//! | [`threaded`](crate::threaded) | crossbeam channel message | real channel latency, plus optional router-injected per-link delays |
+//! | [`threaded`](crate::threaded) | channel message | real channel latency, plus optional router-injected per-link delays |
 //! | [`rayon_backend`](crate::rayon_backend) | inbox entry + a place in the ready queue | the receiver's wait in that queue: older arrivals first, and never while a neighbour computes |
 //!
 //! In every case the receiving node merges whatever has arrived *by the
@@ -276,8 +276,6 @@ pub struct CommonConfig {
     /// [`crate::impedance`]); set an explicit policy to sweep the bowl or
     /// to reproduce the paper's values.
     pub impedance: ImpedancePolicy,
-    /// Local factorization backend.
-    pub solver_kind: LocalSolverKind,
     /// Stopping rule.
     pub termination: Termination,
     /// Safety cap on solves per node (guards non-convergent configs).
@@ -288,7 +286,6 @@ impl Default for CommonConfig {
     fn default() -> Self {
         Self {
             impedance: ImpedancePolicy::default(),
-            solver_kind: LocalSolverKind::Auto,
             termination: Termination::OracleRms { tol: 1e-8 },
             max_solves_per_node: 200_000,
         }
@@ -785,8 +782,8 @@ fn build_node_inner(
         }
     }
     let local = match cols {
-        None => LocalSystem::new(sub, z_ports, common.solver_kind),
-        Some(cols) => LocalSystem::new_block(sub, z_ports, common.solver_kind, cols),
+        None => LocalSystem::new(sub, z_ports, LocalSolverKind::Auto),
+        Some(cols) => LocalSystem::new_block(sub, z_ports, LocalSolverKind::Auto, cols),
     }
     // A failed pivot arrives in part-local numbering; say which part and
     // which row of the caller's system.
@@ -1027,7 +1024,7 @@ impl RunSpec<'_> {
 /// distributed round executor feed directly.
 pub mod wallclock {
     use crate::local::all_cols;
-    use parking_lot::Mutex;
+    use crate::sync::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A worker's published `n_local × k` solution block with dirty-column

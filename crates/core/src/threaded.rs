@@ -2,12 +2,12 @@
 //!
 //! This module is a **thin adapter** over [`crate::runtime`]: one thread
 //! per subdomain runs the shared [`NodeRuntime`] state machine; waves
-//! travel crossbeam channels, so the DTL transmission delay is realised by
-//! real scheduling and channel latency (the Algorithm-Architecture Delay
-//! Mapping under natural asynchrony). No barrier anywhere. An optional
-//! router thread injects per-link delays (scaled from a [`Topology`]) so
-//! heterogeneous-machine behaviour can be exercised with real threads
-//! too.
+//! travel `std::sync::mpsc` channels, so the DTL transmission delay is
+//! realised by real scheduling and channel latency (the
+//! Algorithm-Architecture Delay Mapping under natural asynchrony). No
+//! barrier anywhere. An optional router thread injects per-link delays
+//! (scaled from a [`Topology`]) so heterogeneous-machine behaviour can be
+//! exercised with real threads too.
 //!
 //! The worker loop, the work-token quiescence counter and the router live
 //! in the generic one-thread-per-node fabric [`crate::fabric::Threads`];

@@ -85,7 +85,6 @@ mod tests {
             impedance: ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
             termination: Termination::OracleRms { tol },
             max_solves_per_node: max_rounds,
-            ..Default::default()
         }
     }
 

@@ -4,13 +4,13 @@
 //! bitwise-identical to the serial `build_nodes` loop, for both scalar and
 //! block-wave construction.
 
-use dtm_core::local::LocalSolverKind;
+use dtm_core::local::AUTO_DENSE_LIMIT;
 use dtm_core::runtime::{
     build_nodes, build_nodes_block, build_nodes_block_parallel, build_nodes_parallel, CommonConfig,
 };
 use dtm_graph::evs::{split, EvsOptions};
-use dtm_graph::{ElectricGraph, PartitionPlan};
-use dtm_sparse::Coo;
+use dtm_graph::{partition, ElectricGraph, PartitionPlan};
+use dtm_sparse::{generators, Coo};
 use proptest::prelude::*;
 
 fn random_system(n: usize, edges: &[(usize, usize, f64)], seed: u64) -> ElectricGraph {
@@ -63,7 +63,7 @@ proptest! {
 
     /// Pool-factored nodes equal serially-factored nodes bit for bit:
     /// same local matrix, same Cholesky factor, same base RHS, same wave
-    /// routes — across dense/sparse/auto local solver backends.
+    /// routes.
     #[test]
     fn concurrent_factorization_is_bitwise_serial(
         n in 8usize..40,
@@ -80,29 +80,20 @@ proptest! {
             .num_threads(3)
             .build()
             .expect("test pool");
-        for kind in [
-            LocalSolverKind::Auto,
-            LocalSolverKind::Dense,
-            LocalSolverKind::SparseRcm,
-        ] {
-            let common = CommonConfig {
-                solver_kind: kind,
-                ..Default::default()
-            };
-            let serial = build_nodes(&ss, &common).expect("serial build");
-            let parallel = build_nodes_parallel(&ss, &common, &pool).expect("parallel build");
-            prop_assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
-                prop_assert_eq!(s.part(), p.part());
-                prop_assert!(
-                    s.local() == p.local(),
-                    "part {}: pool-factored local system diverged ({:?})",
-                    s.part(), kind
-                );
-                let sr: Vec<usize> = s.neighbor_parts().collect();
-                let pr: Vec<usize> = p.neighbor_parts().collect();
-                prop_assert_eq!(sr, pr, "part {} routes diverged", s.part());
-            }
+        let common = CommonConfig::default();
+        let serial = build_nodes(&ss, &common).expect("serial build");
+        let parallel = build_nodes_parallel(&ss, &common, &pool).expect("parallel build");
+        prop_assert_eq!(serial.len(), parallel.len());
+        for (s, p) in serial.iter().zip(&parallel) {
+            prop_assert_eq!(s.part(), p.part());
+            prop_assert!(
+                s.local() == p.local(),
+                "part {}: pool-factored local system diverged",
+                s.part()
+            );
+            let sr: Vec<usize> = s.neighbor_parts().collect();
+            let pr: Vec<usize> = p.neighbor_parts().collect();
+            prop_assert_eq!(sr, pr, "part {} routes diverged", s.part());
         }
     }
 
@@ -139,5 +130,40 @@ proptest! {
                 s.part()
             );
         }
+    }
+}
+
+/// The random systems above are small enough that every part factors
+/// dense; two 24 × 12 strips of a 24 × 24 grid exceed
+/// [`AUTO_DENSE_LIMIT`], so this pins the sparse fill-reducing factor.
+#[test]
+fn sparse_factorization_is_bitwise_serial() {
+    let side = 24;
+    let a = generators::grid2d_laplacian(side, side);
+    let b: Vec<f64> = (0..side * side).map(|i| (i as f64).sin()).collect();
+    let g = ElectricGraph::from_system(a, b).unwrap();
+    let plan = PartitionPlan::from_assignment(&g, &partition::grid_strips(side, side, 2)).unwrap();
+    let ss = split(&g, &plan, &EvsOptions::default()).unwrap();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("test pool");
+    let common = CommonConfig::default();
+    let serial = build_nodes(&ss, &common).expect("serial build");
+    let parallel = build_nodes_parallel(&ss, &common, &pool).expect("parallel build");
+    assert_eq!(serial.len(), 2);
+    for (s, p) in serial.iter().zip(&parallel) {
+        let n = s.local().n_local();
+        assert!(n > AUTO_DENSE_LIMIT, "part {}: {n} unknowns", s.part());
+        assert!(
+            s.local().factor_nnz() < n * (n + 1) / 2,
+            "part {}: factored sparse",
+            s.part()
+        );
+        assert!(
+            s.local() == p.local(),
+            "part {}: pool-factored local system diverged",
+            s.part()
+        );
     }
 }

@@ -42,7 +42,6 @@ fn nodes(split: &SplitSystem, impedance: &ImpedancePolicy) -> Vec<NodeRuntime> {
         termination: Termination::Residual { tol: TOL },
         impedance: impedance.clone(),
         max_solves_per_node: 1_000_000,
-        ..Default::default()
     };
     build_nodes(split, &common).expect("factors")
 }

@@ -95,11 +95,6 @@ impl ElectricGraph {
         (self.a.clone(), self.b.clone())
     }
 
-    /// Consume into the linear system without cloning.
-    pub fn into_system(self) -> (Csr, Vec<f64>) {
-        (self.a, self.b)
-    }
-
     /// Sum of inflow = `Σ_j a_ij x_j − b_i` at vertex `i` given potentials
     /// `x`: the Kirchhoff residual that EVS's inflow currents account for.
     pub fn kirchhoff_residual(&self, x: &[f64]) -> Vec<f64> {

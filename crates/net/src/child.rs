@@ -117,7 +117,6 @@ fn run_child(kind: TransportKind, addr: &str, group: usize) -> Result<()> {
 
     // Rebuild this group's nodes exactly as the in-process mode would.
     let common = CommonConfig {
-        solver_kind: plan.solver_kind,
         termination: plan.termination,
         max_solves_per_node: usize::try_from(plan.max_solves_per_node).unwrap_or(usize::MAX),
         ..Default::default()

@@ -19,9 +19,8 @@
 //! on every run.
 //!
 //! Module map:
-//! - [`wire`] — the binary frame format (no serde; the vendored stub is
-//!   a no-op) with a total, panic-free decoder; one frame per link per
-//!   round in steady state.
+//! - [`wire`] — the hand-rolled binary frame format with a total,
+//!   panic-free decoder; one frame per link per round in steady state.
 //! - [`socket`] — UDS/TCP behind one [`socket::Stream`] enum.
 //! - [`round`] — the deterministic round executor both modes share: one
 //!   wave batch per peer group and one snapshot batch per round.

@@ -517,7 +517,6 @@ fn run_processes_inner(
             n_parts: inp.split.n_parts() as u64,
             group_of_part: inp.group_of_part.iter().map(|&x| x as u64).collect(),
             max_rounds: inp.max_rounds,
-            solver_kind: inp.common.solver_kind,
             termination: inp.common.termination,
             max_solves_per_node: inp.common.max_solves_per_node as u64,
             listen_spec,

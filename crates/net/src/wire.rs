@@ -8,12 +8,10 @@
 //! distinction is a property of the length alone, so decode rebuilds the
 //! exact in-memory representation via [`SmallBlock::from_fn`].
 //!
-//! The vendored `serde` is a no-op facade (see `vendor/serde`), so this
-//! module is the real serializer. Decoding is total: any truncated frame,
-//! overlong count or malformed structure returns a typed
-//! [`Error`] — the decoder never panics and never
-//! trusts a length field without checking it against the bytes actually
-//! present.
+//! Decoding is total: any truncated frame, overlong count or malformed
+//! structure returns a typed [`Error`] — the decoder never panics and
+//! never trusts a length field without checking it against the bytes
+//! actually present.
 //!
 //! **The round is the unit of I/O.** In steady state a link carries one
 //! frame per round: a [`Msg::WaveBatch`] (every wave one group owes one
@@ -26,7 +24,6 @@
 //! Runs of `f64`s are copied in bulk (`chunks_exact(8)`), not one
 //! cursor-checked element at a time.
 
-use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::{DtmMsg, PortUpdate, SmallBlock, Termination};
 use dtm_graph::evs::{Port, PortRef, Subdomain};
 use dtm_sparse::{Csr, Error, Result};
@@ -49,8 +46,6 @@ pub struct GroupPlan {
     pub group_of_part: Vec<u64>,
     /// Round cap: children run rounds `0..max_rounds` unless stopped.
     pub max_rounds: u64,
-    /// Local factorization backend.
-    pub solver_kind: LocalSolverKind,
     /// Stopping rule (the parent enforces it; shipped for node
     /// construction).
     pub termination: Termination,
@@ -421,11 +416,6 @@ fn encode_msg(e: &mut Enc<'_>, msg: &Msg) {
                 e.u64(g);
             }
             e.u64(p.max_rounds);
-            e.u8(match p.solver_kind {
-                LocalSolverKind::Auto => 0,
-                LocalSolverKind::Dense => 1,
-                LocalSolverKind::SparseRcm => 3,
-            });
             e.termination(p.termination);
             e.u64(p.max_solves_per_node);
             e.str(&p.listen_spec);
@@ -737,13 +727,6 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
                 group_of_part.push(d.u64()?);
             }
             let max_rounds = d.u64()?;
-            let solver_kind = match d.u8()? {
-                0 => LocalSolverKind::Auto,
-                1 => LocalSolverKind::Dense,
-                3 => LocalSolverKind::SparseRcm,
-                // 2 was the natural-order sparse factor, which is gone.
-                _ => return Err(parse_err("unknown solver kind")),
-            };
             let termination = d.termination()?;
             let max_solves_per_node = d.u64()?;
             let listen_spec = d.str()?;
@@ -761,7 +744,6 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
                 n_parts,
                 group_of_part,
                 max_rounds,
-                solver_kind,
                 termination,
                 max_solves_per_node,
                 listen_spec,

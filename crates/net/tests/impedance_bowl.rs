@@ -34,7 +34,6 @@ fn rounds(split: &SplitSystem, impedance: ImpedancePolicy) -> u64 {
             termination: Termination::Residual { tol: 1e-6 },
             impedance,
             max_solves_per_node: 10_000,
-            ..Default::default()
         },
         ..Default::default()
     };

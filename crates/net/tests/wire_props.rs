@@ -5,7 +5,6 @@
 //! headers, overlong counts and random byte soup produce typed errors,
 //! never panics and never an allocation sized by an unchecked count.
 
-use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::{DtmMsg, PortUpdate, SmallBlock, Termination, SMALL_BLOCK_INLINE};
 use dtm_graph::evs::{split as evs_split, EvsOptions};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
@@ -73,7 +72,6 @@ fn real_plan() -> GroupPlan {
         n_parts: 4,
         group_of_part: vec![0, 0, 1, 1],
         max_rounds: 10_000,
-        solver_kind: LocalSolverKind::Auto,
         termination: Termination::Residual { tol: 1e-8 },
         max_solves_per_node: 200_000,
         listen_spec: "/tmp/dtm-net-test/peer-1.sock".to_string(),
@@ -274,18 +272,6 @@ fn garbage_headers_error_never_panic() {
     let mut go = encode(&Msg::Go);
     go.push(0);
     assert!(decode(&go).is_err());
-    // A plan naming solver kind 2 — the natural-order sparse factor, since
-    // removed — or any kind past the last one.
-    let plan = real_plan();
-    let kind_at = 1 + 8 * (4 + plan.group_of_part.len() + 1);
-    let mut frame = encode(&Msg::Plan(Box::new(plan)));
-    assert_eq!(frame[kind_at], 0, "LocalSolverKind::Auto is tag 0");
-    frame[kind_at] = 3;
-    assert!(decode(&frame).is_ok(), "SparseRcm keeps tag 3");
-    for gone in [2, 4] {
-        frame[kind_at] = gone;
-        assert!(decode(&frame).is_err(), "solver kind {gone}");
-    }
     // Count fields far beyond the frame: rejected before allocation (a
     // decoder that trusted them would ask the allocator for exabytes).
     for absurd in [u64::MAX, u64::MAX / 8, 1 << 40] {

@@ -45,11 +45,6 @@ impl Coo {
         self.n_cols
     }
 
-    /// Number of stored triplets (duplicates counted separately).
-    pub fn n_triplets(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The raw triplets.
     pub fn triplets(&self) -> &[(usize, usize, f64)] {
         &self.entries

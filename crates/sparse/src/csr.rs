@@ -371,11 +371,6 @@ impl Csr {
         coo.to_csr()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum |value|.
     pub fn max_abs(&self) -> f64 {
         self.values.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -518,7 +513,6 @@ mod tests {
     #[test]
     fn norms() {
         let i = Csr::identity(4);
-        assert!((i.frobenius_norm() - 2.0).abs() < 1e-15);
         assert_eq!(i.max_abs(), 1.0);
     }
 }

@@ -92,12 +92,6 @@ impl Dense {
         &self.data[c * self.n_rows..(c + 1) * self.n_rows]
     }
 
-    /// Mutable column `c`.
-    #[inline]
-    pub fn col_mut(&mut self, c: usize) -> &mut [f64] {
-        &mut self.data[c * self.n_rows..(c + 1) * self.n_rows]
-    }
-
     /// `y ← A x` (no allocation).
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "dense matvec: x length");

@@ -13,9 +13,8 @@
 //! No reorthogonalisation: lost orthogonality only duplicates converged
 //! extreme Ritz values, it never moves them outside the spectrum. Serial,
 //! caller-chosen start, fixed step count — the result is a pure function of
-//! its inputs, bit for bit. The caller is `dtm-core`'s matched impedance
-//! (as [`optimal_omega`](super::sor::optimal_omega) turns a spectral
-//! estimate into SOR's one tunable, this one feeds DTM's).
+//! its inputs, bit for bit. The caller is `dtm-core`'s matched impedance,
+//! which turns this spectral estimate into DTM's one tunable.
 
 use crate::vector::{dot, norm2};
 

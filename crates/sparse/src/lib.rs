@@ -10,8 +10,8 @@
 //!   ([`sparse_cholesky::SparseCholesky`]),
 //! * nested-dissection (fill-reducing) and reverse Cuthill–McKee
 //!   (bandwidth) orderings ([`ordering`]),
-//! * the classic sequential iterative solvers used as baselines
-//!   (Gauss–Seidel/SOR, Conjugate Gradient in [`solvers`]),
+//! * a Lanczos estimate of a symmetric operator's smallest eigenvalue
+//!   ([`lanczos`]), behind `dtm-core`'s matched impedance,
 //! * seeded workload generators for every experiment in the paper
 //!   ([`generators`]),
 //! * Matrix Market I/O ([`mm`]).
@@ -22,14 +22,14 @@
 //! ## Quick example
 //!
 //! ```
-//! use dtm_sparse::{generators, solvers::{cg, IterConfig}};
+//! use dtm_sparse::{generators, SparseCholesky};
 //!
 //! let a = generators::grid2d_laplacian(9, 9);          // 81×81 SPD
 //! let b = vec![1.0; a.n_rows()];
-//! let res = cg::solve(&a, &b, &IterConfig::default());
-//! assert!(res.converged);
-//! let r = a.residual_norm(&res.x, &b);
-//! assert!(r < 1e-6 * dtm_sparse::vector::norm2(&b));
+//! let chol = SparseCholesky::factor_fill_reducing(&a).unwrap();
+//! let x = chol.solve(&b);
+//! let r = a.residual_norm(&x, &b);
+//! assert!(r < 1e-12 * dtm_sparse::vector::norm2(&b));
 //! ```
 
 pub mod cholesky;
@@ -38,9 +38,9 @@ pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod generators;
+pub mod lanczos;
 pub mod mm;
 pub mod ordering;
-pub mod solvers;
 pub mod sparse_cholesky;
 pub mod vector;
 

@@ -1,4 +1,4 @@
-//! DTM on real OS threads: genuine asynchrony with crossbeam channels and
+//! DTM on real OS threads: genuine asynchrony with `std` channels and
 //! injected heterogeneous link delays — no simulation, no barrier, no
 //! global clock.
 //!
