@@ -45,7 +45,7 @@
 //! fell silent) *kicks* them: re-solving against an unchanged boundary is
 //! a zero delta, which lets the Table 1 step 3.3 streak complete.
 
-use crate::monitor::{wall_time, POLL_INTERVAL};
+use crate::monitor::{next_poll, wall_time, POLL_INTERVAL};
 use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{
@@ -864,21 +864,30 @@ pub(crate) struct WallRun<'a> {
 /// Supervise a started fabric — `run.spec`'s columns admitted to the
 /// monitor at once — until every column met the rule, every node halted
 /// or the budget expired; then stop the fabric and assemble the report.
+/// Each sleep between polls follows the decay of the metric just scored
+/// ([`next_poll`]).
 pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     let started = Instant::now();
     let mut monitor = run.spec.monitor(SimDuration::ZERO);
+    let tol = run.spec.termination.metric_tol();
+    let (mut gap, mut last) = (POLL_INTERVAL.min(run.budget), None);
     let stop = loop {
-        std::thread::sleep(POLL_INTERVAL);
-        monitor.poll(wall_time(started), fabric.snapshots());
+        std::thread::sleep(gap);
+        let time = wall_time(started);
+        let metric = monitor.poll(time, fabric.snapshots());
         if monitor.all_done() {
             break StopKind::OracleTolerance;
         }
         if fabric.all_halted() {
             break StopKind::AllHalted;
         }
-        if started.elapsed() >= run.budget {
+        let left = run.budget.saturating_sub(started.elapsed());
+        if left.is_zero() {
             break StopKind::Budget;
         }
+        let now = (Duration::from_nanos(time.as_nanos()), metric);
+        gap = next_poll(last, now, tol, left);
+        last = Some(now);
     };
     // A tolerance stop retires the columns as scored: the returned `x` is
     // the one the exact metric accepted, whatever the nodes have done to

@@ -55,7 +55,20 @@
 //! [`done`](Monitor::done) gates on the cheap maintained value and confirms
 //! by recomputing the column exactly from the estimate, so **a stop
 //! decision is only ever taken on an exactly recomputed value**, of the
-//! very estimate [`retire`](Monitor::retire) then returns.
+//! very estimate [`retire`](Monitor::retire) then returns. A NaN score is
+//! never within a tolerance: every worst-of fold here keeps it.
+//!
+//! # Cadence
+//!
+//! When to score is decided here too, as constants and one pure function
+//! rather than options. A one-shot wall-clock supervisor sleeps between
+//! polls for what `next_poll` derives from the decay of the metric it
+//! just scored: DTM's error decays geometrically once the wave fronts have
+//! crossed the parts, so the supervisor polls rarely far from the
+//! tolerance, where no stop decision can change, and densely near the
+//! predicted crossing, never less than `POLL_INTERVAL` apart. A rolling
+//! session always holds some column near its tolerance and polls on the
+//! fixed `SESSION_POLL_INTERVAL`.
 
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{GatherMap, Termination};
@@ -82,11 +95,25 @@ const RESID_NEAR_FACTOR: f64 = 16.0;
 /// gate can hide a crossing.
 const RESYNC_EVERY: usize = 256;
 
-/// How long the supervisor of a one-shot wall-clock solve sleeps between
-/// polls. Trades `over_tol_share` — the workers keep solving for up to one
-/// interval after the tolerance is met — against supervisor CPU: a poll
-/// costs about a gather plus an SpMV, on a core the workers could use.
+/// The shortest sleep of a one-shot wall-clock solve's supervisor between
+/// polls — the floor of [`next_poll`]'s cadence, and the whole cadence
+/// wherever it has no decay to go by (the first poll, a flat or rising
+/// metric, no metric tolerance). Trades `over_tol_share` — the workers keep
+/// solving for up to one sleep after the tolerance is met — against
+/// supervisor CPU: a poll costs about a gather plus an SpMV, on a core the
+/// workers could use.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_micros(500);
+
+/// The share of the predicted time left to the tolerance that
+/// [`next_poll`] sleeps: a half keeps the sleeps shrinking towards a
+/// crossing that a slowing decay postpones, and one that an accelerating
+/// decay brings forward is overshot by less than one sleep.
+const POLL_LEAD: f64 = 0.5;
+
+/// [`next_poll`]'s cap on the growth of the sleep: at most this many times
+/// the gap between the last two polls, so one noisy rate estimate cannot
+/// buy a long blind stretch.
+const POLL_GROWTH: f64 = 2.0;
 
 /// [`POLL_INTERVAL`] of a rolling session's `drain`: a ticket's latency
 /// includes the poll that notices it, and its slot is only refilled by
@@ -102,6 +129,52 @@ pub(crate) const NO_SERIES: SimDuration = SimDuration::from_nanos(u64::MAX);
 /// `started`.
 pub fn wall_time(started: Instant) -> SimTime {
     SimTime::from_nanos(started.elapsed().as_nanos().try_into().unwrap_or(u64::MAX))
+}
+
+/// How long a one-shot supervisor sleeps after a poll that did not stop
+/// the run: `now` is that poll's `(time since start, worst live metric)`,
+/// `last` the previous poll's, `tol` the tightest live metric tolerance
+/// (`None` under [`Termination::LocalDelta`]) and `left` what remains of
+/// the budget.
+///
+/// While the metric falls from `m₀` to `m` above `tol` it is taken to
+/// decay geometrically at the rate it just showed, `λ = ln(m₀/m)/Δt`; the
+/// supervisor sleeps [`POLL_LEAD`] of the predicted `ln(m/tol)/λ` left to
+/// the crossing, at least [`POLL_INTERVAL`] and at most [`POLL_GROWTH`]`·Δt`.
+/// So it polls rarely far from the tolerance and densely near the
+/// predicted crossing. Anything else — the first poll, a flat or rising
+/// metric, no or a zero tolerance, a NaN or an infinity — sleeps the floor.
+/// No sleep outlasts `left`.
+pub(crate) fn next_poll(
+    last: Option<(Duration, f64)>,
+    now: (Duration, f64),
+    tol: Option<f64>,
+    left: Duration,
+) -> Duration {
+    let gap = match (last, tol) {
+        (Some((t0, m0)), Some(tol)) if m0.is_finite() && m0 > now.1 && now.1 > tol && tol > 0.0 => {
+            let dt = now.0.saturating_sub(t0).as_secs_f64();
+            let rate = (m0 / now.1).ln() / dt;
+            let remaining = (now.1 / tol).ln() / rate;
+            let secs = (POLL_LEAD * remaining)
+                .min(POLL_GROWTH * dt)
+                .max(POLL_INTERVAL.as_secs_f64());
+            Duration::try_from_secs_f64(secs).unwrap_or(POLL_INTERVAL)
+        }
+        _ => POLL_INTERVAL,
+    };
+    gap.min(left)
+}
+
+/// The worse of two metrics, a NaN winning: `f64::max` drops a NaN, and a
+/// column whose score is NaN must never read as within its tolerance.
+/// Finite values fold exactly as `f64::max` does.
+pub(crate) fn worse(a: f64, b: f64) -> f64 {
+    if a > b || a.is_nan() {
+        a
+    } else {
+        b
+    }
 }
 
 /// What a retiring column hands back: exact final numbers of its gathered
@@ -165,10 +238,12 @@ impl Column {
     /// The scoring metric as last maintained (cheap): for the residual a
     /// previously *exact* value, possibly one fold window stale.
     fn metric(&self) -> f64 {
+        // Drift can take the running sum below zero; a NaN must stay NaN.
+        let sum_sq = worse(self.sum_sq, 0.0);
         if self.by_oracle {
-            (self.sum_sq.max(0.0) / self.b.len().max(1) as f64).sqrt()
+            (sum_sq / self.b.len().max(1) as f64).sqrt()
         } else {
-            self.sum_sq.max(0.0).sqrt() / self.b_scale
+            sum_sq.sqrt() / self.b_scale
         }
     }
 
@@ -453,7 +528,7 @@ impl Monitor {
 
     /// Worst maintained metric over the live columns.
     pub fn metric(&self) -> f64 {
-        self.live().map(Column::metric).fold(0.0, f64::max)
+        self.live().map(Column::metric).fold(0.0, worse)
     }
 
     /// Worst relative residual over the live residual-scored columns, with
@@ -464,7 +539,7 @@ impl Monitor {
         for col in &mut self.cols {
             if col.rule.is_some() && !col.by_oracle {
                 col.fold(&self.a);
-                worst = worst.max(col.metric());
+                worst = worse(worst, col.metric());
             }
         }
         self.updates_since_flush = 0;
@@ -553,7 +628,7 @@ impl Monitor {
         // decides when the run ends.
         self.updates_since_flush += 1;
         let by_residual = self.live().filter(|col| !col.by_oracle);
-        let worst_residual = by_residual.map(Column::metric).fold(0.0, f64::max);
+        let worst_residual = by_residual.map(Column::metric).fold(0.0, worse);
         let near =
             self.refresh_below > 0.0 && worst_residual < self.refresh_below * RESID_NEAR_FACTOR;
         if near || self.updates_since_flush >= RESID_FLUSH_EVERY {
@@ -718,6 +793,125 @@ mod tests {
         for p in 0..ss.n_parts() {
             m.update_part(p, SimTime::from_nanos(t0 + p as u64), &local(ss, p, x));
         }
+    }
+
+    /// Poll a metric `m(t)` (t in seconds) on [`next_poll`]'s cadence from
+    /// t = 0 until it reaches `tol` or the budget runs out; returns every
+    /// poll's `(time, gap slept before it)`.
+    fn cadence(m: impl Fn(f64) -> f64, tol: f64, budget: Duration) -> Vec<(Duration, Duration)> {
+        let (mut t, mut gap, mut last, mut polls) = (Duration::ZERO, POLL_INTERVAL, None, vec![]);
+        loop {
+            t += gap;
+            polls.push((t, gap));
+            let now = (t, m(t.as_secs_f64()));
+            if now.1 <= tol || t >= budget {
+                return polls;
+            }
+            gap = next_poll(last, now, Some(tol), budget - t);
+            last = Some(now);
+        }
+    }
+
+    #[test]
+    fn geometric_decay_is_polled_in_logarithmically_many_steps() {
+        let floor = POLL_INTERVAL.as_secs_f64();
+        for (tol, span) in [(1e-8, 1.0), (1e-6, 0.05), (1e-10, 20.0)] {
+            // m(t) = tol^(t/span): from 1 at t = 0 to tol at t = span.
+            let polls = cadence(|t| tol.powf(t / span), tol, Duration::from_secs(3600));
+            let bound = 2.0 * (span / floor).log2() + 4.0;
+            assert!(
+                (polls.len() as f64) <= bound,
+                "span {span}: {} polls, bound {bound}",
+                polls.len()
+            );
+            for pair in polls.windows(2) {
+                assert!(pair[1].1 <= 2 * pair[0].1, "span {span}: gap grew past 2×");
+            }
+            // The rate is predicted exactly, so the crossing is seen within
+            // one floor interval.
+            let crossed = polls.last().unwrap().0.as_secs_f64();
+            assert!(
+                crossed >= span && crossed <= span + floor + 1e-9,
+                "{crossed}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_decay_to_go_by_sleeps_the_floor() {
+        let (t0, t1) = (Duration::from_millis(4), Duration::from_millis(8));
+        let left = Duration::from_secs(10);
+        let floor = |last: Option<(Duration, f64)>, m: f64, tol: Option<f64>| {
+            next_poll(last, (t1, m), tol, left) == POLL_INTERVAL
+        };
+        let decay = Some((t0, 1e-2));
+        assert!(
+            !floor(decay, 1e-3, Some(1e-8)),
+            "a falling metric sleeps longer"
+        );
+        assert!(floor(None, 1e-3, Some(1e-8)), "first poll");
+        assert!(floor(Some((t0, 1e-4)), 1e-3, Some(1e-8)), "rising");
+        assert!(floor(Some((t0, 1e-3)), 1e-3, Some(1e-8)), "flat");
+        assert!(floor(decay, f64::NAN, Some(1e-8)), "NaN metric");
+        assert!(floor(Some((t0, f64::NAN)), 1e-3, Some(1e-8)), "NaN before");
+        assert!(
+            floor(Some((t0, f64::INFINITY)), 1e-3, Some(1e-8)),
+            "Inf before"
+        );
+        assert!(floor(decay, 1e-3, Some(f64::NAN)), "NaN tolerance");
+        assert!(floor(decay, 1e-3, Some(0.0)), "τ = 0");
+        assert!(floor(decay, 1e-3, None), "no metric tolerance");
+        assert!(floor(decay, 1e-9, Some(1e-8)), "already within");
+        assert!(floor(Some((t1, 1e-2)), 1e-3, Some(1e-8)), "no time passed");
+    }
+
+    #[test]
+    fn no_sleep_crosses_the_budget() {
+        let (t0, t1) = (Duration::from_millis(100), Duration::from_millis(200));
+        for left_us in [0, 1, 300, 499, 500, 501, 10_000, 150_000, 10_000_000] {
+            let left = Duration::from_micros(left_us);
+            for last in [None, Some((t0, 1e-1))] {
+                let gap = next_poll(last, (t1, 1e-2), Some(1e-12), left);
+                assert!(gap <= left, "{gap:?} past {left:?}");
+            }
+        }
+        // Simulated under a budget the decay cannot meet: the last poll
+        // falls on the budget, not a growing gap beyond it.
+        let budget = Duration::from_millis(200);
+        let polls = cadence(|t| (-t).exp(), 1e-12, budget);
+        assert_eq!(polls.last().unwrap().0, budget);
+        assert!(polls.len() < 40, "{} polls", polls.len());
+    }
+
+    #[test]
+    fn an_accelerating_decay_is_overshot_by_at_most_one_gap() {
+        // m(t) = tol^((t/span)²): the rate keeps rising, so every estimate
+        // is too slow and the prediction errs late.
+        let (tol, span) = (1e-8, 0.2);
+        let polls = cadence(|t| tol.powf((t / span).powi(2)), tol, Duration::MAX);
+        let (crossed, gap) = *polls.last().unwrap();
+        let before = polls[polls.len() - 2].0.as_secs_f64();
+        assert!(before < span && crossed.as_secs_f64() >= span);
+        let overshoot = crossed.as_secs_f64() - span;
+        assert!(overshoot < gap.as_secs_f64(), "overshoot {overshoot}");
+        assert!(overshoot < span / 2.0, "overshoot {overshoot} of {span}");
+        assert!(polls.len() < 30, "{} polls", polls.len());
+    }
+
+    #[test]
+    fn a_nan_score_is_never_within_tolerance() {
+        let (ss, _) = make();
+        let (_, b) = ss.reconstruct();
+        let mut m = idle(&ss, 2, SimDuration::ZERO);
+        let mut bad = b.clone();
+        bad[3] = f64::NAN;
+        m.admit(0, &b, Termination::Residual { tol: 1e300 }, None);
+        m.admit(1, &bad, Termination::Residual { tol: 1e300 }, None);
+        assert!(m.metric().is_nan(), "the NaN column is the worst");
+        assert!(m.done(0) && !m.done(1) && !m.all_done());
+        assert!(m.rel_residual().is_nan() && m.resync().is_nan());
+        assert_eq!(worse(1.0, 2.0), 2.0);
+        assert!(worse(f64::NAN, 2.0).is_nan() && worse(2.0, f64::NAN).is_nan());
     }
 
     #[test]

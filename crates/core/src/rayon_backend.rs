@@ -193,6 +193,36 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_in_b_is_never_converged() {
+        // The split-level entry points take `b` unchecked: a NaN flows
+        // through every solve into the score, and must not read as 0.
+        let a = generators::grid2d_random(8, 8, 1.0, 83);
+        let mut b = generators::random_rhs(64, 84);
+        b[17] = f64::NAN;
+        let g = ElectricGraph::from_system(a, b).unwrap();
+        let plan = PartitionPlan::from_assignment(&g, &dtm_graph::partition::grid_strips(8, 8, 3))
+            .unwrap();
+        let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        for termination in [
+            Termination::Residual { tol: 1e-8 },
+            Termination::OracleRms { tol: 1e-8 },
+        ] {
+            let config = RayonConfig {
+                common: CommonConfig {
+                    termination,
+                    ..RayonConfig::default().common
+                },
+                num_threads: 2,
+                budget: Duration::from_millis(200),
+            };
+            let report = solve(&ss, &config).unwrap();
+            assert!(!report.converged, "{termination:?}");
+            assert_eq!(report.stop, StopKind::Budget, "{termination:?}");
+            assert!(report.final_residual.is_nan(), "{termination:?}");
+        }
+    }
+
+    #[test]
     fn paper_example_on_the_pool() {
         let (a, b) = generators::paper_example_system();
         let g = ElectricGraph::from_system(a.clone(), b.clone()).unwrap();

@@ -1,7 +1,7 @@
 //! Solve reports: everything a run produces, ready for printing or
 //! regression-testing.
 
-use crate::monitor::Retired;
+use crate::monitor::{worse, Retired};
 use crate::runtime::{AsyncNode, Termination};
 
 /// Which executor produced a report.
@@ -194,12 +194,13 @@ impl SolveReport {
     /// The one report assembly — every executor and every algorithm ends
     /// here — holding the one `converged` rule: a tolerance mode converged
     /// when its own metric (oracle RMS / relative residual, worst column)
-    /// of the returned solution meets the tolerance; `LocalDelta` converged
-    /// when every node went passive of its own accord — a node retired by
-    /// the solve cap never declared convergence, so "everyone eventually
-    /// stopped" must not masquerade as success.
+    /// of the returned solution meets the tolerance (a NaN in any column
+    /// never does); `LocalDelta` converged when every node went passive of
+    /// its own accord — a node retired by the solve cap never declared
+    /// convergence, so "everyone eventually stopped" must not masquerade as
+    /// success.
     pub fn assemble(run: RunSummary) -> Self {
-        let worst = |v: &[f64]| v.iter().fold(0.0_f64, |m, &x| m.max(x));
+        let worst = |v: &[f64]| v.iter().copied().fold(0.0, worse);
         let rms_per_rhs: Vec<f64> = run.columns.iter().filter_map(|col| col.rms).collect();
         let residual_per_rhs: Vec<f64> = run.columns.iter().map(|col| col.residual).collect();
         let solutions: Vec<Vec<f64>> = run.columns.into_iter().map(|col| col.solution).collect();

@@ -14,6 +14,7 @@ use dtm_repro::core::async_baselines::{self, BaselineAlgo, BaselineConfig};
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::local::LocalSolverKind;
 use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use dtm_repro::core::report::StopKind;
 use dtm_repro::core::runtime::{CommonConfig, ExecutorBackend};
 use dtm_repro::core::solver::{self, ComputeModel, DtmConfig, Termination};
 use dtm_repro::core::threaded::{self, ThreadedConfig};
@@ -23,6 +24,7 @@ use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn random_split(
     nx: usize,
@@ -211,4 +213,69 @@ fn simulation_is_deterministic() {
     assert_eq!(r1.final_time_ms, r2.final_time_ms);
     assert_eq!(r1.solution, r2.solution);
     assert_eq!(r1.series, r2.series);
+}
+
+/// The one-shot supervisor sleeps on the measured decay of its metric
+/// (`monitor::next_poll`), not on a fixed 500 µs clock, on both wall-clock
+/// fabrics: a solve of tens of milliseconds is scored a few dozen times at
+/// most, not once per floor interval; `converged` still means the returned
+/// `x` meets the tolerance; and a run the budget cuts short is not slept
+/// past it, however long the gaps had grown. Timing-dependent, so CI
+/// repeats it 50× on two cores.
+#[test]
+fn supervisor_polls_follow_the_decay_on_both_fabrics() {
+    // `POLL_INTERVAL`, the cadence's floor (crate-private).
+    const POLL_FLOOR_MS: f64 = 0.5;
+    // What the OS may add to a sleep: up to 14 ms was measured with two
+    // test threads pinned to two loaded cores. A sleep that ignored the
+    // budget would overrun it by up to a whole grown gap, 40–90 ms here.
+    const WAKE_SLACK_MS: f64 = 30.0;
+    let (ss, _, _) = random_split(64, 64, 4, SharePolicy::DominanceProportional, 5);
+    let (a, b) = ss.reconstruct();
+    let solve = |tol: f64, budget: Duration| {
+        let common = CommonConfig {
+            termination: Termination::Residual { tol },
+            ..Default::default()
+        };
+        let pool = RayonConfig {
+            common: common.clone(),
+            num_threads: 2,
+            budget,
+        };
+        let threads = ThreadedConfig {
+            common,
+            budget,
+            ..Default::default()
+        };
+        [
+            ("pool", rayon_backend::solve(&ss, &pool).expect("runs")),
+            ("threads", threaded::solve(&ss, &threads).expect("runs")),
+        ]
+    };
+
+    let tol = 1e-10;
+    for (who, report) in solve(tol, Duration::from_secs(30)) {
+        assert!(report.converged, "{who}: {:?}", report.stop);
+        let residual = a.residual_norm(&report.solution, &b) / dtm_repro::sparse::vector::norm2(&b);
+        assert!(residual <= tol, "{who}: {residual:e}");
+        let polls = report.series.len();
+        assert!(
+            polls <= 40,
+            "{who}: {polls} polls in {:.1} ms",
+            report.final_time_ms
+        );
+    }
+
+    // Unreachable: the sleeps double for as long as the residual falls,
+    // which it still does at the budget.
+    let budget = Duration::from_millis(100);
+    for (who, report) in solve(1e-300, budget) {
+        assert!(!report.converged, "{who}");
+        assert_eq!(report.stop, StopKind::Budget, "{who}");
+        // A budget stop scores the blocks once more after the poll that
+        // found the budget spent; that poll is the one before.
+        let stopped = report.series[report.series.len() - 2].0;
+        let bound = budget.as_secs_f64() * 1e3 + POLL_FLOOR_MS + WAKE_SLACK_MS;
+        assert!(stopped <= bound, "{who}: stopped at {stopped:.2} ms");
+    }
 }
