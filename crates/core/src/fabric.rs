@@ -874,7 +874,7 @@ pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     let stop = loop {
         std::thread::sleep(gap);
         let time = wall_time(started);
-        let metric = monitor.poll(time, fabric.snapshots());
+        let metric = monitor.poll(time, fabric.snapshots(), u64::MAX);
         if monitor.all_done() {
             break StopKind::OracleTolerance;
         }
@@ -893,7 +893,7 @@ pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     // the one the exact metric accepted, whatever the nodes have done to
     // theirs since. Otherwise report whatever was published by now.
     if stop != StopKind::OracleTolerance {
-        monitor.poll(wall_time(started), fabric.snapshots());
+        monitor.poll(wall_time(started), fabric.snapshots(), u64::MAX);
     }
     let columns = monitor.retire_all();
     let time_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -157,6 +157,12 @@ pub(crate) fn all_cols(k: usize) -> u64 {
     }
 }
 
+/// Whether column `c` of a `k`-wide block is in `mask` — every column is
+/// once the block is too wide for the mask (`k ≥ 64`, saturated).
+pub(crate) fn has_col(mask: u64, c: usize, k: usize) -> bool {
+    k >= 64 || mask >> c & 1 == 1
+}
+
 impl LocalSystem {
     /// Build and factor the local system of `sub` with per-port impedances
     /// `z` (use [`crate::impedance::per_port`] to derive them from a

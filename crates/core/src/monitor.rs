@@ -39,10 +39,10 @@
 //! * [`update_part`](Monitor::update_part) — one activation (the simulated
 //!   engines): the residual folds are deferred (`RESID_FLUSH_EVERY`);
 //! * `poll` — whatever the wall-clock workers published since the last
-//!   poll; the kept copy *is* the supervisor's mirror of the published
-//!   blocks, and only a block's fold runs under its lock. A column most of
-//!   whose entries moved is recomputed outright, one where few did is
-//!   folded.
+//!   poll, for the columns the pass asks for; the kept copy *is* the
+//!   supervisor's mirror of the published blocks, and only a block's fold
+//!   runs under its lock. A column most of whose entries moved is
+//!   recomputed outright, one where few did is folded.
 //!
 //! The distributed round executor (`dtm-net`'s supervisor) hands over
 //! every part's block at once ([`update_round`](Monitor::update_round)),
@@ -67,9 +67,13 @@
 //! crossed the parts, so the supervisor polls rarely far from the
 //! tolerance, where no stop decision can change, and densely near the
 //! predicted crossing, never less than `POLL_INTERVAL` apart. A rolling
-//! session always holds some column near its tolerance and polls on the
-//! fixed `SESSION_POLL_INTERVAL`.
+//! session applies the same rule to each column slot on its own: every
+//! live column carries the time it is next due, set by `next_poll` of
+//! that column's metric and tolerance, and a pass folds in and scores only
+//! the due columns (`Monitor::due`, `Monitor::schedule`) — the others'
+//! published values wait in their blocks, costing nothing.
 
+use crate::local::has_col;
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{GatherMap, Termination};
 use dtm_graph::evs::SplitSystem;
@@ -91,12 +95,15 @@ const RESID_NEAR_FACTOR: f64 = 16.0;
 /// Exact-resync cadence while a tolerance is armed: an incremental
 /// accumulator can drift *upward* past the stopping tolerance (stalling a
 /// run at its budget), so it is recomputed exactly every this many part
-/// updates. Trades one SpMV per live column against how long a drifted
-/// gate can hide a crossing.
+/// updates — counted monitor-wide by [`Monitor::update_part`], and per
+/// column (folds since that column's last exact recomputation) by `poll`,
+/// which may score some columns far more often than others. Trades one
+/// SpMV per live column against how long a drifted gate can hide a
+/// crossing.
 const RESYNC_EVERY: usize = 256;
 
-/// The shortest sleep of a one-shot wall-clock solve's supervisor between
-/// polls — the floor of [`next_poll`]'s cadence, and the whole cadence
+/// The shortest sleep of a wall-clock supervisor between two scorings of
+/// a column — the floor of [`next_poll`]'s cadence, and the whole cadence
 /// wherever it has no decay to go by (the first poll, a flat or rising
 /// metric, no metric tolerance). Trades `over_tol_share` — the workers keep
 /// solving for up to one sleep after the tolerance is met — against
@@ -115,11 +122,6 @@ const POLL_LEAD: f64 = 0.5;
 /// buy a long blind stretch.
 const POLL_GROWTH: f64 = 2.0;
 
-/// [`POLL_INTERVAL`] of a rolling session's `drain`: a ticket's latency
-/// includes the poll that notices it, and its slot is only refilled by
-/// that poll, so sessions look more often than one-shot solves.
-pub(crate) const SESSION_POLL_INTERVAL: Duration = Duration::from_micros(200);
-
 /// Sample interval of a monitor that keeps no series beyond its first
 /// point — rolling sessions: nobody reads one, and a session's life has no
 /// bound.
@@ -131,11 +133,12 @@ pub fn wall_time(started: Instant) -> SimTime {
     SimTime::from_nanos(started.elapsed().as_nanos().try_into().unwrap_or(u64::MAX))
 }
 
-/// How long a one-shot supervisor sleeps after a poll that did not stop
-/// the run: `now` is that poll's `(time since start, worst live metric)`,
-/// `last` the previous poll's, `tol` the tightest live metric tolerance
-/// (`None` under [`Termination::LocalDelta`]) and `left` what remains of
-/// the budget.
+/// How long a supervisor waits after a poll that did not stop the run —
+/// or, in a rolling session, did not retire the column: `now` is that
+/// poll's `(time since start, metric)`, `last` the previous poll's, `tol`
+/// the metric tolerance (`None` under [`Termination::LocalDelta`]) and
+/// `left` what remains of the budget. A one-shot solve feeds the worst
+/// live metric and the tightest tolerance, a session each column's own.
 ///
 /// While the metric falls from `m₀` to `m` above `tol` it is taken to
 /// decay geometrically at the rate it just showed, `λ = ln(m₀/m)/Δt`; the
@@ -216,6 +219,15 @@ struct Column {
     dirty: Vec<usize>,
     /// O(1) dedup for `dirty`.
     in_dirty: Vec<bool>,
+    /// Part updates folded into this column since it was last recomputed
+    /// exactly — `poll`'s drift guard.
+    folds_since_sync: usize,
+    /// A rolling session's next scoring of this column, as time since the
+    /// session started ([`Monitor::schedule`]).
+    due: Duration,
+    /// The column's last scored `(time, metric)`, whose decay
+    /// [`next_poll`] extrapolates; `None` until the occupant is scored.
+    last: Option<(Duration, f64)>,
 }
 
 impl Column {
@@ -232,6 +244,9 @@ impl Column {
             pending: vec![0.0; n],
             dirty: Vec::with_capacity(n),
             in_dirty: vec![false; n],
+            folds_since_sync: 0,
+            due: Duration::ZERO,
+            last: None,
         }
     }
 
@@ -277,6 +292,7 @@ impl Column {
             }
         }
         self.exact = true;
+        self.folds_since_sync = 0;
     }
 
     /// Fold all pending residual deltas — one sparse row fold per
@@ -342,7 +358,8 @@ pub struct Monitor {
     refresh_below: f64,
     /// [`update_part`](Self::update_part) calls since the last fold.
     updates_since_flush: usize,
-    /// Part updates folded in since the last exact resync.
+    /// [`update_part`](Self::update_part) calls since its last exact
+    /// resync of every live column.
     updates_since_sync: usize,
     /// Total part updates — the monitor-side activation counter, uniform
     /// across DTM and the baselines (every algorithm reports exactly one
@@ -411,7 +428,7 @@ impl Monitor {
     /// their current solutions, so the diffing against the kept blocks
     /// stays consistent; only the *targets* change, and the column's score
     /// is recomputed exactly against them. Whatever the slot's previous
-    /// occupant scored is forgotten.
+    /// occupant scored is forgotten, its decay included.
     ///
     /// # Panics
     /// Panics on column/length mismatch.
@@ -420,6 +437,7 @@ impl Monitor {
         assert_eq!(b.len(), n, "RHS column length");
         let col = &mut self.cols[c];
         col.rule = Some(rule);
+        (col.due, col.last) = (Duration::ZERO, None);
         col.b.copy_from_slice(b);
         col.b_scale = dtm_sparse::vector::norm2_or_one(b);
         col.reference = reference.map(|r| {
@@ -526,6 +544,40 @@ impl Monitor {
         self.cols.iter().filter(|col| col.rule.is_some())
     }
 
+    /// The live columns due for scoring at `now` (time since the session
+    /// started), as a column mask for [`poll`](Self::poll) — saturated
+    /// (every column) once the block is 64 or more wide and any is due.
+    pub(crate) fn due(&self, now: Duration) -> u64 {
+        let saturated = self.cols.len() >= 64;
+        let mut mask = 0;
+        for (c, col) in self.cols.iter().enumerate() {
+            if col.rule.is_some() && col.due <= now {
+                if saturated {
+                    return u64::MAX;
+                }
+                mask |= 1 << c;
+            }
+        }
+        mask
+    }
+
+    /// When the earliest live column is next due, if any column is live.
+    pub(crate) fn next_due(&self) -> Option<Duration> {
+        self.live().map(|col| col.due).min()
+    }
+
+    /// Set slot `c`'s next scoring after a pass scored (or admitted) it at
+    /// `now` without retiring it: [`next_poll`] of the column's own metric
+    /// and tolerance, at least [`POLL_INTERVAL`] ahead.
+    pub(crate) fn schedule(&mut self, c: usize, now: Duration) {
+        let col = &mut self.cols[c];
+        let metric = col.metric();
+        let tol = col.rule.and_then(Termination::metric_tol);
+        let gap = next_poll(col.last, (now, metric), tol, Duration::MAX);
+        col.due = now.saturating_add(gap);
+        col.last = Some((now, metric));
+    }
+
     /// Worst maintained metric over the live columns.
     pub fn metric(&self) -> f64 {
         self.live().map(Column::metric).fold(0.0, worse)
@@ -571,9 +623,10 @@ impl Monitor {
         assert_eq!(x.len(), nl * k, "monitor: local block length");
         self.updates_total += 1;
         for (c, col) in self.cols.iter_mut().enumerate() {
-            if k < 64 && cols >> c & 1 == 0 {
+            if !has_col(cols, c, k) {
                 continue;
             }
+            col.folds_since_sync += 1;
             let live = col.rule.is_some();
             let oracle = col.reference.as_deref().filter(|_| live && col.by_oracle);
             let mut moved = false;
@@ -692,32 +745,29 @@ impl Monitor {
         metric
     }
 
-    /// One supervisor pass over the wall-clock workers' published blocks:
-    /// fold in what they dirtied since the last pass — each block under its
-    /// own lock, nothing else — then bring every live column that moved up
-    /// to date, folding or recomputing, whichever is less work (drift
-    /// bounded as in [`update_part`](Self::update_part)); returns the worst
-    /// metric. A pass where nothing changed takes no lock and keeps every
-    /// score; nothing here allocates.
+    /// One supervisor pass over the wall-clock workers' published blocks,
+    /// for the columns in `want` (`u64::MAX` = every column, a one-shot
+    /// solve): fold in what the workers dirtied of them since they were
+    /// last wanted — each block under its own lock, nothing else — then
+    /// bring every wanted live column that moved up to date, folding or
+    /// recomputing, whichever is less work — recomputing outright once
+    /// [`RESYNC_EVERY`] folds went into the column since its last exact
+    /// recomputation; returns the worst maintained metric. The other
+    /// columns stay dirty in their blocks and keep their scores. A pass
+    /// where nothing wanted changed takes no lock; nothing here allocates.
     // lint: hot-path
-    pub(crate) fn poll(&mut self, time: SimTime, snapshots: &[SharedBlock]) -> f64 {
+    pub(crate) fn poll(&mut self, time: SimTime, snapshots: &[SharedBlock], want: u64) -> f64 {
         for (p, snap) in snapshots.iter().enumerate() {
-            snap.drain(|block, cols| {
-                self.absorb(p, block, cols);
-                self.updates_since_sync += 1;
-            });
+            snap.drain(want, |block, cols| self.absorb(p, block, cols));
         }
-        let resync = self.refresh_below > 0.0 && self.updates_since_sync >= RESYNC_EVERY;
-        if resync {
-            self.updates_since_sync = 0;
-        }
-        let n = self.n;
+        let (n, k) = (self.n, self.cols.len());
+        let armed = self.refresh_below > 0.0;
         for (c, col) in self.cols.iter_mut().enumerate() {
-            if col.rule.is_none() || col.exact {
+            if !has_col(want, c, k) || col.rule.is_none() || col.exact {
                 continue;
             }
             let est = &self.est[c * n..(c + 1) * n];
-            if resync {
+            if armed && col.folds_since_sync >= RESYNC_EVERY {
                 col.resync(&self.a, est);
             } else {
                 col.refresh(&self.a, est);
@@ -896,6 +946,76 @@ mod tests {
         assert!(overshoot < gap.as_secs_f64(), "overshoot {overshoot}");
         assert!(overshoot < span / 2.0, "overshoot {overshoot} of {span}");
         assert!(polls.len() < 30, "{} polls", polls.len());
+    }
+
+    #[test]
+    fn each_column_is_due_on_its_own_decay() {
+        let (ss, _) = make();
+        let (_, b) = ss.reconstruct();
+        let rule = Termination::Residual { tol: 1e-6 };
+        let mut m = idle(&ss, 3, NO_SERIES);
+        assert_eq!((m.due(Duration::MAX), m.next_due()), (0, None), "idle");
+        m.admit(0, &b, rule, None);
+        m.admit(2, &b, rule, None);
+        assert_eq!(m.due(Duration::ZERO), 0b101, "an admitted column is due");
+        let t1 = Duration::from_millis(1);
+        m.schedule(0, t1);
+        m.schedule(2, t1);
+        assert_eq!(m.next_due(), Some(t1 + POLL_INTERVAL), "no decay yet");
+        assert_eq!(m.due(t1 + POLL_INTERVAL / 2), 0);
+        // Column 0's metric falls tenfold in a millisecond, column 2's
+        // stays put: column 0 waits longer, column 2 the floor.
+        m.cols[0].sum_sq /= 100.0;
+        let t2 = Duration::from_millis(2);
+        m.schedule(0, t2);
+        m.schedule(2, t2);
+        assert_eq!(m.due(t2 + POLL_INTERVAL), 0b100);
+        assert_eq!(m.cols[0].due, t2 + 2 * (t2 - t1), "growth-capped");
+        // Too wide for the mask: any due column makes every column due.
+        let mut wide = idle(&ss, 64, NO_SERIES);
+        wide.admit(63, &b, rule, None);
+        assert_eq!(wide.due(Duration::ZERO), u64::MAX);
+        wide.schedule(63, t1);
+        assert_eq!(wide.due(t1), 0);
+    }
+
+    #[test]
+    fn a_rarely_scored_column_is_resynced_after_its_own_folds() {
+        // One part holding every unknown of the 4×4 grid, two slots.
+        // Column 1 is wanted on every pass and column 0 only on every
+        // fourth, off the passes where a count of all part updates would
+        // come round to `RESYNC_EVERY`.
+        let a = generators::grid2d_laplacian(4, 4);
+        let (rows, copies) = ((0..16).collect::<Vec<_>>(), [1; 16]);
+        let b = generators::random_rhs(16, 3);
+        let map = GatherMap::new(vec![&rows[..]], &copies, &a, vec![&b[..]]);
+        let mut m = Monitor::new(&map, 2, NO_SERIES);
+        let rule = Termination::Residual { tol: 1e-9 };
+        m.admit(0, &b, rule, None);
+        m.admit(1, &b, rule, None);
+        // Drift column 0's running sum: a fold carries it along, only an
+        // exact recomputation removes it.
+        m.cols[0].sum_sq += 1.0;
+        let block = SharedBlock::new(16, 2);
+        let mut x = vec![0.0; 32];
+        let mut folds = 0;
+        for pass in 1..4 * RESYNC_EVERY + 8 {
+            // One entry of each column moves per pass, so each refresh
+            // folds rather than recomputes.
+            x[pass % 16] += 1e-3;
+            x[16 + pass % 16] += 1e-3;
+            block.publish(&x, 0b11);
+            let want = if pass % 4 == 1 { 0b11 } else { 0b10 };
+            m.poll(SimTime::ZERO, std::slice::from_ref(&block), want);
+            if want & 1 == 0 {
+                continue;
+            }
+            folds += 1;
+            let exact = a.residual_norm(m.estimate_col(0), &b) / vector::norm2(&b);
+            let drifted = (m.cols[0].metric() - exact).abs() > 1e-9;
+            assert_eq!(drifted, folds < RESYNC_EVERY, "fold {folds} of column 0");
+        }
+        assert!(folds > RESYNC_EVERY);
     }
 
     #[test]

@@ -1074,16 +1074,19 @@ pub mod wallclock {
             self.dirty.fetch_or(cols, Ordering::Release);
         }
 
-        /// Hand the block and the mask of columns dirtied since the last
-        /// drain to `absorb`, under the block's lock — so `absorb` must do
-        /// part-local work only. Nothing dirtied: `absorb` is not called
-        /// and the lock is never taken.
-        pub(crate) fn drain(&self, absorb: impl FnOnce(&[f64], u64)) {
-            if self.dirty.load(Ordering::Acquire) == 0 {
+        /// Hand the block and the mask of the columns in `want` dirtied
+        /// since they were last drained to `absorb`, under the block's
+        /// lock — so `absorb` must do part-local work only — and clear
+        /// only those bits: every other column stays dirty, its data in
+        /// place, for a later drain. `u64::MAX` wants every column. None
+        /// of `want` dirtied: `absorb` is not called and the lock is never
+        /// taken.
+        pub(crate) fn drain(&self, want: u64, absorb: impl FnOnce(&[f64], u64)) {
+            if self.dirty.load(Ordering::Acquire) & want == 0 {
                 return;
             }
             let data = self.data.lock();
-            absorb(&data, self.dirty.swap(0, Ordering::AcqRel));
+            absorb(&data, self.dirty.fetch_and(!want, Ordering::AcqRel) & want);
         }
     }
 }
@@ -1336,6 +1339,29 @@ mod tests {
     }
 
     #[test]
+    fn masked_drain_hands_over_only_the_wanted_dirty_columns() {
+        let block = wallclock::SharedBlock::new(2, 3);
+        let drained = |want| {
+            let mut got = None;
+            block.drain(want, |data, cols| got = Some((data.to_vec(), cols)));
+            got
+        };
+        block.publish(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0b011);
+        let data = vec![1.0, 2.0, 3.0, 4.0, 0.0, 0.0];
+        assert_eq!(drained(0b100), None, "column 2 is clean: no lock, no call");
+        assert_eq!(drained(0b110), Some((data.clone(), 0b010)), "want ∩ dirty");
+        assert_eq!(drained(0b010), None, "column 1 was cleared");
+        // Column 0 stayed dirty, its data intact, through both drains.
+        assert_eq!(drained(0b001), Some((data.clone(), 0b001)));
+        assert_eq!(drained(u64::MAX), None);
+        // A full mask is the unmasked drain: everything dirty, once.
+        block.publish(&[7.0, 8.0, 3.0, 4.0, 9.0, 10.0], 0b101);
+        let data = vec![7.0, 8.0, 3.0, 4.0, 9.0, 10.0];
+        assert_eq!(drained(u64::MAX), Some((data, 0b101)));
+        assert_eq!(drained(u64::MAX), None);
+    }
+
+    #[test]
     fn one_shot_stops_only_when_every_column_met_its_tolerance() {
         let (mut m, block) = two_slot_poll();
         let rule = Termination::Residual { tol: 1e-9 };
@@ -1344,13 +1370,21 @@ mod tests {
         // Column 0 is exact long before column 1 has moved at all.
         block.publish(&[1.0, 2.0, 0.0, 0.0], 0b11);
         for _ in 0..3 {
-            let worst = m.poll(dtm_simnet::SimTime::ZERO, std::slice::from_ref(&block));
+            let worst = m.poll(
+                dtm_simnet::SimTime::ZERO,
+                std::slice::from_ref(&block),
+                u64::MAX,
+            );
             assert_eq!(worst, 1.0, "the slow column's residual");
             assert!(m.done(0) && !m.done(1));
             assert!(!m.all_done());
         }
         block.publish(&[1.0, 2.0, 3.0, 4.0], 0b10);
-        m.poll(dtm_simnet::SimTime::ZERO, std::slice::from_ref(&block));
+        m.poll(
+            dtm_simnet::SimTime::ZERO,
+            std::slice::from_ref(&block),
+            u64::MAX,
+        );
         assert!(m.all_done());
         let done = m.retire(1);
         assert_eq!(done.solution, vec![3.0, 4.0]);
@@ -1365,7 +1399,7 @@ mod tests {
         let rule = Termination::OracleRms { tol: 1e-9 };
         m.admit(0, &[1.0, 2.0], rule, Some(&[1.0, 2.0]));
         block.publish(&[1.0, 2.0, 0.0, 0.0], 0b01);
-        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        m.poll(dtm_simnet::SimTime::ZERO, blocks, u64::MAX);
         assert!(m.done(0));
         assert_eq!(m.retire(0).rms, Some(0.0));
         // The incoming ticket inherits the slot and the estimate, not the
@@ -1373,13 +1407,13 @@ mod tests {
         // the outgoing ticket's answer, then its own.
         let rule = Termination::Residual { tol: 1e-9 };
         m.admit(0, &[5.0, 6.0], rule, None);
-        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        m.poll(dtm_simnet::SimTime::ZERO, blocks, u64::MAX);
         assert!(!m.done(0), "the outgoing estimate scored against the new b");
         block.publish(&[1.0, 2.0, 0.0, 0.0], 0b01);
-        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        m.poll(dtm_simnet::SimTime::ZERO, blocks, u64::MAX);
         assert!(!m.done(0), "stale estimate scored against the new b");
         block.publish(&[5.0, 6.0, 0.0, 0.0], 0b01);
-        m.poll(dtm_simnet::SimTime::ZERO, blocks);
+        m.poll(dtm_simnet::SimTime::ZERO, blocks, u64::MAX);
         assert!(m.done(0));
         assert_eq!(m.retire(0).solution, vec![5.0, 6.0]);
     }

@@ -48,7 +48,8 @@
 
 use crate::builder::DtmProblem;
 use crate::fabric::{Fabric, Hook, Pool, Threads};
-use crate::monitor::{wall_time, Monitor, NO_SERIES, SESSION_POLL_INTERVAL};
+use crate::local::has_col;
+use crate::monitor::{wall_time, Monitor, NO_SERIES, POLL_INTERVAL};
 use crate::runtime::{self, CommonConfig, GatherMap, NodeRuntime, Termination};
 use crate::solver::{self, DtmNode};
 use crate::sync::{Arc, Mutex};
@@ -163,10 +164,12 @@ impl SessionQueue {
 
     /// Tickets currently occupying slots.
     pub fn active(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Active(_)))
-            .count()
+        (0..self.slots.len()).filter(|&s| self.is_active(s)).count()
+    }
+
+    /// Whether a ticket occupies `slot`.
+    fn is_active(&self, slot: usize) -> bool {
+        matches!(self.slots[slot], Slot::Active(_))
     }
 
     /// Tickets submitted but not yet completed (queued + live).
@@ -506,12 +509,15 @@ type ColumnSwap = (usize, Vec<f64>);
 ///
 /// The fabric runs the perpetual exchange — every received wave triggers a
 /// re-solve and a re-scatter — for the session's whole life; the caller's
-/// thread is the supervisor: [`poll`](Self::poll) drains solution
-/// snapshots, retires tickets whose own tolerance is met (exact metrics on
-/// the gathered estimate — self-validating), and admits queued tickets by
-/// dropping swap orders into per-part mailboxes, which the nodes drain
-/// through the fabric's per-node hook. Call [`finish`](Self::finish) (or
-/// drop the session) to stop the fabric.
+/// thread is the supervisor: [`poll`](Self::poll) drains the solution
+/// snapshots of the columns due for scoring, retires tickets whose own
+/// tolerance is met (exact metrics on the gathered estimate —
+/// self-validating), and admits queued tickets by dropping swap orders
+/// into per-part mailboxes, which the nodes drain through the fabric's
+/// per-node hook. Each column is scored on its own cadence, the one-shot
+/// supervisor's decay rule (`Monitor::schedule`), so a poll between two
+/// due times does no work. Call [`finish`](Self::finish) (or drop the
+/// session) to stop the fabric.
 pub struct WallclockSession<F> {
     split: SplitSystem,
     queue: SessionQueue,
@@ -523,6 +529,11 @@ pub struct WallclockSession<F> {
     swaps: Arc<Vec<Mutex<Vec<ColumnSwap>>>>,
     started: Instant,
     finished: bool,
+    /// Supervisor passes ([`poll`](Self::poll)s, including those inside
+    /// `submit` and `drain`).
+    pub(crate) pumps: u64,
+    /// Columns scored, summed over the passes.
+    pub(crate) scorings: u64,
 }
 
 /// A rolling session on real OS threads (one per subdomain).
@@ -571,6 +582,8 @@ impl<F: Fabric> WallclockSession<F> {
             swaps,
             started: Instant::now(),
             finished: false,
+            pumps: 0,
+            scorings: 0,
         })
     }
 
@@ -608,22 +621,36 @@ impl<F: Fabric> WallclockSession<F> {
     }
 
     /// One supervisor pass without consuming the completed-report stream:
-    /// score what the nodes published, retire every ticket whose own
-    /// tolerance the exact metric of its gathered estimate meets
-    /// (self-validating, even while some parts still hold a just-swapped
-    /// column's stale state), then admit queued tickets into the free
-    /// slots. Each swap order also wakes its node so an idle one picks it
-    /// up promptly. A pass that retires and admits nothing allocates
-    /// nothing.
+    /// fold in and score what the nodes published for the columns that
+    /// are due, retire every due ticket whose own tolerance the exact
+    /// metric of its gathered estimate meets (self-validating, even while
+    /// some parts still hold a just-swapped column's stale state) and
+    /// schedule the others' next scoring, then admit queued tickets into
+    /// the free slots, each due one floor interval on. Each swap order also
+    /// wakes its node so an idle one picks it up promptly. A pass that
+    /// retires and admits nothing allocates nothing; one with nothing due
+    /// takes no lock.
     fn pump(&mut self) {
-        self.monitor
-            .poll(wall_time(self.started), self.fabric.snapshots());
-        for slot in 0..self.queue.n_slots() {
-            if self.monitor.done(slot) {
-                let done = self.monitor.retire(slot);
-                let now_ms = self.now_ms();
-                self.queue
-                    .retire(slot, done.solution, done.residual, done.rms, now_ms);
+        self.pumps += 1;
+        let time = wall_time(self.started);
+        let now = Duration::from_nanos(time.as_nanos());
+        let due = self.monitor.due(now);
+        if due != 0 {
+            self.monitor.poll(time, self.fabric.snapshots(), due);
+            let slots = self.queue.n_slots();
+            for slot in 0..slots {
+                if !has_col(due, slot, slots) || !self.queue.is_active(slot) {
+                    continue;
+                }
+                self.scorings += 1;
+                if self.monitor.done(slot) {
+                    let done = self.monitor.retire(slot);
+                    let now_ms = self.now_ms();
+                    self.queue
+                        .retire(slot, done.solution, done.residual, done.rms, now_ms);
+                } else {
+                    self.monitor.schedule(slot, now);
+                }
             }
         }
         while let Some(slot) = self.queue.idle_slot() {
@@ -632,6 +659,7 @@ impl<F: Fabric> WallclockSession<F> {
             };
             self.monitor
                 .admit(slot, &t.b, t.termination, t.reference.as_deref());
+            self.monitor.schedule(slot, now);
             let local_cols = self.split.scatter_rhs(&t.b);
             for (p, (mailbox, local)) in self.swaps.iter().zip(local_cols).enumerate() {
                 mailbox.lock().push((slot, local));
@@ -647,12 +675,29 @@ impl<F: Fabric> WallclockSession<F> {
         self.queue.take_completed()
     }
 
-    /// Poll until every outstanding ticket completes or `timeout` elapses.
+    /// Poll until every outstanding ticket completes or `timeout` elapses
+    /// (one too long for the clock, `Duration::MAX` say, sets no
+    /// deadline), sleeping between passes until the earliest live column
+    /// is due. A [`finish`](Self::finish)ed session returns at once with
+    /// the reports completed so far: its stopped nodes can complete
+    /// nothing more.
     pub fn drain(&mut self, timeout: Duration) -> Vec<ColumnReport> {
-        let deadline = Instant::now() + timeout;
+        if self.finished {
+            return self.queue.take_completed();
+        }
+        let deadline = Instant::now().checked_add(timeout);
         let mut out = self.poll();
-        while self.queue.outstanding() > 0 && Instant::now() < deadline {
-            std::thread::sleep(SESSION_POLL_INTERVAL);
+        while self.queue.outstanding() > 0 {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                break;
+            }
+            let wait = self.monitor.next_due().map_or(POLL_INTERVAL, |due| {
+                due.saturating_sub(self.started.elapsed())
+            });
+            std::thread::sleep(wait.min(left));
             out.extend(self.poll());
         }
         out
@@ -1034,6 +1079,126 @@ mod tests {
         session.finish();
         assert!(a.residual_norm(&r1[0].solution, &b1) / dtm_sparse::vector::norm2(&b1) <= 2e-7);
         assert!(r2[0].final_rms.expect("oracle ticket") <= 1e-7);
+    }
+
+    /// Serve 12 tickets, tolerances alternating 1e-3 and 1e-7, through a
+    /// 4-slot session on a 12×12 grid, polling in a busy loop — far more
+    /// often than any column is due. Every answer meets its own
+    /// tolerance; each ticket costs a bounded number of column scorings,
+    /// never two of one column within `POLL_INTERVAL`; most polls score
+    /// nothing.
+    fn serve_mixed_tolerances<F: Fabric>(start: impl FnOnce(&DtmProblem) -> WallclockSession<F>) {
+        let problem = grid_problem(12);
+        let (a, _) = problem.split.reconstruct();
+        let mut session = start(&problem);
+        let work: Vec<(Vec<f64>, f64)> = (0..12)
+            .map(|i| {
+                (
+                    generators::random_rhs(144, 500 + i),
+                    [1e-3, 1e-7][i as usize % 2],
+                )
+            })
+            .collect();
+        let started = Instant::now();
+        for (b, tol) in &work {
+            session
+                .submit(b, Termination::Residual { tol: *tol })
+                .unwrap();
+        }
+        let mut reports = Vec::new();
+        while reports.len() < work.len() && started.elapsed() < Duration::from_secs(60) {
+            reports.extend(session.poll());
+            std::hint::spin_loop();
+        }
+        let elapsed = started.elapsed();
+        session.finish();
+        assert_eq!(reports.len(), work.len(), "every ticket retires");
+        for r in &reports {
+            let (b, tol) = &work[r.ticket.0 as usize];
+            let residual = a.residual_norm(&r.solution, b) / dtm_sparse::vector::norm2(b);
+            assert!(
+                residual <= *tol,
+                "ticket {}: {residual:e} > {tol:e}",
+                r.ticket
+            );
+        }
+        // Optimised builds score 1–5 times per ticket here, unoptimised
+        // ones 8–22; the bound leaves room for a loaded machine, where a
+        // starved column's flat metric is rescored at the floor. Scoring
+        // every column on every poll would be thousands per ticket.
+        let (pumps, scorings) = (session.pumps, session.scorings);
+        assert!(
+            scorings <= 60 * 12,
+            "{scorings} column scorings for 12 tickets"
+        );
+        // A column is first scored one floor interval after its admission
+        // and then at least as far apart, and at most 4 are live at once.
+        let cap = 4 * elapsed.as_micros() / POLL_INTERVAL.as_micros();
+        assert!(
+            u128::from(scorings) <= cap,
+            "{scorings} scorings in {elapsed:?}"
+        );
+        assert!(
+            pumps >= 10 * scorings,
+            "{pumps} polls, {scorings} column scorings"
+        );
+    }
+
+    #[test]
+    fn rolling_pool_session_scores_each_column_on_its_own_cadence() {
+        serve_mixed_tolerances(|p| p.rolling_workstealing(4, 2).expect("spawns"));
+    }
+
+    #[test]
+    fn rolling_threaded_session_scores_each_column_on_its_own_cadence() {
+        serve_mixed_tolerances(|p| p.rolling_threaded(4).expect("spawns"));
+    }
+
+    #[test]
+    fn rolling_session_of_65_slots_retires_every_ticket() {
+        // Wider than the 64-bit column mask: every live column is scored
+        // whenever any is due.
+        let problem = grid_problem(6);
+        let (a, _) = problem.split.reconstruct();
+        let mut session = problem.rolling_workstealing(65, 2).expect("spawns");
+        let work: Vec<Vec<f64>> = (0..70)
+            .map(|i| generators::random_rhs(36, 900 + i))
+            .collect();
+        for b in &work {
+            session
+                .submit(b, Termination::Residual { tol: 1e-6 })
+                .unwrap();
+        }
+        let reports = session.drain(Duration::from_secs(60));
+        session.finish();
+        assert_eq!(reports.len(), work.len());
+        for r in &reports {
+            let b = &work[r.ticket.0 as usize];
+            assert!(a.residual_norm(&r.solution, b) / dtm_sparse::vector::norm2(b) <= 1e-6);
+        }
+    }
+
+    #[test]
+    fn rolling_session_drain_needs_no_deadline_and_stops_at_finish() {
+        let problem = grid_problem(8);
+        let mut session = problem.rolling_workstealing(2, 2).expect("spawns");
+        let b = generators::random_rhs(64, 61);
+        let done = session
+            .submit(&b, Termination::Residual { tol: 1e-6 })
+            .unwrap();
+        let reports = session.drain(Duration::MAX);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].ticket, done);
+        // A tolerance no estimate meets: the ticket is still outstanding
+        // when the nodes stop, and nothing can complete it after.
+        session
+            .submit(&b, Termination::Residual { tol: 1e-300 })
+            .unwrap();
+        session.finish();
+        let started = Instant::now();
+        assert!(session.drain(Duration::MAX).is_empty());
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(session.outstanding(), 1);
     }
 
     #[test]
