@@ -16,7 +16,9 @@
 //!   reusable templates) — and both fabrics then solve over the *same*
 //!   templates (`threaded::solve_prepared` /
 //!   `rayon_backend::solve_prepared`), the paper's factor-once design, so
-//!   their wall-clock is pure exchange. 16³ @ 8 always; without `--quick`
+//!   their wall-clock is pure exchange. On 16³ @ 8 it also times the open
+//!   of an 8-slot rolling session on the pool (`rolling_workstealing`), the
+//!   serving path's set-up. 16³ @ 8 always; without `--quick`
 //!   also 48³ @ 32, an anisotropic 32³ @ 16 (`grid3d_laplacian_aniso`,
 //!   ε = 0.05) and 100³ = 10⁶ unknowns @ 64.
 //! * **substitution kernels** — per-RHS latency of the seed column-major
@@ -32,7 +34,7 @@
 
 use dtm_core::builder::DtmBuilder;
 use dtm_core::rayon_backend::{self, RayonConfig};
-use dtm_core::runtime::{build_nodes_parallel, CommonConfig, Termination};
+use dtm_core::runtime::{build_nodes, CommonConfig, Termination};
 use dtm_core::threaded::{self, ThreadedConfig};
 use dtm_core::SolveReport;
 use dtm_graph::partition::{self, PartitionConfig, Partitioner};
@@ -67,18 +69,30 @@ pub fn fixture_rhs() -> PathBuf {
 /// Solver and I/O failures, a solve that did not converge, or a K = 1
 /// panel sweep slower than the scalar kernel.
 pub fn run(opts: &BenchOptions) -> Result<()> {
-    grid3d_case("grid3d16p8", &generators::grid3d_laplacian(16, 16, 16), 8)?;
+    grid3d_case(
+        "grid3d16p8",
+        &generators::grid3d_laplacian(16, 16, 16),
+        8,
+        true,
+    )?;
     if !opts.quick {
-        grid3d_case("grid3d48p32", &generators::grid3d_laplacian(48, 48, 48), 32)?;
+        grid3d_case(
+            "grid3d48p32",
+            &generators::grid3d_laplacian(48, 48, 48),
+            32,
+            false,
+        )?;
         grid3d_case(
             "grid3d_aniso32p16",
             &generators::grid3d_laplacian_aniso(32, 32, 32, 0.05),
             16,
+            false,
         )?;
         grid3d_case(
             "grid3d100p64",
             &generators::grid3d_laplacian(100, 100, 100),
             64,
+            false,
         )?;
     }
     kernel_case(if opts.quick { 7 } else { 15 })?;
@@ -95,6 +109,9 @@ const GRID_TOL: f64 = 1e-6;
 
 /// Wall-clock budget of one 3-D solve.
 const GRID_BUDGET: Duration = Duration::from_secs(600);
+
+/// Column slots of the rolling session whose open [`grid3d_case`] times.
+const SESSION_SLOTS: usize = 8;
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -130,10 +147,11 @@ fn show_solve(label: &str, r: &SolveReport, wall_ms: f64) -> Result<()> {
 }
 
 /// A 3-D system under the default partitioner: per-phase set-up timings
-/// (partition → split → factor), then both wall-clock fabrics solving over
-/// the same factored templates (the factor-once serving path — no fabric
-/// ever re-factors).
-fn grid3d_case(case: &str, a: &Csr, parts: usize) -> Result<()> {
+/// (partition → split → factor), with `open_session` the open of a
+/// [`SESSION_SLOTS`]-slot rolling session on the same split, then both
+/// wall-clock fabrics solving over the same factored templates (the
+/// factor-once serving path — no fabric ever re-factors).
+fn grid3d_case(case: &str, a: &Csr, parts: usize, open_session: bool) -> Result<()> {
     let n = a.n_rows();
     println!("— {case}: {n} unknowns, {parts} parts —");
     let b = generators::random_rhs(n, crate::seeds::RHS);
@@ -160,20 +178,24 @@ fn grid3d_case(case: &str, a: &Csr, parts: usize) -> Result<()> {
 
     // Factor every subdomain concurrently into reusable templates (factors
     // are Arc-shared; the fabrics clone the templates).
-    let pool = rayon::ThreadPoolBuilder::new()
-        .build()
-        .map_err(|e| Error::Parse(format!("bench pool: {e}")))?;
     let common = CommonConfig {
         termination,
         ..Default::default()
     };
-    let (templates, factor_ms) = timed(|| build_nodes_parallel(&problem.split, &common, &pool));
+    let (templates, factor_ms) = timed(|| build_nodes(&problem.split, &common));
     let templates = templates?;
     println!(
         "  setup: partition {partition_ms:.0} ms + split {split_ms:.0} ms + factor \
          {factor_ms:.0} ms = {:.0} ms",
         partition_ms + split_ms + factor_ms
     );
+    if open_session {
+        // The serving path's set-up: the session factors its own nodes (a
+        // block of zero columns) and assembles its scorer.
+        let (session, open_ms) = timed(|| problem.rolling_workstealing(SESSION_SLOTS, 0));
+        session?.finish();
+        println!("  session open: {SESSION_SLOTS} slots {open_ms:.0} ms (rolling_workstealing)");
+    }
 
     let tconfig = ThreadedConfig {
         common: common.clone(),

@@ -8,6 +8,7 @@
 use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
 use crate::report::SolveReport;
+use crate::runtime;
 use crate::solver::{self, ComputeModel, DtmConfig, Termination};
 use crate::vtm;
 use dtm_graph::evs::{split_parallel as evs_split_parallel, EvsOptions, SplitSystem, TwinTopology};
@@ -47,14 +48,6 @@ pub struct DtmProblem {
     /// reporting). `None` under [`Termination::Residual`]: reference-free
     /// runs never direct-solve the original system.
     pub reference: Option<Vec<f64>>,
-}
-
-/// Fork-join fan-out for the setup pipeline (EVS assembly, per-part
-/// factorization). Sized to the machine's available parallelism.
-fn setup_pool() -> Result<rayon::ThreadPool> {
-    rayon::ThreadPoolBuilder::new()
-        .build()
-        .map_err(|e| Error::Parse(format!("setup pool: {e}")))
 }
 
 /// Wait for a set-up thread; if it panicked, the panic continues here.
@@ -252,7 +245,7 @@ impl DtmBuilder {
                 .collect();
             evs_options.twin_topology = TwinTopology::TreeWithin(pairs);
         }
-        let split = evs_split_parallel(&graph, &plan, &evs_options, &setup_pool()?)?;
+        let split = evs_split_parallel(&graph, &plan, &evs_options, &runtime::setup_pool()?)?;
         // Surface a malformed machine (a DTLP with no directed link) as a
         // typed error here, at assembly time, rather than a panic once a
         // backend first looks the delay up.

@@ -686,9 +686,13 @@ impl AsyncNode for NodeRuntime {
     }
 }
 
-/// Build one [`NodeRuntime`] per subdomain: assign impedances, factor
-/// every local system once, and derive the wave routes (ports grouped by
-/// neighbour part, deterministically in port order).
+/// Build one [`NodeRuntime`] per subdomain: assign impedances, then factor
+/// every local system once and derive its wave routes (ports grouped by
+/// neighbour part, deterministically in port order). The parts are built
+/// side by side on a fork-join pool as wide as the machine, each by the
+/// pure per-part function [`build_node`] runs, so the nodes equal a
+/// per-part [`build_node`] loop's bit for bit, whatever order the parts
+/// finish in (`crates/core/tests/parallel_setup_props.rs` holds this).
 ///
 /// # Errors
 /// Fails if the impedance assignment fails or a local factorization fails
@@ -698,7 +702,7 @@ impl AsyncNode for NodeRuntime {
 /// names the lowest-numbered failing part and the original row of its
 /// pivot.
 pub fn build_nodes(split: &SplitSystem, common: &CommonConfig) -> Result<Vec<NodeRuntime>> {
-    build_nodes_inner(split, common, None)
+    build_nodes_parallel(split, common, &setup_pool()?)
 }
 
 /// [`build_nodes`] for a **block wave**: every node solves `rhs_cols.len()`
@@ -718,9 +722,7 @@ pub fn build_nodes_block(
     common: &CommonConfig,
     rhs_cols: &[Vec<f64>],
 ) -> Result<Vec<NodeRuntime>> {
-    assert!(!rhs_cols.is_empty(), "at least one RHS column");
-    let local_cols: Vec<Vec<Vec<f64>>> = rhs_cols.iter().map(|b| split.scatter_rhs(b)).collect();
-    build_nodes_inner(split, common, Some(transpose_scatter(local_cols)))
+    build_nodes_block_parallel(split, common, rhs_cols, &setup_pool()?)
 }
 
 /// Regroup scattered RHS columns from per-column `[c][p]` order into the
@@ -807,35 +809,22 @@ fn build_node_inner(
     })
 }
 
-/// `part_cols[p][c]` = column `c`'s scattered sources for part `p`; `None`
-/// = the split's own single right-hand side.
-fn build_nodes_inner(
-    split: &SplitSystem,
-    common: &CommonConfig,
-    part_cols: Option<Vec<Vec<Vec<f64>>>>,
-) -> Result<Vec<NodeRuntime>> {
-    let z_dtlp = common.impedance.assign(split)?;
-    let z_ports = per_port(split, &z_dtlp);
-    (0..split.n_parts())
-        .map(|p| {
-            let cols = part_cols.as_ref().map(|cols| &cols[p]);
-            build_node_inner(&split.subdomains[p], &z_ports[p], common, cols)
-        })
-        .collect()
+/// Fork-join fan-out for the set-up pipeline (EVS assembly, per-part
+/// factorization), sized to the machine's available parallelism.
+pub(crate) fn setup_pool() -> Result<rayon::ThreadPool> {
+    rayon::ThreadPoolBuilder::new()
+        .build()
+        .map_err(|e| dtm_sparse::Error::Parse(format!("setup pool: {e}")))
 }
 
-/// [`build_nodes`] with every subdomain's factorization submitted to the
-/// work-stealing pool instead of looping: setup cost becomes
-/// `max(factor_p)` instead of `Σ factor_p` on a multi-core machine. Each
-/// node is built by the same pure per-part function as the serial path, so
-/// the resulting runtimes (routes, factors, scattered sources) are
-/// **bitwise-identical** to [`build_nodes`]'s; only the execution order
-/// differs.
+/// [`build_nodes`] on a pool the caller sized: the parts' factorizations
+/// are spread over `pool`'s threads, so set-up costs about
+/// `max(factor_p)` rather than `Σ factor_p` on a multi-core machine. The
+/// nodes are the same, bit for bit, at any pool width.
 ///
 /// # Errors
-/// See [`build_nodes`]. When several parts fail, the error of the
-/// lowest-numbered part is returned (matching the serial path, which stops
-/// at the first failing part).
+/// See [`build_nodes`]: when several parts fail, the error of the
+/// lowest-numbered one is returned.
 pub fn build_nodes_parallel(
     split: &SplitSystem,
     common: &CommonConfig,
@@ -864,6 +853,8 @@ pub fn build_nodes_block_parallel(
     build_nodes_inner_pooled(split, common, Some(transpose_scatter(local_cols)), pool)
 }
 
+/// `part_cols[p][c]` = column `c`'s scattered sources for part `p`; `None`
+/// = the split's own single right-hand side.
 fn build_nodes_inner_pooled(
     split: &SplitSystem,
     common: &CommonConfig,

@@ -7,15 +7,16 @@
 //! the scale existed, now naming the part and the original row.
 
 use dtm_core::impedance::{per_port, ImpedancePolicy, Matching};
-use dtm_core::rayon_backend::RayonConfig;
+use dtm_core::rayon_backend::{self, RayonConfig};
 use dtm_core::runtime::{
     build_node, build_nodes, build_nodes_block, build_nodes_block_parallel, build_nodes_parallel,
     CommonConfig, Termination,
 };
-use dtm_core::threaded::ThreadedConfig;
+use dtm_core::threaded::{self, ThreadedConfig};
 use dtm_core::{DtmBuilder, DtmProblem};
 use dtm_sparse::{generators, Csr, Error};
 use proptest::prelude::*;
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
 const TOL: f64 = 1e-6;
@@ -66,14 +67,17 @@ fn the_scale_is_a_pure_function_of_the_matrix() {
         bits(&explicit.assign(&p1.split).expect("assigns"))
     );
 
-    // Serial and pooled setup hand every node the same impedances.
+    // Both set-up pools hand every node the impedances, and build the
+    // nodes, that a per-part `build_node` loop does.
     let common = CommonConfig::default();
-    let serial = build_nodes(&p1.split, &common).expect("serial");
-    let pooled = build_nodes_parallel(&p1.split, &common, &pool(3)).expect("pooled");
     let ports = per_port(&p1.split, &z);
-    for ((s, p), z) in serial.iter().zip(&pooled).zip(&ports) {
-        assert_eq!(bits(s.local().impedances()), bits(z));
-        assert!(s.local() == p.local(), "part {}", s.part());
+    let built = build_nodes(&p1.split, &common).expect("builds");
+    let pooled = build_nodes_parallel(&p1.split, &common, &pool(3)).expect("pooled");
+    for ((b, p), z) in built.iter().zip(&pooled).zip(&ports) {
+        let one = build_node(&p1.split.subdomains[b.part()], z, &common).expect("part builds");
+        assert_eq!(bits(one.local().impedances()), bits(z));
+        assert!(b.local() == one.local(), "part {}", b.part());
+        assert!(p.local() == one.local(), "part {}", p.part());
     }
 }
 
@@ -122,31 +126,65 @@ proptest! {
 }
 
 /// A 12 × 12 grid in three strips with one interior diagonal entry
-/// negated: SPD everywhere except inside the part that owns `row`.
+/// negated in each of two strips: SPD everywhere except inside
+/// the two parts that own those rows. Returns the lower of the two parts
+/// and its negated row — the failure every entry point must report.
 fn indefinite_problem() -> (DtmProblem, usize, usize) {
     let side = 12;
-    let row = 5 * side + 5;
+    let rows = [5 * side + 5, 9 * side + 9];
     let mut flip = vec![0.0; side * side];
-    flip[row] = -8.0; // a diagonal of 4 becomes −4
+    for &row in &rows {
+        flip[row] = -8.0; // a diagonal of 4 becomes −4
+    }
     let a = generators::grid2d_laplacian(side, side).add_to_diagonal(&flip);
     let p = DtmBuilder::new(a, vec![1.0; side * side])
         .grid_strips(side, side, 3)
         .termination(Termination::Residual { tol: TOL })
         .build()
         .expect("symmetric input builds");
-    let owners: Vec<usize> = (0..p.split.n_parts())
-        .filter(|&q| p.split.subdomains[q].global_of_local.contains(&row))
-        .collect();
-    assert_eq!(
-        owners.len(),
-        1,
-        "the negated vertex is interior to one part"
+    let owner = |row: usize| {
+        let owners: Vec<usize> = (0..p.split.n_parts())
+            .filter(|&q| p.split.subdomains[q].global_of_local.contains(&row))
+            .collect();
+        assert_eq!(owners.len(), 1, "row {row} is interior to one part");
+        owners[0]
+    };
+    let [a, b] = rows.map(|row| (owner(row), row));
+    assert_ne!(a.0, b.0, "two parts fail");
+    let (part, row) = a.min(b);
+    (p, part, row)
+}
+
+/// Run `f` on a thread of its own and fail if it has not returned within
+/// `limit`: an entry point that hangs fails the test instead of stalling
+/// the run. A panic in `f` reaches the caller as that panic.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let got = rx.recv_timeout(limit);
+    assert!(
+        !matches!(got, Err(RecvTimeoutError::Timeout)),
+        "still running after {limit:?}"
     );
-    (p, owners[0], row)
+    if let Err(payload) = worker.join() {
+        std::panic::resume_unwind(payload);
+    }
+    got.expect("the worker sends before it returns")
 }
 
 #[test]
 fn an_indefinite_block_names_its_part_and_row_on_every_entry_point() {
+    within(
+        Duration::from_secs(120),
+        every_entry_point_names_the_lowest_failing_part,
+    );
+}
+
+/// Every builder and every opener that factors the parts side by side
+/// returns the lowest failing part's error, whichever part finished first.
+fn every_entry_point_names_the_lowest_failing_part() {
     let (p, part, row) = indefinite_problem();
     let check = |what: &str, e: Error| match e {
         Error::PartNotPositiveDefinite {
@@ -182,6 +220,7 @@ fn an_indefinite_block_names_its_part_and_row_on_every_entry_point() {
         build_node(&ss.subdomains[part], &z[part], &common).unwrap_err(),
     );
     check("simulated", p.solve().unwrap_err());
+    check("vtm", p.solve_vtm().unwrap_err());
     check("rolling", p.rolling(2).expect_err("session build fails"));
     check(
         "rolling_workstealing",
@@ -193,21 +232,31 @@ fn an_indefinite_block_names_its_part_and_row_on_every_entry_point() {
         "rolling_threaded",
         p.rolling_threaded(2).err().expect("session build fails"),
     );
+    let rconfig = RayonConfig {
+        common: common.clone(),
+        ..Default::default()
+    };
+    check("pool", p.solve_workstealing(&rconfig).unwrap_err());
     check(
-        "pool",
-        p.solve_workstealing(&RayonConfig {
-            common: common.clone(),
-            ..Default::default()
-        })
-        .unwrap_err(),
+        "rayon_backend::solve",
+        rayon_backend::solve(ss, &rconfig).unwrap_err(),
     );
     check(
-        "threaded",
-        p.solve_threaded(&ThreadedConfig {
-            common,
-            ..Default::default()
-        })
-        .unwrap_err(),
+        "rayon_backend::solve_block",
+        rayon_backend::solve_block(ss, &cols, None, &rconfig).unwrap_err(),
+    );
+    let tconfig = ThreadedConfig {
+        common,
+        ..Default::default()
+    };
+    check("threaded", p.solve_threaded(&tconfig).unwrap_err());
+    check(
+        "threaded::solve",
+        threaded::solve(ss, &tconfig).unwrap_err(),
+    );
+    check(
+        "threaded::solve_block",
+        threaded::solve_block(ss, &cols, None, &tconfig).unwrap_err(),
     );
 }
 

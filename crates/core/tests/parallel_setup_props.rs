@@ -1,14 +1,20 @@
-//! Property tests for the concurrent setup path: factoring every
-//! subdomain on the work-stealing pool (`build_nodes_parallel`) must yield
-//! node runtimes — local matrices, Cholesky factors, base RHS, routes —
-//! bitwise-identical to the serial `build_nodes` loop, for both scalar and
-//! block-wave construction.
+//! Property tests for the set-up path: every node builder — `build_nodes`
+//! and `build_nodes_block` on the library's own set-up pool,
+//! `build_nodes_parallel` and `build_nodes_block_parallel` on a pool the
+//! caller sized — must yield node runtimes (local matrices, Cholesky
+//! factors, base RHS, routes) bitwise-identical to a serial per-part
+//! reference loop: each part built on its own, over the impedances the split
+//! assigns, by the same call a distributed child makes. Covered for the
+//! scalar build, block waves, and a rolling session's zero-column blocks
+//! (1, 8 and 65 slots; 65 is past the 64-column dirty mask).
 
-use dtm_core::local::AUTO_DENSE_LIMIT;
+use dtm_core::impedance::per_port;
+use dtm_core::local::{LocalSolverKind, LocalSystem, AUTO_DENSE_LIMIT};
 use dtm_core::runtime::{
-    build_nodes, build_nodes_block, build_nodes_block_parallel, build_nodes_parallel, CommonConfig,
+    build_node, build_nodes, build_nodes_block, build_nodes_block_parallel, build_nodes_parallel,
+    CommonConfig, NodeRuntime,
 };
-use dtm_graph::evs::{split, EvsOptions};
+use dtm_graph::evs::{split, EvsOptions, SplitSystem};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_sparse::{generators, Coo};
 use proptest::prelude::*;
@@ -58,12 +64,74 @@ fn dense_assignment(mut asg: Vec<usize>, n_parts: usize) -> Vec<usize> {
     asg
 }
 
+/// Per-part port impedances, as the split assigns them.
+fn port_impedances(ss: &SplitSystem, common: &CommonConfig) -> Vec<Vec<f64>> {
+    per_port(ss, &common.impedance.assign(ss).expect("assigns"))
+}
+
+/// The reference: one `build_node` call per part, in part order.
+fn per_part_reference(ss: &SplitSystem, common: &CommonConfig) -> Vec<NodeRuntime> {
+    let z = port_impedances(ss, common);
+    (0..ss.n_parts())
+        .map(|p| build_node(&ss.subdomains[p], &z[p], common).expect("part builds"))
+        .collect()
+}
+
+/// The reference for a block wave: each part's local system factored on
+/// its own over its share of every scattered column.
+fn per_part_block_reference(
+    ss: &SplitSystem,
+    common: &CommonConfig,
+    cols: &[Vec<f64>],
+) -> Vec<LocalSystem> {
+    let z = port_impedances(ss, common);
+    let scattered: Vec<Vec<Vec<f64>>> = cols.iter().map(|b| ss.scatter_rhs(b)).collect();
+    (0..ss.n_parts())
+        .map(|p| {
+            let part_cols: Vec<Vec<f64>> = scattered.iter().map(|c| c[p].clone()).collect();
+            LocalSystem::new_block(&ss.subdomains[p], &z[p], LocalSolverKind::Auto, &part_cols)
+                .expect("part builds")
+        })
+        .collect()
+}
+
+/// `built` matches the reference node for node: the parts in order, each
+/// with the wave routes of `routes`' node (the columns do not enter them)
+/// and a local system (matrix, factor, base RHS, boundary state) equal to
+/// `locals`' entry.
+fn assert_matches<'a>(
+    what: &str,
+    routes: &[NodeRuntime],
+    locals: impl IntoIterator<Item = &'a LocalSystem>,
+    built: &[NodeRuntime],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(routes.len(), built.len(), "{}: node count", what);
+    for ((r, l), b) in routes.iter().zip(locals).zip(built) {
+        prop_assert_eq!(r.part(), b.part(), "{}: part order", what);
+        prop_assert!(
+            l == b.local(),
+            "{}: part {} local system diverged",
+            what,
+            b.part()
+        );
+        let rr: Vec<usize> = r.neighbor_parts().collect();
+        let br: Vec<usize> = b.neighbor_parts().collect();
+        prop_assert_eq!(rr, br, "{}: part {} routes diverged", what, b.part());
+    }
+    Ok(())
+}
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("test pool")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Pool-factored nodes equal serially-factored nodes bit for bit:
-    /// same local matrix, same Cholesky factor, same base RHS, same wave
-    /// routes.
+    /// Both pooled builders equal the per-part reference bit for bit.
     #[test]
     fn concurrent_factorization_is_bitwise_serial(
         n in 8usize..40,
@@ -76,29 +144,17 @@ proptest! {
         let asg = dense_assignment(raw_asg[..n].to_vec(), n_parts);
         let plan = PartitionPlan::from_assignment(&g, &asg).expect("derived plans are valid");
         let ss = split(&g, &plan, &EvsOptions::default()).expect("split");
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .expect("test pool");
         let common = CommonConfig::default();
-        let serial = build_nodes(&ss, &common).expect("serial build");
-        let parallel = build_nodes_parallel(&ss, &common, &pool).expect("parallel build");
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            prop_assert_eq!(s.part(), p.part());
-            prop_assert!(
-                s.local() == p.local(),
-                "part {}: pool-factored local system diverged",
-                s.part()
-            );
-            let sr: Vec<usize> = s.neighbor_parts().collect();
-            let pr: Vec<usize> = p.neighbor_parts().collect();
-            prop_assert_eq!(sr, pr, "part {} routes diverged", s.part());
-        }
+        let reference = per_part_reference(&ss, &common);
+        let locals = || reference.iter().map(NodeRuntime::local);
+        let built = build_nodes(&ss, &common).expect("builds");
+        assert_matches("build_nodes", &reference, locals(), &built)?;
+        let built = build_nodes_parallel(&ss, &common, &pool(3)).expect("builds");
+        assert_matches("build_nodes_parallel", &reference, locals(), &built)?;
     }
 
-    /// Block-wave variant: scattered multi-RHS construction is bitwise
-    /// too.
+    /// Block waves, and the session shape: the blocks of zero columns a
+    /// rolling session opens with, at 1, 8 and 65 slots.
     #[test]
     fn concurrent_block_build_is_bitwise_serial(
         n in 8usize..32,
@@ -112,23 +168,22 @@ proptest! {
         let asg = dense_assignment(raw_asg[..n].to_vec(), n_parts);
         let plan = PartitionPlan::from_assignment(&g, &asg).expect("derived plans are valid");
         let ss = split(&g, &plan, &EvsOptions::default()).expect("split");
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("test pool");
-        let cols: Vec<Vec<f64>> = (0..k)
+        let common = CommonConfig::default();
+        let routes = per_part_reference(&ss, &common);
+        let waves: Vec<Vec<f64>> = (0..k)
             .map(|c| (0..n).map(|i| ((i + c * 31) as f64).cos()).collect())
             .collect();
-        let common = CommonConfig::default();
-        let serial = build_nodes_block(&ss, &common, &cols).expect("serial block build");
-        let parallel =
-            build_nodes_block_parallel(&ss, &common, &cols, &pool).expect("parallel block build");
-        for (s, p) in serial.iter().zip(&parallel) {
-            prop_assert!(
-                s.local() == p.local(),
-                "part {}: block-built local system diverged",
-                s.part()
-            );
+        let mut blocks = vec![("block wave".to_string(), waves)];
+        for slots in [1usize, 8, 65] {
+            blocks.push((format!("{slots}-slot session"), vec![vec![0.0; n]; slots]));
+        }
+        for (what, cols) in &blocks {
+            let locals = per_part_block_reference(&ss, &common, cols);
+            let built = build_nodes_block(&ss, &common, cols).expect("builds");
+            assert_matches(&format!("build_nodes_block, {what}"), &routes, &locals, &built)?;
+            let built = build_nodes_block_parallel(&ss, &common, cols, &pool(2)).expect("builds");
+            let what = format!("build_nodes_block_parallel, {what}");
+            assert_matches(&what, &routes, &locals, &built)?;
         }
     }
 }
@@ -144,26 +199,21 @@ fn sparse_factorization_is_bitwise_serial() {
     let g = ElectricGraph::from_system(a, b).unwrap();
     let plan = PartitionPlan::from_assignment(&g, &partition::grid_strips(side, side, 2)).unwrap();
     let ss = split(&g, &plan, &EvsOptions::default()).unwrap();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("test pool");
     let common = CommonConfig::default();
-    let serial = build_nodes(&ss, &common).expect("serial build");
-    let parallel = build_nodes_parallel(&ss, &common, &pool).expect("parallel build");
-    assert_eq!(serial.len(), 2);
-    for (s, p) in serial.iter().zip(&parallel) {
-        let n = s.local().n_local();
-        assert!(n > AUTO_DENSE_LIMIT, "part {}: {n} unknowns", s.part());
+    let reference = per_part_reference(&ss, &common);
+    assert_eq!(reference.len(), 2);
+    for r in &reference {
+        let n = r.local().n_local();
+        assert!(n > AUTO_DENSE_LIMIT, "part {}: {n} unknowns", r.part());
         assert!(
-            s.local().factor_nnz() < n * (n + 1) / 2,
+            r.local().factor_nnz() < n * (n + 1) / 2,
             "part {}: factored sparse",
-            s.part()
-        );
-        assert!(
-            s.local() == p.local(),
-            "part {}: pool-factored local system diverged",
-            s.part()
+            r.part()
         );
     }
+    let locals = || reference.iter().map(NodeRuntime::local);
+    let built = build_nodes(&ss, &common).unwrap();
+    assert_matches("build_nodes", &reference, locals(), &built).unwrap();
+    let built = build_nodes_parallel(&ss, &common, &pool(2)).unwrap();
+    assert_matches("build_nodes_parallel", &reference, locals(), &built).unwrap();
 }

@@ -45,6 +45,24 @@ pub const FAIL_ENV: &str = "DTM_NET_FAIL_AFTER_ROUND";
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 const REAP_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// First wait of [`recheck_after`]'s schedule, and its caps while
+/// children connect and while they exit.
+const RECHECK_FIRST: Duration = Duration::from_micros(100);
+const ACCEPT_RECHECK_MAX: Duration = Duration::from_millis(5);
+const REAP_RECHECK_MAX: Duration = Duration::from_millis(10);
+
+/// How long to sleep after the `misses`-th miss in a row (0-based) of a
+/// loop that polls for something until a deadline `left` away: 100 µs,
+/// doubling per miss up to `cap`, and never past the deadline. Children
+/// connect within a few milliseconds and exit within about one of `Stop`,
+/// so a flat `cap`-long sleep would cost more than the wait itself.
+fn recheck_after(misses: u32, cap: Duration, left: Duration) -> Duration {
+    RECHECK_FIRST
+        .saturating_mul(1 << misses.min(16))
+        .min(cap)
+        .min(left)
+}
+
 /// Everything both run modes need.
 pub(crate) struct RunInputs<'a> {
     pub split: &'a SplitSystem,
@@ -348,19 +366,17 @@ impl Brood {
     /// Give children until `deadline` to exit on their own, then kill
     /// the rest. Always reaps everything.
     fn reap_graceful(&mut self, deadline: Instant) {
-        loop {
-            let mut all_done = true;
-            for (_, c) in &mut self.children {
-                match c.try_wait() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => all_done = false,
-                    Err(_) => {}
-                }
-            }
-            if all_done || Instant::now() >= deadline {
+        for misses in 0.. {
+            // An error from `try_wait` counts as exited: `kill_all` reaps.
+            let all_done = self
+                .children
+                .iter_mut()
+                .all(|(_, c)| !matches!(c.try_wait(), Ok(None)));
+            let now = Instant::now();
+            if all_done || now >= deadline {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(recheck_after(misses, REAP_RECHECK_MAX, deadline - now));
         }
         self.kill_all();
     }
@@ -466,9 +482,11 @@ fn run_processes_inner(
     // Accept one supervisor link per child; each opens with Hello.
     let mut conns: BTreeMap<usize, Stream> = BTreeMap::new();
     let accept_deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+    let mut misses = 0;
     while conns.len() < n_groups {
         match listener.try_accept()? {
             Some(s) => {
+                misses = 0;
                 s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
                 let mut s = s;
                 match wire::read_frame(&mut s)? {
@@ -480,10 +498,16 @@ fn run_processes_inner(
             }
             None => {
                 brood.check_alive()?;
-                if Instant::now() >= accept_deadline {
+                let now = Instant::now();
+                if now >= accept_deadline {
                     return Err(derr("timed out waiting for children to connect"));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(recheck_after(
+                    misses,
+                    ACCEPT_RECHECK_MAX,
+                    accept_deadline - now,
+                ));
+                misses += 1;
             }
         }
     }
@@ -617,5 +641,40 @@ fn child_link_reader(g: usize, stream: Stream, ev: &Sender<(usize, UpEvent)>) {
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// On a simulated clock: the first re-check comes within 200 µs of a
+    /// miss, the waits grow to the cap and stay there, and no sleep ends
+    /// past the deadline — a short deadline is run out exactly.
+    #[test]
+    fn recheck_schedule_starts_short_grows_to_its_cap_and_stops_at_the_deadline() {
+        let us = Duration::from_micros;
+        for (cap, budget) in [
+            (ACCEPT_RECHECK_MAX, HANDSHAKE_TIMEOUT),
+            (REAP_RECHECK_MAX, REAP_TIMEOUT),
+            (REAP_RECHECK_MAX, us(2_345)),
+            (ACCEPT_RECHECK_MAX, Duration::ZERO),
+        ] {
+            assert!(recheck_after(0, cap, budget) <= us(200));
+            let (mut t, mut prev) = (Duration::ZERO, Duration::ZERO);
+            for misses in 0..64 {
+                let left = budget - t;
+                let wait = recheck_after(misses, cap, left);
+                assert!(wait <= left && wait <= cap, "miss {misses}: {wait:?}");
+                assert!(wait >= prev.min(left), "miss {misses}: the waits shrank");
+                (t, prev) = (t + wait, wait);
+            }
+            assert!(prev == cap || t == budget, "{cap:?} {budget:?}: {t:?}");
+        }
+        // Any run of misses, however long, stays at the cap.
+        assert_eq!(
+            recheck_after(u32::MAX, REAP_RECHECK_MAX, REAP_TIMEOUT),
+            REAP_RECHECK_MAX
+        );
     }
 }
