@@ -76,12 +76,11 @@
 
 use dtm_bench::*;
 
-use dtm_core::async_baselines::{self, BaselineAlgo, BaselineConfig};
+use dtm_core::analysis;
 use dtm_core::impedance::{ImpedancePolicy, Matching};
 use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::CommonConfig;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
-use dtm_core::{analysis, vtm};
 use dtm_simnet::{Engine, SimDuration, SimTime};
 use dtm_sparse::generators;
 
@@ -577,11 +576,7 @@ fn fig14(quick: bool, mode: TerminationMode) {
 fn cmp_vtm() {
     banner("Conclusion (§8): DTM vs VTM on the 16-processor mesh, n = 1089");
     let topo = fig11_topology();
-    let ss = paper_split(33, 4, 4, &topo);
-    let config = mesh_config(1e-6, 240_000.0);
-
-    let dtm = solver::solve(&ss, topo.clone(), None, &config).expect("dtm run");
-    let vtm_report = vtm::solve(&ss, None, &config.common).expect("vtm run");
+    let [dtm, vtm_report] = compare::vtm_reports();
     // A synchronous VTM round on this machine costs max-delay + barrier
     // (another max-delay) + compute.
     let (_, hi) = topo.delay_range();
@@ -622,33 +617,7 @@ fn cmp_vtm() {
 fn cmp_jacobi() {
     banner("Intro (§1): DTM vs async/sync block-Jacobi, 16 processors, n = 1089");
     let topo = fig11_topology();
-    let side = 33;
-    let tol = 1e-6;
-    let ss = paper_split(side, 4, 4, &topo);
-    let (a, b) = paper_system(side);
-    let asg = dtm_graph::partition::grid_blocks(side, side, 4, 4);
-
-    let dtm =
-        solver::solve(&ss, topo.clone(), None, &mesh_config(tol, 240_000.0)).expect("dtm run");
-    let compute = SimDuration::from_millis_f64(1.0);
-    let bj_config = BaselineConfig {
-        compute: ComputeModel::Fixed(compute),
-        termination: Termination::OracleRms { tol },
-        horizon: SimDuration::from_millis_f64(240_000.0),
-        sample_interval: SimDuration::from_millis_f64(5.0),
-        ..Default::default()
-    };
-    let abj = async_baselines::solve_sim(
-        &BaselineAlgo::BlockJacobi,
-        &a,
-        &b,
-        &asg,
-        topo.clone(),
-        None,
-        &bj_config,
-    )
-    .expect("async bj run");
-    let sbj = async_baselines::solve_sync(&a, &b, &asg, &topo, None, &bj_config).expect("sync bj");
+    let [dtm, abj, sbj] = compare::jacobi_reports();
 
     println!(
         "{:>28} {:>10} {:>14} {:>12} {:>10}",
@@ -666,7 +635,7 @@ fn cmp_jacobi() {
     }
     // Every synchronous round: the slowest block's compute, one exchange
     // and one barrier at the worst link delay.
-    let round = compute + topo.delay_range().1.saturating_mul(2);
+    let round = SimDuration::from_millis_f64(1.0) + topo.delay_range().1.saturating_mul(2);
     let rounds = sbj.series.len() as u64;
     println!(
         "sync block-Jacobi: {rounds} rounds x {:.1} ms (1 ms compute + 2x the worst link)\n",
@@ -987,7 +956,7 @@ fn compare_cmd(quick: bool) {
     let mut traces = vec![compare::dtm_trace_sample(&setup, 4)];
     for algo in [
         dtm_core::BaselineAlgo::RandomizedRichardson(Default::default()),
-        dtm_core::BaselineAlgo::DIteration(Default::default()),
+        dtm_core::BaselineAlgo::DIteration,
     ] {
         traces.push(compare::baseline_trace_sample(&setup, &algo, 4));
     }

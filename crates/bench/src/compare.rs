@@ -2,17 +2,20 @@
 //! randomized asynchronous
 //! Richardson vs D-iteration on **identical machines** — same grid
 //! Laplacian, same `px × py` block partition, same seeded heterogeneous
-//! delay topology, same per-activation compute model, and the same
-//! [`Termination::Residual`] stopping rule, so no oracle and no setup
-//! asymmetry taints the counters.
+//! delay topology, and one [`DtmConfig`] for every row (same
+//! per-activation compute model, same [`Termination::Residual`] stopping
+//! rule), so no oracle and no setup asymmetry taints the counters.
+//!
+//! `repro cmp-vtm` and `repro cmp-jacobi` run their rows here too
+//! ([`vtm_reports`], [`jacobi_reports`]), one machine config each, so
+//! `tests/pinned_counters.rs` pins exactly what they print.
 
-use dtm_core::async_baselines::{
-    self, BaselineAlgo, BaselineConfig, DIterationParams, RichardsonParams,
-};
+use crate::{fig11_topology, mesh_config, paper_split, paper_system};
+use dtm_core::async_baselines::{self, BaselineAlgo, RichardsonParams};
 use dtm_core::runtime::CommonConfig;
 use dtm_core::runtime::ExecutorBackend;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
-use dtm_core::SolveReport;
+use dtm_core::{vtm, SolveReport};
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem, TwinTopology};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_net::{ChildCommand, DistributedBackend, DistributedConfig, RunMode, TransportKind};
@@ -80,75 +83,83 @@ pub fn grid_setup(side: usize, px: usize, py: usize, tol: f64) -> CompareSetup {
     }
 }
 
-/// The shared per-activation compute model: 1 ms per local solve, for
-/// every algorithm — the same bound a real CPU imposes.
-fn compute_model() -> ComputeModel {
-    ComputeModel::Fixed(SimDuration::from_millis_f64(1.0))
-}
-
 const HORIZON_MS: f64 = 1_200_000.0;
 
-/// The baselines' run configuration on the comparison machine.
-pub fn baseline_config(tol: f64) -> BaselineConfig {
-    BaselineConfig {
-        termination: Termination::Residual { tol },
-        compute: compute_model(),
+/// The comparison machine's run configuration, shared by every row: 1 ms
+/// per local solve for every algorithm — the same bound a real CPU
+/// imposes — and the reference-free residual rule.
+pub fn machine_config(tol: f64) -> DtmConfig {
+    DtmConfig {
+        common: CommonConfig {
+            termination: Termination::Residual { tol },
+            ..Default::default()
+        },
+        compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
         horizon: SimDuration::from_millis_f64(HORIZON_MS),
         sample_interval: SimDuration::from_millis_f64(5.0),
-        ..Default::default()
     }
 }
 
-/// DTM on the comparison machine, reference-free.
-pub fn dtm_report(s: &CompareSetup) -> SolveReport {
-    solver::solve(
-        &s.split,
-        s.topology.clone(),
-        None,
-        &DtmConfig {
-            common: CommonConfig {
-                termination: Termination::Residual { tol: s.tol },
-                ..Default::default()
-            },
-            compute: compute_model(),
-            horizon: SimDuration::from_millis_f64(HORIZON_MS),
-            sample_interval: SimDuration::from_millis_f64(5.0),
-        },
-    )
-    .expect("DTM comparison run")
-}
-
-/// Randomized Richardson on the comparison machine.
-pub fn richardson_report(s: &CompareSetup) -> SolveReport {
-    async_baselines::solve_sim(
-        &BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-        &s.a,
-        &s.b,
-        &s.assignment,
-        s.topology.clone(),
-        None,
-        &baseline_config(s.tol),
-    )
-    .expect("Richardson comparison run")
-}
-
-/// D-iteration on the comparison machine.
-pub fn diteration_report(s: &CompareSetup) -> SolveReport {
-    async_baselines::solve_sim(
-        &BaselineAlgo::DIteration(DIterationParams::default()),
-        &s.a,
-        &s.b,
-        &s.assignment,
-        s.topology.clone(),
-        None,
-        &baseline_config(s.tol),
-    )
-    .expect("D-iteration comparison run")
-}
-
-/// All three algorithms on the identical machine, in table order.
+/// DTM, randomized Richardson and D-iteration on the identical machine —
+/// one config for every row, reference-free — in table order.
 pub fn all_reports(s: &CompareSetup) -> Vec<SolveReport> {
-    vec![dtm_report(s), richardson_report(s), diteration_report(s)]
+    let config = machine_config(s.tol);
+    let dtm = solver::solve(&s.split, s.topology.clone(), None, &config);
+    let baselines = [
+        BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
+        BaselineAlgo::DIteration,
+    ];
+    let rows = baselines.iter().map(|algo| {
+        let topology = s.topology.clone();
+        async_baselines::solve_sim(algo, &s.a, &s.b, &s.assignment, topology, None, &config)
+    });
+    std::iter::once(dtm)
+        .chain(rows)
+        .map(|r| r.expect("comparison run"))
+        .collect()
+}
+
+/// Side of the grid system `repro cmp-vtm` and `repro cmp-jacobi` solve
+/// (n = 1089, torn 4 × 4).
+pub const FIG11_SIDE: usize = 33;
+
+/// The machine `repro cmp-vtm` and `repro cmp-jacobi` run every row on:
+/// Fig. 11's 16-processor mesh, 1 ms per local solve, oracle RMS ≤ 1e-6
+/// within 240 s of simulated time.
+pub fn fig11_machine() -> (Topology, DtmConfig) {
+    (fig11_topology(), mesh_config(1e-6, 240_000.0))
+}
+
+/// `repro cmp-vtm`'s rows on [`fig11_machine`]: DTM, then VTM.
+pub fn vtm_reports() -> [SolveReport; 2] {
+    let (topo, config) = fig11_machine();
+    let ss = paper_split(FIG11_SIDE, 4, 4, &topo);
+    let dtm = solver::solve(&ss, topo, None, &config).expect("dtm run");
+    let vtm = vtm::solve(&ss, None, &config.common).expect("vtm run");
+    [dtm, vtm]
+}
+
+/// `repro cmp-jacobi`'s rows on [`fig11_machine`]: DTM, asynchronous
+/// block-Jacobi, synchronous block-Jacobi — the same partition for all
+/// three.
+pub fn jacobi_reports() -> [SolveReport; 3] {
+    let (topo, config) = fig11_machine();
+    let ss = paper_split(FIG11_SIDE, 4, 4, &topo);
+    let (a, b) = paper_system(FIG11_SIDE);
+    let asg = partition::grid_blocks(FIG11_SIDE, FIG11_SIDE, 4, 4);
+    let dtm = solver::solve(&ss, topo.clone(), None, &config).expect("dtm run");
+    let abj = async_baselines::solve_sim(
+        &BaselineAlgo::BlockJacobi,
+        &a,
+        &b,
+        &asg,
+        topo.clone(),
+        None,
+        &config,
+    )
+    .expect("async bj run");
+    let sbj = async_baselines::solve_sync(&a, &b, &asg, &topo, None, &config).expect("sync bj");
+    [dtm, abj, sbj]
 }
 
 /// Distributed-backend configuration on the comparison workload: the
@@ -255,7 +266,7 @@ pub fn assert_distributed_bitwise(in_process: &SolveReport, multi_process: &Solv
 /// A short tagged activation-trace sample of a baseline on the comparison
 /// machine (the per-algorithm trace tagging of `dtm-simnet`).
 pub fn baseline_trace_sample(s: &CompareSetup, algo: &BaselineAlgo, capacity: usize) -> Trace {
-    let config = baseline_config(s.tol);
+    let config = machine_config(s.tol);
     let nodes =
         async_baselines::build_sim_nodes(algo, &s.a, &s.b, &s.assignment, &s.topology, &config)
             .expect("baseline nodes build");
@@ -267,15 +278,7 @@ pub fn baseline_trace_sample(s: &CompareSetup, algo: &BaselineAlgo, capacity: us
 
 /// A short tagged activation-trace sample of DTM on the same machine.
 pub fn dtm_trace_sample(s: &CompareSetup, capacity: usize) -> Trace {
-    let config = DtmConfig {
-        common: CommonConfig {
-            termination: Termination::Residual { tol: s.tol },
-            ..Default::default()
-        },
-        compute: compute_model(),
-        horizon: SimDuration::from_millis_f64(HORIZON_MS),
-        ..Default::default()
-    };
+    let config = machine_config(s.tol);
     let nodes = solver::build_nodes(&s.split, &s.topology, &config).expect("DTM nodes build");
     let mut engine = Engine::new(s.topology.clone(), nodes);
     engine.enable_trace_tagged(capacity, dtm_core::AlgorithmKind::Dtm.name());
@@ -300,11 +303,7 @@ mod tests {
     #[test]
     fn trace_samples_are_tagged_per_algorithm() {
         let s = grid_setup(9, 2, 2, 1e-4);
-        let t = baseline_trace_sample(
-            &s,
-            &BaselineAlgo::DIteration(DIterationParams::default()),
-            8,
-        );
+        let t = baseline_trace_sample(&s, &BaselineAlgo::DIteration, 8);
         assert_eq!(t.tag(), "d-iteration");
         assert!(!t.records().is_empty());
         let td = dtm_trace_sample(&s, 8);

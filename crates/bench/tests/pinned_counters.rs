@@ -10,13 +10,16 @@
 //! with `cargo test --release -p dtm-bench --test pinned_counters --
 //! --include-ignored`.
 
-use dtm_bench::compare::{all_reports, grid_setup};
+use dtm_bench::compare::{all_reports, grid_setup, jacobi_reports, vtm_reports};
 use dtm_bench::perf::{fixture_matrix, fixture_rhs};
 use dtm_bench::seeds;
 use dtm_core::rayon_backend::RayonConfig;
+use dtm_core::report::StopKind;
 use dtm_core::runtime::{CommonConfig, Termination};
 use dtm_core::threaded::ThreadedConfig;
-use dtm_core::AlgorithmKind::{DIteration, Dtm, RandomizedRichardson};
+use dtm_core::AlgorithmKind::{
+    BlockJacobiAsync, BlockJacobiSync, DIteration, Dtm, RandomizedRichardson,
+};
 use dtm_core::{DtmBuilder, SolveReport};
 use dtm_graph::partition::{self, PartitionConfig, Partitioner};
 use dtm_sparse::{generators, mm, Csr, SparseCholesky};
@@ -179,4 +182,42 @@ fn compare_rows_are_pinned() {
         assert_eq!(r.total_messages, messages, "{}", algorithm.name());
         assert_eq!(r.total_flops, flops, "{}", algorithm.name());
     }
+}
+
+/// `repro cmp-jacobi`'s and `repro cmp-vtm`'s rows (Fig. 11's mesh,
+/// n = 1089 torn 4 × 4, oracle RMS ≤ 1e-6): `(sim time, activations,
+/// messages, flops, final rms)` per row, plus the series length of the two
+/// round-structured rows (one point per round). VTM reports as DTM: it is
+/// DTM's node on the lock-step machine.
+#[test]
+fn cmp_jacobi_and_vtm_rows_are_pinned() {
+    let [dtm, abj, sbj] = jacobi_reports();
+    let [dtm_again, vtm] = vtm_reports();
+    let rows = [&dtm, &abj, &sbj, &vtm];
+    let kinds: Vec<_> = rows.iter().map(|r| r.algorithm).collect();
+    assert_eq!(kinds, [Dtm, BlockJacobiAsync, BlockJacobiSync, Dtm]);
+    let pinned = [
+        (1383.702884, 19_848, 59_719, 243_042_308),
+        (2353.955665, 35_374, 106_296, 336_210_426),
+        (7531.7034, 613, 1_839, 5_828_264),
+        (24.0, 381, 1_143, 4_662_124),
+    ];
+    let rms = [
+        9.93302414981288e-7,
+        9.998842023228358e-7,
+        9.980759455328546e-7,
+        8.484468436275686e-7,
+    ];
+    for (row, r) in rows.iter().enumerate() {
+        let (time_ms, solves, messages, flops) = pinned[row];
+        assert!(r.converged, "row {row}");
+        assert_eq!(r.stop, StopKind::OracleTolerance, "row {row}");
+        assert_eq!(r.final_time_ms, time_ms, "row {row}");
+        assert_eq!(r.total_solves, solves, "row {row}");
+        assert_eq!(r.total_messages, messages, "row {row}");
+        assert_eq!(r.total_flops, flops, "row {row}");
+        assert_eq!(r.final_rms, rms[row], "row {row}");
+    }
+    assert_eq!((sbj.series.len(), vtm.series.len()), (39, 24));
+    assert_eq!(dtm_again.solution, dtm.solution, "cmp-vtm's DTM row");
 }

@@ -15,34 +15,36 @@
 //!   — all valid under the per-pair-FIFO transport contract);
 //! * they run on **all three executor fabrics** — the deterministic
 //!   simulated machine, one OS thread per partition, and the
-//!   work-stealing pool — through the drivers in this module;
+//!   work-stealing pool — and each driver takes the config of the machine
+//!   it runs on ([`DtmConfig`], [`ThreadedConfig`], [`RayonConfig`]), the
+//!   same value a DTM run on that machine takes;
 //! * they report through the same [`SolveReport`] vocabulary, with the
 //!   uniform message/activation/flop counters, so `repro compare` can pit
 //!   every algorithm **message for message on identical machines**
 //!   (same partition, same delay topology, same
 //!   [`Termination::Residual`] rule — no oracle taints the comparison).
 //!
+//! The drivers read the stopping rule and the solve cap from
+//! [`CommonConfig`]; its `impedance` is a DTM setting, and they ignore it.
+//!
 //! # The algorithms
 //!
 //! **Randomized Richardson** (per node): own a block of rows; per
-//! activation perform `updates_per_activation` randomized relaxations
-//! `x_i ← x_i + ω(t)·(b_i − Σ_j a_ij x_j)/a_ii` on uniformly sampled owned
-//! rows, against whatever remote boundary values have arrived so far, then
-//! scatter the owned boundary values to every coupled neighbour. The
-//! relaxation schedule `ω(t)` is the knob Avron et al. analyse: a constant
-//! step (their consistent-read regime) or a diminishing polynomial
-//! schedule.
+//! activation perform one expected sweep — `n_local` exact coordinate
+//! relaxations `x_i ← x_i + (b_i − Σ_j a_ij x_j)/a_ii` on uniformly sampled
+//! owned rows, against whatever remote boundary values have arrived so
+//! far — then scatter the owned boundary values to every coupled
+//! neighbour. This is Avron et al.'s method at unit step; the seed of
+//! [`RichardsonParams`] names the update-order stream.
 //!
 //! **D-iteration** (per node): maintain a *fluid* vector `F` (initially
 //! the Jacobi source `D⁻¹b`) and a *history* `H` (the published solution
-//! estimate). Per activation each owned row diffuses `(1 − retention)`
-//! of its fluid: the diffused mass moves into `H_i` and spreads
-//! `−a_ji/a_jj` fractions into the neighbours' fluid — remote shares are
-//! accumulated per destination row and shipped as messages. The invariant
-//! `x* = H + (I − J)⁻¹F` holds after every diffusion, in any order, with
-//! any message interleaving — which is exactly why the scheme is
-//! asynchronous. `retention` is Hong's per-node fluid retention: a node
-//! keeps a fraction back to batch its outgoing diffusion.
+//! estimate). Per activation each owned row diffuses all of its fluid:
+//! the mass moves into `H_i` and spreads `−a_ji/a_jj` fractions into the
+//! neighbours' fluid — remote shares are accumulated per destination row
+//! and shipped as messages. The invariant `x* = H + (I − J)⁻¹F` holds
+//! after every diffusion, in any order, with any message interleaving —
+//! which is exactly why the scheme is asynchronous.
 //!
 //! **Block-Jacobi** (per node): factor the diagonal block `A_pp` once; per
 //! activation solve `x_p = A_pp⁻¹ (b_p − A_p,ext · x_ext)` against whatever
@@ -54,15 +56,17 @@
 
 use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
 use crate::local::Factor;
+use crate::rayon_backend::RayonConfig;
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{
-    self, AsyncNode, DtmMsg, GatherMap, NodeControl, PortUpdate, RunSpec, SelfHalt, Termination,
-    Transport,
+    self, AsyncNode, CommonConfig, DtmMsg, GatherMap, NodeControl, PortUpdate, RunSpec, SelfHalt,
+    Termination, Transport,
 };
-use crate::solver::{self, ComputeModel, SimNode, SimRun};
+use crate::solver::{self, DtmConfig, SimNode, SimRun};
+use crate::threaded::ThreadedConfig;
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{SimDuration, Topology};
-use dtm_sparse::{Csr, Error, Result};
+use dtm_sparse::{vector, Csr, Error, Result};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,6 +126,8 @@ impl RowPartition {
                 actual: b.len(),
             });
         }
+        vector::require_finite_csr("baseline matrix", a)?;
+        vector::require_finite("baseline right-hand side", b)?;
         let k = assignment.iter().copied().max().map_or(0, |m| m + 1);
         let mut rows: Vec<Vec<usize>> = vec![Vec::new(); k];
         for (v, &p) in assignment.iter().enumerate() {
@@ -285,64 +291,9 @@ impl RowPartition {
     }
 }
 
-/// The relaxation-step schedule of the randomized Richardson baseline —
-/// the parameter Avron et al. (2013) analyse.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RelaxationSchedule {
-    /// Fixed step `ω` for every update (`ω = 1` is exact per-coordinate
-    /// relaxation — asynchronous randomized Gauss–Seidel).
-    Constant(f64),
-    /// Diminishing steps `ω(t) = ω₀ / (1 + t)^power` over the node's own
-    /// update counter `t` — the robust-to-staleness schedule.
-    Polynomial {
-        /// Initial step.
-        omega0: f64,
-        /// Decay exponent (0 recovers the constant schedule).
-        power: f64,
-    },
-}
-
-impl RelaxationSchedule {
-    fn omega(self, t: u64) -> f64 {
-        match self {
-            RelaxationSchedule::Constant(w) => w,
-            RelaxationSchedule::Polynomial { omega0, power } => {
-                omega0 / (1.0 + t as f64).powf(power)
-            }
-        }
-    }
-
-    fn validate(self) -> Result<()> {
-        let ok = match self {
-            RelaxationSchedule::Constant(w) => w > 0.0 && w.is_finite(),
-            RelaxationSchedule::Polynomial { omega0, power } => {
-                omega0 > 0.0 && omega0.is_finite() && power >= 0.0
-            }
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(Error::Parse(
-                "relaxation schedule needs a positive step".into(),
-            ))
-        }
-    }
-}
-
-impl Default for RelaxationSchedule {
-    fn default() -> Self {
-        RelaxationSchedule::Constant(1.0)
-    }
-}
-
 /// Parameters of the randomized Richardson baseline.
 #[derive(Debug, Clone)]
 pub struct RichardsonParams {
-    /// Relaxation schedule (see [`RelaxationSchedule`]).
-    pub schedule: RelaxationSchedule,
-    /// Randomized row updates per activation; `0` means one expected
-    /// sweep (`n_local` updates).
-    pub updates_per_activation: usize,
     /// Seed of the per-node update-order stream (node `p` draws from
     /// `seed + p`, so runs are reproducible yet nodes are decorrelated).
     pub seed: u64,
@@ -350,26 +301,7 @@ pub struct RichardsonParams {
 
 impl Default for RichardsonParams {
     fn default() -> Self {
-        Self {
-            schedule: RelaxationSchedule::default(),
-            updates_per_activation: 0,
-            seed: 7,
-        }
-    }
-}
-
-/// Parameters of the D-iteration baseline.
-#[derive(Debug, Clone)]
-pub struct DIterationParams {
-    /// Per-node fluid retention in `[0, 1)`: the fraction of each row's
-    /// fluid kept back per diffusion pass (0 diffuses everything — the
-    /// classical scheme; larger values batch outgoing mass).
-    pub retention: f64,
-}
-
-impl Default for DIterationParams {
-    fn default() -> Self {
-        Self { retention: 0.0 }
+        Self { seed: 7 }
     }
 }
 
@@ -379,7 +311,7 @@ pub enum BaselineAlgo {
     /// Randomized asynchronous Richardson (Avron et al. 2013).
     RandomizedRichardson(RichardsonParams),
     /// Hong's D-iteration (2012).
-    DIteration(DIterationParams),
+    DIteration,
     /// Asynchronous block-Jacobi (refs \[17\]–\[19\] of the paper).
     BlockJacobi,
 }
@@ -389,25 +321,8 @@ impl BaselineAlgo {
     pub fn kind(&self) -> AlgorithmKind {
         match self {
             BaselineAlgo::RandomizedRichardson(_) => AlgorithmKind::RandomizedRichardson,
-            BaselineAlgo::DIteration(_) => AlgorithmKind::DIteration,
+            BaselineAlgo::DIteration => AlgorithmKind::DIteration,
             BaselineAlgo::BlockJacobi => AlgorithmKind::BlockJacobiAsync,
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        match self {
-            BaselineAlgo::RandomizedRichardson(p) => p.schedule.validate(),
-            BaselineAlgo::DIteration(p) => {
-                if (0.0..1.0).contains(&p.retention) {
-                    Ok(())
-                } else {
-                    Err(Error::Parse(format!(
-                        "fluid retention must lie in [0, 1), got {}",
-                        p.retention
-                    )))
-                }
-            }
-            BaselineAlgo::BlockJacobi => Ok(()),
         }
     }
 
@@ -417,7 +332,7 @@ impl BaselineAlgo {
         &self,
         a: &Csr,
         pt: &Arc<RowPartition>,
-        config: &BaselineConfig,
+        common: &CommonConfig,
     ) -> Result<Vec<BaselineNode>> {
         (0..pt.n_parts())
             .map(|p| {
@@ -425,58 +340,20 @@ impl BaselineAlgo {
                     BaselineAlgo::RandomizedRichardson(params) => {
                         Box::new(RichardsonState::new(p, pt, params))
                     }
-                    BaselineAlgo::DIteration(params) => {
-                        Box::new(DIterationState::new(p, pt, params))
-                    }
+                    BaselineAlgo::DIteration => Box::new(DIterationState::new(p, pt)),
                     BaselineAlgo::BlockJacobi => Box::new(BlockJacobiState::new(p, a, pt)?),
                 };
                 Ok(BaselineNode {
                     part: p,
                     pt: pt.clone(),
                     algo,
-                    halt: SelfHalt::new(config.termination, config.max_solves_per_node),
+                    halt: SelfHalt::new(common.termination, common.max_solves_per_node),
                     solves: 0,
                     messages: 0,
                     flops: 0,
                 })
             })
             .collect()
-    }
-}
-
-/// Configuration shared by the baseline drivers: the common stopping
-/// vocabulary plus the per-executor knobs (simulated-machine fields are
-/// ignored by the wall-clock drivers and vice versa).
-#[derive(Debug, Clone)]
-pub struct BaselineConfig {
-    /// Stopping rule (the comparison harness uses
-    /// [`Termination::Residual`] so no oracle taints the numbers).
-    pub termination: Termination,
-    /// Per-activation compute model (simulated executor).
-    pub compute: ComputeModel,
-    /// Simulated-time budget (simulated executor).
-    pub horizon: SimDuration,
-    /// Series sampling interval.
-    pub sample_interval: SimDuration,
-    /// Per-node activation cap.
-    pub max_solves_per_node: usize,
-    /// Wall-clock budget (threaded / work-stealing executors).
-    pub budget: Duration,
-    /// Pool threads (work-stealing executor; 0 = available parallelism).
-    pub num_threads: usize,
-}
-
-impl Default for BaselineConfig {
-    fn default() -> Self {
-        Self {
-            termination: Termination::Residual { tol: 1e-8 },
-            compute: ComputeModel::default(),
-            horizon: SimDuration::from_millis_f64(600_000.0),
-            sample_interval: SimDuration::ZERO,
-            max_solves_per_node: 200_000,
-            budget: Duration::from_secs(30),
-            num_threads: 0,
-        }
     }
 }
 
@@ -583,9 +460,6 @@ struct RichardsonState {
     x: Vec<f64>,
     ext: Vec<f64>,
     rng: StdRng,
-    schedule: RelaxationSchedule,
-    updates_per_step: usize,
-    t: u64,
     prev_boundary: Vec<f64>,
 }
 
@@ -596,12 +470,6 @@ impl RichardsonState {
             x: vec![0.0; nl],
             ext: vec![0.0; pt.ext_globals[part].len()],
             rng: StdRng::seed_from_u64(params.seed.wrapping_add(part as u64)),
-            schedule: params.schedule,
-            updates_per_step: match params.updates_per_activation {
-                0 => nl,
-                updates => updates,
-            },
-            t: 0,
             prev_boundary: Vec::new(),
         }
     }
@@ -626,20 +494,17 @@ impl Relaxation for RichardsonState {
         p: usize,
         transport: &mut dyn Transport,
     ) -> Activation {
+        // One expected sweep: `n_local` exact coordinate relaxations.
         let nl = self.x.len();
         let mut flops = 0;
-        if nl > 0 {
-            for _ in 0..self.updates_per_step {
-                let i = self.rng.gen_range(0..nl);
-                let mut r = pt.rhs[p][i] - pt.diag[p][i] * self.x[i];
-                for &(j, w) in &pt.entries[p][i] {
-                    r -= w * if j < nl { self.x[j] } else { self.ext[j - nl] };
-                }
-                let omega = self.schedule.omega(self.t);
-                self.t += 1;
-                self.x[i] += omega * r / pt.diag[p][i];
-                flops += 2 * pt.entries[p][i].len() as u64 + 6;
+        for _ in 0..nl {
+            let i = self.rng.gen_range(0..nl);
+            let mut r = pt.rhs[p][i] - pt.diag[p][i] * self.x[i];
+            for &(j, w) in &pt.entries[p][i] {
+                r -= w * if j < nl { self.x[j] } else { self.ext[j - nl] };
             }
+            self.x[i] += r / pt.diag[p][i];
+            flops += 2 * pt.entries[p][i].len() as u64 + 6;
         }
         Activation {
             delta: pt.scatter_boundary(p, &self.x, &mut self.prev_boundary, transport),
@@ -658,13 +523,12 @@ struct DIterationState {
     fluid: Vec<f64>,
     /// Accumulated history — the published solution estimate.
     hist: Vec<f64>,
-    retention: f64,
     /// Per ext slot: outgoing fluid accumulated this activation.
     buckets: Vec<f64>,
 }
 
 impl DIterationState {
-    fn new(part: usize, pt: &RowPartition, params: &DIterationParams) -> Self {
+    fn new(part: usize, pt: &RowPartition) -> Self {
         // Initial fluid is the Jacobi source c = D⁻¹ b: the invariant
         // x* = H + (I − J)⁻¹ F then holds from the first instant.
         let fluid: Vec<f64> = pt.rhs[part]
@@ -675,7 +539,6 @@ impl DIterationState {
         Self {
             hist: vec![0.0; fluid.len()],
             fluid,
-            retention: params.retention,
             buckets: vec![0.0; pt.ext_globals[part].len()],
         }
     }
@@ -708,11 +571,11 @@ impl Relaxation for DIterationState {
             flops: 0,
         };
         for i in 0..nl {
-            let f = self.fluid[i];
-            if f == 0.0 {
+            // Row i diffuses all of its fluid `m`.
+            let m = self.fluid[i];
+            if m == 0.0 {
                 continue;
             }
-            let m = (1.0 - self.retention) * f;
             self.hist[i] += m;
             self.fluid[i] -= m;
             done.delta = done.delta.max(m.abs());
@@ -833,7 +696,7 @@ struct Prepared<'a> {
     algo: &'a BaselineAlgo,
     a: &'a Csr,
     b: &'a [f64],
-    config: &'a BaselineConfig,
+    common: &'a CommonConfig,
     pt: Arc<RowPartition>,
     /// Partitions don't overlap: every global row has exactly one copy.
     copy_count: Vec<usize>,
@@ -849,23 +712,22 @@ impl<'a> Prepared<'a> {
         b: &'a [f64],
         assignment: &[usize],
         reference: Option<Vec<f64>>,
-        config: &'a BaselineConfig,
+        common: &'a CommonConfig,
     ) -> Result<(Self, Vec<BaselineNode>)> {
-        algo.validate()?;
         let pt = RowPartition::build(a, b, assignment)?;
-        let nodes = algo.build_nodes(a, &pt, config)?;
+        let nodes = algo.build_nodes(a, &pt, common)?;
         let mut prepared = Self {
             algo,
             a,
             b,
-            config,
+            common,
             pt,
             copy_count: vec![1; a.n_rows()],
             references: None,
         };
         prepared.references = runtime::resolve_references(
             &prepared.map(),
-            config.termination,
+            common.termination,
             reference.map(|r| vec![r]),
         )?;
         Ok((prepared, nodes))
@@ -883,27 +745,32 @@ impl<'a> Prepared<'a> {
 
     /// Whether nodes halt themselves (so an idle fabric must kick them).
     fn self_halting(&self) -> bool {
-        matches!(self.config.termination, Termination::LocalDelta { .. })
+        matches!(self.common.termination, Termination::LocalDelta { .. })
     }
 
     /// What a run of this problem is scored against, on any executor.
     fn spec(&self) -> RunSpec<'_> {
         RunSpec {
             algorithm: self.algo.kind(),
-            termination: self.config.termination,
+            termination: self.common.termination,
             map: self.map(),
             references: self.references.as_deref(),
         }
     }
 
     /// Supervise a started wall-clock `fabric` over this problem.
-    fn run_wallclock(&self, fabric: impl Fabric, backend: BackendKind) -> SolveReport {
+    fn run_wallclock(
+        &self,
+        fabric: impl Fabric,
+        backend: BackendKind,
+        budget: Duration,
+    ) -> SolveReport {
         fabric::run(
             fabric,
             &WallRun {
                 spec: self.spec(),
                 backend,
-                budget: self.config.budget,
+                budget,
             },
         )
     }
@@ -915,7 +782,7 @@ pub type SimBaselineNode = SimNode<BaselineNode>;
 
 /// Wrap nodes with their per-activation compute durations (baseline
 /// pipelines are scalar: one RHS column per sweep).
-fn sim_nodes(nodes: Vec<BaselineNode>, config: &BaselineConfig) -> Vec<SimBaselineNode> {
+fn sim_nodes(nodes: Vec<BaselineNode>, config: &DtmConfig) -> Vec<SimBaselineNode> {
     nodes
         .into_iter()
         .map(|inner| SimNode {
@@ -930,25 +797,26 @@ fn sim_nodes(nodes: Vec<BaselineNode>, config: &BaselineConfig) -> Vec<SimBaseli
 /// them exactly like `solver::build_nodes` is driven for DTM.
 ///
 /// # Errors
-/// Fails on dimension mismatches, invalid parameters, a non-positive
-/// diagonal, or a coupled partition pair with no machine link.
+/// Fails on dimension mismatches, a NaN or an infinity in `a` or `b`, a
+/// non-positive diagonal, or a coupled partition pair with no machine
+/// link.
 pub fn build_sim_nodes(
     algo: &BaselineAlgo,
     a: &Csr,
     b: &[f64],
     assignment: &[usize],
     topology: &Topology,
-    config: &BaselineConfig,
+    config: &DtmConfig,
 ) -> Result<Vec<SimBaselineNode>> {
-    algo.validate()?;
     let pt = RowPartition::build(a, b, assignment)?;
     pt.check_links(topology)?;
-    Ok(sim_nodes(algo.build_nodes(a, &pt, config)?, config))
+    Ok(sim_nodes(algo.build_nodes(a, &pt, &config.common)?, config))
 }
 
 /// Run a baseline to completion on the simulated machine — the
 /// message-for-message comparison executor (delays are exact, runs are
-/// deterministic).
+/// deterministic). `config` is the machine a DTM run would take; its
+/// impedance policy is ignored.
 ///
 /// # Errors
 /// See [`build_sim_nodes`].
@@ -959,9 +827,9 @@ pub fn solve_sim(
     assignment: &[usize],
     topology: Topology,
     reference: Option<Vec<f64>>,
-    config: &BaselineConfig,
+    config: &DtmConfig,
 ) -> Result<SolveReport> {
-    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
+    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, &config.common)?;
     prepared.pt.check_links(&topology)?;
     Ok(solver::run_engine(
         topology,
@@ -978,20 +846,22 @@ pub fn solve_sim(
 /// block-Jacobi nodes in lock-step rounds on the simulated machine. Every
 /// round steps every block against the previous round's potentials and
 /// costs the slowest block's compute plus twice `topology`'s largest link
-/// delay — one exchange, one barrier; the horizon bounds the rounds.
+/// delay — one exchange, one barrier; the horizon bounds the rounds (the
+/// series holds one point per round, so `sample_interval` is unused).
 ///
 /// # Errors
-/// Fails on dimension mismatches or factorization failure.
+/// Fails on dimension mismatches, non-finite input or factorization
+/// failure.
 pub fn solve_sync(
     a: &Csr,
     b: &[f64],
     assignment: &[usize],
     topology: &Topology,
     reference: Option<Vec<f64>>,
-    config: &BaselineConfig,
+    config: &DtmConfig,
 ) -> Result<SolveReport> {
     let algo = BaselineAlgo::BlockJacobi;
-    let (prepared, nodes) = Prepared::new(&algo, a, b, assignment, reference, config)?;
+    let (prepared, nodes) = Prepared::new(&algo, a, b, assignment, reference, &config.common)?;
     let slowest = nodes
         .iter()
         .map(|n| config.compute.duration_for_block(n.work_nnz(), 1))
@@ -1012,22 +882,30 @@ pub fn solve_sync(
 }
 
 /// Run a baseline on real OS threads — genuine asynchrony, no simulation:
-/// message delay is whatever the scheduler and channels impose.
+/// message delay is whatever the scheduler and channels impose, plus the
+/// link delays of `config.delay_topology` (scaled by `delay_scale`) through
+/// the same router a DTM run uses.
 ///
 /// # Errors
-/// See [`build_sim_nodes`] (the same validation applies, minus the
-/// machine-link check — channels form a complete graph).
+/// See [`build_sim_nodes`]; the machine-link check applies only when
+/// `config` injects a delay topology (bare channels form a complete
+/// graph).
 pub fn solve_threaded(
     algo: &BaselineAlgo,
     a: &Csr,
     b: &[f64],
     assignment: &[usize],
     reference: Option<Vec<f64>>,
-    config: &BaselineConfig,
+    config: &ThreadedConfig,
 ) -> Result<SolveReport> {
-    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
-    let threads = Threads::start(nodes, 1, None, prepared.self_halting(), fabric::no_hook());
-    Ok(prepared.run_wallclock(threads, BackendKind::Threaded))
+    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, &config.common)?;
+    let delays = config.delays();
+    if let Some((topology, _)) = delays {
+        prepared.pt.check_links(topology)?;
+    }
+    let kick_idle = prepared.self_halting();
+    let threads = Threads::start(nodes, 1, delays, kick_idle, fabric::no_hook());
+    Ok(prepared.run_wallclock(threads, BackendKind::Threaded, config.budget))
 }
 
 /// Run a baseline on the in-process worker pool ([`Pool`]): delay realised
@@ -1041,12 +919,12 @@ pub fn solve_workstealing(
     b: &[f64],
     assignment: &[usize],
     reference: Option<Vec<f64>>,
-    config: &BaselineConfig,
+    config: &RayonConfig,
 ) -> Result<SolveReport> {
-    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, config)?;
+    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, &config.common)?;
     let kick_idle = prepared.self_halting();
     let pool = Pool::start(nodes, 1, config.num_threads, kick_idle, fabric::no_hook());
-    Ok(prepared.run_wallclock(pool, BackendKind::WorkStealing))
+    Ok(prepared.run_wallclock(pool, BackendKind::WorkStealing, config.budget))
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,6 +952,7 @@ pub fn assignment_of(split: &SplitSystem) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::report::StopKind;
+    use crate::solver::ComputeModel;
     use dtm_simnet::{DelayModel, SimTime};
     use dtm_sparse::{generators, SparseCholesky};
 
@@ -1089,12 +968,43 @@ mod tests {
         SparseCholesky::factor_rcm(a).unwrap().solve(b)
     }
 
-    fn sim_config(tol: f64) -> BaselineConfig {
-        BaselineConfig {
-            termination: Termination::Residual { tol },
+    /// The stopping rule under the 200,000-solve cap every test here runs.
+    fn common(termination: Termination) -> CommonConfig {
+        CommonConfig {
+            termination,
+            ..Default::default()
+        }
+    }
+
+    /// A simulated machine with a 200 µs activation and a 600 s horizon.
+    fn sim_machine(termination: Termination) -> DtmConfig {
+        DtmConfig {
+            common: common(termination),
             compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
             horizon: SimDuration::from_millis_f64(600_000.0),
             ..Default::default()
+        }
+    }
+
+    fn sim_config(tol: f64) -> DtmConfig {
+        sim_machine(Termination::Residual { tol })
+    }
+
+    /// Real threads with a 60 s budget.
+    fn threads(termination: Termination) -> ThreadedConfig {
+        ThreadedConfig {
+            common: common(termination),
+            budget: Duration::from_secs(60),
+            ..Default::default()
+        }
+    }
+
+    /// A two-worker pool with a 60 s budget.
+    fn pool(termination: Termination) -> RayonConfig {
+        RayonConfig {
+            common: common(termination),
+            num_threads: 2,
+            budget: Duration::from_secs(60),
         }
     }
 
@@ -1146,55 +1056,25 @@ mod tests {
     }
 
     #[test]
-    fn richardson_polynomial_schedule_converges() {
-        let (a, b, asg, topo) = setup(6, 2, 22);
-        let exact = direct(&a, &b);
-        let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams {
-            schedule: RelaxationSchedule::Polynomial {
-                omega0: 1.0,
-                power: 0.05,
-            },
-            ..Default::default()
-        });
-        let report = solve_sim(&algo, &a, &b, &asg, topo, None, &sim_config(1e-8)).unwrap();
-        assert!(report.converged, "resid {}", report.final_residual);
-        for (u, v) in report.solution.iter().zip(&exact) {
-            assert!((u - v).abs() < 1e-5, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn diteration_sim_converges_and_retention_still_converges() {
+    fn diteration_sim_converges_to_direct_solution() {
         let (a, b, asg, topo) = setup(8, 3, 23);
         let exact = direct(&a, &b);
-        for retention in [0.0, 0.3] {
-            let algo = BaselineAlgo::DIteration(DIterationParams { retention });
-            let report =
-                solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim_config(1e-9)).unwrap();
-            assert!(
-                report.converged,
-                "retention {retention}: resid {}",
-                report.final_residual
-            );
-            assert_eq!(report.algorithm, AlgorithmKind::DIteration);
-            for (u, v) in report.solution.iter().zip(&exact) {
-                assert!((u - v).abs() < 1e-6, "retention {retention}: {u} vs {v}");
-            }
+        let algo = BaselineAlgo::DIteration;
+        let report = solve_sim(&algo, &a, &b, &asg, topo, None, &sim_config(1e-9)).unwrap();
+        assert!(report.converged, "resid {}", report.final_residual);
+        assert_eq!(report.algorithm, AlgorithmKind::DIteration);
+        for (u, v) in report.solution.iter().zip(&exact) {
+            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
         }
     }
 
     #[test]
     fn oracle_termination_reports_rms_for_both_algorithms() {
         let (a, b, asg, topo) = setup(6, 2, 24);
-        let config = BaselineConfig {
-            termination: Termination::OracleRms { tol: 1e-8 },
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
-            horizon: SimDuration::from_millis_f64(600_000.0),
-            ..Default::default()
-        };
+        let config = sim_machine(Termination::OracleRms { tol: 1e-8 });
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::DIteration,
         ] {
             let report = solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config).unwrap();
             assert!(report.converged, "rms {}", report.final_rms);
@@ -1206,18 +1086,13 @@ mod tests {
     #[test]
     fn local_delta_self_halt_on_the_simulated_machine() {
         let (a, b, asg, topo) = setup(6, 2, 25);
-        let config = BaselineConfig {
-            termination: Termination::LocalDelta {
-                tol: 1e-11,
-                patience: 3,
-            },
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
-            horizon: SimDuration::from_millis_f64(600_000.0),
-            ..Default::default()
-        };
+        let config = sim_machine(Termination::LocalDelta {
+            tol: 1e-11,
+            patience: 3,
+        });
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::DIteration,
         ] {
             let report = solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config).unwrap();
             assert!(
@@ -1234,14 +1109,10 @@ mod tests {
     fn threaded_driver_converges_for_both_algorithms() {
         let (a, b, asg, _) = setup(6, 3, 26);
         let exact = direct(&a, &b);
-        let config = BaselineConfig {
-            termination: Termination::Residual { tol: 1e-8 },
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        };
+        let config = threads(Termination::Residual { tol: 1e-8 });
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::DIteration,
         ] {
             let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
             assert!(report.converged, "resid {}", report.final_residual);
@@ -1256,17 +1127,13 @@ mod tests {
     #[test]
     fn threaded_local_delta_self_halts_for_both_algorithms() {
         let (a, b, asg, _) = setup(6, 2, 28);
-        let config = BaselineConfig {
-            termination: Termination::LocalDelta {
-                tol: 1e-11,
-                patience: 3,
-            },
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        };
+        let config = threads(Termination::LocalDelta {
+            tol: 1e-11,
+            patience: 3,
+        });
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::DIteration,
         ] {
             let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
             assert_eq!(report.stop, StopKind::AllHalted, "{:?}", algo.kind());
@@ -1278,21 +1145,15 @@ mod tests {
     #[test]
     fn block_jacobi_local_delta_self_halts_on_every_fabric() {
         let (a, b, asg, topo) = setup(6, 2, 29);
-        let config = BaselineConfig {
-            termination: Termination::LocalDelta {
-                tol: 1e-11,
-                patience: 3,
-            },
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
-            budget: Duration::from_secs(60),
-            num_threads: 2,
-            ..Default::default()
+        let termination = Termination::LocalDelta {
+            tol: 1e-11,
+            patience: 3,
         };
         let algo = BaselineAlgo::BlockJacobi;
         for report in [
-            solve_sim(&algo, &a, &b, &asg, topo, None, &config).unwrap(),
-            solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap(),
-            solve_workstealing(&algo, &a, &b, &asg, None, &config).unwrap(),
+            solve_sim(&algo, &a, &b, &asg, topo, None, &sim_machine(termination)).unwrap(),
+            solve_threaded(&algo, &a, &b, &asg, None, &threads(termination)).unwrap(),
+            solve_workstealing(&algo, &a, &b, &asg, None, &pool(termination)).unwrap(),
         ] {
             assert_eq!(report.algorithm, AlgorithmKind::BlockJacobiAsync);
             assert_eq!(report.stop, StopKind::AllHalted, "{:?}", report.backend);
@@ -1305,15 +1166,10 @@ mod tests {
     fn workstealing_driver_converges_for_both_algorithms() {
         let (a, b, asg, _) = setup(6, 3, 27);
         let exact = direct(&a, &b);
-        let config = BaselineConfig {
-            termination: Termination::Residual { tol: 1e-8 },
-            budget: Duration::from_secs(60),
-            num_threads: 2,
-            ..Default::default()
-        };
+        let config = pool(Termination::Residual { tol: 1e-8 });
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::DIteration,
         ] {
             let report = solve_workstealing(&algo, &a, &b, &asg, None, &config).unwrap();
             assert!(report.converged, "resid {}", report.final_residual);
@@ -1343,7 +1199,7 @@ mod tests {
         let exact = direct(&a, &b);
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::DIteration,
             BaselineAlgo::BlockJacobi,
         ] {
             let (a, b) = ss.reconstruct();
@@ -1358,39 +1214,118 @@ mod tests {
     #[test]
     fn invalid_parameters_and_machines_are_typed_errors() {
         let (a, b, asg, _) = setup(6, 3, 33);
+        let config = sim_config(1e-6);
         let no_links = Topology::from_links(3, vec![]);
         let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams::default());
-        assert!(solve_sim(&algo, &a, &b, &asg, no_links, None, &sim_config(1e-6)).is_err());
+        assert!(solve_sim(&algo, &a, &b, &asg, no_links, None, &config).is_err());
         let wrong_count = Topology::ring(2).with_delays(&DelayModel::fixed_ms(1.0));
-        assert!(solve_sim(&algo, &a, &b, &asg, wrong_count, None, &sim_config(1e-6)).is_err());
-        let bad_retention = BaselineAlgo::DIteration(DIterationParams { retention: 1.0 });
+        assert!(solve_sim(&algo, &a, &b, &asg, wrong_count, None, &config).is_err());
         let topo = Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0));
-        assert!(solve_sim(
-            &bad_retention,
-            &a,
-            &b,
-            &asg,
-            topo.clone(),
-            None,
-            &sim_config(1e-6)
-        )
-        .is_err());
-        let bad_schedule = BaselineAlgo::RandomizedRichardson(RichardsonParams {
-            schedule: RelaxationSchedule::Constant(0.0),
-            ..Default::default()
-        });
-        assert!(solve_sim(&bad_schedule, &a, &b, &asg, topo, None, &sim_config(1e-6)).is_err());
         // Wrong assignment length.
-        let topo3 = Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0));
-        assert!(solve_sim(&algo, &a, &b, &asg[..10], topo3, None, &sim_config(1e-6)).is_err());
+        assert!(solve_sim(&algo, &a, &b, &asg[..10], topo.clone(), None, &config).is_err());
+        // A NaN in b, an infinity in A: typed, naming the entry / the row.
+        let mut nan_b = b.clone();
+        nan_b[5] = f64::NAN;
+        let err = solve_sim(&algo, &a, &nan_b, &asg, topo.clone(), None, &config).unwrap_err();
+        assert!(matches!(err, Error::NonFinite { index: 5, .. }), "{err}");
+        let mut inf_a = a.clone();
+        let first_of_row_9 = inf_a.row_ptr()[9];
+        inf_a.values_mut()[first_of_row_9] = f64::INFINITY;
+        let err = solve_sim(&algo, &inf_a, &b, &asg, topo, None, &config).unwrap_err();
+        assert!(matches!(err, Error::NonFinite { index: 9, .. }), "{err}");
+    }
+
+    /// A NaN in `b` is refused at the boundary before any executor starts:
+    /// DTM's executors all take a split, and every split starts at
+    /// `ElectricGraph::from_system`; every baseline starts at
+    /// `RowPartition::build`.
+    #[test]
+    fn non_finite_rhs_fails_at_the_boundary_on_every_executor() {
+        use crate::builder::DtmBuilder;
+        use dtm_graph::ElectricGraph;
+        let a = generators::grid2d_laplacian(6, 6);
+        let mut b = vec![1.0; 36];
+        b[3] = f64::NAN;
+        let asg = dtm_graph::partition::grid_blocks(6, 6, 2, 2);
+        let topo = Topology::mesh(2, 2).with_delays(&DelayModel::fixed_ms(1.0));
+        let started = std::time::Instant::now();
+        let algo = BaselineAlgo::BlockJacobi;
+        let residual = Termination::Residual { tol: 1e-8 };
+        let sim = sim_config(1e-8);
+        for err in [
+            ElectricGraph::from_system(a.clone(), b.clone()).unwrap_err(),
+            DtmBuilder::new(a.clone(), b.clone())
+                .grid_blocks(6, 6, 2, 2)
+                .build()
+                .unwrap_err(),
+            solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim).unwrap_err(),
+            solve_sync(&a, &b, &asg, &topo, None, &sim).unwrap_err(),
+            solve_threaded(&algo, &a, &b, &asg, None, &threads(residual)).unwrap_err(),
+            solve_workstealing(&algo, &a, &b, &asg, None, &pool(residual)).unwrap_err(),
+        ] {
+            assert!(matches!(err, Error::NonFinite { index: 3, .. }), "{err}");
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+    }
+
+    /// The delay router DTM uses on real threads carries the baselines'
+    /// waves too: block-Jacobi and Richardson on a 1–9 ms ring, delays
+    /// scaled by 1e-3, reach the direct solution.
+    #[test]
+    fn delayed_threads_block_jacobi_converges() {
+        let (a, b, asg, _) = setup(6, 3, 37);
+        let exact = direct(&a, &b);
+        let config = ThreadedConfig {
+            delay_topology: Some(
+                Topology::ring(3).with_delays(&DelayModel::uniform_ms(1.0, 9.0, 37)),
+            ),
+            delay_scale: 1e-3,
+            ..threads(Termination::Residual { tol: 1e-8 })
+        };
+        for algo in [
+            BaselineAlgo::BlockJacobi,
+            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
+        ] {
+            let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
+            let resid = report.final_residual;
+            assert!(report.converged, "{algo:?}: resid {resid}");
+            assert_eq!(report.backend, BackendKind::Threaded);
+            for (u, v) in report.solution.iter().zip(&exact) {
+                assert!((u - v).abs() < 1e-5, "{algo:?}: {u} vs {v}");
+            }
+        }
+    }
+
+    /// A delay topology missing a coupled pair's link is a typed error
+    /// before any thread spawns — as it is for DTM on the same router.
+    #[test]
+    fn delayed_threads_missing_link_is_a_typed_error() {
+        let (a, b, asg, _) = setup(6, 3, 38);
+        let algo = BaselineAlgo::BlockJacobi;
+        let no_links = ThreadedConfig {
+            delay_topology: Some(Topology::from_links(3, vec![])),
+            budget: Duration::from_secs(5),
+            ..Default::default()
+        };
+        let err = solve_threaded(&algo, &a, &b, &asg, None, &no_links).unwrap_err();
+        assert!(
+            format!("{err}").contains("no link"),
+            "typed message, got: {err}"
+        );
+        let wrong_count = ThreadedConfig {
+            delay_topology: Some(Topology::ring(4).with_delays(&DelayModel::fixed_ms(1.0))),
+            ..no_links
+        };
+        let err = solve_threaded(&algo, &a, &b, &asg, None, &wrong_count).unwrap_err();
+        assert!(matches!(err, Error::DimensionMismatch { .. }), "{err}");
     }
 
     /// `config` with an RMS tolerance and a 1 ms block solve.
-    fn oracle_config(tol: f64) -> BaselineConfig {
-        BaselineConfig {
-            termination: Termination::OracleRms { tol },
+    fn oracle_config(tol: f64) -> DtmConfig {
+        DtmConfig {
             compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
-            ..Default::default()
+            ..sim_machine(Termination::OracleRms { tol })
         }
     }
 
@@ -1418,16 +1353,8 @@ mod tests {
         let (a, b, asg, topo) = setup(7, 3, 53);
         let config = oracle_config(1e-9);
         let s = solve_sync(&a, &b, &asg, &topo, None, &config).unwrap();
-        let r = solve_sim(
-            &BaselineAlgo::BlockJacobi,
-            &a,
-            &b,
-            &asg,
-            topo,
-            None,
-            &config,
-        )
-        .unwrap();
+        let algo = BaselineAlgo::BlockJacobi;
+        let r = solve_sim(&algo, &a, &b, &asg, topo, None, &config).unwrap();
         assert!(s.converged && r.converged);
         for (u, v) in s.solution.iter().zip(&r.solution) {
             assert!((u - v).abs() < 1e-6);
@@ -1441,14 +1368,13 @@ mod tests {
     #[test]
     fn lockstep_machine_is_the_synchronous_round_loop_bit_for_bit() {
         let (a, b, asg, topo) = setup(8, 4, 35);
-        let config = BaselineConfig {
-            max_solves_per_node: 12,
-            ..oracle_config(0.0)
-        };
+        let mut config = oracle_config(0.0);
+        config.common.max_solves_per_node = 12;
         let report = solve_sync(&a, &b, &asg, &topo, None, &config).unwrap();
 
         let algo = BaselineAlgo::BlockJacobi;
-        let (prepared, mut nodes) = Prepared::new(&algo, &a, &b, &asg, None, &config).unwrap();
+        let (prepared, mut nodes) =
+            Prepared::new(&algo, &a, &b, &asg, None, &config.common).unwrap();
         let mut monitor = prepared.spec().monitor(SimDuration::ZERO);
         let mut order: Vec<usize> = (0..nodes.len()).collect();
         let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
@@ -1484,24 +1410,15 @@ mod tests {
         let b = vec![1.0; 81];
         let asg = dtm_graph::partition::grid_blocks(9, 9, 2, 2);
         let topo = Topology::mesh(2, 2).with_delays(&DelayModel::fixed_ms(1.0));
-        let config = BaselineConfig {
-            termination: Termination::LocalDelta {
-                tol: 1e-14,
-                patience: 4,
-            },
-            max_solves_per_node: 3,
-            ..oracle_config(0.0)
+        let mut config = oracle_config(0.0);
+        config.common.termination = Termination::LocalDelta {
+            tol: 1e-14,
+            patience: 4,
         };
+        config.common.max_solves_per_node = 3;
+        let algo = BaselineAlgo::BlockJacobi;
         for report in [
-            solve_sim(
-                &BaselineAlgo::BlockJacobi,
-                &a,
-                &b,
-                &asg,
-                topo.clone(),
-                None,
-                &config,
-            ),
+            solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config),
             solve_sync(&a, &b, &asg, &topo, None, &config),
         ] {
             let report = report.unwrap();
@@ -1515,7 +1432,7 @@ mod tests {
     fn short_rhs_is_a_typed_error_on_both_entry_points() {
         let (a, b, asg, topo) = setup(6, 2, 56);
         let short = &b[..b.len() - 1];
-        let config = BaselineConfig::default();
+        let config = DtmConfig::default();
         let algo = BaselineAlgo::BlockJacobi;
         for err in [
             solve_sim(&algo, &a, short, &asg, topo.clone(), None, &config).unwrap_err(),
@@ -1538,10 +1455,7 @@ mod tests {
     #[test]
     fn seeded_update_order_is_reproducible() {
         let (a, b, asg, topo) = setup(6, 2, 34);
-        let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams {
-            seed: 99,
-            ..Default::default()
-        });
+        let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: 99 });
         let r1 = solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim_config(1e-8)).unwrap();
         let r2 = solve_sim(&algo, &a, &b, &asg, topo, None, &sim_config(1e-8)).unwrap();
         assert_eq!(r1.total_solves, r2.total_solves);

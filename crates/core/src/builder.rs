@@ -169,29 +169,26 @@ impl DtmBuilder {
     /// infinity in `b` or in the matrix values
     /// ([`Error::NonFinite`], naming the entry / the row): no executor can
     /// do better with one than an all-NaN "unconverged" report.
-    pub fn build(self) -> Result<DtmProblem> {
-        dtm_sparse::vector::require_finite("DtmBuilder right-hand side", &self.b)?;
-        for row in 0..self.a.n_rows() {
-            if let Some((_, value)) = self.a.row(row).find(|(_, v)| !v.is_finite()) {
-                return Err(Error::NonFinite {
-                    context: "DtmBuilder matrix rows",
-                    index: row,
-                    value,
-                });
-            }
-        }
+    pub fn build(mut self) -> Result<DtmProblem> {
+        // The input boundary first, so a bad value never starts a
+        // factorization. The system moves into the graph; `tear` reads it
+        // from there.
+        let graph = ElectricGraph::from_system(
+            std::mem::replace(&mut self.a, Csr::zeros(0, 0)),
+            std::mem::take(&mut self.b),
+        )?;
         // Start the reference factorization first so it overlaps with the
         // partitioner, plan derivation and the split on a multi-core machine.
         let reference = match self.config.common.termination {
             Termination::Residual { .. } => None,
             _ => {
-                let (a, b) = (self.a.clone(), self.b.clone());
+                let (a, b) = (graph.matrix().clone(), graph.sources().to_vec());
                 Some(std::thread::spawn(move || {
                     SparseCholesky::factor_fill_reducing(&a).map(|f| f.solve(&b))
                 }))
             }
         };
-        let torn = self.tear();
+        let torn = self.tear(&graph);
         // Joined before `torn` is looked at: no error path leaves the
         // thread running behind the caller's back.
         let reference = reference.map(join_setup);
@@ -205,13 +202,13 @@ impl DtmBuilder {
     }
 
     /// The tearing half of [`build`](Self::build): partition, plan, machine,
-    /// EVS split. Hands the configuration back beside them.
-    fn tear(self) -> Result<(SplitSystem, Topology, DtmConfig)> {
+    /// EVS split of `graph`. Hands the configuration back beside them.
+    fn tear(self, graph: &ElectricGraph) -> Result<(SplitSystem, Topology, DtmConfig)> {
         let assignment =
             match (self.assignment, self.n_parts) {
                 (Some(asg), _) => asg,
-                (None, Some(n_parts)) => Partitioner::default_for(self.a.n_rows()).assign(
-                    &self.a,
+                (None, Some(n_parts)) => Partitioner::default_for(graph.n()).assign(
+                    graph.matrix(),
                     n_parts,
                     &PartitionConfig::default(),
                 ),
@@ -220,8 +217,7 @@ impl DtmBuilder {
                         .into(),
                 )),
             };
-        let graph = ElectricGraph::from_system(self.a, self.b)?;
-        let plan = PartitionPlan::from_assignment(&graph, &assignment)?;
+        let plan = PartitionPlan::from_assignment(graph, &assignment)?;
         let n_parts = plan.n_parts();
         let topology = match self.topology {
             Some(t) => t,
@@ -245,7 +241,7 @@ impl DtmBuilder {
                 .collect();
             evs_options.twin_topology = TwinTopology::TreeWithin(pairs);
         }
-        let split = evs_split_parallel(&graph, &plan, &evs_options, &runtime::setup_pool()?)?;
+        let split = evs_split_parallel(graph, &plan, &evs_options, &runtime::setup_pool()?)?;
         // Surface a malformed machine (a DTLP with no directed link) as a
         // typed error here, at assembly time, rather than a panic once a
         // backend first looks the delay up.

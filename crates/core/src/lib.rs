@@ -51,9 +51,9 @@
 //!   Richardson (Avron et al. 2013), Hong's D-iteration (2012) and
 //!   block-Jacobi as first-class peer solvers behind the same
 //!   [`runtime::AsyncNode`] / [`runtime::Transport`] contract — three node
-//!   state machines, run by the same three executors as DTM (callers of
-//!   [`fabric`] and [`solver`]) and compared message for message by
-//!   `repro compare`; block-Jacobi's nodes on the lock-step machine are
+//!   state machines, run by the same three executors as DTM, on the same
+//!   machine configs (callers of [`fabric`] and [`solver`]), and compared
+//!   message for message by `repro compare`; block-Jacobi's nodes on the lock-step machine are
 //!   the synchronous baseline the paper's introduction measures DTM
 //!   against;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
@@ -106,9 +106,7 @@ pub mod sync;
 pub mod threaded;
 pub mod vtm;
 
-pub use async_baselines::{
-    BaselineAlgo, BaselineConfig, DIterationParams, RelaxationSchedule, RichardsonParams,
-};
+pub use async_baselines::{BaselineAlgo, RichardsonParams};
 pub use builder::{DtmBuilder, DtmProblem};
 pub use impedance::ImpedancePolicy;
 pub use local::LocalSystem;

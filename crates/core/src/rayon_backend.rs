@@ -194,15 +194,21 @@ mod tests {
 
     #[test]
     fn a_nan_in_b_is_never_converged() {
-        // The split-level entry points take `b` unchecked: a NaN flows
-        // through every solve into the score, and must not read as 0.
+        // `ElectricGraph::from_system` refuses a NaN, but the split-level
+        // entry points take a split's fields unchecked: a NaN planted in a
+        // local right-hand side flows through every solve into the score,
+        // and must not read as 0.
         let a = generators::grid2d_random(8, 8, 1.0, 83);
-        let mut b = generators::random_rhs(64, 84);
-        b[17] = f64::NAN;
+        let b = generators::random_rhs(64, 84);
         let g = ElectricGraph::from_system(a, b).unwrap();
         let plan = PartitionPlan::from_assignment(&g, &dtm_graph::partition::grid_strips(8, 8, 3))
             .unwrap();
-        let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        let mut ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        for sd in &mut ss.subdomains {
+            if let Some(local) = sd.global_of_local.iter().position(|&v| v == 17) {
+                sd.rhs[local] = f64::NAN;
+            }
+        }
         for termination in [
             Termination::Residual { tol: 1e-8 },
             Termination::OracleRms { tol: 1e-8 },

@@ -37,11 +37,9 @@ pub enum AlgorithmKind {
     /// Synchronous block-Jacobi / additive Schwarz with a barrier model.
     BlockJacobiSync,
     /// Randomized asynchronous Richardson (Avron et al. 2013,
-    /// arXiv:1304.6475): per-update random row selection with a relaxation
-    /// schedule.
+    /// arXiv:1304.6475): exact relaxations of randomly selected rows.
     RandomizedRichardson,
-    /// Hong's D-iteration (2012, arXiv:1202.3108): residual diffusion with
-    /// per-node fluid retention.
+    /// Hong's D-iteration (2012, arXiv:1202.3108): residual diffusion.
     DIteration,
 }
 

@@ -53,12 +53,16 @@ impl Default for ThreadedConfig {
 }
 
 impl ThreadedConfig {
+    /// The delay router's table, if this machine injects link delays.
+    pub(crate) fn delays(&self) -> Option<(&Topology, f64)> {
+        self.delay_topology
+            .as_ref()
+            .map(|topo| (topo, self.delay_scale))
+    }
+
     fn fabric(&self) -> WallFabric<'_> {
         WallFabric::Threads {
-            delay: self
-                .delay_topology
-                .as_ref()
-                .map(|topo| (topo, self.delay_scale)),
+            delay: self.delays(),
         }
     }
 }

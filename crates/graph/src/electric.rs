@@ -3,7 +3,7 @@
 //! "It is easy to know that an electric graph is one-to-one mapped to a
 //! symmetric linear system" — this module *is* that bijection.
 
-use dtm_sparse::{Csr, Error, Result};
+use dtm_sparse::{vector, Csr, Error, Result};
 
 /// An electric graph: a symmetric sparse matrix plus per-vertex sources.
 ///
@@ -19,13 +19,17 @@ pub struct ElectricGraph {
 }
 
 impl ElectricGraph {
-    /// Build from a symmetric system.
+    /// Build from a symmetric system — the input boundary every split
+    /// starts at.
     ///
     /// # Errors
+    /// * [`Error::NonFinite`] if a value of `a` (naming its row) or an
+    ///   entry of `b` is a NaN or an infinity;
     /// * [`Error::NotSymmetric`] if `a` is not symmetric within `1e-12`
     ///   relative tolerance;
     /// * [`Error::DimensionMismatch`] if `b` has the wrong length.
     pub fn from_system(a: Csr, b: Vec<f64>) -> Result<Self> {
+        vector::require_finite_csr("ElectricGraph::from_system matrix", &a)?;
         a.require_symmetric(1e-12)?;
         if b.len() != a.n_rows() {
             return Err(Error::DimensionMismatch {
@@ -34,6 +38,7 @@ impl ElectricGraph {
                 actual: b.len(),
             });
         }
+        vector::require_finite("ElectricGraph::from_system right-hand side", &b)?;
         Ok(Self { a, b })
     }
 
@@ -160,6 +165,36 @@ mod tests {
         let (a, _) = generators::paper_example_system();
         let err = ElectricGraph::from_system(a, vec![0.0; 3]);
         assert!(matches!(err, Err(Error::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn non_finite_input_rejected_naming_the_entry() {
+        let (a, b) = generators::paper_example_system();
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut bad_b = b.clone();
+            bad_b[2] = value;
+            match ElectricGraph::from_system(a.clone(), bad_b) {
+                Err(Error::NonFinite {
+                    index: 2, value: v, ..
+                }) => {
+                    assert_eq!(v.to_bits(), value.to_bits());
+                }
+                other => panic!("{value} in b: {other:?}"),
+            }
+            // A non-finite matrix value is named by its row, before the
+            // symmetry check can trip over it.
+            let mut bad_a = a.clone();
+            let first_of_row_1 = bad_a.row_ptr()[1];
+            bad_a.values_mut()[first_of_row_1] = value;
+            match ElectricGraph::from_system(bad_a, b.clone()) {
+                Err(Error::NonFinite {
+                    index: 1, value: v, ..
+                }) => {
+                    assert_eq!(v.to_bits(), value.to_bits());
+                }
+                other => panic!("{value} in A: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Dense vector kernels: norms, dot products, axpy, error metrics.
-//!
-//! These are the hot inner loops of every iterative solver in the workspace,
-//! so they are kept simple, allocation-free and easily auto-vectorizable.
+//! Dense vector helpers: norms, the dot product, the paper's RMS error
+//! metric, and the finiteness checks every system passes at the input
+//! boundary.
 
 /// Euclidean (ℓ₂) norm of `x`.
 #[inline]
@@ -37,10 +36,22 @@ pub fn require_finite(context: &'static str, x: &[f64]) -> crate::Result<()> {
     }
 }
 
-/// Infinity (max-abs) norm of `x`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
+/// [`require_finite`] for a sparse matrix's stored values — one pass over
+/// them.
+///
+/// # Errors
+/// [`Error::NonFinite`](crate::Error::NonFinite) naming the row of the
+/// first stored value that is a NaN or an infinity.
+pub fn require_finite_csr(context: &'static str, a: &crate::Csr) -> crate::Result<()> {
+    match a.values().iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(k) => Err(crate::Error::NonFinite {
+            context,
+            // The row holding entry k: the last row starting at or before it.
+            index: a.row_ptr().partition_point(|&start| start <= k) - 1,
+            value: a.values()[k],
+        }),
+    }
 }
 
 /// Dot product `xᵀ y`.
@@ -51,37 +62,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     x.iter().zip(y).map(|(a, b)| a * b).sum()
-}
-
-/// `y ← y + alpha·x`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y ← alpha·y + x` (scale-then-add, the CG "beta" update).
-#[inline]
-pub fn aypx(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "aypx: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * *yi + xi;
-    }
-}
-
-/// `out ← x − y`, reusing `out`'s allocation.
-#[inline]
-pub fn sub_into(x: &[f64], y: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "sub_into: length mismatch");
-    assert_eq!(x.len(), out.len(), "sub_into: output length mismatch");
-    for ((o, a), b) in out.iter_mut().zip(x).zip(y) {
-        *o = a - b;
-    }
 }
 
 /// Root-mean-square difference `‖x − y‖₂ / √n` — the paper's "RMS error"
@@ -98,30 +78,6 @@ pub fn rms_error(x: &[f64], y: &[f64]) -> f64 {
     (ss / x.len() as f64).sqrt()
 }
 
-/// Relative ℓ₂ error `‖x − y‖ / max(‖y‖, ε)`.
-#[inline]
-pub fn rel_error(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "rel_error: length mismatch");
-    let ss: f64 = x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum();
-    ss.sqrt() / norm2(y).max(f64::MIN_POSITIVE)
-}
-
-/// Scale `x` in place by `alpha`.
-#[inline]
-pub fn scale(x: &mut [f64], alpha: f64) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
-/// Fill `x` with `value`.
-#[inline]
-pub fn fill(x: &mut [f64], value: f64) {
-    for v in x {
-        *v = value;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +86,12 @@ mod tests {
     fn norms() {
         let x = [3.0, 4.0];
         assert!((norm2(&x) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&x), 4.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm2(&[]), 0.0);
     }
 
     #[test]
     fn dot_and_axpy() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [4.0, 5.0, 6.0];
-        assert_eq!(dot(&x, &y), 32.0);
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [6.0, 9.0, 12.0]);
-        aypx(0.5, &x, &mut y);
-        assert_eq!(y, [4.0, 6.5, 9.0]);
+        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 
     #[test]
@@ -160,31 +108,28 @@ mod tests {
     }
 
     #[test]
-    fn sub_into_works() {
-        let mut out = [0.0; 3];
-        sub_into(&[5.0, 5.0, 5.0], &[1.0, 2.0, 3.0], &mut out);
-        assert_eq!(out, [4.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn rel_error_scale_free() {
-        let y = [2.0, 0.0];
-        let x = [2.2, 0.0];
-        assert!((rel_error(&x, &y) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_panics_on_mismatch() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
-    fn scale_and_fill() {
-        let mut x = [1.0, 2.0];
-        scale(&mut x, 3.0);
-        assert_eq!(x, [3.0, 6.0]);
-        fill(&mut x, 0.0);
-        assert_eq!(x, [0.0, 0.0]);
+    fn non_finite_csr_values_name_their_row() {
+        let a = crate::generators::grid2d_laplacian(3, 3);
+        assert!(require_finite_csr("m", &a).is_ok());
+        for (row, value) in [(0, f64::NAN), (4, f64::INFINITY), (8, f64::NEG_INFINITY)] {
+            let mut bad = a.clone();
+            let last_of_row = bad.row_ptr()[row + 1] - 1;
+            bad.values_mut()[last_of_row] = value;
+            match require_finite_csr("m", &bad).unwrap_err() {
+                crate::Error::NonFinite {
+                    index, value: v, ..
+                } => {
+                    assert_eq!(index, row);
+                    assert_eq!(v.to_bits(), value.to_bits());
+                }
+                other => panic!("expected NonFinite, got {other}"),
+            }
+        }
     }
 }

@@ -9,9 +9,7 @@
 
 mod common;
 
-use dtm_repro::core::async_baselines::{
-    self, BaselineAlgo, BaselineConfig, DIterationParams, RichardsonParams,
-};
+use dtm_repro::core::async_baselines::{self, BaselineAlgo, RichardsonParams};
 use dtm_repro::core::rayon_backend::{self, RayonConfig};
 use dtm_repro::core::runtime::{CommonConfig, Termination};
 use dtm_repro::core::solver::{self, ComputeModel, DtmConfig};
@@ -25,13 +23,21 @@ use std::time::Duration;
 const TOL: f64 = 1e-8;
 const CLOSE: f64 = 1e-5;
 
-fn baseline_config() -> BaselineConfig {
-    BaselineConfig {
+/// The reference-free rule every run here stops on, under the
+/// 200,000-solve cap.
+fn residual_rule() -> CommonConfig {
+    CommonConfig {
         termination: Termination::Residual { tol: TOL },
+        ..Default::default()
+    }
+}
+
+/// The simulated machine: a 200 µs activation, a 600 s horizon.
+fn sim_machine() -> DtmConfig {
+    DtmConfig {
+        common: residual_rule(),
         compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
         horizon: SimDuration::from_millis_f64(600_000.0),
-        budget: Duration::from_secs(60),
-        num_threads: 2,
         ..Default::default()
     }
 }
@@ -79,72 +85,43 @@ proptest! {
             delay_lo + delay_spread,
             seed ^ 0x5eed,
         ));
-        let config = baseline_config();
+        // One config per machine, shared by every algorithm on it.
+        let sim = sim_machine();
+        let threads = ThreadedConfig {
+            common: residual_rule(),
+            budget: Duration::from_secs(60),
+            ..Default::default()
+        };
+        let pool = RayonConfig {
+            common: residual_rule(),
+            num_threads: 2,
+            budget: Duration::from_secs(60),
+        };
 
         for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams {
-                seed: order_seed,
-                ..Default::default()
-            }),
-            BaselineAlgo::DIteration(DIterationParams { retention: 0.2 }),
+            BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: order_seed }),
+            BaselineAlgo::DIteration,
             BaselineAlgo::BlockJacobi,
         ] {
             let name = algo.kind().name();
-            let sim =
-                async_baselines::solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config)
-                    .expect("baseline sim run");
+            let sim = async_baselines::solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim)
+                .expect("baseline sim run");
             assert_close(&sim, &exact, &format!("{name}/sim"))?;
-            let th = async_baselines::solve_threaded(&algo, &a, &b, &asg, None, &config)
+            let th = async_baselines::solve_threaded(&algo, &a, &b, &asg, None, &threads)
                 .expect("baseline threaded run");
             assert_close(&th, &exact, &format!("{name}/threaded"))?;
-            let ws = async_baselines::solve_workstealing(&algo, &a, &b, &asg, None, &config)
+            let ws = async_baselines::solve_workstealing(&algo, &a, &b, &asg, None, &pool)
                 .expect("baseline pool run");
             assert_close(&ws, &exact, &format!("{name}/workstealing"))?;
         }
 
-        // DTM on the same machine and partition (EVS split of the same
-        // assignment), same executors, same reference-free rule.
-        let dtm_sim = solver::solve(
-            &ss,
-            topo,
-            None,
-            &DtmConfig {
-                common: CommonConfig {
-                    termination: Termination::Residual { tol: TOL },
-                    ..Default::default()
-                },
-                compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
-                horizon: SimDuration::from_millis_f64(600_000.0),
-                ..Default::default()
-            },
-        )
-        .expect("dtm sim run");
+        // DTM on the same machines and partition (EVS split of the same
+        // assignment), same reference-free rule.
+        let dtm_sim = solver::solve(&ss, topo, None, &sim).expect("dtm sim run");
         assert_close(&dtm_sim, &exact, "dtm/sim")?;
-        let dtm_th = threaded::solve(
-            &ss,
-            &ThreadedConfig {
-                common: CommonConfig {
-                    termination: Termination::Residual { tol: TOL },
-                    ..ThreadedConfig::default().common
-                },
-                budget: Duration::from_secs(60),
-                ..Default::default()
-            },
-        )
-        .expect("dtm threaded run");
+        let dtm_th = threaded::solve(&ss, &threads).expect("dtm threaded run");
         assert_close(&dtm_th, &exact, "dtm/threaded")?;
-        let dtm_ws = rayon_backend::solve(
-            &ss,
-            &RayonConfig {
-                common: CommonConfig {
-                    termination: Termination::Residual { tol: TOL },
-                    ..RayonConfig::default().common
-                },
-                num_threads: 2,
-                budget: Duration::from_secs(60),
-            },
-        )
-        .expect("dtm pool run");
+        let dtm_ws = rayon_backend::solve(&ss, &pool).expect("dtm pool run");
         assert_close(&dtm_ws, &exact, "dtm/workstealing")?;
     }
 
@@ -167,13 +144,10 @@ proptest! {
         let asg: Vec<usize> = (0..n).map(|i| i * parts / n).collect();
         let topo = Topology::complete(parts)
             .with_delays(&DelayModel::uniform_ms(1.0, 20.0, seed ^ 0xd1ce));
-        let config = baseline_config();
+        let config = sim_machine();
         for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams {
-                seed: order_seed,
-                ..Default::default()
-            }),
-            BaselineAlgo::DIteration(DIterationParams::default()),
+            BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: order_seed }),
+            BaselineAlgo::DIteration,
         ] {
             let report =
                 async_baselines::solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config)

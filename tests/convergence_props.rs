@@ -10,7 +10,7 @@
 
 use dtm_net::{DistributedBackend, DistributedConfig};
 use dtm_repro::core::analysis::WaveOperator;
-use dtm_repro::core::async_baselines::{self, BaselineAlgo, BaselineConfig};
+use dtm_repro::core::async_baselines::{self, BaselineAlgo};
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::local::LocalSolverKind;
 use dtm_repro::core::rayon_backend::{self, RayonConfig};
@@ -150,19 +150,22 @@ proptest! {
                 horizon: SimDuration::from_millis_f64(3_600_000.0),
                 ..Default::default()
             };
-            let base = BaselineConfig { termination, ..Default::default() };
+            let jacobi_sim = DtmConfig {
+                horizon: SimDuration::from_millis_f64(600_000.0),
+                ..dtm_sim.clone()
+            };
+            let threads = ThreadedConfig { common: common.clone(), ..Default::default() };
+            let pool = RayonConfig { common: common.clone(), ..Default::default() };
             let mut reports = vec![
                 ("dtm/sim", solver::solve(&ss, topo.clone(), reference(), &dtm_sim)),
-                ("dtm/threads", threaded::solve_with_reference(
-                    &ss, reference(), &ThreadedConfig { common: common.clone(), ..Default::default() })),
-                ("dtm/pool", rayon_backend::solve_with_reference(
-                    &ss, reference(), &RayonConfig { common: common.clone(), ..Default::default() })),
+                ("dtm/threads", threaded::solve_with_reference(&ss, reference(), &threads)),
+                ("dtm/pool", rayon_backend::solve_with_reference(&ss, reference(), &pool)),
                 ("jacobi/sim", async_baselines::solve_sim(
-                    &algo, &a, &b, &asg, topo.clone(), reference(), &base)),
+                    &algo, &a, &b, &asg, topo.clone(), reference(), &jacobi_sim)),
                 ("jacobi/threads", async_baselines::solve_threaded(
-                    &algo, &a, &b, &asg, reference(), &base)),
+                    &algo, &a, &b, &asg, reference(), &threads)),
                 ("jacobi/pool", async_baselines::solve_workstealing(
-                    &algo, &a, &b, &asg, reference(), &base)),
+                    &algo, &a, &b, &asg, reference(), &pool)),
             ];
             if matches!(termination, Termination::Residual { .. }) {
                 let config = DistributedConfig { common, processes: 2, ..Default::default() };

@@ -3,10 +3,10 @@
 //! both block-Jacobi baselines — must land on the same x* for the same
 //! system.
 
-use dtm_repro::core::async_baselines::{self, BaselineAlgo, BaselineConfig};
+use dtm_repro::core::async_baselines::{self, BaselineAlgo};
 use dtm_repro::core::rayon_backend::{self, RayonConfig};
 use dtm_repro::core::runtime::CommonConfig;
-use dtm_repro::core::solver::{ComputeModel, Termination};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
 use dtm_repro::core::threaded::{self, ThreadedConfig};
 use dtm_repro::core::vtm;
 use dtm_repro::graph::evs::{split, EvsOptions};
@@ -23,6 +23,20 @@ fn system() -> (dtm_repro::sparse::Csr, Vec<f64>) {
     let a = generators::grid2d_random(SIDE, SIDE, 1.0, 404);
     let b = generators::random_rhs(SIDE * SIDE, 405);
     (a, b)
+}
+
+/// The simulated machine the block-Jacobi rows run on: 1 ms per block
+/// solve, oracle RMS ≤ `tol`, a one-hour horizon.
+fn oracle_machine(tol: f64) -> DtmConfig {
+    DtmConfig {
+        common: CommonConfig {
+            termination: Termination::OracleRms { tol },
+            ..Default::default()
+        },
+        compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+        horizon: SimDuration::from_millis_f64(3_600_000.0),
+        ..Default::default()
+    }
 }
 
 fn assert_close(name: &str, x: &[f64], y: &[f64], tol: f64) {
@@ -101,12 +115,7 @@ fn all_solvers_agree() {
     // Block-Jacobi baselines.
     let asg = partition::grid_strips(SIDE, SIDE, K);
     let topo = Topology::ring(K).with_delays(&DelayModel::uniform_ms(5.0, 30.0, 11));
-    let bj_config = BaselineConfig {
-        compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
-        termination: Termination::OracleRms { tol: 1e-9 },
-        horizon: SimDuration::from_millis_f64(3_600_000.0),
-        ..Default::default()
-    };
+    let bj_config = oracle_machine(1e-9);
     let abj = async_baselines::solve_sim(
         &BaselineAlgo::BlockJacobi,
         &a,
@@ -142,12 +151,7 @@ fn dtm_beats_async_jacobi_in_simulated_time() {
         .solve()
         .expect("dtm");
 
-    let bj_config = BaselineConfig {
-        compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
-        termination: Termination::OracleRms { tol },
-        horizon: SimDuration::from_millis_f64(3_600_000.0),
-        ..Default::default()
-    };
+    let bj_config = oracle_machine(tol);
     let asg = partition::grid_strips(SIDE, SIDE, K);
     let abj = async_baselines::solve_sim(
         &BaselineAlgo::BlockJacobi,
