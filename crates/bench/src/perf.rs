@@ -11,7 +11,9 @@
 //! * **3-D Laplacians** — `grid3d_laplacian` under the default partitioner
 //!   ([`Partitioner::default_for`]), solved reference-free
 //!   (`Termination::Residual`) on the threaded and pool fabrics. Set-up is
-//!   timed per phase — partition, split (EVS tearing via
+//!   timed per phase — read (the matrix written to an in-memory Matrix
+//!   Market text and parsed back by `mm::read_matrix`, checked equal),
+//!   partition, split (EVS tearing via
 //!   `DtmBuilder::build`), factor (every subdomain, concurrently, into
 //!   reusable templates) — and both fabrics then solve over the *same*
 //!   templates (`threaded::solve_prepared` /
@@ -156,6 +158,17 @@ fn grid3d_case(case: &str, a: &Csr, parts: usize, open_session: bool) -> Result<
     println!("— {case}: {n} unknowns, {parts} parts —");
     let b = generators::random_rhs(n, crate::seeds::RHS);
 
+    // The file stage of set-up, from an in-memory Matrix Market text so the
+    // disk does not time in.
+    let mut text = Vec::new();
+    mm::write_matrix(&mut text, a, true).map_err(|e| Error::Parse(e.to_string()))?;
+    let (read, read_ms) = timed(|| mm::read_matrix(text.as_slice()));
+    assert_eq!(
+        read?, *a,
+        "{case}: the Matrix Market round trip changed the matrix"
+    );
+    drop(text);
+
     let (asg, partition_ms) =
         timed(|| Partitioner::default_for(n).assign(a, parts, &PartitionConfig::default()));
     let m = partition::metrics(a, &asg);
@@ -185,9 +198,9 @@ fn grid3d_case(case: &str, a: &Csr, parts: usize, open_session: bool) -> Result<
     let (templates, factor_ms) = timed(|| build_nodes(&problem.split, &common));
     let templates = templates?;
     println!(
-        "  setup: partition {partition_ms:.0} ms + split {split_ms:.0} ms + factor \
-         {factor_ms:.0} ms = {:.0} ms",
-        partition_ms + split_ms + factor_ms
+        "  setup: read {read_ms:.0} ms + partition {partition_ms:.0} ms + split {split_ms:.0} ms \
+         + factor {factor_ms:.0} ms = {:.0} ms",
+        read_ms + partition_ms + split_ms + factor_ms
     );
     if open_session {
         // The serving path's set-up: the session factors its own nodes (a

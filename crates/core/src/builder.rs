@@ -8,7 +8,6 @@
 use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
 use crate::report::SolveReport;
-use crate::runtime;
 use crate::solver::{self, ComputeModel, DtmConfig, Termination};
 use crate::vtm;
 use dtm_graph::evs::{split_parallel as evs_split_parallel, EvsOptions, SplitSystem, TwinTopology};
@@ -241,7 +240,7 @@ impl DtmBuilder {
                 .collect();
             evs_options.twin_topology = TwinTopology::TreeWithin(pairs);
         }
-        let split = evs_split_parallel(graph, &plan, &evs_options, &runtime::setup_pool()?)?;
+        let split = evs_split_parallel(graph, &plan, &evs_options, &rayon::ThreadPool::default())?;
         // Surface a malformed machine (a DTLP with no directed link) as a
         // typed error here, at assembly time, rather than a panic once a
         // backend first looks the delay up.

@@ -702,7 +702,7 @@ impl AsyncNode for NodeRuntime {
 /// names the lowest-numbered failing part and the original row of its
 /// pivot.
 pub fn build_nodes(split: &SplitSystem, common: &CommonConfig) -> Result<Vec<NodeRuntime>> {
-    build_nodes_parallel(split, common, &setup_pool()?)
+    build_nodes_parallel(split, common, &rayon::ThreadPool::default())
 }
 
 /// [`build_nodes`] for a **block wave**: every node solves `rhs_cols.len()`
@@ -722,7 +722,7 @@ pub fn build_nodes_block(
     common: &CommonConfig,
     rhs_cols: &[Vec<f64>],
 ) -> Result<Vec<NodeRuntime>> {
-    build_nodes_block_parallel(split, common, rhs_cols, &setup_pool()?)
+    build_nodes_block_parallel(split, common, rhs_cols, &rayon::ThreadPool::default())
 }
 
 /// Regroup scattered RHS columns from per-column `[c][p]` order into the
@@ -809,14 +809,6 @@ fn build_node_inner(
     })
 }
 
-/// Fork-join fan-out for the set-up pipeline (EVS assembly, per-part
-/// factorization), sized to the machine's available parallelism.
-pub(crate) fn setup_pool() -> Result<rayon::ThreadPool> {
-    rayon::ThreadPoolBuilder::new()
-        .build()
-        .map_err(|e| dtm_sparse::Error::Parse(format!("setup pool: {e}")))
-}
-
 /// [`build_nodes`] on a pool the caller sized: the parts' factorizations
 /// are spread over `pool`'s threads, so set-up costs about
 /// `max(factor_p)` rather than `Σ factor_p` on a multi-core machine. The
@@ -863,31 +855,13 @@ fn build_nodes_inner_pooled(
 ) -> Result<Vec<NodeRuntime>> {
     let z_dtlp = common.impedance.assign(split)?;
     let z_ports = per_port(split, &z_dtlp);
-    let n_parts = split.n_parts();
-    let slots: Vec<std::sync::Mutex<Option<Result<NodeRuntime>>>> =
-        (0..n_parts).map(|_| std::sync::Mutex::new(None)).collect();
     let part_cols = part_cols.as_ref();
-    pool.for_each_index(n_parts, |p| {
+    pool.map_index(split.n_parts(), |p| {
         let cols = part_cols.map(|cols| &cols[p]);
-        let node = build_node_inner(&split.subdomains[p], &z_ports[p], common, cols);
-        // A poisoned slot means another builder panicked; the value this
-        // closure writes is still well-formed, so keep going and let the
-        // pool surface the panic.
-        *slots[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(node);
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner().unwrap_or_else(|e| e.into_inner()).unwrap_or(
-                // for_each_index visits every index exactly once, so an
-                // empty slot is unreachable; report it as a build error
-                // rather than panicking.
-                Err(dtm_sparse::Error::Parse(
-                    "internal: node build slot left empty".into(),
-                )),
-            )
-        })
-        .collect()
+        build_node_inner(&split.subdomains[p], &z_ports[p], common, cols)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Resolve the (opt-in) oracle references of a run over `map`'s system —

@@ -714,28 +714,9 @@ pub fn split_parallel(
     pool: &rayon::ThreadPool,
 ) -> Result<SplitSystem> {
     let index = build_index(graph, plan, options)?;
-    let n_parts = index.n_parts;
-    let slots: Vec<std::sync::Mutex<Option<Result<Subdomain>>>> =
-        (0..n_parts).map(|_| std::sync::Mutex::new(None)).collect();
-    pool.for_each_index(n_parts, |p| {
-        let sd = assemble_part(p, &index);
-        // A poisoned lock only means another assembly panicked; this
-        // slot's own result is still sound to store.
-        *slots[p]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(sd);
-    });
-    let subdomains = slots
+    let subdomains = pool
+        .map_index(index.n_parts, |p| assemble_part(p, &index))
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(Error::Parse(
-                        "EVS parallel assembly left a part unassembled".into(),
-                    ))
-                })
-        })
         .collect::<Result<Vec<_>>>()?;
     Ok(finish(graph, plan, index, subdomains))
 }

@@ -35,6 +35,21 @@ impl Coo {
         }
     }
 
+    /// A matrix of the given triplets, whose indices are in range by
+    /// construction (see [`push_trusted`](Self::push_trusted)).
+    pub(crate) fn from_triplets_trusted(
+        n_rows: usize,
+        n_cols: usize,
+        entries: Vec<(usize, usize, f64)>,
+    ) -> Self {
+        debug_assert!(entries.iter().all(|&(r, c, _)| r < n_rows && c < n_cols));
+        Self {
+            n_rows,
+            n_cols,
+            entries,
+        }
+    }
+
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows

@@ -55,6 +55,13 @@ impl SparseCholesky {
     /// of symmetric CSR. Symmetry is the caller's responsibility (checked in
     /// debug builds).
     ///
+    /// Row `k`'s reach in the elimination tree — the columns it updates —
+    /// is marked in a bitset of `n` bits and read back word by word, which
+    /// gives it in ascending order without sorting it. Every update and its
+    /// rounding are those of the ascending order, so the factor is the one
+    /// a sorted reach gives, bit for bit (a test keeps that loop as the
+    /// oracle).
+    ///
     /// # Errors
     /// [`Error::NotPositiveDefinite`] if a pivot is non-positive.
     pub fn factor(a: &Csr) -> Result<Self> {
@@ -73,22 +80,17 @@ impl SparseCholesky {
         let mut col_count = vec![1usize; n]; // diagonal of each column
         {
             let mut mark = vec![usize::MAX; n];
-            let mut stack = Vec::with_capacity(n);
             for k in 0..n {
                 mark[k] = k;
                 for (j0, _) in a.row(k).filter(|&(c, _)| c < k) {
                     let mut j = j0;
-                    stack.clear();
                     while mark[j] != k {
-                        stack.push(j);
+                        col_count[j] += 1;
                         mark[j] = k;
                         j = match parent[j] {
                             Some(p) => p,
                             None => break,
                         };
-                    }
-                    for &c in &stack {
-                        col_count[c] += 1;
                     }
                 }
             }
@@ -106,61 +108,61 @@ impl SparseCholesky {
         let mut next = col_ptr[..n].iter().map(|&p| p + 1).collect::<Vec<_>>();
 
         // --- Numeric: up-looking. ---
-        let mut x = vec![0f64; n]; // sparse accumulator (dense workspace)
-        let mut pattern: Vec<usize> = Vec::with_capacity(n); // reach of row k, topological
-        let mut mark = vec![usize::MAX; n];
-        let mut stack = Vec::with_capacity(n);
+        // Sparse accumulator (dense workspace).
+        let mut x = vec![0f64; n];
+        // The reach of row k as a bitset over the columns: reading its
+        // words back low to high yields the reach in ascending order — a
+        // topological order (ancestors have larger indices in an etree) —
+        // with no sort, for n bits of workspace.
+        let mut reach = vec![0u64; n.div_ceil(64)];
 
         for k in 0..n {
             // Scatter A(0..k, k) — by symmetry, row k entries with col ≤ k.
-            pattern.clear();
-            mark[k] = k;
             let mut d = 0.0;
+            let mut lo = k; // lowest column of the reach
             for (c, v) in a.row(k) {
                 match c.cmp(&k) {
                     std::cmp::Ordering::Less => {
                         x[c] = v;
-                        // Walk the elimination tree to collect the reach.
+                        lo = lo.min(c);
+                        // Walk the elimination tree up to k (an ancestor of
+                        // every column in row k's pattern) or to a column
+                        // already reached.
                         let mut j = c;
-                        stack.clear();
-                        while mark[j] != k {
-                            stack.push(j);
-                            mark[j] = k;
+                        while j < k && reach[j / 64] & (1 << (j % 64)) == 0 {
+                            reach[j / 64] |= 1 << (j % 64);
                             j = match parent[j] {
                                 Some(p) => p,
                                 None => break,
                             };
-                        }
-                        // stack holds a root-ward path; reversing gives
-                        // ascending (topological) order for this path.
-                        for &c2 in stack.iter().rev() {
-                            pattern.push(c2);
                         }
                     }
                     std::cmp::Ordering::Equal => d = v,
                     std::cmp::Ordering::Greater => {}
                 }
             }
-            // Paths pushed per-entry are each ascending but may interleave;
-            // a total ascending sort is a valid topological order of the
-            // reach (ancestors have larger indices in an etree).
-            pattern.sort_unstable();
 
-            for &j in &pattern {
-                let ljj = values[col_ptr[j]];
-                let lkj = x[j] / ljj;
-                x[j] = 0.0;
-                // x ← x − L(:, j) · lkj for rows < k already in column j.
-                for p in (col_ptr[j] + 1)..next[j] {
-                    x[row_idx[p]] -= values[p] * lkj;
+            let words = lo / 64..k.div_ceil(64);
+            for (w, word) in words.clone().zip(&mut reach[words]) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let ljj = values[col_ptr[j]];
+                    let lkj = x[j] / ljj;
+                    x[j] = 0.0;
+                    // x ← x − L(:, j) · lkj for rows < k already in column j.
+                    let (p0, p1) = (col_ptr[j] + 1, next[j]);
+                    for (&i, &l) in row_idx[p0..p1].iter().zip(&values[p0..p1]) {
+                        x[i] -= l * lkj;
+                    }
+                    d -= lkj * lkj;
+                    // Append L(k, j).
+                    debug_assert!(p1 < col_ptr[j + 1], "symbolic undercount");
+                    row_idx[p1] = k;
+                    values[p1] = lkj;
+                    next[j] += 1;
                 }
-                d -= lkj * lkj;
-                // Append L(k, j).
-                let slot = next[j];
-                debug_assert!(slot < col_ptr[j + 1], "symbolic undercount");
-                row_idx[slot] = k;
-                values[slot] = lkj;
-                next[j] += 1;
             }
             if d <= 0.0 || !d.is_finite() {
                 return Err(Error::NotPositiveDefinite {
@@ -665,6 +667,173 @@ mod tests {
             coo.push_sym(i, i + 1, -1.0).unwrap();
         }
         coo.to_csr()
+    }
+
+    /// The up-looking factorization as it was before the reach bitset:
+    /// the reach of each row collected from the elimination-tree walks and
+    /// put in ascending order by `sort_unstable`. Kept verbatim as the
+    /// bitwise oracle of [`SparseCholesky::factor`].
+    fn factor_sorted_reach(a: &Csr) -> Result<SparseCholesky> {
+        let n = a.n_rows();
+        let parent = elimination_tree(a);
+
+        // --- Symbolic: column counts of L via row reaches. ---
+        let mut col_count = vec![1usize; n]; // diagonal of each column
+        {
+            let mut mark = vec![usize::MAX; n];
+            let mut stack = Vec::with_capacity(n);
+            for k in 0..n {
+                mark[k] = k;
+                for (j0, _) in a.row(k).filter(|&(c, _)| c < k) {
+                    let mut j = j0;
+                    stack.clear();
+                    while mark[j] != k {
+                        stack.push(j);
+                        mark[j] = k;
+                        j = match parent[j] {
+                            Some(p) => p,
+                            None => break,
+                        };
+                    }
+                    for &c in &stack {
+                        col_count[c] += 1;
+                    }
+                }
+            }
+        }
+
+        let mut col_ptr = vec![0usize; n + 1];
+        for j in 0..n {
+            col_ptr[j + 1] = col_ptr[j] + col_count[j];
+        }
+        let nnz = col_ptr[n];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0f64; nnz];
+        // Next free slot per column; slot 0 of each column is the diagonal,
+        // filled at the end of step k == j.
+        let mut next = col_ptr[..n].iter().map(|&p| p + 1).collect::<Vec<_>>();
+
+        // --- Numeric: up-looking. ---
+        let mut x = vec![0f64; n]; // sparse accumulator (dense workspace)
+        let mut pattern: Vec<usize> = Vec::with_capacity(n); // reach of row k, topological
+        let mut mark = vec![usize::MAX; n];
+        let mut stack = Vec::with_capacity(n);
+
+        for k in 0..n {
+            // Scatter A(0..k, k) — by symmetry, row k entries with col ≤ k.
+            pattern.clear();
+            mark[k] = k;
+            let mut d = 0.0;
+            for (c, v) in a.row(k) {
+                match c.cmp(&k) {
+                    std::cmp::Ordering::Less => {
+                        x[c] = v;
+                        // Walk the elimination tree to collect the reach.
+                        let mut j = c;
+                        stack.clear();
+                        while mark[j] != k {
+                            stack.push(j);
+                            mark[j] = k;
+                            j = match parent[j] {
+                                Some(p) => p,
+                                None => break,
+                            };
+                        }
+                        // stack holds a root-ward path; reversing gives
+                        // ascending (topological) order for this path.
+                        for &c2 in stack.iter().rev() {
+                            pattern.push(c2);
+                        }
+                    }
+                    std::cmp::Ordering::Equal => d = v,
+                    std::cmp::Ordering::Greater => {}
+                }
+            }
+            // Paths pushed per-entry are each ascending but may interleave;
+            // a total ascending sort is a valid topological order of the
+            // reach (ancestors have larger indices in an etree).
+            pattern.sort_unstable();
+
+            for &j in &pattern {
+                let ljj = values[col_ptr[j]];
+                let lkj = x[j] / ljj;
+                x[j] = 0.0;
+                // x ← x − L(:, j) · lkj for rows < k already in column j.
+                for p in (col_ptr[j] + 1)..next[j] {
+                    x[row_idx[p]] -= values[p] * lkj;
+                }
+                d -= lkj * lkj;
+                // Append L(k, j).
+                let slot = next[j];
+                debug_assert!(slot < col_ptr[j + 1], "symbolic undercount");
+                row_idx[slot] = k;
+                values[slot] = lkj;
+                next[j] += 1;
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(Error::NotPositiveDefinite {
+                    column: k,
+                    pivot: d,
+                });
+            }
+            row_idx[col_ptr[k]] = k;
+            values[col_ptr[k]] = d.sqrt();
+        }
+
+        let sn_ptr = detect_supernodes(n, &col_ptr, &row_idx);
+        Ok(SparseCholesky {
+            n,
+            col_ptr,
+            row_idx,
+            values,
+            perm: None,
+            sn_ptr,
+        })
+    }
+
+    /// `a` under each ordering the factor is used with: natural, RCM and
+    /// nested dissection.
+    fn orderings(a: &Csr) -> [Csr; 3] {
+        [
+            a.clone(),
+            a.permute_sym(&reverse_cuthill_mckee(a)),
+            a.permute_sym(&crate::ordering::nested_dissection(a)),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The reach bitset reproduces the sorted reach bit for bit: the
+        /// same `L`, supernodes included, on random SPD matrices and grids
+        /// under every ordering — and, with the diagonal pulled down until
+        /// a pivot fails, the same failing column and pivot.
+        #[test]
+        fn reach_bitset_is_bitwise_the_sorted_reach(
+            n in 1usize..160,
+            degree in 0usize..7,
+            nx in 1usize..13,
+            ny in 1usize..13,
+            seed in proptest::prelude::any::<u64>(),
+            shift in 0.0f64..3.0,
+        ) {
+            for a in [
+                generators::random_spd(n, degree, 0.5, seed),
+                generators::grid2d_random(nx, ny, 0.5, seed),
+                generators::grid3d_laplacian(nx.min(6), ny.min(6), 3),
+            ] {
+                let spoiled = a.add_to_diagonal(&vec![-shift; a.n_rows()]);
+                for b in orderings(&a).into_iter().chain(orderings(&spoiled)) {
+                    proptest::prop_assert_eq!(
+                        SparseCholesky::factor(&b),
+                        factor_sorted_reach(&b)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
