@@ -45,10 +45,11 @@
 //!   recomputed outright, one where few did is folded.
 //!
 //! The distributed round executor (`dtm-net`'s supervisor) hands over
-//! every part's block at once ([`update_round`](Monitor::update_round)),
-//! once per round: every entry moved, so there
-//! is nothing to diff — the estimate is gathered afresh and each column
-//! recomputed, one gather and one SpMV, exact every round.
+//! every part's block at once ([`update_round`](Monitor::update_round))
+//! for each round it scores — the rounds [`next_round`] picks, not every
+//! round: every entry moved since the last scored round, so there is
+//! nothing to diff — the estimate is gathered afresh and each column
+//! recomputed, one gather and one SpMV, exact for every scored round.
 //!
 //! # Stopping
 //!
@@ -71,7 +72,12 @@
 //! live column carries the time it is next due, set by `next_poll` of
 //! that column's metric and tolerance, and a pass folds in and scores only
 //! the due columns (`Monitor::due`, `Monitor::schedule`) — the others'
-//! published values wait in their blocks, costing nothing.
+//! published values wait in their blocks, costing nothing. The round
+//! supervisor applies the rule on a clock that counts rounds
+//! ([`next_round`]): it scores round `r` and then the round that the decay
+//! between its last two scored rounds calls for, at least the next one —
+//! a pure function of round indices and exact metrics, so every run of the
+//! same problem scores the same rounds and stops at the same one.
 
 use crate::local::has_col;
 use crate::runtime::wallclock::SharedBlock;
@@ -147,7 +153,7 @@ pub fn wall_time(started: Instant) -> SimTime {
 /// So it polls rarely far from the tolerance and densely near the
 /// predicted crossing. Anything else — the first poll, a flat or rising
 /// metric, no or a zero tolerance, a NaN or an infinity — sleeps the floor.
-/// No sleep outlasts `left`.
+/// No sleep outlasts `left`. [`next_round`] is the same rule in rounds.
 pub(crate) fn next_poll(
     last: Option<(Duration, f64)>,
     now: (Duration, f64),
@@ -155,18 +161,47 @@ pub(crate) fn next_poll(
     left: Duration,
 ) -> Duration {
     let gap = match (last, tol) {
-        (Some((t0, m0)), Some(tol)) if m0.is_finite() && m0 > now.1 && now.1 > tol && tol > 0.0 => {
+        (Some((t0, m0)), Some(tol)) => {
             let dt = now.0.saturating_sub(t0).as_secs_f64();
-            let rate = (m0 / now.1).ln() / dt;
-            let remaining = (now.1 / tol).ln() / rate;
-            let secs = (POLL_LEAD * remaining)
-                .min(POLL_GROWTH * dt)
-                .max(POLL_INTERVAL.as_secs_f64());
-            Duration::try_from_secs_f64(secs).unwrap_or(POLL_INTERVAL)
+            decay_gap(dt, m0, now.1, tol).map_or(POLL_INTERVAL, |secs| {
+                let secs = secs.max(POLL_INTERVAL.as_secs_f64());
+                Duration::try_from_secs_f64(secs).unwrap_or(POLL_INTERVAL)
+            })
         }
         _ => POLL_INTERVAL,
     };
     gap.min(left)
+}
+
+/// The round a round-by-round supervisor scores next, after scoring round
+/// `now.0` at metric `now.1` under the metric tolerance `tol` — `last` is
+/// the previous scored round and its metric. The wall-clock supervisors'
+/// cadence on a clock that counts rounds: half the predicted rounds left to
+/// the crossing, at most twice the gap between the last two scored rounds,
+/// and at least one round — the whole cadence wherever there is no decay
+/// to go by (the first round, a flat or rising metric, a NaN, `tol ≤ 0`).
+/// A pure function of round indices and metrics: runs that score the same
+/// metrics score the same rounds.
+pub fn next_round(last: Option<(u64, f64)>, now: (u64, f64), tol: f64) -> u64 {
+    let gap = last
+        .filter(|&(r0, _)| r0 < now.0)
+        .and_then(|(r0, m0)| decay_gap((now.0 - r0) as f64, m0, now.1, tol))
+        .map_or(1, |rounds| (rounds.floor() as u64).max(1));
+    now.0.saturating_add(gap)
+}
+
+/// The cadence both clocks share: having scored `m₀` and then `m`, `dt`
+/// apart, the wait before the next scoring, before the clock's floor —
+/// while `m₀ > m > tol > 0` (all finite), [`POLL_LEAD`] of the predicted
+/// `ln(m/tol)/λ` left to the crossing under the rate `λ = ln(m₀/m)/dt` the
+/// metric just showed, capped at [`POLL_GROWTH`]`·dt`; `None` otherwise.
+fn decay_gap(dt: f64, m0: f64, m: f64, tol: f64) -> Option<f64> {
+    if !(m0.is_finite() && m0 > m && m > tol && tol > 0.0) {
+        return None;
+    }
+    let rate = (m0 / m).ln() / dt;
+    let remaining = (m / tol).ln() / rate;
+    Some((POLL_LEAD * remaining).min(POLL_GROWTH * dt))
 }
 
 /// The worse of two metrics, a NaN winning: `f64::max` drops a NaN, and a
@@ -706,8 +741,10 @@ impl Monitor {
     /// Take a whole round in — `blocks` yields every part's block, in
     /// ascending part order (with three or more copies of a vertex the
     /// order of the additions is part of the bits) — and score it exactly.
-    /// Every entry moves every round, so nothing is diffed: the estimate is
-    /// gathered afresh (no drift carried from round to round) and each live
+    /// Called for the rounds the supervisor scores ([`next_round`]), not
+    /// necessarily every round; either way every entry has moved since the
+    /// last call, so nothing is diffed: the estimate is gathered afresh (no
+    /// drift carried from one scored round to the next) and each live
     /// column recomputed outright — one gather and one SpMV per column.
     /// Returns the worst metric.
     ///
@@ -946,6 +983,89 @@ mod tests {
         assert!(overshoot < gap.as_secs_f64(), "overshoot {overshoot}");
         assert!(overshoot < span / 2.0, "overshoot {overshoot} of {span}");
         assert!(polls.len() < 30, "{} polls", polls.len());
+    }
+
+    /// Score a metric `m(r)` on [`next_round`]'s cadence from round 0 until
+    /// it reaches `tol` or round `cap`; returns the scored rounds.
+    fn round_cadence(m: impl Fn(u64) -> f64, tol: f64, cap: u64) -> Vec<u64> {
+        let (mut r, mut last, mut scored) = (0, None, vec![]);
+        while r < cap {
+            scored.push(r);
+            let now = (r, m(r));
+            if now.1 <= tol {
+                break;
+            }
+            r = next_round(last, now, tol);
+            last = Some(now);
+        }
+        scored
+    }
+
+    #[test]
+    fn a_geometric_decay_is_scored_in_logarithmically_many_rounds_and_stops_at_its_crossing() {
+        for (rho, tol) in [
+            (0.95_f64, 1e-6),
+            (0.9, 1e-9),
+            (0.99, 1e-3),
+            (0.5, 1e-12),
+            (0.995, 1e-8),
+        ] {
+            let m = |r: u64| rho.powi(r as i32);
+            let first = (0..).find(|&r| m(r) <= tol).unwrap();
+            let scored = round_cadence(m, tol, u64::MAX);
+            // An exact rate predicts the crossing exactly, and half of it is
+            // never past it: the first round at or below `tol` is scored.
+            assert_eq!(*scored.last().unwrap(), first, "ρ {rho}: {scored:?}");
+            let bound = 2.0 * (first as f64).log2() + 4.0;
+            assert!((scored.len() as f64) <= bound, "ρ {rho}: {scored:?}");
+            assert_eq!(scored[..3], [0, 1, 3], "the first gaps double");
+            for w in scored.windows(3) {
+                assert!(w[2] - w[1] <= 2 * (w[1] - w[0]), "ρ {rho}: grew past 2×");
+            }
+        }
+    }
+
+    #[test]
+    fn no_decay_to_go_by_scores_the_next_round() {
+        let next = |last: Option<(u64, f64)>, m: f64, tol: f64| next_round(last, (8, m), tol);
+        let decay = Some((4, 1e-2));
+        assert!(next(decay, 1e-3, 1e-8) > 9, "a falling metric skips rounds");
+        assert_eq!(next(None, 1e-3, 1e-8), 9, "first round");
+        assert_eq!(next(Some((4, 1e-4)), 1e-3, 1e-8), 9, "rising");
+        assert_eq!(next(Some((4, 1e-3)), 1e-3, 1e-8), 9, "flat");
+        assert_eq!(next(decay, f64::NAN, 1e-8), 9, "NaN metric");
+        assert_eq!(next(Some((4, f64::NAN)), 1e-3, 1e-8), 9, "NaN before");
+        assert_eq!(next(Some((4, f64::INFINITY)), 1e-3, 1e-8), 9, "Inf before");
+        assert_eq!(next(decay, 1e-3, f64::NAN), 9, "NaN tolerance");
+        assert_eq!(next(decay, 1e-3, 0.0), 9, "τ = 0");
+        assert_eq!(next(decay, 1e-3, -1.0), 9, "τ < 0");
+        assert_eq!(next(decay, 1e-9, 1e-8), 9, "already within");
+        assert_eq!(next(Some((8, 1e-2)), 1e-3, 1e-8), 9, "same round");
+        assert_eq!(next(Some((12, 1e-2)), 1e-3, 1e-8), 9, "a later round");
+        assert_eq!(next_round(None, (u64::MAX, 1.0), 1e-8), u64::MAX);
+    }
+
+    #[test]
+    fn the_round_clock_takes_the_wall_clock_decision() {
+        // Round r at r·POLL_INTERVAL: the wall-clock sleep, in floor
+        // intervals, rounded down is the round gap.
+        let at = |r: u64| POLL_INTERVAL * u32::try_from(r).unwrap();
+        for (r0, m0, r, m, tol) in [
+            (0, 1.0, 1, 0.7, 1e-6),
+            (63, 3e-2, 127, 4e-4, 1e-6),
+            (127, 4e-4, 200, 2e-5, 1e-6),
+            (270, 1.3e-6, 272, 1.1e-6, 1e-6),
+            (10, 0.5, 30, 0.49, 1e-9),
+            (100, 1e-3, 101, 1e-5, 1e-6),
+        ] {
+            let gap = next_round(Some((r0, m0)), (r, m), tol) - r;
+            let sleep = next_poll(Some((at(r0), m0)), (at(r), m), Some(tol), Duration::MAX);
+            let floors = sleep.as_secs_f64() / POLL_INTERVAL.as_secs_f64();
+            assert!(
+                gap as f64 <= floors + 1e-6 && floors < (gap + 1) as f64 - 1e-6,
+                "round {r}: {gap} rounds vs {floors} floor intervals"
+            );
+        }
     }
 
     #[test]

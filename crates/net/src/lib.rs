@@ -18,14 +18,28 @@
 //! `repro compare --transport uds --processes 2` asserts this equality
 //! on every run.
 //!
+//! The parent does not score every round. Each group ships every round's
+//! snapshots, and the supervisor gathers and scores (one SpMV) only the
+//! rounds that the metric's measured decay calls for
+//! ([`dtm_core::monitor::next_round`]): after round 0 and round 1 the gap
+//! doubles while the tolerance is far, then shrinks to one round near the
+//! predicted crossing (half the predicted rounds left, at most twice the
+//! last gap, at least one). It drops the other rounds' snapshots unread.
+//! Which rounds are scored is a pure function of round indices and the
+//! exact metrics of the rounds scored before, so both run modes score the
+//! same rounds and stop at the same one. The round cap's last round is
+//! never skipped; once the budget is out, the next round to complete is
+//! scored and reported.
+//!
 //! Module map:
 //! - [`wire`] — the hand-rolled binary frame format with a total,
 //!   panic-free decoder; one frame per link per round in steady state.
 //! - [`socket`] — UDS/TCP behind one [`socket::Stream`] enum.
 //! - [`round`] — the deterministic round executor both modes share: one
 //!   wave batch per peer group and one snapshot batch per round.
-//! - [`runner`] — the parent supervisor: spawn, handshake, evaluate
-//!   rounds, tear down (children are always reaped, error or not).
+//! - [`runner`] — the parent supervisor: spawn, handshake, score the
+//!   rounds the cadence picks, tear down (children are always reaped,
+//!   error or not).
 //! - [`child`] — the child-process side behind the hidden `net-child`
 //!   CLI mode.
 
@@ -172,8 +186,9 @@ impl ExecutorBackend for DistributedBackend {
             time_ms: outcome.elapsed.as_secs_f64() * 1e3,
             columns: vec![outcome.column],
             series: outcome.series,
-            // Deterministic counters: rates × evaluated rounds, independent
-            // of how far past the stop decision the children overshot.
+            // Deterministic counters: rates × rounds up to the stop round,
+            // independent of how far past the stop decision the children
+            // overshot.
             totals: Totals {
                 solves: rounds * outcome.rates.solves_per_round,
                 messages: rounds * outcome.rates.messages_per_round,

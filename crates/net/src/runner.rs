@@ -1,17 +1,19 @@
 //! The parent supervisor: partitions the solve into groups, runs them —
 //! as threads (in-process reference) or as spawned OS processes over
-//! sockets — and evaluates rounds in order until the residual tolerance
-//! is met.
+//! sockets — and scores rounds until the residual tolerance is met.
 //!
 //! Both modes funnel into one `supervise` loop: each group's per-round
-//! [`SnapshotBatch`] arrives on a merged event channel, the parent feeds
-//! each *complete* round to its [`Monitor`] in round order (ascending
-//! part order within the round, whatever order the groups swept in,
-//! matching [`SplitSystem::reconstruct`]-style averaging of copies) and
-//! stops at the first round whose relative residual meets the tolerance.
-//! Because rounds — not wall-clock races — define the stop
-//! decision, the returned solution is a pure function of the problem, and
-//! socket and in-process runs agree bit for bit.
+//! [`SnapshotBatch`] arrives on a merged event channel, and the parent
+//! feeds the *complete* rounds that the decay cadence
+//! ([`next_round`]) asks for to its [`Monitor`] (ascending part order
+//! within the round, whatever order the groups swept in, matching
+//! [`SplitSystem::reconstruct`]-style averaging of copies); the others are
+//! dropped unscored. It stops at the first scored round whose relative
+//! residual meets the tolerance. The cadence scores every round near the
+//! predicted crossing and few far from it. Because rounds and their exact
+//! metrics — not wall-clock races — decide which rounds are scored and
+//! where the run stops, the returned solution is a pure function of the
+//! problem, and socket and in-process runs agree bit for bit.
 //!
 //! In process mode the parent runs one reader thread per child (a
 //! [`wire::FrameReader`] that turns each frame into one event) next to
@@ -25,7 +27,7 @@
 use crate::round::{self, GroupCtx, GroupIo, GroupLinks, UpEvent};
 use crate::socket::{Listener, Stream, TransportKind};
 use crate::wire::{self, GroupPlan, GroupRates, Msg, PartPlan, SnapshotBatch, Wave};
-use dtm_core::monitor::{wall_time, Monitor, Retired};
+use dtm_core::monitor::{next_round, wall_time, Monitor, Retired};
 use dtm_core::report::StopKind;
 use dtm_core::runtime::{build_node, CommonConfig, GatherMap, NodeRuntime, Termination};
 use dtm_graph::evs::SplitSystem;
@@ -79,9 +81,11 @@ pub(crate) struct RunInputs<'a> {
 
 /// What a run produced, mode-independent.
 pub(crate) struct RunOutcome {
+    /// The last scored round + 1: the stop round, the round cap, or the
+    /// round scored once the budget ran out.
     pub rounds_completed: u64,
-    /// Tolerance met at the last evaluated round, or the budget / round
-    /// cap ran out first.
+    /// Tolerance met at the last scored round, or the budget / round cap
+    /// ran out first.
     pub stop: StopKind,
     /// The scored column as retired: solution, residual, RMS.
     pub column: Retired,
@@ -89,6 +93,11 @@ pub(crate) struct RunOutcome {
     pub rates: GroupRates,
     pub elapsed: Duration,
 }
+
+/// The longest the supervisor blocks on the event channel before it looks
+/// at the clock again — and how long, once the budget is out, it waits for
+/// the round it then reports.
+const RECV_INTERVAL: Duration = Duration::from_millis(50);
 
 fn derr(what: impl std::fmt::Display) -> Error {
     Error::Parse(format!("distributed: {what}"))
@@ -125,10 +134,18 @@ fn solutions_by_part<'a>(
         .ok_or_else(|| derr("a round's snapshot batches leave a part out"))
 }
 
-/// Consume group events until the tolerance is met at some round, every
-/// group reports done (round cap), or the budget expires. Rounds are
-/// evaluated strictly in order, each only once every part's snapshot for
-/// it has arrived.
+/// Consume group events until the tolerance is met at some scored round,
+/// every group reports done (round cap), or the budget expires.
+///
+/// A round is complete once every part's snapshot for it has arrived, and
+/// rounds complete in order (each group sends its rounds in order). The
+/// supervisor scores the complete rounds [`next_round`] asks for — the
+/// next one is picked from the decay between the last two scored rounds,
+/// and the cap's last round is never skipped — so which rounds are scored,
+/// and the one the run stops at, depend on round indices and exact metrics
+/// only, never on arrival timing. Snapshots of the rounds in between are
+/// dropped on arrival. Once the budget is out, the next round to complete
+/// is scored and reported, if it completes within one receive interval.
 fn supervise(
     inp: &RunInputs<'_>,
     events: &Receiver<(usize, UpEvent)>,
@@ -142,61 +159,75 @@ fn supervise(
     let mut monitor = Monitor::new(&map, 1, SimDuration::ZERO);
     monitor.admit(0, &b, Termination::Residual { tol: inp.tol }, inp.reference);
     let deadline = started + inp.budget;
+    let last_round = inp.max_rounds.saturating_sub(1);
 
+    // Snapshots of the rounds from the next one to score to the newest.
     let mut pending: BTreeMap<u64, Vec<SnapshotBatch>> = BTreeMap::new();
+    let mut due: u64 = 0;
+    // The last scored round and its metric.
+    let mut last: Option<(u64, f64)> = None;
+    let mut overtime: Option<Instant> = None;
     let mut stop = StopKind::Budget;
-    let mut next_round: u64 = 0;
     let mut done_groups = 0usize;
 
-    'outer: loop {
-        // Evaluate every round that just became complete, in order.
-        while pending
-            .get(&next_round)
-            .is_some_and(|bs| bs.iter().map(SnapshotBatch::len).sum::<usize>() >= n_parts)
-        {
-            let batches = pending.remove(&next_round).unwrap_or_default();
-            // Parts in ascending order: with three or more copies of a
-            // vertex the order of the additions is part of the bits.
-            let by_part = solutions_by_part(split, &batches)?;
-            monitor.update_round(wall_time(started), by_part);
-            next_round += 1;
-            if monitor.done(0) {
-                stop = StopKind::OracleTolerance;
-                break 'outer;
-            }
+    // (Per-sender FIFO: every batch a group sent precedes its Done on the
+    // merged channel, so after the last Done nothing more comes.)
+    while done_groups < inp.n_groups {
+        // Checked on every pass, not only when the channel runs dry: live
+        // groups never leave it quiet for a whole receive interval.
+        let now = Instant::now();
+        if now >= deadline && overtime.is_none() {
+            overtime = Some(now + RECV_INTERVAL);
+            due = last.map_or(0, |(r, _)| r + 1);
         }
-        if done_groups == inp.n_groups {
-            // Nothing more will arrive (per-sender FIFO: every batch a
-            // group sent precedes its Done on the merged channel).
-            break;
-        }
-        // Checked on every pass, not only when the channel runs dry:
-        // live groups never leave it quiet for a whole poll interval.
-        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+        let Some(left) = overtime.unwrap_or(deadline).checked_duration_since(now) else {
             break;
         };
-        match events.recv_timeout(left.min(Duration::from_millis(50))) {
-            // Already-evaluated or out-of-contract rounds are dropped
-            // (late batches keep streaming in while a stop decision
-            // propagates).
-            Ok((_, UpEvent::Snapshots(batch))) => {
-                if (next_round..inp.max_rounds).contains(&batch.round()) {
-                    pending.entry(batch.round()).or_default().push(batch);
-                }
+        let batch = match events.recv_timeout(left.min(RECV_INTERVAL)) {
+            Ok((_, UpEvent::Snapshots(batch))) => batch,
+            Ok((_, UpEvent::Done)) => {
+                done_groups += 1;
+                continue;
             }
-            Ok((_, UpEvent::Done)) => done_groups += 1,
             Ok((g, UpEvent::Failed(text))) => {
                 return Err(derr(format!("group {g} failed: {text}")));
             }
-            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(derr("all group links closed before completion"));
             }
+        };
+        // Rounds the cadence skips, and out-of-contract ones, are dropped.
+        let round = batch.round();
+        if round < due || round > last_round {
+            continue;
+        }
+        let batches = pending.entry(round).or_default();
+        batches.push(batch);
+        if batches.iter().map(SnapshotBatch::len).sum::<usize>() < n_parts {
+            continue;
+        }
+        let batches = pending.remove(&round).unwrap_or_default();
+        // Parts in ascending order: with three or more copies of a vertex
+        // the order of the additions is part of the bits.
+        let by_part = solutions_by_part(split, &batches)?;
+        let metric = monitor.update_round(wall_time(started), by_part);
+        due = next_round(last, (round, metric), inp.tol).min(last_round);
+        last = Some((round, metric));
+        // Rounds that started arriving before this one completed and that
+        // the cadence now skips.
+        pending.retain(|&r, _| r >= due);
+        if monitor.done(0) {
+            stop = StopKind::OracleTolerance;
+            break;
+        }
+        if overtime.is_some() {
+            break;
         }
     }
 
     Ok(RunOutcome {
-        rounds_completed: next_round,
+        rounds_completed: last.map_or(0, |(r, _)| r + 1),
         stop,
         column: monitor.retire(0),
         series: monitor.into_series(),

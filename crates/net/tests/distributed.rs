@@ -5,18 +5,21 @@
 //! because the run is being stopped ends cleanly and silently; one that
 //! loses a link with no `Stop` behind it fails with a typed error.
 
+use dtm_core::impedance;
 use dtm_core::report::SolveReport;
 use dtm_core::runtime::{build_nodes, CommonConfig, ExecutorBackend, Termination};
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_net::round::{run_group, GroupCtx, GroupIo, GroupLinks};
-use dtm_net::wire::{SnapshotBatch, Wave};
+use dtm_net::socket::{Listener, Stream};
+use dtm_net::wire::{self, GroupPlan, Msg, PartPlan, SnapshotBatch, Wave};
 use dtm_net::{
     ChildCommand, DistributedBackend, DistributedConfig, FailInjection, RunMode, TransportKind,
 };
 use dtm_sparse::{generators, Error};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -437,4 +440,119 @@ fn link_closed_with_no_stop_is_a_typed_error() {
         assert!(err.to_string().contains(what), "{err}");
         assert!(started.elapsed() < Duration::from_secs(5), "bounded wait");
     }
+}
+
+/// A real `net-child` process for group 0 of a two-part, two-group run,
+/// with this test as its supervisor and as group 1. The peer link is
+/// closed before `Go`, so the child's first write of round-0 waves fails;
+/// then the supervisor sends `Stop` after `stop_after`, if ever. Returns
+/// the child's exit status and what it printed on stderr.
+fn net_child_after_its_peer_closed(
+    tag: &str,
+    stop_after: Option<Duration>,
+) -> (std::process::ExitStatus, String) {
+    let ss = grid_split(8, 2, 513);
+    let common = CommonConfig::default();
+    let z = impedance::per_port(&ss, &common.impedance.assign(&ss).expect("z"));
+    let dir = std::env::temp_dir().join(format!("dtm-net-test-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let spec = dir.join("parent.sock").to_string_lossy().into_owned();
+    let (listener, addr) = Listener::bind(TransportKind::Uds, &spec).expect("bind");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_net-child"))
+        .args(["--connect", &addr, "--group", "0", "--transport", "uds"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn net-child");
+
+    // Nonblocking, so that a child that never connects fails the test
+    // instead of hanging it.
+    listener.set_nonblocking(true).expect("nonblocking");
+    let connect_by = Instant::now() + Duration::from_secs(20);
+    let mut parent = loop {
+        if let Some(s) = listener.try_accept().expect("accept") {
+            break s;
+        }
+        let exited = child.try_wait().expect("try_wait");
+        assert!(
+            exited.is_none() && Instant::now() < connect_by,
+            "net-child never connected: {exited:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    parent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let read = |s: &mut Stream| wire::read_frame(s).expect("frame").expect("not eof");
+    assert!(matches!(read(&mut parent), Msg::Hello { group: 0 }));
+    let plan = GroupPlan {
+        group: 0,
+        n_groups: 2,
+        n_parts: 2,
+        group_of_part: vec![0, 1],
+        max_rounds: 1_000,
+        termination: common.termination,
+        max_solves_per_node: 1_000,
+        listen_spec: dir.join("peer-0.sock").to_string_lossy().into_owned(),
+        parts: vec![PartPlan {
+            sub: ss.subdomains[0].clone(),
+            z_ports: z[0].clone(),
+        }],
+    };
+    wire::write_frame(&mut parent, &Msg::Plan(Box::new(plan))).expect("plan");
+    let Msg::Listening { addr: peer_addr } = read(&mut parent) else {
+        panic!("expected Listening");
+    };
+    let addrs = vec![(0, peer_addr.clone()), (1, String::new())];
+    wire::write_frame(&mut parent, &Msg::PeerMap { addrs }).expect("peer map");
+    // Group 1 dials in, as a higher group does.
+    let mut peer = Stream::connect(TransportKind::Uds, &peer_addr).expect("peer link");
+    wire::write_frame(&mut peer, &Msg::PeerHello { group: 1 }).expect("peer hello");
+    assert!(matches!(read(&mut parent), Msg::Ready(_)));
+
+    // Group 1 is gone before the first round; then the run is stopped.
+    drop(peer);
+    wire::write_frame(&mut parent, &Msg::Go).expect("go");
+    if let Some(after) = stop_after {
+        std::thread::sleep(after);
+        wire::write_frame(&mut parent, &Msg::Stop).expect("stop");
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("net-child did not exit within 20 s");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+        .expect("stderr");
+    drop(parent);
+    let _ = std::fs::remove_dir_all(&dir);
+    (status, stderr)
+}
+
+#[test]
+fn net_child_closed_peer_with_stop_right_behind_exits_cleanly() {
+    // `link_closed_with_stop_right_behind_is_a_clean_exit` in a real
+    // process: the peer exited on its own `Stop` a moment before this
+    // child's `Stop` is read.
+    let (status, stderr) = net_child_after_its_peer_closed("stop", Some(Duration::from_millis(20)));
+    assert!(status.success(), "{status}: {stderr}");
+    assert!(stderr.is_empty(), "a clean exit prints nothing: {stderr}");
+}
+
+#[test]
+fn net_child_closed_peer_with_no_stop_fails_typed() {
+    let (status, stderr) = net_child_after_its_peer_closed("no-stop", None);
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("net-child group 0")
+            && stderr.contains("peer link to group 1 closed mid-solve"),
+        "{stderr}"
+    );
 }
