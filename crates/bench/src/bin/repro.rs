@@ -364,7 +364,7 @@ fn fig8() {
 /// Fig. 9 — RMS error at t = 100 µs as a function of (Z2, Z3).
 fn fig9() {
     banner("Fig. 9: RMS error of DTM at t = 100 us vs characteristic impedances");
-    let ss = example_5_1_split();
+    let paper = problem(example_5_1_split());
     let zs = [0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6];
     println!("rows: Z2, cols: Z3; entries: RMS error at t = 100 us");
     print!("{:>8}", "Z2\\Z3");
@@ -386,7 +386,9 @@ fn fig9() {
                 horizon: SimDuration::from_micros_f64(100.0),
                 ..Default::default()
             };
-            let r = solver::solve(&ss, example_5_1_topology(), None, &config)
+            let topology = example_5_1_topology();
+            let r = paper
+                .solve(&dtm_core::Machine::Simulated { topology, config })
                 .expect("paper setup solves");
             print!(" {:>9.2e}", r.final_rms);
             if r.final_rms < best.0 {
@@ -496,10 +498,7 @@ fn fig12(quick: bool, mode: TerminationMode) {
     banner("Fig. 12: DTM on 16 processors (4x4 mesh), random sparse SPD systems");
     let sizes: &[usize] = if quick { &[17] } else { &[17, 33] };
     for &side in sizes {
-        let topo = fig11_topology();
-        let ss = paper_split(side, 4, 4, &topo);
-        let config = mesh_config_mode(1e-6, 120_000.0, mode);
-        let report = solver::solve(&ss, topo, None, &config).expect("mesh run");
+        let report = compare::fig12_report(side, mode);
         println!(
             "n = {} ({}x{} grid, level-1+2 mixed EVS): converged={} {}={} \
              t={:.0} ms, {} solves, {} messages",
@@ -548,10 +547,7 @@ fn fig14(quick: bool, mode: TerminationMode) {
     banner("Fig. 14: DTM on 64 processors (8x8 mesh), n = 1089 and 4225");
     let sizes: &[usize] = if quick { &[33] } else { &[33, 65] };
     for &side in sizes {
-        let topo = fig13_topology();
-        let ss = paper_split(side, 8, 8, &topo);
-        let config = mesh_config_mode(1e-6, 240_000.0, mode);
-        let report = solver::solve(&ss, topo, None, &config).expect("mesh run");
+        let report = compare::fig14_report(side, mode);
         println!(
             "n = {}: converged={} {}={} t={:.0} ms, {} solves, {} messages, \
              {} coalesced batches",
@@ -576,11 +572,10 @@ fn fig14(quick: bool, mode: TerminationMode) {
 fn cmp_vtm() {
     banner("Conclusion (§8): DTM vs VTM on the 16-processor mesh, n = 1089");
     let topo = fig11_topology();
-    let [dtm, vtm_report] = compare::vtm_reports();
-    // A synchronous VTM round on this machine costs max-delay + barrier
-    // (another max-delay) + compute.
+    // VTM's rounds, and the same run with each round priced on the mesh:
+    // the slowest compute, one exchange and one barrier at the worst link.
+    let [dtm, vtm_report, priced] = compare::vtm_reports();
     let (_, hi) = topo.delay_range();
-    let round_ms = 2.0 * hi.as_millis_f64() + 1.0;
     let rounds = vtm_report.series.len();
     println!(
         "{:>28} {:>8} {:>12} {:>14} {:>12}",
@@ -595,7 +590,7 @@ fn cmp_vtm() {
         "VTM (synchronous rounds)",
         rounds,
         vtm_report.total_messages,
-        rounds as f64 * round_ms,
+        priced.final_time_ms,
         vtm_report.final_rms
     );
     println!(
@@ -806,7 +801,9 @@ fn batched_run(k: usize, mode: TerminationMode) -> (f64, dtm_core::SolveReport) 
         .map(|c| generators::random_rhs(side * side, 5_000 + c as u64))
         .collect();
     let t = std::time::Instant::now();
-    let report = problem.solve_block(&cols).expect("batch converges");
+    let report = problem
+        .solve_block(&cols, &own_machine(&problem))
+        .expect("batch converges");
     let batch_ms = t.elapsed().as_secs_f64() * 1e3;
     assert!(report.converged, "K = {k} must converge");
     (batch_ms, report)

@@ -10,12 +10,15 @@
 //! ([`vtm_reports`], [`jacobi_reports`]), one machine config each, so
 //! `tests/pinned_counters.rs` pins exactly what they print.
 
-use crate::{fig11_topology, mesh_config, paper_split, paper_system};
+use crate::{
+    fig11_topology, fig13_topology, mesh_config, mesh_config_mode, paper_split, paper_system,
+    problem, TerminationMode,
+};
 use dtm_core::async_baselines::{self, BaselineAlgo, RichardsonParams};
 use dtm_core::runtime::CommonConfig;
 use dtm_core::runtime::ExecutorBackend;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
-use dtm_core::{vtm, SolveReport};
+use dtm_core::{Machine, SolveReport};
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem, TwinTopology};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_net::{ChildCommand, DistributedBackend, DistributedConfig, RunMode, TransportKind};
@@ -103,16 +106,18 @@ pub fn machine_config(tol: f64) -> DtmConfig {
 /// DTM, randomized Richardson and D-iteration on the identical machine —
 /// one config for every row, reference-free — in table order.
 pub fn all_reports(s: &CompareSetup) -> Vec<SolveReport> {
-    let config = machine_config(s.tol);
-    let dtm = solver::solve(&s.split, s.topology.clone(), None, &config);
+    let machine = Machine::Simulated {
+        topology: s.topology.clone(),
+        config: machine_config(s.tol),
+    };
+    let dtm = problem(s.split.clone()).solve(&machine);
     let baselines = [
         BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
         BaselineAlgo::DIteration,
     ];
-    let rows = baselines.iter().map(|algo| {
-        let topology = s.topology.clone();
-        async_baselines::solve_sim(algo, &s.a, &s.b, &s.assignment, topology, None, &config)
-    });
+    let rows = baselines
+        .iter()
+        .map(|algo| async_baselines::solve(algo, &s.a, &s.b, &s.assignment, None, &machine));
     std::iter::once(dtm)
         .chain(rows)
         .map(|r| r.expect("comparison run"))
@@ -130,36 +135,71 @@ pub fn fig11_machine() -> (Topology, DtmConfig) {
     (fig11_topology(), mesh_config(1e-6, 240_000.0))
 }
 
-/// `repro cmp-vtm`'s rows on [`fig11_machine`]: DTM, then VTM.
-pub fn vtm_reports() -> [SolveReport; 2] {
-    let (topo, config) = fig11_machine();
-    let ss = paper_split(FIG11_SIDE, 4, 4, &topo);
-    let dtm = solver::solve(&ss, topo, None, &config).expect("dtm run");
-    let vtm = vtm::solve(&ss, None, &config.common).expect("vtm run");
-    [dtm, vtm]
+/// `repro fig12`'s run at grid side `side`: DTM on Fig. 11's 16-processor
+/// mesh, metric ≤ 1e-6 within 120 s of simulated time.
+pub fn fig12_report(side: usize, mode: TerminationMode) -> SolveReport {
+    mesh_report(fig11_topology(), 4, side, 120_000.0, mode)
+}
+
+/// `repro fig14`'s run at grid side `side`: DTM on Fig. 13's 64-processor
+/// mesh, metric ≤ 1e-6 within 240 s of simulated time.
+pub fn fig14_report(side: usize, mode: TerminationMode) -> SolveReport {
+    mesh_report(fig13_topology(), 8, side, 240_000.0, mode)
+}
+
+/// DTM on a `p × p` mesh machine over the `side × side` paper system.
+fn mesh_report(
+    topology: Topology,
+    p: usize,
+    side: usize,
+    horizon_ms: f64,
+    mode: TerminationMode,
+) -> SolveReport {
+    let ss = paper_split(side, p, p, &topology);
+    let config = mesh_config_mode(1e-6, horizon_ms, mode);
+    problem(ss)
+        .solve(&Machine::Simulated { topology, config })
+        .expect("mesh run")
+}
+
+/// `repro cmp-vtm`'s rows on [`fig11_machine`]: DTM, then VTM (DTM on the
+/// lock-step machine, its time in rounds), then VTM with each round priced
+/// on the mesh.
+pub fn vtm_reports() -> [SolveReport; 3] {
+    let (topology, config) = fig11_machine();
+    let p = problem(paper_split(FIG11_SIDE, 4, 4, &topology));
+    let rounds = |price| Machine::LockStep {
+        common: config.common.clone(),
+        price,
+    };
+    let mesh = Machine::Simulated {
+        topology: topology.clone(),
+        config: config.clone(),
+    };
+    [mesh, rounds(None), rounds(Some((topology, config.compute)))]
+        .map(|m| p.solve(&m).expect("dtm/vtm run"))
 }
 
 /// `repro cmp-jacobi`'s rows on [`fig11_machine`]: DTM, asynchronous
-/// block-Jacobi, synchronous block-Jacobi — the same partition for all
+/// block-Jacobi, synchronous block-Jacobi (block-Jacobi on the lock-step
+/// machine, each round priced on the mesh) — the same partition for all
 /// three.
 pub fn jacobi_reports() -> [SolveReport; 3] {
-    let (topo, config) = fig11_machine();
-    let ss = paper_split(FIG11_SIDE, 4, 4, &topo);
+    let (topology, config) = fig11_machine();
+    let dtm_split = paper_split(FIG11_SIDE, 4, 4, &topology);
     let (a, b) = paper_system(FIG11_SIDE);
     let asg = partition::grid_blocks(FIG11_SIDE, FIG11_SIDE, 4, 4);
-    let dtm = solver::solve(&ss, topo.clone(), None, &config).expect("dtm run");
-    let abj = async_baselines::solve_sim(
-        &BaselineAlgo::BlockJacobi,
-        &a,
-        &b,
-        &asg,
-        topo.clone(),
-        None,
-        &config,
-    )
-    .expect("async bj run");
-    let sbj = async_baselines::solve_sync(&a, &b, &asg, &topo, None, &config).expect("sync bj");
-    [dtm, abj, sbj]
+    let bj = |m: &Machine| {
+        async_baselines::solve(&BaselineAlgo::BlockJacobi, &a, &b, &asg, None, m)
+            .expect("block-Jacobi run")
+    };
+    let sync = Machine::LockStep {
+        common: config.common.clone(),
+        price: Some((topology.clone(), config.compute)),
+    };
+    let mesh = Machine::Simulated { topology, config };
+    let dtm = problem(dtm_split).solve(&mesh).expect("dtm run");
+    [dtm, bj(&mesh), bj(&sync)]
 }
 
 /// Distributed-backend configuration on the comparison workload: the

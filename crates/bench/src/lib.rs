@@ -18,6 +18,7 @@ pub mod serve;
 use dtm_core::impedance::ImpedancePolicy;
 use dtm_core::runtime::CommonConfig;
 use dtm_core::solver::{ComputeModel, DtmConfig, Termination};
+use dtm_core::{DtmProblem, Machine};
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem, TwinTopology};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_simnet::{DelayModel, SimDuration, Topology};
@@ -108,6 +109,26 @@ pub fn paper_split(side: usize, px: usize, py: usize, topo: &Topology) -> SplitS
         ..Default::default()
     };
     evs_split(&g, &plan, &options).expect("regular split is valid")
+}
+
+/// A [`DtmProblem`] over a torn system the harness built itself, so it
+/// solves on any [`Machine`]; nothing is precomputed
+/// (the oracle reference is solved where a run needs one).
+pub fn problem(split: SplitSystem) -> DtmProblem {
+    DtmProblem {
+        topology: Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(1.0)),
+        config: DtmConfig::default(),
+        reference: None,
+        split,
+    }
+}
+
+/// The simulated machine the builder chose for `p`.
+pub fn own_machine(p: &DtmProblem) -> Machine {
+    Machine::Simulated {
+        topology: p.topology.clone(),
+        config: p.config.clone(),
+    }
 }
 
 /// Which stopping rule the repro subcommands exercise: the paper's oracle

@@ -38,7 +38,7 @@ use dtm_core::builder::DtmBuilder;
 use dtm_core::rayon_backend::{self, RayonConfig};
 use dtm_core::runtime::{build_nodes, CommonConfig, Termination};
 use dtm_core::threaded::{self, ThreadedConfig};
-use dtm_core::SolveReport;
+use dtm_core::{Machine, SolveReport};
 use dtm_graph::partition::{self, PartitionConfig, Partitioner};
 use dtm_sparse::{generators, mm, Csr, Error, Result, SparseCholesky};
 use std::path::{Path, PathBuf};
@@ -341,6 +341,6 @@ fn mm_case(matrix: &Path, rhs: Option<&Path>) -> Result<()> {
         budget: Duration::from_secs(60),
         ..Default::default()
     };
-    let (r, wall_ms) = timed(|| problem.solve_threaded(&config));
+    let (r, wall_ms) = timed(|| problem.solve(&Machine::Threads(config)));
     show_solve("threaded:", &r?, wall_ms)
 }

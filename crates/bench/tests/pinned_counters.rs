@@ -10,9 +10,11 @@
 //! with `cargo test --release -p dtm-bench --test pinned_counters --
 //! --include-ignored`.
 
-use dtm_bench::compare::{all_reports, grid_setup, jacobi_reports, vtm_reports};
+use dtm_bench::compare::{
+    all_reports, fig12_report, fig14_report, grid_setup, jacobi_reports, vtm_reports,
+};
 use dtm_bench::perf::{fixture_matrix, fixture_rhs};
-use dtm_bench::seeds;
+use dtm_bench::{own_machine, seeds, TerminationMode};
 use dtm_core::rayon_backend::RayonConfig;
 use dtm_core::report::StopKind;
 use dtm_core::runtime::{CommonConfig, Termination};
@@ -20,7 +22,7 @@ use dtm_core::threaded::ThreadedConfig;
 use dtm_core::AlgorithmKind::{
     BlockJacobiAsync, BlockJacobiSync, DIteration, Dtm, RandomizedRichardson,
 };
-use dtm_core::{DtmBuilder, SolveReport};
+use dtm_core::{DtmBuilder, Machine, SolveReport};
 use dtm_graph::partition::{self, PartitionConfig, Partitioner};
 use dtm_sparse::{generators, mm, Csr, SparseCholesky};
 use std::fs::File;
@@ -61,7 +63,9 @@ fn seed_block_solve_on_the_simulated_machine() {
         .termination(Termination::Residual { tol: 1e-8 })
         .build()
         .expect("builds");
-    let r = problem.solve_block(&cols).expect("solves");
+    let r = problem
+        .solve_block(&cols, &own_machine(&problem))
+        .expect("solves");
     assert_meets("seed 9×9 K=8", &r, 1e-8);
     assert_eq!(r.total_messages, 342);
     assert_eq!(r.total_solves, 256);
@@ -86,13 +90,15 @@ fn grid3d16_cut_and_both_fabrics() {
         common: residual_rule(tol),
         ..Default::default()
     };
-    let r = problem.solve_threaded(&threaded).expect("threaded solves");
+    let r = problem
+        .solve(&Machine::Threads(threaded))
+        .expect("threaded solves");
     assert_meets("16³ threaded", &r, tol);
     let pool = RayonConfig {
         common: residual_rule(tol),
         ..Default::default()
     };
-    let r = problem.solve_workstealing(&pool).expect("pool solves");
+    let r = problem.solve(&Machine::Pool(pool)).expect("pool solves");
     assert_meets("16³ pool", &r, tol);
 }
 
@@ -121,7 +127,7 @@ fn fixture_cut_and_solve() {
         common: residual_rule(tol),
         ..Default::default()
     };
-    let r = problem.solve_threaded(&config).expect("solves");
+    let r = problem.solve(&Machine::Threads(config)).expect("solves");
     assert_meets("fixture", &r, tol);
 }
 
@@ -188,11 +194,12 @@ fn compare_rows_are_pinned() {
 /// n = 1089 torn 4 × 4, oracle RMS ≤ 1e-6): `(sim time, activations,
 /// messages, flops, final rms)` per row, plus the series length of the two
 /// round-structured rows (one point per round). VTM reports as DTM: it is
-/// DTM's node on the lock-step machine.
+/// DTM's node on the lock-step machine. Priced on the mesh, its rounds cost
+/// what sync block-Jacobi's do (both solve in 1 ms).
 #[test]
 fn cmp_jacobi_and_vtm_rows_are_pinned() {
     let [dtm, abj, sbj] = jacobi_reports();
-    let [dtm_again, vtm] = vtm_reports();
+    let [dtm_again, vtm, priced] = vtm_reports();
     let rows = [&dtm, &abj, &sbj, &vtm];
     let kinds: Vec<_> = rows.iter().map(|r| r.algorithm).collect();
     assert_eq!(kinds, [Dtm, BlockJacobiAsync, BlockJacobiSync, Dtm]);
@@ -220,4 +227,46 @@ fn cmp_jacobi_and_vtm_rows_are_pinned() {
     }
     assert_eq!((sbj.series.len(), vtm.series.len()), (39, 24));
     assert_eq!(dtm_again.solution, dtm.solution, "cmp-vtm's DTM row");
+    assert_eq!(priced.solution, vtm.solution, "pricing is only the clock");
+    assert_eq!(priced.final_time_ms, 24.0 * sbj.final_time_ms / 39.0);
+}
+
+/// `(converged, sim time, activations, messages, coalesced batches)` of a
+/// mesh figure's run.
+fn fig_row(r: &SolveReport) -> (bool, f64, u64, u64, u64) {
+    (
+        r.converged,
+        r.final_time_ms,
+        r.total_solves,
+        r.total_messages,
+        r.coalesced_batches,
+    )
+}
+
+/// `repro fig12 --quick`'s and `repro fig14 --quick`'s runs (oracle RMS
+/// ≤ 1e-6 on Fig. 11's 16- and Fig. 13's 64-processor mesh).
+#[test]
+fn fig12_and_fig14_quick_rows_are_pinned() {
+    assert_eq!(
+        fig_row(&fig12_report(17, TerminationMode::Oracle)),
+        (true, 1387.875045, 19_916, 59_922, 18_881)
+    );
+    assert_eq!(
+        fig_row(&fig14_report(33, TerminationMode::Oracle)),
+        (true, 1460.506056, 86_822, 304_515, 83_392)
+    );
+}
+
+/// The sizes `repro fig12`/`fig14` add without `--quick`.
+#[test]
+#[ignore = "n = 1089 on 16 and n = 4225 on 64 processors; run in release"]
+fn fig12_and_fig14_full_rows_are_pinned() {
+    assert_eq!(
+        fig_row(&fig12_report(33, TerminationMode::Oracle)),
+        (true, 1383.702884, 19_848, 59_719, 18_813)
+    );
+    assert_eq!(
+        fig_row(&fig14_report(65, TerminationMode::Oracle)),
+        (true, 1633.390106, 97_886, 343_238, 94_456)
+    );
 }

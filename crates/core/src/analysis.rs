@@ -163,20 +163,10 @@ pub fn impedance_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_graph::evs::{paper_example_shares, split as evs_split, EvsOptions};
+    use crate::machine::tests::paper_split;
+    use dtm_graph::evs::{split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;
-
-    fn paper_split() -> SplitSystem {
-        let (a, b) = generators::paper_example_system();
-        let g = ElectricGraph::from_system(a, b).unwrap();
-        let plan = PartitionPlan::from_assignment(&g, &[0, 0, 1, 1]).unwrap();
-        let options = EvsOptions {
-            explicit: paper_example_shares(),
-            ..Default::default()
-        };
-        evs_split(&g, &plan, &options).unwrap()
-    }
 
     #[test]
     fn paper_operator_is_contractive() {
@@ -201,16 +191,16 @@ mod tests {
         let mut op = WaveOperator::new(&ss, &imp, LocalSolverKind::Dense).unwrap();
         let rho = op.spectral_radius(600, 3);
         // Observed late-stage per-round error ratio from a VTM run.
-        let report = crate::vtm::solve(
-            &ss,
-            None,
-            &crate::runtime::CommonConfig {
-                impedance: imp,
-                termination: crate::runtime::Termination::OracleRms { tol: 1e-300 },
-                max_solves_per_node: 60,
-            },
-        )
-        .unwrap();
+        let report = crate::DtmProblem::of_split(ss)
+            .solve(&crate::Machine::LockStep {
+                common: crate::runtime::CommonConfig {
+                    impedance: imp,
+                    termination: crate::runtime::Termination::OracleRms { tol: 1e-300 },
+                    max_solves_per_node: 60,
+                },
+                price: None,
+            })
+            .unwrap();
         let s = &report.series;
         let observed = (s[s.len() - 1].1 / s[s.len() - 11].1).powf(0.1);
         assert!(

@@ -13,19 +13,19 @@
 //!   (a [`PortUpdate`] is just a receiver-addressed scalar; Richardson and
 //!   block-Jacobi overwrite boundary values, D-iteration accumulates fluid
 //!   — all valid under the per-pair-FIFO transport contract);
-//! * they run on **all three executor fabrics** — the deterministic
-//!   simulated machine, one OS thread per partition, and the
-//!   work-stealing pool — and each driver takes the config of the machine
-//!   it runs on ([`DtmConfig`], [`ThreadedConfig`], [`RayonConfig`]), the
-//!   same value a DTM run on that machine takes;
+//! * they run on **every [`Machine`]** — the deterministic simulated
+//!   machine, the lock-step one, one OS thread per partition and the
+//!   worker pool — through one entry point, [`solve`], that takes the same
+//!   machine value a DTM run takes;
 //! * they report through the same [`SolveReport`] vocabulary, with the
 //!   uniform message/activation/flop counters, so `repro compare` can pit
 //!   every algorithm **message for message on identical machines**
 //!   (same partition, same delay topology, same
-//!   [`Termination::Residual`] rule — no oracle taints the comparison).
+//!   [`Termination::Residual`](crate::runtime::Termination::Residual) rule — no oracle taints the comparison).
 //!
-//! The drivers read the stopping rule and the solve cap from
-//! [`CommonConfig`]; its `impedance` is a DTM setting, and they ignore it.
+//! A run reads the stopping rule and the solve cap from the machine's
+//! [`CommonConfig`]; its `impedance` is a DTM setting, and the baselines
+//! ignore it.
 //!
 //! # The algorithms
 //!
@@ -50,26 +50,23 @@
 //! activation solve `x_p = A_pp⁻¹ (b_p − A_p,ext · x_ext)` against whatever
 //! remote potentials have arrived, then scatter the owned boundary values
 //! — raw potentials, no transmission lines: the classical asynchronous
-//! iteration DTM's introduction argues against. The same nodes in
-//! lock-step rounds are **synchronous block-Jacobi** ([`solve_sync`]), the
+//! iteration DTM's introduction argues against. The same nodes on
+//! [`Machine::LockStep`] are **synchronous block-Jacobi**, the
 //! barrier-priced family the introduction measures DTM against.
 
-use crate::fabric::{self, Fabric, Pool, Threads, WallRun};
 use crate::local::Factor;
-use crate::rayon_backend::RayonConfig;
-use crate::report::{AlgorithmKind, BackendKind, SolveReport};
+use crate::machine::Machine;
+use crate::report::{AlgorithmKind, SolveReport};
 use crate::runtime::{
     self, AsyncNode, CommonConfig, DtmMsg, GatherMap, NodeControl, PortUpdate, RunSpec, SelfHalt,
-    Termination, Transport,
+    Transport,
 };
-use crate::solver::{self, DtmConfig, SimNode, SimRun};
-use crate::threaded::ThreadedConfig;
+use crate::solver::{self, DtmConfig, SimNode};
 use dtm_graph::evs::SplitSystem;
-use dtm_simnet::{SimDuration, Topology};
+use dtm_simnet::Topology;
 use dtm_sparse::{vector, Csr, Error, Result};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per part: for each neighbour part, `(their_ext_slot, my_local_row)`
 /// value-exchange pairs.
@@ -232,28 +229,13 @@ impl RowPartition {
         self.rows.len()
     }
 
-    /// Every directed pair both algorithms may send over (coupling is
-    /// symmetric for a symmetric matrix, so one check covers both the
-    /// value-exchange and the diffusion direction).
+    /// [`solver::check_links`] over every directed pair both algorithms
+    /// may send over (coupling is symmetric for a symmetric matrix, so one
+    /// check covers both the value-exchange and the diffusion direction).
     fn check_links(&self, topology: &Topology) -> Result<()> {
-        if topology.n_nodes() != self.n_parts() {
-            return Err(Error::DimensionMismatch {
-                context: "baselines: one processor per partition",
-                expected: self.n_parts(),
-                actual: topology.n_nodes(),
-            });
-        }
-        for (p, routes) in self.routes.iter().enumerate() {
-            for (dst, _) in routes {
-                if topology.link(p, *dst).is_none() {
-                    return Err(Error::Parse(format!(
-                        "partitions {p} and {dst} are coupled but the machine \
-                         has no link {p} → {dst}"
-                    )));
-                }
-            }
-        }
-        Ok(())
+        let routes = self.routes.iter().enumerate();
+        let pairs = routes.flat_map(|(p, r)| r.iter().map(move |&(q, _)| (p, q)));
+        solver::check_links(topology, self.n_parts(), pairs)
     }
 
     /// Send part `p`'s owned boundary values of `x` to every coupled
@@ -687,110 +669,12 @@ impl Relaxation for BlockJacobiState {
 }
 
 // ---------------------------------------------------------------------------
-// Drivers: the three executors, each a call into the shared machinery.
+// The one entry point, on any machine.
 // ---------------------------------------------------------------------------
-
-/// A validated baseline problem — everything the drivers share once the
-/// nodes are built.
-struct Prepared<'a> {
-    algo: &'a BaselineAlgo,
-    a: &'a Csr,
-    b: &'a [f64],
-    common: &'a CommonConfig,
-    pt: Arc<RowPartition>,
-    /// Partitions don't overlap: every global row has exactly one copy.
-    copy_count: Vec<usize>,
-    /// The opt-in oracle reference ([`runtime::resolve_references`]).
-    references: Option<Vec<Vec<f64>>>,
-}
-
-impl<'a> Prepared<'a> {
-    /// Validate, partition and build one node per part.
-    fn new(
-        algo: &'a BaselineAlgo,
-        a: &'a Csr,
-        b: &'a [f64],
-        assignment: &[usize],
-        reference: Option<Vec<f64>>,
-        common: &'a CommonConfig,
-    ) -> Result<(Self, Vec<BaselineNode>)> {
-        let pt = RowPartition::build(a, b, assignment)?;
-        let nodes = algo.build_nodes(a, &pt, common)?;
-        let mut prepared = Self {
-            algo,
-            a,
-            b,
-            common,
-            pt,
-            copy_count: vec![1; a.n_rows()],
-            references: None,
-        };
-        prepared.references = runtime::resolve_references(
-            &prepared.map(),
-            common.termination,
-            reference.map(|r| vec![r]),
-        )?;
-        Ok((prepared, nodes))
-    }
-
-    /// The gather map of this partition over `A x = b`.
-    fn map(&self) -> GatherMap<'_> {
-        GatherMap::new(
-            self.pt.rows.iter().map(Vec::as_slice).collect(),
-            &self.copy_count,
-            self.a,
-            vec![self.b],
-        )
-    }
-
-    /// Whether nodes halt themselves (so an idle fabric must kick them).
-    fn self_halting(&self) -> bool {
-        matches!(self.common.termination, Termination::LocalDelta { .. })
-    }
-
-    /// What a run of this problem is scored against, on any executor.
-    fn spec(&self) -> RunSpec<'_> {
-        RunSpec {
-            algorithm: self.algo.kind(),
-            termination: self.common.termination,
-            map: self.map(),
-            references: self.references.as_deref(),
-        }
-    }
-
-    /// Supervise a started wall-clock `fabric` over this problem.
-    fn run_wallclock(
-        &self,
-        fabric: impl Fabric,
-        backend: BackendKind,
-        budget: Duration,
-    ) -> SolveReport {
-        fabric::run(
-            fabric,
-            &WallRun {
-                spec: self.spec(),
-                backend,
-                budget,
-            },
-        )
-    }
-}
 
 /// One baseline node on one simulated processor — the same adapter DTM
 /// uses.
 pub type SimBaselineNode = SimNode<BaselineNode>;
-
-/// Wrap nodes with their per-activation compute durations (baseline
-/// pipelines are scalar: one RHS column per sweep).
-fn sim_nodes(nodes: Vec<BaselineNode>, config: &DtmConfig) -> Vec<SimBaselineNode> {
-    nodes
-        .into_iter()
-        .map(|inner| SimNode {
-            compute: config.compute.duration_for_block(inner.work_nnz(), 1),
-            inner,
-        })
-        .collect()
-}
 
 /// Build the simulated nodes of a baseline run — public so traced manual
 /// engine runs (e.g. `repro compare`'s tagged trace samples) can drive
@@ -810,121 +694,63 @@ pub fn build_sim_nodes(
 ) -> Result<Vec<SimBaselineNode>> {
     let pt = RowPartition::build(a, b, assignment)?;
     pt.check_links(topology)?;
-    Ok(sim_nodes(algo.build_nodes(a, &pt, &config.common)?, config))
+    let nodes = algo.build_nodes(a, &pt, &config.common)?;
+    Ok(solver::on_processors(nodes, &config.compute, 1))
 }
 
-/// Run a baseline to completion on the simulated machine — the
-/// message-for-message comparison executor (delays are exact, runs are
-/// deterministic). `config` is the machine a DTM run would take; its
-/// impedance policy is ignored.
+/// Run a baseline over the row partition `assignment` of `A x = b` on
+/// `machine` — the same machine value a DTM run takes (see
+/// [`Machine`]). On the simulated machine delays are exact and runs
+/// deterministic: the message-for-message comparison executor. On
+/// [`Machine::LockStep`] every round steps every part against the previous
+/// round's values: block-Jacobi there reports as
+/// [`AlgorithmKind::BlockJacobiSync`].
+///
+/// `reference` is the direct solution RMS monitoring uses; when `None` it
+/// is computed where the termination mode needs one.
 ///
 /// # Errors
-/// See [`build_sim_nodes`].
-pub fn solve_sim(
+/// Fails on a NaN tolerance, dimension mismatches, a NaN or an infinity in
+/// `a` or `b`, a non-positive diagonal, a block factorization failure, or
+/// a coupled partition pair the machine's link table has no link for
+/// (bare channels and the pool form a complete graph).
+pub fn solve(
     algo: &BaselineAlgo,
     a: &Csr,
     b: &[f64],
     assignment: &[usize],
-    topology: Topology,
     reference: Option<Vec<f64>>,
-    config: &DtmConfig,
+    machine: &Machine,
 ) -> Result<SolveReport> {
-    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, &config.common)?;
-    prepared.pt.check_links(&topology)?;
-    Ok(solver::run_engine(
-        topology,
-        sim_nodes(nodes, config),
-        &SimRun {
-            spec: prepared.spec(),
-            horizon: config.horizon,
-            sample_interval: config.sample_interval,
+    let common = machine.common()?;
+    let pt = RowPartition::build(a, b, assignment)?;
+    if let Some(links) = machine.links() {
+        pt.check_links(links)?;
+    }
+    let nodes = algo.build_nodes(a, &pt, common)?;
+    // Partitions don't overlap: every global row has exactly one copy.
+    let copy_count = vec![1; a.n_rows()];
+    let map = GatherMap::new(
+        pt.rows.iter().map(Vec::as_slice).collect(),
+        &copy_count,
+        a,
+        vec![b],
+    );
+    let references =
+        runtime::resolve_references(&map, common.termination, reference.map(|r| vec![r]))?;
+    let algorithm = match (algo, machine) {
+        (BaselineAlgo::BlockJacobi, Machine::LockStep { .. }) => AlgorithmKind::BlockJacobiSync,
+        _ => algo.kind(),
+    };
+    Ok(machine.run(
+        nodes,
+        RunSpec {
+            algorithm,
+            termination: common.termination,
+            map,
+            references: references.as_deref(),
         },
     ))
-}
-
-/// Synchronous block-Jacobi (additive Schwarz, overlap 0): the
-/// block-Jacobi nodes in lock-step rounds on the simulated machine. Every
-/// round steps every block against the previous round's potentials and
-/// costs the slowest block's compute plus twice `topology`'s largest link
-/// delay — one exchange, one barrier; the horizon bounds the rounds (the
-/// series holds one point per round, so `sample_interval` is unused).
-///
-/// # Errors
-/// Fails on dimension mismatches, non-finite input or factorization
-/// failure.
-pub fn solve_sync(
-    a: &Csr,
-    b: &[f64],
-    assignment: &[usize],
-    topology: &Topology,
-    reference: Option<Vec<f64>>,
-    config: &DtmConfig,
-) -> Result<SolveReport> {
-    let algo = BaselineAlgo::BlockJacobi;
-    let (prepared, nodes) = Prepared::new(&algo, a, b, assignment, reference, &config.common)?;
-    let slowest = nodes
-        .iter()
-        .map(|n| config.compute.duration_for_block(n.work_nnz(), 1))
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let round = slowest + topology.delay_range().1.saturating_mul(2);
-    let max_rounds = config.horizon.as_nanos() / round.as_nanos().max(1);
-    let spec = RunSpec {
-        algorithm: AlgorithmKind::BlockJacobiSync,
-        ..prepared.spec()
-    };
-    Ok(solver::run_lockstep(
-        nodes,
-        round,
-        usize::try_from(max_rounds).unwrap_or(usize::MAX),
-        spec,
-    ))
-}
-
-/// Run a baseline on real OS threads — genuine asynchrony, no simulation:
-/// message delay is whatever the scheduler and channels impose, plus the
-/// link delays of `config.delay_topology` (scaled by `delay_scale`) through
-/// the same router a DTM run uses.
-///
-/// # Errors
-/// See [`build_sim_nodes`]; the machine-link check applies only when
-/// `config` injects a delay topology (bare channels form a complete
-/// graph).
-pub fn solve_threaded(
-    algo: &BaselineAlgo,
-    a: &Csr,
-    b: &[f64],
-    assignment: &[usize],
-    reference: Option<Vec<f64>>,
-    config: &ThreadedConfig,
-) -> Result<SolveReport> {
-    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, &config.common)?;
-    let delays = config.delays();
-    if let Some((topology, _)) = delays {
-        prepared.pt.check_links(topology)?;
-    }
-    let kick_idle = prepared.self_halting();
-    let threads = Threads::start(nodes, 1, delays, kick_idle, fabric::no_hook());
-    Ok(prepared.run_wallclock(threads, BackendKind::Threaded, config.budget))
-}
-
-/// Run a baseline on the in-process worker pool ([`Pool`]): delay realised
-/// by the receiver's wait in the pool's ready queue.
-///
-/// # Errors
-/// See [`solve_threaded`].
-pub fn solve_workstealing(
-    algo: &BaselineAlgo,
-    a: &Csr,
-    b: &[f64],
-    assignment: &[usize],
-    reference: Option<Vec<f64>>,
-    config: &RayonConfig,
-) -> Result<SolveReport> {
-    let (prepared, nodes) = Prepared::new(algo, a, b, assignment, reference, &config.common)?;
-    let kick_idle = prepared.self_halting();
-    let pool = Pool::start(nodes, 1, config.num_threads, kick_idle, fabric::no_hook());
-    Ok(prepared.run_wallclock(pool, BackendKind::WorkStealing, config.budget))
 }
 
 // ---------------------------------------------------------------------------
@@ -951,10 +777,14 @@ pub fn assignment_of(split: &SplitSystem) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::StopKind;
+    use crate::rayon_backend::RayonConfig;
+    use crate::report::{BackendKind, StopKind};
+    use crate::runtime::Termination;
     use crate::solver::ComputeModel;
-    use dtm_simnet::{DelayModel, SimTime};
+    use crate::threaded::ThreadedConfig;
+    use dtm_simnet::{DelayModel, SimDuration, SimTime};
     use dtm_sparse::{generators, SparseCholesky};
+    use std::time::Duration;
 
     fn setup(nx: usize, k: usize, seed: u64) -> (Csr, Vec<f64>, Vec<usize>, Topology) {
         let a = generators::grid2d_random(nx, nx, 1.0, seed);
@@ -968,6 +798,12 @@ mod tests {
         SparseCholesky::factor_rcm(a).unwrap().solve(b)
     }
 
+    const ALGOS: [BaselineAlgo; 3] = [
+        BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: 7 }),
+        BaselineAlgo::DIteration,
+        BaselineAlgo::BlockJacobi,
+    ];
+
     /// The stopping rule under the 200,000-solve cap every test here runs.
     fn common(termination: Termination) -> CommonConfig {
         CommonConfig {
@@ -976,36 +812,33 @@ mod tests {
         }
     }
 
-    /// A simulated machine with a 200 µs activation and a 600 s horizon.
-    fn sim_machine(termination: Termination) -> DtmConfig {
-        DtmConfig {
-            common: common(termination),
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
-            horizon: SimDuration::from_millis_f64(600_000.0),
-            ..Default::default()
+    /// `topology` with a 200 µs activation and a 600 s horizon.
+    fn sim(common: CommonConfig, topology: &Topology) -> Machine {
+        Machine::Simulated {
+            topology: topology.clone(),
+            config: DtmConfig {
+                common,
+                compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
+                horizon: SimDuration::from_millis_f64(600_000.0),
+                ..Default::default()
+            },
         }
     }
 
-    fn sim_config(tol: f64) -> DtmConfig {
-        sim_machine(Termination::Residual { tol })
-    }
-
-    /// Real threads with a 60 s budget.
-    fn threads(termination: Termination) -> ThreadedConfig {
-        ThreadedConfig {
-            common: common(termination),
-            budget: Duration::from_secs(60),
-            ..Default::default()
+    /// Lock-step rounds priced on `topology` with a 1 ms block solve.
+    fn lockstep(common: CommonConfig, topology: &Topology) -> Machine {
+        Machine::LockStep {
+            common,
+            price: Some((
+                topology.clone(),
+                ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+            )),
         }
     }
 
-    /// A two-worker pool with a 60 s budget.
-    fn pool(termination: Termination) -> RayonConfig {
-        RayonConfig {
-            common: common(termination),
-            num_threads: 2,
-            budget: Duration::from_secs(60),
-        }
+    /// Every machine, its delays (where it has them) from `topology`.
+    fn machines(termination: Termination, topology: &Topology) -> [Machine; 4] {
+        [sim, lockstep, threads_on, pool_on].map(|on| on(common(termination), topology))
     }
 
     #[test]
@@ -1037,46 +870,106 @@ mod tests {
         }
     }
 
+    fn threads_on(common: CommonConfig, _: &Topology) -> Machine {
+        Machine::Threads(ThreadedConfig {
+            common,
+            budget: Duration::from_secs(60),
+            ..Default::default()
+        })
+    }
+
+    fn pool_on(common: CommonConfig, _: &Topology) -> Machine {
+        Machine::Pool(RayonConfig {
+            common,
+            num_threads: 2,
+            budget: Duration::from_secs(60),
+        })
+    }
+
+    /// A machine under a common config, its delays (where it has them)
+    /// from the problem's ring.
+    type On = fn(CommonConfig, &Topology) -> Machine;
+
+    /// Property: each of `algos` on `on` reaches the direct solution of a
+    /// 6 × 6 system in 3 strips, reference-free.
+    fn reaches_the_direct_solution(algos: &[BaselineAlgo], seed: u64, on: On) {
+        let (a, b, asg, topo) = setup(6, 3, seed);
+        let exact = direct(&a, &b);
+        let machine = on(common(Termination::Residual { tol: 1e-9 }), &topo);
+        for algo in algos {
+            let report = solve(algo, &a, &b, &asg, None, &machine).unwrap();
+            let what = format!("{algo:?} on {:?}", report.backend);
+            assert!(report.converged, "{what}: resid {}", report.final_residual);
+            let sync = matches!(machine, Machine::LockStep { .. });
+            let kind = match algo {
+                BaselineAlgo::BlockJacobi if sync => AlgorithmKind::BlockJacobiSync,
+                _ => algo.kind(),
+            };
+            assert_eq!(report.algorithm, kind, "{what}");
+            assert!(report.final_rms.is_nan(), "{what}: reference-free");
+            for (u, v) in report.solution.iter().zip(&exact) {
+                assert!((u - v).abs() < 1e-6, "{what}: {u} vs {v}");
+            }
+            assert!(
+                report.total_messages > 0 && report.total_flops > 0,
+                "{what}"
+            );
+        }
+    }
+
+    /// Property: under `LocalDelta` each of `algos` on `on` halts itself,
+    /// on a right answer.
+    fn local_delta_self_halts(algos: &[BaselineAlgo], seed: u64, on: On) {
+        let (a, b, asg, topo) = setup(6, 2, seed);
+        let termination = Termination::LocalDelta {
+            tol: 1e-11,
+            patience: 3,
+        };
+        let machine = on(common(termination), &topo);
+        for algo in algos {
+            let report = solve(algo, &a, &b, &asg, None, &machine).unwrap();
+            let what = format!("{algo:?} on {:?}", report.backend);
+            // The engine may see the last waves die out before the last
+            // node halts.
+            let quiet =
+                matches!(machine, Machine::Simulated { .. }) && report.stop == StopKind::Quiescent;
+            assert!(report.stop == StopKind::AllHalted || quiet, "{what}");
+            assert!(report.converged, "{what}");
+            assert!(report.final_rms < 1e-6, "{what}: rms {}", report.final_rms);
+        }
+    }
+
     #[test]
     fn richardson_sim_converges_to_direct_solution() {
-        let (a, b, asg, topo) = setup(8, 3, 21);
-        let exact = direct(&a, &b);
-        let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams::default());
-        let report = solve_sim(&algo, &a, &b, &asg, topo, None, &sim_config(1e-9)).unwrap();
-        assert!(report.converged, "resid {}", report.final_residual);
-        assert_eq!(report.algorithm, AlgorithmKind::RandomizedRichardson);
-        assert_eq!(report.backend, BackendKind::Simulated);
-        assert!(report.final_rms.is_nan(), "residual mode is reference-free");
-        for (u, v) in report.solution.iter().zip(&exact) {
-            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
-        assert!(report.total_solves > 0);
-        assert!(report.total_messages > 0);
-        assert!(report.total_flops > 0);
+        reaches_the_direct_solution(&ALGOS[..1], 21, sim);
     }
 
     #[test]
     fn diteration_sim_converges_to_direct_solution() {
-        let (a, b, asg, topo) = setup(8, 3, 23);
-        let exact = direct(&a, &b);
-        let algo = BaselineAlgo::DIteration;
-        let report = solve_sim(&algo, &a, &b, &asg, topo, None, &sim_config(1e-9)).unwrap();
-        assert!(report.converged, "resid {}", report.final_residual);
-        assert_eq!(report.algorithm, AlgorithmKind::DIteration);
-        for (u, v) in report.solution.iter().zip(&exact) {
-            assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
+        reaches_the_direct_solution(&ALGOS[1..2], 23, sim);
+    }
+
+    #[test]
+    fn threaded_driver_converges_for_both_algorithms() {
+        reaches_the_direct_solution(&ALGOS, 26, threads_on);
+    }
+
+    #[test]
+    fn workstealing_driver_converges_for_both_algorithms() {
+        reaches_the_direct_solution(&ALGOS, 27, pool_on);
+    }
+
+    #[test]
+    fn lockstep_rounds_converge_for_every_algorithm() {
+        reaches_the_direct_solution(&ALGOS, 28, lockstep);
     }
 
     #[test]
     fn oracle_termination_reports_rms_for_both_algorithms() {
         let (a, b, asg, topo) = setup(6, 2, 24);
-        let config = sim_machine(Termination::OracleRms { tol: 1e-8 });
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration,
-        ] {
-            let report = solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config).unwrap();
+        let machine = sim(common(Termination::OracleRms { tol: 1e-8 }), &topo);
+        for algo in &ALGOS[..2] {
+            let report = solve(algo, &a, &b, &asg, None, &machine).unwrap();
             assert!(report.converged, "rms {}", report.final_rms);
             assert!(report.final_rms <= 1e-8);
             assert!(report.final_residual.is_finite());
@@ -1085,98 +978,23 @@ mod tests {
 
     #[test]
     fn local_delta_self_halt_on_the_simulated_machine() {
-        let (a, b, asg, topo) = setup(6, 2, 25);
-        let config = sim_machine(Termination::LocalDelta {
-            tol: 1e-11,
-            patience: 3,
-        });
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration,
-        ] {
-            let report = solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config).unwrap();
-            assert!(
-                matches!(report.stop, StopKind::AllHalted | StopKind::Quiescent),
-                "stop {:?}",
-                report.stop
-            );
-            assert!(report.converged);
-            assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
-        }
-    }
-
-    #[test]
-    fn threaded_driver_converges_for_both_algorithms() {
-        let (a, b, asg, _) = setup(6, 3, 26);
-        let exact = direct(&a, &b);
-        let config = threads(Termination::Residual { tol: 1e-8 });
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration,
-        ] {
-            let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
-            assert!(report.converged, "resid {}", report.final_residual);
-            assert_eq!(report.backend, BackendKind::Threaded);
-            for (u, v) in report.solution.iter().zip(&exact) {
-                assert!((u - v).abs() < 1e-5, "{u} vs {v}");
-            }
-            assert!(report.total_flops > 0);
-        }
+        local_delta_self_halts(&ALGOS[..2], 25, sim);
     }
 
     #[test]
     fn threaded_local_delta_self_halts_for_both_algorithms() {
-        let (a, b, asg, _) = setup(6, 2, 28);
-        let config = threads(Termination::LocalDelta {
-            tol: 1e-11,
-            patience: 3,
-        });
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration,
-        ] {
-            let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
-            assert_eq!(report.stop, StopKind::AllHalted, "{:?}", algo.kind());
-            assert!(report.converged);
-            assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
-        }
+        local_delta_self_halts(&ALGOS[..2], 28, threads_on);
+    }
+
+    #[test]
+    fn pool_local_delta_self_halts_for_both_algorithms() {
+        local_delta_self_halts(&ALGOS[..2], 30, pool_on);
     }
 
     #[test]
     fn block_jacobi_local_delta_self_halts_on_every_fabric() {
-        let (a, b, asg, topo) = setup(6, 2, 29);
-        let termination = Termination::LocalDelta {
-            tol: 1e-11,
-            patience: 3,
-        };
-        let algo = BaselineAlgo::BlockJacobi;
-        for report in [
-            solve_sim(&algo, &a, &b, &asg, topo, None, &sim_machine(termination)).unwrap(),
-            solve_threaded(&algo, &a, &b, &asg, None, &threads(termination)).unwrap(),
-            solve_workstealing(&algo, &a, &b, &asg, None, &pool(termination)).unwrap(),
-        ] {
-            assert_eq!(report.algorithm, AlgorithmKind::BlockJacobiAsync);
-            assert_eq!(report.stop, StopKind::AllHalted, "{:?}", report.backend);
-            assert!(report.converged);
-            assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
-        }
-    }
-
-    #[test]
-    fn workstealing_driver_converges_for_both_algorithms() {
-        let (a, b, asg, _) = setup(6, 3, 27);
-        let exact = direct(&a, &b);
-        let config = pool(Termination::Residual { tol: 1e-8 });
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration,
-        ] {
-            let report = solve_workstealing(&algo, &a, &b, &asg, None, &config).unwrap();
-            assert!(report.converged, "resid {}", report.final_residual);
-            assert_eq!(report.backend, BackendKind::WorkStealing);
-            for (u, v) in report.solution.iter().zip(&exact) {
-                assert!((u - v).abs() < 1e-5, "{u} vs {v}");
-            }
+        for on in [sim, lockstep, threads_on, pool_on] {
+            local_delta_self_halts(&ALGOS[2..], 29, on);
         }
     }
 
@@ -1195,15 +1013,11 @@ mod tests {
         // strip split restricted to first-owner semantics.
         let derived = assignment_of(&ss);
         assert_eq!(derived.len(), 49);
-        let config = sim_config(1e-8);
+        let machine = sim(common(Termination::Residual { tol: 1e-8 }), &topo);
         let exact = direct(&a, &b);
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-            BaselineAlgo::DIteration,
-            BaselineAlgo::BlockJacobi,
-        ] {
+        for algo in &ALGOS {
             let (a, b) = ss.reconstruct();
-            let report = solve_sim(&algo, &a, &b, &derived, topo.clone(), None, &config).unwrap();
+            let report = solve(algo, &a, &b, &derived, None, &machine).unwrap();
             assert!(report.converged, "resid {}", report.final_residual);
             for (u, v) in report.solution.iter().zip(&exact) {
                 assert!((u - v).abs() < 1e-5, "{u} vs {v}");
@@ -1214,24 +1028,25 @@ mod tests {
     #[test]
     fn invalid_parameters_and_machines_are_typed_errors() {
         let (a, b, asg, _) = setup(6, 3, 33);
-        let config = sim_config(1e-6);
-        let no_links = Topology::from_links(3, vec![]);
-        let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams::default());
-        assert!(solve_sim(&algo, &a, &b, &asg, no_links, None, &config).is_err());
-        let wrong_count = Topology::ring(2).with_delays(&DelayModel::fixed_ms(1.0));
-        assert!(solve_sim(&algo, &a, &b, &asg, wrong_count, None, &config).is_err());
-        let topo = Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0));
+        let residual = Termination::Residual { tol: 1e-6 };
+        let on = |topo: Topology| sim(common(residual), &topo);
+        let algo = &ALGOS[0];
+        let no_links = on(Topology::from_links(3, vec![]));
+        assert!(solve(algo, &a, &b, &asg, None, &no_links).is_err());
+        let wrong_count = on(Topology::ring(2).with_delays(&DelayModel::fixed_ms(1.0)));
+        assert!(solve(algo, &a, &b, &asg, None, &wrong_count).is_err());
+        let machine = on(Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0)));
         // Wrong assignment length.
-        assert!(solve_sim(&algo, &a, &b, &asg[..10], topo.clone(), None, &config).is_err());
+        assert!(solve(algo, &a, &b, &asg[..10], None, &machine).is_err());
         // A NaN in b, an infinity in A: typed, naming the entry / the row.
         let mut nan_b = b.clone();
         nan_b[5] = f64::NAN;
-        let err = solve_sim(&algo, &a, &nan_b, &asg, topo.clone(), None, &config).unwrap_err();
+        let err = solve(algo, &a, &nan_b, &asg, None, &machine).unwrap_err();
         assert!(matches!(err, Error::NonFinite { index: 5, .. }), "{err}");
         let mut inf_a = a.clone();
         let first_of_row_9 = inf_a.row_ptr()[9];
         inf_a.values_mut()[first_of_row_9] = f64::INFINITY;
-        let err = solve_sim(&algo, &inf_a, &b, &asg, topo, None, &config).unwrap_err();
+        let err = solve(algo, &inf_a, &b, &asg, None, &machine).unwrap_err();
         assert!(matches!(err, Error::NonFinite { index: 9, .. }), "{err}");
     }
 
@@ -1249,20 +1064,17 @@ mod tests {
         let asg = dtm_graph::partition::grid_blocks(6, 6, 2, 2);
         let topo = Topology::mesh(2, 2).with_delays(&DelayModel::fixed_ms(1.0));
         let started = std::time::Instant::now();
-        let algo = BaselineAlgo::BlockJacobi;
-        let residual = Termination::Residual { tol: 1e-8 };
-        let sim = sim_config(1e-8);
-        for err in [
+        let mut errors = vec![
             ElectricGraph::from_system(a.clone(), b.clone()).unwrap_err(),
             DtmBuilder::new(a.clone(), b.clone())
                 .grid_blocks(6, 6, 2, 2)
                 .build()
                 .unwrap_err(),
-            solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim).unwrap_err(),
-            solve_sync(&a, &b, &asg, &topo, None, &sim).unwrap_err(),
-            solve_threaded(&algo, &a, &b, &asg, None, &threads(residual)).unwrap_err(),
-            solve_workstealing(&algo, &a, &b, &asg, None, &pool(residual)).unwrap_err(),
-        ] {
+        ];
+        for machine in &machines(Termination::Residual { tol: 1e-8 }, &topo) {
+            errors.push(solve(&ALGOS[2], &a, &b, &asg, None, machine).unwrap_err());
+        }
+        for err in errors {
             assert!(matches!(err, Error::NonFinite { index: 3, .. }), "{err}");
         }
         let elapsed = started.elapsed();
@@ -1276,18 +1088,16 @@ mod tests {
     fn delayed_threads_block_jacobi_converges() {
         let (a, b, asg, _) = setup(6, 3, 37);
         let exact = direct(&a, &b);
-        let config = ThreadedConfig {
+        let machine = Machine::Threads(ThreadedConfig {
             delay_topology: Some(
                 Topology::ring(3).with_delays(&DelayModel::uniform_ms(1.0, 9.0, 37)),
             ),
             delay_scale: 1e-3,
-            ..threads(Termination::Residual { tol: 1e-8 })
-        };
-        for algo in [
-            BaselineAlgo::BlockJacobi,
-            BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
-        ] {
-            let report = solve_threaded(&algo, &a, &b, &asg, None, &config).unwrap();
+            common: common(Termination::Residual { tol: 1e-8 }),
+            budget: Duration::from_secs(60),
+        });
+        for algo in [&ALGOS[2], &ALGOS[0]] {
+            let report = solve(algo, &a, &b, &asg, None, &machine).unwrap();
             let resid = report.final_residual;
             assert!(report.converged, "{algo:?}: resid {resid}");
             assert_eq!(report.backend, BackendKind::Threaded);
@@ -1302,37 +1112,38 @@ mod tests {
     #[test]
     fn delayed_threads_missing_link_is_a_typed_error() {
         let (a, b, asg, _) = setup(6, 3, 38);
-        let algo = BaselineAlgo::BlockJacobi;
+        let algo = &ALGOS[2];
         let no_links = ThreadedConfig {
             delay_topology: Some(Topology::from_links(3, vec![])),
             budget: Duration::from_secs(5),
             ..Default::default()
         };
-        let err = solve_threaded(&algo, &a, &b, &asg, None, &no_links).unwrap_err();
+        let err = solve(
+            algo,
+            &a,
+            &b,
+            &asg,
+            None,
+            &Machine::Threads(no_links.clone()),
+        )
+        .unwrap_err();
         assert!(
             format!("{err}").contains("no link"),
             "typed message, got: {err}"
         );
-        let wrong_count = ThreadedConfig {
+        let wrong_count = Machine::Threads(ThreadedConfig {
             delay_topology: Some(Topology::ring(4).with_delays(&DelayModel::fixed_ms(1.0))),
             ..no_links
-        };
-        let err = solve_threaded(&algo, &a, &b, &asg, None, &wrong_count).unwrap_err();
+        });
+        let err = solve(algo, &a, &b, &asg, None, &wrong_count).unwrap_err();
         assert!(matches!(err, Error::DimensionMismatch { .. }), "{err}");
-    }
-
-    /// `config` with an RMS tolerance and a 1 ms block solve.
-    fn oracle_config(tol: f64) -> DtmConfig {
-        DtmConfig {
-            compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
-            ..sim_machine(Termination::OracleRms { tol })
-        }
     }
 
     #[test]
     fn sync_block_jacobi_converges_and_charges_barrier() {
         let (a, b, asg, topo) = setup(8, 4, 52);
-        let report = solve_sync(&a, &b, &asg, &topo, None, &oracle_config(1e-8)).unwrap();
+        let machine = lockstep(common(Termination::OracleRms { tol: 1e-8 }), &topo);
+        let report = solve(&ALGOS[2], &a, &b, &asg, None, &machine).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
         assert_eq!(report.algorithm, AlgorithmKind::BlockJacobiSync);
         // Every round costs the slowest compute plus one exchange and one
@@ -1351,10 +1162,17 @@ mod tests {
     #[test]
     fn sync_and_async_agree_on_solution() {
         let (a, b, asg, topo) = setup(7, 3, 53);
-        let config = oracle_config(1e-9);
-        let s = solve_sync(&a, &b, &asg, &topo, None, &config).unwrap();
-        let algo = BaselineAlgo::BlockJacobi;
-        let r = solve_sim(&algo, &a, &b, &asg, topo, None, &config).unwrap();
+        let oracle = Termination::OracleRms { tol: 1e-9 };
+        let s = solve(
+            &ALGOS[2],
+            &a,
+            &b,
+            &asg,
+            None,
+            &lockstep(common(oracle), &topo),
+        )
+        .unwrap();
+        let r = solve(&ALGOS[2], &a, &b, &asg, None, &sim(common(oracle), &topo)).unwrap();
         assert!(s.converged && r.converged);
         for (u, v) in s.solution.iter().zip(&r.solution) {
             assert!((u - v).abs() < 1e-6);
@@ -1362,20 +1180,35 @@ mod tests {
     }
 
     /// The lock-step machine is the synchronous round loop: block-Jacobi
-    /// run 12 rounds at tolerance 0 by [`solve_sync`] and by a plain loop
-    /// — every node steps, then every message is delivered — agree bit for
-    /// bit, in the solution and in the metric after every round.
+    /// run 12 rounds at tolerance 0 on [`Machine::LockStep`] and by a plain
+    /// loop — every node steps, then every message is delivered — agree bit
+    /// for bit, in the solution and in the metric after every round.
     #[test]
     fn lockstep_machine_is_the_synchronous_round_loop_bit_for_bit() {
         let (a, b, asg, topo) = setup(8, 4, 35);
-        let mut config = oracle_config(0.0);
-        config.common.max_solves_per_node = 12;
-        let report = solve_sync(&a, &b, &asg, &topo, None, &config).unwrap();
+        let oracle = Termination::OracleRms { tol: 0.0 };
+        let twelve = CommonConfig {
+            max_solves_per_node: 12,
+            ..common(oracle)
+        };
+        let machine = lockstep(twelve, &topo);
+        let report = solve(&ALGOS[2], &a, &b, &asg, None, &machine).unwrap();
 
-        let algo = BaselineAlgo::BlockJacobi;
-        let (prepared, mut nodes) =
-            Prepared::new(&algo, &a, &b, &asg, None, &config.common).unwrap();
-        let mut monitor = prepared.spec().monitor(SimDuration::ZERO);
+        let pt = RowPartition::build(&a, &b, &asg).unwrap();
+        let mut nodes = ALGOS[2]
+            .build_nodes(&a, &pt, machine.common().unwrap())
+            .unwrap();
+        let copy_count = vec![1; a.n_rows()];
+        let rows = pt.rows.iter().map(Vec::as_slice).collect();
+        let map = GatherMap::new(rows, &copy_count, &a, vec![&b]);
+        let reference = [direct(&a, &b)];
+        let mut monitor = RunSpec {
+            algorithm: AlgorithmKind::BlockJacobiSync,
+            termination: oracle,
+            map,
+            references: Some(&reference),
+        }
+        .monitor(SimDuration::ZERO);
         let mut order: Vec<usize> = (0..nodes.len()).collect();
         let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
         let mut series = Vec::new();
@@ -1410,18 +1243,16 @@ mod tests {
         let b = vec![1.0; 81];
         let asg = dtm_graph::partition::grid_blocks(9, 9, 2, 2);
         let topo = Topology::mesh(2, 2).with_delays(&DelayModel::fixed_ms(1.0));
-        let mut config = oracle_config(0.0);
-        config.common.termination = Termination::LocalDelta {
+        let termination = Termination::LocalDelta {
             tol: 1e-14,
             patience: 4,
         };
-        config.common.max_solves_per_node = 3;
-        let algo = BaselineAlgo::BlockJacobi;
-        for report in [
-            solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config),
-            solve_sync(&a, &b, &asg, &topo, None, &config),
-        ] {
-            let report = report.unwrap();
+        let three = CommonConfig {
+            max_solves_per_node: 3,
+            ..common(termination)
+        };
+        for machine in [sim(three.clone(), &topo), lockstep(three, &topo)] {
+            let report = solve(&ALGOS[2], &a, &b, &asg, None, &machine).unwrap();
             assert_eq!(report.stop, StopKind::AllHalted);
             assert!(!report.converged, "rms {}", report.final_rms);
             assert_eq!(report.total_solves, 12);
@@ -1432,12 +1263,8 @@ mod tests {
     fn short_rhs_is_a_typed_error_on_both_entry_points() {
         let (a, b, asg, topo) = setup(6, 2, 56);
         let short = &b[..b.len() - 1];
-        let config = DtmConfig::default();
-        let algo = BaselineAlgo::BlockJacobi;
-        for err in [
-            solve_sim(&algo, &a, short, &asg, topo.clone(), None, &config).unwrap_err(),
-            solve_sync(&a, short, &asg, &topo, None, &config).unwrap_err(),
-        ] {
+        for machine in &machines(Termination::Residual { tol: 1e-8 }, &topo) {
+            let err = solve(&ALGOS[2], &a, short, &asg, None, machine).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1456,8 +1283,9 @@ mod tests {
     fn seeded_update_order_is_reproducible() {
         let (a, b, asg, topo) = setup(6, 2, 34);
         let algo = BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: 99 });
-        let r1 = solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim_config(1e-8)).unwrap();
-        let r2 = solve_sim(&algo, &a, &b, &asg, topo, None, &sim_config(1e-8)).unwrap();
+        let machine = sim(common(Termination::Residual { tol: 1e-8 }), &topo);
+        let r1 = solve(&algo, &a, &b, &asg, None, &machine).unwrap();
+        let r2 = solve(&algo, &a, &b, &asg, None, &machine).unwrap();
         assert_eq!(r1.total_solves, r2.total_solves);
         assert_eq!(r1.total_messages, r2.total_messages);
         assert_eq!(r1.solution, r2.solution, "deterministic per seed");

@@ -7,9 +7,9 @@
 
 use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
+use crate::machine::{self, Machine};
 use crate::report::SolveReport;
 use crate::solver::{self, ComputeModel, DtmConfig, Termination};
-use crate::vtm;
 use dtm_graph::evs::{split_parallel as evs_split_parallel, EvsOptions, SplitSystem, TwinTopology};
 use dtm_graph::partition::{PartitionConfig, Partitioner};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
@@ -37,9 +37,10 @@ pub struct DtmBuilder {
 pub struct DtmProblem {
     /// The torn system.
     pub split: SplitSystem,
-    /// The machine.
+    /// The simulated machine the builder chose — what
+    /// [`DtmBuilder::solve`] and [`rolling`](DtmProblem::rolling) run on.
     pub topology: Topology,
-    /// Solver configuration.
+    /// The builder's configuration of that machine.
     pub config: DtmConfig,
     /// Direct reference solution `A⁻¹ b` — computed at build time only for
     /// the termination modes that need an oracle
@@ -248,47 +249,76 @@ impl DtmBuilder {
         Ok((split, topology, self.config))
     }
 
-    /// Build and solve in one call.
+    /// Build and solve in one call, on the simulated machine the builder
+    /// describes.
     ///
     /// # Errors
-    /// See [`DtmBuilder::build`] and [`solver::solve`].
+    /// See [`DtmBuilder::build`] and [`DtmProblem::solve`].
     pub fn solve(self) -> Result<SolveReport> {
-        self.build()?.solve()
+        let DtmProblem {
+            split,
+            topology,
+            config,
+            reference,
+        } = self.build()?;
+        machine::solve_dtm(
+            &split,
+            None,
+            reference.map(|r| vec![r]),
+            None,
+            &Machine::Simulated { topology, config },
+        )
     }
 }
 
 impl DtmProblem {
-    /// Run DTM on the assembled problem.
+    /// Run DTM on the assembled problem on `machine` — one algorithm, any
+    /// machine (see [`Machine`]). The problem's own reference
+    /// solution, if it has one, is what RMS monitoring measures against.
     ///
     /// # Errors
-    /// See [`solver::solve`].
-    pub fn solve(&self) -> Result<SolveReport> {
-        solver::solve(
+    /// A NaN tolerance ([`Error::NonFinite`]), a machine whose link table
+    /// misses a wave route, or an impedance/factorization failure.
+    pub fn solve(&self, machine: &Machine) -> Result<SolveReport> {
+        machine::solve_dtm(
             &self.split,
-            self.topology.clone(),
-            self.reference.clone(),
-            &self.config,
+            None,
+            self.reference.clone().map(|r| vec![r]),
+            None,
+            machine,
         )
     }
 
     /// Run DTM for a block of `rhs_cols` global right-hand sides solved
-    /// simultaneously over one factorization per subdomain (see
-    /// [`solver::solve_block`]).
+    /// simultaneously over one factorization per subdomain: every wave
+    /// carries one `(u, ω)` value per column, and the run ends when the
+    /// *worst* column meets the stopping rule.
     ///
     /// # Errors
-    /// See [`solver::solve_block`]; a NaN or an infinity in a column is
-    /// [`Error::NonFinite`], naming its first such entry.
-    pub fn solve_block(&self, rhs_cols: &[Vec<f64>]) -> Result<SolveReport> {
-        for col in rhs_cols {
-            dtm_sparse::vector::require_finite("DtmProblem::solve_block column", col)?;
+    /// An empty block or a column of the wrong length is
+    /// [`Error::DimensionMismatch`]; a NaN or an infinity in a column is
+    /// [`Error::NonFinite`], naming its first such entry; otherwise see
+    /// [`solve`](Self::solve).
+    pub fn solve_block(&self, rhs_cols: &[Vec<f64>], machine: &Machine) -> Result<SolveReport> {
+        const CONTEXT: &str = "DtmProblem::solve_block column";
+        if rhs_cols.is_empty() {
+            return Err(Error::DimensionMismatch {
+                context: "DtmProblem::solve_block: at least one column",
+                expected: 1,
+                actual: 0,
+            });
         }
-        solver::solve_block(
-            &self.split,
-            self.topology.clone(),
-            rhs_cols,
-            None,
-            &self.config,
-        )
+        for col in rhs_cols {
+            if col.len() != self.split.original_n {
+                return Err(Error::DimensionMismatch {
+                    context: CONTEXT,
+                    expected: self.split.original_n,
+                    actual: col.len(),
+                });
+            }
+            dtm_sparse::vector::require_finite(CONTEXT, col)?;
+        }
+        machine::solve_dtm(&self.split, None, None, Some(rhs_cols), machine)
     }
 
     /// Open a streaming session on the simulated machine: every subdomain
@@ -329,35 +359,16 @@ impl DtmProblem {
         })
     }
 
-    /// Run VTM (synchronous rounds) on the same torn system under the
-    /// problem's own [`CommonConfig`](crate::runtime::CommonConfig) — the
-    /// paper's DTM-vs-VTM comparison uses exactly this pairing.
-    ///
-    /// # Errors
-    /// See [`vtm::solve`].
-    pub fn solve_vtm(&self) -> Result<SolveReport> {
-        vtm::solve(&self.split, self.reference.clone(), &self.config.common)
-    }
-
-    /// Run DTM on real OS threads over the same torn system — one
-    /// algorithm, another machine (see [`crate::runtime`]).
-    ///
-    /// # Errors
-    /// See [`crate::threaded::solve`].
-    pub fn solve_threaded(&self, config: &crate::threaded::ThreadedConfig) -> Result<SolveReport> {
-        crate::threaded::solve_with_reference(&self.split, self.reference.clone(), config)
-    }
-
-    /// Run DTM on the in-process work-stealing pool over the same torn
-    /// system.
-    ///
-    /// # Errors
-    /// See [`crate::rayon_backend::solve`].
-    pub fn solve_workstealing(
-        &self,
-        config: &crate::rayon_backend::RayonConfig,
-    ) -> Result<SolveReport> {
-        crate::rayon_backend::solve_with_reference(&self.split, self.reference.clone(), config)
+    /// A problem over a bare split: no reference, the builder's default
+    /// machine.
+    #[cfg(test)]
+    pub(crate) fn of_split(split: SplitSystem) -> Self {
+        Self {
+            topology: Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(1.0)),
+            config: DtmConfig::default(),
+            reference: None,
+            split,
+        }
     }
 }
 
@@ -365,6 +376,14 @@ impl DtmProblem {
 mod tests {
     use super::*;
     use dtm_sparse::generators;
+
+    /// The simulated machine the builder chose for `p`.
+    fn own_machine(p: &DtmProblem) -> Machine {
+        Machine::Simulated {
+            topology: p.topology.clone(),
+            config: p.config.clone(),
+        }
+    }
 
     #[test]
     fn quickstart_grid_blocks() {
@@ -421,7 +440,7 @@ mod tests {
         for (got, want) in auto.split.subdomains.iter().zip(&explicit.split.subdomains) {
             assert_eq!(got.global_of_local, want.global_of_local);
         }
-        let report = auto.solve().unwrap();
+        let report = auto.solve(&own_machine(&auto)).unwrap();
         assert!(report.converged);
         assert!(a.residual_norm(&report.solution, &b) < 1e-5);
     }
@@ -441,8 +460,13 @@ mod tests {
             .grid_blocks(8, 8, 2, 2)
             .build()
             .unwrap();
-        let dtm = problem.solve().unwrap();
-        let vtm = problem.solve_vtm().unwrap();
+        let dtm = problem.solve(&own_machine(&problem)).unwrap();
+        let vtm = problem
+            .solve(&Machine::LockStep {
+                common: problem.config.common.clone(),
+                price: None,
+            })
+            .unwrap();
         assert!(dtm.converged && vtm.converged);
         for (u, v) in dtm.solution.iter().zip(&vtm.solution) {
             assert!((u - v).abs() < 1e-5);
@@ -493,8 +517,14 @@ mod tests {
             .build()
             .unwrap();
         let mut session = problem.rolling(1).unwrap();
-        let rule = Termination::Residual { tol: 1e-6 };
-        assert!(session.submit(&[1.0; 35], rule).is_err());
+        // An oracle ticket is checked before its reference is solved: a
+        // wrong length used to panic inside the direct solve.
+        for rule in [
+            Termination::Residual { tol: 1e-6 },
+            Termination::OracleRms { tol: 1e-6 },
+        ] {
+            assert!(session.submit(&[1.0; 35], rule).is_err());
+        }
         assert_eq!(session.outstanding(), 0);
     }
 
@@ -508,7 +538,7 @@ mod tests {
             .build()
             .unwrap();
         let cols: Vec<Vec<f64>> = (0..3).map(|c| generators::random_rhs(81, 90 + c)).collect();
-        let report = problem.solve_block(&cols).unwrap();
+        let report = problem.solve_block(&cols, &own_machine(&problem)).unwrap();
         assert!(report.converged);
         assert_eq!(report.n_rhs, 3);
         assert_eq!(report.final_rms_per_rhs.len(), 3);
@@ -557,7 +587,9 @@ mod tests {
             .unwrap();
         let mut cols = vec![vec![1.0; 36], vec![2.0; 36]];
         cols[1][35] = f64::NEG_INFINITY;
-        let err = problem.solve_block(&cols).unwrap_err();
+        let err = problem
+            .solve_block(&cols, &own_machine(&problem))
+            .unwrap_err();
         assert!(matches!(err, Error::NonFinite { index: 35, .. }), "{err}");
     }
 

@@ -5,9 +5,10 @@
 //! machine; [`AsyncNode`] + [`Transport`](crate::runtime::Transport) say so
 //! in types, and this module is the other half of the claim: each way of
 //! running nodes against the wall clock is written **once**, generic over
-//! the node. DTM ([`crate::rayon_backend`], [`crate::threaded`]), the
-//! randomized-asynchrony baselines ([`crate::async_baselines`]) and the
-//! rolling sessions ([`crate::session`]) are callers.
+//! the node. The one-shot solves of every algorithm (through
+//! [`Machine::Threads`](crate::Machine::Threads) and
+//! [`Machine::Pool`](crate::Machine::Pool)) and the rolling sessions
+//! ([`crate::session`]) are callers.
 //!
 //! * [`Pool`] — a few resident workers draining **one ready queue** of
 //!   part ids ([`ReadyQueue`]): a wave is an inbox entry plus a place in
@@ -30,7 +31,7 @@
 //!
 //! # Halting is a state, not an exit
 //!
-//! Under [`Termination::LocalDelta`] a node whose step returns
+//! Under [`Termination::LocalDelta`](crate::runtime::Termination::LocalDelta) a node whose step returns
 //! [`NodeControl::Converged`] goes **passive**: it is no longer kicked, and
 //! the waves of that very step — sub-tolerance by definition — are dropped
 //! at passive receivers (which is what lets the exchange die out). But it
@@ -46,17 +47,12 @@
 //! a zero delta, which lets the Table 1 step 3.3 streak complete.
 
 use crate::monitor::{next_poll, wall_time, POLL_INTERVAL};
-use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
+use crate::report::{BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::wallclock::SharedBlock;
-use crate::runtime::{
-    self, AsyncNode, CommonConfig, DtmMsg, GatherMap, NodeControl, NodeRuntime, RunSpec,
-    Termination,
-};
+use crate::runtime::{AsyncNode, DtmMsg, NodeControl, RunSpec};
 use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicUsize, Condvar, Mutex, Ordering};
-use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{SimDuration, Topology};
-use dtm_sparse::Result;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -912,69 +908,11 @@ pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     })
 }
 
-/// Which fabric a one-shot DTM solve starts, with that fabric's own knobs.
-pub(crate) enum WallFabric<'a> {
-    /// [`Threads`], optionally holding each wave for its link's delay in
-    /// this topology times the scale.
-    Threads { delay: Option<(&'a Topology, f64)> },
-    /// [`Pool`] with this many workers (`0` = available parallelism).
-    Pool { num_threads: usize },
-}
-
-/// The one-shot wall-clock DTM solve behind every entry point of
-/// [`crate::threaded`] and [`crate::rayon_backend`], scalar and block.
-/// `references` are the caller's own, if any (the oracle solve is performed
-/// only for the termination modes that need one); `rhs_cols` names the
-/// block's global right-hand sides (`None` = the split's own source
-/// vector).
-pub(crate) fn solve_dtm(
-    split: &SplitSystem,
-    runtimes: Vec<NodeRuntime>,
-    references: Option<Vec<Vec<f64>>>,
-    rhs_cols: Option<&[Vec<f64>]>,
-    common: &CommonConfig,
-    budget: Duration,
-    on: WallFabric<'_>,
-) -> Result<SolveReport> {
-    let n_rhs = runtimes.first().map_or(1, |rt| rt.local().n_rhs());
-    // Validate an injected delay topology up front: every wave route needs
-    // a directed link — a typed error here, not a surprise mid-run.
-    if let WallFabric::Threads {
-        delay: Some((topo, _)),
-    } = on
-    {
-        crate::solver::check_mapping(split, topo)?;
-    }
-    let (a, own_b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
-    let references = runtime::resolve_references(&map, common.termination, references)?;
-    let self_halting = matches!(common.termination, Termination::LocalDelta { .. });
-    let wall = |backend| WallRun {
-        spec: RunSpec {
-            algorithm: AlgorithmKind::Dtm,
-            termination: common.termination,
-            map,
-            references: references.as_deref(),
-        },
-        backend,
-        budget,
-    };
-    Ok(match on {
-        WallFabric::Threads { delay } => run(
-            Threads::start(runtimes, n_rhs, delay, self_halting, no_hook()),
-            &wall(BackendKind::Threaded),
-        ),
-        WallFabric::Pool { num_threads } => run(
-            Pool::start(runtimes, n_rhs, num_threads, self_halting, no_hook()),
-            &wall(BackendKind::WorkStealing),
-        ),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::Transport;
+    use crate::report::AlgorithmKind;
+    use crate::runtime::{self, CommonConfig, GatherMap, Termination, Transport};
     use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;

@@ -258,20 +258,7 @@ pub fn per_port(split: &SplitSystem, z_per_dtlp: &[f64]) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_graph::evs::{paper_example_shares, split, EvsOptions};
-    use dtm_graph::{ElectricGraph, PartitionPlan};
-    use dtm_sparse::generators;
-
-    fn paper_split() -> SplitSystem {
-        let (a, b) = generators::paper_example_system();
-        let g = ElectricGraph::from_system(a, b).unwrap();
-        let plan = PartitionPlan::from_assignment(&g, &[0, 0, 1, 1]).unwrap();
-        let options = EvsOptions {
-            explicit: paper_example_shares(),
-            ..Default::default()
-        };
-        split(&g, &plan, &options).unwrap()
-    }
+    use crate::machine::tests::paper_split;
 
     #[test]
     fn fixed_assigns_everywhere() {

@@ -33,29 +33,32 @@
 //!   the system it scores a run against ([`runtime::GatherMap`]); and, in
 //!   [`runtime::wallclock`], the block a wall-clock worker publishes its
 //!   solution through;
+//! * [`Machine`] — **the machine as a value**: the simulated machine, the
+//!   lock-step one, one OS thread per part or the worker pool, and the one
+//!   dispatch every algorithm's one-shot solve goes through. DTM's entry
+//!   points are [`DtmProblem::solve`] and [`DtmProblem::solve_block`] over
+//!   a `Machine`; VTM (eq. 5.10) is DTM on [`Machine::LockStep`];
 //! * [`fabric`] — **the two wall-clock fabrics**, each written once and
 //!   generic over the node: resident workers on one ready queue, and one
 //!   OS thread per node; plus the per-node hook and the LocalDelta
-//!   passive/re-arm rule. Every real-time executor below is a caller;
+//!   passive/re-arm rule. [`Machine::Pool`], [`Machine::Threads`] and the
+//!   rolling sessions run there;
 //! * [`solver`] — the simulated executor: the one adapter between a node
-//!   and a `dtm-simnet` processor, its engine loop, DTM's entry points on
-//!   the simulated heterogeneous machine, and the lock-step machine
-//!   (every link one round) that synchronous rounds run on;
-//! * [`threaded`] — caller: DTM on real OS threads and channels
-//!   (genuinely asynchronous execution);
-//! * [`rayon_backend`] — caller: DTM as tasks on an in-process
-//!   work-stealing pool;
-//! * [`vtm`] — the Virtual Transmission Method (eq. 5.10): one thin entry
-//!   point — DTM's own nodes on the lock-step machine;
+//!   and a `dtm-simnet` processor, its engine loop (under
+//!   [`Machine::Simulated`]), and the lock-step machine (every link one
+//!   round) that synchronous rounds run on;
+//! * [`threaded`] — [`Machine::Threads`]' configuration and its form over
+//!   prebuilt nodes;
+//! * [`rayon_backend`] — [`Machine::Pool`]'s configuration and its form
+//!   over prebuilt nodes;
 //! * [`async_baselines`] — **the baselines**: randomized asynchronous
 //!   Richardson (Avron et al. 2013), Hong's D-iteration (2012) and
 //!   block-Jacobi as first-class peer solvers behind the same
 //!   [`runtime::AsyncNode`] / [`runtime::Transport`] contract — three node
-//!   state machines, run by the same three executors as DTM, on the same
-//!   machine configs (callers of [`fabric`] and [`solver`]), and compared
-//!   message for message by `repro compare`; block-Jacobi's nodes on the lock-step machine are
-//!   the synchronous baseline the paper's introduction measures DTM
-//!   against;
+//!   state machines, one entry point ([`async_baselines::solve`]) over the
+//!   same [`Machine`]s as DTM, compared message for message by `repro
+//!   compare`; block-Jacobi on [`Machine::LockStep`] is the synchronous
+//!   baseline the paper's introduction measures DTM against;
 //! * [`analysis`] — spectral radius of the VTM iteration operator
 //!   (quantitative convergence rates, Fig. 9 cross-check);
 //! * [`monitor`] — **the one scorer** of every executor, one-shot or
@@ -76,17 +79,27 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dtm_core::DtmBuilder;
+//! use dtm_core::rayon_backend::RayonConfig;
+//! use dtm_core::{DtmBuilder, Machine};
 //! use dtm_sparse::generators;
 //!
 //! let a = generators::grid2d_laplacian(9, 9);
 //! let b = vec![1.0; a.n_rows()];
-//! let report = DtmBuilder::new(a.clone(), b.clone())
+//! let problem = DtmBuilder::new(a.clone(), b.clone())
 //!     .grid_blocks(9, 9, 2, 2)
-//!     .solve()
+//!     .build()
 //!     .unwrap();
-//! assert!(report.converged);
-//! assert!(a.residual_norm(&report.solution, &b) < 1e-6);
+//! // The same torn system on the simulated machine and on the worker pool.
+//! let simulated = Machine::Simulated {
+//!     topology: problem.topology.clone(),
+//!     config: problem.config.clone(),
+//! };
+//! let pool = Machine::Pool(RayonConfig::default());
+//! for machine in [simulated, pool] {
+//!     let report = problem.solve(&machine).unwrap();
+//!     assert!(report.converged);
+//!     assert!(a.residual_norm(&report.solution, &b) < 1e-6);
+//! }
 //! ```
 
 pub mod analysis;
@@ -96,6 +109,7 @@ pub mod dtl;
 pub mod fabric;
 pub mod impedance;
 pub mod local;
+mod machine;
 pub mod monitor;
 pub mod rayon_backend;
 pub mod report;
@@ -104,12 +118,13 @@ pub mod session;
 pub mod solver;
 pub mod sync;
 pub mod threaded;
-pub mod vtm;
+mod vtm;
 
 pub use async_baselines::{BaselineAlgo, RichardsonParams};
 pub use builder::{DtmBuilder, DtmProblem};
 pub use impedance::ImpedancePolicy;
 pub use local::LocalSystem;
+pub use machine::Machine;
 pub use report::{AlgorithmKind, BackendKind, SolveReport};
 pub use runtime::{
     AsyncNode, CommonConfig, ExecutorBackend, NodeRuntime, SmallBlock, Termination, Transport,

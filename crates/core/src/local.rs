@@ -469,20 +469,10 @@ fn concat_cols(cols: &[Vec<f64>], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_graph::evs::{paper_example_shares, split, EvsOptions, SplitSystem};
+    use crate::machine::tests::paper_split;
+    use dtm_graph::evs::{split, EvsOptions, SplitSystem};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;
-
-    fn paper_split() -> SplitSystem {
-        let (a, b) = generators::paper_example_system();
-        let g = ElectricGraph::from_system(a, b).unwrap();
-        let plan = PartitionPlan::from_assignment(&g, &[0, 0, 1, 1]).unwrap();
-        let options = EvsOptions {
-            explicit: paper_example_shares(),
-            ..Default::default()
-        };
-        split(&g, &plan, &options).unwrap()
-    }
 
     #[test]
     fn example_5_4_local_matrix_exact() {

@@ -264,6 +264,25 @@ impl Termination {
             Termination::LocalDelta { .. } => None,
         }
     }
+
+    /// Refuse a NaN tolerance — no metric or delta ever compares below
+    /// one, so every executor would run out its budget and report
+    /// unconverged. `0` (run to the cap) and `∞` stay legal. The one check
+    /// of the stopping rule: every one-shot entry point passes it through
+    /// [`Machine`](crate::Machine), every session ticket at `submit`.
+    pub(crate) fn check(self) -> Result<Self> {
+        let (Termination::OracleRms { tol }
+        | Termination::Residual { tol }
+        | Termination::LocalDelta { tol, .. }) = self;
+        if tol.is_nan() {
+            return Err(dtm_sparse::Error::NonFinite {
+                context: "termination tolerance",
+                index: 0,
+                value: tol,
+            });
+        }
+        Ok(self)
+    }
 }
 
 /// Configuration shared by every executor backend: everything that
@@ -1063,9 +1082,10 @@ pub mod wallclock {
 /// the [module docs](self): nodes run only in response to arriving waves
 /// (after their initial solve), and per-pair message order is FIFO.
 ///
-/// This crate's own executors are the free functions `solve` of
-/// [`crate::solver`], [`crate::threaded`] and [`crate::rayon_backend`];
-/// the implementor is the multi-process `dtm_net::DistributedBackend`.
+/// This crate's own executors are the [`Machine`](crate::Machine)
+/// variants, run by [`DtmProblem::solve`](crate::DtmProblem::solve); the
+/// implementor of this trait is the multi-process
+/// `dtm_net::DistributedBackend`.
 pub trait ExecutorBackend {
     /// Backend-specific knobs (time budgets, delay shaping, thread
     /// counts). Every config embeds [`CommonConfig`].
@@ -1093,20 +1113,7 @@ pub trait ExecutorBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_graph::evs::{paper_example_shares, split as evs_split, EvsOptions};
-    use dtm_graph::{ElectricGraph, PartitionPlan};
-    use dtm_sparse::generators;
-
-    fn paper_split() -> SplitSystem {
-        let (a, b) = generators::paper_example_system();
-        let g = ElectricGraph::from_system(a, b).unwrap();
-        let plan = PartitionPlan::from_assignment(&g, &[0, 0, 1, 1]).unwrap();
-        let options = EvsOptions {
-            explicit: paper_example_shares(),
-            ..Default::default()
-        };
-        evs_split(&g, &plan, &options).unwrap()
-    }
+    use crate::machine::tests::paper_split;
 
     fn paper_common() -> CommonConfig {
         CommonConfig {

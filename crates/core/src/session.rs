@@ -177,20 +177,15 @@ impl SessionQueue {
         self.pending() + self.active()
     }
 
-    /// Queue a right-hand side under its own stopping rule.
+    /// Refuse a ticket no session can serve — the check every rolling
+    /// driver's `submit` makes before anything else.
     ///
     /// # Errors
-    /// Rejects wrong-length vectors, non-finite entries (naming the first)
-    /// and [`Termination::LocalDelta`] (rolling sessions need nodes that
-    /// keep exchanging; per-node self-halt cannot coexist with mid-exchange
-    /// admission).
-    fn submit(
-        &mut self,
-        b: &[f64],
-        termination: Termination,
-        reference: Option<Vec<f64>>,
-        now_ms: f64,
-    ) -> Result<TicketId> {
+    /// Rejects wrong-length vectors, non-finite entries (naming the first),
+    /// a NaN tolerance and [`Termination::LocalDelta`] (rolling sessions
+    /// need nodes that keep exchanging; per-node self-halt cannot coexist
+    /// with mid-exchange admission).
+    fn check(&self, b: &[f64], termination: Termination) -> Result<()> {
         if b.len() != self.n {
             return Err(Error::DimensionMismatch {
                 context: "rolling session submit",
@@ -199,13 +194,25 @@ impl SessionQueue {
             });
         }
         dtm_sparse::vector::require_finite("rolling session submit", b)?;
-        if matches!(termination, Termination::LocalDelta { .. }) {
+        if matches!(termination.check()?, Termination::LocalDelta { .. }) {
             return Err(Error::Parse(
                 "rolling sessions accept Residual or OracleRms tickets; LocalDelta \
                  self-halt would retire nodes the session still needs"
                     .into(),
             ));
         }
+        Ok(())
+    }
+
+    /// Queue a [`check`](Self::check)ed right-hand side under its own
+    /// stopping rule.
+    fn submit(
+        &mut self,
+        b: &[f64],
+        termination: Termination,
+        reference: Option<Vec<f64>>,
+        now_ms: f64,
+    ) -> TicketId {
         debug_assert_eq!(
             matches!(termination, Termination::OracleRms { .. }),
             reference.is_some(),
@@ -220,7 +227,7 @@ impl SessionQueue {
             reference,
             submitted_at_ms: now_ms,
         });
-        Ok(id)
+        id
     }
 
     /// Lowest-numbered idle slot, if any.
@@ -411,15 +418,16 @@ impl RollingSession {
     /// is).
     ///
     /// # Errors
-    /// Rejects wrong-length vectors, non-finite entries (naming the first)
-    /// and [`Termination::LocalDelta`]; `OracleRms` tickets additionally
-    /// factor the original system once per session.
+    /// Rejects wrong-length vectors, non-finite entries (naming the first),
+    /// a NaN tolerance and [`Termination::LocalDelta`]; `OracleRms` tickets
+    /// additionally factor the original system once per session.
     pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
+        self.queue.check(b, termination)?;
         let reference = self
             .oracle
             .for_ticket(self.monitor.matrix(), b, termination)?;
         let now_ms = self.engine.now().as_millis_f64();
-        let id = self.queue.submit(b, termination, reference, now_ms)?;
+        let id = self.queue.submit(b, termination, reference, now_ms);
         self.admit_idle_slots();
         Ok(id)
     }
@@ -611,11 +619,12 @@ impl<F: Fabric> WallclockSession<F> {
                 "rolling session is finished; its nodes are stopped".into(),
             ));
         }
+        self.queue.check(b, termination)?;
         let reference = self
             .oracle
             .for_ticket(self.monitor.matrix(), b, termination)?;
         let now_ms = self.now_ms();
-        let id = self.queue.submit(b, termination, reference, now_ms)?;
+        let id = self.queue.submit(b, termination, reference, now_ms);
         self.pump();
         Ok(id)
     }
@@ -730,22 +739,21 @@ mod tests {
     fn queue_rejects_local_delta_and_wrong_lengths() {
         let mut q = SessionQueue::new(4, 2);
         assert!(q
-            .submit(&[1.0; 3], Termination::Residual { tol: 1e-6 }, None, 0.0)
+            .check(&[1.0; 3], Termination::Residual { tol: 1e-6 })
             .is_err());
         assert!(q
-            .submit(
+            .check(
                 &[1.0; 4],
                 Termination::LocalDelta {
                     tol: 1e-9,
                     patience: 2
                 },
-                None,
-                0.0
             )
             .is_err());
-        let id = q
-            .submit(&[1.0; 4], Termination::Residual { tol: 1e-6 }, None, 0.0)
-            .unwrap();
+        assert!(q
+            .check(&[1.0; 4], Termination::Residual { tol: f64::NAN })
+            .is_err());
+        let id = q.submit(&[1.0; 4], Termination::Residual { tol: 1e-6 }, None, 0.0);
         assert_eq!(id, TicketId(0));
         assert_eq!(q.outstanding(), 1);
         assert_eq!(q.pending(), 1);
@@ -756,9 +764,9 @@ mod tests {
         // The one queue all three sessions share names the first bad entry;
         // nothing is queued.
         let rule = Termination::Residual { tol: 1e-6 };
-        let mut q = SessionQueue::new(4, 2);
+        let q = SessionQueue::new(4, 2);
         let err = q
-            .submit(&[1.0, f64::NAN, f64::INFINITY, 1.0], rule, None, 0.0)
+            .check(&[1.0, f64::NAN, f64::INFINITY, 1.0], rule)
             .unwrap_err();
         assert!(matches!(err, Error::NonFinite { index: 1, .. }), "{err}");
         assert_eq!(q.outstanding(), 0);
@@ -774,12 +782,8 @@ mod tests {
     #[test]
     fn queue_admission_and_retirement_lifecycle() {
         let mut q = SessionQueue::new(2, 1);
-        let t0 = q
-            .submit(&[1.0, 2.0], Termination::Residual { tol: 1e-6 }, None, 1.0)
-            .unwrap();
-        let t1 = q
-            .submit(&[3.0, 4.0], Termination::Residual { tol: 1e-3 }, None, 2.0)
-            .unwrap();
+        let t0 = q.submit(&[1.0, 2.0], Termination::Residual { tol: 1e-6 }, None, 1.0);
+        let t1 = q.submit(&[3.0, 4.0], Termination::Residual { tol: 1e-3 }, None, 2.0);
         assert_eq!(q.idle_slot(), Some(0));
         assert_eq!(q.admit_into(0).unwrap().id, t0);
         assert_eq!(q.idle_slot(), None, "single slot occupied");
@@ -843,14 +847,12 @@ mod tests {
                     clock += 1.0;
                     match op {
                         Op::Submit => {
-                            let id = q
-                                .submit(
-                                    &[1.0, 2.0, 3.0],
-                                    Termination::Residual { tol: 1e-6 },
-                                    None,
-                                    clock,
-                                )
-                                .unwrap();
+                            let id = q.submit(
+                                &[1.0, 2.0, 3.0],
+                                Termination::Residual { tol: 1e-6 },
+                                None,
+                                clock,
+                            );
                             prop_assert_eq!(id, TicketId(submitted), "ids are sequential");
                             submitted += 1;
                         }
@@ -935,7 +937,7 @@ mod tests {
                     } else {
                         Termination::Residual { tol: 1e-3 }
                     };
-                    q.submit(&[1.0, 2.0], term, None, clock).unwrap();
+                    q.submit(&[1.0, 2.0], term, None, clock);
                 }
                 let mut retired = 0;
                 while retired < gaps.len() {

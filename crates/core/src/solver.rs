@@ -13,15 +13,15 @@
 //!
 //! Synchronous rounds are a machine here, not a loop: `run_lockstep` puts
 //! any nodes on the complete machine whose every link takes one round —
-//! VTM ([`crate::vtm`]) and synchronous block-Jacobi
-//! ([`crate::async_baselines::solve_sync`]) run on it through the same
-//! engine loop as DTM.
+//! [`Machine::LockStep`](crate::Machine::LockStep), where VTM is DTM and
+//! synchronous block-Jacobi is block-Jacobi — through the same engine loop
+//! as DTM.
 
 use crate::local::LocalSystem;
-use crate::report::{AlgorithmKind, BackendKind, RunSummary, SolveReport, StopKind, Totals};
+use crate::report::{BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::{
-    self, build_nodes as build_runtime_nodes, AsyncNode, CommonConfig, GatherMap, NodeRuntime,
-    RunSpec, Transport,
+    self, build_nodes as build_runtime_nodes, AsyncNode, CommonConfig, NodeRuntime, RunSpec,
+    Transport,
 };
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{
@@ -212,9 +212,10 @@ pub fn build_nodes(
     config: &DtmConfig,
 ) -> Result<Vec<DtmNode>> {
     check_mapping(split, topology)?;
-    Ok(map_nodes(
+    Ok(on_processors(
         build_runtime_nodes(split, &config.common)?,
-        config,
+        &config.compute,
+        1,
     ))
 }
 
@@ -231,118 +232,63 @@ pub fn build_nodes_block(
     rhs_cols: &[Vec<f64>],
 ) -> Result<Vec<DtmNode>> {
     check_mapping(split, topology)?;
-    Ok(map_nodes(
+    Ok(on_processors(
         runtime::build_nodes_block(split, &config.common, rhs_cols)?,
-        config,
+        &config.compute,
+        rhs_cols.len(),
     ))
 }
 
 /// Check the algorithm-architecture mapping before the (dominant)
-/// factorization cost: every DTLP needs a directed machine link. Shared
-/// with [`DtmBuilder::build`](crate::builder::DtmBuilder::build), so a
-/// malformed machine surfaces as a typed error at assembly time instead of
-/// a [`dtm_simnet::MissingLink`] panic mid-run.
-pub(crate) fn check_mapping(split: &SplitSystem, topology: &Topology) -> Result<()> {
-    if topology.n_nodes() != split.n_parts() {
+/// factorization cost: one processor per part, and a directed link for
+/// every pair `(p, q)` of parts a run sends over — a typed error, not a
+/// [`dtm_simnet::MissingLink`] panic mid-run. DTM's pairs are its DTLPs
+/// ([`check_mapping`]), the baselines' their coupled partitions.
+pub(crate) fn check_links(
+    topology: &Topology,
+    n_parts: usize,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) -> Result<()> {
+    if topology.n_nodes() != n_parts {
         return Err(Error::DimensionMismatch {
-            context: "DTM: one processor per subdomain",
-            expected: split.n_parts(),
+            context: "one processor per part",
+            expected: n_parts,
             actual: topology.n_nodes(),
         });
     }
-    for (p, sd) in split.subdomains.iter().enumerate() {
-        for port in &sd.ports {
-            let dst = port.peer.part;
-            if let Err(missing) = topology.try_delay(p, dst) {
-                return Err(Error::Parse(format!(
-                    "subdomains {p} and {dst} share a DTLP but {missing}; \
-                     delay mapping impossible"
-                )));
-            }
+    for (p, q) in pairs {
+        if let Err(missing) = topology.try_delay(p, q) {
+            return Err(Error::Parse(format!(
+                "parts {p} and {q} are coupled but {missing}; delay mapping impossible"
+            )));
         }
     }
     Ok(())
 }
 
-/// Attach per-activation compute durations to shared runtimes.
-fn map_nodes(runtimes: Vec<NodeRuntime>, config: &DtmConfig) -> Vec<DtmNode> {
-    runtimes
+/// [`check_links`] over `split`'s DTLPs — shared with
+/// [`DtmBuilder::build`](crate::builder::DtmBuilder::build), so a
+/// malformed machine surfaces at assembly time.
+pub(crate) fn check_mapping(split: &SplitSystem, topology: &Topology) -> Result<()> {
+    let dtlps = split.subdomains.iter().enumerate();
+    let pairs = dtlps.flat_map(|(p, sd)| sd.ports.iter().map(move |port| (p, port.peer.part)));
+    check_links(topology, split.n_parts(), pairs)
+}
+
+/// Put each node on a simulated processor whose activations cost
+/// `compute` of the node's working set over `k` columns.
+pub(crate) fn on_processors<N: AsyncNode>(
+    nodes: Vec<N>,
+    compute: &ComputeModel,
+    k: usize,
+) -> Vec<SimNode<N>> {
+    nodes
         .into_iter()
         .map(|inner| SimNode {
-            compute: config.compute.duration_for(inner.local()),
+            compute: compute.duration_for_block(inner.work_nnz(), k),
             inner,
         })
         .collect()
-}
-
-/// Run DTM to completion on a simulated machine.
-///
-/// `reference` is the direct solution used for RMS monitoring; when `None`
-/// it is computed here by sparse Cholesky on the reconstructed system.
-///
-/// # Errors
-/// Propagates node-construction failures (see [`build_nodes`]).
-pub fn solve(
-    split: &SplitSystem,
-    topology: Topology,
-    reference: Option<Vec<f64>>,
-    config: &DtmConfig,
-) -> Result<SolveReport> {
-    let nodes = build_nodes(split, &topology, config)?;
-    let references = reference.map(|r| vec![r]);
-    run_nodes(split, topology, nodes, references, None, config)
-}
-
-/// Run DTM for a **block of right-hand sides** sharing one factorization
-/// per subdomain: every wave carries one `(u, ω)` value per column, and the
-/// run ends when the *worst* column meets the stopping rule.
-///
-/// `rhs_cols` are global right-hand-side vectors; `references` optionally
-/// supplies their precomputed direct solutions (same column order).
-///
-/// # Errors
-/// Propagates node-construction failures (see [`build_nodes_block`]).
-pub fn solve_block(
-    split: &SplitSystem,
-    topology: Topology,
-    rhs_cols: &[Vec<f64>],
-    references: Option<Vec<Vec<f64>>>,
-    config: &DtmConfig,
-) -> Result<SolveReport> {
-    let nodes = build_nodes_block(split, &topology, config, rhs_cols)?;
-    run_nodes(split, topology, nodes, references, Some(rhs_cols), config)
-}
-
-/// The body of both DTM entry points above: fill in missing `references`
-/// for the termination modes that need an oracle
-/// ([`runtime::resolve_references`]) and run the engine. `rhs_cols` names
-/// the global right-hand-side columns the nodes were built with (`None` =
-/// the split's own source vector).
-fn run_nodes(
-    split: &SplitSystem,
-    topology: Topology,
-    nodes: Vec<DtmNode>,
-    references: Option<Vec<Vec<f64>>>,
-    rhs_cols: Option<&[Vec<f64>]>,
-    config: &DtmConfig,
-) -> Result<SolveReport> {
-    let (a, own_b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
-    let references = runtime::resolve_references(&map, config.common.termination, references)?;
-    Ok(run_engine(
-        topology,
-        nodes,
-        &SimRun {
-            spec: RunSpec {
-                algorithm: AlgorithmKind::Dtm,
-                termination: config.common.termination,
-                map,
-                references: references.as_deref(),
-            },
-            horizon: config.horizon,
-            sample_interval: config.sample_interval,
-        },
-    ))
 }
 
 /// What [`run_engine`] needs besides the machine and its nodes.
@@ -397,6 +343,27 @@ pub(crate) fn run_engine<N: AsyncNode>(
         coalesced_batches: stats.coalesced_batches,
         n_parts,
     })
+}
+
+/// What one synchronous round of `nodes` (each solving `k` columns) costs
+/// on the report's clock: 1 ms on the bare lock-step machine, so the time
+/// reads as rounds; priced on a simulated machine `(topology, compute)`,
+/// the slowest node's compute plus twice the largest link delay — one
+/// exchange and one barrier.
+pub(crate) fn round_price<N: AsyncNode>(
+    nodes: &[N],
+    k: usize,
+    price: Option<&(Topology, ComputeModel)>,
+) -> SimDuration {
+    let Some((topology, compute)) = price else {
+        return SimDuration::from_nanos(1_000_000);
+    };
+    let slowest = nodes
+        .iter()
+        .map(|n| compute.duration_for_block(n.work_nnz(), k))
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+    slowest + topology.delay_range().1.saturating_mul(2)
 }
 
 /// The lock-step machine: [`run_engine`] on the complete machine whose
@@ -456,7 +423,9 @@ mod tests {
     use super::*;
     use crate::impedance::{per_port, ImpedancePolicy};
     use crate::local::{LocalSolverKind, LocalSystem};
-    use dtm_graph::evs::{paper_example_shares, split as evs_split, EvsOptions};
+    use crate::machine::tests::paper_split;
+    use crate::{DtmProblem, Machine};
+    use dtm_graph::evs::{split as evs_split, EvsOptions};
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_simnet::DelayModel;
     use dtm_sparse::generators;
@@ -464,14 +433,6 @@ mod tests {
     /// The paper's Example 5.1 setup: two processors, delays 6.7 µs and
     /// 2.9 µs, impedances Z₂ = 0.2 and Z₃ = 0.1.
     fn example_5_1() -> (SplitSystem, Topology) {
-        let (a, b) = generators::paper_example_system();
-        let g = ElectricGraph::from_system(a, b).unwrap();
-        let plan = PartitionPlan::from_assignment(&g, &[0, 0, 1, 1]).unwrap();
-        let options = EvsOptions {
-            explicit: paper_example_shares(),
-            ..Default::default()
-        };
-        let ss = evs_split(&g, &plan, &options).unwrap();
         let topo = Topology::from_links(
             2,
             vec![
@@ -487,7 +448,15 @@ mod tests {
                 },
             ],
         );
-        (ss, topo)
+        (paper_split(), topo)
+    }
+
+    /// DTM on the simulated machine `topology` under `config`.
+    fn sim(ss: &SplitSystem, topology: Topology, config: &DtmConfig) -> Result<SolveReport> {
+        DtmProblem::of_split(ss.clone()).solve(&Machine::Simulated {
+            topology,
+            config: config.clone(),
+        })
     }
 
     fn example_config() -> DtmConfig {
@@ -506,7 +475,7 @@ mod tests {
     #[test]
     fn example_5_1_converges_to_exact_solution() {
         let (ss, topo) = example_5_1();
-        let report = solve(&ss, topo, None, &example_config()).unwrap();
+        let report = sim(&ss, topo, &example_config()).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
         // Compare against the direct solution of (3.2).
         let (a, b) = generators::paper_example_system();
@@ -522,7 +491,7 @@ mod tests {
     #[test]
     fn error_series_decreases_overall() {
         let (ss, topo) = example_5_1();
-        let report = solve(&ss, topo, None, &example_config()).unwrap();
+        let report = sim(&ss, topo, &example_config()).unwrap();
         let first = report.series.first().unwrap().1;
         let last = report.series.last().unwrap().1;
         assert!(
@@ -547,7 +516,7 @@ mod tests {
             horizon: SimDuration::from_millis_f64(10.0),
             ..Default::default()
         };
-        let report = solve(&ss, topo, None, &config).unwrap();
+        let report = sim(&ss, topo, &config).unwrap();
         assert!(matches!(
             report.stop,
             StopKind::AllHalted | StopKind::Quiescent
@@ -585,7 +554,7 @@ mod tests {
             horizon: SimDuration::from_millis_f64(3_600_000.0),
             ..Default::default()
         };
-        let report = solve(&ss, topo, None, &config).unwrap();
+        let report = sim(&ss, topo, &config).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
         assert!(a.residual_norm(&report.solution, &b) < 1e-6);
     }
@@ -611,8 +580,16 @@ mod tests {
             horizon: SimDuration::from_millis_f64(3_600_000.0),
             ..Default::default()
         };
-        let scalar = solve(&ss, topo.clone(), None, &config).unwrap();
-        let block = solve_block(&ss, topo, &[b], None, &config).unwrap();
+        let scalar = sim(&ss, topo.clone(), &config).unwrap();
+        let block = DtmProblem::of_split(ss)
+            .solve_block(
+                &[b],
+                &Machine::Simulated {
+                    topology: topo,
+                    config,
+                },
+            )
+            .unwrap();
         assert_eq!(block.n_rhs, 1);
         assert_eq!(block.total_solves, scalar.total_solves);
         assert_eq!(block.total_messages, scalar.total_messages);
@@ -625,7 +602,7 @@ mod tests {
     fn mismatched_processor_count_rejected() {
         let (ss, _) = example_5_1();
         let topo3 = Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0));
-        assert!(solve(&ss, topo3, None, &example_config()).is_err());
+        assert!(sim(&ss, topo3, &example_config()).is_err());
     }
 
     #[test]
@@ -633,7 +610,7 @@ mod tests {
         // Two subdomains but a topology with no 0↔1 links at all.
         let (ss, _) = example_5_1();
         let topo = Topology::from_links(2, vec![]);
-        let err = solve(&ss, topo, None, &example_config());
+        let err = sim(&ss, topo, &example_config());
         assert!(err.is_err());
     }
 

@@ -7,19 +7,45 @@
 //! the scale existed, now naming the part and the original row.
 
 use dtm_core::impedance::{per_port, ImpedancePolicy, Matching};
-use dtm_core::rayon_backend::{self, RayonConfig};
+use dtm_core::rayon_backend::RayonConfig;
 use dtm_core::runtime::{
     build_node, build_nodes, build_nodes_block, build_nodes_block_parallel, build_nodes_parallel,
     CommonConfig, Termination,
 };
-use dtm_core::threaded::{self, ThreadedConfig};
-use dtm_core::{DtmBuilder, DtmProblem};
+use dtm_core::threaded::ThreadedConfig;
+use dtm_core::{DtmBuilder, DtmProblem, Machine};
 use dtm_sparse::{generators, Csr, Error};
 use proptest::prelude::*;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
 const TOL: f64 = 1e-6;
+
+/// Every machine, under `p`'s own common config; the wall-clock ones
+/// with a 2-worker pool and a `budget`.
+fn machines(p: &DtmProblem, budget: Duration) -> [Machine; 4] {
+    let common = p.config.common.clone();
+    [
+        Machine::Simulated {
+            topology: p.topology.clone(),
+            config: p.config.clone(),
+        },
+        Machine::LockStep {
+            common: common.clone(),
+            price: None,
+        },
+        Machine::Pool(RayonConfig {
+            common: common.clone(),
+            num_threads: 2,
+            budget,
+        }),
+        Machine::Threads(ThreadedConfig {
+            common,
+            budget,
+            ..Default::default()
+        }),
+    ]
+}
 
 fn problem(a: Csr, b: Vec<f64>, parts: usize) -> DtmProblem {
     DtmBuilder::new(a, b)
@@ -87,7 +113,7 @@ proptest! {
     /// Random conductance grids from strongly dominant to nearly singular:
     /// the scale never drops below the local match, every impedance is a
     /// positive number, and the default policy converges to the stated
-    /// residual on the simulated, pool and threaded executors.
+    /// residual on every machine.
     #[test]
     fn matched_converges_on_every_executor(
         nx in 8usize..14,
@@ -105,19 +131,9 @@ proptest! {
         let z = ImpedancePolicy::Matched.assign(&p.split).expect("assigns");
         prop_assert!(z.iter().all(|z| *z > 0.0 && z.is_finite()));
 
-        let common = p.config.common.clone();
-        let reports = [
-            p.solve(),
-            p.solve_workstealing(&RayonConfig {
-                common: common.clone(),
-                num_threads: 2,
-                ..Default::default()
-            }),
-            p.solve_threaded(&ThreadedConfig { common, ..Default::default() }),
-        ];
         let b_norm = dtm_sparse::vector::norm2(&b);
-        for r in reports {
-            let r = r.expect("runs");
+        for machine in machines(&p, Duration::from_secs(30)) {
+            let r = p.solve(&machine).expect("runs");
             prop_assert!(r.converged, "{:?}: {:?} residual {}", r.backend, r.stop, r.final_residual);
             let res = a.residual_norm(&r.solution, &b) / b_norm;
             prop_assert!(res <= 2.0 * TOL, "{:?}: verified residual {res}", r.backend);
@@ -219,8 +235,10 @@ fn every_entry_point_names_the_lowest_failing_part() {
         "build_node",
         build_node(&ss.subdomains[part], &z[part], &common).unwrap_err(),
     );
-    check("simulated", p.solve().unwrap_err());
-    check("vtm", p.solve_vtm().unwrap_err());
+    for machine in machines(&p, Duration::from_secs(30)) {
+        check("solve", p.solve(&machine).unwrap_err());
+        check("solve_block", p.solve_block(&cols, &machine).unwrap_err());
+    }
     check("rolling", p.rolling(2).expect_err("session build fails"));
     check(
         "rolling_workstealing",
@@ -231,32 +249,6 @@ fn every_entry_point_names_the_lowest_failing_part() {
     check(
         "rolling_threaded",
         p.rolling_threaded(2).err().expect("session build fails"),
-    );
-    let rconfig = RayonConfig {
-        common: common.clone(),
-        ..Default::default()
-    };
-    check("pool", p.solve_workstealing(&rconfig).unwrap_err());
-    check(
-        "rayon_backend::solve",
-        rayon_backend::solve(ss, &rconfig).unwrap_err(),
-    );
-    check(
-        "rayon_backend::solve_block",
-        rayon_backend::solve_block(ss, &cols, None, &rconfig).unwrap_err(),
-    );
-    let tconfig = ThreadedConfig {
-        common,
-        ..Default::default()
-    };
-    check("threaded", p.solve_threaded(&tconfig).unwrap_err());
-    check(
-        "threaded::solve",
-        threaded::solve(ss, &tconfig).unwrap_err(),
-    );
-    check(
-        "threaded::solve_block",
-        threaded::solve_block(ss, &cols, None, &tconfig).unwrap_err(),
     );
 }
 
@@ -280,24 +272,8 @@ fn a_singular_input_takes_the_fallback_and_ends_unconverged() {
     assert_eq!(bits(&z), bits(&at_one));
 
     p.config.common.max_solves_per_node = 200;
-    let common = p.config.common.clone();
-    let sim = p.solve().expect("runs to its cap");
-    assert!(!sim.converged && sim.final_residual.is_finite(), "{sim:?}");
-    let budget = Duration::from_millis(300);
-    let pool = p
-        .solve_workstealing(&RayonConfig {
-            common: common.clone(),
-            num_threads: 2,
-            budget,
-        })
-        .expect("runs to its cap or budget");
-    assert!(!pool.converged && pool.final_residual.is_finite());
-    let threaded = p
-        .solve_threaded(&ThreadedConfig {
-            common,
-            budget,
-            ..Default::default()
-        })
-        .expect("runs to its cap or budget");
-    assert!(!threaded.converged && threaded.final_residual.is_finite());
+    for machine in machines(&p, Duration::from_millis(300)) {
+        let r = p.solve(&machine).expect("runs to its cap or budget");
+        assert!(!r.converged && r.final_residual.is_finite(), "{r:?}");
+    }
 }

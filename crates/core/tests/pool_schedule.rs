@@ -161,7 +161,9 @@ fn benchmark_systems_rounds_sweep_and_pool() {
                 num_threads,
                 ..Default::default()
             };
-            let report = rayon_backend::solve(&split, &config).expect("solves");
+            let nodes = build_nodes(&split, &config.common).expect("builds");
+            let report =
+                rayon_backend::solve_prepared(&split, nodes, None, &config).expect("solves");
             assert!(report.converged, "{name}: {}", report.final_residual);
             report.total_solves
         });

@@ -6,75 +6,55 @@
 //! cargo run --release --example backend_trio
 //! ```
 
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
-use dtm_repro::core::runtime::{CommonConfig, Termination};
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
-use dtm_repro::core::SolveReport;
-use dtm_repro::graph::evs::{split, EvsOptions};
-use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
+use dtm_repro::core::rayon_backend::RayonConfig;
+use dtm_repro::core::runtime::Termination;
+use dtm_repro::core::solver::ComputeModel;
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::{Machine, SolveReport};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
+use dtm_repro::DtmBuilder;
 use std::time::Duration;
 
 fn main() {
     let (side, k) = (16, 4);
     let a = generators::grid2d_random(side, side, 1.0, 2024);
     let b = generators::random_rhs(side * side, 2025);
-    let g = ElectricGraph::from_system(a.clone(), b.clone()).expect("symmetric");
-    let plan = PartitionPlan::from_assignment(&g, &partition::grid_strips(side, side, k))
-        .expect("valid plan");
-    let ss = split(&g, &plan, &EvsOptions::default()).expect("valid split");
-    let tol = 1e-8;
-    let common = || CommonConfig {
-        termination: Termination::OracleRms { tol },
-        ..Default::default()
-    };
+    // Tear once; the builder's machine is a 10–99 ms ring with 1 ms solves.
+    let problem = DtmBuilder::new(a.clone(), b.clone())
+        .grid_strips(side, side, k)
+        .network(Topology::ring(k).with_delays(&DelayModel::uniform_ms(10.0, 99.0, 7)))
+        .compute(ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)))
+        .horizon(SimDuration::from_millis_f64(3_600_000.0))
+        .termination(Termination::OracleRms { tol: 1e-8 })
+        .build()
+        .expect("valid problem");
 
-    let sim = solver::solve(
-        &ss,
-        Topology::ring(k).with_delays(&DelayModel::uniform_ms(10.0, 99.0, 7)),
-        None,
-        &DtmConfig {
-            common: common(),
-            compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
-            horizon: SimDuration::from_millis_f64(3_600_000.0),
-            ..Default::default()
+    // The machine is a value: the same problem on three of them.
+    let common = problem.config.common.clone();
+    let machines = [
+        Machine::Simulated {
+            topology: problem.topology.clone(),
+            config: problem.config.clone(),
         },
-    )
-    .expect("simulated backend");
-
-    let threaded = threaded::solve(
-        &ss,
-        &ThreadedConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol },
-                ..ThreadedConfig::default().common
-            },
+        Machine::Threads(ThreadedConfig {
+            common: common.clone(),
             budget: Duration::from_secs(30),
             ..Default::default()
-        },
-    )
-    .expect("threaded backend");
-
-    let stealing = rayon_backend::solve(
-        &ss,
-        &RayonConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol },
-                ..RayonConfig::default().common
-            },
+        }),
+        Machine::Pool(RayonConfig {
+            common,
             num_threads: 2,
             budget: Duration::from_secs(30),
-        },
-    )
-    .expect("work-stealing backend");
+        }),
+    ];
 
     println!(
         "{:>14} {:>10} {:>12} {:>10} {:>10} {:>12}",
         "backend", "converged", "time [ms]", "solves", "messages", "rms"
     );
-    for report in [&sim, &threaded, &stealing] {
+    for machine in &machines {
+        let report = &problem.solve(machine).expect("solves");
         print_row(report);
         assert!(report.converged, "{:?} failed to converge", report.backend);
         let residual = a.residual_norm(&report.solution, &b);

@@ -9,7 +9,8 @@
 
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::runtime::CommonConfig;
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::graph::evs::{paper_example_shares, split, EvsOptions};
 use dtm_repro::graph::{ElectricGraph, PartitionPlan};
 use dtm_repro::simnet::{Link, SimDuration, Topology};
@@ -80,7 +81,17 @@ fn main() {
         horizon: SimDuration::from_millis_f64(5.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, None, &config).expect("paper example runs");
+    let machine = Machine::Simulated {
+        topology: topo.clone(),
+        config: config.clone(),
+    };
+    let problem = DtmProblem {
+        split: ss,
+        topology: topo,
+        config,
+        reference: None,
+    };
+    let report = problem.solve(&machine).expect("paper example runs");
     let exact = dtm_repro::sparse::DenseCholesky::factor_csr(&a)
         .expect("SPD")
         .solve(&b);

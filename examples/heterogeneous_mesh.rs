@@ -8,6 +8,7 @@
 //! ```
 
 use dtm_repro::core::solver::{ComputeModel, Termination};
+use dtm_repro::core::Machine;
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 use dtm_repro::DtmBuilder;
@@ -27,10 +28,11 @@ fn main() {
         machine.asymmetry()
     );
 
-    let report = DtmBuilder::new(a.clone(), b.clone())
+    let compute = ComputeModel::Fixed(SimDuration::from_millis_f64(1.0));
+    let problem = DtmBuilder::new(a.clone(), b.clone())
         .grid_blocks(side, side, 4, 4)
-        .network(machine)
-        .compute(ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)))
+        .network(machine.clone())
+        .compute(compute)
         // Fully distributed stop: each processor breaks on its own
         // (Table 1 step 3.3) — nothing global anywhere.
         .termination(Termination::LocalDelta {
@@ -38,8 +40,13 @@ fn main() {
             patience: 5,
         })
         .horizon(SimDuration::from_millis_f64(600_000.0))
-        .solve()
+        .build()
         .expect("valid problem");
+    let mesh = Machine::Simulated {
+        topology: machine.clone(),
+        config: problem.config.clone(),
+    };
+    let report = problem.solve(&mesh).expect("runs");
 
     println!(
         "stopped via {:?} at t = {:.0} ms (simulated)",
@@ -55,4 +62,20 @@ fn main() {
         a.residual_norm(&report.solution, &b)
     );
     assert!(report.final_rms < 1e-5);
+
+    // The synchronous alternative on the same mesh: lock-step rounds (VTM),
+    // each priced at the slowest solve plus a 99 ms exchange and a 99 ms
+    // barrier.
+    let rounds = Machine::LockStep {
+        common: problem.config.common.clone(),
+        price: Some((machine, compute)),
+    };
+    let vtm = problem.solve(&rounds).expect("runs");
+    println!(
+        "VTM: {} rounds, {:.0} ms (simulated), final RMS error {:.2e}",
+        vtm.series.len(),
+        vtm.final_time_ms,
+        vtm.final_rms
+    );
+    assert!(vtm.final_rms < 1e-5);
 }

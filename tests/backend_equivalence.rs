@@ -1,20 +1,20 @@
 //! Cross-backend equivalence: the paper's Algorithm-Architecture Delay
 //! Mapping promises that **one algorithm** runs unchanged on any machine.
-//! After the runtime refactor that is literally true in code — the
-//! simulated, threaded and work-stealing executors all drive the same
-//! `dtm_core::runtime::NodeRuntime` — and this suite pins it down
+//! That is literally true in code — one `DtmProblem::solve` over a
+//! `Machine` value drives the same `dtm_core::runtime::NodeRuntime` on the
+//! simulated, threaded and work-stealing executors — and this suite pins it down
 //! behaviourally: every backend must converge to the direct Cholesky
 //! solution of the same torn system, with live message/solve counters.
 
 mod common;
 
-use common::example_5_1_split;
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use common::{example_5_1_split, problem};
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::report::BackendKind;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
-use dtm_repro::core::{ImpedancePolicy, SolveReport};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig};
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::{ImpedancePolicy, Machine, SolveReport};
 use dtm_repro::graph::evs::SplitSystem;
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
@@ -33,45 +33,40 @@ fn common(impedance: ImpedancePolicy, tol: f64) -> CommonConfig {
     }
 }
 
-/// Run all three executors on `ss` and return their reports.
-fn run_all_backends(ss: &SplitSystem, impedance: ImpedancePolicy, tol: f64) -> Vec<SolveReport> {
-    let k = ss.n_parts();
-    // Simulated machine: complete graph, 1 ms links.
-    let topo = Topology::complete(k).with_delays(&DelayModel::fixed_ms(1.0));
-    let sim = solver::solve(
-        ss,
-        topo,
-        None,
-        &DtmConfig {
-            common: common(impedance.clone(), tol),
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
-            horizon: SimDuration::from_millis_f64(3_600_000.0),
-            ..Default::default()
+/// The three executors for a `k`-part problem under `common`: the
+/// simulated complete graph with 1 ms links, real threads, a two-worker
+/// pool.
+fn machines(k: usize, common: CommonConfig) -> [Machine; 3] {
+    [
+        Machine::Simulated {
+            topology: Topology::complete(k).with_delays(&DelayModel::fixed_ms(1.0)),
+            config: DtmConfig {
+                common: common.clone(),
+                compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
+                horizon: SimDuration::from_millis_f64(3_600_000.0),
+                ..Default::default()
+            },
         },
-    )
-    .expect("simulated backend runs");
-
-    let threaded = threaded::solve(
-        ss,
-        &ThreadedConfig {
-            common: common(impedance.clone(), tol),
+        Machine::Threads(ThreadedConfig {
+            common: common.clone(),
             budget: Duration::from_secs(60),
             ..Default::default()
-        },
-    )
-    .expect("threaded backend runs");
-
-    let stealing = rayon_backend::solve(
-        ss,
-        &RayonConfig {
-            common: common(impedance, tol),
+        }),
+        Machine::Pool(RayonConfig {
+            common,
             num_threads: 2,
             budget: Duration::from_secs(60),
-        },
-    )
-    .expect("work-stealing backend runs");
+        }),
+    ]
+}
 
-    vec![sim, threaded, stealing]
+/// Run all three executors on `ss` and return their reports.
+fn run_all_backends(ss: &SplitSystem, impedance: ImpedancePolicy, tol: f64) -> Vec<SolveReport> {
+    let p = problem(ss.clone());
+    machines(ss.n_parts(), common(impedance, tol))
+        .iter()
+        .map(|m| p.solve(m).expect("backend runs"))
+        .collect()
 }
 
 fn assert_all_close(reports: &[SolveReport], exact: &[f64], tol: f64) {
@@ -152,42 +147,9 @@ fn example_5_1_batched_k8_equivalent_across_backends() {
     let impedance = ImpedancePolicy::PerDtlp(vec![0.2, 0.1]);
     let tol = 1e-9;
 
-    let topo = Topology::complete(2).with_delays(&DelayModel::fixed_ms(1.0));
-    let sim = solver::solve_block(
-        &ss,
-        topo,
-        &cols,
-        None,
-        &DtmConfig {
-            common: common(impedance.clone(), tol),
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
-            horizon: SimDuration::from_millis_f64(3_600_000.0),
-            ..Default::default()
-        },
-    )
-    .expect("simulated block run");
-    let threaded = threaded::solve_block(
-        &ss,
-        &cols,
-        None,
-        &ThreadedConfig {
-            common: common(impedance.clone(), tol),
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        },
-    )
-    .expect("threaded block run");
-    let stealing = rayon_backend::solve_block(
-        &ss,
-        &cols,
-        None,
-        &RayonConfig {
-            common: common(impedance, tol),
-            num_threads: 2,
-            budget: Duration::from_secs(60),
-        },
-    )
-    .expect("work-stealing block run");
+    let p = problem(ss);
+    let [sim, threaded, stealing] =
+        machines(2, common(impedance, tol)).map(|m| p.solve_block(&cols, &m).expect("block run"));
 
     for report in [&sim, &threaded, &stealing] {
         assert!(
@@ -227,46 +189,12 @@ fn local_delta_self_halt_equivalent_across_backends() {
         tol: 1e-12,
         patience: 3,
     };
-    let topo = Topology::complete(2).with_delays(&DelayModel::fixed_ms(1.0));
-    let sim = solver::solve(
-        &ss,
-        topo,
-        None,
-        &DtmConfig {
-            common: CommonConfig {
-                termination: term,
-                ..Default::default()
-            },
-            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
-            horizon: SimDuration::from_millis_f64(3_600_000.0),
-            ..Default::default()
-        },
-    )
-    .expect("simulated");
-    let threaded = threaded::solve(
-        &ss,
-        &ThreadedConfig {
-            common: CommonConfig {
-                termination: term,
-                ..ThreadedConfig::default().common
-            },
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        },
-    )
-    .expect("threaded");
-    let stealing = rayon_backend::solve(
-        &ss,
-        &RayonConfig {
-            common: CommonConfig {
-                termination: term,
-                ..RayonConfig::default().common
-            },
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        },
-    )
-    .expect("work-stealing");
+    let local_delta = CommonConfig {
+        termination: term,
+        ..Default::default()
+    };
+    let p = problem(ss);
+    let [sim, threaded, stealing] = machines(2, local_delta).map(|m| p.solve(&m).expect("runs"));
     for report in [&sim, &threaded, &stealing] {
         assert!(
             report.converged,

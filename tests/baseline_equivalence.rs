@@ -1,8 +1,8 @@
 //! Baseline equivalence: the asynchronous baselines (randomized
 //! Richardson, D-iteration, block-Jacobi) and DTM are *peer algorithms* —
 //! on random SPD systems all of them must converge to the
-//! direct-Cholesky solution within tolerance **on every executor**
-//! (simulated machine, OS threads, work-stealing pool), under randomized
+//! direct-Cholesky solution within tolerance **on every machine**
+//! (simulated, lock-step rounds, OS threads, work-stealing pool), under randomized
 //! update orders (the Richardson seed) and randomized delay topologies.
 //! Pinned as proptests so the equivalence holds across the whole space,
 //! not at one seed.
@@ -10,11 +10,11 @@
 mod common;
 
 use dtm_repro::core::async_baselines::{self, BaselineAlgo, RichardsonParams};
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
-use dtm_repro::core::SolveReport;
+use dtm_repro::core::solver::{ComputeModel, DtmConfig};
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::{Machine, SolveReport};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 use proptest::prelude::*;
@@ -32,13 +32,17 @@ fn residual_rule() -> CommonConfig {
     }
 }
 
-/// The simulated machine: a 200 µs activation, a 600 s horizon.
-fn sim_machine() -> DtmConfig {
-    DtmConfig {
-        common: residual_rule(),
-        compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
-        horizon: SimDuration::from_millis_f64(600_000.0),
-        ..Default::default()
+/// The simulated machine on `topology`: a 200 µs activation, a 600 s
+/// horizon.
+fn sim_machine(topology: Topology) -> Machine {
+    Machine::Simulated {
+        topology,
+        config: DtmConfig {
+            common: residual_rule(),
+            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(200.0)),
+            horizon: SimDuration::from_millis_f64(600_000.0),
+            ..Default::default()
+        },
     }
 }
 
@@ -85,44 +89,38 @@ proptest! {
             delay_lo + delay_spread,
             seed ^ 0x5eed,
         ));
-        // One config per machine, shared by every algorithm on it.
-        let sim = sim_machine();
-        let threads = ThreadedConfig {
-            common: residual_rule(),
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        };
-        let pool = RayonConfig {
-            common: residual_rule(),
-            num_threads: 2,
-            budget: Duration::from_secs(60),
-        };
-
-        for algo in [
-            BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: order_seed }),
-            BaselineAlgo::DIteration,
-            BaselineAlgo::BlockJacobi,
-        ] {
-            let name = algo.kind().name();
-            let sim = async_baselines::solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &sim)
-                .expect("baseline sim run");
-            assert_close(&sim, &exact, &format!("{name}/sim"))?;
-            let th = async_baselines::solve_threaded(&algo, &a, &b, &asg, None, &threads)
-                .expect("baseline threaded run");
-            assert_close(&th, &exact, &format!("{name}/threaded"))?;
-            let ws = async_baselines::solve_workstealing(&algo, &a, &b, &asg, None, &pool)
-                .expect("baseline pool run");
-            assert_close(&ws, &exact, &format!("{name}/workstealing"))?;
+        // One machine value, shared by every algorithm on it.
+        let machines = [
+            ("sim", sim_machine(topo)),
+            ("lockstep", Machine::LockStep { common: residual_rule(), price: None }),
+            ("threaded", Machine::Threads(ThreadedConfig {
+                common: residual_rule(),
+                budget: Duration::from_secs(60),
+                ..Default::default()
+            })),
+            ("workstealing", Machine::Pool(RayonConfig {
+                common: residual_rule(),
+                num_threads: 2,
+                budget: Duration::from_secs(60),
+            })),
+        ];
+        let dtm = common::problem(ss);
+        for (machine_name, machine) in &machines {
+            for algo in [
+                BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: order_seed }),
+                BaselineAlgo::DIteration,
+                BaselineAlgo::BlockJacobi,
+            ] {
+                let name = algo.kind().name();
+                let report = async_baselines::solve(&algo, &a, &b, &asg, None, machine)
+                    .expect("baseline run");
+                assert_close(&report, &exact, &format!("{name}/{machine_name}"))?;
+            }
+            // DTM on the same machine and partition (EVS split of the same
+            // assignment), same reference-free rule.
+            let report = dtm.solve(machine).expect("dtm run");
+            assert_close(&report, &exact, &format!("dtm/{machine_name}"))?;
         }
-
-        // DTM on the same machines and partition (EVS split of the same
-        // assignment), same reference-free rule.
-        let dtm_sim = solver::solve(&ss, topo, None, &sim).expect("dtm sim run");
-        assert_close(&dtm_sim, &exact, "dtm/sim")?;
-        let dtm_th = threaded::solve(&ss, &threads).expect("dtm threaded run");
-        assert_close(&dtm_th, &exact, "dtm/threaded")?;
-        let dtm_ws = rayon_backend::solve(&ss, &pool).expect("dtm pool run");
-        assert_close(&dtm_ws, &exact, "dtm/workstealing")?;
     }
 
     /// Random-sparsity SPD systems (no grid structure at all): both
@@ -144,14 +142,13 @@ proptest! {
         let asg: Vec<usize> = (0..n).map(|i| i * parts / n).collect();
         let topo = Topology::complete(parts)
             .with_delays(&DelayModel::uniform_ms(1.0, 20.0, seed ^ 0xd1ce));
-        let config = sim_machine();
+        let machine = sim_machine(topo);
         for algo in [
             BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: order_seed }),
             BaselineAlgo::DIteration,
         ] {
-            let report =
-                async_baselines::solve_sim(&algo, &a, &b, &asg, topo.clone(), None, &config)
-                    .expect("baseline run on random SPD");
+            let report = async_baselines::solve(&algo, &a, &b, &asg, None, &machine)
+                .expect("baseline run on random SPD");
             prop_assert!(
                 report.converged,
                 "{}: residual {}",

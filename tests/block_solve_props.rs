@@ -10,25 +10,31 @@
 
 mod common;
 
-use common::random_grid_split as grid_split;
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use common::{problem, random_grid_split as grid_split};
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig};
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::Machine;
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn sim_config(tol: f64) -> DtmConfig {
-    DtmConfig {
-        common: CommonConfig {
-            termination: Termination::OracleRms { tol },
+/// A 2-processor ring with 1 ms links and a 100 µs activation, oracle
+/// RMS ≤ `tol`.
+fn sim_machine(tol: f64) -> Machine {
+    Machine::Simulated {
+        topology: Topology::ring(2).with_delays(&DelayModel::fixed_ms(1.0)),
+        config: DtmConfig {
+            common: CommonConfig {
+                termination: Termination::OracleRms { tol },
+                ..Default::default()
+            },
+            compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
+            horizon: SimDuration::from_millis_f64(3_600_000.0),
             ..Default::default()
         },
-        compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
-        horizon: SimDuration::from_millis_f64(3_600_000.0),
-        ..Default::default()
     }
 }
 
@@ -76,25 +82,19 @@ proptest! {
         k in 2usize..5,
         seed in 0u64..1_000,
     ) {
-        let ss = grid_split(side, 2, seed);
+        let p = problem(grid_split(side, 2, seed));
         let n = side * side;
         let cols: Vec<Vec<f64>> = (0..k)
             .map(|c| generators::random_rhs(n, seed + 100 + c as u64))
             .collect();
-        let topo = || Topology::ring(2).with_delays(&DelayModel::fixed_ms(1.0));
-        let config = sim_config(1e-8);
-        let block = solver::solve_block(&ss, topo(), &cols, None, &config).expect("block run");
+        let machine = sim_machine(1e-8);
+        let block = p.solve_block(&cols, &machine).expect("block run");
         prop_assert!(block.converged, "block rms {}", block.final_rms);
         prop_assert_eq!(block.n_rhs, k);
         for (c, col) in cols.iter().enumerate() {
-            let scalar = solver::solve_block(
-                &ss,
-                topo(),
-                std::slice::from_ref(col),
-                None,
-                &config,
-            )
-            .expect("scalar run");
+            let scalar = p
+                .solve_block(std::slice::from_ref(col), &machine)
+                .expect("scalar run");
             prop_assert!(scalar.converged, "scalar col {c} rms {}", scalar.final_rms);
             for (i, (u, v)) in block.solutions[c].iter().zip(&scalar.solution).enumerate() {
                 prop_assert!(
@@ -115,11 +115,11 @@ proptest! {
 #[test]
 fn simnet_example_5_1_block_is_bitwise_k_scalar_runs() {
     let (_, b) = generators::paper_example_system();
-    let ss = common::example_5_1_split();
+    let p = problem(common::example_5_1_split());
     let cols: Vec<Vec<f64>> = std::iter::once(b)
         .chain((0..7).map(|c| generators::random_rhs(4, 300 + c)))
         .collect();
-    let topo = || Topology::complete(2).with_delays(&DelayModel::fixed_ms(1.0));
+    let topology = Topology::complete(2).with_delays(&DelayModel::fixed_ms(1.0));
     let config = DtmConfig {
         common: CommonConfig {
             impedance: dtm_repro::core::ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
@@ -135,7 +135,8 @@ fn simnet_example_5_1_block_is_bitwise_k_scalar_runs() {
         horizon: SimDuration::from_millis_f64(500.0),
         ..Default::default()
     };
-    let block = solver::solve_block(&ss, topo(), &cols, None, &config).expect("block run");
+    let machine = Machine::Simulated { topology, config };
+    let block = p.solve_block(&cols, &machine).expect("block run");
     assert_eq!(block.n_rhs, 8);
     assert!(
         block.final_rms < 1e-10,
@@ -143,7 +144,8 @@ fn simnet_example_5_1_block_is_bitwise_k_scalar_runs() {
         block.final_rms
     );
     for (c, col) in cols.iter().enumerate() {
-        let scalar = solver::solve_block(&ss, topo(), std::slice::from_ref(col), None, &config)
+        let scalar = p
+            .solve_block(std::slice::from_ref(col), &machine)
             .expect("scalar run");
         assert_eq!(
             block.solutions[c], scalar.solution,
@@ -164,56 +166,39 @@ proptest! {
     #[test]
     fn wallclock_backends_block_equals_scalar_columns(seed in 0u64..1_000) {
         let side = 6;
-        let ss = grid_split(side, 2, seed);
+        let p = problem(grid_split(side, 2, seed));
         let n = side * side;
         let cols: Vec<Vec<f64>> = (0..2)
             .map(|c| generators::random_rhs(n, seed + 200 + c as u64))
             .collect();
-        let tol = 1e-9;
-
-        let tconfig = ThreadedConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol },
-                ..ThreadedConfig::default().common
-            },
-            budget: Duration::from_secs(60),
-            ..Default::default()
+        let common = CommonConfig {
+            termination: Termination::OracleRms { tol: 1e-9 },
+            ..RayonConfig::default().common
         };
-        let rconfig = RayonConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol },
-                ..RayonConfig::default().common
-            },
-            num_threads: 2,
-            budget: Duration::from_secs(60),
-        };
-
-        let tblock = threaded::solve_block(&ss, &cols, None, &tconfig).expect("threaded block");
-        let rblock =
-            rayon_backend::solve_block(&ss, &cols, None, &rconfig).expect("stealing block");
-        prop_assert!(tblock.converged, "threaded rms {}", tblock.final_rms);
-        prop_assert!(rblock.converged, "stealing rms {}", rblock.final_rms);
-        for (c, col) in cols.iter().enumerate() {
-            let tscalar = threaded::solve_block(
-                &ss,
-                std::slice::from_ref(col),
-                None,
-                &tconfig,
-            )
-            .expect("threaded scalar");
-            let rscalar = rayon_backend::solve_block(
-                &ss,
-                std::slice::from_ref(col),
-                None,
-                &rconfig,
-            )
-            .expect("stealing scalar");
-            prop_assert!(tscalar.converged && rscalar.converged);
-            for (u, v) in tblock.solutions[c].iter().zip(&tscalar.solution) {
-                prop_assert!((u - v).abs() < 1e-6, "threaded col {c}: {u} vs {v}");
-            }
-            for (u, v) in rblock.solutions[c].iter().zip(&rscalar.solution) {
-                prop_assert!((u - v).abs() < 1e-6, "stealing col {c}: {u} vs {v}");
+        let machines = [
+            Machine::Threads(ThreadedConfig {
+                common: common.clone(),
+                budget: Duration::from_secs(60),
+                ..Default::default()
+            }),
+            Machine::Pool(RayonConfig {
+                common,
+                num_threads: 2,
+                budget: Duration::from_secs(60),
+            }),
+        ];
+        for machine in &machines {
+            let block = p.solve_block(&cols, machine).expect("block run");
+            let what = block.backend;
+            prop_assert!(block.converged, "{:?} rms {}", what, block.final_rms);
+            for (c, col) in cols.iter().enumerate() {
+                let scalar = p
+                    .solve_block(std::slice::from_ref(col), machine)
+                    .expect("scalar run");
+                prop_assert!(scalar.converged);
+                for (u, v) in block.solutions[c].iter().zip(&scalar.solution) {
+                    prop_assert!((u - v).abs() < 1e-6, "{:?} col {c}: {u} vs {v}", what);
+                }
             }
         }
     }

@@ -8,16 +8,20 @@
 //! * `converged: true` means the returned `x` meets the stated tolerance,
 //!   on every executor, for DTM and a baseline alike.
 
+mod common;
+
+use common::{problem, simulated};
 use dtm_net::{DistributedBackend, DistributedConfig};
 use dtm_repro::core::analysis::WaveOperator;
 use dtm_repro::core::async_baselines::{self, BaselineAlgo};
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::local::LocalSolverKind;
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::report::StopKind;
 use dtm_repro::core::runtime::{CommonConfig, ExecutorBackend};
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig, Termination};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::graph::evs::{split, EvsOptions, SharePolicy, SplitSystem};
 use dtm_repro::graph::validate;
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
@@ -107,7 +111,7 @@ proptest! {
             horizon: SimDuration::from_millis_f64(3_600_000.0),
             sample_interval: SimDuration::from_millis_f64(50.0),
         };
-        let report = solver::solve(&ss, topo, None, &config).expect("runs");
+        let report = simulated(&ss, topo, config);
         prop_assert!(report.converged, "rms {}", report.final_rms);
         prop_assert!(a.residual_norm(&report.solution, &b) < 1e-4);
     }
@@ -122,8 +126,8 @@ proptest! {
     /// `report.converged ⇒` the stopping metric **recomputed here from
     /// `report.solution`** is within the stated tolerance — the relative
     /// residual under `Residual`, the RMS against a direct solve under
-    /// `OracleRms` — for {simulated, threads, pool, distributed in-process}
-    /// × {DTM, asynchronous block-Jacobi}. (The distributed executor is DTM
+    /// `OracleRms` — for {simulated, lock-step, threads, pool, distributed
+    /// in-process} × {DTM, block-Jacobi}. (The distributed executor is DTM
     /// under `Residual` only, by construction.) On the wall-clock fabrics
     /// the solution must be the estimate the supervisor *accepted*, not
     /// whatever the workers had moved on to by the time it looked again —
@@ -145,27 +149,33 @@ proptest! {
         for termination in [Termination::Residual { tol }, Termination::OracleRms { tol }] {
             let reference = || Some(x_star.clone());
             let common = CommonConfig { termination, ..Default::default() };
-            let dtm_sim = DtmConfig {
+            let sim = |horizon_ms| Machine::Simulated {
+                topology: topo.clone(),
+                config: DtmConfig {
+                    common: common.clone(),
+                    horizon: SimDuration::from_millis_f64(horizon_ms),
+                    ..Default::default()
+                },
+            };
+            let threads = Machine::Threads(ThreadedConfig {
                 common: common.clone(),
-                horizon: SimDuration::from_millis_f64(3_600_000.0),
                 ..Default::default()
+            });
+            let pool = Machine::Pool(RayonConfig { common: common.clone(), ..Default::default() });
+            let lockstep = Machine::LockStep { common: common.clone(), price: None };
+            let dtm = DtmProblem { reference: reference(), ..problem(ss.clone()) };
+            let jacobi = |machine: &Machine| {
+                async_baselines::solve(&algo, &a, &b, &asg, reference(), machine)
             };
-            let jacobi_sim = DtmConfig {
-                horizon: SimDuration::from_millis_f64(600_000.0),
-                ..dtm_sim.clone()
-            };
-            let threads = ThreadedConfig { common: common.clone(), ..Default::default() };
-            let pool = RayonConfig { common: common.clone(), ..Default::default() };
             let mut reports = vec![
-                ("dtm/sim", solver::solve(&ss, topo.clone(), reference(), &dtm_sim)),
-                ("dtm/threads", threaded::solve_with_reference(&ss, reference(), &threads)),
-                ("dtm/pool", rayon_backend::solve_with_reference(&ss, reference(), &pool)),
-                ("jacobi/sim", async_baselines::solve_sim(
-                    &algo, &a, &b, &asg, topo.clone(), reference(), &jacobi_sim)),
-                ("jacobi/threads", async_baselines::solve_threaded(
-                    &algo, &a, &b, &asg, reference(), &threads)),
-                ("jacobi/pool", async_baselines::solve_workstealing(
-                    &algo, &a, &b, &asg, reference(), &pool)),
+                ("dtm/sim", dtm.solve(&sim(3_600_000.0))),
+                ("dtm/lockstep", dtm.solve(&lockstep)),
+                ("dtm/threads", dtm.solve(&threads)),
+                ("dtm/pool", dtm.solve(&pool)),
+                ("jacobi/sim", jacobi(&sim(600_000.0))),
+                ("jacobi/lockstep", jacobi(&lockstep)),
+                ("jacobi/threads", jacobi(&threads)),
+                ("jacobi/pool", jacobi(&pool)),
             ];
             if matches!(termination, Termination::Residual { .. }) {
                 let config = DistributedConfig { common, processes: 2, ..Default::default() };
@@ -207,7 +217,7 @@ fn simulation_is_deterministic() {
             horizon: SimDuration::from_millis_f64(600_000.0),
             ..Default::default()
         };
-        solver::solve(&ss, topo, None, &config).expect("runs")
+        simulated(&ss, topo, config)
     };
     let r1 = mk();
     let r2 = mk();
@@ -240,19 +250,20 @@ fn supervisor_polls_follow_the_decay_on_both_fabrics() {
             termination: Termination::Residual { tol },
             ..Default::default()
         };
-        let pool = RayonConfig {
+        let pool = Machine::Pool(RayonConfig {
             common: common.clone(),
             num_threads: 2,
             budget,
-        };
-        let threads = ThreadedConfig {
+        });
+        let threads = Machine::Threads(ThreadedConfig {
             common,
             budget,
             ..Default::default()
-        };
+        });
+        let p = problem(ss.clone());
         [
-            ("pool", rayon_backend::solve(&ss, &pool).expect("runs")),
-            ("threads", threaded::solve(&ss, &threads).expect("runs")),
+            ("pool", p.solve(&pool).expect("runs")),
+            ("threads", p.solve(&threads).expect("runs")),
         ]
     };
 

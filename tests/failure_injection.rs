@@ -5,11 +5,12 @@
 
 mod common;
 
-use common::random_grid_split as grid_split;
+use common::{problem, random_grid_split as grid_split, simulated};
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::report::StopKind;
 use dtm_repro::core::runtime::CommonConfig;
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::Machine;
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 
@@ -29,7 +30,7 @@ fn premature_halt_via_solve_cap_reports_horizon_not_hang() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, None, &config).expect("runs");
+    let report = simulated(&ss, topo, config);
     assert!(!report.converged);
     assert!(
         matches!(report.stop, StopKind::Quiescent | StopKind::AllHalted),
@@ -56,7 +57,7 @@ fn loose_local_tolerance_gives_commensurately_loose_answer() {
             horizon: SimDuration::from_millis_f64(3_600_000.0),
             ..Default::default()
         };
-        solver::solve(&ss, topo, None, &config).expect("runs")
+        simulated(&ss, topo, config)
     };
     let loose = run(1e-3);
     let tight = run(1e-10);
@@ -79,7 +80,7 @@ fn tiny_horizon_stops_on_time_limit() {
         horizon: SimDuration::from_millis_f64(25.0), // ~2 exchanges
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, None, &config).expect("runs");
+    let report = simulated(&ss, topo, config);
     assert_eq!(report.stop, StopKind::Horizon);
     assert!(report.final_time_ms <= 25.0 + 1e-9);
     assert!(!report.converged);
@@ -114,7 +115,7 @@ fn extreme_delay_skew_still_converges() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, None, &config).expect("runs");
+    let report = simulated(&ss, topo, config);
     assert!(report.converged, "rms {}", report.final_rms);
 }
 
@@ -135,7 +136,7 @@ fn wildly_bad_impedances_still_converge_just_slowly() {
             horizon: SimDuration::from_millis_f64(36_000_000.0),
             sample_interval: SimDuration::from_millis_f64(1_000.0),
         };
-        let report = solver::solve(&ss, topo, None, &config).expect("runs");
+        let report = simulated(&ss, topo, config);
         assert!(report.converged, "z = {z}: rms {}", report.final_rms);
     }
 }
@@ -160,7 +161,15 @@ fn batched_run_degrades_gracefully_under_solve_cap() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let report = solver::solve_block(&ss, topo, &cols, None, &config).expect("runs");
+    let report = problem(ss.clone())
+        .solve_block(
+            &cols,
+            &Machine::Simulated {
+                topology: topo,
+                config,
+            },
+        )
+        .expect("runs");
     assert!(!report.converged, "capped batch must not claim convergence");
     assert!(
         matches!(report.stop, StopKind::Quiescent | StopKind::AllHalted),
@@ -212,7 +221,7 @@ fn solve_cap_under_local_delta_is_not_reported_as_convergence() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, None, &config).expect("runs");
+    let report = simulated(&ss, topo, config);
     assert!(
         !report.converged,
         "capped-out run must not claim convergence (rms {})",

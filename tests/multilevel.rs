@@ -2,7 +2,10 @@
 //! than two copies — block-partition cross points — with DTLP trees aligned
 //! to the machine, end to end through the solver.
 
+mod common;
+
 use dtm_repro::core::solver::{ComputeModel, Termination};
+use dtm_repro::core::Machine;
 use dtm_repro::graph::evs::{split, EvsOptions, TwinTopology};
 use dtm_repro::graph::validate;
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
@@ -105,15 +108,14 @@ fn star_and_chain_topologies_converge_identically_in_the_limit() {
             ..Default::default()
         };
         let ss = split(&g, &plan, &options).expect("splits");
-        let report = dtm_repro::core::vtm::solve(
-            &ss,
-            None,
-            &dtm_repro::core::CommonConfig {
+        let vtm = Machine::LockStep {
+            common: dtm_repro::core::CommonConfig {
                 termination: dtm_repro::core::Termination::OracleRms { tol: 1e-11 },
                 ..Default::default()
             },
-        )
-        .expect("vtm");
+            price: None,
+        };
+        let report = common::solve_on(&ss, &vtm);
         assert!(report.converged);
         solutions.push(report.solution);
     }

@@ -5,13 +5,13 @@
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::local::{LocalSolverKind, LocalSystem};
 use dtm_repro::core::runtime::CommonConfig;
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig, Termination};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
 use dtm_repro::simnet::{Link, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 
 mod common;
 
-use common::example_5_1_split as paper_split;
+use common::{example_5_1_split as paper_split, simulated};
 
 fn paper_topology() -> Topology {
     Topology::from_links(
@@ -94,7 +94,7 @@ fn figure_8_run_reaches_the_exact_solution() {
         horizon: SimDuration::from_millis_f64(10.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, paper_topology(), None, &config).expect("runs");
+    let report = simulated(&ss, paper_topology(), config);
     assert!(report.converged);
     // x* = A⁻¹ b of (3.2) = [10/17, 15.6/17, 17.4/17, 14.8/17].
     let expect = [10.0 / 17.0, 15.6 / 17.0, 17.4 / 17.0, 14.8 / 17.0];
@@ -126,9 +126,7 @@ fn fig9_impedance_sensitivity_visible_at_100us() {
             horizon: SimDuration::from_micros_f64(100.0),
             ..Default::default()
         };
-        solver::solve(&paper_split(), paper_topology(), None, &config)
-            .expect("runs")
-            .final_rms
+        simulated(&paper_split(), paper_topology(), config).final_rms
     };
     let good = run(0.2, 0.2);
     let bad = run(0.025, 0.025);

@@ -17,13 +17,13 @@
 
 mod common;
 
-use common::{direct_solution, example_5_1_split};
+use common::{direct_solution, example_5_1_split, problem, simulated, solve_on};
 use dtm_repro::core::monitor::Monitor;
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
-use dtm_repro::core::solver::{self, ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
-use dtm_repro::core::{DtmBuilder, ImpedancePolicy, SolveReport};
+use dtm_repro::core::solver::{ComputeModel, DtmConfig};
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::{DtmBuilder, DtmProblem, ImpedancePolicy, Machine, SolveReport};
 use dtm_repro::graph::evs::SplitSystem;
 use dtm_repro::simnet::{DelayModel, SimDuration, SimTime, Topology};
 use dtm_repro::sparse::generators;
@@ -62,7 +62,7 @@ fn simulated_backend_residual_solves_example_5_1_without_oracle() {
         horizon: SimDuration::from_millis_f64(10_000.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, None, &config).expect("residual run");
+    let report = simulated(&ss, topo, config);
     assert!(report.converged, "resid {}", report.final_residual);
     assert!(report.final_residual <= tol);
     assert_reference_free(&report);
@@ -85,7 +85,7 @@ fn threaded_backend_residual_solves_grid_without_oracle() {
         budget: Duration::from_secs(60),
         ..Default::default()
     };
-    let report = threaded::solve(&ss, &config).expect("threaded residual run");
+    let report = solve_on(&ss, &Machine::Threads(config));
     assert!(report.converged, "resid {}", report.final_residual);
     assert_reference_free(&report);
     let (a, b) = ss.reconstruct();
@@ -104,7 +104,7 @@ fn workstealing_backend_residual_solves_grid_without_oracle() {
         num_threads: 2,
         budget: Duration::from_secs(60),
     };
-    let report = rayon_backend::solve(&ss, &config).expect("rayon residual run");
+    let report = solve_on(&ss, &Machine::Pool(config));
     assert!(report.converged, "resid {}", report.final_residual);
     assert_reference_free(&report);
 }
@@ -131,14 +131,14 @@ fn zero_rhs_column_falls_back_to_absolute_residual() {
     };
     let zero = vec![0.0; 36];
     let b1 = generators::random_rhs(36, 991);
-    let report = solver::solve_block(
-        &ss,
-        topo.clone(),
-        &[zero.clone(), b1.clone()],
-        None,
-        &config,
-    )
-    .expect("block run with a zero column");
+    let p = problem(ss.clone());
+    let machine = Machine::Simulated {
+        topology: topo,
+        config,
+    };
+    let report = p
+        .solve_block(&[zero.clone(), b1.clone()], &machine)
+        .expect("block run with a zero column");
     assert!(report.converged, "resid {}", report.final_residual);
     assert_reference_free(&report);
     assert!(
@@ -157,7 +157,7 @@ fn zero_rhs_column_falls_back_to_absolute_residual() {
     // The degenerate all-zero single-RHS solve also terminates cleanly
     // (instantly: x = 0 already meets any tolerance) instead of NaN-looping
     // to the horizon.
-    let degenerate = solver::solve_block(&ss, topo, &[zero], None, &config).expect("zero run");
+    let degenerate = p.solve_block(&[zero], &machine).expect("zero run");
     assert!(degenerate.converged);
     assert_eq!(degenerate.final_residual, 0.0);
 }
@@ -174,32 +174,28 @@ fn residual_and_oracle_modes_agree_on_the_solution() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let residual = solver::solve(
+    let residual = simulated(
         &ss,
         topo.clone(),
-        None,
-        &DtmConfig {
+        DtmConfig {
             common: CommonConfig {
                 termination: Termination::Residual { tol },
                 ..Default::default()
             },
             ..base.clone()
         },
-    )
-    .expect("residual run");
-    let oracle = solver::solve(
+    );
+    let oracle = simulated(
         &ss,
         topo,
-        None,
-        &DtmConfig {
+        DtmConfig {
             common: CommonConfig {
                 termination: Termination::OracleRms { tol },
                 ..Default::default()
             },
             ..base
         },
-    )
-    .expect("oracle run");
+    );
     assert!(residual.converged && oracle.converged);
     assert_reference_free(&residual);
     assert!(oracle.final_rms <= tol);
@@ -230,7 +226,16 @@ fn explicit_reference_under_residual_keeps_residual_stopping() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let report = solver::solve(&ss, topo, Some(exact), &config).expect("runs");
+    let p = DtmProblem {
+        reference: Some(exact),
+        ..problem(ss)
+    };
+    let report = p
+        .solve(&Machine::Simulated {
+            topology: topo,
+            config,
+        })
+        .expect("runs");
     assert!(report.converged, "resid {}", report.final_residual);
     assert!(
         report.final_residual <= tol,

@@ -103,7 +103,9 @@ proptest! {
         // Separate one-shot solves: one exchange per RHS, batch barrier of 1.
         let mut singles = Vec::new();
         for (b, _) in &work {
-            let report = problem.solve_block(std::slice::from_ref(b)).expect("converges");
+            let report = problem
+                .solve_block(std::slice::from_ref(b), &common::own_machine(&problem))
+                .expect("converges");
             prop_assert!(report.converged);
             singles.push(report.solution.clone());
         }

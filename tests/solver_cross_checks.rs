@@ -3,12 +3,14 @@
 //! both block-Jacobi baselines — must land on the same x* for the same
 //! system.
 
+mod common;
+
 use dtm_repro::core::async_baselines::{self, BaselineAlgo};
-use dtm_repro::core::rayon_backend::{self, RayonConfig};
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::CommonConfig;
 use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
-use dtm_repro::core::threaded::{self, ThreadedConfig};
-use dtm_repro::core::vtm;
+use dtm_repro::core::threaded::ThreadedConfig;
+use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::graph::evs::{split, EvsOptions};
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
@@ -25,17 +27,24 @@ fn system() -> (dtm_repro::sparse::Csr, Vec<f64>) {
     (a, b)
 }
 
-/// The simulated machine the block-Jacobi rows run on: 1 ms per block
-/// solve, oracle RMS ≤ `tol`, a one-hour horizon.
-fn oracle_machine(tol: f64) -> DtmConfig {
-    DtmConfig {
-        common: CommonConfig {
-            termination: Termination::OracleRms { tol },
+fn oracle(tol: f64) -> CommonConfig {
+    CommonConfig {
+        termination: Termination::OracleRms { tol },
+        ..Default::default()
+    }
+}
+
+/// The simulated machine `topology` the block-Jacobi rows run on: 1 ms
+/// per block solve, oracle RMS ≤ `tol`, a one-hour horizon.
+fn oracle_machine(topology: Topology, tol: f64) -> Machine {
+    Machine::Simulated {
+        topology,
+        config: DtmConfig {
+            common: oracle(tol),
+            compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+            horizon: SimDuration::from_millis_f64(3_600_000.0),
             ..Default::default()
         },
-        compute: ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
-        horizon: SimDuration::from_millis_f64(3_600_000.0),
-        ..Default::default()
     }
 }
 
@@ -68,70 +77,61 @@ fn all_solvers_agree() {
     let plan =
         PartitionPlan::from_assignment(&g, &partition::grid_strips(SIDE, SIDE, K)).expect("valid");
     let ss = split(&g, &plan, &EvsOptions::default()).expect("valid");
-    let v = vtm::solve(
-        &ss,
-        Some(reference.clone()),
-        &CommonConfig {
-            termination: Termination::OracleRms { tol: 1e-9 },
-            ..Default::default()
-        },
-    )
-    .expect("vtm");
-    assert!(v.converged);
-    assert_close("vtm", &v.solution, &reference, 1e-6);
-
-    // Threaded DTM.
-    let t = threaded::solve(
-        &ss,
-        &ThreadedConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol: 1e-9 },
-                ..ThreadedConfig::default().common
+    let p = DtmProblem {
+        reference: Some(reference.clone()),
+        ..common::problem(ss)
+    };
+    let budget = Duration::from_secs(60);
+    for (name, machine) in [
+        (
+            "vtm",
+            Machine::LockStep {
+                common: oracle(1e-9),
+                price: None,
             },
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        },
-    )
-    .expect("threads");
-    assert!(t.converged);
-    assert_close("threaded dtm", &t.solution, &reference, 1e-6);
+        ),
+        (
+            "threaded dtm",
+            Machine::Threads(ThreadedConfig {
+                common: oracle(1e-9),
+                budget,
+                ..Default::default()
+            }),
+        ),
+        (
+            "work-stealing dtm",
+            Machine::Pool(RayonConfig {
+                common: oracle(1e-9),
+                budget,
+                ..Default::default()
+            }),
+        ),
+    ] {
+        let r = p.solve(&machine).expect(name);
+        assert!(r.converged, "{name}");
+        assert_close(name, &r.solution, &reference, 1e-6);
+    }
 
-    // Work-stealing DTM.
-    let w = rayon_backend::solve(
-        &ss,
-        &RayonConfig {
-            common: CommonConfig {
-                termination: Termination::OracleRms { tol: 1e-9 },
-                ..RayonConfig::default().common
-            },
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        },
-    )
-    .expect("work-stealing pool");
-    assert!(w.converged);
-    assert_close("work-stealing dtm", &w.solution, &reference, 1e-6);
-
-    // Block-Jacobi baselines.
+    // Block-Jacobi baselines, asynchronous and in barrier-priced rounds.
     let asg = partition::grid_strips(SIDE, SIDE, K);
     let topo = Topology::ring(K).with_delays(&DelayModel::uniform_ms(5.0, 30.0, 11));
-    let bj_config = oracle_machine(1e-9);
-    let abj = async_baselines::solve_sim(
-        &BaselineAlgo::BlockJacobi,
-        &a,
-        &b,
-        &asg,
-        topo.clone(),
-        Some(reference.clone()),
-        &bj_config,
-    )
-    .expect("abj");
-    assert!(abj.converged);
-    assert_close("async block-jacobi", &abj.solution, &reference, 1e-6);
-    let sbj = async_baselines::solve_sync(&a, &b, &asg, &topo, Some(reference.clone()), &bj_config)
-        .expect("sbj");
-    assert!(sbj.converged);
-    assert_close("sync block-jacobi", &sbj.solution, &reference, 1e-6);
+    let sync = Machine::LockStep {
+        common: oracle(1e-9),
+        price: Some((
+            topo.clone(),
+            ComputeModel::Fixed(SimDuration::from_millis_f64(1.0)),
+        )),
+    };
+    for (name, machine) in [
+        ("async block-jacobi", oracle_machine(topo, 1e-9)),
+        ("sync block-jacobi", sync),
+    ] {
+        let algo = BaselineAlgo::BlockJacobi;
+        let r = async_baselines::solve(&algo, &a, &b, &asg, Some(reference.clone()), &machine)
+            .expect(name);
+        assert!(r.converged, "{name}");
+        assert_close(name, &r.solution, &reference, 1e-6);
+    }
 }
 
 #[test]
@@ -151,16 +151,14 @@ fn dtm_beats_async_jacobi_in_simulated_time() {
         .solve()
         .expect("dtm");
 
-    let bj_config = oracle_machine(tol);
     let asg = partition::grid_strips(SIDE, SIDE, K);
-    let abj = async_baselines::solve_sim(
+    let abj = async_baselines::solve(
         &BaselineAlgo::BlockJacobi,
         &a,
         &b,
         &asg,
-        topo,
         None,
-        &bj_config,
+        &oracle_machine(topo, tol),
     )
     .expect("abj");
 
