@@ -10,15 +10,14 @@
 //!
 //! * **3-D Laplacians** — `grid3d_laplacian` under the default partitioner
 //!   ([`Partitioner::default_for`]), solved reference-free
-//!   (`Termination::Residual`) on the threaded and pool fabrics. Set-up is
+//!   (`Termination::Residual`) on the pool. Set-up is
 //!   timed per phase — read (the matrix written to an in-memory Matrix
 //!   Market text and parsed back by `mm::read_matrix`, checked equal),
 //!   partition, split (EVS tearing via
 //!   `DtmBuilder::build`), factor (every subdomain, concurrently, into
-//!   reusable templates) — and both fabrics then solve over the *same*
-//!   templates (`threaded::solve_prepared` /
-//!   `rayon_backend::solve_prepared`), the paper's factor-once design, so
-//!   their wall-clock is pure exchange. On 16³ @ 8 it also times the open
+//!   reusable templates) — and the pool then solves over those templates
+//!   (`rayon_backend::solve_prepared`), the paper's factor-once design, so
+//!   its wall-clock is pure exchange. On 16³ @ 8 it also times the open
 //!   of an 8-slot rolling session on the pool (`rolling_workstealing`), the
 //!   serving path's set-up. 16³ @ 8 always; without `--quick`
 //!   also 48³ @ 32, an anisotropic 32³ @ 16 (`grid3d_laplacian_aniso`,
@@ -32,12 +31,11 @@
 //!   K = 1 — the register-lane blocked kernel against the scalar sweep.
 //! * **Matrix Market** — `sparse::mm` end to end: load the committed `.mtx`
 //!   fixture (or `--matrix <path.mtx> [--rhs <path>]`), partition by nested
-//!   dissection, solve reference-free on real threads.
+//!   dissection, solve reference-free on the pool.
 
 use dtm_core::builder::DtmBuilder;
 use dtm_core::rayon_backend::{self, RayonConfig};
 use dtm_core::runtime::{build_nodes, CommonConfig, Termination};
-use dtm_core::threaded::{self, ThreadedConfig};
 use dtm_core::{Machine, SolveReport};
 use dtm_graph::partition::{self, PartitionConfig, Partitioner};
 use dtm_sparse::{generators, mm, Csr, Error, Result, SparseCholesky};
@@ -150,9 +148,9 @@ fn show_solve(label: &str, r: &SolveReport, wall_ms: f64) -> Result<()> {
 
 /// A 3-D system under the default partitioner: per-phase set-up timings
 /// (partition → split → factor), with `open_session` the open of a
-/// [`SESSION_SLOTS`]-slot rolling session on the same split, then both
-/// wall-clock fabrics solving over the same factored templates (the
-/// factor-once serving path — no fabric ever re-factors).
+/// [`SESSION_SLOTS`]-slot rolling session on the same split, then the pool
+/// solving over the factored templates (the factor-once serving path — a
+/// solve never re-factors).
 fn grid3d_case(case: &str, a: &Csr, parts: usize, open_session: bool) -> Result<()> {
     let n = a.n_rows();
     println!("— {case}: {n} unknowns, {parts} parts —");
@@ -190,7 +188,7 @@ fn grid3d_case(case: &str, a: &Csr, parts: usize, open_session: bool) -> Result<
     let problem = problem?;
 
     // Factor every subdomain concurrently into reusable templates (factors
-    // are Arc-shared; the fabrics clone the templates).
+    // are Arc-shared; a solve clones the templates).
     let common = CommonConfig {
         termination,
         ..Default::default()
@@ -209,15 +207,6 @@ fn grid3d_case(case: &str, a: &Csr, parts: usize, open_session: bool) -> Result<
         session?.finish();
         println!("  session open: {SESSION_SLOTS} slots {open_ms:.0} ms (rolling_workstealing)");
     }
-
-    let tconfig = ThreadedConfig {
-        common: common.clone(),
-        budget: GRID_BUDGET,
-        ..Default::default()
-    };
-    let (r, wall_ms) =
-        timed(|| threaded::solve_prepared(&problem.split, templates.clone(), None, &tconfig));
-    show_solve("threaded:", &r?, wall_ms)?;
 
     let rconfig = RayonConfig {
         common,
@@ -333,7 +322,7 @@ fn mm_case(matrix: &Path, rhs: Option<&Path>) -> Result<()> {
         .assignment(asg)
         .termination(termination)
         .build()?;
-    let config = ThreadedConfig {
+    let config = RayonConfig {
         common: CommonConfig {
             termination,
             ..Default::default()
@@ -341,6 +330,6 @@ fn mm_case(matrix: &Path, rhs: Option<&Path>) -> Result<()> {
         budget: Duration::from_secs(60),
         ..Default::default()
     };
-    let (r, wall_ms) = timed(|| problem.solve(&Machine::Threads(config)));
-    show_solve("threaded:", &r?, wall_ms)
+    let (r, wall_ms) = timed(|| problem.solve(&Machine::Pool(config)));
+    show_solve("pool:", &r?, wall_ms)
 }

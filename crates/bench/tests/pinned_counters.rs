@@ -73,8 +73,9 @@ fn seed_block_solve_on_the_simulated_machine() {
     assert_eq!(r.final_time_ms, 85.85);
 }
 
-/// The CI-sized 3-D case: 16³ in 8 parts, cut pinned, both wall-clock
-/// fabrics solving over one build.
+/// The CI-sized 3-D case: 16³ in 8 parts, cut pinned, the pool solving
+/// one build behind the delay router (the problem's own machine, its
+/// delays scaled to real microseconds) and without it.
 #[test]
 fn grid3d16_cut_and_both_fabrics() {
     let a = generators::grid3d_laplacian(16, 16, 16);
@@ -86,14 +87,15 @@ fn grid3d16_cut_and_both_fabrics() {
         .termination(Termination::Residual { tol })
         .build()
         .expect("builds");
-    let threaded = ThreadedConfig {
+    let routed = ThreadedConfig {
         common: residual_rule(tol),
+        delay_topology: Some(problem.topology.clone()),
         ..Default::default()
     };
     let r = problem
-        .solve(&Machine::Threads(threaded))
-        .expect("threaded solves");
-    assert_meets("16³ threaded", &r, tol);
+        .solve(&Machine::Threads(routed))
+        .expect("routed pool solves");
+    assert_meets("16³ routed pool", &r, tol);
     let pool = RayonConfig {
         common: residual_rule(tol),
         ..Default::default()
@@ -123,11 +125,11 @@ fn fixture_cut_and_solve() {
         .build()
         .expect("builds");
     assert_eq!(problem.split.n_parts(), 4);
-    let config = ThreadedConfig {
+    let config = RayonConfig {
         common: residual_rule(tol),
         ..Default::default()
     };
-    let r = problem.solve(&Machine::Threads(config)).expect("solves");
+    let r = problem.solve(&Machine::Pool(config)).expect("solves");
     assert_meets("fixture", &r, tol);
 }
 

@@ -14,8 +14,8 @@
 //!   block-Jacobi overwrite boundary values, D-iteration accumulates fluid
 //!   — all valid under the per-pair-FIFO transport contract);
 //! * they run on **every [`Machine`]** — the deterministic simulated
-//!   machine, the lock-step one, one OS thread per partition and the
-//!   worker pool — through one entry point, [`solve`], that takes the same
+//!   machine, the lock-step one, the worker pool behind a delay router and
+//!   the bare worker pool — through one entry point, [`solve`], that takes the same
 //!   machine value a DTM run takes;
 //! * they report through the same [`SolveReport`] vocabulary, with the
 //!   uniform message/activation/flop counters, so `repro compare` can pit

@@ -5,7 +5,6 @@
 //! topology, impedances, machine, compute model, termination) stays
 //! overridable.
 
-use crate::fabric::{Pool, Threads};
 use crate::impedance::ImpedancePolicy;
 use crate::machine::{self, Machine};
 use crate::report::SolveReport;
@@ -333,17 +332,6 @@ impl DtmProblem {
         crate::session::RollingSession::new(self, slots)
     }
 
-    /// Open a rolling session on real OS threads (one per subdomain) —
-    /// the wall-clock variant of [`rolling`](Self::rolling).
-    ///
-    /// # Errors
-    /// See [`rolling`](Self::rolling).
-    pub fn rolling_threaded(&self, slots: usize) -> Result<crate::session::RollingThreadedSession> {
-        crate::session::WallclockSession::new(self, slots, |runtimes, hook| {
-            Threads::start(runtimes, slots, None, false, hook)
-        })
-    }
-
     /// Open a rolling session on the in-process worker pool
     /// (`num_threads = 0` uses the available parallelism).
     ///
@@ -354,9 +342,7 @@ impl DtmProblem {
         slots: usize,
         num_threads: usize,
     ) -> Result<crate::session::RollingPoolSession> {
-        crate::session::WallclockSession::new(self, slots, |runtimes, hook| {
-            Pool::start(runtimes, slots, num_threads, false, hook)
-        })
+        crate::session::WallclockSession::new(self, slots, num_threads)
     }
 
     /// A problem over a bare split: no reference, the builder's default

@@ -1,33 +1,33 @@
-//! The two wall-clock fabrics — every real-time executor in this crate is
-//! one of them, driving one [`AsyncNode`] type.
+//! The wall-clock fabric — every real-time executor in this crate runs
+//! on it, driving one [`AsyncNode`] type.
 //!
 //! The paper's Table 1 is *one* node program that runs unchanged on any
 //! machine; [`AsyncNode`] + [`Transport`](crate::runtime::Transport) say so
-//! in types, and this module is the other half of the claim: each way of
-//! running nodes against the wall clock is written **once**, generic over
-//! the node. The one-shot solves of every algorithm (through
+//! in types, and this module is the other half of the claim: running nodes
+//! against the wall clock is written **once**, generic over the node. The
+//! one-shot solves of every algorithm (through
 //! [`Machine::Threads`](crate::Machine::Threads) and
 //! [`Machine::Pool`](crate::Machine::Pool)) and the rolling sessions
 //! ([`crate::session`]) are callers.
 //!
-//! * [`Pool`] — a few resident workers draining **one ready queue** of
-//!   part ids ([`ReadyQueue`]): a wave is an inbox entry plus a place in
-//!   that queue, so the transmission delay is the time the receiver waits
-//!   there — behind older arrivals, and for as long as one of its
-//!   neighbours is mid-step. Subdomain count is decoupled from thread
-//!   count and no thread parks on an idle node.
-//! * [`Threads`] — one *OS thread per node* parked on a channel: the delay
-//!   is real scheduling/channel latency, optionally shaped by a router
-//!   thread that holds each wave for its link's delay.
+//! [`Pool`] is a few resident workers draining **one ready queue** of part
+//! ids ([`ReadyQueue`]): a wave is an inbox entry plus a place in that
+//! queue, so the transmission delay is the time the receiver waits there —
+//! behind older arrivals, and for as long as one of its neighbours is
+//! mid-step. Subdomain count is decoupled from thread count and no thread
+//! parks on an idle node. Started with a delay table, the pool puts a
+//! router thread in front of the queue: a wave on a delayed link lands in
+//! its receiver's inbox, and queues the receiver, only once the link's
+//! delay has elapsed (the paper's Algorithm-Architecture Delay Mapping
+//! with any positive delay, which Theorem 6.1 covers).
 //!
 //! # Hooks
 //!
-//! Each fabric takes one per-node [`Hook`], run before the node may step:
-//! it can mutate the node and returns whether it did (which forces a step
-//! even with no wave pending). A one-shot solve passes [`no_hook`]; a
-//! rolling session passes its column-swap mailbox. That is the whole
-//! difference between the two — a session is a hook, not a fork of the
-//! loop.
+//! The pool takes one per-node [`Hook`], run before the node may step: it
+//! can mutate the node and returns whether it did (which forces a step even
+//! with no wave pending). A one-shot solve passes [`no_hook`]; a rolling
+//! session passes its column-swap mailbox. That is the whole difference
+//! between the two — a session is a hook, not a fork of the loop.
 //!
 //! # Halting is a state, not an exit
 //!
@@ -41,17 +41,18 @@
 //! node that starts late meets neighbours that already converged against
 //! its zero boundary guess, and the run ends "all halted" on a wrong
 //! answer. [`NodeControl::Capped`] is terminal. A run is *all halted* only
-//! when every node is passive or capped **and** the fabric is quiescent.
-//! A fabric that goes quiescent with live nodes left (their neighbours
-//! fell silent) *kicks* them: re-solving against an unchanged boundary is
-//! a zero delta, which lets the Table 1 step 3.3 streak complete.
+//! when every node is passive or capped **and** the pool is quiescent:
+//! nothing queued, nobody mid-step, no wave held by the router. A pool that
+//! goes quiescent with live nodes left (their neighbours fell silent)
+//! *kicks* them: re-solving against an unchanged boundary is a zero delta,
+//! which lets the Table 1 step 3.3 streak complete.
 
 use crate::monitor::{next_poll, wall_time, POLL_INTERVAL};
 use crate::report::{BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{AsyncNode, DtmMsg, NodeControl, RunSpec};
 use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::sync::{thread, Arc, AtomicBool, AtomicI64, AtomicUsize, Condvar, Mutex, Ordering};
+use crate::sync::{thread, Arc, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use dtm_simnet::{SimDuration, Topology};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -65,27 +66,9 @@ pub fn no_hook<N>() -> Hook<N> {
     Box::new(|_| false)
 }
 
-/// What a supervisor needs of a running fabric.
-pub trait Fabric {
-    /// Per-node published solution blocks.
-    fn snapshots(&self) -> &[SharedBlock];
-
-    /// Whether every node is passive or capped **and** nothing is queued,
-    /// running or in flight. A fabric started with `kick_idle` kicks its
-    /// live nodes when it finds itself quiescent short of that.
-    fn all_halted(&self) -> bool;
-
-    /// Make node `p` run its hook soon even if no wave arrives.
-    fn wake(&self, p: usize);
-
-    /// Stop the fabric, wait for it, and read the work counters off the
-    /// nodes. Idempotent; also run on drop.
-    fn finish(&mut self) -> Totals;
-}
-
 /// Which nodes are passive or capped. A flag is set by the node's own
 /// step and cleared by the activation that re-arms it, both under that
-/// node's serialization (state lock / owning thread); senders only read.
+/// node's state lock; senders only read.
 struct Halts {
     halted: Vec<AtomicBool>,
     count: AtomicUsize,
@@ -284,6 +267,11 @@ struct PoolShared<N> {
     work: Condvar,
     stop: AtomicBool,
     before_step: Hook<N>,
+    /// The delay router's intake, when links carry injected delays.
+    router: Option<Router>,
+    /// Waves handed to the router and not yet queued at their receiver:
+    /// up at send time, down under `ready` once the receiver is queued.
+    in_flight: AtomicUsize,
 }
 
 /// The pool fabric: `num_threads` resident workers draining one
@@ -298,18 +286,21 @@ struct PoolShared<N> {
 pub struct Pool<N> {
     shared: Arc<PoolShared<N>>,
     workers: Vec<thread::JoinHandle<()>>,
+    /// The delay router's thread, when links carry injected delays.
+    routing: Option<thread::JoinHandle<()>>,
     kick_idle: bool,
 }
 
 /// Run one activation of node `p`, which the caller took off the queue:
 /// drain inbox, merge, step, deliver the outgoing waves. The receivers are
-/// left in `sent` for the caller to queue.
+/// left in `sent` for the caller to link and — `true`: delivered here, not
+/// handed to the router — to queue.
 ///
 /// An empty drain that was not forced — possible when a delivery raced an
 /// activation that already absorbed it — returns without stepping, so
 /// spurious wakeups can never feed the zero-delta self-halt streak.
 // lint: hot-path
-fn activate<N: AsyncNode>(shared: &PoolShared<N>, p: usize, sent: &mut Vec<usize>) {
+fn activate<N: AsyncNode>(shared: &PoolShared<N>, p: usize, sent: &mut Vec<(usize, bool)>) {
     let cell = &shared.cells[p];
     let force = cell.force.swap(false, Ordering::AcqRel);
     if shared.stop.load(Ordering::Acquire) {
@@ -354,10 +345,20 @@ fn activate<N: AsyncNode>(shared: &PoolShared<N>, p: usize, sent: &mut Vec<usize
     // pushes are leaf locks on *other* cells, so no ordering cycle — and
     // draining here lets the outbox buffer be reused next step.
     for (dst, msg) in outbox.drain(..) {
-        if !shared.halts.drops(dst, control) {
-            shared.cells[dst].inbox.lock().push(msg);
-            sent.push(dst);
+        if shared.halts.drops(dst, control) {
+            continue;
         }
+        // A wave on a delayed link goes to the router, which queues its
+        // receiver when it lands; the rest land here.
+        let msg = match &shared.router {
+            Some(router) => router.hold(p, dst, msg, &shared.in_flight),
+            None => Some(msg),
+        };
+        let landed = msg.is_some();
+        if let Some(msg) = msg {
+            shared.cells[dst].inbox.lock().push(msg);
+        }
+        sent.push((dst, landed));
     }
 }
 
@@ -385,9 +386,13 @@ fn drain_queue<N: AsyncNode>(shared: &PoolShared<N>) {
         // `p` is still marked mid-step here, so its receivers sit in the
         // queue, ineligible, until the `done` below: nobody can observe
         // "queue empty, nobody mid-step" between a delivery and its push.
-        for dst in sent.drain(..) {
+        // A routed wave links its pair now, at send time, so the pair
+        // keeps the neighbour rule while the wave is on its way.
+        for (dst, delivered) in sent.drain(..) {
             ready.queue.link(p, dst);
-            ready.queue.push(dst);
+            if delivered {
+                ready.queue.push(dst);
+            }
         }
         ready.queue.done(p);
     }
@@ -405,16 +410,34 @@ impl<N: AsyncNode> PoolShared<N> {
             self.work.notify_one();
         }
     }
+
+    /// The router's hand-off of a due wave: into the inbox, then — in one
+    /// critical section — queue the receiver and only then count the wave
+    /// landed, so [`Pool::all_halted`] never finds the queue idle and
+    /// nothing in flight while the wave is in neither place.
+    fn land(&self, dst: usize, msg: DtmMsg) {
+        self.cells[dst].inbox.lock().push(msg);
+        let mut ready = self.ready.lock();
+        ready.queue.push(dst);
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        if ready.parked > 0 {
+            self.work.notify_one();
+        }
+    }
 }
 
 impl<N: AsyncNode + 'static> Pool<N> {
     /// Start `nodes` (each publishing `n_rhs` columns) under `num_threads`
     /// workers (`0` = available parallelism) and queue their initial
-    /// solves (eq. 5.6).
+    /// solves (eq. 5.6). `delays = Some((topology, scale))` holds each wave
+    /// for its link's simulated delay × `scale` in a router thread before
+    /// it lands (the caller has checked that every route has a link; a
+    /// missing one, like a zero delay, lands at once).
     pub fn start(
         nodes: Vec<N>,
         n_rhs: usize,
         num_threads: usize,
+        delays: Option<(&Topology, f64)>,
         kick_idle: bool,
         before_step: Hook<N>,
     ) -> Self {
@@ -422,6 +445,10 @@ impl<N: AsyncNode + 'static> Pool<N> {
             0 => std::thread::available_parallelism().map_or(4, |v| v.get()),
             n => n,
         };
+        let n_parts = nodes.len();
+        let (router, intake) = delays
+            .and_then(|(topology, scale)| Router::new(topology, scale, n_parts))
+            .unzip();
         let shared = Arc::new(PoolShared {
             snapshots: nodes
                 .iter()
@@ -449,6 +476,8 @@ impl<N: AsyncNode + 'static> Pool<N> {
             work: Condvar::new(),
             stop: AtomicBool::new(false),
             before_step,
+            router,
+            in_flight: AtomicUsize::new(0),
         });
         for p in 0..shared.cells.len() {
             shared.schedule(p, true);
@@ -459,9 +488,14 @@ impl<N: AsyncNode + 'static> Pool<N> {
                 thread::spawn(move || drain_queue(&shared))
             })
             .collect();
+        let routing = intake.map(|rx| {
+            let shared = shared.clone();
+            thread::spawn(move || route(&rx, &shared))
+        });
         Self {
             shared,
             workers,
+            routing,
             kick_idle,
         }
     }
@@ -478,7 +512,7 @@ impl<N> Pool<N> {
             let _ready = self.shared.ready.lock();
             self.shared.work.notify_all();
         }
-        for h in self.workers.drain(..) {
+        for h in self.workers.drain(..).chain(self.routing.take()) {
             if let (Err(payload), false) = (h.join(), quiet) {
                 std::panic::resume_unwind(payload);
             }
@@ -486,18 +520,25 @@ impl<N> Pool<N> {
     }
 }
 
-impl<N: AsyncNode + 'static> Fabric for Pool<N> {
-    fn snapshots(&self) -> &[SharedBlock] {
+impl<N: AsyncNode + 'static> Pool<N> {
+    /// Per-node published solution blocks.
+    pub fn snapshots(&self) -> &[SharedBlock] {
         &self.shared.snapshots
     }
 
-    fn all_halted(&self) -> bool {
+    /// Whether every node is passive or capped **and** nothing is queued,
+    /// running or held by the router. A pool started with `kick_idle`
+    /// kicks its live nodes when it finds itself quiescent short of that.
+    pub fn all_halted(&self) -> bool {
         // Quiescence first: with nothing queued and nobody mid-step, only
         // this (supervisor) thread can queue a part, so the halt flags
         // read next are stable — and every inbox has been drained by an
         // activation that came after its last delivery.
-        if !self.shared.ready.lock().queue.is_idle() {
-            return false;
+        {
+            let ready = self.shared.ready.lock();
+            if !ready.queue.is_idle() || self.shared.in_flight.load(Ordering::Acquire) != 0 {
+                return false;
+            }
         }
         if self.shared.halts.all() {
             return true;
@@ -512,11 +553,14 @@ impl<N: AsyncNode + 'static> Fabric for Pool<N> {
         false
     }
 
-    fn wake(&self, p: usize) {
+    /// Make node `p` run its hook soon even if no wave arrives.
+    pub fn wake(&self, p: usize) {
         self.shared.schedule(p, false);
     }
 
-    fn finish(&mut self) -> Totals {
+    /// Stop the pool, wait for it, and read the work counters off the
+    /// nodes. Idempotent; also run on drop.
+    pub fn finish(&mut self) -> Totals {
         self.stop(false);
         // Workers joined: no activation holds a state lock.
         let mut totals = Totals::default();
@@ -533,336 +577,103 @@ impl<N> Drop for Pool<N> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fabric 2: one OS thread per node.
-// ---------------------------------------------------------------------------
+/// A wave on its way to its receiver: `(due time, receiver, wave)`.
+type Routed = (Instant, usize, DtmMsg);
 
-/// A wave held by the delay router until its link delay has elapsed.
-struct Routed {
-    deliver_at: Instant,
-    seq: u64,
-    dst: usize,
-    msg: DtmMsg,
+/// The delay router's intake: each directed pair's real delay, and the
+/// channel to the router thread.
+struct Router {
+    tx: Sender<Routed>,
+    n: usize,
+    /// `delay[src * n + dst]`.
+    delay: Vec<Duration>,
 }
 
-impl PartialEq for Routed {
-    fn eq(&self, o: &Self) -> bool {
-        (self.deliver_at, self.seq) == (o.deliver_at, o.seq)
+impl Router {
+    /// The router between `n` parts for `topology`'s links scaled by
+    /// `scale` (simulated nanoseconds × scale = real nanoseconds), and the
+    /// receiving end of its intake — `None` when no link has a delay left
+    /// to impose.
+    fn new(topology: &Topology, scale: f64, n: usize) -> Option<(Self, Receiver<Routed>)> {
+        let delay: Vec<Duration> = (0..n * n)
+            .map(|i| {
+                let ns = topology
+                    .try_delay(i / n, i % n)
+                    .map_or(0.0, |d| d.as_nanos() as f64);
+                Duration::from_nanos((ns * scale).round() as u64)
+            })
+            .collect();
+        if delay.iter().all(Duration::is_zero) {
+            return None;
+        }
+        let (tx, rx) = unbounded();
+        Some((Self { tx, n, delay }, rx))
+    }
+
+    /// Hold `msg` from `src` to `dst` for its link's delay, counting it in
+    /// `in_flight` first — or hand it back if the link imposes none.
+    fn hold(&self, src: usize, dst: usize, msg: DtmMsg, in_flight: &AtomicUsize) -> Option<DtmMsg> {
+        let delay = self.delay[src * self.n + dst];
+        if delay.is_zero() {
+            return Some(msg);
+        }
+        in_flight.fetch_add(1, Ordering::AcqRel);
+        // Ignore send failures during shutdown.
+        let _ = self.tx.send((Instant::now() + delay, dst, msg));
+        None
     }
 }
 
-impl Eq for Routed {}
-
-impl PartialOrd for Routed {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-
-impl Ord for Routed {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(o.deliver_at, o.seq))
-    }
-}
-
-/// The router thread: delivers delayed waves in deadline order (ties in
-/// arrival order, so per-pair FIFO holds).
-fn route(rx: &Receiver<Routed>, senders: &[Sender<DtmMsg>], stop: &AtomicBool) {
-    use std::cmp::Reverse;
-    let mut heap: std::collections::BinaryHeap<Reverse<Routed>> = Default::default();
-    let mut seq = 0u64;
+/// The router thread: lands held waves in deadline order (ties in arrival
+/// order, so per-pair FIFO holds) until the pool stops.
+fn route<N: AsyncNode>(rx: &Receiver<Routed>, shared: &PoolShared<N>) {
+    const MAX_WAIT: Duration = Duration::from_millis(1);
+    // Keyed by (due time, arrival number).
+    let mut held = std::collections::BTreeMap::new();
+    let mut arrivals = 0u64;
     loop {
-        let timeout = heap.peek().map_or(Duration::from_millis(1), |Reverse(p)| {
-            p.deliver_at
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(1))
-        });
+        let timeout = held
+            .keys()
+            .next()
+            .map_or(MAX_WAIT, |&(due, _): &(Instant, u64)| {
+                due.saturating_duration_since(Instant::now()).min(MAX_WAIT)
+            });
         match rx.recv_timeout(timeout) {
-            Ok(mut wave) => {
-                seq += 1;
-                wave.seq = seq;
-                heap.push(Reverse(wave));
+            Ok((due, dst, msg)) => {
+                arrivals += 1;
+                held.insert((due, arrivals), (dst, msg));
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
-        if stop.load(Ordering::Relaxed) {
+        if shared.stop.load(Ordering::Acquire) {
             return;
         }
         let now = Instant::now();
-        while heap.peek().is_some_and(|Reverse(p)| p.deliver_at <= now) {
-            if let Some(Reverse(p)) = heap.pop() {
-                // Ignore send failures during shutdown.
-                let _ = senders[p.dst].send(p.msg);
-            }
-        }
-    }
-}
-
-/// How one worker's waves leave: straight into the receivers' channels, or
-/// via the router with this worker's per-link delays.
-struct Links {
-    senders: Vec<Sender<DtmMsg>>,
-    /// `(router, per-destination real delay)` when delays are injected.
-    routed: Option<(Sender<Routed>, Vec<Duration>)>,
-}
-
-impl Links {
-    fn send(&self, dst: usize, msg: DtmMsg) {
-        // Ignore send failures during shutdown.
-        match &self.routed {
-            Some((router, delay)) => {
-                let _ = router.send(Routed {
-                    deliver_at: Instant::now() + delay[dst],
-                    seq: 0,
-                    dst,
-                    msg,
-                });
-            }
-            None => {
-                let _ = self.senders[dst].send(msg);
-            }
-        }
-    }
-}
-
-struct ThreadsShared<N> {
-    snapshots: Vec<SharedBlock>,
-    halts: Halts,
-    /// Outstanding work tokens — the quiescence signal, one
-    /// deferred-decrement counter. Seeded with one per worker (the initial
-    /// solve each owes); a token is minted before a wave becomes
-    /// receivable and released by the consumer only after the step that
-    /// absorbed it has minted tokens for its own waves, so a zero read
-    /// proves no wave exists anywhere and none can appear without a fresh
-    /// external cause. (A two-counter scheme — waves in flight + workers
-    /// mid-step — is racy: the two loads can straddle a receive handoff;
-    /// `tests/model_check.rs` keeps it as a caught mutant.)
-    work: AtomicI64,
-    stop: AtomicBool,
-    before_step: Hook<N>,
-    kick_idle: bool,
-}
-
-/// The one-thread-per-node fabric.
-pub struct Threads<N> {
-    shared: Arc<ThreadsShared<N>>,
-    workers: Vec<thread::JoinHandle<N>>,
-    router: Option<thread::JoinHandle<()>>,
-}
-
-/// One worker: the initial solve, then receive → coalesce → step for the
-/// fabric's whole life. The worker never exits on its own — a passive node
-/// stays parked on its channel so a late wave can re-arm it, and a capped
-/// one keeps discarding its mail so the tokens drain.
-fn work<N: AsyncNode>(
-    p: usize,
-    mut node: N,
-    rx: &Receiver<DtmMsg>,
-    links: &Links,
-    shared: &ThreadsShared<N>,
-) -> N {
-    let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
-    let mut step = |node: &mut N| {
-        let control = node.step_node(&mut outbox);
-        // Publish only the columns this step could have changed — the
-        // supervisor mirrors them incrementally.
-        shared.snapshots[p].publish(node.solution(), node.solved_cols());
-        if control.is_halt() {
-            shared.halts.retire(p);
-        }
-        for (dst, msg) in outbox.drain(..) {
-            if !shared.halts.drops(dst, control) {
-                // Mint the token *before* the wave becomes receivable.
-                shared.work.fetch_add(1, Ordering::AcqRel);
-                links.send(dst, msg);
-            }
-        }
-    };
-
-    // Initial solve with the zero boundary guess (eq. 5.6). Its token was
-    // minted at setup; release it only after the step's own sends are
-    // counted.
-    step(&mut node);
-    shared.work.fetch_sub(1, Ordering::AcqRel);
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return node;
-        }
-        let changed = (shared.before_step)(&mut node);
-        match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(first) => {
-                let mut consumed: i64 = 1;
-                if node.capped() {
-                    while rx.try_recv().is_ok() {
-                        consumed += 1;
-                    }
-                } else {
-                    // A late wave re-arms a passive node — before its
-                    // token is released, so "all halted" and "no work"
-                    // never hold together while it is pending.
-                    if shared.halts.is_halted(p) {
-                        shared.halts.rearm(p);
-                    }
-                    // Consumed messages fund the next outgoing ones.
-                    node.absorb_owned(first);
-                    // Coalesce whatever else is pending (Table 1 step 3:
-                    // "one or more of the adjacent subgraphs").
-                    while let Ok(more) = rx.try_recv() {
-                        consumed += 1;
-                        node.absorb_owned(more);
-                    }
-                    step(&mut node);
-                }
-                // Deferred decrement: the consumed waves' tokens stay
-                // outstanding until the step they caused has minted
-                // tokens for its own sends, so the counter never reads
-                // zero while this causal chain is mid-handoff.
-                shared.work.fetch_sub(consumed, Ordering::AcqRel);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle kick: live, and globally quiescent on one atomic
-                // load — a wave merely delayed in flight, or mid-absorb in
-                // a peer, keeps the counter nonzero, so it can never feed
-                // the streak. The kick owes no token: at the zero read no
-                // wave existed, and any send the step makes mints its own
-                // before becoming visible.
-                let kick = shared.kick_idle
-                    && !shared.halts.is_halted(p)
-                    && shared.work.load(Ordering::Acquire) == 0;
-                if changed || kick {
-                    step(&mut node);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return node,
-        }
-    }
-}
-
-impl<N: AsyncNode + 'static> Threads<N> {
-    /// Spawn one worker per node (each publishing `n_rhs` columns).
-    /// `delays = Some((topology, scale))` routes every wave through a
-    /// router thread that holds it for its link's simulated delay × `scale`
-    /// (the caller has checked that every route has a link; a missing one
-    /// degrades to immediate delivery).
-    pub fn start(
-        nodes: Vec<N>,
-        n_rhs: usize,
-        delays: Option<(&Topology, f64)>,
-        kick_idle: bool,
-        before_step: Hook<N>,
-    ) -> Self {
-        let n = nodes.len();
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<DtmMsg>()).unzip();
-        let shared = Arc::new(ThreadsShared {
-            snapshots: nodes
-                .iter()
-                .map(|node| SharedBlock::new(node.n_local(), n_rhs))
-                .collect(),
-            halts: Halts::new(n),
-            // A part count that overflows i64 is unreachable (it would
-            // dwarf addressable memory); saturate rather than panic.
-            work: AtomicI64::new(i64::try_from(n).unwrap_or(i64::MAX)),
-            stop: AtomicBool::new(false),
-            before_step,
-            kick_idle,
-        });
-        let router = delays.map(|_| {
-            let (tx, rx) = unbounded::<Routed>();
-            let (senders, shared) = (senders.clone(), shared.clone());
-            (
-                tx,
-                thread::spawn(move || route(&rx, &senders, &shared.stop)),
-            )
-        });
-        let workers = nodes
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(p, (node, rx))| {
-                let links = Links {
-                    senders: senders.clone(),
-                    routed: router.as_ref().zip(delays).map(|((tx, _), (topo, scale))| {
-                        let delay = |dst| {
-                            let ns = topo.try_delay(p, dst).map_or(0.0, |d| d.as_nanos() as f64);
-                            Duration::from_nanos((ns * scale).round() as u64)
-                        };
-                        (tx.clone(), (0..n).map(delay).collect())
-                    }),
-                };
-                let shared = shared.clone();
-                thread::spawn(move || work(p, node, &rx, &links, &shared))
-            })
-            .collect();
-        Self {
-            shared,
-            workers,
-            router: router.map(|(_, handle)| handle),
-        }
-    }
-}
-
-impl<N: AsyncNode + 'static> Fabric for Threads<N> {
-    fn snapshots(&self) -> &[SharedBlock] {
-        &self.shared.snapshots
-    }
-
-    fn all_halted(&self) -> bool {
-        // Tokens first: a wave that could still re-arm someone holds one
-        // until its receiver has cleared its own halt flag.
-        self.shared.work.load(Ordering::Acquire) == 0 && self.shared.halts.all()
-    }
-
-    /// Workers poll their hook every millisecond anyway.
-    fn wake(&self, _p: usize) {}
-
-    fn finish(&mut self) -> Totals {
-        self.shared.stop.store(true, Ordering::Release);
-        let mut totals = Totals::default();
-        // Re-raise a worker/router panic with its original payload rather
-        // than masking it behind a generic join message.
-        for h in self.workers.drain(..) {
-            match h.join() {
-                Ok(node) => totals.add(&node),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        if let Some(Err(payload)) = self.router.take().map(thread::JoinHandle::join) {
-            std::panic::resume_unwind(payload);
-        }
-        totals
-    }
-}
-
-impl<N> Drop for Threads<N> {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.router.take() {
-            let _ = h.join();
+        while let Some(wave) = held.first_entry().filter(|w| w.key().0 <= now) {
+            let (dst, msg) = wave.remove();
+            shared.land(dst, msg);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The one-shot wall-clock solve over either fabric.
+// The one-shot wall-clock solve.
 // ---------------------------------------------------------------------------
 
-/// What [`run`] needs besides the started fabric.
+/// What [`run`] needs besides the started pool.
 pub(crate) struct WallRun<'a> {
     pub spec: RunSpec<'a>,
     pub backend: BackendKind,
     pub budget: Duration,
 }
 
-/// Supervise a started fabric — `run.spec`'s columns admitted to the
+/// Supervise a started pool — `run.spec`'s columns admitted to the
 /// monitor at once — until every column met the rule, every node halted
-/// or the budget expired; then stop the fabric and assemble the report.
+/// or the budget expired; then stop the pool and assemble the report.
 /// Each sleep between polls follows the decay of the metric just scored
 /// ([`next_poll`]).
-pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
+pub(crate) fn run<N: AsyncNode + 'static>(mut pool: Pool<N>, run: &WallRun<'_>) -> SolveReport {
     let started = Instant::now();
     let mut monitor = run.spec.monitor(SimDuration::ZERO);
     let tol = run.spec.termination.metric_tol();
@@ -870,11 +681,11 @@ pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     let stop = loop {
         std::thread::sleep(gap);
         let time = wall_time(started);
-        let metric = monitor.poll(time, fabric.snapshots(), u64::MAX);
+        let metric = monitor.poll(time, pool.snapshots(), u64::MAX);
         if monitor.all_done() {
             break StopKind::OracleTolerance;
         }
-        if fabric.all_halted() {
+        if pool.all_halted() {
             break StopKind::AllHalted;
         }
         let left = run.budget.saturating_sub(started.elapsed());
@@ -889,11 +700,11 @@ pub(crate) fn run(mut fabric: impl Fabric, run: &WallRun<'_>) -> SolveReport {
     // the one the exact metric accepted, whatever the nodes have done to
     // theirs since. Otherwise report whatever was published by now.
     if stop != StopKind::OracleTolerance {
-        monitor.poll(wall_time(started), fabric.snapshots(), u64::MAX);
+        monitor.poll(wall_time(started), pool.snapshots(), u64::MAX);
     }
     let columns = monitor.retire_all();
     let time_ms = started.elapsed().as_secs_f64() * 1e3;
-    let totals = fabric.finish();
+    let totals = pool.finish();
     SolveReport::assemble(RunSummary {
         backend: run.backend,
         algorithm: run.spec.algorithm,
@@ -917,7 +728,7 @@ mod tests {
     use dtm_graph::{ElectricGraph, PartitionPlan};
     use dtm_sparse::generators;
 
-    /// What the probed nodes of one fabric share: who is mid-step, how
+    /// What the probed nodes of one pool share: who is mid-step, how
     /// many steps each has finished, and the neighbour overlaps seen.
     struct Watch {
         in_step: Vec<AtomicBool>,
@@ -935,10 +746,10 @@ mod tests {
         }
     }
 
-    /// A node that sleeps before its first step (a part whose thread, or
-    /// pool worker, comes up late) and before every step (a slow part), and
-    /// records stepping while one of `peers` does. Possible only because
-    /// the fabrics are generic over the node.
+    /// A node that sleeps before its first step (a part whose worker comes
+    /// up late) and before every step (a slow part), and records stepping
+    /// while one of `peers` does. Possible only because the pool is generic
+    /// over the node.
     struct Probe<N> {
         inner: N,
         delay: Duration,
@@ -1038,14 +849,13 @@ mod tests {
     fn supervise(
         ss: &SplitSystem,
         termination: Termination,
-        fabric: impl Fabric,
-        backend: BackendKind,
+        pool: Pool<Probe<runtime::NodeRuntime>>,
     ) -> SolveReport {
         let (a, b) = ss.reconstruct();
         let map = GatherMap::of_split(ss, &a, &b, None);
         let references = runtime::resolve_references(&map, termination, None).unwrap();
         run(
-            fabric,
+            pool,
             &WallRun {
                 spec: RunSpec {
                     algorithm: AlgorithmKind::Dtm,
@@ -1053,14 +863,14 @@ mod tests {
                     map,
                     references: references.as_deref(),
                 },
-                backend,
+                backend: BackendKind::WorkStealing,
                 budget: Duration::from_secs(60),
             },
         )
     }
 
-    fn run_to_all_halted(ss: &SplitSystem, fabric: impl Fabric, backend: BackendKind) {
-        let report = supervise(ss, TERMINATION, fabric, backend);
+    fn run_to_all_halted(ss: &SplitSystem, pool: Pool<Probe<runtime::NodeRuntime>>) {
+        let report = supervise(ss, TERMINATION, pool);
         assert_eq!(report.stop, StopKind::AllHalted);
         assert!(report.converged);
         assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
@@ -1187,8 +997,8 @@ mod tests {
                 inner,
             })
             .collect();
-        let pool = Pool::start(nodes, 1, 4, false, no_hook());
-        let report = supervise(&ss, termination, pool, BackendKind::WorkStealing);
+        let pool = Pool::start(nodes, 1, 4, None, false, no_hook());
+        let report = supervise(&ss, termination, pool);
         assert!(report.converged, "residual {}", report.final_residual);
         assert_eq!(watch.overlaps.load(Ordering::SeqCst), 0);
         let steps: Vec<usize> = watch
@@ -1207,14 +1017,18 @@ mod tests {
     #[test]
     fn slow_start_rearms_converged_neighbours_on_the_pool() {
         let (ss, nodes) = slow_start_problem();
-        let pool = Pool::start(nodes, 1, 3, true, no_hook());
-        run_to_all_halted(&ss, pool, BackendKind::WorkStealing);
+        let pool = Pool::start(nodes, 1, 3, None, true, no_hook());
+        run_to_all_halted(&ss, pool);
     }
 
+    /// The late part's waves reach its converged neighbours through the
+    /// router, 2 ms after they are sent: they still re-arm them, and the
+    /// pool does not read "all halted" while they are on their way.
     #[test]
-    fn slow_start_rearms_converged_neighbours_on_threads() {
+    fn slow_start_rearms_converged_neighbours_through_the_router() {
         let (ss, nodes) = slow_start_problem();
-        let threads = Threads::start(nodes, 1, None, true, no_hook());
-        run_to_all_halted(&ss, threads, BackendKind::Threaded);
+        let links = Topology::complete(3).with_delays(&dtm_simnet::DelayModel::fixed_ms(2.0));
+        let pool = Pool::start(nodes, 1, 3, Some((&links, 1.0)), true, no_hook());
+        run_to_all_halted(&ss, pool);
     }
 }

@@ -34,21 +34,22 @@
 //!   [`runtime::wallclock`], the block a wall-clock worker publishes its
 //!   solution through;
 //! * [`Machine`] — **the machine as a value**: the simulated machine, the
-//!   lock-step one, one OS thread per part or the worker pool, and the one
-//!   dispatch every algorithm's one-shot solve goes through. DTM's entry
+//!   lock-step one, the worker pool behind a delay router or the bare
+//!   worker pool, and the one dispatch every algorithm's one-shot solve
+//!   goes through. DTM's entry
 //!   points are [`DtmProblem::solve`] and [`DtmProblem::solve_block`] over
 //!   a `Machine`; VTM (eq. 5.10) is DTM on [`Machine::LockStep`];
-//! * [`fabric`] — **the two wall-clock fabrics**, each written once and
-//!   generic over the node: resident workers on one ready queue, and one
-//!   OS thread per node; plus the per-node hook and the LocalDelta
+//! * [`fabric`] — **the wall-clock fabric**, written once and generic over
+//!   the node: resident workers on one ready queue, with an optional delay
+//!   router in front of it; plus the per-node hook and the LocalDelta
 //!   passive/re-arm rule. [`Machine::Pool`], [`Machine::Threads`] and the
-//!   rolling sessions run there;
+//!   wall-clock rolling session run there;
 //! * [`solver`] — the simulated executor: the one adapter between a node
 //!   and a `dtm-simnet` processor, its engine loop (under
 //!   [`Machine::Simulated`]), and the lock-step machine (every link one
 //!   round) that synchronous rounds run on;
-//! * [`threaded`] — [`Machine::Threads`]' configuration and its form over
-//!   prebuilt nodes;
+//! * [`threaded`] — [`Machine::Threads`]' configuration (the pool behind
+//!   a delay router) and its form over prebuilt nodes;
 //! * [`rayon_backend`] — [`Machine::Pool`]'s configuration and its form
 //!   over prebuilt nodes;
 //! * [`async_baselines`] — **the baselines**: randomized asynchronous
@@ -70,7 +71,7 @@
 //!   sessions**: an admission queue that swaps right-hand sides into the
 //!   live block wave as column slots free up, each ticket under its own
 //!   termination, with per-column completion reports — one driver on the
-//!   simulated machine and one generic over the wall-clock [`fabric`]s,
+//!   simulated machine and one on the wall-clock [`fabric`]'s pool,
 //!   scored by the one-shot solves' own [`monitor`];
 //! * [`report`] — the shared solve-report vocabulary and
 //!   [`SolveReport::assemble`], the one report constructor holding the one
@@ -129,7 +130,5 @@ pub use report::{AlgorithmKind, BackendKind, SolveReport};
 pub use runtime::{
     AsyncNode, CommonConfig, ExecutorBackend, NodeRuntime, SmallBlock, Termination, Transport,
 };
-pub use session::{
-    ColumnReport, RollingPoolSession, RollingSession, RollingThreadedSession, TicketId,
-};
+pub use session::{ColumnReport, RollingPoolSession, RollingSession, TicketId};
 pub use solver::{ComputeModel, DtmConfig};

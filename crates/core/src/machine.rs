@@ -1,7 +1,7 @@
 //! The machine a solve runs on, as a value ([`Machine`]), and the one
 //! dispatch every algorithm's one-shot solve goes through.
 
-use crate::fabric::{self, Pool, Threads, WallRun};
+use crate::fabric::{self, Pool, WallRun};
 use crate::rayon_backend::RayonConfig;
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{self, AsyncNode, CommonConfig, GatherMap, NodeRuntime, RunSpec, Termination};
@@ -25,7 +25,7 @@ use dtm_sparse::Result;
 /// |---|---|---|---|---|
 /// | `Simulated` | the discrete-event engine | its link's simulated delay | simulated | `Simulated` |
 /// | `LockStep` | the complete machine, every link one round | one round | rounds (1 ms each, or priced) | `Simulated` |
-/// | `Threads` | [`fabric::Threads`]: one OS thread per part | channel latency, plus the router's scaled delay | wall | `Threaded` |
+/// | `Threads` | [`fabric::Pool`] on every core, behind the config's delay router | its link's delay × `delay_scale`, then the wait in the ready queue | wall | `Threaded` |
 /// | `Pool` | [`fabric::Pool`]: resident workers on one ready queue | the wait in that queue | wall | `WorkStealing` |
 ///
 /// VTM is DTM on `LockStep` ("if we set τ₁ = … = τ_n = 1, then DTM is
@@ -61,7 +61,8 @@ pub enum Machine {
         /// link delay — one exchange and one barrier on that machine.
         price: Option<(Topology, ComputeModel)>,
     },
-    /// One OS thread per part ([`ThreadedConfig`]).
+    /// The pool on `available_parallelism` workers, behind
+    /// [`ThreadedConfig`]'s delay router.
     Threads(ThreadedConfig),
     /// Resident workers on one ready queue ([`RayonConfig`]).
     Pool(RayonConfig),
@@ -114,22 +115,31 @@ impl Machine {
                 let round = solver::round_price(&nodes, k, price.as_ref());
                 solver::run_lockstep(nodes, round, common.max_solves_per_node, spec)
             }
-            Machine::Threads(config) => fabric::run(
-                Threads::start(nodes, k, config.delays(), kick_idle, fabric::no_hook()),
-                &WallRun {
-                    spec,
-                    backend: BackendKind::Threaded,
-                    budget: config.budget,
-                },
-            ),
-            Machine::Pool(config) => fabric::run(
-                Pool::start(nodes, k, config.num_threads, kick_idle, fabric::no_hook()),
-                &WallRun {
-                    spec,
-                    backend: BackendKind::WorkStealing,
-                    budget: config.budget,
-                },
-            ),
+            Machine::Threads(config) => {
+                let delays = config
+                    .delay_topology
+                    .as_ref()
+                    .map(|t| (t, config.delay_scale));
+                fabric::run(
+                    Pool::start(nodes, k, 0, delays, kick_idle, fabric::no_hook()),
+                    &WallRun {
+                        spec,
+                        backend: BackendKind::Threaded,
+                        budget: config.budget,
+                    },
+                )
+            }
+            Machine::Pool(config) => {
+                let workers = config.num_threads;
+                fabric::run(
+                    Pool::start(nodes, k, workers, None, kick_idle, fabric::no_hook()),
+                    &WallRun {
+                        spec,
+                        backend: BackendKind::WorkStealing,
+                        budget: config.budget,
+                    },
+                )
+            }
         }
     }
 }
@@ -212,7 +222,7 @@ pub(crate) mod tests {
         evs_split(&g, &plan, &options).unwrap()
     }
 
-    /// Real threads, a 60 s budget.
+    /// The pool on every core, a 60 s budget.
     pub(crate) fn threads(common: CommonConfig) -> Machine {
         Machine::Threads(ThreadedConfig {
             common,

@@ -10,8 +10,8 @@ pub enum BackendKind {
     /// Deterministic discrete-event simulation on a [`dtm_simnet`]
     /// machine ([`crate::solver`]).
     Simulated,
-    /// One OS thread per subdomain, channels for waves
-    /// ([`crate::threaded`]).
+    /// The worker pool behind [`crate::threaded::ThreadedConfig`]'s delay
+    /// router ([`crate::threaded`]).
     Threaded,
     /// In-process worker pool on one ready queue, any worker steps any
     /// part ([`crate::rayon_backend`]; the name predates the queue).

@@ -10,8 +10,8 @@
 //! propagation delay simply *is* whatever delay the executing machine
 //! imposes on that message. The code must mirror that claim: the node
 //! behaviour of Table 1 lives **here, once**, and each execution scenario
-//! (deterministic simulation, OS threads, a work-stealing pool — later
-//! sockets or GPUs) is a thin adapter that decides only *when* a node runs
+//! (deterministic simulation, a worker pool with or without a delay
+//! router, processes over sockets) is a thin adapter that decides only *when* a node runs
 //! and *how* its waves travel.
 //!
 //! # The contract
@@ -22,12 +22,11 @@
 //!   [`Transport::send`] once per neighbour subdomain per solve, handing it
 //!   a [`DtmMsg`] addressed to a peer part. The transport owns the delay:
 //!   the simulated backend maps it onto a [`dtm_simnet`] link (delay =
-//!   simulated link delay), the threaded backend onto a `std::sync::mpsc`
-//!   channel (delay = real scheduling/transmission latency, optionally
-//!   shaped by a router), the pool backend onto a shared inbox (delay = the
-//!   receiver's wait in the pool's ready queue). **A transport must never
-//!   reorder the messages of one sender–receiver pair**; all three in-tree
-//!   transports deliver per-pair FIFO, which is what eq. (2.1) assumes of
+//!   simulated link delay), the pool onto a shared inbox (delay = the
+//!   receiver's wait in the pool's ready queue, after — behind the delay
+//!   router — its link's scaled delay). **A transport must never reorder
+//!   the messages of one sender–receiver pair**; both in-tree transports
+//!   deliver per-pair FIFO, which is what eq. (2.1) assumes of
 //!   a transmission line.
 //!
 //! * [`ExecutorBackend`] — *when nodes run.* A backend owns scheduling:
@@ -269,8 +268,13 @@ impl Termination {
     /// one, so every executor would run out its budget and report
     /// unconverged. `0` (run to the cap) and `∞` stay legal. The one check
     /// of the stopping rule: every one-shot entry point passes it through
-    /// [`Machine`](crate::Machine), every session ticket at `submit`.
-    pub(crate) fn check(self) -> Result<Self> {
+    /// [`Machine`](crate::Machine), every session ticket at `submit`, and
+    /// `dtm-net`'s distributed backend before its first round.
+    ///
+    /// # Errors
+    /// [`Error::NonFinite`](dtm_sparse::Error::NonFinite) for a NaN
+    /// tolerance.
+    pub fn check(self) -> Result<Self> {
         let (Termination::OracleRms { tol }
         | Termination::Residual { tol }
         | Termination::LocalDelta { tol, .. }) = self;
@@ -351,8 +355,8 @@ impl<T: Transport + ?Sized> Transport for &mut T {
 /// whatever waves arrived, run one activation (solve/relax/diffuse and
 /// scatter through a [`Transport`]), publish the current local solution,
 /// and report uniform work counters (activations, messages, flops). Any
-/// machine that can drive this trait — the simulated engine, OS threads,
-/// a work-stealing pool — can therefore drive *any* of the algorithms,
+/// machine that can drive this trait — the simulated engine, the worker
+/// pool with or without its delay router — can therefore drive *any* of the algorithms,
 /// which is what makes `repro compare` a message-for-message benchmark on
 /// identical machines.
 pub trait AsyncNode: Send {

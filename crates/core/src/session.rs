@@ -17,9 +17,9 @@
 //! a stop, never corrupt a result).
 //!
 //! This file is the queue, the ticket vocabulary and two thin drivers —
-//! the simulated machine, and one generic over the wall-clock fabrics —
-//! both scoring their tickets with the [`Monitor`] a one-shot solve uses,
-//! its column slots admitted and retired as tickets come and go:
+//! the simulated machine and the wall-clock pool — both scoring their
+//! tickets with the [`Monitor`] a one-shot solve uses, its column slots
+//! admitted and retired as tickets come and go:
 //!
 //! * `SessionQueue` — tickets, slot states, completion stream. Pure logic,
 //!   shared by every driver.
@@ -30,13 +30,10 @@
 //!   [`NodeRuntime::swap_rhs_col`](crate::runtime::NodeRuntime::swap_rhs_col)),
 //!   and the run resumes — an instantaneous control action at the current
 //!   simulated instant, not an exchange restart.
-//! * [`WallclockSession`] — a [`crate::fabric`] runs the perpetual
-//!   exchange; swap orders travel per-part admission mailboxes that the
-//!   fabric's per-node hook drains before each step, so no node ever
-//!   blocks or restarts.
-//!   [`RollingThreadedSession`] (one OS thread per subdomain) and
-//!   [`RollingPoolSession`] (the work-stealing pool) are its two
-//!   instantiations.
+//! * [`WallclockSession`] ([`RollingPoolSession`]) — a
+//!   [`crate::fabric::Pool`] runs the perpetual exchange; swap orders
+//!   travel per-part admission mailboxes that the pool's per-node hook
+//!   drains before each step, so no node ever blocks or restarts.
 //!
 //! Every submitted right-hand side carries its **own**
 //! [`Termination`] — `Residual` and `OracleRms` tolerances mix freely in
@@ -47,7 +44,7 @@
 //! [`SolveReport`](crate::report::SolveReport).
 
 use crate::builder::DtmProblem;
-use crate::fabric::{Fabric, Hook, Pool, Threads};
+use crate::fabric::{Hook, Pool};
 use crate::local::has_col;
 use crate::monitor::{wall_time, Monitor, NO_SERIES, POLL_INTERVAL};
 use crate::runtime::{self, CommonConfig, GatherMap, NodeRuntime, Termination};
@@ -507,31 +504,31 @@ impl RollingSession {
 }
 
 // ---------------------------------------------------------------------------
-// Driver 2: the wall-clock fabrics (threads, work-stealing pool).
+// Driver 2: the wall-clock pool.
 // ---------------------------------------------------------------------------
 
 /// One admission order: `(column slot, local RHS column)`.
 type ColumnSwap = (usize, Vec<f64>);
 
-/// A rolling session on a wall-clock [`Fabric`].
+/// A rolling session on the wall-clock [`Pool`].
 ///
-/// The fabric runs the perpetual exchange — every received wave triggers a
+/// The pool runs the perpetual exchange — every received wave triggers a
 /// re-solve and a re-scatter — for the session's whole life; the caller's
 /// thread is the supervisor: [`poll`](Self::poll) drains the solution
 /// snapshots of the columns due for scoring, retires tickets whose own
 /// tolerance is met (exact metrics on the gathered estimate —
 /// self-validating), and admits queued tickets by dropping swap orders
-/// into per-part mailboxes, which the nodes drain through the fabric's
+/// into per-part mailboxes, which the nodes drain through the pool's
 /// per-node hook. Each column is scored on its own cadence, the one-shot
 /// supervisor's decay rule (`Monitor::schedule`), so a poll between two
 /// due times does no work. Call [`finish`](Self::finish) (or drop the
-/// session) to stop the fabric.
-pub struct WallclockSession<F> {
+/// session) to stop the pool.
+pub struct WallclockSession {
     split: SplitSystem,
     queue: SessionQueue,
     oracle: LazyOracle,
     monitor: Monitor,
-    fabric: F,
+    pool: Pool<NodeRuntime>,
     /// Admission mailboxes, one per part: [`ColumnSwap`] orders the node's
     /// hook applies before its next step.
     swaps: Arc<Vec<Mutex<Vec<ColumnSwap>>>>,
@@ -544,22 +541,15 @@ pub struct WallclockSession<F> {
     pub(crate) scorings: u64,
 }
 
-/// A rolling session on real OS threads (one per subdomain).
-pub type RollingThreadedSession = WallclockSession<Threads<NodeRuntime>>;
-
 /// A rolling session on the in-process work-stealing pool — the serving
 /// shape: subdomain count decoupled from thread count.
-pub type RollingPoolSession = WallclockSession<Pool<NodeRuntime>>;
+pub type RollingPoolSession = WallclockSession;
 
-impl<F: Fabric> WallclockSession<F> {
+impl WallclockSession {
     /// Build the session's nodes (a `slots`-wide block of zero columns
-    /// over the problem's factors) and hand them, with the mailbox hook,
-    /// to `start`.
-    pub(crate) fn new(
-        problem: &DtmProblem,
-        slots: usize,
-        start: impl FnOnce(Vec<NodeRuntime>, Hook<NodeRuntime>) -> F,
-    ) -> Result<Self> {
+    /// over the problem's factors) and start them, with the mailbox hook,
+    /// on a pool of `num_threads` workers (`0` = available parallelism).
+    pub(crate) fn new(problem: &DtmProblem, slots: usize, num_threads: usize) -> Result<Self> {
         if slots == 0 {
             return Err(Error::Parse("rolling session needs ≥ 1 column slot".into()));
         }
@@ -582,7 +572,7 @@ impl<F: Fabric> WallclockSession<F> {
             swapped
         });
         Ok(Self {
-            fabric: start(runtimes, hook),
+            pool: Pool::start(runtimes, slots, num_threads, None, false, hook),
             monitor: session_monitor(&split, slots),
             queue: SessionQueue::new(split.original_n, slots),
             oracle: LazyOracle::default(),
@@ -611,7 +601,7 @@ impl<F: Fabric> WallclockSession<F> {
     ///
     /// # Errors
     /// See [`RollingSession::submit`]; also rejects submissions after
-    /// [`finish`](Self::finish) — the fabric is stopped, so the ticket
+    /// [`finish`](Self::finish) — the pool is stopped, so the ticket
     /// could never complete.
     pub fn submit(&mut self, b: &[f64], termination: Termination) -> Result<TicketId> {
         if self.finished {
@@ -645,7 +635,7 @@ impl<F: Fabric> WallclockSession<F> {
         let now = Duration::from_nanos(time.as_nanos());
         let due = self.monitor.due(now);
         if due != 0 {
-            self.monitor.poll(time, self.fabric.snapshots(), due);
+            self.monitor.poll(time, self.pool.snapshots(), due);
             let slots = self.queue.n_slots();
             for slot in 0..slots {
                 if !has_col(due, slot, slots) || !self.queue.is_active(slot) {
@@ -672,7 +662,7 @@ impl<F: Fabric> WallclockSession<F> {
             let local_cols = self.split.scatter_rhs(&t.b);
             for (p, (mailbox, local)) in self.swaps.iter().zip(local_cols).enumerate() {
                 mailbox.lock().push((slot, local));
-                self.fabric.wake(p);
+                self.pool.wake(p);
             }
         }
     }
@@ -712,10 +702,10 @@ impl<F: Fabric> WallclockSession<F> {
         out
     }
 
-    /// Stop the fabric and wait for it. Further submissions are rejected;
+    /// Stop the pool and wait for it. Further submissions are rejected;
     /// prefer draining first.
     pub fn finish(&mut self) {
-        self.fabric.finish();
+        self.pool.finish();
         self.finished = true;
     }
 }
@@ -761,7 +751,7 @@ mod tests {
 
     #[test]
     fn submit_rejects_non_finite_right_hand_sides() {
-        // The one queue all three sessions share names the first bad entry;
+        // The one queue both sessions share names the first bad entry;
         // nothing is queued.
         let rule = Termination::Residual { tol: 1e-6 };
         let q = SessionQueue::new(4, 2);
@@ -1060,39 +1050,17 @@ mod tests {
             .is_err());
     }
 
-    #[test]
-    fn rolling_threaded_session_serves_staggered_tickets() {
-        let problem = grid_problem(8);
-        let (a, _) = problem.split.reconstruct();
-        let mut session = problem.rolling_threaded(2).expect("spawns");
-        let b1 = generators::random_rhs(64, 31);
-        let b2 = generators::random_rhs(64, 32);
-        session
-            .submit(&b1, Termination::Residual { tol: 1e-7 })
-            .unwrap();
-        let r1 = session.drain(Duration::from_secs(60));
-        assert_eq!(r1.len(), 1, "first ticket completes");
-        // Staggered admission into the still-running exchange.
-        session
-            .submit(&b2, Termination::OracleRms { tol: 1e-7 })
-            .unwrap();
-        let r2 = session.drain(Duration::from_secs(60));
-        assert_eq!(r2.len(), 1, "second ticket completes");
-        session.finish();
-        assert!(a.residual_norm(&r1[0].solution, &b1) / dtm_sparse::vector::norm2(&b1) <= 2e-7);
-        assert!(r2[0].final_rms.expect("oracle ticket") <= 1e-7);
-    }
-
     /// Serve 12 tickets, tolerances alternating 1e-3 and 1e-7, through a
     /// 4-slot session on a 12×12 grid, polling in a busy loop — far more
     /// often than any column is due. Every answer meets its own
     /// tolerance; each ticket costs a bounded number of column scorings,
     /// never two of one column within `POLL_INTERVAL`; most polls score
     /// nothing.
-    fn serve_mixed_tolerances<F: Fabric>(start: impl FnOnce(&DtmProblem) -> WallclockSession<F>) {
+    #[test]
+    fn rolling_pool_session_scores_each_column_on_its_own_cadence() {
         let problem = grid_problem(12);
         let (a, _) = problem.split.reconstruct();
-        let mut session = start(&problem);
+        let mut session = problem.rolling_workstealing(4, 2).expect("spawns");
         let work: Vec<(Vec<f64>, f64)> = (0..12)
             .map(|i| {
                 (
@@ -1144,16 +1112,6 @@ mod tests {
             pumps >= 10 * scorings,
             "{pumps} polls, {scorings} column scorings"
         );
-    }
-
-    #[test]
-    fn rolling_pool_session_scores_each_column_on_its_own_cadence() {
-        serve_mixed_tolerances(|p| p.rolling_workstealing(4, 2).expect("spawns"));
-    }
-
-    #[test]
-    fn rolling_threaded_session_scores_each_column_on_its_own_cadence() {
-        serve_mixed_tolerances(|p| p.rolling_threaded(4).expect("spawns"));
     }
 
     #[test]

@@ -17,22 +17,18 @@
 
 #[cfg(not(feature = "model-check"))]
 mod imp {
-    pub use std::sync::atomic::{
-        AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     pub use std::sync::MutexGuard;
 
     /// Unbounded FIFO channels. Every receiver is moved into its one
     /// consuming thread, so std's single-consumer channel is all it takes.
     pub mod channel {
-        pub use std::sync::mpsc::{
-            channel as unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError,
-        };
+        pub use std::sync::mpsc::{channel as unbounded, Receiver, RecvTimeoutError, Sender};
     }
 
     /// Thread spawning, narrowed to the surface the backends use.
     pub mod thread {
-        pub use std::thread::{spawn, yield_now, JoinHandle};
+        pub use std::thread::{spawn, JoinHandle};
     }
 
     /// `std::sync::Mutex` whose `lock` hands back the guard even after a
@@ -84,8 +80,7 @@ mod imp {
 mod imp {
     pub use minloom::channel;
     pub use minloom::sync::{
-        AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
-        Ordering,
+        AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
     };
     pub use minloom::thread;
 }

@@ -1,20 +1,16 @@
-//! DTM on real OS threads — genuine asynchrony, no simulation:
-//! [`Machine::Threads`]'s configuration.
+//! DTM on the wall clock with injected link delays — genuine asynchrony,
+//! no simulation: [`Machine::Threads`]'s configuration.
 //!
-//! One thread per subdomain runs the shared
-//! [`NodeRuntime`] state machine; waves travel
-//! `std::sync::mpsc` channels, so the DTL transmission delay is realised by
-//! real scheduling and channel latency (the Algorithm-Architecture Delay
-//! Mapping under natural asynchrony). No barrier anywhere. An optional
-//! router thread injects per-link delays (scaled from a [`Topology`]) so
-//! heterogeneous-machine behaviour can be exercised with real threads too.
-//!
-//! The worker loop, the work-token quiescence counter and the router live
-//! in the generic one-thread-per-node fabric [`crate::fabric::Threads`];
-//! a solve runs there through
+//! The machine is the one wall-clock fabric, [`crate::fabric::Pool`], on
+//! `available_parallelism` workers, behind an optional delay router: each
+//! wave waits out its link's delay from a [`Topology`], scaled to real
+//! time, before it lands in its receiver's inbox (the
+//! Algorithm-Architecture Delay Mapping on a heterogeneous machine). With
+//! no topology, or a zero scale, the delay is the wait in the pool's ready
+//! queue alone. No barrier anywhere. A solve runs there through
 //! [`DtmProblem::solve`](crate::DtmProblem::solve) on
 //! [`Machine::Threads`], or through [`solve_prepared`] over prebuilt
-//! nodes.
+//! nodes; its report is labelled [`BackendKind::Threaded`](crate::BackendKind::Threaded).
 
 use crate::machine::{self, Machine};
 use crate::report::SolveReport;
@@ -23,8 +19,8 @@ use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
 use dtm_sparse::Result;
 use std::time::Duration;
-/// Threaded-executor configuration: the shared [`CommonConfig`] plus the
-/// wall-clock and delay-shaping knobs that only exist on real threads.
+/// Delay-routed wall-clock configuration: the shared [`CommonConfig`]
+/// plus the budget and the delay router's table.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
     /// Algorithm configuration shared with every backend.
@@ -32,8 +28,8 @@ pub struct ThreadedConfig {
     /// Wall-clock budget.
     pub budget: Duration,
     /// Inject link delays from this topology, scaled by `delay_scale`
-    /// (simulated nanoseconds × scale = real nanoseconds). `None` sends
-    /// directly (natural channel latency only).
+    /// (simulated nanoseconds × scale = real nanoseconds). `None` routes
+    /// nothing: the wait in the pool's ready queue is the only delay.
     pub delay_topology: Option<Topology>,
     /// Delay scale factor (default 1e-3: simulated ms → real µs).
     pub delay_scale: f64,
@@ -50,15 +46,6 @@ impl Default for ThreadedConfig {
             delay_topology: None,
             delay_scale: 1e-3,
         }
-    }
-}
-
-impl ThreadedConfig {
-    /// The delay router's table, if this machine injects link delays.
-    pub(crate) fn delays(&self) -> Option<(&Topology, f64)> {
-        self.delay_topology
-            .as_ref()
-            .map(|topo| (topo, self.delay_scale))
     }
 }
 
@@ -93,7 +80,7 @@ pub fn solve_prepared(
 mod tests {
     //! [`Machine::Threads`]' cells of the shared property table
     //! (`machine::tests`), then what only this machine has: the delay
-    //! router.
+    //! router in front of the pool.
     use super::*;
     use crate::machine::tests::{self as table, grid_split};
     use crate::report::StopKind;
@@ -161,11 +148,11 @@ mod tests {
     #[test]
     fn threaded_local_delta_with_long_real_delays_still_converges() {
         // Regression: waves spending ~10 ms in the router used to let the
-        // 1 ms idle kick feed the zero-delta self-halt streak, halting
-        // workers long before the run converged. The quiescence guard
-        // (no worker active, nothing in flight) must hold the kick back
-        // until the waves have genuinely stopped. Through the prebuilt-node
-        // form, which shares the one dispatch.
+        // idle kick feed the zero-delta self-halt streak, halting nodes
+        // long before the run converged. The quiescence guard (queue idle
+        // and nothing held by the router, read under one lock) must hold
+        // the kick back until the waves have genuinely stopped. Through the
+        // prebuilt-node form, which shares the one dispatch.
         let ss = grid_split(6, 2, 75);
         let topo = dtm_simnet::Topology::ring(2).with_delays(&DelayModel::fixed_ms(10.0));
         let config = ThreadedConfig {
@@ -186,7 +173,7 @@ mod tests {
         // Regression: a delay topology missing a route's link used to
         // panic inside a worker thread ("no link {src} → {dst}") and
         // surface as a join panic; it must be a typed error before any
-        // thread spawns.
+        // worker starts.
         let ss = grid_split(6, 3, 76);
         // A 3-node topology with NO links at all: every route is missing.
         let topo = dtm_simnet::Topology::from_links(3, vec![]);

@@ -246,10 +246,6 @@ fn every_entry_point_names_the_lowest_failing_part() {
             .err()
             .expect("session build fails"),
     );
-    check(
-        "rolling_threaded",
-        p.rolling_threaded(2).err().expect("session build fails"),
-    );
 }
 
 #[test]

@@ -10,285 +10,52 @@
 //! loop written against the same `dtm_core::sync` facade the production
 //! code compiles against, plus seeded mutants the checker must catch:
 //!
-//! 1. **Quiescence kick** (`fabric.rs`, `Threads`): the LocalDelta idle
-//!    kick may fire only at true global quiescence. Current code uses one
-//!    deferred-decrement work counter; the mutant is the previous
-//!    two-counter (`active` + `in_flight`) guard, whose two loads can
-//!    straddle a receive handoff and both read zero while a wave is
-//!    mid-absorb — the checker finds the resulting premature stop.
-//! 2. **Scheduled-bit mailbox** (`fabric.rs`, `Pool`): a part's "queued"
+//! 1. **Scheduled-bit mailbox** (`fabric.rs`, `Pool`): a part's "queued"
 //!    bit (since PR 22 a flag inside `ReadyQueue`, cleared by `take`) must
 //!    be cleared *before* the activation drains the inbox; the
 //!    drain-before-clear mutant strands a wave pushed between the drain
 //!    and the clear.
-//! 3. **Rolling-session retirement** (`session.rs`): a ticket retires
+//! 2. **Rolling-session retirement** (`session.rs`): a ticket retires
 //!    only on the exact metric of its *own* gathered estimate
 //!    (self-validating); the stale-metric mutant retires a freshly
 //!    admitted ticket on the previous occupant's solved value.
-//!
-//! Plus the PR 4 regression: the monitor's incremental-metric resync
-//! must trigger at `metric <= refresh_below` (inclusive); the historical
-//! `<` mutant skips the resync exactly on the boundary and declares
-//! convergence from a drifted metric. The checker finds the
-//! supervisor-polls-between-updates schedule that exposes it.
-//!
-//! And the LocalDelta halting protocol of `fabric.rs` — **halting is a
-//! state**: the halt → late-wave → re-arm handoff. On the pool, the halt
-//! flag is read under the state lock, after the inbox swap, and "all
-//! halted" needs quiescence; the mutants are the parent commit's
-//! check-before-lock (one node counted halted twice, so the count never
-//! equals the part count), a halted node that ignores its mail (the lost
-//! wake-up), and a supervisor that trusts the count without quiescence
-//! (the premature collective halt). On threads, a re-armed worker clears
-//! its flag *before* releasing the wave's work token; the release-first
-//! mutant lets the supervisor read "no work, all halted" in between.
-//!
-//! And the pool's **ready-queue hand-off** (PR 22), on the production
-//! `fabric::ReadyQueue` under the production lock: two neighbours are never
-//! mid-step at once, a part passed over because its neighbour was mid-step
-//! is never lost, and "queue empty ∧ nobody mid-step" is never observed
-//! over an undelivered wave. Mutants: `done` in a critical section of its
-//! own ahead of the pushes, and a finisher that parks without re-offering
-//! the head of the queue.
+//! 3. **The monitor's resync boundary**: the incremental-metric resync
+//!    must trigger at `metric <= refresh_below` (inclusive); the historical
+//!    `<` mutant skips the resync exactly on the boundary and declares
+//!    convergence from a drifted metric. The checker finds the
+//!    supervisor-polls-between-updates schedule that exposes it.
+//! 4. **Halting is a state** (`fabric.rs`): the LocalDelta halt →
+//!    late-wave → re-arm handoff. The halt flag is read under the state
+//!    lock, after the inbox swap, and "all halted" needs quiescence; the
+//!    mutants are the parent commit's check-before-lock (one node counted
+//!    halted twice, so the count never equals the part count), a halted
+//!    node that ignores its mail (the lost wake-up), and a supervisor that
+//!    trusts the count without quiescence (the premature collective halt).
+//! 5. **The ready-queue hand-off**, on the production
+//!    `fabric::ReadyQueue` under the production lock: two neighbours are
+//!    never mid-step at once, a part passed over because its neighbour was
+//!    mid-step is never lost, and "queue empty ∧ nobody mid-step" is never
+//!    observed over an undelivered wave. Mutants: `done` in a critical
+//!    section of its own ahead of the pushes, and a finisher that parks
+//!    without re-offering the head of the queue.
+//! 6. **The delay router's hand-off** (`fabric.rs`, `Pool::start` with a
+//!    delay table), on the production `ReadyQueue`: "queue idle ∧ no wave
+//!    in flight", read under the queue lock, never holds while a routed
+//!    wave is neither in an inbox nor queued. The sender counts the wave
+//!    in flight before it leaves, and the router counts it down under the
+//!    queue lock after queueing its receiver. Mutants: a router that counts
+//!    the wave down before it takes the lock to queue the receiver, and a
+//!    sender that counts it only after its own step is released.
 
 #![cfg(feature = "model-check")]
 
 use dtm_core::fabric::ReadyQueue;
-use dtm_core::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dtm_core::sync::{
-    Arc, AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
-};
+use dtm_core::sync::channel::unbounded;
+use dtm_core::sync::{Arc, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use minloom::{checkpoint, hash_fold, thread, Builder};
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// 1. Quiescence kick (fabric.rs, Threads)
-// ---------------------------------------------------------------------------
-
-/// Which quiescence guard the distilled worker runs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Guard {
-    /// Current code: one deferred-decrement work counter; kick on a
-    /// single zero read.
-    SingleCounter,
-    /// Pre-PR 9 code: separate `active` (workers mid-step) and
-    /// `in_flight` (waves sent, not yet absorbed) counters; kick when
-    /// both loads read zero. Racy: the receive path's
-    /// `active += 1; in_flight -= 1` handoff can straddle the two loads.
-    TwoCounter,
-}
-
-struct QuiesceShared {
-    /// `SingleCounter`: outstanding work tokens (seeded with one per
-    /// worker for the initial step). `TwoCounter`: waves in flight.
-    in_flight: AtomicI64,
-    /// `TwoCounter` only: workers currently mid-step.
-    active: AtomicI64,
-}
-
-/// Distilled delivery, matching the worker's `step` closure: mint the
-/// token *before* the wave becomes receivable.
-fn q_send(shared: &QuiesceShared, tx: &Sender<u32>, v: u32) {
-    shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    let _ = tx.send(v);
-}
-
-/// Distilled worker, matching the shape of `fabric::work`:
-/// initial step, then recv/coalesce/step with the LocalDelta idle kick
-/// on timeout. The "solve" forwards wave `v` as `v - 1` to the next part
-/// while `v > 0` (a finite causal chain standing in for a decaying
-/// delta). The streak advances only on the kick path, so a worker halts
-/// exactly when its guard claimed global quiescence `patience` times —
-/// any wave left undelivered at join time is a premature stop.
-#[allow(clippy::needless_pass_by_value)]
-fn q_worker(
-    part: u64,
-    guard: Guard,
-    patience: u32,
-    initial_wave: Option<u32>,
-    rx: Receiver<u32>,
-    next: Sender<u32>,
-    shared: Arc<QuiesceShared>,
-) {
-    let step = |absorbed: &[u32]| -> Option<u32> {
-        let out = absorbed.iter().copied().max().unwrap_or(0);
-        (out > 0).then(|| out - 1)
-    };
-
-    // Initial solve. Under `SingleCounter` its token was minted at
-    // counter setup and is released only after the step's own sends are
-    // counted; under `TwoCounter` the step is bracketed by `active`.
-    if guard == Guard::TwoCounter {
-        shared.active.fetch_add(1, Ordering::AcqRel);
-    }
-    if let Some(v) = initial_wave {
-        q_send(&shared, &next, v);
-    }
-    match guard {
-        Guard::SingleCounter => {
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
-        Guard::TwoCounter => {
-            shared.active.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    let mut streak: u32 = 0;
-    loop {
-        // The recv_timeout poll loop is unbounded; everything
-        // loop-carried that steers behavior is (part, streak).
-        checkpoint(hash_fold(part, u64::from(streak)));
-        match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(first) => {
-                if guard == Guard::TwoCounter {
-                    // The racy handoff under test: mark active, then
-                    // release the in-flight count — two counters, so no
-                    // observer can read both at once.
-                    shared.active.fetch_add(1, Ordering::AcqRel);
-                    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-                let mut absorbed = vec![first];
-                while let Ok(more) = rx.try_recv() {
-                    if guard == Guard::TwoCounter {
-                        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    absorbed.push(more);
-                }
-                if let Some(out) = step(&absorbed) {
-                    q_send(&shared, &next, out);
-                }
-                match guard {
-                    Guard::SingleCounter => {
-                        // Deferred decrement: consumed tokens stay
-                        // outstanding until the step they caused has
-                        // minted tokens for its own sends.
-                        shared
-                            .in_flight
-                            .fetch_sub(absorbed.len() as i64, Ordering::AcqRel);
-                    }
-                    Guard::TwoCounter => {
-                        shared.active.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                streak = 0;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let quiescent = match guard {
-                    Guard::SingleCounter => shared.in_flight.load(Ordering::Acquire) == 0,
-                    Guard::TwoCounter => {
-                        shared.active.load(Ordering::Acquire) == 0
-                            && shared.in_flight.load(Ordering::Acquire) == 0
-                    }
-                };
-                if quiescent {
-                    // Idle kick: the re-solve against an unchanged
-                    // boundary is zero-delta, advancing the self-halt
-                    // streak (Table 1 step 3.3).
-                    streak += 1;
-                    if streak >= patience {
-                        return;
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// Build the ring of distilled workers and assert every wave was
-/// absorbed before its addressee halted. `patience = 1` is the hardest
-/// setting: a single spurious quiescence read kills a worker.
-fn quiesce_model(guard: Guard, n_workers: u64, initial_wave: u32) {
-    let shared = Arc::new(QuiesceShared {
-        in_flight: AtomicI64::new(match guard {
-            Guard::SingleCounter => n_workers as i64,
-            Guard::TwoCounter => 0,
-        }),
-        active: AtomicI64::new(0),
-    });
-    let mut txs = Vec::new();
-    let mut rxs = Vec::new();
-    for _ in 0..n_workers {
-        let (tx, rx) = unbounded::<u32>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    // Keep supervisor-side clones, mirroring `drain_rx`: after every
-    // worker has halted, an undelivered wave is a protocol violation.
-    let drain: Vec<Receiver<u32>> = rxs.iter().map(Receiver::clone).collect();
-
-    let mut handles = Vec::new();
-    for (p, rx) in rxs.into_iter().enumerate() {
-        let next = txs[(p + 1) % n_workers as usize].clone();
-        let shared = Arc::clone(&shared);
-        // Worker 0 owes the chain's seed wave; the others' initial
-        // solves are zero-delta.
-        let seed = (p == 0).then_some(initial_wave);
-        handles.push(thread::spawn(move || {
-            q_worker(p as u64, guard, 1, seed, rx, next, shared);
-        }));
-    }
-    drop(txs);
-    for h in handles {
-        h.join().unwrap();
-    }
-    for (p, rx) in drain.iter().enumerate() {
-        assert!(
-            rx.try_recv().is_err(),
-            "premature stop: worker {p} halted with a wave still addressed to it"
-        );
-    }
-}
-
-/// Current protocol, two workers, full interleaving exploration: the
-/// idle kick can never fire while the seed wave's causal chain is alive.
-#[test]
-fn quiescence_single_counter_exhaustive() {
-    let report = Builder::new().explore(|| quiesce_model(Guard::SingleCounter, 2, 1));
-    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
-    assert!(report.complete, "exploration must exhaust: {report:?}");
-    // State-hash dedup collapses most branches; completed schedules plus
-    // pruned subtrees together witness a real exploration.
-    assert!(
-        report.schedules + report.pruned > 20,
-        "trivial exploration: {report:?}"
-    );
-}
-
-/// Current protocol at the scale of the real deployment shape (a
-/// three-part ring with a two-hop chain), explored to preemption bound
-/// 2 — the bound that exposes the two-counter race below.
-#[test]
-fn quiescence_single_counter_three_workers_bounded() {
-    let report = Builder::new()
-        .preemption_bound(2)
-        .explore(|| quiesce_model(Guard::SingleCounter, 3, 2));
-    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
-    assert!(report.complete, "exploration must exhaust: {report:?}");
-}
-
-/// The pre-PR 9 two-counter guard: the checker must find the schedule
-/// where an idle worker's two loads straddle a peer's
-/// `active += 1; in_flight -= 1` handoff, both read zero while the peer
-/// is mid-absorb, and the worker self-halts just before the peer's step
-/// sends it the next wave.
-#[test]
-fn quiescence_two_counter_mutant_is_caught() {
-    let report = Builder::new()
-        .preemption_bound(2)
-        .explore(|| quiesce_model(Guard::TwoCounter, 2, 1));
-    let v = report
-        .violation
-        .expect("the two-counter quiescence race must be found");
-    assert!(
-        v.message.contains("premature stop"),
-        "unexpected violation:\n{v}"
-    );
-    assert!(!v.trace.is_empty(), "counterexample must carry a schedule");
-}
-
-// ---------------------------------------------------------------------------
-// 2. Scheduled-bit mailbox (fabric.rs, Pool)
+// 1. Scheduled-bit mailbox (fabric.rs, Pool)
 // ---------------------------------------------------------------------------
 
 struct Cell {
@@ -385,7 +152,7 @@ fn scheduled_bit_drain_before_clear_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Rolling-session retirement (session.rs)
+// 2. Rolling-session retirement (session.rs)
 // ---------------------------------------------------------------------------
 
 /// Distilled solved-value publication: ticket value `v` solves to
@@ -489,7 +256,7 @@ fn session_stale_metric_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. PR 4 regression: the monitor resync boundary (`<=` vs `<`)
+// 3. The monitor resync boundary (`<=` vs `<`)
 // ---------------------------------------------------------------------------
 
 /// Distilled `Monitor` resync discipline (see
@@ -572,7 +339,7 @@ fn monitor_resync_strict_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Halting is a state (fabric.rs): halt → late wave → re-arm
+// 4. Halting is a state (fabric.rs): halt → late wave → re-arm
 // ---------------------------------------------------------------------------
 
 /// Where the distilled pool activation reads its node's halt flag.
@@ -789,108 +556,8 @@ fn pool_all_halted_without_quiescence_mutant_is_caught() {
     );
 }
 
-/// The re-arm handoff on threads. Worker T is passive, parked on its
-/// channel; S's step mints a token, sends T a significant wave, releases
-/// its own token and converges. T must clear its halt flag *before*
-/// releasing the wave's token (`rearm_first`), so the supervisor's
-/// "no work, then all halted" can never hold while the wave is pending.
-fn threads_rearm_model(rearm_first: bool) {
-    struct Shared {
-        work: AtomicI64,
-        halted: AtomicBool,
-        count: AtomicUsize,
-        stepped: AtomicUsize,
-        stop: AtomicBool,
-    }
-    // T is already passive; S still owes its initial solve (one token).
-    let shared = Arc::new(Shared {
-        work: AtomicI64::new(1),
-        halted: AtomicBool::new(true),
-        count: AtomicUsize::new(1),
-        stepped: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-    });
-    let (tx, rx) = unbounded::<u32>();
-    let worker = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || loop {
-            let stepped = shared.stepped.load(Ordering::SeqCst);
-            checkpoint(hash_fold(0x7ead, stepped as u64));
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(_) => {
-                    if !rearm_first {
-                        shared.work.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    shared.halted.store(false, Ordering::SeqCst);
-                    shared.count.fetch_sub(1, Ordering::SeqCst);
-                    // Absorb, step — and converge again.
-                    shared.stepped.fetch_add(1, Ordering::SeqCst);
-                    shared.halted.store(true, Ordering::SeqCst);
-                    shared.count.fetch_add(1, Ordering::SeqCst);
-                    if rearm_first {
-                        shared.work.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        })
-    };
-    let sender = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            shared.work.fetch_add(1, Ordering::SeqCst);
-            let _ = tx.send(1);
-            shared.work.fetch_sub(1, Ordering::SeqCst);
-            shared.count.fetch_add(1, Ordering::SeqCst);
-            // Keep the channel connected until the worker is told to stop.
-            while !shared.stop.load(Ordering::SeqCst) {
-                checkpoint(hash_fold(0x5e4d, 0));
-            }
-        })
-    };
-    loop {
-        checkpoint(hash_fold(0x4a18, 0));
-        if shared.work.load(Ordering::SeqCst) == 0 && shared.count.load(Ordering::SeqCst) == 2 {
-            break;
-        }
-    }
-    assert_eq!(
-        shared.stepped.load(Ordering::SeqCst),
-        1,
-        "premature halt: all halted declared over an unabsorbed wave"
-    );
-    shared.stop.store(true, Ordering::SeqCst);
-    worker.join().unwrap();
-    sender.join().unwrap();
-}
-
-#[test]
-fn threads_rearm_before_token_release_exhaustive() {
-    let report = Builder::new().explore(|| threads_rearm_model(true));
-    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
-    assert!(report.complete, "exploration must exhaust: {report:?}");
-}
-
-/// Release-before-re-arm: between the worker's token release and its flag
-/// clear the supervisor reads `work == 0` and `count == n`.
-#[test]
-fn threads_token_release_before_rearm_mutant_is_caught() {
-    let report = Builder::new().explore(|| threads_rearm_model(false));
-    let v = report
-        .violation
-        .expect("the premature collective halt must be found");
-    assert!(
-        v.message.contains("premature halt"),
-        "unexpected violation:\n{v}"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// 6. The ready-queue hand-off (fabric.rs, Pool)
+// 5. The ready-queue hand-off (fabric.rs, Pool)
 // ---------------------------------------------------------------------------
 
 /// What the distilled pool worker does with a part whose step is over.
@@ -1078,4 +745,158 @@ fn ready_queue_done_without_reoffering_the_head_mutant_is_caught() {
     let report = Builder::new().explore(|| ready_queue_model(Release::ParkAfterDone));
     let v = report.violation.expect("the lost part must be found");
     assert!(v.message.contains("deadlock"), "unexpected violation:\n{v}");
+}
+
+// ---------------------------------------------------------------------------
+// 6. The delay router's hand-off (fabric.rs, Pool with a delay table)
+// ---------------------------------------------------------------------------
+
+/// Where the distilled routed pool counts a routed wave.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Routing {
+    /// Current code: the sender counts the wave in flight before handing
+    /// it to the router; the router lands it in the inbox, then — under
+    /// the queue lock — queues the receiver and counts the wave down.
+    Production,
+    /// Mutant: the router counts the wave down before it takes the lock to
+    /// queue the receiver — in between, the wave is in an inbox nobody is
+    /// queued to drain, and nothing is in flight.
+    CountDownBeforePush,
+    /// Mutant: the sender counts the wave only after its own step is
+    /// released — in between, the router holds a wave nobody counts.
+    CountUpAfterDone,
+}
+
+struct RoutedShared {
+    ready: Mutex<RqReady>,
+    work: Condvar,
+    /// `PoolShared::in_flight`.
+    in_flight: AtomicUsize,
+    inbox: Mutex<Vec<u32>>,
+    absorbed: AtomicUsize,
+    stop: AtomicBool,
+}
+
+/// Two linked parts on one distilled pool worker, a router thread and the
+/// supervisor. Part 0's initial solve sends part 1 one wave over a delayed
+/// link; part 1 absorbs it and sends nothing. The supervisor polls
+/// `all_halted`'s quiescence read — queue idle and nothing in flight,
+/// under the queue lock — and at the first quiescent read the wave must
+/// have been absorbed.
+fn routed_pool_model(routing: Routing) {
+    let mut queue = ReadyQueue::new(2, 4);
+    queue.push(0);
+    let s = Arc::new(RoutedShared {
+        ready: Mutex::new(RqReady { queue, parked: 0 }),
+        work: Condvar::new(),
+        in_flight: AtomicUsize::new(0),
+        inbox: Mutex::new(Vec::new()),
+        absorbed: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+    });
+    let (tx, rx) = unbounded::<u32>();
+    let worker = {
+        let s = Arc::clone(&s);
+        thread::spawn(move || {
+            let mut ready = s.ready.lock();
+            loop {
+                if s.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let Some(p) = ready.queue.take() else {
+                    ready.parked += 1;
+                    ready = s.work.wait(ready);
+                    ready.parked -= 1;
+                    continue;
+                };
+                drop(ready);
+                // `activate`: part 0 sends over its delayed link, part 1
+                // drains its inbox.
+                let routed = p == 0;
+                if routed && routing != Routing::CountUpAfterDone {
+                    s.in_flight.fetch_add(1, Ordering::SeqCst);
+                    let _ = tx.send(1);
+                }
+                if p == 1 {
+                    let mail = std::mem::take(&mut *s.inbox.lock());
+                    s.absorbed.fetch_add(mail.len(), Ordering::SeqCst);
+                }
+                ready = s.ready.lock();
+                if routed {
+                    ready.queue.link(0, 1);
+                }
+                ready.queue.done(p);
+                if routed && routing == Routing::CountUpAfterDone {
+                    drop(ready);
+                    s.in_flight.fetch_add(1, Ordering::SeqCst);
+                    let _ = tx.send(1);
+                    ready = s.ready.lock();
+                }
+            }
+        })
+    };
+    let router = {
+        let s = Arc::clone(&s);
+        thread::spawn(move || {
+            // The wave's delay has elapsed: `PoolShared::land`.
+            let Ok(wave) = rx.recv() else { return };
+            s.inbox.lock().push(wave);
+            if routing == Routing::CountDownBeforePush {
+                s.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+            let mut ready = s.ready.lock();
+            ready.queue.push(1);
+            if routing != Routing::CountDownBeforePush {
+                s.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+            if ready.parked > 0 {
+                s.work.notify_one();
+            }
+        })
+    };
+    loop {
+        checkpoint(hash_fold(0x4a19, 0));
+        let ready = s.ready.lock();
+        if ready.queue.is_idle() && s.in_flight.load(Ordering::SeqCst) == 0 {
+            assert_eq!(
+                s.absorbed.load(Ordering::SeqCst),
+                1,
+                "premature quiescence: a routed wave neither in an inbox nor queued"
+            );
+            s.stop.store(true, Ordering::SeqCst);
+            s.work.notify_all();
+            break;
+        }
+    }
+    worker.join().unwrap();
+    router.join().unwrap();
+}
+
+#[test]
+fn routed_pool_handoff_exhaustive() {
+    let report = Builder::new().explore(|| routed_pool_model(Routing::Production));
+    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
+    assert!(report.complete, "exploration must exhaust: {report:?}");
+    assert!(
+        report.schedules + report.pruned > 20,
+        "trivial exploration: {report:?}"
+    );
+}
+
+/// The checker must find the supervisor's read that lands after the router
+/// counted the wave down and before it queued the receiver
+/// (`CountDownBeforePush`), and the one that lands after the sender's step
+/// was released and before it counted its wave (`CountUpAfterDone`).
+#[test]
+fn routed_pool_mutants_are_caught() {
+    for routing in [Routing::CountDownBeforePush, Routing::CountUpAfterDone] {
+        let report = Builder::new().explore(move || routed_pool_model(routing));
+        let v = report
+            .violation
+            .expect("the premature quiescence must be found");
+        assert!(
+            v.message.contains("premature quiescence"),
+            "unexpected violation:\n{v}"
+        );
+    }
 }

@@ -134,7 +134,7 @@ impl ExecutorBackend for DistributedBackend {
         reference: Option<Vec<f64>>,
         config: &DistributedConfig,
     ) -> Result<SolveReport> {
-        let tol = match config.common.termination {
+        let tol = match config.common.termination.check()? {
             Termination::Residual { tol } => tol,
             other => {
                 return Err(Error::Parse(format!(

@@ -238,6 +238,33 @@ fn rejects_non_residual_termination() {
     assert!(err.to_string().contains("Residual"), "typed error: {err}");
 }
 
+/// A NaN tolerance never compares true: the run used to go to its round
+/// cap and report unconverged. It is refused before any round runs — in
+/// process, and before a child that cannot even be spawned is tried.
+#[test]
+fn a_nan_tolerance_is_refused_before_any_round() {
+    let ss = grid_split(8, 2, 510);
+    let unspawnable = RunMode::Processes {
+        transport: TransportKind::Uds,
+        child: ChildCommand {
+            exe: PathBuf::from("/nonexistent/dtm-net-child"),
+            prefix_args: Vec::new(),
+        },
+        fail: None,
+    };
+    let started = Instant::now();
+    for mode in [RunMode::InProcess, unspawnable] {
+        let err = DistributedBackend
+            .solve(&ss, None, &config(f64::NAN, 2, mode))
+            .expect_err("a NaN tolerance is refused");
+        assert!(
+            matches!(err, Error::NonFinite { value, .. } if value.is_nan()),
+            "typed error: {err}"
+        );
+    }
+    assert!(started.elapsed() < Duration::from_secs(1));
+}
+
 #[test]
 fn rejects_more_processes_than_parts() {
     let ss = grid_split(8, 2, 509);

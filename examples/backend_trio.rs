@@ -1,6 +1,7 @@
 //! One algorithm, three machines: solve the same torn system on the
-//! simulated, threaded and work-stealing executors and print the shared
-//! report vocabulary side by side.
+//! simulated machine, on the worker pool behind the delay router (the same
+//! ring's delays, scaled to microseconds) and on the bare pool, and print
+//! the shared report vocabulary side by side.
 //!
 //! ```sh
 //! cargo run --release --example backend_trio
@@ -40,7 +41,8 @@ fn main() {
         Machine::Threads(ThreadedConfig {
             common: common.clone(),
             budget: Duration::from_secs(30),
-            ..Default::default()
+            delay_topology: Some(problem.topology.clone()),
+            delay_scale: 1e-3,
         }),
         Machine::Pool(RayonConfig {
             common,

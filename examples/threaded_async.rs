@@ -1,5 +1,5 @@
-//! DTM on real OS threads: genuine asynchrony with `std` channels and
-//! injected heterogeneous link delays — no simulation, no barrier, no
+//! DTM on the wall clock with injected heterogeneous link delays: the
+//! worker pool behind the delay router — no simulation, no barrier, no
 //! global clock.
 //!
 //! ```sh
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 fn main() {
     let side = 20;
-    let k = 4; // four worker threads
+    let k = 4; // four parts
     let a = generators::grid2d_random(side, side, 1.0, 77);
     let b = generators::random_rhs(side * side, 78);
     let problem = DtmBuilder::new(a.clone(), b.clone())
@@ -25,9 +25,9 @@ fn main() {
         .expect("valid problem");
 
     // Inject 10–99 "ms" delays scaled down 1000× (so they become 10–99 µs
-    // of real sleeping) through the router thread.
+    // of real waiting) through the router in front of the pool.
     let machine = Topology::ring(k).with_delays(&DelayModel::uniform_ms(10.0, 99.0, 5));
-    let threads = Machine::Threads(ThreadedConfig {
+    let routed = Machine::Threads(ThreadedConfig {
         common: CommonConfig {
             termination: Termination::OracleRms { tol: 1e-8 },
             ..ThreadedConfig::default().common
@@ -37,9 +37,9 @@ fn main() {
         delay_scale: 1e-3,
     });
 
-    let report = problem.solve(&threads).expect("threads run");
+    let report = problem.solve(&routed).expect("routed run");
     println!(
-        "{} threads converged = {} in {:.1} ms wall-clock",
+        "{} parts converged = {} in {:.1} ms wall-clock",
         k, report.converged, report.final_time_ms
     );
     println!(

@@ -33,9 +33,9 @@ fn common(impedance: ImpedancePolicy, tol: f64) -> CommonConfig {
     }
 }
 
-/// The three executors for a `k`-part problem under `common`: the
-/// simulated complete graph with 1 ms links, real threads, a two-worker
-/// pool.
+/// The three machines for a `k`-part problem under `common`: the
+/// simulated complete graph with 1 ms links, the pool on every core
+/// (`Machine::Threads`, no router), a two-worker pool.
 fn machines(k: usize, common: CommonConfig) -> [Machine; 3] {
     [
         Machine::Simulated {

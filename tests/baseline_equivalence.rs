@@ -2,7 +2,7 @@
 //! Richardson, D-iteration, block-Jacobi) and DTM are *peer algorithms* —
 //! on random SPD systems all of them must converge to the
 //! direct-Cholesky solution within tolerance **on every machine**
-//! (simulated, lock-step rounds, OS threads, work-stealing pool), under randomized
+//! (simulated, lock-step rounds, routed pool, work-stealing pool), under randomized
 //! update orders (the Richardson seed) and randomized delay topologies.
 //! Pinned as proptests so the equivalence holds across the whole space,
 //! not at one seed.

@@ -9,7 +9,7 @@
 //! but can never corrupt a result: whatever the admission schedule, every
 //! reported solution must agree (within its tolerance) with the direct
 //! solution and with a separate one-shot solve of the same right-hand
-//! side. Pinned here as proptests across all three executors.
+//! side. Pinned here as proptests on the simulated machine and the pool.
 
 mod common;
 
@@ -133,38 +133,7 @@ proptest! {
     // Real executors are wall-clock bound; fewer cases keep the suite fast.
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
-    /// Threaded executor: staggered real-time admission, same contract.
-    #[test]
-    fn threaded_rolling_staggered_equals_one_shot(
-        seed in 0u64..1_000,
-        stagger in proptest::collection::vec(0u8..2, 2..4),
-    ) {
-        let problem = grid_problem();
-        let work = workload(seed, stagger.len(), 1e-7);
-        let direct = direct_solutions(&problem, &work);
-        let mut session = problem.rolling_threaded(2).expect("spawns");
-        let mut tickets = Vec::new();
-        for ((b, termination), gap) in work.iter().zip(&stagger) {
-            tickets.push(session.submit(b, *termination).expect("admissible"));
-            if *gap > 0 {
-                std::thread::sleep(Duration::from_millis(*gap as u64));
-            }
-        }
-        let reports = session.drain(Duration::from_secs(60));
-        session.finish();
-        prop_assert_eq!(reports.len(), work.len());
-        for (i, ticket) in tickets.iter().enumerate() {
-            let r = reports.iter().find(|r| r.ticket == *ticket).expect("reported");
-            for (u, v) in r.solution.iter().zip(&direct[i]) {
-                prop_assert!(
-                    (u - v).abs() < 1e-4,
-                    "ticket {} entry: rolling {} vs one-shot {}", i, u, v
-                );
-            }
-        }
-    }
-
-    /// Work-stealing executor: same contract on the pool.
+    /// The wall-clock pool: staggered real-time admission, same contract.
     #[test]
     fn workstealing_rolling_staggered_equals_one_shot(
         seed in 0u64..1_000,
