@@ -10,6 +10,10 @@
 //! cargo test -p dtm-bench --features alloc-count --test alloc_rounds
 //! ```
 //!
+//! Beside it, the frame reader's allocation on an untrusted length
+//! prefix: a peer's four bytes claiming a gigabyte, then EOF, are a typed
+//! error that requested no more than the reader's first reserve.
+//!
 //! The counter is process-wide, so this file holds exactly one test:
 //! nothing else (not even the harness reporting another test) allocates
 //! while it is armed.
@@ -19,6 +23,7 @@ use dtm_bench::alloc_count::{arm, disarm, CountingAllocator};
 use dtm_core::runtime::{CommonConfig, ExecutorBackend, Termination};
 use dtm_graph::evs::{split as evs_split, EvsOptions};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
+use dtm_net::wire::read_frame;
 use dtm_net::{DistributedBackend, DistributedConfig, RunMode};
 use dtm_sparse::generators;
 
@@ -58,8 +63,26 @@ fn allocs_per_round(side: usize, blocks: usize) -> f64 {
     (run_allocs(long) as f64 - run_allocs(short) as f64) / (long - short) as f64
 }
 
+/// A length prefix claiming 1 GiB followed by EOF: the typed short-frame
+/// error, and less than 1 MiB requested on the way to it.
+fn a_huge_length_prefix_allocates_only_what_arrives() {
+    let frame = (1u32 << 30).to_le_bytes();
+    let mut r = &frame[..];
+    arm();
+    let err = read_frame(&mut r).map(|_| ());
+    let stats = disarm();
+    let err = err.expect_err("a short frame is an error");
+    assert!(err.to_string().contains("eof inside frame"), "{err}");
+    assert!(
+        stats.bytes < 1 << 20,
+        "{} bytes requested for a frame that never arrived",
+        stats.bytes
+    );
+}
+
 #[test]
 fn round_allocations_do_not_grow_with_parts_or_messages() {
+    a_huge_length_prefix_allocates_only_what_arrives();
     // 4 parts, 8 waves a round (4 of them between the groups) against
     // 16 parts, 48 waves a round (8 between the groups).
     let few = allocs_per_round(12, 2);

@@ -163,6 +163,18 @@ pub(crate) fn has_col(mask: u64, c: usize, k: usize) -> bool {
     k >= 64 || mask >> c & 1 == 1
 }
 
+/// Scale `v` by a warm start `alpha` in place — exact zeros for
+/// `alpha == 0`, whatever `v` held — the one rule the monitor's kept
+/// column and the nodes' swapped column share, so both stay the same
+/// multiple of what they held.
+pub(crate) fn scale_or_zero(v: &mut [f64], alpha: f64) {
+    if alpha == 0.0 {
+        v.fill(0.0);
+    } else {
+        v.iter_mut().for_each(|x| *x *= alpha);
+    }
+}
+
 impl LocalSystem {
     /// Build and factor the local system of `sub` with per-port impedances
     /// `z` (use [`crate::impedance::per_port`] to derive them from a
@@ -250,30 +262,34 @@ impl LocalSystem {
 
     /// Replace **one column** of the block in place — the rolling-session
     /// retire/admit step: the column's base right-hand side becomes
-    /// `rhs_col`, its boundary state resets to the zero initial guess of
-    /// eq. (5.6), and its convergence delta re-arms, all without touching
-    /// the other columns, the factor, or the exchange. The column is marked
-    /// touched so the next solve republishes it (dirty-column snapshot
-    /// compatibility).
+    /// `rhs_col` and its whole state — incident waves `w`, inflow currents
+    /// `ω`, previous outgoing waves and solution `x` — is scaled by `alpha`,
+    /// the warm start [`Monitor::admit`](crate::monitor::Monitor::admit)
+    /// derived (exact zeros for `alpha == 0`: the zero initial guess of
+    /// eq. (5.6)). The state is linear in the right-hand side and the
+    /// waves, so the scaled state is exactly the node's share of the
+    /// scaled estimate the monitor starts the ticket from. The column's
+    /// convergence delta re-arms, all without touching the other columns,
+    /// the factor, or the exchange. The column is marked touched so the
+    /// next solve republishes it (dirty-column snapshot compatibility).
     ///
     /// Waves already in flight still carry the retired column's values;
-    /// absorbing them merely gives the fresh column a nonzero (stale)
-    /// starting boundary state, which asynchronous contraction corrects —
+    /// absorbing them merely gives the fresh column a stale starting
+    /// boundary state, which asynchronous contraction corrects —
     /// per-component staleness is exactly what Theorem 6.1 licenses.
     ///
     /// # Panics
     /// Panics if `col >= n_rhs()` or `rhs_col` has the wrong length.
-    pub fn replace_rhs_col(&mut self, col: usize, rhs_col: &[f64]) {
+    pub fn replace_rhs_col(&mut self, col: usize, rhs_col: &[f64], alpha: f64) {
         assert!(col < self.k, "column {col} out of range (k = {})", self.k);
         assert_eq!(rhs_col.len(), self.n, "RHS column length");
         let (n, np) = (self.n, self.n_ports());
         self.base_rhs[col * n..(col + 1) * n].copy_from_slice(rhs_col);
-        for p in 0..np {
-            let i = col * np + p;
-            self.w[i] = 0.0;
-            self.omega[i] = 0.0;
-            self.prev_out[i] = 0.0;
-        }
+        let ports = col * np..(col + 1) * np;
+        scale_or_zero(&mut self.w[ports.clone()], alpha);
+        scale_or_zero(&mut self.omega[ports.clone()], alpha);
+        scale_or_zero(&mut self.prev_out[ports], alpha);
+        scale_or_zero(&mut self.x[col * n..(col + 1) * n], alpha);
         self.col_delta[col] = f64::INFINITY;
         self.last_delta = f64::INFINITY;
         self.touch(col);
@@ -687,28 +703,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replace_rhs_col_resets_only_that_column() {
-        // Swap column 1 of a 2-column block mid-exchange: the swapped
-        // column must behave exactly like a freshly built scalar system
-        // (zero boundary guess, new RHS) while column 0's state and
-        // solutions are untouched.
+    /// A 2-column block of the paper split's part 0 mid-exchange: both
+    /// columns carry boundary state and a solution.
+    fn mid_exchange_block() -> (LocalSystem, Vec<f64>) {
         let ss = paper_split();
         let sd = &ss.subdomains[0];
-        let z = [0.2, 0.1];
         let cols = vec![sd.rhs.clone(), vec![1.0, -2.0, 0.5]];
-        let mut block = LocalSystem::new_block(sd, &z, LocalSolverKind::Dense, &cols).unwrap();
+        let mut block =
+            LocalSystem::new_block(sd, &[0.2, 0.1], LocalSolverKind::Dense, &cols).unwrap();
         for c in 0..2 {
             for p in 0..2 {
                 block.set_remote_col(p, c, 0.4 * (c + 1) as f64, -0.2);
             }
         }
         block.solve();
-        let col0_before = block.solution_col(0).to_vec();
+        let col0 = block.solution_col(0).to_vec();
+        (block, col0)
+    }
 
+    #[test]
+    fn replace_rhs_col_resets_only_that_column() {
+        // α = 0: the swapped column must behave exactly like a freshly
+        // built scalar system (zero boundary guess, new RHS) while column
+        // 0's state and solutions are untouched.
+        let (mut block, col0_before) = mid_exchange_block();
         let new_rhs = vec![0.3, 2.0, -1.0];
-        block.replace_rhs_col(1, &new_rhs);
-        assert_eq!(block.incident_wave_col(0, 1), 0.0, "boundary reset");
+        block.replace_rhs_col(1, &new_rhs, 0.0);
+        for p in 0..2 {
+            let i = 2 + p;
+            assert_eq!(block.incident_wave_col(p, 1).to_bits(), 0);
+            assert_eq!(block.omega[i].to_bits(), 0, "current reset");
+            assert_eq!(block.prev_out[i].to_bits(), 0, "outgoing reset");
+        }
+        assert!(block.solution_col(1).iter().all(|v| v.to_bits() == 0));
         assert_eq!(block.col_deltas()[1], f64::INFINITY, "delta re-armed");
         block.solve();
         assert_eq!(
@@ -717,15 +744,41 @@ mod tests {
             "only the swapped column was touched going into the solve"
         );
         assert_eq!(block.solution_col(0), col0_before, "column 0 untouched");
+        let ss = paper_split();
         let mut fresh = LocalSystem::new_block(
-            sd,
-            &z,
+            &ss.subdomains[0],
+            &[0.2, 0.1],
             LocalSolverKind::Dense,
             std::slice::from_ref(&new_rhs),
         )
         .unwrap();
         fresh.solve();
         assert_eq!(block.solution_col(1), fresh.solution(), "swapped == fresh");
+    }
+
+    #[test]
+    fn replace_rhs_col_scales_only_that_column_by_its_warm_start() {
+        let (mut block, _) = mid_exchange_block();
+        let before = block.clone();
+        let alpha = -0.75;
+        block.replace_rhs_col(1, &[0.3, 2.0, -1.0], alpha);
+        let (n, np) = (block.n_local(), block.n_ports());
+        for (i, (new, old)) in block.x.iter().zip(&before.x).enumerate() {
+            let expect = if i >= n { old * alpha } else { *old };
+            assert_eq!(new.to_bits(), expect.to_bits(), "x[{i}]");
+        }
+        for (field, new, old) in [
+            ("w", &block.w, &before.w),
+            ("omega", &block.omega, &before.omega),
+            ("prev_out", &block.prev_out, &before.prev_out),
+        ] {
+            for (i, (new, old)) in new.iter().zip(old).enumerate() {
+                let expect = if i >= np { old * alpha } else { *old };
+                assert_eq!(new.to_bits(), expect.to_bits(), "{field}[{i}]");
+            }
+        }
+        assert_eq!(block.col_deltas(), [before.col_deltas()[0], f64::INFINITY]);
+        assert_eq!(&block.base_rhs[..n], &before.base_rhs[..n]);
     }
 
     #[test]

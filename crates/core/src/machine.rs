@@ -440,6 +440,72 @@ pub(crate) mod tests {
         }
     }
 
+    /// A negative tolerance is never met by a norm: like a NaN one, it is
+    /// refused up front — a typed error naming it, for DTM and the
+    /// baselines on every machine and for a ticket of either session kind.
+    /// `0` (run to the cap) stays legal.
+    #[test]
+    fn a_negative_tolerance_is_a_typed_error_on_every_machine() {
+        let ss = grid_split(6, 2, 93);
+        let (a, b) = ss.reconstruct();
+        let asg = crate::async_baselines::assignment_of(&ss);
+        let started = std::time::Instant::now();
+        let named = |err: &Error| matches!(err, Error::Parse(m) if m.contains("-1e-6"));
+        for termination in [
+            Termination::OracleRms { tol: -1e-6 },
+            Termination::Residual { tol: -1e-6 },
+            Termination::LocalDelta {
+                tol: -1e-6,
+                patience: 3,
+            },
+        ] {
+            for machine in every_machine(2, rule(termination)) {
+                let dtm = solve(&ss, &machine).unwrap_err();
+                let block = DtmProblem::of_split(ss.clone())
+                    .solve_block(std::slice::from_ref(&b), &machine)
+                    .unwrap_err();
+                let jacobi = crate::async_baselines::solve(
+                    &crate::BaselineAlgo::BlockJacobi,
+                    &a,
+                    &b,
+                    &asg,
+                    None,
+                    &machine,
+                )
+                .unwrap_err();
+                for err in [dtm, block, jacobi] {
+                    assert!(
+                        named(&err),
+                        "{termination:?} on {:?}: {err}",
+                        backend(&machine)
+                    );
+                }
+            }
+        }
+        let problem = DtmProblem::of_split(ss.clone());
+        let negative = Termination::Residual { tol: -1e-6 };
+        let err = problem
+            .rolling(1)
+            .unwrap()
+            .submit(&b, negative)
+            .unwrap_err();
+        assert!(named(&err), "{err}");
+        let mut pool_session = problem.rolling_workstealing(1, 1).unwrap();
+        let err = pool_session.submit(&b, negative).unwrap_err();
+        assert!(named(&err), "{err}");
+        pool_session.finish();
+        assert!(started.elapsed() < Duration::from_secs(5));
+        for termination in [
+            Termination::Residual { tol: 0.0 },
+            Termination::LocalDelta {
+                tol: 0.0,
+                patience: 3,
+            },
+        ] {
+            assert_eq!(termination.check(), Ok(termination), "0 is legal");
+        }
+    }
+
     /// A block is checked once, for every machine: an empty block, a column
     /// of the wrong length and a non-finite column are typed errors (they
     /// used to panic in the node builder or the scatter, or — on the

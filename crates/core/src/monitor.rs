@@ -33,23 +33,43 @@
 //!
 //! # Feeding it
 //!
-//! The monitor keeps the last block each part reported, and a part's new
-//! block is diffed against it — one per-part fold behind two feeds:
+//! The monitor keeps the last block each part reported — three feeds:
 //!
 //! * [`update_part`](Monitor::update_part) — one activation (the simulated
-//!   engines): the residual folds are deferred (`RESID_FLUSH_EVERY`);
+//!   engines): the part's new block is diffed against the kept one, the
+//!   estimate moves entry by entry, and the residual folds are deferred
+//!   (`RESID_FLUSH_EVERY`);
 //! * `poll` — whatever the wall-clock workers published since the last
-//!   poll, for the columns the pass asks for; the kept copy *is* the
-//!   supervisor's mirror of the published blocks, and only a block's fold
-//!   runs under its lock. A column most of whose entries moved is
-//!   recomputed outright, one where few did is folded.
+//!   poll, for the columns the pass asks for: each block's dirty wanted
+//!   columns are copied into the kept copy — the supervisor's mirror of
+//!   the published blocks — under the block's lock, a slice copy and
+//!   nothing else; then every wanted live column that any part published
+//!   is gathered afresh from the mirror and recomputed exactly.
+//! * [`update_round`](Monitor::update_round) — the distributed round
+//!   executor (`dtm-net`'s supervisor) hands over every part's block at
+//!   once for each round it scores — the rounds [`next_round`] picks, not
+//!   every round: every entry moved since the last scored round, so there
+//!   is nothing to diff — and every column is gathered afresh and
+//!   recomputed.
 //!
-//! The distributed round executor (`dtm-net`'s supervisor) hands over
-//! every part's block at once ([`update_round`](Monitor::update_round))
-//! for each round it scores — the rounds [`next_round`] picks, not every
-//! round: every entry moved since the last scored round, so there is
-//! nothing to diff — the estimate is gathered afresh and each column
-//! recomputed, one gather and one SpMV, exact for every scored round.
+//! `poll` and `update_round` share the one gather (copies summed in
+//! ascending part order, then averaged): one gather and one SpMV per
+//! scored column, exact every time, with no drift carried from one
+//! scoring to the next.
+//!
+//! # Warm-started admission
+//!
+//! DTM's wave iteration contracts from any starting state (Theorem 6.1),
+//! and a node's state is linear in its right-hand side and its waves, so
+//! a scaled state is exactly the state of a scaled right-hand side.
+//! [`admit`](Monitor::admit) therefore starts a slot's new ticket `b` from
+//! the multiple `α·x̂` of the slot's kept estimate `x̂` that is closest to
+//! `x* = A⁻¹b` in the A-norm, `α = x̂ᵀb / x̂ᵀAx̂` — the one-vector case of
+//! Fischer's projection for successive right-hand sides — and returns `α`
+//! for the executor to scale the column's node state by. `α = 0` (the
+//! zero start of eq. (5.6)) is one of the candidates, so the start's
+//! A-norm error is never above the cold start's; an uncorrelated ticket
+//! gets `α ≈ 0`, a never-used slot exactly 0.
 //!
 //! # Stopping
 //!
@@ -70,7 +90,7 @@
 //! predicted crossing, never less than `POLL_INTERVAL` apart. A rolling
 //! session applies the same rule to each column slot on its own: every
 //! live column carries the time it is next due, set by `next_poll` of
-//! that column's metric and tolerance, and a pass folds in and scores only
+//! that column's metric and tolerance, and a pass copies in and scores only
 //! the due columns (`Monitor::due`, `Monitor::schedule`) — the others'
 //! published values wait in their blocks, costing nothing. The round
 //! supervisor applies the rule on a clock that counts rounds
@@ -79,7 +99,7 @@
 //! a pure function of round indices and exact metrics, so every run of the
 //! same problem scores the same rounds and stops at the same one.
 
-use crate::local::has_col;
+use crate::local::{has_col, scale_or_zero};
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{GatherMap, Termination};
 use dtm_graph::evs::SplitSystem;
@@ -98,14 +118,12 @@ const RESID_FLUSH_EVERY: usize = 32;
 /// See [`RESID_FLUSH_EVERY`].
 const RESID_NEAR_FACTOR: f64 = 16.0;
 
-/// Exact-resync cadence while a tolerance is armed: an incremental
-/// accumulator can drift *upward* past the stopping tolerance (stalling a
-/// run at its budget), so it is recomputed exactly every this many part
-/// updates — counted monitor-wide by [`Monitor::update_part`], and per
-/// column (folds since that column's last exact recomputation) by `poll`,
-/// which may score some columns far more often than others. Trades one
-/// SpMV per live column against how long a drifted gate can hide a
-/// crossing.
+/// Exact-resync cadence of [`Monitor::update_part`] while a tolerance is
+/// armed: an incremental accumulator can drift *upward* past the stopping
+/// tolerance (stalling a run at its budget), so every live column is
+/// recomputed exactly every this many part updates, counted monitor-wide.
+/// Trades one SpMV per live column against how long a drifted gate can
+/// hide a crossing.
 const RESYNC_EVERY: usize = 256;
 
 /// The shortest sleep of a wall-clock supervisor between two scorings of
@@ -254,9 +272,6 @@ struct Column {
     dirty: Vec<usize>,
     /// O(1) dedup for `dirty`.
     in_dirty: Vec<bool>,
-    /// Part updates folded into this column since it was last recomputed
-    /// exactly — `poll`'s drift guard.
-    folds_since_sync: usize,
     /// A rolling session's next scoring of this column, as time since the
     /// session started ([`Monitor::schedule`]).
     due: Duration,
@@ -279,7 +294,6 @@ impl Column {
             pending: vec![0.0; n],
             dirty: Vec::with_capacity(n),
             in_dirty: vec![false; n],
-            folds_since_sync: 0,
             due: Duration::ZERO,
             last: None,
         }
@@ -327,7 +341,6 @@ impl Column {
             }
         }
         self.exact = true;
-        self.folds_since_sync = 0;
     }
 
     /// Fold all pending residual deltas — one sparse row fold per
@@ -352,16 +365,6 @@ impl Column {
             self.sum_sq = ssq;
         }
         self.dirty.clear();
-    }
-
-    /// Bring the score up to date with `est` at the lower cost: fold where
-    /// few entries moved, recompute outright where most did.
-    fn refresh(&mut self, a: &Csr, est: &[f64]) {
-        if 2 * self.dirty.len() >= est.len().max(1) {
-            self.resync(a, est);
-        } else {
-            self.fold(a);
-        }
     }
 }
 
@@ -458,18 +461,31 @@ impl Monitor {
     }
 
     /// Admit a ticket into slot `c`: right-hand side `b` under `rule`,
-    /// with its oracle `reference` if it has one. The estimate state is
-    /// **kept** — the executors' nodes still hold (and keep reporting)
-    /// their current solutions, so the diffing against the kept blocks
-    /// stays consistent; only the *targets* change, and the column's score
-    /// is recomputed exactly against them. Whatever the slot's previous
-    /// occupant scored is forgotten, its decay included.
+    /// with its oracle `reference` if it has one, warm-started — returns
+    /// the `α` the executor scales the column's node state by. The slot's
+    /// kept state (the part blocks, their sums, the estimate `x̂`) is
+    /// scaled by `α = x̂ᵀb / x̂ᵀAx̂`, the A-norm-optimal multiple of `x̂`
+    /// for `b` (see [warm-started admission](self#warm-started-admission)),
+    /// or set to exact zeros where `x̂ᵀAx̂` is not a positive finite number
+    /// (a never-used slot, a one-shot solve's zero start) — so the kept
+    /// blocks stay the nodes' own once they scale theirs by the same `α`.
+    /// The column's score is then recomputed exactly against the new
+    /// targets. Whatever the slot's previous occupant scored is forgotten,
+    /// its decay included.
     ///
     /// # Panics
     /// Panics on column/length mismatch.
-    pub fn admit(&mut self, c: usize, b: &[f64], rule: Termination, reference: Option<&[f64]>) {
+    pub fn admit(
+        &mut self,
+        c: usize,
+        b: &[f64],
+        rule: Termination,
+        reference: Option<&[f64]>,
+    ) -> f64 {
         let n = self.n;
         assert_eq!(b.len(), n, "RHS column length");
+        let alpha = self.projection(c, b);
+        self.scale_col(c, alpha);
         let col = &mut self.cols[c];
         col.rule = Some(rule);
         (col.due, col.last) = (Duration::ZERO, None);
@@ -485,6 +501,41 @@ impl Monitor {
         col.by_oracle = reference.is_some() && !matches!(rule, Termination::Residual { .. });
         col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
         self.arm();
+        alpha
+    }
+
+    /// The A-norm-optimal multiple of slot `c`'s estimate `x̂` for the
+    /// right-hand side `b`: `α = x̂ᵀb / x̂ᵀAx̂` minimizes `‖A⁻¹b − α·x̂‖_A`.
+    /// 0 unless `x̂ᵀAx̂` is a positive finite number (and `α` finite); a
+    /// zero estimate costs no SpMV.
+    fn projection(&mut self, c: usize, b: &[f64]) -> f64 {
+        let n = self.n;
+        let est = &self.est[c * n..(c + 1) * n];
+        if est.iter().all(|&v| v == 0.0) {
+            return 0.0;
+        }
+        // The residual buffer is scratch here: admission recomputes it.
+        let ax = &mut self.cols[c].resid;
+        self.a.matvec_into(est, ax);
+        let energy = dtm_sparse::vector::dot(est, ax);
+        let alpha = dtm_sparse::vector::dot(est, b) / energy;
+        if energy > 0.0 && energy.is_finite() && alpha.is_finite() {
+            alpha
+        } else {
+            0.0
+        }
+    }
+
+    /// Scale slot `c`'s kept state — every part's block, the sums and the
+    /// estimate — by `alpha`, writing exact zeros for `alpha == 0`.
+    fn scale_col(&mut self, c: usize, alpha: f64) {
+        let n = self.n;
+        scale_or_zero(&mut self.sum[c * n..(c + 1) * n], alpha);
+        scale_or_zero(&mut self.est[c * n..(c + 1) * n], alpha);
+        for (values, g2l) in self.part_values.iter_mut().zip(&self.global_of_local) {
+            let nl = g2l.len();
+            scale_or_zero(&mut values[c * nl..(c + 1) * nl], alpha);
+        }
     }
 
     /// [`admit`](Self::admit) one column per slot, all under `rule` — a
@@ -646,22 +697,18 @@ impl Monitor {
         self.metric()
     }
 
-    /// The one per-part fold: diff the columns of `x` selected by `cols`
-    /// (a bitmask; saturated = all) against the kept block, move the
-    /// estimate, and account each live column's score — eagerly for the
-    /// oracle, as an aggregated pending delta for the residual.
+    /// [`update_part`](Self::update_part)'s per-part fold: diff `x`
+    /// against the kept block, move the estimate, and account each live
+    /// column's score — eagerly for the oracle, as an aggregated pending
+    /// delta for the residual.
     // lint: hot-path
-    fn absorb(&mut self, part: usize, x: &[f64], cols: u64) {
+    fn absorb(&mut self, part: usize, x: &[f64]) {
         let g2l = &self.global_of_local[part];
         let values = &mut self.part_values[part];
-        let (nl, n, k) = (g2l.len(), self.n, self.cols.len());
-        assert_eq!(x.len(), nl * k, "monitor: local block length");
+        let (nl, n) = (g2l.len(), self.n);
+        assert_eq!(x.len(), nl * self.cols.len(), "monitor: local block length");
         self.updates_total += 1;
         for (c, col) in self.cols.iter_mut().enumerate() {
-            if !has_col(cols, c, k) {
-                continue;
-            }
-            col.folds_since_sync += 1;
             let live = col.rule.is_some();
             let oracle = col.reference.as_deref().filter(|_| live && col.by_oracle);
             let mut moved = false;
@@ -692,6 +739,28 @@ impl Monitor {
         }
     }
 
+    /// Gather column `c`'s estimate afresh from the kept blocks: every
+    /// part's copies summed in ascending part order (with three or more
+    /// copies of a vertex the order of the additions is part of the bits),
+    /// then averaged — the one gather of `poll` and
+    /// [`update_round`](Self::update_round).
+    // lint: hot-path
+    fn gather(&mut self, c: usize) {
+        let n = self.n;
+        let sum = &mut self.sum[c * n..(c + 1) * n];
+        sum.fill(0.0);
+        for (g2l, values) in self.global_of_local.iter().zip(&self.part_values) {
+            let nl = g2l.len();
+            for (&g, &v) in g2l.iter().zip(&values[c * nl..(c + 1) * nl]) {
+                sum[g] += v;
+            }
+        }
+        let est = &mut self.est[c * n..(c + 1) * n];
+        for ((e, &s), &cc) in est.iter_mut().zip(&*sum).zip(&self.copy_count) {
+            *e = s / cc;
+        }
+    }
+
     /// Record `metric` in the series if a sample is due.
     fn record(&mut self, time: SimTime, metric: f64) {
         let due = match self.last_sample {
@@ -709,7 +778,7 @@ impl Monitor {
     /// maintained metric — exactly recomputed whenever it is at or below
     /// the tightest live tolerance.
     pub fn update_part(&mut self, part: usize, time: SimTime, x: &[f64]) -> f64 {
-        self.absorb(part, x, u64::MAX);
+        self.absorb(part, x);
         // Deferred residual fold: every RESID_FLUSH_EVERY updates — or
         // every update once the metric is within RESID_NEAR_FACTOR of the
         // refresh threshold (≈ the stopping tolerance), where freshness
@@ -739,14 +808,12 @@ impl Monitor {
     }
 
     /// Take a whole round in — `blocks` yields every part's block, in
-    /// ascending part order (with three or more copies of a vertex the
-    /// order of the additions is part of the bits) — and score it exactly.
-    /// Called for the rounds the supervisor scores ([`next_round`]), not
-    /// necessarily every round; either way every entry has moved since the
-    /// last call, so nothing is diffed: the estimate is gathered afresh (no
-    /// drift carried from one scored round to the next) and each live
-    /// column recomputed outright — one gather and one SpMV per column.
-    /// Returns the worst metric.
+    /// ascending part order — and score it exactly. Called for the rounds
+    /// the supervisor scores ([`next_round`]), not necessarily every round;
+    /// either way every entry has moved since the last call, so nothing is
+    /// diffed: every column is gathered afresh (no drift carried from one
+    /// scored round to the next) and each live column recomputed outright
+    /// — one gather and one SpMV per column. Returns the worst metric.
     ///
     /// # Panics
     /// Panics unless `blocks` yields exactly one right-sized block per part.
@@ -755,27 +822,15 @@ impl Monitor {
         time: SimTime,
         blocks: impl IntoIterator<Item = &'a [f64]>,
     ) -> f64 {
-        let n = self.n;
-        self.sum.fill(0.0);
         let mut parts = 0;
-        for (x, (g2l, values)) in blocks
-            .into_iter()
-            .zip(self.global_of_local.iter().zip(&mut self.part_values))
-        {
+        for (x, values) in blocks.into_iter().zip(&mut self.part_values) {
             values.copy_from_slice(x);
-            for (c, col) in x.chunks_exact(g2l.len().max(1)).enumerate() {
-                for (&g, &v) in g2l.iter().zip(col) {
-                    self.sum[c * n + g] += v;
-                }
-            }
             parts += 1;
         }
         assert_eq!(parts, self.part_values.len(), "one block per part");
         self.updates_total += parts as u64;
-        for (est, sum) in self.est.chunks_exact_mut(n).zip(self.sum.chunks_exact(n)) {
-            for ((e, &s), &cc) in est.iter_mut().zip(sum).zip(&self.copy_count) {
-                *e = s / cc;
-            }
+        for c in 0..self.cols.len() {
+            self.gather(c);
         }
         let metric = self.resync();
         self.record(time, metric);
@@ -784,30 +839,38 @@ impl Monitor {
 
     /// One supervisor pass over the wall-clock workers' published blocks,
     /// for the columns in `want` (`u64::MAX` = every column, a one-shot
-    /// solve): fold in what the workers dirtied of them since they were
-    /// last wanted — each block under its own lock, nothing else — then
-    /// bring every wanted live column that moved up to date, folding or
-    /// recomputing, whichever is less work — recomputing outright once
-    /// [`RESYNC_EVERY`] folds went into the column since its last exact
-    /// recomputation; returns the worst maintained metric. The other
-    /// columns stay dirty in their blocks and keep their scores. A pass
-    /// where nothing wanted changed takes no lock; nothing here allocates.
+    /// solve): copy the columns of `want` the workers dirtied since they
+    /// were last wanted into the kept blocks — a slice copy under each
+    /// block's lock, nothing else — then gather every wanted live column
+    /// that any part published afresh and recompute its score exactly;
+    /// returns the worst maintained metric. The other columns stay dirty
+    /// in their blocks and keep their scores. A pass where nothing wanted
+    /// changed takes no lock; nothing here allocates.
     // lint: hot-path
     pub(crate) fn poll(&mut self, time: SimTime, snapshots: &[SharedBlock], want: u64) -> f64 {
-        for (p, snap) in snapshots.iter().enumerate() {
-            snap.drain(want, |block, cols| self.absorb(p, block, cols));
+        let k = self.cols.len();
+        let mut published = 0;
+        for ((snap, values), g2l) in snapshots
+            .iter()
+            .zip(&mut self.part_values)
+            .zip(&self.global_of_local)
+        {
+            let nl = g2l.len();
+            snap.drain(want, |block, cols| {
+                for c in (0..k).filter(|&c| has_col(cols, c, k)) {
+                    let r = c * nl..(c + 1) * nl;
+                    values[r.clone()].copy_from_slice(&block[r]);
+                }
+                published |= cols;
+            });
         }
-        let (n, k) = (self.n, self.cols.len());
-        let armed = self.refresh_below > 0.0;
-        for (c, col) in self.cols.iter_mut().enumerate() {
-            if !has_col(want, c, k) || col.rule.is_none() || col.exact {
-                continue;
-            }
-            let est = &self.est[c * n..(c + 1) * n];
-            if armed && col.folds_since_sync >= RESYNC_EVERY {
-                col.resync(&self.a, est);
-            } else {
-                col.refresh(&self.a, est);
+        // Drained bits are all wanted; an empty mask scores nothing, even
+        // when a block too wide for the mask saturates `has_col`.
+        let n = self.n;
+        for c in (0..k).filter(|&c| published != 0 && has_col(published, c, k)) {
+            if self.cols[c].rule.is_some() {
+                self.gather(c);
+                self.cols[c].resync(&self.a, &self.est[c * n..(c + 1) * n]);
             }
         }
         let metric = self.metric();
@@ -1099,43 +1162,202 @@ mod tests {
         assert_eq!(wide.due(t1), 0);
     }
 
+    /// A monitor of `slots` slots over one part holding every unknown of
+    /// `a` — the estimate is the part's block, bit for bit.
+    fn one_part(a: &Csr, slots: usize) -> Monitor {
+        let n = a.n_rows();
+        let (rows, copies) = ((0..n).collect::<Vec<_>>(), vec![1; n]);
+        let zero = vec![0.0; n];
+        let map = GatherMap::new(vec![&rows[..]], &copies, a, vec![&zero[..]]);
+        Monitor::new(&map, slots, NO_SERIES)
+    }
+
     #[test]
-    fn a_rarely_scored_column_is_resynced_after_its_own_folds() {
-        // One part holding every unknown of the 4×4 grid, two slots.
-        // Column 1 is wanted on every pass and column 0 only on every
-        // fourth, off the passes where a count of all part updates would
-        // come round to `RESYNC_EVERY`.
+    fn every_poll_scores_its_columns_exactly() {
+        // One part holding every unknown of the 4×4 grid, two slots;
+        // column 1 is wanted on every pass, column 0 on every fourth. Each
+        // pass moves one entry of each column and drifts both running sums
+        // first: a wanted column's drift is gone after the poll, an
+        // unwanted one keeps its score and its published data waits.
         let a = generators::grid2d_laplacian(4, 4);
-        let (rows, copies) = ((0..16).collect::<Vec<_>>(), [1; 16]);
         let b = generators::random_rhs(16, 3);
-        let map = GatherMap::new(vec![&rows[..]], &copies, &a, vec![&b[..]]);
-        let mut m = Monitor::new(&map, 2, NO_SERIES);
+        let mut m = one_part(&a, 2);
         let rule = Termination::Residual { tol: 1e-9 };
         m.admit(0, &b, rule, None);
         m.admit(1, &b, rule, None);
-        // Drift column 0's running sum: a fold carries it along, only an
-        // exact recomputation removes it.
-        m.cols[0].sum_sq += 1.0;
+        let exact = |x: &[f64]| a.residual_norm(x, &b) / vector::norm2(&b);
         let block = SharedBlock::new(16, 2);
         let mut x = vec![0.0; 32];
-        let mut folds = 0;
-        for pass in 1..4 * RESYNC_EVERY + 8 {
-            // One entry of each column moves per pass, so each refresh
-            // folds rather than recomputes.
+        for pass in 1..40 {
             x[pass % 16] += 1e-3;
             x[16 + pass % 16] += 1e-3;
             block.publish(&x, 0b11);
+            m.cols[0].sum_sq += 1.0;
+            m.cols[1].sum_sq += 1.0;
+            let kept = m.cols[0].clone();
             let want = if pass % 4 == 1 { 0b11 } else { 0b10 };
             m.poll(SimTime::ZERO, std::slice::from_ref(&block), want);
-            if want & 1 == 0 {
-                continue;
+            assert_eq!(m.estimate_col(1), &x[16..], "pass {pass}: gathered");
+            assert!((m.cols[1].metric() - exact(&x[16..])).abs() < 1e-15);
+            if want & 1 == 1 {
+                assert_eq!(m.estimate_col(0), &x[..16], "pass {pass}: gathered");
+                assert!((m.cols[0].metric() - exact(&x[..16])).abs() < 1e-15);
+            } else {
+                assert_eq!(m.cols[0].sum_sq, kept.sum_sq, "pass {pass}: kept");
+                assert_ne!(m.estimate_col(0), &x[..16], "pass {pass}: waits");
             }
-            folds += 1;
-            let exact = a.residual_norm(m.estimate_col(0), &b) / vector::norm2(&b);
-            let drifted = (m.cols[0].metric() - exact).abs() > 1e-9;
-            assert_eq!(drifted, folds < RESYNC_EVERY, "fold {folds} of column 0");
         }
-        assert!(folds > RESYNC_EVERY);
+        // Column 0's last publication is still dirty: a pass that wants it
+        // takes it in with nothing newly published.
+        m.cols[0].sum_sq += 1.0;
+        m.poll(SimTime::ZERO, std::slice::from_ref(&block), 0b01);
+        assert_eq!(m.estimate_col(0), &x[..16]);
+        assert!((m.cols[0].metric() - exact(&x[..16])).abs() < 1e-15);
+    }
+
+    #[test]
+    fn admission_starts_from_the_a_norm_projection_of_the_slot_estimate() {
+        let (ss, _) = make();
+        let (a, b1) = ss.reconstruct();
+        let b2 = generators::random_rhs(16, 8);
+        let xhat: Vec<f64> = (0..16).map(|i| 1.0 + 0.3 * (i as f64).sin()).collect();
+        let mut m = idle(&ss, 1, NO_SERIES);
+        m.admit(0, &b1, Termination::Residual { tol: 1e-9 }, None);
+        feed(&mut m, &ss, &xhat, 0);
+        m.retire(0);
+        let alpha = m.admit(0, &b2, Termination::Residual { tol: 1e-9 }, None);
+        let expect = vector::dot(&xhat, &b2) / vector::dot(&xhat, &a.matvec(&xhat));
+        assert!(
+            (alpha - expect).abs() <= 1e-14 * expect.abs(),
+            "{alpha} vs {expect}"
+        );
+        for (e, x) in m.estimate_col(0).iter().zip(&xhat) {
+            assert!((e - alpha * x).abs() <= 1e-14 * x.abs(), "scaled estimate");
+        }
+        let start = a.residual_norm(m.estimate_col(0), &b2) / vector::norm2(&b2);
+        assert_eq!(m.metric(), start, "scored exactly on the warm start");
+        // The kept blocks are scaled too: a part that reports the scaled
+        // copy moves nothing.
+        m.update_part(0, SimTime::ZERO, &local(&ss, 0, m.estimate_col(0)));
+        assert_eq!(m.metric(), start);
+    }
+
+    #[test]
+    fn a_fresh_slot_starts_cold() {
+        let (ss, reference) = make();
+        let (_, b) = ss.reconstruct();
+        let mut m = idle(&ss, 2, NO_SERIES);
+        assert_eq!(
+            m.admit(0, &b, Termination::Residual { tol: 1e-9 }, None),
+            0.0
+        );
+        assert_eq!(
+            m.admit(
+                1,
+                &b,
+                Termination::OracleRms { tol: 1e-9 },
+                Some(&reference)
+            ),
+            0.0
+        );
+        assert!(m.est.iter().chain(&m.sum).all(|v| v.to_bits() == 0));
+        assert_eq!(m.cols[0].metric(), 1.0);
+        assert_eq!(
+            m.cols[1].metric(),
+            vector::rms_error(&[0.0; 16], &reference)
+        );
+        // A slot whose estimate went back to zero starts cold again.
+        for fill in [0.5, 0.0] {
+            for (p, sd) in ss.subdomains.iter().enumerate() {
+                m.update_part(p, SimTime::ZERO, &vec![fill; 2 * sd.n_local()]);
+            }
+        }
+        m.retire(0);
+        assert_eq!(
+            m.admit(0, &b, Termination::Residual { tol: 1e-9 }, None),
+            0.0
+        );
+    }
+
+    #[test]
+    fn readmitting_the_retired_rhs_starts_from_its_answer() {
+        let (ss, reference) = make();
+        let (_, b) = ss.reconstruct();
+        let mut m = idle(&ss, 1, NO_SERIES);
+        m.admit(0, &b, Termination::Residual { tol: 1e-9 }, None);
+        feed(&mut m, &ss, &reference, 0);
+        m.resync();
+        assert!(m.done(0));
+        let retired = m.retire(0);
+        let alpha = m.admit(0, &b, Termination::Residual { tol: 1e-9 }, None);
+        assert!((alpha - 1.0).abs() < 1e-14, "α = {alpha}");
+        assert!(retired.residual < 1e-14);
+        assert!((m.metric() - retired.residual).abs() < 1e-14);
+        assert!(m.done(0), "the answer is still the answer");
+    }
+
+    mod warm_start_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `‖v‖_A`.
+        fn a_norm(a: &Csr, v: &[f64]) -> f64 {
+            vector::dot(v, &a.matvec(v)).sqrt()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// On random SPD grids (a Laplacian plus a random diagonal
+            /// shift) and random pairs of right-hand sides, the warm start
+            /// of the second ticket from the first one's estimate is never
+            /// further from its answer in the A-norm than the cold start,
+            /// nor than any other multiple of the estimate tried.
+            #[test]
+            fn a_warm_start_is_never_worse_than_the_cold_start_in_the_a_norm(
+                nx in 2usize..7,
+                ny in 2usize..7,
+                shift_seed in 0u64..1_000,
+                seeds in (0u64..1_000, 0u64..1_000),
+                progress in 0.0f64..1.0,
+            ) {
+                let n = nx * ny;
+                let shift: Vec<f64> = generators::random_rhs(n, shift_seed)
+                    .iter()
+                    .map(|v| v.abs())
+                    .collect();
+                let a = generators::grid2d_laplacian(nx, ny).add_to_diagonal(&shift);
+                let factor = dtm_sparse::SparseCholesky::factor(&a).unwrap();
+                let (b1, b2) = (
+                    generators::random_rhs(n, seeds.0),
+                    generators::random_rhs(n, 1_000 + seeds.1),
+                );
+                // The first ticket retires part-way to its answer.
+                let xhat: Vec<f64> = factor.solve(&b1).iter().map(|x| x * progress).collect();
+                let mut m = one_part(&a, 1);
+                m.admit(0, &b1, Termination::Residual { tol: 0.0 }, None);
+                m.update_part(0, SimTime::ZERO, &xhat);
+                m.retire(0);
+                let alpha = m.admit(0, &b2, Termination::Residual { tol: 0.0 }, None);
+                let x_star = factor.solve(&b2);
+                let error = |beta: f64| {
+                    let e: Vec<f64> = x_star.iter().zip(&xhat).map(|(x, h)| x - beta * h).collect();
+                    a_norm(&a, &e)
+                };
+                let warm = error(alpha);
+                let slack = 1e-12 * a_norm(&a, &x_star);
+                prop_assert!(warm <= error(0.0) + slack, "{} > cold {}", warm, error(0.0));
+                for beta in [0.5 * alpha, 2.0 * alpha, alpha + 0.1, alpha - 0.1] {
+                    prop_assert!(warm <= error(beta) + slack, "α {} loses to {}", alpha, beta);
+                }
+                let e: Vec<f64> = x_star
+                    .iter()
+                    .zip(m.estimate_col(0))
+                    .map(|(x, h)| x - h)
+                    .collect();
+                prop_assert!((a_norm(&a, &e) - warm).abs() <= slack, "the estimate is α·x̂");
+            }
+        }
     }
 
     #[test]
@@ -1501,9 +1723,19 @@ mod tests {
         m.admit(0, &b2, Termination::OracleRms { tol: tight }, Some(&x2));
         assert!(!m.done(0), "the outgoing estimate does not answer b2");
         assert_eq!(m.metric(), vector::rms_error(m.estimate_col(0), &x2));
-        // And the idle slot goes live under a residual rule.
+        // And the idle slot goes live under a residual rule, warm-started
+        // from the junk it holds: no further from b0's answer in the
+        // A-norm than the cold start.
         m.admit(2, &b0, Termination::Residual { tol: tight }, None);
-        assert_eq!(m.metric().max(1.0), m.metric(), "slot 2 holds junk");
+        let a_err = |x: &[f64]| {
+            let e: Vec<f64> = x0.iter().zip(x).map(|(s, x)| s - x).collect();
+            vector::dot(&e, &a.matvec(&e)).sqrt()
+        };
+        assert!(
+            a_err(m.estimate_col(2)) <= a_err(&[0.0; 16]),
+            "slot 2 holds junk"
+        );
+        assert!(!m.done(2));
         let blocks: Vec<Vec<f64>> = (0..ss.n_parts())
             .map(|p| [local(&ss, p, &x2), local(&ss, p, &x1), local(&ss, p, &x0)].concat())
             .collect();

@@ -264,16 +264,18 @@ impl Termination {
         }
     }
 
-    /// Refuse a NaN tolerance — no metric or delta ever compares below
-    /// one, so every executor would run out its budget and report
-    /// unconverged. `0` (run to the cap) and `∞` stay legal. The one check
-    /// of the stopping rule: every one-shot entry point passes it through
+    /// Refuse a tolerance no run can mean: a NaN — no metric or delta ever
+    /// compares below one, so every executor would run out its budget and
+    /// report unconverged — and a negative one, which no norm ever meets.
+    /// `0` (run to the cap) and `∞` stay legal. The one check of the
+    /// stopping rule: every one-shot entry point passes it through
     /// [`Machine`](crate::Machine), every session ticket at `submit`, and
     /// `dtm-net`'s distributed backend before its first round.
     ///
     /// # Errors
     /// [`Error::NonFinite`](dtm_sparse::Error::NonFinite) for a NaN
-    /// tolerance.
+    /// tolerance; [`Error::Parse`](dtm_sparse::Error::Parse), naming the
+    /// tolerance, for a negative one.
     pub fn check(self) -> Result<Self> {
         let (Termination::OracleRms { tol }
         | Termination::Residual { tol }
@@ -284,6 +286,11 @@ impl Termination {
                 index: 0,
                 value: tol,
             });
+        }
+        if tol < 0.0 {
+            return Err(dtm_sparse::Error::Parse(format!(
+                "termination tolerance must be ≥ 0, got {tol:e}"
+            )));
         }
         Ok(self)
     }
@@ -646,16 +653,17 @@ impl NodeRuntime {
     }
 
     /// Swap **one column** of the live block for a freshly admitted
-    /// right-hand side (see [`LocalSystem::replace_rhs_col`]) — the
-    /// rolling-session retire/admit step. The exchange keeps running: no
-    /// counters reset, no routes change, the node simply solves the new
-    /// column alongside the surviving ones from its next step on. The
-    /// self-halt streak re-arms because the swapped column's delta does.
+    /// right-hand side, its state scaled by the admission's warm start
+    /// `alpha` (see [`LocalSystem::replace_rhs_col`]) — the rolling-session
+    /// retire/admit step. The exchange keeps running: no counters reset,
+    /// no routes change, the node simply solves the new column alongside
+    /// the surviving ones from its next step on. The self-halt streak
+    /// re-arms because the swapped column's delta does.
     ///
     /// # Panics
     /// Panics if `col` is out of range or `rhs_col` has the wrong length.
-    pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64]) {
-        self.local.replace_rhs_col(col, rhs_col);
+    pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64], alpha: f64) {
+        self.local.replace_rhs_col(col, rhs_col, alpha);
         self.halt.small_streak = 0;
     }
 }
@@ -1192,6 +1200,46 @@ mod tests {
         let est = monitor.estimate();
         for (u, v) in est.iter().zip(&exact) {
             assert!((u - v).abs() < 1e-10, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn a_warm_started_swap_keeps_the_scaled_fixed_point() {
+        // A node's state is linear in its right-hand side and its waves:
+        // at the exchange's fixed point for b, swapping in −3·b with the
+        // state scaled by α = −3 is the fixed point for −3·b — the next
+        // step reproduces −3× the solution and the outgoing waves without
+        // a single wave exchanged. The cold swap (α = 0) does not.
+        let ss = paper_split();
+        let converged = || {
+            let mut nodes = build_nodes(&ss, &paper_common()).unwrap();
+            let mut t: Vec<(usize, DtmMsg)> = Vec::new();
+            for _ in 0..200 {
+                for node in nodes.iter_mut() {
+                    node.step(&mut t);
+                }
+                for (dst, msg) in t.drain(..) {
+                    nodes[dst].absorb_msg(&msg);
+                }
+            }
+            nodes
+        };
+        let fixed = converged();
+        for (alpha, keeps) in [(-3.0, true), (0.0, false)] {
+            let mut nodes = converged();
+            let mut t: Vec<(usize, DtmMsg)> = Vec::new();
+            for (p, node) in nodes.iter_mut().enumerate() {
+                let rhs: Vec<f64> = ss.subdomains[p].rhs.iter().map(|v| -3.0 * v).collect();
+                node.swap_rhs_col(0, &rhs, alpha);
+                node.step(&mut t);
+                let near = node
+                    .local()
+                    .solution()
+                    .iter()
+                    .zip(fixed[p].local().solution())
+                    .all(|(x, f)| (x + 3.0 * f).abs() <= 1e-9 * (1.0 + f.abs()));
+                assert_eq!(near, keeps, "α = {alpha}, part {p}");
+            }
         }
     }
 

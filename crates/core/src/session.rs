@@ -16,6 +16,14 @@
 //! the gathered estimate meets its own tolerance, so stale data can delay
 //! a stop, never corrupt a result).
 //!
+//! Nor does a ticket start cold: Theorem 6.1's contraction holds from any
+//! starting state, so [`Monitor::admit`] starts it from the A-norm-optimal
+//! multiple `α·x̂` of its slot's last estimate, `α = x̂ᵀb / x̂ᵀAx̂`, and
+//! both drivers scale the column's node state by the same `α` in the swap
+//! order. A stream of correlated right-hand sides (a shared load plus
+//! noise) starts each ticket with the shared part of its answer in place;
+//! an uncorrelated one gets `α ≈ 0`, the zero start of eq. (5.6).
+//!
 //! This file is the queue, the ticket vocabulary and two thin drivers —
 //! the simulated machine and the wall-clock pool — both scoring their
 //! tickets with the [`Monitor`] a one-shot solve uses, its column slots
@@ -25,15 +33,17 @@
 //!   shared by every driver.
 //! * [`RollingSession`] — the simulated machine: the discrete-event engine
 //!   is paused (its event queue, in-flight envelopes and busy windows all
-//!   persist), the retiring column is swapped in place
+//!   persist), the retiring column is swapped in place, warm-started
 //!   ([`dtm_simnet::Engine::nodes_mut`] +
-//!   [`NodeRuntime::swap_rhs_col`](crate::runtime::NodeRuntime::swap_rhs_col)),
-//!   and the run resumes — an instantaneous control action at the current
-//!   simulated instant, not an exchange restart.
+//!   [`NodeRuntime::swap_rhs_col`](crate::runtime::NodeRuntime::swap_rhs_col)
+//!   with the `α` of [`Monitor::admit`]), and the run resumes — an
+//!   instantaneous control action at the current simulated instant, not
+//!   an exchange restart.
 //! * [`WallclockSession`] ([`RollingPoolSession`]) — a
 //!   [`crate::fabric::Pool`] runs the perpetual exchange; swap orders
-//!   travel per-part admission mailboxes that the pool's per-node hook
-//!   drains before each step, so no node ever blocks or restarts.
+//!   (slot, local right-hand side, `α`) travel per-part admission
+//!   mailboxes that the pool's per-node hook drains before each step, so
+//!   no node ever blocks or restarts.
 //!
 //! Every submitted right-hand side carries its **own**
 //! [`Termination`] — `Residual` and `OracleRms` tolerances mix freely in
@@ -115,8 +125,8 @@ struct Ticket {
 enum Slot {
     /// No ticket occupies the slot. The retired column's values keep
     /// circulating in the exchange (they are converged, so their deltas
-    /// are ~0 and they cost nothing extra) until an admission overwrites
-    /// them.
+    /// are ~0 and they cost nothing extra) until an admission scales them
+    /// into the next ticket's warm start.
     Idle,
     /// A live ticket.
     Active(Ticket),
@@ -430,8 +440,9 @@ impl RollingSession {
     }
 
     /// Admit pending tickets into every idle slot: re-anchor the monitor's
-    /// column and swap it into every node's live block — the exchange keeps
-    /// running throughout.
+    /// column on the warm start `α·x̂` and swap the ticket into every node's
+    /// live block with its state scaled by the same `α` — the exchange
+    /// keeps running throughout.
     fn admit_idle_slots(&mut self) {
         while self.queue.pending() > 0 {
             let Some(slot) = self.queue.idle_slot() else {
@@ -440,11 +451,12 @@ impl RollingSession {
             let Some(t) = self.queue.admit_into(slot) else {
                 return;
             };
-            self.monitor
+            let alpha = self
+                .monitor
                 .admit(slot, &t.b, t.termination, t.reference.as_deref());
             let local_cols = self.split.scatter_rhs(&t.b);
             for (node, local) in self.engine.nodes_mut().iter_mut().zip(&local_cols) {
-                node.swap_rhs_col(slot, local);
+                node.swap_rhs_col(slot, local, alpha);
             }
         }
     }
@@ -507,8 +519,8 @@ impl RollingSession {
 // Driver 2: the wall-clock pool.
 // ---------------------------------------------------------------------------
 
-/// One admission order: `(column slot, local RHS column)`.
-type ColumnSwap = (usize, Vec<f64>);
+/// One admission order: `(column slot, local RHS column, warm start α)`.
+type ColumnSwap = (usize, Vec<f64>, f64);
 
 /// A rolling session on the wall-clock [`Pool`].
 ///
@@ -517,11 +529,13 @@ type ColumnSwap = (usize, Vec<f64>);
 /// thread is the supervisor: [`poll`](Self::poll) drains the solution
 /// snapshots of the columns due for scoring, retires tickets whose own
 /// tolerance is met (exact metrics on the gathered estimate —
-/// self-validating), and admits queued tickets by dropping swap orders
+/// self-validating), and admits queued tickets — each warm-started from
+/// its slot's last estimate ([`Monitor::admit`]) — by dropping swap orders
 /// into per-part mailboxes, which the nodes drain through the pool's
 /// per-node hook. Each column is scored on its own cadence, the one-shot
 /// supervisor's decay rule (`Monitor::schedule`), so a poll between two
-/// due times does no work. Call [`finish`](Self::finish) (or drop the
+/// due times does no work; a scoring is one copy of what the parts
+/// published, one gather and one exact recomputation. Call [`finish`](Self::finish) (or drop the
 /// session) to stop the pool.
 pub struct WallclockSession {
     split: SplitSystem,
@@ -566,8 +580,8 @@ impl WallclockSession {
         let hook: Hook<NodeRuntime> = Box::new(move |rt| {
             let mut orders = mailboxes[rt.part()].lock();
             let swapped = !orders.is_empty();
-            for (col, rhs) in orders.drain(..) {
-                rt.swap_rhs_col(col, &rhs);
+            for (col, rhs, alpha) in orders.drain(..) {
+                rt.swap_rhs_col(col, &rhs, alpha);
             }
             swapped
         });
@@ -620,13 +634,14 @@ impl WallclockSession {
     }
 
     /// One supervisor pass without consuming the completed-report stream:
-    /// fold in and score what the nodes published for the columns that
-    /// are due, retire every due ticket whose own tolerance the exact
+    /// copy in what the nodes published for the columns that are due and
+    /// score them exactly, retire every due ticket whose own tolerance the exact
     /// metric of its gathered estimate meets (self-validating, even while
     /// some parts still hold a just-swapped column's stale state) and
     /// schedule the others' next scoring, then admit queued tickets into
-    /// the free slots, each due one floor interval on. Each swap order also
-    /// wakes its node so an idle one picks it up promptly. A pass that
+    /// the free slots, each warm-started from the slot's last estimate and
+    /// due one floor interval on. Each swap order carries the admission's
+    /// `α` and wakes its node so an idle one picks it up promptly. A pass that
     /// retires and admits nothing allocates nothing; one with nothing due
     /// takes no lock.
     fn pump(&mut self) {
@@ -656,12 +671,13 @@ impl WallclockSession {
             let Some(t) = self.queue.admit_into(slot) else {
                 break;
             };
-            self.monitor
+            let alpha = self
+                .monitor
                 .admit(slot, &t.b, t.termination, t.reference.as_deref());
             self.monitor.schedule(slot, now);
             let local_cols = self.split.scatter_rhs(&t.b);
             for (p, (mailbox, local)) in self.swaps.iter().zip(local_cols).enumerate() {
-                mailbox.lock().push((slot, local));
+                mailbox.lock().push((slot, local, alpha));
                 self.pool.wake(p);
             }
         }
@@ -1029,6 +1045,54 @@ mod tests {
             r_loose.completed_at_ms,
             r_tight.completed_at_ms
         );
+    }
+
+    #[test]
+    fn rolling_sim_session_resubmitting_the_same_rhs_starts_warm() {
+        // Deterministic: the second ticket for the same b starts from the
+        // first one's answer (α ≈ 1) and retires in a fraction of the
+        // activations the cold start took.
+        let problem = grid_problem(8);
+        let (a, _) = problem.split.reconstruct();
+        let mut session = problem.rolling(1).expect("builds");
+        let b = generators::random_rhs(64, 31);
+        let rule = Termination::Residual { tol: 1e-8 };
+        let drain = |session: &mut RollingSession| {
+            let before = session.total_solves();
+            let reports = session.drain_for(SimDuration::from_millis_f64(600_000.0));
+            assert_eq!(reports.len(), 1);
+            let residual = a.residual_norm(&reports[0].solution, &b);
+            assert!(residual / dtm_sparse::vector::norm2(&b) <= 1e-8);
+            session.total_solves() - before
+        };
+        session.submit(&b, rule).unwrap();
+        let cold = drain(&mut session);
+        session.submit(&b, rule).unwrap();
+        let warm = drain(&mut session);
+        assert!(4 * warm <= cold, "warm {warm} vs cold {cold} activations");
+    }
+
+    #[test]
+    fn rolling_pool_session_resubmitting_the_same_rhs_starts_warm() {
+        // The pool's admission is scored on the warm start: the resubmitted
+        // ticket starts next to its retired answer, not at residual 1.
+        let problem = grid_problem(8);
+        let (a, _) = problem.split.reconstruct();
+        let mut session = problem.rolling_workstealing(1, 2).expect("spawns");
+        let b = generators::random_rhs(64, 32);
+        let rule = Termination::Residual { tol: 1e-7 };
+        for round in 0..2 {
+            session.submit(&b, rule).unwrap();
+            if round == 1 {
+                let start = session.monitor.metric();
+                assert!(start < 1e-5, "admitted at residual {start:e}");
+            }
+            let reports = session.drain(Duration::from_secs(60));
+            assert_eq!(reports.len(), 1);
+            let residual = a.residual_norm(&reports[0].solution, &b);
+            assert!(residual / dtm_sparse::vector::norm2(&b) <= 1e-7);
+        }
+        session.finish();
     }
 
     #[test]

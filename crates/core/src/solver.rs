@@ -164,11 +164,11 @@ impl DtmNode {
     }
 
     /// Swap one column of the live block for a freshly admitted local
-    /// right-hand side (see
+    /// right-hand side, warm-started by `alpha` (see
     /// [`NodeRuntime::swap_rhs_col`](crate::runtime::NodeRuntime::swap_rhs_col))
     /// — called by the rolling session between engine `run` slices.
-    pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64]) {
-        self.inner.swap_rhs_col(col, rhs_col);
+    pub fn swap_rhs_col(&mut self, col: usize, rhs_col: &[f64], alpha: f64) {
+        self.inner.swap_rhs_col(col, rhs_col, alpha);
     }
 }
 

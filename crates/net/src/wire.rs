@@ -874,12 +874,21 @@ fn read_frame_via(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<Msg
     if n > MAX_FRAME_LEN {
         return Err(parse_err("frame length prefix too large"));
     }
-    payload.resize(n, 0);
-    match read_exact_or_eof(r, payload)? {
-        ReadStatus::Eof => Err(parse_err("eof inside frame")),
-        ReadStatus::Full => decode(payload).map(Some),
+    // The buffer grows only as bytes arrive: a prefix is a peer's claim,
+    // and four bytes must not make the reader allocate a gigabyte.
+    payload.clear();
+    payload.reserve(n.min(FIRST_READ_RESERVE));
+    match r.take(n as u64).read_to_end(payload) {
+        Ok(got) if got == n => decode(payload).map(Some),
+        Ok(_) => Err(parse_err("eof inside frame")),
+        Err(e) => Err(parse_err(&format!("read failed: {e}"))),
     }
 }
+
+/// What [`read_frame_via`] reserves before a frame's bytes arrive: a
+/// steady-state frame of a reused buffer fits without growing, and an
+/// untrusted length prefix costs at most this much.
+const FIRST_READ_RESERVE: usize = 1 << 16;
 
 /// The steady-state read half of a link: a [`BufReader`] sized so a
 /// round's frame usually arrives in one `read`, and a payload buffer

@@ -265,6 +265,20 @@ fn a_nan_tolerance_is_refused_before_any_round() {
     assert!(started.elapsed() < Duration::from_secs(1));
 }
 
+/// A negative tolerance is never met: refused before any round, typed,
+/// naming the tolerance.
+#[test]
+fn a_negative_tolerance_is_refused_before_any_round() {
+    let ss = grid_split(8, 2, 511);
+    let err = DistributedBackend
+        .solve(&ss, None, &config(-1e-6, 2, RunMode::InProcess))
+        .expect_err("a negative tolerance is refused");
+    assert!(
+        matches!(&err, Error::Parse(m) if m.contains("-1e-6")),
+        "typed error: {err}"
+    );
+}
+
 #[test]
 fn rejects_more_processes_than_parts() {
     let ss = grid_split(8, 2, 509);

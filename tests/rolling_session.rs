@@ -9,7 +9,10 @@
 //! but can never corrupt a result: whatever the admission schedule, every
 //! reported solution must agree (within its tolerance) with the direct
 //! solution and with a separate one-shot solve of the same right-hand
-//! side. Pinned here as proptests on the simulated machine and the pool.
+//! side. Pinned here as proptests on the simulated machine and the pool,
+//! and — admission being warm-started from the slot's last estimate — on
+//! a correlated stream through the pool, where every ticket's start is
+//! most of the way to its answer and must still verify.
 
 mod common;
 
@@ -161,6 +164,44 @@ proptest! {
                     "ticket {} entry: rolling {} vs one-shot {}", i, u, v
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
+
+    /// A correlated stream — a shared load plus small seeded noise, the
+    /// traffic a warm-started admission starts close to its answer — on
+    /// the pool: every retired `x` verifies against its own tolerance,
+    /// however far the warm start carried it before the exchange did.
+    #[test]
+    fn workstealing_rolling_correlated_stream_verifies_every_ticket(
+        seed in 0u64..1_000,
+        noise in 0.01f64..0.2,
+    ) {
+        let problem = grid_problem();
+        let (a, _) = problem.split.reconstruct();
+        let work: Vec<(Vec<f64>, f64)> = (0..10)
+            .map(|i| {
+                let jitter = generators::random_rhs(N, seed.wrapping_mul(17).wrapping_add(i));
+                let b = jitter.iter().map(|v| 1.0 + noise * v).collect();
+                (b, [1e-3, 1e-7][i as usize % 2])
+            })
+            .collect();
+        let mut session = problem.rolling_workstealing(2, 2).expect("spawns");
+        for (b, tol) in &work {
+            session.submit(b, Termination::Residual { tol: *tol }).expect("admissible");
+        }
+        let reports = session.drain(Duration::from_secs(60));
+        session.finish();
+        prop_assert_eq!(reports.len(), work.len());
+        for r in &reports {
+            let (b, tol) = &work[r.ticket.0 as usize];
+            let residual =
+                a.residual_norm(&r.solution, b) / dtm_repro::sparse::vector::norm2(b);
+            prop_assert!(residual <= *tol, "ticket {}: {:e} > {:e}", r.ticket, residual, tol);
+            prop_assert_eq!(r.final_residual, residual);
         }
     }
 }
