@@ -81,6 +81,7 @@ use dtm_core::impedance::{ImpedancePolicy, Matching};
 use dtm_core::local::LocalSolverKind;
 use dtm_core::runtime::CommonConfig;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
+use dtm_core::DtmProblem;
 use dtm_simnet::{Engine, SimDuration, SimTime};
 use dtm_sparse::generators;
 
@@ -364,7 +365,7 @@ fn fig8() {
 /// Fig. 9 — RMS error at t = 100 µs as a function of (Z2, Z3).
 fn fig9() {
     banner("Fig. 9: RMS error of DTM at t = 100 us vs characteristic impedances");
-    let paper = problem(example_5_1_split());
+    let paper = DtmProblem::of_split(example_5_1_split());
     let zs = [0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6];
     println!("rows: Z2, cols: Z3; entries: RMS error at t = 100 us");
     print!("{:>8}", "Z2\\Z3");
@@ -1046,7 +1047,7 @@ fn compare_distributed(quick: bool, transport: dtm_net::TransportKind, processes
 }
 
 /// `repro bench`: the printed scaling table (3-D Laplacians up to 10⁶
-/// unknowns on both wall-clock fabrics with per-phase set-up timings,
+/// unknowns on the worker pool with per-phase set-up timings,
 /// substitution kernels, Matrix Market) — see [`perf`]. `--quick` is the
 /// CI-sized slice. Exits 1 if a solve does not converge or the K = 1 panel
 /// sweep loses to the scalar kernel, 2 on a flag it does not know.

@@ -12,13 +12,13 @@
 
 use crate::{
     fig11_topology, fig13_topology, mesh_config, mesh_config_mode, paper_split, paper_system,
-    problem, TerminationMode,
+    TerminationMode,
 };
 use dtm_core::async_baselines::{self, BaselineAlgo, RichardsonParams};
 use dtm_core::runtime::CommonConfig;
 use dtm_core::runtime::ExecutorBackend;
 use dtm_core::solver::{self, ComputeModel, DtmConfig, Termination};
-use dtm_core::{Machine, SolveReport};
+use dtm_core::{DtmProblem, Machine, SolveReport};
 use dtm_graph::evs::{split as evs_split, EvsOptions, SplitSystem, TwinTopology};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_net::{ChildCommand, DistributedBackend, DistributedConfig, RunMode, TransportKind};
@@ -110,7 +110,7 @@ pub fn all_reports(s: &CompareSetup) -> Vec<SolveReport> {
         topology: s.topology.clone(),
         config: machine_config(s.tol),
     };
-    let dtm = problem(s.split.clone()).solve(&machine);
+    let dtm = DtmProblem::of_split(s.split.clone()).solve(&machine);
     let baselines = [
         BaselineAlgo::RandomizedRichardson(RichardsonParams::default()),
         BaselineAlgo::DIteration,
@@ -157,7 +157,7 @@ fn mesh_report(
 ) -> SolveReport {
     let ss = paper_split(side, p, p, &topology);
     let config = mesh_config_mode(1e-6, horizon_ms, mode);
-    problem(ss)
+    DtmProblem::of_split(ss)
         .solve(&Machine::Simulated { topology, config })
         .expect("mesh run")
 }
@@ -167,7 +167,7 @@ fn mesh_report(
 /// on the mesh.
 pub fn vtm_reports() -> [SolveReport; 3] {
     let (topology, config) = fig11_machine();
-    let p = problem(paper_split(FIG11_SIDE, 4, 4, &topology));
+    let p = DtmProblem::of_split(paper_split(FIG11_SIDE, 4, 4, &topology));
     let rounds = |price| Machine::LockStep {
         common: config.common.clone(),
         price,
@@ -198,7 +198,9 @@ pub fn jacobi_reports() -> [SolveReport; 3] {
         price: Some((topology.clone(), config.compute)),
     };
     let mesh = Machine::Simulated { topology, config };
-    let dtm = problem(dtm_split).solve(&mesh).expect("dtm run");
+    let dtm = DtmProblem::of_split(dtm_split)
+        .solve(&mesh)
+        .expect("dtm run");
     [dtm, bj(&mesh), bj(&sync)]
 }
 

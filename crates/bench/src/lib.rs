@@ -111,18 +111,6 @@ pub fn paper_split(side: usize, px: usize, py: usize, topo: &Topology) -> SplitS
     evs_split(&g, &plan, &options).expect("regular split is valid")
 }
 
-/// A [`DtmProblem`] over a torn system the harness built itself, so it
-/// solves on any [`Machine`]; nothing is precomputed
-/// (the oracle reference is solved where a run needs one).
-pub fn problem(split: SplitSystem) -> DtmProblem {
-    DtmProblem {
-        topology: Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(1.0)),
-        config: DtmConfig::default(),
-        reference: None,
-        split,
-    }
-}
-
 /// The simulated machine the builder chose for `p`.
 pub fn own_machine(p: &DtmProblem) -> Machine {
     Machine::Simulated {

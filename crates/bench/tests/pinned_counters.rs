@@ -18,7 +18,6 @@ use dtm_bench::{own_machine, seeds, TerminationMode};
 use dtm_core::rayon_backend::RayonConfig;
 use dtm_core::report::StopKind;
 use dtm_core::runtime::{CommonConfig, Termination};
-use dtm_core::threaded::ThreadedConfig;
 use dtm_core::AlgorithmKind::{
     BlockJacobiAsync, BlockJacobiSync, DIteration, Dtm, RandomizedRichardson,
 };
@@ -87,19 +86,18 @@ fn grid3d16_cut_and_both_fabrics() {
         .termination(Termination::Residual { tol })
         .build()
         .expect("builds");
-    let routed = ThreadedConfig {
-        common: residual_rule(tol),
-        delay_topology: Some(problem.topology.clone()),
-        ..Default::default()
-    };
-    let r = problem
-        .solve(&Machine::Threads(routed))
-        .expect("routed pool solves");
-    assert_meets("16³ routed pool", &r, tol);
     let pool = RayonConfig {
         common: residual_rule(tol),
         ..Default::default()
     };
+    let routed = RayonConfig {
+        delay_topology: Some(problem.topology.clone()),
+        ..pool.clone()
+    };
+    let r = problem
+        .solve(&Machine::Pool(routed))
+        .expect("routed pool solves");
+    assert_meets("16³ routed pool", &r, tol);
     let r = problem.solve(&Machine::Pool(pool)).expect("pool solves");
     assert_meets("16³ pool", &r, tol);
 }

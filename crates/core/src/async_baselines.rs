@@ -781,7 +781,6 @@ mod tests {
     use crate::report::{BackendKind, StopKind};
     use crate::runtime::Termination;
     use crate::solver::ComputeModel;
-    use crate::threaded::ThreadedConfig;
     use dtm_simnet::{DelayModel, SimDuration, SimTime};
     use dtm_sparse::{generators, SparseCholesky};
     use std::time::Duration;
@@ -838,7 +837,7 @@ mod tests {
 
     /// Every machine, its delays (where it has them) from `topology`.
     fn machines(termination: Termination, topology: &Topology) -> [Machine; 4] {
-        [sim, lockstep, threads_on, pool_on].map(|on| on(common(termination), topology))
+        [sim, lockstep, routed_on, pool_on].map(|on| on(common(termination), topology))
     }
 
     #[test]
@@ -870,20 +869,26 @@ mod tests {
         }
     }
 
-    fn threads_on(common: CommonConfig, _: &Topology) -> Machine {
-        Machine::Threads(ThreadedConfig {
-            common,
-            budget: Duration::from_secs(60),
-            ..Default::default()
+    /// The two-worker pool behind the delay router on the problem's ring,
+    /// its delays scaled to microseconds.
+    fn routed_on(common: CommonConfig, topology: &Topology) -> Machine {
+        Machine::Pool(RayonConfig {
+            delay_topology: Some(topology.clone()),
+            ..pool_config(common)
         })
     }
 
     fn pool_on(common: CommonConfig, _: &Topology) -> Machine {
-        Machine::Pool(RayonConfig {
+        Machine::Pool(pool_config(common))
+    }
+
+    fn pool_config(common: CommonConfig) -> RayonConfig {
+        RayonConfig {
             common,
             num_threads: 2,
             budget: Duration::from_secs(60),
-        })
+            ..Default::default()
+        }
     }
 
     /// A machine under a common config, its delays (where it has them)
@@ -951,7 +956,7 @@ mod tests {
 
     #[test]
     fn threaded_driver_converges_for_both_algorithms() {
-        reaches_the_direct_solution(&ALGOS, 26, threads_on);
+        reaches_the_direct_solution(&ALGOS, 26, routed_on);
     }
 
     #[test]
@@ -983,7 +988,7 @@ mod tests {
 
     #[test]
     fn threaded_local_delta_self_halts_for_both_algorithms() {
-        local_delta_self_halts(&ALGOS[..2], 28, threads_on);
+        local_delta_self_halts(&ALGOS[..2], 28, routed_on);
     }
 
     #[test]
@@ -993,7 +998,7 @@ mod tests {
 
     #[test]
     fn block_jacobi_local_delta_self_halts_on_every_fabric() {
-        for on in [sim, lockstep, threads_on, pool_on] {
+        for on in [sim, lockstep, routed_on, pool_on] {
             local_delta_self_halts(&ALGOS[2..], 29, on);
         }
     }
@@ -1088,19 +1093,15 @@ mod tests {
     fn delayed_threads_block_jacobi_converges() {
         let (a, b, asg, _) = setup(6, 3, 37);
         let exact = direct(&a, &b);
-        let machine = Machine::Threads(ThreadedConfig {
-            delay_topology: Some(
-                Topology::ring(3).with_delays(&DelayModel::uniform_ms(1.0, 9.0, 37)),
-            ),
-            delay_scale: 1e-3,
-            common: common(Termination::Residual { tol: 1e-8 }),
-            budget: Duration::from_secs(60),
-        });
+        let machine = routed_on(
+            common(Termination::Residual { tol: 1e-8 }),
+            &Topology::ring(3).with_delays(&DelayModel::uniform_ms(1.0, 9.0, 37)),
+        );
         for algo in [&ALGOS[2], &ALGOS[0]] {
             let report = solve(algo, &a, &b, &asg, None, &machine).unwrap();
             let resid = report.final_residual;
             assert!(report.converged, "{algo:?}: resid {resid}");
-            assert_eq!(report.backend, BackendKind::Threaded);
+            assert_eq!(report.backend, BackendKind::WorkStealing);
             for (u, v) in report.solution.iter().zip(&exact) {
                 assert!((u - v).abs() < 1e-5, "{algo:?}: {u} vs {v}");
             }
@@ -1113,25 +1114,17 @@ mod tests {
     fn delayed_threads_missing_link_is_a_typed_error() {
         let (a, b, asg, _) = setup(6, 3, 38);
         let algo = &ALGOS[2];
-        let no_links = ThreadedConfig {
+        let no_links = RayonConfig {
             delay_topology: Some(Topology::from_links(3, vec![])),
             budget: Duration::from_secs(5),
             ..Default::default()
         };
-        let err = solve(
-            algo,
-            &a,
-            &b,
-            &asg,
-            None,
-            &Machine::Threads(no_links.clone()),
-        )
-        .unwrap_err();
+        let err = solve(algo, &a, &b, &asg, None, &Machine::Pool(no_links.clone())).unwrap_err();
         assert!(
             format!("{err}").contains("no link"),
             "typed message, got: {err}"
         );
-        let wrong_count = Machine::Threads(ThreadedConfig {
+        let wrong_count = Machine::Pool(RayonConfig {
             delay_topology: Some(Topology::ring(4).with_delays(&DelayModel::fixed_ms(1.0))),
             ..no_links
         });

@@ -345,10 +345,11 @@ impl DtmProblem {
         crate::session::WallclockSession::new(self, slots, num_threads)
     }
 
-    /// A problem over a bare split: no reference, the builder's default
-    /// machine.
-    #[cfg(test)]
-    pub(crate) fn of_split(split: SplitSystem) -> Self {
+    /// A problem over a split torn elsewhere, so it solves on any
+    /// [`Machine`]: no reference is precomputed (the oracle reference is
+    /// solved where a run needs one), and its own machine is the builder's
+    /// default, the complete machine on 1 ms links.
+    pub fn of_split(split: SplitSystem) -> Self {
         Self {
             topology: Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(1.0)),
             config: DtmConfig::default(),

@@ -6,9 +6,8 @@
 //! in types, and this module is the other half of the claim: running nodes
 //! against the wall clock is written **once**, generic over the node. The
 //! one-shot solves of every algorithm (through
-//! [`Machine::Threads`](crate::Machine::Threads) and
-//! [`Machine::Pool`](crate::Machine::Pool)) and the rolling sessions
-//! ([`crate::session`]) are callers.
+//! [`Machine::Pool`](crate::Machine::Pool), routed or not) and the rolling
+//! sessions ([`crate::session`]) are callers.
 //!
 //! [`Pool`] is a few resident workers draining **one ready queue** of part
 //! ids ([`ReadyQueue`]): a wave is an inbox entry plus a place in that
@@ -274,7 +273,7 @@ struct PoolShared<N> {
     in_flight: AtomicUsize,
 }
 
-/// The pool fabric: `num_threads` resident workers draining one
+/// The pool fabric: at most one resident worker per part, draining one
 /// [`ReadyQueue`]. Per node: a state lock and an inbox. Wave arrival pushes
 /// to the receiver's inbox and *then* queues the receiver; a worker takes a
 /// part off the queue — which un-queues it — *before* draining its inbox,
@@ -428,8 +427,10 @@ impl<N: AsyncNode> PoolShared<N> {
 
 impl<N: AsyncNode + 'static> Pool<N> {
     /// Start `nodes` (each publishing `n_rhs` columns) under `num_threads`
-    /// workers (`0` = available parallelism) and queue their initial
-    /// solves (eq. 5.6). `delays = Some((topology, scale))` holds each wave
+    /// workers (`0` = available parallelism), at most one per node — a
+    /// part is stepped by one worker at a time, so any further worker
+    /// could only park — and queue their initial solves (eq. 5.6).
+    /// `delays = Some((topology, scale))` holds each wave
     /// for its link's simulated delay × `scale` in a router thread before
     /// it lands (the caller has checked that every route has a link; a
     /// missing one, like a zero delay, lands at once).
@@ -441,11 +442,12 @@ impl<N: AsyncNode + 'static> Pool<N> {
         kick_idle: bool,
         before_step: Hook<N>,
     ) -> Self {
+        let n_parts = nodes.len();
         let n_workers = match num_threads {
             0 => std::thread::available_parallelism().map_or(4, |v| v.get()),
             n => n,
-        };
-        let n_parts = nodes.len();
+        }
+        .min(n_parts);
         let (router, intake) = delays
             .and_then(|(topology, scale)| Router::new(topology, scale, n_parts))
             .unzip();
@@ -454,11 +456,11 @@ impl<N: AsyncNode + 'static> Pool<N> {
                 .iter()
                 .map(|n| SharedBlock::new(n.n_local(), n_rhs))
                 .collect(),
-            halts: Halts::new(nodes.len()),
+            halts: Halts::new(n_parts),
             ready: Mutex::new(Ready {
                 // Twice per worker: while a part waits out one neighbour's
                 // step, every other worker finishes a step or two.
-                queue: ReadyQueue::new(nodes.len(), 2 * n_workers),
+                queue: ReadyQueue::new(n_parts, 2 * n_workers),
                 parked: 0,
             }),
             cells: nodes
@@ -1012,6 +1014,21 @@ mod tests {
             steps[0] >= 4 && 2 * steps[0] >= slowest,
             "part 0 starved: {steps:?}"
         );
+    }
+
+    /// A part is stepped by one worker at a time, so a pool asked for more
+    /// workers than parts starts one per part; and it starts the router
+    /// only when some link has a delay left to impose.
+    #[test]
+    fn pool_starts_one_worker_per_part_at_most_and_a_router_only_for_delays() {
+        let ms =
+            |delay| Topology::complete(3).with_delays(&dtm_simnet::DelayModel::fixed_ms(delay));
+        let (zero, unscaled) = (ms(0.0), ms(2.0));
+        for delays in [None, Some((&zero, 1.0)), Some((&unscaled, 0.0))] {
+            let pool = Pool::start(slow_start_problem().1, 1, 8, delays, false, no_hook());
+            assert_eq!(pool.workers.len(), 3);
+            assert!(pool.routing.is_none(), "no delay to impose, no router");
+        }
     }
 
     #[test]

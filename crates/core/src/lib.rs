@@ -34,24 +34,23 @@
 //!   [`runtime::wallclock`], the block a wall-clock worker publishes its
 //!   solution through;
 //! * [`Machine`] — **the machine as a value**: the simulated machine, the
-//!   lock-step one, the worker pool behind a delay router or the bare
-//!   worker pool, and the one dispatch every algorithm's one-shot solve
-//!   goes through. DTM's entry
+//!   lock-step one and the worker pool (behind a delay router when its
+//!   links carry delays), and the one dispatch every algorithm's one-shot
+//!   solve goes through. DTM's entry
 //!   points are [`DtmProblem::solve`] and [`DtmProblem::solve_block`] over
 //!   a `Machine`; VTM (eq. 5.10) is DTM on [`Machine::LockStep`];
 //! * [`fabric`] — **the wall-clock fabric**, written once and generic over
-//!   the node: resident workers on one ready queue, with an optional delay
-//!   router in front of it; plus the per-node hook and the LocalDelta
-//!   passive/re-arm rule. [`Machine::Pool`], [`Machine::Threads`] and the
-//!   wall-clock rolling session run there;
+//!   the node: resident workers on one ready queue, at most one per part,
+//!   with an optional delay router in front of it; plus the per-node hook and the LocalDelta
+//!   passive/re-arm rule. [`Machine::Pool`] and the wall-clock rolling
+//!   session run there;
 //! * [`solver`] — the simulated executor: the one adapter between a node
 //!   and a `dtm-simnet` processor, its engine loop (under
 //!   [`Machine::Simulated`]), and the lock-step machine (every link one
 //!   round) that synchronous rounds run on;
-//! * [`threaded`] — [`Machine::Threads`]' configuration (the pool behind
-//!   a delay router) and its form over prebuilt nodes;
-//! * [`rayon_backend`] — [`Machine::Pool`]'s configuration and its form
-//!   over prebuilt nodes;
+//! * [`rayon_backend`] — [`Machine::Pool`]'s configuration (a
+//!   `delay_topology` puts the delay router in front of the pool) and its
+//!   form over prebuilt nodes; [`threaded`] keeps their older names;
 //! * [`async_baselines`] — **the baselines**: randomized asynchronous
 //!   Richardson (Avron et al. 2013), Hong's D-iteration (2012) and
 //!   block-Jacobi as first-class peer solvers behind the same

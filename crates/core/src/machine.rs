@@ -6,7 +6,6 @@ use crate::rayon_backend::RayonConfig;
 use crate::report::{AlgorithmKind, BackendKind, SolveReport};
 use crate::runtime::{self, AsyncNode, CommonConfig, GatherMap, NodeRuntime, RunSpec, Termination};
 use crate::solver::{self, ComputeModel, DtmConfig, SimRun};
-use crate::threaded::ThreadedConfig;
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::Topology;
 use dtm_sparse::Result;
@@ -25,8 +24,7 @@ use dtm_sparse::Result;
 /// |---|---|---|---|---|
 /// | `Simulated` | the discrete-event engine | its link's simulated delay | simulated | `Simulated` |
 /// | `LockStep` | the complete machine, every link one round | one round | rounds (1 ms each, or priced) | `Simulated` |
-/// | `Threads` | [`fabric::Pool`] on every core, behind the config's delay router | its link's delay × `delay_scale`, then the wait in the ready queue | wall | `Threaded` |
-/// | `Pool` | [`fabric::Pool`]: resident workers on one ready queue | the wait in that queue | wall | `WorkStealing` |
+/// | `Pool` | [`fabric::Pool`]: resident workers on one ready queue; a `delay_topology` puts the delay router in front of it | the wait in that queue, after its link's delay × `delay_scale` when routed | wall | `WorkStealing` |
 ///
 /// VTM is DTM on `LockStep` ("if we set τ₁ = … = τ_n = 1, then DTM is
 /// degenerated into … the Virtual Transmission Method", §1; eq. 5.10), and
@@ -61,10 +59,8 @@ pub enum Machine {
         /// link delay — one exchange and one barrier on that machine.
         price: Option<(Topology, ComputeModel)>,
     },
-    /// The pool on `available_parallelism` workers, behind
-    /// [`ThreadedConfig`]'s delay router.
-    Threads(ThreadedConfig),
-    /// Resident workers on one ready queue ([`RayonConfig`]).
+    /// Resident workers on one ready queue ([`RayonConfig`]), behind the
+    /// config's delay router when it has a `delay_topology`.
     Pool(RayonConfig),
 }
 
@@ -75,7 +71,6 @@ impl Machine {
         let common = match self {
             Machine::Simulated { config, .. } => &config.common,
             Machine::LockStep { common, .. } => common,
-            Machine::Threads(config) => &config.common,
             Machine::Pool(config) => &config.common,
         };
         common.termination.check()?;
@@ -87,8 +82,8 @@ impl Machine {
     pub(crate) fn links(&self) -> Option<&Topology> {
         match self {
             Machine::Simulated { topology, .. } => Some(topology),
-            Machine::Threads(config) => config.delay_topology.as_ref(),
-            Machine::LockStep { .. } | Machine::Pool(_) => None,
+            Machine::Pool(config) => config.delay_topology.as_ref(),
+            Machine::LockStep { .. } => None,
         }
     }
 
@@ -115,24 +110,14 @@ impl Machine {
                 let round = solver::round_price(&nodes, k, price.as_ref());
                 solver::run_lockstep(nodes, round, common.max_solves_per_node, spec)
             }
-            Machine::Threads(config) => {
+            Machine::Pool(config) => {
                 let delays = config
                     .delay_topology
                     .as_ref()
                     .map(|t| (t, config.delay_scale));
-                fabric::run(
-                    Pool::start(nodes, k, 0, delays, kick_idle, fabric::no_hook()),
-                    &WallRun {
-                        spec,
-                        backend: BackendKind::Threaded,
-                        budget: config.budget,
-                    },
-                )
-            }
-            Machine::Pool(config) => {
                 let workers = config.num_threads;
                 fabric::run(
-                    Pool::start(nodes, k, workers, None, kick_idle, fabric::no_hook()),
+                    Pool::start(nodes, k, workers, delays, kick_idle, fabric::no_hook()),
                     &WallRun {
                         spec,
                         backend: BackendKind::WorkStealing,
@@ -181,10 +166,12 @@ pub(crate) fn solve_dtm(
     ))
 }
 
-/// The properties every machine shares, one function each; a `#[test]`
-/// cell runs one of them on one machine (the cells live beside each
-/// machine's configuration: `threaded`, `rayon_backend`, `vtm`). The
-/// input contract runs here, over every machine at once.
+/// The properties every machine shares, one looped table each: a property
+/// runs over the rows its cell names. The simulated machine's cells are
+/// here, lock-step rounds' in `vtm`, the pool's on two and on three workers
+/// in `rayon_backend`, and the pool behind the delay router's in
+/// `threaded`. The input contract runs over every row at once
+/// (`tests::every_machine`).
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -197,8 +184,9 @@ pub(crate) mod tests {
     use dtm_sparse::{generators, Error};
     use std::time::Duration;
 
-    /// A machine under a given common config.
-    pub(crate) type On = fn(CommonConfig) -> Machine;
+    /// The rows of a property's table: the machines for a `parts`-part
+    /// problem under one common config.
+    pub(crate) type Rows = fn(usize, CommonConfig) -> Vec<Machine>;
 
     /// An `nx × nx` random-conductance grid torn into `k` strips.
     pub(crate) fn grid_split(nx: usize, k: usize, seed: u64) -> SplitSystem {
@@ -222,24 +210,6 @@ pub(crate) mod tests {
         evs_split(&g, &plan, &options).unwrap()
     }
 
-    /// The pool on every core, a 60 s budget.
-    pub(crate) fn threads(common: CommonConfig) -> Machine {
-        Machine::Threads(ThreadedConfig {
-            common,
-            budget: Duration::from_secs(60),
-            ..Default::default()
-        })
-    }
-
-    /// A two-worker pool, a 60 s budget.
-    pub(crate) fn pool(common: CommonConfig) -> Machine {
-        Machine::Pool(RayonConfig {
-            common,
-            num_threads: 2,
-            budget: Duration::from_secs(60),
-        })
-    }
-
     /// Bare lock-step rounds: the report's time reads as rounds.
     pub(crate) fn lockstep(common: CommonConfig) -> Machine {
         Machine::LockStep {
@@ -248,18 +218,58 @@ pub(crate) mod tests {
         }
     }
 
-    /// The complete simulated machine on `n` processors, 1 ms links and a
-    /// 100 µs activation.
-    fn simulated(n: usize, common: CommonConfig) -> Machine {
-        Machine::Simulated {
-            topology: Topology::complete(n).with_delays(&DelayModel::fixed_ms(1.0)),
+    /// The complete simulated machine on `parts` processors, 1 ms links
+    /// and a 100 µs activation.
+    fn simulated_rows(parts: usize, common: CommonConfig) -> Vec<Machine> {
+        vec![Machine::Simulated {
+            topology: Topology::complete(parts).with_delays(&DelayModel::fixed_ms(1.0)),
             config: DtmConfig {
                 common,
                 compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
                 horizon: SimDuration::from_millis_f64(3_600_000.0),
                 ..Default::default()
             },
-        }
+        }]
+    }
+
+    /// Lock-step rounds.
+    pub(crate) fn lockstep_rows(_parts: usize, common: CommonConfig) -> Vec<Machine> {
+        vec![lockstep(common)]
+    }
+
+    /// The pool on `workers` workers and a 60 s budget, behind the delay
+    /// router over `links` if given.
+    fn pool(workers: usize, links: Option<Topology>, common: CommonConfig) -> Machine {
+        Machine::Pool(RayonConfig {
+            common,
+            num_threads: workers,
+            budget: Duration::from_secs(60),
+            delay_topology: links,
+            ..Default::default()
+        })
+    }
+
+    /// The bare pool on two and on three workers (fewer workers than the
+    /// four parts of `converges`).
+    pub(crate) fn pool_rows(_parts: usize, common: CommonConfig) -> Vec<Machine> {
+        vec![pool(2, None, common.clone()), pool(3, None, common)]
+    }
+
+    /// The pool on two workers behind the delay router over the complete
+    /// machine's links, 1–9 ms scaled to 1–9 µs.
+    pub(crate) fn routed_rows(parts: usize, common: CommonConfig) -> Vec<Machine> {
+        let links = Topology::complete(parts).with_delays(&DelayModel::uniform_ms(1.0, 9.0, 7));
+        vec![pool(2, Some(links), common)]
+    }
+
+    /// Every row of every table, under `common`: the input contract's
+    /// machines.
+    fn every_machine(parts: usize, common: CommonConfig) -> Vec<Machine> {
+        let tables: [Rows; 4] = [simulated_rows, lockstep_rows, pool_rows, routed_rows];
+        tables
+            .iter()
+            .flat_map(|rows| rows(parts, common.clone()))
+            .collect()
     }
 
     /// `termination` under a 1,000,000-solve cap.
@@ -271,85 +281,87 @@ pub(crate) mod tests {
         }
     }
 
-    fn backend(machine: &Machine) -> BackendKind {
-        match machine {
-            Machine::Simulated { .. } | Machine::LockStep { .. } => BackendKind::Simulated,
-            Machine::Threads(_) => BackendKind::Threaded,
-            Machine::Pool(_) => BackendKind::WorkStealing,
-        }
-    }
-
     fn solve(split: &SplitSystem, machine: &Machine) -> Result<SolveReport> {
         DtmProblem::of_split(split.clone()).solve(machine)
     }
 
     /// DTM reaches oracle RMS ≤ 1e-8 on a 10 × 10 grid in 4 strips.
-    pub(crate) fn converges(on: On, seed: u64) -> SolveReport {
-        let ss = grid_split(10, 4, seed);
-        let machine = on(rule(Termination::OracleRms { tol: 1e-8 }));
-        let report = solve(&ss, &machine).unwrap();
-        assert!(report.converged, "rms {}", report.final_rms);
-        assert_eq!(report.backend, backend(&machine));
+    pub(crate) fn converges(rows: Rows) {
+        let ss = grid_split(10, 4, 71);
         let (a, b) = ss.reconstruct();
-        assert!(a.residual_norm(&report.solution, &b) < 1e-5);
-        assert!(report.total_solves > 4);
-        assert!(report.total_messages > 0);
-        report
+        for machine in rows(4, rule(Termination::OracleRms { tol: 1e-8 })) {
+            let report = solve(&ss, &machine).unwrap();
+            assert!(report.converged, "{machine:?}: rms {}", report.final_rms);
+            let pool = matches!(machine, Machine::Pool(_));
+            assert_eq!(report.backend == BackendKind::WorkStealing, pool);
+            assert!(a.residual_norm(&report.solution, &b) < 1e-5, "{machine:?}");
+            assert!(report.total_solves > 4, "{machine:?}");
+            assert!(report.total_messages > 0, "{machine:?}");
+        }
     }
 
-    /// Under `LocalDelta` every node halts itself, on a right answer.
-    pub(crate) fn local_delta_self_halts(on: On, seed: u64) {
-        let ss = grid_split(8, 3, seed);
-        let machine = on(rule(Termination::LocalDelta {
+    /// Under `LocalDelta` every node halts itself, on a right answer (the
+    /// engine may see the last waves die out before the last node halts).
+    pub(crate) fn local_delta_self_halts(rows: Rows) {
+        let ss = grid_split(8, 3, 73);
+        let common = rule(Termination::LocalDelta {
             tol: 1e-12,
             patience: 4,
-        }));
-        let report = solve(&ss, &machine).unwrap();
-        assert_eq!(report.stop, StopKind::AllHalted);
-        assert!(report.converged);
-        assert!(report.final_rms < 1e-6, "rms {}", report.final_rms);
+        });
+        for machine in rows(3, common) {
+            let report = solve(&ss, &machine).unwrap();
+            let quiet =
+                matches!(machine, Machine::Simulated { .. }) && report.stop == StopKind::Quiescent;
+            assert!(report.stop == StopKind::AllHalted || quiet, "{machine:?}");
+            assert!(report.converged, "{machine:?}");
+            assert!(report.final_rms < 1e-6, "{machine:?}: {}", report.final_rms);
+        }
     }
 
     /// The paper's Example 5.1 with its impedances reaches the direct
     /// solution.
-    pub(crate) fn paper_example(on: On) {
-        let machine = on(CommonConfig {
+    pub(crate) fn paper_example(rows: Rows) {
+        let common = CommonConfig {
             impedance: ImpedancePolicy::PerDtlp(vec![0.2, 0.1]),
             ..rule(Termination::OracleRms { tol: 1e-10 })
-        });
-        let report = solve(&paper_split(), &machine).unwrap();
-        assert!(report.converged, "rms {}", report.final_rms);
+        };
         let (a, b) = generators::paper_example_system();
         let exact = dtm_sparse::DenseCholesky::factor_csr(&a).unwrap().solve(&b);
-        for (u, v) in report.solution.iter().zip(&exact) {
-            assert!((u - v).abs() < 1e-8, "{u} vs {v}");
+        for machine in rows(2, common) {
+            let report = solve(&paper_split(), &machine).unwrap();
+            assert!(report.converged, "{machine:?}: rms {}", report.final_rms);
+            for (u, v) in report.solution.iter().zip(&exact) {
+                assert!((u - v).abs() < 1e-8, "{machine:?}: {u} vs {v}");
+            }
         }
     }
 
     /// Nodes retired by a 5-solve cap under a delta rule that can never
     /// fire (tolerance 0) are not converged.
-    pub(crate) fn cap_is_not_convergence(on: On, seed: u64) -> SolveReport {
-        let ss = grid_split(8, 3, seed);
-        let machine = on(CommonConfig {
+    pub(crate) fn cap_is_not_convergence(rows: Rows) {
+        let ss = grid_split(8, 3, 74);
+        let common = CommonConfig {
             max_solves_per_node: 5,
             ..rule(Termination::LocalDelta {
                 tol: 0.0,
                 patience: 2,
             })
-        });
-        let report = solve(&ss, &machine).unwrap();
-        assert!(
-            !report.converged,
-            "capped-out run must not claim convergence (rms {})",
-            report.final_rms
-        );
-        report
+        };
+        for machine in rows(3, common) {
+            let report = solve(&ss, &machine).unwrap();
+            assert!(
+                !report.converged,
+                "{machine:?}: a capped-out run must not claim convergence (rms {})",
+                report.final_rms
+            );
+        }
     }
 
     /// A NaN planted in a local right-hand side (the split-level fields are
     /// not re-checked) flows through every solve into the score, and must
-    /// not read as 0: the run spends its 200 ms budget unconverged.
-    pub(crate) fn nan_in_b_is_never_converged(on: On) {
+    /// not read as 0: the run spends its budget unconverged — 200 ms of
+    /// wall clock or of simulated time, or 200 rounds.
+    pub(crate) fn nan_in_b_is_never_converged(rows: Rows) {
         let mut ss = grid_split(8, 3, 83);
         for sd in &mut ss.subdomains {
             if let Some(local) = sd.global_of_local.iter().position(|&v| v == 17) {
@@ -360,27 +372,53 @@ pub(crate) mod tests {
             Termination::Residual { tol: 1e-8 },
             Termination::OracleRms { tol: 1e-8 },
         ] {
-            let mut machine = on(rule(termination));
-            if let Machine::Threads(ThreadedConfig { budget, .. })
-            | Machine::Pool(RayonConfig { budget, .. }) = &mut machine
-            {
-                *budget = Duration::from_millis(200);
+            for mut machine in rows(3, rule(termination)) {
+                let spent = match &mut machine {
+                    Machine::Simulated { config, .. } => {
+                        config.horizon = SimDuration::from_millis_f64(200.0);
+                        StopKind::Horizon
+                    }
+                    Machine::LockStep { common, .. } => {
+                        common.max_solves_per_node = 200;
+                        StopKind::AllHalted
+                    }
+                    Machine::Pool(config) => {
+                        config.budget = Duration::from_millis(200);
+                        StopKind::Budget
+                    }
+                };
+                let report = solve(&ss, &machine).unwrap();
+                let what = format!("{termination:?} on {machine:?}");
+                assert!(!report.converged, "{what}");
+                assert_eq!(report.stop, spent, "{what}");
+                assert!(report.final_residual.is_nan(), "{what}");
             }
-            let report = solve(&ss, &machine).unwrap();
-            assert!(!report.converged, "{termination:?}");
-            assert_eq!(report.stop, StopKind::Budget, "{termination:?}");
-            assert!(report.final_residual.is_nan(), "{termination:?}");
         }
     }
 
-    /// Every machine for a `parts`-part problem, under `common`.
-    fn every_machine(parts: usize, common: CommonConfig) -> [Machine; 4] {
-        [
-            simulated(parts, common.clone()),
-            lockstep(common.clone()),
-            threads(common.clone()),
-            pool(common),
-        ]
+    #[test]
+    fn converges_on_the_simulated_machine() {
+        converges(simulated_rows);
+    }
+
+    #[test]
+    fn local_delta_self_halts_on_the_simulated_machine() {
+        local_delta_self_halts(simulated_rows);
+    }
+
+    #[test]
+    fn paper_example_on_the_simulated_machine() {
+        paper_example(simulated_rows);
+    }
+
+    #[test]
+    fn cap_is_not_convergence_on_the_simulated_machine() {
+        cap_is_not_convergence(simulated_rows);
+    }
+
+    #[test]
+    fn a_nan_in_b_is_never_converged_on_the_simulated_machine() {
+        nan_in_b_is_never_converged(simulated_rows);
     }
 
     /// A NaN tolerance never compares true: every machine ran out its
@@ -418,8 +456,7 @@ pub(crate) mod tests {
                 for err in [dtm, block, jacobi] {
                     assert!(
                         matches!(err, Error::NonFinite { value, .. } if value.is_nan()),
-                        "{termination:?} on {:?}: {err}",
-                        backend(&machine)
+                        "{termination:?} on {machine:?}: {err}"
                     );
                 }
             }
@@ -474,11 +511,7 @@ pub(crate) mod tests {
                 )
                 .unwrap_err();
                 for err in [dtm, block, jacobi] {
-                    assert!(
-                        named(&err),
-                        "{termination:?} on {:?}: {err}",
-                        backend(&machine)
-                    );
+                    assert!(named(&err), "{termination:?} on {machine:?}: {err}");
                 }
             }
         }
@@ -519,11 +552,10 @@ pub(crate) mod tests {
         nan[4] = f64::NAN;
         let started = std::time::Instant::now();
         for machine in every_machine(2, rule(Termination::Residual { tol: 1e-8 })) {
-            let what = backend(&machine);
             let empty = problem.solve_block(&[], &machine).unwrap_err();
             assert!(
                 matches!(empty, Error::DimensionMismatch { actual: 0, .. }),
-                "{what:?}"
+                "{machine:?}"
             );
             let short = problem
                 .solve_block(&[vec![1.0; n], vec![1.0; n - 1]], &machine)
@@ -531,14 +563,14 @@ pub(crate) mod tests {
             assert!(
                 matches!(short, Error::DimensionMismatch { expected, actual, .. }
                     if expected == n && actual == n - 1),
-                "{what:?}: {short}"
+                "{machine:?}: {short}"
             );
             let err = problem
                 .solve_block(&[vec![1.0; n], nan.clone()], &machine)
                 .unwrap_err();
             assert!(
                 matches!(err, Error::NonFinite { index: 4, .. }),
-                "{what:?}: {err}"
+                "{machine:?}: {err}"
             );
         }
         assert!(started.elapsed() < Duration::from_secs(5));

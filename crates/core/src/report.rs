@@ -10,11 +10,10 @@ pub enum BackendKind {
     /// Deterministic discrete-event simulation on a [`dtm_simnet`]
     /// machine ([`crate::solver`]).
     Simulated,
-    /// The worker pool behind [`crate::threaded::ThreadedConfig`]'s delay
-    /// router ([`crate::threaded`]).
-    Threaded,
     /// In-process worker pool on one ready queue, any worker steps any
-    /// part ([`crate::rayon_backend`]; the name predates the queue).
+    /// part, behind the delay router when its config has a
+    /// `delay_topology` ([`crate::Machine::Pool`],
+    /// [`crate::rayon_backend`]; the name predates the queue).
     WorkStealing,
     /// Multi-process execution over real sockets (UDS/TCP), one OS
     /// process per partition group (`dtm-net`'s round-structured

@@ -45,8 +45,7 @@
 //! | backend | wave travels as | delay realised by |
 //! |---|---|---|
 //! | [`solver`](crate::solver) (simnet) | [`dtm_simnet::Envelope`] | per-directed-link simulated delay (Fig. 7/11) |
-//! | [`threaded`](crate::threaded) | channel message | real channel latency, plus optional router-injected per-link delays |
-//! | [`rayon_backend`](crate::rayon_backend) | inbox entry + a place in the ready queue | the receiver's wait in that queue: older arrivals first, and never while a neighbour computes |
+//! | [`rayon_backend`](crate::rayon_backend) | inbox entry + a place in the ready queue | the link's delay in the router, when the config has a `delay_topology`; then the receiver's wait in that queue: older arrivals first, and never while a neighbour computes |
 //!
 //! In every case the receiving node merges whatever has arrived *by the
 //! time it runs* — Table 1 step 3: "wait until receiving part of the

@@ -1,6 +1,6 @@
 //! Synchronization facade for the concurrent backends.
 //!
-//! Every primitive the threaded/rayon/session executors use — atomics,
+//! Every primitive the pool, its delay router and the sessions use — atomics,
 //! mutexes, channels, thread spawning — is imported through this module
 //! rather than from `std` directly. Normally it is `std` at zero cost:
 //! channels are `std::sync::mpsc`, and [`Mutex`]/[`Condvar`] are thin

@@ -1,130 +1,104 @@
-//! DTM on the wall clock with injected link delays — genuine asynchrony,
-//! no simulation: [`Machine::Threads`]'s configuration.
+//! DTM on the wall clock with injected link delays: the names the
+//! pool behind the delay router went by when it was a machine of its own.
 //!
-//! The machine is the one wall-clock fabric, [`crate::fabric::Pool`], on
-//! `available_parallelism` workers, behind an optional delay router: each
-//! wave waits out its link's delay from a [`Topology`], scaled to real
-//! time, before it lands in its receiver's inbox (the
-//! Algorithm-Architecture Delay Mapping on a heterogeneous machine). With
-//! no topology, or a zero scale, the delay is the wait in the pool's ready
-//! queue alone. No barrier anywhere. A solve runs there through
-//! [`DtmProblem::solve`](crate::DtmProblem::solve) on
-//! [`Machine::Threads`], or through [`solve_prepared`] over prebuilt
-//! nodes; its report is labelled [`BackendKind::Threaded`](crate::BackendKind::Threaded).
+//! There is one wall-clock in-process machine, [`Machine::Pool`]; a
+//! [`delay_topology`](RayonConfig::delay_topology) in its configuration
+//! puts the delay router in front of its ready queue, so each wave waits
+//! out its link's delay, scaled to real time, before it lands (the
+//! Algorithm-Architecture Delay Mapping on a heterogeneous machine). A
+//! delay table is a property of a machine's links, not a second machine.
+//! [`ThreadedConfig`] and [`solve_prepared`] stay as names of the pool's
+//! configuration and of its form over prebuilt nodes; its reports are
+//! labelled [`BackendKind::WorkStealing`](crate::BackendKind::WorkStealing).
+//!
+//! [`Machine::Pool`]: crate::Machine::Pool
 
-use crate::machine::{self, Machine};
-use crate::report::SolveReport;
-use crate::runtime::{CommonConfig, NodeRuntime};
-use dtm_graph::evs::SplitSystem;
-use dtm_simnet::Topology;
-use dtm_sparse::Result;
-use std::time::Duration;
-/// Delay-routed wall-clock configuration: the shared [`CommonConfig`]
-/// plus the budget and the delay router's table.
-#[derive(Debug, Clone)]
-pub struct ThreadedConfig {
-    /// Algorithm configuration shared with every backend.
-    pub common: CommonConfig,
-    /// Wall-clock budget.
-    pub budget: Duration,
-    /// Inject link delays from this topology, scaled by `delay_scale`
-    /// (simulated nanoseconds × scale = real nanoseconds). `None` routes
-    /// nothing: the wait in the pool's ready queue is the only delay.
-    pub delay_topology: Option<Topology>,
-    /// Delay scale factor (default 1e-3: simulated ms → real µs).
-    pub delay_scale: f64,
-}
+use crate::rayon_backend::RayonConfig;
 
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        Self {
-            common: CommonConfig {
-                max_solves_per_node: 1_000_000,
-                ..Default::default()
-            },
-            budget: Duration::from_secs(30),
-            delay_topology: None,
-            delay_scale: 1e-3,
-        }
-    }
-}
+pub use crate::rayon_backend::solve_prepared;
 
-/// DTM on [`Machine::Threads`] over **prebuilt node runtimes** — the
-/// factor-once serving path. Callers build (and pay for) the per-part
-/// factorizations once via
-/// [`runtime::build_nodes`](crate::runtime::build_nodes)/[`runtime::build_nodes_parallel`](crate::runtime::build_nodes_parallel),
-/// then hand a clone of the templates to each solve: `NodeRuntime` clones
-/// share their factors, so repeated solves re-run only the wave exchange.
-/// `reference` is the direct solution RMS monitoring uses; when `None` it
-/// is computed where the termination mode needs one.
-///
-/// # Errors
-/// A NaN tolerance, or an injected delay topology missing a wave route's
-/// link.
-pub fn solve_prepared(
-    split: &SplitSystem,
-    runtimes: Vec<NodeRuntime>,
-    reference: Option<Vec<f64>>,
-    config: &ThreadedConfig,
-) -> Result<SolveReport> {
-    machine::solve_dtm(
-        split,
-        Some(runtimes),
-        reference.map(|r| vec![r]),
-        None,
-        &Machine::Threads(config.clone()),
-    )
-}
+/// The pool's configuration under its older name.
+pub type ThreadedConfig = RayonConfig;
 
 #[cfg(test)]
 mod tests {
-    //! [`Machine::Threads`]' cells of the shared property table
-    //! (`machine::tests`), then what only this machine has: the delay
-    //! router in front of the pool.
+    //! The routed pool's cells of the shared property table
+    //! (`machine::tests`), and what only the delay router has, through the
+    //! names above.
     use super::*;
-    use crate::machine::tests::{self as table, grid_split};
-    use crate::report::StopKind;
-    use crate::runtime::{build_nodes, Termination};
-    use crate::DtmProblem;
+    use crate::machine::tests::{self as table, grid_split, routed_rows};
+    use crate::report::{SolveReport, StopKind};
+    use crate::runtime::{build_nodes, CommonConfig, Termination};
+    use crate::{rayon_backend, DtmProblem, Machine};
+    use dtm_graph::evs::SplitSystem;
     use dtm_simnet::DelayModel;
+    use dtm_sparse::Result;
+    use std::time::Duration;
+
+    fn solve(ss: SplitSystem, config: ThreadedConfig) -> Result<SolveReport> {
+        DtmProblem::of_split(ss).solve(&Machine::Pool(config))
+    }
+
+    /// Both frozen names over clones of one set of templates, each config
+    /// built the way a caller outside the crate builds it: same machine,
+    /// same label, and no delay router.
+    #[test]
+    fn frozen_names_run_the_bare_pool() {
+        let ss = grid_split(10, 4, 79);
+        let common = CommonConfig {
+            termination: Termination::Residual { tol: 1e-6 },
+            ..ThreadedConfig::default().common
+        };
+        let budget = Duration::from_secs(60);
+        let threaded = ThreadedConfig {
+            common: common.clone(),
+            budget,
+            ..ThreadedConfig::default()
+        };
+        let pool = RayonConfig {
+            common,
+            num_threads: 2,
+            budget,
+            ..RayonConfig::default()
+        };
+        let templates = build_nodes(&ss, &threaded.common).unwrap();
+        let reports = [
+            solve_prepared(&ss, templates.clone(), None, &threaded).unwrap(),
+            rayon_backend::solve_prepared(&ss, templates, None, &pool).unwrap(),
+        ];
+        for report in &reports {
+            assert!(report.converged, "residual {}", report.final_residual);
+            assert!(report.final_residual <= 1e-6);
+        }
+        assert_eq!(reports[0].backend, reports[1].backend);
+        for config in [threaded, pool] {
+            assert!(Machine::Pool(config).links().is_none(), "no router");
+        }
+    }
 
     #[test]
     fn threaded_dtm_converges_natural_asynchrony() {
-        table::converges(table::threads, 71);
+        table::converges(routed_rows);
     }
 
     #[test]
     fn threaded_local_delta_self_halts() {
-        table::local_delta_self_halts(table::threads, 73);
+        table::local_delta_self_halts(routed_rows);
     }
 
     #[test]
     fn threaded_solve_cap_is_not_convergence() {
-        table::cap_is_not_convergence(table::threads, 74);
+        table::cap_is_not_convergence(routed_rows);
     }
 
     #[test]
     fn a_nan_in_b_is_never_converged() {
-        table::nan_in_b_is_never_converged(table::threads);
+        table::nan_in_b_is_never_converged(routed_rows);
     }
 
     #[test]
     fn paper_example_on_two_threads() {
-        table::paper_example(table::threads);
-    }
-
-    fn solve(ss: SplitSystem, config: ThreadedConfig) -> Result<SolveReport> {
-        DtmProblem::of_split(ss).solve(&Machine::Threads(config))
-    }
-
-    fn local_delta() -> CommonConfig {
-        CommonConfig {
-            termination: Termination::LocalDelta {
-                tol: 1e-12,
-                patience: 4,
-            },
-            ..ThreadedConfig::default().common
-        }
+        table::paper_example(routed_rows);
     }
 
     #[test]
@@ -140,6 +114,7 @@ mod tests {
             budget: Duration::from_secs(60),
             delay_topology: Some(topo),
             delay_scale: 1e-3, // 10–99 ms simulated → 10–99 µs real
+            ..Default::default()
         };
         let report = solve(ss, config).unwrap();
         assert!(report.converged, "rms {}", report.final_rms);
@@ -156,10 +131,17 @@ mod tests {
         let ss = grid_split(6, 2, 75);
         let topo = dtm_simnet::Topology::ring(2).with_delays(&DelayModel::fixed_ms(10.0));
         let config = ThreadedConfig {
-            common: local_delta(),
+            common: CommonConfig {
+                termination: Termination::LocalDelta {
+                    tol: 1e-12,
+                    patience: 4,
+                },
+                ..ThreadedConfig::default().common
+            },
             budget: Duration::from_secs(60),
             delay_topology: Some(topo),
             delay_scale: 1.0, // 10 ms simulated -> 10 ms real
+            ..Default::default()
         };
         let nodes = build_nodes(&ss, &config.common).unwrap();
         let report = solve_prepared(&ss, nodes, None, &config).unwrap();

@@ -6,14 +6,15 @@
 //! Method" (§1). The local system is eq. (5.10): identical to DTM's except
 //! the remote boundary conditions advance in lock-step rounds `k`. There is
 //! no VTM code: each node's `k`-th solve on the lock-step machine sees
-//! exactly its neighbours' round-`(k−1)` waves. What is here are the
-//! lock-step machine's cells of the shared property table and the
-//! equal-delay equivalence that defines VTM.
+//! exactly its neighbours' round-`(k−1)` waves. What is here is what
+//! defines VTM: the round budget and the equal-delay equivalence, beside
+//! lock-step rounds' cells of the properties every machine shares
+//! (`machine::tests`).
 
 #[cfg(test)]
 mod tests {
     use crate::impedance::ImpedancePolicy;
-    use crate::machine::tests::{self as table, grid_split, lockstep, paper_split};
+    use crate::machine::tests::{self as table, grid_split, lockstep, lockstep_rows, paper_split};
     use crate::runtime::{CommonConfig, Termination};
     use crate::solver::{ComputeModel, DtmConfig};
     use crate::{DtmProblem, Machine, SolveReport};
@@ -35,17 +36,38 @@ mod tests {
 
     #[test]
     fn vtm_converges_on_paper_example() {
-        table::paper_example(lockstep);
+        table::paper_example(lockstep_rows);
     }
 
     #[test]
     fn vtm_on_grid_with_uniform_policy() {
-        table::converges(lockstep, 31);
+        table::converges(lockstep_rows);
     }
 
     #[test]
+    fn vtm_local_delta_self_halts() {
+        table::local_delta_self_halts(lockstep_rows);
+    }
+
+    #[test]
+    fn vtm_nan_in_b_is_never_converged() {
+        table::nan_in_b_is_never_converged(lockstep_rows);
+    }
+
+    /// A 5-round budget under a delta rule that can never fire is five
+    /// scored rounds of three solves each, and no convergence.
+    #[test]
     fn round_budget_respected() {
-        let report = table::cap_is_not_convergence(lockstep, 77);
+        let common = CommonConfig {
+            termination: Termination::LocalDelta {
+                tol: 0.0,
+                patience: 2,
+            },
+            max_solves_per_node: 5,
+            ..Default::default()
+        };
+        let report = solve(&grid_split(8, 3, 77), &lockstep(common));
+        assert!(!report.converged);
         assert_eq!(report.series.len(), 5);
         assert_eq!(report.final_time_ms, 5.0);
         assert_eq!(report.total_solves, 15);

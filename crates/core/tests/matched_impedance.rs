@@ -12,7 +12,6 @@ use dtm_core::runtime::{
     build_node, build_nodes, build_nodes_block, build_nodes_block_parallel, build_nodes_parallel,
     CommonConfig, Termination,
 };
-use dtm_core::threaded::ThreadedConfig;
 use dtm_core::{DtmBuilder, DtmProblem, Machine};
 use dtm_sparse::{generators, Csr, Error};
 use proptest::prelude::*;
@@ -22,28 +21,29 @@ use std::time::Duration;
 const TOL: f64 = 1e-6;
 
 /// Every machine, under `p`'s own common config; the wall-clock ones
-/// with a 2-worker pool and a `budget`.
+/// a 2-worker pool with a `budget`, bare and behind the delay router on
+/// `p`'s own links.
 fn machines(p: &DtmProblem, budget: Duration) -> [Machine; 4] {
-    let common = p.config.common.clone();
+    let pool = RayonConfig {
+        common: p.config.common.clone(),
+        num_threads: 2,
+        budget,
+        ..Default::default()
+    };
     [
         Machine::Simulated {
             topology: p.topology.clone(),
             config: p.config.clone(),
         },
         Machine::LockStep {
-            common: common.clone(),
+            common: pool.common.clone(),
             price: None,
         },
         Machine::Pool(RayonConfig {
-            common: common.clone(),
-            num_threads: 2,
-            budget,
+            delay_topology: Some(p.topology.clone()),
+            ..pool.clone()
         }),
-        Machine::Threads(ThreadedConfig {
-            common,
-            budget,
-            ..Default::default()
-        }),
+        Machine::Pool(pool),
     ]
 }
 

@@ -10,7 +10,6 @@
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::Termination;
 use dtm_repro::core::solver::ComputeModel;
-use dtm_repro::core::threaded::ThreadedConfig;
 use dtm_repro::core::{Machine, SolveReport};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
@@ -33,47 +32,49 @@ fn main() {
 
     // The machine is a value: the same problem on three of them.
     let common = problem.config.common.clone();
+    let pool = RayonConfig {
+        common,
+        num_threads: 2,
+        budget: Duration::from_secs(30),
+        ..Default::default()
+    };
     let machines = [
-        Machine::Simulated {
-            topology: problem.topology.clone(),
-            config: problem.config.clone(),
-        },
-        Machine::Threads(ThreadedConfig {
-            common: common.clone(),
-            budget: Duration::from_secs(30),
-            delay_topology: Some(problem.topology.clone()),
-            delay_scale: 1e-3,
-        }),
-        Machine::Pool(RayonConfig {
-            common,
-            num_threads: 2,
-            budget: Duration::from_secs(30),
-        }),
+        (
+            "simulated",
+            Machine::Simulated {
+                topology: problem.topology.clone(),
+                config: problem.config.clone(),
+            },
+        ),
+        (
+            "routed pool",
+            Machine::Pool(RayonConfig {
+                delay_topology: Some(problem.topology.clone()),
+                delay_scale: 1e-3,
+                ..pool.clone()
+            }),
+        ),
+        ("pool", Machine::Pool(pool)),
     ];
 
     println!(
         "{:>14} {:>10} {:>12} {:>10} {:>10} {:>12}",
-        "backend", "converged", "time [ms]", "solves", "messages", "rms"
+        "machine", "converged", "time [ms]", "solves", "messages", "rms"
     );
-    for machine in &machines {
+    for (name, machine) in &machines {
         let report = &problem.solve(machine).expect("solves");
-        print_row(report);
+        print_row(name, report);
         assert!(report.converged, "{:?} failed to converge", report.backend);
         let residual = a.residual_norm(&report.solution, &b);
         assert!(residual < 1e-5, "{:?}: residual {residual}", report.backend);
     }
-    println!("\nall three executors agree with the direct solution (residual < 1e-5)");
-    println!("(simulated time is virtual; threaded/work-stealing are wall-clock)");
+    println!("\nall three machines agree with the direct solution (residual < 1e-5)");
+    println!("(simulated time is virtual; the pool's, routed or not, is wall-clock)");
 }
 
-fn print_row(r: &SolveReport) {
+fn print_row(name: &str, r: &SolveReport) {
     println!(
         "{:>14} {:>10} {:>12.2} {:>10} {:>10} {:>12.2e}",
-        format!("{:?}", r.backend),
-        r.converged,
-        r.final_time_ms,
-        r.total_solves,
-        r.total_messages,
-        r.final_rms
+        name, r.converged, r.final_time_ms, r.total_solves, r.total_messages, r.final_rms
     );
 }

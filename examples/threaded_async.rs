@@ -6,8 +6,8 @@
 //! cargo run --release --example threaded_async
 //! ```
 
+use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
-use dtm_repro::core::threaded::ThreadedConfig;
 use dtm_repro::core::Machine;
 use dtm_repro::simnet::{DelayModel, Topology};
 use dtm_repro::sparse::generators;
@@ -27,14 +27,15 @@ fn main() {
     // Inject 10–99 "ms" delays scaled down 1000× (so they become 10–99 µs
     // of real waiting) through the router in front of the pool.
     let machine = Topology::ring(k).with_delays(&DelayModel::uniform_ms(10.0, 99.0, 5));
-    let routed = Machine::Threads(ThreadedConfig {
+    let routed = Machine::Pool(RayonConfig {
         common: CommonConfig {
             termination: Termination::OracleRms { tol: 1e-8 },
-            ..ThreadedConfig::default().common
+            ..RayonConfig::default().common
         },
         budget: Duration::from_secs(30),
         delay_topology: Some(machine),
         delay_scale: 1e-3,
+        ..Default::default()
     });
 
     let report = problem.solve(&routed).expect("routed run");

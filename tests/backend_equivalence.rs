@@ -2,19 +2,18 @@
 //! Mapping promises that **one algorithm** runs unchanged on any machine.
 //! That is literally true in code — one `DtmProblem::solve` over a
 //! `Machine` value drives the same `dtm_core::runtime::NodeRuntime` on the
-//! simulated, threaded and work-stealing executors — and this suite pins it down
+//! simulated machine and on the worker pool, routed or not — and this suite pins it down
 //! behaviourally: every backend must converge to the direct Cholesky
 //! solution of the same torn system, with live message/solve counters.
 
 mod common;
 
-use common::{example_5_1_split, problem};
+use common::example_5_1_split;
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::report::BackendKind;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
 use dtm_repro::core::solver::{ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::ThreadedConfig;
-use dtm_repro::core::{ImpedancePolicy, Machine, SolveReport};
+use dtm_repro::core::{DtmProblem, ImpedancePolicy, Machine, SolveReport};
 use dtm_repro::graph::evs::SplitSystem;
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
@@ -35,11 +34,13 @@ fn common(impedance: ImpedancePolicy, tol: f64) -> CommonConfig {
 
 /// The three machines for a `k`-part problem under `common`: the
 /// simulated complete graph with 1 ms links, the pool on every core
-/// (`Machine::Threads`, no router), a two-worker pool.
+/// behind the delay router on those links (scaled to 1 µs), a two-worker
+/// pool.
 fn machines(k: usize, common: CommonConfig) -> [Machine; 3] {
+    let links = Topology::complete(k).with_delays(&DelayModel::fixed_ms(1.0));
     [
         Machine::Simulated {
-            topology: Topology::complete(k).with_delays(&DelayModel::fixed_ms(1.0)),
+            topology: links.clone(),
             config: DtmConfig {
                 common: common.clone(),
                 compute: ComputeModel::Fixed(SimDuration::from_micros_f64(100.0)),
@@ -47,22 +48,24 @@ fn machines(k: usize, common: CommonConfig) -> [Machine; 3] {
                 ..Default::default()
             },
         },
-        Machine::Threads(ThreadedConfig {
+        Machine::Pool(RayonConfig {
             common: common.clone(),
             budget: Duration::from_secs(60),
+            delay_topology: Some(links),
             ..Default::default()
         }),
         Machine::Pool(RayonConfig {
             common,
             num_threads: 2,
             budget: Duration::from_secs(60),
+            ..Default::default()
         }),
     ]
 }
 
 /// Run all three executors on `ss` and return their reports.
 fn run_all_backends(ss: &SplitSystem, impedance: ImpedancePolicy, tol: f64) -> Vec<SolveReport> {
-    let p = problem(ss.clone());
+    let p = DtmProblem::of_split(ss.clone());
     machines(ss.n_parts(), common(impedance, tol))
         .iter()
         .map(|m| p.solve(m).expect("backend runs"))
@@ -95,7 +98,7 @@ fn assert_all_close(reports: &[SolveReport], exact: &[f64], tol: f64) {
         );
     }
     assert_eq!(reports[0].backend, BackendKind::Simulated);
-    assert_eq!(reports[1].backend, BackendKind::Threaded);
+    assert_eq!(reports[1].backend, BackendKind::WorkStealing);
     assert_eq!(reports[2].backend, BackendKind::WorkStealing);
 }
 
@@ -147,11 +150,11 @@ fn example_5_1_batched_k8_equivalent_across_backends() {
     let impedance = ImpedancePolicy::PerDtlp(vec![0.2, 0.1]);
     let tol = 1e-9;
 
-    let p = problem(ss);
-    let [sim, threaded, stealing] =
+    let p = DtmProblem::of_split(ss);
+    let [sim, routed, pool] =
         machines(2, common(impedance, tol)).map(|m| p.solve_block(&cols, &m).expect("block run"));
 
-    for report in [&sim, &threaded, &stealing] {
+    for report in [&sim, &routed, &pool] {
         assert!(
             report.converged,
             "{:?} did not converge (rms {})",
@@ -172,8 +175,8 @@ fn example_5_1_batched_k8_equivalent_across_backends() {
         }
     }
     assert_eq!(sim.backend, BackendKind::Simulated);
-    assert_eq!(threaded.backend, BackendKind::Threaded);
-    assert_eq!(stealing.backend, BackendKind::WorkStealing);
+    assert_eq!(routed.backend, BackendKind::WorkStealing);
+    assert_eq!(pool.backend, BackendKind::WorkStealing);
 }
 
 #[test]
@@ -193,9 +196,9 @@ fn local_delta_self_halt_equivalent_across_backends() {
         termination: term,
         ..Default::default()
     };
-    let p = problem(ss);
-    let [sim, threaded, stealing] = machines(2, local_delta).map(|m| p.solve(&m).expect("runs"));
-    for report in [&sim, &threaded, &stealing] {
+    let p = DtmProblem::of_split(ss);
+    let [sim, routed, pool] = machines(2, local_delta).map(|m| p.solve(&m).expect("runs"));
+    for report in [&sim, &routed, &pool] {
         assert!(
             report.converged,
             "{:?}: stop {:?}, rms {}",

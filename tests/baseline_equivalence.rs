@@ -13,8 +13,7 @@ use dtm_repro::core::async_baselines::{self, BaselineAlgo, RichardsonParams};
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
 use dtm_repro::core::solver::{ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::ThreadedConfig;
-use dtm_repro::core::{Machine, SolveReport};
+use dtm_repro::core::{DtmProblem, Machine, SolveReport};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 use proptest::prelude::*;
@@ -91,20 +90,22 @@ proptest! {
         ));
         // One machine value, shared by every algorithm on it.
         let machines = [
-            ("sim", sim_machine(topo)),
+            ("sim", sim_machine(topo.clone())),
             ("lockstep", Machine::LockStep { common: residual_rule(), price: None }),
-            ("threaded", Machine::Threads(ThreadedConfig {
+            ("routed", Machine::Pool(RayonConfig {
                 common: residual_rule(),
                 budget: Duration::from_secs(60),
+                delay_topology: Some(topo),
                 ..Default::default()
             })),
             ("workstealing", Machine::Pool(RayonConfig {
                 common: residual_rule(),
                 num_threads: 2,
                 budget: Duration::from_secs(60),
+                ..Default::default()
             })),
         ];
-        let dtm = common::problem(ss);
+        let dtm = DtmProblem::of_split(ss);
         for (machine_name, machine) in &machines {
             for algo in [
                 BaselineAlgo::RandomizedRichardson(RichardsonParams { seed: order_seed }),

@@ -10,12 +10,11 @@
 
 mod common;
 
-use common::{problem, random_grid_split as grid_split};
+use common::random_grid_split as grid_split;
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
 use dtm_repro::core::solver::{ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::ThreadedConfig;
-use dtm_repro::core::Machine;
+use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 use proptest::prelude::*;
@@ -82,7 +81,7 @@ proptest! {
         k in 2usize..5,
         seed in 0u64..1_000,
     ) {
-        let p = problem(grid_split(side, 2, seed));
+        let p = DtmProblem::of_split(grid_split(side, 2, seed));
         let n = side * side;
         let cols: Vec<Vec<f64>> = (0..k)
             .map(|c| generators::random_rhs(n, seed + 100 + c as u64))
@@ -115,7 +114,7 @@ proptest! {
 #[test]
 fn simnet_example_5_1_block_is_bitwise_k_scalar_runs() {
     let (_, b) = generators::paper_example_system();
-    let p = problem(common::example_5_1_split());
+    let p = DtmProblem::of_split(common::example_5_1_split());
     let cols: Vec<Vec<f64>> = std::iter::once(b)
         .chain((0..7).map(|c| generators::random_rhs(4, 300 + c)))
         .collect();
@@ -166,7 +165,7 @@ proptest! {
     #[test]
     fn wallclock_backends_block_equals_scalar_columns(seed in 0u64..1_000) {
         let side = 6;
-        let p = problem(grid_split(side, 2, seed));
+        let p = DtmProblem::of_split(grid_split(side, 2, seed));
         let n = side * side;
         let cols: Vec<Vec<f64>> = (0..2)
             .map(|c| generators::random_rhs(n, seed + 200 + c as u64))
@@ -175,16 +174,21 @@ proptest! {
             termination: Termination::OracleRms { tol: 1e-9 },
             ..RayonConfig::default().common
         };
+        // The pool behind the delay router (1 ms links scaled to 1 µs),
+        // and bare on two workers.
+        let links = Topology::complete(2).with_delays(&DelayModel::fixed_ms(1.0));
         let machines = [
-            Machine::Threads(ThreadedConfig {
+            Machine::Pool(RayonConfig {
                 common: common.clone(),
                 budget: Duration::from_secs(60),
+                delay_topology: Some(links),
                 ..Default::default()
             }),
             Machine::Pool(RayonConfig {
                 common,
                 num_threads: 2,
                 budget: Duration::from_secs(60),
+                ..Default::default()
             }),
         ];
         for machine in &machines {

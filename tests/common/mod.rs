@@ -12,7 +12,7 @@ use dtm_repro::core::solver::DtmConfig;
 use dtm_repro::core::{DtmBuilder, DtmProblem, Machine, SolveReport};
 use dtm_repro::graph::evs::{paper_example_shares, split, EvsOptions, SplitSystem};
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
-use dtm_repro::simnet::{DelayModel, Topology};
+use dtm_repro::simnet::Topology;
 use dtm_repro::sparse::{generators, Csr};
 
 /// The paper's Example 4.1/5.1 split of system (3.2): two subdomains,
@@ -60,21 +60,12 @@ pub fn direct_solution(ss: &SplitSystem) -> (Vec<f64>, Vec<f64>) {
     (x, b)
 }
 
-/// A problem over a split the test tore itself, so it solves on any
-/// [`Machine`]; no reference is precomputed.
-pub fn problem(split: SplitSystem) -> DtmProblem {
-    DtmProblem {
-        topology: Topology::complete(split.n_parts()).with_delays(&DelayModel::fixed_ms(1.0)),
-        config: DtmConfig::default(),
-        reference: None,
-        split,
-    }
-}
-
 /// DTM on `split` on `machine`, the oracle reference (where the rule needs
 /// one) solved by the run.
 pub fn solve_on(split: &SplitSystem, machine: &Machine) -> SolveReport {
-    problem(split.clone()).solve(machine).expect("runs")
+    DtmProblem::of_split(split.clone())
+        .solve(machine)
+        .expect("runs")
 }
 
 /// DTM on the simulated machine `topology` under `config`.

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{problem, simulated};
+use common::simulated;
 use dtm_net::{DistributedBackend, DistributedConfig};
 use dtm_repro::core::analysis::WaveOperator;
 use dtm_repro::core::async_baselines::{self, BaselineAlgo};
@@ -20,7 +20,6 @@ use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::report::StopKind;
 use dtm_repro::core::runtime::{CommonConfig, ExecutorBackend};
 use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
-use dtm_repro::core::threaded::ThreadedConfig;
 use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::graph::evs::{split, EvsOptions, SharePolicy, SplitSystem};
 use dtm_repro::graph::validate;
@@ -157,24 +156,25 @@ proptest! {
                     ..Default::default()
                 },
             };
-            let threads = Machine::Threads(ThreadedConfig {
+            let pool = Machine::Pool(RayonConfig { common: common.clone(), ..Default::default() });
+            let routed = Machine::Pool(RayonConfig {
                 common: common.clone(),
+                delay_topology: Some(topo.clone()),
                 ..Default::default()
             });
-            let pool = Machine::Pool(RayonConfig { common: common.clone(), ..Default::default() });
             let lockstep = Machine::LockStep { common: common.clone(), price: None };
-            let dtm = DtmProblem { reference: reference(), ..problem(ss.clone()) };
+            let dtm = DtmProblem { reference: reference(), ..DtmProblem::of_split(ss.clone()) };
             let jacobi = |machine: &Machine| {
                 async_baselines::solve(&algo, &a, &b, &asg, reference(), machine)
             };
             let mut reports = vec![
                 ("dtm/sim", dtm.solve(&sim(3_600_000.0))),
                 ("dtm/lockstep", dtm.solve(&lockstep)),
-                ("dtm/threads", dtm.solve(&threads)),
+                ("dtm/routed", dtm.solve(&routed)),
                 ("dtm/pool", dtm.solve(&pool)),
                 ("jacobi/sim", jacobi(&sim(600_000.0))),
                 ("jacobi/lockstep", jacobi(&lockstep)),
-                ("jacobi/threads", jacobi(&threads)),
+                ("jacobi/routed", jacobi(&routed)),
                 ("jacobi/pool", jacobi(&pool)),
             ];
             if matches!(termination, Termination::Residual { .. }) {
@@ -229,8 +229,8 @@ fn simulation_is_deterministic() {
 }
 
 /// The one-shot supervisor sleeps on the measured decay of its metric
-/// (`monitor::next_poll`), not on a fixed 500 µs clock, on both wall-clock
-/// fabrics: a solve of tens of milliseconds is scored a few dozen times at
+/// (`monitor::next_poll`), not on a fixed 500 µs clock, on the pool bare
+/// and behind the delay router: a solve of tens of milliseconds is scored a few dozen times at
 /// most, not once per floor interval; `converged` still means the returned
 /// `x` meets the tolerance; and a run the budget cuts short is not slept
 /// past it, however long the gaps had grown. Timing-dependent, so CI
@@ -250,20 +250,20 @@ fn supervisor_polls_follow_the_decay_on_both_fabrics() {
             termination: Termination::Residual { tol },
             ..Default::default()
         };
-        let pool = Machine::Pool(RayonConfig {
-            common: common.clone(),
+        let pool = RayonConfig {
+            common,
             num_threads: 2,
             budget,
-        });
-        let threads = Machine::Threads(ThreadedConfig {
-            common,
-            budget,
             ..Default::default()
-        });
-        let p = problem(ss.clone());
+        };
+        let routed = RayonConfig {
+            delay_topology: Some(Topology::ring(4).with_delays(&DelayModel::fixed_ms(1.0))),
+            ..pool.clone()
+        };
+        let p = DtmProblem::of_split(ss.clone());
         [
-            ("pool", p.solve(&pool).expect("runs")),
-            ("threads", p.solve(&threads).expect("runs")),
+            ("pool", p.solve(&Machine::Pool(pool)).expect("runs")),
+            ("routed", p.solve(&Machine::Pool(routed)).expect("runs")),
         ]
     };
 

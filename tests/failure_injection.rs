@@ -5,12 +5,12 @@
 
 mod common;
 
-use common::{problem, random_grid_split as grid_split, simulated};
+use common::{random_grid_split as grid_split, simulated};
 use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::report::StopKind;
 use dtm_repro::core::runtime::CommonConfig;
 use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
-use dtm_repro::core::Machine;
+use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::simnet::{DelayModel, SimDuration, Topology};
 use dtm_repro::sparse::generators;
 
@@ -161,7 +161,7 @@ fn batched_run_degrades_gracefully_under_solve_cap() {
         horizon: SimDuration::from_millis_f64(3_600_000.0),
         ..Default::default()
     };
-    let report = problem(ss.clone())
+    let report = DtmProblem::of_split(ss.clone())
         .solve_block(
             &cols,
             &Machine::Simulated {

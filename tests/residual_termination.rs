@@ -7,7 +7,7 @@
 //!
 //! * the incremental tracker agrees with an exact recomputation to ~1e-12
 //!   across random update orders and values (proptest);
-//! * all three executors solve Example 5.1 and the grid Laplacian under
+//! * the simulated machine and the pool, bare and routed, solve Example 5.1 and the grid Laplacian under
 //!   `Termination::Residual` with **no reference** (the report's RMS
 //!   fields are `NaN`/empty — structural evidence no oracle ran), stopping
 //!   within the configured residual tolerance — verified against a direct
@@ -17,12 +17,11 @@
 
 mod common;
 
-use common::{direct_solution, example_5_1_split, problem, simulated, solve_on};
+use common::{direct_solution, example_5_1_split, simulated, solve_on};
 use dtm_repro::core::monitor::Monitor;
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::{CommonConfig, Termination};
 use dtm_repro::core::solver::{ComputeModel, DtmConfig};
-use dtm_repro::core::threaded::ThreadedConfig;
 use dtm_repro::core::{DtmBuilder, DtmProblem, ImpedancePolicy, Machine, SolveReport};
 use dtm_repro::graph::evs::SplitSystem;
 use dtm_repro::simnet::{DelayModel, SimDuration, SimTime, Topology};
@@ -77,15 +76,17 @@ fn simulated_backend_residual_solves_example_5_1_without_oracle() {
 fn threaded_backend_residual_solves_grid_without_oracle() {
     let ss = laplacian_split(8, 3);
     let tol = 1e-7;
-    let config = ThreadedConfig {
+    // The pool behind the delay router, 1 ms links scaled to 1 µs.
+    let config = RayonConfig {
         common: CommonConfig {
             termination: Termination::Residual { tol },
-            ..ThreadedConfig::default().common
+            ..RayonConfig::default().common
         },
         budget: Duration::from_secs(60),
+        delay_topology: Some(Topology::ring(3).with_delays(&DelayModel::fixed_ms(1.0))),
         ..Default::default()
     };
-    let report = solve_on(&ss, &Machine::Threads(config));
+    let report = solve_on(&ss, &Machine::Pool(config));
     assert!(report.converged, "resid {}", report.final_residual);
     assert_reference_free(&report);
     let (a, b) = ss.reconstruct();
@@ -103,6 +104,7 @@ fn workstealing_backend_residual_solves_grid_without_oracle() {
         },
         num_threads: 2,
         budget: Duration::from_secs(60),
+        ..Default::default()
     };
     let report = solve_on(&ss, &Machine::Pool(config));
     assert!(report.converged, "resid {}", report.final_residual);
@@ -131,7 +133,7 @@ fn zero_rhs_column_falls_back_to_absolute_residual() {
     };
     let zero = vec![0.0; 36];
     let b1 = generators::random_rhs(36, 991);
-    let p = problem(ss.clone());
+    let p = DtmProblem::of_split(ss.clone());
     let machine = Machine::Simulated {
         topology: topo,
         config,
@@ -228,7 +230,7 @@ fn explicit_reference_under_residual_keeps_residual_stopping() {
     };
     let p = DtmProblem {
         reference: Some(exact),
-        ..problem(ss)
+        ..DtmProblem::of_split(ss)
     };
     let report = p
         .solve(&Machine::Simulated {

@@ -1,5 +1,5 @@
 //! Cross-solver agreement: every path to a solution — direct Cholesky
-//! (dense & sparse), DTM (simulated, threaded & work-stealing), VTM, and
+//! (dense & sparse), DTM (simulated, on the pool bare and routed), VTM, and
 //! both block-Jacobi baselines — must land on the same x* for the same
 //! system.
 
@@ -9,7 +9,6 @@ use dtm_repro::core::async_baselines::{self, BaselineAlgo};
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::runtime::CommonConfig;
 use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
-use dtm_repro::core::threaded::ThreadedConfig;
 use dtm_repro::core::{DtmProblem, Machine};
 use dtm_repro::graph::evs::{split, EvsOptions};
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
@@ -79,9 +78,10 @@ fn all_solvers_agree() {
     let ss = split(&g, &plan, &EvsOptions::default()).expect("valid");
     let p = DtmProblem {
         reference: Some(reference.clone()),
-        ..common::problem(ss)
+        ..DtmProblem::of_split(ss)
     };
     let budget = Duration::from_secs(60);
+    let topo = Topology::ring(K).with_delays(&DelayModel::uniform_ms(5.0, 30.0, 11));
     for (name, machine) in [
         (
             "vtm",
@@ -91,10 +91,11 @@ fn all_solvers_agree() {
             },
         ),
         (
-            "threaded dtm",
-            Machine::Threads(ThreadedConfig {
+            "routed pool dtm",
+            Machine::Pool(RayonConfig {
                 common: oracle(1e-9),
                 budget,
+                delay_topology: Some(topo.clone()),
                 ..Default::default()
             }),
         ),
@@ -114,7 +115,6 @@ fn all_solvers_agree() {
 
     // Block-Jacobi baselines, asynchronous and in barrier-priced rounds.
     let asg = partition::grid_strips(SIDE, SIDE, K);
-    let topo = Topology::ring(K).with_delays(&DelayModel::uniform_ms(5.0, 30.0, 11));
     let sync = Machine::LockStep {
         common: oracle(1e-9),
         price: Some((
