@@ -210,10 +210,10 @@ fn cmp_jacobi_and_vtm_rows_are_pinned() {
         (24.0, 381, 1_143, 4_662_124),
     ];
     let rms = [
-        9.93302414981288e-7,
+        9.933024149783012e-7,
         9.998842023228358e-7,
         9.980759455328546e-7,
-        8.484468436275686e-7,
+        8.484468436240191e-7,
     ];
     for (row, r) in rows.iter().enumerate() {
         let (time_ms, solves, messages, flops) = pinned[row];

@@ -733,7 +733,7 @@ pub fn solve(
     let map = GatherMap::new(
         pt.rows.iter().map(Vec::as_slice).collect(),
         &copy_count,
-        a,
+        std::sync::Arc::new(a.clone()),
         vec![b],
     );
     let references =
@@ -1193,7 +1193,7 @@ mod tests {
             .unwrap();
         let copy_count = vec![1; a.n_rows()];
         let rows = pt.rows.iter().map(Vec::as_slice).collect();
-        let map = GatherMap::new(rows, &copy_count, &a, vec![&b]);
+        let map = GatherMap::new(rows, &copy_count, std::sync::Arc::new(a.clone()), vec![&b]);
         let reference = [direct(&a, &b)];
         let mut monitor = RunSpec {
             algorithm: AlgorithmKind::BlockJacobiSync,

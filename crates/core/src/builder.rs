@@ -167,11 +167,20 @@ impl DtmBuilder {
     /// Any validation failure along the pipeline — first of all a NaN or an
     /// infinity in `b` or in the matrix values
     /// ([`Error::NonFinite`], naming the entry / the row): no executor can
-    /// do better with one than an all-NaN "unconverged" report.
+    /// do better with one than an all-NaN "unconverged" report — or a
+    /// [`partition_auto`](Self::partition_auto) part count outside `1..=n`.
     pub fn build(mut self) -> Result<DtmProblem> {
         // The input boundary first, so a bad value never starts a
         // factorization. The system moves into the graph; `tear` reads it
         // from there.
+        if let (None, Some(k)) = (&self.assignment, self.n_parts) {
+            let n = self.a.n_rows();
+            if k == 0 || k > n {
+                return Err(Error::Parse(format!(
+                    "partition_auto: need 1 ≤ parts ≤ unknowns, got {k} parts for {n} unknowns"
+                )));
+            }
+        }
         let graph = ElectricGraph::from_system(
             std::mem::replace(&mut self.a, Csr::zeros(0, 0)),
             std::mem::take(&mut self.b),
@@ -181,7 +190,7 @@ impl DtmBuilder {
         let reference = match self.config.common.termination {
             Termination::Residual { .. } => None,
             _ => {
-                let (a, b) = (graph.matrix().clone(), graph.sources().to_vec());
+                let (a, b) = graph.shared();
                 Some(std::thread::spawn(move || {
                     SparseCholesky::factor_fill_reducing(&a).map(|f| f.solve(&b))
                 }))
@@ -437,6 +446,26 @@ mod tests {
         let a = generators::grid2d_laplacian(4, 4);
         let err = DtmBuilder::new(a, vec![0.0; 16]).solve();
         assert!(err.is_err());
+    }
+
+    /// A `partition_auto` part count outside `1..=n` is a typed error
+    /// naming both numbers, before any set-up thread starts; `k = n` builds.
+    #[test]
+    fn part_count_outside_one_to_n_is_an_error() {
+        for (nx, ny, k) in [(4, 4, 0), (1, 1, 2), (5, 1, 8)] {
+            let a = generators::grid2d_laplacian(nx, ny);
+            let n = a.n_rows();
+            match DtmBuilder::new(a, vec![1.0; n]).partition_auto(k).build() {
+                Err(Error::Parse(msg)) => assert!(
+                    msg.contains(&format!("{k} parts for {n} unknowns")),
+                    "{msg}"
+                ),
+                other => panic!("k = {k}, n = {n}: {other:?}"),
+            }
+        }
+        let a = generators::grid2d_laplacian(3, 3);
+        let problem = DtmBuilder::new(a, vec![1.0; 9]).partition_auto(9).build();
+        assert_eq!(problem.unwrap().split.n_parts(), 9);
     }
 
     #[test]

@@ -853,8 +853,7 @@ mod tests {
         termination: Termination,
         pool: Pool<Probe<runtime::NodeRuntime>>,
     ) -> SolveReport {
-        let (a, b) = ss.reconstruct();
-        let map = GatherMap::of_split(ss, &a, &b, None);
+        let map = GatherMap::of_split(ss, None);
         let references = runtime::resolve_references(&map, termination, None).unwrap();
         run(
             pool,

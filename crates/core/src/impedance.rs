@@ -134,15 +134,22 @@ impl ImpedancePolicy {
     }
 }
 
-/// `√(dₐ·d_b)` per DTLP: the admittance of its locally matched line.
+/// `√(dₐ·d_b)` per DTLP: the admittance of its locally matched line. A
+/// line with a zero-share copy at one end (the partitioner leaves those
+/// when `k` nears `n`) is matched to the vertex's whole weight `a_vv`
+/// instead: `√0` would make it an open circuit that no wave crosses.
 fn dtlp_admittances(split: &SplitSystem) -> Vec<f64> {
     split
         .dtlps
         .iter()
         .map(|d| {
-            let da = copy_diag(split, d.a);
-            let db = copy_diag(split, d.b);
-            (da * db).max(f64::MIN_POSITIVE).sqrt()
+            let product = copy_diag(split, d.a) * copy_diag(split, d.b);
+            if product >= f64::MIN_POSITIVE {
+                product.sqrt()
+            } else {
+                let whole = split.a.get(d.vertex, d.vertex).abs();
+                whole.max(f64::MIN_POSITIVE.sqrt())
+            }
         })
         .collect()
 }
@@ -259,6 +266,32 @@ pub fn per_port(split: &SplitSystem, z_per_dtlp: &[f64]) -> Vec<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::machine::tests::paper_split;
+
+    /// A copy the partitioner leaves with a zero diagonal (`k` near `n`)
+    /// must not make its line an open circuit: each case converges on
+    /// lock-step rounds.
+    #[test]
+    fn zero_share_copies_still_converge() {
+        use crate::machine::tests::lockstep;
+        use crate::{DtmBuilder, Termination};
+        use dtm_sparse::generators;
+        for (side, k) in [(4, 15), (4, 16), (8, 48)] {
+            let n = side * side;
+            let problem = DtmBuilder::new(generators::grid2d_laplacian(side, side), vec![1.0; n])
+                .partition_auto(k)
+                .termination(Termination::Residual { tol: 1e-8 })
+                .build()
+                .unwrap();
+            let mut common = problem.config.common.clone();
+            common.max_solves_per_node = 20_000;
+            let report = problem.solve(&lockstep(common)).unwrap();
+            assert!(
+                report.converged,
+                "{side}×{side} on {k} parts: residual {} after {} rounds",
+                report.final_residual, report.final_time_ms
+            );
+        }
+    }
 
     #[test]
     fn fixed_assigns_everywhere() {

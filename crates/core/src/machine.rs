@@ -152,8 +152,7 @@ pub(crate) fn solve_dtm(
         (None, None) => runtime::build_nodes(split, common)?,
         (None, Some(cols)) => runtime::build_nodes_block(split, common, cols)?,
     };
-    let (a, own_b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
+    let map = GatherMap::of_split(split, rhs_cols);
     let references = runtime::resolve_references(&map, common.termination, references)?;
     Ok(machine.run(
         nodes,
@@ -419,6 +418,31 @@ pub(crate) mod tests {
     #[test]
     fn a_nan_in_b_is_never_converged_on_the_simulated_machine() {
         nan_in_b_is_never_converged(simulated_rows);
+    }
+
+    /// A converged report meets its tolerance on the caller's `(A, b)`, not
+    /// on the split's re-sum: on a random-conductance grid torn 3 × 3 the
+    /// re-sum differs from `A` in the last bits, and every machine's
+    /// `final_residual` is `‖b − A·x‖/‖b‖` of the caller's system, bit for
+    /// bit. The split holds the graph's own `A`, not a copy.
+    #[test]
+    fn a_converged_report_meets_the_tolerance_on_the_callers_system() {
+        let a = generators::grid2d_random(40, 40, 1.0, 5);
+        let b = generators::random_rhs(1600, 6);
+        let g = ElectricGraph::from_system(a.clone(), b.clone()).unwrap();
+        let asg = dtm_graph::partition::grid_blocks(40, 40, 3, 3);
+        let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
+        let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&ss.a, &g.shared().0));
+        assert_ne!(ss.reconstruct().0, a, "the re-sum differs from A");
+        let (tol, tables): (_, [Rows; 3]) = (1e-8, [simulated_rows, lockstep_rows, pool_rows]);
+        let common = rule(Termination::Residual { tol });
+        for machine in tables.iter().flat_map(|rows| rows(9, common.clone())) {
+            let report = solve(&ss, &machine).unwrap();
+            let exact = a.residual_norm(&report.solution, &b) / dtm_sparse::vector::norm2(&b);
+            assert!(report.converged && exact <= tol, "{machine:?}: {exact:e}");
+            assert_eq!(report.final_residual, exact, "{machine:?}");
+        }
     }
 
     /// A NaN tolerance never compares true: every machine ran out its

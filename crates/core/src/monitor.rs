@@ -105,6 +105,7 @@ use crate::runtime::{GatherMap, Termination};
 use dtm_graph::evs::SplitSystem;
 use dtm_simnet::{SimDuration, SimTime};
 use dtm_sparse::Csr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deferred-fold cadence of [`Monitor::update_part`]: pending residual
@@ -374,8 +375,8 @@ impl Column {
 pub struct Monitor {
     /// Original dimension.
     n: usize,
-    /// The original matrix.
-    a: Csr,
+    /// The original matrix, shared with the map it came from.
+    a: Arc<Csr>,
     copy_count: Vec<f64>,
     global_of_local: Vec<Vec<usize>>,
     /// Latest local solution block per part (`n_local·k`) — for the
@@ -419,7 +420,7 @@ impl Monitor {
         assert_eq!(map.copy_count.len(), n, "copy_count length");
         Self {
             n,
-            a: map.a.clone(),
+            a: Arc::clone(&map.a),
             copy_count: map.copy_count.iter().map(|&c| c as f64).collect(),
             part_values: map
                 .parts
@@ -453,8 +454,7 @@ impl Monitor {
         rhs_cols: Option<&[Vec<f64>]>,
         sample_interval: SimDuration,
     ) -> Self {
-        let (a, own_b) = split.reconstruct();
-        let map = GatherMap::of_split(split, &a, &own_b, rhs_cols);
+        let map = GatherMap::of_split(split, rhs_cols);
         let mut m = Self::new(&map, map.b_cols.len(), sample_interval);
         m.admit_all(&map.b_cols, Termination::Residual { tol: 0.0 }, None);
         m
@@ -914,12 +914,7 @@ mod tests {
 
     /// `slots` idle slots over `ss`.
     fn idle(ss: &SplitSystem, slots: usize, sample_interval: SimDuration) -> Monitor {
-        let (a, b) = ss.reconstruct();
-        Monitor::new(
-            &GatherMap::of_split(ss, &a, &b, None),
-            slots,
-            sample_interval,
-        )
+        Monitor::new(&GatherMap::of_split(ss, None), slots, sample_interval)
     }
 
     /// One column per reference, scored by oracle RMS at `tol`.
@@ -1167,7 +1162,7 @@ mod tests {
     fn one_part(a: &Csr, slots: usize) -> Monitor {
         let n = a.n_rows();
         let (rows, copies) = ((0..n).collect::<Vec<_>>(), vec![1; n]);
-        let zero = vec![0.0; n];
+        let (zero, a) = (vec![0.0; n], Arc::new(a.clone()));
         let map = GatherMap::new(vec![&rows[..]], &copies, a, vec![&zero[..]]);
         Monitor::new(&map, slots, NO_SERIES)
     }

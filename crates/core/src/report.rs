@@ -102,8 +102,8 @@ pub struct SolveReport {
     /// computed, for a quality number.
     pub final_rms: f64,
     /// Final relative true residual `‖b − A·x‖₂ / ‖b‖₂` against the
-    /// reconstructed original system, worst column. Always computed (one
-    /// SpMV per column at stop), in every termination mode.
+    /// caller's system (not the split's re-sum), worst column; always
+    /// computed (one SpMV per column at stop), in every termination mode.
     pub final_residual: f64,
     /// Final relative residual per RHS column.
     pub final_residual_per_rhs: Vec<f64>,

@@ -57,6 +57,7 @@ use crate::local::{LocalSolverKind, LocalSystem};
 use crate::monitor::Monitor;
 use dtm_graph::evs::{SplitSystem, Subdomain};
 use dtm_sparse::{Csr, Result, SparseCholesky};
+use std::sync::Arc;
 
 /// Columns a [`SmallBlock`] stores inline before spilling to the heap.
 ///
@@ -922,7 +923,7 @@ pub(crate) fn resolve_references(
         (Some(refs), _) => Ok(Some(refs)),
         (None, Termination::Residual { .. }) => Ok(None),
         (None, _) => {
-            let factor = SparseCholesky::factor_fill_reducing(map.a)?;
+            let factor = SparseCholesky::factor_fill_reducing(&map.a)?;
             Ok(Some(map.b_cols.iter().map(|b| factor.solve(b)).collect()))
         }
     }
@@ -941,8 +942,8 @@ pub struct GatherMap<'a> {
     pub parts: Vec<&'a [usize]>,
     /// Parts holding a copy of each global row.
     pub copy_count: &'a [usize],
-    /// The original matrix.
-    pub a: &'a Csr,
+    /// The original matrix, shared with the split it comes from.
+    pub a: Arc<Csr>,
     /// The global right-hand-side columns.
     pub b_cols: Vec<&'a [f64]>,
 }
@@ -952,7 +953,7 @@ impl<'a> GatherMap<'a> {
     pub fn new(
         parts: Vec<&'a [usize]>,
         copy_count: &'a [usize],
-        a: &'a Csr,
+        a: Arc<Csr>,
         b_cols: Vec<&'a [f64]>,
     ) -> Self {
         Self {
@@ -963,15 +964,10 @@ impl<'a> GatherMap<'a> {
         }
     }
 
-    /// The map of an EVS split: `(a, own_b)` is its
-    /// [`reconstruct`](SplitSystem::reconstruct)ed system, `rhs_cols` the
-    /// block's global right-hand sides (`None` = `own_b`).
-    pub fn of_split(
-        split: &'a SplitSystem,
-        a: &'a Csr,
-        own_b: &'a [f64],
-        rhs_cols: Option<&'a [Vec<f64>]>,
-    ) -> Self {
+    /// The map of an EVS split over the caller's system it was torn from,
+    /// never re-summed: `rhs_cols` the block's global right-hand sides
+    /// (`None` = the split's own [`b`](SplitSystem::b)).
+    pub fn of_split(split: &'a SplitSystem, rhs_cols: Option<&'a [Vec<f64>]>) -> Self {
         Self::new(
             split
                 .subdomains
@@ -979,10 +975,10 @@ impl<'a> GatherMap<'a> {
                 .map(|sd| sd.global_of_local.as_slice())
                 .collect(),
             &split.copy_count,
-            a,
+            Arc::clone(&split.a),
             match rhs_cols {
                 Some(cols) => cols.iter().map(Vec::as_slice).collect(),
-                None => vec![own_b],
+                None => vec![&split.b],
             },
         )
     }
@@ -1354,7 +1350,7 @@ mod tests {
     /// block its one wall-clock worker publishes.
     fn two_slot_poll() -> (Monitor, wallclock::SharedBlock) {
         let (rows, a) = ([0usize, 1], Csr::identity(2));
-        let map = GatherMap::new(vec![&rows[..]], &[1, 1], &a, vec![&[0.0, 0.0]]);
+        let map = GatherMap::new(vec![&rows[..]], &[1, 1], Arc::new(a), vec![&[0.0, 0.0]]);
         (
             Monitor::new(&map, 2, crate::monitor::NO_SERIES),
             wallclock::SharedBlock::new(2, 2),

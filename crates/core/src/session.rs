@@ -301,12 +301,7 @@ fn rolling_common(common: &CommonConfig) -> CommonConfig {
 /// A session's scorer: `slots` idle column slots over the split's system,
 /// keeping no series.
 fn session_monitor(split: &SplitSystem, slots: usize) -> Monitor {
-    let (a, own_b) = split.reconstruct();
-    Monitor::new(
-        &GatherMap::of_split(split, &a, &own_b, None),
-        slots,
-        NO_SERIES,
-    )
+    Monitor::new(&GatherMap::of_split(split, None), slots, NO_SERIES)
 }
 
 /// Lazily factored oracle for `OracleRms` tickets: residual-only sessions

@@ -4,8 +4,10 @@
 //! symmetric linear system" — this module *is* that bijection.
 
 use dtm_sparse::{vector, Csr, Error, Result};
+use std::sync::Arc;
 
-/// An electric graph: a symmetric sparse matrix plus per-vertex sources.
+/// An electric graph: a symmetric sparse matrix plus per-vertex sources,
+/// held behind handles every split of it shares ([`shared`](Self::shared)).
 ///
 /// Terminology (paper §3): for the system `A x = b`,
 /// * `a_ii` is the **weight of vertex** `V_i`,
@@ -14,8 +16,8 @@ use dtm_sparse::{vector, Csr, Error, Result};
 /// * `x_i` is the **potential** of `V_i` (the unknown).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElectricGraph {
-    a: Csr,
-    b: Vec<f64>,
+    a: Arc<Csr>,
+    b: Arc<Vec<f64>>,
 }
 
 impl ElectricGraph {
@@ -39,7 +41,13 @@ impl ElectricGraph {
             });
         }
         vector::require_finite("ElectricGraph::from_system right-hand side", &b)?;
+        let (a, b) = (Arc::new(a), Arc::new(b));
         Ok(Self { a, b })
+    }
+
+    /// The linear system (the inverse of [`Self::from_system`]), shared.
+    pub fn shared(&self) -> (Arc<Csr>, Arc<Vec<f64>>) {
+        (Arc::clone(&self.a), Arc::clone(&self.b))
     }
 
     /// Number of vertices.
@@ -95,16 +103,11 @@ impl ElectricGraph {
             / 2
     }
 
-    /// Recover the linear system (the inverse of [`Self::from_system`]).
-    pub fn to_system(&self) -> (Csr, Vec<f64>) {
-        (self.a.clone(), self.b.clone())
-    }
-
     /// Sum of inflow = `Σ_j a_ij x_j − b_i` at vertex `i` given potentials
     /// `x`: the Kirchhoff residual that EVS's inflow currents account for.
     pub fn kirchhoff_residual(&self, x: &[f64]) -> Vec<f64> {
         let mut r = self.a.matvec(x);
-        for (ri, bi) in r.iter_mut().zip(&self.b) {
+        for (ri, bi) in r.iter_mut().zip(self.b.iter()) {
             *ri -= bi;
         }
         r
@@ -145,9 +148,9 @@ mod tests {
     fn roundtrip_is_lossless() {
         let (a, b) = generators::paper_example_system();
         let g = ElectricGraph::from_system(a.clone(), b.clone()).unwrap();
-        let (a2, b2) = g.to_system();
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
+        let (a2, b2) = g.shared();
+        assert_eq!(a, *a2);
+        assert_eq!(b, *b2);
     }
 
     #[test]
@@ -209,7 +212,7 @@ mod tests {
     #[test]
     fn kirchhoff_residual_vanishes_at_solution() {
         let g = paper_graph();
-        let (a, b) = g.to_system();
+        let (a, b) = g.shared();
         let x = dtm_sparse::DenseCholesky::factor_csr(&a).unwrap().solve(&b);
         let r = g.kirchhoff_residual(&x);
         for v in r {

@@ -174,6 +174,10 @@ pub struct SplitSystem {
     pub dtlps: Vec<Dtlp>,
     /// Copies per original vertex (1 = inner).
     pub copy_count: Vec<usize>,
+    /// The caller's `A` it was torn from, shared with the graph.
+    pub a: std::sync::Arc<Csr>,
+    /// The caller's `b`, shared the same way.
+    pub b: std::sync::Arc<Vec<f64>>,
 }
 
 impl SplitSystem {
@@ -182,10 +186,10 @@ impl SplitSystem {
         self.subdomains.len()
     }
 
-    /// Sum the subdomain systems back onto original indices. With exact
-    /// arithmetic this reproduces `(A, b)`; floating-point share division
-    /// leaves O(ε) differences, so compare with a tolerance (see
-    /// [`crate::validate::check_reconstruction`]).
+    /// Sum the subdomain systems back onto original indices: `(A, b)` up to
+    /// the O(ε) of share division — the invariant
+    /// [`crate::validate::check_reconstruction`] checks, on no solve path
+    /// (runs are scored against [`a`](Self::a) and [`b`](Self::b)).
     pub fn reconstruct(&self) -> (Csr, Vec<f64>) {
         let mut coo = Coo::new(self.original_n, self.original_n);
         let mut b = vec![0.0; self.original_n];
@@ -677,11 +681,14 @@ fn finish(
     let copy_count = (0..graph.n())
         .map(|v| plan.owner(v).parts().len())
         .collect::<Vec<_>>();
+    let (a, b) = graph.shared();
     SplitSystem {
         original_n: graph.n(),
         subdomains,
         dtlps: index.dtlps,
         copy_count,
+        a,
+        b,
     }
 }
 

@@ -24,9 +24,9 @@
 //!    `crates/core/src/report.rs`: every executor reports through
 //!    `SolveReport::assemble`, which holds the one `converged` rule.
 //! 7. **single-scorer** — in `crates/core/src` and `crates/net/src`
-//!    outside test code, `residual_norm(` and `rms_error(` are called only
-//!    in `crates/core/src/monitor.rs`: every executor is scored by the one
-//!    `Monitor`, so no supervisor grows a private residual or RMS.
+//!    outside test code, `.reconstruct(` is never called, and
+//!    `residual_norm(` / `rms_error(` only in `crates/core/src/monitor.rs`:
+//!    the one `Monitor` scores every executor, on the caller's own system.
 //!
 //! Run as `cargo run -p dtm-lint` or `repro lint`; both exit nonzero on
 //! any finding, which is what gates CI.
@@ -550,24 +550,25 @@ pub fn scan_single_report(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
     out
 }
 
-/// The one file allowed to score an estimate (rule 7), and the source
-/// trees the rule covers.
+/// The one file allowed to score an estimate (rule 7), the source trees
+/// the rule covers, and the calls it forbids (the home only the first).
 const SCORER_HOME: &str = "crates/core/src/monitor.rs";
 const SCORED_TREES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
+const SCORER_CALLS: [&str; 3] = ["reconstruct(", "residual_norm(", "rms_error("];
 
-/// Rule 7: a residual or an RMS error computed outside test code.
-pub fn scan_single_scorer(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
+/// Rule 7: an estimate scored by hand, or a split re-summed, outside test code.
+pub fn scan_single_scorer(file: &Path, lines: &[LexedLine], home: bool) -> Vec<Finding> {
     let mask = test_region_mask(lines);
     let mut out = Vec::new();
     for (n, l) in lines.iter().enumerate() {
-        for tok in ["residual_norm(", "rms_error("] {
-            let mut calls = l.code.match_indices(tok);
-            if !mask[n] && calls.any(|(p, _)| !prev_is_ident(&l.code[..p])) {
+        for tok in &SCORER_CALLS[..if home { 1 } else { 3 }] {
+            let mut at = l.code.match_indices(tok);
+            if !mask[n] && at.any(|(p, _)| !prev_is_ident(&l.code[..p])) {
                 out.push(finding(
                     Rule::SingleScorer,
                     file,
                     n,
-                    "estimate scored by hand (feed the Monitor and ask it)",
+                    "scored by hand or against a re-summed split (feed the Monitor)",
                 ));
             }
         }
@@ -642,8 +643,8 @@ pub fn scan_file(relpath: &Path, text: &str) -> (Vec<Finding>, Vec<Finding>) {
             findings.extend(scan_single_report(relpath, &lines));
         }
     }
-    if s != SCORER_HOME && SCORED_TREES.iter().any(|t| s.starts_with(t)) {
-        findings.extend(scan_single_scorer(relpath, &lines));
+    if SCORED_TREES.iter().any(|t| s.starts_with(t)) {
+        findings.extend(scan_single_scorer(relpath, &lines, s == SCORER_HOME));
     }
     (findings, panics)
 }

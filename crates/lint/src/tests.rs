@@ -184,16 +184,25 @@ fn single_report_rule_spares_report_rs_tests_declarations_and_other_crates() {
 fn single_scorer_rule_flags_a_private_residual_or_rms_in_core_and_net() {
     let text = "pub fn f(a: &Csr, x: &[f64], b: &[f64]) -> f64 {\n    \
                 let rms = dtm_sparse::vector::rms_error(x, b);\n    \
-                a.residual_norm(x, b) + rms\n}\n";
+                a.residual_norm(x, b) + rms\n}\n\
+                fn g(ss: &SplitSystem) -> Csr { ss.reconstruct().0 }\n";
     for path in ["crates/net/src/runner.rs", "crates/core/src/fabric.rs"] {
         let (f, _) = scan_file(Path::new(path), text);
         let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(
             at,
-            [(Rule::SingleScorer, 2), (Rule::SingleScorer, 3)],
+            [
+                (Rule::SingleScorer, 2),
+                (Rule::SingleScorer, 3),
+                (Rule::SingleScorer, 5)
+            ],
             "{path}"
         );
     }
+    // The scorer's home may score, but not re-sum the split either.
+    let (f, _) = scan_file(Path::new("crates/core/src/monitor.rs"), text);
+    let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(at, [(Rule::SingleScorer, 5)]);
 }
 
 #[test]
@@ -208,8 +217,9 @@ fn single_scorer_rule_spares_the_monitor_tests_other_names_and_other_crates() {
         let (f, _) = scan_file(Path::new(path), call);
         assert!(f.is_empty(), "{path}: {f:#?}");
     }
-    let text = "fn g(m: &M) -> f64 { m.my_rms_error(1) }\n\
-                #[cfg(test)]\nmod tests {\n    fn r(a: &Csr) { a.residual_norm(&[], &[]); }\n}\n";
+    let text = "fn g(m: &M) -> f64 { m.my_rms_error(1) + check_reconstruction(m) }\n\
+                #[cfg(test)]\nmod tests {\n    fn r(a: &Csr) { a.residual_norm(&[], &[]); }\n    \
+                fn s(ss: &SplitSystem) { ss.reconstruct(); }\n}\n";
     let (f, _) = scan_file(Path::new("crates/core/src/session.rs"), text);
     assert!(f.is_empty(), "{f:#?}");
 }

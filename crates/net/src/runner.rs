@@ -6,8 +6,8 @@
 //! [`SnapshotBatch`] arrives on a merged event channel, and the parent
 //! feeds the *complete* rounds that the decay cadence
 //! ([`next_round`]) asks for to its [`Monitor`] (ascending part order
-//! within the round, whatever order the groups swept in, matching
-//! [`SplitSystem::reconstruct`]-style averaging of copies); the others are
+//! within the round, whatever order the groups swept in, averaging each
+//! vertex's copies as every gather does); the others are
 //! dropped unscored. It stops at the first scored round whose relative
 //! residual meets the tolerance. The cadence scores every round near the
 //! predicted crossing and few far from it. Because rounds and their exact
@@ -154,10 +154,9 @@ fn supervise(
 ) -> Result<RunOutcome> {
     let split = inp.split;
     let n_parts = split.n_parts();
-    let (a, b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &b, None);
+    let (map, b) = (GatherMap::of_split(split, None), &split.b);
     let mut monitor = Monitor::new(&map, 1, SimDuration::ZERO);
-    monitor.admit(0, &b, Termination::Residual { tol: inp.tol }, inp.reference);
+    monitor.admit(0, b, Termination::Residual { tol: inp.tol }, inp.reference);
     let deadline = started + inp.budget;
     let last_round = inp.max_rounds.saturating_sub(1);
 

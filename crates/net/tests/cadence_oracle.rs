@@ -62,10 +62,9 @@ struct Oracle {
 fn oracle(split: &SplitSystem, tol: f64, cap: usize) -> Oracle {
     let common = common(tol, cap);
     let mut nodes = build_nodes(split, &common).expect("factors");
-    let (a, b) = split.reconstruct();
-    let map = GatherMap::of_split(split, &a, &b, None);
+    let map = GatherMap::of_split(split, None);
     let mut monitor = Monitor::new(&map, 1, SimDuration::ZERO);
-    monitor.admit(0, &b, Termination::Residual { tol }, None);
+    monitor.admit(0, &split.b, Termination::Residual { tol }, None);
 
     let n_parts = nodes.len();
     let mut inbox: Vec<Vec<(usize, DtmMsg)>> = (0..n_parts).map(|_| Vec::new()).collect();

@@ -138,8 +138,9 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (ss, _, _) = random_split(nx, nx, k, SharePolicy::DominanceProportional, seed);
-        // Score against exactly the system and reference the library does.
-        let (a, b) = ss.reconstruct();
+        // Score against exactly the system and reference the library does:
+        // the caller's, which the split holds.
+        let (a, b) = ((*ss.a).clone(), (*ss.b).clone());
         let x_star = dtm_repro::sparse::SparseCholesky::factor(&a).expect("SPD").solve(&b);
         let asg = partition::grid_strips(nx, nx, k);
         let topo = Topology::ring(k).with_delays(&DelayModel::uniform_ms(1.0, 9.0, seed));
