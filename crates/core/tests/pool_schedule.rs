@@ -5,6 +5,9 @@
 //! * Activations to `Residual 1e-6` do not grow with `W` and sit well
 //!   under the synchronous-round (Jacobi) count — the neighbour rule is
 //!   what keeps `W` workers on one freshest-data sweep.
+//! * Colour-ordered rounds (what `dtm_net::round` runs: the colour classes
+//!   of a greedy colouring of the part graph step one after the other) do
+//!   about the work of one sequential sweep, with a fixed schedule.
 //! * `#[ignore]`d, benchmark-sized: the sequential-sweep counts at `s/2`,
 //!   `s`, `2s` on the three benchmark systems (README "Choosing the
 //!   impedance"), and the README "Executors" table; run in release with
@@ -50,8 +53,26 @@ fn nodes(split: &SplitSystem, impedance: &ImpedancePolicy) -> Vec<NodeRuntime> {
 enum Schedule {
     /// `W` workers each take the queue's first eligible part.
     Workers(usize),
-    /// Every part, every tick: synchronous rounds (what `net::round` runs).
+    /// Every part, every tick: synchronous (Jacobi) rounds.
     Rounds,
+    /// One colour class per tick, the classes in turn: a round is one
+    /// tick per colour.
+    Colours,
+}
+
+/// Part → colour, greedy in ascending part id: the smallest colour none
+/// of a part's lower-numbered neighbours holds (`dtm_net`'s rule).
+fn colours(split: &SplitSystem) -> Vec<usize> {
+    let mut colour: Vec<usize> = Vec::with_capacity(split.n_parts());
+    for sd in &split.subdomains {
+        let taken: Vec<usize> = sd
+            .neighbor_parts()
+            .into_iter()
+            .filter_map(|q| colour.get(q).copied())
+            .collect();
+        colour.push((0..).find(|c| !taken.contains(c)).expect("a free colour"));
+    }
+    colour
 }
 
 /// Activations to `Residual TOL`. All steps of a tick read the waves
@@ -68,16 +89,20 @@ fn activations(split: &SplitSystem, impedance: &ImpedancePolicy, schedule: &Sche
     // The pool's own bound on overtaking: twice per worker.
     let max_overtakes = match *schedule {
         Schedule::Workers(w) => 2 * w,
-        Schedule::Rounds => 0,
+        Schedule::Rounds | Schedule::Colours => 0,
     };
     let mut queue = ReadyQueue::new(n, max_overtakes);
     (0..n).for_each(|p| queue.push(p));
-    let (mut count, mut residual) = (0, f64::INFINITY);
+    let colour = colours(split);
+    let n_colours = colour.iter().max().map_or(1, |&c| c + 1);
+    let (mut count, mut residual, mut tick) = (0, f64::INFINITY, 0);
     loop {
         let taken: Vec<usize> = match *schedule {
             Schedule::Workers(w) => (0..w).map_while(|_| queue.take()).collect(),
             Schedule::Rounds => (0..n).collect(),
+            Schedule::Colours => (0..n).filter(|&p| colour[p] == tick % n_colours).collect(),
         };
+        tick += 1;
         assert!(!taken.is_empty(), "the exchange died out above tolerance");
         let mut sent = Vec::new();
         for &p in &taken {
@@ -110,8 +135,13 @@ fn worker_count_does_not_change_the_work() {
     let policy = &ImpedancePolicy::Matched;
     let jacobi = activations(&split, policy, &Schedule::Rounds);
     let one = activations(&split, policy, &Schedule::Workers(1));
-    println!("32² @32: {jacobi} solves in rounds, {one} in one sequential sweep");
+    let coloured = activations(&split, policy, &Schedule::Colours);
+    println!(
+        "32² @32: {jacobi} solves in rounds, {one} in one sequential sweep, \
+         {coloured} in colour rounds"
+    );
     assert!(one * 10 <= jacobi * 6, "{one} vs {jacobi}");
+    assert!(coloured.abs_diff(one) * 10 <= one, "{coloured} vs {one}");
     for w in [2, 4, 8] {
         let at_w = activations(&split, policy, &Schedule::Workers(w));
         println!("  {w} workers: {at_w}");
@@ -127,9 +157,9 @@ fn worker_count_does_not_change_the_work() {
 /// three benchmark systems: solves to tolerance in synchronous rounds and
 /// in one sequential sweep at `s/2`, `s`, `2s` (does the matched scale,
 /// derived and pinned on rounds, still sit at the bottom of the bowl when
-/// the parts step one after the other on the freshest data?), the model at
-/// 2, 4 and 8 workers, and — printed, not asserted, it is a wall-clock run
-/// — the pool itself at 1, 2, 4 and 8 threads.
+/// the parts step one after the other on the freshest data?), colour
+/// rounds, the model at 2, 4 and 8 workers, and — printed, not asserted,
+/// it is a wall-clock run — the pool itself at 1, 2, 4 and 8 threads.
 #[test]
 #[ignore = "benchmark-sized; run in release with --nocapture"]
 fn benchmark_systems_rounds_sweep_and_pool() {
@@ -152,6 +182,8 @@ fn benchmark_systems_rounds_sweep_and_pool() {
         let rounds = [0.5, 1.0, 2.0].map(|f| at(f, &Schedule::Rounds));
         let sweep = [0.5, 1.0, 2.0].map(|f| at(f, &Schedule::Workers(1)));
         let model = [2, 4, 8].map(|w| at(1.0, &Schedule::Workers(w)));
+        let coloured = at(1.0, &Schedule::Colours);
+        let n_colours = colours(&split).into_iter().max().map_or(1, |c| c + 1);
         let pool = [1, 2, 4, 8].map(|num_threads| {
             let config = RayonConfig {
                 common: CommonConfig {
@@ -169,7 +201,18 @@ fn benchmark_systems_rounds_sweep_and_pool() {
         });
         println!(
             "{name:<17} s {s:>5.2} | s/2, s, 2s: rounds×parts {rounds:?} sweep {sweep:?} \
-             | at s: model W=2,4,8 {model:?} pool T=1,2,4,8 {pool:?}"
+             | at s: colour rounds×parts {coloured} ({n_colours} colours) \
+             model W=2,4,8 {model:?} pool T=1,2,4,8 {pool:?}"
+        );
+        // Colour rounds do one sweep's work on a fixed schedule: within a
+        // tenth of it, and at most 0.6× the synchronous rounds.
+        assert!(
+            coloured.abs_diff(sweep[1]) * 10 <= sweep[1],
+            "{name}: {coloured} vs {sweep:?}"
+        );
+        assert!(
+            coloured * 10 <= rounds[1] * 6,
+            "{name}: {coloured} vs {rounds:?}"
         );
         // One sweep is the cheaper order at every scale, no worker count
         // gives it back, and neither side of the matched scale beats it by

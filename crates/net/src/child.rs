@@ -12,7 +12,8 @@
 //!
 //! Threads of a child in steady state:
 //! - **main** runs the round loop and does all the writing itself: one
-//!   [`Msg::WaveBatch`] frame per peer group per round and one
+//!   [`Msg::WaveBatch`] frame per colour class and peer group per round
+//!   and one
 //!   [`Msg::SnapshotBatch`] frame per round, each encoded into a reused
 //!   buffer and written with a single `write_all` (`SocketLinks`). No
 //!   writer thread, no outbound queue: every link's far end is drained by
@@ -192,6 +193,7 @@ fn run_child(kind: TransportKind, addr: &str, group: usize) -> Result<()> {
     let ctx = GroupCtx {
         group,
         group_of_part: plan.group_of_part.iter().map(|&g| g as usize).collect(),
+        colour_of_part: plan.colour_of_part.iter().map(|&c| c as usize).collect(),
         max_rounds: plan.max_rounds,
         fail_after_round: std::env::var(FAIL_ENV)
             .ok()
@@ -345,11 +347,13 @@ mod tests {
             .map(|(sd, z)| build_node(sd, z, &common).expect("builds"))
             .collect();
 
-        // The outer groups' waves for rounds 0 and 1, as their readers
-        // would deliver them: one batch per peer per round.
+        // The outer groups' waves for every round, as their readers would
+        // deliver them: one batch per peer per round. The outer parts are
+        // coloured below the middle one, so it absorbs them in the round
+        // they were sent in.
         const ROUNDS: u64 = 3;
         let (wave_tx, wave_rx) = channel();
-        for round in 0..ROUNDS - 1 {
+        for round in 0..ROUNDS {
             for src in [0usize, 2] {
                 let mut outbox: Vec<(usize, dtm_core::runtime::DtmMsg)> = Vec::new();
                 let _ = built[src].step(&mut outbox);
@@ -386,14 +390,16 @@ mod tests {
         let ctx = GroupCtx {
             group: 1,
             group_of_part: vec![0, 1, 2],
+            colour_of_part: crate::colour_assignment(&split),
             max_rounds: ROUNDS,
             fail_after_round: None,
         };
         let mut nodes = BTreeMap::from([(1, built.remove(1))]);
         round::run_group(&mut nodes, &ctx, &mut io).expect("runs to the cap");
 
-        // The final round's waves have nowhere to be absorbed: two wave
-        // frames per peer, three snapshot frames.
+        // The final round's waves go to lower-coloured parts, which would
+        // absorb them in a round that never comes: two wave frames per
+        // peer, three snapshot frames.
         for (peer, log) in [(0u64, &to_0), (2, &to_2)] {
             let frames = log.frames();
             assert_eq!(frames.len() as u64, ROUNDS - 1, "peer {peer}");

@@ -11,10 +11,14 @@
 //! The headline property is *bitwise reproducibility*: the distributed
 //! run returns the **same bits** as the in-process reference run, not
 //! merely a result of similar quality. That falls out of the
-//! round-structured executor ([`round`]): each node absorbs exactly one
-//! wave per neighbour per round in canonical order and steps once, so
-//! its floating-point schedule is a pure function of the problem —
-//! independent of process count, socket timing and thread interleaving.
+//! round-structured executor ([`round`]): the parts are coloured once
+//! ([`colour_assignment`]), and each round every part absorbs exactly one
+//! wave per neighbour in canonical order — a lower-coloured neighbour's
+//! wave of this round, a higher-coloured one's of the round before — and
+//! steps once, so its floating-point schedule is a pure function of the
+//! problem, independent of process count, socket timing and thread
+//! interleaving. The colour order is a Gauss–Seidel sweep over the
+//! colour classes: about half the rounds of synchronous (Jacobi) rounds.
 //! `repro compare --transport uds --processes 2` asserts this equality
 //! on every run.
 //!
@@ -33,10 +37,12 @@
 //!
 //! Module map:
 //! - [`wire`] — the hand-rolled binary frame format with a total,
-//!   panic-free decoder; one frame per link per round in steady state.
+//!   panic-free decoder; in steady state one frame per colour class on a
+//!   peer link and one per round on the supervisor link.
 //! - [`socket`] — UDS/TCP behind one [`socket::Stream`] enum.
 //! - [`round`] — the deterministic round executor both modes share: one
-//!   wave batch per peer group and one snapshot batch per round.
+//!   wave batch per colour class and peer group and one snapshot batch per
+//!   round.
 //! - [`runner`] — the parent supervisor: spawn, handshake, score the
 //!   rounds the cadence picks, tear down (children are always reaped,
 //!   error or not).
@@ -90,7 +96,7 @@ pub struct DistributedConfig {
     pub mode: RunMode,
     /// Number of partition groups (= processes in process mode). Parts
     /// are grouped contiguously and balanced: part `p` joins group
-    /// `p·groups/n_parts`.
+    /// `p·groups/n_parts`. The grouping changes no bit of the result.
     pub processes: usize,
     /// When set, every cross-part wave route is validated against this
     /// delay topology before anything is spawned; a route with no link
@@ -158,11 +164,13 @@ impl ExecutorBackend for DistributedBackend {
         let z_per_dtlp = config.common.impedance.assign(split)?;
         let z_ports = impedance::per_port(split, &z_per_dtlp);
         let group_of_part = group_assignment(n_parts, config.processes);
+        let colour_of_part = colour_assignment(split);
         let inp = RunInputs {
             split,
             z_ports: &z_ports,
             common: &config.common,
             group_of_part: &group_of_part,
+            colour_of_part: &colour_of_part,
             n_groups: config.processes,
             tol,
             reference: reference.as_deref(),
@@ -204,6 +212,24 @@ impl ExecutorBackend for DistributedBackend {
 /// Contiguous balanced grouping: part `p` → group `p·groups/n_parts`.
 pub fn group_assignment(n_parts: usize, groups: usize) -> Vec<usize> {
     (0..n_parts).map(|p| p * groups / n_parts).collect()
+}
+
+/// Greedy colouring of the part graph in ascending part id: part `p`
+/// takes the smallest colour that none of its lower-numbered neighbours —
+/// the parts its ports' peers sit in — holds. No two neighbours share a
+/// colour, and the colouring is a pure function of the split.
+pub fn colour_assignment(split: &SplitSystem) -> Vec<usize> {
+    let mut colour_of_part: Vec<usize> = Vec::with_capacity(split.n_parts());
+    for sd in &split.subdomains {
+        let taken: Vec<usize> = sd
+            .neighbor_parts()
+            .into_iter()
+            .filter_map(|q| colour_of_part.get(q).copied())
+            .collect();
+        let free = (0..=taken.len()).find(|c| !taken.contains(c));
+        colour_of_part.push(free.unwrap_or(taken.len()));
+    }
+    colour_of_part
 }
 
 /// Check every cross-part wave route against the machine's link table,

@@ -1,31 +1,38 @@
 //! The deterministic round-structured wavefront executor.
 //!
-//! Each group sweeps its parts once per **round**: at round `r > 0` a
-//! node first absorbs every neighbour's round-`r−1` wave (in ascending
-//! source-part order), then steps once — solve and scatter its round-`r`
-//! waves. Round 0 is the initial solve under the zero boundary guess,
-//! with nothing to absorb.
+//! Each group sweeps its parts once per **round**, in a fixed colour
+//! order. The parts are coloured once per solve
+//! ([`crate::colour_assignment`]: no two neighbours share a colour), and
+//! at round `r` a part of colour `c` first absorbs one wave per neighbour,
+//! in ascending source-part order — the neighbour's round-`r` wave if its
+//! colour is below `c`, its round-`r−1` wave otherwise — then steps once:
+//! solve and scatter its round-`r` waves. At round 0 there are no
+//! round-`−1` waves, so a part absorbs only its lower-coloured
+//! neighbours'. This is a Gauss–Seidel sweep over the colour classes: a
+//! part steps on the freshest waves its lower-coloured neighbours have,
+//! which takes about half the rounds synchronous (Jacobi) rounds take.
 //!
-//! Because every node consumes exactly one wave per neighbour per round
-//! and [`NodeRuntime::step`] emits exactly one wave per route per step,
-//! the sequence of floating-point operations a node performs is a pure
-//! function of the problem — independent of how parts are grouped into
-//! processes, of socket scheduling, of thread interleaving, and of the
-//! order a sweep visits the group's parts in. That is the backend's
-//! bit-for-bit guarantee: the same solve on 1 thread, N threads or N OS
-//! processes produces identical bits.
+//! Because every part consumes exactly one wave per neighbour per round,
+//! chosen by colours alone, and [`NodeRuntime::step`] emits exactly one
+//! wave per route per step, the sequence of floating-point operations a
+//! part performs is a pure function of the split — independent of how
+//! parts are grouped into processes, of socket scheduling and of thread
+//! interleaving. That is the backend's bit-for-bit guarantee: the same
+//! solve on 1 thread, N threads or N OS processes produces identical
+//! bits.
 //!
-//! **The round is the unit of I/O.** A sweep visits the parts that have a
-//! neighbour in another group first; once the last of them has stepped,
-//! every peer group gets the round's waves as **one batch**, which is in
-//! flight while the interior parts step. When the sweep ends the
-//! supervisor gets every part's solution as **one**
-//! [`SnapshotBatch`]. Waves wait for their round in a pair of slots per
-//! route (picked by round parity: a group can be at most one round ahead
-//! of a peer), not in a keyed map. The waves of the final round
-//! (`max_rounds − 1`) have no round to be absorbed in and are not
-//! shipped, so a group that reaches the cap never sends to a peer that
-//! has already left.
+//! **A colour class is the unit of I/O.** A sweep visits the parts by
+//! colour, and within a colour the parts that have a neighbour in another
+//! group first, in ascending part order. Once the last of a class's
+//! boundary parts has stepped, every peer group that class owes waves
+//! gets them as **one batch** — not one per round: the peer's next class
+//! may be waiting for them. When the sweep ends the supervisor gets every
+//! part's solution as **one** [`SnapshotBatch`]. Waves wait for their
+//! round in a pair of slots per route (picked by round parity: a sender
+//! can be at most one round ahead of its receiver), not in a keyed map.
+//! In the final round (`max_rounds − 1`) only the waves to higher-coloured
+//! parts are shipped — they are absorbed in that same round — so a group
+//! that reaches the cap never sends to a peer that has already left.
 //!
 //! The executor sees its links only through [`GroupLinks`]: the
 //! in-process runner moves batches over [`std::sync::mpsc`] channels, the
@@ -56,12 +63,12 @@ pub enum UpEvent {
     Failed(String),
 }
 
-/// A group's outbound links. Both calls hand over one round's worth of
-/// data; a link may move the contents out (leaving a buffer of its own
-/// choosing behind) or only read them — the sweep empties whatever it
-/// gets back before the next round.
+/// A group's outbound links. Both sends hand over a batch; a link may
+/// move the contents out (leaving a buffer of its own choosing behind) or
+/// only read them — the sweep empties whatever it gets back before the
+/// next batch.
 pub trait GroupLinks {
-    /// Ship the round's waves for peer group `peer` as one batch.
+    /// Ship one colour class's waves for peer group `peer` as one batch.
     ///
     /// # Errors
     /// Fails if the link to `peer` is gone.
@@ -72,6 +79,11 @@ pub trait GroupLinks {
     /// # Errors
     /// Fails if the supervisor link is gone.
     fn send_snapshots(&mut self, batch: &mut SnapshotBatch) -> Result<()>;
+
+    /// Take back an incoming wave batch the sweep has drained, so that a
+    /// later [`send_waves`](Self::send_waves) can leave it behind instead
+    /// of a fresh buffer. Dropped by default.
+    fn recycle(&mut self, _drained: Vec<Wave>) {}
 }
 
 /// A group's connections, transport-agnostic.
@@ -90,6 +102,10 @@ pub struct GroupCtx {
     pub group: usize,
     /// Part → group map for the whole solve.
     pub group_of_part: Vec<usize>,
+    /// Part → colour map for the whole solve
+    /// ([`crate::colour_assignment`]): the sweep order, and which round's
+    /// wave a part absorbs from each neighbour.
+    pub colour_of_part: Vec<usize>,
     /// Run rounds `0..max_rounds` unless stopped earlier.
     pub max_rounds: u64,
     /// Test hook: call [`std::process::exit`]`(3)` after this round
@@ -111,10 +127,11 @@ pub fn group_rates(nodes: &BTreeMap<usize, NodeRuntime>) -> GroupRates {
 }
 
 /// Where waves wait for their round: two slots per route into this
-/// group, picked by round parity. While a node still holds its
-/// round-`r−1` wave a neighbour may already deliver round `r`, never
-/// round `r+1` — the neighbour needs this node's round-`r` wave first —
-/// so two slots are enough and an occupied slot is a protocol violation.
+/// group, picked by round parity. While a node waits for a wave of round
+/// `k` its sender may already have delivered round `k+1`, never round
+/// `k+2` — that step needs a wave this node sends only after absorbing
+/// round `k` — so two slots are enough and an occupied slot is a protocol
+/// violation.
 struct RouteSlots {
     /// Part → index in sweep order; `usize::MAX` for other groups' parts.
     index_of_part: Vec<usize>,
@@ -123,6 +140,10 @@ struct RouteSlots {
     /// Source part of each route, ascending within a node — the
     /// canonical absorb order.
     src: Vec<usize>,
+    /// Per route: 0 if its source is coloured below its destination (the
+    /// wave of the same round is absorbed), 1 otherwise (the round
+    /// before's).
+    lag: Vec<u64>,
     slots: Vec<[Option<Wave>; 2]>,
 }
 
@@ -153,11 +174,10 @@ impl RouteSlots {
         Ok(())
     }
 
-    /// Take the round-`round` wave of node `node`'s `route`-th route, if
-    /// it has arrived.
+    /// Take the round-`round` wave of `route`, if it has arrived.
     // lint: hot-path
-    fn take(&mut self, node: usize, route: usize, round: u64) -> Option<DtmMsg> {
-        let slot = &mut self.slots[self.range[node].start + route][(round & 1) as usize];
+    fn take(&mut self, route: usize, round: u64) -> Option<DtmMsg> {
+        let slot = &mut self.slots[route][(round & 1) as usize];
         if slot.as_ref().is_some_and(|w| w.round == round) {
             slot.take().map(|w| w.msg)
         } else {
@@ -168,13 +188,16 @@ impl RouteSlots {
 
 /// Everything a sweep reuses from round to round.
 struct Sweep<'a> {
-    /// The group's nodes: the `n_boundary` with a neighbour in another
-    /// group first, then the interior ones; ascending part within each.
+    /// The group's nodes by colour; within a colour, those with a
+    /// neighbour in another group first, then the interior ones; ascending
+    /// part within each.
     nodes: Vec<&'a mut NodeRuntime>,
-    n_boundary: usize,
+    /// Per node, in sweep order: whether it is the last boundary node of
+    /// its colour class, after which the class's waves ship.
+    ships: Vec<bool>,
     slots: RouteSlots,
     outbox: Vec<(usize, DtmMsg)>,
-    /// The current round's waves per peer group this group has routes to.
+    /// The current class's waves per peer group this group has routes to.
     out: BTreeMap<usize, Vec<Wave>>,
     snaps: SnapshotBatch,
 }
@@ -192,23 +215,39 @@ pub fn run_group<L: GroupLinks>(
     io: &mut GroupIo<L>,
 ) -> Result<()> {
     let foreign = |q: usize| ctx.group_of_part.get(q).is_some_and(|&g| g != ctx.group);
-    let mut sweep_nodes: Vec<&mut NodeRuntime> = nodes.values_mut().collect();
-    // Stable: ascending part order survives within each half.
-    sweep_nodes.sort_by_key(|n| !n.neighbor_parts().any(foreign));
-    let n_boundary = sweep_nodes
-        .iter()
-        .filter(|n| n.neighbor_parts().any(foreign))
-        .count();
+    let colour = |p: usize| {
+        ctx.colour_of_part
+            .get(p)
+            .copied()
+            .ok_or_else(|| Error::Parse(format!("distributed: part {p} is outside the colour map")))
+    };
+    let mut sweep_nodes = Vec::with_capacity(nodes.len());
+    for node in nodes.values_mut() {
+        let key = (colour(node.part())?, !node.neighbor_parts().any(foreign));
+        sweep_nodes.push((key, node));
+    }
+    // Stable: ascending part order survives within each (colour, side).
+    sweep_nodes.sort_by_key(|&(key, _)| key);
+    let ships: Vec<bool> = (0..sweep_nodes.len())
+        .map(|i| {
+            let ((c, interior), _) = sweep_nodes[i];
+            let next_ships_for_c = sweep_nodes
+                .get(i + 1)
+                .is_some_and(|&((d, next_interior), _)| d == c && !next_interior);
+            !interior && !next_ships_for_c
+        })
+        .collect();
 
     let mut slots = RouteSlots {
         index_of_part: vec![usize::MAX; ctx.group_of_part.len()],
         range: Vec::with_capacity(sweep_nodes.len()),
         src: Vec::new(),
+        lag: Vec::new(),
         slots: Vec::new(),
     };
     let mut out: BTreeMap<usize, Vec<Wave>> = BTreeMap::new();
     let mut n_values = 0;
-    for (i, node) in sweep_nodes.iter().enumerate() {
+    for (i, ((c, _), node)) in sweep_nodes.iter().enumerate() {
         let p = node.part();
         *slots.index_of_part.get_mut(p).ok_or_else(|| {
             Error::Parse(format!("distributed: part {p} is outside the group map"))
@@ -216,8 +255,11 @@ pub fn run_group<L: GroupLinks>(
         let mut ns: Vec<usize> = node.neighbor_parts().collect();
         ns.sort_unstable();
         ns.dedup();
-        for &q in ns.iter().filter(|&&q| foreign(q)) {
-            out.entry(ctx.group_of_part[q]).or_default();
+        for &q in &ns {
+            if foreign(q) {
+                out.entry(ctx.group_of_part[q]).or_default();
+            }
+            slots.lag.push(u64::from(colour(q)? >= *c));
         }
         let start = slots.src.len();
         slots.src.extend(ns);
@@ -228,8 +270,8 @@ pub fn run_group<L: GroupLinks>(
 
     let mut sweep = Sweep {
         snaps: SnapshotBatch::with_capacity(0, sweep_nodes.len(), n_values),
-        nodes: sweep_nodes,
-        n_boundary,
+        nodes: sweep_nodes.into_iter().map(|(_, node)| node).collect(),
+        ships,
         slots,
         outbox: Vec::new(),
         out,
@@ -249,8 +291,9 @@ pub fn run_group<L: GroupLinks>(
     Ok(())
 }
 
-/// One round of one group: absorb, step, one wave batch per peer group,
-/// one snapshot batch. `Ok(false)` means the stop flag ended it early.
+/// One round of one group: per part absorb and step, one wave batch per
+/// colour class and peer group, one snapshot batch. `Ok(false)` means the
+/// stop flag ended it early.
 // lint: hot-path
 fn sweep_round<L: GroupLinks>(
     sweep: &mut Sweep<'_>,
@@ -261,29 +304,34 @@ fn sweep_round<L: GroupLinks>(
     let last_round = round + 1 == ctx.max_rounds;
     sweep.snaps.reset(round);
     for (i, node) in sweep.nodes.iter_mut().enumerate() {
-        if round > 0 {
-            for route in 0..sweep.slots.range[i].len() {
-                let msg = loop {
-                    if let Some(m) = sweep.slots.take(i, route, round - 1) {
-                        break m;
-                    }
-                    if !wait_batch(&mut sweep.slots, io)? {
-                        return Ok(false);
-                    }
-                };
-                node.absorb_owned(msg);
-            }
+        for route in sweep.slots.range[i].clone() {
+            // At round 0 there is no round before to take a wave from.
+            let Some(wanted) = round.checked_sub(sweep.slots.lag[route]) else {
+                continue;
+            };
+            let msg = loop {
+                if let Some(m) = sweep.slots.take(route, wanted) {
+                    break m;
+                }
+                if !wait_batch(&mut sweep.slots, io)? {
+                    return Ok(false);
+                }
+            };
+            node.absorb_owned(msg);
         }
         let _ = node.step(&mut sweep.outbox);
-        let src = node.part() as u64;
-        sweep.snaps.push(src, node.local().solution());
-        if last_round {
-            sweep.outbox.clear(); // no round left to absorb them in
-        }
+        let src = node.part();
+        sweep.snaps.push(src as u64, node.local().solution());
         for (dst, msg) in sweep.outbox.drain(..) {
+            // The final round's waves to lower colours would be absorbed
+            // in a round that never comes.
+            if last_round && ctx.colour_of_part.get(dst) <= ctx.colour_of_part.get(src) {
+                node.recycle(msg);
+                continue;
+            }
             let wave = Wave {
                 round,
-                src,
+                src: src as u64,
                 dst: dst as u64,
                 msg,
             };
@@ -296,8 +344,11 @@ fn sweep_round<L: GroupLinks>(
                 None => sweep.slots.deliver(wave)?,
             }
         }
-        if i + 1 == sweep.n_boundary && !last_round {
+        if sweep.ships[i] {
             for (&peer, waves) in &mut sweep.out {
+                if waves.is_empty() {
+                    continue;
+                }
                 if let Err(e) = io.links.send_waves(peer, waves) {
                     return closed_link(ctx, io, &format!("peer link to group {peer}"), &e);
                 }
@@ -348,7 +399,7 @@ fn closed_link<L>(ctx: &GroupCtx, io: &GroupIo<L>, link: &str, cause: &Error) ->
 /// Block (briefly) for the next incoming wave batch and park its waves
 /// in their slots. `Ok(false)` means the stop flag was raised.
 // lint: hot-path
-fn wait_batch<L>(slots: &mut RouteSlots, io: &GroupIo<L>) -> Result<bool> {
+fn wait_batch<L: GroupLinks>(slots: &mut RouteSlots, io: &mut GroupIo<L>) -> Result<bool> {
     if io.stop.load(Ordering::Acquire) {
         return Ok(false);
     }
@@ -357,6 +408,7 @@ fn wait_batch<L>(slots: &mut RouteSlots, io: &GroupIo<L>) -> Result<bool> {
             for wave in batch.drain(..) {
                 slots.deliver(wave)?;
             }
+            io.links.recycle(batch);
             Ok(true)
         }
         Err(RecvTimeoutError::Timeout) => Ok(true),

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable the failure-injection hook travels through: set
@@ -71,6 +71,7 @@ pub(crate) struct RunInputs<'a> {
     pub z_ports: &'a [Vec<f64>],
     pub common: &'a CommonConfig,
     pub group_of_part: &'a [usize],
+    pub colour_of_part: &'a [usize],
     pub n_groups: usize,
     pub tol: f64,
     /// Oracle reference, reported against — never stopped on.
@@ -254,17 +255,24 @@ fn build_groups(inp: &RunInputs<'_>) -> Result<BTreeMap<usize, BTreeMap<usize, N
     Ok(groups)
 }
 
-/// The in-process links of one group: a round's batch moves to its
-/// receiver whole, and a buffer of the same capacity takes its place.
+/// The in-process links of one group: a batch moves to its receiver
+/// whole, and a buffer its receiver drained earlier takes its place.
 struct ChannelLinks {
     group: usize,
     peers: BTreeMap<usize, Sender<Vec<Wave>>>,
     up: Sender<(usize, UpEvent)>,
+    /// Drained wave batches, shared by every group of the run: each
+    /// batch received returns one buffer, each batch sent takes one.
+    spare: Arc<Mutex<Vec<Vec<Wave>>>>,
 }
 
 impl GroupLinks for ChannelLinks {
     fn send_waves(&mut self, peer: usize, waves: &mut Vec<Wave>) -> Result<()> {
-        let fresh = Vec::with_capacity(waves.len());
+        // A push or a pop leaves the list valid: a poisoned lock is fine.
+        let fresh = (self.spare.lock())
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .unwrap_or_default();
         self.peers
             .get(&peer)
             .ok_or_else(|| derr(format!("no link to group {peer}")))?
@@ -280,6 +288,12 @@ impl GroupLinks for ChannelLinks {
                 UpEvent::Snapshots(std::mem::replace(batch, fresh)),
             ))
             .map_err(|_| derr("receiver gone"))
+    }
+
+    fn recycle(&mut self, drained: Vec<Wave>) {
+        (self.spare.lock())
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(drained);
     }
 }
 
@@ -305,6 +319,7 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
     }
     let (ev_tx, ev_rx) = channel();
     let stop = Arc::new(AtomicBool::new(false));
+    let spare = Arc::new(Mutex::new(Vec::new()));
 
     let mut handles = Vec::new();
     for (g, mut nodes) in groups {
@@ -322,12 +337,14 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
                 group: g,
                 peers,
                 up: ev_tx.clone(),
+                spare: spare.clone(),
             },
             stop: stop.clone(),
         };
         let ctx = GroupCtx {
             group: g,
             group_of_part: inp.group_of_part.to_vec(),
+            colour_of_part: inp.colour_of_part.to_vec(),
             max_rounds: inp.max_rounds,
             fail_after_round: None,
         };
@@ -570,6 +587,7 @@ fn run_processes_inner(
             n_groups: n_groups as u64,
             n_parts: inp.split.n_parts() as u64,
             group_of_part: inp.group_of_part.iter().map(|&x| x as u64).collect(),
+            colour_of_part: inp.colour_of_part.iter().map(|&x| x as u64).collect(),
             max_rounds: inp.max_rounds,
             termination: inp.common.termination,
             max_solves_per_node: inp.common.max_solves_per_node as u64,

@@ -13,10 +13,11 @@
 //! never trusts a length field without checking it against the bytes
 //! actually present.
 //!
-//! **The round is the unit of I/O.** In steady state a link carries one
-//! frame per round: a [`Msg::WaveBatch`] (every wave one group owes one
-//! peer group for that round) on a peer link, a [`Msg::SnapshotBatch`]
-//! (every part's solution, back to back) on the supervisor link. A
+//! **A batch is the unit of I/O.** In steady state a peer link carries a
+//! [`Msg::WaveBatch`] per colour class and round (every wave one group's
+//! class owes one peer group), the supervisor link a
+//! [`Msg::SnapshotBatch`] per round (every part's solution, back to
+//! back). A
 //! [`FrameWriter`] encodes the batch behind its length prefix into one
 //! reused buffer and hands the socket a single `write_all`; a
 //! [`FrameReader`] sits behind a [`BufReader`] and reuses its payload
@@ -44,6 +45,9 @@ pub struct GroupPlan {
     pub n_parts: u64,
     /// Part → group map (length `n_parts`).
     pub group_of_part: Vec<u64>,
+    /// Part → colour map (length `n_parts`): the sweep order of the
+    /// round executor.
+    pub colour_of_part: Vec<u64>,
     /// Round cap: children run rounds `0..max_rounds` unless stopped.
     pub max_rounds: u64,
     /// Stopping rule (the parent enforces it; shipped for node
@@ -415,6 +419,10 @@ fn encode_msg(e: &mut Enc<'_>, msg: &Msg) {
             for &g in &p.group_of_part {
                 e.u64(g);
             }
+            e.us(p.colour_of_part.len());
+            for &c in &p.colour_of_part {
+                e.u64(c);
+            }
             e.u64(p.max_rounds);
             e.termination(p.termination);
             e.u64(p.max_solves_per_node);
@@ -726,6 +734,16 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
             for _ in 0..n_map {
                 group_of_part.push(d.u64()?);
             }
+            let n_colours = d.count(8)?;
+            let mut colour_of_part = Vec::with_capacity(n_colours);
+            for _ in 0..n_colours {
+                colour_of_part.push(d.u64()?);
+            }
+            if [n_map, n_colours].iter().any(|&len| len as u64 != n_parts) {
+                return Err(parse_err(
+                    "plan's group or colour map does not have one entry per part",
+                ));
+            }
             let max_rounds = d.u64()?;
             let termination = d.termination()?;
             let max_solves_per_node = d.u64()?;
@@ -743,6 +761,7 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
                 n_groups,
                 n_parts,
                 group_of_part,
+                colour_of_part,
                 max_rounds,
                 termination,
                 max_solves_per_node,

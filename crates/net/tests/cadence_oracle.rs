@@ -1,10 +1,11 @@
 //! The round supervisor scores only the rounds its decay cadence asks for
 //! (`dtm_core::monitor::next_round`). This file holds it to a lock-step
 //! oracle that scores **every** round: the oracle drives the nodes itself
-//! — at round `r` each absorbs its neighbours' round-`r−1` waves in
-//! ascending source order, then steps — scores each round with
-//! `Monitor::update_round` and stops at the first round at or below the
-//! tolerance. The in-process distributed run, on 2 and 3 groups, must stop
+//! in the executor's colour order — for each colour class, for each of its
+//! parts in ascending order, absorb the waves pending for it in ascending
+//! source order, step, and deliver its waves at once — scores each round
+//! with `Monitor::update_round` and stops at the first round at or below
+//! the tolerance. The in-process distributed run, on 2 and 3 groups, must stop
 //! at that very round with the same solution bits, residual and counters;
 //! a run that ends at the round cap must report the cap's last round, and
 //! one out of budget the round it scores once the budget is out.
@@ -20,7 +21,7 @@ use dtm_core::runtime::{
 use dtm_core::DtmBuilder;
 use dtm_graph::evs::SplitSystem;
 use dtm_net::round::group_rates;
-use dtm_net::{DistributedBackend, DistributedConfig, RunMode};
+use dtm_net::{colour_assignment, DistributedBackend, DistributedConfig, RunMode};
 use dtm_simnet::{SimDuration, SimTime};
 use dtm_sparse::{generators, Csr};
 use std::collections::BTreeMap;
@@ -57,8 +58,8 @@ struct Oracle {
     counters: [u64; 3],
 }
 
-/// Lock-step rounds on one thread, every round scored, up to `cap` rounds;
-/// stops at the first round whose exact residual meets `tol`.
+/// Colour-ordered rounds on one thread, every round scored, up to `cap`
+/// rounds; stops at the first round whose exact residual meets `tol`.
 fn oracle(split: &SplitSystem, tol: f64, cap: usize) -> Oracle {
     let common = common(tol, cap);
     let mut nodes = build_nodes(split, &common).expect("factors");
@@ -67,23 +68,24 @@ fn oracle(split: &SplitSystem, tol: f64, cap: usize) -> Oracle {
     monitor.admit(0, &split.b, Termination::Residual { tol }, None);
 
     let n_parts = nodes.len();
+    let colour = colour_assignment(split);
+    let mut sweep: Vec<usize> = (0..n_parts).collect();
+    sweep.sort_by_key(|&p| colour[p]);
     let mut inbox: Vec<Vec<(usize, DtmMsg)>> = (0..n_parts).map(|_| Vec::new()).collect();
     let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
     let mut rounds = 0;
     while rounds < cap as u64 {
-        let mut next: Vec<Vec<(usize, DtmMsg)>> = (0..n_parts).map(|_| Vec::new()).collect();
-        for (p, node) in nodes.iter_mut().enumerate() {
+        for &p in &sweep {
             let mut waves = std::mem::take(&mut inbox[p]);
             waves.sort_by_key(|&(src, _)| src);
             for (_, msg) in waves {
-                node.absorb_owned(msg);
+                nodes[p].absorb_owned(msg);
             }
-            let _ = node.step(&mut outbox);
+            let _ = nodes[p].step(&mut outbox);
             for (dst, msg) in outbox.drain(..) {
-                next[dst].push((p, msg));
+                inbox[dst].push((p, msg));
             }
         }
-        inbox = next;
         monitor.update_round(
             SimTime::from_nanos(rounds),
             nodes.iter().map(|n| n.local().solution()),

@@ -395,6 +395,50 @@ fn round_cap_returns_an_unconverged_report_not_an_error() {
     );
 }
 
+/// The round cap across processes, under a watchdog: in the final round a
+/// part still waits for its lower-coloured neighbours' waves of that round,
+/// so a run whose last round dropped them would hang instead of ending.
+/// The run must end within the watchdog as an unconverged report, with
+/// every child it spawned reaped — none left alive or unreaped behind it.
+#[test]
+fn round_cap_in_processes_ends_inside_a_watchdog_with_no_orphans() {
+    const GROUPS: [usize; 2] = [2, 4];
+    let ss = grid_split(24, 4, 514);
+    let want = (40 * ss.n_parts()) as u64;
+    let (done_tx, done_rx) = channel();
+    let runs = std::thread::spawn(move || {
+        for groups in GROUPS {
+            let mode = RunMode::Processes {
+                transport: TransportKind::Uds,
+                child: child_cmd(),
+                fail: None,
+            };
+            let mut cfg = unreachable_tol(mode, 40, Duration::from_secs(120));
+            cfg.processes = groups;
+            let report = DistributedBackend.solve(&ss, None, &cfg);
+            // The children this thread forked that are still alive or
+            // unreaped (Linux lists them per thread).
+            let left = std::fs::read_to_string("/proc/thread-self/children").unwrap_or_default();
+            let outcome = report.map(|r| (r.converged, r.total_solves));
+            if done_tx.send((outcome, left)).is_err() {
+                break;
+            }
+        }
+    });
+    for groups in GROUPS {
+        let (outcome, left) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{groups} groups: the capped run outlived the watchdog"));
+        let outcome = outcome.expect("the round cap is not an error");
+        assert_eq!(outcome, (false, want), "{groups} groups");
+        assert!(
+            left.trim().is_empty(),
+            "{groups} groups left children: {left}"
+        );
+    }
+    runs.join().expect("the runs' thread");
+}
+
 /// The links of a group whose peer has exited: the supervisor still
 /// listens, the peer's socket is closed (when `peer_gone`).
 struct PeerExited {
@@ -440,6 +484,7 @@ fn group_zero_after_its_peer_exited(
     let ctx = GroupCtx {
         group: 0,
         group_of_part: vec![0, 1],
+        colour_of_part: vec![0, 1],
         max_rounds: 1_000,
         fail_after_round: None,
     };
@@ -467,6 +512,33 @@ fn link_closed_with_stop_right_behind_is_a_clean_exit() {
     group_zero_after_its_peer_exited(false, late).expect("hung-up wave channel, then Stop: clean");
     // And with `Stop` already seen when the link closes.
     group_zero_after_its_peer_exited(true, Some(Duration::ZERO)).expect("Stop, then broken pipe");
+}
+
+/// A colour map that leaves a part of the group out is a typed error
+/// before any round runs, not an index out of range.
+#[test]
+fn a_colour_map_missing_a_part_is_a_typed_error() {
+    let ss = grid_split(8, 2, 515);
+    let mut built = build_nodes(&ss, &CommonConfig::default()).expect("factors");
+    let mut nodes = BTreeMap::from([(1, built.remove(1))]);
+    let (_wave_tx, wave_rx) = channel();
+    let mut io = GroupIo {
+        wave_rx,
+        links: PeerExited { peer_gone: false },
+        stop: Arc::new(AtomicBool::new(false)),
+    };
+    let ctx = GroupCtx {
+        group: 1,
+        group_of_part: vec![0, 1],
+        colour_of_part: vec![0],
+        max_rounds: 10,
+        fail_after_round: None,
+    };
+    let err = run_group(&mut nodes, &ctx, &mut io).expect_err("part 1 has no colour");
+    assert!(
+        matches!(&err, Error::Parse(m) if m.contains("part 1 is outside the colour map")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -530,6 +602,7 @@ fn net_child_after_its_peer_closed(
         n_groups: 2,
         n_parts: 2,
         group_of_part: vec![0, 1],
+        colour_of_part: vec![0, 1],
         max_rounds: 1_000,
         termination: common.termination,
         max_solves_per_node: 1_000,

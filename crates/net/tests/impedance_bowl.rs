@@ -1,19 +1,30 @@
-//! Fig. 9's bowl as numbers: rounds to `Residual 1e-6` on the deterministic
-//! round executor (`RunMode::InProcess`, where a round count is exact) under
+//! Fig. 9's bowl as numbers: synchronous rounds to `Residual 1e-6` — every
+//! part steps once a round on its neighbours' waves of the round before,
+//! and every round is scored exactly, so a round count is exact — under
 //! the matched default, under the old constant `scale = 1`, and at the
 //! minimum of a coarse √2-spaced sweep — for every family the rule of
-//! `dtm_core::impedance` was validated on. The round counts themselves are
-//! pinned, so a change to the rule shows up here as a diff in numbers.
+//! `dtm_core::impedance` was validated on. The matched scale is derived on
+//! these rounds. The round counts themselves are pinned, so a change to the
+//! rule shows up here as a diff in numbers.
+//!
+//! The rounds are driven here, not on `Machine::LockStep`: that machine
+//! scores through `Monitor::update_part`, whose maintained residual can
+//! settle just above the tolerance until its next exact resync (the chain
+//! below at scale 64 reads 64 rounds there, 18 here).
 //!
 //! `cargo test -p dtm-net --test impedance_bowl -- --nocapture` prints the
 //! table README's "Choosing the impedance" section is copied from.
 
 use dtm_core::impedance::{ImpedancePolicy, Matching};
-use dtm_core::runtime::{CommonConfig, ExecutorBackend, Termination};
+use dtm_core::monitor::Monitor;
+use dtm_core::runtime::{build_nodes, CommonConfig, DtmMsg, GatherMap, Termination};
 use dtm_core::DtmBuilder;
 use dtm_graph::evs::SplitSystem;
-use dtm_net::{DistributedBackend, DistributedConfig};
+use dtm_simnet::{SimDuration, SimTime};
 use dtm_sparse::{generators, Csr};
+
+const TOL: f64 = 1e-6;
+const MAX_ROUNDS: u64 = 10_000;
 
 /// The benchmark's right-hand side: a unit load plus seeded white noise,
 /// torn by the default partitioner.
@@ -29,19 +40,35 @@ fn torn(a: Csr, parts: usize) -> SplitSystem {
 
 /// Exact synchronous rounds to `Residual 1e-6`.
 fn rounds(split: &SplitSystem, impedance: ImpedancePolicy) -> u64 {
-    let config = DistributedConfig {
-        common: CommonConfig {
-            termination: Termination::Residual { tol: 1e-6 },
-            impedance,
-            max_solves_per_node: 10_000,
-        },
-        ..Default::default()
+    let termination = Termination::Residual { tol: TOL };
+    let common = CommonConfig {
+        termination,
+        impedance,
+        max_solves_per_node: MAX_ROUNDS as usize,
     };
-    let report = DistributedBackend
-        .solve(split, None, &config)
-        .expect("solves");
-    assert!(report.converged, "residual {}", report.final_residual);
-    report.total_solves / split.n_parts() as u64
+    let mut nodes = build_nodes(split, &common).expect("factors");
+    let mut monitor = Monitor::new(&GatherMap::of_split(split, None), 1, SimDuration::ZERO);
+    monitor.admit(0, &split.b, termination, None);
+    // Each part's waves of the round before, in ascending source order.
+    let mut inbox: Vec<Vec<DtmMsg>> = vec![Vec::new(); nodes.len()];
+    let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
+    for round in 1..=MAX_ROUNDS {
+        let mut next: Vec<Vec<DtmMsg>> = vec![Vec::new(); nodes.len()];
+        for (node, waves) in nodes.iter_mut().zip(&mut inbox) {
+            waves.drain(..).for_each(|msg| node.absorb_owned(msg));
+            let _ = node.step(&mut outbox);
+            outbox.drain(..).for_each(|(dst, msg)| next[dst].push(msg));
+        }
+        inbox = next;
+        monitor.update_round(
+            SimTime::from_nanos(round),
+            nodes.iter().map(|n| n.local().solution()),
+        );
+        if monitor.done(0) {
+            return round;
+        }
+    }
+    panic!("no round met {TOL:e} within {MAX_ROUNDS}");
 }
 
 fn at_scale(split: &SplitSystem, scale: f64) -> u64 {

@@ -10,7 +10,7 @@ use dtm_graph::evs::{split as evs_split, EvsOptions};
 use dtm_graph::{partition, ElectricGraph, PartitionPlan};
 use dtm_net::wire::{decode, encode, read_frame, write_frame, GroupPlan, GroupRates};
 use dtm_net::wire::{FrameReader, FrameWriter, Msg, PartPlan, SnapshotBatch, Wave, MAX_FRAME_LEN};
-use dtm_sparse::generators;
+use dtm_sparse::{generators, Error};
 use proptest::prelude::*;
 
 /// Block widths covering the scalar path, both sides of the
@@ -71,6 +71,7 @@ fn real_plan() -> GroupPlan {
         n_groups: 2,
         n_parts: 4,
         group_of_part: vec![0, 0, 1, 1],
+        colour_of_part: vec![0, 1, 1, 0],
         max_rounds: 10_000,
         termination: Termination::Residual { tol: 1e-8 },
         max_solves_per_node: 200_000,
@@ -134,6 +135,23 @@ fn every_variant_roundtrips() {
     ];
     for msg in &msgs {
         assert_eq!(&roundtrip(msg), msg, "roundtrip identity");
+    }
+}
+
+/// A plan must carry one colour (and one group) per part: a colour map of
+/// any other length is refused at decode with a typed error.
+#[test]
+fn a_plan_without_one_colour_per_part_is_refused() {
+    for colours in [vec![0, 1, 1], vec![0, 1, 1, 0, 2], Vec::new()] {
+        let plan = GroupPlan {
+            colour_of_part: colours.clone(),
+            ..real_plan()
+        };
+        let err = decode(&encode(&Msg::Plan(Box::new(plan)))).expect_err("refused");
+        assert!(
+            matches!(&err, Error::Parse(m) if m.contains("colour map")),
+            "{colours:?}: {err}"
+        );
     }
 }
 
