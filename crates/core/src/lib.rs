@@ -62,9 +62,10 @@
 //! * [`analysis`] — spectral radius of the VTM iteration operator
 //!   (quantitative convergence rates, Fig. 9 cross-check);
 //! * [`monitor`] — **the one scorer** of every executor, one-shot or
-//!   rolling: the incrementally gathered estimate, and per column slot the
-//!   oracle RMS against the direct solution or the reference-free
-//!   incremental true residual, held to the slot's own stopping rule;
+//!   rolling: the gathered estimate, and per column slot the oracle RMS
+//!   against the direct solution or the reference-free true residual,
+//!   recomputed exactly whenever the column's estimate moves and held to
+//!   the slot's own stopping rule;
 //! * [`builder`] — the high-level [`DtmBuilder`] entry point;
 //! * [`session`] — **the streaming API, rolling mixed-tolerance
 //!   sessions**: an admission queue that swaps right-hand sides into the

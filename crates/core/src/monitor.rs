@@ -3,9 +3,9 @@
 //!
 //! The paper's convergence figures (8, 9, 12, 14) plot the error of the
 //! evolving distributed state against the true solution `x* = A⁻¹b`. The
-//! [`Monitor`] maintains the *global* estimate (averaging every split
-//! vertex's copies) incrementally — O(|part|·K) per activation, not O(n·K)
-//! — records a `(time, metric)` staircase series, and holds each column to
+//! [`Monitor`] keeps the *global* estimate (averaging every split vertex's
+//! copies), scores every live column exactly each time the estimate moves,
+//! records a `(time, metric)` staircase series, and holds each column to
 //! its own stopping rule: it is the only type in this crate and `dtm-net`
 //! that gathers an estimate, computes a residual or an RMS error, or
 //! decides that a column is done (`dtm-lint`'s `single-scorer` rule).
@@ -25,37 +25,40 @@
 //!   side, which no production deployment can pay;
 //! * **Relative true residual** `‖b − A·x‖₂ / ‖b‖₂` otherwise (always
 //!   under [`Termination::Residual`], where a supplied reference only adds
-//!   RMS *reporting*). When an averaged estimate entry moves by δ, only the
-//!   residual entries of A's column `g` change (Hong's D-iteration: the
-//!   residual is linear in the estimate, `r −= A·Δx`), so deltas are
-//!   *aggregated* and the sparse row folds run batched. Staleness between
-//!   folds can only delay a stop, never trigger one early.
+//!   RMS *reporting*).
+//!
+//! There is one way to score a column: recompute its metric outright from
+//! the estimate — one SpMV for a residual column, one O(n) difference
+//! against the reference for an oracle column. No running sum is carried
+//! from one scoring to the next, so no rounding error of earlier, larger
+//! terms is carried either: a score is exact down to the last bits of the
+//! estimate, whatever the tolerance.
 //!
 //! # Feeding it
 //!
 //! The monitor keeps the last block each part reported — three feeds:
 //!
 //! * [`update_part`](Monitor::update_part) — one activation (the simulated
-//!   engines): the part's new block is diffed against the kept one, the
-//!   estimate moves entry by entry, and the residual folds are deferred
-//!   (`RESID_FLUSH_EVERY`);
+//!   and lock-step machines): the part's new block is diffed against the
+//!   kept one, the estimate moves entry by entry, and every live column
+//!   the block moved is scored exactly — one scoring per moved column per
+//!   activation;
 //! * `poll` — whatever the wall-clock workers published since the last
 //!   poll, for the columns the pass asks for: each block's dirty wanted
 //!   columns are copied into the kept copy — the supervisor's mirror of
 //!   the published blocks — under the block's lock, a slice copy and
 //!   nothing else; then every wanted live column that any part published
-//!   is gathered afresh from the mirror and recomputed exactly.
+//!   is gathered afresh from the mirror and scored.
 //! * [`update_round`](Monitor::update_round) — the distributed round
 //!   executor (`dtm-net`'s supervisor) hands over every part's block at
 //!   once for each round it scores — the rounds [`next_round`] picks, not
 //!   every round: every entry moved since the last scored round, so there
-//!   is nothing to diff — and every column is gathered afresh and
-//!   recomputed.
+//!   is nothing to diff — and every column is gathered afresh and scored.
 //!
 //! `poll` and `update_round` share the one gather (copies summed in
-//! ascending part order, then averaged): one gather and one SpMV per
-//! scored column, exact every time, with no drift carried from one
-//! scoring to the next.
+//! ascending part order, then averaged); `update_part` moves the estimate
+//! by the per-entry difference instead, which costs O(|part|·K) rather
+//! than a gather, and whose bits every simulated figure is pinned to.
 //!
 //! # Warm-started admission
 //!
@@ -73,11 +76,12 @@
 //!
 //! # Stopping
 //!
-//! [`done`](Monitor::done) gates on the cheap maintained value and confirms
-//! by recomputing the column exactly from the estimate, so **a stop
-//! decision is only ever taken on an exactly recomputed value**, of the
-//! very estimate [`retire`](Monitor::retire) then returns. A NaN score is
-//! never within a tolerance: every worst-of fold here keeps it.
+//! [`done`](Monitor::done) reads a score that is already exact: every feed
+//! rescored the columns it moved, so **a stop decision is only ever taken
+//! on an exactly recomputed value**, of the very estimate
+//! [`retire`](Monitor::retire) then returns, and a run stops at the first
+//! feed whose estimate meets the tolerance. A NaN score is never within a
+//! tolerance: every worst-of fold here keeps it.
 //!
 //! # Cadence
 //!
@@ -107,25 +111,6 @@ use dtm_simnet::{SimDuration, SimTime};
 use dtm_sparse::Csr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Deferred-fold cadence of [`Monitor::update_part`]: pending residual
-/// deltas are folded every this many updates while the metric is far from
-/// the tolerance. Near the tolerance (within [`RESID_NEAR_FACTOR`]×) every
-/// update folds, so the stopping decision is made on fresh values exactly
-/// when precision matters. Trades simulated activations spent past the
-/// tolerance (at most one window) against a sparse row fold per changed
-/// entry per activation.
-const RESID_FLUSH_EVERY: usize = 32;
-/// See [`RESID_FLUSH_EVERY`].
-const RESID_NEAR_FACTOR: f64 = 16.0;
-
-/// Exact-resync cadence of [`Monitor::update_part`] while a tolerance is
-/// armed: an incremental accumulator can drift *upward* past the stopping
-/// tolerance (stalling a run at its budget), so every live column is
-/// recomputed exactly every this many part updates, counted monitor-wide.
-/// Trades one SpMV per live column against how long a drifted gate can
-/// hide a crossing.
-const RESYNC_EVERY: usize = 256;
 
 /// The shortest sleep of a wall-clock supervisor between two scorings of
 /// a column — the floor of [`next_poll`]'s cadence, and the whole cadence
@@ -248,7 +233,7 @@ pub struct Retired {
     pub rms: Option<f64>,
 }
 
-/// One column slot: the ticket occupying it and its incremental score.
+/// One column slot: the ticket occupying it and its exact score.
 #[derive(Debug, Clone)]
 struct Column {
     /// The occupant's stopping rule; `None` = idle slot.
@@ -260,19 +245,9 @@ struct Column {
     reference: Option<Vec<f64>>,
     /// Scored by RMS against `reference` rather than by the residual.
     by_oracle: bool,
-    /// Running Σ(est − ref)² or Σr², whichever scores the column.
-    sum_sq: f64,
-    /// `sum_sq` is an exact recomputation of the current estimate, with
-    /// nothing folded in since.
-    exact: bool,
-    /// Residual as of the last fold.
-    resid: Vec<f64>,
-    /// Aggregated estimate deltas awaiting a fold.
-    pending: Vec<f64>,
-    /// Rows of `pending` currently recorded.
-    dirty: Vec<usize>,
-    /// O(1) dedup for `dirty`.
-    in_dirty: Vec<bool>,
+    /// The column's metric — RMS error or relative residual — of the
+    /// estimate as last scored.
+    score: f64,
     /// A rolling session's next scoring of this column, as time since the
     /// session started ([`Monitor::schedule`]).
     due: Duration,
@@ -289,88 +264,34 @@ impl Column {
             b_scale: 1.0,
             reference: None,
             by_oracle: false,
-            sum_sq: 0.0,
-            exact: false,
-            resid: vec![0.0; n],
-            pending: vec![0.0; n],
-            dirty: Vec::with_capacity(n),
-            in_dirty: vec![false; n],
+            score: 0.0,
             due: Duration::ZERO,
             last: None,
         }
     }
 
-    /// The scoring metric as last maintained (cheap): for the residual a
-    /// previously *exact* value, possibly one fold window stale.
-    fn metric(&self) -> f64 {
-        // Drift can take the running sum below zero; a NaN must stay NaN.
-        let sum_sq = worse(self.sum_sq, 0.0);
-        if self.by_oracle {
-            (sum_sq / self.b.len().max(1) as f64).sqrt()
-        } else {
-            sum_sq.sqrt() / self.b_scale
-        }
-    }
-
-    /// Whether the maintained metric meets the occupant's own tolerance.
-    /// Idle slots and [`Termination::LocalDelta`] columns (scored
-    /// passively; their nodes halt themselves) never do.
+    /// Whether the metric meets the occupant's own tolerance. Idle slots
+    /// and [`Termination::LocalDelta`] columns (scored passively; their
+    /// nodes halt themselves) never do.
     fn within_tol(&self) -> bool {
         let tol = self.rule.and_then(Termination::metric_tol);
-        tol.is_some_and(|tol| self.metric() <= tol)
+        tol.is_some_and(|tol| self.score <= tol)
     }
 
-    /// Recompute the score exactly from the estimate. Pending deltas are
-    /// already reflected in `est`, so they are simply discarded.
-    fn resync(&mut self, a: &Csr, est: &[f64]) {
-        match &self.reference {
-            Some(reference) if self.by_oracle => {
-                self.sum_sq = est
-                    .iter()
-                    .zip(reference)
-                    .map(|(e, r)| (e - r) * (e - r))
-                    .sum();
-            }
-            _ => {
-                for &g in &self.dirty {
-                    self.pending[g] = 0.0;
-                    self.in_dirty[g] = false;
-                }
-                self.dirty.clear();
-                a.residual_into(est, &self.b, &mut self.resid);
-                self.sum_sq = self.resid.iter().map(|r| r * r).sum();
-            }
-        }
-        self.exact = true;
-    }
-
-    /// Fold all pending residual deltas — one sparse row fold per
-    /// aggregated dirty entry: est[g] moved by δ ⇒ r[j] −= A[j,g]·δ over
-    /// the nonzeros of column g (A symmetric: row g).
-    fn fold(&mut self, a: &Csr) {
-        let (rp, ci, vv) = (a.row_ptr(), a.col_idx(), a.values());
-        for &g in &self.dirty {
-            let delta = self.pending[g];
-            self.pending[g] = 0.0;
-            self.in_dirty[g] = false;
-            if delta == 0.0 {
-                continue;
-            }
-            let mut ssq = self.sum_sq;
-            for idx in rp[g]..rp[g + 1] {
-                let r_old = self.resid[ci[idx]];
-                let r_new = r_old - vv[idx] * delta;
-                ssq += r_new * r_new - r_old * r_old;
-                self.resid[ci[idx]] = r_new;
-            }
-            self.sum_sq = ssq;
-        }
-        self.dirty.clear();
+    /// Score the column exactly from the estimate: one O(n) difference
+    /// against the reference, or one SpMV for the residual — the very
+    /// numbers [`Monitor::retire`] reports.
+    fn rescore(&mut self, a: &Csr, est: &[f64]) {
+        self.score = match &self.reference {
+            Some(reference) if self.by_oracle => dtm_sparse::vector::rms_error(est, reference),
+            _ => a.residual_norm(est, &self.b) / self.b_scale,
+        };
     }
 }
 
-/// Incremental global-estimate tracker over K column slots, each scored
-/// against its own stopping rule — see the [module docs](self).
+/// Global-estimate tracker over K column slots, each scored exactly against
+/// its own stopping rule whenever its estimate moves — see the
+/// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Monitor {
     /// Original dimension.
@@ -387,19 +308,12 @@ pub struct Monitor {
     sum: Vec<f64>,
     /// Per-vertex averaged estimate, column-major.
     est: Vec<f64>,
+    /// Scratch for the `A·x̂` of [`admit`](Self::admit)'s projection.
+    ax: Vec<f64>,
     cols: Vec<Column>,
     series: Vec<(f64, f64)>,
     sample_interval: SimDuration,
     last_sample: Option<SimTime>,
-    /// When the maintained metric drops to this value, resynchronize
-    /// exactly before reporting (guards against catastrophic cancellation
-    /// near convergence): the tightest live tolerance. Zero disables.
-    refresh_below: f64,
-    /// [`update_part`](Self::update_part) calls since the last fold.
-    updates_since_flush: usize,
-    /// [`update_part`](Self::update_part) calls since its last exact
-    /// resync of every live column.
-    updates_since_sync: usize,
     /// Total part updates — the monitor-side activation counter, uniform
     /// across DTM and the baselines (every algorithm reports exactly one
     /// update per node activation).
@@ -430,13 +344,11 @@ impl Monitor {
             global_of_local: map.parts.iter().map(|g2l| g2l.to_vec()).collect(),
             sum: vec![0.0; n * slots],
             est: vec![0.0; n * slots],
+            ax: vec![0.0; n],
             cols: (0..slots).map(|_| Column::idle(n)).collect(),
             series: Vec::new(),
             sample_interval,
             last_sample: None,
-            refresh_below: 0.0,
-            updates_since_flush: 0,
-            updates_since_sync: 0,
             updates_total: 0,
         }
     }
@@ -499,8 +411,7 @@ impl Monitor {
         // was supplied; the other modes score against the oracle exactly
         // when one exists.
         col.by_oracle = reference.is_some() && !matches!(rule, Termination::Residual { .. });
-        col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
-        self.arm();
+        col.rescore(&self.a, &self.est[c * n..(c + 1) * n]);
         alpha
     }
 
@@ -514,10 +425,8 @@ impl Monitor {
         if est.iter().all(|&v| v == 0.0) {
             return 0.0;
         }
-        // The residual buffer is scratch here: admission recomputes it.
-        let ax = &mut self.cols[c].resid;
-        self.a.matvec_into(est, ax);
-        let energy = dtm_sparse::vector::dot(est, ax);
+        self.a.matvec_into(est, &mut self.ax);
+        let energy = dtm_sparse::vector::dot(est, &self.ax);
         let alpha = dtm_sparse::vector::dot(est, b) / energy;
         if energy > 0.0 && energy.is_finite() && alpha.is_finite() {
             alpha
@@ -551,25 +460,17 @@ impl Monitor {
         }
     }
 
-    /// Whether slot `c`'s ticket has met its own tolerance: the maintained
-    /// value gates, an exact recomputation of the column confirms, so a
-    /// stale or drifted number can never retire a ticket. Idle slots and
-    /// [`Termination::LocalDelta`] columns are never done.
-    pub fn done(&mut self, c: usize) -> bool {
-        let n = self.n;
-        let col = &mut self.cols[c];
-        if col.within_tol() && !col.exact {
-            col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
-        }
-        col.within_tol()
+    /// Whether slot `c`'s ticket has met its own tolerance, on its exact
+    /// score. Idle slots and [`Termination::LocalDelta`] columns are never
+    /// done.
+    pub fn done(&self, c: usize) -> bool {
+        self.cols[c].within_tol()
     }
 
     /// Whether every slot is [`done`](Self::done) — a one-shot solve's
-    /// stopping rule. All maintained values gate before any is confirmed,
-    /// so a batch pays for exact recomputation only once its slowest column
-    /// crosses.
-    pub fn all_done(&mut self) -> bool {
-        self.cols.iter().all(Column::within_tol) && (0..self.cols.len()).all(|c| self.done(c))
+    /// stopping rule.
+    pub fn all_done(&self) -> bool {
+        self.cols.iter().all(Column::within_tol)
     }
 
     /// Free slot `c` and return its ticket's exact final numbers.
@@ -586,7 +487,6 @@ impl Monitor {
                 .as_deref()
                 .map(|r| dtm_sparse::vector::rms_error(est, r)),
         };
-        self.arm();
         retired
     }
 
@@ -596,21 +496,10 @@ impl Monitor {
         (0..self.cols.len()).map(|c| self.retire(c)).collect()
     }
 
-    /// Re-derive the exact-refresh threshold: the tightest live tolerance.
-    fn arm(&mut self) {
-        let live = self.cols.iter().filter_map(|col| col.rule);
-        let tightest = live
-            .filter_map(Termination::metric_tol)
-            .fold(f64::INFINITY, f64::min);
-        self.refresh_below = if tightest.is_finite() { tightest } else { 0.0 };
-    }
-
-    /// Override the exact-refresh threshold [`admit`](Self::admit) and
-    /// [`retire`](Self::retire) derive: resynchronize whenever the
-    /// maintained metric falls to `threshold`.
-    pub fn set_refresh_below(&mut self, threshold: f64) {
-        self.refresh_below = threshold;
-    }
+    /// Does nothing: every feed leaves every score it touched exact, so
+    /// there is no threshold below which a score needs refreshing. Kept so
+    /// that callers which set one still build.
+    pub fn set_refresh_below(&mut self, _threshold: f64) {}
 
     /// The original matrix the columns are scored against.
     pub fn matrix(&self) -> &Csr {
@@ -657,50 +546,35 @@ impl Monitor {
     /// and tolerance, at least [`POLL_INTERVAL`] ahead.
     pub(crate) fn schedule(&mut self, c: usize, now: Duration) {
         let col = &mut self.cols[c];
-        let metric = col.metric();
+        let metric = col.score;
         let tol = col.rule.and_then(Termination::metric_tol);
         let gap = next_poll(col.last, (now, metric), tol, Duration::MAX);
         col.due = now.saturating_add(gap);
         col.last = Some((now, metric));
     }
 
-    /// Worst maintained metric over the live columns.
+    /// Worst metric over the live columns, as last scored.
     pub fn metric(&self) -> f64 {
-        self.live().map(Column::metric).fold(0.0, worse)
+        self.live().map(|col| col.score).fold(0.0, worse)
     }
 
-    /// Worst relative residual over the live residual-scored columns, with
-    /// every pending fold applied first — the returned value reflects every
-    /// update.
-    pub fn rel_residual(&mut self) -> f64 {
-        let mut worst = 0.0_f64;
-        for col in &mut self.cols {
-            if col.rule.is_some() && !col.by_oracle {
-                col.fold(&self.a);
-                worst = worse(worst, col.metric());
-            }
-        }
-        self.updates_since_flush = 0;
-        worst
-    }
-
-    /// Recompute every live column's score exactly and return the exact
-    /// worst metric.
+    /// Score every live column afresh from the estimate and return the
+    /// worst metric — what every feed already did for the columns it
+    /// moved, so outside [`update_round`](Self::update_round)'s gather this
+    /// only recomputes the same values.
     pub fn resync(&mut self) -> f64 {
         let n = self.n;
         for (c, col) in self.cols.iter_mut().enumerate() {
             if col.rule.is_some() {
-                col.resync(&self.a, &self.est[c * n..(c + 1) * n]);
+                col.rescore(&self.a, &self.est[c * n..(c + 1) * n]);
             }
         }
-        self.updates_since_flush = 0;
         self.metric()
     }
 
-    /// [`update_part`](Self::update_part)'s per-part fold: diff `x`
-    /// against the kept block, move the estimate, and account each live
-    /// column's score — eagerly for the oracle, as an aggregated pending
-    /// delta for the residual.
+    /// [`update_part`](Self::update_part)'s per-part feed: diff `x` against
+    /// the kept block, move the estimate entry by entry, and score every
+    /// live column that moved.
     // lint: hot-path
     fn absorb(&mut self, part: usize, x: &[f64]) {
         let g2l = &self.global_of_local[part];
@@ -709,8 +583,6 @@ impl Monitor {
         assert_eq!(x.len(), nl * self.cols.len(), "monitor: local block length");
         self.updates_total += 1;
         for (c, col) in self.cols.iter_mut().enumerate() {
-            let live = col.rule.is_some();
-            let oracle = col.reference.as_deref().filter(|_| live && col.by_oracle);
             let mut moved = false;
             for (l, &g) in g2l.iter().enumerate() {
                 let (li, gi) = (c * nl + l, c * n + g);
@@ -720,22 +592,12 @@ impl Monitor {
                 }
                 values[li] = x[li];
                 self.sum[gi] += x[li] - old;
-                let new_est = self.sum[gi] / self.copy_count[g];
-                if let Some(reference) = oracle {
-                    let e_old = self.est[gi] - reference[g];
-                    let e_new = new_est - reference[g];
-                    col.sum_sq += e_new * e_new - e_old * e_old;
-                } else if live {
-                    col.pending[g] += new_est - self.est[gi];
-                    if !col.in_dirty[g] {
-                        col.in_dirty[g] = true;
-                        col.dirty.push(g);
-                    }
-                }
-                self.est[gi] = new_est;
+                self.est[gi] = self.sum[gi] / self.copy_count[g];
                 moved = true;
             }
-            col.exact &= !moved;
+            if moved && col.rule.is_some() {
+                col.rescore(&self.a, &self.est[c * n..(c + 1) * n]);
+            }
         }
     }
 
@@ -774,35 +636,11 @@ impl Monitor {
     }
 
     /// Fold one part's newly solved local block in (`x` is the part's
-    /// `n_local·k` column-major solution); returns the current worst
-    /// maintained metric — exactly recomputed whenever it is at or below
-    /// the tightest live tolerance.
+    /// `n_local·k` column-major solution) and return the worst live metric
+    /// — exact: every column the block moved is scored afresh.
     pub fn update_part(&mut self, part: usize, time: SimTime, x: &[f64]) -> f64 {
         self.absorb(part, x);
-        // Deferred residual fold: every RESID_FLUSH_EVERY updates — or
-        // every update once the metric is within RESID_NEAR_FACTOR of the
-        // refresh threshold (≈ the stopping tolerance), where freshness
-        // decides when the run ends.
-        self.updates_since_flush += 1;
-        let by_residual = self.live().filter(|col| !col.by_oracle);
-        let worst_residual = by_residual.map(Column::metric).fold(0.0, worse);
-        let near =
-            self.refresh_below > 0.0 && worst_residual < self.refresh_below * RESID_NEAR_FACTOR;
-        if near || self.updates_since_flush >= RESID_FLUSH_EVERY {
-            self.rel_residual();
-        }
-        let mut metric = self.metric();
-        self.updates_since_sync += 1;
-        // `<=`, not `<`: a stop decision compares `metric <= tol`, so the
-        // boundary value must also be re-derived exactly. A maintained
-        // value that drifted **at or below** the threshold is never allowed
-        // to terminate a run by itself.
-        if self.refresh_below > 0.0
-            && (metric <= self.refresh_below || self.updates_since_sync >= RESYNC_EVERY)
-        {
-            metric = self.resync();
-            self.updates_since_sync = 0;
-        }
+        let metric = self.metric();
         self.record(time, metric);
         metric
     }
@@ -843,7 +681,7 @@ impl Monitor {
     /// were last wanted into the kept blocks — a slice copy under each
     /// block's lock, nothing else — then gather every wanted live column
     /// that any part published afresh and recompute its score exactly;
-    /// returns the worst maintained metric. The other columns stay dirty
+    /// returns the worst metric. The other columns stay dirty
     /// in their blocks and keep their scores. A pass where nothing wanted
     /// changed takes no lock; nothing here allocates.
     // lint: hot-path
@@ -870,7 +708,7 @@ impl Monitor {
         for c in (0..k).filter(|&c| published != 0 && has_col(published, c, k)) {
             if self.cols[c].rule.is_some() {
                 self.gather(c);
-                self.cols[c].resync(&self.a, &self.est[c * n..(c + 1) * n]);
+                self.cols[c].rescore(&self.a, &self.est[c * n..(c + 1) * n]);
             }
         }
         let metric = self.metric();
@@ -1143,7 +981,7 @@ mod tests {
         assert_eq!(m.due(t1 + POLL_INTERVAL / 2), 0);
         // Column 0's metric falls tenfold in a millisecond, column 2's
         // stays put: column 0 waits longer, column 2 the floor.
-        m.cols[0].sum_sq /= 100.0;
+        m.cols[0].score /= 10.0;
         let t2 = Duration::from_millis(2);
         m.schedule(0, t2);
         m.schedule(2, t2);
@@ -1171,8 +1009,8 @@ mod tests {
     fn every_poll_scores_its_columns_exactly() {
         // One part holding every unknown of the 4×4 grid, two slots;
         // column 1 is wanted on every pass, column 0 on every fourth. Each
-        // pass moves one entry of each column and drifts both running sums
-        // first: a wanted column's drift is gone after the poll, an
+        // pass moves one entry of each column and corrupts both scores
+        // first: a wanted column's corruption is gone after the poll, an
         // unwanted one keeps its score and its published data waits.
         let a = generators::grid2d_laplacian(4, 4);
         let b = generators::random_rhs(16, 3);
@@ -1187,27 +1025,27 @@ mod tests {
             x[pass % 16] += 1e-3;
             x[16 + pass % 16] += 1e-3;
             block.publish(&x, 0b11);
-            m.cols[0].sum_sq += 1.0;
-            m.cols[1].sum_sq += 1.0;
-            let kept = m.cols[0].clone();
+            m.cols[0].score += 1.0;
+            m.cols[1].score += 1.0;
+            let kept = m.cols[0].score;
             let want = if pass % 4 == 1 { 0b11 } else { 0b10 };
             m.poll(SimTime::ZERO, std::slice::from_ref(&block), want);
             assert_eq!(m.estimate_col(1), &x[16..], "pass {pass}: gathered");
-            assert!((m.cols[1].metric() - exact(&x[16..])).abs() < 1e-15);
+            assert!((m.cols[1].score - exact(&x[16..])).abs() < 1e-15);
             if want & 1 == 1 {
                 assert_eq!(m.estimate_col(0), &x[..16], "pass {pass}: gathered");
-                assert!((m.cols[0].metric() - exact(&x[..16])).abs() < 1e-15);
+                assert!((m.cols[0].score - exact(&x[..16])).abs() < 1e-15);
             } else {
-                assert_eq!(m.cols[0].sum_sq, kept.sum_sq, "pass {pass}: kept");
+                assert_eq!(m.cols[0].score, kept, "pass {pass}: kept");
                 assert_ne!(m.estimate_col(0), &x[..16], "pass {pass}: waits");
             }
         }
         // Column 0's last publication is still dirty: a pass that wants it
         // takes it in with nothing newly published.
-        m.cols[0].sum_sq += 1.0;
+        m.cols[0].score += 1.0;
         m.poll(SimTime::ZERO, std::slice::from_ref(&block), 0b01);
         assert_eq!(m.estimate_col(0), &x[..16]);
-        assert!((m.cols[0].metric() - exact(&x[..16])).abs() < 1e-15);
+        assert!((m.cols[0].score - exact(&x[..16])).abs() < 1e-15);
     }
 
     #[test]
@@ -1256,11 +1094,8 @@ mod tests {
             0.0
         );
         assert!(m.est.iter().chain(&m.sum).all(|v| v.to_bits() == 0));
-        assert_eq!(m.cols[0].metric(), 1.0);
-        assert_eq!(
-            m.cols[1].metric(),
-            vector::rms_error(&[0.0; 16], &reference)
-        );
+        assert_eq!(m.cols[0].score, 1.0);
+        assert_eq!(m.cols[1].score, vector::rms_error(&[0.0; 16], &reference));
         // A slot whose estimate went back to zero starts cold again.
         for fill in [0.5, 0.0] {
             for (p, sd) in ss.subdomains.iter().enumerate() {
@@ -1366,7 +1201,7 @@ mod tests {
         m.admit(1, &bad, Termination::Residual { tol: 1e300 }, None);
         assert!(m.metric().is_nan(), "the NaN column is the worst");
         assert!(m.done(0) && !m.done(1) && !m.all_done());
-        assert!(m.rel_residual().is_nan() && m.resync().is_nan());
+        assert!(m.resync().is_nan());
         assert_eq!(worse(1.0, 2.0), 2.0);
         assert!(worse(f64::NAN, 2.0).is_nan() && worse(2.0, f64::NAN).is_nan());
     }
@@ -1406,7 +1241,8 @@ mod tests {
     fn incremental_matches_exact() {
         let (ss, reference) = make();
         let mut m = oracle(&ss, &[reference], 0.0, SimDuration::ZERO);
-        // Feed arbitrary values in several rounds; drift must stay tiny.
+        // Feed arbitrary values in several rounds: every feed scores the
+        // column afresh, so a recomputation changes no bit.
         for round in 0..5 {
             for (p, sd) in ss.subdomains.iter().enumerate() {
                 let local: Vec<f64> = (0..sd.n_local())
@@ -1416,7 +1252,7 @@ mod tests {
             }
         }
         let incremental = m.metric();
-        assert!((incremental - m.resync()).abs() < 1e-10);
+        assert_eq!(incremental, m.resync());
     }
 
     #[test]
@@ -1453,13 +1289,9 @@ mod tests {
         // direct solve of the original system is involved in the metric).
         let (ss, reference) = make();
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
-        m.set_refresh_below(1e-6);
-        assert!((m.rel_residual() - 1.0).abs() < 1e-12);
+        assert!((m.metric() - 1.0).abs() < 1e-12);
         feed(&mut m, &ss, &reference, 0);
-        // The incremental accumulator carries cancellation drift until a
-        // resync; the exact recompute is clean immediately.
-        assert!(m.rel_residual() < 1e-6, "residual {}", m.rel_residual());
-        assert!(m.resync() < 1e-10);
+        assert!(m.metric() < 1e-10, "residual {}", m.metric());
         let done = m.retire(0);
         assert!(done.residual < 1e-10);
         assert_eq!(done.rms, None, "reference-free");
@@ -1476,16 +1308,12 @@ mod tests {
                 let local: Vec<f64> = (0..sd.n_local())
                     .map(|l| ((l + round) as f64 * 0.61).cos())
                     .collect();
-                m.update_part(p, SimTime::from_nanos((round * 10 + p) as u64), &local);
+                let reported =
+                    m.update_part(p, SimTime::from_nanos((round * 10 + p) as u64), &local);
+                let exact = a.residual_norm(m.estimate(), &b) / bnorm;
+                assert_eq!(reported, exact, "round {round}, part {p}");
             }
         }
-        let exact = a.residual_norm(m.estimate(), &b) / bnorm;
-        assert!(
-            (m.rel_residual() - exact).abs() < 1e-12,
-            "incremental {} vs exact {}",
-            m.rel_residual(),
-            exact
-        );
     }
 
     #[test]
@@ -1506,75 +1334,29 @@ mod tests {
                 m.update_part(p, SimTime::from_nanos(p as u64), &local(&ss, p, &reference));
             assert!(metric <= 1.0 + 1e-12, "residual metric");
         }
-        assert!(!m.done(0), "the maintained value is a fold window stale");
-        assert!(m.rel_residual() < 1e-6);
-        assert!(m.done(0));
+        assert!(m.done(0), "scored exactly on the last feed");
         let done = m.retire(0);
         assert!(done.residual < 1e-10);
         assert!(done.rms.unwrap() < 1e-12);
     }
 
     #[test]
-    fn drifted_incremental_value_cannot_declare_convergence() {
-        // Regression (stale deferred fold): simulate a drifted incremental
-        // accumulator sitting AT the stopping tolerance while the exact
-        // residual is far above it. Neither `done` nor the next
-        // `update_part` may act on it: both re-derive the value exactly
-        // first.
-        let (ss, _) = make();
-        let (a, b) = ss.reconstruct();
-        let tol = 1e-6;
-        let drift = |m: &mut Monitor| {
-            m.rel_residual();
-            let col = &mut m.cols[0];
-            col.sum_sq = (tol * col.b_scale).powi(2);
-            col.exact = false;
-            assert_eq!(m.metric(), tol, "drifted value is in place");
-        };
-        let exact = |m: &Monitor| a.residual_norm(m.estimate(), &b) / vector::norm2(&b);
-        let mut m = idle(&ss, 1, SimDuration::ZERO);
-        m.admit(0, &b, Termination::Residual { tol }, None);
-        // One genuine update so the estimate is nonzero and far from
-        // convergence.
-        let local0: Vec<f64> = (0..ss.subdomains[0].n_local())
-            .map(|l| 0.5 + l as f64 * 0.1)
-            .collect();
-        m.update_part(0, SimTime::from_nanos(0), &local0);
-        assert!(exact(&m) > 100.0 * tol, "setup: far from converged");
-
-        drift(&mut m);
-        assert!(
-            !m.done(0),
-            "the gate passed, the exact confirmation did not"
-        );
-        assert_eq!(m.metric(), exact(&m), "and the drift is gone");
-
-        drift(&mut m);
-        let local1 = vec![0.0; ss.subdomains[1].n_local()];
-        let reported = m.update_part(1, SimTime::from_nanos(1), &local1);
-        assert_eq!(reported, exact(&m), "reported the exact metric, not {tol}");
-        assert!(reported > tol);
-    }
-
-    #[test]
     fn adversarial_update_orders_stop_only_on_exact_values() {
-        // Contract form of the same regression: across an adversarial
-        // update order (many tiny alternating-sign changes that maximise
-        // cancellation in the deferred folds), every time update_part
-        // returns a value at or below the tolerance, the exact
-        // recomputation agrees — the stop decision never fires on a stale
-        // or drifted number.
+        // Across an adversarial update order (many tiny alternating-sign
+        // changes, the worst case for a sum kept by differences), every
+        // time update_part returns a value at or below the tolerance, the
+        // exact recomputation agrees — the stop decision never fires on a
+        // stale or drifted number.
         let (ss, reference) = make();
         let (a, b) = ss.reconstruct();
         let tol = 1e-3;
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
-        m.set_refresh_below(tol);
         let mut crossings = 0;
         for round in 0..120 {
             for (p, sd) in ss.subdomains.iter().enumerate() {
                 // Converge toward the solution with oscillating over/under
-                // shoot so deltas alternate sign (worst case for aggregated
-                // folds), approaching the tolerance from above.
+                // shoot so deltas alternate sign, approaching the tolerance
+                // from above.
                 let damp = 1.0 / (1.0 + (round as f64).powi(2) * 0.5);
                 let wiggle = if round % 2 == 0 { 1.0 } else { -1.0 };
                 let local: Vec<f64> = sd
@@ -1607,16 +1389,12 @@ mod tests {
         let mut m =
             Monitor::new_residual(&ss, Some(std::slice::from_ref(&zero)), SimDuration::ZERO);
         assert_eq!(m.metric(), 0.0, "initial metric is exactly 0, not NaN/1");
-        assert_eq!(m.rel_residual(), 0.0);
         // Perturbing the estimate raises the absolute residual; it stays
         // finite and returns to ~0 when the parts report zeros again.
         let n0 = ss.subdomains[0].n_local();
-        m.update_part(0, SimTime::from_nanos(0), &vec![0.5; n0]);
-        let m1 = m.rel_residual();
+        let m1 = m.update_part(0, SimTime::from_nanos(0), &vec![0.5; n0]);
         assert!(m1.is_finite() && m1 > 0.0, "perturbed metric {m1}");
-        m.update_part(0, SimTime::from_nanos(1), &vec![0.0; n0]);
-        assert!(m.rel_residual().is_finite());
-        assert!(m.resync() < 1e-12);
+        assert!(m.update_part(0, SimTime::from_nanos(1), &vec![0.0; n0]) < 1e-12);
         assert_eq!(m.retire(0).residual, 0.0);
     }
 
@@ -1691,10 +1469,10 @@ mod tests {
                     vector::rms_error(m.estimate_col(1), &x1) <= tight,
                 ];
                 for c in 0..2 {
-                    // A stale maintained value may hold a `done` back, never
-                    // bring one forward.
+                    // Every feed scored the column exactly: `done` is the
+                    // from-scratch verdict, never early and never late.
                     let done = m.done(c);
-                    assert!(!done || scratch[c], "step {step}: slot {c} done early");
+                    assert_eq!(done, scratch[c], "step {step}: slot {c}");
                     if done {
                         first_done[c].get_or_insert(step);
                     }

@@ -232,9 +232,9 @@ pub enum Termination {
     /// Reference-free: stop when the (centrally monitored) relative true
     /// residual `‖b − A·x‖₂ / ‖b‖₂` of the gathered estimate drops below
     /// `tol` (worst column of a block solve). No direct solve of the
-    /// original system is ever performed — the monitor tracks the residual
-    /// incrementally from the same per-part solution updates the oracle
-    /// mode uses, with periodic exact resynchronization. This is the
+    /// original system is ever performed — the monitor recomputes the
+    /// residual exactly, one SpMV, from the same per-part solution updates
+    /// the oracle mode uses, whenever the estimate moves. This is the
     /// production stopping rule (cf. Avron et al. 2013, Hong 2012, which
     /// terminate on computable residuals).
     Residual {

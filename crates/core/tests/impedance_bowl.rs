@@ -1,26 +1,19 @@
-//! Fig. 9's bowl as numbers: synchronous rounds to `Residual 1e-6` — every
-//! part steps once a round on its neighbours' waves of the round before,
-//! and every round is scored exactly, so a round count is exact — under
+//! Fig. 9's bowl as numbers: synchronous rounds to `Residual 1e-6` on
+//! `Machine::LockStep` — every part steps once a round on its neighbours'
+//! waves of the round before, and every step is scored exactly, so a round
+//! count is exact — under
 //! the matched default, under the old constant `scale = 1`, and at the
 //! minimum of a coarse √2-spaced sweep — for every family the rule of
 //! `dtm_core::impedance` was validated on. The matched scale is derived on
 //! these rounds. The round counts themselves are pinned, so a change to the
 //! rule shows up here as a diff in numbers.
 //!
-//! The rounds are driven here, not on `Machine::LockStep`: that machine
-//! scores through `Monitor::update_part`, whose maintained residual can
-//! settle just above the tolerance until its next exact resync (the chain
-//! below at scale 64 reads 64 rounds there, 18 here).
-//!
-//! `cargo test -p dtm-net --test impedance_bowl -- --nocapture` prints the
+//! `cargo test -p dtm-core --test impedance_bowl -- --nocapture` prints the
 //! table README's "Choosing the impedance" section is copied from.
 
 use dtm_core::impedance::{ImpedancePolicy, Matching};
-use dtm_core::monitor::Monitor;
-use dtm_core::runtime::{build_nodes, CommonConfig, DtmMsg, GatherMap, Termination};
-use dtm_core::DtmBuilder;
-use dtm_graph::evs::SplitSystem;
-use dtm_simnet::{SimDuration, SimTime};
+use dtm_core::runtime::{CommonConfig, Termination};
+use dtm_core::{DtmBuilder, DtmProblem, Machine};
 use dtm_sparse::{generators, Csr};
 
 const TOL: f64 = 1e-6;
@@ -28,63 +21,45 @@ const MAX_ROUNDS: u64 = 10_000;
 
 /// The benchmark's right-hand side: a unit load plus seeded white noise,
 /// torn by the default partitioner.
-fn torn(a: Csr, parts: usize) -> SplitSystem {
+fn torn(a: Csr, parts: usize) -> DtmProblem {
     let mut b = generators::random_rhs(a.n_rows(), 2008);
     b.iter_mut().for_each(|v| *v += 1.0);
-    DtmBuilder::new(a, b)
-        .partition_auto(parts)
-        .build()
-        .expect("builds")
-        .split
+    let built = DtmBuilder::new(a, b).partition_auto(parts).build();
+    DtmProblem::of_split(built.expect("builds").split)
 }
 
-/// Exact synchronous rounds to `Residual 1e-6`.
-fn rounds(split: &SplitSystem, impedance: ImpedancePolicy) -> u64 {
-    let termination = Termination::Residual { tol: TOL };
+/// Exact synchronous rounds to `Residual 1e-6`: the rounds of a
+/// `LockStep` run, whose report's clock reads one millisecond a round.
+fn rounds(p: &DtmProblem, impedance: ImpedancePolicy) -> u64 {
     let common = CommonConfig {
-        termination,
+        termination: Termination::Residual { tol: TOL },
         impedance,
         max_solves_per_node: MAX_ROUNDS as usize,
     };
-    let mut nodes = build_nodes(split, &common).expect("factors");
-    let mut monitor = Monitor::new(&GatherMap::of_split(split, None), 1, SimDuration::ZERO);
-    monitor.admit(0, &split.b, termination, None);
-    // Each part's waves of the round before, in ascending source order.
-    let mut inbox: Vec<Vec<DtmMsg>> = vec![Vec::new(); nodes.len()];
-    let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
-    for round in 1..=MAX_ROUNDS {
-        let mut next: Vec<Vec<DtmMsg>> = vec![Vec::new(); nodes.len()];
-        for (node, waves) in nodes.iter_mut().zip(&mut inbox) {
-            waves.drain(..).for_each(|msg| node.absorb_owned(msg));
-            let _ = node.step(&mut outbox);
-            outbox.drain(..).for_each(|(dst, msg)| next[dst].push(msg));
-        }
-        inbox = next;
-        monitor.update_round(
-            SimTime::from_nanos(round),
-            nodes.iter().map(|n| n.local().solution()),
-        );
-        if monitor.done(0) {
-            return round;
-        }
-    }
-    panic!("no round met {TOL:e} within {MAX_ROUNDS}");
+    let report = p
+        .solve(&Machine::LockStep {
+            common,
+            price: None,
+        })
+        .expect("solves");
+    assert!(report.converged, "no round met {TOL:e} within {MAX_ROUNDS}");
+    report.final_time_ms.round() as u64
 }
 
-fn at_scale(split: &SplitSystem, scale: f64) -> u64 {
-    rounds(split, ImpedancePolicy::GeometricMean { scale })
+fn at_scale(p: &DtmProblem, scale: f64) -> u64 {
+    rounds(p, ImpedancePolicy::GeometricMean { scale })
 }
 
 /// Minimum of the √2-spaced sweep upward from scale 1 (`at_one` rounds),
 /// stopped at `up_to` or once the bowl has risen twice past its minimum.
-fn sweep_min(split: &SplitSystem, at_one: u64, up_to: f64) -> (f64, u64) {
+fn sweep_min(p: &DtmProblem, at_one: u64, up_to: f64) -> (f64, u64) {
     let mut best = (1.0, at_one);
     let mut rises = 0;
     for scale in (1..).map(|i| 2f64.powf(f64::from(i) / 2.0)) {
         if scale > up_to * 1.001 || rises == 2 {
             break;
         }
-        let r = at_scale(split, scale);
+        let r = at_scale(p, scale);
         if r < best.1 {
             best = (scale, r);
             rises = 0;
@@ -214,15 +189,15 @@ fn matched_against_scale_one_and_the_swept_minimum() {
     );
     let mut broken = Vec::new();
     for p in PINNED {
-        let split = torn((p.a)(), p.parts);
-        let m = Matching::of(&split);
-        let one = at_scale(&split, 1.0);
-        let matched = rounds(&split, ImpedancePolicy::Matched);
-        let (best_scale, best) = sweep_min(&split, one, 16.0);
+        let problem = torn((p.a)(), p.parts);
+        let m = Matching::of(&problem.split);
+        let one = at_scale(&problem, 1.0);
+        let matched = rounds(&problem, ImpedancePolicy::Matched);
+        let (best_scale, best) = sweep_min(&problem, one, 16.0);
         println!(
             "{:<24} {:>5} {:>5}  {:>9.3e} {:>6.3} {:>6.2}  {:>7} {:>7} {:>6} @{:<5.2}",
             p.name,
-            split.original_n,
+            problem.split.original_n,
             p.parts,
             m.mu,
             m.gamma,
@@ -259,13 +234,13 @@ fn matched_against_scale_one_and_the_swept_minimum() {
 /// scale 1.
 #[test]
 fn one_dimensional_chain_is_a_known_miss_that_still_beats_scale_one() {
-    let split = torn(generators::tridiagonal(256, 2.001, -1.0), 4);
-    let one = at_scale(&split, 1.0);
-    let matched = rounds(&split, ImpedancePolicy::Matched);
-    let far = at_scale(&split, 64.0);
+    let problem = torn(generators::tridiagonal(256, 2.001, -1.0), 4);
+    let one = at_scale(&problem, 1.0);
+    let matched = rounds(&problem, ImpedancePolicy::Matched);
+    let far = at_scale(&problem, 64.0);
     println!(
         "chain 256 @4: {:?} scale 1 {one}, matched {matched}, scale 64 {far}",
-        Matching::of(&split)
+        Matching::of(&problem.split)
     );
     assert!(matched < one && far < matched);
     assert_eq!([one, matched, far], [288, 104, 18]);
@@ -276,10 +251,13 @@ fn one_dimensional_chain_is_a_known_miss_that_still_beats_scale_one() {
 #[test]
 #[ignore = "benchmark-sized; run in release (CI does)"]
 fn comm2d_system_2325_rounds_become_under_400() {
-    let split = torn(generators::grid2d_laplacian(96, 96), 72);
-    assert_eq!(at_scale(&split, 1.0), 2325);
-    let matched = rounds(&split, ImpedancePolicy::Matched);
-    println!("96² @72: {:?} matched {matched}", Matching::of(&split));
+    let problem = torn(generators::grid2d_laplacian(96, 96), 72);
+    assert_eq!(at_scale(&problem, 1.0), 2325);
+    let matched = rounds(&problem, ImpedancePolicy::Matched);
+    println!(
+        "96² @72: {:?} matched {matched}",
+        Matching::of(&problem.split)
+    );
     assert!(matched <= 400, "{matched}");
     assert_eq!(matched, 277);
 }

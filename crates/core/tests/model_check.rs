@@ -19,26 +19,21 @@
 //!    only on the exact metric of its *own* gathered estimate
 //!    (self-validating); the stale-metric mutant retires a freshly
 //!    admitted ticket on the previous occupant's solved value.
-//! 3. **The monitor's resync boundary**: the incremental-metric resync
-//!    must trigger at `metric <= refresh_below` (inclusive); the historical
-//!    `<` mutant skips the resync exactly on the boundary and declares
-//!    convergence from a drifted metric. The checker finds the
-//!    supervisor-polls-between-updates schedule that exposes it.
-//! 4. **Halting is a state** (`fabric.rs`): the LocalDelta halt →
+//! 3. **Halting is a state** (`fabric.rs`): the LocalDelta halt →
 //!    late-wave → re-arm handoff. The halt flag is read under the state
 //!    lock, after the inbox swap, and "all halted" needs quiescence; the
 //!    mutants are the parent commit's check-before-lock (one node counted
 //!    halted twice, so the count never equals the part count), a halted
 //!    node that ignores its mail (the lost wake-up), and a supervisor that
 //!    trusts the count without quiescence (the premature collective halt).
-//! 5. **The ready-queue hand-off**, on the production
+//! 4. **The ready-queue hand-off**, on the production
 //!    `fabric::ReadyQueue` under the production lock: two neighbours are
 //!    never mid-step at once, a part passed over because its neighbour was
 //!    mid-step is never lost, and "queue empty ∧ nobody mid-step" is never
 //!    observed over an undelivered wave. Mutants: `done` in a critical
 //!    section of its own ahead of the pushes, and a finisher that parks
 //!    without re-offering the head of the queue.
-//! 6. **The delay router's hand-off** (`fabric.rs`, `Pool::start` with a
+//! 5. **The delay router's hand-off** (`fabric.rs`, `Pool::start` with a
 //!    delay table), on the production `ReadyQueue`: "queue idle ∧ no wave
 //!    in flight", read under the queue lock, never holds while a routed
 //!    wave is neither in an inbox nor queued. The sender counts the wave
@@ -256,90 +251,7 @@ fn session_stale_metric_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. The monitor resync boundary (`<=` vs `<`)
-// ---------------------------------------------------------------------------
-
-/// Distilled `Monitor` resync discipline (see
-/// `crates/core/src/monitor.rs`, the `metric <= refresh_below` fix from
-/// PR 4), integer-scaled so the boundary equality is exact. The worker
-/// publishes two state updates; the supervisor tracks a cheap
-/// incremental metric that *drifts low* and must re-derive the exact
-/// metric before trusting any stop decision at or below
-/// `refresh_below`.
-fn resync_model(inclusive: bool) {
-    /// Incremental (drifted) metric after observing worker state `v`.
-    fn incremental(v: u64) -> u64 {
-        10 - 5 * v // v=0 → 10, v=1 → 5 (the boundary!), v=2 → 0
-    }
-    /// Exact metric (what a resync recomputes) for worker state `v`.
-    fn exact(v: u64) -> u64 {
-        match v {
-            0 => 10,
-            1 => 7, // the drifted 5 was flattering: truth is above tol
-            _ => 3, // genuinely converged
-        }
-    }
-    const TOL: u64 = 5;
-    const REFRESH_BELOW: u64 = 5;
-
-    let state = Arc::new(AtomicU64::new(0));
-    let worker = {
-        let state = Arc::clone(&state);
-        thread::spawn(move || {
-            state.store(1, Ordering::Release);
-            state.store(2, Ordering::Release);
-        })
-    };
-
-    let converged_at = loop {
-        let v = state.load(Ordering::Acquire);
-        checkpoint(hash_fold(0x4e5c, v));
-        let mut metric = incremental(v);
-        let refresh = if inclusive {
-            metric <= REFRESH_BELOW // production: PR 4's `<=` fix
-        } else {
-            metric < REFRESH_BELOW // mutant: the pre-PR 4 strict `<`
-        };
-        if refresh {
-            metric = exact(v);
-        }
-        if metric <= TOL {
-            break v;
-        }
-    };
-    worker.join().unwrap();
-    assert_eq!(
-        converged_at, 2,
-        "premature stop: converged on a drifted metric at the resync boundary"
-    );
-}
-
-#[test]
-fn monitor_resync_inclusive_boundary_exhaustive() {
-    let report = Builder::new().explore(|| resync_model(true));
-    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
-    assert!(report.complete, "exploration must exhaust: {report:?}");
-}
-
-/// Re-inject the PR 4 bug: with strict `<`, the schedule where the
-/// supervisor polls between the worker's two stores sees the
-/// incremental metric land exactly on `refresh_below`, skips the
-/// resync, and declares convergence from the drifted value. The checker
-/// must find that schedule.
-#[test]
-fn monitor_resync_strict_mutant_is_caught() {
-    let report = Builder::new().explore(|| resync_model(false));
-    let v = report
-        .violation
-        .expect("the boundary premature-stop schedule must be found");
-    assert!(
-        v.message.contains("premature stop"),
-        "unexpected violation:\n{v}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// 4. Halting is a state (fabric.rs): halt → late wave → re-arm
+// 3. Halting is a state (fabric.rs): halt → late wave → re-arm
 // ---------------------------------------------------------------------------
 
 /// Where the distilled pool activation reads its node's halt flag.
@@ -557,7 +469,7 @@ fn pool_all_halted_without_quiescence_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. The ready-queue hand-off (fabric.rs, Pool)
+// 4. The ready-queue hand-off (fabric.rs, Pool)
 // ---------------------------------------------------------------------------
 
 /// What the distilled pool worker does with a part whose step is over.
@@ -748,7 +660,7 @@ fn ready_queue_done_without_reoffering_the_head_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. The delay router's hand-off (fabric.rs, Pool with a delay table)
+// 5. The delay router's hand-off (fabric.rs, Pool with a delay table)
 // ---------------------------------------------------------------------------
 
 /// Where the distilled routed pool counts a routed wave.

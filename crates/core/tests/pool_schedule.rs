@@ -82,8 +82,6 @@ fn activations(split: &SplitSystem, impedance: &ImpedancePolicy, schedule: &Sche
     let n = split.n_parts();
     let mut nodes = nodes(split, impedance);
     let mut monitor = Monitor::new_residual(split, None, SimDuration::ZERO);
-    // Score exactly at and below the tolerance, and bound the drift above.
-    monitor.set_refresh_below(TOL);
     let mut inboxes: Vec<Vec<DtmMsg>> = vec![Vec::new(); n];
     let mut outbox: Vec<(usize, DtmMsg)> = Vec::new();
     // The pool's own bound on overtaking: twice per worker.

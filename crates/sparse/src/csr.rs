@@ -171,30 +171,6 @@ impl Csr {
         y
     }
 
-    /// `r ← b − A x` into a caller-provided buffer — the residual SpMV
-    /// kernel, fused so no intermediate `A x` vector is materialized (the
-    /// allocation-free primitive behind reference-free residual
-    /// termination).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n_cols` or `b`/`r` lengths differ from
-    /// `n_rows`.
-    // lint: hot-path
-    pub fn residual_into(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols, "residual: x length");
-        assert_eq!(b.len(), self.n_rows, "residual: b length");
-        assert_eq!(r.len(), self.n_rows, "residual: r length");
-        for (row, rr) in r.iter_mut().enumerate() {
-            let lo = self.row_ptr[row];
-            let hi = self.row_ptr[row + 1];
-            let mut acc = b[row];
-            for k in lo..hi {
-                acc -= self.values[k] * x[self.col_idx[k]];
-            }
-            *rr = acc;
-        }
-    }
-
     /// ‖b − A x‖₂, computed row-at-a-time without allocating.
     // lint: hot-path
     pub fn residual_norm(&self, x: &[f64], b: &[f64]) -> f64 {
