@@ -277,7 +277,9 @@ fn kernel_case(reps: usize) -> Result<()> {
                 )));
             }
             // A K-column block exists to cost less per RHS than K scalar
-            // solves; near 1.0 means its lanes went back to memory.
+            // solves; near 1.0 means its lanes went back to memory. On a
+            // shared 2-vCPU VM this reads 0.30–0.44 in most runs and up to
+            // 0.68 in a few, so the bound is no tighter than 0.6.
             if case == "grid3d20_fill" && k == 8 && per_rhs > 0.6 {
                 return Err(Error::Parse(format!(
                     "{case}: a K=8 block costs {per_rhs:.2}× a K=1 solve per RHS \

@@ -1021,7 +1021,7 @@ mod tests {
         let machine = sim(common(Termination::Residual { tol: 1e-8 }), &topo);
         let exact = direct(&a, &b);
         for algo in &ALGOS {
-            let (a, b) = ss.reconstruct();
+            let (a, b) = ss.reconstruct().unwrap();
             let report = solve(algo, &a, &b, &derived, None, &machine).unwrap();
             assert!(report.converged, "resid {}", report.final_residual);
             for (u, v) in report.solution.iter().zip(&exact) {

@@ -22,9 +22,10 @@
 //!
 //! # Hooks
 //!
-//! The pool takes one per-node [`Hook`], run before the node may step: it
-//! can mutate the node and returns whether it did (which forces a step even
-//! with no wave pending). A one-shot solve passes [`no_hook`]; a rolling
+//! The pool takes one per-node [`Hook`], run before the node may step and
+//! after it has absorbed the activation's drained waves: it can mutate the
+//! node and returns whether it did (which forces a step even with no wave
+//! pending). A one-shot solve passes [`no_hook`]; a rolling
 //! session passes its column-swap mailbox. That is the whole difference
 //! between the two — a session is a hook, not a fork of the loop.
 //!
@@ -56,8 +57,9 @@ use dtm_simnet::{SimDuration, Topology};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Per-node hook run before the node may step; returns whether it changed
-/// the node (see the [module docs](self)).
+/// Per-node hook run before the node may step, after it has absorbed the
+/// activation's drained waves; returns whether it changed the node (see
+/// the [module docs](self)).
 pub type Hook<N> = Box<dyn Fn(&mut N) -> bool + Send + Sync>;
 
 /// The hook of a one-shot solve: nothing to do between steps.
@@ -291,7 +293,7 @@ pub struct Pool<N> {
 }
 
 /// Run one activation of node `p`, which the caller took off the queue:
-/// drain inbox, merge, step, deliver the outgoing waves. The receivers are
+/// drain inbox, merge, run the hook, step, deliver the outgoing waves. The receivers are
 /// left in `sent` for the caller to link and — `true`: delivered here, not
 /// handed to the router — to queue.
 ///
@@ -326,12 +328,15 @@ fn activate<N: AsyncNode>(shared: &PoolShared<N>, p: usize, sent: &mut Vec<(usiz
         }
         shared.halts.rearm(p);
     }
-    let changed = (shared.before_step)(node);
-    if drain.is_empty() && !force && !changed {
-        return;
-    }
+    // Absorb first, so that the hook sees — and a column swap scales —
+    // the node state this activation's waves have already moved.
+    let waves = !drain.is_empty();
     for msg in drain.drain(..) {
         node.absorb_owned(msg);
+    }
+    let changed = (shared.before_step)(node);
+    if !waves && !force && !changed {
+        return;
     }
     let control = node.step_node(outbox);
     // Publish only the columns this step could have changed — the
@@ -736,6 +741,10 @@ mod tests {
         in_step: Vec<AtomicBool>,
         steps: Vec<AtomicUsize>,
         overlaps: AtomicUsize,
+        /// Steps whose hook saw all of the waves the step solved with,
+        /// at least one — and steps whose hook saw fewer.
+        hook_saw_waves: AtomicUsize,
+        hook_missed_waves: AtomicUsize,
     }
 
     impl Watch {
@@ -744,20 +753,36 @@ mod tests {
                 in_step: (0..n).map(|_| AtomicBool::new(false)).collect(),
                 steps: (0..n).map(|_| AtomicUsize::new(0)).collect(),
                 overlaps: AtomicUsize::new(0),
+                hook_saw_waves: AtomicUsize::new(0),
+                hook_missed_waves: AtomicUsize::new(0),
             })
         }
     }
 
     /// A node that sleeps before its first step (a part whose worker comes
-    /// up late) and before every step (a slow part), and records stepping
-    /// while one of `peers` does. Possible only because the pool is generic
-    /// over the node.
+    /// up late) and before every step (a slow part), records stepping
+    /// while one of `peers` does, and counts the waves it absorbs between
+    /// steps against what [`hook_probe`] saw. Possible only because the
+    /// pool is generic over the node.
     struct Probe<N> {
         inner: N,
         delay: Duration,
         pause: Duration,
         peers: Vec<usize>,
         watch: Arc<Watch>,
+        /// Waves absorbed since the last step.
+        absorbed: usize,
+        /// `absorbed` as the hook found it, where a hook recorded it.
+        at_hook: Option<usize>,
+    }
+
+    /// The hook that records, for the next step, how many waves the node
+    /// had absorbed when the hook ran.
+    fn hook_probe<N>() -> Hook<Probe<N>> {
+        Box::new(|node| {
+            node.at_hook = Some(node.absorbed);
+            false
+        })
     }
 
     impl<N: AsyncNode> AsyncNode for Probe<N> {
@@ -771,10 +796,21 @@ mod tests {
             self.inner.solution()
         }
         fn absorb_owned(&mut self, msg: DtmMsg) {
+            self.absorbed += 1;
             self.inner.absorb_owned(msg);
         }
         fn step_node(&mut self, transport: &mut dyn Transport) -> NodeControl {
             let (me, w) = (self.inner.part(), &*self.watch);
+            let absorbed = std::mem::take(&mut self.absorbed);
+            match self.at_hook.take() {
+                Some(seen) if seen < absorbed => {
+                    w.hook_missed_waves.fetch_add(1, Ordering::SeqCst);
+                }
+                Some(seen) if seen > 0 => {
+                    w.hook_saw_waves.fetch_add(1, Ordering::SeqCst);
+                }
+                _ => {}
+            }
             w.in_step[me].store(true, Ordering::SeqCst);
             // Whoever starts second sees the other. Two *initial* solves
             // may overlap: nobody has sent anything yet, so the pool knows
@@ -842,6 +878,8 @@ mod tests {
                 pause: Duration::ZERO,
                 peers: Vec::new(),
                 watch: watch.clone(),
+                absorbed: 0,
+                at_hook: None,
                 inner,
             })
             .collect();
@@ -995,6 +1033,8 @@ mod tests {
                 pause: Duration::from_micros(if slow.contains(&inner.part()) { 200 } else { 0 }),
                 peers: inner.neighbor_parts().collect(),
                 watch: watch.clone(),
+                absorbed: 0,
+                at_hook: None,
                 inner,
             })
             .collect();
@@ -1028,6 +1068,19 @@ mod tests {
             assert_eq!(pool.workers.len(), 3);
             assert!(pool.routing.is_none(), "no delay to impose, no router");
         }
+    }
+
+    /// The hook runs after the activation has absorbed its drained waves,
+    /// so a column swap scales them with the rest of the node state: at
+    /// every step, the hook saw every wave the step solves with.
+    #[test]
+    fn the_hook_sees_the_activations_drained_waves_absorbed() {
+        let (ss, nodes) = slow_start_problem();
+        let watch = nodes[0].watch.clone();
+        let pool = Pool::start(nodes, 1, 3, None, true, hook_probe());
+        run_to_all_halted(&ss, pool);
+        assert_eq!(watch.hook_missed_waves.load(Ordering::SeqCst), 0);
+        assert!(watch.hook_saw_waves.load(Ordering::SeqCst) > 0);
     }
 
     #[test]

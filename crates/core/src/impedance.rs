@@ -191,29 +191,19 @@ impl Matching {
 
     /// [`of`](Self::of), given the per-DTLP admittances at scale 1.
     fn with_admittances(split: &SplitSystem, admittances: &[f64]) -> Self {
-        // Rows are held as `u32` below; a larger system keeps s = 1.
-        if u32::try_from(split.original_n).is_err() {
-            return Self {
-                mu: f64::NAN,
-                gamma: f64::NAN,
-                scale: 1.0,
-            };
-        }
         // One pass over the subdomain matrices (`Σ_p R_pᵀ A_p R_p = A`,
         // never reassembled): diag(A) — a split vertex's weight is the sum
         // over its copies — and, `A` being symmetric, its strict upper
         // triangle as (row, column, value) in global numbering, 16 bytes
-        // an entry and half as many entries as the rows hold.
+        // an entry and half as many entries as the rows hold. A global
+        // index is below the width of the caller's `Csr`, so it fits `u32`.
         let mut diag = vec![0.0; split.original_n];
         let stored: usize = split.subdomains.iter().map(|sd| sd.matrix.nnz()).sum();
         let mut upper: Vec<(u32, u32, f64)> = Vec::with_capacity(stored / 2);
         for sd in &split.subdomains {
             let globals = &sd.global_of_local;
-            let (row_ptr, cols, vals) =
-                (sd.matrix.row_ptr(), sd.matrix.col_idx(), sd.matrix.values());
             for (l, &g) in globals.iter().enumerate() {
-                let (lo, hi) = (row_ptr[l], row_ptr[l + 1]);
-                for (&c, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
+                for (c, v) in sd.matrix.row(l) {
                     match c.cmp(&l) {
                         Ordering::Equal => diag[g] += v,
                         Ordering::Greater => upper.push((g as u32, globals[c] as u32, v)),

@@ -25,7 +25,8 @@
 //! stack of K scalar solves — the property the block-wave pipeline is built
 //! on. The factor itself sits behind an [`Arc`], so cloning a node's local
 //! system (an executor's per-solve copy of its templates) never
-//! refactors.
+//! refactors. The factor is all a local system keeps of its matrix `Â`:
+//! [`local_matrix`] builds `Â`, the constructor factors it and drops it.
 
 use crate::dtl;
 use dtm_graph::evs::Subdomain;
@@ -105,10 +106,8 @@ impl Factor {
 /// with `n = n_ports`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalSystem {
-    /// Local matrix `Â = A_j + Σ_p (1/z_p) e_v e_vᵀ` (kept for analysis;
-    /// constant, so shared like the factor).
-    matrix: Arc<Csr>,
-    /// Shared factor: cloning a `LocalSystem` never refactors.
+    /// Shared factor of [`local_matrix`]: cloning a `LocalSystem` never
+    /// refactors.
     factor: Arc<Factor>,
     /// Local vertex carrying each port.
     port_vertex: Vec<usize>,
@@ -220,26 +219,15 @@ impl LocalSystem {
         base_rhs: Vec<f64>,
         k: usize,
     ) -> Result<Self> {
-        assert_eq!(z.len(), sub.n_ports(), "one impedance per port");
-        assert!(
-            z.iter().all(|&zi| zi > 0.0 && zi.is_finite()),
-            "impedances must be positive"
-        );
-        let n = sub.n_local();
-        // Σ 1/z per local vertex (a vertex may carry several ports).
-        let mut diag_add = vec![0.0; n];
-        for (p, port) in sub.ports.iter().enumerate() {
-            diag_add[port.local_vertex] += 1.0 / z[p];
-        }
-        let matrix = sub.matrix.add_to_diagonal(&diag_add);
+        let matrix = local_matrix(sub, z);
         let factor = match kind {
             LocalSolverKind::Dense => Factor::Dense(DenseCholesky::factor_csr(&matrix)?),
             LocalSolverKind::SparseRcm => Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?),
             LocalSolverKind::Auto => Factor::auto(&matrix)?,
         };
-        let n_ports = sub.n_ports();
+        drop(matrix);
+        let (n, n_ports) = (sub.n_local(), sub.n_ports());
         Ok(Self {
-            matrix: Arc::new(matrix),
             factor: Arc::new(factor),
             port_vertex: sub.ports.iter().map(|p| p.local_vertex).collect(),
             z: z.to_vec(),
@@ -308,11 +296,6 @@ impl LocalSystem {
     /// Number of right-hand-side columns in the block.
     pub fn n_rhs(&self) -> usize {
         self.k
-    }
-
-    /// The (constant) local coefficient matrix `Â`.
-    pub fn matrix(&self) -> &Csr {
-        &self.matrix
     }
 
     /// Per-port impedances.
@@ -471,6 +454,26 @@ impl LocalSystem {
     }
 }
 
+/// The local coefficient matrix `Â = A_j + Σ_p (1/z_p) e_v e_vᵀ` of `sub`
+/// under the per-port impedances `z` — what a [`LocalSystem`] factors. It
+/// is constant, and the factor is all a local system keeps of it.
+///
+/// # Panics
+/// Panics if `z.len() != sub.n_ports()` or any impedance is non-positive.
+pub fn local_matrix(sub: &Subdomain, z: &[f64]) -> Csr {
+    assert_eq!(z.len(), sub.n_ports(), "one impedance per port");
+    assert!(
+        z.iter().all(|&zi| zi > 0.0 && zi.is_finite()),
+        "impedances must be positive"
+    );
+    // Σ 1/z per local vertex (a vertex may carry several ports).
+    let mut diag_add = vec![0.0; sub.n_local()];
+    for (p, port) in sub.ports.iter().enumerate() {
+        diag_add[port.local_vertex] += 1.0 / z[p];
+    }
+    sub.matrix.add_to_diagonal(&diag_add)
+}
+
 /// Concatenate equal-length columns into one column-major buffer.
 fn concat_cols(cols: &[Vec<f64>], n: usize) -> Vec<f64> {
     assert!(!cols.is_empty(), "at least one RHS column");
@@ -496,8 +499,7 @@ mod tests {
         // [5 −1 −1; −1 7.5 −0.9; −1 −0.9 13.3] in (x1, x2a, x3a) order —
         // ours is (x2a, x3a, x1).
         let ss = paper_split();
-        let ls = LocalSystem::new(&ss.subdomains[0], &[0.2, 0.1], LocalSolverKind::Dense).unwrap();
-        let m = ls.matrix();
+        let m = local_matrix(&ss.subdomains[0], &[0.2, 0.1]);
         assert!((m.get(0, 0) - 7.5).abs() < 1e-12); // 2.5 + 1/0.2
         assert!((m.get(1, 1) - 13.3).abs() < 1e-12); // 3.3 + 1/0.1
         assert!((m.get(2, 2) - 5.0).abs() < 1e-12);
@@ -510,8 +512,7 @@ mod tests {
         // (5.5): subgraph-2 matrix [8.5 −1.1 −1; −1.1 13.7 −2; −1 −2 8] in
         // (x2b, x3b, x4) order.
         let ss = paper_split();
-        let ls = LocalSystem::new(&ss.subdomains[1], &[0.2, 0.1], LocalSolverKind::Dense).unwrap();
-        let m = ls.matrix();
+        let m = local_matrix(&ss.subdomains[1], &[0.2, 0.1]);
         assert!((m.get(0, 0) - 8.5).abs() < 1e-12); // 3.5 + 5
         assert!((m.get(1, 1) - 13.7).abs() < 1e-12); // 3.7 + 10
         assert!((m.get(2, 2) - 8.0).abs() < 1e-12);
@@ -526,7 +527,7 @@ mod tests {
         let mut ls =
             LocalSystem::new(&ss.subdomains[0], &[0.2, 0.1], LocalSolverKind::Dense).unwrap();
         let x = ls.solve().to_vec();
-        let expect = dtm_sparse::DenseCholesky::factor_csr(ls.matrix())
+        let expect = DenseCholesky::factor_csr(&local_matrix(&ss.subdomains[0], &[0.2, 0.1]))
             .unwrap()
             .solve(&[0.8, 1.6, 1.0]);
         for (u, v) in x.iter().zip(&expect) {

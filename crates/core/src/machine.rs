@@ -287,7 +287,7 @@ pub(crate) mod tests {
     /// DTM reaches oracle RMS ≤ 1e-8 on a 10 × 10 grid in 4 strips.
     pub(crate) fn converges(rows: Rows) {
         let ss = grid_split(10, 4, 71);
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         for machine in rows(4, rule(Termination::OracleRms { tol: 1e-8 })) {
             let report = solve(&ss, &machine).unwrap();
             assert!(report.converged, "{machine:?}: rms {}", report.final_rms);
@@ -434,7 +434,7 @@ pub(crate) mod tests {
         let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
         let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
         assert!(std::sync::Arc::ptr_eq(&ss.a, &g.shared().0));
-        assert_ne!(ss.reconstruct().0, a, "the re-sum differs from A");
+        assert_ne!(ss.reconstruct().unwrap().0, a, "the re-sum differs from A");
         let (tol, tables): (_, [Rows; 3]) = (1e-8, [simulated_rows, lockstep_rows, pool_rows]);
         let common = rule(Termination::Residual { tol });
         for machine in tables.iter().flat_map(|rows| rows(9, common.clone())) {
@@ -452,7 +452,7 @@ pub(crate) mod tests {
     #[test]
     fn a_nan_tolerance_is_a_typed_error_on_every_machine() {
         let ss = grid_split(6, 2, 91);
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         let asg = crate::async_baselines::assignment_of(&ss);
         let started = std::time::Instant::now();
         for termination in [
@@ -508,7 +508,7 @@ pub(crate) mod tests {
     #[test]
     fn a_negative_tolerance_is_a_typed_error_on_every_machine() {
         let ss = grid_split(6, 2, 93);
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         let asg = crate::async_baselines::assignment_of(&ss);
         let started = std::time::Instant::now();
         let named = |err: &Error| matches!(err, Error::Parse(m) if m.contains("-1e-6"));

@@ -32,7 +32,12 @@
 //! against the reference for an oracle column. No running sum is carried
 //! from one scoring to the next, so no rounding error of earlier, larger
 //! terms is carried either: a score is exact down to the last bits of the
-//! estimate, whatever the tolerance.
+//! estimate, whatever the tolerance. The one refinement is where the
+//! SpMV's rows are computed: once [`update_part`](Monitor::update_part)
+//! feeds the monitor, a residual column keeps each row's square, an
+//! activation recomputes only the rows its part's vertices appear in —
+//! no other row's terms moved — and all n squares are summed in row
+//! order, [`Csr::residual_norm`] bit for bit.
 //!
 //! # Feeding it
 //!
@@ -42,7 +47,7 @@
 //!   and lock-step machines): the part's new block is diffed against the
 //!   kept one, the estimate moves entry by entry, and every live column
 //!   the block moved is scored exactly — one scoring per moved column per
-//!   activation;
+//!   activation, over the rows the part touches;
 //! * `poll` — whatever the wall-clock workers published since the last
 //!   poll, for the columns the pass asks for: each block's dirty wanted
 //!   columns are copied into the kept copy — the supervisor's mirror of
@@ -254,6 +259,9 @@ struct Column {
     /// The column's last scored `(time, metric)`, whose decay
     /// [`next_poll`] extrapolates; `None` until the occupant is scored.
     last: Option<(Duration, f64)>,
+    /// Each row's squared residual as last scored, kept once the monitor
+    /// rescores row by row ([`Monitor::update_part`]); empty until then.
+    sq: Vec<f64>,
 }
 
 impl Column {
@@ -267,6 +275,7 @@ impl Column {
             score: 0.0,
             due: Duration::ZERO,
             last: None,
+            sq: Vec::new(),
         }
     }
 
@@ -279,12 +288,25 @@ impl Column {
     }
 
     /// Score the column exactly from the estimate: one O(n) difference
-    /// against the reference, or one SpMV for the residual — the very
-    /// numbers [`Monitor::retire`] reports.
-    fn rescore(&mut self, a: &Csr, est: &[f64]) {
+    /// against the reference, or the residual — the very numbers
+    /// [`Monitor::retire`] reports. Where the column keeps its rows'
+    /// squares, those of `rows` (`None`: every row) are recomputed and all
+    /// n are summed in row order, which is [`Csr::residual_norm`] bit for
+    /// bit as long as no other row has moved since its square was kept;
+    /// otherwise the residual is one SpMV.
+    fn rescore(&mut self, a: &Csr, est: &[f64], rows: Option<&[u32]>) {
         self.score = match &self.reference {
             Some(reference) if self.by_oracle => dtm_sparse::vector::rms_error(est, reference),
-            _ => a.residual_norm(est, &self.b) / self.b_scale,
+            _ if self.sq.is_empty() => a.residual_norm(est, &self.b) / self.b_scale,
+            _ => {
+                let (sq, b) = (&mut self.sq, &self.b);
+                let mut redo = |r: usize| sq[r] = a.residual_sq(r, est, b[r]);
+                match rows {
+                    Some(rows) => rows.iter().for_each(|&r| redo(r as usize)),
+                    None => (0..b.len()).for_each(redo),
+                }
+                sq.iter().fold(0.0, |sum, &q| sum + q).sqrt() / self.b_scale
+            }
         };
     }
 }
@@ -310,6 +332,12 @@ pub struct Monitor {
     est: Vec<f64>,
     /// Scratch for the `A·x̂` of [`admit`](Self::admit)'s projection.
     ax: Vec<f64>,
+    /// Per part, the rows of `A` with a stored entry in one of the part's
+    /// columns — every row whose residual an
+    /// [`update_part`](Self::update_part) of that part can move. Built by
+    /// the first `update_part`, the one feed that rescores row by row;
+    /// empty until then.
+    part_rows: Vec<Vec<u32>>,
     cols: Vec<Column>,
     series: Vec<(f64, f64)>,
     sample_interval: SimDuration,
@@ -345,6 +373,7 @@ impl Monitor {
             sum: vec![0.0; n * slots],
             est: vec![0.0; n * slots],
             ax: vec![0.0; n],
+            part_rows: Vec::new(),
             cols: (0..slots).map(|_| Column::idle(n)).collect(),
             series: Vec::new(),
             sample_interval,
@@ -411,7 +440,7 @@ impl Monitor {
         // was supplied; the other modes score against the oracle exactly
         // when one exists.
         col.by_oracle = reference.is_some() && !matches!(rule, Termination::Residual { .. });
-        col.rescore(&self.a, &self.est[c * n..(c + 1) * n]);
+        col.rescore(&self.a, &self.est[c * n..(c + 1) * n], None);
         alpha
     }
 
@@ -566,18 +595,62 @@ impl Monitor {
         let n = self.n;
         for (c, col) in self.cols.iter_mut().enumerate() {
             if col.rule.is_some() {
-                col.rescore(&self.a, &self.est[c * n..(c + 1) * n]);
+                col.rescore(&self.a, &self.est[c * n..(c + 1) * n], None);
             }
         }
         self.metric()
     }
 
+    /// Switch row-by-row rescoring on: list each part's rows
+    /// ([`part_rows`](Self::part_rows)) — through the parts holding each
+    /// vertex, so the lists are exact for any pattern of `A` — and give
+    /// every column its rows' squares, scored afresh where it is live.
+    fn track_rows(&mut self) {
+        let n = self.n;
+        let mut ptr = vec![0usize; n + 1];
+        for &g in self.global_of_local.iter().flatten() {
+            ptr[g + 1] += 1;
+        }
+        for g in 0..n {
+            ptr[g + 1] += ptr[g];
+        }
+        let mut holders = vec![0usize; ptr[n]];
+        let mut next = ptr.clone();
+        for (p, g2l) in self.global_of_local.iter().enumerate() {
+            for &g in g2l {
+                holders[next[g]] = p;
+                next[g] += 1;
+            }
+        }
+        let n_parts = self.global_of_local.len();
+        let (mut rows, mut last) = (vec![Vec::new(); n_parts], vec![usize::MAX; n_parts]);
+        for r in 0..n {
+            for (c, _) in self.a.row(r) {
+                for &p in &holders[ptr[c]..ptr[c + 1]] {
+                    if last[p] != r {
+                        last[p] = r;
+                        // `A` is square and its columns fit `u32`.
+                        rows[p].push(r as u32);
+                    }
+                }
+            }
+        }
+        self.part_rows = rows;
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            col.sq = vec![0.0; n];
+            if col.rule.is_some() {
+                col.rescore(&self.a, &self.est[c * n..(c + 1) * n], None);
+            }
+        }
+    }
+
     /// [`update_part`](Self::update_part)'s per-part feed: diff `x` against
     /// the kept block, move the estimate entry by entry, and score every
-    /// live column that moved.
+    /// live column that moved — only the rows the part touches recomputed.
     // lint: hot-path
     fn absorb(&mut self, part: usize, x: &[f64]) {
         let g2l = &self.global_of_local[part];
+        let rows = &self.part_rows[part];
         let values = &mut self.part_values[part];
         let (nl, n) = (g2l.len(), self.n);
         assert_eq!(x.len(), nl * self.cols.len(), "monitor: local block length");
@@ -596,7 +669,7 @@ impl Monitor {
                 moved = true;
             }
             if moved && col.rule.is_some() {
-                col.rescore(&self.a, &self.est[c * n..(c + 1) * n]);
+                col.rescore(&self.a, &self.est[c * n..(c + 1) * n], Some(rows));
             }
         }
     }
@@ -639,6 +712,9 @@ impl Monitor {
     /// `n_local·k` column-major solution) and return the worst live metric
     /// — exact: every column the block moved is scored afresh.
     pub fn update_part(&mut self, part: usize, time: SimTime, x: &[f64]) -> f64 {
+        if self.part_rows.is_empty() {
+            self.track_rows();
+        }
         self.absorb(part, x);
         let metric = self.metric();
         self.record(time, metric);
@@ -708,7 +784,7 @@ impl Monitor {
         for c in (0..k).filter(|&c| published != 0 && has_col(published, c, k)) {
             if self.cols[c].rule.is_some() {
                 self.gather(c);
-                self.cols[c].rescore(&self.a, &self.est[c * n..(c + 1) * n]);
+                self.cols[c].rescore(&self.a, &self.est[c * n..(c + 1) * n], None);
             }
         }
         let metric = self.metric();
@@ -757,7 +833,7 @@ mod tests {
 
     /// One column per reference, scored by oracle RMS at `tol`.
     fn oracle(ss: &SplitSystem, refs: &[Vec<f64>], tol: f64, interval: SimDuration) -> Monitor {
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let mut m = idle(ss, refs.len(), interval);
         for (c, r) in refs.iter().enumerate() {
             m.admit(c, &b, Termination::OracleRms { tol }, Some(r));
@@ -967,7 +1043,7 @@ mod tests {
     #[test]
     fn each_column_is_due_on_its_own_decay() {
         let (ss, _) = make();
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let rule = Termination::Residual { tol: 1e-6 };
         let mut m = idle(&ss, 3, NO_SERIES);
         assert_eq!((m.due(Duration::MAX), m.next_due()), (0, None), "idle");
@@ -1051,7 +1127,7 @@ mod tests {
     #[test]
     fn admission_starts_from_the_a_norm_projection_of_the_slot_estimate() {
         let (ss, _) = make();
-        let (a, b1) = ss.reconstruct();
+        let (a, b1) = ss.reconstruct().unwrap();
         let b2 = generators::random_rhs(16, 8);
         let xhat: Vec<f64> = (0..16).map(|i| 1.0 + 0.3 * (i as f64).sin()).collect();
         let mut m = idle(&ss, 1, NO_SERIES);
@@ -1078,7 +1154,7 @@ mod tests {
     #[test]
     fn a_fresh_slot_starts_cold() {
         let (ss, reference) = make();
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let mut m = idle(&ss, 2, NO_SERIES);
         assert_eq!(
             m.admit(0, &b, Termination::Residual { tol: 1e-9 }, None),
@@ -1112,7 +1188,7 @@ mod tests {
     #[test]
     fn readmitting_the_retired_rhs_starts_from_its_answer() {
         let (ss, reference) = make();
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let mut m = idle(&ss, 1, NO_SERIES);
         m.admit(0, &b, Termination::Residual { tol: 1e-9 }, None);
         feed(&mut m, &ss, &reference, 0);
@@ -1193,7 +1269,7 @@ mod tests {
     #[test]
     fn a_nan_score_is_never_within_tolerance() {
         let (ss, _) = make();
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let mut m = idle(&ss, 2, SimDuration::ZERO);
         let mut bad = b.clone();
         bad[3] = f64::NAN;
@@ -1300,7 +1376,7 @@ mod tests {
     #[test]
     fn incremental_residual_matches_exact_recompute() {
         let (ss, _) = make();
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         let bnorm = vector::norm2(&b);
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
         for round in 0..5 {
@@ -1322,7 +1398,7 @@ mod tests {
         // residual-scored — the metric (and the series) never see the
         // oracle — and reports its RMS when it retires.
         let (ss, reference) = make();
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let mut m = idle(&ss, 1, SimDuration::ZERO);
         m.admit(0, &b, Termination::Residual { tol: 1e-6 }, Some(&reference));
         assert!(
@@ -1348,7 +1424,7 @@ mod tests {
         // exact recomputation agrees — the stop decision never fires on a
         // stale or drifted number.
         let (ss, reference) = make();
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         let tol = 1e-3;
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
         let mut crossings = 0;
@@ -1436,7 +1512,7 @@ mod tests {
         // the estimate is mid-flight. Every `done` is checked against a
         // from-scratch recomputation of that column's own metric.
         let (ss, _) = make();
-        let (a, _) = ss.reconstruct();
+        let (a, _) = ss.reconstruct().unwrap();
         let factor = dtm_sparse::SparseCholesky::factor(&a).unwrap();
         let rhs = |seed| generators::random_rhs(16, seed);
         let (b0, b1, b2) = (rhs(70), rhs(71), rhs(72));

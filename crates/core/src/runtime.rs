@@ -1166,7 +1166,7 @@ mod tests {
         // alone implements the whole algorithm.
         let ss = paper_split();
         let mut nodes = build_nodes(&ss, &paper_common()).unwrap();
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         let exact = dtm_sparse::DenseCholesky::factor_csr(&a).unwrap().solve(&b);
 
         let mut inboxes: Vec<Vec<DtmMsg>> = vec![Vec::new(), Vec::new()];
@@ -1324,7 +1324,7 @@ mod tests {
         // payloads, and column 0 (the split's own b, round-tripped through
         // the scatter fractions) matches the scalar build to rounding.
         let ss = paper_split();
-        let (_, b) = ss.reconstruct();
+        let (_, b) = ss.reconstruct().unwrap();
         let cols = vec![b, vec![1.0, 0.0, 0.0, 0.0], vec![0.0, -1.0, 2.0, 0.5]];
         let mut block_nodes = build_nodes_block(&ss, &paper_common(), &cols).unwrap();
         let mut scalar_nodes = build_nodes(&ss, &paper_common()).unwrap();

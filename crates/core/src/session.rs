@@ -959,7 +959,7 @@ mod tests {
     #[test]
     fn rolling_sim_session_admits_mid_exchange_without_restart() {
         let problem = grid_problem(8);
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let mut session = problem.rolling(2).expect("builds");
         let b1 = generators::random_rhs(64, 11);
         let b2 = generators::random_rhs(64, 12);
@@ -1048,7 +1048,7 @@ mod tests {
         // first one's answer (α ≈ 1) and retires in a fraction of the
         // activations the cold start took.
         let problem = grid_problem(8);
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let mut session = problem.rolling(1).expect("builds");
         let b = generators::random_rhs(64, 31);
         let rule = Termination::Residual { tol: 1e-8 };
@@ -1072,7 +1072,7 @@ mod tests {
         // The pool's admission is scored on the warm start: the resubmitted
         // ticket starts next to its retired answer, not at residual 1.
         let problem = grid_problem(8);
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let mut session = problem.rolling_workstealing(1, 2).expect("spawns");
         let b = generators::random_rhs(64, 32);
         let rule = Termination::Residual { tol: 1e-7 };
@@ -1118,7 +1118,7 @@ mod tests {
     #[test]
     fn rolling_pool_session_scores_each_column_on_its_own_cadence() {
         let problem = grid_problem(12);
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let mut session = problem.rolling_workstealing(4, 2).expect("spawns");
         let work: Vec<(Vec<f64>, f64)> = (0..12)
             .map(|i| {
@@ -1178,7 +1178,7 @@ mod tests {
         // Wider than the 64-bit column mask: every live column is scored
         // whenever any is due.
         let problem = grid_problem(6);
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let mut session = problem.rolling_workstealing(65, 2).expect("spawns");
         let work: Vec<Vec<f64>> = (0..70)
             .map(|i| generators::random_rhs(36, 900 + i))
@@ -1223,7 +1223,7 @@ mod tests {
     #[test]
     fn rolling_pool_session_serves_staggered_tickets() {
         let problem = grid_problem(8);
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let mut session = problem.rolling_workstealing(2, 2).expect("spawns");
         let b1 = generators::random_rhs(64, 41);
         let b2 = generators::random_rhs(64, 42);

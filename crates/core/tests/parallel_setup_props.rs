@@ -50,7 +50,7 @@ fn random_system(n: usize, edges: &[(usize, usize, f64)], seed: u64) -> Electric
             (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         })
         .collect();
-    ElectricGraph::from_system(coo.to_csr(), b).unwrap()
+    ElectricGraph::from_system(coo.to_csr().unwrap(), b).unwrap()
 }
 
 fn dense_assignment(mut asg: Vec<usize>, n_parts: usize) -> Vec<usize> {

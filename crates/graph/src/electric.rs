@@ -159,7 +159,7 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(1, 1, 1.0).unwrap();
         coo.push(0, 1, 0.5).unwrap();
-        let err = ElectricGraph::from_system(coo.to_csr(), vec![0.0, 0.0]);
+        let err = ElectricGraph::from_system(coo.to_csr().unwrap(), vec![0.0, 0.0]);
         assert!(matches!(err, Err(Error::NotSymmetric { .. })));
     }
 

@@ -190,7 +190,11 @@ impl SplitSystem {
     /// the O(ε) of share division — the invariant
     /// [`crate::validate::check_reconstruction`] checks, on no solve path
     /// (runs are scored against [`a`](Self::a) and [`b`](Self::b)).
-    pub fn reconstruct(&self) -> (Csr, Vec<f64>) {
+    ///
+    /// # Errors
+    /// [`Error::TooManyColumns`] if `original_n` is wider than a `Csr`
+    /// holds — never for a split of a `Csr`.
+    pub fn reconstruct(&self) -> Result<(Csr, Vec<f64>)> {
         let mut coo = Coo::new(self.original_n, self.original_n);
         let mut b = vec![0.0; self.original_n];
         for sd in &self.subdomains {
@@ -208,7 +212,7 @@ impl SplitSystem {
                 }
             }
         }
-        (coo.to_csr(), b)
+        Ok((coo.to_csr()?, b))
     }
 
     /// Scatter a *new* global right-hand side onto the existing split: each
@@ -660,7 +664,7 @@ fn assemble_part(p: usize, index: &SplitIndex) -> Result<Subdomain> {
     }
     Ok(Subdomain {
         part: p,
-        matrix: coo.to_csr(),
+        matrix: coo.to_csr()?,
         rhs,
         rhs_weight,
         global_of_local: gl.clone(),
@@ -872,7 +876,7 @@ mod tests {
     #[test]
     fn reconstruction_recovers_original() {
         let ss = paper_split();
-        let (a2, b2) = ss.reconstruct();
+        let (a2, b2) = ss.reconstruct().unwrap();
         let (a, b) = generators::paper_example_system();
         assert!(a.to_dense().max_abs_diff(&a2.to_dense()) < 1e-12);
         for (u, v) in b.iter().zip(&b2) {
@@ -950,7 +954,7 @@ mod tests {
         assert_eq!(v4_dtlps[1].a.part, 1);
         assert_eq!(v4_dtlps[1].b.part, 2);
         // Reconstruction still exact.
-        let (a2, b2) = ss.reconstruct();
+        let (a2, b2) = ss.reconstruct().unwrap();
         let (a, _) = generators::paper_example_system();
         let _ = a;
         let orig = generators::grid2d_laplacian(3, 3);
@@ -1009,7 +1013,7 @@ mod tests {
         let asg = crate::partition::grid_blocks(9, 9, 3, 3);
         let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
         let ss = split(&g, &plan, &EvsOptions::default()).unwrap();
-        let (a2, b2) = ss.reconstruct();
+        let (a2, b2) = ss.reconstruct().unwrap();
         assert!(a.to_dense().max_abs_diff(&a2.to_dense()) < 1e-10);
         for (u, v) in b.iter().zip(&b2) {
             assert!((u - v).abs() < 1e-10);
@@ -1078,7 +1082,7 @@ mod tree_within_tests {
         }
         // Reconstruction still exact and wiring consistent.
         crate::validate::check_wiring(&ss).unwrap();
-        let (a2, _) = ss.reconstruct();
+        let (a2, _) = ss.reconstruct().unwrap();
         let orig = generators::grid2d_laplacian(9, 9);
         assert!(orig.to_dense().max_abs_diff(&a2.to_dense()) < 1e-12);
     }

@@ -534,7 +534,7 @@ mod tests {
         }
         coo.push_sym(0, 1, -1.0).unwrap();
         coo.push_sym(3, 4, -1.0).unwrap();
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let asg = nested_dissection(&a, 3);
         let m = metrics(&a, &asg);
         assert_eq!(m.sizes.len(), 3);
@@ -601,7 +601,7 @@ mod tests {
                 coo.push_sym(i, i + 1, -1.0).unwrap();
             }
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]
@@ -655,7 +655,7 @@ mod tests {
         for i in 0..n {
             coo.push(i, i, 1.0).unwrap();
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let t = std::time::Instant::now();
         let asg = nested_dissection(&a, 4);
         let wall = t.elapsed();

@@ -43,7 +43,7 @@ pub fn check_theorem_hypothesis(ss: &SplitSystem, tol: f64) -> TheoremCheck {
 /// # Errors
 /// [`Error::Parse`] describing the first mismatching entry.
 pub fn check_reconstruction(ss: &SplitSystem, a: &Csr, b: &[f64], tol: f64) -> Result<()> {
-    let (a2, b2) = ss.reconstruct();
+    let (a2, b2) = ss.reconstruct()?;
     if a2.n_rows() != a.n_rows() {
         return Err(Error::DimensionMismatch {
             context: "check_reconstruction",

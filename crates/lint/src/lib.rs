@@ -2,7 +2,7 @@
 //!
 //! A hand-rolled line lexer (no `syn`) splits every source line into its
 //! code and comment halves — tracking block comments, string/char
-//! literals, and raw strings — and seven rules run over the result:
+//! literals, and raw strings — and eight rules run over the result:
 //!
 //! 1. **panic-free** — no `.unwrap()` / `.expect(` / `panic!` in library
 //!    crates outside test code. Existing debt is carried by a ratcheting
@@ -27,6 +27,11 @@
 //!    outside test code, `.reconstruct(` is never called, and
 //!    `residual_norm(` / `rms_error(` only in `crates/core/src/monitor.rs`:
 //!    the one `Monitor` scores every executor, on the caller's own system.
+//! 8. **checked-index** — no bare `as u32` in `crates/sparse/src` outside
+//!    test code: a `Csr`'s column indices and the Cholesky factor's row
+//!    indices are `u32`, and an index narrowed by a cast would wrap
+//!    silently; narrowing goes through `u32::try_from` where the index is
+//!    stored.
 //!
 //! Run as `cargo run -p dtm-lint` or `repro lint`; both exit nonzero on
 //! any finding, which is what gates CI.
@@ -49,6 +54,7 @@ pub enum Rule {
     HotPathAlloc,
     SingleReport,
     SingleScorer,
+    CheckedIndex,
 }
 
 impl Rule {
@@ -61,6 +67,7 @@ impl Rule {
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::SingleReport => "single-report",
             Rule::SingleScorer => "single-scorer",
+            Rule::CheckedIndex => "checked-index",
         }
     }
 }
@@ -576,6 +583,30 @@ pub fn scan_single_scorer(file: &Path, lines: &[LexedLine], home: bool) -> Vec<F
     out
 }
 
+/// Rule 8: a bare `as u32` cast outside test code, found as the two
+/// adjacent words of the line's code (so `as_u32`, `has u32` and
+/// `as usize` are not casts).
+pub fn scan_checked_index(file: &Path, lines: &[LexedLine]) -> Vec<Finding> {
+    let mask = test_region_mask(lines);
+    let mut out = Vec::new();
+    for (n, l) in lines.iter().enumerate() {
+        let words: Vec<&str> = l
+            .code
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        if !mask[n] && words.windows(2).any(|w| w == ["as", "u32"]) {
+            out.push(finding(
+                Rule::CheckedIndex,
+                file,
+                n,
+                "index narrowed by `as u32` (use `u32::try_from` where it is stored)",
+            ));
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Workspace driver
 // ---------------------------------------------------------------------------
@@ -628,6 +659,9 @@ pub fn scan_file(relpath: &Path, text: &str) -> (Vec<Finding>, Vec<Finding>) {
     let mut findings = scan_safety(relpath, &lines);
     if s.starts_with("crates/sparse/") {
         findings.extend(scan_fma(relpath, &lines));
+    }
+    if s.starts_with("crates/sparse/src/") {
+        findings.extend(scan_checked_index(relpath, &lines));
     }
     if s.starts_with("crates/simnet/src/") {
         findings.extend(scan_determinism(relpath, &lines));

@@ -224,6 +224,38 @@ fn single_scorer_rule_spares_the_monitor_tests_other_names_and_other_crates() {
     assert!(f.is_empty(), "{f:#?}");
 }
 
+#[test]
+fn checked_index_rule_flags_a_bare_u32_cast_in_sparse_library_code() {
+    let text = "fn f(i: usize) -> u32 {\n    i as u32\n}\n\
+                fn g(v: &[usize]) -> Vec<u32> { v.iter().map(|&i| i as  u32).collect() }\n";
+    let (f, _) = scan_file(Path::new("crates/sparse/src/csr.rs"), text);
+    let at: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        at,
+        [(Rule::CheckedIndex, 2), (Rule::CheckedIndex, 4)],
+        "{f:#?}"
+    );
+}
+
+#[test]
+fn checked_index_rule_spares_checked_narrowing_tests_and_other_crates() {
+    let checked = "fn f(i: usize, c: u32) -> usize {\n    \
+                   let n = u32::try_from(i).unwrap_or(u32::MAX);\n    \
+                   c as usize + n.as_u32() as usize // a cast as u32 in prose\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t(i: usize) -> u32 { i as u32 }\n}\n";
+    let (f, _) = scan_file(Path::new("crates/sparse/src/coo.rs"), checked);
+    assert!(f.is_empty(), "{f:#?}");
+    let cast = "fn f(i: usize) -> u32 { i as u32 }\n";
+    for path in [
+        "crates/core/src/impedance.rs",
+        "crates/sparse/tests/block_solve_props.rs",
+        "crates/net/src/wire.rs",
+    ] {
+        let (f, _) = scan_file(Path::new(path), cast);
+        assert!(f.is_empty(), "{path}: {f:#?}");
+    }
+}
+
 // --- allowlist -----------------------------------------------------------
 
 #[test]

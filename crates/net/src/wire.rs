@@ -3,7 +3,8 @@
 //! Everything on a socket is a **frame**: a 4-byte little-endian payload
 //! length followed by the payload, whose first byte is a message tag. All
 //! integers are little-endian; `usize` fields travel as `u64` so the
-//! format is identical across pointer widths. [`SmallBlock`]s are encoded
+//! format is identical across pointer widths; a [`Csr`]'s column indices
+//! travel as the `u32`s they are stored as. [`SmallBlock`]s are encoded
 //! losslessly as `u32` length + that many `f64`s — the inline-vs-spill
 //! distinction is a property of the length alone, so decode rebuilds the
 //! exact in-memory representation via [`SmallBlock::from_fn`].
@@ -27,6 +28,7 @@
 
 use dtm_core::runtime::{DtmMsg, PortUpdate, SmallBlock, Termination};
 use dtm_graph::evs::{Port, PortRef, Subdomain};
+use dtm_sparse::csr::check_n_cols;
 use dtm_sparse::{Csr, Error, Result};
 use std::io::{BufReader, Read, Write};
 
@@ -292,6 +294,15 @@ impl Enc<'_> {
         }
     }
 
+    /// A count, then that many `u32`s: a [`Csr`]'s column indices, at
+    /// the width they are stored.
+    fn u32s(&mut self, vs: &[u32]) {
+        self.us(vs.len());
+        for &v in vs {
+            self.u32(v);
+        }
+    }
+
     fn str(&mut self, s: &str) {
         self.us(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -349,7 +360,7 @@ impl Enc<'_> {
         self.us(a.n_rows());
         self.us(a.n_cols());
         self.usizes(a.row_ptr());
-        self.usizes(a.col_idx());
+        self.u32s(a.col_idx());
         self.f64s(a.values());
     }
 
@@ -557,6 +568,15 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
+    fn u32s(&mut self) -> Result<Vec<u32>> {
+        let n = self.count(4)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.u32()?);
+        }
+        Ok(out)
+    }
+
     fn str(&mut self) -> Result<String> {
         let n = self.count(1)?;
         let bytes = self.take(n)?;
@@ -630,12 +650,14 @@ impl<'a> Dec<'a> {
 
     /// Decode a CSR matrix, re-validating every invariant
     /// [`Csr::from_raw_parts`] asserts so a malformed frame surfaces as a
-    /// typed error instead of a panic.
+    /// typed error instead of a panic — a width the `u32` column indices
+    /// cannot name first of all, before anything is read or allocated.
     fn csr(&mut self) -> Result<Csr> {
         let n_rows = self.us()?;
         let n_cols = self.us()?;
+        check_n_cols("a wire CSR", n_cols)?;
         let row_ptr = self.usizes()?;
-        let col_idx = self.usizes()?;
+        let col_idx = self.u32s()?;
         let values = self.f64s()?;
         if row_ptr.len() != n_rows + 1 || row_ptr.first() != Some(&0) {
             return Err(parse_err("csr row_ptr malformed"));
@@ -652,7 +674,7 @@ impl<'a> Dec<'a> {
             if cols.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(parse_err("csr columns not strictly increasing"));
             }
-            if cols.last().is_some_and(|&c| c >= n_cols) {
+            if cols.last().is_some_and(|&c| c as usize >= n_cols) {
                 return Err(parse_err("csr column out of bounds"));
             }
         }

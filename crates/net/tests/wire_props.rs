@@ -155,6 +155,29 @@ fn a_plan_without_one_colour_per_part_is_refused() {
     }
 }
 
+/// A plan frame whose first subdomain matrix declares 2³² + 1 columns —
+/// more than its `u32` column indices can name — is refused with the typed
+/// error before anything of the matrix is read.
+#[test]
+fn a_plan_whose_matrix_is_too_wide_for_u32_columns_is_refused() {
+    let plan = real_plan();
+    let mut frame = encode(&Msg::Plan(Box::new(plan.clone())));
+    // Everything before the first subdomain encodes as in a plan with no
+    // parts; the subdomain opens with its part id, then `n_rows`, `n_cols`.
+    let header = encode(&Msg::Plan(Box::new(GroupPlan {
+        parts: Vec::new(),
+        ..plan
+    })));
+    let n_cols = header.len() + 16;
+    let wide = (1u64 << 32) + 1;
+    frame[n_cols..n_cols + 8].copy_from_slice(&wide.to_le_bytes());
+    let err = decode(&frame).expect_err("refused");
+    assert!(
+        matches!(err, Error::TooManyColumns { n_cols, .. } if n_cols as u64 == wide),
+        "{err}"
+    );
+}
+
 #[test]
 fn small_block_widths_roundtrip_losslessly() {
     for &k in &BLOCK_WIDTHS {

@@ -406,7 +406,7 @@ mod tests {
         coo.push(2, 2, 4.0).unwrap();
         coo.push_sym(0, 1, -1.0).unwrap();
         coo.push_sym(1, 2, -1.0).unwrap();
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let f1 = DenseCholesky::factor_csr(&a).unwrap();
         let f2 = DenseCholesky::factor(&spd3()).unwrap();
         assert!(f1.l().max_abs_diff(f2.l()) < 1e-14);

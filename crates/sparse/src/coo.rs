@@ -5,7 +5,7 @@
 //! computation. This mirrors how finite-difference / circuit matrices are
 //! assembled element by element.
 
-use crate::csr::Csr;
+use crate::csr::{check_n_cols, narrow, Csr};
 use crate::error::{Error, Result};
 
 /// A sparse matrix under assembly, stored as `(row, col, value)` triplets.
@@ -132,15 +132,40 @@ impl Coo {
     /// Entries with `|v| <= drop_tol` after summation are discarded
     /// (`drop_tol = 0.0` keeps explicit zeros out but preserves everything
     /// else exactly).
-    pub fn to_csr_with_tol(&self, drop_tol: f64) -> Csr {
-        self.compress(drop_tol).0
+    ///
+    /// # Errors
+    /// [`Error::TooManyColumns`] if the matrix is wider than a
+    /// [`Csr`]'s `u32` column indices can name
+    /// ([`MAX_COLS`](crate::csr::MAX_COLS)) — refused before anything is
+    /// allocated.
+    pub fn to_csr_with_tol(&self, drop_tol: f64) -> Result<Csr> {
+        check_n_cols("Coo::to_csr", self.n_cols)?;
+        Ok(self.compress(drop_tol).0)
     }
 
-    /// [`to_csr`](Self::to_csr) for input that must name every coordinate
-    /// at most once (a file, as opposed to element-by-element assembly):
-    /// `Err((row, col))` is the first coordinate, in row-major order,
-    /// stored more than once.
-    pub fn to_csr_unique(&self) -> std::result::Result<Csr, (usize, usize)> {
+    /// Compress to CSR, summing duplicates and dropping exact zeros.
+    ///
+    /// # Errors
+    /// As [`to_csr_with_tol`](Self::to_csr_with_tol).
+    pub fn to_csr(&self) -> Result<Csr> {
+        self.to_csr_with_tol(0.0)
+    }
+
+    /// [`to_csr`](Self::to_csr) for crate-internal assembly whose width
+    /// fits by construction (grid stencils, the reader's checked size
+    /// line).
+    ///
+    /// # Panics
+    /// Panics if `n_cols > MAX_COLS`.
+    pub(crate) fn to_csr_trusted(&self) -> Csr {
+        self.compress(0.0).0
+    }
+
+    /// [`to_csr_trusted`](Self::to_csr_trusted) for input that must name
+    /// every coordinate at most once (a file, as opposed to
+    /// element-by-element assembly): `Err((row, col))` is the first
+    /// coordinate, in row-major order, stored more than once.
+    pub(crate) fn to_csr_unique(&self) -> std::result::Result<Csr, (usize, usize)> {
         match self.compress(0.0) {
             (csr, None) => Ok(csr),
             (_, Some(duplicate)) => Err(duplicate),
@@ -148,7 +173,8 @@ impl Coo {
     }
 
     /// The compression behind every `to_csr*`: the CSR plus the first
-    /// coordinate (row-major) that needed merging, if any.
+    /// coordinate (row-major) that needed merging, if any. Column indices
+    /// are narrowed as they are sorted into place.
     fn compress(&self, drop_tol: f64) -> (Csr, Option<(usize, usize)>) {
         // Counting sort by row, then per-row sort by column and merge
         // duplicates: O(nnz log nnz_row) without hashing.
@@ -160,11 +186,11 @@ impl Coo {
             row_counts[i + 1] += row_counts[i];
         }
         let mut next = row_counts.clone();
-        let mut cols = vec![0usize; self.entries.len()];
+        let mut cols = vec![0u32; self.entries.len()];
         let mut vals = vec![0f64; self.entries.len()];
         for &(r, c, v) in &self.entries {
             let slot = next[r];
-            cols[slot] = c;
+            cols[slot] = narrow(c);
             vals[slot] = v;
             next[r] += 1;
         }
@@ -175,7 +201,7 @@ impl Coo {
         out_ptr.push(0);
 
         let mut duplicate = None;
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
         for r in 0..self.n_rows {
             let (lo, hi) = (row_counts[r], row_counts[r + 1]);
             scratch.clear();
@@ -196,7 +222,7 @@ impl Coo {
                     i += 1;
                 }
                 if i - first > 1 && duplicate.is_none() {
-                    duplicate = Some((r, c));
+                    duplicate = Some((r, c as usize));
                 }
                 if sum.abs() > drop_tol || (drop_tol == 0.0 && sum != 0.0) {
                     out_cols.push(c);
@@ -208,11 +234,6 @@ impl Coo {
 
         let csr = Csr::from_raw_parts(self.n_rows, self.n_cols, out_ptr, out_cols, out_vals);
         (csr, duplicate)
-    }
-
-    /// Compress to CSR, summing duplicates and dropping exact zeros.
-    pub fn to_csr(&self) -> Csr {
-        self.to_csr_with_tol(0.0)
     }
 }
 
@@ -226,7 +247,7 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(0, 2, 2.0).unwrap();
         coo.push(1, 1, 3.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.n_rows(), 2);
         assert_eq!(csr.n_cols(), 3);
         assert_eq!(csr.nnz(), 3);
@@ -241,7 +262,7 @@ mod tests {
         let mut coo = Coo::new(1, 1);
         coo.push(0, 0, 1.5).unwrap();
         coo.push(0, 0, 2.5).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.get(0, 0), 4.0);
         assert_eq!(csr.nnz(), 1);
     }
@@ -251,7 +272,7 @@ mod tests {
         let mut coo = Coo::new(1, 2);
         coo.push(0, 1, 2.0).unwrap();
         coo.push(0, 1, -2.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.nnz(), 0);
     }
 
@@ -260,7 +281,7 @@ mod tests {
         let mut coo = Coo::new(1, 2);
         coo.push(0, 0, 1e-14).unwrap();
         coo.push(0, 1, 1.0).unwrap();
-        let csr = coo.to_csr_with_tol(1e-12);
+        let csr = coo.to_csr_with_tol(1e-12).unwrap();
         assert_eq!(csr.nnz(), 1);
         assert_eq!(csr.get(0, 1), 1.0);
     }
@@ -283,7 +304,7 @@ mod tests {
         let mut coo = Coo::new(3, 3);
         coo.push_sym(0, 1, -2.0).unwrap();
         coo.push_sym(2, 2, 5.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.get(0, 1), -2.0);
         assert_eq!(csr.get(1, 0), -2.0);
         assert_eq!(csr.get(2, 2), 5.0);
@@ -296,8 +317,24 @@ mod tests {
         coo.push(0, 3, 3.0).unwrap();
         coo.push(0, 0, 1.0).unwrap();
         coo.push(0, 2, 2.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         let row: Vec<_> = csr.row(0).collect();
         assert_eq!(row, vec![(0, 1.0), (2, 2.0), (3, 3.0)]);
+    }
+
+    #[test]
+    fn a_width_u32_indices_cannot_name_is_refused() {
+        // Nothing proportional to the width is allocated: an empty
+        // 3 × (2³² + 1) matrix is refused outright.
+        let wide = (1usize << 32) + 1;
+        assert_eq!(
+            Coo::new(3, wide).to_csr(),
+            Err(Error::TooManyColumns {
+                context: "Coo::to_csr",
+                n_cols: wide,
+            })
+        );
+        let widest = crate::csr::MAX_COLS;
+        assert_eq!(Coo::new(3, widest).to_csr().unwrap().n_cols(), widest);
     }
 }

@@ -60,6 +60,14 @@ pub enum Error {
         /// The offending value.
         value: f64,
     },
+    /// A matrix has more columns than its `u32` column indices can name
+    /// ([`crate::csr::MAX_COLS`]).
+    TooManyColumns {
+        /// What was being built.
+        context: &'static str,
+        /// The declared column count.
+        n_cols: usize,
+    },
     /// Parsing external data (e.g. Matrix Market) failed.
     Parse(String),
     /// An iterative solver failed to converge within its budget.
@@ -104,6 +112,11 @@ impl fmt::Display for Error {
                 index,
                 value,
             } => write!(f, "non-finite value {value} at index {index} of {context}"),
+            Error::TooManyColumns { context, n_cols } => write!(
+                f,
+                "{n_cols} columns in {context}: column indices are u32, at most {} columns",
+                crate::csr::MAX_COLS
+            ),
             Error::Parse(msg) => write!(f, "parse error: {msg}"),
             Error::DidNotConverge {
                 iterations,

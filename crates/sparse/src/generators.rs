@@ -93,7 +93,7 @@ pub fn grid2d_conductance(
     for (i, d) in diag.iter().enumerate() {
         coo.push_trusted(i, i, *d);
     }
-    coo.to_csr()
+    coo.to_csr_trusted()
 }
 
 /// The paper's random sparse SPD testcase family: an `nx × ny` grid with
@@ -140,7 +140,7 @@ pub fn grid2d_laplacian_9pt(nx: usize, ny: usize, diag_w: f64) -> Csr {
     for (i, d) in diag.iter().enumerate() {
         coo.push_trusted(i, i, d + (full - d).max(0.0) * 0.5 + 1e-6);
     }
-    coo.to_csr()
+    coo.to_csr_trusted()
 }
 
 /// 7-point Laplacian on an `nx × ny × nz` grid (Dirichlet; diagonal 6).
@@ -165,7 +165,7 @@ pub fn grid3d_laplacian(nx: usize, ny: usize, nz: usize) -> Csr {
             }
         }
     }
-    coo.to_csr()
+    coo.to_csr_trusted()
 }
 
 /// Anisotropic 7-point Laplacian on an `nx × ny × nz` grid (Dirichlet):
@@ -197,7 +197,7 @@ pub fn grid3d_laplacian_aniso(nx: usize, ny: usize, nz: usize, eps: f64) -> Csr 
             }
         }
     }
-    coo.to_csr()
+    coo.to_csr_trusted()
 }
 
 /// Random-sparsity symmetric diagonally dominant SPD matrix: `n` vertices,
@@ -223,7 +223,7 @@ pub fn random_spd(n: usize, avg_degree: usize, margin: f64, seed: u64) -> Csr {
     for (i, d) in diag.iter().enumerate() {
         coo.push_trusted(i, i, *d);
     }
-    coo.to_csr()
+    coo.to_csr_trusted()
 }
 
 /// Tridiagonal SPD matrix with constant diagonal `d` and off-diagonal `e`
@@ -237,7 +237,7 @@ pub fn tridiagonal(n: usize, d: f64, e: f64) -> Csr {
     for i in 0..n.saturating_sub(1) {
         coo.push_sym_trusted(i, i + 1, e);
     }
-    coo.to_csr()
+    coo.to_csr_trusted()
 }
 
 /// The 4×4 example system (3.2) of the paper, with its right-hand side.
@@ -258,7 +258,7 @@ pub fn paper_example_system() -> (Csr, Vec<f64>) {
     coo.push_sym_trusted(1, 2, -2.0);
     coo.push_sym_trusted(1, 3, -1.0);
     coo.push_sym_trusted(2, 3, -2.0);
-    (coo.to_csr(), vec![1.0, 2.0, 3.0, 4.0])
+    (coo.to_csr_trusted(), vec![1.0, 2.0, 3.0, 4.0])
 }
 
 /// Random dense RHS with entries in `[-1, 1]`.

@@ -22,7 +22,7 @@
 //! where the process's resident size still counts it.
 
 use crate::coo::Coo;
-use crate::csr::Csr;
+use crate::csr::{check_n_cols, Csr};
 use crate::error::{Error, Result};
 use std::io::{BufRead, ErrorKind, Write};
 use std::sync::{Mutex, PoisonError};
@@ -300,8 +300,9 @@ fn parse_block<T: Clone + Default + Send>(
 ///
 /// # Errors
 /// [`Error::Parse`] naming the offending 1-based line for anything else:
-/// malformed header or size line, dimensions the declared entry count
-/// cannot back, out-of-range or 0-based indices, non-finite values,
+/// malformed header or size line, more columns than a [`Csr`] holds
+/// ([`crate::csr::MAX_COLS`]), dimensions the declared entry count cannot
+/// back, out-of-range or 0-based indices, non-finite values,
 /// trailing tokens, an entry above the diagonal of a symmetric file,
 /// duplicate coordinates, more or fewer entries than declared, I/O and
 /// UTF-8 failures. When a file has several faults, the one on the
@@ -349,6 +350,7 @@ fn read_matrix_in<R: BufRead>(mut reader: R, chunking: Chunking) -> Result<Csr> 
     if symmetric && nr != nc {
         return Err(at(no, format!("symmetric but not square: {nr} x {nc}")));
     }
+    check_n_cols("the size line", nc).map_err(|e| at(no, e))?;
     if nr.max(nc) > nnz.saturating_add(UNBACKED) {
         return Err(at(no, format!("{nr} x {nc} with only {nnz} entries")));
     }
@@ -564,6 +566,14 @@ mod tests {
     fn entry_count_mismatch_rejected() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
         assert!(read_matrix(Cursor::new(text)).is_err());
+    }
+
+    #[test]
+    fn a_width_u32_indices_cannot_name_is_refused_on_the_size_line() {
+        // As many entries declared as columns, so only the width refuses.
+        let text = "%%MatrixMarket matrix coordinate real general\n3 4294967296 4294967296\n";
+        let err = read_matrix(Cursor::new(text)).unwrap_err().to_string();
+        assert!(err.contains("line 2") && err.contains("u32"), "{err}");
     }
 
     /// Every way the tests cut an input: one to eight line ranges per

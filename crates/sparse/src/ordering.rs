@@ -393,7 +393,7 @@ mod tests {
         for i in 0..n - 1 {
             coo.push_sym(i, i + 1, -1.0).unwrap();
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]
@@ -445,7 +445,7 @@ mod tests {
         for i in 0..n - 1 {
             coo.push_sym(relabel(i), relabel(i + 1), -1.0).unwrap();
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         assert!(bandwidth(&a) > 1);
         let p = reverse_cuthill_mckee(&a);
         let b = a.permute_sym(&p);
@@ -460,7 +460,7 @@ mod tests {
         }
         coo.push_sym(0, 1, -1.0).unwrap();
         coo.push_sym(3, 4, -1.0).unwrap();
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let p = reverse_cuthill_mckee(&a);
         // Must be a valid permutation covering all 6 vertices.
         let mut sorted = p.new_to_old().to_vec();
@@ -476,7 +476,7 @@ mod tests {
         for i in 1..n {
             coo.push_sym(0, i, -1.0).unwrap();
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]
@@ -489,10 +489,10 @@ mod tests {
             for i in (0..18).chain(19..38) {
                 coo.push_sym(i, i + 1, -1.0).unwrap();
             }
-            coo.to_csr()
+            coo.to_csr().unwrap()
         };
         for a in [
-            Coo::new(0, 0).to_csr(),
+            Coo::new(0, 0).to_csr().unwrap(),
             path_graph(1),
             path_graph(100),
             star_graph(60),

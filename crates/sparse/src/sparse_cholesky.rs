@@ -18,7 +18,7 @@
 //! This is the "Sparse Cholesky" the paper names as the local solver of DTM
 //! (§5: "(5.9) could be solved by Sparse or Dense Cholesky, CG, MG, etc.").
 
-use crate::csr::Csr;
+use crate::csr::{narrow, Csr};
 use crate::error::{Error, Result};
 use crate::ordering::{fill_reducing, reverse_cuthill_mckee, Permutation};
 use std::iter;
@@ -34,8 +34,10 @@ pub struct SparseCholesky {
     n: usize,
     /// Column pointers of `L` (CSC).
     col_ptr: Vec<usize>,
-    /// Row indices of `L`; the first entry of each column is the diagonal.
-    row_idx: Vec<usize>,
+    /// Row indices of `L` — `u32`, as a [`Csr`]'s columns, so an entry
+    /// takes 12 bytes with its value; the first entry of each column is the
+    /// diagonal.
+    row_idx: Vec<u32>,
     /// Values of `L`.
     values: Vec<f64>,
     /// Optional fill-reducing permutation (`None` = natural order).
@@ -101,7 +103,7 @@ impl SparseCholesky {
             col_ptr[j + 1] = col_ptr[j] + col_count[j];
         }
         let nnz = col_ptr[n];
-        let mut row_idx = vec![0usize; nnz];
+        let mut row_idx = vec![0u32; nnz];
         let mut values = vec![0f64; nnz];
         // Next free slot per column; slot 0 of each column is the diagonal,
         // filled at the end of step k == j.
@@ -154,12 +156,12 @@ impl SparseCholesky {
                     // x ← x − L(:, j) · lkj for rows < k already in column j.
                     let (p0, p1) = (col_ptr[j] + 1, next[j]);
                     for (&i, &l) in row_idx[p0..p1].iter().zip(&values[p0..p1]) {
-                        x[i] -= l * lkj;
+                        x[i as usize] -= l * lkj;
                     }
                     d -= lkj * lkj;
                     // Append L(k, j).
                     debug_assert!(p1 < col_ptr[j + 1], "symbolic undercount");
-                    row_idx[p1] = k;
+                    row_idx[p1] = narrow(k);
                     values[p1] = lkj;
                     next[j] += 1;
                 }
@@ -170,7 +172,7 @@ impl SparseCholesky {
                     pivot: d,
                 });
             }
-            row_idx[col_ptr[k]] = k;
+            row_idx[col_ptr[k]] = narrow(k);
             values[col_ptr[k]] = d.sqrt();
         }
 
@@ -365,7 +367,7 @@ impl SparseCholesky {
                 xs[c * n + j] /= d;
             }
             for p in (pj + 1)..self.col_ptr[j + 1] {
-                let (i, v) = (self.row_idx[p], self.values[p]);
+                let (i, v) = (self.row_idx[p] as usize, self.values[p]);
                 for c in 0..k {
                     xs[c * n + i] -= v * xs[c * n + j];
                 }
@@ -375,7 +377,7 @@ impl SparseCholesky {
         for j in (0..n).rev() {
             let pj = self.col_ptr[j];
             for p in (pj + 1)..self.col_ptr[j + 1] {
-                let (i, v) = (self.row_idx[p], self.values[p]);
+                let (i, v) = (self.row_idx[p] as usize, self.values[p]);
                 for c in 0..k {
                     xs[c * n + j] -= v * xs[c * n + i];
                 }
@@ -391,8 +393,9 @@ impl SparseCholesky {
     /// [`Self::sn_ptr`]. A panel column is its slice of the dense in-panel
     /// triangle — contiguous values against contiguous `y`, no indices —
     /// followed by the panel's one shared list of below-panel rows, so the
-    /// sweep streams 8 bytes per factor entry where the column-major
-    /// kernel streams 16.
+    /// sweep streams the 8-byte value of each factor entry and decodes each
+    /// shared 4-byte row index once per panel, where the column-major kernel
+    /// streams value and index, 12 bytes, for every entry.
     ///
     /// Bitwise contract: the updates are those of
     /// [`solve_colmajor_natural`](Self::solve_colmajor_natural) in its
@@ -415,7 +418,7 @@ impl SparseCholesky {
                     *yi -= v * yj;
                 }
                 for (&i, &v) in rows.iter().zip(below) {
-                    y[i] -= v * yj;
+                    y[i as usize] -= v * yj;
                 }
             }
         }
@@ -430,7 +433,7 @@ impl SparseCholesky {
                     yj -= v * yi;
                 }
                 for (&i, &v) in rows.iter().zip(below) {
-                    yj -= v * y[i];
+                    yj -= v * y[i as usize];
                 }
                 y[jj] = yj / d;
             }
@@ -440,7 +443,7 @@ impl SparseCholesky {
     /// The below-panel rows shared by every column of the panel ending at
     /// column `j1`: its last column's rows after the diagonal.
     #[inline(always)]
-    fn panel_rows(&self, j1: usize) -> &[usize] {
+    fn panel_rows(&self, j1: usize) -> &[u32] {
         &self.row_idx[self.col_ptr[j1 - 1] + 1..self.col_ptr[j1]]
     }
 
@@ -499,18 +502,19 @@ impl SparseCholesky {
                     let p = below(jj, r);
                     (jj * k, [self.values[p], self.values[p + 1]])
                 });
-                fold_rows(ys, k, [pair[0] * k, pair[1] * k], terms, None);
+                let dst = [pair[0] as usize * k, pair[1] as usize * k];
+                fold_rows(ys, k, dst, terms, None);
             }
             if let [i] = *odd {
                 let r = rows.len() - 1;
                 let terms = (j0..j1).map(|jj| (jj * k, [self.values[below(jj, r)]]));
-                fold_rows(ys, k, [i * k], terms, None);
+                fold_rows(ys, k, [i as usize * k], terms, None);
             }
         }
         // Backward: Lᵀ X = Y.
         for jj in (0..self.n).rev() {
             let (pj, pe) = (self.col_ptr[jj], self.col_ptr[jj + 1]);
-            let rows = self.row_idx[pj + 1..pe].iter().map(|&i| i * k);
+            let rows = self.row_idx[pj + 1..pe].iter().map(|&i| i as usize * k);
             let terms = rows.zip(self.values[pj + 1..pe].iter().map(|&v| [v]));
             fold_rows(ys, k, [jj * k], terms, Some(self.values[pj]));
         }
@@ -601,7 +605,7 @@ fn fold_lanes<const R: usize, const W: usize>(
 /// itself. By induction every column of a panel then holds the panel's
 /// dense triangular diagonal block plus one shared set of below-panel
 /// rows — the structure [`SparseCholesky::solve_interleaved`] exploits.
-fn detect_supernodes(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize> {
+fn detect_supernodes(n: usize, col_ptr: &[usize], row_idx: &[u32]) -> Vec<usize> {
     if n == 0 {
         return vec![0];
     }
@@ -611,7 +615,7 @@ fn detect_supernodes(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usiz
         let cur = &row_idx[col_ptr[j]..col_ptr[j + 1]];
         let joins = j - sn_ptr.last().copied().unwrap_or(0) < MAX_SUPERNODE
             && prev.len() == cur.len() + 1
-            && prev[1] == j
+            && prev[1] as usize == j
             && prev[2..] == cur[1..];
         if !joins {
             sn_ptr.push(j);
@@ -666,7 +670,7 @@ mod tests {
         for i in 0..n - 1 {
             coo.push_sym(i, i + 1, -1.0).unwrap();
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     /// The up-looking factorization as it was before the reach bitset:
@@ -707,7 +711,7 @@ mod tests {
             col_ptr[j + 1] = col_ptr[j] + col_count[j];
         }
         let nnz = col_ptr[n];
-        let mut row_idx = vec![0usize; nnz];
+        let mut row_idx = vec![0u32; nnz];
         let mut values = vec![0f64; nnz];
         // Next free slot per column; slot 0 of each column is the diagonal,
         // filled at the end of step k == j.
@@ -760,13 +764,13 @@ mod tests {
                 x[j] = 0.0;
                 // x ← x − L(:, j) · lkj for rows < k already in column j.
                 for p in (col_ptr[j] + 1)..next[j] {
-                    x[row_idx[p]] -= values[p] * lkj;
+                    x[row_idx[p] as usize] -= values[p] * lkj;
                 }
                 d -= lkj * lkj;
                 // Append L(k, j).
                 let slot = next[j];
                 debug_assert!(slot < col_ptr[j + 1], "symbolic undercount");
-                row_idx[slot] = k;
+                row_idx[slot] = narrow(k);
                 values[slot] = lkj;
                 next[j] += 1;
             }
@@ -776,7 +780,7 @@ mod tests {
                     pivot: d,
                 });
             }
-            row_idx[col_ptr[k]] = k;
+            row_idx[col_ptr[k]] = narrow(k);
             values[col_ptr[k]] = d.sqrt();
         }
 
@@ -993,7 +997,7 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(1, 1, 1.0).unwrap();
         coo.push_sym(0, 1, 2.0).unwrap();
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         assert!(matches!(
             SparseCholesky::factor(&a),
             Err(Error::NotPositiveDefinite { .. })
@@ -1006,7 +1010,7 @@ mod tests {
         for (i, d) in [2.0, 8.0, 0.5].iter().enumerate() {
             coo.push(i, i, *d).unwrap();
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let f = SparseCholesky::factor(&a).unwrap();
         let x = f.solve(&[2.0, 8.0, 0.5]);
         for v in x {
@@ -1026,7 +1030,7 @@ mod tests {
         for i in 1..n {
             coo.push_sym(0, i, -1.0).unwrap();
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let f = SparseCholesky::factor(&a).unwrap();
         let xe = vec![1.0; n];
         let b = a.matvec(&xe);

@@ -34,7 +34,7 @@ fn random_spd(n: usize, edges: &[(usize, usize, f64)]) -> Csr {
     for (i, d) in dominance.iter().enumerate() {
         coo.push(i, i, d + 0.25).unwrap();
     }
-    coo.to_csr()
+    coo.to_csr().unwrap()
 }
 
 /// `a` factored in natural order, under RCM, and under nested dissection

@@ -117,7 +117,7 @@ fn example_5_1_equivalent_across_backends() {
 fn grid_laplacian_equivalent_across_backends() {
     let side = 10;
     let ss = laplacian_split(side, 3);
-    let (a, b) = ss.reconstruct();
+    let (a, b) = ss.reconstruct().unwrap();
     let exact = dtm_repro::sparse::SparseCholesky::factor_rcm(&a)
         .expect("SPD")
         .solve(&b);
@@ -184,7 +184,7 @@ fn local_delta_self_halt_equivalent_across_backends() {
     // The genuinely distributed stopping rule (Table 1 step 3.3) must end
     // every backend at the same fixed point, with every node self-halted.
     let ss = laplacian_split(8, 2);
-    let (a, b) = ss.reconstruct();
+    let (a, b) = ss.reconstruct().unwrap();
     let exact = dtm_repro::sparse::SparseCholesky::factor_rcm(&a)
         .expect("SPD")
         .solve(&b);

@@ -53,7 +53,7 @@ pub fn random_grid_split(side: usize, parts: usize, seed: u64) -> SplitSystem {
 /// Direct solution of the split's reconstructed system, computed by the
 /// TEST (the solver under test never sees it). Returns `(x*, b)`.
 pub fn direct_solution(ss: &SplitSystem) -> (Vec<f64>, Vec<f64>) {
-    let (a, b) = ss.reconstruct();
+    let (a, b) = ss.reconstruct().unwrap();
     let x = dtm_repro::sparse::SparseCholesky::factor_rcm(&a)
         .expect("SPD")
         .solve(&b);

@@ -245,7 +245,7 @@ fn supervisor_polls_follow_the_decay_on_both_fabrics() {
     // budget would overrun it by up to a whole grown gap, 40–90 ms here.
     const WAKE_SLACK_MS: f64 = 30.0;
     let (ss, _, _) = random_split(64, 64, 4, SharePolicy::DominanceProportional, 5);
-    let (a, b) = ss.reconstruct();
+    let (a, b) = ss.reconstruct().unwrap();
     let solve = |tol: f64, budget: Duration| {
         let common = CommonConfig {
             termination: Termination::Residual { tol },

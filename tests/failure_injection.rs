@@ -187,7 +187,7 @@ fn batched_run_degrades_gracefully_under_solve_cap() {
         .iter()
         .fold(0.0_f64, |m, &v| m.max(v));
     assert!((worst - report.final_rms).abs() <= 1e-15 * worst.max(1.0));
-    let (a, _) = ss.reconstruct();
+    let (a, _) = ss.reconstruct().unwrap();
     let f = dtm_repro::sparse::SparseCholesky::factor_rcm(&a).expect("SPD");
     for (c, (x, b)) in report.solutions.iter().zip(&cols).enumerate() {
         let exact = f.solve(b);

@@ -3,7 +3,7 @@
 //! initial condition (5.6), and the Example 5.1 machine.
 
 use dtm_repro::core::impedance::ImpedancePolicy;
-use dtm_repro::core::local::{LocalSolverKind, LocalSystem};
+use dtm_repro::core::local::{local_matrix, LocalSolverKind, LocalSystem};
 use dtm_repro::core::runtime::CommonConfig;
 use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
 use dtm_repro::simnet::{Link, SimDuration, Topology};
@@ -51,7 +51,7 @@ fn system_3_2_row_by_row() {
 #[test]
 fn subsystems_4_1_and_4_2_reconstruct_3_2() {
     let ss = paper_split();
-    let (a2, b2) = ss.reconstruct();
+    let (a2, b2) = ss.reconstruct().unwrap();
     let (a, b) = generators::paper_example_system();
     assert!(a.to_dense().max_abs_diff(&a2.to_dense()) < 1e-12);
     for (u, v) in b.iter().zip(&b2) {
@@ -63,12 +63,12 @@ fn subsystems_4_1_and_4_2_reconstruct_3_2() {
 fn local_systems_5_4_and_5_5_digit_for_digit() {
     // (5.4): diag [7.5, 13.3] on the V2a/V3a ports; (5.5): [8.5, 13.7].
     let ss = paper_split();
-    let l1 = LocalSystem::new(&ss.subdomains[0], &[0.2, 0.1], LocalSolverKind::Dense).expect("SPD");
-    let l2 = LocalSystem::new(&ss.subdomains[1], &[0.2, 0.1], LocalSolverKind::Dense).expect("SPD");
-    assert!((l1.matrix().get(0, 0) - 7.5).abs() < 1e-12);
-    assert!((l1.matrix().get(1, 1) - 13.3).abs() < 1e-12);
-    assert!((l2.matrix().get(0, 0) - 8.5).abs() < 1e-12);
-    assert!((l2.matrix().get(1, 1) - 13.7).abs() < 1e-12);
+    let l1 = local_matrix(&ss.subdomains[0], &[0.2, 0.1]);
+    let l2 = local_matrix(&ss.subdomains[1], &[0.2, 0.1]);
+    assert!((l1.get(0, 0) - 7.5).abs() < 1e-12);
+    assert!((l1.get(1, 1) - 13.3).abs() < 1e-12);
+    assert!((l2.get(0, 0) - 8.5).abs() < 1e-12);
+    assert!((l2.get(1, 1) - 13.7).abs() < 1e-12);
 }
 
 #[test]

@@ -90,7 +90,7 @@ fn threaded_backend_residual_solves_grid_without_oracle() {
     let report = solve_on(&ss, &Machine::Pool(config));
     assert!(report.converged, "resid {}", report.final_residual);
     assert_reference_free(&report);
-    let (a, b) = ss.reconstruct();
+    let (a, b) = ss.reconstruct().unwrap();
     assert!(a.residual_norm(&report.solution, &b) < tol * 10.0 * b.len() as f64);
 }
 
@@ -154,7 +154,7 @@ fn zero_rhs_column_falls_back_to_absolute_residual() {
     for v in &report.solutions[0] {
         assert!(v.abs() < 1e-9, "zero RHS solves to zero, got {v}");
     }
-    let (a, _) = ss.reconstruct();
+    let (a, _) = ss.reconstruct().unwrap();
     assert!(a.residual_norm(&report.solutions[1], &b1) < 1e-5);
 
     // The degenerate all-zero single-RHS solve also terminates cleanly
@@ -300,7 +300,7 @@ proptest! {
         updates in proptest::collection::vec((0usize..3, -10.0f64..10.0, 0.1f64..3.0), 1..40),
     ) {
         let ss = laplacian_split(6, 3);
-        let (a, b) = ss.reconstruct();
+        let (a, b) = ss.reconstruct().unwrap();
         let bnorm = dtm_repro::sparse::vector::norm2(&b);
         let mut m = Monitor::new_residual(&ss, None, SimDuration::ZERO);
         for (i, &(part, base, scale)) in updates.iter().enumerate() {
@@ -329,7 +329,7 @@ proptest! {
         rounds in 1usize..6,
     ) {
         let ss = laplacian_split(6, 2);
-        let (a, _) = ss.reconstruct();
+        let (a, _) = ss.reconstruct().unwrap();
         let cols: Vec<Vec<f64>> = (0..3).map(|c| generators::random_rhs(36, seed * 7 + c)).collect();
         let mut m = Monitor::new_residual(&ss, Some(&cols), SimDuration::ZERO);
         let mut incremental = f64::NAN;

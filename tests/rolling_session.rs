@@ -48,7 +48,7 @@ fn workload(seed: u64, count: usize, tol: f64) -> Vec<(Vec<f64>, Termination)> {
 
 /// Direct solutions of the reconstructed system — the one-shot target.
 fn direct_solutions(problem: &DtmProblem, work: &[(Vec<f64>, Termination)]) -> Vec<Vec<f64>> {
-    let (a, _) = problem.split.reconstruct();
+    let (a, _) = problem.split.reconstruct().unwrap();
     let factor = dtm_repro::sparse::SparseCholesky::factor_rcm(&a).expect("SPD");
     work.iter().map(|(b, _)| factor.solve(b)).collect()
 }
@@ -181,7 +181,7 @@ proptest! {
         noise in 0.01f64..0.2,
     ) {
         let problem = grid_problem();
-        let (a, _) = problem.split.reconstruct();
+        let (a, _) = problem.split.reconstruct().unwrap();
         let work: Vec<(Vec<f64>, f64)> = (0..10)
             .map(|i| {
                 let jitter = generators::random_rhs(N, seed.wrapping_mul(17).wrapping_add(i));
