@@ -5,7 +5,7 @@
 //! belong to the repository benchmark (`benchmark/`, `benchmark/results/`).
 //! What it does check is what a smoke test can: every solve converges, the
 //! K = 1 panel sweep does not lose to the scalar kernel, and on the
-//! fill-reducing factor a K = 8 block costs at most 0.6× a K = 1 solve per
+//! fill-reducing factor a K = 8 block costs at most 0.45× a K = 1 solve per
 //! right-hand side.
 //!
 //! * **3-D Laplacians** — `grid3d_laplacian` under the default partitioner
@@ -27,8 +27,9 @@
 //!   fill-reducing factor of a 20³ Laplacian. Reps of the two kernels are
 //!   **interleaved** so clock drift and cache warm-up hit both equally;
 //!   medians are printed. Asserted: colmajor/panel ≥ 0.9 at K = 1, and on
-//!   the fill-reducing factor panel time per RHS at K = 8 ≤ 0.6× that at
-//!   K = 1 — the register-lane blocked kernel against the scalar sweep.
+//!   the fill-reducing factor panel time per RHS at K = 8 ≤ 0.45× that at
+//!   K = 1, the minima of interleaved K = 1 and K = 8 reps — the
+//!   register-lane blocked kernel against the scalar sweep.
 //! * **Matrix Market** — `sparse::mm` end to end: load the committed `.mtx`
 //!   fixture (or `--matrix <path.mtx> [--rhs <path>]`), partition by nested
 //!   dissection, solve reference-free on the pool.
@@ -276,19 +277,59 @@ fn kernel_case(reps: usize) -> Result<()> {
                      (ratio {speedup:.2}, expected ≥ 0.9)"
                 )));
             }
-            // A K-column block exists to cost less per RHS than K scalar
-            // solves; near 1.0 means its lanes went back to memory. On a
-            // shared 2-vCPU VM this reads 0.30–0.44 in most runs and up to
-            // 0.68 in a few, so the bound is no tighter than 0.6.
-            if case == "grid3d20_fill" && k == 8 && per_rhs > 0.6 {
+        }
+        // A K-column block exists to cost less per RHS than K scalar
+        // solves; near 1.0 means its lanes went back to memory.
+        if case == "grid3d20_fill" {
+            let (k1_rhs, k8_rhs) = block_gain(&f, n);
+            let ratio = k8_rhs / k1_rhs;
+            println!(
+                "  K=8 gate: {ratio:.2}× K=1 per rhs (minima of {BLOCK_GAIN_REPS} interleaved reps)"
+            );
+            if ratio > BLOCK_GAIN_BOUND {
                 return Err(Error::Parse(format!(
-                    "{case}: a K=8 block costs {per_rhs:.2}× a K=1 solve per RHS \
-                     ({blk_rhs:.0} vs {k1_rhs:.0} ns/rhs, expected ≤ 0.6)"
+                    "{case}: a K=8 block costs {ratio:.2}× a K=1 solve per RHS \
+                     ({k8_rhs:.0} vs {k1_rhs:.0} ns/rhs, expected ≤ {BLOCK_GAIN_BOUND})"
                 )));
             }
         }
     }
     Ok(())
+}
+
+/// The largest K = 8 per-RHS cost, as a multiple of K = 1's, that
+/// `grid3d20_fill` may show: the largest of 100 `repro bench --quick` runs
+/// in one sitting on a shared 2-vCPU VM (0.27–0.40 with [`block_gain`])
+/// plus a margin. The ratio of two 7-rep medians it replaces read up to
+/// 0.68 against a bound of 0.6.
+const BLOCK_GAIN_BOUND: f64 = 0.45;
+
+/// Interleaved K = 1 / K = 8 rep pairs behind the gate, about 0.15 s. With
+/// 7, one of 100 runs read 0.50: a neighbour's load lasted through every
+/// K = 8 rep.
+const BLOCK_GAIN_REPS: usize = 25;
+
+/// Per-RHS nanoseconds of the K = 1 and the K = 8 panel solves of `f`,
+/// timed rep by rep in turn, each the minimum over [`BLOCK_GAIN_REPS`]: a
+/// neighbour's load lands on single reps, which a minimum over interleaved
+/// reps sees through and a ratio of two medians taken apart does not.
+fn block_gain(f: &SparseCholesky, n: usize) -> (f64, f64) {
+    let template: Vec<f64> = (0..n * 8)
+        .map(|i| ((i % 101) as f64 - 50.0) * 0.013)
+        .collect();
+    let (mut xs, mut scratch) = (template.clone(), Vec::new());
+    let mut best = [f64::INFINITY; 2];
+    // One unmeasured round warms both paths (scratch, page faults).
+    for rep in 0..=BLOCK_GAIN_REPS {
+        for (slot, k) in [(0, 1usize), (1, 8)] {
+            xs.copy_from_slice(&template);
+            let ((), ms) = timed(|| f.solve_block_with_scratch(&mut xs[..n * k], k, &mut scratch));
+            if rep > 0 {
+                best[slot] = best[slot].min(ms * 1e6 / k as f64);
+            }
+        }
+    }
+    (best[0], best[1])
 }
 
 /// Load, partition and solve a Matrix Market system reference-free.

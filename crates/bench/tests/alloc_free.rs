@@ -1,8 +1,9 @@
 //! The zero-allocation claim, counted: in steady state the DTM solve loop
 //! (solve → scatter through pooled payload buffers → absorb-and-recycle →
 //! monitor update) performs **zero heap allocations per wave** — for dense
-//! and sparse local factors, inline block widths (K ≤ `SMALL_BLOCK_INLINE`)
-//! and, once warm, spilled ones.
+//! and sparse local factors, parts on the port path (a port step, then the
+//! monitor's read completes the interior), inline block widths
+//! (K ≤ `SMALL_BLOCK_INLINE`) and, once warm, spilled ones.
 //!
 //! Run with:
 //!
@@ -67,8 +68,8 @@ fn exchange_rounds(
 
 /// Steady-state allocation count of the full hot loop at block width `k`
 /// (`k = 0` = the scalar pipeline via `build_nodes`) on a `side`² grid in
-/// three strips.
-fn steady_state_allocs(side: usize, k: usize) -> u64 {
+/// three strips, and how many of the strips take the port path.
+fn steady_state_allocs(side: usize, k: usize) -> (u64, usize) {
     let ss = grid_split(side, 3);
     let common = CommonConfig {
         termination: Termination::Residual { tol: 0.0 }, // never stop early
@@ -110,7 +111,11 @@ fn steady_state_allocs(side: usize, k: usize) -> u64 {
     arm();
     exchange_rounds(&mut nodes, &mut transport, &mut inboxes, &mut monitor, 256);
     let stats = disarm();
-    stats.total()
+    let port_parts = nodes
+        .iter()
+        .filter(|n| n.local().port_block().is_some())
+        .count();
+    (stats.total(), port_parts)
 }
 
 /// One test, cases in sequence: the counter is process-wide, so a second
@@ -120,17 +125,22 @@ fn steady_state_allocs(side: usize, k: usize) -> u64 {
 #[test]
 fn steady_state_wave_loop_is_allocation_free() {
     // Strips too large for a dense factor: 30² gives nested-dissection
-    // factors, 18² permuted RCM ones — K = 0 and 1 run the scalar panel
-    // sweep, K = 2 the interleaved one. 6²: dense local factors; K = 6 >
-    // SMALL_BLOCK_INLINE spills to heap vectors, but those are recycled
+    // factors, 18² permuted RCM ones, and every strip of both takes the
+    // port path — K = 0 and 1 run the scalar panel sweep to complete the
+    // interior, K = 2 the interleaved one. 6²: dense local factors; K = 6
+    // > SMALL_BLOCK_INLINE spills to heap vectors, but those are recycled
     // with the payload buffers, so the warm loop stays allocation-free too.
-    for (side, ks) in [
-        (30usize, &[0usize, 1, 2][..]),
-        (18, &[0, 1, 2]),
-        (6, &[0, 1, 2, 4, 6]),
+    for (side, ks, on_port_path) in [
+        (30usize, &[0usize, 1, 2][..], 3),
+        (18, &[0, 1, 2], 3),
+        (6, &[0, 1, 2, 4, 6], 0),
     ] {
         for &k in ks {
-            let allocs = steady_state_allocs(side, k);
+            let (allocs, port_parts) = steady_state_allocs(side, k);
+            assert_eq!(
+                port_parts, on_port_path,
+                "{side}², K = {k}: parts on the port path"
+            );
             assert_eq!(
                 allocs, 0,
                 "{side}², K = {k}: steady-state solve loop must not allocate (counted {allocs})"

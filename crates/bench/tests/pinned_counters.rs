@@ -196,7 +196,10 @@ fn compare_rows_are_pinned() {
 /// messages, flops, final rms)` per row, plus the series length of the two
 /// round-structured rows (one point per round). VTM reports as DTM: it is
 /// DTM's node on the lock-step machine. Priced on the mesh, its rounds cost
-/// what sync block-Jacobi's do (both solve in 1 ms).
+/// what sync block-Jacobi's do (both solve in 1 ms). Some of the split's
+/// parts are above the dense limit and take the port path, so the DTM
+/// rows count `2·m²` flops per column of those parts' steps, and their
+/// final RMS carries the port block's rounding.
 #[test]
 fn cmp_jacobi_and_vtm_rows_are_pinned() {
     let [dtm, abj, sbj] = jacobi_reports();
@@ -205,16 +208,16 @@ fn cmp_jacobi_and_vtm_rows_are_pinned() {
     let kinds: Vec<_> = rows.iter().map(|r| r.algorithm).collect();
     assert_eq!(kinds, [Dtm, BlockJacobiAsync, BlockJacobiSync, Dtm]);
     let pinned = [
-        (1383.702884, 19_848, 59_719, 243_042_308),
+        (1383.702884, 19_848, 59_719, 240_019_980),
         (2353.955665, 35_374, 106_296, 336_210_426),
         (7531.7034, 613, 1_839, 5_828_264),
-        (24.0, 381, 1_143, 4_662_124),
+        (24.0, 381, 1_143, 4_604_188),
     ];
     let rms = [
-        9.933024149783012e-7,
+        9.933024149810466e-7,
         9.998842023228358e-7,
         9.980759455328546e-7,
-        8.484468436240191e-7,
+        8.484468436239627e-7,
     ];
     for (row, r) in rows.iter().enumerate() {
         let (time_ms, solves, messages, flops) = pinned[row];

@@ -20,6 +20,18 @@
 //! delay has elapsed (the paper's Algorithm-Architecture Delay Mapping
 //! with any positive delay, which Theorem 6.1 covers).
 //!
+//! # Publishing
+//!
+//! After each step a worker publishes the columns the step changed into
+//! the part's [`SharedBlock`], which the supervisor polls. A node whose
+//! solution is completed when read ([`AsyncNode::defers_solution`]: a
+//! DTM part on the port path, whose step computes only its port values)
+//! is not published by its worker: the step only records its columns,
+//! and [`Pool::snapshots`] — what the supervisor reads before each poll —
+//! completes and publishes every such part that stepped since, under its
+//! state lock (the same lock order as a worker's: state, then block). So
+//! the interior runs once per poll, not once per activation.
+//!
 //! # Hooks
 //!
 //! The pool takes one per-node [`Hook`], run before the node may step and
@@ -52,7 +64,7 @@ use crate::report::{BackendKind, RunSummary, SolveReport, StopKind, Totals};
 use crate::runtime::wallclock::SharedBlock;
 use crate::runtime::{AsyncNode, DtmMsg, NodeControl, RunSpec};
 use crate::sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::sync::{thread, Arc, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
+use crate::sync::{thread, Arc, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use dtm_simnet::{SimDuration, Topology};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -249,6 +261,10 @@ struct Cell<N> {
     /// eq.-5.6 solve and the idle kick). Set before the part is pushed and
     /// read after it is taken, so the queue lock orders the two.
     force: AtomicBool,
+    /// Columns stepped and not yet published, of a node that
+    /// [defers its solution](AsyncNode::defers_solution); written only
+    /// under the state lock.
+    unpublished: AtomicU64,
 }
 
 /// The schedule and the workers parked on it, under one lock.
@@ -340,8 +356,16 @@ fn activate<N: AsyncNode>(shared: &PoolShared<N>, p: usize, sent: &mut Vec<(usiz
     }
     let control = node.step_node(outbox);
     // Publish only the columns this step could have changed — the
-    // supervisor mirrors them incrementally.
-    shared.snapshots[p].publish(node.solution(), node.solved_cols());
+    // supervisor mirrors them incrementally. A node whose solution is
+    // completed when read leaves them to the supervisor's next read.
+    if node.defers_solution() {
+        // Only ever written under the state lock, which this holds.
+        let unpublished = cell.unpublished.load(Ordering::Acquire);
+        cell.unpublished
+            .store(unpublished | node.solved_cols(), Ordering::Release);
+    } else {
+        shared.snapshots[p].publish(node.solution(), node.solved_cols());
+    }
     if control.is_halt() {
         shared.halts.retire(p);
     }
@@ -478,6 +502,7 @@ impl<N: AsyncNode + 'static> Pool<N> {
                     }),
                     inbox: Mutex::new(Vec::new()),
                     force: AtomicBool::new(false),
+                    unpublished: AtomicU64::new(0),
                 })
                 .collect(),
             work: Condvar::new(),
@@ -528,8 +553,22 @@ impl<N> Pool<N> {
 }
 
 impl<N: AsyncNode + 'static> Pool<N> {
-    /// Per-node published solution blocks.
+    /// Per-node published solution blocks, every node that
+    /// [defers its solution](AsyncNode::defers_solution) and has stepped
+    /// since it was last published completed and published first — under
+    /// its state lock, so a worker never steps it meanwhile, and at most
+    /// once per supervisor read rather than once per step.
     pub fn snapshots(&self) -> &[SharedBlock] {
+        for (cell, block) in self.shared.cells.iter().zip(&self.shared.snapshots) {
+            if cell.unpublished.load(Ordering::Acquire) == 0 {
+                continue;
+            }
+            let st = cell.state.lock();
+            let cols = cell.unpublished.swap(0, Ordering::AcqRel);
+            if cols != 0 {
+                block.publish(st.node.solution(), cols);
+            }
+        }
         &self.shared.snapshots
     }
 
@@ -745,6 +784,9 @@ mod tests {
         /// at least one — and steps whose hook saw fewer.
         hook_saw_waves: AtomicUsize,
         hook_missed_waves: AtomicUsize,
+        /// Reads of a node's solution, and those made while it stepped.
+        reads: AtomicUsize,
+        reads_mid_step: AtomicUsize,
     }
 
     impl Watch {
@@ -755,6 +797,8 @@ mod tests {
                 overlaps: AtomicUsize::new(0),
                 hook_saw_waves: AtomicUsize::new(0),
                 hook_missed_waves: AtomicUsize::new(0),
+                reads: AtomicUsize::new(0),
+                reads_mid_step: AtomicUsize::new(0),
             })
         }
     }
@@ -793,6 +837,11 @@ mod tests {
             self.inner.n_local()
         }
         fn solution(&self) -> &[f64] {
+            let w = &*self.watch;
+            w.reads.fetch_add(1, Ordering::SeqCst);
+            if w.in_step[self.inner.part()].load(Ordering::SeqCst) {
+                w.reads_mid_step.fetch_add(1, Ordering::SeqCst);
+            }
             self.inner.solution()
         }
         fn absorb_owned(&mut self, msg: DtmMsg) {
@@ -846,6 +895,9 @@ mod tests {
         }
         fn solved_cols(&self) -> u64 {
             self.inner.solved_cols()
+        }
+        fn defers_solution(&self) -> bool {
+            self.inner.defers_solution()
         }
     }
 
@@ -1052,6 +1104,63 @@ mod tests {
         assert!(
             steps[0] >= 4 && 2 * steps[0] >= slowest,
             "part 0 starved: {steps:?}"
+        );
+    }
+
+    /// Parts on the port path step without their interior and are
+    /// published only when the supervisor reads: never while they step
+    /// (the read takes the state lock), far less often than they step,
+    /// and completed — the accepted `x` meets the tolerance.
+    #[test]
+    fn pool_publishes_port_parts_only_when_read() {
+        let a = generators::grid2d_random(48, 48, 1.0, 85);
+        let b = generators::random_rhs(48 * 48, 86);
+        let g = ElectricGraph::from_system(a, b).unwrap();
+        let asg = dtm_graph::partition::grid_blocks(48, 48, 4, 4);
+        let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
+        let ss = evs_split(&g, &plan, &EvsOptions::default()).unwrap();
+        let tol = 1e-9;
+        let termination = Termination::Residual { tol };
+        let common = CommonConfig {
+            termination,
+            max_solves_per_node: 1_000_000,
+            ..Default::default()
+        };
+        let watch = Watch::new(ss.n_parts());
+        let nodes: Vec<_> = runtime::build_nodes(&ss, &common)
+            .unwrap()
+            .into_iter()
+            .map(|inner| Probe {
+                delay: Duration::ZERO,
+                pause: Duration::ZERO,
+                peers: Vec::new(),
+                watch: watch.clone(),
+                absorbed: 0,
+                at_hook: None,
+                inner,
+            })
+            .collect();
+        assert!(
+            nodes.iter().all(|n| n.defers_solution()),
+            "every part on the port path"
+        );
+        let report = supervise(
+            &ss,
+            termination,
+            Pool::start(nodes, 1, 2, None, false, no_hook()),
+        );
+        assert!(report.converged, "residual {}", report.final_residual);
+        let residual =
+            ss.a.residual_norm(&report.solution, &ss.b) / dtm_sparse::vector::norm2(&ss.b);
+        assert!(residual <= tol, "{residual:e}");
+        let (reads, steps) = (
+            watch.reads.load(Ordering::SeqCst),
+            report.total_solves as usize,
+        );
+        assert_eq!(watch.reads_mid_step.load(Ordering::SeqCst), 0);
+        assert!(
+            reads > 0 && 2 * reads <= steps,
+            "{reads} reads, {steps} steps"
         );
     }
 

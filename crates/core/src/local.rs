@@ -27,11 +27,24 @@
 //! system (an executor's per-solve copy of its templates) never
 //! refactors. The factor is all a local system keeps of its matrix `Â`:
 //! [`local_matrix`] builds `Â`, the constructor factors it and drops it.
+//!
+//! **Port-space steps.** Table 1 step 3.2 transmits only `(u, ω)` on the
+//! ports, and `ω` follows from `u` at the port vertex — so an exchange
+//! step needs only the `m` port values, not the whole solution. A part
+//! with a small boundary ([`LocalSolverKind::Auto`] above
+//! [`AUTO_DENSE_LIMIT`] with `m² ≤ 2·nnz(L)`) keeps, besides its factor,
+//! the dense port block `G = Â⁻¹[pv, pv]` and the port values of
+//! `Â⁻¹[f; g]`; [`LocalSystem::solve_ports`] then forms `x[pv]` in `m²`
+//! multiply-adds per column instead of two triangular sweeps, and
+//! [`LocalSystem::solution`] completes the interior — one full
+//! substitution, bitwise [`LocalSystem::solve`]'s — the first time it is
+//! read after a step. A wall-clock supervisor reads once per poll, so the
+//! interior runs about once per poll instead of once per activation.
 
 use crate::dtl;
 use dtm_graph::evs::Subdomain;
 use dtm_sparse::{Csr, DenseCholesky, Result, SparseCholesky};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which factorization backs the local solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,6 +58,12 @@ pub enum LocalSolverKind {
     /// substitution that streams the factor once, so the factor's size is
     /// the solve's cost; nested dissection roughly halves it on 3-D parts
     /// of a few thousand unknowns.
+    ///
+    /// A sparse part whose `m` distinct port vertices satisfy
+    /// `m² ≤ 2·nnz(L)` also takes the **port path**: a dense port block
+    /// costs it no more multiply-adds per exchange step than the two
+    /// triangular sweeps, so its steps compute only the port values (see
+    /// [`LocalSystem::solve_ports`]).
     #[default]
     Auto,
     /// Dense Cholesky.
@@ -97,6 +116,102 @@ impl Factor {
     }
 }
 
+/// The dense port block of a part on the port path: `G = Â⁻¹[pv, pv]`
+/// over its `m` distinct port vertices `pv`.
+///
+/// The local solution is linear in the incident waves: with `r` the sum of
+/// `w/z` over the ports at each port vertex, `x = Â⁻¹([f; g] + Σ_j r_j
+/// e_{pv_j})`, so the port values are `x[pv] = x_base[pv] + G·r`, where
+/// `x_base = Â⁻¹[f; g]` depends on the right-hand side only.
+#[derive(Debug, PartialEq)]
+pub(crate) struct PortBlock {
+    /// The distinct port vertices, ascending.
+    vertices: Vec<usize>,
+    /// Per port: the index of its vertex in `vertices`.
+    slot: Vec<usize>,
+    /// `G`, `m × m` column-major: column `j` is `(Â⁻¹ e_{pv_j})[pv]`.
+    g: Vec<f64>,
+}
+
+impl PortBlock {
+    /// The port block of an [`Auto`](LocalSolverKind::Auto) part factored
+    /// by `factor`, when the rule picks the port path: a sparse factor
+    /// (more than [`AUTO_DENSE_LIMIT`] unknowns) and `m² ≤ 2·nnz(L)` —
+    /// one pass over `G` is then at most the multiply-adds of the two
+    /// triangular sweeps. `G` is one `K = m` block solve of the unit
+    /// vectors at the port vertices.
+    fn choose(factor: &Factor, port_vertex: &[usize]) -> Option<Self> {
+        let Factor::Sparse(f) = factor else {
+            return None;
+        };
+        let mut vertices = port_vertex.to_vec();
+        vertices.sort_unstable();
+        vertices.dedup();
+        let (n, m) = (f.n(), vertices.len());
+        if n <= AUTO_DENSE_LIMIT || m * m > 2 * f.nnz_l() {
+            return None;
+        }
+        let mut g = Vec::with_capacity(m * m);
+        if m > 0 {
+            let mut units = vec![0.0; n * m];
+            for (j, &v) in vertices.iter().enumerate() {
+                units[j * n + v] = 1.0;
+            }
+            f.solve_block_with_scratch(&mut units, m, &mut Vec::new());
+            for col in units.chunks_exact(n) {
+                g.extend(vertices.iter().map(|&v| col[v]));
+            }
+        }
+        let slot = port_vertex
+            .iter()
+            .map(|v| vertices.binary_search(v).unwrap_or_default())
+            .collect();
+        Some(Self { vertices, slot, g })
+    }
+
+    fn m(&self) -> usize {
+        self.vertices.len()
+    }
+}
+
+/// The buffers a substitution runs in, behind a lock so that a read of the
+/// solution through `&self` can complete it: the solution block's storage
+/// while the block waits to be completed (empty while it is complete), the
+/// blocked kernels' interleave scratch, and — on the port path — one
+/// column for a swapped right-hand side's base solve. Scratch only: local
+/// systems compare equal whatever their buffers hold.
+#[derive(Debug, Default)]
+struct Work(Mutex<Bufs>);
+
+#[derive(Debug, Default, Clone)]
+struct Bufs {
+    x: Vec<f64>,
+    scratch: Vec<f64>,
+    col: Vec<f64>,
+}
+
+impl Work {
+    fn lock(&self) -> MutexGuard<'_, Bufs> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get_mut(&mut self) -> &mut Bufs {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Work {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl PartialEq for Work {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// A factored DTM local system with its current boundary state — a block of
 /// `n_rhs` columns sharing one factor (the scalar pipeline is the
 /// `n_rhs == 1` special case).
@@ -104,11 +219,19 @@ impl Factor {
 /// All block state is stored column-major: column `c` of an `n`-vector
 /// quantity occupies `[c·n .. (c+1)·n]`, and per-port quantities likewise
 /// with `n = n_ports`.
+///
+/// A part on the port path ([`LocalSolverKind::Auto`]) steps with
+/// [`solve_ports`](Self::solve_ports), which computes only the port
+/// values; its interior is completed — one full substitution, the
+/// arithmetic of [`solve`](Self::solve) — by the first read of
+/// [`solution`](Self::solution) after a step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalSystem {
     /// Shared factor of [`local_matrix`]: cloning a `LocalSystem` never
     /// refactors.
     factor: Arc<Factor>,
+    /// The shared port block, when this part takes the port path.
+    ports: Option<Arc<PortBlock>>,
     /// Local vertex carrying each port.
     port_vertex: Vec<usize>,
     /// Characteristic impedance per port.
@@ -119,11 +242,17 @@ pub struct LocalSystem {
     k: usize,
     /// Constant part of the RHS: `[f; g]` per column (`n·k`).
     base_rhs: Vec<f64>,
+    /// Port path: `x_base[pv]` per column (`m·k`), the port values of
+    /// `Â⁻¹[f; g]`; empty otherwise.
+    x_base: Vec<f64>,
     /// Latest incident wave per port per column (`u_twin − z·ω_twin`,
     /// init 0: eq. 5.6) — `n_ports·k`.
     w: Vec<f64>,
-    /// Latest local solution `[u; y]` per column — `n·k`.
-    x: Vec<f64>,
+    /// Latest local solution `[u; y]` per column — `n·k`; unset while a
+    /// port-path step waits for its interior.
+    x: OnceLock<Vec<f64>>,
+    /// Potential transmitted per port per column — `n_ports·k`.
+    u: Vec<f64>,
     /// Latest inflow current per port per column — `n_ports·k`.
     omega: Vec<f64>,
     /// Previous outgoing wave per port per column (convergence deltas).
@@ -139,10 +268,12 @@ pub struct LocalSystem {
     /// The mask captured by the latest [`solve`](Self::solve).
     solved_cols: u64,
     solves: usize,
-    rhs_buf: Vec<f64>,
-    /// Interleave scratch for the blocked substitution kernels, pre-sized
-    /// to `n·k` at construction so the hot loop never allocates.
-    solve_scratch: Vec<f64>,
+    /// Port path: the per-vertex sums `r` and the port values of one
+    /// column (`2·m`), so a step never allocates.
+    port_scratch: Vec<f64>,
+    /// Substitution buffers, pre-sized at construction so the hot loop
+    /// never allocates.
+    work: Work,
 }
 
 /// All-columns bitmask for a `k`-wide block (saturating at 64) — the one
@@ -220,22 +351,47 @@ impl LocalSystem {
         k: usize,
     ) -> Result<Self> {
         let matrix = local_matrix(sub, z);
-        let factor = match kind {
-            LocalSolverKind::Dense => Factor::Dense(DenseCholesky::factor_csr(&matrix)?),
-            LocalSolverKind::SparseRcm => Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?),
-            LocalSolverKind::Auto => Factor::auto(&matrix)?,
+        let port_vertex: Vec<usize> = sub.ports.iter().map(|p| p.local_vertex).collect();
+        let (factor, ports) = match kind {
+            LocalSolverKind::Dense => (Factor::Dense(DenseCholesky::factor_csr(&matrix)?), None),
+            LocalSolverKind::SparseRcm => {
+                (Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?), None)
+            }
+            LocalSolverKind::Auto => {
+                let factor = Factor::auto(&matrix)?;
+                let ports = PortBlock::choose(&factor, &port_vertex);
+                (factor, ports)
+            }
         };
         drop(matrix);
         let (n, n_ports) = (sub.n_local(), sub.n_ports());
+        let mut bufs = Bufs {
+            x: Vec::new(),
+            scratch: vec![0.0; n * k],
+            col: Vec::new(),
+        };
+        let (mut x_base, mut port_scratch) = (Vec::new(), Vec::new());
+        if let Some(pb) = &ports {
+            let mut full = base_rhs.clone();
+            factor.solve_block_with_scratch(&mut full, k, &mut bufs.scratch);
+            for col in full.chunks_exact(n) {
+                x_base.extend(pb.vertices.iter().map(|&v| col[v]));
+            }
+            port_scratch = vec![0.0; 2 * pb.m()];
+            bufs.col = vec![0.0; n];
+        }
         Ok(Self {
             factor: Arc::new(factor),
-            port_vertex: sub.ports.iter().map(|p| p.local_vertex).collect(),
+            ports: ports.map(Arc::new),
+            port_vertex,
             z: z.to_vec(),
             n,
             k,
             base_rhs,
+            x_base,
             w: vec![0.0; n_ports * k],
-            x: vec![0.0; n * k],
+            x: OnceLock::from(vec![0.0; n * k]),
+            u: vec![0.0; n_ports * k],
             omega: vec![0.0; n_ports * k],
             prev_out: vec![0.0; n_ports * k],
             col_delta: vec![f64::INFINITY; k],
@@ -243,8 +399,8 @@ impl LocalSystem {
             touched_cols: all_cols(k),
             solved_cols: all_cols(k),
             solves: 0,
-            rhs_buf: vec![0.0; n * k],
-            solve_scratch: vec![0.0; n * k],
+            port_scratch,
+            work: Work(Mutex::new(bufs)),
         })
     }
 
@@ -260,6 +416,9 @@ impl LocalSystem {
     /// convergence delta re-arms, all without touching the other columns,
     /// the factor, or the exchange. The column is marked touched so the
     /// next solve republishes it (dirty-column snapshot compatibility).
+    /// On the port path the interior is completed first, so the scaled
+    /// solution is the scaled full one, and the column's `x_base` is
+    /// solved afresh.
     ///
     /// Waves already in flight still carry the retired column's values;
     /// absorbing them merely gives the fresh column a stale starting
@@ -272,12 +431,30 @@ impl LocalSystem {
         assert!(col < self.k, "column {col} out of range (k = {})", self.k);
         assert_eq!(rhs_col.len(), self.n, "RHS column length");
         let (n, np) = (self.n, self.n_ports());
+        self.solution();
+        if let Some(x) = self.x.get_mut() {
+            scale_or_zero(&mut x[col * n..(col + 1) * n], alpha);
+        }
         self.base_rhs[col * n..(col + 1) * n].copy_from_slice(rhs_col);
+        if let Some(pb) = &self.ports {
+            let Bufs {
+                scratch, col: b, ..
+            } = self.work.get_mut();
+            b.copy_from_slice(rhs_col);
+            self.factor.solve_block_with_scratch(b, 1, scratch);
+            let m = pb.m();
+            for (xb, &v) in self.x_base[col * m..(col + 1) * m]
+                .iter_mut()
+                .zip(&pb.vertices)
+            {
+                *xb = b[v];
+            }
+        }
         let ports = col * np..(col + 1) * np;
         scale_or_zero(&mut self.w[ports.clone()], alpha);
+        scale_or_zero(&mut self.u[ports.clone()], alpha);
         scale_or_zero(&mut self.omega[ports.clone()], alpha);
         scale_or_zero(&mut self.prev_out[ports], alpha);
-        scale_or_zero(&mut self.x[col * n..(col + 1) * n], alpha);
         self.col_delta[col] = f64::INFINITY;
         self.last_delta = f64::INFINITY;
         self.touch(col);
@@ -356,30 +533,85 @@ impl LocalSystem {
     /// Solve (5.9) for every column with the stored remote boundary
     /// conditions: one RHS rebuild + one block forward/backward
     /// substitution over the shared factor (no refactorization, no
-    /// allocation — `rhs_buf` is recycled across solves and columns).
+    /// allocation — the solution block's storage is rebuilt in place).
     pub fn solve(&mut self) -> &[f64] {
-        let (n, np, k) = (self.n, self.n_ports(), self.k);
-        // The buffer swap below recycles `x`'s storage: both buffers were
-        // allocated at n·k once and must never shrink or grow, or the
-        // rebuild would reallocate per solve.
-        debug_assert_eq!(self.rhs_buf.len(), n * k, "rhs_buf recycled, never resized");
-        debug_assert!(self.rhs_buf.capacity() >= n * k);
-        self.rhs_buf.copy_from_slice(&self.base_rhs);
-        for c in 0..k {
-            for (p, &v) in self.port_vertex.iter().enumerate() {
-                self.rhs_buf[c * n + v] += self.w[c * np + p] / self.z[p];
+        let mut bufs = std::mem::take(self.work.get_mut());
+        let mut x = self.x.take().unwrap_or_else(|| std::mem::take(&mut bufs.x));
+        self.substitute(&mut x, &mut bufs.scratch);
+        *self.work.get_mut() = bufs;
+        let (n, np) = (self.n, self.n_ports());
+        for (c, u) in self.u.chunks_exact_mut(np.max(1)).enumerate() {
+            for (u, &v) in u.iter_mut().zip(&self.port_vertex) {
+                *u = x[c * n + v];
             }
         }
-        self.factor
-            .solve_block_with_scratch(&mut self.rhs_buf, k, &mut self.solve_scratch);
-        std::mem::swap(&mut self.x, &mut self.rhs_buf);
+        self.x = OnceLock::from(x);
+        self.close_step();
+        self.solution()
+    }
+
+    /// One exchange step's local work (Table 1 step 3.2), which needs only
+    /// the port values: on the port path, per column, the sums `r` of
+    /// `w/z` per port vertex and `x[pv] = x_base[pv] + G·r` as one axpy
+    /// per column of `G` — each column of the block the scalar arithmetic,
+    /// so a block step is bitwise a stack of scalar ones — and the
+    /// interior is left to the next read of [`solution`](Self::solution).
+    /// Off the port path this is [`solve`](Self::solve). Either way the
+    /// currents, outgoing waves and deltas follow from the port values,
+    /// and nothing allocates.
+    // lint: hot-path
+    pub fn solve_ports(&mut self) {
+        let Some(pb) = self.ports.as_deref() else {
+            self.solve();
+            return;
+        };
+        if let Some(x) = self.x.take() {
+            self.work.get_mut().x = x;
+        }
+        let (np, m) = (self.port_vertex.len(), pb.m());
+        let (r, xp) = self.port_scratch.split_at_mut(m);
+        for c in 0..self.k {
+            r.fill(0.0);
+            for (p, &j) in pb.slot.iter().enumerate() {
+                r[j] += self.w[c * np + p] / self.z[p];
+            }
+            xp.copy_from_slice(&self.x_base[c * m..(c + 1) * m]);
+            for (g_j, &r_j) in pb.g.chunks_exact(m.max(1)).zip(r.iter()) {
+                for (x_i, &g_ij) in xp.iter_mut().zip(g_j) {
+                    *x_i += g_ij * r_j;
+                }
+            }
+            for (u, &j) in self.u[c * np..(c + 1) * np].iter_mut().zip(&pb.slot) {
+                *u = xp[j];
+            }
+        }
+        self.close_step();
+    }
+
+    /// Rebuild the right-hand side `[f; g] + Σ_p w_p/z_p e_{v_p}` of every
+    /// column in `x` and substitute in place.
+    // lint: hot-path
+    fn substitute(&self, x: &mut [f64], scratch: &mut Vec<f64>) {
+        let (n, np, k) = (self.n, self.n_ports(), self.k);
+        x.copy_from_slice(&self.base_rhs);
+        for c in 0..k {
+            for (p, &v) in self.port_vertex.iter().enumerate() {
+                x[c * n + v] += self.w[c * np + p] / self.z[p];
+            }
+        }
+        self.factor.solve_block_with_scratch(x, k, scratch);
+    }
+
+    /// Currents, outgoing waves and deltas from the step's port values.
+    fn close_step(&mut self) {
+        let (np, k) = (self.n_ports(), self.k);
         let mut max_delta = 0.0_f64;
         for c in 0..k {
             let mut delta = 0.0_f64;
-            for (p, &v) in self.port_vertex.iter().enumerate() {
+            for p in 0..np {
                 let i = c * np + p;
-                self.omega[i] = dtl::inflow_current(self.w[i], self.x[c * n + v], self.z[p]);
-                let out = dtl::outgoing_wave(self.x[c * n + v], self.omega[i], self.z[p]);
+                self.omega[i] = dtl::inflow_current(self.w[i], self.u[i], self.z[p]);
+                let out = dtl::outgoing_wave(self.u[i], self.omega[i], self.z[p]);
                 delta = delta.max((out - self.prev_out[i]).abs());
                 self.prev_out[i] = out;
             }
@@ -389,17 +621,25 @@ impl LocalSystem {
         self.last_delta = max_delta;
         self.solved_cols = std::mem::replace(&mut self.touched_cols, 0);
         self.solves += 1;
-        &self.x
     }
 
-    /// Latest local solution `[u; y]` — the whole block, column-major.
+    /// Latest local solution `[u; y]` — the whole block, column-major. On
+    /// the port path the first read after a step completes the interior:
+    /// one full substitution, bitwise [`solve`](Self::solve)'s, run at most
+    /// once per step whoever reads, and without allocating.
     pub fn solution(&self) -> &[f64] {
-        &self.x
+        self.x.get_or_init(|| {
+            let mut bufs = self.work.lock();
+            let Bufs { x, scratch, .. } = &mut *bufs;
+            let mut x = std::mem::take(x);
+            self.substitute(&mut x, scratch);
+            x
+        })
     }
 
     /// Latest local solution of one block column.
     pub fn solution_col(&self, col: usize) -> &[f64] {
-        &self.x[col * self.n..(col + 1) * self.n]
+        &self.solution()[col * self.n..(col + 1) * self.n]
     }
 
     /// Latest inflow currents (whole block, column-major per port).
@@ -415,10 +655,8 @@ impl LocalSystem {
 
     /// The transmitted `(u, ω)` pair for `port` in block column `col`.
     pub fn outgoing_col(&self, port: usize, col: usize) -> (f64, f64) {
-        (
-            self.x[col * self.n + self.port_vertex[port]],
-            self.omega[col * self.n_ports() + port],
-        )
+        let i = col * self.n_ports() + port;
+        (self.u[i], self.omega[i])
     }
 
     /// Max |change| of any outgoing wave in the latest solve, over all
@@ -448,9 +686,36 @@ impl LocalSystem {
     }
 
     /// Size of the factor backing each substitution (dense: n(n+1)/2;
-    /// sparse: nnz(L)); drives the per-solve compute-time model.
+    /// sparse: nnz(L)).
     pub fn factor_nnz(&self) -> usize {
         self.factor.nnz()
+    }
+
+    /// The order `m` of the port block — the part's distinct port
+    /// vertices — when the part takes the port path.
+    pub fn port_block(&self) -> Option<usize> {
+        self.ports.as_deref().map(PortBlock::m)
+    }
+
+    /// The working set of one exchange step ([`solve_ports`](Self::solve_ports)):
+    /// the port block's `m²` entries on the port path, the factor's
+    /// otherwise — what the per-activation compute-time model prices.
+    pub fn step_nnz(&self) -> usize {
+        self.port_block()
+            .map_or_else(|| self.factor_nnz(), |m| m * m)
+    }
+
+    /// Floating-point operations of one exchange step over the block,
+    /// multiply-adds × 2: one pass over `G` per column on the port path
+    /// (`2·m²·k`), two triangular sweeps otherwise (`4·nnz(L)·k`). The
+    /// completion of the interior on a read is scoring work, like the
+    /// monitor's SpMV, and is not counted.
+    pub fn step_flops(&self) -> u64 {
+        let per_col = match self.port_block() {
+            Some(m) => 2 * m * m,
+            None => 4 * self.factor_nnz(),
+        };
+        (per_col * self.k) as u64
     }
 }
 
@@ -764,7 +1029,7 @@ mod tests {
         let alpha = -0.75;
         block.replace_rhs_col(1, &[0.3, 2.0, -1.0], alpha);
         let (n, np) = (block.n_local(), block.n_ports());
-        for (i, (new, old)) in block.x.iter().zip(&before.x).enumerate() {
+        for (i, (new, old)) in block.solution().iter().zip(before.solution()).enumerate() {
             let expect = if i >= n { old * alpha } else { *old };
             assert_eq!(new.to_bits(), expect.to_bits(), "x[{i}]");
         }

@@ -47,18 +47,24 @@
 //!   and lock-step machines): the part's new block is diffed against the
 //!   kept one, the estimate moves entry by entry, and every live column
 //!   the block moved is scored exactly — one scoring per moved column per
-//!   activation, over the rows the part touches;
+//!   activation, over the rows the part touches (reading the block of a
+//!   part on the port path completes its interior, once per activation);
 //! * `poll` — whatever the wall-clock workers published since the last
 //!   poll, for the columns the pass asks for: each block's dirty wanted
 //!   columns are copied into the kept copy — the supervisor's mirror of
 //!   the published blocks — under the block's lock, a slice copy and
 //!   nothing else; then every wanted live column that any part published
-//!   is gathered afresh from the mirror and scored.
+//!   is gathered afresh from the mirror and scored. A part on the port
+//!   path is published by the pool just before the poll
+//!   ([`Pool::snapshots`](crate::fabric::Pool::snapshots) completes its
+//!   interior), not by its worker after each step.
 //! * [`update_round`](Monitor::update_round) — the distributed round
 //!   executor (`dtm-net`'s supervisor) hands over every part's block at
 //!   once for each round it scores — the rounds [`next_round`] picks, not
 //!   every round: every entry moved since the last scored round, so there
 //!   is nothing to diff — and every column is gathered afresh and scored.
+//!   The groups are told the next such round and build no snapshot (so
+//!   complete no port-path interior) for the rounds before it.
 //!
 //! `poll` and `update_round` share the one gather (copies summed in
 //! ascending part order, then averaged); `update_part` moves the estimate

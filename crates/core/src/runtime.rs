@@ -397,8 +397,9 @@ pub trait AsyncNode: Send {
     fn flops(&self) -> u64;
 
     /// Size of one activation's working set (e.g. factor nonzeros for
-    /// DTM, owned-row nonzeros for point relaxation) — the input to a
-    /// per-activation compute-time model.
+    /// DTM, or its port block's entries on the port path; owned-row
+    /// nonzeros for point relaxation) — the input to a per-activation
+    /// compute-time model.
     fn work_nnz(&self) -> usize;
 
     /// Whether this node was retired by its solve cap rather than by
@@ -410,6 +411,14 @@ pub trait AsyncNode: Send {
     /// publish only those. Scalar algorithms keep the default.
     fn solved_cols(&self) -> u64 {
         u64::MAX
+    }
+
+    /// Whether [`solution`](Self::solution) is completed when it is read
+    /// (a port-path part, whose step computes only its port values), so a
+    /// wall-clock fabric publishes it only when its supervisor is about to
+    /// score it, not after every step.
+    fn defers_solution(&self) -> bool {
+        false
     }
 }
 
@@ -555,13 +564,15 @@ impl NodeRuntime {
         self.messages_sent
     }
 
-    /// Estimated floating-point operations so far: every solve is a pair
-    /// of triangular substitutions over the constant factor (§5's
-    /// factor-once remark), ≈ 2 flops (multiply + add) per stored factor
-    /// entry per sweep per RHS column — `4 · nnz(L) · k` per activation.
-    /// The wave algebra per port is negligible next to the substitutions.
+    /// Estimated floating-point operations so far: every step is what
+    /// [`LocalSystem::step_flops`] counts — a pair of triangular
+    /// substitutions over the constant factor (§5's factor-once remark),
+    /// `4 · nnz(L) · k`, or on the port path one pass over the port block,
+    /// `2 · m² · k`. The wave algebra per port is negligible next to
+    /// either, and completing a port-path interior for a reader is scoring
+    /// work, not counted.
     pub fn flops(&self) -> u64 {
-        self.solves() * 4 * self.local.factor_nnz() as u64 * self.local.n_rhs() as u64
+        self.solves() * self.local.step_flops()
     }
 
     /// Merge one incoming boundary-condition update (Table 1 step 3.1).
@@ -606,11 +617,13 @@ impl NodeRuntime {
 
     /// Solve-and-scatter (Table 1 steps 3.2–3.3, and step 1–2 on the first
     /// call): re-solve the local system against the currently stored
-    /// boundary conditions, transmit the resulting `(u, ω)` pairs to every
-    /// neighbour through `transport`, and evaluate the self-halt rule.
+    /// boundary conditions — on the port path only for the port values
+    /// ([`LocalSystem::solve_ports`]) — transmit the resulting `(u, ω)`
+    /// pairs to every neighbour through `transport`, and evaluate the
+    /// self-halt rule.
     // lint: hot-path
     pub fn step(&mut self, transport: &mut impl Transport) -> NodeControl {
-        self.local.solve();
+        self.local.solve_ports();
         let k = self.local.n_rhs();
         // Disjoint field borrows: routes are read while the freelist is
         // popped and the local system's outgoing state is sampled.
@@ -705,7 +718,7 @@ impl AsyncNode for NodeRuntime {
     }
 
     fn work_nnz(&self) -> usize {
-        self.local.factor_nnz()
+        self.local.step_nnz()
     }
 
     fn capped(&self) -> bool {
@@ -714,6 +727,10 @@ impl AsyncNode for NodeRuntime {
 
     fn solved_cols(&self) -> u64 {
         self.local.last_solve_cols()
+    }
+
+    fn defers_solution(&self) -> bool {
+        self.local.port_block().is_some()
     }
 }
 

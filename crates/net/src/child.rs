@@ -24,7 +24,8 @@
 //!   round).
 //! - **one parent watcher**, the orphan protection: `Stop` *or EOF* on
 //!   the parent link raises the stop flag, so a dying parent takes its
-//!   children down instead of leaking solver processes.
+//!   children down instead of leaking solver processes. It also stores
+//!   each `Due` round, the first one whose snapshots the round loop ships.
 
 use crate::round::{self, GroupCtx, GroupIo, GroupLinks};
 use crate::runner::FAIL_ENV;
@@ -34,7 +35,7 @@ use dtm_core::runtime::{build_node, CommonConfig, NodeRuntime};
 use dtm_sparse::{Error, Result};
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -186,9 +187,10 @@ fn run_child(kind: TransportKind, addr: &str, group: usize) -> Result<()> {
         peers.insert(h, FrameWriter::new(link));
     }
     drop(wave_tx);
-    let stop_in = stop.clone();
+    let (stop_in, due) = (stop.clone(), Arc::new(AtomicU64::new(0)));
+    let due_in = due.clone();
     let parent_reader = parent.try_clone()?;
-    std::thread::spawn(move || watch_parent(parent_reader, &stop_in));
+    std::thread::spawn(move || watch_parent(parent_reader, &stop_in, &due_in));
 
     let ctx = GroupCtx {
         group,
@@ -206,6 +208,7 @@ fn run_child(kind: TransportKind, addr: &str, group: usize) -> Result<()> {
             parent: FrameWriter::new(parent),
         },
         stop,
+        due,
     };
     let run = round::run_group(&mut nodes, &ctx, &mut io);
 
@@ -275,14 +278,16 @@ fn peer_reader(link: Stream, tx: &Sender<Vec<Wave>>) {
 }
 
 /// Watch the parent link: `Stop` is the graceful shutdown signal, EOF or
-/// an error means the parent is gone — either way, stop solving.
-fn watch_parent(mut link: Stream, stop: &AtomicBool) {
+/// an error means the parent is gone — either way, stop solving. `Due`
+/// moves the round the snapshots are shipped from.
+fn watch_parent(mut link: Stream, stop: &AtomicBool, due: &AtomicU64) {
     loop {
         match wire::read_frame(&mut link) {
             Ok(Some(Msg::Stop)) | Ok(None) | Err(_) => {
                 stop.store(true, Ordering::Release);
                 break;
             }
+            Ok(Some(Msg::Due(round))) => due.store(round, Ordering::Release),
             Ok(Some(_)) => {}
         }
     }
@@ -330,6 +335,21 @@ mod tests {
 
     #[test]
     fn one_write_per_peer_per_round_and_one_to_the_supervisor() {
+        middle_group_frames(0);
+    }
+
+    /// Announced due rounds: the rounds below ship no snapshot frame, the
+    /// cap's last round always ships one, and the waves do not change.
+    #[test]
+    fn rounds_below_the_due_one_ship_no_snapshots() {
+        for due in [1, 2, 9] {
+            middle_group_frames(due);
+        }
+    }
+
+    /// Run the middle of three groups for three rounds with `due`
+    /// announced, and check every frame it writes.
+    fn middle_group_frames(due: u64) {
         // Three strips, one per group: the middle group has two peers.
         let side = 9;
         let a = generators::grid2d_laplacian(side, side);
@@ -386,6 +406,7 @@ mod tests {
                 parent: FrameWriter::new(to_parent.clone()),
             },
             stop: Arc::new(AtomicBool::new(false)),
+            due: Arc::new(AtomicU64::new(due)),
         };
         let ctx = GroupCtx {
             group: 1,
@@ -413,13 +434,16 @@ mod tests {
                     .all(|w| (w.round, w.src, w.dst) == (round as u64, 1, peer)));
             }
         }
+        let shipped: Vec<u64> = (0..ROUNDS)
+            .filter(|&r| r >= due || r == ROUNDS - 1)
+            .collect();
         let frames = to_parent.frames();
-        assert_eq!(frames.len() as u64, ROUNDS);
-        for (round, frame) in frames.iter().enumerate() {
+        assert_eq!(frames.len(), shipped.len(), "due {due}");
+        for (&round, frame) in shipped.iter().zip(&frames) {
             let Msg::SnapshotBatch(batch) = frame else {
                 panic!("supervisor got {frame:?}");
             };
-            assert_eq!((batch.round(), batch.len()), (round as u64, 1));
+            assert_eq!((batch.round(), batch.len()), (round, 1));
         }
     }
 }

@@ -27,7 +27,11 @@
 //! boundary parts has stepped, every peer group that class owes waves
 //! gets them as **one batch** — not one per round: the peer's next class
 //! may be waiting for them. When the sweep ends the supervisor gets every
-//! part's solution as **one** [`SnapshotBatch`]. Waves wait for their
+//! part's solution as **one** [`SnapshotBatch`] — for the rounds it will
+//! score only: it announces the next one it scores ([`GroupIo::due`]),
+//! and an earlier round ships nothing (the cap's last round always
+//! ships). Skipping a snapshot changes no node state, so the counters and
+//! the bits do not depend on when the announcement lands. Waves wait for their
 //! round in a pair of slots per route (picked by round parity: a sender
 //! can be at most one round ahead of its receiver), not in a keyed map.
 //! In the final round (`max_rounds − 1`) only the waves to higher-coloured
@@ -45,7 +49,7 @@ use dtm_core::runtime::{DtmMsg, NodeRuntime};
 use dtm_sparse::{Error, Result};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,6 +98,9 @@ pub struct GroupIo<L> {
     pub links: L,
     /// Cease after the current absorb/step when set.
     pub stop: Arc<AtomicBool>,
+    /// The next round the supervisor scores ([`crate::wire::Msg::Due`]):
+    /// the snapshots of earlier rounds are neither built nor shipped.
+    pub due: Arc<AtomicU64>,
 }
 
 /// Static execution context of one group.
@@ -121,7 +128,7 @@ pub fn group_rates(nodes: &BTreeMap<usize, NodeRuntime>) -> GroupRates {
     for node in nodes.values() {
         r.solves_per_round += 1;
         r.messages_per_round += node.neighbor_parts().count() as u64;
-        r.flops_per_round += 4 * node.local().factor_nnz() as u64 * node.local().n_rhs() as u64;
+        r.flops_per_round += node.local().step_flops();
     }
     r
 }
@@ -264,7 +271,7 @@ pub fn run_group<L: GroupLinks>(
         let start = slots.src.len();
         slots.src.extend(ns);
         slots.range.push(start..slots.src.len());
-        n_values += node.local().solution().len();
+        n_values += node.local().n_local() * node.local().n_rhs();
     }
     slots.slots.resize(slots.src.len(), [None, None]);
 
@@ -302,6 +309,10 @@ fn sweep_round<L: GroupLinks>(
     io: &mut GroupIo<L>,
 ) -> Result<bool> {
     let last_round = round + 1 == ctx.max_rounds;
+    // A round the supervisor would drop unscored ships no snapshots — and
+    // so completes no port-path interior. The cap's last round always
+    // ships.
+    let snaps = last_round || round >= io.due.load(Ordering::Acquire);
     sweep.snaps.reset(round);
     for (i, node) in sweep.nodes.iter_mut().enumerate() {
         for route in sweep.slots.range[i].clone() {
@@ -321,7 +332,9 @@ fn sweep_round<L: GroupLinks>(
         }
         let _ = node.step(&mut sweep.outbox);
         let src = node.part();
-        sweep.snaps.push(src as u64, node.local().solution());
+        if snaps {
+            sweep.snaps.push(src as u64, node.local().solution());
+        }
         for (dst, msg) in sweep.outbox.drain(..) {
             // The final round's waves to lower colours would be absorbed
             // in a round that never comes.
@@ -356,8 +369,10 @@ fn sweep_round<L: GroupLinks>(
             }
         }
     }
-    if let Err(e) = io.links.send_snapshots(&mut sweep.snaps) {
-        return closed_link(ctx, io, "supervisor link", &e);
+    if snaps {
+        if let Err(e) = io.links.send_snapshots(&mut sweep.snaps) {
+            return closed_link(ctx, io, "supervisor link", &e);
+        }
     }
     Ok(true)
 }

@@ -8,7 +8,10 @@
 //! ([`next_round`]) asks for to its [`Monitor`] (ascending part order
 //! within the round, whatever order the groups swept in, averaging each
 //! vertex's copies as every gather does); the others are
-//! dropped unscored. It stops at the first scored round whose relative
+//! dropped unscored. After each scored round it announces the next one
+//! ([`Msg::Due`]: a shared atomic in process, a frame on each child's
+//! supervisor link otherwise), and the groups build and ship no snapshot
+//! of a round before it. It stops at the first scored round whose relative
 //! residual meets the tolerance. The cadence scores every round near the
 //! predicted crossing and few far from it. Because rounds and their exact
 //! metrics — not wall-clock races — decide which rounds are scored and
@@ -147,11 +150,17 @@ fn solutions_by_part<'a>(
 /// only, never on arrival timing. Snapshots of the rounds in between are
 /// dropped on arrival. Once the budget is out, the next round to complete
 /// is scored and reported, if it completes within one receive interval.
+///
+/// Every time the next round to score moves, `announce` tells the groups
+/// ([`Msg::Due`]), so that they stop building and shipping the snapshots
+/// of the rounds in between; a group that has not heard yet ships them,
+/// and they are dropped here as before.
 fn supervise(
     inp: &RunInputs<'_>,
     events: &Receiver<(usize, UpEvent)>,
     started: Instant,
     rates: GroupRates,
+    announce: &mut dyn FnMut(u64),
 ) -> Result<RunOutcome> {
     let split = inp.split;
     let n_parts = split.n_parts();
@@ -179,6 +188,7 @@ fn supervise(
         if now >= deadline && overtime.is_none() {
             overtime = Some(now + RECV_INTERVAL);
             due = last.map_or(0, |(r, _)| r + 1);
+            announce(due);
         }
         let Some(left) = overtime.unwrap_or(deadline).checked_duration_since(now) else {
             break;
@@ -214,6 +224,7 @@ fn supervise(
         let metric = monitor.update_round(wall_time(started), by_part);
         due = next_round(last, (round, metric), inp.tol).min(last_round);
         last = Some((round, metric));
+        announce(due);
         // Rounds that started arriving before this one completed and that
         // the cadence now skips.
         pending.retain(|&r, _| r >= due);
@@ -319,6 +330,7 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
     }
     let (ev_tx, ev_rx) = channel();
     let stop = Arc::new(AtomicBool::new(false));
+    let due = Arc::new(AtomicU64::new(0));
     let spare = Arc::new(Mutex::new(Vec::new()));
 
     let mut handles = Vec::new();
@@ -340,6 +352,7 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
                 spare: spare.clone(),
             },
             stop: stop.clone(),
+            due: due.clone(),
         };
         let ctx = GroupCtx {
             group: g,
@@ -359,7 +372,9 @@ pub(crate) fn run_in_process(inp: &RunInputs<'_>) -> Result<RunOutcome> {
     drop(ev_tx);
     drop(wave_tx);
 
-    let outcome = supervise(inp, &ev_rx, started, rates);
+    let outcome = supervise(inp, &ev_rx, started, rates, &mut |round| {
+        due.store(round, Ordering::Release);
+    });
     stop.store(true, Ordering::Release);
     for h in handles {
         match h.join() {
@@ -645,7 +660,13 @@ fn run_processes_inner(
     }
     drop(ev_tx);
 
-    let outcome = supervise(inp, &ev_rx, started, rates);
+    // A child that cannot be told is one that failed; its reader
+    // reports that.
+    let outcome = supervise(inp, &ev_rx, started, rates, &mut |round| {
+        for conn in writers.values_mut() {
+            let _ = wire::write_frame(conn, &Msg::Due(round));
+        }
+    });
 
     // Stop everyone regardless of how supervision ended; the caller
     // reaps.

@@ -210,6 +210,10 @@ pub enum Msg {
     SnapshotBatch(SnapshotBatch),
     /// Parent → child: cease after the current round.
     Stop,
+    /// Parent → child: the next round the supervisor scores. Snapshots of
+    /// earlier rounds would be dropped unscored, so the group neither
+    /// builds nor ships them.
+    Due(u64),
     /// Child → parent: round loop finished (stop or round cap).
     Done,
     /// Child → parent: fatal error; the parent tears the run down.
@@ -232,6 +236,7 @@ const TAG_STOP: u8 = 9;
 const TAG_DONE: u8 = 10;
 const TAG_ERR: u8 = 11;
 const TAG_WAVE_BATCH: u8 = 12;
+const TAG_DUE: u8 = 13;
 
 /// Bytes of the little-endian payload-length prefix of a frame.
 const LEN_PREFIX: usize = 4;
@@ -470,6 +475,10 @@ fn encode_msg(e: &mut Enc<'_>, msg: &Msg) {
         Msg::WaveBatch(ws) => e.wave_batch(ws),
         Msg::SnapshotBatch(b) => e.snapshot_batch(b),
         Msg::Stop => e.u8(TAG_STOP),
+        Msg::Due(round) => {
+            e.u8(TAG_DUE);
+            e.u64(*round);
+        }
         Msg::Done => e.u8(TAG_DONE),
         Msg::Err { text } => {
             e.u8(TAG_ERR);
@@ -812,6 +821,7 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
         TAG_WAVE_BATCH => Msg::WaveBatch(d.wave_batch()?),
         TAG_SNAPSHOT_BATCH => Msg::SnapshotBatch(d.snapshot_batch()?),
         TAG_STOP => Msg::Stop,
+        TAG_DUE => Msg::Due(d.u64()?),
         TAG_DONE => Msg::Done,
         TAG_ERR => Msg::Err { text: d.str()? },
         _ => return Err(parse_err("unknown message tag")),

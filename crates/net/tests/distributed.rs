@@ -20,7 +20,7 @@ use dtm_sparse::{generators, Error};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -480,6 +480,7 @@ fn group_zero_after_its_peer_exited(
         wave_rx,
         links: PeerExited { peer_gone },
         stop: stop.clone(),
+        due: Arc::new(AtomicU64::new(0)),
     };
     let ctx = GroupCtx {
         group: 0,
@@ -526,6 +527,7 @@ fn a_colour_map_missing_a_part_is_a_typed_error() {
         wave_rx,
         links: PeerExited { peer_gone: false },
         stop: Arc::new(AtomicBool::new(false)),
+        due: Arc::new(AtomicU64::new(0)),
     };
     let ctx = GroupCtx {
         group: 1,

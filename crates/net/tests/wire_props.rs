@@ -128,6 +128,7 @@ fn every_variant_roundtrips() {
         Msg::SnapshotBatch(snapshots(41, &[3, 0, 7], 12)),
         Msg::SnapshotBatch(SnapshotBatch::default()),
         Msg::Stop,
+        Msg::Due(150),
         Msg::Done,
         Msg::Err {
             text: "boundary ütf-8 ✓".into(),

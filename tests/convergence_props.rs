@@ -18,9 +18,9 @@ use dtm_repro::core::impedance::ImpedancePolicy;
 use dtm_repro::core::local::LocalSolverKind;
 use dtm_repro::core::rayon_backend::RayonConfig;
 use dtm_repro::core::report::StopKind;
-use dtm_repro::core::runtime::{CommonConfig, ExecutorBackend};
+use dtm_repro::core::runtime::{build_nodes, CommonConfig, ExecutorBackend};
 use dtm_repro::core::solver::{ComputeModel, DtmConfig, Termination};
-use dtm_repro::core::{DtmProblem, Machine};
+use dtm_repro::core::{DtmProblem, Machine, SolveReport};
 use dtm_repro::graph::evs::{split, EvsOptions, SharePolicy, SplitSystem};
 use dtm_repro::graph::validate;
 use dtm_repro::graph::{partition, ElectricGraph, PartitionPlan};
@@ -182,25 +182,100 @@ proptest! {
                 let config = DistributedConfig { common, processes: 2, ..Default::default() };
                 reports.push(("dtm/distributed", DistributedBackend.solve(&ss, reference(), &config)));
             }
-            for (who, report) in reports {
-                let report = report.expect("runs");
-                prop_assert!(report.converged, "{who} under {termination:?}: {:?}", report.stop);
-                let x = &report.solution;
-                let (metric, reported) = match termination {
-                    Termination::OracleRms { .. } => (
-                        dtm_repro::sparse::vector::rms_error(x, &x_star),
-                        report.final_rms,
-                    ),
-                    _ => (
-                        a.residual_norm(x, &b) / dtm_repro::sparse::vector::norm2(&b),
-                        report.final_residual,
-                    ),
-                };
-                prop_assert!(metric <= tol, "{who} under {termination:?}: {metric:e} > {tol:e}");
-                prop_assert_eq!(metric, reported, "{} reports its own x", who);
-            }
+            check_converged(reports, termination, &a, &b, &x_star)?;
         }
     }
+
+    /// The same on a split whose every part takes the port path (steps
+    /// compute only the port values; the interior is completed when
+    /// read), DTM on every machine.
+    #[test]
+    fn converged_implies_the_returned_x_meets_the_tolerance_on_port_path_parts(
+        side in 20usize..25,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = generators::grid2d_random(side, side, 1.0, seed);
+        let b = generators::random_rhs(side * side, seed ^ 0xabcd);
+        let g = ElectricGraph::from_system(a.clone(), b.clone()).expect("symmetric");
+        let asg = partition::grid_blocks(side, side, 2, 2);
+        let plan = PartitionPlan::from_assignment(&g, &asg).expect("valid");
+        let ss = split(&g, &plan, &EvsOptions::default()).expect("valid split");
+        let nodes = build_nodes(&ss, &CommonConfig::default()).expect("factors");
+        prop_assert!(nodes.iter().all(|n| n.local().port_block().is_some()));
+        let x_star = dtm_repro::sparse::SparseCholesky::factor(&a).expect("SPD").solve(&b);
+        let topo = Topology::complete(4).with_delays(&DelayModel::uniform_ms(1.0, 9.0, seed));
+        let tol = 1e-7;
+        for termination in [Termination::Residual { tol }, Termination::OracleRms { tol }] {
+            let common = CommonConfig { termination, ..Default::default() };
+            // A step costs about a link delay, so arrivals coalesce: with
+            // the default 10 µs steps every wave is its own activation.
+            let sim = Machine::Simulated {
+                topology: topo.clone(),
+                config: DtmConfig {
+                    common: common.clone(),
+                    compute: ComputeModel::Fixed(SimDuration::from_millis_f64(2.0)),
+                    horizon: SimDuration::from_millis_f64(3_600_000.0),
+                    ..Default::default()
+                },
+            };
+            let pool = Machine::Pool(RayonConfig { common: common.clone(), ..Default::default() });
+            let routed = Machine::Pool(RayonConfig {
+                common: common.clone(),
+                delay_topology: Some(topo.clone()),
+                ..Default::default()
+            });
+            let lockstep = Machine::LockStep { common: common.clone(), price: None };
+            let dtm = DtmProblem { reference: Some(x_star.clone()), ..DtmProblem::of_split(ss.clone()) };
+            let mut reports = vec![
+                ("ports/sim", dtm.solve(&sim)),
+                ("ports/lockstep", dtm.solve(&lockstep)),
+                ("ports/routed", dtm.solve(&routed)),
+                ("ports/pool", dtm.solve(&pool)),
+            ];
+            if matches!(termination, Termination::Residual { .. }) {
+                let config = DistributedConfig { common, processes: 2, ..Default::default() };
+                reports.push(("ports/distributed", DistributedBackend.solve(&ss, Some(x_star.clone()), &config)));
+            }
+            check_converged(reports, termination, &a, &b, &x_star)?;
+        }
+    }
+}
+
+/// Every report converged, and the stopping metric recomputed from its
+/// `x` meets `termination`'s tolerance and is the one it reports.
+fn check_converged(
+    reports: Vec<(&str, dtm_repro::sparse::Result<SolveReport>)>,
+    termination: Termination,
+    a: &dtm_repro::sparse::Csr,
+    b: &[f64],
+    x_star: &[f64],
+) -> Result<(), TestCaseError> {
+    let tol = termination.metric_tol().expect("a supervised rule");
+    for (who, report) in reports {
+        let report = report.expect("runs");
+        prop_assert!(
+            report.converged,
+            "{who} under {termination:?}: {:?}",
+            report.stop
+        );
+        let x = &report.solution;
+        let (metric, reported) = match termination {
+            Termination::OracleRms { .. } => (
+                dtm_repro::sparse::vector::rms_error(x, x_star),
+                report.final_rms,
+            ),
+            _ => (
+                a.residual_norm(x, b) / dtm_repro::sparse::vector::norm2(b),
+                report.final_residual,
+            ),
+        };
+        prop_assert!(
+            metric <= tol,
+            "{who} under {termination:?}: {metric:e} > {tol:e}"
+        );
+        prop_assert_eq!(metric, reported, "{} reports its own x", who);
+    }
+    Ok(())
 }
 
 /// Non-proptest determinism check: two identical runs are bit-identical.
